@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	fedbench [flags] all|fig1|tab1|fig7|fig8|fig9|tab2|fig10|fig11|fig12|ablate|bench|large|soak|mesh
+//	fedbench [flags] all|fig1|tab1|fig7|fig8|fig9|tab2|fig10|fig11|fig12|ablate|bench|large|soak
 //
 // Examples:
 //
@@ -38,13 +38,6 @@
 // staleness oracle, followed by a warm-cache vs uncached throughput
 // comparison. It writes BENCH_soak.json and exits non-zero on any stale
 // serve or broken shed accounting — the CI soak-smoke contract.
-//
-// The mesh experiment compares MPC throughput at -mesh-sessions concurrent
-// sessions between the multiplexed TCP mesh (lanes over shared links) and
-// the per-fork-dial baseline (a fresh socket mesh per session), optionally
-// under mTLS (-tls-cert/-tls-key/-tls-ca). It writes BENCH_mesh.json and
-// exits non-zero if the mux falls more than -mesh-tolerance below the
-// baseline — the CI mesh throughput gate.
 package main
 
 import (
@@ -62,7 +55,6 @@ import (
 	"repro/internal/mpc"
 	"repro/internal/soak"
 	"repro/internal/traffic"
-	"repro/internal/transport"
 )
 
 func main() {
@@ -84,17 +76,10 @@ func main() {
 		graphFile = flag.String("graph", "", "bench an imported graph file (binary snapshot or text) alongside/instead of the synthetic datasets")
 		workers   = flag.Int("workers", 0, "with large: parallel precompute workers (0 = GOMAXPROCS)")
 		duration  = flag.Duration("duration", 3*time.Second, "with soak: mixed-workload phase length")
-
-		meshSessions = flag.Int("mesh-sessions", 8, "with mesh: concurrent MPC sessions per transport variant")
-		meshCompares = flag.Int("mesh-compares", 300, "with mesh: secure comparisons per session")
-		meshTol      = flag.Float64("mesh-tolerance", 0.10, "with mesh: acceptable relative throughput loss of the mux vs the per-fork-dial baseline")
-		tlsCert      = flag.String("tls-cert", "", "with mesh: silo certificate PEM for mutual-auth TLS on both transport variants")
-		tlsKey       = flag.String("tls-key", "", "with mesh: silo private key PEM")
-		tlsCA        = flag.String("tls-ca", "", "with mesh: federation CA PEM")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: fedbench [flags] all|fig1|tab1|fig7|fig8|fig9|tab2|fig10|fig11|fig12|ablate|bench|large|soak|mesh")
+		fmt.Fprintln(os.Stderr, "usage: fedbench [flags] all|fig1|tab1|fig7|fig8|fig9|tab2|fig10|fig11|fig12|ablate|bench|large|soak")
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
@@ -116,39 +101,6 @@ func main() {
 	mode := mpc.ModeIdeal
 	if *protocol {
 		mode = mpc.ModeProtocol
-	}
-
-	// The mesh tier measures transport-layer throughput (multiplexed lanes
-	// over shared links vs a fresh TCP mesh per session); it does not go
-	// through the Harness.
-	if flag.Arg(0) == "mesh" {
-		cfg := meshBenchConfig{
-			Silos: *silos, Sessions: *meshSessions, Compares: *meshCompares,
-			Seed: *seed, Tolerance: *meshTol,
-		}
-		if *tlsCert != "" || *tlsKey != "" || *tlsCA != "" {
-			cfg.TLS = &transport.TLSConfig{CertFile: *tlsCert, KeyFile: *tlsKey, CAFile: *tlsCA}
-		}
-		rep, err := runMeshBench(cfg, os.Stdout)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fedbench: %v\n", err)
-			os.Exit(1)
-		}
-		out := *jsonOut
-		if out == "" {
-			out = "BENCH_mesh.json"
-		}
-		if err := rep.WriteFile(out); err != nil {
-			fmt.Fprintf(os.Stderr, "fedbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nwrote %s\n", out)
-		if !rep.Pass {
-			fmt.Fprintf(os.Stderr, "fedbench: mux throughput %.2fx baseline, below the %.2f floor\n",
-				rep.Ratio, 1-*meshTol)
-			os.Exit(1)
-		}
-		return
 	}
 
 	// The soak tier builds its own serving stack (federation + cache +

@@ -128,24 +128,42 @@ func TestCompareBatchIdealAccountingMatchesProtocol(t *testing.T) {
 	}
 }
 
-func TestCompareBatchOfOneMatchesSingle(t *testing.T) {
-	e, err := NewEngine(Params{Parties: 3, Mode: ModeProtocol, Seed: 23})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewPCG(3, 3))
-	for trial := 0; trial < 30; trial++ {
-		d := []int64{rng.Int64N(1001) - 500, rng.Int64N(1001) - 500, rng.Int64N(1001) - 500}
-		single, err := e.Compare(d)
+// TestCompareIsCompareBatchOfOne: Compare(d) and CompareBatch of one are the
+// same operation — equal result and equal Stats delta — in both modes.
+func TestCompareIsCompareBatchOfOne(t *testing.T) {
+	for _, mode := range []Mode{ModeIdeal, ModeProtocol} {
+		e, err := NewEngine(Params{Parties: 3, Mode: mode, Seed: 23})
 		if err != nil {
 			t.Fatal(err)
 		}
-		batch, err := e.CompareBatch([][]int64{d})
-		if err != nil {
-			t.Fatal(err)
+		rng := rand.New(rand.NewPCG(3, 3))
+		for trial := 0; trial < 30; trial++ {
+			d := []int64{rng.Int64N(1001) - 500, rng.Int64N(1001) - 500, rng.Int64N(1001) - 500}
+			s0 := e.Stats()
+			single, err := e.Compare(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s1 := e.Stats()
+			batch, err := e.CompareBatch([][]int64{d})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s2 := e.Stats()
+			if single != batch[0] {
+				t.Fatalf("mode %v trial %d: single %v != batch-of-one %v", mode, trial, single, batch[0])
+			}
+			if ds, db := s1.Sub(s0), s2.Sub(s1); ds != db {
+				t.Fatalf("mode %v trial %d: Compare cost %+v, CompareBatch-of-one cost %+v", mode, trial, ds, db)
+			}
 		}
-		if single != batch[0] {
-			t.Fatalf("trial %d: single %v != batch-of-one %v", trial, single, batch[0])
+		// 60 compares of 3 parties: every round is 3·2 point-to-point messages.
+		if bytes, rounds, simNet := e.PerCompareCost(); e.Stats() != (Stats{
+			Compares: 60, Rounds: 60 * int64(rounds), Bytes: 60 * bytes,
+			Messages: 60 * 3 * 2 * int64(rounds), SimNet: 60 * simNet,
+		}) {
+			t.Fatalf("mode %v: 60 single compares cost %+v, PerCompareCost (%d B, %d rounds, %v)",
+				mode, e.Stats(), bytes, rounds, simNet)
 		}
 	}
 }

@@ -12,8 +12,8 @@ import (
 
 // armedWrap builds a Params.Wrap that leaves endpoints clean until armed is
 // set, then wraps the given party's NEXT created endpoint (i.e. the next
-// Fork) with a FaultConn on the given plan. Arming after NewEngine keeps the
-// calibration run clean; the returned getter exposes the installed wrapper.
+// Fork) with a FaultConn on the given plan, leaving the root engine's own
+// endpoints clean; the returned getter exposes the installed wrapper.
 func armedWrap(party int, plan transport.FaultPlan) (wrap func(int, transport.Conn) transport.Conn, arm *atomic.Bool, installed *atomic.Pointer[transport.FaultConn]) {
 	arm = new(atomic.Bool)
 	installed = new(atomic.Pointer[transport.FaultConn])
@@ -163,7 +163,7 @@ func TestChaosCloseMidRoundPoisonsDespiteRetries(t *testing.T) {
 }
 
 func TestChaosBatchCompare(t *testing.T) {
-	// The batched protocol path shares the retry/poison machinery.
+	// Batches run under the same retry/poison machinery as single compares.
 	wrap, arm, _ := armedWrap(2, transport.FaultPlan{Script: []transport.FaultKind{transport.FaultError}})
 	root, err := NewEngine(Params{
 		Parties:      3,
@@ -195,7 +195,7 @@ func TestChaosBatchCompare(t *testing.T) {
 		t.Fatal("engine poisoned by a recovered batched fault")
 	}
 
-	// A crash mid-batch poisons, exactly like the scalar path.
+	// A crash mid-batch poisons, exactly like a single comparison's.
 	arm.Store(false)
 	wrap2, arm2, _ := armedWrap(0, transport.FaultPlan{Script: []transport.FaultKind{transport.FaultClose}})
 	root2, err := NewEngine(Params{
@@ -217,48 +217,45 @@ func TestChaosBatchCompare(t *testing.T) {
 }
 
 func TestChaosPackedRaggedBatch(t *testing.T) {
-	// Word-packed rounds under fault injection: a transient fault mid-batch
-	// on a ragged (non-multiple-of-8) lane count must be absorbed by retry
-	// with every lane still correct, on both wire layouts.
+	// Word-lane rounds under fault injection: a transient fault mid-batch on
+	// a ragged (non-multiple-of-8) lane count must be absorbed by retry with
+	// every lane still correct.
 	rng := rand.New(rand.NewPCG(77, 77))
 	diffs, want := randomBatch(rng, 3, 13)
-	for _, noPack := range []bool{false, true} {
-		wrap, arm, _ := armedWrap(1, transport.FaultPlan{After: 1, Script: []transport.FaultKind{transport.FaultError}})
-		root, err := NewEngine(Params{
-			Parties:      3,
-			Mode:         ModeProtocol,
-			Seed:         36,
-			NoPack:       noPack,
-			RoundTimeout: 500 * time.Millisecond,
-			Retry:        RetryPolicy{Attempts: 2, Backoff: time.Millisecond},
-			Wrap:         wrap,
-		})
-		if err != nil {
-			t.Fatal(err)
+	wrap, arm, _ := armedWrap(1, transport.FaultPlan{After: 1, Script: []transport.FaultKind{transport.FaultError}})
+	root, err := NewEngine(Params{
+		Parties:      3,
+		Mode:         ModeProtocol,
+		Seed:         36,
+		RoundTimeout: 500 * time.Millisecond,
+		Retry:        RetryPolicy{Attempts: 2, Backoff: time.Millisecond},
+		Wrap:         wrap,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer root.Close()
+	arm.Store(true)
+	e := root.Fork()
+	defer e.Close()
+	got, err := e.CompareBatch(diffs)
+	if err != nil {
+		t.Fatalf("retry did not absorb the fault: %v", err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("lane %d wrong after retry", i)
 		}
-		arm.Store(true)
-		e := root.Fork()
-		got, err := e.CompareBatch(diffs)
-		if err != nil {
-			t.Fatalf("noPack=%v: retry did not absorb the fault: %v", noPack, err)
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("noPack=%v: lane %d wrong after retry", noPack, i)
-			}
-		}
-		if e.Poisoned() {
-			t.Fatalf("noPack=%v: engine poisoned by a recovered fault", noPack)
-		}
-		e.Close()
-		root.Close()
+	}
+	if e.Poisoned() {
+		t.Fatal("engine poisoned by a recovered fault")
 	}
 }
 
 func TestChaosRandomizedSoak(t *testing.T) {
 	// Seeded random fault schedules (drops, delays, transient errors and the
 	// occasional crash — no duplicates, which desynchronize FIFO streams and
-	// are exercised separately) hammer the scalar protocol. The invariants:
+	// are exercised separately) hammer single comparisons. The invariants:
 	// never a panic or a hang, every error is classified (poisoned or
 	// transient-but-recovered), and every successful comparison returns the
 	// right bit.

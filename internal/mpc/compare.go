@@ -1,153 +1,243 @@
 package mpc
 
 import (
+	"crypto/subtle"
 	"fmt"
 
 	"repro/internal/transport"
 )
 
-// RunCompareParty executes one party's role of the secure comparison over an
-// arbitrary transport (e.g. a TCP mesh spanning real processes): the party
-// contributes the private difference diff = a_p − b_p and learns only
+// The comparison protocol runs k independent comparisons inside ONE
+// RoundsPerCompare-round instance: masked openings, circuit-level AND
+// openings and result bits of all k instances travel in the same frames, so
+// communication rounds — the latency-dominated cost on real networks — are
+// paid once per batch. A single comparison is simply k = 1.
+//
+// Frame layout (every party broadcasts one frame per round):
+//
+//	round 1      8k bytes: instance i's masked opening d_i + r_i as a
+//	             little-endian uint64 at offset 8i
+//	level ℓ      ⌈gates_ℓ·2·k/8⌉ bytes: one dense bit-stream, gate-major,
+//	             LSB-first — gate t's masked e-vector occupies stream bits
+//	             2t·k … 2t·k+k−1, its f-vector the next k bits; instance i
+//	             is bit i of a vector; only the last byte is zero-padded
+//	last round   ⌈k/8⌉ bytes: the k result-bit shares, same bit order
+//
+// batchWireCost (engine.go) restates these sizes as the analytic cost.
+//
+// FedRoad batches the TM-tree's tournament build, the SPSP frontier's
+// μ-updates and the CH builder's witness searches and customization, whose
+// level-wise comparisons are independent by construction (§VI).
+
+// RunCompareParty executes one party's role of a single secure comparison
+// over an arbitrary transport (e.g. a TCP mesh spanning real processes): the
+// party contributes the private difference diff = a_p − b_p and learns only
 // whether Σ_p diff_p < 0. The party's tuple must come from the same dealer
 // batch as every other party's (the preprocessing phase).
 func RunCompareParty(conn transport.Conn, diff int64, tup *CmpTuple) (bool, error) {
-	return compareParty(conn, uint64(diff), tup)
-}
-
-// compareParty runs one party's role in the secure comparison protocol.
-// diff is the party's private input d_p; the protocol decides whether
-// D = Σ_p d_p (interpreted as a two's-complement signed value) is negative,
-// i.e. whether the first joint operand is smaller. Every party learns the
-// same single output bit.
-//
-// tup is this party's slice of the dealer's correlated randomness.
-func compareParty(conn transport.Conn, diff uint64, tup *CmpTuple) (bool, error) {
-	me, n := conn.Party(), conn.N()
-
-	// Round 1 — fused masked opening of C = D + R. The inputs d_p already
-	// form an additive sharing of D, so instead of a separate input-sharing
-	// round each party broadcasts m_p = d_p + r_p directly, where r_p is its
-	// additive share of the dealer's uniform mask R. Any n−1 of the m_p are
-	// jointly uniform (each is masked by an r_p the observer does not hold),
-	// and their sum opens only C = D + R — exactly what the old two-round
-	// share-then-open sequence revealed, one round cheaper.
-	var buf8 [8]byte
-	putU64(buf8[:], diff+tup.RShare)
-	opened, err := broadcast(conn, buf8[:])
+	out, err := RunCompareBatchParty(conn, []int64{diff}, []CmpTuple{*tup})
 	if err != nil {
 		return false, err
 	}
-	c := uint64(0)
-	for q := 0; q < n; q++ {
-		c += getU64(opened[q])
-	}
+	return out[0], nil
+}
 
-	// Borrow circuit over bits 0..K-2 of C − R. Locally derive the XOR shares
-	// of the generate/propagate pair of every bit from the public bits of C
-	// and the shared bits of R:
-	//
-	//	g_i = ¬c_i ∧ r_i          (borrow generated at bit i)
-	//	p_i = ¬(c_i ⊕ r_i)        (borrow propagated through bit i)
-	//
-	// Constants fold into party 0's share.
-	g := make([]Bit, NumLeaves)
-	p := make([]Bit, NumLeaves)
-	for i := 0; i < NumLeaves; i++ {
-		ci := Bit(c>>uint(i)) & 1
-		ri := tup.RBits[i]
-		if ci == 0 {
-			g[i] = ri
+// RunCompareBatchParty executes one party's role for k comparisons at once
+// over an arbitrary transport. diffs[i] is the party's private input d_p of
+// instance i and tups[i] its slice of the dealer's correlated randomness for
+// that instance; the protocol decides, per instance, whether D = Σ_p d_p
+// (as a two's-complement signed value) is negative. Every party learns the
+// same k bits and nothing else.
+//
+// This is the only function that performs comparison rounds: each circuit
+// wire holds one bit of every instance in machine-word lanes (see pack.go),
+// so the level-synchronous Beaver evaluation is 64-way SIMD in plain uint64
+// arithmetic.
+func RunCompareBatchParty(conn transport.Conn, diffs []int64, tups []CmpTuple) ([]bool, error) {
+	me, n := conn.Party(), conn.N()
+	k := len(diffs)
+	if len(tups) != k {
+		return nil, fmt.Errorf("mpc: %d tuples for %d comparisons", len(tups), k)
+	}
+	if k == 0 {
+		return nil, nil
+	}
+	for i := range tups {
+		if len(tups[i].Triples) < TriplesPerCompare {
+			return nil, fmt.Errorf("mpc: tuple %d holds %d bit triples, need %d", i, len(tups[i].Triples), TriplesPerCompare)
 		}
-		p[i] = ri
+	}
+	W := wordsFor(k)
+
+	// Round 1 — fused masked openings C_i = D_i + R_i, all in one frame. The
+	// inputs d_p already form an additive sharing of D, so instead of a
+	// separate input-sharing round each party broadcasts m_p = d_p + r_p
+	// directly, where r_p is its additive share of the dealer's uniform mask
+	// R. Any n−1 of the m_p are jointly uniform (each is masked by an r_p the
+	// observer does not hold), and their sum opens only C = D + R.
+	frame := getFrame(8 * k)
+	for i, d := range diffs {
+		putU64(frame[8*i:], uint64(d)+tups[i].RShare)
+	}
+	opened, err := broadcast(conn, frame)
+	if err != nil {
+		putFrame(frame)
+		return nil, err
+	}
+	cs := make([]uint64, k)
+	for q := 0; q < n; q++ {
+		for i := 0; i < k; i++ {
+			cs[i] += getU64(opened[q][8*i:])
+		}
+	}
+	putFrame(frame)
+
+	// Transpose into word lanes: vector b of g starts as the (public) bit b of
+	// every instance's C, vector b of p as this party's XOR share of bit b of
+	// every instance's R (word b*W+w covers instances 64w..64w+63), and
+	// ta/tb/tc hold the triple shares, one vector per gate.
+	g := getWords(K * W)
+	p := getWords(K * W)
+	defer putWords(g)
+	defer putWords(p)
+	for i, c := range cs {
+		wi, bit := i>>6, uint(i&63)
+		for b := 0; b < K; b++ {
+			g[b*W+wi] |= (c >> uint(b) & 1) << bit
+		}
+	}
+	packRBitLanes(p, tups, W)
+	T := TriplesPerCompare * W
+	tw := make([]uint64, 3*T)
+	ta, tb, tc := tw[:T], tw[T:2*T], tw[2*T:]
+	packTripleLanes(ta, tb, tc, tups, W)
+
+	// Borrow circuit over bits 0..K-2 of C − R. Leaf shares, word-parallel
+	// over instances, computed in place from c_b (in g) and r_b (in p):
+	//
+	//	g_b = ¬c_b ∧ r_b          (borrow generated at bit b)
+	//	p_b = ¬(c_b ⊕ r_b)        (borrow propagated through bit b)
+	//
+	// Constants fold into party 0's share. Vector K-1 of g and p keeps the
+	// top bits of C and R for the final round: the reduction below only
+	// touches vectors below NumLeaves. Lanes ≥ k hold garbage derived from
+	// public values only; putLanes drops them.
+	for i := 0; i < NumLeaves*W; i++ {
+		cw, rw := g[i], p[i]
+		g[i] = rw &^ cw
 		if me == 0 {
-			p[i] ^= 1 ^ ci
+			p[i] = rw ^ ^cw
 		}
 	}
 
 	// Log-depth tree reduction of (g, p) segments, ascending significance:
-	// (G, P) = (g_hi ⊕ (p_hi ∧ g_lo), p_hi ∧ p_lo). Each level batches all
-	// its AND gates into one opening round.
-	triples := tup.Triples
-	for len(g) > 1 {
-		half := len(g) / 2
-		xs := make([]Bit, 0, 2*half)
-		ys := make([]Bit, 0, 2*half)
-		for k := 0; k < half; k++ {
-			lo, hi := 2*k, 2*k+1
-			xs = append(xs, p[hi], p[hi])
-			ys = append(ys, g[lo], p[lo])
+	// (G, P) = (g_hi ⊕ (p_hi ∧ g_lo), p_hi ∧ p_lo). Each level opens all its
+	// gates' masked vectors in one frame; gate t of the circuit consumes
+	// triple t of every instance.
+	ew := getWords(W)
+	fw := getWords(W)
+	zw := getWords(2 * W) // z of the pair's two gates
+	defer putWords(ew)
+	defer putWords(fw)
+	defer putWords(zw)
+	triplesUsed := 0
+	leaves := NumLeaves
+	for leaves > 1 {
+		half := leaves / 2
+		gates := 2 * half
+		frame := getFrame(streamBytes(gates * 2 * k))
+		for pr := 0; pr < half; pr++ {
+			lo, hi := 2*pr, 2*pr+1
+			for sub := 0; sub < 2; sub++ {
+				// Gate 2pr: (p_hi ∧ g_lo); gate 2pr+1: (p_hi ∧ p_lo).
+				gate := 2*pr + sub
+				y := g
+				if sub == 1 {
+					y = p
+				}
+				for w := 0; w < W; w++ {
+					t := (triplesUsed+gate)*W + w
+					ew[w] = p[hi*W+w] ^ ta[t]
+					fw[w] = y[lo*W+w] ^ tb[t]
+				}
+				putLanes(frame, 2*gate*k, ew, k)
+				putLanes(frame, (2*gate+1)*k, fw, k)
+			}
 		}
-		if len(triples) < 2*half {
-			return false, fmt.Errorf("mpc: out of bit triples")
+		if err := openXOR(conn, frame); err != nil {
+			putFrame(frame)
+			return nil, err
 		}
-		zs, err := andBatch(conn, me, xs, ys, triples[:2*half])
-		if err != nil {
-			return false, err
+		for pr := 0; pr < half; pr++ {
+			for sub := 0; sub < 2; sub++ {
+				gate := 2*pr + sub
+				getLanes(ew, frame, 2*gate*k, k)
+				getLanes(fw, frame, (2*gate+1)*k, k)
+				for w := 0; w < W; w++ {
+					t := (triplesUsed+gate)*W + w
+					z := tc[t] ^ (fw[w] & ta[t]) ^ (ew[w] & tb[t])
+					if me == 0 {
+						z ^= ew[w] & fw[w]
+					}
+					zw[sub*W+w] = z
+				}
+			}
+			// Combine in place: pair pr writes index pr, reads 2pr/2pr+1 —
+			// always at or beyond the write cursor.
+			hi := 2*pr + 1
+			for w := 0; w < W; w++ {
+				g[pr*W+w] = g[hi*W+w] ^ zw[w]
+				p[pr*W+w] = zw[W+w]
+			}
 		}
-		triples = triples[2*half:]
-		ng := make([]Bit, 0, half+1)
-		np := make([]Bit, 0, half+1)
-		for k := 0; k < half; k++ {
-			ng = append(ng, g[2*k+1]^zs[2*k])
-			np = append(np, zs[2*k+1])
+		if leaves%2 == 1 { // odd element is most significant: stays last
+			copy(g[half*W:(half+1)*W], g[(leaves-1)*W:leaves*W])
+			copy(p[half*W:(half+1)*W], p[(leaves-1)*W:leaves*W])
 		}
-		if len(g)%2 == 1 { // odd element is most significant: stays last
-			ng = append(ng, g[len(g)-1])
-			np = append(np, p[len(p)-1])
-		}
-		g, p = ng, np
+		putFrame(frame)
+		triplesUsed += gates
+		leaves = half + leaves%2
 	}
 
-	// Sign bit of D: d_{K-1} = c_{K-1} ⊕ r_{K-1} ⊕ borrow_{K-1}, where the
-	// borrow into the top bit is the tree's total generate G.
-	resShare := tup.RBits[K-1] ^ g[0]
-	if me == 0 {
-		resShare ^= Bit(c>>(K-1)) & 1
+	// Final round — open all k result bits in one vector. Sign bit of D:
+	// d_{K-1} = c_{K-1} ⊕ r_{K-1} ⊕ G, where the borrow into the top bit is
+	// the tree's total generate G.
+	res := getWords(W)
+	defer putWords(res)
+	for w := 0; w < W; w++ {
+		res[w] = p[(K-1)*W+w] ^ g[w]
+		if me == 0 {
+			res[w] ^= g[(K-1)*W+w]
+		}
 	}
-
-	// Final round — open the comparison bit.
-	openedBits, err := broadcast(conn, []byte{resShare & 1})
-	if err != nil {
-		return false, err
-	}
-	var result Bit
-	for q := 0; q < n; q++ {
-		result ^= openedBits[q][0]
-	}
-	return result&1 == 1, nil
-}
-
-// andBatch evaluates z_i = x_i ∧ y_i over XOR-shared bit vectors using one
-// Beaver bit triple each and a single opening round. Masked values e = x ⊕ a
-// and f = y ⊕ b for the whole batch are packed into one broadcast frame.
-func andBatch(conn transport.Conn, me int, xs, ys []Bit, trip []BitTriple) ([]Bit, error) {
-	k := len(xs)
-	masked := make([]Bit, 2*k)
-	for i := 0; i < k; i++ {
-		masked[2*i] = (xs[i] ^ trip[i].A) & 1
-		masked[2*i+1] = (ys[i] ^ trip[i].B) & 1
-	}
-	frame := make([]byte, (2*k+7)/8)
-	packBits(frame, masked)
-	opened, err := broadcast(conn, frame)
-	if err != nil {
+	resFrame := getFrame(streamBytes(k))
+	putLanes(resFrame, 0, res, k)
+	if err := openXOR(conn, resFrame); err != nil {
+		putFrame(resFrame)
 		return nil, err
 	}
-	zs := make([]Bit, k)
+	getLanes(res, resFrame, 0, k)
+	putFrame(resFrame)
+	out := make([]bool, k)
 	for i := 0; i < k; i++ {
-		var e, f Bit
-		for q := 0; q < conn.N(); q++ {
-			e ^= unpackBit(opened[q], 2*i)
-			f ^= unpackBit(opened[q], 2*i+1)
-		}
-		z := trip[i].C ^ (f & trip[i].A) ^ (e & trip[i].B)
-		if me == 0 {
-			z ^= e & f
-		}
-		zs[i] = z & 1
+		out[i] = res[i>>6]>>(uint(i)&63)&1 == 1
 	}
-	return zs, nil
+	return out, nil
+}
+
+// openXOR opens XOR-shared bits: it broadcasts this party's frame of shares
+// and folds every peer's frame into it, leaving the opened values in frame.
+func openXOR(conn transport.Conn, frame []byte) error {
+	opened, err := broadcast(conn, frame)
+	if err != nil {
+		return err
+	}
+	for q, peer := range opened {
+		if q != conn.Party() {
+			subtle.XORBytes(frame, frame, peer)
+		}
+	}
+	return nil
 }
 
 // broadcast sends data to every peer and collects every peer's frame for the

@@ -3,7 +3,6 @@ package mpc
 import (
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -27,14 +26,15 @@ const (
 	// ModeIdeal evaluates the ideal functionality directly (same outputs as
 	// the protocol, no messages) and accounts communication analytically:
 	// the protocols are data-oblivious, so their wire cost is an exact
-	// closed-form function of (parties, batch size, frame layout) — see
-	// batchWireCost. The benchmark harness uses this mode so that large
-	// parameter sweeps stay tractable while byte, round and message counts
-	// remain exact.
+	// closed-form function of (parties, batch size) — batchWireCost, the same
+	// formula protocol mode accounts with. The paper-reproduction harness
+	// (fedbench) uses this mode so that large parameter sweeps stay tractable
+	// while byte, round and message counts remain exact.
 	ModeIdeal Mode = iota
 	// ModeProtocol runs the full secret-sharing protocol between party
-	// goroutines over an in-process network. Tests, examples and
-	// (optionally) benchmarks use this mode.
+	// goroutines, over an in-process network or the endpoints Params.Dial
+	// supplies. Sessions, fedserver -protocol, tests and the repo benchmark
+	// use this mode.
 	ModeProtocol
 )
 
@@ -73,13 +73,6 @@ type Params struct {
 	// reflect the paper's cost model and concurrent engine forks overlap
 	// their network waits.
 	RealDelay bool
-
-	// NoPack selects the unpacked byte-per-bit batched protocol instead of
-	// the word-packed default. Results and round counts are identical; the
-	// flag exists so the differential oracle and the chaos/race CI matrix
-	// can exercise both wire layouts. The FEDROAD_MPC_NOPACK environment
-	// variable (any non-empty value but "0") forces it on.
-	NoPack bool
 
 	// RoundTimeout bounds how long any party waits for a single frame during
 	// a protocol round (protocol mode; 0 = wait forever). With it set, a
@@ -202,8 +195,7 @@ func (s Stats) Sub(other Stats) Stats {
 // An Engine is not safe for concurrent use, but independent engines run
 // concurrently: Fork gives each in-flight query its own engine instance
 // (own transport lanes, dealer stream, party randomness and stat counters)
-// sharing only its root's immutable configuration and the fork-family
-// observed-RTT estimate (a single atomic).
+// sharing only its root's immutable configuration.
 type Engine struct {
 	n      int
 	mode   Mode
@@ -218,10 +210,6 @@ type Engine struct {
 	// dial is inherited by forks, drain belongs to this engine's ConnSet.
 	dial  func() (ConnSet, error)
 	drain func()
-
-	// noPack switches CompareBatch to the unpacked wire layout; inherited by
-	// forks. The analytic cost accounting follows the selected layout.
-	noPack bool
 
 	// realDelay mirrors whether mem currently applies netm in real time.
 	realDelay bool
@@ -238,7 +226,7 @@ type Engine struct {
 	poisoned bool
 
 	// pool, when attached, serves pre-generated correlated randomness to
-	// runProtocol/runBatchProtocol ahead of the dealer.
+	// runProtocolOnce ahead of the dealer.
 	pool *Pool
 
 	// instr, when set, mirrors cost counters into a shared metrics registry;
@@ -248,30 +236,10 @@ type Engine struct {
 	// forkCtr hands out distinct randomness streams to forks; shared by the
 	// whole fork family.
 	forkCtr *atomic.Uint64
-
-	// analytic per-comparison costs (identical for every comparison: the
-	// protocol's communication pattern is input-independent)
-	cmpBytes  int64
-	cmpMsgs   int64
-	cmpSimNet time.Duration
-
-	// rtt is the fork-family-shared EWMA of observed wall time per protocol
-	// round, in nanoseconds — the measured component of the cost model
-	// (analytic bytes/rounds × observed round time). Zero until the family
-	// has completed a protocol-mode run.
-	rtt *atomic.Int64
 }
 
-// envNoPack reports whether FEDROAD_MPC_NOPACK forces the unpacked batch
-// layout, evaluated once per process.
-var envNoPack = sync.OnceValue(func() bool {
-	v := os.Getenv("FEDROAD_MPC_NOPACK")
-	return v != "" && v != "0"
-})
-
-// NewEngine creates an engine. Per-comparison wire costs are computed
-// analytically (the protocols are data-oblivious), so construction performs
-// no protocol run.
+// NewEngine creates an engine. Wire costs are computed analytically (the
+// protocol is data-oblivious), so construction performs no protocol run.
 func NewEngine(p Params) (*Engine, error) {
 	if p.Parties < 2 {
 		return nil, fmt.Errorf("mpc: need at least 2 parties, got %d", p.Parties)
@@ -283,8 +251,6 @@ func NewEngine(p Params) (*Engine, error) {
 		n: p.Parties, mode: p.Mode, netm: p.Net, seed: p.Seed,
 		dealer:       NewDealer(p.Parties, p.Seed),
 		forkCtr:      new(atomic.Uint64),
-		rtt:          new(atomic.Int64),
-		noPack:       p.NoPack || envNoPack(),
 		roundTimeout: p.RoundTimeout,
 		retry:        p.Retry,
 		wrap:         p.Wrap,
@@ -294,21 +260,15 @@ func NewEngine(p Params) (*Engine, error) {
 	if err := e.installConns(); err != nil {
 		return nil, err
 	}
-
-	// The scalar protocol always uses the bit-packed frame layout (word
-	// packing only pays off across instances), so its cost is the unpacked
-	// k=1 batch cost.
-	e.cmpBytes, e.cmpMsgs = batchWireCost(e.n, 1, false)
-	e.cmpSimNet = e.simNetFor(e.cmpBytes)
 	e.SetRealDelay(p.RealDelay)
 	return e, nil
 }
 
 // Fork returns an independent engine over the same parties and network
 // model: fresh transport lanes, a fresh dealer stream and zeroed stats,
-// sharing the root's preprocessing pool, wire layout, observed-RTT tracker
-// and real-delay setting. Forks may run concurrently with each other and
-// with their root; each individual engine remains single-goroutine.
+// sharing the root's preprocessing pool and real-delay setting. Forks may
+// run concurrently with each other and with their root; each individual
+// engine remains single-goroutine.
 func (e *Engine) Fork() *Engine {
 	id := e.forkCtr.Add(1)
 	seed := e.seed + id*0xd1342543de82ef95 // distinct odd-multiplier stream per fork
@@ -316,15 +276,12 @@ func (e *Engine) Fork() *Engine {
 		n: e.n, mode: e.mode, netm: e.netm, seed: e.seed,
 		dealer:       NewDealer(e.n, seed),
 		forkCtr:      e.forkCtr,
-		rtt:          e.rtt,
-		noPack:       e.noPack,
 		pool:         e.pool,
 		instr:        e.instr,
 		roundTimeout: e.roundTimeout,
 		retry:        e.retry,
 		wrap:         e.wrap,
 		dial:         e.dial,
-		cmpBytes:     e.cmpBytes, cmpMsgs: e.cmpMsgs, cmpSimNet: e.cmpSimNet,
 	}
 	if e.instr != nil {
 		e.instr.Forks.Inc()
@@ -442,71 +399,57 @@ func (e *Engine) N() int { return e.n }
 // Mode returns the execution mode.
 func (e *Engine) Mode() Mode { return e.mode }
 
-// PerCompareCost reports the analytic per-comparison cost: total wire
-// bytes (all parties), rounds, and simulated network time.
+// PerCompareCost reports the analytic cost of one unbatched comparison:
+// total wire bytes (all parties), rounds, and simulated network time.
 func (e *Engine) PerCompareCost() (bytes int64, rounds int, simNet time.Duration) {
-	return e.cmpBytes, RoundsPerCompare, e.cmpSimNet
+	bytes, _ = batchWireCost(e.n, 1)
+	return bytes, RoundsPerCompare, e.simNetFor(bytes)
 }
 
-// observeRounds folds one protocol run's wall time into the fork-family
-// EWMA of per-round latency (weight 1/8). Protocol paths call it after each
-// successful run; the tracker is shared, so any fork's runs inform the
-// whole family.
-func (e *Engine) observeRounds(elapsed time.Duration, rounds int) {
-	if rounds <= 0 {
-		return
+// batchWireCost is the analytic wire cost of one k-batch comparison among n
+// parties: exact payload bytes and message count as transport.Mem would
+// account them (every byte counted once, at its sender). The protocol is
+// data-oblivious, so the cost is a pure function of (n, k) — the frame
+// layout of RunCompareBatchParty restated:
+//
+//	masked open   n(n−1) frames of 8k bytes
+//	circuit level n(n−1) frames of ⌈gates·2·k/8⌉ bytes
+//	result open   n(n−1) frames of ⌈k/8⌉ bytes
+//
+// Both execution modes account with it, and TestBatchWireCostMatchesMeasured
+// pins it to measured transport stats. Each term is subadditive in k, so a
+// k-batch never costs more bytes — and for k > 1 always fewer rounds and
+// messages — than the same comparisons run singly.
+func batchWireCost(n, k int) (bytes, msgs int64) {
+	if k == 0 {
+		return 0, 0
 	}
-	sample := int64(elapsed) / int64(rounds)
-	prev := e.rtt.Load()
-	if prev == 0 {
-		e.rtt.Store(sample)
-		return
+	per := 8*k + streamBytes(k) // masked open + result open
+	for leaves := NumLeaves; leaves > 1; leaves = leaves/2 + leaves%2 {
+		gates := 2 * (leaves / 2)
+		per += streamBytes(gates * 2 * k)
 	}
-	e.rtt.Store(prev + (sample-prev)/8)
+	pairs := int64(n) * int64(n-1)
+	return pairs * int64(per), pairs * int64(RoundsPerCompare)
 }
 
-// ObservedRoundTime reports the fork-family EWMA of measured wall time per
-// protocol round — the empirical counterpart of the network model's
-// latency term. Zero when no protocol-mode run has completed yet (e.g. in
-// ideal mode, where rounds are only accounted, not executed).
-func (e *Engine) ObservedRoundTime() time.Duration {
-	return time.Duration(e.rtt.Load())
+// simNetFor applies the paper's cost model to a protocol run's total bytes.
+func (e *Engine) simNetFor(totalBytes int64) time.Duration {
+	perParty := float64(totalBytes) / float64(e.n)
+	return time.Duration(float64(RoundsPerCompare)*float64(e.netm.Latency) +
+		perParty/e.netm.Bandwidth*float64(time.Second))
 }
 
 // Compare decides whether Σ diffs < 0, where diffs[p] is party p's private
 // difference a_p − b_p. In terms of Fed-SAC: it returns [Σ a_p] < [Σ b_p],
-// revealing only that bit. |Σ diffs| must stay below MaxMagnitude.
+// revealing only that bit. |Σ diffs| must stay below MaxMagnitude. It is
+// CompareBatch of one.
 func (e *Engine) Compare(diffs []int64) (bool, error) {
-	if len(diffs) != e.n {
-		return false, fmt.Errorf("mpc: %d inputs for %d parties", len(diffs), e.n)
+	out, err := e.CompareBatch([][]int64{diffs})
+	if err != nil {
+		return false, err
 	}
-	var result bool
-	switch e.mode {
-	case ModeIdeal:
-		var sum int64
-		for _, d := range diffs {
-			sum += d
-		}
-		result = sum < 0
-	case ModeProtocol:
-		var err error
-		result, err = e.runProtocol(diffs)
-		if err != nil {
-			return false, err
-		}
-		if e.mem != nil {
-			e.mem.ResetStats()
-		}
-	default:
-		return false, fmt.Errorf("mpc: unknown mode %d", e.mode)
-	}
-	e.stats.Compares++
-	e.stats.Rounds += int64(RoundsPerCompare)
-	e.stats.Bytes += e.cmpBytes
-	e.stats.Messages += e.cmpMsgs
-	e.stats.SimNet += e.cmpSimNet
-	e.instr.record(1, int64(RoundsPerCompare), e.cmpBytes, e.cmpMsgs)
-	return result, nil
+	return out[0], nil
 }
 
 // CompareSums is Fed-SAC in its natural form: partials a[p] and b[p] are the
@@ -523,47 +466,79 @@ func (e *Engine) CompareSums(a, b []int64) (bool, error) {
 	return e.Compare(diffs)
 }
 
-// runProtocol executes a full protocol comparison, retrying transient
-// transport failures under the engine's retry policy. A failure that
-// survives the retry budget — or is not transient at all — poisons the
-// engine.
-func (e *Engine) runProtocol(diffs []int64) (bool, error) {
-	var result bool
-	err := e.retryProtocol(func() error {
-		var err error
-		result, err = e.runProtocolOnce(diffs)
-		return err
-	})
-	if err != nil {
-		return false, err
+// CompareBatch decides, for each instance i, whether Σ_p diffs[i][p] < 0 —
+// k secure comparisons in a single RoundsPerCompare-round protocol run.
+// Wire costs are accounted analytically via batchWireCost in both modes.
+func (e *Engine) CompareBatch(diffs [][]int64) ([]bool, error) {
+	k := len(diffs)
+	if k == 0 {
+		return nil, nil
 	}
-	return result, nil
+	for i, d := range diffs {
+		if len(d) != e.n {
+			return nil, fmt.Errorf("mpc: instance %d has %d inputs for %d parties", i, len(d), e.n)
+		}
+	}
+	var out []bool
+	switch e.mode {
+	case ModeIdeal:
+		out = make([]bool, k)
+		for i, d := range diffs {
+			var sum int64
+			for _, v := range d {
+				sum += v
+			}
+			out[i] = sum < 0
+		}
+	case ModeProtocol:
+		var err error
+		out, err = e.runProtocol(diffs)
+		if err != nil {
+			return nil, err
+		}
+		if e.mem != nil {
+			e.mem.ResetStats()
+		}
+	default:
+		return nil, fmt.Errorf("mpc: unknown mode %d", e.mode)
+	}
+	bytes, msgs := batchWireCost(e.n, k)
+	e.stats.Compares += int64(k)
+	e.stats.Rounds += int64(RoundsPerCompare)
+	e.stats.Bytes += bytes
+	e.stats.Messages += msgs
+	e.stats.SimNet += e.simNetFor(bytes)
+	e.instr.record(int64(k), int64(RoundsPerCompare), bytes, msgs)
+	return out, nil
 }
 
-// retryProtocol runs one protocol execution under the engine's failure
+// runProtocol executes one batched comparison under the engine's failure
 // policy: transient failures (timeouts, injected faults — see
 // transport.Transient) are retried with exponential backoff up to the retry
-// budget, with the in-process transport drained between attempts so a replay
-// never reads stale frames of the aborted round. Any other failure, or a
+// budget, with the transport drained between attempts so a replay never
+// reads stale frames of the aborted round. Any other failure, or a
 // transient one that exhausts the budget, poisons the engine: its party
 // streams may be desynchronized mid-round, and replaying against them could
 // open garbage as a comparison bit.
-func (e *Engine) retryProtocol(run func() error) error {
+func (e *Engine) runProtocol(diffs [][]int64) ([]bool, error) {
 	if e.poisoned {
-		return ErrPoisoned
+		return nil, ErrPoisoned
 	}
 	// Retry requires a drain primitive (Mem.Drain, or the ConnSet's Drain —
 	// lane rotation on a mux mesh); without one, a replay could read stale
 	// frames of the aborted round, so the first failure poisons instead.
 	canDrain := e.mem != nil || e.drain != nil
-	var err error
 	for attempt := 0; ; attempt++ {
-		err = run()
+		out, err := e.runProtocolOnce(diffs)
 		if err == nil {
-			return nil
+			return out, nil
 		}
 		if attempt >= e.retry.Attempts || !transport.Transient(err) || !canDrain {
-			break
+			e.poisoned = true
+			if e.instr != nil {
+				e.instr.Poisonings.Inc()
+			}
+			return nil, fmt.Errorf("%w: %w", ErrPoisoned, err)
 		}
 		if e.instr != nil {
 			e.instr.Retries.Inc()
@@ -578,38 +553,46 @@ func (e *Engine) retryProtocol(run func() error) error {
 			time.Sleep(e.retry.Backoff << min(attempt, 16))
 		}
 	}
-	e.poisoned = true
-	if e.instr != nil {
-		e.instr.Poisonings.Inc()
-	}
-	return fmt.Errorf("%w: %w", ErrPoisoned, err)
 }
 
-// runProtocolOnce executes one full protocol comparison across party
-// goroutines.
-func (e *Engine) runProtocolOnce(diffs []int64) (bool, error) {
-	tuples := e.tuplesForCompare()
-	start := time.Now()
-	results := make([]bool, e.n)
+// runProtocolOnce executes one batched comparison across party goroutines,
+// each instance on its own tuple set from the pool or the dealer.
+func (e *Engine) runProtocolOnce(diffs [][]int64) ([]bool, error) {
+	k := len(diffs)
+	tuples := make([][]CmpTuple, e.n) // [party][instance]
+	for p := range tuples {
+		tuples[p] = make([]CmpTuple, k)
+	}
+	for i := 0; i < k; i++ {
+		for p, t := range e.tuplesForCompare() {
+			tuples[p][i] = t
+		}
+	}
+	results := make([][]bool, e.n)
 	errs := make([]error, e.n)
 	var wg sync.WaitGroup
 	for p := 0; p < e.n; p++ {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			results[p], errs[p] = compareParty(e.conns[p], uint64(diffs[p]), &tuples[p])
+			mine := make([]int64, k)
+			for i := range mine {
+				mine[i] = diffs[i][p]
+			}
+			results[p], errs[p] = RunCompareBatchParty(e.conns[p], mine, tuples[p])
 		}(p)
 	}
 	wg.Wait()
 	for p, err := range errs {
 		if err != nil {
-			return false, fmt.Errorf("mpc: party %d: %w", p, err)
+			return nil, fmt.Errorf("mpc: party %d: %w", p, err)
 		}
 	}
-	e.observeRounds(time.Since(start), RoundsPerCompare)
 	for p := 1; p < e.n; p++ {
-		if results[p] != results[0] {
-			return false, fmt.Errorf("mpc: parties disagree on comparison result")
+		for i := 0; i < k; i++ {
+			if results[p][i] != results[0][i] {
+				return nil, fmt.Errorf("mpc: parties disagree on batch instance %d", i)
+			}
 		}
 	}
 	return results[0], nil

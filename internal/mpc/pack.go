@@ -2,110 +2,95 @@ package mpc
 
 import "sync"
 
-// Word-packed bit-sharing: the batched comparison protocol keeps one bit of
-// every batch instance in the same machine-word lane, so a 64-lane XOR, AND
-// or Beaver masking step costs one uint64 operation instead of 64 byte
-// operations, and a frame carries each gate's masked bits as a dense
-// bit-vector. The dealer still deals per-instance CmpTuples (so the
-// preprocessing pool and its correctness tests are unchanged); the packed
-// protocol transposes k tuples into word lanes at batch start.
+// Word-lane bit-sharing: the comparison protocol keeps one bit of every
+// instance in the same machine-word lane, so a 64-lane XOR, AND or Beaver
+// masking step costs one uint64 operation instead of 64 byte operations. The
+// dealer still deals per-instance CmpTuples (so the preprocessing pool and
+// its correctness tests are unchanged); the protocol transposes k tuples
+// into word lanes at the start of a run.
 //
 // Lane layout: instance i of a k-batch lives in bit i%64 of word i/64. A
-// "vector" is one logical bit per instance — []uint64 of wordsFor(k) words —
-// and travels on the wire as packedVecBytes(k) = ⌈k/8⌉ bytes (little-endian
-// words truncated to the lane count, padding bits zeroed).
-
-// WordTriple is one party's share of 64 Beaver bit triples packed into word
-// lanes: lane i of (A, B, C) is the party's share of triple i's (a, b, c).
-type WordTriple struct {
-	A, B, C uint64
-}
+// "vector" is one logical bit per instance — []uint64 of wordsFor(k) words.
+// On the wire a round's vectors are concatenated into one dense bit-stream,
+// LSB-first within bytes: vector j occupies stream bits j·k … j·k+k−1 and
+// only the stream's last byte is padded (with zeros). See putLanes/getLanes.
 
 // wordsFor returns the number of 64-bit words holding k lanes.
 func wordsFor(k int) int { return (k + 63) / 64 }
 
-// packedVecBytes returns the wire size of one k-lane bit vector.
-func packedVecBytes(k int) int { return (k + 7) / 8 }
+// streamBytes returns the wire size of a bit-stream of the given length.
+func streamBytes(bits int) int { return (bits + 7) / 8 }
 
-// packWordVec serializes the low k lanes of src into dst (little-endian,
-// ⌈k/8⌉ bytes, padding bits of the last byte zeroed). dst must have length ≥
-// packedVecBytes(k).
-func packWordVec(dst []byte, src []uint64, k int) {
-	nb := packedVecBytes(k)
-	for bi := 0; bi < nb; bi++ {
-		dst[bi] = byte(src[bi>>3] >> (8 * (bi & 7)))
-	}
-	if k&7 != 0 {
-		dst[nb-1] &= byte(0xff) >> (8 - k&7)
+// putLanes writes the low k lanes of src into the bit-stream dst at bit
+// offset pos. The covered bits of dst must be zero (frames come zeroed from
+// getFrame); lanes ≥ k of src are ignored, so a stream's padding stays zero.
+func putLanes(dst []byte, pos int, src []uint64, k int) {
+	for w := 0; k > 0; w, pos, k = w+1, pos+64, k-64 {
+		v, nbits := src[w], min(k, 64)
+		if nbits < 64 {
+			v &= 1<<uint(nbits) - 1
+		}
+		bi, sh := pos>>3, uint(pos&7)
+		dst[bi] |= byte(v << sh)
+		v >>= 8 - sh
+		for rem := nbits - 8 + int(sh); rem > 0; rem -= 8 {
+			bi++
+			dst[bi] |= byte(v)
+			v >>= 8
+		}
 	}
 }
 
-// unpackWordVec deserializes a k-lane bit vector into dst (wordsFor(k)
-// words), zeroing lanes ≥ k.
-func unpackWordVec(dst []uint64, src []byte, k int) {
-	nw := wordsFor(k)
-	for w := 0; w < nw; w++ {
-		dst[w] = 0
-	}
-	for bi := 0; bi < packedVecBytes(k) && bi < len(src); bi++ {
-		dst[bi>>3] |= uint64(src[bi]) << (8 * (bi & 7))
-	}
-	if k&63 != 0 {
-		dst[nw-1] &= ^uint64(0) >> (64 - k&63)
-	}
-}
-
-// xorWordVec XOR-accumulates a serialized k-lane vector into dst without
-// materializing the intermediate words.
-func xorWordVec(dst []uint64, src []byte, k int) {
-	for bi := 0; bi < packedVecBytes(k) && bi < len(src); bi++ {
-		dst[bi>>3] ^= uint64(src[bi]) << (8 * (bi & 7))
+// getLanes reads the k stream bits of src starting at bit offset pos into
+// the low k lanes of dst, zeroing lanes ≥ k of the words it fills.
+func getLanes(dst []uint64, src []byte, pos, k int) {
+	for w := 0; k > 0; w, pos, k = w+1, pos+64, k-64 {
+		nbits := min(k, 64)
+		bi, sh := pos>>3, uint(pos&7)
+		v := uint64(src[bi]) >> sh
+		for got := 8 - int(sh); got < nbits; got += 8 {
+			bi++
+			v |= uint64(src[bi]) << uint(got)
+		}
+		if nbits < 64 {
+			v &= 1<<uint(nbits) - 1
+		}
+		dst[w] = v
 	}
 }
 
 // packRBitLanes transposes the k instances' R-bit shares into word lanes:
-// the returned slab holds K vectors of W words each; vector b is the packed
-// XOR share of bit b of every instance's mask R.
-func packRBitLanes(tups []CmpTuple, W int) []uint64 {
-	out := make([]uint64, K*W)
+// dst (K·W zeroed words) receives K vectors of W words each; vector b is the
+// packed XOR share of bit b of every instance's mask R.
+func packRBitLanes(dst []uint64, tups []CmpTuple, W int) {
 	for i := range tups {
 		wi, bit := i>>6, uint(i&63)
 		for b := 0; b < K; b++ {
-			if tups[i].RBits[b]&1 == 1 {
-				out[b*W+wi] |= 1 << bit
-			}
+			dst[b*W+wi] |= uint64(tups[i].RBits[b]&1) << bit
 		}
 	}
-	return out
 }
 
 // packTripleLanes transposes the k instances' Beaver bit triples into word
-// triples: entry t*W+w packs lane shares of triple t for instances
-// 64w..64w+63. Triple t serves the same circuit gate in every instance, so
-// the packed circuit consumes randomness in exactly the per-instance order.
-func packTripleLanes(tups []CmpTuple, W int) []WordTriple {
-	out := make([]WordTriple, TriplesPerCompare*W)
+// lanes: each of a, b, c (TriplesPerCompare·W zeroed words) receives one
+// vector per triple, word t*W+w packing the shares of triple t's component
+// for instances 64w..64w+63. Triple t serves the same circuit gate in every
+// instance, so the circuit consumes each instance's randomness in dealer
+// order.
+func packTripleLanes(a, b, c []uint64, tups []CmpTuple, W int) {
 	for i := range tups {
 		wi, bit := i>>6, uint(i&63)
 		for t := 0; t < TriplesPerCompare; t++ {
 			tr := &tups[i].Triples[t]
-			wt := &out[t*W+wi]
-			if tr.A&1 == 1 {
-				wt.A |= 1 << bit
-			}
-			if tr.B&1 == 1 {
-				wt.B |= 1 << bit
-			}
-			if tr.C&1 == 1 {
-				wt.C |= 1 << bit
-			}
+			a[t*W+wi] |= uint64(tr.A&1) << bit
+			b[t*W+wi] |= uint64(tr.B&1) << bit
+			c[t*W+wi] |= uint64(tr.C&1) << bit
 		}
 	}
-	return out
 }
 
-// framePool recycles wire-frame buffers across protocol rounds: the batched
-// circuit allocates one frame per level per party, and without pooling those
+// framePool recycles wire-frame buffers across protocol rounds: the circuit
+// allocates one frame per level per party, and without pooling those
 // short-lived buffers dominated the allocation profile of index builds
 // (fedbench -profile).
 var framePool = sync.Pool{New: func() any { return []byte(nil) }}
@@ -128,7 +113,7 @@ func getFrame(n int) []byte {
 // copies (Mem) or fully writes (TCP) before returning.
 func putFrame(buf []byte) { framePool.Put(buf[:0]) } //nolint:staticcheck // slice header boxing is fine here
 
-// wordPool recycles []uint64 scratch slabs of the packed circuit.
+// wordPool recycles []uint64 scratch slabs of the circuit.
 var wordPool = sync.Pool{New: func() any { return []uint64(nil) }}
 
 // getWords returns a zeroed word slab of length n from the pool.

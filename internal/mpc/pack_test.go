@@ -2,211 +2,89 @@ package mpc
 
 import (
 	"math/rand/v2"
-	"sync"
 	"testing"
-
-	"repro/internal/transport"
 )
 
-// runBatchDirect executes one batched comparison at the party-protocol level
-// over a fresh in-process mesh, returning the joint result bits and the
-// measured transport stats. diffs is [instance][party]; the dealer seed
-// fixes the correlated randomness, so two runs with the same seed consume
-// identical tuples regardless of wire layout.
-func runBatchDirect(t *testing.T, n int, seed uint64, diffs [][]int64, packed bool) ([]bool, transport.Stats) {
-	t.Helper()
-	k := len(diffs)
-	mem := transport.NewMem(n)
-	dealer := NewDealer(n, seed)
-	tuples := make([][]CmpTuple, n)
-	for p := range tuples {
-		tuples[p] = make([]CmpTuple, k)
-	}
-	for i := 0; i < k; i++ {
-		ts := dealer.CmpTuples()
-		for p := 0; p < n; p++ {
-			tuples[p][i] = ts[p]
-		}
-	}
-	party := compareBatchParty
-	if packed {
-		party = compareBatchPackedParty
-	}
-	outs := make([][]bool, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for p := 0; p < n; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			ud := make([]uint64, k)
-			for i := range ud {
-				ud[i] = uint64(diffs[i][p])
-			}
-			outs[p], errs[p] = party(mem.Conn(p), ud, tuples[p])
-		}(p)
-	}
-	wg.Wait()
-	for p, err := range errs {
-		if err != nil {
-			t.Fatalf("party %d: %v", p, err)
-		}
-	}
-	for p := 1; p < n; p++ {
-		for i := 0; i < k; i++ {
-			if outs[p][i] != outs[0][i] {
-				t.Fatalf("parties disagree on instance %d", i)
-			}
-		}
-	}
-	return outs[0], mem.Stats()
-}
-
-func randomBatch(rng *rand.Rand, n, k int) ([][]int64, []bool) {
-	diffs := make([][]int64, k)
-	want := make([]bool, k)
-	for i := range diffs {
-		diffs[i] = make([]int64, n)
-		var sum int64
-		for p := range diffs[i] {
-			diffs[i][p] = rng.Int64N(1<<40) - (1 << 39)
-			sum += diffs[i][p]
-		}
-		want[i] = sum < 0
-	}
-	return diffs, want
-}
-
-// TestPackedBatchMatchesUnpackedAllLaneCounts: for every lane count 1..64
-// and a set of ragged multi-word sizes, the word-packed protocol and the
-// unpacked protocol — consuming identical dealer randomness — must produce
-// the plaintext-correct bits. This is the lane-level differential oracle
-// for the packed circuit (full-word, partial-word and multi-word shapes,
-// including the in-place combine and the odd most-significant leftovers).
-func TestPackedBatchMatchesUnpackedAllLaneCounts(t *testing.T) {
-	rng := rand.New(rand.NewPCG(11, 11))
-	sizes := make([]int, 0, 70)
-	for k := 1; k <= 64; k++ {
-		sizes = append(sizes, k)
-	}
-	sizes = append(sizes, 65, 67, 100, 128)
-	for _, k := range sizes {
-		diffs, want := randomBatch(rng, 3, k)
-		seed := uint64(1000 + k)
-		packed, _ := runBatchDirect(t, 3, seed, diffs, true)
-		unpacked, _ := runBatchDirect(t, 3, seed, diffs, false)
-		for i := 0; i < k; i++ {
-			if packed[i] != want[i] {
-				t.Fatalf("k=%d: packed[%d] = %v, plaintext %v", k, i, packed[i], want[i])
-			}
-			if unpacked[i] != want[i] {
-				t.Fatalf("k=%d: unpacked[%d] = %v, plaintext %v", k, i, unpacked[i], want[i])
-			}
-		}
-	}
-}
-
-// TestPackedBatchMatchesScalarCompare: a packed CompareBatch and k scalar
-// Compares over the same engine-level inputs return identical bits.
-func TestPackedBatchMatchesScalarCompare(t *testing.T) {
-	rng := rand.New(rand.NewPCG(12, 12))
-	for _, k := range []int{1, 5, 64, 70} {
-		batchEng := newTestEngine(t, 3, ModeProtocol)
-		scalarEng := newTestEngine(t, 3, ModeProtocol)
-		diffs, _ := randomBatch(rng, 3, k)
-		got, err := batchEng.CompareBatch(diffs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i, d := range diffs {
-			single, err := scalarEng.Compare(d)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if single != got[i] {
-				t.Fatalf("k=%d: batch[%d]=%v, scalar=%v", k, i, got[i], single)
-			}
-		}
-	}
-}
-
 // TestBatchWireCostMatchesMeasured pins the analytic cost model to reality:
-// for both layouts, several lane counts (full, ragged, multi-word) and
-// party counts, batchWireCost must equal the byte/message totals the
-// transport actually accounted. The engine's ideal-mode accounting — and
-// the monotone batching guarantee built on it — is exactly as trustworthy
-// as this equality.
+// for lane counts on both sides of every byte and word boundary and several
+// party counts, the single batchWireCost formula must equal the byte and
+// message totals transport.Mem actually accounted for a kernel run. The
+// engine's accounting in both modes — and the "a batch never costs more
+// than its compares run singly" guarantee built on it — is exactly as
+// trustworthy as this equality.
 func TestBatchWireCostMatchesMeasured(t *testing.T) {
 	rng := rand.New(rand.NewPCG(13, 13))
-	for _, n := range []int{2, 3} {
-		for _, k := range []int{1, 3, 8, 16, 33, 64, 65, 100} {
-			for _, packed := range []bool{true, false} {
-				diffs, _ := randomBatch(rng, n, k)
-				_, st := runBatchDirect(t, n, uint64(n*1000+k), diffs, packed)
-				wantBytes, wantMsgs := batchWireCost(n, k, packed)
-				if st.Bytes != wantBytes || st.Messages != wantMsgs {
-					t.Fatalf("n=%d k=%d packed=%v: measured %d B / %d msgs, model %d B / %d msgs",
-						n, k, packed, st.Bytes, st.Messages, wantBytes, wantMsgs)
-				}
+	for _, n := range []int{2, 3, 5} {
+		for _, k := range []int{1, 2, 3, 5, 7, 8, 9, 16, 33, 63, 64, 65, 100, 129, 200} {
+			diffs, _ := randomBatch(rng, n, k)
+			_, _, st := runKernel(t, n, uint64(n*1000+k), diffs)
+			wantBytes, wantMsgs := batchWireCost(n, k)
+			if st.Bytes != wantBytes || st.Messages != wantMsgs {
+				t.Fatalf("n=%d k=%d: measured %d B / %d msgs, model %d B / %d msgs",
+					n, k, st.Bytes, st.Messages, wantBytes, wantMsgs)
 			}
 		}
 	}
+	// The k = 1 figure every cost table quotes: 41 B per ordered party pair.
+	if b, m := batchWireCost(3, 1); b != 246 || m != 48 {
+		t.Fatalf("batchWireCost(3,1) = %d B / %d msgs, want 246 / 48", b, m)
+	}
 }
 
-// TestPackedBatchNeverCostsMoreThanSequential: the analytic model makes
-// batching monotone in the round-dominated costs — a packed k-batch always
-// pays RoundsPerCompare rounds once (strictly fewer messages than k scalar
-// comparisons), and at full byte lanes (k ≡ 0 mod 8, 16 ≤ k) it also costs
-// no more bytes. Ragged tails waste up to 7 lanes per gate vector, so their
-// byte totals can exceed the scalar layout's global bit-packing — but
-// rounds, the term latency multiplies, never regress at any size. This is
-// the "batching can never regress" invariant the engine's cost accounting
-// promises.
-func TestPackedBatchNeverCostsMoreThanSequential(t *testing.T) {
+// TestBatchNeverCostsMoreThanSequential: with the dense frame layout a
+// k-batch pays RoundsPerCompare rounds once (strictly fewer messages than k
+// single comparisons for k > 1) and never more bytes than the same
+// comparisons run singly — at every k, ragged or not.
+func TestBatchNeverCostsMoreThanSequential(t *testing.T) {
 	for _, n := range []int{2, 3, 5, 8} {
-		scalarBytes, scalarMsgs := batchWireCost(n, 1, false)
+		oneBytes, oneMsgs := batchWireCost(n, 1)
 		for k := 2; k <= 256; k++ {
-			bytes, msgs := batchWireCost(n, k, true)
-			if msgs >= scalarMsgs*int64(k) {
-				t.Fatalf("n=%d k=%d: packed batch %d msgs, sequential %d", n, k, msgs, scalarMsgs*int64(k))
+			bytes, msgs := batchWireCost(n, k)
+			if msgs >= oneMsgs*int64(k) {
+				t.Fatalf("n=%d k=%d: batch %d msgs, sequential %d", n, k, msgs, oneMsgs*int64(k))
 			}
-			if k >= 16 && k%8 == 0 && bytes > scalarBytes*int64(k) {
-				t.Fatalf("n=%d k=%d: packed batch %d B > %d sequential B", n, k, bytes, scalarBytes*int64(k))
+			if bytes > oneBytes*int64(k) {
+				t.Fatalf("n=%d k=%d: batch %d B > %d sequential B", n, k, bytes, oneBytes*int64(k))
 			}
 		}
 	}
 }
 
-// TestPackedVecRoundTrip: serialize/deserialize of lane vectors is lossless
-// on the live lanes and zeroes the padding.
-func TestPackedVecRoundTrip(t *testing.T) {
+// TestLaneCodecRoundTrip: putLanes/getLanes are lossless on the live lanes
+// at byte-aligned and unaligned stream offsets, leave neighbouring stream
+// bits alone, ignore source lanes ≥ k and zero destination lanes ≥ k.
+func TestLaneCodecRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewPCG(14, 14))
 	for _, k := range []int{1, 7, 8, 9, 63, 64, 65, 100, 128, 200} {
-		W := wordsFor(k)
-		src := make([]uint64, W)
-		for w := range src {
-			src[w] = rng.Uint64()
-		}
-		// Mask source to live lanes: that is the contract packWordVec keeps.
-		if k&63 != 0 {
-			src[W-1] &= ^uint64(0) >> (64 - k&63)
-		}
-		buf := make([]byte, packedVecBytes(k))
-		packWordVec(buf, src, k)
-		back := make([]uint64, W)
-		unpackWordVec(back, buf, k)
-		for w := range src {
-			if back[w] != src[w] {
-				t.Fatalf("k=%d word %d: %x != %x", k, w, back[w], src[w])
+		for _, pos := range []int{0, 1, 7, 8, 13, 64, 3 * k} {
+			W := wordsFor(k)
+			src := make([]uint64, W)
+			back := make([]uint64, W)
+			for w := range src {
+				src[w] = rng.Uint64() // lanes ≥ k deliberately dirty
+				back[w] = rng.Uint64()
 			}
-		}
-		// XOR-accumulate twice must cancel.
-		acc := make([]uint64, W)
-		xorWordVec(acc, buf, k)
-		xorWordVec(acc, buf, k)
-		for w := range acc {
-			if acc[w] != 0 {
-				t.Fatalf("k=%d: xorWordVec does not self-cancel", k)
+			buf := make([]byte, streamBytes(pos+k)+1)
+			putLanes(buf, pos, src, k)
+			for bit := 0; bit < 8*len(buf); bit++ {
+				got := buf[bit>>3] >> (bit & 7) & 1
+				var want byte
+				if i := bit - pos; i >= 0 && i < k {
+					want = byte(src[i>>6] >> (uint(i) & 63) & 1)
+				}
+				if got != want {
+					t.Fatalf("k=%d pos=%d: stream bit %d = %d, want %d", k, pos, bit, got, want)
+				}
+			}
+			getLanes(back, buf, pos, k)
+			for i := 0; i < 64*W; i++ {
+				want := src[i>>6] >> (uint(i) & 63) & 1
+				if i >= k {
+					want = 0
+				}
+				if back[i>>6]>>(uint(i)&63)&1 != want {
+					t.Fatalf("k=%d pos=%d: lane %d did not round-trip", k, pos, i)
+				}
 			}
 		}
 	}
@@ -222,8 +100,12 @@ func TestPackedTransposeMatchesScalarTuples(t *testing.T) {
 		tups[i] = dealer.CmpTuples()[1]
 	}
 	W := wordsFor(k)
-	rb := packRBitLanes(tups, W)
-	wt := packTripleLanes(tups, W)
+	rb := make([]uint64, K*W)
+	ta := make([]uint64, TriplesPerCompare*W)
+	tb := make([]uint64, TriplesPerCompare*W)
+	tc := make([]uint64, TriplesPerCompare*W)
+	packRBitLanes(rb, tups, W)
+	packTripleLanes(ta, tb, tc, tups, W)
 	for i := 0; i < k; i++ {
 		for b := 0; b < K; b++ {
 			want := uint64(tups[i].RBits[b] & 1)
@@ -232,51 +114,49 @@ func TestPackedTransposeMatchesScalarTuples(t *testing.T) {
 			}
 		}
 		for tr := 0; tr < TriplesPerCompare; tr++ {
-			w := &wt[tr*W+i>>6]
-			bit := uint(i) & 63
-			if w.A>>bit&1 != uint64(tups[i].Triples[tr].A&1) ||
-				w.B>>bit&1 != uint64(tups[i].Triples[tr].B&1) ||
-				w.C>>bit&1 != uint64(tups[i].Triples[tr].C&1) {
+			w, bit := tr*W+i>>6, uint(i)&63
+			if ta[w]>>bit&1 != uint64(tups[i].Triples[tr].A&1) ||
+				tb[w]>>bit&1 != uint64(tups[i].Triples[tr].B&1) ||
+				tc[w]>>bit&1 != uint64(tups[i].Triples[tr].C&1) {
 				t.Fatalf("triple lane mismatch at instance %d triple %d", i, tr)
 			}
 		}
 	}
 }
 
-// FuzzPackedVecCodec fuzzes the packed share codec: any byte string,
-// interpreted as a k-lane vector, must survive unpack→pack with its live
-// lanes intact and its padding bits zeroed.
+// FuzzPackedVecCodec fuzzes the dense bit-stream codec: any byte string read
+// as consecutive k-lane vectors starting at any bit offset must survive
+// getLanes→putLanes with its live bits intact, and every bit of the
+// re-encoded stream outside the vectors (lead-in, final padding) must be
+// zero.
 func FuzzPackedVecCodec(f *testing.F) {
 	f.Add([]byte{0xff}, uint16(1))
 	f.Add([]byte{0xab, 0xcd}, uint16(13))
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9}, uint16(65))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, uint16(5<<8|7))
 	f.Fuzz(func(t *testing.T, data []byte, kRaw uint16) {
 		k := 1 + int(kRaw%256)
-		vb := packedVecBytes(k)
-		in := make([]byte, vb)
+		lead := int(kRaw>>8) % 8 // first vector's bit offset: every alignment
+		const vecs = 3
+		end := lead + vecs*k
+		in := make([]byte, streamBytes(end))
 		copy(in, data)
+		out := make([]byte, len(in))
 		words := make([]uint64, wordsFor(k))
-		unpackWordVec(words, in, k)
-		out := make([]byte, vb)
-		packWordVec(out, words, k)
-		// out must equal in with padding bits of the last byte masked off.
-		mask := byte(0xff)
-		if k&7 != 0 {
-			mask = 0xff >> (8 - k&7)
-		}
-		for i := range in {
-			want := in[i]
-			if i == vb-1 {
-				want &= mask
+		for j := 0; j < vecs; j++ {
+			getLanes(words, in, lead+j*k, k)
+			if k&63 != 0 && words[len(words)-1]>>(uint(k)&63) != 0 {
+				t.Fatalf("k=%d lead=%d vector %d: lanes ≥ k nonzero after decode", k, lead, j)
 			}
-			if out[i] != want {
-				t.Fatalf("k=%d byte %d: %02x != %02x", k, i, out[i], want)
-			}
+			putLanes(out, lead+j*k, words, k)
 		}
-		// Lanes beyond k must be zero in the unpacked words.
-		if k&63 != 0 {
-			if words[len(words)-1]&^(^uint64(0)>>(64-k&63)) != 0 {
-				t.Fatalf("k=%d: padding lanes nonzero", k)
+		for bit := 0; bit < 8*len(in); bit++ {
+			want := in[bit>>3] >> (bit & 7) & 1
+			if bit < lead || bit >= end {
+				want = 0
+			}
+			if got := out[bit>>3] >> (bit & 7) & 1; got != want {
+				t.Fatalf("k=%d lead=%d: stream bit %d = %d, want %d", k, lead, bit, got, want)
 			}
 		}
 	})

@@ -1,8 +1,10 @@
 package mpc
 
 import (
+	"bytes"
 	"math/rand/v2"
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -10,109 +12,84 @@ import (
 	"repro/internal/transport"
 )
 
-// recordingConn wraps a Conn and keeps every frame it sends, so tests can
-// inspect one party's view of the transcript.
-type recordingConn struct {
-	transport.Conn
-	sent [][]byte
-}
+// securityBatchSizes are the kernel widths the transcript tests run at: a
+// single comparison, a ragged sub-byte batch and a ragged multi-word batch.
+var securityBatchSizes = []int{1, 5, 70}
 
-func (r *recordingConn) Send(to int, data []byte) error {
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	r.sent = append(r.sent, cp)
-	return r.Conn.Send(to, data)
-}
-
-// runRecorded executes one comparison over an in-memory mesh with party 0's
-// outgoing frames recorded. The dealer seed determines the masking
-// randomness, so different seeds give independently masked runs.
-func runRecorded(t *testing.T, diffs []int64, dealerSeed uint64) (bool, [][]byte) {
+// runRecorded executes one k-batch through the kernel over an in-memory mesh
+// and returns the result bits with party 0's outgoing frames — one party's
+// view of what it put on the wire. diffs is [instance][party]; the dealer
+// seed determines the masking randomness, so different seeds give
+// independently masked runs.
+func runRecorded(t *testing.T, diffs [][]int64, dealerSeed uint64) ([]bool, [][]byte) {
 	t.Helper()
-	n := len(diffs)
-	mem := transport.NewMem(n)
-	tuples := NewDealer(n, dealerSeed).CmpTuples()
-	rec := &recordingConn{Conn: mem.Conn(0)}
-	results := make([]bool, n)
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for p := 0; p < n; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			conn := transport.Conn(mem.Conn(p))
-			if p == 0 {
-				conn = rec
-			}
-			results[p], errs[p] = RunCompareParty(conn, diffs[p], &tuples[p])
-		}(p)
+	out, sent, _ := runKernel(t, len(diffs[0]), dealerSeed, diffs)
+	return out, sent[0]
+}
+
+// repeatInstance builds a k-batch of the same n-party instance.
+func repeatInstance(d []int64, k int) [][]int64 {
+	diffs := make([][]int64, k)
+	for i := range diffs {
+		diffs[i] = d
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	for p := 1; p < n; p++ {
-		if results[p] != results[0] {
-			t.Fatal("parties disagree")
-		}
-	}
-	return results[0], rec.sent
+	return diffs
 }
 
 // TestTranscriptIsMasked: running the protocol twice on the *same inputs*
 // with fresh randomness must produce entirely different wire frames (except
-// the final 1-bit result opening) — the transcript is uniformly masked, so
-// an observer of one run learns nothing about the inputs.
+// small openings that may coincide by chance) — the transcript is uniformly
+// masked, so an observer of one run learns nothing about the inputs.
 func TestTranscriptIsMasked(t *testing.T) {
-	diffs := []int64{123456, -99999, -30000}
-	res1, sent1 := runRecorded(t, diffs, 1)
-	res2, sent2 := runRecorded(t, diffs, 2)
-	if res1 != res2 {
-		t.Fatal("same inputs produced different comparison results")
-	}
-	if len(sent1) != len(sent2) {
-		t.Fatalf("frame counts differ: %d vs %d", len(sent1), len(sent2))
-	}
-	identical := 0
-	for i := range sent1 {
-		if len(sent1[i]) == len(sent2[i]) {
-			same := true
-			for j := range sent1[i] {
-				if sent1[i][j] != sent2[i][j] {
-					same = false
-					break
-				}
-			}
-			if same {
+	for _, k := range securityBatchSizes {
+		diffs := repeatInstance([]int64{123456, -99999, -30000}, k)
+		res1, sent1 := runRecorded(t, diffs, 1)
+		res2, sent2 := runRecorded(t, diffs, 2)
+		if !slices.Equal(res1, res2) {
+			t.Fatalf("k=%d: same inputs produced different comparison results", k)
+		}
+		if len(sent1) != len(sent2) {
+			t.Fatalf("k=%d: frame counts differ: %d vs %d", k, len(sent1), len(sent2))
+		}
+		identical := 0
+		for i := range sent1 {
+			if bytes.Equal(sent1[i], sent2[i]) {
 				identical++
 			}
 		}
-	}
-	// Only the trailing result-bit frames (n-1 of them, 1 byte each) may
-	// coincide by chance; every masked frame must differ.
-	if identical > len(diffs) {
-		t.Fatalf("%d of %d frames identical across independently masked runs", identical, len(sent1))
+		// Only the shortest frames (the ⌈k/8⌉-byte result shares and, at
+		// k = 1, the 4-bit last circuit level) may coincide by chance; every
+		// longer masked frame must differ.
+		if identical > len(diffs[0]) {
+			t.Fatalf("k=%d: %d of %d frames identical across independently masked runs", k, identical, len(sent1))
+		}
 	}
 }
 
 // TestInputSharesDoNotRevealInput: the fused masked opening party 0 sends in
-// round 1 is m = d_0 + r_0; it must not equal the raw input, and must change
-// across runs (r_0 is a fresh uniform mask per dealer stream).
+// round 1 carries m_i = d_i + r_i per instance; no m_i may equal the raw
+// input, and each must change across runs (r is a fresh uniform mask per
+// dealer stream).
 func TestInputSharesDoNotRevealInput(t *testing.T) {
-	diffs := []int64{424242, 0, 0}
-	_, sent1 := runRecorded(t, diffs, 3)
-	_, sent2 := runRecorded(t, diffs, 4)
-	// Round 1 frames are the first n-1 sends, 8 bytes each.
-	for i := 0; i < 2; i++ {
-		v1 := getU64(sent1[i])
-		v2 := getU64(sent2[i])
-		if v1 == uint64(diffs[0]) || v2 == uint64(diffs[0]) {
-			t.Fatal("raw input appeared on the wire")
-		}
-		if v1 == v2 {
-			t.Fatal("masked openings did not change across runs")
+	for _, k := range securityBatchSizes {
+		diffs := repeatInstance([]int64{424242, 0, 0}, k)
+		_, sent1 := runRecorded(t, diffs, 3)
+		_, sent2 := runRecorded(t, diffs, 4)
+		// Round 1 frames are the first n-1 sends, 8k bytes each.
+		for f := 0; f < 2; f++ {
+			if len(sent1[f]) != 8*k {
+				t.Fatalf("k=%d: round-1 frame is %d bytes, want %d", k, len(sent1[f]), 8*k)
+			}
+			for i := 0; i < k; i++ {
+				v1 := getU64(sent1[f][8*i:])
+				v2 := getU64(sent2[f][8*i:])
+				if v1 == uint64(diffs[i][0]) || v2 == uint64(diffs[i][0]) {
+					t.Fatalf("k=%d: raw input of instance %d appeared on the wire", k, i)
+				}
+				if v1 == v2 {
+					t.Fatalf("k=%d: masked opening of instance %d did not change across runs", k, i)
+				}
+			}
 		}
 	}
 }
@@ -120,18 +97,20 @@ func TestInputSharesDoNotRevealInput(t *testing.T) {
 // TestComparisonResultDataIndependentCost: the wire cost must not depend on
 // the input values (data-obliviousness — a cost side channel would leak).
 func TestComparisonResultDataIndependentCost(t *testing.T) {
-	count := func(diffs []int64, seed uint64) int {
+	sizes := func(diffs [][]int64, seed uint64) []int {
 		_, sent := runRecorded(t, diffs, seed)
-		total := 0
-		for _, f := range sent {
-			total += len(f)
+		out := make([]int, len(sent))
+		for i, f := range sent {
+			out[i] = len(f)
 		}
-		return total
+		return out
 	}
-	a := count([]int64{0, 0, 0}, 5)
-	b := count([]int64{1 << 44, -(1 << 44), 12345}, 6)
-	if a != b {
-		t.Fatalf("wire bytes depend on inputs: %d vs %d", a, b)
+	for _, k := range securityBatchSizes {
+		a := sizes(repeatInstance([]int64{0, 0, 0}, k), 5)
+		b := sizes(repeatInstance([]int64{1 << 44, -(1 << 44), 12345}, k), 6)
+		if !slices.Equal(a, b) {
+			t.Fatalf("k=%d: frame sizes depend on inputs: %v vs %v", k, a, b)
+		}
 	}
 }
 

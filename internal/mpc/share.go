@@ -12,12 +12,14 @@
 //     parties (1 round; each party broadcasts d_p + r_p),
 //  2. the borrow of the subtraction C − R is evaluated with a log-depth
 //     binary tree of carry-combine gates over the shared bits, each level
-//     batching its AND gates through Beaver bit triples (log₂(k) rounds),
+//     batching its AND gates through Beaver bit triples (⌈log₂(K−1)⌉ rounds),
 //  3. the resulting comparison bit — and nothing else — is opened (1 round).
 //
-// The batched variant (CompareBatch) additionally word-packs the circuits of
-// up to 64 comparison instances into shared machine-word lanes (see pack.go),
-// so one frame carries a whole frontier's worth of masked bits per round.
+// One kernel (RunCompareBatchParty) runs the protocol at every width: the
+// circuits of k comparison instances share machine-word lanes (see pack.go)
+// and each round's masked bits of all instances travel in one dense frame, so
+// a whole frontier's comparisons cost the rounds of one. A single comparison
+// is the same kernel at k = 1.
 //
 // The correlated randomness (R, its bit shares, and the bit triples) comes
 // from a preprocessing Dealer, modelling MP-SPDZ's offline phase. Inputs and
@@ -93,22 +95,6 @@ func ReconstructBit(shares []Bit) Bit {
 		acc ^= s
 	}
 	return acc & 1
-}
-
-// packBits stores bits (low bit of each byte) into dst, little-endian within
-// bytes. dst must have length ≥ ceil(len(bits)/8).
-func packBits(dst []byte, bits []Bit) {
-	for i := range dst {
-		dst[i] = 0
-	}
-	for i, b := range bits {
-		dst[i>>3] |= (b & 1) << (i & 7)
-	}
-}
-
-// unpackBit extracts bit i from a packed buffer.
-func unpackBit(src []byte, i int) Bit {
-	return (src[i>>3] >> (i & 7)) & 1
 }
 
 func putU64(dst []byte, v uint64) { binary.LittleEndian.PutUint64(dst, v) }

@@ -128,79 +128,3 @@ func (lm *LocalMesh) Close() error {
 	}
 	return first
 }
-
-// PerForkDialer reproduces the pre-mux behavior — one fresh TCP mesh
-// (P·(P−1)/2 sockets) dialed per session fork — as the fd-hungry baseline
-// the mux's throughput is gated against in fedbench.
-type PerForkDialer struct {
-	n       int
-	timeout time.Duration
-	tls     *TLSConfig
-}
-
-// NewPerForkDialer builds the baseline dialer for n parties.
-func NewPerForkDialer(n int, timeout time.Duration, tc *TLSConfig) *PerForkDialer {
-	if timeout <= 0 {
-		timeout = 10 * time.Second
-	}
-	return &PerForkDialer{n: n, timeout: timeout, tls: tc}
-}
-
-// Dial establishes one fresh full mesh on ephemeral loopback ports and
-// returns its P endpoints. There is no drain (frames die with the session
-// sockets), so callers treat any transport failure as final for the mesh.
-func (d *PerForkDialer) Dial() ([]Conn, error) {
-	var lastErr error
-	for attempt := 0; attempt < 3; attempt++ {
-		conns, err := d.dialOnce()
-		if err == nil {
-			return conns, nil
-		}
-		lastErr = err
-	}
-	return nil, lastErr
-}
-
-func (d *PerForkDialer) dialOnce() ([]Conn, error) {
-	// Reserve ephemeral ports by binding and releasing; the window between
-	// release and DialMesh's own bind is the classic reuse race, which the
-	// caller's bounded retry absorbs.
-	addrs := make([]string, d.n)
-	for i := 0; i < d.n-1; i++ {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		addrs[i] = ln.Addr().String()
-		ln.Close()
-	}
-	addrs[d.n-1] = "127.0.0.1:0"
-
-	conns := make([]Conn, d.n)
-	errs := make([]error, d.n)
-	var wg sync.WaitGroup
-	for i := 0; i < d.n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			c, err := DialMeshTLS(i, d.n, addrs, d.timeout, d.tls)
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			conns[i] = c
-		}(i)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			for _, c := range conns {
-				if c != nil {
-					c.Close()
-				}
-			}
-			return nil, err
-		}
-	}
-	return conns, nil
-}
