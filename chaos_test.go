@@ -2,6 +2,7 @@ package fedroad
 
 import (
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -150,5 +151,63 @@ func TestChaosRetryAbsorbsTransientFault(t *testing.T) {
 	}
 	if sess.Poisoned() {
 		t.Fatal("session poisoned by a recovered fault")
+	}
+}
+
+// TestChaosLockstepPoisonedMidGang kills a party at a sweep of points inside
+// batched queries, so the engine is poisoned while a lockstep gang has
+// threads blocked at every depth (pop replay, tournament build, μ fold,
+// commit). Whatever the point: the query returns promptly, with a wrapped
+// ErrSessionPoisoned or — if the fault fell after its last frame — the right
+// answer, never a wrong route; and no goroutine of the query outlives it.
+func TestChaosLockstepPoisonedMidGang(t *testing.T) {
+	const roundTimeout = 150 * time.Millisecond
+	opt := QueryOptions{BatchedMPC: true}
+	poisoned := 0
+	for after := 3; after < 400; after += 23 {
+		plan := transport.FaultPlan{After: after, Script: []transport.FaultKind{transport.FaultClose}}
+		f, g, silos, armed := chaosFederation(t, plan, after%3, Config{RoundTimeout: roundTimeout})
+		base := runtime.NumGoroutine()
+		armed.Store(true)
+		sess := f.Session()
+		start := time.Now()
+		var err error
+		if after%2 == 0 {
+			var route Route
+			if route, _, err = sess.ShortestPath(0, 24, opt); err == nil {
+				if want := jointDijkstra(g, silos, 0, 24); JointCost(route) != want {
+					t.Fatalf("after=%d: route costs %d, want %d", after, JointCost(route), want)
+				}
+			}
+		} else {
+			var routes []Route
+			if routes, _, err = sess.NearestNeighbors(12, 6, opt); err == nil {
+				for _, r := range routes {
+					if want := jointDijkstra(g, silos, 12, r.Path[len(r.Path)-1]); JointCost(r) != want {
+						t.Fatalf("after=%d: neighbor costs %d, want %d", after, JointCost(r), want)
+					}
+				}
+			}
+		}
+		if err != nil {
+			poisoned++
+			if !errors.Is(err, ErrSessionPoisoned) || !sess.Poisoned() {
+				t.Fatalf("after=%d: untyped failure %v (session poisoned: %v)", after, err, sess.Poisoned())
+			}
+		}
+		if elapsed := time.Since(start); elapsed > 10*roundTimeout+2*time.Second {
+			t.Fatalf("after=%d: query took %v, round timeout is %v", after, elapsed, roundTimeout)
+		}
+		sess.Close()
+		deadline := time.Now().Add(2 * time.Second)
+		for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > base {
+			t.Fatalf("after=%d: %d goroutines alive after the query, %d before", after, n, base)
+		}
+	}
+	if poisoned < 5 {
+		t.Fatalf("only %d of the sweep's faults landed inside a query", poisoned)
 	}
 }

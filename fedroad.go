@@ -1126,9 +1126,14 @@ type QueryOptions struct {
 	// NoIndex forces a flat search even when the index is built (the
 	// paper's Naive-Dijk baseline).
 	NoIndex bool
-	// BatchedMPC batches the TM-tree tournament-build comparisons into
-	// single protocol instances, paying communication rounds once per
-	// expansion level instead of once per comparison (TM-tree queue only).
+	// BatchedMPC lets independent secure comparisons share protocol
+	// instances, paying communication rounds once for all of them: the
+	// matches of one tournament level (TM-tree build, μ update), the
+	// stopping-rule checks of both search directions and — every search
+	// step running in lockstep — the pop replay, the next push's tournament
+	// build and the μ update of both directions. The comparisons made and
+	// the answer are the same; indexed routes take about half the rounds
+	// (TM-tree queue only).
 	BatchedMPC bool
 }
 

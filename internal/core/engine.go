@@ -35,10 +35,14 @@ type Options struct {
 	Landmarks *lb.Landmarks
 	// Index enables hierarchical search over the federated shortcut index.
 	Index *ch.Index
-	// BatchedMPC executes the TM-tree's tournament-build comparisons as
-	// batched secure comparisons: one protocol instance (one set of
-	// communication rounds) per tournament level instead of one per
-	// comparison. Requires Queue == tm-tree.
+	// BatchedMPC runs independent secure comparisons in shared protocol
+	// instances (one set of communication rounds for all of them): the
+	// matches of one tournament level in the TM-tree's build and in the μ
+	// update, the stopping-rule checks of both search directions, and — by
+	// running every search step in lockstep — the pop replay, the next
+	// push's tournament build and the μ update of both directions, tick by
+	// tick. The comparisons made are the same; off, the same step runs them
+	// one instance each. Requires Queue == tm-tree.
 	BatchedMPC bool
 }
 
@@ -104,19 +108,22 @@ func NewEngine(f *fed.Federation, opt Options) (*Engine, error) {
 func (e *Engine) Federation() *fed.Federation { return e.f }
 
 // PhaseTimings breaks a query's local wall time down by search phase, the
-// per-query trace behind the observability layer. SACWait overlaps Queue
-// (queue comparisons are secure comparisons) and, rarely, Relax (cross-
-// frontier μ updates in bidirectional search compare under the relax
-// timer), so the three phases are reported side by side rather than
-// summed: Queue − SACWait approximates pure queue-structure time.
+// per-query trace behind the observability layer. A search step is a
+// plaintext part (settle and relax) and comparing parts that share protocol
+// instances (pop replay, tournament build, μ update, stopping rule, commit),
+// so Queue + Relax is the wall time of the search steps, and SACWait is the
+// part of Queue spent inside Fed-SAC: Queue − SACWait approximates the time
+// of the queue structure and the step's scheduling.
 type PhaseTimings struct {
-	// Queue is time spent inside priority-queue operations (Push/PushBatch/
-	// Pop), including the secure comparisons they trigger.
+	// Queue is the wall time of the search steps minus Relax: every queue
+	// operation, the stopping-rule and μ comparisons that run beside them,
+	// and the secure comparisons all of these trigger.
 	Queue time.Duration
-	// SACWait is time blocked inside Fed-SAC comparisons, wherever invoked.
+	// SACWait is time blocked inside Fed-SAC protocol instances.
 	SACWait time.Duration
-	// Relax is time spent on local edge relaxation: enumerating arcs and
-	// building tentative-path batches from silo-local weights.
+	// Relax is the plaintext time of the steps: settling, enumerating arcs
+	// and building tentative-path batches from silo-local weights (for
+	// Fed-ALT, including the estimator's own secure comparisons).
 	Relax time.Duration
 }
 
@@ -174,11 +181,14 @@ func (e *Engine) newComparator(sac *fed.SAC) comparator {
 	return sac
 }
 
-// timedCmp wraps a comparator and accumulates the wall time spent blocked in
-// secure comparisons — the query's Fed-SAC wait phase.
+// timedCmp wraps the per-query comparator and accumulates the wall time
+// spent blocked in secure comparisons — the query's Fed-SAC wait phase.
+// Unless batched, it also splits every batch into scalar instances, so that
+// one search loop serves both settings of Options.BatchedMPC.
 type timedCmp struct {
-	inner comparator
-	wait  time.Duration
+	inner   comparator
+	batched bool
+	wait    time.Duration
 }
 
 func (t *timedCmp) Less(a, b fed.Partial) bool {
@@ -189,6 +199,13 @@ func (t *timedCmp) Less(a, b fed.Partial) bool {
 }
 
 func (t *timedCmp) LessBatch(pairs [][2]fed.Partial) []bool {
+	if !t.batched {
+		out := make([]bool, len(pairs))
+		for i, pr := range pairs {
+			out[i] = t.Less(pr[0], pr[1])
+		}
+		return out
+	}
 	t0 := time.Now()
 	r := t.inner.LessBatch(pairs)
 	t.wait += time.Since(t0)
@@ -197,22 +214,68 @@ func (t *timedCmp) LessBatch(pairs [][2]fed.Partial) []bool {
 
 func (t *timedCmp) Err() error { return t.inner.Err() }
 
-// newQueue builds the configured priority queue over items with a Fed-SAC
-// comparator: every queue comparison is one secure comparison. With
-// BatchedMPC, the TM-tree additionally gets the batched Fed-SAC comparator
-// for its tournament builds.
-func (e *Engine) newQueue(sac comparator) pq.Queue[*item] {
-	less := func(a, b *item) bool { return sac.Less(a.key, b.key) }
+// newCmp builds the per-query comparator over a Fed-SAC handle.
+func (e *Engine) newCmp(sac *fed.SAC) *timedCmp {
+	return &timedCmp{inner: e.newComparator(sac), batched: e.opt.BatchedMPC}
+}
+
+// gang runs fns as the threads of one search step: in lockstep when
+// BatchedMPC is on, so that comparisons the threads make at the same tick
+// share a protocol instance, and one after the other otherwise. The threads
+// must be independent of one another, which makes the two orders equivalent.
+func (e *Engine) gang(cmp comparator, fns ...func(comparator)) {
 	if e.opt.BatchedMPC {
-		q := pq.NewTMTree[*item](less, e.opt.Alpha)
-		q.SetBatchLess(func(pairs [][2]*item) []bool {
-			ps := make([][2]fed.Partial, len(pairs))
-			for i, pr := range pairs {
-				ps[i] = [2]fed.Partial{pr[0].key, pr[1].key}
-			}
-			return sac.LessBatch(ps)
-		})
-		return q
+		lockstep(cmp, fns...)
+		return
 	}
-	return pq.New[*item](e.opt.Queue, less, e.opt.Alpha)
+	for _, fn := range fns {
+		fn(cmp)
+	}
+}
+
+// searchQueue is the configured priority queue over frontier items, every
+// queue comparison one secure comparison. Its operations take the comparator
+// to compare through, so a step can put them on different lockstep threads:
+// the queue's LessFunc (pop replay, merge, chain update) reads pop, its
+// batched tournament build reads stage. (Unbatched, a tournament build goes
+// through the LessFunc too; then every handle is the query's one comparator.)
+type searchQueue struct {
+	q          pq.Queue[*item]
+	pop, stage comparator
+}
+
+func (e *Engine) newQueue(cmp comparator) *searchQueue {
+	sq := &searchQueue{pop: cmp, stage: cmp}
+	less := func(a, b *item) bool { return sq.pop.Less(a.key, b.key) }
+	if !e.opt.BatchedMPC {
+		sq.q = pq.New[*item](e.opt.Queue, less, e.opt.Alpha)
+		return sq
+	}
+	q := pq.NewTMTree[*item](less, e.opt.Alpha)
+	q.SetBatchLess(func(pairs [][2]*item) []bool {
+		ps := make([][2]fed.Partial, len(pairs))
+		for i, pr := range pairs {
+			ps[i] = [2]fed.Partial{pr[0].key, pr[1].key}
+		}
+		return sq.stage.LessBatch(ps)
+	})
+	sq.q = q
+	return sq
+}
+
+// popOn removes the champion (known from Peek), replaying through c.
+func (sq *searchQueue) popOn(c comparator) {
+	sq.pop = c
+	sq.q.Pop()
+}
+
+// stageOn stages items through c — it may run beside popOn — and returns the
+// commit as a thread of its own.
+func (sq *searchQueue) stageOn(c comparator, items []*item) (commit func(comparator)) {
+	sq.stage = c
+	done := sq.q.Stage(items)
+	return func(c comparator) {
+		sq.pop = c
+		done()
+	}
 }

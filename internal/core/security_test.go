@@ -1,7 +1,9 @@
 package core
 
 import (
+	"fmt"
 	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"repro/internal/fed"
@@ -11,21 +13,26 @@ import (
 	"repro/internal/traffic"
 )
 
-// recordingCmp wraps the real Fed-SAC and records every comparison outcome.
+// recordingCmp wraps the real Fed-SAC and records every comparison outcome
+// and the width k of every protocol instance — the batch shapes are part of
+// what a silo observes.
 type recordingCmp struct {
-	sac  *fed.SAC
-	bits []bool
+	sac    *fed.SAC
+	bits   []bool
+	widths []int
 }
 
 func (r *recordingCmp) Less(a, b fed.Partial) bool {
 	v := r.sac.Less(a, b)
 	r.bits = append(r.bits, v)
+	r.widths = append(r.widths, 1)
 	return v
 }
 
 func (r *recordingCmp) LessBatch(pairs [][2]fed.Partial) []bool {
 	vs := r.sac.LessBatch(pairs)
 	r.bits = append(r.bits, vs...)
+	r.widths = append(r.widths, len(pairs))
 	return vs
 }
 
@@ -34,9 +41,10 @@ func (r *recordingCmp) Err() error { return r.sac.Err() }
 // replayCmp is the §VII simulator: it answers comparisons purely from a
 // recorded bit sequence, never looking at the partial-cost inputs.
 type replayCmp struct {
-	t    *testing.T
-	bits []bool
-	pos  int
+	t      *testing.T
+	bits   []bool
+	pos    int
+	widths []int
 }
 
 func (r *replayCmp) next() bool {
@@ -48,9 +56,13 @@ func (r *replayCmp) next() bool {
 	return v
 }
 
-func (r *replayCmp) Less(a, b fed.Partial) bool { return r.next() }
+func (r *replayCmp) Less(a, b fed.Partial) bool {
+	r.widths = append(r.widths, 1)
+	return r.next()
+}
 
 func (r *replayCmp) LessBatch(pairs [][2]fed.Partial) []bool {
+	r.widths = append(r.widths, len(pairs))
 	out := make([]bool, len(pairs))
 	for i := range out {
 		out[i] = r.next()
@@ -68,7 +80,10 @@ func (r *replayCmp) Err() error { return nil }
 // every comparison from the recorded bits. The simulated execution settles
 // the same vertices in the same order and returns the same path — i.e., a
 // simulator without any weight data reproduces everything observable, so
-// the search leaks nothing beyond the comparison bits.
+// the search leaks nothing beyond the comparison bits. Under BatchedMPC the
+// lockstep steps decide which comparisons share a protocol instance; the
+// simulator must issue the identical sequence of instance widths, i.e. the
+// batch shapes too are a function of topology and bits alone.
 func TestSimulationArgument(t *testing.T) {
 	g, w0 := graph.GenerateGrid(9, 9, 101)
 	realSets := traffic.SiloWeights(w0, 3, traffic.Moderate, 102)
@@ -92,10 +107,11 @@ func TestSimulationArgument(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, queue := range []pq.Kind{pq.KindHeap, pq.KindTMTree} {
+	for _, opt := range []Options{{Queue: pq.KindHeap}, {Queue: pq.KindTMTree}, {Queue: pq.KindTMTree, BatchedMPC: true}} {
+		queue := fmt.Sprintf("%s/batched=%v", opt.Queue, opt.BatchedMPC)
 		// --- Fed-SSSP (Alg. 1) ---
 		rec := &recordingCmp{}
-		realEng, err := NewEngine(realFed, Options{Queue: queue})
+		realEng, err := NewEngine(realFed, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +122,7 @@ func TestSimulationArgument(t *testing.T) {
 		}
 
 		rep := &replayCmp{t: t, bits: rec.bits}
-		simEng, err := NewEngine(simFed, Options{Queue: queue})
+		simEng, err := NewEngine(simFed, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -117,6 +133,9 @@ func TestSimulationArgument(t *testing.T) {
 		}
 		if rep.pos != len(rep.bits) {
 			t.Fatalf("queue %s: simulator consumed %d of %d bits", queue, rep.pos, len(rep.bits))
+		}
+		if !reflect.DeepEqual(rep.widths, rec.widths) {
+			t.Fatalf("queue %s: SSSP simulator's instance widths diverge from the real run's", queue)
 		}
 		if len(simRes) != len(realRes) {
 			t.Fatalf("queue %s: simulator found %d results, real %d", queue, len(simRes), len(realRes))
@@ -151,6 +170,12 @@ func TestSimulationArgument(t *testing.T) {
 		}
 		if rep2.pos != len(rep2.bits) {
 			t.Fatalf("queue %s: SPSP simulator consumed %d of %d bits", queue, rep2.pos, len(rep2.bits))
+		}
+		if !reflect.DeepEqual(rep2.widths, rec2.widths) {
+			t.Fatalf("queue %s: SPSP simulator's instance widths diverge from the real run's", queue)
+		}
+		if opt.BatchedMPC && len(rec2.widths) >= len(rec2.bits) {
+			t.Fatalf("queue %s: %d instances for %d comparisons — nothing was coalesced", queue, len(rec2.widths), len(rec2.bits))
 		}
 		if simPath.Found != realPath.Found || len(simPath.Path) != len(realPath.Path) {
 			t.Fatalf("queue %s: SPSP simulation diverged: %v vs %v", queue, simPath.Path, realPath.Path)

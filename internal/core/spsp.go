@@ -7,7 +7,6 @@ import (
 	"repro/internal/fed"
 	"repro/internal/graph"
 	"repro/internal/lb"
-	"repro/internal/pq"
 )
 
 // expander abstracts the search graph: the flat road network for Naive-Dijk,
@@ -112,10 +111,17 @@ func (x *chExpander) unpack(arc int32) []graph.Arc {
 // side is one direction of the bidirectional search.
 type side struct {
 	forward bool
-	q       pq.Queue[*item]
+	q       *searchQueue
 	settled map[graph.Vertex]*label
 	est     lb.Estimator
 	done    bool
+
+	// State of the current step: the champion this step pops (nil when the
+	// side sits the step out), whether it is to be settled (not a duplicate,
+	// and not stopped by the stopping rule), and the staged push.
+	top    *item
+	settle bool
+	commit func(comparator)
 }
 
 // meeting records how the two searches touch: a forward-settled vertex, an
@@ -144,7 +150,7 @@ func (e *Engine) SPSP(s, t graph.Vertex) (PathResult, QueryStats, error) {
 			QueryStats{}, nil
 	}
 	rawSAC := e.f.NewSAC()
-	sac := &timedCmp{inner: e.newComparator(rawSAC)}
+	sac := e.newCmp(rawSAC)
 	before := e.f.Engine().Stats()
 	var phases PhaseTimings
 	heuristicEvals := 0
@@ -162,53 +168,39 @@ func (e *Engine) SPSP(s, t graph.Vertex) (PathResult, QueryStats, error) {
 
 	fwd := &side{forward: true, q: e.newQueue(sac), settled: make(map[graph.Vertex]*label), est: estF}
 	bwd := &side{forward: false, q: e.newQueue(sac), settled: make(map[graph.Vertex]*label), est: estB}
-	fwd.q.Push(&item{v: s, key: estF.Potential(s), g: e.f.ZeroPartial(), parent: graph.NoVertex, parc: -1})
-	bwd.q.Push(&item{v: t, key: estB.Potential(t), g: e.f.ZeroPartial(), parent: graph.NoVertex, parc: -1})
+	sides := [2]*side{fwd, bwd}
+	fwd.q.stageOn(sac, []*item{{v: s, key: estF.Potential(s), g: e.f.ZeroPartial(), parent: graph.NoVertex, parc: -1}})(sac)
+	bwd.q.stageOn(sac, []*item{{v: t, key: estB.Potential(t), g: e.f.ZeroPartial(), parent: graph.NoVertex, parc: -1}})(sac)
 	heuristicEvals += 2
 
 	var mu fed.Partial
 	var meet meeting
-	updateMu := func(cand fed.Partial, m meeting) {
-		if mu == nil {
-			mu, meet = cand, m
-			return
-		}
-		if sac.Less(cand, mu) {
-			mu, meet = cand, m
-		}
-	}
-	// flushMu folds all crossing candidates of one frontier expansion into μ
-	// at once: an earliest-wins tournament (a later entry beats an earlier
-	// one only when strictly smaller) picks the same winner as the
-	// sequential left-to-right fold, but its per-level matches run as one
-	// batched Fed-SAC instance — a few wide rounds per relax step instead of
-	// a full comparison round per crossing arc.
-	flushMu := func(cands []fed.Partial, meets []meeting) {
-		if !e.opt.BatchedMPC || len(cands) < 2 {
-			for i := range cands {
-				updateMu(cands[i], meets[i])
-			}
-			return
-		}
-		slate, ms := cands, meets
+	// foldMu folds crossing candidates into μ: an earliest-wins tournament (a
+	// later entry beats an earlier one only when strictly smaller) picks the
+	// same winner as a sequential left-to-right fold with as many
+	// comparisons, but the matches of one level are independent and go to c
+	// as one batch.
+	foldMu := func(c comparator, cands []fed.Partial, meets []meeting) {
 		if mu != nil {
-			slate = append([]fed.Partial{mu}, cands...)
-			ms = append([]meeting{meet}, meets...)
+			cands = append([]fed.Partial{mu}, cands...)
+			meets = append([]meeting{meet}, meets...)
 		}
-		idx := make([]int, len(slate))
+		if len(cands) == 0 {
+			return
+		}
+		idx := make([]int, len(cands))
 		for i := range idx {
 			idx[i] = i
 		}
 		for len(idx) > 1 {
 			pairs := make([][2]fed.Partial, 0, len(idx)/2)
 			for pi := 0; pi+1 < len(idx); pi += 2 {
-				pairs = append(pairs, [2]fed.Partial{slate[idx[pi+1]], slate[idx[pi]]})
+				pairs = append(pairs, [2]fed.Partial{cands[idx[pi+1]], cands[idx[pi]]})
 			}
-			res := sac.LessBatch(pairs)
 			next := make([]int, 0, (len(idx)+1)/2)
-			for mi, r := range res {
+			for mi, later := range c.LessBatch(pairs) {
 				win := idx[2*mi]
-				if r {
+				if later {
 					win = idx[2*mi+1]
 				}
 				next = append(next, win)
@@ -218,45 +210,21 @@ func (e *Engine) SPSP(s, t graph.Vertex) (PathResult, QueryStats, error) {
 			}
 			idx = next
 		}
-		mu, meet = slate[idx[0]], ms[idx[0]]
+		mu, meet = cands[idx[0]], meets[idx[0]]
 	}
 
-	settledTotal := 0
-	for turn := 0; !fwd.done || !bwd.done; turn++ {
-		sd, other := fwd, bwd
-		if turn%2 == 1 {
-			sd, other = bwd, fwd
+	// relax extends sd's freshly settled champion: the tentative paths to
+	// push, and a μ candidate for every touch of the other side's settled
+	// set — at the vertex itself or across one arc.
+	relax := func(sd, other *side) (batch []*item, cands []fed.Partial, meets []meeting) {
+		it := sd.top
+		// When both sides settle the same vertex in one step, each sees the
+		// other's label; the forward side reports the meeting.
+		mirrored := !sd.forward && other.settle && other.top.v == it.v
+		if lbl, both := other.settled[it.v]; both && !mirrored {
+			cands = append(cands, fed.SumPartial(it.g, lbl.g))
+			meets = append(meets, meeting{fv: it.v, crossArc: -1, bv: it.v})
 		}
-		if sd.done {
-			sd, other = other, sd
-		}
-		t0 := time.Now()
-		it, ok := sd.q.Pop()
-		phases.Queue += time.Since(t0)
-		if !ok {
-			sd.done = true
-			continue
-		}
-		if _, dup := sd.settled[it.v]; dup {
-			continue
-		}
-		// Sound stopping rule: the frontier minimum cannot beat μ.
-		if mu != nil && !sac.Less(it.key, mu) {
-			sd.done = true
-			continue
-		}
-		sd.settled[it.v] = &label{g: it.g, parent: it.parent, parc: it.parc}
-		settledTotal++
-		if lbl, both := other.settled[it.v]; both {
-			cand := fed.SumPartial(it.g, lbl.g)
-			m := meeting{fv: it.v, crossArc: -1, bv: it.v}
-			updateMu(cand, m)
-		}
-
-		t0 = time.Now()
-		var batch []*item
-		var muCands []fed.Partial
-		var muMeets []meeting
 		for _, at := range exp.arcs(it.v, sd.forward) {
 			if _, dup := sd.settled[at.to]; dup {
 				continue
@@ -264,15 +232,12 @@ func (e *Engine) SPSP(s, t graph.Vertex) (PathResult, QueryStats, error) {
 			ng := make(fed.Partial, e.f.P())
 			exp.addWeight(ng, it.g, at.arc)
 			if lbl, crossed := other.settled[at.to]; crossed {
-				cand := fed.SumPartial(ng, lbl.g)
-				var m meeting
-				if sd.forward {
-					m = meeting{fv: it.v, crossArc: at.arc, bv: at.to}
-				} else {
+				m := meeting{fv: it.v, crossArc: at.arc, bv: at.to}
+				if !sd.forward {
 					m = meeting{fv: at.to, crossArc: at.arc, bv: it.v}
 				}
-				muCands = append(muCands, cand)
-				muMeets = append(muMeets, m)
+				cands = append(cands, fed.SumPartial(ng, lbl.g))
+				meets = append(meets, m)
 			}
 			key := ng
 			heuristicEvals++
@@ -281,11 +246,96 @@ func (e *Engine) SPSP(s, t graph.Vertex) (PathResult, QueryStats, error) {
 			}
 			batch = append(batch, &item{v: at.to, key: key, g: ng, parent: it.v, parc: at.arc})
 		}
-		flushMu(muCands, muMeets)
-		phases.Relax += time.Since(t0)
-		t0 = time.Now()
-		sd.q.PushBatch(batch)
-		phases.Queue += time.Since(t0)
+		return batch, cands, meets
+	}
+
+	// One step per iteration, for both live sides at once. Their champions
+	// are known from Peek without a comparison, and the two queues never
+	// touch each other, so the step's comparing parts are independent threads
+	// that share protocol instances tick by tick:
+	//
+	//	driver:  stopping rule, both champions vs μ → settle, relax (plaintext)
+	//	         → { fold candidates into μ ‖ stage fwd push ‖ stage bwd push }
+	//	pop fwd: path replay
+	//	pop bwd: path replay
+	//
+	// followed by { commit fwd ‖ commit bwd }, the merges of the staged
+	// pushes. Checking a champion against the μ of the previous step is
+	// sound: a side can only stop later than it might have, never too early.
+	settledTotal := 0
+	for {
+		threads := make([]func(comparator), 1, 3)
+		for _, sd := range sides {
+			sd.top, sd.settle, sd.commit = nil, false, nil
+			if sd.done {
+				continue
+			}
+			top, ok := sd.q.q.Peek()
+			if !ok {
+				sd.done = true
+				continue
+			}
+			sd.top = top
+			_, dup := sd.settled[top.v]
+			sd.settle = !dup
+			threads = append(threads, sd.q.popOn)
+		}
+		if len(threads) == 1 {
+			break // both sides done
+		}
+		t0 := time.Now()
+		var relaxTime time.Duration
+		threads[0] = func(c comparator) {
+			if mu != nil {
+				var keys [][2]fed.Partial
+				var whose []*side
+				for _, sd := range sides {
+					if sd.settle {
+						keys = append(keys, [2]fed.Partial{sd.top.key, mu})
+						whose = append(whose, sd)
+					}
+				}
+				for i, beatsMu := range c.LessBatch(keys) {
+					if !beatsMu {
+						whose[i].done, whose[i].settle = true, false
+					}
+				}
+			}
+			// Settle both before relaxing either, so each relaxation sees the
+			// other side's complete settled set and no crossing is missed.
+			// (Fed-ALT potentials compare on the engine directly; that is
+			// safe here because protocol instances only run while every
+			// thread, this one included, is blocked.)
+			r0 := time.Now()
+			for _, sd := range sides {
+				if sd.settle {
+					sd.settled[sd.top.v] = &label{g: sd.top.g, parent: sd.top.parent, parc: sd.top.parc}
+					settledTotal++
+				}
+			}
+			var cands []fed.Partial
+			var meets []meeting
+			inner := []func(comparator){func(c comparator) { foldMu(c, cands, meets) }}
+			for i, sd := range sides {
+				if sd.settle {
+					batch, cs, ms := relax(sd, sides[1-i])
+					cands, meets = append(cands, cs...), append(meets, ms...)
+					inner = append(inner, func(c comparator) { sd.commit = sd.q.stageOn(c, batch) })
+				}
+			}
+			relaxTime = time.Since(r0)
+			e.gang(c, inner...)
+		}
+		e.gang(sac, threads...)
+		var commits []func(comparator)
+		for _, sd := range sides {
+			if sd.commit != nil {
+				commits = append(commits, sd.commit)
+			}
+		}
+		e.gang(sac, commits...)
+		phases.Relax += relaxTime
+		phases.Queue += time.Since(t0) - relaxTime
 		if err := sac.Err(); err != nil {
 			return PathResult{}, QueryStats{}, err
 		}
@@ -299,8 +349,8 @@ func (e *Engine) SPSP(s, t graph.Vertex) (PathResult, QueryStats, error) {
 		Phases:          phases,
 		WallTime:        time.Since(start),
 	}
-	stats.Queue.Add(fwd.q.Counts())
-	stats.Queue.Add(bwd.q.Counts())
+	stats.Queue.Add(fwd.q.q.Counts())
+	stats.Queue.Add(bwd.q.q.Counts())
 
 	if mu == nil {
 		return PathResult{Target: t, Found: false}, stats, nil

@@ -25,54 +25,62 @@ func (e *Engine) SSSP(s graph.Vertex, k int) ([]PathResult, QueryStats, error) {
 	if k > g.NumVertices() {
 		k = g.NumVertices()
 	}
-	sac := &timedCmp{inner: e.newComparator(e.f.NewSAC())}
+	sac := e.newCmp(e.f.NewSAC())
 	before := e.f.Engine().Stats()
 	q := e.newQueue(sac)
 	settled := make(map[graph.Vertex]*label)
 	var phases PhaseTimings
 
-	q.Push(&item{v: s, key: e.f.ZeroPartial(), g: e.f.ZeroPartial(), parent: graph.NoVertex, parc: -1})
+	q.stageOn(sac, []*item{{v: s, key: e.f.ZeroPartial(), g: e.f.ZeroPartial(), parent: graph.NoVertex, parc: -1}})(sac)
 	var results []PathResult
 
+	// One step per iteration: the champion is known from Peek without a
+	// comparison, so its removal (the pop's path replay) and the tournament
+	// build of the paths it extends to are independent and share protocol
+	// instances; the merge into the queue follows.
 	for len(results) < k {
-		t0 := time.Now()
-		it, ok := q.Pop()
-		phases.Queue += time.Since(t0)
+		it, ok := q.q.Peek()
 		if !ok {
 			break
 		}
-		if _, done := settled[it.v]; done {
-			continue
-		}
-		// Local step (Alg. 1 lines 4-8): settle v, record the shortest path,
-		// extend by all neighbors and batch-push the new tentative paths.
-		settled[it.v] = &label{g: it.g, parent: it.parent, parc: it.parc}
-		results = append(results, PathResult{
-			Target:  it.v,
-			Path:    e.reconstructFlat(settled, it.v),
-			Partial: fed.ClonePartial(it.g),
-			Found:   true,
-		})
-		t0 = time.Now()
-		first := g.FirstOut(it.v)
-		var batch []*item
-		for i, u := range g.OutNeighbors(it.v) {
-			if _, done := settled[u]; done {
-				continue
+		t0 := time.Now()
+		var relax time.Duration
+		threads := []func(comparator){q.popOn}
+		var commit func(comparator)
+		if _, done := settled[it.v]; !done {
+			// Local step (Alg. 1 lines 4-8): settle v, record the shortest path,
+			// extend by all neighbors into a batch of new tentative paths.
+			settled[it.v] = &label{g: it.g, parent: it.parent, parc: it.parc}
+			results = append(results, PathResult{
+				Target:  it.v,
+				Path:    e.reconstructFlat(settled, it.v),
+				Partial: fed.ClonePartial(it.g),
+				Found:   true,
+			})
+			first := g.FirstOut(it.v)
+			var batch []*item
+			for i, u := range g.OutNeighbors(it.v) {
+				if _, done := settled[u]; done {
+					continue
+				}
+				a := first + graph.Arc(i)
+				ng := make(fed.Partial, e.f.P())
+				for p := range ng {
+					ng[p] = it.g[p] + e.f.Silo(p).Weight(a)
+				}
+				batch = append(batch, &item{v: u, key: ng, g: ng, parent: it.v, parc: int32(a)})
 			}
-			a := first + graph.Arc(i)
-			ng := make(fed.Partial, e.f.P())
-			for p := range ng {
-				ng[p] = it.g[p] + e.f.Silo(p).Weight(a)
-			}
-			batch = append(batch, &item{v: u, key: ng, g: ng, parent: it.v, parc: int32(a)})
+			relax = time.Since(t0)
+			threads = append(threads, func(c comparator) { commit = q.stageOn(c, batch) })
 		}
-		phases.Relax += time.Since(t0)
-		// MPC step (Alg. 1 lines 9-13) happens inside the queue: the batch
-		// push and the next pop use only Fed-SAC comparisons.
-		t0 = time.Now()
-		q.PushBatch(batch)
-		phases.Queue += time.Since(t0)
+		// MPC step (Alg. 1 lines 9-13) happens inside the queue: pop, batch
+		// push and merge use only Fed-SAC comparisons.
+		e.gang(sac, threads...)
+		if commit != nil {
+			commit(sac)
+		}
+		phases.Relax += relax
+		phases.Queue += time.Since(t0) - relax
 		if err := sac.Err(); err != nil {
 			return nil, QueryStats{}, err
 		}
@@ -82,7 +90,7 @@ func (e *Engine) SSSP(s graph.Vertex, k int) ([]PathResult, QueryStats, error) {
 	stats := QueryStats{
 		SettledVertices: len(settled),
 		SAC:             e.f.Engine().Stats().Sub(before),
-		Queue:           q.Counts(),
+		Queue:           q.q.Counts(),
 		Phases:          phases,
 		WallTime:        time.Since(start),
 	}

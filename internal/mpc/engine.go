@@ -19,6 +19,14 @@ import (
 // session and open a fresh one).
 var ErrPoisoned = errors.New("mpc: engine poisoned by unrecoverable transport failure")
 
+// ErrMagnitude is returned (wrapped) by CompareBatch when a party's input
+// difference is too large for the comparison to be sound: the sign bit of
+// Σ diffs is meaningful only while |Σ diffs| < MaxMagnitude, which every
+// party can guarantee on its own share by keeping |diffs[p]| below
+// MaxMagnitude/n. The batch is refused before any randomness is drawn or
+// frame sent, so the engine is not poisoned and stays usable.
+var ErrMagnitude = errors.New("mpc: input difference exceeds the magnitude bound")
+
 // Mode selects how the engine executes comparisons.
 type Mode int
 
@@ -442,8 +450,8 @@ func (e *Engine) simNetFor(totalBytes int64) time.Duration {
 
 // Compare decides whether Σ diffs < 0, where diffs[p] is party p's private
 // difference a_p − b_p. In terms of Fed-SAC: it returns [Σ a_p] < [Σ b_p],
-// revealing only that bit. |Σ diffs| must stay below MaxMagnitude. It is
-// CompareBatch of one.
+// revealing only that bit. It is CompareBatch of one, magnitude check
+// included.
 func (e *Engine) Compare(diffs []int64) (bool, error) {
 	out, err := e.CompareBatch([][]int64{diffs})
 	if err != nil {
@@ -468,15 +476,23 @@ func (e *Engine) CompareSums(a, b []int64) (bool, error) {
 
 // CompareBatch decides, for each instance i, whether Σ_p diffs[i][p] < 0 —
 // k secure comparisons in a single RoundsPerCompare-round protocol run.
-// Wire costs are accounted analytically via batchWireCost in both modes.
+// Every |diffs[i][p]| must stay below MaxMagnitude/n, or the whole batch is
+// refused with ErrMagnitude. Wire costs are accounted analytically via
+// batchWireCost in both modes.
 func (e *Engine) CompareBatch(diffs [][]int64) ([]bool, error) {
 	k := len(diffs)
 	if k == 0 {
 		return nil, nil
 	}
+	limit := MaxMagnitude / int64(e.n)
 	for i, d := range diffs {
 		if len(d) != e.n {
 			return nil, fmt.Errorf("mpc: instance %d has %d inputs for %d parties", i, len(d), e.n)
+		}
+		for p, v := range d {
+			if v >= limit || v <= -limit {
+				return nil, fmt.Errorf("%w: instance %d, party %d: need |diff| < %d", ErrMagnitude, i, p, limit)
+			}
 		}
 	}
 	var out []bool

@@ -1,7 +1,9 @@
 package mpc
 
 import (
+	"errors"
 	"math/rand/v2"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -323,6 +325,50 @@ func TestEngineRejectsBadInput(t *testing.T) {
 	}
 	if _, err := NewEngine(Params{Parties: 1}); err == nil {
 		t.Fatal("single-party engine accepted")
+	}
+}
+
+// TestMagnitudeBoundEnforced: at the boundary, in both modes, one share at
+// MaxMagnitude/n refuses the whole batch with ErrMagnitude before anything
+// is spent — no stats, no dealer randomness, no poisoning — and the largest
+// legal shares still compare correctly afterwards.
+func TestMagnitudeBoundEnforced(t *testing.T) {
+	for _, mode := range []Mode{ModeIdeal, ModeProtocol} {
+		for _, n := range []int{2, 3, 5} {
+			e := newTestEngine(t, n, mode)
+			twin := newTestEngine(t, n, mode) // same seed, never sees a refused batch
+			limit := MaxMagnitude / int64(n)
+			ok := make([]int64, n)
+			for p := range ok {
+				ok[p] = limit - 1
+			}
+			for _, bad := range []int64{limit, -limit, limit + 1} {
+				batch := [][]int64{ok, append(append([]int64{}, ok[:n-1]...), bad)}
+				if _, err := e.CompareBatch(batch); !errors.Is(err, ErrMagnitude) {
+					t.Fatalf("mode %d n=%d: share %d: err = %v, want ErrMagnitude", mode, n, bad, err)
+				}
+			}
+			if e.Poisoned() || e.Stats() != (Stats{}) {
+				t.Fatalf("mode %d n=%d: refused batches left poisoned=%v stats=%+v", mode, n, e.Poisoned(), e.Stats())
+			}
+			neg := make([]int64, n)
+			for p := range neg {
+				neg[p] = -(limit - 1)
+			}
+			for _, eng := range []*Engine{e, twin} {
+				got, err := eng.CompareBatch([][]int64{ok, neg})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got[0] || !got[1] {
+					t.Fatalf("mode %d n=%d: boundary shares compared wrongly: %v", mode, n, got)
+				}
+			}
+			// Same dealer position as the twin: the refusals drew no tuples.
+			if a, b := e.dealer.CmpTuples(), twin.dealer.CmpTuples(); !reflect.DeepEqual(a, b) {
+				t.Fatalf("mode %d n=%d: refused batches consumed dealer randomness", mode, n)
+			}
+		}
 	}
 }
 

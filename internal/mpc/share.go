@@ -41,8 +41,10 @@ const K = 64
 const NumLeaves = K - 1
 
 // MaxMagnitude bounds |input difference| for a sound comparison: the sign bit
-// of D = Σ diffs must be meaningful, so |D| must stay below 2^(K-1). FedRoad
-// path costs are < 2^40 and silo counts ≤ 64, leaving huge headroom.
+// of D = Σ diffs must be meaningful, so |D| must stay below 2^(K-1).
+// Engine.CompareBatch enforces it per party (|diffs[p]| < MaxMagnitude/n,
+// else ErrMagnitude). FedRoad path costs are < 2^40 and silo counts ≤ 64,
+// leaving huge headroom.
 const MaxMagnitude = int64(1) << 50
 
 // Bit is a single XOR-share of a secret bit; only the low bit is meaningful.

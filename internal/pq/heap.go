@@ -38,6 +38,20 @@ func (h *Heap[T]) PushBatch(items []T) {
 	}
 }
 
+// Stage defers the whole push to commit: the heap has no build step.
+func (h *Heap[T]) Stage(items []T) (commit func()) {
+	return func() { h.PushBatch(items) }
+}
+
+// Peek returns the minimum without removing it; no comparison.
+func (h *Heap[T]) Peek() (T, bool) {
+	if len(h.items) == 0 {
+		var zero T
+		return zero, false
+	}
+	return h.items[0], true
+}
+
 // Pop removes the minimum with sift-down.
 func (h *Heap[T]) Pop() (T, bool) {
 	var zero T

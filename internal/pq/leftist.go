@@ -97,6 +97,21 @@ func (l *Leftist[T]) PushBatch(items []T) {
 	l.size += len(items)
 }
 
+// Stage defers the whole push to commit: the sub-heap build shares the
+// phase counter with Pop, so it cannot run beside it.
+func (l *Leftist[T]) Stage(items []T) (commit func()) {
+	return func() { l.PushBatch(items) }
+}
+
+// Peek returns the minimum without removing it; no comparison.
+func (l *Leftist[T]) Peek() (T, bool) {
+	if l.root == nil {
+		var zero T
+		return zero, false
+	}
+	return l.root.item, true
+}
+
 // Pop removes the minimum; the children merge is charged to the Pop phase.
 func (l *Leftist[T]) Pop() (T, bool) {
 	var zero T

@@ -43,6 +43,14 @@ type Queue[T any] interface {
 	Push(item T)
 	// PushBatch inserts a group of items (a vertex expansion's neighbors).
 	PushBatch(items []T)
+	// Stage splits PushBatch in two: Stage does whatever part of the push is
+	// independent of the queue's current contents (the TM-tree's tournament
+	// build; nothing for the heaps) and may run concurrently with Pop; commit
+	// inserts the staged items and must be called exactly once, alone.
+	// PushBatch(items) is Stage(items)().
+	Stage(items []T) (commit func())
+	// Peek returns the item the next Pop will remove, without a comparison.
+	Peek() (item T, ok bool)
 	// Pop removes and returns the highest-priority item. ok is false when
 	// the queue is empty.
 	Pop() (item T, ok bool)

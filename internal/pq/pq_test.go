@@ -3,6 +3,7 @@ package pq
 import (
 	"math/bits"
 	"math/rand/v2"
+	"reflect"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -357,5 +358,110 @@ func TestAllQueuesCountPushes(t *testing.T) {
 		if c := q.Counts(); c.Pushes != 4 {
 			t.Fatalf("%s: pushes = %d, want 4", kind, c.Pushes)
 		}
+	}
+}
+
+// TestStageCommitEqualsPushBatch: for every kind, pushing through
+// Stage(items)() — with pops between Stage and commit, as a search step does
+// — leaves the same queue as PushBatch: same pop sequence, same Counts.
+func TestStageCommitEqualsPushBatch(t *testing.T) {
+	for _, kind := range allKinds {
+		rng := rand.New(rand.NewPCG(61, 7))
+		direct, staged := newQueue(kind), newQueue(kind)
+		for step := 0; step < 200; step++ {
+			batch := make([]int, rng.IntN(12))
+			for i := range batch {
+				batch[i] = rng.IntN(50) // duplicates are common
+			}
+			commit := staged.Stage(batch)
+			var pops int
+			if direct.Len() > 0 {
+				pops = rng.IntN(3)
+			}
+			for i := 0; i < pops; i++ {
+				a, aok := direct.Pop()
+				b, bok := staged.Pop()
+				if a != b || aok != bok {
+					t.Fatalf("%s step %d: popped %d/%v directly, %d/%v beside a staged push", kind, step, a, aok, b, bok)
+				}
+			}
+			direct.PushBatch(batch)
+			commit()
+			if direct.Counts() != staged.Counts() || direct.Len() != staged.Len() {
+				t.Fatalf("%s step %d: counts %+v/len %d directly, %+v/len %d staged",
+					kind, step, direct.Counts(), direct.Len(), staged.Counts(), staged.Len())
+			}
+		}
+		if a, b := drain(direct), drain(staged); !reflect.DeepEqual(a, b) {
+			t.Fatalf("%s: drained %v directly, %v staged", kind, a, b)
+		}
+	}
+}
+
+// TestPeekIsNextPopForFree: Peek names the item the next Pop removes and
+// charges no comparison.
+func TestPeekIsNextPopForFree(t *testing.T) {
+	for _, kind := range allKinds {
+		calls := 0
+		q := New[int](kind, func(a, b int) bool { calls++; return a < b }, 4)
+		if _, ok := q.Peek(); ok {
+			t.Fatalf("%s: Peek on an empty queue reported an item", kind)
+		}
+		rng := rand.New(rand.NewPCG(62, 7))
+		for step := 0; step < 300; step++ {
+			if rng.IntN(3) > 0 {
+				batch := make([]int, 1+rng.IntN(6))
+				for i := range batch {
+					batch[i] = rng.IntN(40)
+				}
+				q.PushBatch(batch)
+			}
+			before, counts := calls, q.Counts()
+			top, ok := q.Peek()
+			if calls != before || q.Counts() != counts {
+				t.Fatalf("%s step %d: Peek compared", kind, step)
+			}
+			got, gok := q.Pop()
+			if top != got || ok != gok {
+				t.Fatalf("%s step %d: Peek %d/%v, Pop %d/%v", kind, step, top, ok, got, gok)
+			}
+		}
+	}
+}
+
+// TestTMTreeStageBesidePop runs the tournament build on one goroutine while
+// another pops — what a lockstep search step does — for the race detector,
+// and checks the result against the sequential order of the same operations.
+func TestTMTreeStageBesidePop(t *testing.T) {
+	batchLess := func(pairs [][2]int) []bool {
+		res := make([]bool, len(pairs))
+		for i, p := range pairs {
+			res[i] = p[0] < p[1]
+		}
+		return res
+	}
+	seq, par := NewTMTree[int](intLess, 4), NewTMTree[int](intLess, 4)
+	seq.SetBatchLess(batchLess)
+	par.SetBatchLess(batchLess)
+	rng := rand.New(rand.NewPCG(63, 7))
+	for step := 0; step < 300; step++ {
+		batch := make([]int, rng.IntN(20))
+		for i := range batch {
+			batch[i] = rng.IntN(100)
+		}
+		want, wok := seq.Pop()
+		seq.PushBatch(batch)
+
+		staged := make(chan func())
+		go func() { staged <- par.Stage(batch) }()
+		got, gok := par.Pop()
+		(<-staged)()
+		if got != want || gok != wok || par.Counts() != seq.Counts() {
+			t.Fatalf("step %d: popped %d/%v beside Stage, %d/%v before it; counts %+v vs %+v",
+				step, got, gok, want, wok, par.Counts(), seq.Counts())
+		}
+	}
+	if a, b := drain(seq), drain(par); !reflect.DeepEqual(a, b) {
+		t.Fatalf("drained %v sequentially, %v staged beside pops", a, b)
 	}
 }

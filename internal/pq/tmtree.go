@@ -50,7 +50,9 @@ type BatchLessFunc[T any] func(pairs [][2]T) []bool
 // SetBatchLess enables batched comparisons for the tournament build: the
 // comparisons of one tournament level are independent, so a push batch of n
 // items costs its n−1 comparisons in only ⌈log₂ n⌉ protocol round-trips.
-// Merging and popping remain sequential (their comparisons are dependent).
+// Once set, Stage compares through f alone and never through the LessFunc,
+// so a caller may bind the two to different comparison channels and run
+// Stage beside Pop.
 func (q *TMTree[T]) SetBatchLess(f BatchLessFunc[T]) { q.batchLess = f }
 
 // winnerLeaf decides the higher-priority of two leaves, charging one
@@ -82,55 +84,68 @@ func (q *TMTree[T]) Push(item T) {
 // PushBatch inserts a group of items: tournament build (Build phase,
 // len(items)−1 comparisons), then scale-balanced merging into the global
 // list (Merge phase).
-func (q *TMTree[T]) PushBatch(items []T) {
-	if len(items) == 0 {
-		return
-	}
-	q.counts.Pushes += int64(len(items))
+func (q *TMTree[T]) PushBatch(items []T) { q.Stage(items)() }
 
-	// Step 1 — build a sub-tournament-tree with the minimum comparisons.
-	// With a batch comparator, each level's independent competitions run in
-	// one batched protocol instance.
+// Stage is Step 1 of a batch push: it builds a sub-tournament-tree over
+// items with the minimum len(items)−1 comparisons, each level's independent
+// competitions in one batched call when a batch comparator is set. It reads
+// and writes nothing of the global structure (roots, chain, counters), so it
+// may run concurrently with Pop. commit performs Steps 2–3 and the counting;
+// call it exactly once, and not concurrently with any other queue operation.
+func (q *TMTree[T]) Stage(items []T) (commit func()) {
+	if len(items) == 0 {
+		return func() {}
+	}
 	level := make([]*tnode[T], len(items))
 	for i, it := range items {
 		leaf := &tnode[T]{item: it, size: 1}
 		leaf.winner = leaf
 		level[i] = leaf
 	}
-	q.phase = &q.counts.Build
 	for len(level) > 1 {
-		var next []*tnode[T]
-		if q.batchLess != nil && len(level) >= 4 {
-			pairs := make([][2]T, 0, len(level)/2)
-			for i := 0; i+1 < len(level); i += 2 {
-				pairs = append(pairs, [2]T{level[i+1].winner.item, level[i].winner.item})
+		matches := len(level) / 2
+		var res []bool // nil: decide each match through the LessFunc
+		if q.batchLess != nil {
+			pairs := make([][2]T, matches)
+			for i := range pairs {
+				pairs[i] = [2]T{level[2*i+1].winner.item, level[2*i].winner.item}
 			}
-			res := q.batchLess(pairs)
-			q.counts.Build += int64(len(pairs))
-			for i := 0; i+1 < len(level); i += 2 {
-				a, b := level[i], level[i+1]
-				winner := a.winner
-				if res[i/2] {
-					winner = b.winner
-				}
-				next = append(next, &tnode[T]{left: a, right: b, winner: winner, size: a.size + b.size})
+			res = q.batchLess(pairs)
+		}
+		next := make([]*tnode[T], 0, (len(level)+1)/2)
+		for i := 0; i < matches; i++ {
+			a, b := level[2*i], level[2*i+1]
+			var second bool
+			if res != nil {
+				second = res[i]
+			} else {
+				second = q.less(b.winner.item, a.winner.item)
 			}
-		} else {
-			for i := 0; i+1 < len(level); i += 2 {
-				next = append(next, q.mergeNodes(level[i], level[i+1]))
+			winner := a.winner
+			if second {
+				winner = b.winner
 			}
+			next = append(next, &tnode[T]{left: a, right: b, winner: winner, size: a.size + b.size})
 		}
 		if len(level)%2 == 1 {
 			next = append(next, level[len(level)-1])
 		}
 		level = next
 	}
-	t := level[0]
+	return func() {
+		q.counts.Pushes += int64(len(items))
+		q.counts.Build += int64(len(items) - 1)
+		q.merge(level[0])
+		q.size += len(items)
+	}
+}
 
+// merge is Steps 2–3 of a batch push: slot the staged tree t into the global
+// list and repair the winner chain, charging the Merge phase.
+func (q *TMTree[T]) merge(t *tnode[T]) {
 	// Step 2 — scale-balanced merging: repeatedly merge with the
 	// closest-sized similar sub-tree, then slot into the size-descending
 	// list.
-	q.phase = &q.counts.Merge
 	for {
 		best, bestDiff := -1, 0
 		for i, r := range q.roots {
@@ -168,7 +183,6 @@ func (q *TMTree[T]) PushBatch(items []T) {
 	// Step 3 — update the winner chain leftward from the insertion point,
 	// stopping once a competition leaves the winner unchanged.
 	q.updateChainFrom(pos)
-	q.size += len(items)
 }
 
 // updateChainFrom recomputes chain[i], chain[i-1], ..., charging the current
@@ -208,6 +222,15 @@ func (q *TMTree[T]) removeWinner(n *tnode[T]) *tnode[T] {
 	n.size--
 	n.winner = q.winnerLeaf(rest.winner, sibling.winner)
 	return n
+}
+
+// Peek returns the global champion without removing it; no comparison.
+func (q *TMTree[T]) Peek() (T, bool) {
+	if q.size == 0 {
+		var zero T
+		return zero, false
+	}
+	return q.chain[0].item, true
 }
 
 // Pop removes the global champion: locate its sub-tree (pointer equality,
