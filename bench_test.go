@@ -231,16 +231,24 @@ func benchFederation(b *testing.B, n int) (*Federation, *graph.Graph) {
 	return f, g
 }
 
-// BenchmarkIndexBuild compares contraction worker-pool sizes. Wall-clock
-// speedup needs real cores (GOMAXPROCS); the reported mpc-rounds and
-// rounds-saved metrics hold on any host.
-func BenchmarkIndexBuild(b *testing.B) {
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+// BenchmarkIndexDerivation times both index derivations — the witness build
+// and the customization sweep (skeleton contracted once, outside the timer).
+// The reported mpc-rounds and rounds-saved metrics hold on any host.
+func BenchmarkIndexDerivation(b *testing.B) {
+	for _, mode := range []string{"build", "customize"} {
+		b.Run(mode, func(b *testing.B) {
+			f, _ := benchFederation(b, 1000)
+			derive := f.BuildIndex
+			if mode == "customize" {
+				if err := f.BuildSkeleton(); err != nil {
+					b.Fatal(err)
+				}
+				derive = f.CustomizeIndex
+			}
 			var rounds, saved int64
+			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				f, _ := benchFederation(b, 1000)
-				if err := f.BuildIndexWith(IndexParams{Workers: workers}); err != nil {
+				if err := derive(); err != nil {
 					b.Fatal(err)
 				}
 				st := f.IndexStats()

@@ -4,7 +4,8 @@
 // rounds: the deterministic counters — mpc_rounds above all — must never
 // creep back up unnoticed.
 //
-// Gates, per (dataset, workers, batched) row:
+// Gates, per (dataset, mode) row — mode being the witness build or the
+// customization sweep:
 //
 //   - mpc_rounds: hard gate. The counter is a deterministic function of the
 //     build, independent of the runner, so the tolerance (default +10%)
@@ -13,9 +14,8 @@
 //   - time_ms (modeled end-to-end: wall + simulated network): reported, but
 //     advisory by default (shared CI runners are too noisy for a hard time
 //     gate). Set -wall-tolerance > 0 to enforce one.
-//   - within the current report, the batched workers=1 row must not spend
-//     more MPC rounds than the unbatched row of the same dataset — the
-//     "batching can never regress" invariant, checked against the same run
+//   - within the current report, a dataset's customize row must spend less
+//     than 25% of its build row's MPC rounds, checked against the same run
 //     rather than the baseline.
 //
 // The comparison table is printed to stdout and, when the
@@ -42,9 +42,14 @@ import (
 
 type rowKey struct {
 	dataset   string
-	workers   int
-	batched   bool
 	customize bool
+}
+
+func (k rowKey) mode() string {
+	if k.customize {
+		return "customize"
+	}
+	return "build"
 }
 
 // errSkip marks a well-formed report of a different experiment (e.g. the
@@ -68,7 +73,7 @@ func load(path string) (map[rowKey]expr.BuildBenchRow, []rowKey, error) {
 	rows := make(map[rowKey]expr.BuildBenchRow, len(rep.Rows))
 	var order []rowKey
 	for _, r := range rep.Rows {
-		k := rowKey{r.Dataset, r.Workers, r.Batched, r.Customize}
+		k := rowKey{r.Dataset, r.Customize}
 		if _, dup := rows[k]; dup {
 			return nil, nil, fmt.Errorf("%s: duplicate row %+v", path, k)
 		}
@@ -100,21 +105,17 @@ func main() {
 	b.WriteString("## benchgate: index-build perf vs baseline\n\n")
 	fmt.Fprintf(&b, "baseline `%s` vs current `%s`, mpc_rounds tolerance +%.0f%%\n\n",
 		*basePath, *curPath, *tol*100)
-	b.WriteString("| dataset | workers | batched | mode | mpc_rounds (base → cur) | Δ | time ms (base → cur) | Δ | verdict |\n")
-	b.WriteString("|---|---|---|---|---|---|---|---|---|\n")
+	b.WriteString("| dataset | mode | mpc_rounds (base → cur) | Δ | time ms (base → cur) | Δ | verdict |\n")
+	b.WriteString("|---|---|---|---|---|---|---|\n")
 
 	var failures []string
 	for _, k := range order {
 		br := base[k]
 		cr, ok := cur[k]
-		mode := "build"
-		if k.customize {
-			mode = "customize"
-		}
 		if !ok {
-			failures = append(failures, fmt.Sprintf("row %s/workers=%d/batched=%v/%s missing from current report", k.dataset, k.workers, k.batched, mode))
-			fmt.Fprintf(&b, "| %s | %d | %v | %s | %d → (missing) | — | %.1f → — | — | ❌ missing |\n",
-				k.dataset, k.workers, k.batched, mode, br.MPCRounds, br.TimeMs)
+			failures = append(failures, fmt.Sprintf("row %s/%s missing from current report", k.dataset, k.mode()))
+			fmt.Fprintf(&b, "| %s | %s | %d → (missing) | — | %.1f → — | — | ❌ missing |\n",
+				k.dataset, k.mode(), br.MPCRounds, br.TimeMs)
 			continue
 		}
 		roundsDelta := ratioDelta(float64(cr.MPCRounds), float64(br.MPCRounds))
@@ -122,42 +123,17 @@ func main() {
 		verdict := "✅"
 		if float64(cr.MPCRounds) > float64(br.MPCRounds)*(1+*tol) {
 			verdict = "❌ mpc_rounds regression"
-			failures = append(failures, fmt.Sprintf("%s/workers=%d/batched=%v/%s: mpc_rounds %d → %d (%+.1f%%, tolerance +%.0f%%)",
-				k.dataset, k.workers, k.batched, mode, br.MPCRounds, cr.MPCRounds, roundsDelta, *tol*100))
+			failures = append(failures, fmt.Sprintf("%s/%s: mpc_rounds %d → %d (%+.1f%%, tolerance +%.0f%%)",
+				k.dataset, k.mode(), br.MPCRounds, cr.MPCRounds, roundsDelta, *tol*100))
 		}
 		if *wallTol > 0 && cr.TimeMs > br.TimeMs*(1+*wallTol) {
 			verdict = "❌ wall regression"
-			failures = append(failures, fmt.Sprintf("%s/workers=%d/batched=%v/%s: wall %.1fms → %.1fms (%+.1f%%, tolerance +%.0f%%)",
-				k.dataset, k.workers, k.batched, mode, br.TimeMs, cr.TimeMs, wallDelta, *wallTol*100))
+			failures = append(failures, fmt.Sprintf("%s/%s: wall %.1fms → %.1fms (%+.1f%%, tolerance +%.0f%%)",
+				k.dataset, k.mode(), br.TimeMs, cr.TimeMs, wallDelta, *wallTol*100))
 		}
-		fmt.Fprintf(&b, "| %s | %d | %v | %s | %d → %d | %+.1f%% | %.1f → %.1f | %+.1f%% | %s |\n",
-			k.dataset, k.workers, k.batched, mode, br.MPCRounds, cr.MPCRounds, roundsDelta,
+		fmt.Fprintf(&b, "| %s | %s | %d → %d | %+.1f%% | %.1f → %.1f | %+.1f%% | %s |\n",
+			k.dataset, k.mode(), br.MPCRounds, cr.MPCRounds, roundsDelta,
 			br.TimeMs, cr.TimeMs, wallDelta, verdict)
-	}
-
-	// Same-run invariant: batching must never cost MPC rounds. Compared
-	// within the current report so runner speed cannot mask or fake it.
-	b.WriteString("\n### batching invariant (current run)\n\n")
-	for _, k := range order {
-		if k.workers != 1 || k.batched || k.customize {
-			continue
-		}
-		unb, ok1 := cur[k]
-		bat, ok2 := cur[rowKey{k.dataset, 1, true, false}]
-		if !ok1 || !ok2 {
-			continue
-		}
-		if bat.MPCRounds > unb.MPCRounds {
-			failures = append(failures, fmt.Sprintf("%s: batched build spends %d MPC rounds, unbatched %d — batching regressed",
-				k.dataset, bat.MPCRounds, unb.MPCRounds))
-			fmt.Fprintf(&b, "- ❌ %s: batched %d rounds > unbatched %d rounds\n", k.dataset, bat.MPCRounds, unb.MPCRounds)
-		} else {
-			fmt.Fprintf(&b, "- ✅ %s: batched %d rounds ≤ unbatched %d rounds (%.1fx fewer)\n",
-				k.dataset, bat.MPCRounds, unb.MPCRounds, safeRatio(float64(unb.MPCRounds), float64(bat.MPCRounds)))
-		}
-		if bat.TimeMs > unb.TimeMs {
-			fmt.Fprintf(&b, "- ⚠️ %s: batched time %.1fms > unbatched %.1fms (advisory)\n", k.dataset, bat.TimeMs, unb.TimeMs)
-		}
 	}
 
 	// Same-run customize invariant: refreshing the index per traffic version
@@ -199,11 +175,11 @@ func main() {
 
 // customizeGate checks the same-run customize-rounds invariant: for every
 // dataset carrying a customize row, the weight-customization sweep must spend
-// LESS THAN 25% of the MPC rounds of that dataset's sequential batched full
-// build (4×customize < build, exact integer arithmetic). Like the batching
-// invariant it is judged within one report, so runner speed can neither mask
-// nor fake it. A report with no customize rows at all returns errSkip: older
-// report formats are not gated on data they do not carry.
+// LESS THAN 25% of the MPC rounds of that dataset's witness build
+// (4×customize < build, exact integer arithmetic). It is judged within one
+// report, so runner speed can neither mask nor fake it. A report with no
+// customize rows at all returns errSkip: older report formats are not gated
+// on data they do not carry.
 func customizeGate(cur map[rowKey]expr.BuildBenchRow, order []rowKey) (lines, failures []string, err error) {
 	found := false
 	for _, k := range order {
@@ -212,10 +188,10 @@ func customizeGate(cur map[rowKey]expr.BuildBenchRow, order []rowKey) (lines, fa
 		}
 		found = true
 		cust := cur[k]
-		build, ok := cur[rowKey{dataset: k.dataset, workers: 1, batched: true}]
+		build, ok := cur[rowKey{dataset: k.dataset}]
 		if !ok {
-			failures = append(failures, fmt.Sprintf("%s: customize row has no sequential batched build row to compare against", k.dataset))
-			lines = append(lines, fmt.Sprintf("- ❌ %s: missing the sequential batched build row", k.dataset))
+			failures = append(failures, fmt.Sprintf("%s: customize row has no build row to compare against", k.dataset))
+			lines = append(lines, fmt.Sprintf("- ❌ %s: missing the build row", k.dataset))
 			continue
 		}
 		pct := 0.0
@@ -256,11 +232,4 @@ func ratioDelta(cur, base float64) float64 {
 		return 0
 	}
 	return (cur/base - 1) * 100
-}
-
-func safeRatio(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
 }

@@ -38,8 +38,8 @@ func TestLoadSkipsForeignExperiments(t *testing.T) {
 func TestLoadAcceptsIndexBuildReports(t *testing.T) {
 	// Both the tagged and the legacy untagged form load.
 	for _, content := range []string{
-		`{"experiment":"index-build","silos":3,"rows":[{"dataset":"CAL-S","workers":1,"batched":true,"mpc_rounds":10}]}`,
-		`{"silos":3,"rows":[{"dataset":"CAL-S","workers":1,"batched":true,"mpc_rounds":10}]}`,
+		`{"experiment":"index-build","silos":3,"rows":[{"dataset":"CAL-S","mpc_rounds":10}]}`,
+		`{"silos":3,"rows":[{"dataset":"CAL-S","mpc_rounds":10}]}`,
 	} {
 		path := writeTemp(t, "r.json", content)
 		rows, order, err := load(path)
@@ -68,19 +68,19 @@ func TestLoadRejectsGarbage(t *testing.T) {
 
 func TestLoadRejectsDuplicateRows(t *testing.T) {
 	path := writeTemp(t, "r.json",
-		`{"experiment":"index-build","rows":[{"dataset":"CAL-S","workers":1,"batched":true},{"dataset":"CAL-S","workers":1,"batched":true}]}`)
+		`{"experiment":"index-build","rows":[{"dataset":"CAL-S","mpc_rounds":10},{"dataset":"CAL-S","mpc_rounds":11}]}`)
 	if _, _, err := load(path); err == nil {
 		t.Fatal("duplicate rows accepted")
 	}
 }
 
-// A customize row at the same (dataset, workers, batched) as a build row is
-// NOT a duplicate — the customize flag is part of the row identity.
+// A customize row for the same dataset as a build row is NOT a duplicate —
+// the mode is part of the row identity.
 func TestLoadDistinguishesCustomizeRows(t *testing.T) {
 	path := writeTemp(t, "r.json",
 		`{"experiment":"index-build","rows":[
-			{"dataset":"CAL-S","workers":1,"batched":true,"mpc_rounds":100},
-			{"dataset":"CAL-S","workers":1,"batched":true,"customize":true,"mpc_rounds":10}]}`)
+			{"dataset":"CAL-S","mpc_rounds":100},
+			{"dataset":"CAL-S","customize":true,"mpc_rounds":10}]}`)
 	rows, order, err := load(path)
 	if err != nil {
 		t.Fatalf("customize + build rows rejected as duplicates: %v", err)
@@ -94,7 +94,7 @@ func TestLoadDistinguishesCustomizeRows(t *testing.T) {
 // errSkip — older report formats are not failed over data they do not carry.
 func TestCustomizeGateSkipsReportsWithoutCustomizeData(t *testing.T) {
 	path := writeTemp(t, "r.json",
-		`{"experiment":"index-build","rows":[{"dataset":"CAL-S","workers":1,"batched":true,"mpc_rounds":100}]}`)
+		`{"experiment":"index-build","rows":[{"dataset":"CAL-S","mpc_rounds":100}]}`)
 	rows, order, err := load(path)
 	if err != nil {
 		t.Fatal(err)
@@ -110,12 +110,12 @@ func TestCustomizeGateSkipsReportsWithoutCustomizeData(t *testing.T) {
 }
 
 // customizeGate: the 25% threshold is a strict 4×customize < build integer
-// comparison against the sequential batched build of the same dataset.
+// comparison against the build row of the same dataset.
 func TestCustomizeGateEnforces25Percent(t *testing.T) {
 	mk := func(custRounds int) string {
 		return writeTemp(t, "r.json", `{"experiment":"index-build","rows":[
-			{"dataset":"CAL-S","workers":1,"batched":true,"mpc_rounds":1000},
-			{"dataset":"CAL-S","workers":8,"batched":true,"customize":true,"mpc_rounds":`+itoa(custRounds)+`}]}`)
+			{"dataset":"CAL-S","mpc_rounds":1000},
+			{"dataset":"CAL-S","customize":true,"mpc_rounds":`+itoa(custRounds)+`}]}`)
 	}
 	for _, tc := range []struct {
 		rounds int
@@ -143,11 +143,11 @@ func TestCustomizeGateEnforces25Percent(t *testing.T) {
 	}
 }
 
-// customizeGate: a customize row without its dataset's sequential batched
-// build row is a hard failure (the invariant cannot be evaluated).
+// customizeGate: a customize row without its dataset's build row is a hard
+// failure (the invariant cannot be evaluated).
 func TestCustomizeGateFailsWithoutBuildRow(t *testing.T) {
 	path := writeTemp(t, "r.json",
-		`{"experiment":"index-build","rows":[{"dataset":"CAL-S","workers":8,"batched":true,"customize":true,"mpc_rounds":10}]}`)
+		`{"experiment":"index-build","rows":[{"dataset":"CAL-S","customize":true,"mpc_rounds":10}]}`)
 	rows, order, err := load(path)
 	if err != nil {
 		t.Fatal(err)

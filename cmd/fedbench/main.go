@@ -25,8 +25,8 @@
 // (per-configuration latency percentiles plus mean Fed-SAC/round/byte
 // counts) to the -json path — the format CI archives as BENCH_*.json. The
 // -json flag also works with fig7/fig8, which run the same sweep. With
-// -index, bench instead measures index construction (sequential vs parallel
-// contraction, batched vs per-pair Fed-SAC) and writes BENCH_build.json.
+// -index, bench instead measures index derivation (witness build vs weight
+// customization, one row each per dataset) and writes BENCH_build.json.
 //
 // -profile <prefix> wraps any experiment in a CPU profile and a final heap
 // snapshot (<prefix>.cpu.pprof, <prefix>.heap.pprof) — the mode used to hunt
@@ -71,7 +71,7 @@ func main() {
 		latency   = flag.Duration("latency", 200*time.Microsecond, "modeled one-way network latency")
 		bandwidth = flag.Float64("bandwidth", 1e9, "modeled bandwidth in bytes/s")
 		jsonOut   = flag.String("json", "", "write a machine-readable BENCH_*.json report (bench, fig7, fig8, large)")
-		index     = flag.Bool("index", false, "with bench: benchmark index construction (sequential vs parallel) instead of the query sweep")
+		index     = flag.Bool("index", false, "with bench: benchmark index derivation (witness build vs customization) instead of the query sweep")
 		profile   = flag.String("profile", "", "write CPU and heap profiles to <prefix>.cpu.pprof / <prefix>.heap.pprof")
 		graphFile = flag.String("graph", "", "bench an imported graph file (binary snapshot or text) alongside/instead of the synthetic datasets")
 		workers   = flag.Int("workers", 0, "with large: parallel precompute workers (0 = GOMAXPROCS)")

@@ -85,7 +85,6 @@ func main() {
 		silos    = flag.Int("silos", 3, "number of data silos")
 		seed     = flag.Uint64("seed", 1, "random seed")
 		noIndex  = flag.Bool("no-index", false, "skip building the shortcut index")
-		idxWkrs  = flag.Int("index-workers", 0, "contraction workers for the parallel index build (0 = GOMAXPROCS)")
 		custIdx  = flag.Bool("customize", false, "derive the shortcut index by weight customization over a topology-only skeleton (contract once per graph, customize per traffic version) instead of a full federated contraction")
 		reindex  = flag.Duration("reindex-interval", 0, "periodically re-derive the index off-lock from live weights when traffic has moved — a customization sweep when a skeleton exists, a full rebuild otherwise (0 = disabled)")
 		protocol = flag.Bool("protocol", false, "run the full MPC protocol per comparison (default: ideal mode with analytic cost accounting)")
@@ -173,7 +172,7 @@ func main() {
 		// future traffic version. A restored customized index already carries
 		// its skeleton, in which case this is skipped.
 		start := time.Now()
-		if err := fed.BuildSkeleton(fedroad.IndexParams{Workers: *idxWkrs}); err != nil {
+		if err := fed.BuildSkeleton(); err != nil {
 			fmt.Fprintf(os.Stderr, "fedserver: %v\n", err)
 			os.Exit(1)
 		}
@@ -183,17 +182,22 @@ func main() {
 	}
 	if !*noIndex && !fed.HasIndex() {
 		start := time.Now()
-		if err := fed.BuildIndexWith(fedroad.IndexParams{Workers: *idxWkrs, CustomizeOnly: *custIdx}); err != nil {
+		if *custIdx {
+			err = fed.CustomizeIndexWith(fedroad.IndexParams{})
+		} else {
+			err = fed.BuildIndexWith(fedroad.IndexParams{})
+		}
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "fedserver: %v\n", err)
 			os.Exit(1)
 		}
 		st := fed.IndexStats()
 		if st.Customized {
-			log.Printf("index: %d shortcuts customized in %v (%d workers, %d levels, %d MPC rounds)",
-				st.Shortcuts, time.Since(start).Round(time.Millisecond), st.Workers, st.Levels, st.SAC.Rounds)
+			log.Printf("index: %d shortcuts customized in %v (%d levels, %d MPC rounds)",
+				st.Shortcuts, time.Since(start).Round(time.Millisecond), st.Levels, st.SAC.Rounds)
 		} else {
-			log.Printf("index: %d shortcuts in %v (%d workers, %d contraction rounds)",
-				st.Shortcuts, time.Since(start).Round(time.Millisecond), st.Workers, st.Rounds)
+			log.Printf("index: %d shortcuts in %v (%d contraction rounds)",
+				st.Shortcuts, time.Since(start).Round(time.Millisecond), st.Rounds)
 		}
 	} else if fed.HasIndex() {
 		log.Printf("index: restored from snapshot (%d shortcuts, customized: %v), MPC rebuild skipped",
@@ -252,7 +256,7 @@ func main() {
 					continue // nothing moved; the index is already current
 				}
 				lastVer = ver
-				prm := fedroad.IndexParams{Workers: *idxWkrs, RebuildOnConflict: 2}
+				prm := fedroad.IndexParams{RebuildOnConflict: 2}
 				start := time.Now()
 				var err error
 				if fed.HasSkeleton() {

@@ -476,7 +476,7 @@ func TestStatsReportsIndexBuilding(t *testing.T) {
 	}
 
 	done := make(chan error, 1)
-	go func() { done <- fed.BuildIndexWith(fedroad.IndexParams{Workers: 2}) }()
+	go func() { done <- fed.BuildIndexWith(fedroad.IndexParams{}) }()
 	observed := false
 	for {
 		select {

@@ -3,10 +3,12 @@ package fedroad
 import (
 	"errors"
 	"math/rand/v2"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/graph"
 	"repro/internal/transport"
 )
 
@@ -106,7 +108,7 @@ func TestCustomizeStressInterleaved(t *testing.T) {
 				return
 			default:
 			}
-			if err := f.CustomizeIndexWith(IndexParams{Workers: 2}); err != nil && !errors.Is(err, ErrBuildConflict) {
+			if err := f.CustomizeIndexWith(IndexParams{}); err != nil && !errors.Is(err, ErrBuildConflict) {
 				errs <- err
 				return
 			}
@@ -124,7 +126,7 @@ func TestCustomizeStressInterleaved(t *testing.T) {
 				return
 			default:
 			}
-			if err := f.BuildIndexWith(IndexParams{Workers: 2}); err != nil && !errors.Is(err, ErrBuildConflict) {
+			if err := f.BuildIndexWith(IndexParams{}); err != nil && !errors.Is(err, ErrBuildConflict) {
 				errs <- err
 				return
 			}
@@ -167,7 +169,7 @@ func TestCustomizeConflictTyped(t *testing.T) {
 	before := f.IndexStats()
 
 	done := make(chan error, 1)
-	go func() { done <- f.CustomizeIndexWith(IndexParams{Workers: 2}) }()
+	go func() { done <- f.CustomizeIndexWith(IndexParams{}) }()
 	deadline := time.Now().Add(5 * time.Second)
 	for !f.IndexBuilding() && time.Now().Before(deadline) {
 		time.Sleep(50 * time.Microsecond)
@@ -200,7 +202,7 @@ func TestCustomizeConflictTyped(t *testing.T) {
 
 	// Same race, retries configured: must land with a nil error.
 	done = make(chan error, 1)
-	go func() { done <- f.CustomizeIndexWith(IndexParams{Workers: 2, RebuildOnConflict: 3}) }()
+	go func() { done <- f.CustomizeIndexWith(IndexParams{RebuildOnConflict: 3}) }()
 	deadline = time.Now().Add(5 * time.Second)
 	for !f.IndexBuilding() && time.Now().Before(deadline) {
 		time.Sleep(50 * time.Microsecond)
@@ -227,7 +229,7 @@ func TestCustomizeChaosPoisonedMidSweep(t *testing.T) {
 	if err := f.BuildSkeleton(); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.CustomizeIndexWith(IndexParams{Workers: 2}); err != nil {
+	if err := f.CustomizeIndexWith(IndexParams{}); err != nil {
 		t.Fatal(err)
 	}
 	before := f.IndexStats()
@@ -238,7 +240,7 @@ func TestCustomizeChaosPoisonedMidSweep(t *testing.T) {
 	// Poison the next customization mid-sweep.
 	armed.Store(true)
 	start := time.Now()
-	err := f.CustomizeIndexWith(IndexParams{Workers: 2})
+	err := f.CustomizeIndexWith(IndexParams{})
 	if err == nil {
 		t.Fatal("customization over a killed transport succeeded")
 	}
@@ -266,7 +268,45 @@ func TestCustomizeChaosPoisonedMidSweep(t *testing.T) {
 	}
 
 	// And the pipeline recovers once the fault clears.
-	if err := f.CustomizeIndexWith(IndexParams{Workers: 2}); err != nil {
+	if err := f.CustomizeIndexWith(IndexParams{}); err != nil {
 		t.Fatalf("customization after fault cleared: %v", err)
+	}
+}
+
+// TestIndexBuildingCoversSkeletonContraction: a first CustomizeIndex has to
+// contract the skeleton before its sweep can start, and a status endpoint
+// polling IndexBuilding (or the fedroad_index_build_in_progress gauge) must
+// see the derivation in flight for that whole stretch, not only once the
+// sweep begins.
+func TestIndexBuildingCoversSkeletonContraction(t *testing.T) {
+	g, w0 := graph.GenerateGrid(28, 28, 97) // min-fill worst case: a slow skeleton
+	f, err := New(g, w0, SimulateCongestion(w0, 3, Moderate, 98), Config{Seed: 99})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	done := make(chan error, 1)
+	go func() { done <- f.CustomizeIndex() }()
+	seen := false
+	for {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !seen {
+				t.Fatal("IndexBuilding never read true while the skeleton was being contracted")
+			}
+			if f.IndexBuilding() {
+				t.Fatal("IndexBuilding still true after CustomizeIndex returned")
+			}
+			return
+		default:
+		}
+		// Read in this order: the flag is raised before the skeleton exists.
+		if !f.HasSkeleton() && f.IndexBuilding() {
+			seen = true
+		}
+		runtime.Gosched()
 	}
 }

@@ -1,8 +1,8 @@
 // TCP federation: three silos run the secure comparison protocol over real
-// TCP sockets on localhost — the same wire protocol a multi-machine
-// deployment would use. Each silo contributes its private partial cost of
-// two candidate routes; the mesh reveals only which route is jointly
-// cheaper.
+// TCP sockets on localhost — a lane of the multiplexed mesh, the same wire
+// path a multi-machine deployment uses. Each silo contributes its private
+// partial cost of two candidate routes; the mesh reveals only which route is
+// jointly cheaper.
 package main
 
 import (
@@ -49,27 +49,36 @@ func main() {
 		fmt.Printf("  silo %d: %s\n", i, a)
 	}
 
+	// Every silo dials the mesh (all must come up together), then runs the
+	// protocol on its end of one lane. Heartbeats are off so the frame count
+	// below is the protocol's alone; hang-up waits until everyone is done.
+	meshes := make([]*transport.Mesh, parties)
 	results := make([]bool, parties)
-	var stats [parties]transport.Stats
 	var wg sync.WaitGroup
 	for p := 0; p < parties; p++ {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			conn, err := transport.DialMesh(p, parties, addrs, 5*time.Second)
+			var err error
+			meshes[p], err = transport.DialMeshMux(p, parties, addrs,
+				transport.MeshOptions{Heartbeat: -1, DialTimeout: 5 * time.Second})
 			if err != nil {
 				log.Fatalf("silo %d: %v", p, err)
 			}
-			defer conn.Close()
-			less, err := mpc.RunCompareParty(conn, costA[p]-costB[p], &tuples[p])
+			results[p], err = mpc.RunCompareParty(meshes[p].OpenLane(), costA[p]-costB[p], &tuples[p])
 			if err != nil {
 				log.Fatalf("silo %d: %v", p, err)
 			}
-			results[p] = less
-			stats[p] = conn.Stats()
 		}(p)
 	}
 	wg.Wait()
+	var totalBytes, totalMsgs int64
+	for _, m := range meshes {
+		st := m.Stats()
+		totalBytes += st.BytesSent
+		totalMsgs += st.MsgsSent
+		m.Close()
+	}
 
 	fmt.Printf("\neach silo learned only the comparison bit: route A < route B = %v\n", results[0])
 	for p := 1; p < parties; p++ {
@@ -77,12 +86,7 @@ func main() {
 			log.Fatal("silos disagree — protocol bug")
 		}
 	}
-	var totalBytes, totalMsgs int64
-	for p := 0; p < parties; p++ {
-		totalBytes += stats[p].Bytes
-		totalMsgs += stats[p].Messages
-	}
-	fmt.Printf("wire cost: %d bytes in %d TCP frames across the mesh (%d rounds)\n",
+	fmt.Printf("wire cost: %d bytes in %d lane frames across the mesh (%d rounds)\n",
 		totalBytes, totalMsgs, mpc.RoundsPerCompare)
 	fmt.Printf("ground truth (never revealed on the wire): joint A = %d, joint B = %d\n", jointA, jointB)
 	if results[0] != (jointA < jointB) {

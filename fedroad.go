@@ -601,13 +601,12 @@ func (f *Federation) TrafficVersion() uint64 {
 // Silos returns the number of data silos.
 func (f *Federation) Silos() int { return f.inner.P() }
 
-// IndexParams tunes federated index construction: the public ordering
-// heuristic (OrderEdgeDiff or OrderDegree), the witness-search cap, the
-// contraction worker pool (Workers; 0 = GOMAXPROCS — the built index is
-// identical for every worker count), batching of Fed-SAC decisions (NoBatch
-// disables it, for diagnostics) and the off-lock conflict policy
-// (RebuildOnConflict retries a build whose weight snapshot a concurrent
-// traffic update invalidated). The zero value gives the paper's setup.
+// IndexParams tunes federated index derivation: Ordering (the public
+// ordering heuristic, OrderEdgeDiff or OrderDegree), WitnessCap and
+// WitnessHops (the witness-search bounds of BuildIndexWith) and
+// RebuildOnConflict (how often a derivation whose weight snapshot a
+// concurrent traffic update invalidated restarts before ErrBuildConflict).
+// The zero value gives the paper's setup.
 type IndexParams = ch.Params
 
 // Ordering heuristics for IndexParams.
@@ -625,7 +624,7 @@ func (f *Federation) BuildIndex() error {
 // BuildIndexWith constructs the index under explicit framework parameters,
 // without blocking queries or traffic updates while it runs: the silo
 // weights are snapshotted under a read lock, the whole ordering +
-// contraction effort happens off-lock on forked MPC engines, and the
+// contraction effort happens off-lock on a forked MPC engine, and the
 // finished index is swapped in under a brief write lock. No query ever
 // observes a half-built index — searches use either the previous index or
 // the new one.
@@ -636,44 +635,62 @@ func (f *Federation) BuildIndex() error {
 // ErrBuildConflict is returned and any previously built index stays in
 // service.
 func (f *Federation) BuildIndexWith(prm IndexParams) error {
-	if prm.CustomizeOnly {
-		return f.CustomizeIndexWith(prm)
-	}
 	f.building.Add(1)
 	defer f.building.Add(-1)
+	return f.deriveIndex(prm.RebuildOnConflict, func() (indexRunner, error) {
+		return ch.NewBuilder(f.inner, prm)
+	}, f.recordBuild)
+}
+
+// indexRunner is the off-lock half of an index derivation (ch.Builder,
+// ch.Customizer): everything after the weight snapshot.
+type indexRunner interface{ Run() (*ch.Index, error) }
+
+// deriveIndex is the off-lock derivation protocol every index (re)build and
+// customization follows: snapshot (the only read of silo weights) under the
+// read lock, Run with no lock held while queries and updates proceed, then
+// swap the result in under the write lock unless the traffic version moved
+// since the snapshot — in which case the stale index is dropped and the
+// derivation restarts, up to retries times, before ErrBuildConflict. record
+// sees every finished run's statistics and whether it was swapped in.
+func (f *Federation) deriveIndex(retries int, snapshot func() (indexRunner, error), record func(st ch.BuildStats, swapped bool)) error {
 	for attempt := 0; ; attempt++ {
 		f.mu.RLock()
 		ver := f.trafficVer
-		b, err := ch.NewBuilder(f.inner, prm)
+		r, err := snapshot()
 		f.mu.RUnlock()
 		if err != nil {
 			return err
 		}
-		idx, err := b.Run() // off-lock: queries and updates proceed
+		idx, err := r.Run()
 		if err != nil {
 			return err
 		}
 		f.mu.Lock()
-		if f.trafficVer == ver {
+		swapped := f.trafficVer == ver
+		if swapped {
 			f.index = idx
-			f.mu.Unlock()
-			f.recordBuild(idx.BuildStatistics())
-			return nil
 		}
 		f.mu.Unlock()
-		if f.bm != nil {
-			f.bm.conflicts.Inc()
+		record(idx.BuildStatistics(), swapped)
+		if swapped {
+			return nil
 		}
-		if attempt >= prm.RebuildOnConflict {
+		if attempt >= retries {
 			return fmt.Errorf("%w (after %d attempt(s))", ErrBuildConflict, attempt+1)
 		}
 	}
 }
 
-// recordBuild folds a completed build's statistics into the registry
-// (nil-safe for tests constructing the struct directly).
-func (f *Federation) recordBuild(st ch.BuildStats) {
+// recordBuild folds a finished build — swapped in, or discarded on a traffic
+// conflict — into the registry (nil-safe for tests constructing the struct
+// directly).
+func (f *Federation) recordBuild(st ch.BuildStats, swapped bool) {
 	if f.bm == nil {
+		return
+	}
+	if !swapped {
+		f.bm.conflicts.Inc()
 		return
 	}
 	f.bm.builds.Inc()
@@ -795,47 +812,30 @@ func (f *Federation) CustomizeIndex() error {
 // Like BuildIndexWith it never blocks queries or traffic updates: the sweep
 // runs off-lock against a weight snapshot and the finished index swaps in
 // under a brief write lock, with the same ErrBuildConflict /
-// RebuildOnConflict semantics when traffic moves mid-pass.
+// RebuildOnConflict semantics when traffic moves mid-pass. IndexBuilding is
+// already true while a first skeleton is being contracted.
 func (f *Federation) CustomizeIndexWith(prm IndexParams) error {
+	f.building.Add(1)
+	defer f.building.Add(-1)
 	sk, err := f.ensureSkeleton(prm)
 	if err != nil {
 		return err
 	}
-	f.building.Add(1)
-	defer f.building.Add(-1)
-	for attempt := 0; ; attempt++ {
-		f.mu.RLock()
-		ver := f.trafficVer
-		c, err := ch.NewCustomizer(f.inner, sk, prm)
-		f.mu.RUnlock()
-		if err != nil {
-			return err
-		}
-		idx, err := c.Run() // off-lock: queries and updates proceed
-		if err != nil {
-			return err
-		}
-		f.mu.Lock()
-		if f.trafficVer == ver {
-			f.index = idx
-			f.mu.Unlock()
-			f.recordCustomize(idx.BuildStatistics())
-			return nil
-		}
-		f.mu.Unlock()
+	return f.deriveIndex(prm.RebuildOnConflict, func() (indexRunner, error) {
+		return ch.NewCustomizer(f.inner, sk, prm)
+	}, f.recordCustomize)
+}
+
+// recordCustomize folds a finished customization pass — swapped in, or
+// discarded on a traffic conflict — into the registry and the /stats atomics
+// (nil-safe for tests constructing the struct directly).
+func (f *Federation) recordCustomize(st ch.BuildStats, swapped bool) {
+	if !swapped {
 		if f.bm != nil {
 			f.bm.custConflicts.Inc()
 		}
-		if attempt >= prm.RebuildOnConflict {
-			return fmt.Errorf("%w (after %d attempt(s))", ErrBuildConflict, attempt+1)
-		}
+		return
 	}
-}
-
-// recordCustomize folds a completed customization pass's statistics into the
-// registry and the /stats atomics (nil-safe for tests constructing the
-// struct directly).
-func (f *Federation) recordCustomize(st ch.BuildStats) {
 	f.customizes.Add(1)
 	f.lastCustMs.Store(st.WallTime.Milliseconds())
 	f.lastCustRounds.Store(st.SAC.Rounds)

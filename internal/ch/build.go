@@ -2,10 +2,7 @@ package ch
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/fed"
@@ -39,8 +36,10 @@ type hierarchyState struct {
 const DefaultWitnessHops = 8
 
 // Params tunes index construction. The zero value gives the paper's setup:
-// edge-difference ordering, the default witness-search cap, one contraction
-// worker per CPU and batched Fed-SAC decisions.
+// edge-difference ordering and the default witness-search cap. No field
+// changes the protocol schedule of a derivation on a given graph: that is a
+// function of the graph and the public comparison bits only, so every silo
+// derives it alike.
 type Params struct {
 	// Ordering selects the public importance heuristic (default
 	// OrderEdgeDiff).
@@ -52,25 +51,12 @@ type Params struct {
 	// WitnessHops bounds the arc count of witness paths (default
 	// DefaultWitnessHops).
 	WitnessHops int
-	// Workers sets the contraction worker pool for the independent-set
-	// rounds (0 = GOMAXPROCS, 1 = sequential). The built index is
-	// byte-identical for every worker count; Workers trades wall time only.
-	Workers int
-	// NoBatch resolves every witness decision and min-arc match with an
-	// individual Fed-SAC comparison instead of per-contraction CompareBatch
-	// instances. Diagnostics only: it isolates the MPC-round saving of
-	// batching (BuildStats.RoundsSaved) without changing the result.
-	NoBatch bool
 	// RebuildOnConflict is consumed by the fedroad layer's non-blocking
-	// BuildIndexWith: when a concurrent traffic update invalidates the
-	// weight snapshot mid-build, the build is retried from fresh weights up
-	// to this many times before ErrBuildConflict is returned.
+	// BuildIndexWith and CustomizeIndexWith: when a concurrent traffic update
+	// invalidates the weight snapshot mid-derivation, it is retried from
+	// fresh weights up to this many times before ErrBuildConflict is
+	// returned.
 	RebuildOnConflict int
-	// CustomizeOnly is consumed by the fedroad layer's BuildIndexWith: the
-	// index is derived by weight customization over the federation's
-	// topology skeleton (building the skeleton first if none exists)
-	// instead of a witness-pruned federated contraction.
-	CustomizeOnly bool
 }
 
 // Build constructs the federated shortcut index with the default parameters.
@@ -101,19 +87,17 @@ func BuildWith(f *fed.Federation, prm Params) (*Index, error) {
 // a read lock, Run with no lock held, swap the finished index in under a
 // brief write lock.
 type Builder struct {
-	f       *fed.Federation
-	prm     Params
-	x       *Index
-	workers []*fed.Federation // one forked engine per contraction worker
-	sacs    []*fed.SAC
-	ran     bool
+	f   *fed.Federation
+	prm Params
+	x   *Index
+	wf  *fed.Federation // the one forked engine the whole build runs on
+	ran bool
 }
 
 // NewBuilder validates the parameters and snapshots the federation: base
-// overlay arcs, per-silo partial weights and one forked MPC engine per
-// contraction worker. The root engine is never used by the build, so the
-// caller may keep using it (e.g. for dynamic updates of a previous index)
-// while Run executes.
+// overlay arcs, per-silo partial weights and one forked MPC engine. The root
+// engine is never used by the build, so the caller may keep using it (e.g.
+// for dynamic updates of a previous index) while Run executes.
 func NewBuilder(f *fed.Federation, prm Params) (*Builder, error) {
 	switch prm.Ordering {
 	case "":
@@ -131,12 +115,6 @@ func NewBuilder(f *fed.Federation, prm Params) (*Builder, error) {
 	g := f.Graph()
 	n := g.NumVertices()
 	p := f.P()
-	if prm.Workers <= 0 {
-		prm.Workers = runtime.GOMAXPROCS(0)
-	}
-	if n > 0 && prm.Workers > n {
-		prm.Workers = n
-	}
 
 	x := &Index{
 		f:           f,
@@ -144,7 +122,6 @@ func NewBuilder(f *fed.Federation, prm Params) (*Builder, error) {
 		numBase:     g.NumArcs(),
 		witnessCap:  prm.WitnessCap,
 		witnessHops: prm.WitnessHops,
-		noBatch:     prm.NoBatch,
 	}
 	for v := range x.rank {
 		x.rank[v] = -1
@@ -174,13 +151,7 @@ func NewBuilder(f *fed.Federation, prm Params) (*Builder, error) {
 		x.hs.inAll[w] = append(x.hs.inAll[w], int32(a))
 	}
 
-	b := &Builder{f: f, prm: prm, x: x}
-	for i := 0; i < prm.Workers; i++ {
-		wf := f.Fork()
-		b.workers = append(b.workers, wf)
-		b.sacs = append(b.sacs, wf.NewSAC())
-	}
-	return b, nil
+	return &Builder{f: f, prm: prm, x: x, wf: f.Fork()}, nil
 }
 
 // Run executes the ordering and contraction phases against the snapshot taken
@@ -192,14 +163,11 @@ func (b *Builder) Run() (*Index, error) {
 		return nil, fmt.Errorf("ch: Builder.Run called twice")
 	}
 	b.ran = true
-	defer func() {
-		for _, wf := range b.workers {
-			wf.Engine().Close()
-		}
-	}()
+	defer b.wf.Engine().Close()
 
 	start := time.Now()
 	x := b.x
+	sac := b.wf.NewSAC()
 	g := b.f.Graph()
 	n := g.NumVertices()
 
@@ -214,11 +182,13 @@ func (b *Builder) Run() (*Index, error) {
 
 	// Contraction proceeds in rounds: each round greedily selects, following
 	// the contraction order, a maximal set of vertices pairwise non-adjacent
-	// in the current overlay; their contractions read disjoint arc
-	// neighborhoods and are proposed concurrently against the round-start
-	// snapshot, then merged (and ranked) in order — so the result is
-	// byte-identical to the Workers=1 run. See DESIGN.md, "Parallel index
-	// construction" for the soundness argument.
+	// in the current overlay; every member is proposed, in set order, against
+	// the round-start snapshot, then the proposals are merged (and ranked) in
+	// the same order. The rounds are part of what the index IS — a witness
+	// search sees the shortcuts of earlier rounds but not of its own — so
+	// they stay although nothing runs concurrently. See DESIGN.md,
+	// "Deterministic, non-blocking index construction" for the soundness
+	// argument.
 	el := buildEligibility(x)
 	inSet := make([]bool, n)
 	pos, rounds, maxWidth := 0, 0, 0
@@ -232,36 +202,11 @@ func (b *Builder) Run() (*Index, error) {
 			set = append(set, v)
 		}
 		props := make([]*proposal, len(set))
-		if len(b.workers) == 1 || len(set) == 1 {
-			for i, v := range set {
-				props[i] = x.propose(b.sacs[0], v, el)
-			}
-		} else {
-			var next atomic.Int64
-			var wg sync.WaitGroup
-			nw := len(b.workers)
-			if nw > len(set) {
-				nw = len(set)
-			}
-			for wi := 0; wi < nw; wi++ {
-				wg.Add(1)
-				go func(sac *fed.SAC) {
-					defer wg.Done()
-					for {
-						i := int(next.Add(1)) - 1
-						if i >= len(set) {
-							return
-						}
-						props[i] = x.propose(sac, set[i], el)
-					}
-				}(b.sacs[wi])
-			}
-			wg.Wait()
+		for i, v := range set {
+			props[i] = x.propose(sac, v, el)
 		}
-		for _, sac := range b.sacs {
-			if err := sac.Err(); err != nil {
-				return nil, err
-			}
+		if err := sac.Err(); err != nil {
+			return nil, err
 		}
 		for i, v := range set {
 			x.apply(props[i])
@@ -282,10 +227,7 @@ func (b *Builder) Run() (*Index, error) {
 		x.addArcToQueryLists(a)
 	}
 
-	var sacStats mpc.Stats
-	for _, wf := range b.workers {
-		sacStats.Add(wf.Engine().Stats())
-	}
+	sacStats := b.wf.Engine().Stats()
 	avgWidth := 0.0
 	if rounds > 0 {
 		avgWidth = float64(n) / float64(rounds)
@@ -294,7 +236,6 @@ func (b *Builder) Run() (*Index, error) {
 		Shortcuts:       x.NumShortcuts(),
 		SAC:             sacStats,
 		WallTime:        time.Since(start),
-		Workers:         len(b.workers),
 		Rounds:          rounds,
 		MaxRoundWidth:   maxWidth,
 		AvgRoundWidth:   avgWidth,
@@ -350,9 +291,9 @@ func updateEligibility(x *Index, k int32) eligibility {
 }
 
 // proposal is the read-only outcome of contracting one vertex against a
-// fixed overlay snapshot. All mutations are deferred to apply, so proposals
-// computed concurrently for non-adjacent vertices of the same round merge
-// deterministically.
+// fixed overlay snapshot. All mutations are deferred to apply, so the
+// proposals of one round's non-adjacent vertices all read the round-start
+// overlay and merge in set order.
 type proposal struct {
 	v         graph.Vertex
 	shortcuts []propShortcut
@@ -375,7 +316,7 @@ type refreshRec struct {
 // the joint via cost is compared against a federated witness search. The
 // independent Fed-SAC decisions of the contraction — the parallel-arc
 // tournament matches and the final witness-vs-via comparisons — run as
-// CompareBatch instances instead of one comparison each (unless noBatch).
+// CompareBatch instances instead of one comparison each.
 //
 // A shortcut is skipped only when the witness is STRICTLY shorter than the
 // via path; ties add the shortcut. Strictness is what keeps simultaneous
@@ -450,7 +391,7 @@ func (x *Index) propose(sac *fed.SAC, v graph.Vertex, el eligibility) *proposal 
 			refs = append(refs, i)
 		}
 	}
-	for j, less := range x.lessAll(sac, pairs) {
+	for j, less := range sac.LessBatch(pairs) {
 		skip[refs[j]] = less
 	}
 
@@ -539,29 +480,14 @@ func (x *Index) minArcGroups(arcs []int32, incoming bool, v graph.Vertex, el eli
 	return groups
 }
 
-// lessAll answers one round of independent strict-less questions: a single
-// CompareBatch-backed Fed-SAC instance when batching is on, or the same
-// comparisons one by one — in the same order — under noBatch. The two modes
-// make identical decisions, so builds stay byte-identical across them.
-func (x *Index) lessAll(sac *fed.SAC, pairs [][2]fed.Partial) []bool {
-	if !x.noBatch {
-		return sac.LessBatch(pairs)
-	}
-	res := make([]bool, len(pairs))
-	for i, pr := range pairs {
-		res[i] = sac.Less(pr[0], pr[1])
-	}
-	return res
-}
-
 // earliestMinGroups reduces every slate of joint values to the index of its
 // earliest minimum. Matches are level-synchronized tournaments: every pair
-// of every slate at one level resolves through a single lessAll round, and
-// a later entry wins its match only when strictly smaller. Under that rule
+// of every slate at one level resolves through a single LessBatch instance,
+// and a later entry wins its match only when strictly smaller. Under that rule
 // the bracket winner equals the left-to-right fold minimum regardless of
 // bracket shape — the identity both the min-arc reduction and the
 // lane-synchronous witness search rely on for build determinism.
-func (x *Index) earliestMinGroups(sac *fed.SAC, slates [][]fed.Partial) []int {
+func earliestMinGroups(sac *fed.SAC, slates [][]fed.Partial) []int {
 	idx := make([][]int, len(slates))
 	for si, slate := range slates {
 		idx[si] = make([]int, len(slate))
@@ -582,7 +508,7 @@ func (x *Index) earliestMinGroups(sac *fed.SAC, slates [][]fed.Partial) []int {
 		if len(pairs) == 0 {
 			break
 		}
-		res := x.lessAll(sac, pairs)
+		res := sac.LessBatch(pairs)
 		next := make([][]int, len(idx))
 		for si := range idx {
 			if len(idx[si]) > 1 {
@@ -627,7 +553,7 @@ func (x *Index) reduceMinArcs(sac *fed.SAC, groups []neighborGroup) {
 		}
 		slates[gi] = slate
 	}
-	for gi, win := range x.earliestMinGroups(sac, slates) {
+	for gi, win := range earliestMinGroups(sac, slates) {
 		groups[gi].arcs[0] = groups[gi].arcs[win]
 	}
 }
@@ -686,9 +612,8 @@ type witSearch struct {
 // the label itself), so a label strictly below a via cost proves a witness
 // exists. Hop and budget truncation only make contraction more conservative
 // (extra shortcuts, never a wrong skip). Results are identical across
-// worker counts, batching and wire layouts: candidate order is
-// deterministic and the earliest-min tournament is bracket-shape
-// independent.
+// runs and hosts: candidate order is deterministic and the earliest-min
+// tournament is bracket-shape independent.
 func (x *Index) witnessSearchAll(sac *fed.SAC, srcs []graph.Vertex, v graph.Vertex, el eligibility) []map[graph.Vertex]*witLabel {
 	searches := make([]*witSearch, len(srcs))
 	for si, u := range srcs {
@@ -758,7 +683,7 @@ func (x *Index) witnessSearchAll(sac *fed.SAC, srcs []graph.Vertex, v graph.Vert
 			}
 			slates[ki] = slate
 		}
-		winners := x.earliestMinGroups(sac, slates)
+		winners := earliestMinGroups(sac, slates)
 		for ki, key := range keys {
 			s := searches[key.si]
 			win := winners[ki]

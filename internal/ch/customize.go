@@ -2,9 +2,7 @@ package ch
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/fed"
@@ -18,8 +16,8 @@ func Customize(f *fed.Federation, sk *Skeleton) (*Index, error) {
 	return CustomizeWith(f, sk, Params{})
 }
 
-// CustomizeWith is Customize with explicit parameters (Workers, NoBatch).
-// Equivalent to NewCustomizer followed by Run.
+// CustomizeWith is Customize with explicit parameters. Equivalent to
+// NewCustomizer followed by Run.
 func CustomizeWith(f *fed.Federation, sk *Skeleton, prm Params) (*Index, error) {
 	c, err := NewCustomizer(f, sk, prm)
 	if err != nil {
@@ -31,17 +29,15 @@ func CustomizeWith(f *fed.Federation, sk *Skeleton, prm Params) (*Index, error) 
 // Customizer splits weight customization into a snapshot phase and a work
 // phase, mirroring Builder: NewCustomizer copies the silos' private base
 // weights (the only read of mutable federation state) and forks one MPC
-// engine per worker; Run performs the entire bottom-up sweep against that
-// snapshot with no lock held. The fedroad layer customizes without blocking
-// queries exactly the way it rebuilds.
+// engine; Run performs the entire bottom-up sweep against that snapshot with
+// no lock held. The fedroad layer customizes without blocking queries exactly
+// the way it rebuilds.
 type Customizer struct {
-	f       *fed.Federation
-	sk      *Skeleton
-	prm     Params
-	x       *Index
-	workers []*fed.Federation
-	sacs    []*fed.SAC
-	ran     bool
+	f   *fed.Federation
+	sk  *Skeleton
+	x   *Index
+	wf  *fed.Federation // the one forked engine the whole sweep runs on
+	ran bool
 }
 
 // NewCustomizer validates that the skeleton fits the federation's graph and
@@ -61,9 +57,6 @@ func NewCustomizer(f *fed.Federation, sk *Skeleton, prm Params) (*Customizer, er
 	if prm.WitnessHops == 0 {
 		prm.WitnessHops = DefaultWitnessHops
 	}
-	if prm.Workers <= 0 {
-		prm.Workers = runtime.GOMAXPROCS(0)
-	}
 	m := len(sk.tail)
 	p := f.P()
 	x := &Index{
@@ -80,7 +73,6 @@ func NewCustomizer(f *fed.Federation, sk *Skeleton, prm Params) (*Customizer, er
 		numBase:     sk.numBase,
 		witnessCap:  prm.WitnessCap,
 		witnessHops: prm.WitnessHops,
-		noBatch:     prm.NoBatch,
 		skel:        sk,
 	}
 	for a := range x.childA {
@@ -94,38 +86,29 @@ func NewCustomizer(f *fed.Federation, sk *Skeleton, prm Params) (*Customizer, er
 		}
 		x.siloW[s] = ws
 	}
-	c := &Customizer{f: f, sk: sk, prm: prm, x: x}
-	for i := 0; i < prm.Workers; i++ {
-		wf := f.Fork()
-		c.workers = append(c.workers, wf)
-		c.sacs = append(c.sacs, wf.NewSAC())
-	}
-	return c, nil
+	return &Customizer{f: f, sk: sk, x: x, wf: f.Fork()}, nil
 }
 
 // Run executes the bottom-up customization sweep: per hierarchy level, first
 // every shortcut at that level takes its weight from the already-decided
 // winners of its two child pair groups (a pure local per-silo sum — no MPC),
-// then the tournaments of every pair group decided at that level run as
-// batched Fed-SAC instances, partitioned across the forked worker engines.
-// Group tournaments are independent and bracket-shape invariant, so the
-// resulting index is identical for every worker count and batching mode —
-// and query-equivalent to a witness-pruned Build at the same weights.
+// then the tournaments of every pair group decided at that level run
+// together: bracket round r of ALL of them is one CompareBatch instance, so
+// a level costs RoundsPerCompare × ⌈log2(its largest group)⌉ rounds — the
+// sweep's critical path, a function of the skeleton alone. The resulting
+// index is query-equivalent to a witness-pruned Build at the same weights.
 func (c *Customizer) Run() (*Index, error) {
 	if c.ran {
 		return nil, fmt.Errorf("ch: Customizer.Run called twice")
 	}
 	c.ran = true
-	defer func() {
-		for _, wf := range c.workers {
-			wf.Engine().Close()
-		}
-	}()
+	defer c.wf.Engine().Close()
 
 	start := time.Now()
 	x, sk := c.x, c.sk
 	pl := sk.Plan()
 	p := c.f.P()
+	sac := c.wf.NewSAC()
 
 	win := make([]int32, len(pl.groups))
 	for g := range pl.groups {
@@ -142,8 +125,13 @@ func (c *Customizer) Run() (*Index, error) {
 				}
 			}
 		}
-		if err := c.tournaments(pl.groupsAt[lvl], win); err != nil {
+		duel := pl.groupsAt[lvl]
+		winners := x.groupWinners(sac, pl, duel)
+		if err := sac.Err(); err != nil {
 			return nil, err
+		}
+		for i, g := range duel {
+			win[g] = winners[i]
 		}
 	}
 
@@ -169,15 +157,11 @@ func (c *Customizer) Run() (*Index, error) {
 		x.addArcToQueryLists(a)
 	}
 
-	var sacStats mpc.Stats
-	for _, wf := range c.workers {
-		sacStats.Add(wf.Engine().Stats())
-	}
+	sacStats := c.wf.Engine().Stats()
 	x.buildStats = BuildStats{
 		Shortcuts:   x.NumShortcuts(),
 		SAC:         sacStats,
 		WallTime:    time.Since(start),
-		Workers:     len(c.workers),
 		Rounds:      pl.maxLvl + 1,
 		RoundsSaved: sacStats.Compares*int64(mpc.RoundsPerCompare) - sacStats.Rounds,
 		Customized:  true,
@@ -186,53 +170,24 @@ func (c *Customizer) Run() (*Index, error) {
 	return x, nil
 }
 
-// tournaments resolves the winners of the given multi-member pair groups,
-// split into contiguous chunks across the worker engines. Each group's
-// tournament is self-contained, so the partition affects wall time only.
-func (c *Customizer) tournaments(duel []int32, win []int32) error {
-	if len(duel) == 0 {
-		return nil
-	}
-	x, pl := c.x, c.sk.Plan()
-	nw := len(c.sacs)
-	if nw > len(duel) {
-		nw = len(duel)
-	}
-	chunk := (len(duel) + nw - 1) / nw
-	var wg sync.WaitGroup
-	for wi := 0; wi < nw; wi++ {
-		lo := wi * chunk
-		hi := lo + chunk
-		if hi > len(duel) {
-			hi = len(duel)
+// groupWinners decides the given multi-member pair groups: the joint-minimum
+// member (earliest on ties) of each, all tournaments sharing one CompareBatch
+// instance per bracket round.
+func (x *Index) groupWinners(sac *fed.SAC, pl *custPlan, duel []int32) []int32 {
+	slates := make([][]fed.Partial, len(duel))
+	for i, g := range duel {
+		members := pl.groups[g]
+		slate := make([]fed.Partial, len(members))
+		for j, a := range members {
+			slate[j] = x.Partial(a)
 		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(sac *fed.SAC, part []int32) {
-			defer wg.Done()
-			slates := make([][]fed.Partial, len(part))
-			for i, g := range part {
-				members := pl.groups[g]
-				slate := make([]fed.Partial, len(members))
-				for j, a := range members {
-					slate[j] = x.Partial(a)
-				}
-				slates[i] = slate
-			}
-			for i, w := range x.earliestMinGroups(sac, slates) {
-				win[part[i]] = pl.groups[part[i]][w]
-			}
-		}(c.sacs[wi], duel[lo:hi])
+		slates[i] = slate
 	}
-	wg.Wait()
-	for _, sac := range c.sacs {
-		if err := sac.Err(); err != nil {
-			return err
-		}
+	out := make([]int32, len(duel))
+	for i, w := range earliestMinGroups(sac, slates) {
+		out[i] = pl.groups[duel[i]][w]
 	}
-	return nil
+	return out
 }
 
 // updateCustomized is the dynamic-update path for customized indexes: the
@@ -318,21 +273,12 @@ func (x *Index) updateCustomized(changed []graph.Arc) (UpdateStats, error) {
 			continue
 		}
 		sort.Slice(duel, func(i, j int) bool { return duel[i] < duel[j] })
-		slates := make([][]fed.Partial, len(duel))
-		for i, g := range duel {
-			members := pl.groups[g]
-			slate := make([]fed.Partial, len(members))
-			for j, a := range members {
-				slate[j] = x.Partial(a)
-			}
-			slates[i] = slate
-		}
-		winners := x.earliestMinGroups(sac, slates)
+		winners := x.groupWinners(sac, pl, duel)
 		if err := sac.Err(); err != nil {
 			return stats, err
 		}
 		for i, g := range duel {
-			nw := pl.groups[g][winners[i]]
+			nw := winners[i]
 			if nw != x.custWinner[g] || changedArc[nw] {
 				x.custWinner[g] = nw
 				dirtyWinner[g] = true

@@ -121,49 +121,43 @@ func TestBuildSkeletonRejectsUnknownOrdering(t *testing.T) {
 	}
 }
 
-// TestCustomizeDeterministicAcrossWorkersAndBatching: the customized index
-// must be identical — winners, children, every partial weight — for every
-// worker count and batching mode.
-func TestCustomizeDeterministicAcrossWorkersAndBatching(t *testing.T) {
+// TestCustomizeRepeatable: two sweeps over the same skeleton and weights must
+// give the identical index — winners, children, every partial weight.
+func TestCustomizeRepeatable(t *testing.T) {
 	g, w0 := graph.GenerateGrid(8, 8, 62)
 	sk, err := BuildSkeleton(g, w0, Params{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	variants := []Params{
-		{Workers: 1},
-		{Workers: 4},
-		{Workers: 3, NoBatch: true},
-	}
 	var ref *Index
-	for vi, prm := range variants {
+	for run := 0; run < 2; run++ {
 		f := customizeFederation(t, g, w0, 63) // same seed -> same silo weights
-		x, err := CustomizeWith(f, sk, prm)
+		x, err := Customize(f, sk)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if vi == 0 {
+		if run == 0 {
 			ref = x
 			continue
 		}
 		if len(x.childA) != len(ref.childA) {
-			t.Fatalf("variant %d: arc count differs", vi)
+			t.Fatal("arc count differs")
 		}
 		for a := range x.childA {
 			if x.childA[a] != ref.childA[a] || x.childB[a] != ref.childB[a] {
-				t.Fatalf("variant %d: children of arc %d differ", vi, a)
+				t.Fatalf("children of arc %d differ", a)
 			}
 		}
 		for p := range x.siloW {
 			for a := range x.siloW[p] {
 				if x.siloW[p][a] != ref.siloW[p][a] {
-					t.Fatalf("variant %d: silo %d weight of arc %d differs", vi, p, a)
+					t.Fatalf("silo %d weight of arc %d differs", p, a)
 				}
 			}
 		}
 		for gi := range x.custWinner {
 			if x.custWinner[gi] != ref.custWinner[gi] {
-				t.Fatalf("variant %d: winner of group %d differs", vi, gi)
+				t.Fatalf("winner of group %d differs", gi)
 			}
 		}
 	}

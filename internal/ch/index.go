@@ -57,7 +57,6 @@ type Index struct {
 	hs          *hierarchyState
 	witnessCap  int
 	witnessHops int
-	noBatch     bool // resolve Fed-SAC decisions one-by-one (diagnostics)
 	buildStats  BuildStats
 
 	// Customized indexes only: the immutable topology skeleton this index
@@ -75,8 +74,7 @@ type BuildStats struct {
 	SAC       mpc.Stats // secure-comparison usage during construction
 	WallTime  time.Duration
 
-	// Parallel-build pipeline statistics.
-	Workers       int     // contraction worker pool size
+	// Contraction schedule statistics.
 	Rounds        int     // independent-set contraction rounds
 	MaxRoundWidth int     // largest set contracted in one round
 	AvgRoundWidth float64 // vertices contracted per round on average

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"time"
 
 	"repro/internal/ch"
@@ -14,18 +13,17 @@ import (
 	"repro/internal/traffic"
 )
 
-// BuildBenchRow measures one index-construction configuration on one
-// dataset: sequential vs parallel contraction, batched vs per-pair Fed-SAC.
+// BuildBenchRow measures one index derivation on one dataset: the
+// witness-pruned federated build, or (Customize) the weight-customization
+// sweep over a plaintext-contracted skeleton.
 type BuildBenchRow struct {
 	Dataset  string `json:"dataset"`
 	Vertices int    `json:"vertices"`
 	Arcs     int    `json:"arcs"`
-	Workers  int    `json:"workers"`
-	Batched  bool   `json:"batched"`
-	// Customize marks the weight-customization variant: the topology skeleton
-	// is contracted once in plaintext and only the per-level batched Fed-SAC
+	// Customize marks the weight-customization row: the topology skeleton is
+	// contracted once in plaintext and only the per-level batched Fed-SAC
 	// weight sweep runs — the MPC cost of refreshing the index after a
-	// traffic batch. Its MPCRounds must stay far below the full-build rows'
+	// traffic batch. Its MPCRounds must stay far below the build row's
 	// (benchgate enforces < 25%).
 	Customize bool `json:"customize,omitempty"`
 
@@ -39,19 +37,14 @@ type BuildBenchRow struct {
 	SimNetMs float64 `json:"sim_net_ms"`
 	TimeMs   float64 `json:"time_ms"`
 
-	Shortcuts         int     `json:"shortcuts"`
-	Compares          int64   `json:"fed_sacs"`
-	MPCRounds         int64   `json:"mpc_rounds"`
+	Shortcuts int   `json:"shortcuts"`
+	Compares  int64 `json:"fed_sacs"`
+	MPCRounds int64 `json:"mpc_rounds"`
+	// RoundsSaved is what batching avoids: Compares × mpc.RoundsPerCompare
+	// (every decision its own protocol instance) minus MPCRounds.
 	RoundsSaved       int64   `json:"mpc_rounds_saved"`
 	ContractionRounds int     `json:"contraction_rounds"`
-	AvgParallelism    float64 `json:"avg_parallelism"`
-
-	// SpeedupVsSeq is this row's local wall-time speedup over the sequential
-	// batched build of the same dataset (1.0 for that reference row itself).
-	// Wall time, not TimeMs: SimNet sums every worker's network wait even
-	// though concurrent contractions overlap theirs, so end-to-end ratios
-	// would understate parallelism.
-	SpeedupVsSeq float64 `json:"speedup_vs_seq"`
+	AvgRoundWidth     float64 `json:"avg_round_width"`
 }
 
 // BuildBenchReport is the BENCH_build.json document.
@@ -81,40 +74,40 @@ func (r BuildBenchReport) WriteFile(path string) error {
 	return f.Close()
 }
 
-// RunIndexBuildBench benchmarks index construction across the configured
-// datasets under three regimes: sequential unbatched (the naive baseline),
-// sequential batched, and parallel batched at min(8, GOMAXPROCS overridable)
-// workers. Every variant rebuilds from an identical fresh federation; the
-// row set records wall time, phase split, and the Fed-SAC round economics.
+// RunIndexBuildBench measures both index derivations on every configured
+// dataset, each from an identical fresh federation: the witness-pruned
+// build (the one-off cost), then the customization sweep over a skeleton
+// contracted in plaintext (the recurring cost of refreshing the index per
+// traffic version). Rows record wall time, phase split and the Fed-SAC round
+// economics; the counts are a function of dataset and seed alone.
 func (h *Harness) RunIndexBuildBench() (*BuildBenchReport, error) {
 	rep := &BuildBenchReport{Experiment: "index-build", Silos: h.cfg.Silos}
-	variants := []ch.Params{
-		{Workers: 1, NoBatch: true},
-		{Workers: 1},
-		{Workers: 8},
-	}
 	for _, name := range h.cfg.Datasets {
 		g, w0, spec := h.generate(name)
-		first := len(rep.Rows)
-		var seqWall time.Duration
-		var seqShortcuts int
-		for vi, prm := range variants {
+		for _, customize := range []bool{false, true} {
 			sets := traffic.SiloWeights(w0, h.cfg.Silos, h.cfg.Level, h.cfg.Seed+spec.Seed)
 			f, err := fed.New(g, w0, sets, mpc.Params{Mode: h.cfg.Mode, Seed: h.cfg.Seed, Net: h.cfg.Net})
 			if err != nil {
 				return nil, err
 			}
-			x, err := ch.BuildWith(f, prm)
+			var x *ch.Index
+			if customize {
+				var sk *ch.Skeleton
+				if sk, err = ch.BuildSkeleton(g, w0, ch.Params{}); err == nil {
+					x, err = ch.Customize(f, sk)
+				}
+			} else {
+				x, err = ch.Build(f)
+			}
 			if err != nil {
-				return nil, fmt.Errorf("expr: build bench %s workers=%d: %w", name, prm.Workers, err)
+				return nil, fmt.Errorf("expr: build bench %s customize=%v: %w", name, customize, err)
 			}
 			st := x.BuildStatistics()
-			row := BuildBenchRow{
+			rep.Rows = append(rep.Rows, BuildBenchRow{
 				Dataset:           name,
 				Vertices:          g.NumVertices(),
 				Arcs:              g.NumArcs(),
-				Workers:           st.Workers,
-				Batched:           !prm.NoBatch,
+				Customize:         customize,
 				WallMs:            float64(st.WallTime.Microseconds()) / 1e3,
 				OrderingMs:        float64(st.OrderingTime.Microseconds()) / 1e3,
 				ContractionMs:     float64(st.ContractionTime.Microseconds()) / 1e3,
@@ -125,87 +118,32 @@ func (h *Harness) RunIndexBuildBench() (*BuildBenchReport, error) {
 				MPCRounds:         st.SAC.Rounds,
 				RoundsSaved:       st.RoundsSaved,
 				ContractionRounds: st.Rounds,
-				AvgParallelism:    st.AvgRoundWidth,
-			}
-			if vi == 1 { // the sequential batched reference row
-				seqWall, seqShortcuts = st.WallTime, st.Shortcuts
-			}
-			if vi == 2 && st.Shortcuts != seqShortcuts {
-				return nil, fmt.Errorf("expr: build bench %s: parallel build produced %d shortcuts, sequential %d",
-					name, st.Shortcuts, seqShortcuts)
-			}
-			rep.Rows = append(rep.Rows, row)
-		}
-		// The customization variant: contract the topology skeleton once in
-		// plaintext, then run only the batched per-level weight sweep. This is
-		// the recurring cost of refreshing the index per traffic version; the
-		// full-build rows above are the one-off cost it replaces.
-		{
-			sets := traffic.SiloWeights(w0, h.cfg.Silos, h.cfg.Level, h.cfg.Seed+spec.Seed)
-			f, err := fed.New(g, w0, sets, mpc.Params{Mode: h.cfg.Mode, Seed: h.cfg.Seed, Net: h.cfg.Net})
-			if err != nil {
-				return nil, err
-			}
-			sk, err := ch.BuildSkeleton(g, w0, ch.Params{})
-			if err != nil {
-				return nil, fmt.Errorf("expr: build bench %s skeleton: %w", name, err)
-			}
-			x, err := ch.CustomizeWith(f, sk, ch.Params{Workers: 8})
-			if err != nil {
-				return nil, fmt.Errorf("expr: build bench %s customize: %w", name, err)
-			}
-			st := x.BuildStatistics()
-			rep.Rows = append(rep.Rows, BuildBenchRow{
-				Dataset:           name,
-				Vertices:          g.NumVertices(),
-				Arcs:              g.NumArcs(),
-				Workers:           st.Workers,
-				Batched:           true,
-				Customize:         true,
-				WallMs:            float64(st.WallTime.Microseconds()) / 1e3,
-				SimNetMs:          float64(st.SAC.SimNet.Microseconds()) / 1e3,
-				TimeMs:            float64((st.WallTime + st.SAC.SimNet).Microseconds()) / 1e3,
-				Shortcuts:         st.Shortcuts,
-				Compares:          st.SAC.Compares,
-				MPCRounds:         st.SAC.Rounds,
-				RoundsSaved:       st.RoundsSaved,
-				ContractionRounds: st.Rounds,
-				AvgParallelism:    st.AvgRoundWidth,
+				AvgRoundWidth:     st.AvgRoundWidth,
 			})
-		}
-		// Normalize every row of this dataset against the sequential batched
-		// reference, which is exactly 1.0 — including the unbatched row, which
-		// used to report a bogus 0.
-		for i := first; i < len(rep.Rows); i++ {
-			if rep.Rows[i].WallMs > 0 {
-				rep.Rows[i].SpeedupVsSeq = float64(seqWall.Microseconds()) / 1e3 / rep.Rows[i].WallMs
-			}
 		}
 	}
 	return rep, nil
 }
 
 // PrintIndexBuildBench renders the Table II-style construction comparison.
+// "unbatched" is computed, not run: every Fed-SAC as its own protocol
+// instance costs exactly mpc.RoundsPerCompare rounds.
 func (h *Harness) PrintIndexBuildBench(rep *BuildBenchReport) {
-	h.printf("Index construction: sequential vs parallel (%d silos, GOMAXPROCS=%d)\n",
-		rep.Silos, runtime.GOMAXPROCS(0))
+	h.printf("Index derivation: witness build vs customization (%d silos)\n", rep.Silos)
 	w := h.tab()
-	fmt.Fprintln(w, "dataset\tworkers\tbatched\tmode\ttime\twall\tsimnet\tshortcuts\tFed-SACs\tMPC rounds\trounds saved\tavg ∥\tspeedup")
+	fmt.Fprintln(w, "dataset\tmode\ttime\twall\tsimnet\tshortcuts\tFed-SACs\tMPC rounds\tunbatched rounds\tcontraction rounds\tavg width")
 	for _, r := range rep.Rows {
-		speed := "-"
-		if r.SpeedupVsSeq > 0 {
-			speed = fmt.Sprintf("%.2fx", r.SpeedupVsSeq)
-		}
 		mode := "build"
 		if r.Customize {
 			mode = "customize"
 		}
-		fmt.Fprintf(w, "%s\t%d\t%v\t%s\t%s\t%s\t%s\t%d\t%d\t%d\t%d\t%.1f\t%s\n",
-			r.Dataset, r.Workers, r.Batched, mode,
+		fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%s\t%d\t%d\t%d\t%d\t%d\t%.1f\n",
+			r.Dataset, mode,
 			fmtDuration(time.Duration(r.TimeMs*1e6)),
 			fmtDuration(time.Duration(r.WallMs*1e6)),
 			fmtDuration(time.Duration(r.SimNetMs*1e6)),
-			r.Shortcuts, r.Compares, r.MPCRounds, r.RoundsSaved, r.AvgParallelism, speed)
+			r.Shortcuts, r.Compares, r.MPCRounds, r.Compares*int64(mpc.RoundsPerCompare),
+			r.ContractionRounds, r.AvgRoundWidth)
 	}
 	w.Flush()
 	h.printf("\n")

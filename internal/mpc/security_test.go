@@ -114,10 +114,13 @@ func TestComparisonResultDataIndependentCost(t *testing.T) {
 	}
 }
 
-// TestProtocolOverRealTCP runs the comparison across a real localhost TCP
-// mesh — the integration path a multi-machine deployment would use.
-func TestProtocolOverRealTCP(t *testing.T) {
-	const n = 3
+// dialLanes brings up an n-party mux mesh over localhost TCP — every party
+// dialing by address, the integration path a multi-machine deployment uses —
+// and returns one lane per party. The meshes close with the test, after
+// every party is done: a party that hangs up early fails its peers' last
+// receive.
+func dialLanes(t *testing.T, n int) []transport.Conn {
+	t.Helper()
 	addrs := make([]string, n)
 	for i := range addrs {
 		l, err := net.Listen("tcp", "127.0.0.1:0")
@@ -127,6 +130,39 @@ func TestProtocolOverRealTCP(t *testing.T) {
 		addrs[i] = l.Addr().String()
 		l.Close()
 	}
+	meshes := make([]*transport.Mesh, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for p := 0; p < n; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			meshes[p], errs[p] = transport.DialMeshMux(p, n, addrs, transport.MeshOptions{DialTimeout: 5 * time.Second})
+		}(p)
+	}
+	wg.Wait()
+	t.Cleanup(func() {
+		for _, m := range meshes {
+			if m != nil {
+				m.Close()
+			}
+		}
+	})
+	lanes := make([]transport.Conn, n)
+	for p, err := range errs {
+		if err != nil {
+			t.Fatalf("party %d: %v", p, err)
+		}
+		lanes[p] = meshes[p].OpenLane()
+	}
+	return lanes
+}
+
+// TestProtocolOverRealTCP runs the comparison across a real localhost TCP
+// mesh.
+func TestProtocolOverRealTCP(t *testing.T) {
+	const n = 3
+	lanes := dialLanes(t, n)
 	tuples := NewDealer(n, 77).CmpTuples()
 	diffs := []int64{-500, 200, 200} // sum -100 < 0
 	results := make([]bool, n)
@@ -136,13 +172,7 @@ func TestProtocolOverRealTCP(t *testing.T) {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			conn, err := transport.DialMesh(p, n, addrs, 5*time.Second)
-			if err != nil {
-				errs[p] = err
-				return
-			}
-			defer conn.Close()
-			results[p], errs[p] = RunCompareParty(conn, diffs[p], &tuples[p])
+			results[p], errs[p] = RunCompareParty(lanes[p], diffs[p], &tuples[p])
 		}(p)
 	}
 	wg.Wait()
@@ -159,18 +189,10 @@ func TestProtocolOverRealTCP(t *testing.T) {
 }
 
 // TestProtocolManyComparisonsOverTCP stresses frame ordering: many
-// back-to-back comparisons over the same mesh.
+// back-to-back comparisons over the same lane.
 func TestProtocolManyComparisonsOverTCP(t *testing.T) {
 	const n = 3
-	addrs := make([]string, n)
-	for i := range addrs {
-		l, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		addrs[i] = l.Addr().String()
-		l.Close()
-	}
+	lanes := dialLanes(t, n)
 	dealer := NewDealer(n, 78)
 	const rounds = 20
 	batches := make([][]CmpTuple, rounds)
@@ -193,14 +215,8 @@ func TestProtocolManyComparisonsOverTCP(t *testing.T) {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			conn, err := transport.DialMesh(p, n, addrs, 5*time.Second)
-			if err != nil {
-				errs[p] = err
-				return
-			}
-			defer conn.Close()
 			for r := 0; r < rounds; r++ {
-				got, err := RunCompareParty(conn, inputs[r][p], &batches[r][p])
+				got, err := RunCompareParty(lanes[p], inputs[r][p], &batches[r][p])
 				if err != nil {
 					errs[p] = err
 					return

@@ -205,6 +205,15 @@ func (l *link) closeLane(lane uint32) {
 	}
 }
 
+// opError normalizes a socket error: deadline expiries additionally wrap
+// ErrRoundTimeout so callers can classify without poking at net internals.
+func opError(verb string, peer int, err error) error {
+	if ne, ok := err.(net.Error); ok && ne.Timeout() {
+		return fmt.Errorf("transport: %s party %d: %w: %w", verb, peer, ErrRoundTimeout, err)
+	}
+	return fmt.Errorf("transport: %s party %d: %w", verb, peer, err)
+}
+
 // writeFrame serializes one frame onto the socket under the link's write
 // mutex (the fair writer: goroutines queue on the mutex in roughly FIFO
 // order, and no lane can starve others beyond one frame). The write deadline
@@ -343,7 +352,7 @@ type MeshStats struct {
 //
 // Lanes opened while a link is down (or that outlive their link) fail fast
 // with ErrPeerDown; lanes opened after the redial transparently use the new
-// link. The pairing protocol follows DialMesh: party i accepts from every
+// link. Pairing roles are fixed by party rank: party i accepts from every
 // j > i and dials every j < i, and keeps those roles for reconnection — the
 // higher-numbered party redials, the lower-numbered party re-accepts.
 type Mesh struct {

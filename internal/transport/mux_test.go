@@ -3,7 +3,6 @@ package transport
 import (
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"testing"
 	"time"
@@ -98,64 +97,37 @@ func TestMuxThousandLanes(t *testing.T) {
 	}
 }
 
-// realPair names one real-socket transport construction the fault matrix
-// runs against: the plain framed TCP mesh and the multiplexed mesh lane.
+// realPair names one way of standing up a lane over real sockets for the
+// fault matrix: endpoints dialed by address as separate processes would, and
+// the in-process loopback mesh on pre-bound listeners.
 type realPair struct {
 	name  string
 	build func(t *testing.T) (a, b Conn, setTimeout func(time.Duration))
 }
 
 func realPairs() []realPair {
+	lanes := func(a, b *LaneConn) (Conn, Conn, func(time.Duration)) {
+		return a, b, func(d time.Duration) {
+			a.SetRoundTimeout(d)
+			b.SetRoundTimeout(d)
+		}
+	}
 	return []realPair{
 		{"tcp", func(t *testing.T) (Conn, Conn, func(time.Duration)) {
 			t.Helper()
-			addrs := make([]string, 2)
-			for i := range addrs {
-				ln, err := net.Listen("tcp", "127.0.0.1:0")
-				if err != nil {
-					t.Fatal(err)
-				}
-				addrs[i] = ln.Addr().String()
-				ln.Close()
-			}
-			var conns [2]*TCPConn
-			var wg sync.WaitGroup
-			errs := make([]error, 2)
-			for p := 0; p < 2; p++ {
-				wg.Add(1)
-				go func(p int) {
-					defer wg.Done()
-					conns[p], errs[p] = DialMesh(p, 2, addrs, 5*time.Second)
-				}(p)
-			}
-			wg.Wait()
-			for _, err := range errs {
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-			t.Cleanup(func() { conns[0].Close(); conns[1].Close() })
-			return conns[0], conns[1], func(d time.Duration) {
-				conns[0].SetRoundTimeout(d)
-				conns[1].SetRoundTimeout(d)
-			}
+			return lanes(lanePair(t, MeshOptions{}))
 		}},
 		{"mux", func(t *testing.T) (Conn, Conn, func(time.Duration)) {
 			t.Helper()
 			lm := twoMesh(t, MeshOptions{})
-			a := lm.Mesh(0).Lane(77)
-			b := lm.Mesh(1).Lane(77)
-			return a, b, func(d time.Duration) {
-				a.SetRoundTimeout(d)
-				b.SetRoundTimeout(d)
-			}
+			return lanes(lm.Mesh(0).Lane(77), lm.Mesh(1).Lane(77))
 		}},
 	}
 }
 
 // TestFaultMatrixOverRealSockets replays the PR-2 fault matrix — delay,
-// drop, duplicate, transient error, close — against real TCP sockets and
-// against multiplexed mesh lanes, asserting each fault surfaces with the
+// drop, duplicate, transient error, close — against multiplexed mesh lanes
+// over real TCP sockets, asserting each fault surfaces with the
 // same typed semantics the in-memory transport established: drops become
 // round timeouts, duplicates stay FIFO-visible, injected errors are
 // Transient, closes are terminal.
@@ -224,8 +196,8 @@ func TestFaultMatrixOverRealSockets(t *testing.T) {
 					t.Fatal("send through injected close succeeded")
 				}
 				// The victim's endpoint is gone: the peer must fail typed —
-				// never hang. A TCP close tears the socket (read error); a
-				// closed mux lane starves the peer into its round timeout.
+				// never hang. A closed mux lane starves the peer into its
+				// round timeout.
 				if _, err := b.Recv(0); err == nil {
 					t.Fatal("recv from closed endpoint succeeded")
 				}

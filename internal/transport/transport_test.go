@@ -2,11 +2,12 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"net"
-	"strings"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -178,35 +179,53 @@ func freeAddrs(t *testing.T, n int) []string {
 	return addrs
 }
 
-func TestTCPMeshExchange(t *testing.T) {
-	const n = 3
+// dialMeshes brings up n mesh endpoints the way n processes would: every
+// party binds its own listen address and dials its lower-ranked peers by
+// address, retrying until they listen. Torn down with the test.
+func dialMeshes(t *testing.T, n int, opts MeshOptions) []*Mesh {
+	t.Helper()
 	addrs := freeAddrs(t, n)
-	conns := make([]*TCPConn, n)
+	meshes := make([]*Mesh, n)
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	errs := make(chan error, n)
-	for i := 0; i < n; i++ {
+	for i := range meshes {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c, err := DialMesh(i, n, addrs, 5*time.Second)
-			if err != nil {
-				errs <- err
-				return
-			}
-			conns[i] = c
+			meshes[i], errs[i] = DialMeshMux(i, n, addrs, opts)
 		}(i)
 	}
 	wg.Wait()
-	select {
-	case err := <-errs:
-		t.Fatal(err)
-	default:
-	}
-	defer func() {
-		for _, c := range conns {
-			c.Close()
+	t.Cleanup(func() {
+		for _, m := range meshes {
+			if m != nil {
+				m.Close()
+			}
 		}
-	}()
+	})
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return meshes
+}
+
+// lanePair dials a two-party mesh and binds the same lane on both ends.
+func lanePair(t *testing.T, opts MeshOptions) (a, b *LaneConn) {
+	t.Helper()
+	meshes := dialMeshes(t, 2, opts)
+	return meshes[0].Lane(40), meshes[1].Lane(40)
+}
+
+func TestTCPMeshExchange(t *testing.T) {
+	const n = 3
+	// No heartbeats: the frame count below is protocol frames only.
+	meshes := dialMeshes(t, n, MeshOptions{Heartbeat: -1})
+	conns := make([]*LaneConn, n)
+	for i, m := range meshes {
+		conns[i] = m.Lane(40)
+	}
 
 	// Round-trip: every party sends a tagged frame to every other party.
 	for p := 0; p < n; p++ {
@@ -233,41 +252,22 @@ func TestTCPMeshExchange(t *testing.T) {
 			}
 		}
 	}
-	if st := conns[0].Stats(); st.Messages != n-1 {
-		t.Fatalf("party 0 sent %d messages, want %d", st.Messages, n-1)
+	if st := meshes[0].Stats(); st.MsgsSent != n-1 {
+		t.Fatalf("party 0 sent %d frames, want %d", st.MsgsSent, n-1)
 	}
 }
 
 func TestTCPLargeFrame(t *testing.T) {
-	addrs := freeAddrs(t, 2)
-	conns := make([]*TCPConn, 2)
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			c, err := DialMesh(i, 2, addrs, 5*time.Second)
-			if err == nil {
-				conns[i] = c
-			}
-		}(i)
-	}
-	wg.Wait()
-	if conns[0] == nil || conns[1] == nil {
-		t.Fatal("mesh setup failed")
-	}
-	defer conns[0].Close()
-	defer conns[1].Close()
-
+	a, b := lanePair(t, MeshOptions{})
 	payload := make([]byte, 1<<16)
 	for i := range payload {
 		payload[i] = byte(i * 31)
 	}
 	done := make(chan error, 1)
 	go func() {
-		done <- conns[0].Send(1, payload)
+		done <- a.Send(1, payload)
 	}()
-	got, err := conns[1].Recv(0)
+	got, err := b.Recv(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,45 +280,37 @@ func TestTCPLargeFrame(t *testing.T) {
 }
 
 func TestTCPOversizedFrameRejected(t *testing.T) {
-	addrs := freeAddrs(t, 2)
-	conns := make([]*TCPConn, 2)
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			c, err := DialMesh(i, 2, addrs, 5*time.Second)
-			if err == nil {
-				conns[i] = c
-			}
-		}(i)
+	a, b := lanePair(t, MeshOptions{Heartbeat: -1})
+	b.SetRoundTimeout(5 * time.Second)
+	if err := a.Send(1, make([]byte, muxMaxFrame+1)); err == nil {
+		t.Fatal("oversized send accepted")
 	}
-	wg.Wait()
-	if conns[0] == nil || conns[1] == nil {
-		t.Fatal("mesh setup failed")
-	}
-	defer conns[0].Close()
-	defer conns[1].Close()
-	// Forge a frame header claiming 1 GiB directly on the socket.
-	raw := conns[0].peers[1]
-	hdr := []byte{0, 0, 0, 0x40} // 0x40000000 little-endian
-	if _, err := raw.Write(hdr); err != nil {
+	// Forge a frame header claiming 1 GiB directly on the socket: the
+	// receiver must drop the link instead of allocating or delivering it.
+	var hdr [muxHeaderLen]byte
+	binary.LittleEndian.PutUint32(hdr[0:], a.ID())
+	binary.LittleEndian.PutUint32(hdr[8:], 1<<30)
+	if _, err := a.m.links[1].Load().conn.Write(hdr[:]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := conns[1].Recv(0); err == nil {
-		t.Fatal("oversized frame accepted")
+	if _, err := b.Recv(0); !errors.Is(err, ErrPeerDown) {
+		t.Fatalf("recv of an oversized frame: %v, want ErrPeerDown", err)
 	}
 }
 
 func TestTCPDialMeshValidation(t *testing.T) {
-	if _, err := DialMesh(0, 3, []string{"x"}, time.Second); err == nil {
+	if _, err := DialMeshMux(0, 3, []string{"x"}, MeshOptions{}); err == nil {
 		t.Fatal("wrong addr count accepted")
 	}
-	// Nobody listening on the peer: the dial side must time out.
+	if _, err := DialMeshMux(3, 3, []string{"x", "y", "z"}, MeshOptions{}); err == nil {
+		t.Fatal("out-of-range party accepted")
+	}
+	// Nobody listening on the peers: set-up must time out, typed.
 	start := time.Now()
-	_, err := DialMesh(2, 3, []string{"127.0.0.1:1", "127.0.0.1:1", "127.0.0.1:0"}, 300*time.Millisecond)
-	if err == nil {
-		t.Fatal("dial to dead peers succeeded")
+	_, err := DialMeshMux(2, 3, []string{"127.0.0.1:1", "127.0.0.1:1", "127.0.0.1:0"},
+		MeshOptions{DialTimeout: 300 * time.Millisecond})
+	if !errors.Is(err, ErrPeerDown) {
+		t.Fatalf("dial to dead peers: %v, want ErrPeerDown", err)
 	}
 	if time.Since(start) > 5*time.Second {
 		t.Fatal("timeout not honored")
@@ -326,35 +318,17 @@ func TestTCPDialMeshValidation(t *testing.T) {
 }
 
 func TestTCPSendRecvValidation(t *testing.T) {
-	addrs := freeAddrs(t, 2)
-	conns := make([]*TCPConn, 2)
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			c, err := DialMesh(i, 2, addrs, 5*time.Second)
-			if err == nil {
-				conns[i] = c
-			}
-		}(i)
-	}
-	wg.Wait()
-	if conns[0] == nil {
-		t.Fatal("mesh setup failed")
-	}
-	defer conns[0].Close()
-	defer conns[1].Close()
-	if err := conns[0].Send(0, nil); err == nil {
+	a, _ := lanePair(t, MeshOptions{})
+	if err := a.Send(0, nil); err == nil {
 		t.Fatal("self-send accepted")
 	}
-	if err := conns[0].Send(5, nil); err == nil {
+	if err := a.Send(5, nil); err == nil {
 		t.Fatal("out-of-range send accepted")
 	}
-	if _, err := conns[0].Recv(0); err == nil {
+	if _, err := a.Recv(0); err == nil {
 		t.Fatal("self-recv accepted")
 	}
-	if conns[0].Party() != 0 || conns[0].N() != 2 {
+	if a.Party() != 0 || a.N() != 2 {
 		t.Fatal("identity wrong")
 	}
 }
@@ -489,71 +463,51 @@ func TestMemDrain(t *testing.T) {
 }
 
 func TestTCPRoundTimeout(t *testing.T) {
-	addrs := freeAddrs(t, 2)
-	conns := make([]*TCPConn, 2)
-	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			c, err := DialMesh(i, 2, addrs, 5*time.Second)
-			if err == nil {
-				conns[i] = c
-			}
-		}(i)
-	}
-	wg.Wait()
-	if conns[0] == nil || conns[1] == nil {
-		t.Fatal("mesh setup failed")
-	}
-	defer conns[0].Close()
-	defer conns[1].Close()
-
-	conns[0].SetRoundTimeout(100 * time.Millisecond)
+	a, b := lanePair(t, MeshOptions{})
+	a.SetRoundTimeout(100 * time.Millisecond)
 	start := time.Now()
-	_, err := conns[0].Recv(1) // peer silent: the read deadline must fire
+	_, err := a.Recv(1) // peer silent: the round timeout must fire
 	if err == nil {
 		t.Fatal("recv from a silent peer succeeded")
 	}
 	if !errors.Is(err, ErrRoundTimeout) || !IsTimeout(err) || !Transient(err) {
-		t.Fatalf("socket timeout not classified: %v", err)
+		t.Fatalf("lane timeout not classified: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > 3*time.Second {
 		t.Fatalf("bounded recv took %v", elapsed)
 	}
 
-	// The socket survives an expired deadline; later rounds proceed.
-	if err := conns[1].Send(0, []byte("late")); err != nil {
+	// The lane survives an expired wait; later rounds proceed.
+	if err := b.Send(0, []byte("late")); err != nil {
 		t.Fatal(err)
 	}
-	if got, err := conns[0].Recv(1); err != nil || string(got) != "late" {
+	if got, err := a.Recv(1); err != nil || string(got) != "late" {
 		t.Fatalf("recv after timeout = %q, %v", got, err)
 	}
-	conns[0].SetRoundTimeout(0)
-	if err := conns[1].Send(0, []byte("unbounded")); err != nil {
+	a.SetRoundTimeout(0)
+	if err := b.Send(0, []byte("unbounded")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := conns[0].Recv(1); err != nil {
+	if _, err := a.Recv(1); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestTCPDialMeshMidHandshakeFailure(t *testing.T) {
 	// Party 1 of 3 accepts from party 2 and dials party 0. We play both of
-	// its peers and fail the handshake on the accept side while the dial side
-	// is still working. The setup must cancel and join the dial goroutine
-	// before tearing the half-built mesh down — the old implementation closed
-	// the mesh while the dialer could still be installing peer sockets (a
-	// race, and with an unreachable peer it kept retrying until the full
-	// setup timeout). The error must surface promptly, well inside the
-	// generous 30s mesh timeout.
-	for round := 0; round < 8; round++ {
+	// its peers: party 0 is either unreachable (the dial loop keeps retrying)
+	// or completes the handshake and idles, and party 2 never shows up — all
+	// party 1 ever accepts is a connection with a malformed hello. Set-up
+	// must give up at DialTimeout with the typed error, and must not leave
+	// its accept loop, dial loops, link readers or heartbeat senders running.
+	before := runtime.NumGoroutine()
+	for round := 0; round < 4; round++ {
 		deadDialPeer := round%2 == 0
 		addrs := freeAddrs(t, 3)
 
 		var party0 net.Listener
 		if deadDialPeer {
-			addrs[0] = "127.0.0.1:1" // refused: the dial loop retries until cancelled
+			addrs[0] = "127.0.0.1:1" // refused: the dial loop retries until stopped
 		} else {
 			var err error
 			party0, err = net.Listen("tcp", addrs[0])
@@ -565,23 +519,25 @@ func TestTCPDialMeshMidHandshakeFailure(t *testing.T) {
 				if err != nil {
 					return
 				}
-				var hello [4]byte
+				defer conn.Close()
+				var hello [muxHelloLen]byte
 				io.ReadFull(conn, hello[:])
+				io.Copy(io.Discard, conn) // until party 1 hangs up
 			}()
 		}
 
 		done := make(chan error, 1)
 		go func() {
-			c, err := DialMesh(1, 3, addrs, 30*time.Second)
-			if c != nil {
-				c.Close()
+			m, err := DialMeshMux(1, 3, addrs, MeshOptions{DialTimeout: 400 * time.Millisecond})
+			if m != nil {
+				m.Close()
 			}
 			done <- err
 		}()
 
-		// Fake party 2: connect to party 1's listener and send a malformed
-		// hello claiming to be party 0 (only higher-numbered parties may
-		// introduce themselves on the accept side).
+		// Fake party 2: connect to party 1's listener and send a hello
+		// claiming to be party 0 (only higher-ranked parties may introduce
+		// themselves on the accept side).
 		var bad net.Conn
 		var err error
 		for i := 0; ; i++ {
@@ -594,25 +550,32 @@ func TestTCPDialMeshMidHandshakeFailure(t *testing.T) {
 			}
 			time.Sleep(2 * time.Millisecond)
 		}
-		var hello [4]byte // hello for "party 0"
+		var hello [muxHelloLen]byte
+		binary.LittleEndian.PutUint32(hello[0:], muxHelloMagic)
+		binary.LittleEndian.PutUint32(hello[4:], muxHelloVersion)
 		if _, err := bad.Write(hello[:]); err != nil {
 			t.Fatal(err)
 		}
 
 		select {
 		case err := <-done:
-			if err == nil {
-				t.Fatal("mesh setup with a malformed hello succeeded")
-			}
-			if !strings.Contains(err.Error(), "bad hello") {
-				t.Fatalf("unexpected setup error: %v", err)
+			if !errors.Is(err, ErrPeerDown) {
+				t.Fatalf("mesh set-up without party 2: %v, want ErrPeerDown", err)
 			}
 		case <-time.After(10 * time.Second):
-			t.Fatal("DialMesh did not cancel the surviving setup goroutine")
+			t.Fatal("DialMeshMux did not give up at DialTimeout")
 		}
 		bad.Close()
 		if party0 != nil {
 			party0.Close()
 		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines before, %d after: failed mesh set-ups left goroutines running",
+				before, runtime.NumGoroutine())
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }

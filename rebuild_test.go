@@ -69,7 +69,7 @@ func rebuildFederation(t *testing.T, n int, seed uint64) *Federation {
 }
 
 // TestRebuildQueriesDuringBuild runs oracle-checked queries from several
-// goroutines while a parallel index build is in flight. The weights never
+// goroutines while an index build is in flight. The weights never
 // change, so every answer — before, during, and after the swap — must match
 // one fixed oracle, whichever index generation served it.
 func TestRebuildQueriesDuringBuild(t *testing.T) {
@@ -77,7 +77,7 @@ func TestRebuildQueriesDuringBuild(t *testing.T) {
 	joint := liveJoint(f)
 
 	buildDone := make(chan error, 1)
-	go func() { buildDone <- f.BuildIndexWith(IndexParams{Workers: 4}) }()
+	go func() { buildDone <- f.BuildIndexWith(IndexParams{}) }()
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -141,7 +141,7 @@ func TestRebuildConflict(t *testing.T) {
 	f := rebuildFederation(t, 260, 60)
 
 	buildDone := make(chan error, 1)
-	go func() { buildDone <- f.BuildIndexWith(IndexParams{Workers: 4}) }()
+	go func() { buildDone <- f.BuildIndexWith(IndexParams{}) }()
 
 	// Wait until the build is observably in flight, then invalidate its
 	// snapshot.
@@ -182,7 +182,7 @@ func TestRebuildConflictRetry(t *testing.T) {
 	f := rebuildFederation(t, 260, 70)
 
 	buildDone := make(chan error, 1)
-	go func() { buildDone <- f.BuildIndexWith(IndexParams{Workers: 4, RebuildOnConflict: 3}) }()
+	go func() { buildDone <- f.BuildIndexWith(IndexParams{RebuildOnConflict: 3}) }()
 
 	deadline := time.Now().Add(5 * time.Second)
 	for !f.IndexBuilding() && time.Now().Before(deadline) {
