@@ -93,7 +93,7 @@ func main() {
 		cacheCap = flag.Int("cache", 4096, "traffic-version-keyed result cache capacity in entries (0 = off)")
 		persist  = flag.String("persist", "", "directory for state snapshots + traffic WAL; restarts restore the index without an MPC rebuild")
 		pprofOn  = flag.Bool("pprof", false, "mount /debug/pprof/* profiling handlers")
-		prepool  = flag.Int("prepool", 0, "preprocessing pool capacity in comparisons (0 = off)")
+		prepool  = flag.Int("prepool", 0, "preprocessing pool capacity in comparisons, buffered as 64-lane blocks (0 = off)")
 		poolWkrs = flag.Int("prepool-workers", 1, "preprocessing pool replenisher goroutines")
 
 		roundTimeout = flag.Duration("round-timeout", 0, "per-frame MPC round timeout; a slow/dead silo fails the query with 503/504 instead of hanging it (protocol mode; 0 = no timeout)")

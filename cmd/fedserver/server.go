@@ -743,7 +743,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Mesh           *meshStatsJSON     `json:"mesh,omitempty"`
 		PooledIdle     int                `json:"pooled_sessions"`
 		Discarded      int64              `json:"poisoned_sessions_discarded"`
-		PoolProduced   int64              `json:"prepool_produced"`
+		PoolProduced   int64              `json:"prepool_produced"` // prepool_*: 64-lane blocks
 		PoolHits       int64              `json:"prepool_hits"`
 		PoolMisses     int64              `json:"prepool_misses"`
 		Metrics        map[string]float64 `json:"metrics"`

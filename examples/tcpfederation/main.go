@@ -32,7 +32,7 @@ func main() {
 	// The preprocessing dealer distributes correlated randomness for one
 	// comparison (in production this is the MPC stack's offline phase).
 	dealer := mpc.NewDealer(parties, 99)
-	tuples := dealer.CmpTuples()
+	blocks := dealer.CmpTuples()
 
 	// Reserve localhost ports for the mesh.
 	addrs := make([]string, parties)
@@ -65,7 +65,7 @@ func main() {
 			if err != nil {
 				log.Fatalf("silo %d: %v", p, err)
 			}
-			results[p], err = mpc.RunCompareParty(meshes[p].OpenLane(), costA[p]-costB[p], &tuples[p])
+			results[p], err = mpc.RunCompareParty(meshes[p].OpenLane(), costA[p]-costB[p], &blocks[p])
 			if err != nil {
 				log.Fatalf("silo %d: %v", p, err)
 			}

@@ -165,9 +165,11 @@ type Config struct {
 	Bandwidth float64       // modeled bandwidth in bytes/s (default 1 GB/s)
 
 	// PreprocessPool, when positive, starts a background preprocessing pool
-	// holding up to this many comparisons' correlated randomness, generated
-	// ahead of demand so protocol-mode queries rarely pay the offline phase
-	// on the critical path. Call Close to release the pool's workers.
+	// holding up to this many comparisons' correlated randomness — buffered
+	// as ⌈PreprocessPool/64⌉ 64-lane blocks, the unit PoolStats counts —
+	// generated ahead of demand so protocol-mode queries rarely pay the
+	// offline phase on the critical path. Call Close to release the pool's
+	// workers.
 	PreprocessPool int
 	// PreprocessWorkers is the number of pool replenisher goroutines
 	// (default 1; only meaningful with PreprocessPool > 0).
@@ -425,13 +427,13 @@ func New(g *Graph, w0 Weights, siloWeights []Weights, cfg ...Config) (*Federatio
 			return nil, err
 		}
 		pool := f.pool
-		reg.CounterFunc("fedroad_prepool_produced_total", "correlated-randomness tuple sets generated by the preprocessing pool", nil,
+		reg.CounterFunc("fedroad_prepool_produced_total", "64-lane correlated-randomness blocks dealt by the preprocessing pool", nil,
 			func() float64 { return float64(pool.Stats().Produced) })
-		reg.CounterFunc("fedroad_prepool_hits_total", "comparisons served from the preprocessing pool", nil,
+		reg.CounterFunc("fedroad_prepool_hits_total", "Fed-SAC batch words (64 lanes) served from the preprocessing pool", nil,
 			func() float64 { return float64(pool.Stats().Hits) })
-		reg.CounterFunc("fedroad_prepool_misses_total", "comparisons that fell back to on-demand randomness generation", nil,
+		reg.CounterFunc("fedroad_prepool_misses_total", "Fed-SAC batch words that fell back to on-demand randomness generation", nil,
 			func() float64 { return float64(pool.Stats().Misses) })
-		reg.GaugeFunc("fedroad_prepool_buffered", "tuple sets currently ready in the preprocessing pool", nil,
+		reg.GaugeFunc("fedroad_prepool_buffered", "64-lane blocks currently ready in the preprocessing pool (0 = dry)", nil,
 			func() float64 { return float64(pool.Stats().Buffered) })
 	}
 	return f, nil
@@ -574,8 +576,8 @@ func (f *Federation) BreakMeshLink(a, b int) {
 // online) from "no pool at all" (PoolStats is all zeros either way).
 func (f *Federation) HasPool() bool { return f.pool != nil }
 
-// PoolStats reports preprocessing-pool activity; the zero value when no pool
-// is configured.
+// PoolStats reports preprocessing-pool activity, counted in 64-lane blocks;
+// the zero value when no pool is configured.
 func (f *Federation) PoolStats() mpc.PoolStats {
 	if f.pool == nil {
 		return mpc.PoolStats{}

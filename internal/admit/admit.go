@@ -7,10 +7,11 @@
 // instead of a timeout.
 //
 // The bound is prepool-aware: when the preprocessing pool that feeds
-// protocol-mode comparisons runs dry, every admitted query is slower (it pays
-// the offline phase online), so the same queue length represents more wall
-// time. The gate halves its effective limit while the pool is empty,
-// shedding earlier exactly when queries are at their slowest.
+// protocol-mode comparisons runs dry (no 64-lane randomness block buffered),
+// every admitted query is slower (it pays the offline phase online), so the
+// same queue length represents more wall time. The gate halves its effective
+// limit while the pool is empty, shedding earlier exactly when queries are at
+// their slowest.
 package admit
 
 import (
@@ -25,7 +26,7 @@ var ErrShed = errors.New("admit: overloaded, request shed")
 // Gate bounds in-system requests. The zero value is not usable; call New.
 type Gate struct {
 	limit     int64      // max in-system (running + queued); <= 0 = unlimited
-	poolDepth func() int // correlated-randomness prepool depth; nil = no prepool
+	poolDepth func() int // prepool depth in buffered blocks; nil = no prepool
 	depth     atomic.Int64
 	admitted  atomic.Int64
 	shed      atomic.Int64
@@ -43,7 +44,7 @@ type Stats struct {
 
 // New builds a gate admitting at most limit concurrent requests (<= 0 means
 // unlimited — the gate only counts). poolDepth, when non-nil, reports the
-// preprocessing pool's buffered tuple count; a dry pool halves the effective
+// preprocessing pool's buffered block count; a dry pool halves the effective
 // limit.
 func New(limit int, poolDepth func() int) *Gate {
 	return &Gate{limit: int64(limit), poolDepth: poolDepth}

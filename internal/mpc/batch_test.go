@@ -2,6 +2,7 @@ package mpc
 
 import (
 	"math/rand/v2"
+	"runtime/debug"
 	"testing"
 )
 
@@ -164,6 +165,52 @@ func TestCompareIsCompareBatchOfOne(t *testing.T) {
 		}) {
 			t.Fatalf("mode %v: 60 single compares cost %+v, PerCompareCost (%d B, %d rounds, %v)",
 				mode, e.Stats(), bytes, rounds, simNet)
+		}
+	}
+}
+
+// raceEnabled reports whether the test binary was built with -race, whose
+// instrumentation allocates on its own.
+func raceEnabled() bool {
+	bi, _ := debug.ReadBuildInfo()
+	for _, s := range bi.Settings {
+		if s.Key == "-race" {
+			return s.Value == "true"
+		}
+	}
+	return false
+}
+
+// TestCompareAllocBudget bounds what one protocol instance allocates over the
+// in-process transport. The randomness of a batch word is one allocation (the
+// deal's n blocks), so a lone comparison and a full 64-lane batch cost the
+// same handful of frames, channel messages and goroutines.
+func TestCompareAllocBudget(t *testing.T) {
+	if raceEnabled() {
+		t.Skip("race instrumentation allocates")
+	}
+	e := newTestEngine(t, 3, ModeProtocol)
+	defer e.Close()
+	one, _ := randomBatch(rand.New(rand.NewPCG(9, 9)), 3, 1)
+	batch, _ := randomBatch(rand.New(rand.NewPCG(9, 10)), 3, 64)
+	for _, tc := range []struct {
+		name string
+		run  func() error
+	}{
+		{"Compare", func() error { _, err := e.Compare(one[0]); return err }},
+		{"CompareBatch(64)", func() error { _, err := e.CompareBatch(batch); return err }},
+	} {
+		var err error
+		allocs := testing.AllocsPerRun(50, func() {
+			if rerr := tc.run(); rerr != nil {
+				err = rerr
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs > 200 {
+			t.Errorf("%s: %.0f allocations per run, budget 200", tc.name, allocs)
 		}
 	}
 }

@@ -32,10 +32,11 @@ import (
 // RunCompareParty executes one party's role of a single secure comparison
 // over an arbitrary transport (e.g. a TCP mesh spanning real processes): the
 // party contributes the private difference diff = a_p − b_p and learns only
-// whether Σ_p diff_p < 0. The party's tuple must come from the same dealer
-// batch as every other party's (the preprocessing phase).
-func RunCompareParty(conn transport.Conn, diff int64, tup *CmpTuple) (bool, error) {
-	out, err := RunCompareBatchParty(conn, []int64{diff}, []CmpTuple{*tup})
+// whether Σ_p diff_p < 0. The party's block must come from the same deal as
+// every other party's (the preprocessing phase); lane 0 of it is consumed
+// and the rest discarded.
+func RunCompareParty(conn transport.Conn, diff int64, block *TupleBlock) (bool, error) {
+	out, err := RunCompareBatchParty(conn, []int64{diff}, []*TupleBlock{block})
 	if err != nil {
 		return false, err
 	}
@@ -44,30 +45,25 @@ func RunCompareParty(conn transport.Conn, diff int64, tup *CmpTuple) (bool, erro
 
 // RunCompareBatchParty executes one party's role for k comparisons at once
 // over an arbitrary transport. diffs[i] is the party's private input d_p of
-// instance i and tups[i] its slice of the dealer's correlated randomness for
-// that instance; the protocol decides, per instance, whether D = Σ_p d_p
-// (as a two's-complement signed value) is negative. Every party learns the
-// same k bits and nothing else.
+// instance i, whose correlated randomness is lane i%64 of blocks[i/64] — this
+// party's blocks of ⌈k/64⌉ deals, read in place; the protocol decides, per
+// instance, whether D = Σ_p d_p (as a two's-complement signed value) is
+// negative. Every party learns the same k bits and nothing else.
 //
 // This is the only function that performs comparison rounds: each circuit
 // wire holds one bit of every instance in machine-word lanes (see pack.go),
 // so the level-synchronous Beaver evaluation is 64-way SIMD in plain uint64
 // arithmetic.
-func RunCompareBatchParty(conn transport.Conn, diffs []int64, tups []CmpTuple) ([]bool, error) {
+func RunCompareBatchParty(conn transport.Conn, diffs []int64, blocks []*TupleBlock) ([]bool, error) {
 	me, n := conn.Party(), conn.N()
 	k := len(diffs)
-	if len(tups) != k {
-		return nil, fmt.Errorf("mpc: %d tuples for %d comparisons", len(tups), k)
+	W := wordsFor(k)
+	if len(blocks) != W {
+		return nil, fmt.Errorf("mpc: %d tuple blocks for %d comparisons, need %d", len(blocks), k, W)
 	}
 	if k == 0 {
 		return nil, nil
 	}
-	for i := range tups {
-		if len(tups[i].Triples) < TriplesPerCompare {
-			return nil, fmt.Errorf("mpc: tuple %d holds %d bit triples, need %d", i, len(tups[i].Triples), TriplesPerCompare)
-		}
-	}
-	W := wordsFor(k)
 
 	// Round 1 — fused masked openings C_i = D_i + R_i, all in one frame. The
 	// inputs d_p already form an additive sharing of D, so instead of a
@@ -77,7 +73,7 @@ func RunCompareBatchParty(conn transport.Conn, diffs []int64, tups []CmpTuple) (
 	// observer does not hold), and their sum opens only C = D + R.
 	frame := getFrame(8 * k)
 	for i, d := range diffs {
-		putU64(frame[8*i:], uint64(d)+tups[i].RShare)
+		putU64(frame[8*i:], uint64(d)+blocks[i>>6].R[i&63])
 	}
 	opened, err := broadcast(conn, frame)
 	if err != nil {
@@ -92,10 +88,9 @@ func RunCompareBatchParty(conn transport.Conn, diffs []int64, tups []CmpTuple) (
 	}
 	putFrame(frame)
 
-	// Transpose into word lanes: vector b of g starts as the (public) bit b of
-	// every instance's C, vector b of p as this party's XOR share of bit b of
-	// every instance's R (word b*W+w covers instances 64w..64w+63), and
-	// ta/tb/tc hold the triple shares, one vector per gate.
+	// Transpose the openings into word lanes: vector b of g starts as the
+	// (public) bit b of every instance's C (word b*W+w covers instances
+	// 64w..64w+63, as blocks[w] does).
 	g := getWords(K * W)
 	p := getWords(K * W)
 	defer putWords(g)
@@ -106,28 +101,28 @@ func RunCompareBatchParty(conn transport.Conn, diffs []int64, tups []CmpTuple) (
 			g[b*W+wi] |= (c >> uint(b) & 1) << bit
 		}
 	}
-	packRBitLanes(p, tups, W)
-	T := TriplesPerCompare * W
-	tw := make([]uint64, 3*T)
-	ta, tb, tc := tw[:T], tw[T:2*T], tw[2*T:]
-	packTripleLanes(ta, tb, tc, tups, W)
 
 	// Borrow circuit over bits 0..K-2 of C − R. Leaf shares, word-parallel
-	// over instances, computed in place from c_b (in g) and r_b (in p):
+	// over instances, computed from c_b (in g) and this party's share r_b of
+	// bit b of every instance's R:
 	//
 	//	g_b = ¬c_b ∧ r_b          (borrow generated at bit b)
 	//	p_b = ¬(c_b ⊕ r_b)        (borrow propagated through bit b)
 	//
 	// Constants fold into party 0's share. Vector K-1 of g and p keeps the
 	// top bits of C and R for the final round: the reduction below only
-	// touches vectors below NumLeaves. Lanes ≥ k hold garbage derived from
-	// public values only; putLanes drops them.
-	for i := 0; i < NumLeaves*W; i++ {
-		cw, rw := g[i], p[i]
-		g[i] = rw &^ cw
-		if me == 0 {
-			p[i] = rw ^ ^cw
+	// touches vectors below NumLeaves. Lanes ≥ k hold unused randomness and
+	// garbage derived from public values; putLanes drops them.
+	for w, blk := range blocks {
+		for b := 0; b < NumLeaves; b++ {
+			i := b*W + w
+			cw, rw := g[i], blk.RBits[b]
+			g[i], p[i] = rw&^cw, rw
+			if me == 0 {
+				p[i] = rw ^ ^cw
+			}
 		}
+		p[(K-1)*W+w] = blk.RBits[K-1]
 	}
 
 	// Log-depth tree reduction of (g, p) segments, ascending significance:
@@ -155,10 +150,10 @@ func RunCompareBatchParty(conn transport.Conn, diffs []int64, tups []CmpTuple) (
 				if sub == 1 {
 					y = p
 				}
-				for w := 0; w < W; w++ {
-					t := (triplesUsed+gate)*W + w
-					ew[w] = p[hi*W+w] ^ ta[t]
-					fw[w] = y[lo*W+w] ^ tb[t]
+				t := triplesUsed + gate
+				for w, blk := range blocks {
+					ew[w] = p[hi*W+w] ^ blk.A[t]
+					fw[w] = y[lo*W+w] ^ blk.B[t]
 				}
 				putLanes(frame, 2*gate*k, ew, k)
 				putLanes(frame, (2*gate+1)*k, fw, k)
@@ -173,9 +168,9 @@ func RunCompareBatchParty(conn transport.Conn, diffs []int64, tups []CmpTuple) (
 				gate := 2*pr + sub
 				getLanes(ew, frame, 2*gate*k, k)
 				getLanes(fw, frame, (2*gate+1)*k, k)
-				for w := 0; w < W; w++ {
-					t := (triplesUsed+gate)*W + w
-					z := tc[t] ^ (fw[w] & ta[t]) ^ (ew[w] & tb[t])
+				t := triplesUsed + gate
+				for w, blk := range blocks {
+					z := blk.C[t] ^ (fw[w] & blk.A[t]) ^ (ew[w] & blk.B[t])
 					if me == 0 {
 						z ^= ew[w] & fw[w]
 					}

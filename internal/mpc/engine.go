@@ -390,17 +390,6 @@ func (e *Engine) SetRealDelay(on bool) {
 	}
 }
 
-// tuplesForCompare returns one comparison's correlated randomness, preferring
-// the preprocessing pool over on-demand dealer generation.
-func (e *Engine) tuplesForCompare() []CmpTuple {
-	if e.pool != nil {
-		if t := e.pool.TakeTuples(); t != nil {
-			return t
-		}
-	}
-	return e.dealer.CmpTuples()
-}
-
 // N returns the number of parties.
 func (e *Engine) N() int { return e.n }
 
@@ -512,9 +501,6 @@ func (e *Engine) CompareBatch(diffs [][]int64) ([]bool, error) {
 		if err != nil {
 			return nil, err
 		}
-		if e.mem != nil {
-			e.mem.ResetStats()
-		}
 	default:
 		return nil, fmt.Errorf("mpc: unknown mode %d", e.mode)
 	}
@@ -561,7 +547,6 @@ func (e *Engine) runProtocol(diffs [][]int64) ([]bool, error) {
 		}
 		if e.mem != nil {
 			e.mem.Drain()
-			e.mem.ResetStats()
 		} else {
 			e.drain()
 		}
@@ -572,16 +557,18 @@ func (e *Engine) runProtocol(diffs [][]int64) ([]bool, error) {
 }
 
 // runProtocolOnce executes one batched comparison across party goroutines,
-// each instance on its own tuple set from the pool or the dealer.
+// each batch word on a fresh deal: from the preprocessing pool when it has
+// one, else from the engine's dealer. Deals are independent, so a batch may
+// mix both sources.
 func (e *Engine) runProtocolOnce(diffs [][]int64) ([]bool, error) {
 	k := len(diffs)
-	tuples := make([][]CmpTuple, e.n) // [party][instance]
-	for p := range tuples {
-		tuples[p] = make([]CmpTuple, k)
-	}
-	for i := 0; i < k; i++ {
-		for p, t := range e.tuplesForCompare() {
-			tuples[p][i] = t
+	deals := make([][]TupleBlock, wordsFor(k)) // [word][party]
+	for w := range deals {
+		if e.pool != nil {
+			deals[w] = e.pool.TakeBlocks()
+		}
+		if deals[w] == nil {
+			deals[w] = e.dealer.CmpTuples()
 		}
 	}
 	results := make([][]bool, e.n)
@@ -595,7 +582,11 @@ func (e *Engine) runProtocolOnce(diffs [][]int64) ([]bool, error) {
 			for i := range mine {
 				mine[i] = diffs[i][p]
 			}
-			results[p], errs[p] = RunCompareBatchParty(e.conns[p], mine, tuples[p])
+			blocks := make([]*TupleBlock, len(deals))
+			for w := range blocks {
+				blocks[w] = &deals[w][p]
+			}
+			results[p], errs[p] = RunCompareBatchParty(e.conns[p], mine, blocks)
 		}(p)
 	}
 	wg.Wait()

@@ -47,8 +47,8 @@ func FuzzShareAdditive(f *testing.F) {
 	f.Fuzz(func(t *testing.T, secret uint64, nRaw uint8) {
 		n := 2 + int(nRaw%15)
 		rng := testRNG(uint64(nRaw) + 1)
-		shares := ShareAdditive(rng, secret, n)
-		if ReconstructAdditive(shares) != secret {
+		shares := shareAdditive(rng, secret, n)
+		if reconstructAdditive(shares) != secret {
 			t.Fatalf("reconstruction failed for %d/%d", secret, n)
 		}
 	})

@@ -2,6 +2,8 @@ package mpc
 
 import (
 	"errors"
+	"math"
+	"math/bits"
 	"math/rand/v2"
 	"reflect"
 	"testing"
@@ -16,11 +18,11 @@ func TestShareAdditiveRoundTrip(t *testing.T) {
 	rng := testRNG(1)
 	f := func(secret uint64, nRaw uint8) bool {
 		n := 2 + int(nRaw%7)
-		shares := ShareAdditive(rng, secret, n)
+		shares := shareAdditive(rng, secret, n)
 		if len(shares) != n {
 			return false
 		}
-		return ReconstructAdditive(shares) == secret
+		return reconstructAdditive(shares) == secret
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
@@ -29,8 +31,8 @@ func TestShareAdditiveRoundTrip(t *testing.T) {
 
 func TestShareAdditiveSharesVary(t *testing.T) {
 	rng := testRNG(2)
-	a := ShareAdditive(rng, 42, 3)
-	b := ShareAdditive(rng, 42, 3)
+	a := shareAdditive(rng, 42, 3)
+	b := shareAdditive(rng, 42, 3)
 	if a[0] == b[0] && a[1] == b[1] && a[2] == b[2] {
 		t.Fatal("two sharings of the same secret produced identical shares")
 	}
@@ -39,10 +41,10 @@ func TestShareAdditiveSharesVary(t *testing.T) {
 func TestShareBitRoundTrip(t *testing.T) {
 	rng := testRNG(3)
 	for n := 2; n <= 6; n++ {
-		for bit := Bit(0); bit <= 1; bit++ {
+		for bit := byte(0); bit <= 1; bit++ {
 			for i := 0; i < 50; i++ {
-				shares := ShareBit(rng, bit, n)
-				if got := ReconstructBit(shares); got != bit {
+				shares := shareBit(rng, bit, n)
+				if got := reconstructBit(shares); got != bit {
 					t.Fatalf("n=%d bit=%d reconstructed %d", n, bit, got)
 				}
 			}
@@ -57,7 +59,7 @@ func TestShareUniformity(t *testing.T) {
 	const trials = 4000
 	ones := 0
 	for i := 0; i < trials; i++ {
-		shares := ShareAdditive(rng, 12345, 3)
+		shares := shareAdditive(rng, 12345, 3)
 		if shares[1]>>63 == 1 {
 			ones++
 		}
@@ -68,7 +70,7 @@ func TestShareUniformity(t *testing.T) {
 }
 
 func TestPackUnpackBits(t *testing.T) {
-	bits := []Bit{1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1}
+	bits := []byte{1, 0, 1, 1, 0, 0, 1, 0, 1, 1, 1}
 	buf := make([]byte, (len(bits)+7)/8)
 	packBits(buf, bits)
 	for i, b := range bits {
@@ -78,38 +80,94 @@ func TestPackUnpackBits(t *testing.T) {
 	}
 }
 
-func TestDealerTupleConsistency(t *testing.T) {
+// combineBlocks recombines a deal's shares, leaving out party skip (−1: none):
+// R lane-wise by addition, the bit vectors by XOR.
+func combineBlocks(deal []TupleBlock, skip int) TupleBlock {
+	var x TupleBlock
+	for p := range deal {
+		if p == skip {
+			continue
+		}
+		for i := range x.R {
+			x.R[i] += deal[p].R[i]
+		}
+		for b := range x.RBits {
+			x.RBits[b] ^= deal[p].RBits[b]
+		}
+		for tr := range x.A {
+			x.A[tr] ^= deal[p].A[tr]
+			x.B[tr] ^= deal[p].B[tr]
+			x.C[tr] ^= deal[p].C[tr]
+		}
+	}
+	return x
+}
+
+// checkDeal asserts the dealer invariants on one deal (a block per party):
+// in every lane the additive shares of R sum to the value whose bit b is the
+// XOR of the parties' RBits[b], and every triple holds in every lane.
+func checkDeal(t *testing.T, deal []TupleBlock) {
+	t.Helper()
+	x := combineBlocks(deal, -1)
+	for i, r := range x.R {
+		for b := range x.RBits {
+			if x.RBits[b]>>uint(i)&1 != r>>uint(b)&1 {
+				t.Fatalf("lane %d: R bit %d inconsistent with additive sharing", i, b)
+			}
+		}
+	}
+	for tr := range x.A {
+		if x.C[tr] != x.A[tr]&x.B[tr] {
+			t.Fatalf("triple %d violated: a=%x b=%x c=%x", tr, x.A[tr], x.B[tr], x.C[tr])
+		}
+	}
+}
+
+// TestDealerBlocksReconstruct: ten consecutive deals — the blocks of a 1-, a
+// 2-, a 3- and a 4-word batch — each reconstruct, which is the invariant the
+// kernel relies on when it indexes blocks in place.
+func TestDealerBlocksReconstruct(t *testing.T) {
 	for _, n := range []int{2, 3, 5} {
 		d := NewDealer(n, 99)
-		for trial := 0; trial < 10; trial++ {
-			tuples := d.CmpTuples()
-			if len(tuples) != n {
-				t.Fatalf("n=%d: got %d tuples", n, len(tuples))
+		for i := 0; i < 1+2+3+4; i++ {
+			deal := d.CmpTuples()
+			if len(deal) != n {
+				t.Fatalf("n=%d: got %d blocks", n, len(deal))
 			}
-			// Additive shares of R must agree with the XOR-shared bits of R.
-			var r uint64
-			for _, tp := range tuples {
-				r += tp.RShare
+			checkDeal(t, deal)
+		}
+	}
+}
+
+// TestDealerCoalitionViewIsUniform: what any n−1 parties hold of a share
+// vector is uniform — party 0's share is the secret XOR the rest, and every
+// other share is a raw PRG word — so over 4,096 deals the bits of the
+// coalition's XOR are set about half the time, whichever party is left out.
+func TestDealerCoalitionViewIsUniform(t *testing.T) {
+	const deals = 4096
+	fields := []string{"RBits", "A", "B", "C"}
+	for _, n := range []int{2, 3, 5} {
+		d := NewDealer(n, 61)
+		ones := make([][4]int, n) // [party left out][field] set bits
+		vectors := make([]int, 4) // [field] vectors per block
+		for i := 0; i < deals; i++ {
+			deal := d.CmpTuples()
+			for out := range ones {
+				x := combineBlocks(deal, out)
+				for f, vecs := range [][]uint64{x.RBits[:], x.A[:], x.B[:], x.C[:]} {
+					vectors[f] = len(vecs)
+					for _, v := range vecs {
+						ones[out][f] += bits.OnesCount64(v)
+					}
+				}
 			}
-			for i := 0; i < K; i++ {
-				var bit Bit
-				for _, tp := range tuples {
-					bit ^= tp.RBits[i]
-				}
-				if bit != Bit(r>>uint(i))&1 {
-					t.Fatalf("n=%d: R bit %d inconsistent with additive sharing", n, i)
-				}
-			}
-			// Every triple must satisfy c = a AND b jointly.
-			for idx := 0; idx < TriplesPerCompare; idx++ {
-				var a, b, c Bit
-				for _, tp := range tuples {
-					a ^= tp.Triples[idx].A
-					b ^= tp.Triples[idx].B
-					c ^= tp.Triples[idx].C
-				}
-				if c != a&b {
-					t.Fatalf("n=%d: triple %d violated: a=%d b=%d c=%d", n, idx, a, b, c)
+		}
+		for out := range ones {
+			for f, name := range fields {
+				total := float64(64 * vectors[f] * deals)
+				if dev := math.Abs(float64(ones[out][f]) - total/2); dev > 4*math.Sqrt(total)/2 {
+					t.Fatalf("n=%d without party %d: %s has %d of %.0f bits set, beyond 4σ of half",
+						n, out, name, ones[out][f], total)
 				}
 			}
 		}
@@ -119,16 +177,42 @@ func TestDealerTupleConsistency(t *testing.T) {
 func TestDealerDeterministic(t *testing.T) {
 	a := NewDealer(3, 7).CmpTuples()
 	b := NewDealer(3, 7).CmpTuples()
-	if a[0].RShare != b[0].RShare || a[1].RBits != b[1].RBits {
-		t.Fatal("same seed produced different tuples")
+	if !reflect.DeepEqual(a, b) {
+		t.Fatal("same seed produced different blocks")
 	}
 	c := NewDealer(3, 8).CmpTuples()
-	if a[0].RShare == c[0].RShare && a[0].RBits == c[0].RBits {
-		t.Fatal("different seeds produced identical tuples")
+	if a[0].R == c[0].R || a[1].RBits == c[1].RBits {
+		t.Fatal("different seeds produced identical blocks")
 	}
 }
 
+// combinesFor counts the combine nodes of a binary reduction tree.
+func combinesFor(leaves int) int {
+	total := 0
+	for leaves > 1 {
+		total += leaves / 2
+		leaves = leaves/2 + leaves%2
+	}
+	return total
+}
+
+// circuitLevels counts the rounds the borrow circuit needs.
+func circuitLevels(leaves int) int {
+	levels := 0
+	for leaves > 1 {
+		leaves = leaves/2 + leaves%2
+		levels++
+	}
+	return levels
+}
+
+// TestCircuitSizeConstants pins the declared constants to the circuit they
+// describe.
 func TestCircuitSizeConstants(t *testing.T) {
+	if TriplesPerCompare != 2*combinesFor(NumLeaves) || RoundsPerCompare != 2+circuitLevels(NumLeaves) {
+		t.Fatalf("TriplesPerCompare %d / RoundsPerCompare %d do not match the circuit over %d leaves: %d / %d",
+			TriplesPerCompare, RoundsPerCompare, NumLeaves, 2*combinesFor(NumLeaves), 2+circuitLevels(NumLeaves))
+	}
 	if combinesFor(63) != 62 {
 		t.Fatalf("combinesFor(63) = %d, want 62", combinesFor(63))
 	}

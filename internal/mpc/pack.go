@@ -5,9 +5,8 @@ import "sync"
 // Word-lane bit-sharing: the comparison protocol keeps one bit of every
 // instance in the same machine-word lane, so a 64-lane XOR, AND or Beaver
 // masking step costs one uint64 operation instead of 64 byte operations. The
-// dealer still deals per-instance CmpTuples (so the preprocessing pool and
-// its correctness tests are unchanged); the protocol transposes k tuples
-// into word lanes at the start of a run.
+// dealer deals its randomness in the same lanes (TupleBlock), one block per
+// word of a batch.
 //
 // Lane layout: instance i of a k-batch lives in bit i%64 of word i/64. A
 // "vector" is one logical bit per instance — []uint64 of wordsFor(k) words.
@@ -56,36 +55,6 @@ func getLanes(dst []uint64, src []byte, pos, k int) {
 			v &= 1<<uint(nbits) - 1
 		}
 		dst[w] = v
-	}
-}
-
-// packRBitLanes transposes the k instances' R-bit shares into word lanes:
-// dst (K·W zeroed words) receives K vectors of W words each; vector b is the
-// packed XOR share of bit b of every instance's mask R.
-func packRBitLanes(dst []uint64, tups []CmpTuple, W int) {
-	for i := range tups {
-		wi, bit := i>>6, uint(i&63)
-		for b := 0; b < K; b++ {
-			dst[b*W+wi] |= uint64(tups[i].RBits[b]&1) << bit
-		}
-	}
-}
-
-// packTripleLanes transposes the k instances' Beaver bit triples into word
-// lanes: each of a, b, c (TriplesPerCompare·W zeroed words) receives one
-// vector per triple, word t*W+w packing the shares of triple t's component
-// for instances 64w..64w+63. Triple t serves the same circuit gate in every
-// instance, so the circuit consumes each instance's randomness in dealer
-// order.
-func packTripleLanes(a, b, c []uint64, tups []CmpTuple, W int) {
-	for i := range tups {
-		wi, bit := i>>6, uint(i&63)
-		for t := 0; t < TriplesPerCompare; t++ {
-			tr := &tups[i].Triples[t]
-			a[t*W+wi] |= uint64(tr.A&1) << bit
-			b[t*W+wi] |= uint64(tr.B&1) << bit
-			c[t*W+wi] |= uint64(tr.C&1) << bit
-		}
 	}
 }
 

@@ -90,40 +90,6 @@ func TestLaneCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPackedTransposeMatchesScalarTuples: the lane transposes agree with the
-// per-instance tuples bit for bit.
-func TestPackedTransposeMatchesScalarTuples(t *testing.T) {
-	dealer := NewDealer(3, 21)
-	const k = 70
-	tups := make([]CmpTuple, k)
-	for i := range tups {
-		tups[i] = dealer.CmpTuples()[1]
-	}
-	W := wordsFor(k)
-	rb := make([]uint64, K*W)
-	ta := make([]uint64, TriplesPerCompare*W)
-	tb := make([]uint64, TriplesPerCompare*W)
-	tc := make([]uint64, TriplesPerCompare*W)
-	packRBitLanes(rb, tups, W)
-	packTripleLanes(ta, tb, tc, tups, W)
-	for i := 0; i < k; i++ {
-		for b := 0; b < K; b++ {
-			want := uint64(tups[i].RBits[b] & 1)
-			if rb[b*W+i>>6]>>(uint(i)&63)&1 != want {
-				t.Fatalf("RBits lane mismatch at instance %d bit %d", i, b)
-			}
-		}
-		for tr := 0; tr < TriplesPerCompare; tr++ {
-			w, bit := tr*W+i>>6, uint(i)&63
-			if ta[w]>>bit&1 != uint64(tups[i].Triples[tr].A&1) ||
-				tb[w]>>bit&1 != uint64(tups[i].Triples[tr].B&1) ||
-				tc[w]>>bit&1 != uint64(tups[i].Triples[tr].C&1) {
-				t.Fatalf("triple lane mismatch at instance %d triple %d", i, tr)
-			}
-		}
-	}
-}
-
 // FuzzPackedVecCodec fuzzes the dense bit-stream codec: any byte string read
 // as consecutive k-lane vectors starting at any bit offset must survive
 // getLanes→putLanes with its live bits intact, and every bit of the

@@ -6,20 +6,20 @@ import (
 	"time"
 )
 
-// waitForBuffer polls until the pool has buffered at least want tuple sets.
+// waitForBuffer polls until the pool has buffered at least want deals.
 func waitForBuffer(t *testing.T, p *Pool, want int) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for p.Stats().Buffered < want {
 		if time.Now().After(deadline) {
-			t.Fatalf("pool never buffered %d tuple sets (stats %+v)", want, p.Stats())
+			t.Fatalf("pool never buffered %d deals (stats %+v)", want, p.Stats())
 		}
 		time.Sleep(time.Millisecond)
 	}
 }
 
 func TestPoolReplenishes(t *testing.T) {
-	p := NewPool(3, 16, 2, 11)
+	p := NewPool(3, 1000, 2, 11) // capacity in comparisons: ⌈1000/64⌉ = 16 deals
 	defer p.Close()
 	waitForBuffer(t, p, 16)
 	st := p.Stats()
@@ -32,50 +32,27 @@ func TestPoolReplenishes(t *testing.T) {
 }
 
 func TestPoolTupleConsistency(t *testing.T) {
-	// Pool-dealt tuples must satisfy the same dealer invariants as on-demand
+	// Pool-dealt blocks must satisfy the same dealer invariants as on-demand
 	// ones: r reconstructs from the bit shares, and the Beaver triples hold.
 	p := NewPool(3, 4, 1, 12)
 	defer p.Close()
 	waitForBuffer(t, p, 1)
-	tuples := p.TakeTuples()
-	if tuples == nil {
-		t.Fatal("TakeTuples returned nil on a non-empty pool")
+	deal := p.TakeBlocks()
+	if deal == nil {
+		t.Fatal("TakeBlocks returned nil on a non-empty pool")
 	}
-	if len(tuples) != 3 {
-		t.Fatalf("tuple set for %d parties, want 3", len(tuples))
+	if len(deal) != 3 {
+		t.Fatalf("deal for %d parties, want 3", len(deal))
 	}
-	var r uint64
-	for _, tp := range tuples {
-		r += tp.RShare
-	}
-	for i := 0; i < K; i++ {
-		var bit Bit
-		for _, tp := range tuples {
-			bit ^= tp.RBits[i]
-		}
-		if bit != Bit(r>>uint(i))&1 {
-			t.Fatalf("R bit %d inconsistent with additive sharing", i)
-		}
-	}
-	for idx := 0; idx < TriplesPerCompare; idx++ {
-		var a, b, c Bit
-		for _, tp := range tuples {
-			a ^= tp.Triples[idx].A
-			b ^= tp.Triples[idx].B
-			c ^= tp.Triples[idx].C
-		}
-		if c != a&b {
-			t.Fatalf("triple %d violated: a=%d b=%d c=%d", idx, a, b, c)
-		}
-	}
+	checkDeal(t, deal)
 }
 
 func TestPoolHitsAndMisses(t *testing.T) {
-	p := NewPool(2, 2, 1, 13)
+	p := NewPool(2, 128, 1, 13)
 	defer p.Close()
 	waitForBuffer(t, p, 2)
 
-	if tuples := p.TakeTuples(); tuples == nil {
+	if deal := p.TakeBlocks(); deal == nil {
 		t.Fatal("expected a pool hit")
 	}
 	if st := p.Stats(); st.Hits != 1 {
@@ -85,7 +62,7 @@ func TestPoolHitsAndMisses(t *testing.T) {
 	// Drain faster than one worker can refill: eventually a miss.
 	sawMiss := false
 	for i := 0; i < 10000 && !sawMiss; i++ {
-		sawMiss = p.TakeTuples() == nil
+		sawMiss = p.TakeBlocks() == nil
 	}
 	if !sawMiss {
 		t.Fatal("pool never reported a miss under a hard drain")
@@ -99,9 +76,9 @@ func TestPoolCloseIdempotent(t *testing.T) {
 	p := NewPool(3, 4, 2, 14)
 	p.Close()
 	p.Close() // must not panic or deadlock
-	// Buffered tuples stay takeable after Close.
-	if p.Stats().Buffered > 0 && p.TakeTuples() == nil {
-		t.Fatal("buffered tuples lost on Close")
+	// Buffered deals stay takeable after Close.
+	if p.Stats().Buffered > 0 && p.TakeBlocks() == nil {
+		t.Fatal("buffered deals lost on Close")
 	}
 }
 
@@ -114,8 +91,8 @@ func TestPoolConcurrentTake(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				if tuples := p.TakeTuples(); tuples != nil && len(tuples) != 3 {
-					t.Errorf("tuple set of size %d", len(tuples))
+				if deal := p.TakeBlocks(); deal != nil && len(deal) != 3 {
+					t.Errorf("deal of size %d", len(deal))
 					return
 				}
 			}
@@ -130,9 +107,10 @@ func TestPoolConcurrentTake(t *testing.T) {
 
 func TestEngineWithPoolCorrect(t *testing.T) {
 	// Protocol-mode comparisons must stay correct when their correlated
-	// randomness comes from the pool instead of the engine's own dealer.
-	p := NewPool(3, 32, 1, 16)
-	defer p.Close()
+	// randomness comes from the pool instead of the engine's own dealer, or
+	// from both within one batch. The pool is closed once full — buffered
+	// deals stay takeable, nothing refills — so the split is exact.
+	p := NewPool(3, 9*64, 1, 16)
 	e, err := NewEngine(Params{Parties: 3, Mode: ModeProtocol, Seed: 17})
 	if err != nil {
 		t.Fatal(err)
@@ -140,7 +118,8 @@ func TestEngineWithPoolCorrect(t *testing.T) {
 	if err := e.AttachPool(p); err != nil {
 		t.Fatal(err)
 	}
-	waitForBuffer(t, p, 8)
+	waitForBuffer(t, p, 9)
+	p.Close()
 	cases := []struct {
 		diffs []int64
 		want  bool
@@ -159,8 +138,23 @@ func TestEngineWithPoolCorrect(t *testing.T) {
 			t.Fatalf("Compare(%v) = %v, want %v", c.diffs, got, c.want)
 		}
 	}
-	if p.Stats().Hits == 0 {
-		t.Fatal("engine never drew from the attached pool")
+	// 5 deals left: k = 1 and 64 take one each, 65 takes two, and 200 gets
+	// its first word from the pool and the other three from the dealer.
+	rng := testRNG(17)
+	for _, k := range []int{1, 64, 65, 200} {
+		diffs, want := randomBatch(rng, 3, k)
+		got, err := e.CompareBatch(diffs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("k=%d instance %d (%v) = %v, want %v", k, i, diffs[i], got[i], want[i])
+			}
+		}
+	}
+	if st := p.Stats(); st.Hits != 9 || st.Misses != 3 {
+		t.Fatalf("pool stats %+v, want 9 hits / 3 misses", st)
 	}
 }
 
@@ -268,33 +262,33 @@ func TestRealDelaySlowsProtocol(t *testing.T) {
 }
 
 func TestPoolCloseSemantics(t *testing.T) {
-	p := NewPool(3, 8, 2, 16)
+	p := NewPool(3, 8*64, 2, 16)
 	waitForBuffer(t, p, 8)
 	p.Close()
 	p.Close() // double close must not panic or deadlock
 
-	// Every tuple set buffered before Close stays takeable after it.
+	// Every deal buffered before Close stays takeable after it.
 	buffered := p.Stats().Buffered
 	if buffered != 8 {
 		t.Fatalf("buffered after close = %d, want 8", buffered)
 	}
 	for i := 0; i < buffered; i++ {
-		if tuples := p.TakeTuples(); len(tuples) != 3 {
-			t.Fatalf("take %d after close: tuple set of size %d", i, len(tuples))
+		if deal := p.TakeBlocks(); len(deal) != 3 {
+			t.Fatalf("take %d after close: deal of size %d", i, len(deal))
 		}
 	}
 
-	// Once dry, TakeTuples reports a miss immediately — it must never block,
+	// Once dry, TakeBlocks reports a miss immediately — it must never block,
 	// even with the replenishers gone.
-	done := make(chan []CmpTuple, 1)
-	go func() { done <- p.TakeTuples() }()
+	done := make(chan []TupleBlock, 1)
+	go func() { done <- p.TakeBlocks() }()
 	select {
-	case tuples := <-done:
-		if tuples != nil {
-			t.Fatalf("dry closed pool returned tuples: %v", tuples)
+	case deal := <-done:
+		if deal != nil {
+			t.Fatal("dry closed pool returned a deal")
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("TakeTuples blocked on a dry closed pool")
+		t.Fatal("TakeBlocks blocked on a dry closed pool")
 	}
 	st := p.Stats()
 	if st.Hits != int64(buffered) || st.Misses != 1 {

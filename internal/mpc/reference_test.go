@@ -17,9 +17,84 @@ import (
 // byte-identical transcripts — which is also the proof that a party running
 // the old scalar protocol interoperates with one running the kernel.
 
-// refCompareParty runs one party's role of a single comparison: one Bit per
+// bitTriple is one party's share of a Beaver bit triple (a, b, c) with
+// c = a AND b jointly; only the low bit of each byte is meaningful.
+type bitTriple struct {
+	A, B, C byte
+}
+
+// refTuple is the reference protocol's byte-per-bit view of one party's
+// randomness for a single comparison.
+type refTuple struct {
+	RShare  uint64
+	RBits   [K]byte
+	Triples []bitTriple
+}
+
+// scalarTuple reads instance i's randomness — lane i%64 of blocks[i/64] —
+// out of one party's blocks.
+func scalarTuple(blocks []*TupleBlock, i int) *refTuple {
+	blk, lane := blocks[i>>6], uint(i&63)
+	tup := &refTuple{RShare: blk.R[lane], Triples: make([]bitTriple, TriplesPerCompare)}
+	for b := range tup.RBits {
+		tup.RBits[b] = byte(blk.RBits[b] >> lane & 1)
+	}
+	for t := range tup.Triples {
+		tup.Triples[t] = bitTriple{
+			A: byte(blk.A[t] >> lane & 1),
+			B: byte(blk.B[t] >> lane & 1),
+			C: byte(blk.C[t] >> lane & 1),
+		}
+	}
+	return tup
+}
+
+// shareAdditive splits secret into n uniformly random additive shares over
+// Z_2^64 using the given source of randomness.
+func shareAdditive(rng *rand.Rand, secret uint64, n int) []uint64 {
+	shares := make([]uint64, n)
+	var sum uint64
+	for i := 1; i < n; i++ {
+		shares[i] = rng.Uint64()
+		sum += shares[i]
+	}
+	shares[0] = secret - sum
+	return shares
+}
+
+// reconstructAdditive recombines additive shares.
+func reconstructAdditive(shares []uint64) uint64 {
+	var sum uint64
+	for _, s := range shares {
+		sum += s
+	}
+	return sum
+}
+
+// shareBit splits a secret bit into n XOR shares.
+func shareBit(rng *rand.Rand, secret byte, n int) []byte {
+	shares := make([]byte, n)
+	var acc byte
+	for i := 1; i < n; i++ {
+		shares[i] = byte(rng.Uint64() & 1)
+		acc ^= shares[i]
+	}
+	shares[0] = (secret & 1) ^ acc
+	return shares
+}
+
+// reconstructBit recombines XOR shares of a bit.
+func reconstructBit(shares []byte) byte {
+	var acc byte
+	for _, s := range shares {
+		acc ^= s
+	}
+	return acc & 1
+}
+
+// refCompareParty runs one party's role of a single comparison: one bit per
 // byte for every circuit wire, global bit-packing per frame.
-func refCompareParty(conn transport.Conn, diff uint64, tup *CmpTuple) (bool, error) {
+func refCompareParty(conn transport.Conn, diff uint64, tup *refTuple) (bool, error) {
 	me, n := conn.Party(), conn.N()
 
 	var buf8 [8]byte
@@ -33,10 +108,10 @@ func refCompareParty(conn transport.Conn, diff uint64, tup *CmpTuple) (bool, err
 		c += getU64(opened[q])
 	}
 
-	g := make([]Bit, NumLeaves)
-	p := make([]Bit, NumLeaves)
+	g := make([]byte, NumLeaves)
+	p := make([]byte, NumLeaves)
 	for i := 0; i < NumLeaves; i++ {
-		ci := Bit(c>>uint(i)) & 1
+		ci := byte(c>>uint(i)) & 1
 		ri := tup.RBits[i]
 		if ci == 0 {
 			g[i] = ri
@@ -50,8 +125,8 @@ func refCompareParty(conn transport.Conn, diff uint64, tup *CmpTuple) (bool, err
 	triples := tup.Triples
 	for len(g) > 1 {
 		half := len(g) / 2
-		xs := make([]Bit, 0, 2*half)
-		ys := make([]Bit, 0, 2*half)
+		xs := make([]byte, 0, 2*half)
+		ys := make([]byte, 0, 2*half)
 		for k := 0; k < half; k++ {
 			lo, hi := 2*k, 2*k+1
 			xs = append(xs, p[hi], p[hi])
@@ -65,8 +140,8 @@ func refCompareParty(conn transport.Conn, diff uint64, tup *CmpTuple) (bool, err
 			return false, err
 		}
 		triples = triples[2*half:]
-		ng := make([]Bit, 0, half+1)
-		np := make([]Bit, 0, half+1)
+		ng := make([]byte, 0, half+1)
+		np := make([]byte, 0, half+1)
 		for k := 0; k < half; k++ {
 			ng = append(ng, g[2*k+1]^zs[2*k])
 			np = append(np, zs[2*k+1])
@@ -80,13 +155,13 @@ func refCompareParty(conn transport.Conn, diff uint64, tup *CmpTuple) (bool, err
 
 	resShare := tup.RBits[K-1] ^ g[0]
 	if me == 0 {
-		resShare ^= Bit(c>>(K-1)) & 1
+		resShare ^= byte(c>>(K-1)) & 1
 	}
 	openedBits, err := broadcast(conn, []byte{resShare & 1})
 	if err != nil {
 		return false, err
 	}
-	var result Bit
+	var result byte
 	for q := 0; q < n; q++ {
 		result ^= openedBits[q][0]
 	}
@@ -95,9 +170,9 @@ func refCompareParty(conn transport.Conn, diff uint64, tup *CmpTuple) (bool, err
 
 // refAndBatch evaluates z_i = x_i ∧ y_i over XOR-shared bits with one Beaver
 // triple each and a single opening round.
-func refAndBatch(conn transport.Conn, me int, xs, ys []Bit, trip []BitTriple) ([]Bit, error) {
+func refAndBatch(conn transport.Conn, me int, xs, ys []byte, trip []bitTriple) ([]byte, error) {
 	k := len(xs)
-	masked := make([]Bit, 2*k)
+	masked := make([]byte, 2*k)
 	for i := 0; i < k; i++ {
 		masked[2*i] = (xs[i] ^ trip[i].A) & 1
 		masked[2*i+1] = (ys[i] ^ trip[i].B) & 1
@@ -108,9 +183,9 @@ func refAndBatch(conn transport.Conn, me int, xs, ys []Bit, trip []BitTriple) ([
 	if err != nil {
 		return nil, err
 	}
-	zs := make([]Bit, k)
+	zs := make([]byte, k)
 	for i := 0; i < k; i++ {
-		var e, f Bit
+		var e, f byte
 		for q := 0; q < conn.N(); q++ {
 			e ^= unpackBit(opened[q], 2*i)
 			f ^= unpackBit(opened[q], 2*i+1)
@@ -126,7 +201,7 @@ func refAndBatch(conn transport.Conn, me int, xs, ys []Bit, trip []BitTriple) ([
 
 // packBits stores bits (low bit of each byte) into dst, little-endian within
 // bytes. dst must have length ≥ ceil(len(bits)/8).
-func packBits(dst []byte, bits []Bit) {
+func packBits(dst, bits []byte) {
 	for i := range dst {
 		dst[i] = 0
 	}
@@ -136,7 +211,7 @@ func packBits(dst []byte, bits []Bit) {
 }
 
 // unpackBit extracts bit i from a packed buffer.
-func unpackBit(src []byte, i int) Bit {
+func unpackBit(src []byte, i int) byte {
 	return (src[i>>3] >> (i & 7)) & 1
 }
 
@@ -152,21 +227,19 @@ func (r *recordingConn) Send(to int, data []byte) error {
 	return r.Conn.Send(to, data)
 }
 
-// batchTuples deals k comparisons' randomness from a seeded dealer,
-// transposed to [party][instance]. The seed fixes the tuples, so two runs
-// with the same seed consume identical correlated randomness.
-func batchTuples(n, k int, seed uint64) [][]CmpTuple {
+// batchBlocks deals a k-batch's randomness from a seeded dealer, indexed
+// [party][word]. The seed fixes the blocks, so two runs with the same seed
+// consume identical correlated randomness.
+func batchBlocks(n, k int, seed uint64) [][]*TupleBlock {
 	dealer := NewDealer(n, seed)
-	tuples := make([][]CmpTuple, n)
-	for p := range tuples {
-		tuples[p] = make([]CmpTuple, k)
-	}
-	for i := 0; i < k; i++ {
-		for p, t := range dealer.CmpTuples() {
-			tuples[p][i] = t
+	blocks := make([][]*TupleBlock, n)
+	for w := 0; w < wordsFor(k); w++ {
+		deal := dealer.CmpTuples()
+		for p := range blocks {
+			blocks[p] = append(blocks[p], &deal[p])
 		}
 	}
-	return tuples
+	return blocks
 }
 
 // runParties runs party(p, conn) on every endpoint of a fresh n-party
@@ -207,26 +280,26 @@ func runParties(t *testing.T, n int, party func(p int, conn transport.Conn) ([]b
 // [instance][party].
 func runKernel(t *testing.T, n int, seed uint64, diffs [][]int64) ([]bool, [][][]byte, transport.Stats) {
 	t.Helper()
-	tuples := batchTuples(n, len(diffs), seed)
+	blocks := batchBlocks(n, len(diffs), seed)
 	return runParties(t, n, func(p int, conn transport.Conn) ([]bool, error) {
 		mine := make([]int64, len(diffs))
 		for i := range mine {
 			mine[i] = diffs[i][p]
 		}
-		return RunCompareBatchParty(conn, mine, tuples[p])
+		return RunCompareBatchParty(conn, mine, blocks[p])
 	})
 }
 
 // runReference executes the same comparisons one after another through the
-// scalar reference protocol, on the same tuples runKernel would consume.
+// scalar reference protocol, on the same lanes runKernel would consume.
 func runReference(t *testing.T, n int, seed uint64, diffs [][]int64) ([]bool, [][][]byte, transport.Stats) {
 	t.Helper()
-	tuples := batchTuples(n, len(diffs), seed)
+	blocks := batchBlocks(n, len(diffs), seed)
 	return runParties(t, n, func(p int, conn transport.Conn) ([]bool, error) {
 		out := make([]bool, len(diffs))
 		for i := range diffs {
 			var err error
-			if out[i], err = refCompareParty(conn, uint64(diffs[i][p]), &tuples[p][i]); err != nil {
+			if out[i], err = refCompareParty(conn, uint64(diffs[i][p]), scalarTuple(blocks[p], i)); err != nil {
 				return nil, err
 			}
 		}

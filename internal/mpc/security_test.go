@@ -163,7 +163,7 @@ func dialLanes(t *testing.T, n int) []transport.Conn {
 func TestProtocolOverRealTCP(t *testing.T) {
 	const n = 3
 	lanes := dialLanes(t, n)
-	tuples := NewDealer(n, 77).CmpTuples()
+	blocks := NewDealer(n, 77).CmpTuples()
 	diffs := []int64{-500, 200, 200} // sum -100 < 0
 	results := make([]bool, n)
 	errs := make([]error, n)
@@ -172,7 +172,7 @@ func TestProtocolOverRealTCP(t *testing.T) {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			results[p], errs[p] = RunCompareParty(lanes[p], diffs[p], &tuples[p])
+			results[p], errs[p] = RunCompareParty(lanes[p], diffs[p], &blocks[p])
 		}(p)
 	}
 	wg.Wait()
@@ -195,7 +195,7 @@ func TestProtocolManyComparisonsOverTCP(t *testing.T) {
 	lanes := dialLanes(t, n)
 	dealer := NewDealer(n, 78)
 	const rounds = 20
-	batches := make([][]CmpTuple, rounds)
+	batches := make([][]TupleBlock, rounds)
 	inputs := make([][]int64, rounds)
 	wants := make([]bool, rounds)
 	rng := rand.New(rand.NewPCG(6, 6))

@@ -22,15 +22,13 @@
 // is the same kernel at k = 1.
 //
 // The correlated randomness (R, its bit shares, and the bit triples) comes
-// from a preprocessing Dealer, modelling MP-SPDZ's offline phase. Inputs and
+// from a preprocessing Dealer, modelling MP-SPDZ's offline phase, which deals
+// it 64 lanes at a time in the kernel's own layout (TupleBlock). Inputs and
 // all intermediate values stay secret; the transcripts contain only uniformly
 // masked openings and the final comparison bit.
 package mpc
 
-import (
-	"encoding/binary"
-	"math/rand/v2"
-)
+import "encoding/binary"
 
 // K is the ring bit width. All arithmetic is mod 2^K with K = 64 so that
 // values map directly onto uint64 two's-complement.
@@ -46,58 +44,6 @@ const NumLeaves = K - 1
 // else ErrMagnitude). FedRoad path costs are < 2^40 and silo counts ≤ 64,
 // leaving huge headroom.
 const MaxMagnitude = int64(1) << 50
-
-// Bit is a single XOR-share of a secret bit; only the low bit is meaningful.
-type Bit = byte
-
-// BitTriple is one party's share of a Beaver bit triple (a, b, c) with
-// c = a AND b jointly.
-type BitTriple struct {
-	A, B, C Bit
-}
-
-// ShareAdditive splits secret into n uniformly random additive shares over
-// Z_2^64 using the given source of randomness.
-func ShareAdditive(rng *rand.Rand, secret uint64, n int) []uint64 {
-	shares := make([]uint64, n)
-	var sum uint64
-	for i := 1; i < n; i++ {
-		shares[i] = rng.Uint64()
-		sum += shares[i]
-	}
-	shares[0] = secret - sum
-	return shares
-}
-
-// ReconstructAdditive recombines additive shares.
-func ReconstructAdditive(shares []uint64) uint64 {
-	var sum uint64
-	for _, s := range shares {
-		sum += s
-	}
-	return sum
-}
-
-// ShareBit splits a secret bit into n XOR shares.
-func ShareBit(rng *rand.Rand, secret Bit, n int) []Bit {
-	shares := make([]Bit, n)
-	var acc Bit
-	for i := 1; i < n; i++ {
-		shares[i] = Bit(rng.Uint64() & 1)
-		acc ^= shares[i]
-	}
-	shares[0] = (secret & 1) ^ acc
-	return shares
-}
-
-// ReconstructBit recombines XOR shares of a bit.
-func ReconstructBit(shares []Bit) Bit {
-	var acc Bit
-	for _, s := range shares {
-		acc ^= s
-	}
-	return acc & 1
-}
 
 func putU64(dst []byte, v uint64) { binary.LittleEndian.PutUint64(dst, v) }
 func getU64(src []byte) uint64    { return binary.LittleEndian.Uint64(src) }

@@ -381,8 +381,8 @@ func (p *meshParty) runQuery(q uint32, src, dst fedroad.Vertex) (found bool, joi
 	dealer := mpc.NewDealer(p.cfg.Silos, p.cfg.Seed^(0x6d657368+uint64(q)*0x9e3779b97f4a7c15))
 	me := p.cfg.Party
 	cmp := func(diff int64) (bool, error) {
-		tuples := dealer.CmpTuples()
-		return mpc.RunCompareParty(lane, diff, &tuples[me])
+		blocks := dealer.CmpTuples()
+		return mpc.RunCompareParty(lane, diff, &blocks[me])
 	}
 
 	nV := p.g.NumVertices()
