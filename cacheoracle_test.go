@@ -184,7 +184,7 @@ func TestQueryCacheVersionedLifecycle(t *testing.T) {
 	}
 
 	// A traffic update bumps the version: the old entry is unreachable.
-	if err := f.SetTraffic(0, 7, 222222); err != nil {
+	if _, err := f.ApplyTraffic([]TrafficUpdate{{Silo: 0, Arc: 7, TravelMs: 222222}}); err != nil {
 		t.Fatal(err)
 	}
 	r3, _, v3, out, err := qc.ShortestPath(2, 40, QueryOptions{}, run)

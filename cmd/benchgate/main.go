@@ -22,11 +22,10 @@
 // GITHUB_STEP_SUMMARY environment variable is set, appended there as
 // markdown so the gate's verdict shows up on the workflow summary page.
 //
-// Reports from other experiments — BENCH_large.json ("large"), the serving
-// soak's BENCH_soak.json ("soak") — are recognized by their experiment tag
-// and skipped with a clean exit: they carry their own pass/fail criteria
-// (fedbench soak itself fails on oracle or accounting violations) and must
-// never trip the index-build perf gate.
+// Reports from other experiments — BENCH_large.json ("large") — are
+// recognized by their experiment tag and skipped with a clean exit: they
+// carry their own pass/fail criteria and must never trip the index-build
+// perf gate.
 package main
 
 import (

@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	fedbench [flags] all|fig1|tab1|fig7|fig8|fig9|tab2|fig10|fig11|fig12|ablate|bench|large|soak
+//	fedbench [flags] all|fig1|tab1|fig7|fig8|fig9|tab2|fig10|fig11|fig12|ablate|bench|large
 //
 // Examples:
 //
@@ -31,13 +31,6 @@
 // -profile <prefix> wraps any experiment in a CPU profile and a final heap
 // snapshot (<prefix>.cpu.pprof, <prefix>.heap.pprof) — the mode used to hunt
 // per-round allocation and serialization overhead in the MPC hot path.
-//
-// The soak experiment is the serving-tier stress run: -duration seconds of
-// queries racing traffic updates racing index rebuilds through the admission
-// gate and the result cache, every response replayed against a plaintext
-// staleness oracle, followed by a warm-cache vs uncached throughput
-// comparison. It writes BENCH_soak.json and exits non-zero on any stale
-// serve or broken shed accounting — the CI soak-smoke contract.
 package main
 
 import (
@@ -53,7 +46,6 @@ import (
 	"repro/internal/expr"
 	"repro/internal/graph"
 	"repro/internal/mpc"
-	"repro/internal/soak"
 	"repro/internal/traffic"
 )
 
@@ -75,11 +67,10 @@ func main() {
 		profile   = flag.String("profile", "", "write CPU and heap profiles to <prefix>.cpu.pprof / <prefix>.heap.pprof")
 		graphFile = flag.String("graph", "", "bench an imported graph file (binary snapshot or text) alongside/instead of the synthetic datasets")
 		workers   = flag.Int("workers", 0, "with large: parallel precompute workers (0 = GOMAXPROCS)")
-		duration  = flag.Duration("duration", 3*time.Second, "with soak: mixed-workload phase length")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: fedbench [flags] all|fig1|tab1|fig7|fig8|fig9|tab2|fig10|fig11|fig12|ablate|bench|large|soak")
+		fmt.Fprintln(os.Stderr, "usage: fedbench [flags] all|fig1|tab1|fig7|fig8|fig9|tab2|fig10|fig11|fig12|ablate|bench|large")
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
@@ -101,37 +92,6 @@ func main() {
 	mode := mpc.ModeIdeal
 	if *protocol {
 		mode = mpc.ModeProtocol
-	}
-
-	// The soak tier builds its own serving stack (federation + cache +
-	// admission gate); it does not go through the Harness.
-	if flag.Arg(0) == "soak" {
-		cfg := soak.Config{Silos: *silos, Seed: *seed, Duration: *duration}
-		if *maxV > 0 {
-			cfg.Vertices = *maxV
-		}
-		rep, err := soak.Run(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fedbench: %v\n", err)
-			os.Exit(1)
-		}
-		rep.Print(os.Stdout)
-		out := *jsonOut
-		if out == "" {
-			out = "BENCH_soak.json"
-		}
-		if err := rep.WriteFile(out); err != nil {
-			fmt.Fprintf(os.Stderr, "fedbench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("\nwrote %s\n", out)
-		if vs := rep.Violations(); len(vs) > 0 {
-			for _, v := range vs {
-				fmt.Fprintf(os.Stderr, "fedbench: soak violation: %s\n", v)
-			}
-			os.Exit(1)
-		}
-		return
 	}
 
 	// The large tier loads the graph itself (it times the load); every other

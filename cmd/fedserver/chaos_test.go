@@ -1,10 +1,10 @@
 package main
 
 import (
-	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,40 +13,51 @@ import (
 	"repro/internal/transport"
 )
 
-// gateConn turns one party's endpoint into a controllable failure: kill
-// closes the endpoint mid-round (a crashed silo), mute silently swallows
-// sends (a silo that stops responding, detectable only by round timeout).
-// Both gates are checked per operation, so already-pooled sessions are hit
-// too — exactly the scenario the server's discard logic must handle.
+// faults are the switches a test flips on a chaosServer's transport: kill
+// closes party 1's endpoint mid-round (a crashed silo), mute silently swallows
+// its sends (a silo that stops responding, detectable only by round timeout),
+// and hold — while the test keeps it write-locked — parks every party at its
+// next send, so queries stay in flight (and in the admission gate) without
+// any round timing out. All are checked per operation.
+type faults struct {
+	kill, mute atomic.Bool
+	hold       sync.RWMutex
+}
+
 type gateConn struct {
 	transport.Conn
-	kill *atomic.Bool
-	mute *atomic.Bool
+	f *faults
 }
 
 func (g gateConn) Send(to int, data []byte) error {
-	if g.kill != nil && g.kill.Load() {
+	g.f.hold.RLock()
+	g.f.hold.RUnlock()
+	if g.Party() != 1 {
+		return g.Conn.Send(to, data)
+	}
+	if g.f.kill.Load() {
 		g.Conn.Close()
 		return fmt.Errorf("chaos: killed during send: %w", transport.ErrClosed)
 	}
-	if g.mute != nil && g.mute.Load() {
+	if g.f.mute.Load() {
 		return nil // swallowed: the peer's round timeout must fire
 	}
 	return g.Conn.Send(to, data)
 }
 
 func (g gateConn) Recv(from int) ([]byte, error) {
-	if g.kill != nil && g.kill.Load() {
+	if g.Party() == 1 && g.f.kill.Load() {
 		g.Conn.Close()
 		return nil, fmt.Errorf("chaos: killed during recv: %w", transport.ErrClosed)
 	}
 	return g.Conn.Recv(from)
 }
 
-// chaosServer serves a small protocol-mode federation whose party 1 runs
-// through a gateConn, over a real HTTP listener.
-func chaosServer(t *testing.T, kill, mute *atomic.Bool) (*httptest.Server, *server) {
+// chaosServer serves a small protocol-mode federation whose parties run
+// through gateConns, over a real HTTP listener.
+func chaosServer(t *testing.T, maxConcurrent, maxQueue int) (*httptest.Server, *faults) {
 	t.Helper()
+	f := new(faults)
 	g, w0 := fedroad.GenerateGridNetwork(5, 5, 61)
 	silosW := fedroad.SimulateCongestion(w0, 3, fedroad.Moderate, 62)
 	fed, err := fedroad.New(g, w0, silosW, fedroad.Config{
@@ -54,61 +65,47 @@ func chaosServer(t *testing.T, kill, mute *atomic.Bool) (*httptest.Server, *serv
 		Mode:         fedroad.ModeProtocol,
 		RoundTimeout: 150 * time.Millisecond,
 		TransportWrap: func(p int, c transport.Conn) transport.Conn {
-			if p != 1 {
-				return c
-			}
-			return gateConn{Conn: c, kill: kill, mute: mute}
+			return gateConn{Conn: c, f: f}
 		},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(fed.Close)
-	srv := newServer(fed, 4)
-	t.Cleanup(srv.Close)
-	ts := httptest.NewServer(srv.routes())
+	ts := httptest.NewServer(newServer(fed, maxConcurrent, maxQueue, 0).routes())
 	t.Cleanup(ts.Close)
-	return ts, srv
+	return ts, f
 }
 
+// A request whose session meets a dead silo answers 503 and takes the session
+// with it; the next request after the silo returns opens a fresh one.
 func TestServerKilledSiloGives503ThenRecovers(t *testing.T) {
-	kill := new(atomic.Bool)
-	ts, srv := chaosServer(t, kill, nil)
+	ts, f := chaosServer(t, 4, 0)
 
-	// Healthy query first — its session lands in the free-list.
 	var resp routeResponse
 	if r := getJSON(t, ts.URL+"/route?s=0&t=24", &resp); r.StatusCode != http.StatusOK || !resp.Found {
 		t.Fatalf("healthy route: %d %+v", r.StatusCode, resp)
 	}
-	if n := srv.pooledIdle(); n != 1 {
-		t.Fatalf("pooled sessions after healthy query = %d, want 1", n)
-	}
 
-	// Kill the silo: the query — on the reused, now-poisoned session — must
-	// answer 503, and the session must be discarded, not repooled.
-	kill.Store(true)
+	f.kill.Store(true)
+	before := scrape(t, ts.URL)["fedroad_mpc_poisonings_total"]
 	if r := getJSON(t, ts.URL+"/route?s=0&t=24", nil); r.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("killed-silo route status %d, want 503", r.StatusCode)
 	}
-	if n := srv.pooledIdle(); n != 0 {
-		t.Fatalf("poisoned session repooled: %d idle", n)
-	}
-	if d := srv.discarded.Load(); d != 1 {
-		t.Fatalf("discarded = %d, want 1", d)
+	if after := scrape(t, ts.URL)["fedroad_mpc_poisonings_total"]; after != before+1 {
+		t.Fatalf("fedroad_mpc_poisonings_total %v -> %v, want one poisoned session", before, after)
 	}
 
-	// Silo back: the next query forks a fresh session and succeeds.
-	kill.Store(false)
+	f.kill.Store(false)
 	if r := getJSON(t, ts.URL+"/route?s=0&t=24", &resp); r.StatusCode != http.StatusOK || !resp.Found {
 		t.Fatalf("post-recovery route: %d %+v", r.StatusCode, resp)
 	}
 }
 
 func TestServerSilentSiloGives504(t *testing.T) {
-	mute := new(atomic.Bool)
-	ts, _ := chaosServer(t, nil, mute)
+	ts, f := chaosServer(t, 4, 0)
 
-	mute.Store(true)
+	f.mute.Store(true)
 	start := time.Now()
 	if r := getJSON(t, ts.URL+"/route?s=0&t=24", nil); r.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("silent-silo route status %d, want 504", r.StatusCode)
@@ -117,68 +114,9 @@ func TestServerSilentSiloGives504(t *testing.T) {
 		t.Fatalf("silent-silo query took %v, round timeout is 150ms", elapsed)
 	}
 
-	mute.Store(false)
+	f.mute.Store(false)
 	var resp routeResponse
 	if r := getJSON(t, ts.URL+"/route?s=0&t=24", &resp); r.StatusCode != http.StatusOK || !resp.Found {
 		t.Fatalf("post-recovery route: %d %+v", r.StatusCode, resp)
-	}
-}
-
-func TestServerFreeListLifecycle(t *testing.T) {
-	g, w0 := fedroad.GenerateRoadNetwork(80, 71)
-	silosW := fedroad.SimulateCongestion(w0, 3, fedroad.Moderate, 72)
-	fed, err := fedroad.New(g, w0, silosW, fedroad.Config{Seed: 73})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fed.Close()
-	srv := newServer(fed, 2) // free-list capacity 2
-	ts := httptest.NewServer(srv.routes())
-	defer ts.Close()
-
-	// Three sessions in flight, all released: two pooled, one evicted (and
-	// closed — eviction never leaks transport endpoints).
-	var sessions []*fedroad.Session
-	for i := 0; i < 3; i++ {
-		sess, err := srv.checkout()
-		if err != nil {
-			t.Fatal(err)
-		}
-		sessions = append(sessions, sess)
-	}
-	for _, sess := range sessions {
-		srv.release(sess)
-	}
-	if n := srv.pooledIdle(); n != 2 {
-		t.Fatalf("pooled = %d, want capacity 2", n)
-	}
-
-	// Checkout reuses a pooled session instead of forking.
-	sess, err := srv.checkout()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := srv.pooledIdle(); n != 1 {
-		t.Fatalf("pooled after checkout = %d, want 1", n)
-	}
-
-	// Close drains the free-list; releasing the in-flight session afterwards
-	// closes it instead of repooling, and further checkouts are refused.
-	srv.Close()
-	if n := srv.pooledIdle(); n != 0 {
-		t.Fatalf("pooled after Close = %d, want 0", n)
-	}
-	srv.release(sess)
-	if n := srv.pooledIdle(); n != 0 {
-		t.Fatalf("release after Close repooled: %d idle", n)
-	}
-	if _, err := srv.checkout(); !errors.Is(err, errServerClosed) {
-		t.Fatalf("checkout after Close: %v", err)
-	}
-	srv.Close() // double close is safe
-
-	// And at the HTTP layer a closed server answers 503, not 400.
-	if r := getJSON(t, ts.URL+"/route?s=0&t=79", nil); r.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("route on closed server: status %d, want 503", r.StatusCode)
 	}
 }

@@ -212,20 +212,17 @@ func main() {
 		}
 	}
 
-	srv := newServer(fed, *maxConc)
+	srv := newServer(fed, *maxConc, *maxQueue, *cacheCap)
 	srv.pprof = *pprofOn
 	srv.unitWeights = unitWeights
 	srv.persist = pers
-	srv.setMaxQueue(*maxQueue)
 	if *cacheCap > 0 {
-		srv.enableCache(*cacheCap)
 		log.Printf("result cache: %d entries, traffic-version keyed", *cacheCap)
 	}
-	defer srv.Close()
 	if srv.pprof {
 		log.Printf("pprof enabled at /debug/pprof/")
 	}
-	log.Printf("serving up to %d concurrent queries (max queue: %d)", cap(srv.sem), *maxQueue)
+	log.Printf("serving up to %d concurrent queries (max queue: %d)", srv.pipe.Stats().MaxConcurrent, *maxQueue)
 
 	httpSrv := &http.Server{
 		Addr:              *addr,
@@ -285,8 +282,8 @@ func main() {
 		log.Fatal(err)
 	case <-ctx.Done():
 	}
-	// Graceful drain: stop accepting, let in-flight MPC queries finish (they
-	// hold checked-out sessions), then close the session pool and snapshot.
+	// Graceful drain: stop accepting, let in-flight MPC queries finish (each
+	// closes its own session), then snapshot.
 	log.Printf("shutdown: draining in-flight queries")
 	sctx, cancel := context.WithTimeout(context.Background(), 15*time.Second)
 	defer cancel()
@@ -294,7 +291,6 @@ func main() {
 		log.Printf("shutdown: drain incomplete (%v), closing", err)
 		httpSrv.Close()
 	}
-	srv.Close()
 	if pers != nil {
 		if err := pers.Snapshot(); err != nil {
 			log.Printf("shutdown: final snapshot failed: %v", err)

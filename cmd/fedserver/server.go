@@ -6,50 +6,34 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/pprof"
-	"runtime"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	fedroad "repro"
-	"repro/internal/admit"
 	"repro/internal/ch"
 	"repro/internal/metrics"
+	"repro/internal/serve"
 )
 
 // server wraps a federation behind an HTTP API:
 //
-//	GET  /route?s=<v>&t=<v>[&estimator=..][&queue=..][&batched=1][&noindex=1]
-//	GET  /knn?s=<v>&k=<n>[&queue=..][&batched=1]
+//	GET  /route?s=<v>&t=<v>[&estimator=..][&queue=..][&noindex=1]
+//	GET  /knn?s=<v>&k=<n>[&queue=..]
 //	POST /traffic   body: [{"silo":0,"arc":17,"travel_ms":42000}, ...]
 //	GET  /stats
 //	GET  /metrics   (Prometheus text exposition)
 //	GET  /healthz
 //	GET  /debug/pprof/*   (only with -pprof)
 //
-// Queries run concurrently: each request checks out a query session (a
-// private MPC engine fork over the shared federation state) from a pool, so
-// N in-flight routes proceed in parallel while the federation's internal
-// reader/writer lock keeps traffic updates from ever interleaving with a
-// search. A semaphore bounds in-flight queries so a burst cannot pile up
-// unbounded goroutines and engine forks.
+// The query handlers decode the request, call the serving pipeline
+// (internal/serve: cache, admission, concurrency bound, a session per
+// request) and encode its answer; the federation's reader/writer lock keeps
+// traffic updates from ever interleaving with a search.
 type server struct {
-	fed     *fedroad.Federation
-	sem     chan struct{} // bounds in-flight queries
-	queries atomic.Int64  // queries served (route + knn)
-	pprof   bool          // mount /debug/pprof/* handlers
+	fed   *fedroad.Federation
+	pipe  *serve.Pipeline
+	pprof bool // mount /debug/pprof/* handlers
 
-	// gate is the admission control in front of the semaphore: the semaphore
-	// bounds RUNNING queries (and blocks the excess), the gate bounds the
-	// whole in-system population (running + queued) and sheds beyond it with
-	// 429 + Retry-After instead of letting latency collapse. Always non-nil;
-	// with -max-queue 0 it only counts.
-	gate *admit.Gate
-	// cache, when non-nil (-cache > 0), is the traffic-version-keyed result
-	// cache: hits and coalesced waiters skip the gate, the semaphore and the
-	// MPC engine entirely.
-	cache *fedroad.QueryCache
 	// persist, when non-nil (-persist), logs every applied traffic batch to
 	// the WAL and owns the snapshot/restore cycle.
 	persist *persister
@@ -57,189 +41,12 @@ type server struct {
 	// travel times were fabricated as 1ms per segment — surfaced in /stats so
 	// nobody mistakes routes on a real topology for real ETAs.
 	unitWeights bool
-	// ewmaQueryMicros tracks a decaying average query latency, the basis of
-	// the Retry-After hint on shed responses.
-	ewmaQueryMicros atomic.Int64
-
-	// Sessions are reused through an explicit free-list rather than a
-	// sync.Pool: a GC'd pool entry would leak its transport endpoints
-	// (Close is never called on eviction) and pool entries forked before a
-	// federation-level setting change (e.g. SetRealNetworkDelay) would keep
-	// serving with stale settings indefinitely. The free-list closes every
-	// session it evicts, discards poisoned sessions instead of repooling
-	// them, and is drained by (*server).Close.
-	mu        sync.Mutex
-	free      []*fedroad.Session
-	closed    bool
-	discarded atomic.Int64 // poisoned sessions destroyed instead of repooled
-
-	// Session-pool and HTTP metrics live in the federation's registry, so
-	// GET /metrics exposes the full picture with one scrape.
-	mCheckouts *metrics.Counter // sessions handed to queries
-	mForks     *metrics.Counter // fresh sessions forked (free-list misses)
-	mEvicted   *metrics.Counter // healthy sessions closed (list full / server closed)
-	mDiscarded *metrics.Counter // poisoned sessions destroyed
 }
 
-// newServer builds a server bounding in-flight queries to maxConcurrent
-// (<=0 selects 4×GOMAXPROCS).
-func newServer(fed *fedroad.Federation, maxConcurrent int) *server {
-	if maxConcurrent <= 0 {
-		maxConcurrent = 4 * runtime.GOMAXPROCS(0)
-	}
-	s := &server{fed: fed, sem: make(chan struct{}, maxConcurrent)}
-	s.setMaxQueue(0)
-	reg := fed.Metrics()
-	reg.CounterFunc("fedserver_admitted_total", "queries admitted past the admission gate", nil,
-		func() float64 { return float64(s.gate.Stats().Admitted) })
-	reg.CounterFunc("fedserver_shed_total", "queries shed by the admission gate (429)", nil,
-		func() float64 { return float64(s.gate.Stats().Shed) })
-	reg.GaugeFunc("fedserver_queue_depth", "queries in the system (running + queued)", nil,
-		func() float64 { return float64(s.gate.Stats().Depth) })
-	s.mCheckouts = reg.Counter("fedserver_sessions_checked_out_total", "query sessions handed to requests", nil)
-	s.mForks = reg.Counter("fedserver_sessions_forked_total", "fresh query sessions forked on free-list miss", nil)
-	s.mEvicted = reg.Counter("fedserver_sessions_evicted_total", "healthy sessions closed because the free-list was full or the server closed", nil)
-	s.mDiscarded = reg.Counter("fedserver_sessions_discarded_total", "poisoned sessions destroyed instead of repooled", nil)
-	reg.GaugeFunc("fedserver_sessions_idle", "sessions currently parked in the free-list", nil,
-		func() float64 { return float64(s.pooledIdle()) })
-	reg.GaugeFunc("fedserver_max_concurrent", "in-flight query bound", nil,
-		func() float64 { return float64(cap(s.sem)) })
-	return s
-}
-
-// setMaxQueue (re)builds the admission gate: maxQueue > 0 bounds the
-// in-system population to maxConcurrent running plus maxQueue queued; 0
-// disables shedding (the gate still counts). The gate is prepool-aware: with
-// a preprocessing pool configured, a dry pool halves the effective limit,
-// shedding earlier exactly when every admitted query is at its slowest.
-func (s *server) setMaxQueue(maxQueue int) {
-	limit := 0
-	if maxQueue > 0 {
-		limit = cap(s.sem) + maxQueue
-	}
-	var poolDepth func() int
-	if s.fed.HasPool() {
-		fed := s.fed
-		poolDepth = func() int { return int(fed.PoolStats().Buffered) }
-	}
-	s.gate = admit.New(limit, poolDepth)
-}
-
-// enableCache installs a traffic-version-keyed result cache of the given
-// capacity (entries) and registers its fedroad_cache_* metrics.
-func (s *server) enableCache(capacity int) {
-	s.cache = s.fed.NewQueryCache(capacity)
-}
-
-// checkout takes a session from the free-list, forking a fresh one when the
-// list is empty.
-func (s *server) checkout() (*fedroad.Session, error) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, errServerClosed
-	}
-	var sess *fedroad.Session
-	if n := len(s.free); n > 0 {
-		sess = s.free[n-1]
-		s.free[n-1] = nil
-		s.free = s.free[:n-1]
-	}
-	s.mu.Unlock()
-	if sess == nil {
-		sess = s.fed.Session()
-		s.mForks.Inc()
-	}
-	s.mCheckouts.Inc()
-	return sess, nil
-}
-
-// release returns a session to the free-list — unless it is poisoned (its
-// MPC engine hit an unrecoverable transport failure: close it and let the
-// next request fork a fresh one), the server is closed, or the list is
-// already at capacity. Every evicted session is closed, never dropped.
-func (s *server) release(sess *fedroad.Session) {
-	if sess.Poisoned() {
-		s.discarded.Add(1)
-		s.mDiscarded.Inc()
-		sess.Close()
-		return
-	}
-	s.mu.Lock()
-	if !s.closed && len(s.free) < cap(s.sem) {
-		s.free = append(s.free, sess)
-		s.mu.Unlock()
-		return
-	}
-	s.mu.Unlock()
-	s.mEvicted.Inc()
-	sess.Close()
-}
-
-// Close drains the free-list, closing every pooled session. In-flight
-// sessions are closed by release when their query finishes.
-func (s *server) Close() {
-	s.mu.Lock()
-	free := s.free
-	s.free = nil
-	s.closed = true
-	s.mu.Unlock()
-	for _, sess := range free {
-		sess.Close()
-	}
-}
-
-// withSession admits the request, bounds concurrency and runs fn on a pooled
-// query session, returning fn's error. The gate is taken BEFORE the
-// semaphore: a shed request never blocks, and the gate's depth counts both
-// the queued (blocked on sem) and the running. On the cached path this runs
-// inside the flight leader's closure, so cache hits and coalesced waiters
-// consume no admission slot.
-func (s *server) withSession(fn func(*fedroad.Session) error) error {
-	if err := s.gate.Acquire(); err != nil {
-		return err
-	}
-	defer s.gate.Release()
-	s.sem <- struct{}{}
-	defer func() { <-s.sem }()
-	sess, err := s.checkout()
-	if err != nil {
-		return err
-	}
-	s.queries.Add(1)
-	start := time.Now()
-	err = fn(sess)
-	s.observeLatency(time.Since(start))
-	s.release(sess)
-	return err
-}
-
-// observeLatency folds one query's wall time into the decaying average
-// behind Retry-After (EWMA, alpha 1/8; lossy racing updates are fine for a
-// hint).
-func (s *server) observeLatency(d time.Duration) {
-	us := d.Microseconds()
-	old := s.ewmaQueryMicros.Load()
-	if old == 0 {
-		s.ewmaQueryMicros.Store(us)
-		return
-	}
-	s.ewmaQueryMicros.Store(old + (us-old)/8)
-}
-
-// retryAfterSec estimates when a shed client should retry: the current
-// backlog divided by the service rate, clamped to [1s, 30s].
-func (s *server) retryAfterSec() int {
-	depth := s.gate.Stats().Depth
-	ewma := s.ewmaQueryMicros.Load()
-	sec := int(depth * ewma / int64(cap(s.sem)) / 1e6)
-	if sec < 1 {
-		return 1
-	}
-	if sec > 30 {
-		return 30
-	}
-	return sec
+// newServer builds a server over fed and a pipeline sized by -max-concurrent,
+// -max-queue and -cache (see serve.New for the zero values).
+func newServer(fed *fedroad.Federation, maxConcurrent, maxQueue, cacheEntries int) *server {
+	return &server{fed: fed, pipe: serve.New(fed, maxConcurrent, maxQueue, cacheEntries)}
 }
 
 // writeQueryError renders a query error, attaching the Retry-After hint to
@@ -247,30 +54,26 @@ func (s *server) retryAfterSec() int {
 func (s *server) writeQueryError(w http.ResponseWriter, err error) {
 	code := queryStatus(err)
 	if code == http.StatusTooManyRequests {
-		w.Header().Set("Retry-After", strconv.Itoa(s.retryAfterSec()))
+		w.Header().Set("Retry-After", strconv.Itoa(s.pipe.RetryAfterSec()))
 	}
 	httpError(w, code, err)
 }
 
-// errServerClosed is returned by checkout after Close.
-var errServerClosed = errors.New("server closed")
-
 // queryStatus maps a query error to an HTTP status: a round timeout means a
 // slow or dead silo (504); any other unrecoverable transport failure means
-// the session died mid-protocol (503, and the session has been discarded —
-// retrying on a fresh session may succeed); a request-level mistake (bad
+// the request's session died mid-protocol (503 — the next request opens a
+// fresh session and may succeed); a request-level mistake (bad
 // option combination, vertex out of range) is tagged ErrInvalidQuery by the
 // library (400). Everything else — e.g. an engine-construction failure after
 // a config change — is an internal server error, NOT the client's fault
 // (500).
 func queryStatus(err error) int {
 	switch {
-	case errors.Is(err, admit.ErrShed):
+	case errors.Is(err, serve.ErrShed):
 		return http.StatusTooManyRequests
 	case fedroad.IsTimeout(err):
 		return http.StatusGatewayTimeout
-	case errors.Is(err, fedroad.ErrSessionPoisoned), errors.Is(err, errServerClosed),
-		errors.Is(err, fedroad.ErrPeerDown):
+	case errors.Is(err, fedroad.ErrSessionPoisoned), errors.Is(err, fedroad.ErrPeerDown):
 		// ErrPeerDown normally reaches callers wrapped in ErrSessionPoisoned
 		// (the engine poisons fast on a dead link), but a raw mesh error —
 		// e.g. a session dial racing a redial — maps the same way: the
@@ -369,11 +172,19 @@ func costOf(stats fedroad.Stats) queryCost {
 	}
 }
 
-type routeResponse struct {
+// routeJSON is one route: route fields only. Cost counters belong to the
+// query, not the route — the k routes of a kNN answer come out of ONE
+// Fed-SSSP run — so they live beside it (routeResponse's inlined queryCost,
+// knnResponse.Stats), never per neighbor.
+type routeJSON struct {
 	Found         bool             `json:"found"`
 	Path          []fedroad.Vertex `json:"path,omitempty"`
 	Segments      int              `json:"segments"`
 	MeanTravelSec float64          `json:"mean_travel_sec"`
+}
+
+type routeResponse struct {
+	routeJSON
 	// TrafficVersion is the traffic version the answer was computed at,
 	// captured under the query's own read lock — the anchor for staleness
 	// checks. Cached ("hit", "miss", "coalesced") is set when the result
@@ -384,21 +195,11 @@ type routeResponse struct {
 	queryCost
 }
 
-// knnNeighbor is one kNN result: route fields only. Per-query cost counters
-// live once in knnResponse.Stats — a per-neighbor breakdown does not exist
-// (the k routes come out of ONE Fed-SSSP run), so none is reported.
-type knnNeighbor struct {
-	Found         bool             `json:"found"`
-	Path          []fedroad.Vertex `json:"path,omitempty"`
-	Segments      int              `json:"segments"`
-	MeanTravelSec float64          `json:"mean_travel_sec"`
-}
-
 type knnResponse struct {
-	Results        []knnNeighbor `json:"results"`
-	Stats          queryCost     `json:"stats"`
-	TrafficVersion uint64        `json:"traffic_version"`
-	Cached         string        `json:"cached,omitempty"`
+	Results        []routeJSON `json:"results"`
+	Stats          queryCost   `json:"stats"`
+	TrafficVersion uint64      `json:"traffic_version"`
+	Cached         string      `json:"cached,omitempty"`
 }
 
 func (s *server) vertexParam(r *http.Request, name string) (fedroad.Vertex, error) {
@@ -413,15 +214,27 @@ func (s *server) vertexParam(r *http.Request, name string) (fedroad.Vertex, erro
 	return fedroad.Vertex(v), nil
 }
 
+// queryOptions decodes the per-request knobs. The MPC schedule is not one of
+// them: a TM-tree query (the default queue) always runs batched — same
+// comparisons and answer, about half the rounds — and the other queues cannot.
 func queryOptions(r *http.Request) fedroad.QueryOptions {
 	q := r.URL.Query()
 	opt := fedroad.QueryOptions{
-		Estimator:  fedroad.Estimator(q.Get("estimator")),
-		Queue:      fedroad.QueueKind(q.Get("queue")),
-		NoIndex:    q.Get("noindex") == "1",
-		BatchedMPC: q.Get("batched") == "1",
+		Estimator: fedroad.Estimator(q.Get("estimator")),
+		Queue:     fedroad.QueueKind(q.Get("queue")),
+		NoIndex:   q.Get("noindex") == "1",
 	}
+	opt.BatchedMPC = opt.Queue == "" || opt.Queue == fedroad.TMTree
 	return opt
+}
+
+// cachedLabel renders a cache outcome for the response; empty (omitted)
+// when the pipeline has no cache.
+func (s *server) cachedLabel(out fedroad.CacheOutcome) string {
+	if !s.pipe.HasCache() {
+		return ""
+	}
+	return out.String()
 }
 
 func (s *server) handleRoute(w http.ResponseWriter, r *http.Request) {
@@ -435,53 +248,22 @@ func (s *server) handleRoute(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	opt := queryOptions(r)
-	run := func() (fedroad.Route, fedroad.Stats, uint64, error) {
-		var route fedroad.Route
-		var stats fedroad.Stats
-		var ver uint64
-		err := s.withSession(func(sess *fedroad.Session) error {
-			var qerr error
-			route, stats, ver, qerr = sess.ShortestPathAt(src, dst, opt)
-			return qerr
-		})
-		return route, stats, ver, err
-	}
-	var route fedroad.Route
-	var stats fedroad.Stats
-	var ver uint64
-	var cached string
-	if s.cache != nil {
-		var out fedroad.CacheOutcome
-		route, stats, ver, out, err = s.cache.ShortestPath(src, dst, opt, run)
-		cached = out.String()
-	} else {
-		route, stats, ver, err = run()
-	}
+	route, meta, err := s.pipe.Route(src, dst, queryOptions(r))
 	if err != nil {
 		s.writeQueryError(w, err)
 		return
 	}
-	resp := s.toResponse(route, stats)
-	resp.TrafficVersion = ver
-	resp.Cached = cached
-	writeJSON(w, resp)
+	writeJSON(w, routeResponse{
+		routeJSON:      s.renderRoute(route),
+		TrafficVersion: meta.Version,
+		Cached:         s.cachedLabel(meta.Outcome),
+		queryCost:      costOf(meta.Stats),
+	})
 }
 
-func (s *server) toResponse(route fedroad.Route, stats fedroad.Stats) routeResponse {
-	resp := routeResponse{queryCost: costOf(stats)}
-	resp.Found = route.Found
-	if route.Found {
-		resp.Path = route.Path
-		resp.Segments = len(route.Path) - 1
-		resp.MeanTravelSec = float64(fedroad.JointCost(route)) / float64(s.fed.Silos()) / 1000
-	}
-	return resp
-}
-
-// toNeighbor renders one kNN route without any cost fields.
-func (s *server) toNeighbor(route fedroad.Route) knnNeighbor {
-	n := knnNeighbor{Found: route.Found}
+// renderRoute renders one route without any cost fields.
+func (s *server) renderRoute(route fedroad.Route) routeJSON {
+	n := routeJSON{Found: route.Found}
 	if route.Found {
 		n.Path = route.Path
 		n.Segments = len(route.Path) - 1
@@ -501,39 +283,17 @@ func (s *server) handleKNN(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("parameter k out of range"))
 		return
 	}
-	opt := queryOptions(r)
-	run := func() ([]fedroad.Route, fedroad.Stats, uint64, error) {
-		var routes []fedroad.Route
-		var stats fedroad.Stats
-		var ver uint64
-		err := s.withSession(func(sess *fedroad.Session) error {
-			var qerr error
-			routes, stats, ver, qerr = sess.NearestNeighborsAt(src, k, opt)
-			return qerr
-		})
-		return routes, stats, ver, err
-	}
-	var routes []fedroad.Route
-	var stats fedroad.Stats
-	var ver uint64
-	var cached string
-	if s.cache != nil {
-		var co fedroad.CacheOutcome
-		routes, stats, ver, co, err = s.cache.NearestNeighbors(src, k, opt, run)
-		cached = co.String()
-	} else {
-		routes, stats, ver, err = run()
-	}
+	routes, meta, err := s.pipe.KNN(src, k, queryOptions(r))
 	if err != nil {
 		s.writeQueryError(w, err)
 		return
 	}
 	// One Fed-SSSP run produced all k routes; its cost is reported once, not
 	// fabricated per neighbor.
-	out := knnResponse{Results: make([]knnNeighbor, len(routes)), Stats: costOf(stats),
-		TrafficVersion: ver, Cached: cached}
+	out := knnResponse{Results: make([]routeJSON, len(routes)), Stats: costOf(meta.Stats),
+		TrafficVersion: meta.Version, Cached: s.cachedLabel(meta.Outcome)}
 	for i, rt := range routes {
-		out.Results[i] = s.toNeighbor(rt)
+		out.Results[i] = s.renderRoute(rt)
 	}
 	writeJSON(w, out)
 }
@@ -611,13 +371,6 @@ func (s *server) applyTraffic(updates []fedroad.TrafficUpdate) (ch.UpdateStats, 
 		return s.persist.Apply(updates)
 	}
 	return s.fed.ApplyTraffic(updates)
-}
-
-// pooledIdle reports how many sessions sit in the free-list right now.
-func (s *server) pooledIdle() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.free)
 }
 
 // cacheStatsJSON is the /stats cache block.
@@ -709,10 +462,10 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		LastMPCRounds:   ci.LastMPCRounds,
 	}
 	pool := s.fed.PoolStats()
-	gs := s.gate.Stats()
+	pipe := s.pipe.Stats()
+	gs := pipe.Admission
 	var cacheBlock *cacheStatsJSON
-	if s.cache != nil {
-		cs := s.cache.Stats()
+	if cs := pipe.Cache; cs != nil {
 		cacheBlock = &cacheStatsJSON{
 			Hits: cs.Hits, Misses: cs.Misses, Coalesced: cs.Coalesced,
 			EvictedCapacity: cs.EvictedCapacity, EvictedStale: cs.EvictedStale,
@@ -741,8 +494,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Cache          *cacheStatsJSON    `json:"cache,omitempty"`
 		Persist        *persistStats      `json:"persist,omitempty"`
 		Mesh           *meshStatsJSON     `json:"mesh,omitempty"`
-		PooledIdle     int                `json:"pooled_sessions"`
-		Discarded      int64              `json:"poisoned_sessions_discarded"`
 		PoolProduced   int64              `json:"prepool_produced"` // prepool_*: 64-lane blocks
 		PoolHits       int64              `json:"prepool_hits"`
 		PoolMisses     int64              `json:"prepool_misses"`
@@ -752,10 +503,9 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		s.fed.HasIndex(), s.fed.IndexBuilding(), st.Shortcuts, st.SAC.Compares,
 		custBlock,
 		s.fed.TrafficVersion(), s.unitWeights,
-		s.queries.Load(), cap(s.sem),
+		gs.Admitted, pipe.MaxConcurrent,
 		admitStatsJSON{Limit: gs.Limit, Depth: gs.Depth, Admitted: gs.Admitted, Shed: gs.Shed},
 		cacheBlock, persistBlock, s.meshBlock(),
-		s.pooledIdle(), s.discarded.Load(),
 		pool.Produced, pool.Hits, pool.Misses,
 		s.fed.Metrics().Snapshot(),
 	})
@@ -763,7 +513,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 
 // handleMetrics serves the federation registry in Prometheus text exposition
 // format (version 0.0.4). Everything — MPC counters, per-kind query metrics,
-// session-pool and HTTP metrics — lives in the one registry.
+// admission, cache and HTTP metrics — lives in the one registry.
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.fed.Metrics().WriteText(w)

@@ -16,6 +16,7 @@ import (
 
 	fedroad "repro"
 	"repro/internal/graph"
+	"repro/internal/serve"
 	"repro/internal/transport"
 )
 
@@ -44,7 +45,7 @@ func testServer(t *testing.T) (*httptest.Server, *fedroad.Federation, fedroad.We
 			joint[a] += w
 		}
 	}
-	ts := httptest.NewServer(newServer(fed, 8).routes())
+	ts := httptest.NewServer(newServer(fed, 8, 0, 0).routes())
 	t.Cleanup(ts.Close)
 	return ts, fed, joint
 }
@@ -82,10 +83,25 @@ func TestRouteEndpoint(t *testing.T) {
 	if resp.FedSACs == 0 || resp.MPCRounds == 0 {
 		t.Fatalf("missing MPC accounting: %+v", resp)
 	}
-	// Option pass-through.
-	r = getJSON(t, ts.URL+"/route?s=3&t=200&queue=tm-tree&estimator=fed-amps&batched=1", &resp)
-	if r.StatusCode != http.StatusOK || !resp.Found {
-		t.Fatalf("batched route failed: %d %+v", r.StatusCode, resp)
+	// The default request runs the stack the benchmark measures: the batched
+	// MPC schedule on the TM-tree.
+	_, lib, err := fed.ShortestPath(3, 200, fedroad.QueryOptions{BatchedMPC: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.MPCRounds != lib.SAC.Rounds || resp.FedSACs != lib.SAC.Compares {
+		t.Fatalf("default route ran %d rounds / %d Fed-SACs, the batched library query %d / %d",
+			resp.MPCRounds, resp.FedSACs, lib.SAC.Rounds, lib.SAC.Compares)
+	}
+	// Option pass-through; the other queues run unbatched.
+	for _, q := range []string{"queue=tm-tree&estimator=fed-amps", "queue=heap", "queue=l-heap&estimator=none"} {
+		r = getJSON(t, ts.URL+"/route?s=3&t=200&"+q, &resp)
+		if r.StatusCode != http.StatusOK || !resp.Found {
+			t.Fatalf("route with %s failed: %d %+v", q, r.StatusCode, resp)
+		}
+		if got := int64(resp.MeanTravelSec*float64(fed.Silos())*1000 + 0.5); got != want {
+			t.Fatalf("route with %s costs %d, want %d", q, got, want)
+		}
 	}
 }
 
@@ -159,29 +175,33 @@ func TestKNNNoFabricatedStats(t *testing.T) {
 	}
 }
 
-// TestKNNBatchedReducesRounds pins the tentpole's motivating bug: batched=1
-// on /knn used to be dropped on the floor. With the option honored, the
-// TM-tree's tournament comparisons run as batched secure comparisons — one
-// protocol instance per tournament level — so the same query pays strictly
-// fewer MPC rounds (sequential Fed-SAC invocations) than its unbatched twin.
+// TestKNNBatchedReducesRounds: /knn runs the TM-tree's tournament
+// comparisons as batched secure comparisons — one protocol instance per
+// tournament level — so the served query pays exactly the rounds of the
+// library's batched query and strictly fewer than its unbatched twin. The
+// schedule is the server's choice: the retired batched= parameter is ignored.
 func TestKNNBatchedReducesRounds(t *testing.T) {
-	ts, _, _ := testServer(t)
-	var plain, batched knnResponse
-	if r := getJSON(t, ts.URL+"/knn?s=10&k=5", &plain); r.StatusCode != http.StatusOK {
-		t.Fatalf("plain status %d", r.StatusCode)
+	ts, fed, _ := testServer(t)
+	var served knnResponse
+	if r := getJSON(t, ts.URL+"/knn?s=10&k=5&batched=0", &served); r.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", r.StatusCode)
 	}
-	if r := getJSON(t, ts.URL+"/knn?s=10&k=5&batched=1", &batched); r.StatusCode != http.StatusOK {
-		t.Fatalf("batched status %d", r.StatusCode)
+	_, batched, err := fed.NearestNeighbors(10, 5, fedroad.QueryOptions{BatchedMPC: true})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(plain.Results) != len(batched.Results) {
-		t.Fatalf("result count diverged: %d vs %d", len(plain.Results), len(batched.Results))
+	plainRoutes, plain, err := fed.NearestNeighbors(10, 5)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if plain.Stats.MPCRounds == 0 || batched.Stats.MPCRounds == 0 {
-		t.Fatalf("rounds not accounted: plain %d, batched %d", plain.Stats.MPCRounds, batched.Stats.MPCRounds)
+	if len(plainRoutes) != len(served.Results) {
+		t.Fatalf("result count diverged: %d vs %d", len(plainRoutes), len(served.Results))
 	}
-	if batched.Stats.MPCRounds >= plain.Stats.MPCRounds {
-		t.Fatalf("batched=1 did not reduce MPC rounds: batched %d >= plain %d (option dropped?)",
-			batched.Stats.MPCRounds, plain.Stats.MPCRounds)
+	if served.Stats.MPCRounds != batched.SAC.Rounds {
+		t.Fatalf("/knn ran %d rounds, the batched library query %d", served.Stats.MPCRounds, batched.SAC.Rounds)
+	}
+	if served.Stats.MPCRounds >= plain.SAC.Rounds {
+		t.Fatalf("/knn did not run batched: %d rounds >= unbatched %d", served.Stats.MPCRounds, plain.SAC.Rounds)
 	}
 }
 
@@ -192,9 +212,9 @@ func TestKNNRejectsEstimator(t *testing.T) {
 	if r := getJSON(t, ts.URL+"/knn?s=10&k=3&estimator=fed-amps", nil); r.StatusCode != http.StatusBadRequest {
 		t.Fatalf("estimator on kNN: status %d, want 400", r.StatusCode)
 	}
-	// batched=1 with a non-TM-tree queue is likewise a client mistake.
-	if r := getJSON(t, ts.URL+"/knn?s=10&k=3&batched=1&queue=heap", nil); r.StatusCode != http.StatusBadRequest {
-		t.Fatalf("batched+heap on kNN: status %d, want 400", r.StatusCode)
+	// A non-TM-tree queue is served, unbatched.
+	if r := getJSON(t, ts.URL+"/knn?s=10&k=3&queue=heap", nil); r.StatusCode != http.StatusOK {
+		t.Fatalf("heap queue on kNN: status %d, want 200", r.StatusCode)
 	}
 }
 
@@ -205,7 +225,7 @@ func TestQueryStatus(t *testing.T) {
 	}{
 		{fmt.Errorf("wrap: %w", fedroad.ErrInvalidQuery), http.StatusBadRequest},
 		{fmt.Errorf("wrap: %w", fedroad.ErrSessionPoisoned), http.StatusServiceUnavailable},
-		{errServerClosed, http.StatusServiceUnavailable},
+		{fmt.Errorf("wrap: %w", serve.ErrShed), http.StatusTooManyRequests},
 		// An unclassified error is an internal failure, not the client's
 		// fault: the old default of 400 hid engine bugs as user errors.
 		{errors.New("engine exploded"), http.StatusInternalServerError},
@@ -286,7 +306,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"fedroad_mpc_compares_total",
 		`fedroad_queries_total{kind="spsp"}`,
 		`fedroad_queries_total{kind="sssp"}`,
-		"fedserver_sessions_checked_out_total",
+		"fedroad_mpc_engine_forks_total",
+		"fedserver_admitted_total",
 		"fedroad_graph_vertices",
 	} {
 		if _, ok := before[k]; !ok {
@@ -306,7 +327,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		`fedroad_queries_total{kind="sssp"}`,
 		`fedroad_query_seconds_count{kind="spsp"}`,
 		`fedroad_query_settled_vertices_total{kind="sssp"}`,
-		"fedserver_sessions_checked_out_total",
+		"fedroad_mpc_engine_forks_total",
+		"fedserver_admitted_total",
 		`fedserver_http_requests_total{code="2xx",path="/route"}`,
 		`fedserver_http_request_seconds_count{path="/knn"}`,
 	}
@@ -359,10 +381,10 @@ func TestPprofGated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(fed, 2)
+	srv := newServer(fed, 2, 0, 0)
 	srv.pprof = true
 	ts2 := httptest.NewServer(srv.routes())
-	t.Cleanup(func() { ts2.Close(); srv.Close(); fed.Close() })
+	t.Cleanup(func() { ts2.Close(); fed.Close() })
 	resp, err = http.Get(ts2.URL + "/debug/pprof/")
 	if err != nil {
 		t.Fatal(err)
@@ -517,7 +539,7 @@ func TestStatsCustomizeBlock(t *testing.T) {
 	if err := fed.CustomizeIndex(); err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(newServer(fed, 4).routes())
+	ts := httptest.NewServer(newServer(fed, 4, 0, 0).routes())
 	t.Cleanup(ts.Close)
 
 	var st struct {

@@ -2,17 +2,19 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"testing"
+	"time"
 
 	fedroad "repro"
 )
 
-// servingServer is testServer with access to the server struct, for tests
-// that flip serving-tier knobs (cache, admission gate) directly.
-func servingServer(t *testing.T, maxConcurrent int) (*httptest.Server, *server) {
+// servingServer is testServer with the pipeline sized by the caller (as
+// -max-concurrent, -max-queue and -cache do) and access to the server struct.
+func servingServer(t *testing.T, maxConcurrent, maxQueue, cacheEntries int) (*httptest.Server, *server) {
 	t.Helper()
 	g, w0 := fedroad.GenerateRoadNetwork(150, 91)
 	silosW := fedroad.SimulateCongestion(w0, 3, fedroad.Moderate, 92)
@@ -23,10 +25,9 @@ func servingServer(t *testing.T, maxConcurrent int) (*httptest.Server, *server) 
 	if err := fed.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(fed, maxConcurrent)
+	srv := newServer(fed, maxConcurrent, maxQueue, cacheEntries)
 	ts := httptest.NewServer(srv.routes())
 	t.Cleanup(ts.Close)
-	t.Cleanup(srv.Close)
 	return ts, srv
 }
 
@@ -39,8 +40,7 @@ type servingStats struct {
 }
 
 func TestRouteCacheHitMissLifecycle(t *testing.T) {
-	ts, srv := servingServer(t, 4)
-	srv.enableCache(64)
+	ts, _ := servingServer(t, 4, 0, 64)
 
 	var first, second, third routeResponse
 	if r := getJSON(t, ts.URL+"/route?s=3&t=120", &first); r.StatusCode != http.StatusOK {
@@ -109,10 +109,10 @@ func TestRouteCacheHitMissLifecycle(t *testing.T) {
 	}
 }
 
-// TestCacheOffByDefault: without enableCache the response carries no cached
-// field and /stats no cache block.
+// TestCacheOffByDefault: with -cache 0 the response carries no cached field
+// and /stats no cache block.
 func TestCacheOffByDefault(t *testing.T) {
-	ts, _ := servingServer(t, 4)
+	ts, _ := servingServer(t, 4, 0, 0)
 	var resp routeResponse
 	getJSON(t, ts.URL+"/route?s=3&t=120", &resp)
 	if resp.Cached != "" {
@@ -126,19 +126,31 @@ func TestCacheOffByDefault(t *testing.T) {
 }
 
 // Shedding: with the in-system population at its limit, the next query gets
-// 429 plus a Retry-After hint — it never blocks. The gate is exercised
-// directly (deterministic) and then through HTTP.
+// 429 plus a Retry-After hint — it never blocks. Three queries are parked
+// mid-protocol (two running, one waiting for a slot) to fill the gate.
 func TestAdmissionShedsWith429(t *testing.T) {
-	ts, srv := servingServer(t, 2)
-	srv.setMaxQueue(1) // in-system limit: 2 running + 1 queued
+	ts, f := chaosServer(t, 2, 1) // in-system limit: 2 running + 1 queued
 
-	// Fill the gate as three in-flight queries would.
+	f.hold.Lock()
+	held := make(chan int, 3)
 	for i := 0; i < 3; i++ {
-		if err := srv.gate.Acquire(); err != nil {
-			t.Fatalf("acquire %d: %v", i, err)
-		}
+		go func() {
+			resp, err := http.Get(fmt.Sprintf("%s/route?s=%d&t=24", ts.URL, i))
+			if err != nil {
+				held <- 0
+				return
+			}
+			resp.Body.Close()
+			held <- resp.StatusCode
+		}()
 	}
-	resp, err := http.Get(ts.URL + "/route?s=3&t=120")
+	var st servingStats
+	for st.Admission.Depth != 3 {
+		time.Sleep(time.Millisecond)
+		getJSON(t, ts.URL+"/stats", &st)
+	}
+
+	resp, err := http.Get(ts.URL + "/route?s=3&t=20")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,50 +164,62 @@ func TestAdmissionShedsWith429(t *testing.T) {
 	}
 
 	// Released capacity admits again.
+	f.hold.Unlock()
 	for i := 0; i < 3; i++ {
-		srv.gate.Release()
+		if code := <-held; code != http.StatusOK {
+			t.Fatalf("held query finished with status %d, want 200", code)
+		}
 	}
-	if r := getJSON(t, ts.URL+"/route?s=3&t=120", nil); r.StatusCode != http.StatusOK {
+	if r := getJSON(t, ts.URL+"/route?s=3&t=20", nil); r.StatusCode != http.StatusOK {
 		t.Fatalf("status %d after release, want 200", r.StatusCode)
 	}
 
 	// Accounting is visible on /stats and /metrics and adds up.
-	var st servingStats
 	getJSON(t, ts.URL+"/stats", &st)
-	if st.Admission.Limit != 3 || st.Admission.Shed != 1 {
-		t.Fatalf("admission stats %+v, want limit 3, shed 1", st.Admission)
+	if st.Admission.Limit != 3 || st.Admission.Shed != 1 || st.Admission.Admitted != 4 {
+		t.Fatalf("admission stats %+v, want limit 3, shed 1, admitted 4", st.Admission)
 	}
 	if st.Admission.Depth != 0 {
 		t.Fatalf("queue depth %d with nothing in flight", st.Admission.Depth)
 	}
 	m := scrape(t, ts.URL)
-	if m[`fedserver_shed_total`] != 1 {
-		t.Fatalf("fedserver_shed_total = %v, want 1", m[`fedserver_shed_total`])
-	}
-	if m[`fedserver_admitted_total`] < 4 {
-		t.Fatalf("fedserver_admitted_total = %v, want >= 4", m[`fedserver_admitted_total`])
+	if m[`fedserver_shed_total`] != 1 || m[`fedserver_admitted_total`] != 4 {
+		t.Fatalf("fedserver_shed_total = %v, fedserver_admitted_total = %v, want 1 and 4",
+			m[`fedserver_shed_total`], m[`fedserver_admitted_total`])
 	}
 }
 
-// With -max-queue 0 (the default) nothing sheds; the gate only counts.
+// With -max-queue 0 (the default) nothing sheds: requests beyond
+// -max-concurrent wait for a slot.
 func TestNoSheddingByDefault(t *testing.T) {
-	ts, srv := servingServer(t, 1)
+	ts, _ := servingServer(t, 1, 0, 0)
+	codes := make(chan int, 10)
 	for i := 0; i < 10; i++ {
-		if err := srv.gate.Acquire(); err != nil {
-			t.Fatalf("acquire %d shed with shedding disabled: %v", i, err)
+		go func() {
+			resp, err := http.Get(fmt.Sprintf("%s/route?s=%d&t=120", ts.URL, i))
+			if err != nil {
+				codes <- 0
+				return
+			}
+			resp.Body.Close()
+			codes <- resp.StatusCode
+		}()
+	}
+	for i := 0; i < 10; i++ {
+		if code := <-codes; code != http.StatusOK {
+			t.Fatalf("status %d with shedding disabled, want 200", code)
 		}
 	}
-	for i := 0; i < 10; i++ {
-		srv.gate.Release()
-	}
-	if r := getJSON(t, ts.URL+"/route?s=3&t=120", nil); r.StatusCode != http.StatusOK {
-		t.Fatalf("status %d, want 200", r.StatusCode)
+	var st servingStats
+	getJSON(t, ts.URL+"/stats", &st)
+	if st.Admission.Limit != 0 || st.Admission.Shed != 0 || st.Admission.Admitted != 10 {
+		t.Fatalf("admission stats %+v, want limit 0, shed 0, admitted 10", st.Admission)
 	}
 }
 
 // The unit-weights warning is surfaced in /stats.
 func TestUnitWeightsSurfacedInStats(t *testing.T) {
-	ts, srv := servingServer(t, 2)
+	ts, srv := servingServer(t, 2, 0, 0)
 	srv.unitWeights = true
 	var st servingStats
 	getJSON(t, ts.URL+"/stats", &st)

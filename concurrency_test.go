@@ -1,6 +1,7 @@
 package fedroad
 
 import (
+	"errors"
 	"math/rand/v2"
 	"sync"
 	"sync/atomic"
@@ -185,9 +186,12 @@ func TestConcurrentQueriesUnderTrafficStress(t *testing.T) {
 		workers*queriesPerWorker, workers, updates.Load())
 }
 
+// Every out-of-range update is rejected as the client's mistake
+// (ErrInvalidUpdate) and nothing is applied: the traffic version stays put.
 func TestSetTrafficValidation(t *testing.T) {
 	f, _ := testFederation(t, 100, 47)
 	numArcs := f.Graph().NumArcs()
+	ver := f.TrafficVersion()
 	for _, c := range []struct {
 		silo   int
 		arc    Arc
@@ -201,12 +205,19 @@ func TestSetTrafficValidation(t *testing.T) {
 		{0, 0, -5},
 		{0, 0, MaxTravelMs},
 	} {
-		if err := f.SetTraffic(c.silo, c.arc, c.travel); err == nil {
-			t.Errorf("SetTraffic(%d, %d, %d) accepted", c.silo, c.arc, c.travel)
+		_, err := f.ApplyTraffic([]TrafficUpdate{{Silo: c.silo, Arc: c.arc, TravelMs: c.travel}})
+		if !errors.Is(err, ErrInvalidUpdate) {
+			t.Errorf("ApplyTraffic(silo %d, arc %d, %dms): %v, want ErrInvalidUpdate", c.silo, c.arc, c.travel, err)
 		}
 	}
-	if err := f.SetTraffic(0, 0, 1000); err != nil {
-		t.Fatalf("valid SetTraffic rejected: %v", err)
+	if got := f.TrafficVersion(); got != ver {
+		t.Fatalf("rejected updates moved the traffic version %d -> %d", ver, got)
+	}
+	if _, err := f.ApplyTraffic([]TrafficUpdate{{Silo: 0, Arc: 0, TravelMs: 1000}}); err != nil {
+		t.Fatalf("valid update rejected: %v", err)
+	}
+	if got := f.TrafficVersion(); got != ver+1 {
+		t.Fatalf("valid update moved the traffic version %d -> %d, want +1", ver, got)
 	}
 }
 

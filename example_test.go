@@ -86,7 +86,7 @@ func ExampleFederation_NearestNeighbors() {
 
 // Real-time traffic: silos update their private observations and the
 // federated index refreshes incrementally.
-func ExampleFederation_UpdateIndex() {
+func ExampleFederation_ApplyTraffic() {
 	g, w0 := fedroad.GenerateGridNetwork(8, 8, 9)
 	silos := fedroad.SimulateCongestion(w0, 3, fedroad.Free, 10)
 	f, err := fedroad.New(g, w0, silos)
@@ -97,10 +97,11 @@ func ExampleFederation_UpdateIndex() {
 		log.Fatal(err)
 	}
 	a := g.FindArc(0, 1)
-	for p := 0; p < f.Silos(); p++ {
-		f.SetTraffic(p, a, w0[a]*10) // jam observed by every silo
+	var jam []fedroad.TrafficUpdate
+	for p := 0; p < f.Silos(); p++ { // observed by every silo
+		jam = append(jam, fedroad.TrafficUpdate{Silo: p, Arc: a, TravelMs: w0[a] * 10})
 	}
-	stats, err := f.UpdateIndex([]fedroad.Arc{a})
+	stats, err := f.ApplyTraffic(jam)
 	if err != nil {
 		log.Fatal(err)
 	}

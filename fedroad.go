@@ -237,9 +237,9 @@ type MeshStats = transport.MeshStats
 
 // ErrInvalidUpdate tags traffic updates rejected by validation (a client
 // mistake: silo/arc out of range, travel time outside bounds). Errors from
-// ApplyTraffic and SetTraffic that do NOT wrap ErrInvalidUpdate are internal
-// failures (e.g. a shortcut-index refresh error) — servers should map the
-// former to 4xx and the latter to 5xx.
+// ApplyTraffic that do NOT wrap ErrInvalidUpdate are internal failures (e.g.
+// a shortcut-index refresh error) — servers should map the former to 4xx and
+// the latter to 5xx.
 var ErrInvalidUpdate = errors.New("fedroad: invalid traffic update")
 
 // ErrSessionPoisoned tags query errors from a session whose MPC engine
@@ -284,8 +284,8 @@ func IsTimeout(err error) bool { return transport.IsTimeout(err) }
 // A Federation is safe for concurrent use. Queries (ShortestPath,
 // NearestNeighbors, and every query issued through a Session) take a read
 // lock and run on a private MPC engine fork, so any number of them proceed
-// in parallel; mutations (SetTraffic, ApplyTraffic, UpdateIndex) take the
-// write lock and therefore never interleave with a search. BuildIndex and
+// in parallel; the one traffic mutator, ApplyTraffic, takes the write lock
+// and therefore never interleaves with a search. BuildIndex and
 // PrecomputeLandmarks do their heavy work OFF the lock — they snapshot the
 // silo weights under a read lock, compute unlocked, and swap the result in
 // under a brief write lock — so queries and traffic updates keep flowing
@@ -589,7 +589,7 @@ func (f *Federation) PoolStats() mpc.PoolStats {
 func (f *Federation) Graph() *Graph { return f.inner.Graph() }
 
 // TrafficVersion returns the traffic version: a counter of silo-weight
-// mutations (SetTraffic, non-empty ApplyTraffic, LoadSavedIndex/RestoreState).
+// mutations (non-empty ApplyTraffic, LoadSavedIndex/RestoreState).
 // Serving tiers fold it into cache keys — a traffic update bumps the version,
 // which makes every older cache entry unreachable without any explicit
 // invalidation. The versioned query methods (Session.ShortestPathAt,
@@ -997,21 +997,6 @@ func (f *Federation) ensureLandmarks() {
 // graph.MaxWeight and the fixed-point discipline in DESIGN.md.
 const MaxTravelMs = int64(graph.MaxWeight)
 
-// SetTraffic updates silo p's private weight of one arc (a real-time traffic
-// change) under the write lock. Call UpdateIndex afterwards — or use
-// ApplyTraffic to do both atomically — so the shortcut index stays
-// consistent with the silo weights.
-func (f *Federation) SetTraffic(silo int, a Arc, travelTimeMs int64) error {
-	if err := f.validateTraffic(silo, a, travelTimeMs); err != nil {
-		return err
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.inner.Silo(silo).SetWeight(a, travelTimeMs)
-	f.trafficVer++
-	return nil
-}
-
 func (f *Federation) validateTraffic(silo int, a Arc, travelTimeMs int64) error {
 	if silo < 0 || silo >= f.Silos() {
 		return fmt.Errorf("%w: silo %d out of range [0,%d)", ErrInvalidUpdate, silo, f.Silos())
@@ -1097,17 +1082,6 @@ func (f *Federation) ApplyTraffic(updates []TrafficUpdate, opts ...ApplyOption) 
 		arcs = append(arcs, a)
 	}
 	return f.index.Update(arcs)
-}
-
-// UpdateIndex runs the federated partial index update for the changed arcs
-// under the write lock.
-func (f *Federation) UpdateIndex(changed []Arc) (ch.UpdateStats, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.index == nil {
-		return ch.UpdateStats{}, fmt.Errorf("fedroad: no index built")
-	}
-	return f.index.Update(changed)
 }
 
 // SetRealNetworkDelay toggles real-time simulation of the modeled network

@@ -6,6 +6,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"repro/internal/ch"
 	"repro/internal/graph"
 )
 
@@ -132,22 +133,24 @@ func TestTrafficUpdateFlow(t *testing.T) {
 	if err := f.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.UpdateIndex(nil); err != nil {
-		t.Fatal(err)
+	ver := f.TrafficVersion()
+	if _, err := f.ApplyTraffic(nil); err != nil || f.TrafficVersion() != ver {
+		t.Fatalf("empty batch: err %v, version %d -> %d", err, ver, f.TrafficVersion())
 	}
-	var changed []Arc
+	var batch []TrafficUpdate
+	changed := 0
 	rng := rand.New(rand.NewPCG(3, 3))
 	for a := 0; a < f.Graph().NumArcs(); a += 17 {
-		changed = append(changed, Arc(a))
+		changed++
 		for p := 0; p < f.Silos(); p++ {
-			f.SetTraffic(p, Arc(a), int64(10000+rng.IntN(50000)))
+			batch = append(batch, TrafficUpdate{Silo: p, Arc: Arc(a), TravelMs: int64(10000 + rng.IntN(50000))})
 		}
 	}
-	stats, err := f.UpdateIndex(changed)
+	stats, err := f.ApplyTraffic(batch)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.ChangedArcs != len(changed) {
+	if stats.ChangedArcs != changed {
 		t.Fatalf("update stats wrong: %+v", stats)
 	}
 	// Verify by self-consistency: after the update, the indexed default
@@ -169,10 +172,22 @@ func TestTrafficUpdateFlow(t *testing.T) {
 	}
 }
 
+// Without a built index a traffic batch has no index to refresh: the weights
+// land, the version moves and flat queries see them.
 func TestUpdateIndexWithoutBuild(t *testing.T) {
 	f, _ := testFederation(t, 100, 15)
-	if _, err := f.UpdateIndex([]Arc{0}); err == nil {
-		t.Fatal("UpdateIndex without BuildIndex accepted")
+	ver := f.TrafficVersion()
+	stats, err := f.ApplyTraffic([]TrafficUpdate{{Silo: 0, Arc: 0, TravelMs: 777777}})
+	if err != nil || stats != (ch.UpdateStats{}) {
+		t.Fatalf("ApplyTraffic without an index: stats %+v, err %v", stats, err)
+	}
+	if f.TrafficVersion() != ver+1 || f.inner.Silo(0).Weight(0) != 777777 {
+		t.Fatalf("update not applied: version %d -> %d, weight %d", ver, f.TrafficVersion(), f.inner.Silo(0).Weight(0))
+	}
+	route, _, err := f.ShortestPath(3, 90)
+	want, _ := graph.DijkstraTo(f.Graph(), f.inner.JointWeights(), 3, 90)
+	if err != nil || JointCost(route) != want {
+		t.Fatalf("flat query after the update: cost %d, plaintext %d, err %v", JointCost(route), want, err)
 	}
 }
 

@@ -1,12 +1,10 @@
-// Package soak drives the serving-tier mixed-workload soak: concurrent
-// queries racing traffic updates racing index rebuilds, all flowing through
-// the admission gate and the traffic-version-keyed result cache — the exact
-// contention fedserver sees in production, compressed into seconds. Every
-// response is replayed against plaintext Dijkstra at the traffic version it
-// echoed (the staleness oracle), and the admission counters are checked for
-// exact accounting. A second phase measures repeated-OD throughput with a
-// warm cache against the uncached engine. fedbench's soak subcommand writes
-// the result as BENCH_soak.json (see internal/expr.SoakReport).
+// Package soak races the serving pipeline against everything that moves
+// under it: concurrent queries through serve.Pipeline — the same code
+// fedserver's handlers call — racing traffic updates racing index rebuilds,
+// the contention a deployment sees, compressed into seconds. Every answer is
+// replayed against plaintext Dijkstra at the traffic version it echoed (the
+// staleness oracle), and the admission counters are checked for exact
+// accounting. (mesh.go is the cross-process chaos harness behind cmd/fedmesh.)
 package soak
 
 import (
@@ -18,56 +16,52 @@ import (
 	"time"
 
 	fedroad "repro"
-	"repro/internal/admit"
-	"repro/internal/expr"
 	"repro/internal/graph"
+	"repro/internal/serve"
 )
 
-// Config sizes the soak. The zero value is not runnable; use Defaults.
+// The soak's fixed shape: a small OD pool makes cache pressure real, and an
+// in-system limit below the worker count makes overload real — the
+// accounting invariant is vacuous if nothing ever sheds.
+const (
+	soakSilos    = 3
+	soakSeed     = 1
+	soakPairs    = 12
+	soakCacheCap = 1024
+)
+
+// Config sizes the soak.
 type Config struct {
 	Vertices int           // road-network size
-	Silos    int           // private weight shards
-	Seed     uint64        // deterministic topology + workload
-	Duration time.Duration // mixed-phase length (the throughput phase reuses it, split in half per leg)
-	Workers  int           // concurrent query workers
-	// AdmitLimit bounds the in-system query population. Deliberately below
-	// Workers so overload is real and the shed path gets exercised — the
-	// accounting invariant is vacuous if nothing ever sheds.
-	AdmitLimit int
-	CacheCap   int // result-cache entries
-	Pairs      int // OD-pair pool size (small ⇒ cache pressure is real)
+	Duration time.Duration // how long everything races everything
+	Workers  int           // concurrent query workers; the pipeline admits Workers/2+1
 }
 
-// Defaults fills unset fields with the CI smoke scale.
-func Defaults(c Config) Config {
-	if c.Vertices == 0 {
-		c.Vertices = 300
-	}
-	if c.Silos == 0 {
-		c.Silos = 3
-	}
-	if c.Seed == 0 {
-		c.Seed = 1
-	}
-	if c.Duration == 0 {
-		c.Duration = 2 * time.Second
-	}
-	if c.Workers == 0 {
-		c.Workers = 8
-	}
-	if c.AdmitLimit == 0 {
-		c.AdmitLimit = c.Workers/2 + 1
-	}
-	if c.CacheCap == 0 {
-		c.CacheCap = 1024
-	}
-	if c.Pairs == 0 {
-		c.Pairs = 12
-	}
-	return c
+// Report is what a soak run observed.
+type Report struct {
+	Queries        int64 // answers served (hits, waiters and computed)
+	TrafficBatches int64
+	Rebuilds       int64
+	BuildConflicts int64
+
+	// Staleness oracle: every answer replayed against plaintext Dijkstra at
+	// the traffic version it echoed.
+	OracleChecks     int64
+	OracleViolations int64
+
+	// Admission accounting. Only flight leaders reach the gate, so Admitted +
+	// Shed must equal LeaderAttempts and the depth must return to zero.
+	LeaderAttempts int64
+	Admitted       int64
+	Shed           int64
+	AccountingOK   bool
+
+	CacheHits      int64
+	CacheMisses    int64
+	CacheCoalesced int64
 }
 
-// observation is one served response awaiting its oracle replay.
+// observation is one served answer awaiting its oracle replay.
 type observation struct {
 	src, dst fedroad.Vertex
 	route    fedroad.Route
@@ -77,11 +71,10 @@ type observation struct {
 // Run executes the soak and returns the report. It is deterministic in
 // workload shape (topology, update stream, OD pairs) but not in interleaving
 // — that is the point.
-func Run(cfg Config) (*expr.SoakReport, error) {
-	cfg = Defaults(cfg)
-	g, w0 := fedroad.GenerateRoadNetwork(cfg.Vertices, cfg.Seed)
-	silos := fedroad.SimulateCongestion(w0, cfg.Silos, fedroad.Moderate, cfg.Seed+1)
-	f, err := fedroad.New(g, w0, silos, fedroad.Config{Seed: cfg.Seed + 2})
+func Run(cfg Config) (*Report, error) {
+	g, w0 := fedroad.GenerateRoadNetwork(cfg.Vertices, soakSeed)
+	silos := fedroad.SimulateCongestion(w0, soakSilos, fedroad.Moderate, soakSeed+1)
+	f, err := fedroad.New(g, w0, silos, fedroad.Config{Seed: soakSeed + 2})
 	if err != nil {
 		return nil, err
 	}
@@ -89,15 +82,8 @@ func Run(cfg Config) (*expr.SoakReport, error) {
 	if err := f.BuildIndex(); err != nil {
 		return nil, err
 	}
-	qc := f.NewQueryCache(cfg.CacheCap)
-	gate := admit.New(cfg.AdmitLimit, nil)
-
-	rep := &expr.SoakReport{
-		Experiment: "soak",
-		Vertices:   g.NumVertices(),
-		Silos:      cfg.Silos,
-		DurationMs: cfg.Duration.Milliseconds(),
-	}
+	pipe := serve.New(f, cfg.Workers/2, 1, soakCacheCap)
+	opt := fedroad.QueryOptions{BatchedMPC: true}
 
 	// Shadow staleness oracle: traffic version → plaintext joint weights.
 	// The federation never exposes the private silo weights, so the soak
@@ -108,10 +94,9 @@ func Run(cfg Config) (*expr.SoakReport, error) {
 		shadow[p] = append(fedroad.Weights(nil), set...)
 	}
 	oracle := map[uint64]fedroad.Weights{f.TrafficVersion(): jointOf(shadow, g.NumArcs())}
-	var oracleMu sync.Mutex
 
-	pairs := make([][2]fedroad.Vertex, cfg.Pairs)
-	prng := rand.New(rand.NewPCG(cfg.Seed+3, 0))
+	pairs := make([][2]fedroad.Vertex, soakPairs)
+	prng := rand.New(rand.NewPCG(soakSeed+3, 0))
 	for i := range pairs {
 		pairs[i] = [2]fedroad.Vertex{
 			fedroad.Vertex(prng.IntN(g.NumVertices())),
@@ -121,8 +106,7 @@ func Run(cfg Config) (*expr.SoakReport, error) {
 
 	var (
 		stop     atomic.Bool
-		attempts atomic.Int64
-		queries  atomic.Int64
+		leaders  atomic.Int64
 		batches  atomic.Int64
 		rebuilds atomic.Int64
 		conflict atomic.Int64
@@ -131,48 +115,43 @@ func Run(cfg Config) (*expr.SoakReport, error) {
 		wg       sync.WaitGroup
 	)
 
-	// Query workers: gate → cache → session. Shed attempts retry after a
-	// beat, exactly like a client honoring Retry-After.
+	// Query workers. A shed request retries after a beat, exactly like a
+	// client honoring Retry-After.
 	for w := 0; w < cfg.Workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			s := f.Session()
-			defer s.Close()
-			rng := rand.New(rand.NewPCG(cfg.Seed+4, uint64(w)))
+			rng := rand.New(rand.NewPCG(soakSeed+4, uint64(w)))
 			for !stop.Load() {
 				p := pairs[rng.IntN(len(pairs))]
-				attempts.Add(1)
-				if err := gate.Acquire(); err != nil {
+				route, meta, qerr := pipe.Route(p[0], p[1], opt)
+				if meta.Outcome == fedroad.CacheMiss {
+					leaders.Add(1)
+				}
+				if errors.Is(qerr, serve.ErrShed) {
 					time.Sleep(200 * time.Microsecond)
 					continue
 				}
-				route, _, ver, _, qerr := qc.ShortestPath(p[0], p[1], fedroad.QueryOptions{},
-					func() (fedroad.Route, fedroad.Stats, uint64, error) {
-						return s.ShortestPathAt(p[0], p[1])
-					})
-				gate.Release()
 				if qerr != nil {
 					errCh <- fmt.Errorf("soak query: %w", qerr)
 					return
 				}
-				queries.Add(1)
-				obs[w] = append(obs[w], observation{p[0], p[1], route, ver})
+				obs[w] = append(obs[w], observation{p[0], p[1], route, meta.Version})
 			}
-		}(w)
+		}()
 	}
 
-	// Updater: small traffic batches, each recorded in the oracle.
+	// Updater: small traffic batches, each recorded in the oracle (which only
+	// this goroutine touches until the workers are done).
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		rng := rand.New(rand.NewPCG(cfg.Seed+5, 0))
+		rng := rand.New(rand.NewPCG(soakSeed+5, 0))
 		for !stop.Load() {
-			n := 1 + rng.IntN(3)
-			ups := make([]fedroad.TrafficUpdate, n)
+			ups := make([]fedroad.TrafficUpdate, 1+rng.IntN(3))
 			for i := range ups {
 				ups[i] = fedroad.TrafficUpdate{
-					Silo:     rng.IntN(cfg.Silos),
+					Silo:     rng.IntN(soakSilos),
 					Arc:      fedroad.Arc(rng.IntN(g.NumArcs())),
 					TravelMs: int64(1 + rng.IntN(120000)),
 				}
@@ -181,14 +160,12 @@ func Run(cfg Config) (*expr.SoakReport, error) {
 				errCh <- fmt.Errorf("soak traffic: %w", uerr)
 				return
 			}
-			oracleMu.Lock()
 			for _, u := range ups {
 				shadow[u.Silo][u.Arc] = u.TravelMs
 			}
 			oracle[f.TrafficVersion()] = jointOf(shadow, g.NumArcs())
-			oracleMu.Unlock()
 			batches.Add(1)
-			time.Sleep(2 * time.Millisecond)
+			time.Sleep(5 * time.Millisecond)
 		}
 	}()
 
@@ -220,13 +197,16 @@ func Run(cfg Config) (*expr.SoakReport, error) {
 		return nil, err
 	}
 
-	rep.Queries = queries.Load()
-	rep.TrafficBatches = batches.Load()
-	rep.Rebuilds = rebuilds.Load()
-	rep.BuildConflicts = conflict.Load()
+	rep := &Report{
+		TrafficBatches: batches.Load(),
+		Rebuilds:       rebuilds.Load(),
+		BuildConflicts: conflict.Load(),
+		LeaderAttempts: leaders.Load(),
+	}
 
-	// Replay every response against the oracle at its echoed version.
+	// Replay every answer against the oracle at its echoed version.
 	for _, list := range obs {
+		rep.Queries += int64(len(list))
 		for _, o := range list {
 			joint, ok := oracle[o.ver]
 			if !ok {
@@ -246,89 +226,18 @@ func Run(cfg Config) (*expr.SoakReport, error) {
 		}
 	}
 
-	gs := gate.Stats()
-	rep.Admitted = gs.Admitted
-	rep.Shed = gs.Shed
-	rep.AccountingOK = gs.Admitted+gs.Shed == attempts.Load() && gs.Depth == 0
-
-	cs := qc.Stats()
-	rep.CacheHits = int64(cs.Hits)
-	rep.CacheMisses = int64(cs.Misses)
-	rep.CacheCoalesced = int64(cs.Coalesced)
-
-	// Throughput phase: repeated-OD serving, warm cache vs no cache. The
-	// traffic is quiet now, so the cache stays warm after one priming pass.
-	leg := cfg.Duration / 2
-	if leg < 250*time.Millisecond {
-		leg = 250 * time.Millisecond
-	}
-	uncached, err := measureQPS(f, pairs, leg, nil)
-	if err != nil {
-		return nil, err
-	}
-	warm, err := measureQPS(f, pairs, leg, qc)
-	if err != nil {
-		return nil, err
-	}
-	rep.UncachedQPS = uncached
-	rep.WarmCacheQPS = warm
-	if uncached > 0 {
-		rep.CacheSpeedup = warm / uncached
-	}
+	st := pipe.Stats()
+	rep.Admitted = st.Admission.Admitted
+	rep.Shed = st.Admission.Shed
+	rep.AccountingOK = rep.Admitted+rep.Shed == rep.LeaderAttempts && st.Admission.Depth == 0
+	rep.CacheHits = int64(st.Cache.Hits)
+	rep.CacheMisses = int64(st.Cache.Misses)
+	rep.CacheCoalesced = int64(st.Cache.Coalesced)
 	return rep, nil
 }
 
-// measureQPS hammers the OD pool round-robin for the window from one
-// goroutine per two pairs, counting completed queries. With qc non-nil every
-// query flows through the cache (primed by its first pass); with qc nil each
-// runs the engine.
-func measureQPS(f *fedroad.Federation, pairs [][2]fedroad.Vertex, window time.Duration, qc *fedroad.QueryCache) (float64, error) {
-	workers := len(pairs)/2 + 1
-	var (
-		stop  atomic.Bool
-		count atomic.Int64
-		wg    sync.WaitGroup
-		errCh = make(chan error, workers)
-	)
-	start := time.Now()
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			s := f.Session()
-			defer s.Close()
-			for i := w; !stop.Load(); i++ {
-				p := pairs[i%len(pairs)]
-				var err error
-				if qc != nil {
-					_, _, _, _, err = qc.ShortestPath(p[0], p[1], fedroad.QueryOptions{},
-						func() (fedroad.Route, fedroad.Stats, uint64, error) {
-							return s.ShortestPathAt(p[0], p[1])
-						})
-				} else {
-					_, _, err = s.ShortestPath(p[0], p[1])
-				}
-				if err != nil {
-					errCh <- err
-					return
-				}
-				count.Add(1)
-			}
-		}(w)
-	}
-	time.Sleep(window)
-	stop.Store(true)
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		return 0, err
-	}
-	return float64(count.Load()) / time.Since(start).Seconds(), nil
-}
-
 // jointOf sums the shadow silo weights into the plaintext joint vector the
-// oracle compares against. Callers must hold oracleMu (or the single-updater
-// role before workers start).
+// oracle compares against.
 func jointOf(shadow []fedroad.Weights, numArcs int) fedroad.Weights {
 	joint := make(fedroad.Weights, numArcs)
 	for _, w := range shadow {

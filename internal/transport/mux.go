@@ -319,8 +319,11 @@ type peerCounters struct {
 
 // MeshPeerStats is one peer's traffic and liveness counters.
 type MeshPeerStats struct {
-	Peer       int
-	Up         bool
+	Peer int
+	Up   bool
+	// OpenLanes counts the session lanes holding an inbound queue on the
+	// live link: back to 0 once every session over it is closed.
+	OpenLanes  int
 	Generation uint64 // link generations installed (1 = never reconnected)
 	BytesSent  int64
 	MsgsSent   int64
@@ -701,9 +704,10 @@ func (m *Mesh) Stats() MeshStats {
 			continue
 		}
 		c := &m.pstats[p]
+		l := m.link(p)
 		ps := MeshPeerStats{
 			Peer:            p,
-			Up:              m.LinkUp(p),
+			Up:              l != nil,
 			Generation:      m.gens[p].Load(),
 			BytesSent:       c.bytesSent.Load(),
 			MsgsSent:        c.msgsSent.Load(),
@@ -713,8 +717,11 @@ func (m *Mesh) Stats() MeshStats {
 			HeartbeatMisses: c.hbMisses.Load(),
 			DialFailures:    c.dialFailures.Load(),
 		}
-		if ps.Up {
+		if l != nil {
 			st.LinksUp++
+			l.qmu.Lock()
+			ps.OpenLanes = len(l.lanes)
+			l.qmu.Unlock()
 		}
 		st.Reconnects += ps.Reconnects
 		st.HeartbeatMisses += ps.HeartbeatMisses

@@ -115,7 +115,7 @@ func TestStateRoundTripWithoutIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := src.SetTraffic(0, 5, 99999); err != nil {
+	if _, err := src.ApplyTraffic([]TrafficUpdate{{Silo: 0, Arc: 5, TravelMs: 99999}}); err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
