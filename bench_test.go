@@ -7,12 +7,11 @@ package fedroad
 // `fedbench all` reproduces the full-scale tables (see EXPERIMENTS.md).
 
 import (
-	"fmt"
 	"io"
 	"math/rand/v2"
-	"sync"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/expr"
 	"repro/internal/graph"
 	"repro/internal/lb"
@@ -261,41 +260,51 @@ func BenchmarkIndexDerivation(b *testing.B) {
 	}
 }
 
-func benchSPSP(b *testing.B, opt QueryOptions) {
+// benchSPSP times one point of the paper's stack, a core engine over a fork
+// of the federation; indexed selects its shortcut index.
+func benchSPSP(b *testing.B, opt core.Options, indexed bool) {
 	f, g := benchFederation(b, 1200)
-	if err := f.BuildIndex(); err != nil {
+	if indexed {
+		if err := f.BuildIndex(); err != nil {
+			b.Fatal(err)
+		}
+		opt.Index = f.index
+	}
+	fork := f.inner.Fork()
+	defer fork.Engine().Close()
+	e, err := core.NewEngine(fork, opt)
+	if err != nil {
 		b.Fatal(err)
 	}
-	f.PrecomputeLandmarks()
 	rng := rand.New(rand.NewPCG(5, 5))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s := Vertex(rng.IntN(g.NumVertices()))
 		t := Vertex(rng.IntN(g.NumVertices()))
-		if _, _, err := f.ShortestPath(s, t, opt); err != nil {
+		if _, _, err := e.SPSP(s, t); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
 func BenchmarkSPSPNaiveDijk(b *testing.B) {
-	benchSPSP(b, QueryOptions{NoIndex: true, Estimator: NoEstimator, Queue: Heap})
+	benchSPSP(b, core.Options{Queue: pq.KindHeap}, false)
 }
 
 func BenchmarkSPSPShortcut(b *testing.B) {
-	benchSPSP(b, QueryOptions{Estimator: NoEstimator, Queue: Heap})
+	benchSPSP(b, core.Options{Queue: pq.KindHeap}, true)
 }
 
 func BenchmarkSPSPShortcutAMPS(b *testing.B) {
-	benchSPSP(b, QueryOptions{Estimator: FedAMPS, Queue: Heap})
+	benchSPSP(b, core.Options{Estimator: lb.FedAMPS, Queue: pq.KindHeap}, true)
 }
 
 func BenchmarkSPSPFullStack(b *testing.B) {
-	benchSPSP(b, QueryOptions{Estimator: FedAMPS, Queue: TMTree})
+	benchSPSP(b, core.Options{Estimator: lb.FedAMPS, Queue: pq.KindTMTree}, true)
 }
 
 func BenchmarkSPSPFullStackBatched(b *testing.B) {
-	benchSPSP(b, QueryOptions{Estimator: FedAMPS, Queue: TMTree, BatchedMPC: true})
+	benchSPSP(b, core.Options{Estimator: lb.FedAMPS, Queue: pq.KindTMTree, BatchedMPC: true}, true)
 }
 
 func BenchmarkSSSPkNN(b *testing.B) {
@@ -307,63 +316,6 @@ func BenchmarkSSSPkNN(b *testing.B) {
 		if _, _, err := f.NearestNeighbors(s, 10); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkConcurrentQueries measures aggregate SPSP throughput as parallel
-// query sessions are added, on CAL-S in full protocol mode with the modeled
-// LAN applied as real transport delays. One benchmark iteration answers a
-// fixed slate of queries split across W workers (W=1 is the serialized
-// baseline), so ns/op is directly comparable across worker counts: the
-// speedup comes from sessions overlapping their network waits, plus the
-// preprocessing pool keeping dealer work off the critical path.
-func BenchmarkConcurrentQueries(b *testing.B) {
-	g, w0, _ := graph.GenerateDataset("CAL-S")
-	silos := traffic.SiloWeights(w0, 3, traffic.Moderate, 32)
-	f, err := New(g, w0, silos, Config{
-		Mode: ModeProtocol, Seed: 33,
-		PreprocessPool: 8192, PreprocessWorkers: 2,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer f.Close()
-	// Build at full speed, then serve under realistic latency.
-	if err := f.BuildIndex(); err != nil {
-		b.Fatal(err)
-	}
-	f.SetRealNetworkDelay(true)
-
-	const slate = 16
-	rng := rand.New(rand.NewPCG(7, 7))
-	type pair struct{ s, t Vertex }
-	pairs := make([]pair, slate)
-	for i := range pairs {
-		pairs[i] = pair{Vertex(rng.IntN(g.NumVertices())), Vertex(rng.IntN(g.NumVertices()))}
-	}
-	opt := QueryOptions{Estimator: FedAMPS, Queue: TMTree, BatchedMPC: true}
-
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				var wg sync.WaitGroup
-				for w := 0; w < workers; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						sess := f.Session()
-						defer sess.Close()
-						for q := w; q < slate; q += workers {
-							if _, _, err := sess.ShortestPath(pairs[q].s, pairs[q].t, opt); err != nil {
-								b.Error(err)
-								return
-							}
-						}
-					}(w)
-				}
-				wg.Wait()
-			}
-		})
 	}
 }
 
@@ -395,12 +347,6 @@ func BenchmarkLandmarkPrecompute(b *testing.B) {
 	g, w0 := graph.GenerateRoadLike(800, 41)
 	silos := traffic.SiloWeights(w0, 3, traffic.Moderate, 42)
 	for i := 0; i < b.N; i++ {
-		f, err := New(g, w0, silos)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = f
-		_ = lb.FedALT
-		f.PrecomputeLandmarks()
+		lb.Precompute(g, w0, silos, lb.SelectLandmarks(g, w0, 32, 0), 0)
 	}
 }

@@ -23,10 +23,10 @@ type CacheStats = cache.Stats
 
 // QueryCache is a traffic-version-keyed result cache for SPSP and kNN
 // queries: a sharded LRU with request coalescing, keyed by (kind, endpoints,
-// options, traffic version). Because the version is part of the key, a
-// traffic update invalidates every older entry for free — they simply become
-// unreachable and age out of the LRU. The coalescing path guarantees a
-// thundering herd on one OD pair runs ONE MPC query.
+// traffic version). Because the version is part of the key, a traffic update
+// invalidates every older entry for free — they simply become unreachable and
+// age out of the LRU. The coalescing path guarantees a thundering herd on one
+// OD pair runs ONE MPC query.
 //
 // Correctness under races: the lookup version is read before the query, and
 // the version echoed with each result is the one captured under the query's
@@ -61,13 +61,6 @@ func (f *Federation) NewQueryCache(capacity int) *QueryCache {
 	return qc
 }
 
-// optKey folds the option fields that change the answer's shape or cost into
-// the cache key. Every field participates: two queries with different options
-// are different cache lines even when their routes would coincide.
-func optKey(opt QueryOptions) string {
-	return fmt.Sprintf("%s|%s|%t|%t", opt.Estimator, opt.Queue, opt.NoIndex, opt.BatchedMPC)
-}
-
 // cachedRoute is the immutable stored value for one SPSP entry.
 type cachedRoute struct {
 	route Route
@@ -85,11 +78,13 @@ type cachedKNN struct {
 // execute the query and return the result plus the traffic version it was
 // computed at (Session.ShortestPathAt). The returned version is the one the
 // result was computed at; the returned stats are the computing call's (hits
-// replay the original cost counters, having spent none themselves).
-func (qc *QueryCache) ShortestPath(src, dst Vertex, opt QueryOptions,
+// replay the original cost counters, having spent none themselves). The
+// options are not part of the key: they schedule the comparisons of the one
+// stack and never change the route.
+func (qc *QueryCache) ShortestPath(src, dst Vertex, _ QueryOptions,
 	run func() (Route, Stats, uint64, error)) (Route, Stats, uint64, CacheOutcome, error) {
 	cur := qc.f.TrafficVersion()
-	key := fmt.Sprintf("spsp|%d|%d|%s|%d", src, dst, optKey(opt), cur)
+	key := fmt.Sprintf("spsp|%d|%d|%d", src, dst, cur)
 	v, ver, out, err := qc.c.Do(key, cur, func() (any, uint64, error) {
 		route, stats, ver, err := run()
 		if err != nil {
@@ -106,10 +101,10 @@ func (qc *QueryCache) ShortestPath(src, dst Vertex, opt QueryOptions,
 
 // NearestNeighbors serves a kNN query through the cache; see ShortestPath for
 // the contract. run is Session.NearestNeighborsAt (or equivalent).
-func (qc *QueryCache) NearestNeighbors(src Vertex, k int, opt QueryOptions,
+func (qc *QueryCache) NearestNeighbors(src Vertex, k int, _ QueryOptions,
 	run func() ([]Route, Stats, uint64, error)) ([]Route, Stats, uint64, CacheOutcome, error) {
 	cur := qc.f.TrafficVersion()
-	key := fmt.Sprintf("knn|%d|%d|%s|%d", src, k, optKey(opt), cur)
+	key := fmt.Sprintf("knn|%d|%d|%d", src, k, cur)
 	v, ver, out, err := qc.c.Do(key, cur, func() (any, uint64, error) {
 		routes, stats, ver, err := run()
 		if err != nil {

@@ -37,9 +37,7 @@ func main() {
 		src       = flag.Int("s", 0, "source vertex")
 		dst       = flag.Int("t", -1, "target vertex (SPSP)")
 		knn       = flag.Int("knn", 0, "k nearest neighbors from -s instead of SPSP")
-		estimator = flag.String("estimator", "fed-amps", "lower bound: none|fed-alt|fed-alt-max|fed-amps")
-		queue     = flag.String("queue", "tm-tree", "priority queue: heap|l-heap|tm-tree")
-		noIndex   = flag.Bool("no-index", false, "skip the federated shortcut index (Naive-Dijk)")
+		noIndex   = flag.Bool("no-index", false, "do not build the federated shortcut index: routes search the flat network")
 		protocol  = flag.Bool("protocol", false, "run the full MPC protocol per comparison")
 
 		roundTimeout = flag.Duration("round-timeout", 0, "per-frame MPC round timeout; a slow/dead silo fails the query instead of hanging it (protocol mode; 0 = no timeout)")
@@ -111,19 +109,12 @@ func main() {
 			st.Shortcuts, st.SAC.Compares, time.Since(start).Round(time.Millisecond))
 	}
 
-	opt := fedroad.QueryOptions{
-		Estimator: fedroad.Estimator(*estimator),
-		Queue:     fedroad.QueueKind(*queue),
-		NoIndex:   *noIndex,
-	}
+	// The measured stack (fedserver, benchmark/): independent comparisons
+	// share protocol instances.
+	opt := fedroad.QueryOptions{BatchedMPC: true}
 
 	if *knn > 0 {
-		// kNN runs Fed-SSSP toward no fixed target: estimator options don't
-		// apply (the library rejects them), so pass only the queue choice.
-		// The -estimator flag default would otherwise turn every kNN query
-		// into a validation error.
-		knnOpt := fedroad.QueryOptions{Queue: opt.Queue}
-		routes, stats, err := fed.NearestNeighbors(fedroad.Vertex(*src), *knn, knnOpt)
+		routes, stats, err := fed.NearestNeighbors(fedroad.Vertex(*src), *knn, opt)
 		fail(err)
 		fmt.Printf("\n%d nearest vertices to %d on the joint road network:\n", *knn, *src)
 		for i, r := range routes {

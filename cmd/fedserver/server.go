@@ -17,8 +17,8 @@ import (
 
 // server wraps a federation behind an HTTP API:
 //
-//	GET  /route?s=<v>&t=<v>[&estimator=..][&queue=..][&noindex=1]
-//	GET  /knn?s=<v>&k=<n>[&queue=..]
+//	GET  /route?s=<v>&t=<v>
+//	GET  /knn?s=<v>&k=<n>
 //	POST /traffic   body: [{"silo":0,"arc":17,"travel_ms":42000}, ...]
 //	GET  /stats
 //	GET  /metrics   (Prometheus text exposition)
@@ -62,11 +62,10 @@ func (s *server) writeQueryError(w http.ResponseWriter, err error) {
 // queryStatus maps a query error to an HTTP status: a round timeout means a
 // slow or dead silo (504); any other unrecoverable transport failure means
 // the request's session died mid-protocol (503 — the next request opens a
-// fresh session and may succeed); a request-level mistake (bad
-// option combination, vertex out of range) is tagged ErrInvalidQuery by the
-// library (400). Everything else — e.g. an engine-construction failure after
-// a config change — is an internal server error, NOT the client's fault
-// (500).
+// fresh session and may succeed); a request-level mistake (vertex out of
+// range) is tagged ErrInvalidQuery by the library (400). Everything else —
+// e.g. an engine-construction failure after a config change — is an internal
+// server error, NOT the client's fault (500).
 func queryStatus(err error) int {
 	switch {
 	case errors.Is(err, serve.ErrShed):
@@ -214,20 +213,6 @@ func (s *server) vertexParam(r *http.Request, name string) (fedroad.Vertex, erro
 	return fedroad.Vertex(v), nil
 }
 
-// queryOptions decodes the per-request knobs. The MPC schedule is not one of
-// them: a TM-tree query (the default queue) always runs batched — same
-// comparisons and answer, about half the rounds — and the other queues cannot.
-func queryOptions(r *http.Request) fedroad.QueryOptions {
-	q := r.URL.Query()
-	opt := fedroad.QueryOptions{
-		Estimator: fedroad.Estimator(q.Get("estimator")),
-		Queue:     fedroad.QueueKind(q.Get("queue")),
-		NoIndex:   q.Get("noindex") == "1",
-	}
-	opt.BatchedMPC = opt.Queue == "" || opt.Queue == fedroad.TMTree
-	return opt
-}
-
 // cachedLabel renders a cache outcome for the response; empty (omitted)
 // when the pipeline has no cache.
 func (s *server) cachedLabel(out fedroad.CacheOutcome) string {
@@ -248,7 +233,7 @@ func (s *server) handleRoute(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	route, meta, err := s.pipe.Route(src, dst, queryOptions(r))
+	route, meta, err := s.pipe.Route(src, dst)
 	if err != nil {
 		s.writeQueryError(w, err)
 		return
@@ -283,7 +268,7 @@ func (s *server) handleKNN(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("parameter k out of range"))
 		return
 	}
-	routes, meta, err := s.pipe.KNN(src, k, queryOptions(r))
+	routes, meta, err := s.pipe.KNN(src, k)
 	if err != nil {
 		s.writeQueryError(w, err)
 		return

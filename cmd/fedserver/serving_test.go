@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -10,6 +12,7 @@ import (
 	"time"
 
 	fedroad "repro"
+	"repro/internal/graph"
 )
 
 // servingServer is testServer with the pipeline sized by the caller (as
@@ -226,4 +229,84 @@ func TestUnitWeightsSurfacedInStats(t *testing.T) {
 	if !st.UnitWeights {
 		t.Fatal("unit_weights not surfaced in /stats")
 	}
+}
+
+// TestRouteAfterTrafficDropIgnoresEstimatorParameter is the regression test
+// for a wrong route a client could ask for. /route once passed estimator= to
+// the library, whose landmark matrices were computed on the first fed-alt or
+// fed-alt-max request and never again: after a /traffic batch that LOWERED
+// travel times (an incident clearing) their bounds overestimated, A* pruned
+// the true shortest path, and the wrong route was cached under the new
+// traffic version. The parameter is gone and every answer — cache hits
+// included — must equal plaintext Dijkstra on the joint weights at the echoed
+// traffic_version. The network, the batch and the pairs are those for which
+// the parent commit returned a longer route: with seed 2 (300 vertices, one
+// silo halving its time on a seeded 5 % of the arcs) these five pairs under
+// both parameters, 8 of 300 random pairs in all; 13–21 of 300 over five seeds
+// (EXPERIMENTS.md, "Stale landmarks").
+func TestRouteAfterTrafficDropIgnoresEstimatorParameter(t *testing.T) {
+	const seed = 2
+	g, w0 := fedroad.GenerateRoadNetwork(300, seed)
+	silosW := fedroad.SimulateCongestion(w0, 3, fedroad.Moderate, seed+1)
+	fed, err := fedroad.New(g, w0, silosW, fedroad.Config{Seed: seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fed.BuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(newServer(fed, 4, 0, 64).routes())
+	t.Cleanup(ts.Close)
+
+	joint := map[uint64]fedroad.Weights{0: graph.JointWeights(silosW)}
+	pairs := [][2]int{{85, 137}, {85, 11}, {127, 102}, {173, 199}, {292, 40}}
+	check := func(when, cached string) {
+		t.Helper()
+		for _, p := range pairs {
+			for _, est := range []string{"fed-alt-max", "fed-alt"} {
+				var resp routeResponse
+				url := fmt.Sprintf("%s/route?s=%d&t=%d&estimator=%s", ts.URL, p[0], p[1], est)
+				if r := getJSON(t, url, &resp); r.StatusCode != http.StatusOK {
+					t.Fatalf("%s: %s: status %d", when, url, r.StatusCode)
+				}
+				w := joint[resp.TrafficVersion]
+				if w == nil {
+					t.Fatalf("%s: %s echoed traffic version %d, which was never applied", when, url, resp.TrafficVersion)
+				}
+				want, _ := graph.DijkstraTo(g, w, fedroad.Vertex(p[0]), fedroad.Vertex(p[1]))
+				if got := int64(resp.MeanTravelSec*float64(fed.Silos())*1000 + 0.5); !resp.Found || got != want {
+					t.Errorf("%s: %d->%d with estimator=%s (cached=%s) costs %d, plaintext Dijkstra at version %d says %d",
+						when, p[0], p[1], est, resp.Cached, got, resp.TrafficVersion, want)
+				}
+				// estimator= is no part of the request: the second spelling of
+				// a pair is served from the first one's cache entry.
+				if want := map[string]string{"fed-alt-max": cached, "fed-alt": "hit"}[est]; resp.Cached != want {
+					t.Errorf("%s: %d->%d with estimator=%s: cached=%q, want %q", when, p[0], p[1], est, resp.Cached, want)
+				}
+			}
+		}
+	}
+	check("before the batch", "miss")
+
+	// One silo reports half its travel time on a seeded 5 % of the arcs.
+	rng := rand.New(rand.NewSource(seed))
+	after := append(fedroad.Weights(nil), joint[0]...)
+	var batch []trafficChange
+	for _, a := range rng.Perm(g.NumArcs())[:g.NumArcs()/20] {
+		ms := max(silosW[0][a]/2, 1)
+		after[a] += ms - silosW[0][a]
+		batch = append(batch, trafficChange{Silo: 0, Arc: fedroad.Arc(a), TravelMs: ms})
+	}
+	joint[1] = after
+	body, _ := json.Marshal(batch)
+	resp, err := http.Post(ts.URL+"/traffic", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("traffic update: %d", resp.StatusCode)
+	}
+	check("after the batch", "miss")
+	check("after the batch, from the cache", "hit")
 }

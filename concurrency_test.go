@@ -41,13 +41,7 @@ func TestSessionsRunInParallel(t *testing.T) {
 	if err := f.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	f.PrecomputeLandmarks()
-	opts := []QueryOptions{
-		{},
-		{Estimator: FedAMPS, Queue: TMTree, BatchedMPC: true},
-		{Estimator: FedALT, Queue: Heap},
-		{Estimator: NoEstimator, Queue: LeftistHeap, NoIndex: true},
-	}
+	opts := facadeConfigs
 	n := f.Graph().NumVertices()
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -94,7 +88,6 @@ func TestConcurrentQueriesUnderTrafficStress(t *testing.T) {
 	if err := f.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	f.PrecomputeLandmarks()
 	g := f.Graph()
 	n := g.NumVertices()
 
@@ -131,12 +124,7 @@ func TestConcurrentQueriesUnderTrafficStress(t *testing.T) {
 		}
 	}()
 
-	opts := []QueryOptions{
-		{Estimator: FedAMPS, Queue: TMTree, BatchedMPC: true},
-		{Estimator: FedALT, Queue: Heap},
-		{Estimator: NoEstimator, Queue: Heap, NoIndex: true},
-		{},
-	}
+	opts := facadeConfigs
 	var qWG sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		qWG.Add(1)
@@ -255,20 +243,15 @@ func TestApplyTrafficRefreshesIndex(t *testing.T) {
 	if _, err := f.ApplyTraffic(batch); err != nil {
 		t.Fatal(err)
 	}
-	// Post-update consistency: the indexed route must match both the flat
-	// federated search and a plaintext Dijkstra on the new joint weights.
+	// Post-update consistency: the indexed route must match a plaintext
+	// Dijkstra on the new joint weights.
 	fast, _, err := f.ShortestPath(0, 200)
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, _, err := f.ShortestPath(0, 200, QueryOptions{NoIndex: true, Estimator: NoEstimator, Queue: Heap})
-	if err != nil {
-		t.Fatal(err)
-	}
 	want, _ := graph.DijkstraTo(f.Graph(), f.inner.JointWeights(), 0, 200)
-	if JointCost(fast) != want || JointCost(slow) != want {
-		t.Fatalf("post-update costs diverge: indexed %d, flat %d, plaintext %d",
-			JointCost(fast), JointCost(slow), want)
+	if JointCost(fast) != want {
+		t.Fatalf("post-update costs diverge: indexed %d, plaintext %d", JointCost(fast), want)
 	}
 }
 

@@ -56,7 +56,7 @@ func TestCustomizeStressInterleaved(t *testing.T) {
 				}
 				src := Vertex((w*41 + i) % g.NumVertices())
 				dst := Vertex((w*13 + i*5) % g.NumVertices())
-				route, _, err := s.ShortestPath(src, dst, QueryOptions{Estimator: FedAMPS})
+				route, _, err := s.ShortestPath(src, dst)
 				if err != nil {
 					errs <- err
 					return

@@ -30,8 +30,8 @@ func Example() {
 	// junctions on route: 23
 }
 
-// Querying without the index runs the paper's Naive-Dijk baseline; the
-// answer is identical, only the secure-comparison cost differs.
+// A federation without an index searches the flat network; the answer is
+// identical, only the secure-comparison cost differs.
 func ExampleFederation_ShortestPath() {
 	g, w0 := fedroad.GenerateGridNetwork(10, 10, 3)
 	silos := fedroad.SimulateCongestion(w0, 3, fedroad.Slight, 4)
@@ -39,18 +39,15 @@ func ExampleFederation_ShortestPath() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	// Without an index a route searches the flat network.
+	slow, slowStats, err := f.ShortestPath(0, 99)
+	if err != nil {
+		log.Fatal(err)
+	}
 	if err := f.BuildIndex(); err != nil {
 		log.Fatal(err)
 	}
 	fast, fastStats, err := f.ShortestPath(0, 99)
-	if err != nil {
-		log.Fatal(err)
-	}
-	slow, slowStats, err := f.ShortestPath(0, 99, fedroad.QueryOptions{
-		NoIndex:   true,
-		Estimator: fedroad.NoEstimator,
-		Queue:     fedroad.Heap,
-	})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,8 +14,8 @@
 //   - the federated shortcut index: a contraction hierarchy with consistent
 //     shortcut sets and private partial shortcut weights, including dynamic
 //     partial updates (§IV);
-//   - federated lower bounds Fed-ALT, Fed-ALT-Max and Fed-AMPS for A*
-//     pruning (§V);
+//   - the federated lower bound Fed-AMPS for A* pruning (§V; the landmark
+//     bounds the paper compares it with are reproduced by cmd/fedbench);
 //   - the TM-tree, a comparison-optimized priority queue (§VI).
 //
 // Quick start:
@@ -44,10 +44,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/fed"
 	"repro/internal/graph"
-	"repro/internal/lb"
 	"repro/internal/metrics"
 	"repro/internal/mpc"
-	"repro/internal/pq"
 	"repro/internal/traffic"
 	"repro/internal/transport"
 )
@@ -129,40 +127,10 @@ const (
 	ModeProtocol
 )
 
-// Estimator names a federated lower-bound method for A* pruning.
-type Estimator string
-
-const (
-	// NoEstimator disables A* pruning (plain federated Dijkstra keys).
-	NoEstimator Estimator = Estimator(lb.None)
-	// FedALT selects the tightest landmark bound with secure comparisons.
-	FedALT Estimator = Estimator(lb.FedALT)
-	// FedALTMax selects the landmark on public static weights (no MPC).
-	FedALTMax Estimator = Estimator(lb.FedALTMax)
-	// FedAMPS uses the mean of per-silo local shortest-path costs (the
-	// paper's recommended estimator).
-	FedAMPS Estimator = Estimator(lb.FedAMPS)
-)
-
-// QueueKind names a priority-queue structure.
-type QueueKind string
-
-const (
-	// Heap is the classical binary heap.
-	Heap QueueKind = QueueKind(pq.KindHeap)
-	// LeftistHeap batches insertions via leftist-heap melding.
-	LeftistHeap QueueKind = QueueKind(pq.KindLeftist)
-	// TMTree is the paper's comparison-optimized Tournament Merge tree.
-	TMTree QueueKind = QueueKind(pq.KindTMTree)
-)
-
 // Config tunes a federation. The zero value gives the paper's defaults.
 type Config struct {
-	Mode      ExecutionMode
-	Seed      uint64
-	Landmarks int           // landmark count for Fed-ALT(-Max); default 32
-	Latency   time.Duration // modeled one-way network latency (default 0.2ms)
-	Bandwidth float64       // modeled bandwidth in bytes/s (default 1 GB/s)
+	Mode ExecutionMode
+	Seed uint64
 
 	// PreprocessPool, when positive, starts a background preprocessing pool
 	// holding up to this many comparisons' correlated randomness — buffered
@@ -174,13 +142,6 @@ type Config struct {
 	// PreprocessWorkers is the number of pool replenisher goroutines
 	// (default 1; only meaningful with PreprocessPool > 0).
 	PreprocessWorkers int
-
-	// RealNetworkDelay applies the modeled latency/bandwidth as actual
-	// delivery delays on the in-process transport (protocol mode), so query
-	// wall times follow the paper's R·(L + S/B) cost model and concurrent
-	// sessions genuinely overlap their network waits. Off by default: index
-	// construction and benchmarks in analytic mode stay fast.
-	RealNetworkDelay bool
 
 	// RoundTimeout bounds how long any silo waits for a single protocol
 	// frame (protocol mode; 0 = wait forever). With it set, a slow or dead
@@ -265,12 +226,11 @@ var ErrPeerDown = transport.ErrPeerDown
 // any, keeps serving queries.
 var ErrBuildConflict = errors.New("fedroad: index build conflicted with a concurrent traffic update")
 
-// ErrInvalidQuery tags query errors caused by the request itself: an unknown
-// estimator or queue kind, an option combination the engine rejects (e.g.
-// BatchedMPC without the TM-tree, an estimator on a kNN query), or vertices
-// outside the graph. Servers should map these to 4xx; query errors NOT
-// wrapping ErrInvalidQuery (or ErrSessionPoisoned / a timeout) are internal
-// failures and belong in the 5xx class. Check with errors.Is.
+// ErrInvalidQuery tags query errors caused by the request itself: vertices
+// outside the graph, a non-positive k, or more than one QueryOptions. Servers
+// should map these to 4xx; query errors NOT wrapping ErrInvalidQuery (or
+// ErrSessionPoisoned / a timeout) are internal failures and belong in the 5xx
+// class. Check with errors.Is.
 var ErrInvalidQuery = errors.New("fedroad: invalid query")
 
 // IsTimeout reports whether a query error stems from the configured
@@ -285,19 +245,16 @@ func IsTimeout(err error) bool { return transport.IsTimeout(err) }
 // NearestNeighbors, and every query issued through a Session) take a read
 // lock and run on a private MPC engine fork, so any number of them proceed
 // in parallel; the one traffic mutator, ApplyTraffic, takes the write lock
-// and therefore never interleaves with a search. BuildIndex and
-// PrecomputeLandmarks do their heavy work OFF the lock — they snapshot the
-// silo weights under a read lock, compute unlocked, and swap the result in
-// under a brief write lock — so queries and traffic updates keep flowing
-// during a (re)build. See DESIGN.md, "Concurrency model" and "Parallel index
-// construction".
+// and therefore never interleaves with a search. Index derivations do their
+// heavy work OFF the lock — they snapshot the silo weights under a read lock,
+// compute unlocked, and swap the result in under a brief write lock — so
+// queries and traffic updates keep flowing during a (re)build. See DESIGN.md,
+// "Concurrency model" and "Parallel index construction".
 type Federation struct {
 	mu    sync.RWMutex // queries read-lock; state mutation write-locks
 	inner *fed.Federation
 	index *ch.Index
 	skel  *ch.Skeleton // topology skeleton for weight customization (guarded by mu)
-	lm    *lb.Landmarks
-	cfg   Config
 	pool  *mpc.Pool
 	mesh  *transport.LocalMesh
 
@@ -367,13 +324,9 @@ func New(g *Graph, w0 Weights, siloWeights []Weights, cfg ...Config) (*Federatio
 	if len(cfg) == 1 {
 		c = cfg[0]
 	}
-	if c.Landmarks == 0 {
-		c.Landmarks = 32
-	}
 	reg := metrics.NewRegistry()
 	params := mpc.Params{
 		Seed:         c.Seed,
-		RealDelay:    c.RealNetworkDelay,
 		RoundTimeout: c.RoundTimeout,
 		Retry:        mpc.RetryPolicy{Attempts: c.SACRetries, Backoff: c.SACRetryBackoff},
 		Wrap:         c.TransportWrap,
@@ -399,15 +352,6 @@ func New(g *Graph, w0 Weights, siloWeights []Weights, cfg ...Config) (*Federatio
 	} else if c.MeshTLS.Enabled() {
 		return nil, fmt.Errorf("fedroad: MeshTLS requires MeshTCP")
 	}
-	if c.Latency != 0 || c.Bandwidth != 0 {
-		params.Net = mpc.NetworkModel{Latency: c.Latency, Bandwidth: c.Bandwidth}
-		if params.Net.Latency == 0 {
-			params.Net.Latency = mpc.DefaultLAN().Latency
-		}
-		if params.Net.Bandwidth == 0 {
-			params.Net.Bandwidth = mpc.DefaultLAN().Bandwidth
-		}
-	}
 	inner, err := fed.New(g, w0, siloWeights, params)
 	if err != nil {
 		if mesh != nil {
@@ -415,7 +359,7 @@ func New(g *Graph, w0 Weights, siloWeights []Weights, cfg ...Config) (*Federatio
 		}
 		return nil, err
 	}
-	f := &Federation{inner: inner, cfg: c, reg: reg, mesh: mesh}
+	f := &Federation{inner: inner, reg: reg, mesh: mesh}
 	f.initMetrics()
 	if mesh != nil {
 		f.initMeshMetrics()
@@ -456,7 +400,7 @@ func (f *Federation) initMetrics() {
 		f.qm[kind] = &queryMetricSet{
 			total:      f.reg.Counter("fedroad_queries_total", "queries started, by kind (spsp = shortest path, sssp = kNN)", l),
 			errors:     f.reg.Counter("fedroad_query_errors_total", "queries that returned an error, by kind", l),
-			latency:    f.reg.Histogram("fedroad_query_seconds", "local query wall time (excludes simulated network time unless RealNetworkDelay is on)", nil, l),
+			latency:    f.reg.Histogram("fedroad_query_seconds", "local query wall time", nil, l),
 			settled:    f.reg.Counter("fedroad_query_settled_vertices_total", "vertices settled by search loops", l),
 			heuristics: f.reg.Counter("fedroad_query_heuristic_evals_total", "federated lower-bound (A* potential) evaluations", l),
 			phaseQueue: f.reg.Counter("fedroad_query_phase_seconds_total", "wall time by search phase", metrics.Labels{"kind": kind, "phase": "queue"}),
@@ -938,61 +882,6 @@ func (f *Federation) LoadSavedIndex(public io.Reader, shards []io.Reader) error 
 	return nil
 }
 
-// PrecomputeLandmarks prepares the landmark matrices required by the FedALT
-// and FedALTMax estimators (FedAMPS needs no precomputation). Like
-// BuildIndexWith it works off-lock: silo weights are snapshotted under a
-// read lock, the per-landmark Dijkstras run unlocked and in parallel, and
-// the matrices swap in under a brief write lock. Traffic updates landing
-// mid-computation only cost bound tightness, never correctness — landmark
-// bounds always go stale under traffic drift (the pre-existing semantics of
-// FedALT/FedALTMax); re-run PrecomputeLandmarks to tighten them.
-func (f *Federation) PrecomputeLandmarks() {
-	lm := f.computeLandmarks()
-	f.mu.Lock()
-	f.lm = lm
-	f.mu.Unlock()
-}
-
-// computeLandmarks snapshots under the read lock and computes unlocked.
-func (f *Federation) computeLandmarks() *lb.Landmarks {
-	f.mu.RLock()
-	sets := f.inner.SnapshotWeights()
-	f.mu.RUnlock()
-	return f.landmarksFrom(sets)
-}
-
-// landmarksFrom clamps the configured landmark count and runs the parallel
-// precomputation against an explicit weight snapshot.
-func (f *Federation) landmarksFrom(sets []Weights) *lb.Landmarks {
-	g := f.inner.Graph()
-	w0 := f.inner.StaticWeights()
-	k := f.cfg.Landmarks
-	if k > g.NumVertices()/2 {
-		k = g.NumVertices() / 2
-	}
-	if k < 1 {
-		k = 1
-	}
-	return lb.Precompute(g, w0, sets, lb.SelectLandmarks(g, w0, k, f.cfg.Seed), 0)
-}
-
-// ensureLandmarks precomputes the landmark matrices once, on first demand by
-// a landmark-based estimator, with double-checked locking so concurrent
-// queries neither race nor precompute twice.
-func (f *Federation) ensureLandmarks() {
-	f.mu.RLock()
-	have := f.lm != nil
-	f.mu.RUnlock()
-	if have {
-		return
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.lm == nil {
-		f.lm = f.landmarksFrom(f.inner.SnapshotWeights())
-	}
-}
-
 // MaxTravelMs bounds every travel-time observation (exclusive); see
 // graph.MaxWeight and the fixed-point discipline in DESIGN.md.
 const MaxTravelMs = int64(graph.MaxWeight)
@@ -1084,32 +973,19 @@ func (f *Federation) ApplyTraffic(updates []TrafficUpdate, opts ...ApplyOption) 
 	return f.index.Update(arcs)
 }
 
-// SetRealNetworkDelay toggles real-time simulation of the modeled network
-// on the federation's transport (protocol mode). Sessions created afterwards
-// inherit the setting; existing sessions keep theirs. Useful to build the
-// index at full speed and then serve queries under realistic latency.
-func (f *Federation) SetRealNetworkDelay(on bool) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.inner.Engine().SetRealDelay(on)
-}
-
-// QueryOptions tunes a single query. The zero value uses the paper's best
-// stack: the shortcut index when built, Fed-AMPS pruning and the TM-tree.
+// QueryOptions tunes a single query. Every query runs the paper's best stack
+// — the TM-tree, and for routes Fed-AMPS pruning over the shortcut index when
+// one is built (a federation without an index searches flat; kNN is flat by
+// construction). The paper's other queues and estimators are evaluation axes,
+// reproduced by cmd/fedbench (fig7, fig11, fig12, ablate).
 type QueryOptions struct {
-	Estimator Estimator
-	Queue     QueueKind
-	// NoIndex forces a flat search even when the index is built (the
-	// paper's Naive-Dijk baseline).
-	NoIndex bool
 	// BatchedMPC lets independent secure comparisons share protocol
 	// instances, paying communication rounds once for all of them: the
 	// matches of one tournament level (TM-tree build, μ update), the
 	// stopping-rule checks of both search directions and — every search
 	// step running in lockstep — the pop replay, the next push's tournament
 	// build and the μ update of both directions. The comparisons made and
-	// the answer are the same; indexed routes take about half the rounds
-	// (TM-tree queue only).
+	// the answer are the same; indexed routes take about half the rounds.
 	BatchedMPC bool
 }
 

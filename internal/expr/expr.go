@@ -157,7 +157,10 @@ func (h *Harness) Env(name string) (*Env, error) {
 }
 
 // envFor builds an environment keyed by dataset, silo count and an arbitrary
-// tag (experiments that mutate the environment use their own tag).
+// tag. An experiment that mutates the environment takes its own tag: Joint
+// and LM describe the silo weights at construction, nothing refreshes them,
+// and landmark bounds over changed weights prune to wrong routes (see
+// lb.Landmarks).
 func (h *Harness) envFor(name string, silos int, tag string) (*Env, error) {
 	key := fmt.Sprintf("%s/%d/%s", name, silos, tag)
 	if env, ok := h.envs[key]; ok {

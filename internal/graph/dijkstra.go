@@ -263,52 +263,6 @@ func DijkstraTo(g *Graph, w Weights, s, t Vertex) (int64, []Vertex) {
 	return InfCost, nil
 }
 
-// AStar computes the shortest distance and path from s to t using the
-// admissible, consistent potential pi (estimated remaining distance to t).
-// It returns the number of settled vertices alongside the result, which the
-// lower-bound experiments use to compare pruning power.
-func AStar(g *Graph, w Weights, s, t Vertex, pi func(Vertex) int64) (dist int64, path []Vertex, settledCount int) {
-	n := g.NumVertices()
-	d := make([]int64, n)
-	parent := make([]Vertex, n)
-	for i := range d {
-		d[i] = InfCost
-		parent[i] = NoVertex
-	}
-	d[s] = 0
-	h := &intHeap{}
-	h.push(s, pi(s))
-	settled := make([]bool, n)
-	for !h.empty() {
-		v, _ := h.pop()
-		if settled[v] {
-			continue
-		}
-		settled[v] = true
-		settledCount++
-		if v == t {
-			var rev []Vertex
-			for u := t; u != NoVertex; u = parent[u] {
-				rev = append(rev, u)
-			}
-			for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-				rev[i], rev[j] = rev[j], rev[i]
-			}
-			return d[t], rev, settledCount
-		}
-		first := g.FirstOut(v)
-		for i, u := range g.OutNeighbors(v) {
-			a := first + Arc(i)
-			if nd := d[v] + w[a]; nd < d[u] {
-				d[u] = nd
-				parent[u] = v
-				h.push(u, nd+pi(u))
-			}
-		}
-	}
-	return InfCost, nil, settledCount
-}
-
 // BidirectionalDijkstra computes the shortest distance and path from s to t
 // by searching simultaneously from both endpoints. It is the plaintext
 // counterpart of the paper's Naive-Dijk baseline.

@@ -129,44 +129,6 @@ func TestBidirectionalSameSourceTarget(t *testing.T) {
 	}
 }
 
-func TestAStarWithZeroPotentialMatchesDijkstra(t *testing.T) {
-	g, w := GenerateRandomDirected(80, 320, 60, 11)
-	zero := func(Vertex) int64 { return 0 }
-	rng := rand.New(rand.NewPCG(2, 2))
-	for i := 0; i < 15; i++ {
-		s := Vertex(rng.IntN(g.NumVertices()))
-		tt := Vertex(rng.IntN(g.NumVertices()))
-		want, _ := DijkstraTo(g, w, s, tt)
-		got, path, _ := AStar(g, w, s, tt, zero)
-		if got != want {
-			t.Fatalf("A*(%d,%d) = %d, want %d", s, tt, got, want)
-		}
-		if got < InfCost {
-			if c, err := PathCost(g, w, path); err != nil || c != got {
-				t.Fatalf("A* path invalid: %v (%v)", path, err)
-			}
-		}
-	}
-}
-
-func TestAStarWithExactPotentialSettlesFewer(t *testing.T) {
-	// With the perfect potential pi(v) = dist(v,t), A* walks straight down
-	// the shortest path.
-	g, w0 := GenerateGrid(20, 20, 99)
-	s, tt := Vertex(0), Vertex(g.NumVertices()-1)
-	// Exact distances to target via backward search.
-	lazy := NewLazySSSP(g, w0, tt, true)
-	pi := func(v Vertex) int64 { return lazy.DistTo(v) }
-	dExact, _, nExact := AStar(g, w0, s, tt, pi)
-	dZero, _, nZero := AStar(g, w0, s, tt, func(Vertex) int64 { return 0 })
-	if dExact != dZero {
-		t.Fatalf("exact-potential A* distance %d != %d", dExact, dZero)
-	}
-	if nExact >= nZero {
-		t.Fatalf("exact potential should settle fewer vertices: %d vs %d", nExact, nZero)
-	}
-}
-
 func TestLazySSSPMatchesFullBothDirections(t *testing.T) {
 	g, w := GenerateRandomDirected(60, 240, 40, 21)
 	root := Vertex(5)

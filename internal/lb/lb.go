@@ -48,6 +48,15 @@ type Estimator interface {
 // vertex→landmark distances (paper §V). All matrices store distances from
 // every vertex TO each landmark, matching the paper's bound
 // max_l { φ̄(v_s,l) − φ̄(v_t,l) }.
+//
+// The bounds hold only for the weight sets passed to Precompute: recompute
+// after any weight change. Φ_p of a landmark is a distance under the OLD joint
+// weights, so once a travel time drops the difference can exceed the true
+// remaining distance and an A* search pruned by it returns a route that is
+// not the shortest (EXPERIMENTS.md, "Stale landmarks"). Nothing refreshes a
+// Landmarks value in place, which is why only the evaluation harness
+// (internal/expr, cmd/fedbench) builds one — for weights it then leaves
+// alone.
 type Landmarks struct {
 	L    []graph.Vertex
 	Phi0 [][]int64   // [l][v] static dist(v → L[l]) under W0

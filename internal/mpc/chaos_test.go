@@ -28,7 +28,31 @@ func armedWrap(party int, plan transport.FaultPlan) (wrap func(int, transport.Co
 	return wrap, arm, installed
 }
 
+// overConnSources runs a chaos case over both sources of a three-party
+// ConnSet — the default in-process network (a nil Params.Dial) and session
+// lanes of a loopback mux mesh, what Config.MeshTCP dials — because the
+// engine has one endpoint path and its retry, drain and poison rules must
+// hold whichever set it was handed.
+func overConnSources(t *testing.T, run func(t *testing.T, dial func() (ConnSet, error))) {
+	t.Run("mem", func(t *testing.T) { run(t, nil) })
+	t.Run("mesh", func(t *testing.T) {
+		lm, err := transport.NewLocalMesh(3, transport.MeshOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer lm.Close()
+		run(t, func() (ConnSet, error) {
+			conns, drain := lm.SessionConns()
+			return ConnSet{Conns: conns, Drain: drain}, nil
+		})
+	})
+}
+
 func TestChaosRetryRecoversTransientFault(t *testing.T) {
+	overConnSources(t, testChaosRetryRecoversTransientFault)
+}
+
+func testChaosRetryRecoversTransientFault(t *testing.T, dial func() (ConnSet, error)) {
 	// Party 0's first protocol operation fails with a transient fault; the
 	// engine's retry budget must absorb it and still produce the right bit.
 	wrap, arm, installed := armedWrap(0, transport.FaultPlan{Script: []transport.FaultKind{transport.FaultError}})
@@ -39,6 +63,7 @@ func TestChaosRetryRecoversTransientFault(t *testing.T) {
 		RoundTimeout: 500 * time.Millisecond,
 		Retry:        RetryPolicy{Attempts: 2, Backoff: time.Millisecond},
 		Wrap:         wrap,
+		Dial:         dial,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -68,6 +93,10 @@ func TestChaosRetryRecoversTransientFault(t *testing.T) {
 }
 
 func TestChaosTimeoutWithoutRetryPoisons(t *testing.T) {
+	overConnSources(t, testChaosTimeoutWithoutRetryPoisons)
+}
+
+func testChaosTimeoutWithoutRetryPoisons(t *testing.T, dial func() (ConnSet, error)) {
 	// Party 0 silently drops a frame. With no retry budget the round times
 	// out at the starved peer, and the engine must poison itself: its
 	// streams may hold half a round's frames.
@@ -78,6 +107,7 @@ func TestChaosTimeoutWithoutRetryPoisons(t *testing.T) {
 		Seed:         32,
 		RoundTimeout: 100 * time.Millisecond,
 		Wrap:         wrap,
+		Dial:         dial,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -127,6 +157,10 @@ func TestChaosTimeoutWithoutRetryPoisons(t *testing.T) {
 }
 
 func TestChaosCloseMidRoundPoisonsDespiteRetries(t *testing.T) {
+	overConnSources(t, testChaosCloseMidRoundPoisonsDespiteRetries)
+}
+
+func testChaosCloseMidRoundPoisonsDespiteRetries(t *testing.T, dial func() (ConnSet, error)) {
 	// A crashed party (closed endpoint mid-round) is not transient: even a
 	// generous retry budget must not replay against it, and the failure must
 	// surface promptly rather than burning backoff sleeps.
@@ -138,6 +172,7 @@ func TestChaosCloseMidRoundPoisonsDespiteRetries(t *testing.T) {
 		RoundTimeout: 100 * time.Millisecond,
 		Retry:        RetryPolicy{Attempts: 5, Backoff: time.Second},
 		Wrap:         wrap,
+		Dial:         dial,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -162,7 +197,44 @@ func TestChaosCloseMidRoundPoisonsDespiteRetries(t *testing.T) {
 	}
 }
 
-func TestChaosBatchCompare(t *testing.T) {
+func TestChaosNilDrainPoisonsOnFirstTransientFault(t *testing.T) {
+	// A ConnSet that cannot discard in-flight frames is not retry-safe: the
+	// fault TestChaosRetryRecoversTransientFault absorbs must poison here,
+	// retry budget or not, without a second attempt.
+	wrap, arm, installed := armedWrap(0, transport.FaultPlan{Script: []transport.FaultKind{transport.FaultError}})
+	root, err := NewEngine(Params{
+		Parties:      3,
+		Mode:         ModeProtocol,
+		Seed:         31,
+		RoundTimeout: 100 * time.Millisecond,
+		Retry:        RetryPolicy{Attempts: 2, Backoff: time.Millisecond},
+		Wrap:         wrap,
+		Dial: func() (ConnSet, error) {
+			cs, err := memDial(3)()
+			cs.Drain = nil
+			return cs, err
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	arm.Store(true)
+	e := root.Fork()
+	defer e.Close()
+	if _, err := e.Compare([]int64{-7, 2, 1}); !errors.Is(err, ErrPoisoned) || !errors.Is(err, transport.ErrTransient) {
+		t.Fatalf("compare over an undrainable set = %v, want ErrPoisoned wrapping the transient fault", err)
+	}
+	if !e.Poisoned() {
+		t.Fatal("engine not poisoned")
+	}
+	if ops := installed.Load().Ops(); ops != 1 {
+		t.Fatalf("party 0 made %d transport operations, want the faulted one only (no replay)", ops)
+	}
+}
+
+func TestChaosBatchCompare(t *testing.T) { overConnSources(t, testChaosBatchCompare) }
+
+func testChaosBatchCompare(t *testing.T, dial func() (ConnSet, error)) {
 	// Batches run under the same retry/poison machinery as single compares.
 	wrap, arm, _ := armedWrap(2, transport.FaultPlan{Script: []transport.FaultKind{transport.FaultError}})
 	root, err := NewEngine(Params{
@@ -172,6 +244,7 @@ func TestChaosBatchCompare(t *testing.T) {
 		RoundTimeout: 500 * time.Millisecond,
 		Retry:        RetryPolicy{Attempts: 2, Backoff: time.Millisecond},
 		Wrap:         wrap,
+		Dial:         dial,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -200,7 +273,7 @@ func TestChaosBatchCompare(t *testing.T) {
 	wrap2, arm2, _ := armedWrap(0, transport.FaultPlan{Script: []transport.FaultKind{transport.FaultClose}})
 	root2, err := NewEngine(Params{
 		Parties: 3, Mode: ModeProtocol, Seed: 35,
-		RoundTimeout: 100 * time.Millisecond, Wrap: wrap2,
+		RoundTimeout: 100 * time.Millisecond, Wrap: wrap2, Dial: dial,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +289,9 @@ func TestChaosBatchCompare(t *testing.T) {
 	}
 }
 
-func TestChaosPackedRaggedBatch(t *testing.T) {
+func TestChaosPackedRaggedBatch(t *testing.T) { overConnSources(t, testChaosPackedRaggedBatch) }
+
+func testChaosPackedRaggedBatch(t *testing.T, dial func() (ConnSet, error)) {
 	// Word-lane rounds under fault injection: a transient fault mid-batch on
 	// a ragged (non-multiple-of-8) lane count must be absorbed by retry with
 	// every lane still correct.
@@ -230,6 +305,7 @@ func TestChaosPackedRaggedBatch(t *testing.T) {
 		RoundTimeout: 500 * time.Millisecond,
 		Retry:        RetryPolicy{Attempts: 2, Backoff: time.Millisecond},
 		Wrap:         wrap,
+		Dial:         dial,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -252,7 +328,9 @@ func TestChaosPackedRaggedBatch(t *testing.T) {
 	}
 }
 
-func TestChaosRandomizedSoak(t *testing.T) {
+func TestChaosRandomizedSoak(t *testing.T) { overConnSources(t, testChaosRandomizedSoak) }
+
+func testChaosRandomizedSoak(t *testing.T, dial func() (ConnSet, error)) {
 	// Seeded random fault schedules (drops, delays, transient errors and the
 	// occasional crash — no duplicates, which desynchronize FIFO streams and
 	// are exercised separately) hammer single comparisons. The invariants:
@@ -276,6 +354,7 @@ func TestChaosRandomizedSoak(t *testing.T) {
 			RoundTimeout: 50 * time.Millisecond,
 			Retry:        RetryPolicy{Attempts: 1, Backoff: time.Millisecond},
 			Wrap:         wrap,
+			Dial:         dial,
 		})
 		if err != nil {
 			t.Fatal(err)

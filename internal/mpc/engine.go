@@ -40,9 +40,8 @@ const (
 	// while byte, round and message counts remain exact.
 	ModeIdeal Mode = iota
 	// ModeProtocol runs the full secret-sharing protocol between party
-	// goroutines, over an in-process network or the endpoints Params.Dial
-	// supplies. Sessions, fedserver -protocol, tests and the repo benchmark
-	// use this mode.
+	// goroutines, over the endpoints Params.Dial supplies. Sessions,
+	// fedserver -protocol, tests and the repo benchmark use this mode.
 	ModeProtocol
 )
 
@@ -74,13 +73,9 @@ type Params struct {
 	Parties int
 	Mode    Mode
 	Seed    uint64 // deterministic randomness for dealer and parties
-	Net     NetworkModel
-	// RealDelay applies Net as actual delivery delays on the in-process
-	// transport (protocol mode): every message is receivable only after the
-	// modeled latency plus serialization time, so wall-clock measurements
-	// reflect the paper's cost model and concurrent engine forks overlap
-	// their network waits.
-	RealDelay bool
+	// Net is the network model Stats.SimNet accounts with (default
+	// DefaultLAN). It is never applied as a delay.
+	Net NetworkModel
 
 	// RoundTimeout bounds how long any party waits for a single frame during
 	// a protocol round (protocol mode; 0 = wait forever). With it set, a
@@ -99,14 +94,13 @@ type Params struct {
 	// closes without touching protocol code.
 	Wrap func(party int, c transport.Conn) transport.Conn
 
-	// Dial, when set, supplies the engine's party endpoints instead of the
-	// default in-process Mem network (protocol mode). NewEngine and every
-	// Fork call it once to obtain a session-private ConnSet — e.g.
-	// multiplexed lanes over a real TCP/mTLS mesh (transport.LocalMesh) —
-	// so each fork's rounds travel an actual socket instead of a channel.
-	// A Fork whose dial fails starts pre-poisoned (Fork cannot return an
-	// error); callers observe the standard ErrPoisoned fast-fail and retry
-	// on a fresh session.
+	// Dial supplies the engine's party endpoints. NewEngine and every Fork
+	// call it once to obtain a session-private ConnSet — e.g. multiplexed
+	// lanes over a real TCP/mTLS mesh (transport.LocalMesh), so each fork's
+	// rounds travel an actual socket. Nil selects a fresh in-process Mem
+	// network per engine. A Fork whose dial fails starts pre-poisoned (Fork
+	// cannot return an error); callers observe the standard ErrPoisoned
+	// fast-fail and retry on a fresh session.
 	Dial func() (ConnSet, error)
 
 	// Instr, when set, mirrors the engine's cost counters into a process-wide
@@ -210,17 +204,14 @@ type Engine struct {
 	netm   NetworkModel
 	seed   uint64
 	dealer *Dealer
-	mem    *transport.Mem // nil when conns come from a Dial factory
 	conns  []transport.Conn
 	stats  Stats
 
-	// dial/drain carry the pluggable endpoint factory (see Params.Dial);
-	// dial is inherited by forks, drain belongs to this engine's ConnSet.
+	// dial is the endpoint factory (see Params.Dial), inherited by forks;
+	// drain belongs to this engine's ConnSet and is nil when the set cannot
+	// discard in-flight frames.
 	dial  func() (ConnSet, error)
 	drain func()
-
-	// realDelay mirrors whether mem currently applies netm in real time.
-	realDelay bool
 
 	// roundTimeout, retry and wrap carry the failure policy (see Params);
 	// inherited by forks.
@@ -255,6 +246,9 @@ func NewEngine(p Params) (*Engine, error) {
 	if p.Net.Bandwidth == 0 {
 		p.Net = DefaultLAN()
 	}
+	if p.Dial == nil {
+		p.Dial = memDial(p.Parties)
+	}
 	e := &Engine{
 		n: p.Parties, mode: p.Mode, netm: p.Net, seed: p.Seed,
 		dealer:       NewDealer(p.Parties, p.Seed),
@@ -268,15 +262,26 @@ func NewEngine(p Params) (*Engine, error) {
 	if err := e.installConns(); err != nil {
 		return nil, err
 	}
-	e.SetRealDelay(p.RealDelay)
 	return e, nil
+}
+
+// memDial is the default endpoint factory: a fresh in-process network per
+// engine, drained between retry attempts.
+func memDial(n int) func() (ConnSet, error) {
+	return func() (ConnSet, error) {
+		mem := transport.NewMem(n)
+		conns := make([]transport.Conn, n)
+		for p := range conns {
+			conns[p] = mem.Conn(p)
+		}
+		return ConnSet{Conns: conns, Drain: mem.Drain}, nil
+	}
 }
 
 // Fork returns an independent engine over the same parties and network
 // model: fresh transport lanes, a fresh dealer stream and zeroed stats,
-// sharing the root's preprocessing pool and real-delay setting. Forks may
-// run concurrently with each other and with their root; each individual
-// engine remains single-goroutine.
+// sharing the root's preprocessing pool. Forks may run concurrently with each
+// other and with their root; each individual engine remains single-goroutine.
 func (e *Engine) Fork() *Engine {
 	id := e.forkCtr.Add(1)
 	seed := e.seed + id*0xd1342543de82ef95 // distinct odd-multiplier stream per fork
@@ -302,38 +307,27 @@ func (e *Engine) Fork() *Engine {
 		if f.instr != nil {
 			f.instr.Poisonings.Inc()
 		}
-		return f
 	}
-	f.SetRealDelay(e.realDelay)
 	return f
 }
 
-// installConns builds the engine's party endpoints: from the Dial factory
-// when configured, else over a fresh in-process Mem network.
+// installConns dials the engine's party endpoints, bounds their Recvs by the
+// round timeout and applies the transport wrapper.
 func (e *Engine) installConns() error {
-	if e.dial != nil {
-		cs, err := e.dial()
-		if err != nil {
-			return fmt.Errorf("mpc: dial party endpoints: %w", err)
-		}
-		if len(cs.Conns) != e.n {
-			return fmt.Errorf("mpc: dial returned %d conns for %d parties", len(cs.Conns), e.n)
-		}
-		e.drain = cs.Drain
-		e.conns = make([]transport.Conn, e.n)
-		for i, c := range cs.Conns {
-			if rt, ok := c.(interface{ SetRoundTimeout(time.Duration) }); ok {
-				rt.SetRoundTimeout(e.roundTimeout)
-			}
-			e.conns[i] = e.wrapConn(i, c)
-		}
-		return nil
+	cs, err := e.dial()
+	if err != nil {
+		return fmt.Errorf("mpc: dial party endpoints: %w", err)
 	}
-	e.mem = transport.NewMem(e.n)
-	e.mem.SetRecvTimeout(e.roundTimeout)
+	if len(cs.Conns) != e.n {
+		return fmt.Errorf("mpc: dial returned %d conns for %d parties", len(cs.Conns), e.n)
+	}
+	e.drain = cs.Drain
 	e.conns = make([]transport.Conn, e.n)
-	for i := range e.conns {
-		e.conns[i] = e.wrapConn(i, e.mem.Conn(i))
+	for i, c := range cs.Conns {
+		if rt, ok := c.(interface{ SetRoundTimeout(time.Duration) }); ok {
+			rt.SetRoundTimeout(e.roundTimeout)
+		}
+		e.conns[i] = e.wrapConn(i, c)
 	}
 	return nil
 }
@@ -351,7 +345,7 @@ func (e *Engine) wrapConn(party int, c transport.Conn) transport.Conn {
 // ErrPoisoned; its owner should close it and fork a fresh one from the root.
 func (e *Engine) Poisoned() bool { return e.poisoned }
 
-// Close releases the engine's in-process transport endpoints. Optional: an
+// Close releases the engine's transport endpoints. Optional: an
 // unclosed engine is reclaimed by the garbage collector.
 func (e *Engine) Close() {
 	for _, c := range e.conns {
@@ -372,23 +366,6 @@ func (e *Engine) AttachPool(p *Pool) error {
 
 // Pool returns the attached preprocessing pool, if any.
 func (e *Engine) Pool() *Pool { return e.pool }
-
-// SetRealDelay switches real-time simulation of the network model on or off
-// for this engine's transport (protocol mode only; ideal-mode comparisons
-// exchange no messages).
-func (e *Engine) SetRealDelay(on bool) {
-	e.realDelay = on
-	if e.mem == nil {
-		// Dialed endpoints are real sockets: latency is physical, not
-		// simulated, so the flag only records intent.
-		return
-	}
-	if on {
-		e.mem.SetDelay(e.netm.Latency, e.netm.Bandwidth)
-	} else {
-		e.mem.SetDelay(0, 0)
-	}
-}
 
 // N returns the number of parties.
 func (e *Engine) N() int { return e.n }
@@ -526,16 +503,15 @@ func (e *Engine) runProtocol(diffs [][]int64) ([]bool, error) {
 	if e.poisoned {
 		return nil, ErrPoisoned
 	}
-	// Retry requires a drain primitive (Mem.Drain, or the ConnSet's Drain —
-	// lane rotation on a mux mesh); without one, a replay could read stale
-	// frames of the aborted round, so the first failure poisons instead.
-	canDrain := e.mem != nil || e.drain != nil
 	for attempt := 0; ; attempt++ {
 		out, err := e.runProtocolOnce(diffs)
 		if err == nil {
 			return out, nil
 		}
-		if attempt >= e.retry.Attempts || !transport.Transient(err) || !canDrain {
+		// Retry requires the ConnSet's Drain (Mem.Drain, lane rotation on a
+		// mux mesh): without one a replay could read stale frames of the
+		// aborted round, so the first failure poisons instead.
+		if attempt >= e.retry.Attempts || !transport.Transient(err) || e.drain == nil {
 			e.poisoned = true
 			if e.instr != nil {
 				e.instr.Poisonings.Inc()
@@ -545,11 +521,7 @@ func (e *Engine) runProtocol(diffs [][]int64) ([]bool, error) {
 		if e.instr != nil {
 			e.instr.Retries.Inc()
 		}
-		if e.mem != nil {
-			e.mem.Drain()
-		} else {
-			e.drain()
-		}
+		e.drain()
 		if e.retry.Backoff > 0 {
 			time.Sleep(e.retry.Backoff << min(attempt, 16))
 		}
@@ -590,10 +562,17 @@ func (e *Engine) runProtocolOnce(diffs [][]int64) ([]bool, error) {
 		}(p)
 	}
 	wg.Wait()
+	// The round fails with its first party's error — unless an endpoint was
+	// closed: that is final, while the peers starved by it only report
+	// timeouts, which the retry policy would replay against.
+	failed := -1
 	for p, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("mpc: party %d: %w", p, err)
+		if err != nil && (failed < 0 || errors.Is(err, transport.ErrClosed)) {
+			failed = p
 		}
+	}
+	if failed >= 0 {
+		return nil, fmt.Errorf("mpc: party %d: %w", failed, errs[failed])
 	}
 	for p := 1; p < e.n; p++ {
 		for i := 0; i < k; i++ {

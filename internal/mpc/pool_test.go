@@ -228,39 +228,6 @@ func TestEngineForksConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
-func TestRealDelaySlowsProtocol(t *testing.T) {
-	if testing.Short() {
-		t.Skip("timing test")
-	}
-	fast, err := NewEngine(Params{Parties: 2, Mode: ModeProtocol, Seed: 23})
-	if err != nil {
-		t.Fatal(err)
-	}
-	slow := fast.Fork()
-	defer slow.Close()
-	slow.netm = NetworkModel{Latency: 3 * time.Millisecond, Bandwidth: 1e9}
-	slow.SetRealDelay(true)
-
-	start := time.Now()
-	if _, err := slow.Compare([]int64{-1, 0}); err != nil {
-		t.Fatal(err)
-	}
-	elapsed := time.Since(start)
-	// The protocol needs multiple sequential rounds; with 3ms one-way latency
-	// a comparison cannot complete in under one round trip.
-	if elapsed < 3*time.Millisecond {
-		t.Fatalf("real-delay comparison took %v, want >= 3ms", elapsed)
-	}
-
-	start = time.Now()
-	if _, err := fast.Compare([]int64{-1, 0}); err != nil {
-		t.Fatal(err)
-	}
-	if fastElapsed := time.Since(start); fastElapsed > elapsed {
-		t.Fatalf("delay-free comparison (%v) slower than delayed one (%v)", fastElapsed, elapsed)
-	}
-}
-
 func TestPoolCloseSemantics(t *testing.T) {
 	p := NewPool(3, 8*64, 2, 16)
 	waitForBuffer(t, p, 8)

@@ -109,26 +109,31 @@ func New(fed *fedroad.Federation, maxConcurrent, maxQueue, cacheEntries int) *Pi
 	return p
 }
 
+// batched is how every served query schedules its comparisons: independent
+// ones share protocol instances — same comparisons and answer, about half the
+// rounds.
+var batched = fedroad.QueryOptions{BatchedMPC: true}
+
 // Route answers a shortest-path query.
-func (p *Pipeline) Route(src, dst fedroad.Vertex, opt fedroad.QueryOptions) (fedroad.Route, Meta, error) {
+func (p *Pipeline) Route(src, dst fedroad.Vertex) (fedroad.Route, Meta, error) {
 	return serve(p,
 		func(s *fedroad.Session) (fedroad.Route, fedroad.Stats, uint64, error) {
-			return s.ShortestPathAt(src, dst, opt)
+			return s.ShortestPathAt(src, dst, batched)
 		},
 		func(run func() (fedroad.Route, fedroad.Stats, uint64, error)) (fedroad.Route, fedroad.Stats, uint64, fedroad.CacheOutcome, error) {
-			return p.cache.ShortestPath(src, dst, opt, run)
+			return p.cache.ShortestPath(src, dst, batched, run)
 		})
 }
 
 // KNN answers a k-nearest-neighbours query; all k routes come out of one
 // Fed-SSSP run, whose cost Meta.Stats reports once.
-func (p *Pipeline) KNN(src fedroad.Vertex, k int, opt fedroad.QueryOptions) ([]fedroad.Route, Meta, error) {
+func (p *Pipeline) KNN(src fedroad.Vertex, k int) ([]fedroad.Route, Meta, error) {
 	return serve(p,
 		func(s *fedroad.Session) ([]fedroad.Route, fedroad.Stats, uint64, error) {
-			return s.NearestNeighborsAt(src, k, opt)
+			return s.NearestNeighborsAt(src, k, batched)
 		},
 		func(run func() ([]fedroad.Route, fedroad.Stats, uint64, error)) ([]fedroad.Route, fedroad.Stats, uint64, fedroad.CacheOutcome, error) {
-			return p.cache.NearestNeighbors(src, k, opt, run)
+			return p.cache.NearestNeighbors(src, k, batched, run)
 		})
 }
 

@@ -16,9 +16,6 @@ import (
 	"repro/internal/transport"
 )
 
-// batched is the production query stack (benchmark/fixture.go's queryOpts).
-var batched = fedroad.QueryOptions{BatchedMPC: true}
-
 // faults are the switches a test flips on the federation's transport: kill
 // closes party 1's endpoint mid-round (a crashed silo), mute swallows its
 // sends (a silent silo, detectable only by round timeout), and hold — while
@@ -114,7 +111,7 @@ func TestHitAndCoalescedWaiterTakeNoSlotAndNoSession(t *testing.T) {
 	f.hold.Lock() // the leader parks mid-protocol; the others find its flight
 	for i := 0; i < n; i++ {
 		go func() {
-			r, m, err := p.Route(0, 24, batched)
+			r, m, err := p.Route(0, 24)
 			answers <- answer{r, m, err}
 		}()
 	}
@@ -144,7 +141,7 @@ func TestHitAndCoalescedWaiterTakeNoSlotAndNoSession(t *testing.T) {
 		t.Fatalf("outcomes %v, want 1 miss and %d coalesced", outcomes, n-1)
 	}
 
-	_, m, err := p.Route(0, 24, batched)
+	_, m, err := p.Route(0, 24)
 	if err != nil || m.Outcome != fedroad.CacheHit {
 		t.Fatalf("repeat: outcome %v, err %v, want a hit", m.Outcome, err)
 	}
@@ -167,13 +164,13 @@ func TestShedLeaderReturnsErrShedAndCachesNothing(t *testing.T) {
 	done := make(chan error, 2)
 	for i := 0; i < 2; i++ {
 		go func() {
-			_, _, err := p.Route(fedroad.Vertex(i), 24, batched)
+			_, _, err := p.Route(fedroad.Vertex(i), 24)
 			done <- err
 		}()
 	}
 	waitFor(t, "a full gate", func() bool { return p.Stats().Admission.Depth == 2 })
 
-	_, m, err := p.Route(5, 20, batched)
+	_, m, err := p.Route(5, 20)
 	if !errors.Is(err, serve.ErrShed) {
 		t.Fatalf("third leader at limit 2: err %v, want ErrShed", err)
 	}
@@ -188,7 +185,7 @@ func TestShedLeaderReturnsErrShedAndCachesNothing(t *testing.T) {
 	}
 
 	// The shed request left no entry behind: asked again it runs, as a miss.
-	if _, m, err = p.Route(5, 20, batched); err != nil || m.Outcome != fedroad.CacheMiss {
+	if _, m, err = p.Route(5, 20); err != nil || m.Outcome != fedroad.CacheMiss {
 		t.Fatalf("retry after shed: outcome %v, err %v, want a computed miss", m.Outcome, err)
 	}
 	st := p.Stats()
@@ -219,14 +216,14 @@ func TestDeadSiloFailsTheRequestAndTheNextOneRecovers(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			fed, f := faultyFederation(t)
 			p := serve.New(fed, 4, 0, 0)
-			if _, _, err := p.Route(0, 24, batched); err != nil {
+			if _, _, err := p.Route(0, 24); err != nil {
 				t.Fatalf("healthy request: %v", err)
 			}
 
 			tc.fault(f).Store(true)
 			snap := fed.Metrics().Snapshot()
 			start := time.Now()
-			_, _, err := p.Route(0, 24, batched)
+			_, _, err := p.Route(0, 24)
 			if !tc.typed(err) {
 				t.Fatalf("request on a %s silo: %v, want the typed error", tc.name, err)
 			}
@@ -241,7 +238,7 @@ func TestDeadSiloFailsTheRequestAndTheNextOneRecovers(t *testing.T) {
 			}
 
 			tc.fault(f).Store(false)
-			if r, _, err := p.Route(0, 24, batched); err != nil || !r.Found {
+			if r, _, err := p.Route(0, 24); err != nil || !r.Found {
 				t.Fatalf("request after the silo returned: %+v, %v", r, err)
 			}
 			if got := forks(fed) - after["fedroad_mpc_engine_forks_total"]; got != 1 {
@@ -269,14 +266,14 @@ func TestThousandRequestsOverMeshLeaveNothingOpen(t *testing.T) {
 	}
 	defer fed.Close()
 	p := serve.New(fed, 4, 0, 0)
-	if _, _, err := p.Route(0, 8, batched); err != nil { // settle the mesh's own goroutines
+	if _, _, err := p.Route(0, 8); err != nil { // settle the mesh's own goroutines
 		t.Fatal(err)
 	}
 	goroutines, forks0 := runtime.NumGoroutine(), forks(fed)
 
 	const n = 1000
 	for i := 0; i < n; i++ {
-		if _, _, err := p.Route(fedroad.Vertex(i%9), fedroad.Vertex((i+4)%9), batched); err != nil {
+		if _, _, err := p.Route(fedroad.Vertex(i%9), fedroad.Vertex((i+4)%9)); err != nil {
 			t.Fatalf("request %d: %v", i, err)
 		}
 	}
@@ -351,7 +348,7 @@ func TestEchoedVersionIsComputedAtVersionAcrossApplyTraffic(t *testing.T) {
 			for !stop.Load() {
 				// Four pairs, so that most answers of an epoch are cached ones.
 				src, dst := fedroad.Vertex(rng.IntN(2)), fedroad.Vertex(100+rng.IntN(2))
-				r, m, err := p.Route(src, dst, batched)
+				r, m, err := p.Route(src, dst)
 				if err != nil {
 					t.Error(err)
 					return

@@ -83,7 +83,6 @@ func Run(cfg Config) (*Report, error) {
 		return nil, err
 	}
 	pipe := serve.New(f, cfg.Workers/2, 1, soakCacheCap)
-	opt := fedroad.QueryOptions{BatchedMPC: true}
 
 	// Shadow staleness oracle: traffic version → plaintext joint weights.
 	// The federation never exposes the private silo weights, so the soak
@@ -124,7 +123,7 @@ func Run(cfg Config) (*Report, error) {
 			rng := rand.New(rand.NewPCG(soakSeed+4, uint64(w)))
 			for !stop.Load() {
 				p := pairs[rng.IntN(len(pairs))]
-				route, meta, qerr := pipe.Route(p[0], p[1], opt)
+				route, meta, qerr := pipe.Route(p[0], p[1])
 				if meta.Outcome == fedroad.CacheMiss {
 					leaders.Add(1)
 				}

@@ -17,8 +17,8 @@ func TestFaultConnScriptSchedule(t *testing.T) {
 		After:  1,
 		Script: []FaultKind{FaultDrop, FaultDuplicate, FaultError, FaultNone},
 	}
-	m, fc, peer := faultPair(plan)
-	m.SetRecvTimeout(30 * time.Millisecond)
+	_, fc, peer := faultPair(plan)
+	bound(30*time.Millisecond, peer)
 
 	if fc.Party() != 0 || fc.N() != 2 {
 		t.Fatalf("wrapper identity wrong: %d/%d", fc.Party(), fc.N())

@@ -14,7 +14,6 @@ package transport
 import (
 	"errors"
 	"fmt"
-	"math"
 	"net"
 	"sync/atomic"
 	"time"
@@ -86,32 +85,14 @@ type Stats struct {
 	Messages int64 // messages sent
 }
 
-// memMsg is one in-flight message. readyAt is the simulated delivery time;
-// the zero value means "deliver immediately".
-type memMsg struct {
-	data    []byte
-	readyAt time.Time
-}
-
 // Mem is an in-process network of N parties backed by buffered channels,
-// with atomic traffic accounting.
-//
-// By default delivery is immediate. SetDelay switches the network into
-// real-time simulation: each message becomes receivable only after the
-// modeled one-way latency plus its serialization time has elapsed, so a
-// protocol run's wall time reflects the paper's R·(L + S/B) cost model and
-// concurrent protocol instances genuinely overlap their waits.
+// with atomic traffic accounting. Delivery is immediate.
 type Mem struct {
 	n      int
-	chans  [][]chan memMsg // chans[from][to]
+	chans  [][]chan []byte // chans[from][to]
 	closed []atomic.Bool
 	bytes  atomic.Int64
 	msgs   atomic.Int64
-
-	latencyNs atomic.Int64  // one-way latency, nanoseconds (0 = off)
-	invBW     atomic.Uint64 // float64 bits of seconds-per-byte (0 = off)
-
-	recvTimeoutNs atomic.Int64 // per-Recv wait bound, nanoseconds (0 = none)
 }
 
 // NewMem creates an in-process network for n parties.
@@ -119,40 +100,16 @@ func NewMem(n int) *Mem {
 	if n < 2 {
 		panic("transport: need at least 2 parties")
 	}
-	m := &Mem{n: n, chans: make([][]chan memMsg, n), closed: make([]atomic.Bool, n)}
+	m := &Mem{n: n, chans: make([][]chan []byte, n), closed: make([]atomic.Bool, n)}
 	for i := range m.chans {
-		m.chans[i] = make([]chan memMsg, n)
+		m.chans[i] = make([]chan []byte, n)
 		for j := range m.chans[i] {
 			if i != j {
-				m.chans[i][j] = make(chan memMsg, 1024)
+				m.chans[i][j] = make(chan []byte, 1024)
 			}
 		}
 	}
 	return m
-}
-
-// SetDelay configures real-time delivery delays: every message becomes
-// receivable latency + len/bytesPerSec after it is sent. Zero values disable
-// the respective term; SetDelay(0, 0) restores immediate delivery. Safe to
-// call between protocol runs; concurrent calls with in-flight messages only
-// affect messages sent afterwards.
-func (m *Mem) SetDelay(latency time.Duration, bytesPerSec float64) {
-	m.latencyNs.Store(int64(latency))
-	var inv float64
-	if bytesPerSec > 0 {
-		inv = 1 / bytesPerSec
-	}
-	m.invBW.Store(math.Float64bits(inv))
-}
-
-// SetRecvTimeout bounds how long any Recv on this network waits for a frame
-// to arrive (0 disables the bound). An expired wait fails with a wrapped
-// ErrRoundTimeout instead of blocking forever, so one dead party degrades a
-// protocol round into a clean error at its peers. The bound covers waiting
-// for a frame to be sent; the simulated delivery delay of SetDelay is paid
-// afterwards (it is bounded by the network model, not by peer liveness).
-func (m *Mem) SetRecvTimeout(d time.Duration) {
-	m.recvTimeoutNs.Store(int64(d))
 }
 
 // Drain discards every buffered in-flight message. Protocol-round retry uses
@@ -170,7 +127,7 @@ func (m *Mem) Drain() {
 	}
 }
 
-func drainChan(ch chan memMsg) {
+func drainChan(ch chan []byte) {
 	for {
 		select {
 		case _, ok := <-ch:
@@ -203,9 +160,16 @@ func (m *Mem) Conn(p int) Conn {
 }
 
 type memConn struct {
-	net *Mem
-	id  int
+	net       *Mem
+	id        int
+	timeoutNs atomic.Int64 // per-Recv wait bound, nanoseconds (0 = none)
 }
+
+// SetRoundTimeout bounds how long a Recv on this endpoint waits for a frame
+// to arrive (0 disables the bound). An expired wait fails with a wrapped
+// ErrRoundTimeout instead of blocking forever, so one dead party degrades a
+// protocol round into a clean error at its peers.
+func (c *memConn) SetRoundTimeout(d time.Duration) { c.timeoutNs.Store(int64(d)) }
 
 func (c *memConn) Party() int { return c.id }
 func (c *memConn) N() int     { return c.net.n }
@@ -221,14 +185,7 @@ func (c *memConn) Send(to int, data []byte) error {
 	copy(cp, data)
 	c.net.bytes.Add(int64(len(data)))
 	c.net.msgs.Add(1)
-	msg := memMsg{data: cp}
-	lat := c.net.latencyNs.Load()
-	inv := math.Float64frombits(c.net.invBW.Load())
-	if lat > 0 || inv > 0 {
-		d := time.Duration(lat) + time.Duration(float64(len(data))*inv*float64(time.Second))
-		msg.readyAt = time.Now().Add(d)
-	}
-	c.net.chans[c.id][to] <- msg
+	c.net.chans[c.id][to] <- cp
 	return nil
 }
 
@@ -236,9 +193,9 @@ func (c *memConn) Recv(from int) ([]byte, error) {
 	if from == c.id || from < 0 || from >= c.net.n {
 		return nil, fmt.Errorf("transport: invalid source %d", from)
 	}
-	var msg memMsg
+	var msg []byte
 	var ok bool
-	if to := time.Duration(c.net.recvTimeoutNs.Load()); to > 0 {
+	if to := time.Duration(c.timeoutNs.Load()); to > 0 {
 		timer := time.NewTimer(to)
 		defer timer.Stop()
 		select {
@@ -252,12 +209,7 @@ func (c *memConn) Recv(from int) ([]byte, error) {
 	if !ok {
 		return nil, ErrClosed
 	}
-	if !msg.readyAt.IsZero() {
-		if d := time.Until(msg.readyAt); d > 0 {
-			time.Sleep(d)
-		}
-	}
-	return msg.data, nil
+	return msg, nil
 }
 
 func (c *memConn) Close() error {

@@ -333,48 +333,6 @@ func TestTCPSendRecvValidation(t *testing.T) {
 	}
 }
 
-func TestMemDelayedDelivery(t *testing.T) {
-	m := NewMem(2)
-	m.SetDelay(5*time.Millisecond, 0)
-	a, b := m.Conn(0), m.Conn(1)
-	start := time.Now()
-	if err := a.Send(1, []byte("hi")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Recv(0); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed < 5*time.Millisecond {
-		t.Fatalf("delayed message delivered after %v, want >= 5ms", elapsed)
-	}
-
-	// Bandwidth term: 1000 bytes at 100 kB/s is another 10ms.
-	m.SetDelay(0, 100e3)
-	start = time.Now()
-	if err := a.Send(1, make([]byte, 1000)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Recv(0); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed < 10*time.Millisecond {
-		t.Fatalf("bandwidth-delayed message delivered after %v, want >= 10ms", elapsed)
-	}
-
-	// SetDelay(0, 0) restores immediate delivery.
-	m.SetDelay(0, 0)
-	start = time.Now()
-	if err := a.Send(1, []byte("fast")); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := b.Recv(0); err != nil {
-		t.Fatal(err)
-	}
-	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Fatalf("immediate message took %v", elapsed)
-	}
-}
-
 func TestErrorClassification(t *testing.T) {
 	if Transient(nil) || IsTimeout(nil) {
 		t.Fatal("nil error classified as a fault")
@@ -395,10 +353,17 @@ func TestErrorClassification(t *testing.T) {
 	}
 }
 
+// bound sets the round timeout of Mem endpoints.
+func bound(d time.Duration, conns ...Conn) {
+	for _, c := range conns {
+		c.(*memConn).SetRoundTimeout(d)
+	}
+}
+
 func TestMemRecvTimeout(t *testing.T) {
 	m := NewMem(2)
-	m.SetRecvTimeout(50 * time.Millisecond)
 	c0, c1 := m.Conn(0), m.Conn(1)
+	bound(50*time.Millisecond, c0)
 
 	start := time.Now()
 	_, err := c0.Recv(1) // nobody sends: the wait must expire, not block
@@ -421,7 +386,7 @@ func TestMemRecvTimeout(t *testing.T) {
 	}
 
 	// Zero disables the bound again.
-	m.SetRecvTimeout(0)
+	bound(0, c0)
 	if err := c1.Send(0, []byte("x")); err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +403,7 @@ func TestMemDrain(t *testing.T) {
 	c1.Send(0, []byte("stale-c"))
 	m.Drain()
 
-	m.SetRecvTimeout(20 * time.Millisecond)
+	bound(20*time.Millisecond, c0, c1)
 	for _, probe := range []struct {
 		conn Conn
 		from int

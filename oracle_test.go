@@ -3,10 +3,14 @@ package fedroad
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/lb"
+	"repro/internal/pq"
 )
 
 // The differential oracle harness: every federated engine configuration must
@@ -15,28 +19,40 @@ import (
 // protocols must never leak — so agreement with it is the end-to-end
 // correctness statement for the whole stack (Fed-SAC, estimators, queues,
 // batching, the shortcut index, and the parallel index build).
+//
+// It runs at two layers. The facade (and with it session, cache and HTTP)
+// selects one stack, so its oracle covers what a caller can still choose:
+// index built or not × BatchedMPC. The paper's axes — estimator × queue ×
+// index/flat × batching — are core.Options, and their lattice runs one layer
+// down, on core engines over forks of the same federation, its index and
+// landmark matrices computed at the weights being checked.
 
-// oracleConfig is one point of the engine configuration lattice.
+// oracleConfig is one point of the core engine's configuration lattice;
+// Index and Landmarks are filled in per federation.
 type oracleConfig struct {
-	name string
-	opt  QueryOptions
+	name    string
+	opt     core.Options
+	indexed bool
 }
 
-// spspConfigs enumerates every valid SPSP configuration: {index, no index} ×
-// {no estimator, FedALT, FedALTMax, FedAMPS} × {heap, TM-tree} ×
-// {unbatched, BatchedMPC} — minus the combinations validateOptions rejects
+// queueAxis is every queue, the TM-tree with and without batched Fed-SAC
 // (BatchedMPC requires the TM-tree).
+var queueAxis = []struct {
+	q pq.Kind
+	b bool
+}{{pq.KindHeap, false}, {pq.KindLeftist, false}, {pq.KindTMTree, false}, {pq.KindTMTree, true}}
+
+// spspConfigs enumerates every valid SPSP configuration: {index, no index} ×
+// {no estimator, FedALT, FedALTMax, FedAMPS} × queueAxis.
 func spspConfigs() []oracleConfig {
 	var out []oracleConfig
-	for _, noIndex := range []bool{false, true} {
-		for _, est := range []Estimator{NoEstimator, FedALT, FedALTMax, FedAMPS} {
-			for _, qb := range []struct {
-				q QueueKind
-				b bool
-			}{{Heap, false}, {TMTree, false}, {TMTree, true}} {
+	for _, indexed := range []bool{true, false} {
+		for _, est := range []lb.Kind{lb.None, lb.FedALT, lb.FedALTMax, lb.FedAMPS} {
+			for _, qb := range queueAxis {
 				out = append(out, oracleConfig{
-					name: fmt.Sprintf("noindex=%v/est=%s/queue=%s/batched=%v", noIndex, est, qb.q, qb.b),
-					opt:  QueryOptions{Estimator: est, Queue: qb.q, NoIndex: noIndex, BatchedMPC: qb.b},
+					name:    fmt.Sprintf("index=%v/est=%s/queue=%s/batched=%v", indexed, est, qb.q, qb.b),
+					opt:     core.Options{Estimator: est, Queue: qb.q, BatchedMPC: qb.b},
+					indexed: indexed,
 				})
 			}
 		}
@@ -47,49 +63,152 @@ func spspConfigs() []oracleConfig {
 // knnConfigs enumerates every valid kNN configuration (estimators do not
 // apply and the search is index-free by construction).
 func knnConfigs() []oracleConfig {
-	return []oracleConfig{
-		{"queue=heap", QueryOptions{Queue: Heap}},
-		{"queue=tm-tree", QueryOptions{Queue: TMTree}},
-		{"queue=tm-tree/batched", QueryOptions{Queue: TMTree, BatchedMPC: true}},
+	var out []oracleConfig
+	for _, qb := range queueAxis {
+		out = append(out, oracleConfig{
+			name: fmt.Sprintf("queue=%s/batched=%v", qb.q, qb.b),
+			opt:  core.Options{Queue: qb.q, BatchedMPC: qb.b},
+		})
 	}
+	return out
 }
 
-// checkAgainstOracle runs every federated configuration of the SPSP, SSSP
-// and kNN paths against plaintext Dijkstra on the joint weights. The
-// federation must already have its index built; landmark matrices are
-// (re)computed here so they match the current weights.
-func checkAgainstOracle(t *testing.T, f *Federation, joint Weights, queries [][2]Vertex) {
-	t.Helper()
-	g := f.Graph()
-	f.PrecomputeLandmarks()
+// facadeConfigs is what QueryOptions can select; whether the index is built
+// is the federation's state, not the query's.
+var facadeConfigs = []QueryOptions{{}, {BatchedMPC: true}}
 
+// lattice binds the configuration lattice to one federation at its current
+// weights: engines run on forks of its MPC engine, over its index, with
+// landmark matrices computed from a snapshot of those weights.
+type lattice struct {
+	f  *Federation
+	lm *lb.Landmarks
+}
+
+func newLattice(f *Federation, seed uint64) lattice {
+	g, w0 := f.Graph(), f.inner.StaticWeights()
+	return lattice{f: f, lm: lb.Precompute(g, w0, f.inner.SnapshotWeights(), lb.SelectLandmarks(g, w0, 8, seed), 0)}
+}
+
+// engine builds cfg's engine on a fresh fork, which done releases.
+func (l lattice) engine(t *testing.T, cfg oracleConfig) (e *core.Engine, done func()) {
+	t.Helper()
+	opt := cfg.opt
+	opt.Landmarks = l.lm
+	if cfg.indexed {
+		opt.Index = l.f.index
+	}
+	fork := l.f.inner.Fork()
+	e, err := core.NewEngine(fork, opt)
+	if err != nil {
+		t.Fatalf("%s: %v", cfg.name, err)
+	}
+	return e, fork.Engine().Close
+}
+
+func (l lattice) spsp(t *testing.T, cfg oracleConfig, s, dst Vertex) Route {
+	t.Helper()
+	e, done := l.engine(t, cfg)
+	defer done()
+	res, _, err := e.SPSP(s, dst)
+	if err != nil {
+		t.Fatalf("%s: SPSP(%d,%d): %v", cfg.name, s, dst, err)
+	}
+	return Route{Path: res.Path, Partials: res.Partial, Found: res.Found}
+}
+
+func (l lattice) knn(t *testing.T, cfg oracleConfig, s Vertex, k int) []Route {
+	t.Helper()
+	e, done := l.engine(t, cfg)
+	defer done()
+	results, _, err := e.SSSP(s, k)
+	if err != nil {
+		t.Fatalf("kNN %s: SSSP(%d,%d): %v", cfg.name, s, k, err)
+	}
+	routes := make([]Route, len(results))
+	for i, r := range results {
+		routes[i] = Route{Path: r.Path, Partials: r.Partial, Found: r.Found}
+	}
+	return routes
+}
+
+// checkAgainstOracle runs the facade's configurations and the whole core
+// lattice of the SPSP, SSSP and kNN paths against plaintext Dijkstra on the
+// joint weights. The federation must already have its index built; seed
+// picks the landmarks.
+func checkAgainstOracle(t *testing.T, f *Federation, joint Weights, queries [][2]Vertex, seed uint64) {
+	t.Helper()
+	checkFacadeAgainstOracle(t, f, joint, queries)
+	l := newLattice(f, seed)
+	spsp, knn := spspConfigs(), knnConfigs()
+	if len(spsp) < 24 || len(knn) < 3 {
+		t.Fatalf("lattice shrank to %d SPSP + %d kNN configurations", len(spsp), len(knn))
+	}
+	t.Logf("oracle lattice: %d SPSP + %d kNN core configurations, %d facade configurations", len(spsp), len(knn), len(facadeConfigs))
+	checkRoutes(t, f.Graph(), joint, queries, len(spsp),
+		func(i int) string { return spsp[i].name },
+		func(i int, s, dst Vertex) Route { return l.spsp(t, spsp[i], s, dst) })
+	checkKNN(t, f.Graph(), joint, queries, len(knn),
+		func(i int) string { return knn[i].name },
+		func(i int, s Vertex, k int) []Route { return l.knn(t, knn[i], s, k) })
+}
+
+// checkFacadeAgainstOracle checks what a caller of the facade can select, on
+// a federation with or without an index.
+func checkFacadeAgainstOracle(t *testing.T, f *Federation, joint Weights, queries [][2]Vertex) {
+	t.Helper()
+	name := func(i int) string {
+		return fmt.Sprintf("facade index=%v/batched=%v", f.HasIndex(), facadeConfigs[i].BatchedMPC)
+	}
+	checkRoutes(t, f.Graph(), joint, queries, len(facadeConfigs), name,
+		func(i int, s, dst Vertex) Route {
+			route, _, err := f.ShortestPath(s, dst, facadeConfigs[i])
+			if err != nil {
+				t.Fatalf("%s: ShortestPath(%d,%d): %v", name(i), s, dst, err)
+			}
+			return route
+		})
+	checkKNN(t, f.Graph(), joint, queries, len(facadeConfigs), name,
+		func(i int, s Vertex, k int) []Route {
+			routes, _, err := f.NearestNeighbors(s, k, facadeConfigs[i])
+			if err != nil {
+				t.Fatalf("kNN %s: NearestNeighbors(%d,%d): %v", name(i), s, k, err)
+			}
+			return routes
+		})
+}
+
+// checkRoutes compares n configurations' routes, query by query, with
+// plaintext Dijkstra on the joint weights.
+func checkRoutes(t *testing.T, g *Graph, joint Weights, queries [][2]Vertex, n int, name func(int) string, run func(i int, s, dst Vertex) Route) {
+	t.Helper()
 	for _, q := range queries {
 		s, dst := q[0], q[1]
 		want, _ := graph.DijkstraTo(g, joint, s, dst)
-		for _, cfg := range spspConfigs() {
-			route, _, err := f.ShortestPath(s, dst, cfg.opt)
-			if err != nil {
-				t.Fatalf("%s: ShortestPath(%d,%d): %v", cfg.name, s, dst, err)
-			}
+		for i := 0; i < n; i++ {
+			route := run(i, s, dst)
 			if want >= graph.InfCost {
 				if route.Found {
-					t.Fatalf("%s: ShortestPath(%d,%d) found a route, oracle says unreachable", cfg.name, s, dst)
+					t.Fatalf("%s: (%d,%d) found a route, oracle says unreachable", name(i), s, dst)
 				}
 				continue
 			}
 			if !route.Found {
-				t.Fatalf("%s: ShortestPath(%d,%d) found nothing, oracle cost %d", cfg.name, s, dst, want)
+				t.Fatalf("%s: (%d,%d) found nothing, oracle cost %d", name(i), s, dst, want)
 			}
 			if got := JointCost(route); got != want {
-				t.Fatalf("%s: ShortestPath(%d,%d) joint cost %d, oracle %d", cfg.name, s, dst, got, want)
+				t.Fatalf("%s: (%d,%d) joint cost %d, oracle %d", name(i), s, dst, got, want)
 			}
-			checkPathShape(t, g, route, s, dst, cfg.name)
+			checkPathShape(t, g, route, s, dst, name(i))
 		}
 	}
+}
 
-	// kNN (the Fed-SSSP path): the k nearest joint distances must match the
-	// oracle's k smallest, tie-safely — WHICH equal-cost vertex is k-th may
-	// differ, the distance multiset may not.
+// checkKNN compares n configurations' kNN answers (the Fed-SSSP path): the k
+// nearest joint distances must match the oracle's k smallest, tie-safely —
+// WHICH equal-cost vertex is k-th may differ, the distance multiset may not.
+func checkKNN(t *testing.T, g *Graph, joint Weights, queries [][2]Vertex, n int, name func(int) string, run func(i int, s Vertex, k int) []Route) {
+	t.Helper()
 	for _, q := range queries {
 		s := q[0]
 		res := graph.Dijkstra(g, joint, s)
@@ -104,31 +223,28 @@ func checkAgainstOracle(t *testing.T, f *Federation, joint Weights, queries [][2
 			if k > len(oracleDists) {
 				continue
 			}
-			for _, cfg := range knnConfigs() {
-				routes, _, err := f.NearestNeighbors(s, k, cfg.opt)
-				if err != nil {
-					t.Fatalf("kNN %s: NearestNeighbors(%d,%d): %v", cfg.name, s, k, err)
-				}
+			for i := 0; i < n; i++ {
+				routes := run(i, s, k)
 				if len(routes) != k {
-					t.Fatalf("kNN %s: got %d routes, want %d", cfg.name, len(routes), k)
+					t.Fatalf("kNN %s: got %d routes, want %d", name(i), len(routes), k)
 				}
 				prev := int64(-1)
-				for i, r := range routes {
+				for j, r := range routes {
 					c := JointCost(r)
 					if c < prev {
-						t.Fatalf("kNN %s: results not sorted: cost %d after %d", cfg.name, c, prev)
+						t.Fatalf("kNN %s: results not sorted: cost %d after %d", name(i), c, prev)
 					}
 					prev = c
 					if len(r.Path) == 0 {
-						t.Fatalf("kNN %s: route %d has empty path", cfg.name, i)
+						t.Fatalf("kNN %s: route %d has empty path", name(i), j)
 					}
 					end := r.Path[len(r.Path)-1]
 					if res.Dist[end] != c {
-						t.Fatalf("kNN %s: route to %d costs %d, oracle distance %d", cfg.name, end, c, res.Dist[end])
+						t.Fatalf("kNN %s: route to %d costs %d, oracle distance %d", name(i), end, c, res.Dist[end])
 					}
-					if c != oracleDists[i] {
+					if c != oracleDists[j] {
 						t.Fatalf("kNN %s: %d-th nearest costs %d, oracle's %d-th smallest is %d",
-							cfg.name, i, c, i, oracleDists[i])
+							name(i), j, c, j, oracleDists[j])
 					}
 				}
 			}
@@ -151,20 +267,32 @@ func checkPathShape(t *testing.T, g *Graph, route Route, s, dst Vertex, name str
 }
 
 // oracleFederation assembles a federation over the given topology with
-// congestion-simulated silo weights, builds its index (parallel build), and
-// returns the plaintext joint weight oracle.
-func oracleFederation(t *testing.T, g *Graph, w0 Weights, seed uint64) (*Federation, Weights) {
+// congestion-simulated silo weights, builds its index (parallel build) if
+// asked to, and returns the plaintext joint weight oracle.
+func oracleFederation(t *testing.T, g *Graph, w0 Weights, seed uint64, indexed bool) (*Federation, Weights) {
 	t.Helper()
 	silos := SimulateCongestion(w0, 3, Moderate, seed)
-	f, err := New(g, w0, silos, Config{Seed: seed, Landmarks: 8})
+	f, err := New(g, w0, silos, Config{Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := f.BuildIndex(); err != nil {
-		t.Fatal(err)
+	if indexed {
+		if err := f.BuildIndex(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	joint := graph.JointWeights(silos)
-	return f, joint
+	return f, graph.JointWeights(silos)
+}
+
+// checkBothFederations runs the full oracle on an indexed federation over
+// the topology and the facade's on one that never built an index (its routes
+// search flat).
+func checkBothFederations(t *testing.T, g *Graph, w0 Weights, seed uint64, queries [][2]Vertex) {
+	t.Helper()
+	f, joint := oracleFederation(t, g, w0, seed, true)
+	checkAgainstOracle(t, f, joint, queries, seed)
+	flat, _ := oracleFederation(t, g, w0, seed, false)
+	checkFacadeAgainstOracle(t, flat, joint, queries)
 }
 
 // oracleQueries picks deterministic query endpoints, including the
@@ -185,8 +313,7 @@ func TestOracleRoadNetwork(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			g, w0 := GenerateRoadNetwork(160, seed)
-			f, joint := oracleFederation(t, g, w0, seed+100)
-			checkAgainstOracle(t, f, joint, oracleQueries(g, seed, 4))
+			checkBothFederations(t, g, w0, seed+100, oracleQueries(g, seed, 4))
 		})
 	}
 }
@@ -196,8 +323,7 @@ func TestOracleGridNetwork(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			g, w0 := GenerateGridNetwork(6, 7, seed)
-			f, joint := oracleFederation(t, g, w0, seed+200)
-			checkAgainstOracle(t, f, joint, oracleQueries(g, seed, 4))
+			checkBothFederations(t, g, w0, seed+200, oracleQueries(g, seed, 4))
 		})
 	}
 }
@@ -207,7 +333,7 @@ func TestOracleGridNetwork(t *testing.T) {
 // oracle-correct, not just fresh builds.
 func TestOracleAfterTrafficUpdate(t *testing.T) {
 	g, w0 := GenerateRoadNetwork(140, 77)
-	f, _ := oracleFederation(t, g, w0, 78)
+	f, _ := oracleFederation(t, g, w0, 78, true)
 	rng := rand.New(rand.NewPCG(79, 0xbeef))
 	var ups []TrafficUpdate
 	for i := 0; i < 25; i++ {
@@ -220,27 +346,8 @@ func TestOracleAfterTrafficUpdate(t *testing.T) {
 	if _, err := f.ApplyTraffic(ups); err != nil {
 		t.Fatal(err)
 	}
-	joint := make(Weights, g.NumArcs())
-	for p := 0; p < f.Silos(); p++ {
-		// Rebuild the oracle from the live silo weights (post-update).
-		for a := 0; a < g.NumArcs(); a++ {
-			joint[a] += f.inner.Silo(p).Weight(Arc(a))
-		}
-	}
-	checkAgainstOracle(t, f, joint, oracleQueries(g, 80, 3))
-}
-
-// liveJointWeights reads the current per-silo weights into a plaintext joint
-// oracle.
-func liveJointWeights(f *Federation) Weights {
-	g := f.Graph()
-	joint := make(Weights, g.NumArcs())
-	for p := 0; p < f.Silos(); p++ {
-		for a := 0; a < g.NumArcs(); a++ {
-			joint[a] += f.inner.Silo(p).Weight(Arc(a))
-		}
-	}
-	return joint
+	// Rebuild the oracle from the live silo weights (post-update).
+	checkAgainstOracle(t, f, f.inner.JointWeights(), oracleQueries(g, 80, 3), 78)
 }
 
 // TestOracleCustomizeAxis is the customize axis of the oracle: an index
@@ -258,7 +365,7 @@ func TestOracleCustomizeAxis(t *testing.T) {
 	// the seed) so they never share mutable weight slices.
 	mk := func() *Federation {
 		t.Helper()
-		f, err := New(g, w0, SimulateCongestion(w0, 3, Moderate, 92), Config{Seed: 92, Landmarks: 8})
+		f, err := New(g, w0, SimulateCongestion(w0, 3, Moderate, 92), Config{Seed: 92})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -319,28 +426,21 @@ func TestOracleCustomizeAxis(t *testing.T) {
 			t.Fatalf("version %d: from-scratch build reported Customized", v)
 		}
 
-		joint := liveJointWeights(fCust)
-		if jf := liveJointWeights(fFull); !slicesEqualI64(joint, jf) {
+		joint := fCust.inner.JointWeights()
+		if jf := fFull.inner.JointWeights(); !slices.Equal(joint, jf) {
 			t.Fatalf("version %d: the two federations diverged on silo weights", v)
 		}
 		queries := oracleQueries(g, 94+uint64(v), 3)
 
 		// Full configuration lattice (SPSP + kNN) against plaintext Dijkstra.
-		checkAgainstOracle(t, fCust, joint, queries)
+		checkAgainstOracle(t, fCust, joint, queries, 92)
 
 		// Every SPSP configuration: customized and from-scratch indexes must
 		// return identical distances, query by query.
-		fFull.PrecomputeLandmarks()
+		lc, lf := newLattice(fCust, 92), newLattice(fFull, 92)
 		for _, q := range queries {
 			for _, cfg := range spspConfigs() {
-				rc, _, err := fCust.ShortestPath(q[0], q[1], cfg.opt)
-				if err != nil {
-					t.Fatalf("version %d %s: customized ShortestPath(%d,%d): %v", v, cfg.name, q[0], q[1], err)
-				}
-				rf, _, err := fFull.ShortestPath(q[0], q[1], cfg.opt)
-				if err != nil {
-					t.Fatalf("version %d %s: full-build ShortestPath(%d,%d): %v", v, cfg.name, q[0], q[1], err)
-				}
+				rc, rf := lc.spsp(t, cfg, q[0], q[1]), lf.spsp(t, cfg, q[0], q[1])
 				if rc.Found != rf.Found {
 					t.Fatalf("version %d %s: (%d,%d) customized found=%v, full build found=%v",
 						v, cfg.name, q[0], q[1], rc.Found, rf.Found)
@@ -352,14 +452,7 @@ func TestOracleCustomizeAxis(t *testing.T) {
 			}
 			// And every kNN configuration on the same footing.
 			for _, cfg := range knnConfigs() {
-				rc, _, err := fCust.NearestNeighbors(q[0], 5, cfg.opt)
-				if err != nil {
-					t.Fatalf("version %d kNN %s: customized: %v", v, cfg.name, err)
-				}
-				rf, _, err := fFull.NearestNeighbors(q[0], 5, cfg.opt)
-				if err != nil {
-					t.Fatalf("version %d kNN %s: full build: %v", v, cfg.name, err)
-				}
+				rc, rf := lc.knn(t, cfg, q[0], 5), lf.knn(t, cfg, q[0], 5)
 				if len(rc) != len(rf) {
 					t.Fatalf("version %d kNN %s: customized %d routes, full build %d", v, cfg.name, len(rc), len(rf))
 				}
@@ -379,16 +472,4 @@ func TestOracleCustomizeAxis(t *testing.T) {
 	if fCust.CustomizeInfo().LastMPCRounds <= 0 {
 		t.Fatal("CustomizeInfo.LastMPCRounds not recorded")
 	}
-}
-
-func slicesEqualI64(a, b []int64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -29,20 +29,14 @@ func liveJoint(f *Federation) Weights {
 }
 
 // spotCheck verifies a handful of queries against plaintext Dijkstra on the
-// given joint weights, with and without the index. Estimators that depend on
-// precomputed landmark matrices are deliberately absent: these tests mutate
-// traffic, which staleness those matrices (bounds stay safe, but here we
-// want configurations whose answers are exact by construction).
+// given joint weights, on every stack the facade can select.
 func spotCheck(t *testing.T, f *Federation, joint Weights, tag string) {
 	t.Helper()
 	g := f.Graph()
 	queries := [][2]Vertex{{0, Vertex(g.NumVertices() - 1)}, {Vertex(g.NumVertices() / 2), 1}, {3, 3}}
 	for _, q := range queries {
 		want, _ := graph.DijkstraTo(g, joint, q[0], q[1])
-		for _, opt := range []QueryOptions{
-			{NoIndex: true, Estimator: NoEstimator, Queue: Heap},
-			{Estimator: FedAMPS, Queue: TMTree, BatchedMPC: true},
-		} {
+		for _, opt := range facadeConfigs {
 			route, _, err := f.ShortestPath(q[0], q[1], opt)
 			if err != nil {
 				t.Fatalf("%s: ShortestPath(%d,%d): %v", tag, q[0], q[1], err)
@@ -98,7 +92,7 @@ func TestRebuildQueriesDuringBuild(t *testing.T) {
 				src := Vertex((w*31 + i) % g.NumVertices())
 				dst := Vertex((w*17 + i*7) % g.NumVertices())
 				want, _ := graph.DijkstraTo(g, joint, src, dst)
-				route, _, err := s.ShortestPath(src, dst, QueryOptions{Estimator: FedAMPS})
+				route, _, err := s.ShortestPath(src, dst)
 				if err != nil {
 					errs <- fmt.Errorf("worker %d: %v", w, err)
 					return

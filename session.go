@@ -11,15 +11,14 @@ import (
 
 // Session is a concurrent query context over a federation. It snapshots
 // nothing and copies nothing heavyweight: the shared immutable state
-// (topology, public static weights, shortcut index, landmark matrices) is
-// referenced, while everything mutable per query — the MPC engine with its
-// transport lanes, dealer randomness stream and cost counters — is owned by
-// the session, forked from the federation's root engine. Queries on
-// distinct sessions therefore run fully in parallel; the federation's
-// reader/writer lock only serializes them against traffic updates and the
-// brief index/landmark swap at the end of an off-lock rebuild (the heavy
-// construction work runs without the lock, so queries keep flowing during
-// it — see Federation.BuildIndexWith).
+// (topology, public static weights, shortcut index) is referenced, while
+// everything mutable per query — the MPC engine with its transport lanes,
+// dealer randomness stream and cost counters — is owned by the session,
+// forked from the federation's root engine. Queries on distinct sessions
+// therefore run fully in parallel; the federation's reader/writer lock only
+// serializes them against traffic updates and the brief index swap at the end
+// of an off-lock rebuild (the heavy construction work runs without the lock,
+// so queries keep flowing during it — see Federation.BuildIndexWith).
 //
 // A Session issues one query at a time (it is not itself safe for
 // concurrent use); open one session per worker goroutine.
@@ -66,32 +65,6 @@ func oneOpt(opts []QueryOptions) (QueryOptions, error) {
 	}
 }
 
-// validateOptions classifies request-level option mistakes up front so they
-// surface as ErrInvalidQuery (4xx material) instead of engine-construction
-// errors indistinguishable from internal failures. knn marks the Fed-SSSP
-// path, which runs on the flat network toward no fixed target: estimator
-// options cannot apply there and are rejected rather than silently dropped.
-func validateOptions(opt QueryOptions, knn bool) error {
-	switch opt.Queue {
-	case "", Heap, LeftistHeap, TMTree:
-	default:
-		return fmt.Errorf("%w: unknown queue %q", ErrInvalidQuery, opt.Queue)
-	}
-	switch opt.Estimator {
-	case "", NoEstimator, FedALT, FedALTMax, FedAMPS:
-	default:
-		return fmt.Errorf("%w: unknown estimator %q", ErrInvalidQuery, opt.Estimator)
-	}
-	if knn && opt.Estimator != "" && opt.Estimator != NoEstimator {
-		return fmt.Errorf("%w: estimator %q does not apply to kNN (Fed-SSSP has no fixed target to estimate toward)",
-			ErrInvalidQuery, opt.Estimator)
-	}
-	if opt.BatchedMPC && opt.Queue != "" && opt.Queue != TMTree {
-		return fmt.Errorf("%w: BatchedMPC requires the tm-tree queue, got %q", ErrInvalidQuery, opt.Queue)
-	}
-	return nil
-}
-
 // checkVertex range-checks a query endpoint.
 func (s *Session) checkVertex(name string, v Vertex) error {
 	if n := s.f.Graph().NumVertices(); int(v) < 0 || int(v) >= n {
@@ -114,9 +87,6 @@ func (s *Session) ShortestPath(src, dst Vertex, opts ...QueryOptions) (Route, St
 func (s *Session) ShortestPathAt(src, dst Vertex, opts ...QueryOptions) (Route, Stats, uint64, error) {
 	opt, err := oneOpt(opts)
 	if err == nil {
-		err = validateOptions(opt, false)
-	}
-	if err == nil {
 		err = s.checkVertex("source", src)
 	}
 	if err == nil {
@@ -126,9 +96,6 @@ func (s *Session) ShortestPathAt(src, dst Vertex, opts ...QueryOptions) (Route, 
 		s.f.recordQuery("spsp", Stats{}, err)
 		return Route{}, Stats{}, 0, err
 	}
-	if opt.Estimator == FedALT || opt.Estimator == FedALTMax {
-		s.f.ensureLandmarks()
-	}
 	s.f.mu.RLock()
 	defer s.f.mu.RUnlock()
 	ver := s.f.trafficVer
@@ -137,9 +104,13 @@ func (s *Session) ShortestPathAt(src, dst Vertex, opts ...QueryOptions) (Route, 
 	return route, stats, ver, err
 }
 
-// shortestPathLocked runs the query body; the caller holds f.mu (read).
+// shortestPathLocked runs the query body — the TM-tree and Fed-AMPS over the
+// shortcut index when one is built, flat otherwise; the caller holds f.mu
+// (read).
 func (s *Session) shortestPathLocked(src, dst Vertex, opt QueryOptions) (Route, Stats, error) {
-	e, err := s.engineLocked(opt)
+	e, err := core.NewEngine(s.inner, core.Options{
+		Queue: pq.KindTMTree, Estimator: lb.FedAMPS, Index: s.f.index, BatchedMPC: opt.BatchedMPC,
+	})
 	if err != nil {
 		return Route{}, Stats{}, err
 	}
@@ -151,9 +122,9 @@ func (s *Session) shortestPathLocked(src, dst Vertex, opt QueryOptions) (Route, 
 }
 
 // NearestNeighbors answers a federated kNN query on this session, under the
-// federation's read lock. kNN runs Fed-SSSP on the flat network: the queue
-// and BatchedMPC options apply; estimator options are rejected (there is no
-// fixed target to estimate toward) and NoIndex is implied.
+// federation's read lock. kNN runs Fed-SSSP on the flat network with the
+// TM-tree: there is no fixed target to estimate toward or to search an index
+// for.
 func (s *Session) NearestNeighbors(src Vertex, k int, opts ...QueryOptions) ([]Route, Stats, error) {
 	routes, stats, _, err := s.NearestNeighborsAt(src, k, opts...)
 	return routes, stats, err
@@ -164,9 +135,6 @@ func (s *Session) NearestNeighbors(src Vertex, k int, opts ...QueryOptions) ([]R
 // ShortestPathAt).
 func (s *Session) NearestNeighborsAt(src Vertex, k int, opts ...QueryOptions) ([]Route, Stats, uint64, error) {
 	opt, err := oneOpt(opts)
-	if err == nil {
-		err = validateOptions(opt, true)
-	}
 	if err == nil {
 		err = s.checkVertex("source", src)
 	}
@@ -187,16 +155,7 @@ func (s *Session) NearestNeighborsAt(src Vertex, k int, opts ...QueryOptions) ([
 
 // nearestNeighborsLocked runs the query body; the caller holds f.mu (read).
 func (s *Session) nearestNeighborsLocked(src Vertex, k int, opt QueryOptions) ([]Route, Stats, error) {
-	// SSSP runs on the flat network with no estimator (validateOptions has
-	// already rejected estimator options); the queue choice and MPC batching
-	// pass through.
-	o := core.Options{BatchedMPC: opt.BatchedMPC}
-	if opt.Queue == "" {
-		o.Queue = pq.KindTMTree
-	} else {
-		o.Queue = pq.Kind(opt.Queue)
-	}
-	e, err := core.NewEngine(s.inner, o)
+	e, err := core.NewEngine(s.inner, core.Options{Queue: pq.KindTMTree, BatchedMPC: opt.BatchedMPC})
 	if err != nil {
 		return nil, Stats{}, err
 	}
@@ -209,28 +168,4 @@ func (s *Session) nearestNeighborsLocked(src Vertex, k int, opt QueryOptions) ([
 		routes[i] = Route{Path: r.Path, Partials: r.Partial, Found: r.Found}
 	}
 	return routes, stats, nil
-}
-
-// engineLocked assembles the per-query search engine against the session's
-// private MPC fork and the federation's shared read-locked structures.
-func (s *Session) engineLocked(opt QueryOptions) (*core.Engine, error) {
-	o := core.Options{}
-	if opt.Queue == "" {
-		o.Queue = pq.KindTMTree
-	} else {
-		o.Queue = pq.Kind(opt.Queue)
-	}
-	if opt.Estimator == "" {
-		o.Estimator = lb.FedAMPS
-	} else {
-		o.Estimator = lb.Kind(opt.Estimator)
-	}
-	if o.Estimator == lb.FedALT || o.Estimator == lb.FedALTMax {
-		o.Landmarks = s.f.lm
-	}
-	if !opt.NoIndex {
-		o.Index = s.f.index
-	}
-	o.BatchedMPC = opt.BatchedMPC
-	return core.NewEngine(s.inner, o)
 }
