@@ -193,8 +193,8 @@ func main() {
 		}
 		st := fed.IndexStats()
 		if st.Customized {
-			log.Printf("index: %d shortcuts customized in %v (%d levels, %d MPC rounds)",
-				st.Shortcuts, time.Since(start).Round(time.Millisecond), st.Levels, st.SAC.Rounds)
+			log.Printf("index: %d shortcuts customized in %v (%d levels, %d ticks, %d MPC rounds)",
+				st.Shortcuts, time.Since(start).Round(time.Millisecond), st.Levels, st.Rounds, st.SAC.Rounds)
 		} else {
 			log.Printf("index: %d shortcuts in %v (%d contraction rounds)",
 				st.Shortcuts, time.Since(start).Round(time.Millisecond), st.Rounds)

@@ -427,13 +427,14 @@ func (s *server) meshBlock() *meshStatsJSON {
 // customizeStatsJSON is the /stats view of the contract-once /
 // customize-per-metric pipeline: whether a topology skeleton is available,
 // whether the serving index came out of a customization sweep, and the
-// latency / MPC-round cost of the most recent pass.
+// latency / tick / MPC-round cost of the most recent pass.
 type customizeStatsJSON struct {
 	HasSkeleton     bool  `json:"has_skeleton"`
 	IndexCustomized bool  `json:"index_customized"`
 	Passes          int64 `json:"passes"`
 	LastWallMs      int64 `json:"last_wall_ms"`
 	LastMPCRounds   int64 `json:"last_mpc_rounds"`
+	LastTicks       int64 `json:"last_ticks"`
 }
 
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -445,6 +446,7 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Passes:          ci.Customizes,
 		LastWallMs:      ci.LastWallMs,
 		LastMPCRounds:   ci.LastMPCRounds,
+		LastTicks:       ci.LastTicks,
 	}
 	pool := s.fed.PoolStats()
 	pipe := s.pipe.Stats()

@@ -566,7 +566,7 @@ func TestStatsCustomizeBlock(t *testing.T) {
 	if !c.HasSkeleton || !c.IndexCustomized {
 		t.Fatalf("customize block missing skeleton/customized flags: %+v", c)
 	}
-	if c.Passes != 1 || c.LastMPCRounds <= 0 {
+	if c.Passes != 1 || c.LastTicks <= 0 || c.LastMPCRounds != 8*c.LastTicks {
 		t.Fatalf("customize block counters: %+v", c)
 	}
 
@@ -579,6 +579,7 @@ func TestStatsCustomizeBlock(t *testing.T) {
 	for _, metric := range []string{
 		"fedroad_index_customizes_total 1",
 		"fedroad_index_customize_mpc_rounds_total",
+		"fedroad_index_customize_ticks_total",
 		"fedroad_index_customize_seconds",
 	} {
 		if !strings.Contains(string(body), metric) {

@@ -153,6 +153,45 @@ func TestCustomizeStressInterleaved(t *testing.T) {
 	spotCheck(t, f, liveJoint(f), "after stress quiesce")
 }
 
+// TestCustomizedTrafficCostPinned replays the first batches of the stress
+// writer's seeded sequence above on a quiet federation and holds every
+// in-place update to the Fed-SAC cost the level-synchronous sweep paid for it
+// at c495f6e (recorded there): the same comparisons, never more rounds, and
+// bytes that differ only by frame rounding (an instance rounds 7 frames per
+// ordered silo pair up to whole bytes; fewer instances round less).
+func TestCustomizedTrafficCostPinned(t *testing.T) {
+	f := rebuildFederation(t, 150, 90)
+	if err := f.CustomizeIndex(); err != nil {
+		t.Fatal(err)
+	}
+	parent := [][3]int64{ // comparisons, rounds, bytes
+		{34, 160, 8160}, {15, 88, 3618}, {21, 128, 5088}, {29, 152, 6990}, {28, 136, 6714}, {18, 88, 4326},
+		{18, 96, 4332}, {38, 168, 9090}, {32, 128, 7644}, {25, 120, 6006}, {17, 80, 4092}, {20, 80, 4776},
+	}
+	g := f.Graph()
+	rng := rand.New(rand.NewPCG(91, 0x7aff1c))
+	for batch, want := range parent {
+		ups := make([]TrafficUpdate, 0, 4)
+		for i := 0; i < 4; i++ {
+			ups = append(ups, TrafficUpdate{
+				Silo:     rng.IntN(f.Silos()),
+				Arc:      Arc(rng.IntN(g.NumArcs())),
+				TravelMs: int64(1 + rng.IntN(9000)),
+			})
+		}
+		st, err := f.ApplyTraffic(ups)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drift := st.SAC.Bytes - want[2]
+		if st.SAC.Compares != want[0] || st.SAC.Rounds > want[1] || 1000*drift > want[2] || -drift > 42*want[1]/8 {
+			t.Fatalf("batch %d: update cost {%d, %d, %d} (comparisons, rounds, bytes), level-synchronous sweep %v",
+				batch, st.SAC.Compares, st.SAC.Rounds, st.SAC.Bytes, want)
+		}
+	}
+	spotCheck(t, f, liveJoint(f), "after pinned batches")
+}
+
 // TestCustomizeConflictTyped reproduces rebuild_test.go's conflict protocol
 // on the customization path: a traffic batch landing between the
 // customization's weight snapshot and its swap must yield ErrBuildConflict

@@ -263,6 +263,7 @@ type Federation struct {
 	customizes     atomic.Int64
 	lastCustMs     atomic.Int64
 	lastCustRounds atomic.Int64
+	lastCustTicks  atomic.Int64
 
 	// trafficVer counts silo-weight mutations (guarded by mu). Off-lock
 	// builders record it at snapshot time; a changed version at swap time
@@ -300,6 +301,7 @@ type buildMetricSet struct {
 	custConflicts *metrics.Counter
 	custSeconds   *metrics.Histogram
 	custRounds    *metrics.Counter
+	custTicks     *metrics.Counter
 }
 
 // queryMetricSet is the per-query-kind ("spsp", "sssp") instrument bundle.
@@ -420,6 +422,7 @@ func (f *Federation) initMetrics() {
 		custConflicts:    f.reg.Counter("fedroad_index_customize_conflicts_total", "customization passes discarded because traffic changed mid-pass", nil),
 		custSeconds:      f.reg.Histogram("fedroad_index_customize_seconds", "wall time of completed weight-customization passes", nil, nil),
 		custRounds:       f.reg.Counter("fedroad_index_customize_mpc_rounds_total", "MPC communication rounds spent by weight-customization passes", nil),
+		custTicks:        f.reg.Counter("fedroad_index_customize_ticks_total", "scheduler ticks (one Fed-SAC instance each) run by weight-customization passes", nil),
 	}
 	bm := f.bm
 	f.reg.GaugeFunc("fedroad_index_build_in_progress", "off-lock index builds currently running", nil,
@@ -749,8 +752,10 @@ func (f *Federation) CustomizeIndex() error {
 
 // CustomizeIndexWith runs the weight-customization phase: a bottom-up sweep
 // over the fixed skeleton that re-derives every shortcut's private partial
-// weights with batched Fed-SAC group tournaments — one batch per hierarchy
-// level — instead of re-running ordering, witness searches and contraction.
+// weights with batched Fed-SAC group tournaments — one batch per tick of the
+// skeleton's comparison DAG, every tournament advancing as far as its
+// operands allow — instead of re-running ordering, witness searches and
+// contraction.
 // The resulting index answers queries with byte-identical distances to a
 // from-scratch BuildIndexWith at the same traffic version, for a small
 // fraction of the MPC rounds.
@@ -768,7 +773,7 @@ func (f *Federation) CustomizeIndexWith(prm IndexParams) error {
 		return err
 	}
 	return f.deriveIndex(prm.RebuildOnConflict, func() (indexRunner, error) {
-		return ch.NewCustomizer(f.inner, sk, prm)
+		return ch.NewCustomizer(f.inner, sk)
 	}, f.recordCustomize)
 }
 
@@ -785,12 +790,14 @@ func (f *Federation) recordCustomize(st ch.BuildStats, swapped bool) {
 	f.customizes.Add(1)
 	f.lastCustMs.Store(st.WallTime.Milliseconds())
 	f.lastCustRounds.Store(st.SAC.Rounds)
+	f.lastCustTicks.Store(int64(st.Rounds))
 	if f.bm == nil {
 		return
 	}
 	f.bm.customizes.Inc()
 	f.bm.custSeconds.Observe(st.WallTime.Seconds())
 	f.bm.custRounds.Add(float64(st.SAC.Rounds))
+	f.bm.custTicks.Add(float64(st.Rounds))
 }
 
 // CustomizeInfo summarizes the customization pipeline for serving tiers'
@@ -802,6 +809,9 @@ type CustomizeInfo struct {
 	LastWallMs int64
 	// LastMPCRounds is the Fed-SAC round count of the most recent pass.
 	LastMPCRounds int64
+	// LastTicks is the scheduler tick count of the most recent pass: one
+	// Fed-SAC instance each, the skeleton's critical path for a full pass.
+	LastTicks int64
 }
 
 // CustomizeInfo reports the customization counters (zero values before the
@@ -811,6 +821,7 @@ func (f *Federation) CustomizeInfo() CustomizeInfo {
 		Customizes:    f.customizes.Load(),
 		LastWallMs:    f.lastCustMs.Load(),
 		LastMPCRounds: f.lastCustRounds.Load(),
+		LastTicks:     f.lastCustTicks.Load(),
 	}
 }
 

@@ -29,6 +29,28 @@ type hierarchyState struct {
 	parents  map[int32][]int32        // child overlay arc -> shortcuts built on it
 }
 
+// indexHierarchy derives the hierarchyState of the arcs the index holds.
+func (x *Index) indexHierarchy(skips [][]skipRec) {
+	n := len(x.rank)
+	hs := &hierarchyState{
+		outAll:   make([][]int32, n),
+		inAll:    make([][]int32, n),
+		skips:    skips,
+		viaIndex: make(map[graph.Vertex][]int32),
+		parents:  make(map[int32][]int32),
+	}
+	for a := int32(0); a < int32(len(x.tail)); a++ {
+		hs.outAll[x.tail[a]] = append(hs.outAll[x.tail[a]], a)
+		hs.inAll[x.head[a]] = append(hs.inAll[x.head[a]], a)
+		if x.via[a] != NoShortcut {
+			hs.viaIndex[x.via[a]] = append(hs.viaIndex[x.via[a]], a)
+			hs.parents[x.childA[a]] = append(hs.parents[x.childA[a]], a)
+			hs.parents[x.childB[a]] = append(hs.parents[x.childB[a]], a)
+		}
+	}
+	x.hs = hs
+}
+
 // DefaultWitnessHops bounds the frontier depth of the federated witness
 // search: a witness path may use at most this many arcs. Deeper searches
 // find more witnesses (fewer shortcuts) but pay more wide Fed-SAC rounds
@@ -126,13 +148,6 @@ func NewBuilder(f *fed.Federation, prm Params) (*Builder, error) {
 	for v := range x.rank {
 		x.rank[v] = -1
 	}
-	x.hs = &hierarchyState{
-		outAll:   make([][]int32, n),
-		inAll:    make([][]int32, n),
-		skips:    make([][]skipRec, n),
-		viaIndex: make(map[graph.Vertex][]int32),
-		parents:  make(map[int32][]int32),
-	}
 	x.siloW = make([][]int64, p)
 	for s := 0; s < p; s++ {
 		x.siloW[s] = make([]int64, 0, 2*g.NumArcs())
@@ -147,9 +162,8 @@ func NewBuilder(f *fed.Federation, prm Params) (*Builder, error) {
 		for s := 0; s < p; s++ {
 			x.siloW[s] = append(x.siloW[s], f.Silo(s).Weight(graph.Arc(a)))
 		}
-		x.hs.outAll[u] = append(x.hs.outAll[u], int32(a))
-		x.hs.inAll[w] = append(x.hs.inAll[w], int32(a))
 	}
+	x.indexHierarchy(make([][]skipRec, n))
 
 	return &Builder{f: f, prm: prm, x: x, wf: f.Fork()}, nil
 }

@@ -2,6 +2,7 @@ package ch
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -122,7 +123,8 @@ func TestBuildSkeletonRejectsUnknownOrdering(t *testing.T) {
 }
 
 // TestCustomizeRepeatable: two sweeps over the same skeleton and weights must
-// give the identical index — winners, children, every partial weight.
+// give the identical index — children (the group winners), every partial
+// weight.
 func TestCustomizeRepeatable(t *testing.T) {
 	g, w0 := graph.GenerateGrid(8, 8, 62)
 	sk, err := BuildSkeleton(g, w0, Params{})
@@ -153,11 +155,6 @@ func TestCustomizeRepeatable(t *testing.T) {
 				if x.siloW[p][a] != ref.siloW[p][a] {
 					t.Fatalf("silo %d weight of arc %d differs", p, a)
 				}
-			}
-		}
-		for gi := range x.custWinner {
-			if x.custWinner[gi] != ref.custWinner[gi] {
-				t.Fatalf("winner of group %d differs", gi)
 			}
 		}
 	}
@@ -236,6 +233,10 @@ func TestCustomizedUpdateInPlace(t *testing.T) {
 		t.Fatal(err)
 	}
 	arcsBefore := x.NumArcs()
+	parent := []parentCost{
+		{1005, 568, 236238}, {1009, 560, 237162}, {1023, 568, 240456},
+		{964, 560, 226596}, {988, 568, 232218}, {1009, 568, 237132},
+	}
 	rng := rand.New(rand.NewPCG(71, 71))
 	for round := 0; round < 6; round++ {
 		changed := jiggleWeights(f, rng, 0.12)
@@ -249,6 +250,7 @@ func TestCustomizedUpdateInPlace(t *testing.T) {
 		if x.NumArcs() != arcsBefore {
 			t.Fatalf("round %d: overlay grew from %d to %d arcs", round, arcsBefore, x.NumArcs())
 		}
+		checkUpdate(t, fmt.Sprintf("round %d", round), x, st, parent[round])
 		checkExactDistances(t, f, x, 30, 72+uint64(round), "customized update")
 		checkShortcutInvariants(t, f, x)
 	}
@@ -271,6 +273,60 @@ func TestCustomizedUpdateNoChangesIsFree(t *testing.T) {
 	}
 	if st.RecomputedShortcuts != 0 || st.ReverifiedVertices != 0 || st.SAC.Compares != 0 {
 		t.Fatalf("no-op customized update did work: %+v", st)
+	}
+}
+
+// TestCustomizedUpdateCleanConeIsFree: making an arc that already loses its
+// group's tournament dearer re-runs that one tournament (a member changed)
+// and nothing else — the winner and its partials stand, so every shortcut and
+// group downstream, though in the dirty arc's static cone, ends clean and
+// must spend no comparison.
+func TestCustomizedUpdateCleanConeIsFree(t *testing.T) {
+	g, w0 := graph.GenerateGrid(8, 8, 47)
+	f := customizeFederation(t, g, w0, 48)
+	sk, err := BuildSkeleton(g, w0, Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := Customize(f, sk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := sk.Plan()
+	winner := func(g int32) int32 { // as the group's first reader records it
+		slot := pl.cons[pl.consStart[g]]
+		return [2][]int32{x.childA, x.childB}[slot%2][int32(x.numBase)+slot/2]
+	}
+	scale := func(a int32, by int64) UpdateStats {
+		for p := 0; p < f.P(); p++ {
+			f.Silo(p).SetWeight(graph.Arc(a), by*f.Silo(p).Weight(graph.Arc(a)))
+		}
+		st, err := x.Update([]graph.Arc{graph.Arc(a)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	tried := 0
+	for a := int32(0); a < int32(x.numBase) && tried < 8; a++ {
+		grp := pl.groupOf[a]
+		if len(pl.group(grp)) < 2 || pl.consStart[grp] == pl.consStart[grp+1] {
+			continue // want a base arc with rivals and readers
+		}
+		tried++
+		// Jam it until a detour wins its pair; that update does propagate.
+		if st := scale(a, 50); winner(grp) == a || st.RecomputedShortcuts == 0 {
+			t.Fatalf("arc %d: still elected at 50x its weight (%d shortcuts re-weighted)", a, st.RecomputedShortcuts)
+		}
+		st := scale(a, 2)
+		if want := int64(len(pl.group(grp)) - 1); st.SAC.Compares != want || st.RecomputedShortcuts != 0 || st.ReverifiedVertices != 1 {
+			t.Fatalf("arc %d: %d comparisons, %d shortcuts re-weighted, %d tournaments; want %d, 0, 1",
+				a, st.SAC.Compares, st.RecomputedShortcuts, st.ReverifiedVertices, want)
+		}
+		checkExactDistances(t, f, x, 10, 49+uint64(a), "clean cone")
+	}
+	if tried == 0 {
+		t.Fatal("no base arc with rivals and readers on this grid")
 	}
 }
 
@@ -371,7 +427,7 @@ func TestReadSkeletonRejectsCorruption(t *testing.T) {
 
 // TestBundleRoundTripCustomized: a WriteIndex/ReadIndex cycle preserves the
 // customized index including its skeleton, and in-place updates keep working
-// after reload (the winner table is rebuilt lazily).
+// after reload (its children carry the group winners).
 func TestBundleRoundTripCustomized(t *testing.T) {
 	g, w0 := graph.GenerateGrid(8, 7, 80)
 	f := customizeFederation(t, g, w0, 81)
@@ -395,6 +451,7 @@ func TestBundleRoundTripCustomized(t *testing.T) {
 		t.Fatal("reloaded bundle lost its skeleton")
 	}
 	arcsBefore := x2.NumArcs()
+	parent := []parentCost{{478, 408, 112410}, {476, 400, 111978}, {445, 392, 104688}}
 	rng := rand.New(rand.NewPCG(82, 82))
 	for round := 0; round < 3; round++ {
 		changed := jiggleWeights(f, rng, 0.1)
@@ -405,6 +462,7 @@ func TestBundleRoundTripCustomized(t *testing.T) {
 		if st.AddedShortcuts != 0 || x2.NumArcs() != arcsBefore {
 			t.Fatalf("round %d: reloaded customized index grew", round)
 		}
+		checkUpdate(t, fmt.Sprintf("round %d", round), x2, st, parent[round])
 		checkExactDistances(t, f, x2, 25, 83+uint64(round), "reloaded customized update")
 	}
 }

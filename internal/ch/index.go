@@ -59,13 +59,11 @@ type Index struct {
 	witnessHops int
 	buildStats  BuildStats
 
-	// Customized indexes only: the immutable topology skeleton this index
-	// was customized from, and the current winner (joint-minimum overlay
-	// arc) of every pair group — the metric-dependent half of the
-	// customization state. custWinner is rebuilt lazily from childA/childB
-	// after deserialization.
-	skel       *Skeleton
-	custWinner []int32
+	// Customized indexes only: the immutable topology skeleton this index was
+	// customized from. The metric-dependent half of the customization state
+	// is childA/childB: a shortcut's children are the current winners (joint-
+	// minimum overlay arcs) of its two child pair groups.
+	skel *Skeleton
 }
 
 // BuildStats reports the construction cost of the index.

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"fmt"
-	"math/bits"
+	"math/big"
 	"runtime"
 	"testing"
 
@@ -153,7 +153,7 @@ func derive(t *testing.T, g *graph.Graph, w0 graph.Weights, mode mpc.Mode, custo
 		if err != nil {
 			t.Fatal(err)
 		}
-		x, err = CustomizeWith(f, sk, prm)
+		x, err = Customize(f, sk)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,6 +175,7 @@ func TestDerivationScheduleIgnoresGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	type outcome struct {
 		compares, rounds, bytes, messages int64
+		ticks, widest                     int // schedule statistics: instances run, largest one
 		sum                               string
 	}
 	for _, net := range scheduleNets() {
@@ -190,8 +191,8 @@ func TestDerivationScheduleIgnoresGOMAXPROCS(t *testing.T) {
 				for _, procs := range []int{1, 4} {
 					runtime.GOMAXPROCS(procs)
 					x, sum := derive(t, net.g, net.w0, mode, customize, prm)
-					sac := x.BuildStatistics().SAC
-					got := outcome{sac.Compares, sac.Rounds, sac.Bytes, sac.Messages, sum}
+					st := x.BuildStatistics()
+					got := outcome{st.SAC.Compares, st.SAC.Rounds, st.SAC.Bytes, st.SAC.Messages, st.Rounds, st.MaxRoundWidth, sum}
 					if procs == 1 {
 						at1 = got
 					} else if got != at1 {
@@ -204,26 +205,65 @@ func TestDerivationScheduleIgnoresGOMAXPROCS(t *testing.T) {
 	}
 }
 
-// TestCustomizeRoundsAreTheCriticalPath: a customization level runs the
-// bracket rounds of all its group tournaments together, so the sweep pays
-// RoundsPerCompare rounds per bracket round of each level's LARGEST group —
-// a number read off the skeleton's plan, with no sum over engines in it.
-func TestCustomizeRoundsAreTheCriticalPath(t *testing.T) {
-	for _, net := range scheduleNets() {
-		x, _ := derive(t, net.g, net.w0, mpc.ModeIdeal, true, Params{})
-		pl := x.Skeleton().Plan()
-		var want int64
-		for _, groups := range pl.groupsAt {
-			largest := 0
-			for _, g := range groups {
-				largest = max(largest, len(pl.groups[g]))
+// criticalPath evaluates the sweep's cost law on the public plan, with exact
+// integers and without the scheduler: base arcs are final at tick 0, a
+// shortcut when both child groups are decided, and a group whose members
+// become final at ticks t_1..t_g is decided at T = ⌈log2 Σ 2^t_i⌉ (the Kraft
+// sum: a member final at t has T−t ticks of halving left to share). Returns
+// max T and the comparisons, Σ (g−1).
+func criticalPath(sk *Skeleton) (ticks int, compares int64) {
+	pl := sk.Plan()
+	one := big.NewInt(1)
+	tArc := make([]uint, len(sk.tail))
+	tGrp := make([]int, pl.nGrp)
+	for g := range tGrp {
+		tGrp[g] = -1
+	}
+	decided := func(g int32) int {
+		if tGrp[g] < 0 {
+			sum := new(big.Int)
+			for _, a := range pl.group(g) {
+				sum.Add(sum, new(big.Int).Lsh(one, tArc[a]))
 			}
-			if largest > 1 {
-				want += int64(mpc.RoundsPerCompare * bits.Len(uint(largest-1))) // ⌈log2 largest⌉
-			}
+			tGrp[g] = sum.Sub(sum, one).BitLen() // ⌈log2 sum⌉
 		}
-		if got := x.BuildStatistics().SAC.Rounds; got != want {
-			t.Fatalf("%s: customization spent %d rounds, critical path is %d", net.name, got, want)
+		return tGrp[g]
+	}
+	// A group's members all precede its first consumer in arc order.
+	for a := sk.numBase; a < len(sk.tail); a++ {
+		tArc[a] = uint(max(decided(pl.kids[2*(a-sk.numBase)]), decided(pl.kids[2*(a-sk.numBase)+1])))
+	}
+	for g := range tGrp {
+		ticks = max(ticks, decided(int32(g)))
+		compares += int64(len(pl.group(int32(g))) - 1)
+	}
+	return ticks, compares
+}
+
+// TestCustomizeRoundsAreTheCriticalPath: the sweep runs one Fed-SAC instance
+// per tick of the comparison DAG's critical path, so a customization costs
+// RoundsPerCompare × criticalPath rounds — a number read off the skeleton's
+// plan, with no level structure and no weights in it. The 24×24 grid is the
+// repository benchmark's refresh_grid network.
+func TestCustomizeRoundsAreTheCriticalPath(t *testing.T) {
+	g24, w24 := graph.GenerateGrid(24, 24, 7)
+	for _, net := range append(scheduleNets(), network{"grid24", g24, w24}) {
+		x, _ := derive(t, net.g, net.w0, mpc.ModeIdeal, true, Params{})
+		ticks, compares := criticalPath(x.Skeleton())
+		st := x.BuildStatistics()
+		if st.SAC.Rounds != int64(mpc.RoundsPerCompare*ticks) || st.SAC.Compares != compares {
+			t.Fatalf("%s: customization spent %d comparisons in %d rounds, the plan says %d in %d ticks",
+				net.name, st.SAC.Compares, st.SAC.Rounds, compares, ticks)
+		}
+		if x.Skeleton().CriticalPath() != ticks || st.Rounds != ticks {
+			t.Fatalf("%s: CriticalPath() = %d, BuildStats.Rounds = %d, closed form %d",
+				net.name, x.Skeleton().CriticalPath(), st.Rounds, ticks)
+		}
+		if net.name == "grid24" {
+			got := [4]int64{int64(ticks), st.SAC.Rounds, st.SAC.Compares, st.SAC.Bytes}
+			if want := [4]int64{70, 560, 50028, 11744244}; got != want {
+				t.Fatalf("grid24: ticks, rounds, comparisons, bytes = %v, pinned %v", got, want)
+			}
 		}
 	}
 }

@@ -100,9 +100,13 @@ func (x *Index) WritePublic(w io.Writer) error {
 			}
 		}
 	}
-	// Skip records (needed to keep dynamic updates working after reload).
+	// Skip records (needed to keep dynamic updates working after reload); a
+	// customized index prunes nothing and so has none.
 	for v := 0; v < n; v++ {
-		recs := x.hs.skips[v]
+		var recs []skipRec
+		if x.hs != nil {
+			recs = x.hs.skips[v]
+		}
 		if err := cw.u32(uint32(len(recs))); err != nil {
 			return err
 		}
@@ -148,6 +152,13 @@ func (x *Index) WriteSiloWeights(p int, w io.Writer) error {
 // LoadIndex reassembles an index for a federation from its public structure
 // and one weight shard per silo (shards[p] must be silo p's).
 func LoadIndex(f *fed.Federation, public io.Reader, shards []io.Reader) (*Index, error) {
+	return loadIndex(f, public, shards, false)
+}
+
+// loadIndex is LoadIndex; customized says the caller will attach a skeleton,
+// so the witness-update bookkeeping (hierarchyState: only the witness Update
+// and contract read it) is not built.
+func loadIndex(f *fed.Federation, public io.Reader, shards []io.Reader, customized bool) (*Index, error) {
 	if len(shards) != f.P() {
 		return nil, fmt.Errorf("ch: %d shards for %d silos", len(shards), f.P())
 	}
@@ -204,13 +215,6 @@ func LoadIndex(f *fed.Federation, public io.Reader, shards []io.Reader) (*Index,
 		seenRank[r] = true
 		x.rank[v] = int32(r)
 	}
-	x.hs = &hierarchyState{
-		outAll:   make([][]int32, n),
-		inAll:    make([][]int32, n),
-		skips:    make([][]skipRec, n),
-		viaIndex: make(map[graph.Vertex][]int32),
-		parents:  make(map[int32][]int32),
-	}
 	for a := 0; a < m; a++ {
 		vals := make([]uint32, 5)
 		for i := range vals {
@@ -230,7 +234,6 @@ func LoadIndex(f *fed.Federation, public io.Reader, shards []io.Reader) (*Index,
 		if int(x.tail[a]) < 0 || int(x.tail[a]) >= n || int(x.head[a]) < 0 || int(x.head[a]) >= n {
 			return nil, fmt.Errorf("ch: arc %d endpoints out of range", a)
 		}
-		ai := int32(a)
 		if a < numBase {
 			if x.via[a] != NoShortcut {
 				return nil, fmt.Errorf("ch: base arc %d marked as shortcut", a)
@@ -241,8 +244,6 @@ func LoadIndex(f *fed.Federation, public io.Reader, shards []io.Reader) (*Index,
 		} else if x.via[a] == NoShortcut {
 			return nil, fmt.Errorf("ch: overlay arc %d beyond the base range is not a shortcut", a)
 		}
-		x.hs.outAll[x.tail[a]] = append(x.hs.outAll[x.tail[a]], ai)
-		x.hs.inAll[x.head[a]] = append(x.hs.inAll[x.head[a]], ai)
 		if x.via[a] != NoShortcut {
 			v := x.via[a]
 			if int(v) < 0 || int(v) >= n {
@@ -263,7 +264,6 @@ func LoadIndex(f *fed.Federation, public io.Reader, shards []io.Reader) (*Index,
 		if x.via[a] == NoShortcut {
 			continue
 		}
-		ai := int32(a)
 		v := x.via[a]
 		ca, cb := x.childA[a], x.childB[a]
 		// A shortcut must actually compose its children around its via
@@ -279,9 +279,6 @@ func LoadIndex(f *fed.Federation, public io.Reader, shards []io.Reader) (*Index,
 		if x.rank[v] >= x.rank[x.tail[a]] || x.rank[v] >= x.rank[x.head[a]] {
 			return nil, fmt.Errorf("ch: shortcut %d via vertex does not rank below its endpoints", a)
 		}
-		x.hs.viaIndex[v] = append(x.hs.viaIndex[v], ai)
-		x.hs.parents[ca] = append(x.hs.parents[ca], ai)
-		x.hs.parents[cb] = append(x.hs.parents[cb], ai)
 	}
 	// Reject shortcut trees that unpack into longer walks than any simple
 	// path admits (a corrupt file could share children Fibonacci-style and
@@ -311,6 +308,7 @@ func LoadIndex(f *fed.Federation, public io.Reader, shards []io.Reader) (*Index,
 			return nil, fmt.Errorf("ch: shortcut %d unpacks to more than %d arcs", a, n)
 		}
 	}
+	skips := make([][]skipRec, n)
 	for v := 0; v < n; v++ {
 		cnt, err := rd.u32()
 		if err != nil {
@@ -353,7 +351,10 @@ func LoadIndex(f *fed.Federation, public io.Reader, shards []io.Reader) (*Index,
 			}
 			recs[i] = skipRec{u: graph.Vertex(u), w: graph.Vertex(wv), witnessArcs: arcs}
 		}
-		x.hs.skips[v] = recs
+		skips[v] = recs
+	}
+	if !customized {
+		x.indexHierarchy(skips)
 	}
 
 	// Shards.
@@ -514,10 +515,9 @@ func ReadIndex(f *fed.Federation, r io.Reader) (*Index, error) {
 		}
 		shards[p] = sr
 	}
-	x, err := LoadIndex(f, public, shards)
-	if err != nil {
-		return nil, err
-	}
+	// The skeleton trails the shards; read it first so the index is loaded
+	// knowing whether it is a customized one.
+	var sk *Skeleton
 	if hdr[1] >= bundleVersion {
 		hasSkel, err := rd.u32()
 		if err != nil {
@@ -531,23 +531,24 @@ func ReadIndex(f *fed.Federation, r io.Reader) (*Index, error) {
 			if err != nil {
 				return nil, fmt.Errorf("ch: bundle skeleton section: %w", err)
 			}
-			sk, err := ReadSkeleton(f.Graph(), sr)
-			if err != nil {
-				return nil, err
-			}
-			if err := attachSkeleton(x, sk); err != nil {
+			if sk, err = ReadSkeleton(f.Graph(), sr); err != nil {
 				return nil, err
 			}
 		}
+	}
+	x, err := loadIndex(f, public, shards, sk != nil)
+	if err != nil || sk == nil {
+		return x, err
+	}
+	if err := attachSkeleton(x, sk); err != nil {
+		return nil, err
 	}
 	return x, nil
 }
 
 // attachSkeleton cross-validates a bundled skeleton against the index loaded
 // from the same bundle — a customized index must mirror its skeleton's
-// topology arc for arc — and marks the index customized. The per-group
-// winner table is rebuilt lazily from the recorded children on the first
-// dynamic update.
+// topology arc for arc — and marks the index customized.
 func attachSkeleton(x *Index, sk *Skeleton) error {
 	if len(sk.tail) != len(x.tail) || sk.numBase != x.numBase {
 		return fmt.Errorf("ch: bundle skeleton has %d arcs, index has %d", len(sk.tail), len(x.tail))

@@ -7,6 +7,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/big"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -231,36 +233,49 @@ func (sk *Skeleton) Rank(v graph.Vertex) int32 { return sk.rank[v] }
 // Stats reports the skeleton construction cost.
 func (sk *Skeleton) Stats() SkeletonStats { return sk.stats }
 
-// Levels reports the customization sweep depth (the hierarchy level of the
-// deepest shortcut).
+// Levels reports the hierarchy depth (the level of the deepest shortcut,
+// where a shortcut sits one level above the deepest member of its two child
+// groups).
 func (sk *Skeleton) Levels() int { return sk.Plan().maxLvl }
+
+// CriticalPath reports the length, in ticks, of the customization sweep's
+// comparison DAG: a full customization runs exactly this many Fed-SAC
+// instances (mpc.RoundsPerCompare rounds each), whatever the weights.
+func (sk *Skeleton) CriticalPath() int { return sk.Plan().ticks }
 
 // custPlan is the metric-independent customization schedule derived once per
 // skeleton and shared by every Customize run and in-place customized update.
 //
 // Overlay arcs with the same (tail, head) form a "pair group"; the merged-
 // CCH weight of the ordered pair is the joint minimum over the group. Every
-// group member is created strictly before any shortcut that consumes the
-// group (an arc into/out of a vertex z always predates z's contraction), so
-// arc IDs give a valid evaluation order, and the level function below slices
-// it into sweeps whose Fed-SAC tournaments can run as one batch per level:
+// group member is created strictly before any shortcut that reads the group
+// (an arc into/out of a vertex z always predates z's contraction), so groups
+// and the shortcuts reading them form a DAG in arc-ID order, and Index.sweep
+// runs on its critical path. With t(base arc) = 0 the finishing ticks are
 //
-//	lvl(base arc) = 0
-//	lvl(shortcut) = 1 + max lvl over both child groups' members
+//	t(shortcut) = max T(child groups)
+//	T(group)    = ⌈log2 Σ_members 2^t(member)⌉
 //
-// A shortcut at level L reads only group winners decided at levels < L, and
-// a group is decided (its tournament runs) at the level of its deepest
-// member.
+// (halving the contenders each tick while members keep arriving leaves
+// ⌈Σ_{t(m) ≤ τ} 2^t(m) / 2^τ⌉ of them after tick τ), and a full sweep takes
+// max T ticks — a function of the public skeleton alone (DESIGN.md, "Contract
+// once, customize per traffic version").
 type custPlan struct {
-	groupOf  []int32   // overlay arc -> pair group
-	groups   [][]int32 // pair group -> member arc IDs, ascending
-	groupLvl []int32   // pair group -> level its winner is decided at
-	gA, gB   []int32   // per shortcut (ID - numBase): child pair groups
-
-	maxLvl      int
-	shortcutsAt [][]int32 // level -> shortcut arc IDs weighted there (1..maxLvl)
-	groupsAt    [][]int32 // level -> multi-member groups whose tournament runs there
+	groupOf []int32 // overlay arc -> pair group
+	// Shortcut i (arc ID - numBase) is the winner of group kids[2i], tail to
+	// via, followed by the winner of group kids[2i+1], via to head.
+	kids []int32
+	// Flat CSR, rows ascending: group g's member arcs are
+	// members[memStart[g]:memStart[g+1]], and cons[consStart[g]:consStart[g+1]]
+	// are the slots of kids that name g (slot/2 is the reading shortcut).
+	memStart, members []int32
+	consStart, cons   []int32
+	nGrp              int
+	maxLvl, ticks     int
 }
+
+// group returns the member arcs of pair group g, ascending.
+func (pl *custPlan) group(g int32) []int32 { return pl.members[pl.memStart[g]:pl.memStart[g+1]] }
 
 // Plan returns the skeleton's customization schedule, computing it on first
 // use.
@@ -270,63 +285,77 @@ func (sk *Skeleton) Plan() *custPlan {
 }
 
 func (sk *Skeleton) computePlan() *custPlan {
-	m := len(sk.tail)
-	pl := &custPlan{
-		groupOf: make([]int32, m),
-		gA:      make([]int32, m-sk.numBase),
-		gB:      make([]int32, m-sk.numBase),
-	}
-	lvl := make([]int32, m)
-	groupIDs := make(map[[2]graph.Vertex]int32)
-	groupID := func(u, w graph.Vertex) int32 {
-		key := [2]graph.Vertex{u, w}
-		id, ok := groupIDs[key]
+	m, nb := len(sk.tail), sk.numBase
+	pl := &custPlan{groupOf: make([]int32, m), kids: make([]int32, 2*(m-nb))}
+	ids := make(map[[2]graph.Vertex]int32)
+	id := func(u, w graph.Vertex) int32 {
+		g, ok := ids[[2]graph.Vertex{u, w}]
 		if !ok {
-			id = int32(len(pl.groups))
-			groupIDs[key] = id
-			pl.groups = append(pl.groups, nil)
-			pl.groupLvl = append(pl.groupLvl, 0)
+			g = int32(len(ids))
+			ids[[2]graph.Vertex{u, w}] = g
 		}
-		return id
+		return g
 	}
 	for a := 0; a < m; a++ {
-		ai := int32(a)
-		if a >= sk.numBase {
-			// Both child groups are complete by now: every member of
-			// (tail, via) and (via, head) predates via's contraction and
-			// hence this shortcut.
-			i := a - sk.numBase
-			ga := groupID(sk.tail[a], sk.via[a])
-			gb := groupID(sk.via[a], sk.head[a])
-			pl.gA[i], pl.gB[i] = ga, gb
-			l := pl.groupLvl[ga]
-			if pl.groupLvl[gb] > l {
-				l = pl.groupLvl[gb]
+		if a >= nb {
+			pl.kids[2*(a-nb)] = id(sk.tail[a], sk.via[a])
+			pl.kids[2*(a-nb)+1] = id(sk.via[a], sk.head[a])
+		}
+		pl.groupOf[a] = id(sk.tail[a], sk.head[a])
+	}
+	pl.nGrp = len(ids)
+	pl.memStart, pl.members = csr(pl.nGrp, pl.groupOf)
+	pl.consStart, pl.cons = csr(pl.nGrp, pl.kids)
+
+	// Finishing ticks and hierarchy levels (lvl(base arc) = 0, lvl(shortcut) =
+	// 1 + max lvl over both child groups' members), in arc order: a group is
+	// complete before its first reader, so its T is known by then.
+	tArc, lvlArc := make([]int32, m), make([]int32, m)
+	tGrp, lvlGrp := make([]int32, pl.nGrp), make([]int32, pl.nGrp)
+	for g := range tGrp {
+		tGrp[g] = -1
+	}
+	one, term, sum := big.NewInt(1), new(big.Int), new(big.Int)
+	decided := func(g int32) int32 {
+		if tGrp[g] < 0 {
+			sum.SetInt64(0)
+			for _, a := range pl.group(g) {
+				sum.Add(sum, term.Lsh(one, uint(tArc[a])))
+				lvlGrp[g] = max(lvlGrp[g], lvlArc[a])
 			}
-			lvl[ai] = l + 1
+			tGrp[g] = int32(sum.Sub(sum, one).BitLen()) // ⌈log2 Σ 2^t⌉
 		}
-		g := groupID(sk.tail[a], sk.head[a])
-		pl.groupOf[ai] = g
-		pl.groups[g] = append(pl.groups[g], ai)
-		if lvl[ai] > pl.groupLvl[g] {
-			pl.groupLvl[g] = lvl[ai]
-		}
-		if int(lvl[ai]) > pl.maxLvl {
-			pl.maxLvl = int(lvl[ai])
-		}
+		return tGrp[g]
 	}
-	pl.shortcutsAt = make([][]int32, pl.maxLvl+1)
-	for a := sk.numBase; a < m; a++ {
-		pl.shortcutsAt[lvl[a]] = append(pl.shortcutsAt[lvl[a]], int32(a))
+	for a := nb; a < m; a++ {
+		ga, gb := pl.kids[2*(a-nb)], pl.kids[2*(a-nb)+1]
+		tArc[a] = max(decided(ga), decided(gb))
+		lvlArc[a] = 1 + max(lvlGrp[ga], lvlGrp[gb])
+		pl.maxLvl = max(pl.maxLvl, int(lvlArc[a]))
 	}
-	pl.groupsAt = make([][]int32, pl.maxLvl+1)
-	for g := range pl.groups {
-		if len(pl.groups[g]) > 1 {
-			l := pl.groupLvl[g]
-			pl.groupsAt[l] = append(pl.groupsAt[l], int32(g))
-		}
+	for g := range tGrp {
+		pl.ticks = max(pl.ticks, int(decided(int32(g))))
 	}
 	return pl
+}
+
+// csr buckets the indices of key by their key (< buckets) into compressed
+// sparse rows, each row ascending.
+func csr(buckets int, key []int32) (start, items []int32) {
+	start = make([]int32, buckets+1)
+	for _, k := range key {
+		start[k+1]++
+	}
+	for b := 0; b < buckets; b++ {
+		start[b+1] += start[b]
+	}
+	items = make([]int32, len(key))
+	fill := slices.Clone(start[:buckets])
+	for i, k := range key {
+		items[fill[k]] = int32(i)
+		fill[k]++
+	}
+	return start, items
 }
 
 // Skeleton persistence (FRSK): the weight-free topology a restart reuses so

@@ -1,6 +1,7 @@
 package ch
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"testing"
 
@@ -169,6 +170,11 @@ func TestCustomizedUpdateNeverGrows(t *testing.T) {
 		t.Fatal(err)
 	}
 	arcs0 := x.NumArcs()
+	parent := []parentCost{
+		{393, 384, 92502}, {466, 400, 109650}, {432, 392, 101658}, {431, 392, 101424}, {421, 384, 99054},
+		{366, 392, 86154}, {434, 400, 102192}, {449, 400, 105642}, {435, 384, 102348}, {446, 400, 104934},
+		{441, 400, 103782}, {419, 400, 98604}, {438, 400, 103074}, {410, 392, 96534}, {425, 376, 100002},
+	}
 	rng := rand.New(rand.NewPCG(31, 31))
 	for round := 0; round < 15; round++ {
 		var changed []graph.Arc
@@ -189,6 +195,7 @@ func TestCustomizedUpdateNeverGrows(t *testing.T) {
 		if x.NumArcs() != arcs0 {
 			t.Fatalf("round %d: overlay changed size %d -> %d (topology is immutable)", round, arcs0, x.NumArcs())
 		}
+		checkUpdate(t, fmt.Sprintf("round %d", round), x, st, parent[round])
 		joint := f.JointWeights()
 		for trial := 0; trial < 12; trial++ {
 			s := graph.Vertex(rng.IntN(g.NumVertices()))

@@ -221,10 +221,6 @@ func (s *SAC) Less(a, b Partial) bool {
 // result[i] reports whether the joint cost of pairs[i][0] is strictly
 // smaller than the joint cost of pairs[i][1].
 func (s *SAC) LessBatch(pairs [][2]Partial) []bool {
-	out := make([]bool, len(pairs))
-	if s.err != nil || len(pairs) == 0 {
-		return out
-	}
 	diffs := make([][]int64, len(pairs))
 	for i, pr := range pairs {
 		d := make([]int64, len(pr[0]))
@@ -233,10 +229,21 @@ func (s *SAC) LessBatch(pairs [][2]Partial) []bool {
 		}
 		diffs[i] = d
 	}
+	return s.LessDiffs(diffs)
+}
+
+// LessDiffs is LessBatch for callers that hold per-silo weight columns rather
+// than Partials: diffs[i][p] is silo p's partial of comparison i's left side
+// minus its right side, and result[i] reports whether the joint difference is
+// negative. The engine does not retain diffs, so the caller may reuse it.
+func (s *SAC) LessDiffs(diffs [][]int64) []bool {
+	if s.err != nil || len(diffs) == 0 {
+		return make([]bool, len(diffs))
+	}
 	res, err := s.eng.CompareBatch(diffs)
 	if err != nil {
 		s.err = err
-		return out
+		return make([]bool, len(diffs))
 	}
 	return res
 }
