@@ -169,8 +169,8 @@ func main() {
 
 	if *custIdx && !fed.HasSkeleton() {
 		// Topology-only contraction: plaintext, no MPC, reusable for every
-		// future traffic version. A restored customized index already carries
-		// its skeleton, in which case this is skipped.
+		// future traffic version. Restoring a customized index derived it
+		// already, in which case this is skipped.
 		start := time.Now()
 		if err := fed.BuildSkeleton(); err != nil {
 			fmt.Fprintf(os.Stderr, "fedserver: %v\n", err)

@@ -249,7 +249,7 @@ func IsTimeout(err error) bool { return transport.IsTimeout(err) }
 // heavy work OFF the lock — they snapshot the silo weights under a read lock,
 // compute unlocked, and swap the result in under a brief write lock — so
 // queries and traffic updates keep flowing during a (re)build. See DESIGN.md,
-// "Concurrency model" and "Parallel index construction".
+// "Concurrency model" and "Deterministic, non-blocking index construction".
 type Federation struct {
 	mu    sync.RWMutex // queries read-lock; state mutation write-locks
 	inner *fed.Federation
@@ -536,7 +536,7 @@ func (f *Federation) PoolStats() mpc.PoolStats {
 func (f *Federation) Graph() *Graph { return f.inner.Graph() }
 
 // TrafficVersion returns the traffic version: a counter of silo-weight
-// mutations (non-empty ApplyTraffic, LoadSavedIndex/RestoreState).
+// mutations (non-empty ApplyTraffic, RestoreState).
 // Serving tiers fold it into cache keys — a traffic update bumps the version,
 // which makes every older cache entry unreachable without any explicit
 // invalidation. The versioned query methods (Session.ShortestPathAt,
@@ -550,19 +550,18 @@ func (f *Federation) TrafficVersion() uint64 {
 // Silos returns the number of data silos.
 func (f *Federation) Silos() int { return f.inner.P() }
 
-// IndexParams tunes federated index derivation: Ordering (the public
-// ordering heuristic, OrderEdgeDiff or OrderDegree), WitnessCap and
-// WitnessHops (the witness-search bounds of BuildIndexWith) and
-// RebuildOnConflict (how often a derivation whose weight snapshot a
-// concurrent traffic update invalidated restarts before ErrBuildConflict).
-// The zero value gives the paper's setup.
-type IndexParams = ch.Params
-
-// Ordering heuristics for IndexParams.
-const (
-	OrderEdgeDiff = ch.OrderEdgeDiff
-	OrderDegree   = ch.OrderDegree
-)
+// IndexParams tunes how an index derivation meets concurrent traffic. The
+// derivation itself takes no knob: BuildIndexWith runs the paper's witness
+// build (its ordering and witness bounds are evaluation axes, swept by
+// cmd/fedbench on ch.Params) and CustomizeIndexWith the skeleton's one
+// min-fill order.
+type IndexParams struct {
+	// RebuildOnConflict is how often a derivation whose weight snapshot a
+	// concurrent traffic update invalidated restarts from fresh weights
+	// before ErrBuildConflict: cmd/fedserver's reindexing and ApplyTraffic's
+	// RebuildIndex use 2, a plain BuildIndex 0.
+	RebuildOnConflict int
+}
 
 // BuildIndex constructs the federated shortcut index (§IV) with default
 // parameters. Queries use it automatically once built.
@@ -587,7 +586,7 @@ func (f *Federation) BuildIndexWith(prm IndexParams) error {
 	f.building.Add(1)
 	defer f.building.Add(-1)
 	return f.deriveIndex(prm.RebuildOnConflict, func() (indexRunner, error) {
-		return ch.NewBuilder(f.inner, prm)
+		return ch.NewBuilder(f.inner, ch.Params{})
 	}, f.recordBuild)
 }
 
@@ -652,36 +651,29 @@ func (f *Federation) recordBuild(st ch.BuildStats, swapped bool) {
 }
 
 // BuildSkeleton constructs the federation's topology skeleton: the vertex
-// order plus the full shortcut structure, derived once per graph from public
-// information only (topology and static weights — no silo weights, no MPC).
-// The skeleton is metric-independent; CustomizeIndex derives a queryable
-// index from it for the CURRENT silo weights in a fraction of the MPC rounds
-// a full BuildIndexWith costs. Idempotent: a second call keeps the existing
-// skeleton (the topology is immutable, so it never goes stale).
-func (f *Federation) BuildSkeleton(prm ...IndexParams) error {
-	var p IndexParams
-	if len(prm) > 1 {
-		return fmt.Errorf("fedroad: at most one IndexParams")
-	}
-	if len(prm) == 1 {
-		p = prm[0]
-	}
-	_, err := f.ensureSkeleton(p)
+// order plus the full shortcut structure, a function of the public topology
+// alone (no weights, no MPC), so it is derived, never stored. The skeleton is
+// metric-independent; CustomizeIndex derives a queryable index from it for
+// the CURRENT silo weights in a fraction of the MPC rounds a full
+// BuildIndexWith costs. Idempotent: a second call keeps the existing skeleton
+// (the topology is immutable, so it never goes stale).
+func (f *Federation) BuildSkeleton() error {
+	_, err := f.ensureSkeleton()
 	return err
 }
 
 // ensureSkeleton returns the federation's skeleton, building it on first
 // demand. The build runs entirely off-lock — it reads only the immutable
-// topology and static weights — with double-checked locking so concurrent
-// callers never install two skeletons.
-func (f *Federation) ensureSkeleton(prm IndexParams) (*ch.Skeleton, error) {
+// topology — with double-checked locking so concurrent callers never install
+// two skeletons.
+func (f *Federation) ensureSkeleton() (*ch.Skeleton, error) {
 	f.mu.RLock()
 	sk := f.skel
 	f.mu.RUnlock()
 	if sk != nil {
 		return sk, nil
 	}
-	built, err := ch.BuildSkeleton(f.inner.Graph(), f.inner.StaticWeights(), prm)
+	built, err := ch.BuildSkeleton(f.inner.Graph())
 	if err != nil {
 		return nil, err
 	}
@@ -714,35 +706,6 @@ func (f *Federation) SkeletonStats() ch.SkeletonStats {
 	return f.skel.Stats()
 }
 
-// SaveSkeleton persists the topology skeleton (the FRSK format). The skeleton
-// is weight-free public structure — it needs no per-silo shards — and also
-// rides inside SaveState snapshots and WriteIndex bundles of customized
-// indexes automatically; this method exists for deployments that want to ship
-// the skeleton separately from any index.
-func (f *Federation) SaveSkeleton(w io.Writer) error {
-	f.mu.RLock()
-	sk := f.skel
-	f.mu.RUnlock()
-	if sk == nil {
-		return fmt.Errorf("fedroad: no skeleton built")
-	}
-	return sk.Write(w)
-}
-
-// LoadSkeleton restores a persisted topology skeleton, validating it against
-// the federation's graph, so a restart can go straight to CustomizeIndex
-// without re-running contraction.
-func (f *Federation) LoadSkeleton(r io.Reader) error {
-	sk, err := ch.ReadSkeleton(f.inner.Graph(), r)
-	if err != nil {
-		return err
-	}
-	f.mu.Lock()
-	f.skel = sk
-	f.mu.Unlock()
-	return nil
-}
-
 // CustomizeIndex derives a fresh queryable index from the topology skeleton
 // and the CURRENT silo weights with default parameters, building the
 // skeleton first if none exists. See CustomizeIndexWith.
@@ -768,7 +731,7 @@ func (f *Federation) CustomizeIndex() error {
 func (f *Federation) CustomizeIndexWith(prm IndexParams) error {
 	f.building.Add(1)
 	defer f.building.Add(-1)
-	sk, err := f.ensureSkeleton(prm)
+	sk, err := f.ensureSkeleton()
 	if err != nil {
 		return err
 	}
@@ -852,45 +815,6 @@ func (f *Federation) IndexStats() ch.BuildStats {
 		return ch.BuildStats{}
 	}
 	return f.index.BuildStatistics()
-}
-
-// SaveIndex persists the built index along the privacy boundary: the shared
-// weight-free structure goes to public, and silo p's private partial weight
-// shard goes to shards[p]. In a deployment each silo stores only its own
-// shard.
-func (f *Federation) SaveIndex(public io.Writer, shards []io.Writer) error {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	if f.index == nil {
-		return fmt.Errorf("fedroad: no index built")
-	}
-	if len(shards) != f.Silos() {
-		return fmt.Errorf("fedroad: %d shards for %d silos", len(shards), f.Silos())
-	}
-	if err := f.index.WritePublic(public); err != nil {
-		return err
-	}
-	for p, w := range shards {
-		if err := f.index.WriteSiloWeights(p, w); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// LoadSavedIndex restores a previously saved index instead of rebuilding.
-// It also invalidates any build in flight (the loaded index is the caller's
-// explicit choice; a concurrently finishing build must not clobber it).
-func (f *Federation) LoadSavedIndex(public io.Reader, shards []io.Reader) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	idx, err := ch.LoadIndex(f.inner, public, shards)
-	if err != nil {
-		return err
-	}
-	f.index = idx
-	f.trafficVer++
-	return nil
 }
 
 // MaxTravelMs bounds every travel-time observation (exclusive); see

@@ -2,7 +2,6 @@ package fedroad
 
 import (
 	"bytes"
-	"io"
 	"math/rand/v2"
 	"testing"
 
@@ -267,34 +266,28 @@ func TestCustomTopologyBuilder(t *testing.T) {
 	}
 }
 
+// TestSaveAndLoadIndex: SaveState is the one way to persist an index — a
+// snapshot taken before BuildIndex carries none, one taken after restores it
+// into a fresh federation over the same data.
 func TestSaveAndLoadIndex(t *testing.T) {
 	f, joint := testFederation(t, 200, 25)
-	if err := f.SaveIndex(&bytes.Buffer{}, nil); err == nil {
-		t.Fatal("SaveIndex before BuildIndex accepted")
+	f2, _ := testFederation(t, 200, 25)
+	var snap bytes.Buffer
+	if err := f.SaveState(&snap); err != nil {
+		t.Fatal(err)
+	}
+	if restored, err := f2.RestoreState(&snap); err != nil || restored || f2.HasIndex() {
+		t.Fatalf("index-free snapshot: restored %v, HasIndex %v, err %v", restored, f2.HasIndex(), err)
 	}
 	if err := f.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	var public bytes.Buffer
-	shards := make([]*bytes.Buffer, f.Silos())
-	ws := make([]io.Writer, f.Silos())
-	for p := range shards {
-		shards[p] = &bytes.Buffer{}
-		ws[p] = shards[p]
-	}
-	if err := f.SaveIndex(&public, ws); err != nil {
+	snap.Reset()
+	if err := f.SaveState(&snap); err != nil {
 		t.Fatal(err)
 	}
-	// A fresh federation over the same data loads the saved index.
-	g := f.Graph()
-	_ = g
-	f2, _ := testFederation(t, 200, 25)
-	rs := make([]io.Reader, len(shards))
-	for p := range shards {
-		rs[p] = bytes.NewReader(shards[p].Bytes())
-	}
-	if err := f2.LoadSavedIndex(bytes.NewReader(public.Bytes()), rs); err != nil {
-		t.Fatal(err)
+	if restored, err := f2.RestoreState(&snap); err != nil || !restored {
+		t.Fatalf("restored %v, err %v", restored, err)
 	}
 	if !f2.HasIndex() {
 		t.Fatal("index missing after load")
@@ -337,9 +330,12 @@ func TestBatchedMPCFacade(t *testing.T) {
 	}
 }
 
+// TestBuildIndexWithParams: RebuildOnConflict is the facade's one index
+// knob; the witness build's ordering and caps are evaluation axes on
+// ch.Params (internal/ch's TestDegreeOrderingBuildsCorrectIndex).
 func TestBuildIndexWithParams(t *testing.T) {
 	f, joint := testFederation(t, 180, 29)
-	if err := f.BuildIndexWith(IndexParams{Ordering: OrderDegree, WitnessCap: 16}); err != nil {
+	if err := f.BuildIndexWith(IndexParams{RebuildOnConflict: 1}); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewPCG(11, 11))
@@ -352,10 +348,7 @@ func TestBuildIndexWithParams(t *testing.T) {
 		}
 		want, _ := graph.DijkstraTo(f.Graph(), joint, s, tt)
 		if JointCost(route) != want {
-			t.Fatalf("degree-ordered index: cost %d, want %d", JointCost(route), want)
+			t.Fatalf("index: cost %d, want %d", JointCost(route), want)
 		}
-	}
-	if err := f.BuildIndexWith(IndexParams{Ordering: "zzz"}); err == nil {
-		t.Fatal("bad ordering accepted")
 	}
 }

@@ -57,7 +57,8 @@ func (x *Index) indexHierarchy(skips [][]skipRec) {
 // per contraction.
 const DefaultWitnessHops = 8
 
-// Params tunes index construction. The zero value gives the paper's setup:
+// Params tunes the witness-pruned build (a skeleton takes none: it is a
+// function of the topology). The zero value gives the paper's setup:
 // edge-difference ordering and the default witness-search cap. No field
 // changes the protocol schedule of a derivation on a given graph: that is a
 // function of the graph and the public comparison bits only, so every silo
@@ -73,12 +74,6 @@ type Params struct {
 	// WitnessHops bounds the arc count of witness paths (default
 	// DefaultWitnessHops).
 	WitnessHops int
-	// RebuildOnConflict is consumed by the fedroad layer's non-blocking
-	// BuildIndexWith and CustomizeIndexWith: when a concurrent traffic update
-	// invalidates the weight snapshot mid-derivation, it is retried from
-	// fresh weights up to this many times before ErrBuildConflict is
-	// returned.
-	RebuildOnConflict int
 }
 
 // Build constructs the federated shortcut index with the default parameters.

@@ -64,7 +64,7 @@ func checkExactDistances(t *testing.T, f *fed.Federation, x *Index, trials int, 
 func TestCustomizeMatchesDijkstra(t *testing.T) {
 	g, w0 := graph.GenerateGrid(9, 9, 51)
 	f := customizeFederation(t, g, w0, 52)
-	sk, err := BuildSkeleton(g, w0, Params{})
+	sk, err := BuildSkeleton(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestCustomizeMatchesDijkstra(t *testing.T) {
 func TestCustomizeOnRoadLikeNetwork(t *testing.T) {
 	g, w0 := graph.GenerateRoadLike(350, 55)
 	f := customizeFederation(t, g, w0, 56)
-	sk, err := BuildSkeleton(g, w0, Params{})
+	sk, err := BuildSkeleton(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,33 +101,12 @@ func TestCustomizeOnRoadLikeNetwork(t *testing.T) {
 	checkShortcutInvariants(t, f, x)
 }
 
-func TestCustomizeDegreeOrdering(t *testing.T) {
-	g, w0 := graph.GenerateGrid(7, 7, 58)
-	f := customizeFederation(t, g, w0, 59)
-	sk, err := BuildSkeleton(g, w0, Params{Ordering: OrderDegree})
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, err := Customize(f, sk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkExactDistances(t, f, x, 40, 60, "degree customize")
-}
-
-func TestBuildSkeletonRejectsUnknownOrdering(t *testing.T) {
-	g, w0 := graph.GenerateGrid(4, 4, 61)
-	if _, err := BuildSkeleton(g, w0, Params{Ordering: Ordering("bogus")}); err == nil {
-		t.Fatal("unknown ordering accepted")
-	}
-}
-
 // TestCustomizeRepeatable: two sweeps over the same skeleton and weights must
 // give the identical index — children (the group winners), every partial
 // weight.
 func TestCustomizeRepeatable(t *testing.T) {
 	g, w0 := graph.GenerateGrid(8, 8, 62)
-	sk, err := BuildSkeleton(g, w0, Params{})
+	sk, err := BuildSkeleton(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +145,7 @@ func TestCustomizeRepeatable(t *testing.T) {
 func TestCustomizeAgreesWithFullBuild(t *testing.T) {
 	g, w0 := graph.GenerateGrid(8, 8, 64)
 	f := customizeFederation(t, g, w0, 65)
-	sk, err := BuildSkeleton(g, w0, Params{})
+	sk, err := BuildSkeleton(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +179,7 @@ func TestCustomizeRoundFrugality(t *testing.T) {
 		t.Fatal(err)
 	}
 	buildRounds := built.BuildStatistics().SAC.Rounds
-	sk, err := BuildSkeleton(g, w0, Params{})
+	sk, err := BuildSkeleton(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +203,7 @@ func TestCustomizeRoundFrugality(t *testing.T) {
 func TestCustomizedUpdateInPlace(t *testing.T) {
 	g, w0 := graph.GenerateGrid(9, 9, 69)
 	f := customizeFederation(t, g, w0, 70)
-	sk, err := BuildSkeleton(g, w0, Params{})
+	sk, err := BuildSkeleton(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +238,7 @@ func TestCustomizedUpdateInPlace(t *testing.T) {
 func TestCustomizedUpdateNoChangesIsFree(t *testing.T) {
 	g, w0 := graph.GenerateGrid(6, 6, 73)
 	f := customizeFederation(t, g, w0, 74)
-	sk, err := BuildSkeleton(g, w0, Params{})
+	sk, err := BuildSkeleton(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +263,7 @@ func TestCustomizedUpdateNoChangesIsFree(t *testing.T) {
 func TestCustomizedUpdateCleanConeIsFree(t *testing.T) {
 	g, w0 := graph.GenerateGrid(8, 8, 47)
 	f := customizeFederation(t, g, w0, 48)
-	sk, err := BuildSkeleton(g, w0, Params{})
+	sk, err := BuildSkeleton(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,108 +309,15 @@ func TestCustomizedUpdateCleanConeIsFree(t *testing.T) {
 	}
 }
 
-// TestSkeletonRoundTrip: FRSK serialization preserves the skeleton exactly,
-// and a customization over the reloaded skeleton matches one over the
-// original.
-func TestSkeletonRoundTrip(t *testing.T) {
-	g, w0 := graph.GenerateGrid(7, 8, 75)
-	sk, err := BuildSkeleton(g, w0, Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := sk.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	sk2, err := ReadSkeleton(g, bytes.NewReader(buf.Bytes()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sk2.NumArcs() != sk.NumArcs() || sk2.NumShortcuts() != sk.NumShortcuts() {
-		t.Fatalf("round trip changed shape: %d/%d vs %d/%d",
-			sk2.NumArcs(), sk2.NumShortcuts(), sk.NumArcs(), sk.NumShortcuts())
-	}
-	for a := range sk.tail {
-		if sk.tail[a] != sk2.tail[a] || sk.head[a] != sk2.head[a] || sk.via[a] != sk2.via[a] {
-			t.Fatalf("round trip changed arc %d", a)
-		}
-	}
-	f := customizeFederation(t, g, w0, 76)
-	x, err := Customize(f, sk2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkExactDistances(t, f, x, 40, 77, "reloaded skeleton")
-}
-
-// TestReadSkeletonRejectsCorruption: structural corruptions must fail
-// validation, never load.
-func TestReadSkeletonRejectsCorruption(t *testing.T) {
-	g, w0 := graph.GenerateGrid(5, 5, 78)
-	sk, err := BuildSkeleton(g, w0, Params{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := sk.Write(&buf); err != nil {
-		t.Fatal(err)
-	}
-	valid := buf.Bytes()
-	if _, err := ReadSkeleton(g, bytes.NewReader(valid)); err != nil {
-		t.Fatalf("pristine skeleton rejected: %v", err)
-	}
-	// Truncations at every section boundary and a few odd offsets.
-	for _, cut := range []int{0, 3, 4, 8, 19, len(valid) / 2, len(valid) - 1} {
-		if cut >= len(valid) {
-			continue
-		}
-		if _, err := ReadSkeleton(g, bytes.NewReader(valid[:cut])); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
-		}
-	}
-	// Single-word corruptions across the stream: every mutation must either
-	// be rejected or (never) silently load a different topology.
-	rng := rand.New(rand.NewPCG(79, 79))
-	for trial := 0; trial < 200; trial++ {
-		mut := append([]byte(nil), valid...)
-		off := 4 * rng.IntN(len(valid)/4)
-		mut[off] ^= byte(1 << rng.IntN(8))
-		sk2, err := ReadSkeleton(g, bytes.NewReader(mut))
-		if err != nil {
-			continue
-		}
-		// The corrupted word may be benign only if the decoded topology is
-		// identical (e.g. flipping an ignored high bit is impossible here,
-		// so require full equality).
-		if sk2.NumArcs() != sk.NumArcs() {
-			t.Fatalf("corruption at %d loaded with different shape", off)
-		}
-		same := true
-		for a := range sk.tail {
-			if sk.tail[a] != sk2.tail[a] || sk.head[a] != sk2.head[a] || sk.via[a] != sk2.via[a] {
-				same = false
-				break
-			}
-		}
-		for v := range sk.rank {
-			if sk.rank[v] != sk2.rank[v] {
-				same = false
-				break
-			}
-		}
-		if !same {
-			t.Fatalf("corruption at %d silently loaded a different skeleton", off)
-		}
-	}
-}
-
-// TestBundleRoundTripCustomized: a WriteIndex/ReadIndex cycle preserves the
-// customized index including its skeleton, and in-place updates keep working
-// after reload (its children carry the group winners).
+// TestBundleRoundTripCustomized: a WriteIndex/ReadIndex cycle against the
+// skeleton re-derived from the graph preserves the customized index, and
+// in-place updates keep working after reload (its children carry the group
+// winners). The stream holds no skeleton: a witness-built index's stream, or
+// a skeleton of another graph, must not attach.
 func TestBundleRoundTripCustomized(t *testing.T) {
 	g, w0 := graph.GenerateGrid(8, 7, 80)
 	f := customizeFederation(t, g, w0, 81)
-	sk, err := BuildSkeleton(g, w0, Params{})
+	sk, err := BuildSkeleton(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -443,13 +329,38 @@ func TestBundleRoundTripCustomized(t *testing.T) {
 	if err := x.WriteIndex(&buf); err != nil {
 		t.Fatal(err)
 	}
-	x2, err := ReadIndex(f, bytes.NewReader(buf.Bytes()))
+	derived, err := BuildSkeleton(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !x2.Customized() {
-		t.Fatal("reloaded bundle lost its skeleton")
+	x2, err := ReadIndex(f, bytes.NewReader(buf.Bytes()), derived)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if x2.Skeleton() != derived || !x2.BuildStatistics().Customized {
+		t.Fatal("reloaded index is not attached to the skeleton it was read against")
+	}
+
+	built, err := Build(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wb bytes.Buffer
+	if err := built.WriteIndex(&wb); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadIndex(f, &wb, derived); err == nil {
+		t.Fatal("a witness-built index attached to a skeleton")
+	}
+	g2, _ := graph.GenerateGrid(7, 8, 80)
+	other, err := BuildSkeleton(g2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadIndex(f, bytes.NewReader(buf.Bytes()), other); err == nil {
+		t.Fatal("a skeleton of another graph attached")
+	}
+
 	arcsBefore := x2.NumArcs()
 	parent := []parentCost{{478, 408, 112410}, {476, 400, 111978}, {445, 392, 104688}}
 	rng := rand.New(rand.NewPCG(82, 82))
@@ -464,33 +375,5 @@ func TestBundleRoundTripCustomized(t *testing.T) {
 		}
 		checkUpdate(t, fmt.Sprintf("round %d", round), x2, st, parent[round])
 		checkExactDistances(t, f, x2, 25, 83+uint64(round), "reloaded customized update")
-	}
-}
-
-// TestBundleV1StillLoads: a version-1 bundle (pre-skeleton) must keep
-// loading.
-func TestBundleV1StillLoads(t *testing.T) {
-	f, x := buildTestIndex(t, 5, 5, 84)
-	var buf bytes.Buffer
-	if err := x.WriteIndex(&buf); err != nil {
-		t.Fatal(err)
-	}
-	b := buf.Bytes()
-	if b[4] != bundleVersion {
-		t.Fatalf("bundle version byte = %d", b[4])
-	}
-	// Rewrite the header version to 1 and drop the trailing skeleton flag
-	// (a witness-built index writes hasSkeleton=0, i.e. 4 trailing bytes).
-	b[4] = 1
-	v1 := b[:len(b)-4]
-	x2, err := ReadIndex(f, bytes.NewReader(v1))
-	if err != nil {
-		t.Fatalf("v1 bundle rejected: %v", err)
-	}
-	if x2.Customized() {
-		t.Fatal("v1 bundle claims a skeleton")
-	}
-	if x2.NumShortcuts() != x.NumShortcuts() {
-		t.Fatal("v1 bundle shape mismatch")
 	}
 }

@@ -2,6 +2,7 @@ package ch
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"sync"
 	"testing"
@@ -15,10 +16,14 @@ import (
 // fuzzEnv builds one small valid index and serializes it, shared across all
 // fuzz executions (the corpus mutates the bytes, not the build).
 type fuzzEnv struct {
-	f        *fed.Federation
-	public   []byte
-	shards   [][]byte
-	skeleton []byte // serialized topology skeleton of the same graph
+	f      *fed.Federation
+	public []byte
+	shards [][]byte
+	// wide is a 2,048-vertex federation with no index: past n ≈ 1,626 the
+	// header's m ≤ numBase + n³ guard is vacuous, so only the loader's
+	// allocate-as-records-arrive discipline stands between a lying header
+	// and the allocator.
+	wide *fed.Federation
 }
 
 var (
@@ -50,51 +55,64 @@ func getFuzzEnv(tb testing.TB) *fuzzEnv {
 			}
 			env.shards = append(env.shards, b.Bytes())
 		}
-		sk, err := BuildSkeleton(g, w0, Params{})
-		if err != nil {
+		gw, ww := graph.GenerateRoadLike(2048, 20)
+		if env.wide, err = fed.New(gw, ww, traffic.SiloWeights(ww, 2, traffic.Moderate, 21), mpc.Params{Mode: mpc.ModeIdeal, Seed: 22}); err != nil {
 			tb.Fatal(err)
 		}
-		var skb bytes.Buffer
-		if err := sk.Write(&skb); err != nil {
-			tb.Fatal(err)
-		}
-		env.skeleton = skb.Bytes()
 		fuzzed = env
 	})
 	return fuzzed
 }
 
+// publicHeader is a FROA header claiming m overlay arcs over f's graph.
+func publicHeader(f *fed.Federation, m uint32) []byte {
+	var b []byte
+	for _, v := range []uint32{indexMagic, indexVersion, uint32(f.Graph().NumVertices()), m, uint32(f.Graph().NumArcs())} {
+		b = binary.LittleEndian.AppendUint32(b, v)
+	}
+	return b
+}
+
 // FuzzLoadIndexPublic feeds mutated public-structure bytes (alongside valid
 // shards) into LoadIndex: it must either load a structurally valid index or
 // return an error — never panic, hang, or hand back an index that violates
-// the hierarchy invariants queries rely on.
+// the hierarchy invariants queries rely on. With wide set the bytes are
+// loaded against the 2,048-vertex federation (and no shards).
 func FuzzLoadIndexPublic(f *testing.F) {
 	env := getFuzzEnv(f)
-	f.Add(env.public)                     // the valid encoding
-	f.Add(env.public[:len(env.public)/2]) // truncation
-	f.Add([]byte{})                       // empty
+	f.Add(false, env.public)                     // the valid encoding
+	f.Add(false, env.public[:len(env.public)/2]) // truncation
+	f.Add(false, []byte{})                       // empty
 	// A few targeted corruptions: header fields, arc table, skip records.
 	for _, off := range []int{0, 4, 8, 12, 16, 20, 24, len(env.public) - 4} {
 		if off >= 0 && off+4 <= len(env.public) {
 			mut := append([]byte(nil), env.public...)
 			mut[off] ^= 0xff
-			f.Add(mut)
+			f.Add(false, mut)
 		}
 	}
-	f.Fuzz(func(t *testing.T, public []byte) {
+	f.Add(true, publicHeader(env.wide, 50_000_000)) // a 20-byte lie
+	f.Fuzz(func(t *testing.T, wide bool, public []byte) {
 		env := getFuzzEnv(t)
+		fd := env.f
 		shards := make([]io.Reader, len(env.shards))
 		for p := range shards {
 			shards[p] = bytes.NewReader(env.shards[p])
 		}
-		x, err := LoadIndex(env.f, bytes.NewReader(public), shards)
+		if wide {
+			fd = env.wide
+			shards = make([]io.Reader, fd.P())
+			for p := range shards {
+				shards[p] = bytes.NewReader(nil)
+			}
+		}
+		x, err := LoadIndex(fd, bytes.NewReader(public), shards)
 		if err != nil {
 			return // clean rejection is the expected outcome for corrupt input
 		}
 		// Whatever loaded must satisfy the invariants LoadIndex validates;
 		// spot-check the ones queries and updates depend on.
-		g := env.f.Graph()
-		n := g.NumVertices()
+		n := fd.Graph().NumVertices()
 		for a := int32(0); a < int32(x.NumArcs()); a++ {
 			if int(x.Tail(a)) < 0 || int(x.Tail(a)) >= n || int(x.Head(a)) < 0 || int(x.Head(a)) >= n {
 				t.Fatalf("loaded index has arc %d with out-of-range endpoints", a)
@@ -112,40 +130,27 @@ func FuzzLoadIndexPublic(f *testing.F) {
 	})
 }
 
-// FuzzReadIndex feeds mutated WriteIndex bundles into ReadIndex: the bundle
-// framing plus LoadIndex's validation must reject corruption cleanly — never
-// panic, hang, over-allocate, or load an index violating query invariants.
+// FuzzReadIndex feeds mutated WriteIndex streams — the public part and every
+// shard back to back, no framing — into ReadIndex: LoadIndex's validation
+// over one shared reader must reject corruption cleanly — never panic, hang,
+// over-allocate, or load an index violating query invariants.
 func FuzzReadIndex(f *testing.F) {
 	env := getFuzzEnv(f)
-	x, err := LoadIndex(env.f, bytes.NewReader(env.public), func() []io.Reader {
-		rs := make([]io.Reader, len(env.shards))
-		for p := range rs {
-			rs[p] = bytes.NewReader(env.shards[p])
-		}
-		return rs
-	}())
-	if err != nil {
-		f.Fatal(err)
-	}
-	var bundle bytes.Buffer
-	if err := x.WriteIndex(&bundle); err != nil {
-		f.Fatal(err)
-	}
-	valid := bundle.Bytes()
+	valid := bytes.Join(append([][]byte{env.public}, env.shards...), nil)
+	pub := len(env.public)
 	f.Add(valid)
 	f.Add(valid[:len(valid)/2])
-	f.Add(valid[:13]) // header + truncated section length
+	f.Add(valid[:pub]) // the public part, no shards
 	f.Add([]byte{})
-	for _, off := range []int{0, 4, 8, 12, 16, 20, len(valid) / 2, len(valid) - 8} {
-		if off >= 0 && off+4 <= len(valid) {
-			mut := append([]byte(nil), valid...)
-			mut[off] ^= 0xff
-			f.Add(mut)
-		}
+	// Header fields, the first shard's magic and silo ID, the last weight.
+	for _, off := range []int{0, 4, 8, 12, 16, pub, pub + 8, len(valid) - 8} {
+		mut := append([]byte(nil), valid...)
+		mut[off] ^= 0xff
+		f.Add(mut)
 	}
-	f.Fuzz(func(t *testing.T, bundle []byte) {
+	f.Fuzz(func(t *testing.T, stream []byte) {
 		env := getFuzzEnv(t)
-		x, err := ReadIndex(env.f, bytes.NewReader(bundle))
+		x, err := ReadIndex(env.f, bytes.NewReader(stream), nil)
 		if err != nil {
 			return // clean rejection is the expected outcome for corrupt input
 		}
@@ -159,52 +164,6 @@ func FuzzReadIndex(f *testing.F) {
 					t.Fatalf("loaded index has non-positive weight (silo %d, arc %d)", p, a)
 				}
 			}
-		}
-	})
-}
-
-// FuzzLoadSkeleton feeds mutated FRSK bytes into ReadSkeleton: a persisted
-// skeleton is the topology a restart re-customizes over, so a corrupt one
-// must fail validation — never panic, over-allocate, or load a skeleton that
-// would later produce wrong routes. Anything that loads must decode to the
-// exact topology that was written (the checksum makes weaker outcomes
-// impossible).
-func FuzzLoadSkeleton(f *testing.F) {
-	env := getFuzzEnv(f)
-	valid := env.skeleton
-	f.Add(valid)
-	f.Add(valid[:len(valid)/2]) // truncation mid-arc-table
-	f.Add(valid[:19])           // truncated header
-	f.Add(valid[:len(valid)-2]) // missing checksum tail
-	f.Add([]byte{})
-	for _, off := range []int{0, 4, 8, 12, 16, 20, 24, len(valid) / 2, len(valid) - 5} {
-		if off >= 0 && off+4 <= len(valid) {
-			mut := append([]byte(nil), valid...)
-			mut[off] ^= 0xff
-			f.Add(mut)
-		}
-	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		env := getFuzzEnv(t)
-		g := env.f.Graph()
-		sk, err := ReadSkeleton(g, bytes.NewReader(data))
-		if err != nil {
-			return // clean rejection is the expected outcome for corrupt input
-		}
-		// Accepted input must round-trip to the identical byte stream: the
-		// trailing checksum covers every field, so an accepted skeleton can
-		// only be the one that was written (possibly with trailing garbage
-		// after the checksum, which the reader never consumes).
-		var out bytes.Buffer
-		if err := sk.Write(&out); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(out.Bytes(), valid) {
-			t.Fatal("accepted skeleton differs from the one written")
-		}
-		// And its customization plan must be derivable without panics.
-		if sk.Levels() < 0 {
-			t.Fatal("negative level depth")
 		}
 	})
 }

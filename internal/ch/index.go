@@ -72,10 +72,12 @@ type BuildStats struct {
 	SAC       mpc.Stats // secure-comparison usage during construction
 	WallTime  time.Duration
 
-	// Contraction schedule statistics.
-	Rounds        int     // independent-set contraction rounds
-	MaxRoundWidth int     // largest set contracted in one round
-	AvgRoundWidth float64 // vertices contracted per round on average
+	// Schedule statistics. A build counts independent-set contraction rounds
+	// and the vertices each contracts; a customization counts scheduler
+	// ticks (one Fed-SAC instance each) and the comparisons each carries.
+	Rounds        int     // contraction rounds (build) or ticks (customization)
+	MaxRoundWidth int     // largest round or tick
+	AvgRoundWidth float64 // mean round or tick width
 	// RoundsSaved counts the MPC communication rounds avoided by resolving
 	// independent decisions through batched Fed-SAC: each batch of k
 	// comparisons pays RoundsPerCompare rounds once instead of k times.

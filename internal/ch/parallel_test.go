@@ -139,7 +139,7 @@ func scheduleNets() []network {
 
 // derive runs one seeded derivation on a fresh federation — a witness build,
 // or a customization over a fresh skeleton — and returns the index with the
-// SHA-256 of its WriteIndex bundle.
+// SHA-256 of its WriteIndex stream.
 func derive(t *testing.T, g *graph.Graph, w0 graph.Weights, mode mpc.Mode, customize bool, prm Params) (*Index, string) {
 	t.Helper()
 	sets := traffic.SiloWeights(w0, 3, traffic.Moderate, 73)
@@ -149,7 +149,7 @@ func derive(t *testing.T, g *graph.Graph, w0 graph.Weights, mode mpc.Mode, custo
 	}
 	var x *Index
 	if customize {
-		sk, err := BuildSkeleton(g, w0, Params{})
+		sk, err := BuildSkeleton(g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -268,17 +268,19 @@ func TestCustomizeRoundsAreTheCriticalPath(t *testing.T) {
 	}
 }
 
-// TestDerivedIndexBytesPinned pins the WriteIndex bundle of a seeded witness
-// build and a seeded customization to the bytes the deleted forked-engine
-// worker pool produced with a single worker, so "same index" is checked
-// against a recorded value rather than against a second run of the same
-// code.
+// TestDerivedIndexBytesPinned pins the WriteIndex stream of a seeded witness
+// build and a seeded customization to recorded values, so "same index" is
+// checked against a recorded value rather than against a second run of the
+// same code. The values are SHA-256(WritePublic ‖ WriteSiloWeights(0..2))
+// computed at 9000629 — before the stream lost its FRIX framing, with those
+// writers unchanged — whose framed bundles matched the bytes the deleted
+// forked-engine worker pool produced with a single worker.
 func TestDerivedIndexBytesPinned(t *testing.T) {
 	want := map[string][2]string{ // network -> {build, customize}
-		"grid": {"4486192007d4b8530340e64cea331feb95a30cf38777d9f5d41c755a0edba26d",
-			"9d2f9e87e87ef1e47822568545bb21bb53ed01f30fe0434e1b4f879d63b29d1f"},
-		"road": {"1c6b26a6da9ebdfcf3fee11fe614b07f76ad7eb8796a8bb8abd5f422926cfcda",
-			"fde37fd4e5dc96c05790097ff9a46cae152767edc6b5a8984ac026efe339a5ce"},
+		"grid": {"56d7ee716eb82878b8bb51b7f8e65ab67994770806876b10d7e344981c1ea3a6",
+			"01a2d95bbbaee6a47ffd2e6a723ece77b45749b11aa870a535557602595955e5"},
+		"road": {"8512d41bde17e753ac839a94927e3aac5ab284361334ec8d6d30653a76b7a1d1",
+			"c1e1ca7cef614c2175e04aaf0e4aff2187c76f30dcd760a68736a3d2fea6cb24"},
 	}
 	for _, net := range scheduleNets() {
 		for i, customize := range []bool{false, true} {

@@ -88,7 +88,7 @@ func referenceCustomize(t *testing.T, f *fed.Federation, sk *Skeleton) (*Index, 
 	return x, c.wf.Engine().Stats()
 }
 
-func bundleBytes(t *testing.T, x *Index) []byte {
+func indexBytes(t *testing.T, x *Index) []byte {
 	t.Helper()
 	var b bytes.Buffer
 	if err := x.WriteIndex(&b); err != nil {
@@ -113,7 +113,7 @@ func sameCustomization(t *testing.T, tag string, got, want *Index) {
 			}
 		}
 	}
-	if !bytes.Equal(bundleBytes(t, got), bundleBytes(t, want)) {
+	if !bytes.Equal(indexBytes(t, got), indexBytes(t, want)) {
 		t.Fatalf("%s: WriteIndex bytes differ from the reference", tag)
 	}
 }
@@ -144,7 +144,7 @@ func TestSweepElectsTheBracketWinners(t *testing.T) {
 	gg, wg := graph.GenerateGrid(9, 10, 41)
 	gr, wr := graph.GenerateRoadLike(220, 42)
 	for _, net := range []network{{"grid", gg, wg}, {"road", gr, wr}} {
-		sk, err := BuildSkeleton(net.g, net.w0, Params{})
+		sk, err := BuildSkeleton(net.g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -226,7 +226,7 @@ func checkUpdate(t *testing.T, tag string, x *Index, st UpdateStats, parent pare
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(bundleBytes(t, x), bundleBytes(t, fresh)) {
+	if !bytes.Equal(indexBytes(t, x), indexBytes(t, fresh)) {
 		t.Fatalf("%s: updated index differs from a fresh customization", tag)
 	}
 }

@@ -2,7 +2,6 @@ package ch
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -23,18 +22,22 @@ import (
 //     (the simulation holds all shards in one process; a real deployment
 //     would load one per silo).
 //
-// The format is little-endian binary with a magic header and version.
+// Both parts are little-endian binary with a magic header and version.
+// WriteIndex/ReadIndex are the same two parts back to back in one stream; a
+// customized index's skeleton is never among them — it is a function of the
+// topology, re-derived by BuildSkeleton and cross-checked on load.
 
 const (
 	indexMagic   = 0x46524f41 // "FROA"
 	indexVersion = 1
 	shardMagic   = 0x46525348 // "FRSH"
-	bundleMagic  = 0x46524958 // "FRIX" — WriteIndex/ReadIndex single-stream bundle
-	// Bundle v2 appends an optional skeleton section (FRSK) after the weight
-	// shards, so a restart of a customized index re-customizes instead of
-	// re-contracting. v1 bundles (no skeleton) still load.
-	bundleVersion = 2
 )
+
+// loadChunk caps the capacity the loader reserves ahead of the records it
+// has actually read: arrays sized by a header field grow as records arrive,
+// so a lying count on a short stream fails with EOF after allocating what
+// the stream held, not what it claimed.
+const loadChunk = 1 << 14
 
 type binWriter struct {
 	w *bufio.Writer
@@ -185,20 +188,21 @@ func loadIndex(f *fed.Federation, public io.Reader, shards []io.Reader, customiz
 		return nil, fmt.Errorf("ch: arc counts inconsistent (%d base, %d overlay, graph %d)", numBase, m, f.Graph().NumArcs())
 	}
 	// The builder adds at most one shortcut per (u, via, w) triple, so any
-	// genuine index satisfies m ≤ numBase + n³. A corrupt header can claim up
-	// to 2³²−1 arcs; reject before allocating by it (uint64 math — n³ may
-	// overflow int on 32-bit).
+	// genuine index satisfies m ≤ numBase + n³ (uint64 math — n³ may overflow
+	// int on 32-bit). The bound is vacuous from n ≈ 1,626 on, so nothing is
+	// allocated by m until the arcs arrive (loadChunk).
 	if uint64(m) > uint64(numBase)+uint64(n)*uint64(n)*uint64(n) {
 		return nil, fmt.Errorf("ch: implausible overlay arc count %d for %d vertices", m, n)
 	}
+	ahead := min(m, loadChunk)
 	x := &Index{
 		f:           f,
 		rank:        make([]int32, n),
-		tail:        make([]graph.Vertex, m),
-		head:        make([]graph.Vertex, m),
-		via:         make([]graph.Vertex, m),
-		childA:      make([]int32, m),
-		childB:      make([]int32, m),
+		tail:        make([]graph.Vertex, 0, ahead),
+		head:        make([]graph.Vertex, 0, ahead),
+		via:         make([]graph.Vertex, 0, ahead),
+		childA:      make([]int32, 0, ahead),
+		childB:      make([]int32, 0, ahead),
 		numBase:     numBase,
 		witnessCap:  DefaultWitnessCap,
 		witnessHops: DefaultWitnessHops,
@@ -216,7 +220,7 @@ func loadIndex(f *fed.Federation, public io.Reader, shards []io.Reader, customiz
 		x.rank[v] = int32(r)
 	}
 	for a := 0; a < m; a++ {
-		vals := make([]uint32, 5)
+		var vals [5]uint32
 		for i := range vals {
 			v, err := rd.u32()
 			if err != nil {
@@ -224,11 +228,11 @@ func loadIndex(f *fed.Federation, public io.Reader, shards []io.Reader, customiz
 			}
 			vals[i] = v
 		}
-		x.tail[a] = graph.Vertex(vals[0])
-		x.head[a] = graph.Vertex(vals[1])
-		x.via[a] = graph.Vertex(int32(vals[2]))
-		x.childA[a] = int32(vals[3])
-		x.childB[a] = int32(vals[4])
+		x.tail = append(x.tail, graph.Vertex(vals[0]))
+		x.head = append(x.head, graph.Vertex(vals[1]))
+		x.via = append(x.via, graph.Vertex(int32(vals[2])))
+		x.childA = append(x.childA, int32(vals[3]))
+		x.childB = append(x.childB, int32(vals[4]))
 		// Casting uint32 to the int32-backed Vertex can produce negatives:
 		// check both ends of the range before any slice indexing.
 		if int(x.tail[a]) < 0 || int(x.tail[a]) >= n || int(x.head[a]) < 0 || int(x.head[a]) >= n {
@@ -318,8 +322,8 @@ func loadIndex(f *fed.Federation, public io.Reader, shards []io.Reader, customiz
 		if uint64(cnt) > uint64(n)*uint64(n) {
 			return nil, fmt.Errorf("ch: implausible skip record count %d for vertex %d", cnt, v)
 		}
-		recs := make([]skipRec, cnt)
-		for i := range recs {
+		recs := make([]skipRec, 0, min(cnt, loadChunk))
+		for range cnt {
 			u, err := rd.u32()
 			if err != nil {
 				return nil, err
@@ -338,8 +342,8 @@ func loadIndex(f *fed.Federation, public io.Reader, shards []io.Reader, customiz
 			if na > uint32(m) {
 				return nil, fmt.Errorf("ch: skip record with %d witness arcs", na)
 			}
-			arcs := make([]int32, na)
-			for j := range arcs {
+			arcs := make([]int32, 0, min(na, loadChunk))
+			for range na {
 				av, err := rd.u32()
 				if err != nil {
 					return nil, err
@@ -347,9 +351,9 @@ func loadIndex(f *fed.Federation, public io.Reader, shards []io.Reader, customiz
 				if av >= uint32(m) {
 					return nil, fmt.Errorf("ch: witness arc %d out of range", av)
 				}
-				arcs[j] = int32(av)
+				arcs = append(arcs, int32(av))
 			}
-			recs[i] = skipRec{u: graph.Vertex(u), w: graph.Vertex(wv), witnessArcs: arcs}
+			recs = append(recs, skipRec{u: graph.Vertex(u), w: graph.Vertex(wv), witnessArcs: arcs})
 		}
 		skips[v] = recs
 	}
@@ -404,139 +408,35 @@ func loadIndex(f *fed.Federation, public io.Reader, shards []io.Reader, customiz
 	return x, nil
 }
 
-// maxBundleSection bounds one section of a WriteIndex bundle on the read
-// path, so a corrupt length prefix cannot demand a pathological allocation
-// before LoadIndex's own validation ever runs.
-const maxBundleSection = 1 << 31
-
-// WriteIndex serializes the complete index — the public structure plus every
-// silo's private weight shard — as one versioned stream of length-prefixed
-// sections. This is the single-process serving-tier format (fedserver
-// -persist): the simulation holds all shards anyway, and bundling them lets
-// a restart restore the index with one file read instead of an MPC rebuild.
-// A real multi-silo deployment persists along the privacy boundary with
-// WritePublic/WriteSiloWeights instead.
+// WriteIndex serializes the complete index as one stream: WritePublic, then
+// WriteSiloWeights of every silo in order — exactly the bytes a deployment
+// persists along the privacy boundary, back to back. This is the
+// single-process serving-tier form (the FRST state snapshot embeds it): the
+// simulation holds all shards anyway.
 func (x *Index) WriteIndex(w io.Writer) error {
-	cw := &binWriter{w: bufio.NewWriter(w)}
-	for _, v := range []uint32{bundleMagic, bundleVersion, uint32(len(x.siloW))} {
-		if err := cw.u32(v); err != nil {
-			return err
-		}
-	}
-	section := func(write func(io.Writer) error) error {
-		// Sections are buffered once to learn their length; the public part
-		// and each shard are a fraction of the in-memory index, so the peak
-		// is bounded by the largest single section, not the bundle.
-		var buf bytes.Buffer
-		if err := write(&buf); err != nil {
-			return err
-		}
-		if err := cw.i64(int64(buf.Len())); err != nil {
-			return err
-		}
-		_, err := cw.w.Write(buf.Bytes())
-		return err
-	}
-	if err := section(x.WritePublic); err != nil {
+	if err := x.WritePublic(w); err != nil {
 		return err
 	}
 	for p := range x.siloW {
-		p := p
-		if err := section(func(w io.Writer) error { return x.WriteSiloWeights(p, w) }); err != nil {
+		if err := x.WriteSiloWeights(p, w); err != nil {
 			return err
 		}
 	}
-	hasSkel := uint32(0)
-	if x.skel != nil {
-		hasSkel = 1
-	}
-	if err := cw.u32(hasSkel); err != nil {
-		return err
-	}
-	if x.skel != nil {
-		if err := section(x.skel.Write); err != nil {
-			return err
-		}
-	}
-	return cw.w.Flush()
+	return nil
 }
 
-// ReadIndex reassembles an index from a WriteIndex bundle. All structural
-// validation — rank permutation, shortcut composition, path-length bounds,
-// shard weight positivity — is exactly LoadIndex's: the bundle framing only
-// splits the stream back into the public part and the per-silo shards.
-func ReadIndex(f *fed.Federation, r io.Reader) (*Index, error) {
-	rd := &reader{r: bufio.NewReader(r)}
-	var hdr [3]uint32
-	for i := range hdr {
-		v, err := rd.u32()
-		if err != nil {
-			return nil, fmt.Errorf("ch: bundle header: %w", err)
-		}
-		hdr[i] = v
-	}
-	if hdr[0] != bundleMagic {
-		return nil, fmt.Errorf("ch: bundle bad magic %#x", hdr[0])
-	}
-	if hdr[1] != 1 && hdr[1] != bundleVersion {
-		return nil, fmt.Errorf("ch: bundle unsupported version %d", hdr[1])
-	}
-	if int(hdr[2]) != f.P() {
-		return nil, fmt.Errorf("ch: bundle carries %d shards, federation has %d silos", hdr[2], f.P())
-	}
-	section := func() (*bytes.Reader, error) {
-		n, err := rd.i64()
-		if err != nil {
-			return nil, err
-		}
-		if n < 0 || n > maxBundleSection {
-			return nil, fmt.Errorf("ch: implausible bundle section length %d", n)
-		}
-		// ReadAll grows with the bytes that actually arrive, so a lying
-		// length on a truncated stream errors instead of allocating n.
-		data, err := io.ReadAll(io.LimitReader(rd.r, n))
-		if err != nil {
-			return nil, err
-		}
-		if int64(len(data)) != n {
-			return nil, fmt.Errorf("ch: bundle section truncated (%d of %d bytes)", len(data), n)
-		}
-		return bytes.NewReader(data), nil
-	}
-	public, err := section()
-	if err != nil {
-		return nil, fmt.Errorf("ch: bundle public section: %w", err)
-	}
+// ReadIndex reassembles an index from a WriteIndex stream with exactly
+// LoadIndex's validation: the public part and every shard are read from one
+// shared buffered reader (bufio.NewReader returns it unchanged). A non-nil
+// sk marks the stream as a customization of that skeleton; the loaded arcs
+// must then mirror it arc for arc.
+func ReadIndex(f *fed.Federation, r io.Reader, sk *Skeleton) (*Index, error) {
+	br := bufio.NewReader(r)
 	shards := make([]io.Reader, f.P())
 	for p := range shards {
-		sr, err := section()
-		if err != nil {
-			return nil, fmt.Errorf("ch: bundle shard %d: %w", p, err)
-		}
-		shards[p] = sr
+		shards[p] = br
 	}
-	// The skeleton trails the shards; read it first so the index is loaded
-	// knowing whether it is a customized one.
-	var sk *Skeleton
-	if hdr[1] >= bundleVersion {
-		hasSkel, err := rd.u32()
-		if err != nil {
-			return nil, fmt.Errorf("ch: bundle skeleton flag: %w", err)
-		}
-		if hasSkel > 1 {
-			return nil, fmt.Errorf("ch: bundle skeleton flag %d invalid", hasSkel)
-		}
-		if hasSkel == 1 {
-			sr, err := section()
-			if err != nil {
-				return nil, fmt.Errorf("ch: bundle skeleton section: %w", err)
-			}
-			if sk, err = ReadSkeleton(f.Graph(), sr); err != nil {
-				return nil, err
-			}
-		}
-	}
-	x, err := loadIndex(f, public, shards, sk != nil)
+	x, err := loadIndex(f, br, shards, sk != nil)
 	if err != nil || sk == nil {
 		return x, err
 	}
@@ -546,23 +446,25 @@ func ReadIndex(f *fed.Federation, r io.Reader) (*Index, error) {
 	return x, nil
 }
 
-// attachSkeleton cross-validates a bundled skeleton against the index loaded
-// from the same bundle — a customized index must mirror its skeleton's
-// topology arc for arc — and marks the index customized.
+// attachSkeleton cross-validates a skeleton against an index loaded from a
+// stream — a customized index must mirror its skeleton's topology arc for arc
+// — and marks the index customized over it. The index then shares the
+// skeleton's topology arrays, as a fresh customization does.
 func attachSkeleton(x *Index, sk *Skeleton) error {
 	if len(sk.tail) != len(x.tail) || sk.numBase != x.numBase {
-		return fmt.Errorf("ch: bundle skeleton has %d arcs, index has %d", len(sk.tail), len(x.tail))
+		return fmt.Errorf("ch: skeleton has %d arcs, index has %d", len(sk.tail), len(x.tail))
 	}
 	for v := range sk.rank {
 		if sk.rank[v] != x.rank[v] {
-			return fmt.Errorf("ch: bundle skeleton rank of vertex %d disagrees with the index", v)
+			return fmt.Errorf("ch: skeleton rank of vertex %d disagrees with the index", v)
 		}
 	}
 	for a := range sk.tail {
 		if sk.tail[a] != x.tail[a] || sk.head[a] != x.head[a] || sk.via[a] != x.via[a] {
-			return fmt.Errorf("ch: bundle skeleton arc %d disagrees with the index", a)
+			return fmt.Errorf("ch: skeleton arc %d disagrees with the index", a)
 		}
 	}
+	x.rank, x.tail, x.head, x.via = sk.rank, sk.tail, sk.head, sk.via
 	x.skel = sk
 	x.buildStats.Customized = true
 	return nil

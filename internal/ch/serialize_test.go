@@ -2,8 +2,10 @@ package ch
 
 import (
 	"bytes"
+	"encoding/binary"
 	"io"
 	"math/rand/v2"
+	"runtime"
 	"testing"
 
 	"repro/internal/graph"
@@ -158,16 +160,20 @@ func TestLoadIndexRejectsCorruptInput(t *testing.T) {
 
 func TestIndexBundleRoundTrip(t *testing.T) {
 	f, x := buildTestIndex(t, 8, 8, 79)
-	var bundle bytes.Buffer
-	if err := x.WriteIndex(&bundle); err != nil {
+	var stream bytes.Buffer
+	if err := x.WriteIndex(&stream); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := ReadIndex(f, &bundle)
+	// The stream is exactly the privacy-boundary parts, back to back.
+	if want := bytes.Join(serializeAll(t, x), nil); !bytes.Equal(stream.Bytes(), want) {
+		t.Fatal("WriteIndex is not WritePublic ‖ WriteSiloWeights(0..P−1)")
+	}
+	loaded, err := ReadIndex(f, &stream, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if loaded.NumArcs() != x.NumArcs() || loaded.NumShortcuts() != x.NumShortcuts() {
-		t.Fatalf("size mismatch after bundle reload: %d/%d arcs, %d/%d shortcuts",
+		t.Fatalf("size mismatch after stream reload: %d/%d arcs, %d/%d shortcuts",
 			loaded.NumArcs(), x.NumArcs(), loaded.NumShortcuts(), x.NumShortcuts())
 	}
 	for a := int32(0); a < int32(x.NumArcs()); a++ {
@@ -187,44 +193,93 @@ func TestIndexBundleRoundTrip(t *testing.T) {
 		tt := graph.Vertex(rng.IntN(f.Graph().NumVertices()))
 		want, _ := graph.DijkstraTo(f.Graph(), joint, s, tt)
 		if got := chQueryJoint(loaded, s, tt); got != want {
-			t.Fatalf("bundle-reloaded index: dist(%d,%d) = %d, want %d", s, tt, got, want)
+			t.Fatalf("stream-reloaded index: dist(%d,%d) = %d, want %d", s, tt, got, want)
 		}
 	}
 }
 
 func TestReadIndexRejectsCorruptBundle(t *testing.T) {
 	f, x := buildTestIndex(t, 6, 6, 83)
-	var bundle bytes.Buffer
-	if err := x.WriteIndex(&bundle); err != nil {
+	var stream bytes.Buffer
+	if err := x.WriteIndex(&stream); err != nil {
 		t.Fatal(err)
 	}
-	good := bundle.Bytes()
+	good := stream.Bytes()
 
-	if _, err := ReadIndex(f, bytes.NewReader(good)); err != nil {
-		t.Fatalf("good bundle rejected: %v", err)
+	if _, err := ReadIndex(f, bytes.NewReader(good), nil); err != nil {
+		t.Fatalf("good stream rejected: %v", err)
 	}
-	if _, err := ReadIndex(f, bytes.NewReader(nil)); err == nil {
-		t.Fatal("empty bundle accepted")
+	if _, err := ReadIndex(f, bytes.NewReader(nil), nil); err == nil {
+		t.Fatal("empty stream accepted")
 	}
 	bad := append([]byte{}, good...)
 	bad[0] ^= 0xff
-	if _, err := ReadIndex(f, bytes.NewReader(bad)); err == nil {
+	if _, err := ReadIndex(f, bytes.NewReader(bad), nil); err == nil {
 		t.Fatal("corrupt magic accepted")
 	}
-	for _, frac := range []int{4, 2, 1} { // truncations at various depths
-		cut := len(good) * (frac - 1) / frac
-		if cut >= len(good) {
-			cut = len(good) - 1
-		}
-		if _, err := ReadIndex(f, bytes.NewReader(good[:cut])); err == nil {
-			t.Fatalf("bundle truncated to %d/%d bytes accepted", cut, len(good))
+	// Truncations at various depths, and at the end of every part.
+	cuts := []int{len(good) / 4, len(good) / 2, len(good) - 1}
+	at := 0
+	for _, part := range serializeAll(t, x)[:f.P()] {
+		at += len(part)
+		cuts = append(cuts, at)
+	}
+	for _, cut := range cuts {
+		if _, err := ReadIndex(f, bytes.NewReader(good[:cut]), nil); err == nil {
+			t.Fatalf("stream truncated to %d/%d bytes accepted", cut, len(good))
 		}
 	}
-	// A lying section length on a truncated stream must error, not allocate.
-	lying := append([]byte{}, good[:12]...)
-	lying = append(lying, []byte{0xff, 0xff, 0xff, 0x7f, 0, 0, 0, 0}...) // section "length" 2^31-1
-	if _, err := ReadIndex(f, bytes.NewReader(lying)); err == nil {
-		t.Fatal("lying section length accepted")
+	// A header claiming the most arcs the guard admits, on a stream that
+	// ends after it, must error.
+	n, nb := uint32(f.Graph().NumVertices()), uint32(f.Graph().NumArcs())
+	if _, err := ReadIndex(f, bytes.NewReader(publicHeader(f, nb+n*n*n)), nil); err == nil {
+		t.Fatal("lying arc count accepted")
+	}
+}
+
+// TestLoadIndexAllocatesByStreamNotHeader: on a 2,048-vertex graph the
+// header's m ≤ numBase + n³ guard admits any 32-bit count, and a skip-record
+// count is bounded only by n². The loader must allocate by the records that
+// arrive: a 20-byte header claiming 50M arcs (954 MiB of up-front arrays
+// before), the largest count the guard admits, and a valid base-only public
+// part whose first vertex claims n² skip records (128 MiB) all fail with EOF
+// inside 4 MiB.
+func TestLoadIndexAllocatesByStreamNotHeader(t *testing.T) {
+	env := getFuzzEnv(t)
+	f, g := env.wide, env.wide.Graph()
+	n, m := g.NumVertices(), g.NumArcs()
+	skipLie := publicHeader(f, uint32(m))
+	for v := 0; v < n; v++ {
+		skipLie = binary.LittleEndian.AppendUint32(skipLie, uint32(v))
+	}
+	for a := 0; a < m; a++ {
+		for _, v := range []uint32{uint32(g.Tail(graph.Arc(a))), uint32(g.Head(graph.Arc(a))), ^uint32(0), 0, 0} {
+			skipLie = binary.LittleEndian.AppendUint32(skipLie, v)
+		}
+	}
+	skipLie = binary.LittleEndian.AppendUint32(skipLie, uint32(n*n))
+	for _, tc := range []struct {
+		name   string
+		public []byte
+	}{
+		{"50M arcs", publicHeader(f, 50_000_000)},
+		{"2^32-1 arcs", publicHeader(f, 1<<32-1)},
+		{"n² skip records", skipLie},
+	} {
+		shards := make([]io.Reader, f.P())
+		for p := range shards {
+			shards[p] = bytes.NewReader(nil)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := LoadIndex(f, bytes.NewReader(tc.public), shards)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: a truncated stream loaded", tc.name)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4<<20 {
+			t.Fatalf("%s: rejecting a %d-byte stream allocated %d bytes", tc.name, len(tc.public), alloc)
+		}
 	}
 }
 

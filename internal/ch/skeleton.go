@@ -1,12 +1,8 @@
 package ch
 
 import (
-	"bufio"
-	"bytes"
 	"container/heap"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"math/big"
 	"slices"
 	"sort"
@@ -68,20 +64,13 @@ const maxSkelArcs = 1<<31 - 1
 // degenerates badly: without pruning, late vertices accumulate huge live
 // neighborhoods (on an 8k-vertex grid the fill-in overflows 2^31 arcs). The
 // order is therefore chosen dynamically — always contract the vertex whose
-// *live* overlay neighborhood is currently cheapest (greedy min fill-in for
-// OrderEdgeDiff, min live degree for OrderDegree), ties broken by vertex ID
-// — which is the standard customizable-CH discipline and keeps the skeleton
-// near-linear on road-like topologies. The order is a deterministic function
-// of the public topology alone, so every silo still derives the identical
-// skeleton locally.
-func BuildSkeleton(g *graph.Graph, w0 graph.Weights, prm Params) (*Skeleton, error) {
-	switch prm.Ordering {
-	case "":
-		prm.Ordering = OrderEdgeDiff
-	case OrderEdgeDiff, OrderDegree:
-	default:
-		return nil, fmt.Errorf("ch: unknown ordering %q", prm.Ordering)
-	}
+// *live* overlay neighborhood currently has the least fill-in, ties broken
+// by vertex ID — which is the standard customizable-CH discipline and keeps
+// the skeleton near-linear on road-like topologies. The order is a
+// deterministic function of the public topology alone, so every silo — and
+// every restart — derives the identical skeleton locally: it is never
+// stored.
+func BuildSkeleton(g *graph.Graph) (*Skeleton, error) {
 	start := time.Now()
 	n := g.NumVertices()
 	sk := &Skeleton{g: g, numBase: g.NumArcs(), rank: make([]int32, n)}
@@ -110,9 +99,6 @@ func BuildSkeleton(g *graph.Graph, w0 graph.Weights, prm Params) (*Skeleton, err
 
 	score := func(v graph.Vertex) int64 {
 		ins, outs := int64(len(inAdj[v])), int64(len(outAdj[v]))
-		if prm.Ordering == OrderDegree {
-			return ins + outs
-		}
 		return ins*outs - (ins + outs) // new triangles minus retired arcs
 	}
 
@@ -356,196 +342,4 @@ func csr(buckets int, key []int32) (start, items []int32) {
 		fill[k]++
 	}
 	return start, items
-}
-
-// Skeleton persistence (FRSK): the weight-free topology a restart reuses so
-// recovery costs one customization sweep instead of a re-contraction. Format
-// is little-endian u32s: magic, version, n, m, numBase, rank[n], then per
-// overlay arc (tail, head, via) with via = 0xffffffff marking base arcs,
-// terminated by an FNV-1a checksum over everything before it. Structural
-// validation alone cannot catch a bit flip that relocates a shortcut onto
-// another legal pair — and a skeleton missing even one lower triangle loses
-// query exactness — so integrity is checked byte-for-byte.
-const (
-	skeletonMagic   = 0x4652534b // "FRSK"
-	skeletonVersion = 1
-	skelNoVia       = 0xffffffff
-)
-
-// fnv1a32 is the same hash the FRST state snapshot uses for its topology
-// fingerprint.
-func fnv1a32(data []byte) uint32 {
-	h := uint32(2166136261)
-	for _, b := range data {
-		h ^= uint32(b)
-		h *= 16777619
-	}
-	return h
-}
-
-// Write serializes the skeleton.
-func (sk *Skeleton) Write(w io.Writer) error {
-	var buf bytes.Buffer
-	cw := &binWriter{w: bufio.NewWriter(&buf)}
-	hdr := []uint32{skeletonMagic, skeletonVersion,
-		uint32(len(sk.rank)), uint32(len(sk.tail)), uint32(sk.numBase)}
-	for _, v := range hdr {
-		if err := cw.u32(v); err != nil {
-			return err
-		}
-	}
-	for _, r := range sk.rank {
-		if err := cw.u32(uint32(r)); err != nil {
-			return err
-		}
-	}
-	for a := range sk.tail {
-		via := uint32(skelNoVia)
-		if sk.via[a] != NoShortcut {
-			via = uint32(sk.via[a])
-		}
-		for _, v := range []uint32{uint32(sk.tail[a]), uint32(sk.head[a]), via} {
-			if err := cw.u32(v); err != nil {
-				return err
-			}
-		}
-	}
-	if err := cw.w.Flush(); err != nil {
-		return err
-	}
-	var sum [4]byte
-	binary.LittleEndian.PutUint32(sum[:], fnv1a32(buf.Bytes()))
-	if _, err := w.Write(buf.Bytes()); err != nil {
-		return err
-	}
-	_, err := w.Write(sum[:])
-	return err
-}
-
-// ReadSkeleton deserializes and validates a skeleton against the graph it
-// claims to contract. Validation is strict enough that any accepted skeleton
-// yields a sound customization plan — in particular the creation-order
-// invariant (shortcut via ranks non-decreasing across arc IDs, and both legs
-// of every shortcut already present among earlier arcs) is enforced, so
-// group members always precede their consumers and a corrupt file fails here
-// instead of producing wrong routes after customization.
-func ReadSkeleton(g *graph.Graph, r io.Reader) (*Skeleton, error) {
-	br := bufio.NewReader(r)
-	var hdrBytes [20]byte
-	if _, err := io.ReadFull(br, hdrBytes[:]); err != nil {
-		return nil, fmt.Errorf("ch: skeleton header: %w", err)
-	}
-	var hdr [5]uint32
-	for i := range hdr {
-		hdr[i] = binary.LittleEndian.Uint32(hdrBytes[4*i:])
-	}
-	if hdr[0] != skeletonMagic {
-		return nil, fmt.Errorf("ch: skeleton bad magic %#x", hdr[0])
-	}
-	if hdr[1] != skeletonVersion {
-		return nil, fmt.Errorf("ch: skeleton unsupported version %d", hdr[1])
-	}
-	n, m, numBase := int(hdr[2]), int(hdr[3]), int(hdr[4])
-	if n != g.NumVertices() || numBase != g.NumArcs() || m < numBase {
-		return nil, fmt.Errorf("ch: skeleton shape (%d vertices, %d base arcs, %d overlay) does not fit the graph (%d, %d)",
-			n, numBase, m, g.NumVertices(), g.NumArcs())
-	}
-	// One shortcut per (u, via, w) triple bounds any genuine skeleton by
-	// numBase + n³; reject a lying header before allocating by it.
-	if uint64(m) > uint64(numBase)+uint64(n)*uint64(n)*uint64(n) {
-		return nil, fmt.Errorf("ch: implausible skeleton arc count %d for %d vertices", m, n)
-	}
-	// Verify integrity before trusting a single field: read the exact
-	// payload (ReadAll grows with bytes that actually arrive, so a lying
-	// header on a truncated stream errors instead of allocating by it),
-	// then check the trailing FNV-1a over header + payload.
-	payloadLen := int64(n+3*m) * 4
-	payload, err := io.ReadAll(io.LimitReader(br, payloadLen))
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(payload)) != payloadLen {
-		return nil, fmt.Errorf("ch: skeleton truncated (%d of %d payload bytes)", len(payload), payloadLen)
-	}
-	var sumBytes [4]byte
-	if _, err := io.ReadFull(br, sumBytes[:]); err != nil {
-		return nil, fmt.Errorf("ch: skeleton checksum: %w", err)
-	}
-	want := binary.LittleEndian.Uint32(sumBytes[:])
-	got := fnv1a32(append(append([]byte(nil), hdrBytes[:]...), payload...))
-	if got != want {
-		return nil, fmt.Errorf("ch: skeleton checksum mismatch (%#x != %#x)", got, want)
-	}
-	rd := &reader{r: bufio.NewReader(bytes.NewReader(payload))}
-	sk := &Skeleton{
-		g:       g,
-		numBase: numBase,
-		rank:    make([]int32, n),
-		tail:    make([]graph.Vertex, m),
-		head:    make([]graph.Vertex, m),
-		via:     make([]graph.Vertex, m),
-	}
-	seenRank := make([]bool, n)
-	for v := 0; v < n; v++ {
-		r, err := rd.u32()
-		if err != nil {
-			return nil, err
-		}
-		if r >= uint32(n) || seenRank[r] {
-			return nil, fmt.Errorf("ch: skeleton rank table is not a permutation of [0,%d)", n)
-		}
-		seenRank[r] = true
-		sk.rank[v] = int32(r)
-	}
-	seenPair := make(map[[2]graph.Vertex]bool, m)
-	lastViaRank := int32(-1)
-	for a := 0; a < m; a++ {
-		var vals [3]uint32
-		for i := range vals {
-			v, err := rd.u32()
-			if err != nil {
-				return nil, err
-			}
-			vals[i] = v
-		}
-		u, w := graph.Vertex(vals[0]), graph.Vertex(vals[1])
-		if int(u) < 0 || int(u) >= n || int(w) < 0 || int(w) >= n {
-			return nil, fmt.Errorf("ch: skeleton arc %d endpoints out of range", a)
-		}
-		sk.tail[a], sk.head[a] = u, w
-		if a < numBase {
-			if vals[2] != skelNoVia {
-				return nil, fmt.Errorf("ch: skeleton base arc %d marked as shortcut", a)
-			}
-			sk.via[a] = NoShortcut
-			if u != g.Tail(graph.Arc(a)) || w != g.Head(graph.Arc(a)) {
-				return nil, fmt.Errorf("ch: skeleton base arc %d does not match the graph", a)
-			}
-		} else {
-			if vals[2] == skelNoVia {
-				return nil, fmt.Errorf("ch: skeleton arc %d beyond the base range is not a shortcut", a)
-			}
-			z := graph.Vertex(vals[2])
-			if int(z) < 0 || int(z) >= n {
-				return nil, fmt.Errorf("ch: skeleton shortcut %d via vertex out of range", a)
-			}
-			sk.via[a] = z
-			if sk.rank[z] >= sk.rank[u] || sk.rank[z] >= sk.rank[w] {
-				return nil, fmt.Errorf("ch: skeleton shortcut %d via vertex does not rank below its endpoints", a)
-			}
-			// Creation order: shortcuts appear in contraction order, and both
-			// legs of a lower triangle must already exist. Together these
-			// guarantee every pair group is complete before any consumer.
-			if sk.rank[z] < lastViaRank {
-				return nil, fmt.Errorf("ch: skeleton shortcut %d breaks via-rank creation order", a)
-			}
-			lastViaRank = sk.rank[z]
-			if !seenPair[[2]graph.Vertex{u, z}] || !seenPair[[2]graph.Vertex{z, w}] {
-				return nil, fmt.Errorf("ch: skeleton shortcut %d has a leg with no underlying arc", a)
-			}
-		}
-		seenPair[[2]graph.Vertex{u, w}] = true
-	}
-	sk.stats = SkeletonStats{Shortcuts: sk.NumShortcuts()}
-	return sk, nil
 }

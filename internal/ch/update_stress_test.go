@@ -161,7 +161,7 @@ func TestUpdateConvergesAcrossManyRounds(t *testing.T) {
 func TestCustomizedUpdateNeverGrows(t *testing.T) {
 	g, w0 := graph.GenerateRoadLike(260, 93)
 	f := federationFor(t, g, w0)
-	sk, err := BuildSkeleton(g, w0, Params{})
+	sk, err := BuildSkeleton(g)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -93,7 +93,7 @@ func (h *Harness) RunIndexBuildBench() (*BuildBenchReport, error) {
 			var x *ch.Index
 			if customize {
 				var sk *ch.Skeleton
-				if sk, err = ch.BuildSkeleton(g, w0, ch.Params{}); err == nil {
+				if sk, err = ch.BuildSkeleton(g); err == nil {
 					x, err = ch.Customize(f, sk)
 				}
 			} else {

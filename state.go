@@ -3,6 +3,7 @@ package fedroad
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 
@@ -16,17 +17,33 @@ import (
 // immutable topology, which is NOT stored: the restoring process loads the
 // same graph by its usual means, and a fingerprint check rejects snapshots
 // taken against a different network. This is a single-process (simulation /
-// fedserver) format; a real deployment persists along the privacy boundary
-// with SaveIndex instead.
+// fedserver) format; a real deployment persists along the privacy boundary,
+// one ch.WriteSiloWeights shard per silo next to the shared ch.WritePublic
+// part — the very bytes the snapshot writes in sequence.
 //
 // Format (little-endian): magic, version, topology fingerprint, traffic
-// version, silo count, arc count, P×m silo weights, a has-index byte, then —
-// when present — the ch.WriteIndex bundle.
+// version, silo count, arc count, P×m silo weights, an index-kind byte
+// (indexNone, indexWitness, indexCustomized), then — unless none — the
+// ch.WriteIndex stream. A customized index's skeleton is not in it: the
+// skeleton is a function of the topology, so RestoreState re-derives it (or
+// reuses the federation's) and cross-checks it arc for arc.
 
 const (
 	stateMagic   = 0x46525354 // "FRST"
-	stateVersion = 1
+	stateVersion = 2          // 1 embedded the FRIX bundle, whose v2 stored the skeleton
 )
+
+// Index kinds of a state snapshot.
+const (
+	indexNone byte = iota
+	indexWitness
+	indexCustomized
+)
+
+// ErrStateVersion tags a snapshot written in a format this build does not
+// read (version 1 snapshots predate the skeleton-free layout): the snapshot
+// must be discarded, and the federation rebuilt from its graph.
+var ErrStateVersion = errors.New("fedroad: unsupported state version")
 
 // fingerprint hashes the topology and static weights (FNV-1a), so a restore
 // against the wrong graph fails fast instead of producing garbage routes.
@@ -99,11 +116,15 @@ func (f *Federation) SaveState(w io.Writer) error {
 			}
 		}
 	}
-	hasIndex := byte(0)
-	if f.index != nil {
-		hasIndex = 1
+	kind := indexNone
+	switch {
+	case f.index == nil:
+	case f.index.Customized():
+		kind = indexCustomized
+	default:
+		kind = indexWitness
 	}
-	if err := bw.WriteByte(hasIndex); err != nil {
+	if err := bw.WriteByte(kind); err != nil {
 		return err
 	}
 	if err := bw.Flush(); err != nil {
@@ -116,13 +137,15 @@ func (f *Federation) SaveState(w io.Writer) error {
 }
 
 // RestoreState loads a SaveState snapshot into the federation: silo weights,
-// the shortcut index (validated exactly as LoadIndex validates it), and
-// finally the snapshot's traffic version. Everything is validated before
-// anything is applied; on error the federation is unchanged. Intended for
-// startup (fedserver -persist) — like LoadSavedIndex it invalidates the
-// weight snapshot of any index build racing it only when the restored traffic
-// version differs from the current one. It returns whether the snapshot
-// carried an index.
+// the shortcut index (validated exactly as ch.LoadIndex validates it), and
+// finally the snapshot's traffic version. A customized index is attached to
+// the federation's skeleton when it has one (its customization plan
+// survives); otherwise the skeleton is derived off-lock and installed with
+// the index. Everything is validated before anything is applied; on error
+// the federation is unchanged. Intended for startup (fedserver -persist) — it
+// invalidates the weight snapshot of any index build racing it only when the
+// restored traffic version differs from the current one. It returns whether
+// the snapshot carried an index.
 func (f *Federation) RestoreState(r io.Reader) (restoredIndex bool, err error) {
 	br := bufio.NewReader(r)
 	var b [8]byte
@@ -150,7 +173,7 @@ func (f *Federation) RestoreState(r io.Reader) (restoredIndex bool, err error) {
 		return false, err
 	}
 	if ver != stateVersion {
-		return false, fmt.Errorf("fedroad: unsupported state version %d", ver)
+		return false, fmt.Errorf("%w %d (this build reads %d)", ErrStateVersion, ver, stateVersion)
 	}
 	fp, err := u64()
 	if err != nil {
@@ -196,18 +219,40 @@ func (f *Federation) RestoreState(r io.Reader) (restoredIndex bool, err error) {
 		}
 		weights[p] = ws
 	}
-	hasIndex, err := br.ReadByte()
+	kind, err := br.ReadByte()
 	if err != nil {
 		return false, err
 	}
+	// ReadIndex validates the stream against the federation's topology and
+	// silo count, and BuildSkeleton reads only the topology: no lock yet.
 	var idx *ch.Index
-	if hasIndex != 0 {
-		// ReadIndex validates the bundle against the federation's topology
-		// and silo count; it reads no mutable state, so no lock is needed yet.
-		idx, err = ch.ReadIndex(f.inner, br)
-		if err != nil {
-			return false, err
+	var derived *ch.Skeleton
+	switch kind {
+	case indexNone:
+	case indexWitness:
+		idx, err = ch.ReadIndex(f.inner, br, nil)
+	case indexCustomized:
+		f.mu.RLock()
+		sk := f.skel
+		f.mu.RUnlock()
+		if sk == nil {
+			sk, err = ch.BuildSkeleton(f.inner.Graph())
+			derived = sk
 		}
+		if err == nil {
+			idx, err = ch.ReadIndex(f.inner, br, sk)
+		}
+	default:
+		return false, fmt.Errorf("fedroad: state index kind %d invalid", kind)
+	}
+	if err != nil {
+		return false, err
+	}
+	// A kind byte flipped to a shorter kind leaves index bytes behind.
+	if _, err := br.ReadByte(); err == nil {
+		return false, fmt.Errorf("fedroad: state snapshot has trailing bytes after index kind %d", kind)
+	} else if err != io.EOF {
+		return false, fmt.Errorf("fedroad: state snapshot end: %w", err)
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -219,12 +264,9 @@ func (f *Federation) RestoreState(r io.Reader) (restoredIndex bool, err error) {
 	}
 	if idx != nil {
 		f.index = idx
-		// A customized index carries its topology skeleton inside the bundle;
-		// adopt it so post-restart reindexing runs the cheap customization
-		// sweep instead of re-contracting from scratch.
-		if sk := idx.Skeleton(); sk != nil {
-			f.skel = sk
-		}
+	}
+	if derived != nil && f.skel == nil {
+		f.skel = derived
 	}
 	// The traffic version is restored LAST: it must describe the weights and
 	// index now in place, and restoring it also keys every WAL delta replayed

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"io"
 	"path/filepath"
 	"reflect"
 	"slices"
@@ -13,8 +14,9 @@ import (
 )
 
 // TestProductionSurface pins every knob of the production surface — the
-// fields of Config and QueryOptions, fedserver's flags and the query
-// parameters its handlers read — to a literal list. An entry stays on a list
+// fields of Config, QueryOptions and IndexParams, Federation's methods,
+// fedserver's flags and the query parameters its handlers read — to a literal
+// list. An entry stays on a list
 // because two callers that are not tests need different values for it (or
 // because it is a deployment setting: an address, a path, a credential); the
 // comment beside it names them. Adding a knob fails this test until it is
@@ -48,6 +50,40 @@ func TestProductionSurface(t *testing.T) {
 		// all set it. It stays until a benchmark PR can stop compiling against
 		// it (ROADMAP, re-baseline item).
 		"BatchedMPC",
+	})
+
+	check("IndexParams fields", fieldNames(IndexParams{}), []string{
+		"RebuildOnConflict", // cmd/fedserver -reindex-interval and ApplyTraffic's RebuildIndex: 2; BuildIndex: 0
+	})
+
+	// A federation persists one way: a state snapshot. The skeleton is a
+	// function of the graph, derived with no knob, never saved or loaded.
+	fed := reflect.TypeOf(&Federation{})
+	var methods, persist []string
+	ioTypes := []reflect.Type{reflect.TypeFor[io.Reader](), reflect.TypeFor[io.Writer]()}
+	for i := 0; i < fed.NumMethod(); i++ {
+		m := fed.Method(i)
+		methods = append(methods, m.Name)
+		for j := 1; j < m.Type.NumIn(); j++ {
+			if slices.Contains(ioTypes, m.Type.In(j)) {
+				persist = append(persist, m.Name)
+			}
+		}
+	}
+	check("Federation persistence methods", persist, []string{"SaveState", "RestoreState"})
+	if m, _ := fed.MethodByName("BuildSkeleton"); m.Type.NumIn() != 1 {
+		t.Errorf("BuildSkeleton takes %d arguments, want none", m.Type.NumIn()-1)
+	}
+	check("Federation methods", methods, []string{
+		// Queries and the serving tier.
+		"ShortestPath", "NearestNeighbors", "Session", "NewQueryCache",
+		// Traffic and state.
+		"ApplyTraffic", "TrafficVersion", "SaveState", "RestoreState",
+		// Index derivation.
+		"BuildIndex", "BuildIndexWith", "BuildSkeleton", "CustomizeIndex", "CustomizeIndexWith",
+		"HasIndex", "HasSkeleton", "IndexBuilding", "IndexStats", "SkeletonStats", "CustomizeInfo",
+		// Topology, resources and observability.
+		"Graph", "Silos", "Close", "Metrics", "HasPool", "PoolStats", "MeshStats", "BreakMeshLink",
 	})
 
 	flags, params := fedserverSurface(t)
