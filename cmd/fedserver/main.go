@@ -93,8 +93,6 @@ func main() {
 		cacheCap = flag.Int("cache", 4096, "traffic-version-keyed result cache capacity in entries (0 = off)")
 		persist  = flag.String("persist", "", "directory for state snapshots + traffic WAL; restarts restore the index without an MPC rebuild")
 		pprofOn  = flag.Bool("pprof", false, "mount /debug/pprof/* profiling handlers")
-		prepool  = flag.Int("prepool", 0, "preprocessing pool capacity in comparisons, buffered as 64-lane blocks (0 = off)")
-		poolWkrs = flag.Int("prepool-workers", 1, "preprocessing pool replenisher goroutines")
 
 		roundTimeout = flag.Duration("round-timeout", 0, "per-frame MPC round timeout; a slow/dead silo fails the query with 503/504 instead of hanging it (protocol mode; 0 = no timeout)")
 		sacRetries   = flag.Int("sac-retries", 0, "bounded retries of a Fed-SAC round after a transient transport failure")
@@ -117,12 +115,10 @@ func main() {
 	}
 	silosW := fedroad.SimulateCongestion(w0, *silos, fedroad.Moderate, *seed+1)
 	cfg := fedroad.Config{
-		Seed:              *seed,
-		PreprocessPool:    *prepool,
-		PreprocessWorkers: *poolWkrs,
-		RoundTimeout:      *roundTimeout,
-		SACRetries:        *sacRetries,
-		SACRetryBackoff:   *sacBackoff,
+		Seed:            *seed,
+		RoundTimeout:    *roundTimeout,
+		SACRetries:      *sacRetries,
+		SACRetryBackoff: *sacBackoff,
 	}
 	if *protocol {
 		cfg.Mode = fedroad.ModeProtocol
@@ -183,9 +179,9 @@ func main() {
 	if !*noIndex && !fed.HasIndex() {
 		start := time.Now()
 		if *custIdx {
-			err = fed.CustomizeIndexWith(fedroad.IndexParams{})
+			err = fed.CustomizeIndex()
 		} else {
-			err = fed.BuildIndexWith(fedroad.IndexParams{})
+			err = fed.BuildIndex()
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "fedserver: %v\n", err)
@@ -253,15 +249,8 @@ func main() {
 					continue // nothing moved; the index is already current
 				}
 				lastVer = ver
-				prm := fedroad.IndexParams{RebuildOnConflict: 2}
 				start := time.Now()
-				var err error
-				if fed.HasSkeleton() {
-					err = fed.CustomizeIndexWith(prm)
-				} else {
-					err = fed.BuildIndexWith(prm)
-				}
-				if err != nil {
+				if _, err := fed.ApplyTraffic(nil, fedroad.RebuildIndex); err != nil {
 					log.Printf("reindex: %v", err)
 					continue
 				}

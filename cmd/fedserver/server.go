@@ -448,7 +448,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		LastMPCRounds:   ci.LastMPCRounds,
 		LastTicks:       ci.LastTicks,
 	}
-	pool := s.fed.PoolStats()
 	pipe := s.pipe.Stats()
 	gs := pipe.Admission
 	var cacheBlock *cacheStatsJSON
@@ -481,9 +480,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Cache          *cacheStatsJSON    `json:"cache,omitempty"`
 		Persist        *persistStats      `json:"persist,omitempty"`
 		Mesh           *meshStatsJSON     `json:"mesh,omitempty"`
-		PoolProduced   int64              `json:"prepool_produced"` // prepool_*: 64-lane blocks
-		PoolHits       int64              `json:"prepool_hits"`
-		PoolMisses     int64              `json:"prepool_misses"`
 		Metrics        map[string]float64 `json:"metrics"`
 	}{
 		s.fed.Graph().NumVertices(), s.fed.Graph().NumArcs(), s.fed.Silos(),
@@ -493,7 +489,6 @@ func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
 		gs.Admitted, pipe.MaxConcurrent,
 		admitStatsJSON{Limit: gs.Limit, Depth: gs.Depth, Admitted: gs.Admitted, Shed: gs.Shed},
 		cacheBlock, persistBlock, s.meshBlock(),
-		pool.Produced, pool.Hits, pool.Misses,
 		s.fed.Metrics().Snapshot(),
 	})
 }

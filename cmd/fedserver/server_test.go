@@ -508,7 +508,7 @@ func TestStatsReportsIndexBuilding(t *testing.T) {
 	}
 
 	done := make(chan error, 1)
-	go func() { done <- fed.BuildIndexWith(fedroad.IndexParams{}) }()
+	go func() { done <- fed.BuildIndex() }()
 	observed := false
 	for {
 		select {

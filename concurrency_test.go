@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/graph"
-	"repro/internal/mpc"
 )
 
 func TestSessionMatchesFederation(t *testing.T) {
@@ -255,48 +254,20 @@ func TestApplyTrafficRefreshesIndex(t *testing.T) {
 	}
 }
 
-func TestPreprocessingPoolServesQueries(t *testing.T) {
+// TestCloseWithoutMeshKeepsServing: Close releases only a mesh, so a
+// protocol-mode federation on the in-process transport keeps answering
+// correctly after it, and a second Close is a no-op.
+func TestCloseWithoutMeshKeepsServing(t *testing.T) {
 	g, w0 := GenerateRoadNetwork(150, 50)
 	silos := SimulateCongestion(w0, 3, Moderate, 51)
-	f, err := New(g, w0, silos, Config{
-		Mode: ModeProtocol, Seed: 52,
-		PreprocessPool: 256, PreprocessWorkers: 2,
-	})
+	f, err := New(g, w0, silos, Config{Mode: ModeProtocol, Seed: 52})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	joint := make(Weights, len(w0))
-	for _, s := range silos {
-		for a, w := range s {
-			joint[a] += w
-		}
-	}
-	route, _, err := f.ShortestPath(0, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := graph.DijkstraTo(g, joint, 0, 100)
-	if !route.Found || JointCost(route) != want {
-		t.Fatalf("pool-served route cost %d, want %d", JointCost(route), want)
-	}
-	st := f.PoolStats()
-	if st.Produced == 0 || st.Hits == 0 {
-		t.Fatalf("pool idle during protocol-mode query: %+v", st)
-	}
-	// After Close the pool stops replenishing but queries still work via the
-	// dealer fallback.
 	f.Close()
-	route, _, err = f.ShortestPath(0, 100)
-	if err != nil || !route.Found || JointCost(route) != want {
-		t.Fatalf("post-Close query broken: %v cost %d, want %d", err, JointCost(route), want)
+	f.Close()
+	route, _, err := f.ShortestPath(0, 100)
+	if want := jointDijkstra(g, silos, 0, 100); err != nil || !route.Found || JointCost(route) != want {
+		t.Fatalf("query after Close: %v, cost %d, want %d", err, JointCost(route), want)
 	}
-}
-
-func TestPoolStatsWithoutPool(t *testing.T) {
-	f, _ := testFederation(t, 50, 53)
-	if st := f.PoolStats(); st != (mpc.PoolStats{}) {
-		t.Fatalf("pool stats without a pool: %+v", st)
-	}
-	f.Close() // must be a no-op, not a panic
 }

@@ -108,7 +108,7 @@ func TestCustomizeStressInterleaved(t *testing.T) {
 				return
 			default:
 			}
-			if err := f.CustomizeIndexWith(IndexParams{}); err != nil && !errors.Is(err, ErrBuildConflict) {
+			if err := f.CustomizeIndex(); err != nil && !errors.Is(err, ErrBuildConflict) {
 				errs <- err
 				return
 			}
@@ -126,7 +126,7 @@ func TestCustomizeStressInterleaved(t *testing.T) {
 				return
 			default:
 			}
-			if err := f.BuildIndexWith(IndexParams{}); err != nil && !errors.Is(err, ErrBuildConflict) {
+			if err := f.BuildIndex(); err != nil && !errors.Is(err, ErrBuildConflict) {
 				errs <- err
 				return
 			}
@@ -144,7 +144,7 @@ func TestCustomizeStressInterleaved(t *testing.T) {
 
 	// Quiesced: a final customization with retries must land, and its index
 	// must agree with plaintext Dijkstra on the live weights.
-	if err := f.CustomizeIndexWith(IndexParams{RebuildOnConflict: 5}); err != nil {
+	if err := f.customizeIndex(5); err != nil {
 		t.Fatalf("final customization: %v", err)
 	}
 	if !f.IndexStats().Customized {
@@ -208,7 +208,7 @@ func TestCustomizeConflictTyped(t *testing.T) {
 	before := f.IndexStats()
 
 	done := make(chan error, 1)
-	go func() { done <- f.CustomizeIndexWith(IndexParams{}) }()
+	go func() { done <- f.CustomizeIndex() }()
 	deadline := time.Now().Add(5 * time.Second)
 	for !f.IndexBuilding() && time.Now().Before(deadline) {
 		time.Sleep(50 * time.Microsecond)
@@ -241,7 +241,7 @@ func TestCustomizeConflictTyped(t *testing.T) {
 
 	// Same race, retries configured: must land with a nil error.
 	done = make(chan error, 1)
-	go func() { done <- f.CustomizeIndexWith(IndexParams{RebuildOnConflict: 3}) }()
+	go func() { done <- f.customizeIndex(3) }()
 	deadline = time.Now().Add(5 * time.Second)
 	for !f.IndexBuilding() && time.Now().Before(deadline) {
 		time.Sleep(50 * time.Microsecond)
@@ -268,7 +268,7 @@ func TestCustomizeChaosPoisonedMidSweep(t *testing.T) {
 	if err := f.BuildSkeleton(); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.CustomizeIndexWith(IndexParams{}); err != nil {
+	if err := f.CustomizeIndex(); err != nil {
 		t.Fatal(err)
 	}
 	before := f.IndexStats()
@@ -279,7 +279,7 @@ func TestCustomizeChaosPoisonedMidSweep(t *testing.T) {
 	// Poison the next customization mid-sweep.
 	armed.Store(true)
 	start := time.Now()
-	err := f.CustomizeIndexWith(IndexParams{})
+	err := f.CustomizeIndex()
 	if err == nil {
 		t.Fatal("customization over a killed transport succeeded")
 	}
@@ -307,7 +307,7 @@ func TestCustomizeChaosPoisonedMidSweep(t *testing.T) {
 	}
 
 	// And the pipeline recovers once the fault clears.
-	if err := f.CustomizeIndexWith(IndexParams{}); err != nil {
+	if err := f.CustomizeIndex(); err != nil {
 		t.Fatalf("customization after fault cleared: %v", err)
 	}
 }

@@ -130,18 +130,11 @@ const (
 // Config tunes a federation. The zero value gives the paper's defaults.
 type Config struct {
 	Mode ExecutionMode
+	// Seed determines every MPC randomness stream: the root engine's dealer
+	// and, through its fork number, each session's and each derivation's.
+	// Two federations built with the same Config that open the same sessions
+	// for the same queries send the same frames.
 	Seed uint64
-
-	// PreprocessPool, when positive, starts a background preprocessing pool
-	// holding up to this many comparisons' correlated randomness — buffered
-	// as ⌈PreprocessPool/64⌉ 64-lane blocks, the unit PoolStats counts —
-	// generated ahead of demand so protocol-mode queries rarely pay the
-	// offline phase on the critical path. Call Close to release the pool's
-	// workers.
-	PreprocessPool int
-	// PreprocessWorkers is the number of pool replenisher goroutines
-	// (default 1; only meaningful with PreprocessPool > 0).
-	PreprocessWorkers int
 
 	// RoundTimeout bounds how long any silo waits for a single protocol
 	// frame (protocol mode; 0 = wait forever). With it set, a slow or dead
@@ -220,10 +213,10 @@ var ErrPeerDown = transport.ErrPeerDown
 // ErrBuildConflict tags an index build abandoned because traffic updates
 // changed the silo weights after the build snapshotted them: the finished
 // index would describe stale weights, so it is discarded instead of swapped
-// in. Set IndexParams.RebuildOnConflict to retry from fresh weights
-// automatically, or catch this error (errors.Is) and re-invoke
-// BuildIndexWith when the update rate allows. A previously built index, if
-// any, keeps serving queries.
+// in. ApplyTraffic(nil, RebuildIndex) retries from fresh weights
+// automatically; a direct BuildIndex or CustomizeIndex returns this error
+// (check with errors.Is) for the caller to re-invoke when the update rate
+// allows. A previously built index, if any, keeps serving queries.
 var ErrBuildConflict = errors.New("fedroad: index build conflicted with a concurrent traffic update")
 
 // ErrInvalidQuery tags query errors caused by the request itself: vertices
@@ -255,7 +248,6 @@ type Federation struct {
 	inner *fed.Federation
 	index *ch.Index
 	skel  *ch.Skeleton // topology skeleton for weight customization (guarded by mu)
-	pool  *mpc.Pool
 	mesh  *transport.LocalMesh
 
 	// Customization pass accounting (atomics: read by gauges and /stats
@@ -274,9 +266,9 @@ type Federation struct {
 	building atomic.Int32
 
 	// reg is the federation's metrics registry: MPC cost counters (fed by
-	// every engine fork), per-query latency histograms and phase timings,
-	// and preprocessing-pool gauges. Servers fold their own HTTP and
-	// session-pool metrics into the same registry via Metrics().
+	// every engine fork), per-query latency histograms and phase timings.
+	// Servers fold their own HTTP and serving metrics into the same registry
+	// via Metrics().
 	reg *metrics.Registry
 	qm  map[string]*queryMetricSet
 	bm  *buildMetricSet
@@ -366,31 +358,15 @@ func New(g *Graph, w0 Weights, siloWeights []Weights, cfg ...Config) (*Federatio
 	if mesh != nil {
 		f.initMeshMetrics()
 	}
-	if c.PreprocessPool > 0 {
-		f.pool = mpc.NewPool(len(siloWeights), c.PreprocessPool, c.PreprocessWorkers, c.Seed^0x5f3759df)
-		if err := inner.Engine().AttachPool(f.pool); err != nil {
-			f.pool.Close()
-			return nil, err
-		}
-		pool := f.pool
-		reg.CounterFunc("fedroad_prepool_produced_total", "64-lane correlated-randomness blocks dealt by the preprocessing pool", nil,
-			func() float64 { return float64(pool.Stats().Produced) })
-		reg.CounterFunc("fedroad_prepool_hits_total", "Fed-SAC batch words (64 lanes) served from the preprocessing pool", nil,
-			func() float64 { return float64(pool.Stats().Hits) })
-		reg.CounterFunc("fedroad_prepool_misses_total", "Fed-SAC batch words that fell back to on-demand randomness generation", nil,
-			func() float64 { return float64(pool.Stats().Misses) })
-		reg.GaugeFunc("fedroad_prepool_buffered", "64-lane blocks currently ready in the preprocessing pool (0 = dry)", nil,
-			func() float64 { return float64(pool.Stats().Buffered) })
-	}
 	return f, nil
 }
 
 // Metrics returns the federation's metrics registry. The library pre-wires
 // MPC cost counters (Fed-SAC compares, rounds, bytes, retries, poisonings,
-// engine forks), per-query latency histograms with per-phase timing
-// breakdowns, and preprocessing-pool activity; callers may register their
-// own metrics (an HTTP layer, a session pool) into the same registry and
-// expose everything with one WriteText call.
+// engine forks) and per-query latency histograms with per-phase timing
+// breakdowns; callers may register their own metrics (an HTTP layer, a
+// serving tier) into the same registry and expose everything with one
+// WriteText call.
 func (f *Federation) Metrics() *metrics.Registry { return f.reg }
 
 // initMetrics pre-creates the per-query-kind instrument bundles and static
@@ -459,14 +435,11 @@ func (f *Federation) recordQuery(kind string, stats Stats, err error) {
 	m.phaseRelax.Add(stats.Phases.Relax.Seconds())
 }
 
-// Close releases background resources (the preprocessing pool's workers and
-// the mesh transport's sockets and heartbeat/redial goroutines). Without a
-// mesh the federation remains queryable afterwards; with one, in-flight and
-// future protocol-mode queries fail with typed errors.
+// Close releases background resources (the mesh transport's sockets and
+// heartbeat/redial goroutines). Without a mesh the federation remains
+// queryable afterwards; with one, in-flight and future protocol-mode queries
+// fail with typed errors.
 func (f *Federation) Close() {
-	if f.pool != nil {
-		f.pool.Close()
-	}
 	if f.mesh != nil {
 		f.mesh.Close()
 	}
@@ -518,20 +491,6 @@ func (f *Federation) BreakMeshLink(a, b int) {
 	f.mesh.Mesh(b).BreakLink(a)
 }
 
-// HasPool reports whether a preprocessing pool is configured — callers use it
-// to distinguish "pool empty" (degraded, queries pay the offline phase
-// online) from "no pool at all" (PoolStats is all zeros either way).
-func (f *Federation) HasPool() bool { return f.pool != nil }
-
-// PoolStats reports preprocessing-pool activity, counted in 64-lane blocks;
-// the zero value when no pool is configured.
-func (f *Federation) PoolStats() mpc.PoolStats {
-	if f.pool == nil {
-		return mpc.PoolStats{}
-	}
-	return f.pool.Stats()
-}
-
 // Graph returns the shared topology.
 func (f *Federation) Graph() *Graph { return f.inner.Graph() }
 
@@ -550,42 +509,27 @@ func (f *Federation) TrafficVersion() uint64 {
 // Silos returns the number of data silos.
 func (f *Federation) Silos() int { return f.inner.P() }
 
-// IndexParams tunes how an index derivation meets concurrent traffic. The
-// derivation itself takes no knob: BuildIndexWith runs the paper's witness
-// build (its ordering and witness bounds are evaluation axes, swept by
-// cmd/fedbench on ch.Params) and CustomizeIndexWith the skeleton's one
-// min-fill order.
-type IndexParams struct {
-	// RebuildOnConflict is how often a derivation whose weight snapshot a
-	// concurrent traffic update invalidated restarts from fresh weights
-	// before ErrBuildConflict: cmd/fedserver's reindexing and ApplyTraffic's
-	// RebuildIndex use 2, a plain BuildIndex 0.
-	RebuildOnConflict int
-}
-
-// BuildIndex constructs the federated shortcut index (§IV) with default
-// parameters. Queries use it automatically once built.
-func (f *Federation) BuildIndex() error {
-	return f.BuildIndexWith(IndexParams{})
-}
-
-// BuildIndexWith constructs the index under explicit framework parameters,
-// without blocking queries or traffic updates while it runs: the silo
-// weights are snapshotted under a read lock, the whole ordering +
-// contraction effort happens off-lock on a forked MPC engine, and the
-// finished index is swapped in under a brief write lock. No query ever
-// observes a half-built index — searches use either the previous index or
-// the new one.
+// BuildIndex constructs the federated shortcut index (§IV) with the paper's
+// witness build; its ordering and witness bounds are evaluation axes, swept
+// by cmd/fedbench on ch.Params. Queries use the index automatically once
+// built.
 //
-// If a traffic update lands between snapshot and swap, the stale build is
-// discarded: with prm.RebuildOnConflict > 0 the build restarts from fresh
-// weights up to that many times, otherwise (or when retries are exhausted)
-// ErrBuildConflict is returned and any previously built index stays in
-// service.
-func (f *Federation) BuildIndexWith(prm IndexParams) error {
+// The build never blocks queries or traffic updates: the silo weights are
+// snapshotted under a read lock, the whole ordering + contraction effort
+// happens off-lock on a forked MPC engine, and the finished index is swapped
+// in under a brief write lock. No query ever observes a half-built index —
+// searches use either the previous index or the new one. If a traffic update
+// lands between snapshot and swap, the stale build is discarded and
+// ErrBuildConflict is returned; any previously built index stays in service.
+// ApplyTraffic(nil, RebuildIndex) is the same derivation with retries.
+func (f *Federation) BuildIndex() error { return f.buildIndex(0) }
+
+// buildIndex runs the witness build, restarting from fresh weights up to
+// retries times when traffic invalidates its snapshot.
+func (f *Federation) buildIndex(retries int) error {
 	f.building.Add(1)
 	defer f.building.Add(-1)
-	return f.deriveIndex(prm.RebuildOnConflict, func() (indexRunner, error) {
+	return f.deriveIndex(retries, func() (indexRunner, error) {
 		return ch.NewBuilder(f.inner, ch.Params{})
 	}, f.recordBuild)
 }
@@ -655,7 +599,7 @@ func (f *Federation) recordBuild(st ch.BuildStats, swapped bool) {
 // alone (no weights, no MPC), so it is derived, never stored. The skeleton is
 // metric-independent; CustomizeIndex derives a queryable index from it for
 // the CURRENT silo weights in a fraction of the MPC rounds a full
-// BuildIndexWith costs. Idempotent: a second call keeps the existing skeleton
+// BuildIndex costs. Idempotent: a second call keeps the existing skeleton
 // (the topology is immutable, so it never goes stale).
 func (f *Federation) BuildSkeleton() error {
 	_, err := f.ensureSkeleton()
@@ -707,35 +651,33 @@ func (f *Federation) SkeletonStats() ch.SkeletonStats {
 }
 
 // CustomizeIndex derives a fresh queryable index from the topology skeleton
-// and the CURRENT silo weights with default parameters, building the
-// skeleton first if none exists. See CustomizeIndexWith.
-func (f *Federation) CustomizeIndex() error {
-	return f.CustomizeIndexWith(IndexParams{})
-}
-
-// CustomizeIndexWith runs the weight-customization phase: a bottom-up sweep
-// over the fixed skeleton that re-derives every shortcut's private partial
-// weights with batched Fed-SAC group tournaments — one batch per tick of the
-// skeleton's comparison DAG, every tournament advancing as far as its
-// operands allow — instead of re-running ordering, witness searches and
-// contraction.
+// and the CURRENT silo weights, building the skeleton first if none exists.
+// It runs the weight-customization phase: a bottom-up sweep over the fixed
+// skeleton that re-derives every shortcut's private partial weights with
+// batched Fed-SAC group tournaments — one batch per tick of the skeleton's
+// comparison DAG, every tournament advancing as far as its operands allow —
+// instead of re-running ordering, witness searches and contraction.
 // The resulting index answers queries with byte-identical distances to a
-// from-scratch BuildIndexWith at the same traffic version, for a small
-// fraction of the MPC rounds.
+// from-scratch BuildIndex at the same traffic version, for a small fraction
+// of the MPC rounds.
 //
-// Like BuildIndexWith it never blocks queries or traffic updates: the sweep
-// runs off-lock against a weight snapshot and the finished index swaps in
-// under a brief write lock, with the same ErrBuildConflict /
-// RebuildOnConflict semantics when traffic moves mid-pass. IndexBuilding is
-// already true while a first skeleton is being contracted.
-func (f *Federation) CustomizeIndexWith(prm IndexParams) error {
+// Like BuildIndex it never blocks queries or traffic updates: the sweep runs
+// off-lock against a weight snapshot and the finished index swaps in under a
+// brief write lock, with the same ErrBuildConflict when traffic moves
+// mid-pass. IndexBuilding is already true while a first skeleton is being
+// contracted.
+func (f *Federation) CustomizeIndex() error { return f.customizeIndex(0) }
+
+// customizeIndex runs a customization pass, restarting from fresh weights up
+// to retries times when traffic invalidates its snapshot.
+func (f *Federation) customizeIndex(retries int) error {
 	f.building.Add(1)
 	defer f.building.Add(-1)
 	sk, err := f.ensureSkeleton()
 	if err != nil {
 		return err
 	}
-	return f.deriveIndex(prm.RebuildOnConflict, func() (indexRunner, error) {
+	return f.deriveIndex(retries, func() (indexRunner, error) {
 		return ch.NewCustomizer(f.inner, sk)
 	}, f.recordCustomize)
 }
@@ -852,10 +794,14 @@ const (
 	// (no ordering, no witness searches — a fraction of the MPC rounds), or
 	// a full federated rebuild otherwise. Queries keep using the previous
 	// index until the replacement swaps in; further traffic landing mid-pass
-	// triggers a bounded number of retries from fresh weights before
-	// ErrBuildConflict is returned.
+	// triggers up to two retries from fresh weights before ErrBuildConflict
+	// is returned.
 	RebuildIndex ApplyOption = iota
 )
+
+// rebuildRetries is how often RebuildIndex restarts a derivation whose weight
+// snapshot a concurrent traffic update invalidated.
+const rebuildRetries = 2
 
 // ApplyTraffic validates and applies a batch of traffic updates and, when
 // the shortcut index is built, refreshes it — by default inside one exclusive
@@ -891,11 +837,10 @@ func (f *Federation) ApplyTraffic(updates []TrafficUpdate, opts ...ApplyOption) 
 	if rebuild {
 		hasSkel := f.skel != nil
 		f.mu.Unlock()
-		prm := IndexParams{RebuildOnConflict: 2}
 		if hasSkel {
-			return ch.UpdateStats{}, f.CustomizeIndexWith(prm)
+			return ch.UpdateStats{}, f.customizeIndex(rebuildRetries)
 		}
-		return ch.UpdateStats{}, f.BuildIndexWith(prm)
+		return ch.UpdateStats{}, f.buildIndex(rebuildRetries)
 	}
 	defer f.mu.Unlock()
 	if f.index == nil {

@@ -3,10 +3,14 @@ package fedroad
 import (
 	"bytes"
 	"math/rand/v2"
+	"reflect"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/ch"
 	"repro/internal/graph"
+	"repro/internal/transport"
 )
 
 func testFederation(t *testing.T, n int, seed uint64) (*Federation, Weights) {
@@ -330,13 +334,19 @@ func TestBatchedMPCFacade(t *testing.T) {
 	}
 }
 
-// TestBuildIndexWithParams: RebuildOnConflict is the facade's one index
-// knob; the witness build's ordering and caps are evaluation axes on
-// ch.Params (internal/ch's TestDegreeOrderingBuildsCorrectIndex).
-func TestBuildIndexWithParams(t *testing.T) {
+// TestRebuildIndexBuildsWithoutSkeleton: an empty RebuildIndex batch on a
+// federation with neither index nor skeleton runs the witness build with
+// conflict retries — fedserver's -reindex-interval body. The witness build's
+// ordering and caps are evaluation axes on ch.Params (internal/ch's
+// TestDegreeOrderingBuildsCorrectIndex).
+func TestRebuildIndexBuildsWithoutSkeleton(t *testing.T) {
 	f, joint := testFederation(t, 180, 29)
-	if err := f.BuildIndexWith(IndexParams{RebuildOnConflict: 1}); err != nil {
+	if _, err := f.ApplyTraffic(nil, RebuildIndex); err != nil {
 		t.Fatal(err)
+	}
+	if st := f.IndexStats(); !f.HasIndex() || f.HasSkeleton() || st.Customized {
+		t.Fatalf("RebuildIndex without a skeleton: index %v, skeleton %v, customized %v",
+			f.HasIndex(), f.HasSkeleton(), st.Customized)
 	}
 	rng := rand.New(rand.NewPCG(11, 11))
 	for trial := 0; trial < 10; trial++ {
@@ -350,5 +360,85 @@ func TestBuildIndexWithParams(t *testing.T) {
 		if JointCost(route) != want {
 			t.Fatalf("index: cost %d, want %d", JointCost(route), want)
 		}
+	}
+}
+
+// frameRecorder is a TransportWrap that logs, for every endpoint it wraps (in
+// wrap order: the root engine's parties, then each fork's), the frames the
+// endpoint sends to each peer.
+type frameRecorder struct {
+	mu   sync.Mutex
+	sent [][][][]byte // [endpoint][to][frame]
+}
+
+func (r *frameRecorder) wrap(party int, c transport.Conn) transport.Conn {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.sent = append(r.sent, make([][][]byte, c.N()))
+	return &recordingConn{Conn: c, r: r, i: len(r.sent) - 1}
+}
+
+type recordingConn struct {
+	transport.Conn
+	r *frameRecorder
+	i int
+}
+
+func (c *recordingConn) Send(to int, data []byte) error {
+	c.r.mu.Lock()
+	c.r.sent[c.i][to] = append(c.r.sent[c.i][to], bytes.Clone(data))
+	c.r.mu.Unlock()
+	return c.Conn.Send(to, data)
+}
+
+// TestSeedDeterminesTranscript: two federations built from the same Config
+// send byte-identical frames for the same customization, route and kNN on
+// their first session, and another seed changes them. A session's randomness
+// is a function of Config.Seed and its fork number alone, which is what lets
+// a recorded transcript be replayed.
+func TestSeedDeterminesTranscript(t *testing.T) {
+	g, w0 := GenerateRoadNetwork(120, 81)
+	silos := SimulateCongestion(w0, 3, Moderate, 82)
+	transcript := func(seed uint64) [][][][]byte {
+		rec := &frameRecorder{}
+		f, err := New(g, w0, silos, Config{Mode: ModeProtocol, Seed: seed, TransportWrap: rec.wrap})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if err := f.CustomizeIndex(); err != nil {
+			t.Fatal(err)
+		}
+		sess := f.Session()
+		defer sess.Close()
+		opt := QueryOptions{BatchedMPC: true}
+		if _, _, err := sess.ShortestPath(3, 100, opt); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := sess.NearestNeighbors(7, 8, opt); err != nil {
+			t.Fatal(err)
+		}
+		rec.mu.Lock()
+		defer rec.mu.Unlock()
+		return rec.sent
+	}
+	a, b := transcript(83), transcript(83)
+	if len(a) != len(b) {
+		t.Fatalf("same seed wrapped %d and %d endpoints", len(a), len(b))
+	}
+	frames := 0
+	for i := range a {
+		for to := range a[i] {
+			if !slices.EqualFunc(a[i][to], b[i][to], bytes.Equal) {
+				t.Fatalf("same seed: endpoint %d's frames to party %d differ", i, to)
+			}
+			frames += len(a[i][to])
+		}
+	}
+	if frames == 0 {
+		t.Fatal("no frames recorded")
+	}
+	if reflect.DeepEqual(a, transcript(84)) {
+		t.Fatal("another seed sent the same frames")
 	}
 }

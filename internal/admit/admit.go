@@ -5,13 +5,6 @@
 // system (running plus queued) and sheds the excess immediately, so admitted
 // requests keep their latency and shed ones get an honest "retry later"
 // instead of a timeout.
-//
-// The bound is prepool-aware: when the preprocessing pool that feeds
-// protocol-mode comparisons runs dry (no 64-lane randomness block buffered),
-// every admitted query is slower (it pays the offline phase online), so the
-// same queue length represents more wall time. The gate halves its effective
-// limit while the pool is empty, shedding earlier exactly when queries are at
-// their slowest.
 package admit
 
 import (
@@ -25,11 +18,10 @@ var ErrShed = errors.New("admit: overloaded, request shed")
 
 // Gate bounds in-system requests. The zero value is not usable; call New.
 type Gate struct {
-	limit     int64      // max in-system (running + queued); <= 0 = unlimited
-	poolDepth func() int // prepool depth in buffered blocks; nil = no prepool
-	depth     atomic.Int64
-	admitted  atomic.Int64
-	shed      atomic.Int64
+	limit    int64 // max in-system (running + queued); <= 0 = unlimited
+	depth    atomic.Int64
+	admitted atomic.Int64
+	shed     atomic.Int64
 }
 
 // Stats is a point-in-time view of the gate's accounting. Admitted + Shed
@@ -43,25 +35,18 @@ type Stats struct {
 }
 
 // New builds a gate admitting at most limit concurrent requests (<= 0 means
-// unlimited — the gate only counts). poolDepth, when non-nil, reports the
-// preprocessing pool's buffered block count; a dry pool halves the effective
-// limit.
-func New(limit int, poolDepth func() int) *Gate {
-	return &Gate{limit: int64(limit), poolDepth: poolDepth}
+// unlimited — the gate only counts). The second parameter is ignored; it is
+// kept only so benchmark/, which passes nil, compiles.
+func New(limit int, _ func() int) *Gate {
+	return &Gate{limit: int64(limit)}
 }
 
 // Acquire admits the request or sheds it with ErrShed. Every admitted
 // request must Release exactly once.
 func (g *Gate) Acquire() error {
-	lim := g.limit
-	if lim > 0 && g.poolDepth != nil && g.poolDepth() == 0 {
-		if lim = (lim + 1) / 2; lim < 1 {
-			lim = 1
-		}
-	}
 	for {
 		d := g.depth.Load()
-		if lim > 0 && d >= lim {
+		if g.limit > 0 && d >= g.limit {
 			g.shed.Add(1)
 			return ErrShed
 		}

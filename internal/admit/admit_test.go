@@ -41,28 +41,6 @@ func TestUnlimitedOnlyCounts(t *testing.T) {
 	}
 }
 
-func TestDryPoolHalvesLimit(t *testing.T) {
-	depth := 10
-	g := New(10, func() int { return depth })
-	for i := 0; i < 10; i++ {
-		if err := g.Acquire(); err != nil {
-			t.Fatalf("acquire %d with full pool: %v", i, err)
-		}
-	}
-	for i := 0; i < 10; i++ {
-		g.Release()
-	}
-	depth = 0 // pool runs dry: effective limit (10+1)/2 = 5
-	for i := 0; i < 5; i++ {
-		if err := g.Acquire(); err != nil {
-			t.Fatalf("acquire %d with dry pool: %v", i, err)
-		}
-	}
-	if err := g.Acquire(); !errors.Is(err, ErrShed) {
-		t.Fatal("dry pool did not halve the limit")
-	}
-}
-
 // TestAccountingInvariant is the soak bench's invariant under -race: across
 // any concurrency, Admitted + Shed equals Acquire calls, and depth returns to
 // zero when every admitted request releases.

@@ -170,7 +170,7 @@ func TestCustomizeAgreesWithFullBuild(t *testing.T) {
 
 // TestCustomizeRoundFrugality: re-customizing after a traffic change must
 // cost well under a quarter of the full build's MPC rounds — the whole point
-// of the topology/weight split (benchgate enforces the same bound on CAL-S).
+// of the topology/weight split.
 func TestCustomizeRoundFrugality(t *testing.T) {
 	g, w0 := graph.GenerateGrid(10, 10, 67)
 	f := customizeFederation(t, g, w0, 68)
@@ -194,6 +194,50 @@ func TestCustomizeRoundFrugality(t *testing.T) {
 	}
 	if 4*custRounds >= buildRounds {
 		t.Fatalf("customize rounds %d not under 25%% of build rounds %d", custRounds, buildRounds)
+	}
+}
+
+// TestCalS300DerivationCountsPinned pins both index derivations of the CAL-S
+// row at 300 vertices in ideal mode — the federation
+// `fedbench -datasets CAL-S -max-vertices 300 -index bench` builds. Fed-SACs
+// and MPC rounds are functions of dataset and seed alone, so they are pinned
+// exactly; a change that moves them re-pins here with the reason.
+func TestCalS300DerivationCountsPinned(t *testing.T) {
+	spec, ok := graph.FindDataset("CAL-S")
+	if !ok {
+		t.Fatal("CAL-S is not a dataset")
+	}
+	g, w0 := graph.GenerateRoadLike(300, spec.Seed)
+	derive := func(customize bool) mpc.Stats {
+		t.Helper()
+		sets := traffic.SiloWeights(w0, 3, traffic.Moderate, 1+spec.Seed)
+		f, err := fed.New(g, w0, sets, mpc.Params{Mode: mpc.ModeIdeal, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var x *Index
+		if customize {
+			var sk *Skeleton
+			if sk, err = BuildSkeleton(g); err == nil {
+				x, err = Customize(f, sk)
+			}
+		} else {
+			x, err = Build(f)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		return x.BuildStatistics().SAC
+	}
+	build, cust := derive(false), derive(true)
+	if build.Compares != 96026 || build.Rounds != 38848 {
+		t.Errorf("build: %d Fed-SACs / %d rounds, pinned 96026 / 38848", build.Compares, build.Rounds)
+	}
+	if cust.Compares != 1054 || cust.Rounds != 160 {
+		t.Errorf("customize: %d Fed-SACs / %d rounds, pinned 1054 / 160", cust.Compares, cust.Rounds)
+	}
+	if 4*cust.Rounds >= build.Rounds {
+		t.Errorf("customize rounds %d not under 25%% of build rounds %d", cust.Rounds, build.Rounds)
 	}
 }
 

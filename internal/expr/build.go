@@ -23,8 +23,7 @@ type BuildBenchRow struct {
 	// Customize marks the weight-customization row: the topology skeleton is
 	// contracted once in plaintext and only the per-level batched Fed-SAC
 	// weight sweep runs — the MPC cost of refreshing the index after a
-	// traffic batch. Its MPCRounds must stay far below the build row's
-	// (benchgate enforces < 25%).
+	// traffic batch. Its MPCRounds must stay far below the build row's.
 	Customize bool `json:"customize,omitempty"`
 
 	WallMs        float64 `json:"wall_ms"`

@@ -294,7 +294,7 @@ func (r *Registry) GaugeFunc(name, help string, labels Labels, fn func() float64
 }
 
 // CounterFunc registers a callback counter (for externally-accumulated
-// monotonic values, e.g. preprocessing-pool hit counts).
+// monotonic values, e.g. mesh reconnect counts).
 func (r *Registry) CounterFunc(name, help string, labels Labels, fn func() float64) {
 	r.lookup(name, help, "counter", labels, func() metric { return &funcMetric{fn: fn} })
 }

@@ -18,8 +18,8 @@ const RoundsPerCompare = 8
 
 // TupleBlock is one party's share of the correlated randomness of 64
 // comparison lanes, in the layout the kernel computes on (see pack.go):
-// instance i of a k-batch is lane i%64 of block i/64. The dealer deals it,
-// the pool buffers it and RunCompareBatchParty indexes it in place; a batch
+// instance i of a k-batch is lane i%64 of block i/64. The dealer deals it
+// and RunCompareBatchParty indexes it in place; a batch
 // discards the lanes ≥ k of its last block, so no block is ever used twice.
 type TupleBlock struct {
 	// R[i] is the additive share of lane i's mask R.

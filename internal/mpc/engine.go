@@ -224,10 +224,6 @@ type Engine struct {
 	// with ErrPoisoned instead of risking a silently wrong bit.
 	poisoned bool
 
-	// pool, when attached, serves pre-generated correlated randomness to
-	// runProtocolOnce ahead of the dealer.
-	pool *Pool
-
 	// instr, when set, mirrors cost counters into a shared metrics registry;
 	// inherited by forks (nil-safe: all methods accept a nil receiver).
 	instr *Instruments
@@ -279,9 +275,10 @@ func memDial(n int) func() (ConnSet, error) {
 }
 
 // Fork returns an independent engine over the same parties and network
-// model: fresh transport lanes, a fresh dealer stream and zeroed stats,
-// sharing the root's preprocessing pool. Forks may run concurrently with each
-// other and with their root; each individual engine remains single-goroutine.
+// model: fresh transport lanes, a fresh dealer stream and zeroed stats. A
+// fork's randomness depends only on the root's seed and its fork number.
+// Forks may run concurrently with each other and with their root; each
+// individual engine remains single-goroutine.
 func (e *Engine) Fork() *Engine {
 	id := e.forkCtr.Add(1)
 	seed := e.seed + id*0xd1342543de82ef95 // distinct odd-multiplier stream per fork
@@ -289,7 +286,6 @@ func (e *Engine) Fork() *Engine {
 		n: e.n, mode: e.mode, netm: e.netm, seed: e.seed,
 		dealer:       NewDealer(e.n, seed),
 		forkCtr:      e.forkCtr,
-		pool:         e.pool,
 		instr:        e.instr,
 		roundTimeout: e.roundTimeout,
 		retry:        e.retry,
@@ -352,20 +348,6 @@ func (e *Engine) Close() {
 		c.Close()
 	}
 }
-
-// AttachPool directs the engine (and subsequent forks) to draw correlated
-// randomness from a shared preprocessing pool, falling back to the local
-// dealer when the pool is dry.
-func (e *Engine) AttachPool(p *Pool) error {
-	if p != nil && p.Parties() != e.n {
-		return fmt.Errorf("mpc: pool dealt for %d parties, engine has %d", p.Parties(), e.n)
-	}
-	e.pool = p
-	return nil
-}
-
-// Pool returns the attached preprocessing pool, if any.
-func (e *Engine) Pool() *Pool { return e.pool }
 
 // N returns the number of parties.
 func (e *Engine) N() int { return e.n }
@@ -529,19 +511,12 @@ func (e *Engine) runProtocol(diffs [][]int64) ([]bool, error) {
 }
 
 // runProtocolOnce executes one batched comparison across party goroutines,
-// each batch word on a fresh deal: from the preprocessing pool when it has
-// one, else from the engine's dealer. Deals are independent, so a batch may
-// mix both sources.
+// each batch word on a fresh deal from the engine's dealer.
 func (e *Engine) runProtocolOnce(diffs [][]int64) ([]bool, error) {
 	k := len(diffs)
 	deals := make([][]TupleBlock, wordsFor(k)) // [word][party]
 	for w := range deals {
-		if e.pool != nil {
-			deals[w] = e.pool.TakeBlocks()
-		}
-		if deals[w] == nil {
-			deals[w] = e.dealer.CmpTuples()
-		}
+		deals[w] = e.dealer.CmpTuples()
 	}
 	results := make([][]bool, e.n)
 	errs := make([]error, e.n)

@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"math/rand/v2"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -384,6 +385,64 @@ func TestEngineDeterministicResults(t *testing.T) {
 			t.Fatalf("engines with same seed disagree on %v", diffs)
 		}
 	}
+}
+
+func TestEngineForkIndependence(t *testing.T) {
+	root, err := NewEngine(Params{Parties: 3, Mode: ModeProtocol, Seed: 21})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f1, f2 := root.Fork(), root.Fork()
+	defer f1.Close()
+	defer f2.Close()
+
+	// Forks share the root's calibration without re-running it.
+	rb, _, _ := root.PerCompareCost()
+	fb, _, _ := f1.PerCompareCost()
+	if rb == 0 || rb != fb {
+		t.Fatalf("fork calibration %d, root %d", fb, rb)
+	}
+
+	// Stats are per-engine.
+	if _, err := f1.Compare([]int64{-1, 0, 0}); err != nil {
+		t.Fatal(err)
+	}
+	if f1.Stats().Compares != 1 || f2.Stats().Compares != 0 || root.Stats().Compares != 0 {
+		t.Fatalf("stats leaked across forks: root=%d f1=%d f2=%d",
+			root.Stats().Compares, f1.Stats().Compares, f2.Stats().Compares)
+	}
+}
+
+func TestEngineForksConcurrent(t *testing.T) {
+	// Many forks run full protocol comparisons in parallel; all must agree
+	// with the plaintext sign. This is the core guarantee behind concurrent
+	// query sessions.
+	root, err := NewEngine(Params{Parties: 3, Mode: ModeProtocol, Seed: 22})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			e := root.Fork()
+			defer e.Close()
+			for i := 0; i < 25; i++ {
+				d := int64((w*25+i)%7) - 3
+				got, err := e.Compare([]int64{d, int64(w), -int64(w)})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got != (d < 0) {
+					t.Errorf("fork %d: Compare sign wrong for d=%d", w, d)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }
 
 func TestCompareQuickProperty(t *testing.T) {

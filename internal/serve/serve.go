@@ -73,10 +73,9 @@ type Stats struct {
 // New builds the pipeline: at most maxConcurrent queries run at once (<= 0
 // selects 4×GOMAXPROCS); with maxQueue > 0 at most maxQueue more may wait and
 // the rest are shed (0 = wait without bound, shed nothing); cacheEntries > 0
-// puts a traffic-version-keyed result cache of that capacity in front. With a
-// preprocessing pool configured the gate halves its limit while the pool is
-// dry — every admitted query is then at its slowest. Admission and cache
-// counters are registered on the federation's metrics registry.
+// puts a traffic-version-keyed result cache of that capacity in front.
+// Admission and cache counters are registered on the federation's metrics
+// registry.
 func New(fed *fedroad.Federation, maxConcurrent, maxQueue, cacheEntries int) *Pipeline {
 	if maxConcurrent <= 0 {
 		maxConcurrent = 4 * runtime.GOMAXPROCS(0)
@@ -85,14 +84,10 @@ func New(fed *fedroad.Federation, maxConcurrent, maxQueue, cacheEntries int) *Pi
 	if maxQueue > 0 {
 		limit = maxConcurrent + maxQueue
 	}
-	var poolDepth func() int
-	if fed.HasPool() {
-		poolDepth = func() int { return int(fed.PoolStats().Buffered) }
-	}
 	p := &Pipeline{
 		fed:  fed,
 		sem:  make(chan struct{}, maxConcurrent),
-		gate: admit.New(limit, poolDepth),
+		gate: admit.New(limit, nil),
 	}
 	if cacheEntries > 0 {
 		p.cache = fed.NewQueryCache(cacheEntries)

@@ -419,7 +419,7 @@ func TestOracleCustomizeAxis(t *testing.T) {
 				t.Fatalf("version %d: replaying traffic: %v", v, err)
 			}
 		}
-		if err := fFull.BuildIndexWith(IndexParams{}); err != nil {
+		if err := fFull.BuildIndex(); err != nil {
 			t.Fatalf("version %d: full build: %v", v, err)
 		}
 		if fFull.IndexStats().Customized {

@@ -71,7 +71,7 @@ func TestRebuildQueriesDuringBuild(t *testing.T) {
 	joint := liveJoint(f)
 
 	buildDone := make(chan error, 1)
-	go func() { buildDone <- f.BuildIndexWith(IndexParams{}) }()
+	go func() { buildDone <- f.BuildIndex() }()
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
@@ -135,7 +135,7 @@ func TestRebuildConflict(t *testing.T) {
 	f := rebuildFederation(t, 260, 60)
 
 	buildDone := make(chan error, 1)
-	go func() { buildDone <- f.BuildIndexWith(IndexParams{}) }()
+	go func() { buildDone <- f.BuildIndex() }()
 
 	// Wait until the build is observably in flight, then invalidate its
 	// snapshot.
@@ -169,14 +169,14 @@ func TestRebuildConflict(t *testing.T) {
 	spotCheck(t, f, liveJoint(f), "after conflict")
 }
 
-// TestRebuildConflictRetry is the same race with RebuildOnConflict retries:
+// TestRebuildConflictRetry is the same race with conflict retries:
 // the build must absorb the conflict, restart from fresh weights, and
 // install a consistent index with a nil error.
 func TestRebuildConflictRetry(t *testing.T) {
 	f := rebuildFederation(t, 260, 70)
 
 	buildDone := make(chan error, 1)
-	go func() { buildDone <- f.BuildIndexWith(IndexParams{RebuildOnConflict: 3}) }()
+	go func() { buildDone <- f.buildIndex(3) }()
 
 	deadline := time.Now().Add(5 * time.Second)
 	for !f.IndexBuilding() && time.Now().Before(deadline) {

@@ -18,7 +18,7 @@ import (
 // therefore run fully in parallel; the federation's reader/writer lock only
 // serializes them against traffic updates and the brief index swap at the end
 // of an off-lock rebuild (the heavy construction work runs without the lock,
-// so queries keep flowing during it — see Federation.BuildIndexWith).
+// so queries keep flowing during it — see Federation.BuildIndex).
 //
 // A Session issues one query at a time (it is not itself safe for
 // concurrent use); open one session per worker goroutine.

@@ -14,7 +14,7 @@ import (
 )
 
 // TestProductionSurface pins every knob of the production surface — the
-// fields of Config, QueryOptions and IndexParams, Federation's methods,
+// fields of Config and QueryOptions, Federation's methods,
 // fedserver's flags and the query parameters its handlers read — to a literal
 // list. An entry stays on a list
 // because two callers that are not tests need different values for it (or
@@ -34,26 +34,20 @@ func TestProductionSurface(t *testing.T) {
 	}
 
 	check("Config fields", fieldNames(Config{}), []string{
-		"Mode",              // benchmark/fixture.go: ModeProtocol; cmd/fedserver without -protocol: ideal
-		"Seed",              // benchmark/fixture.go: worldSeed; cmd/fedserver -seed; internal/soak: its own
-		"PreprocessPool",    // cmd/fedserver -prepool N; benchmark/fixture.go: none (the dealer is on the ledger)
-		"PreprocessWorkers", // cmd/fedserver -prepool-workers; benchmark/fixture.go: none
-		"RoundTimeout",      // benchmark/fixture.go: 5s (a hang becomes a counted failure); cmd/fedserver: 0 unless -round-timeout
-		"SACRetries",        // cmd/fedserver, cmd/fedroad -sac-retries; benchmark/fixture.go: 0 (a retry would hide a failure)
-		"SACRetryBackoff",   // cmd/fedserver, cmd/fedroad -sac-retry-backoff; benchmark/fixture.go: 0
-		"TransportWrap",     // benchmark/trace.go: the tracer; cmd/fedserver: nil
-		"MeshTCP",           // benchmark route_wire: true, knn_mem: false; cmd/fedserver -mesh-tcp
-		"MeshTLS",           // benchmark route_wire: test certs; cmd/fedserver -tls-*: the operator's
+		"Mode",            // benchmark/fixture.go: ModeProtocol; cmd/fedserver without -protocol: ideal
+		"Seed",            // benchmark/fixture.go: worldSeed; cmd/fedserver -seed; internal/soak: its own
+		"RoundTimeout",    // benchmark/fixture.go: 5s (a hang becomes a counted failure); cmd/fedserver: 0 unless -round-timeout
+		"SACRetries",      // cmd/fedserver, cmd/fedroad -sac-retries; benchmark/fixture.go: 0 (a retry would hide a failure)
+		"SACRetryBackoff", // cmd/fedserver, cmd/fedroad -sac-retry-backoff; benchmark/fixture.go: 0
+		"TransportWrap",   // benchmark/trace.go: the tracer; cmd/fedserver: nil
+		"MeshTCP",         // benchmark route_wire: true, knn_mem: false; cmd/fedserver -mesh-tcp
+		"MeshTLS",         // benchmark route_wire: test certs; cmd/fedserver -tls-*: the operator's
 	})
 	check("QueryOptions fields", fieldNames(QueryOptions{}), []string{
 		// No second value: internal/serve, cmd/fedroad and benchmark/fixture.go
 		// all set it. It stays until a benchmark PR can stop compiling against
 		// it (ROADMAP, re-baseline item).
 		"BatchedMPC",
-	})
-
-	check("IndexParams fields", fieldNames(IndexParams{}), []string{
-		"RebuildOnConflict", // cmd/fedserver -reindex-interval and ApplyTraffic's RebuildIndex: 2; BuildIndex: 0
 	})
 
 	// A federation persists one way: a state snapshot. The skeleton is a
@@ -79,11 +73,12 @@ func TestProductionSurface(t *testing.T) {
 		"ShortestPath", "NearestNeighbors", "Session", "NewQueryCache",
 		// Traffic and state.
 		"ApplyTraffic", "TrafficVersion", "SaveState", "RestoreState",
-		// Index derivation.
-		"BuildIndex", "BuildIndexWith", "BuildSkeleton", "CustomizeIndex", "CustomizeIndexWith",
+		// Index derivation. The conflict-retry count is fixed by the entry
+		// point: 0 here, 2 through ApplyTraffic's RebuildIndex.
+		"BuildIndex", "BuildSkeleton", "CustomizeIndex",
 		"HasIndex", "HasSkeleton", "IndexBuilding", "IndexStats", "SkeletonStats", "CustomizeInfo",
 		// Topology, resources and observability.
-		"Graph", "Silos", "Close", "Metrics", "HasPool", "PoolStats", "MeshStats", "BreakMeshLink",
+		"Graph", "Silos", "Close", "Metrics", "MeshStats", "BreakMeshLink",
 	})
 
 	flags, params := fedserverSurface(t)
@@ -100,8 +95,6 @@ func TestProductionSurface(t *testing.T) {
 		"max-queue",        // README durable deployment: 64; default unbounded
 		"cache",            // default 4096; verify skill / soak-style runs: 0 to measure every query
 		"pprof",            // operators' profiling sessions; default off (timing is a side channel)
-		"prepool",          // verify skill: 2048; default off
-		"prepool-workers",  // verify skill: 2; default 1
 		"round-timeout",    // README mesh deployment; default wait forever
 		"sac-retries",      // README mesh deployment; default 0
 		"sac-retry-backoff",
