@@ -4,15 +4,20 @@
 //
 // Usage:
 //
-//	fedbench [flags] all|fig1|tab1|fig7|fig8|fig9|tab2|fig10|fig11|fig12|ablate|bench|large
+//	fedbench [flags] all|fig1|tab1|fig7|fig8|fig9|tab2|fig10|fig11|fig12|ablate|build|large
 //
 // Examples:
 //
 //	fedbench all                       # full suite at default scale
 //	fedbench -datasets CAL-S fig7      # one dataset
 //	fedbench -max-vertices 2000 all    # scaled-down quick run
-//	fedbench -json BENCH_run.json bench  # machine-readable percentile report
+//	fedbench build                     # index derivation, writes BENCH_build.json
 //	fedbench -graph usa.frgb large     # scale tier on an imported network
+//
+// Printed times are measured local time plus the network time the paper's
+// cost model R·(L+S/B) predicts from the measured rounds and bytes, with L
+// and B from -latency and -bandwidth. Measured latency under load is the repo
+// benchmark's job (benchmark/), not this command's.
 //
 // -graph loads an imported network (cmd/import-dimacs output, binary or
 // text): with large it is the measured subject; with any other experiment it
@@ -21,12 +26,9 @@
 // landmark precompute at workers={1,N}, plaintext query throughput — and
 // writes BENCH_large.json.
 //
-// The bench experiment runs the comparative sweep and emits a JSON report
-// (per-configuration latency percentiles plus mean Fed-SAC/round/byte
-// counts) to the -json path — the format CI archives as BENCH_*.json. The
-// -json flag also works with fig7/fig8, which run the same sweep. With
-// -index, bench instead measures index derivation (witness build vs weight
-// customization, one row each per dataset) and writes BENCH_build.json.
+// The build experiment measures index derivation (witness build vs weight
+// customization, one row each per dataset) and writes BENCH_build.json, or
+// the -json path.
 //
 // -profile <prefix> wraps any experiment in a CPU profile and a final heap
 // snapshot (<prefix>.cpu.pprof, <prefix>.heap.pprof) — the mode used to hunt
@@ -62,36 +64,38 @@ func main() {
 		protocol  = flag.Bool("protocol", false, "run the full MPC protocol instead of the calibrated ideal mode")
 		latency   = flag.Duration("latency", 200*time.Microsecond, "modeled one-way network latency")
 		bandwidth = flag.Float64("bandwidth", 1e9, "modeled bandwidth in bytes/s")
-		jsonOut   = flag.String("json", "", "write a machine-readable BENCH_*.json report (bench, fig7, fig8, large)")
-		index     = flag.Bool("index", false, "with bench: benchmark index derivation (witness build vs customization) instead of the query sweep")
+		jsonOut   = flag.String("json", "", "report path for build (default BENCH_build.json) and large (default BENCH_large.json)")
 		profile   = flag.String("profile", "", "write CPU and heap profiles to <prefix>.cpu.pprof / <prefix>.heap.pprof")
 		graphFile = flag.String("graph", "", "bench an imported graph file (binary snapshot or text) alongside/instead of the synthetic datasets")
 		workers   = flag.Int("workers", 0, "with large: parallel precompute workers (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: fedbench [flags] all|fig1|tab1|fig7|fig8|fig9|tab2|fig10|fig11|fig12|ablate|bench|large")
+		fmt.Fprintln(os.Stderr, "usage: fedbench [flags] all|fig1|tab1|fig7|fig8|fig9|tab2|fig10|fig11|fig12|ablate|build|large")
 		flag.PrintDefaults()
 		os.Exit(2)
 	}
 
-	var lvl traffic.Level
-	switch strings.ToLower(*level) {
-	case "free":
-		lvl = traffic.Free
-	case "slight":
-		lvl = traffic.Slight
-	case "moderate":
-		lvl = traffic.Moderate
-	case "heavy":
-		lvl = traffic.Heavy
-	default:
-		fmt.Fprintf(os.Stderr, "unknown congestion level %q\n", *level)
+	lvl, err := traffic.ParseLevel(*level)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "fedbench: %v\n", err)
 		os.Exit(2)
 	}
 	mode := mpc.ModeIdeal
 	if *protocol {
 		mode = mpc.ModeProtocol
+	}
+	// report writes a build or large report to -json, or else to def.
+	report := func(def string, rep any) error {
+		out := *jsonOut
+		if out == "" {
+			out = def
+		}
+		if err := expr.WriteReport(out, rep); err != nil {
+			return err
+		}
+		fmt.Printf("\nwrote %s\n", out)
+		return nil
 	}
 
 	// The large tier loads the graph itself (it times the load); every other
@@ -111,15 +115,10 @@ func main() {
 			os.Exit(1)
 		}
 		rep.Print(os.Stdout)
-		out := *jsonOut
-		if out == "" {
-			out = "BENCH_large.json"
-		}
-		if err := rep.WriteFile(out); err != nil {
+		if err := report("BENCH_large.json", rep); err != nil {
 			fmt.Fprintf(os.Stderr, "fedbench: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("\nwrote %s\n", out)
 		return
 	}
 	dsList := strings.Split(*datasets, ",")
@@ -130,12 +129,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "fedbench: %v\n", err)
 			os.Exit(1)
 		}
-		if w0 == nil {
-			w0 = make(graph.Weights, g.NumArcs())
-			for a := range w0 {
-				w0[a] = 1
-			}
-		}
+		w0, _ = graph.UnitIfMissing(g, w0)
 		name := filepath.Base(*graphFile)
 		external = &expr.ExternalDataset{Name: name, G: g, W0: w0}
 		dsList = append(dsList, name)
@@ -189,7 +183,6 @@ func main() {
 	}
 
 	start := time.Now()
-	var err error
 	switch flag.Arg(0) {
 	case "all":
 		err = h.RunAll()
@@ -211,35 +204,12 @@ func main() {
 			} else {
 				h.PrintFig8(res)
 			}
-			if err == nil && *jsonOut != "" {
-				err = h.BenchReport(flag.Arg(0), res).WriteFile(*jsonOut)
-			}
 		}
-	case "bench":
-		if *index {
-			var rep *expr.BuildBenchReport
-			if rep, err = h.RunIndexBuildBench(); err == nil {
-				h.PrintIndexBuildBench(rep)
-				out := *jsonOut
-				if out == "" {
-					out = "BENCH_build.json"
-				}
-				if err = rep.WriteFile(out); err == nil {
-					fmt.Printf("\nwrote %s\n", out)
-				}
-			}
-			break
-		}
-		var res *expr.CompResult
-		if res, err = h.RunComparative(); err == nil {
-			h.PrintFig7(res)
-			out := *jsonOut
-			if out == "" {
-				out = "BENCH_report.json"
-			}
-			if err = h.BenchReport("bench", res).WriteFile(out); err == nil {
-				fmt.Printf("\nwrote %s\n", out)
-			}
+	case "build":
+		var rep *expr.BuildReport
+		if rep, err = h.RunIndexBuildBench(); err == nil {
+			h.PrintIndexBuildBench(rep)
+			err = report("BENCH_build.json", rep)
 		}
 	case "fig9":
 		var res *expr.ScalResult

@@ -18,7 +18,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	fedroad "repro"
@@ -51,7 +50,7 @@ func main() {
 	)
 	flag.Parse()
 
-	lvl, err := parseLevel(*level)
+	lvl, err := traffic.ParseLevel(*level)
 	fail(err)
 
 	var g *fedroad.Graph
@@ -60,12 +59,7 @@ func main() {
 	case *graphFile != "":
 		g, w0, err = fedroad.LoadGraphFile(*graphFile)
 		fail(err)
-		if w0 == nil { // weightless snapshot: unit weights
-			w0 = make(fedroad.Weights, g.NumArcs())
-			for a := range w0 {
-				w0[a] = 1
-			}
-		}
+		w0, _ = graph.UnitIfMissing(g, w0)
 	case *dataset != "":
 		// GenerateDataset panics on unknown names; fail with a clean error
 		// for a user-supplied -dataset instead.
@@ -140,20 +134,6 @@ func main() {
 	printStats(stats)
 }
 
-func parseLevel(s string) (traffic.Level, error) {
-	switch strings.ToLower(s) {
-	case "free":
-		return traffic.Free, nil
-	case "slight":
-		return traffic.Slight, nil
-	case "moderate":
-		return traffic.Moderate, nil
-	case "heavy":
-		return traffic.Heavy, nil
-	}
-	return traffic.Level{}, fmt.Errorf("unknown congestion level %q", s)
-}
-
 func fmtJoint(fed *fedroad.Federation, r fedroad.Route) string {
 	mean := float64(fedroad.JointCost(r)) / float64(fed.Silos()) / 1000
 	return fmt.Sprintf("%.1fs travel time", mean)
@@ -167,9 +147,9 @@ func fmtPath(p []fedroad.Vertex) string {
 }
 
 func printStats(st fedroad.Stats) {
-	fmt.Printf("cost: %d settled vertices, %d Fed-SACs, %d MPC rounds, %d bytes, %v local + %v simulated network\n",
+	fmt.Printf("cost: %d settled vertices, %d Fed-SACs, %d MPC rounds, %d bytes, %v wall\n",
 		st.SettledVertices, st.SAC.Compares, st.SAC.Rounds, st.SAC.Bytes,
-		st.WallTime.Round(time.Microsecond), st.SAC.SimNet.Round(time.Microsecond))
+		st.WallTime.Round(time.Microsecond))
 	fmt.Printf("phases: %v queue, %v sac-wait, %v relax (sac-wait overlaps queue)\n",
 		st.Phases.Queue.Round(time.Microsecond), st.Phases.SACWait.Round(time.Microsecond),
 		st.Phases.Relax.Round(time.Microsecond))

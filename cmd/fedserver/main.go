@@ -48,13 +48,7 @@ func loadNetwork(dataset, graphF string, n int, seed uint64) (g *fedroad.Graph, 
 		if err != nil {
 			return nil, nil, false, err
 		}
-		if w0 == nil {
-			w0 = make(fedroad.Weights, g.NumArcs())
-			for a := range w0 {
-				w0[a] = 1
-			}
-			unitWeights = true
-		}
+		w0, unitWeights = graph.UnitIfMissing(g, w0)
 	case dataset != "":
 		// GenerateDataset panics on unknown names (its callers are experiment
 		// code with hard-wired names); a user-supplied -dataset must fail with

@@ -153,7 +153,6 @@ type queryCost struct {
 	QueueMicros    int64 `json:"queue_us"`
 	SACWaitMicros  int64 `json:"sac_wait_us"`
 	RelaxMicros    int64 `json:"relax_us"`
-	NetworkMicros  int64 `json:"simulated_network_us"`
 }
 
 func costOf(stats fedroad.Stats) queryCost {
@@ -167,7 +166,6 @@ func costOf(stats fedroad.Stats) queryCost {
 		QueueMicros:    stats.Phases.Queue.Microseconds(),
 		SACWaitMicros:  stats.Phases.SACWait.Microseconds(),
 		RelaxMicros:    stats.Phases.Relax.Microseconds(),
-		NetworkMicros:  stats.SAC.SimNet.Microseconds(),
 	}
 }
 

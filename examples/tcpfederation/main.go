@@ -53,7 +53,7 @@ func main() {
 	// protocol on its end of one lane. Heartbeats are off so the frame count
 	// below is the protocol's alone; hang-up waits until everyone is done.
 	meshes := make([]*transport.Mesh, parties)
-	results := make([]bool, parties)
+	results := make([][]bool, parties)
 	var wg sync.WaitGroup
 	for p := 0; p < parties; p++ {
 		wg.Add(1)
@@ -65,7 +65,9 @@ func main() {
 			if err != nil {
 				log.Fatalf("silo %d: %v", p, err)
 			}
-			results[p], err = mpc.RunCompareParty(meshes[p].OpenLane(), costA[p]-costB[p], &blocks[p])
+			// One comparison is a batch of one, on lane 0 of the silo's block.
+			results[p], err = mpc.RunCompareBatchParty(meshes[p].OpenLane(),
+				[]int64{costA[p] - costB[p]}, []*mpc.TupleBlock{&blocks[p]})
 			if err != nil {
 				log.Fatalf("silo %d: %v", p, err)
 			}
@@ -80,16 +82,16 @@ func main() {
 		m.Close()
 	}
 
-	fmt.Printf("\neach silo learned only the comparison bit: route A < route B = %v\n", results[0])
+	fmt.Printf("\neach silo learned only the comparison bit: route A < route B = %v\n", results[0][0])
 	for p := 1; p < parties; p++ {
-		if results[p] != results[0] {
+		if results[p][0] != results[0][0] {
 			log.Fatal("silos disagree — protocol bug")
 		}
 	}
 	fmt.Printf("wire cost: %d bytes in %d lane frames across the mesh (%d rounds)\n",
 		totalBytes, totalMsgs, mpc.RoundsPerCompare)
 	fmt.Printf("ground truth (never revealed on the wire): joint A = %d, joint B = %d\n", jointA, jointB)
-	if results[0] != (jointA < jointB) {
+	if results[0][0] != (jointA < jointB) {
 		log.Fatal("comparison result wrong")
 	}
 	fmt.Println("result verified against the plaintext ground truth ✓")

@@ -199,7 +199,7 @@ func TestCustomizeRoundFrugality(t *testing.T) {
 
 // TestCalS300DerivationCountsPinned pins both index derivations of the CAL-S
 // row at 300 vertices in ideal mode — the federation
-// `fedbench -datasets CAL-S -max-vertices 300 -index bench` builds. Fed-SACs
+// `fedbench -datasets CAL-S -max-vertices 300 build` builds. Fed-SACs
 // and MPC rounds are functions of dataset and seed alone, so they are pinned
 // exactly; a change that moves them re-pins here with the reason.
 func TestCalS300DerivationCountsPinned(t *testing.T) {

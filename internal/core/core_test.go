@@ -287,7 +287,7 @@ func TestQueryStatsPopulated(t *testing.T) {
 	if stats.SettledVertices == 0 || stats.SAC.Compares == 0 || stats.Queue.Pushes == 0 {
 		t.Fatalf("stats incomplete: %+v", stats)
 	}
-	if stats.SAC.Rounds == 0 || stats.SAC.Bytes == 0 || stats.SAC.SimNet == 0 {
+	if stats.SAC.Rounds == 0 || stats.SAC.Bytes == 0 || stats.SAC.Messages == 0 {
 		t.Fatalf("communication accounting missing: %+v", stats.SAC)
 	}
 }

@@ -6,7 +6,7 @@
 // Every cost comparison between secret joint values goes through Fed-SAC;
 // the engines never materialize a joint cost. Per-query statistics expose
 // the counters the paper's evaluation reports: settled vertices, secure
-// comparisons, communication bytes/rounds and the simulated network time.
+// comparisons and communication bytes/rounds, all measured.
 package core
 
 import (
@@ -59,13 +59,10 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// comparator is the secure-comparison dependency of the search loops. In
-// production it is the federation's Fed-SAC handle; the test suite swaps in
-// recording/replaying comparators to make the paper's §VII simulation
-// argument executable (a query's entire behavior is a deterministic function
-// of the public topology and the comparison bits).
+// comparator is the secure-comparison dependency of the search loops: the
+// query's Fed-SAC handle, or a lockstep thread's share of it. Every call is
+// one protocol instance; a lone comparison is a batch of one.
 type comparator interface {
-	Less(a, b fed.Partial) bool
 	LessBatch(pairs [][2]fed.Partial) []bool
 	Err() error
 }
@@ -74,8 +71,6 @@ type comparator interface {
 type Engine struct {
 	f   *fed.Federation
 	opt Options
-	// cmpHook, when set, wraps the per-query Fed-SAC handle (tests only).
-	cmpHook func(*fed.SAC) comparator
 }
 
 // NewEngine validates the option set and builds an engine.
@@ -138,7 +133,7 @@ func (p *PhaseTimings) Add(other PhaseTimings) {
 type QueryStats struct {
 	SettledVertices int       // search iterations (paper: explored vertices)
 	HeuristicEvals  int       // federated lower-bound (A* potential) evaluations
-	SAC             mpc.Stats // Fed-SAC usage: comparisons, rounds, bytes, simulated net time
+	SAC             mpc.Stats // Fed-SAC usage: comparisons, rounds, bytes, messages
 	Queue           pq.Counts // priority-queue comparison breakdown (Fig. 12)
 	Phases          PhaseTimings
 	WallTime        time.Duration
@@ -173,17 +168,9 @@ type label struct {
 	parc   int32
 }
 
-// newComparator builds the per-query comparator, honoring the test hook.
-func (e *Engine) newComparator(sac *fed.SAC) comparator {
-	if e.cmpHook != nil {
-		return e.cmpHook(sac)
-	}
-	return sac
-}
-
-// timedCmp wraps the per-query comparator and accumulates the wall time
+// timedCmp wraps the per-query Fed-SAC handle and accumulates the wall time
 // spent blocked in secure comparisons — the query's Fed-SAC wait phase.
-// Unless batched, it also splits every batch into scalar instances, so that
+// Unless batched, it also splits every batch into instances of one, so that
 // one search loop serves both settings of Options.BatchedMPC.
 type timedCmp struct {
 	inner   comparator
@@ -191,18 +178,11 @@ type timedCmp struct {
 	wait    time.Duration
 }
 
-func (t *timedCmp) Less(a, b fed.Partial) bool {
-	t0 := time.Now()
-	r := t.inner.Less(a, b)
-	t.wait += time.Since(t0)
-	return r
-}
-
 func (t *timedCmp) LessBatch(pairs [][2]fed.Partial) []bool {
-	if !t.batched {
+	if !t.batched && len(pairs) > 1 {
 		out := make([]bool, len(pairs))
-		for i, pr := range pairs {
-			out[i] = t.Less(pr[0], pr[1])
+		for i := range pairs {
+			out[i] = t.LessBatch(pairs[i : i+1])[0]
 		}
 		return out
 	}
@@ -216,7 +196,7 @@ func (t *timedCmp) Err() error { return t.inner.Err() }
 
 // newCmp builds the per-query comparator over a Fed-SAC handle.
 func (e *Engine) newCmp(sac *fed.SAC) *timedCmp {
-	return &timedCmp{inner: e.newComparator(sac), batched: e.opt.BatchedMPC}
+	return &timedCmp{inner: sac, batched: e.opt.BatchedMPC}
 }
 
 // gang runs fns as the threads of one search step: in lockstep when
@@ -246,7 +226,7 @@ type searchQueue struct {
 
 func (e *Engine) newQueue(cmp comparator) *searchQueue {
 	sq := &searchQueue{pop: cmp, stage: cmp}
-	less := func(a, b *item) bool { return sq.pop.Less(a.key, b.key) }
+	less := func(a, b *item) bool { return sq.pop.LessBatch([][2]fed.Partial{{a.key, b.key}})[0] }
 	if !e.opt.BatchedMPC {
 		sq.q = pq.New[*item](e.opt.Queue, less, e.opt.Alpha)
 		return sq

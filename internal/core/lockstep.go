@@ -4,7 +4,7 @@ import "repro/internal/fed"
 
 // lockstep runs fns as logical threads that share protocol instances: each
 // gets its own comparator handle, and whenever every live thread is blocked
-// on a Less/LessBatch (or has returned) their pairs are concatenated in
+// on a LessBatch (or has returned) their pairs are concatenated in
 // thread order into one inner call — one Fed-SAC instance per tick instead
 // of one per thread — and each thread resumes with its slice of the bits.
 //
@@ -44,15 +44,10 @@ func lockstep(inner comparator, fns ...func(comparator)) {
 		for _, pairs := range blocked {
 			tick = append(tick, pairs...)
 		}
-		var bits []bool
-		switch len(tick) {
-		case 0: // every thread returned
+		if len(tick) == 0 { // every thread returned
 			return
-		case 1: // stays the scalar instance
-			bits = []bool{inner.Less(tick[0][0], tick[0][1])}
-		default:
-			bits = inner.LessBatch(tick)
 		}
+		bits := inner.LessBatch(tick)
 		for i, pairs := range blocked {
 			if pairs != nil {
 				blocked[i] = nil
@@ -77,10 +72,6 @@ type lockstepThread struct {
 	inner  comparator
 	events chan<- lockstepEvent
 	bits   chan []bool
-}
-
-func (t *lockstepThread) Less(a, b fed.Partial) bool {
-	return t.LessBatch([][2]fed.Partial{{a, b}})[0]
 }
 
 func (t *lockstepThread) LessBatch(pairs [][2]fed.Partial) []bool {

@@ -21,7 +21,7 @@ func goid() int {
 }
 
 // scriptCmp is a plaintext comparator (a[0] < b[0]) that records the shape
-// of every call: its width (0 marks a scalar Less) and calling goroutine.
+// of every call: its width and calling goroutine.
 // After failAfter calls it turns sticky: all-false bits and a non-nil Err,
 // like a poisoned Fed-SAC handle.
 type scriptCmp struct {
@@ -31,12 +31,12 @@ type scriptCmp struct {
 	failAfter int
 }
 
-func (s *scriptCmp) call(width int, pairs [][2]fed.Partial) []bool {
+func (s *scriptCmp) LessBatch(pairs [][2]fed.Partial) []bool {
 	if s.gids == nil {
 		s.gids = map[int]bool{}
 	}
 	s.gids[goid()] = true
-	s.widths = append(s.widths, width)
+	s.widths = append(s.widths, len(pairs))
 	s.pairs = append(s.pairs, pairs...)
 	out := make([]bool, len(pairs))
 	if s.Err() != nil {
@@ -48,10 +48,6 @@ func (s *scriptCmp) call(width int, pairs [][2]fed.Partial) []bool {
 	return out
 }
 
-func (s *scriptCmp) Less(a, b fed.Partial) bool {
-	return s.call(0, [][2]fed.Partial{{a, b}})[0]
-}
-func (s *scriptCmp) LessBatch(pairs [][2]fed.Partial) []bool { return s.call(len(pairs), pairs) }
 func (s *scriptCmp) Err() error {
 	if s.failAfter > 0 && len(s.widths) > s.failAfter {
 		return errors.New("scripted failure")
@@ -60,6 +56,9 @@ func (s *scriptCmp) Err() error {
 }
 
 func pair(a, b int64) [2]fed.Partial { return [2]fed.Partial{{a}, {b}} }
+
+// less compares a lone pair through c: an instance of one.
+func less(c comparator, a, b int64) bool { return c.LessBatch([][2]fed.Partial{pair(a, b)})[0] }
 
 // waitGoroutines fails unless the goroutine count returns to base: a thread
 // has reported done an instant before it exits, so allow it that instant.
@@ -74,7 +73,7 @@ func waitGoroutines(t *testing.T, base int) {
 	}
 }
 
-// compares issues ticks scalar compares tagged with the thread's id (id vs
+// compares issues ticks lone compares tagged with the thread's id (id vs
 // id+tick parity decides the bit) and reports whether every answer was the
 // thread's own.
 func compares(id int64, ticks int, ok *bool) func(comparator) {
@@ -86,7 +85,7 @@ func compares(id int64, ticks int, ok *bool) func(comparator) {
 			if want {
 				b = id + 1
 			}
-			if c.Less(fed.Partial{id}, fed.Partial{b}) != want {
+			if less(c, id, b) != want {
 				*ok = false
 			}
 		}
@@ -102,9 +101,9 @@ func TestLockstepCoalescesTicksInThreadOrder(t *testing.T) {
 		compares(100, 3, &ok[0]),
 		func(comparator) { idle = true }, // issues no compare
 		compares(200, 1, &ok[1]),
-		func(c comparator) { // a batch of two, then a scalar
+		func(c comparator) { // a batch of two, then a lone pair
 			r := c.LessBatch([][2]fed.Partial{pair(300, 301), pair(301, 300)})
-			ok[2] = r[0] && !r[1] && len(c.LessBatch(nil)) == 0 && !c.Less(fed.Partial{5}, fed.Partial{5})
+			ok[2] = r[0] && !r[1] && len(c.LessBatch(nil)) == 0 && !less(c, 5, 5)
 		},
 	)
 	waitGoroutines(t, base)
@@ -112,9 +111,9 @@ func TestLockstepCoalescesTicksInThreadOrder(t *testing.T) {
 		t.Fatalf("threads got foreign bits or did not run: %v idle=%v", ok, idle)
 	}
 	// Tick 1: threads 0, 2, 3 → width 1+1+2; tick 2: threads 0, 3 → 2;
-	// tick 3: thread 0 alone → the scalar instance.
-	if want := []int{4, 2, 0}; !reflect.DeepEqual(inner.widths, want) {
-		t.Fatalf("inner calls %v, want %v (one per tick, Less for a lone pair)", inner.widths, want)
+	// tick 3: thread 0 alone → an instance of one.
+	if want := []int{4, 2, 1}; !reflect.DeepEqual(inner.widths, want) {
+		t.Fatalf("inner calls %v, want %v (one per tick)", inner.widths, want)
 	}
 	wantOrder := []int64{100, 200, 300, 301, 100, 5, 100}
 	for i, pr := range inner.pairs {
@@ -134,7 +133,7 @@ func TestLockstepNestsTwoDeep(t *testing.T) {
 	lockstep(inner,
 		compares(10, 4, &ok[0]),
 		func(c comparator) {
-			if !c.Less(fed.Partial{1}, fed.Partial{2}) { // tick 1, alone on this level
+			if !less(c, 1, 2) { // tick 1, alone on this level
 				return
 			}
 			lockstep(c, // ticks 2..4: two children, the second a gang of two itself
@@ -143,7 +142,7 @@ func TestLockstepNestsTwoDeep(t *testing.T) {
 					lockstep(c, compares(30, 3, &ok[2]), compares(40, 1, &ok[3]))
 				},
 			)
-			ok[4] = c.Less(fed.Partial{1}, fed.Partial{2}) // after the nested gang: tick 5
+			ok[4] = less(c, 1, 2) // after the nested gang: tick 5
 		},
 	)
 	waitGoroutines(t, base)
@@ -153,7 +152,7 @@ func TestLockstepNestsTwoDeep(t *testing.T) {
 		}
 	}
 	// Tick by tick: {10, 1}, {10, 20, 30, 40}, {10, 20, 30}, {10, 30}, {1}.
-	if want := []int{2, 4, 3, 2, 0}; !reflect.DeepEqual(inner.widths, want) {
+	if want := []int{2, 4, 3, 2, 1}; !reflect.DeepEqual(inner.widths, want) {
 		t.Fatalf("inner calls %v, want %v", inner.widths, want)
 	}
 	if len(inner.gids) != 1 || !inner.gids[goid()] {

@@ -6,84 +6,81 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/ch"
 	"repro/internal/fed"
 	"repro/internal/graph"
+	"repro/internal/lb"
 	"repro/internal/mpc"
 	"repro/internal/pq"
 	"repro/internal/traffic"
 )
 
-// recordingCmp wraps the real Fed-SAC and records every comparison outcome
-// and the width k of every protocol instance — the batch shapes are part of
-// what a silo observes.
-type recordingCmp struct {
-	sac    *fed.SAC
+// transcript is what the silos learn from Fed-SAC: every opened bit, in
+// order, and the width of every protocol instance — the batch shapes are part
+// of what a silo observes.
+type transcript struct {
 	bits   []bool
 	widths []int
 }
 
-func (r *recordingCmp) Less(a, b fed.Partial) bool {
-	v := r.sac.Less(a, b)
-	r.bits = append(r.bits, v)
-	r.widths = append(r.widths, 1)
-	return v
+// record returns a view of f on which every Fed-SAC instance, from any
+// package and on any fork, runs on the engine and is appended to tr.
+func record(f *fed.Federation, tr *transcript) *fed.Federation {
+	return f.WithDecide(func(inner fed.Decide) fed.Decide {
+		return func(diffs [][]int64) ([]bool, error) {
+			bits, err := inner(diffs)
+			tr.bits = append(tr.bits, bits...)
+			tr.widths = append(tr.widths, len(diffs))
+			return bits, err
+		}
+	})
 }
 
-func (r *recordingCmp) LessBatch(pairs [][2]fed.Partial) []bool {
-	vs := r.sac.LessBatch(pairs)
-	r.bits = append(r.bits, vs...)
-	r.widths = append(r.widths, len(pairs))
-	return vs
+// replay returns a view of f that is the §VII simulator: it answers every
+// instance from rec's bits, in order, without reading its inputs, and logs
+// what it is asked into got.
+func replay(f *fed.Federation, rec, got *transcript) *fed.Federation {
+	return f.WithDecide(func(fed.Decide) fed.Decide {
+		return func(diffs [][]int64) ([]bool, error) {
+			pos := len(got.bits)
+			if pos+len(diffs) > len(rec.bits) {
+				return nil, fmt.Errorf("simulator ran out of recorded bits at %d", pos)
+			}
+			got.bits = append(got.bits, rec.bits[pos:pos+len(diffs)]...)
+			got.widths = append(got.widths, len(diffs))
+			return got.bits[pos:], nil
+		}
+	})
 }
 
-func (r *recordingCmp) Err() error { return r.sac.Err() }
-
-// replayCmp is the §VII simulator: it answers comparisons purely from a
-// recorded bit sequence, never looking at the partial-cost inputs.
-type replayCmp struct {
-	t      *testing.T
-	bits   []bool
-	pos    int
-	widths []int
-}
-
-func (r *replayCmp) next() bool {
-	if r.pos >= len(r.bits) {
-		r.t.Fatalf("simulator ran out of recorded comparison bits at %d", r.pos)
+// sameTranscript fails unless the simulator consumed every recorded bit in
+// the recorded instance widths.
+func sameTranscript(t *testing.T, what string, rec, got *transcript) {
+	t.Helper()
+	if len(got.bits) != len(rec.bits) {
+		t.Fatalf("%s: simulator consumed %d of %d bits", what, len(got.bits), len(rec.bits))
 	}
-	v := r.bits[r.pos]
-	r.pos++
-	return v
-}
-
-func (r *replayCmp) Less(a, b fed.Partial) bool {
-	r.widths = append(r.widths, 1)
-	return r.next()
-}
-
-func (r *replayCmp) LessBatch(pairs [][2]fed.Partial) []bool {
-	r.widths = append(r.widths, len(pairs))
-	out := make([]bool, len(pairs))
-	for i := range out {
-		out[i] = r.next()
+	if !reflect.DeepEqual(got.widths, rec.widths) {
+		t.Fatalf("%s: simulator's instance widths diverge from the real run's", what)
 	}
-	return out
 }
-
-func (r *replayCmp) Err() error { return nil }
 
 // TestSimulationArgument makes §VII executable: the transcript a silo sees
-// during Fed-SSSP/Fed-SPSP is fully determined by the public topology and
-// the comparison bits. We record the comparison outcomes of a query on the
-// real federation, then re-run the identical search logic on a federation
-// whose private weights have been replaced by unrelated garbage, answering
-// every comparison from the recorded bits. The simulated execution settles
-// the same vertices in the same order and returns the same path — i.e., a
-// simulator without any weight data reproduces everything observable, so
-// the search leaks nothing beyond the comparison bits. Under BatchedMPC the
-// lockstep steps decide which comparisons share a protocol instance; the
-// simulator must issue the identical sequence of instance widths, i.e. the
-// batch shapes too are a function of topology and bits alone.
+// is fully determined by the public topology and the comparison bits. Each
+// case runs on the real federation through a recording view, then re-runs
+// the identical logic on a federation of the same topology whose private
+// weights are unrelated garbage, answering every comparison from the
+// recorded bits at the fed.SAC seam. The simulated execution must issue the
+// same instances, of the same widths, and produce the same output — i.e. a
+// simulator without any weight data reproduces everything observable, so the
+// operation leaks nothing beyond the comparison bits. The batch shapes are
+// part of the claim: under BatchedMPC the lockstep steps decide which
+// comparisons share an instance, and in ch the sweep schedule does.
+//
+// The cases: flat Fed-SSSP and Fed-SPSP over the heap, the TM-tree and the
+// batched TM-tree; then a full customization of the shortcut index followed
+// by the production route on it (TM-tree, Fed-AMPS, BatchedMPC), replayed in
+// order from one transcript.
 func TestSimulationArgument(t *testing.T) {
 	g, w0 := graph.GenerateGrid(9, 9, 101)
 	realSets := traffic.SiloWeights(w0, 3, traffic.Moderate, 102)
@@ -106,84 +103,108 @@ func TestSimulationArgument(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	engine := func(f *fed.Federation, opt Options) *Engine {
+		t.Helper()
+		e, err := NewEngine(f, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	samePath := func(what string, sim, real []graph.Vertex) {
+		t.Helper()
+		if !reflect.DeepEqual(sim, real) {
+			t.Fatalf("%s: simulated path %v, real %v — execution depends on more than comparison bits", what, sim, real)
+		}
+	}
 
 	for _, opt := range []Options{{Queue: pq.KindHeap}, {Queue: pq.KindTMTree}, {Queue: pq.KindTMTree, BatchedMPC: true}} {
 		queue := fmt.Sprintf("%s/batched=%v", opt.Queue, opt.BatchedMPC)
 		// --- Fed-SSSP (Alg. 1) ---
-		rec := &recordingCmp{}
-		realEng, err := NewEngine(realFed, opt)
+		var rec, got transcript
+		realRes, _, err := engine(record(realFed, &rec), opt).SSSP(7, 20)
 		if err != nil {
 			t.Fatal(err)
 		}
-		realEng.cmpHook = func(s *fed.SAC) comparator { rec.sac = s; return rec }
-		realRes, _, err := realEng.SSSP(7, 20)
+		simRes, _, err := engine(replay(simFed, &rec, &got), opt).SSSP(7, 20)
 		if err != nil {
 			t.Fatal(err)
 		}
-
-		rep := &replayCmp{t: t, bits: rec.bits}
-		simEng, err := NewEngine(simFed, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		simEng.cmpHook = func(*fed.SAC) comparator { return rep }
-		simRes, _, err := simEng.SSSP(7, 20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.pos != len(rep.bits) {
-			t.Fatalf("queue %s: simulator consumed %d of %d bits", queue, rep.pos, len(rep.bits))
-		}
-		if !reflect.DeepEqual(rep.widths, rec.widths) {
-			t.Fatalf("queue %s: SSSP simulator's instance widths diverge from the real run's", queue)
-		}
+		sameTranscript(t, queue+" SSSP", &rec, &got)
 		if len(simRes) != len(realRes) {
 			t.Fatalf("queue %s: simulator found %d results, real %d", queue, len(simRes), len(realRes))
 		}
 		for i := range realRes {
 			if simRes[i].Target != realRes[i].Target {
-				t.Fatalf("queue %s: result %d target %d != %d — execution depends on more than comparison bits",
-					queue, i, simRes[i].Target, realRes[i].Target)
+				t.Fatalf("queue %s: result %d target %d != %d", queue, i, simRes[i].Target, realRes[i].Target)
 			}
-			if len(simRes[i].Path) != len(realRes[i].Path) {
-				t.Fatalf("queue %s: result %d path lengths differ", queue, i)
-			}
-			for j := range realRes[i].Path {
-				if simRes[i].Path[j] != realRes[i].Path[j] {
-					t.Fatalf("queue %s: result %d paths diverge at %d", queue, i, j)
-				}
-			}
+			samePath(fmt.Sprintf("queue %s SSSP result %d", queue, i), simRes[i].Path, realRes[i].Path)
 		}
 
 		// --- Fed-SPSP (bidirectional, no estimator: Alg. 1's setting) ---
-		rec2 := &recordingCmp{}
-		realEng.cmpHook = func(s *fed.SAC) comparator { rec2.sac = s; return rec2 }
-		realPath, _, err := realEng.SPSP(0, 80)
+		rec, got = transcript{}, transcript{}
+		realPath, _, err := engine(record(realFed, &rec), opt).SPSP(0, 80)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep2 := &replayCmp{t: t, bits: rec2.bits}
-		simEng.cmpHook = func(*fed.SAC) comparator { return rep2 }
-		simPath, _, err := simEng.SPSP(0, 80)
+		simPath, _, err := engine(replay(simFed, &rec, &got), opt).SPSP(0, 80)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rep2.pos != len(rep2.bits) {
-			t.Fatalf("queue %s: SPSP simulator consumed %d of %d bits", queue, rep2.pos, len(rep2.bits))
+		sameTranscript(t, queue+" SPSP", &rec, &got)
+		if opt.BatchedMPC && len(rec.widths) >= len(rec.bits) {
+			t.Fatalf("queue %s: %d instances for %d comparisons — nothing was coalesced", queue, len(rec.widths), len(rec.bits))
 		}
-		if !reflect.DeepEqual(rep2.widths, rec2.widths) {
-			t.Fatalf("queue %s: SPSP simulator's instance widths diverge from the real run's", queue)
+		if !realPath.Found || simPath.Found != realPath.Found {
+			t.Fatalf("queue %s: SPSP found real=%v sim=%v", queue, realPath.Found, simPath.Found)
 		}
-		if opt.BatchedMPC && len(rec2.widths) >= len(rec2.bits) {
-			t.Fatalf("queue %s: %d instances for %d comparisons — nothing was coalesced", queue, len(rec2.widths), len(rec2.bits))
-		}
-		if simPath.Found != realPath.Found || len(simPath.Path) != len(realPath.Path) {
-			t.Fatalf("queue %s: SPSP simulation diverged: %v vs %v", queue, simPath.Path, realPath.Path)
-		}
-		for j := range realPath.Path {
-			if simPath.Path[j] != realPath.Path[j] {
-				t.Fatalf("queue %s: SPSP paths diverge at %d", queue, j)
-			}
+		samePath("queue "+queue+" SPSP", simPath.Path, realPath.Path)
+	}
+
+	// --- Customization, then the production route on its index ---
+	sk, err := ch.BuildSkeleton(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prod := Options{Queue: pq.KindTMTree, Estimator: lb.FedAMPS, BatchedMPC: true}
+	var rec, got transcript
+	realView := record(realFed, &rec)
+	realIdx, err := ch.Customize(realView, sk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	customized := len(rec.widths)
+	prod.Index = realIdx
+	realPath, _, err := engine(realView, prod).SPSP(0, 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	simView := replay(simFed, &rec, &got)
+	simIdx, err := ch.Customize(simView, sk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if customized == 0 || len(got.widths) != customized {
+		t.Fatalf("customization: %d instances recorded, %d replayed", customized, len(got.widths))
+	}
+	prod.Index = simIdx
+	simPath, _, err := engine(simView, prod).SPSP(0, 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameTranscript(t, "customize+route", &rec, &got)
+	if len(rec.widths) == customized {
+		t.Fatal("the indexed route ran no Fed-SAC instance")
+	}
+	for a := int32(g.NumArcs()); a < int32(realIdx.NumArcs()); a++ {
+		if !reflect.DeepEqual(simIdx.UnpackArcs(a), realIdx.UnpackArcs(a)) {
+			t.Fatalf("shortcut %d: the simulated customization elected different winners", a)
 		}
 	}
+	if !realPath.Found || !simPath.Found {
+		t.Fatalf("indexed route found real=%v sim=%v", realPath.Found, simPath.Found)
+	}
+	samePath("indexed route", simPath.Path, realPath.Path)
+	t.Logf("customize: %d instances; route: %d instances; %d bits in all",
+		customized, len(rec.widths)-customized, len(rec.bits))
 }

@@ -61,7 +61,7 @@ func (h *Harness) RunFig11(numQueries int) (*Fig11Result, error) {
 	for _, lvl := range traffic.Levels() {
 		res.Levels = append(res.Levels, lvl.Name)
 		sets := traffic.SiloWeights(w0, h.cfg.Silos, lvl, h.cfg.Seed+101)
-		f, err := fed.New(g, w0, sets, mpc.Params{Mode: h.cfg.Mode, Seed: h.cfg.Seed, Net: h.cfg.Net})
+		f, err := fed.New(g, w0, sets, mpc.Params{Mode: h.cfg.Mode, Seed: h.cfg.Seed})
 		if err != nil {
 			return nil, err
 		}

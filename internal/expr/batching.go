@@ -89,7 +89,7 @@ func (h *Harness) RunIndexAblation() ([]IndexRow, error) {
 	var rows []IndexRow
 	for _, prm := range variants {
 		sets := traffic.SiloWeights(w0, h.cfg.Silos, h.cfg.Level, h.cfg.Seed+5)
-		f, err := fed.New(g, w0, sets, mpc.Params{Mode: h.cfg.Mode, Seed: h.cfg.Seed, Net: h.cfg.Net})
+		f, err := fed.New(g, w0, sets, mpc.Params{Mode: h.cfg.Mode, Seed: h.cfg.Seed})
 		if err != nil {
 			return nil, err
 		}
@@ -119,7 +119,7 @@ func (h *Harness) RunIndexAblation() ([]IndexRow, error) {
 			WitnessCap: cap,
 			Shortcuts:  idx.NumShortcuts(),
 			BuildSACs:  idx.BuildStatistics().SAC.Compares,
-			BuildTime:  fmtDuration(buildTime + idx.BuildStatistics().SAC.SimNet),
+			BuildTime:  fmtDuration(buildTime + h.cfg.Net.Predict(idx.BuildStatistics().SAC, f.P())),
 			QueryAvg:   average(all),
 		})
 	}

@@ -3,7 +3,6 @@ package expr
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"time"
 
@@ -29,10 +28,11 @@ type BuildBenchRow struct {
 	WallMs        float64 `json:"wall_ms"`
 	OrderingMs    float64 `json:"ordering_ms"`
 	ContractionMs float64 `json:"contraction_ms"`
-	// SimNetMs is the simulated MPC network time (rounds × modeled RTT plus
-	// serialization); TimeMs = WallMs + SimNetMs is the estimated end-to-end
-	// build time on the paper's testbed, the same convention the query
-	// benches use. Round batching shows up here: fewer rounds, less SimNet.
+	// SimNetMs is the MPC network time the paper's cost model (Config.Net)
+	// predicts from the measured rounds and bytes — a prediction, not a
+	// measurement; TimeMs = WallMs + SimNetMs is the estimated end-to-end
+	// build time on the paper's testbed, the same convention the query tables
+	// use. Round batching shows up here: fewer rounds, less SimNetMs.
 	SimNetMs float64 `json:"sim_net_ms"`
 	TimeMs   float64 `json:"time_ms"`
 
@@ -46,29 +46,25 @@ type BuildBenchRow struct {
 	AvgRoundWidth     float64 `json:"avg_round_width"`
 }
 
-// BuildBenchReport is the BENCH_build.json document.
-type BuildBenchReport struct {
+// BuildReport is the BENCH_build.json document.
+type BuildReport struct {
 	Experiment string          `json:"experiment"`
 	Silos      int             `json:"silos"`
 	Rows       []BuildBenchRow `json:"rows"`
 }
 
-// WriteJSON renders the report as indented JSON.
-func (r BuildBenchReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
-// WriteFile writes the report to path.
-func (r BuildBenchReport) WriteFile(path string) error {
+// WriteReport writes a report (BuildReport, LargeReport) to path as indented
+// JSON.
+func WriteReport(path string, report any) error {
 	f, err := os.Create(path)
 	if err != nil {
-		return fmt.Errorf("expr: build bench report: %w", err)
+		return fmt.Errorf("expr: report: %w", err)
 	}
-	if err := r.WriteJSON(f); err != nil {
+	enc := json.NewEncoder(f)
+	enc.SetIndent("", "  ")
+	if err := enc.Encode(report); err != nil {
 		f.Close()
-		return fmt.Errorf("expr: build bench report: %w", err)
+		return fmt.Errorf("expr: report %s: %w", path, err)
 	}
 	return f.Close()
 }
@@ -79,13 +75,13 @@ func (r BuildBenchReport) WriteFile(path string) error {
 // contracted in plaintext (the recurring cost of refreshing the index per
 // traffic version). Rows record wall time, phase split and the Fed-SAC round
 // economics; the counts are a function of dataset and seed alone.
-func (h *Harness) RunIndexBuildBench() (*BuildBenchReport, error) {
-	rep := &BuildBenchReport{Experiment: "index-build", Silos: h.cfg.Silos}
+func (h *Harness) RunIndexBuildBench() (*BuildReport, error) {
+	rep := &BuildReport{Experiment: "index-build", Silos: h.cfg.Silos}
 	for _, name := range h.cfg.Datasets {
 		g, w0, spec := h.generate(name)
 		for _, customize := range []bool{false, true} {
 			sets := traffic.SiloWeights(w0, h.cfg.Silos, h.cfg.Level, h.cfg.Seed+spec.Seed)
-			f, err := fed.New(g, w0, sets, mpc.Params{Mode: h.cfg.Mode, Seed: h.cfg.Seed, Net: h.cfg.Net})
+			f, err := fed.New(g, w0, sets, mpc.Params{Mode: h.cfg.Mode, Seed: h.cfg.Seed})
 			if err != nil {
 				return nil, err
 			}
@@ -102,6 +98,7 @@ func (h *Harness) RunIndexBuildBench() (*BuildBenchReport, error) {
 				return nil, fmt.Errorf("expr: build bench %s customize=%v: %w", name, customize, err)
 			}
 			st := x.BuildStatistics()
+			net := h.cfg.Net.Predict(st.SAC, f.P())
 			rep.Rows = append(rep.Rows, BuildBenchRow{
 				Dataset:           name,
 				Vertices:          g.NumVertices(),
@@ -110,8 +107,8 @@ func (h *Harness) RunIndexBuildBench() (*BuildBenchReport, error) {
 				WallMs:            float64(st.WallTime.Microseconds()) / 1e3,
 				OrderingMs:        float64(st.OrderingTime.Microseconds()) / 1e3,
 				ContractionMs:     float64(st.ContractionTime.Microseconds()) / 1e3,
-				SimNetMs:          float64(st.SAC.SimNet.Microseconds()) / 1e3,
-				TimeMs:            float64((st.WallTime + st.SAC.SimNet).Microseconds()) / 1e3,
+				SimNetMs:          float64(net.Microseconds()) / 1e3,
+				TimeMs:            float64((st.WallTime + net).Microseconds()) / 1e3,
 				Shortcuts:         st.Shortcuts,
 				Compares:          st.SAC.Compares,
 				MPCRounds:         st.SAC.Rounds,
@@ -127,7 +124,7 @@ func (h *Harness) RunIndexBuildBench() (*BuildBenchReport, error) {
 // PrintIndexBuildBench renders the Table II-style construction comparison.
 // "unbatched" is computed, not run: every Fed-SAC as its own protocol
 // instance costs exactly mpc.RoundsPerCompare rounds.
-func (h *Harness) PrintIndexBuildBench(rep *BuildBenchReport) {
+func (h *Harness) PrintIndexBuildBench(rep *BuildReport) {
 	h.printf("Index derivation: witness build vs customization (%d silos)\n", rep.Silos)
 	w := h.tab()
 	fmt.Fprintln(w, "dataset\tmode\ttime\twall\tsimnet\tshortcuts\tFed-SACs\tMPC rounds\tunbatched rounds\tcontraction rounds\tavg width")

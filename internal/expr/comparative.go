@@ -11,9 +11,10 @@ import (
 
 // QueryMetrics is the cost of one query (or an average over a group).
 type QueryMetrics struct {
-	Time     time.Duration // Wall + SimNet: estimated end-to-end time on the paper's testbed
+	// Time is Wall plus the network time Config.Net predicts from Rounds and
+	// Bytes: the estimated end-to-end time on the paper's testbed.
+	Time     time.Duration
 	Wall     time.Duration // local computation measured in-process
-	SimNet   time.Duration // simulated MPC network time, R·(L+S/B) per comparison
 	Compares int64         // Fed-SAC invocations
 	Bytes    int64         // MPC bytes across all silos
 	Rounds   int64         // MPC communication rounds
@@ -21,11 +22,10 @@ type QueryMetrics struct {
 	Queue    pq.Counts     // priority-queue comparison breakdown (Fig. 12)
 }
 
-func metricsOf(stats core.QueryStats) QueryMetrics {
+func (h *Harness) metricsOf(stats core.QueryStats, parties int) QueryMetrics {
 	return QueryMetrics{
-		Time:     stats.WallTime + stats.SAC.SimNet,
+		Time:     stats.WallTime + h.cfg.Net.Predict(stats.SAC, parties),
 		Wall:     stats.WallTime,
-		SimNet:   stats.SAC.SimNet,
 		Compares: stats.SAC.Compares,
 		Bytes:    stats.SAC.Bytes,
 		Rounds:   stats.SAC.Rounds,
@@ -42,7 +42,6 @@ func average(ms []QueryMetrics) QueryMetrics {
 	for _, m := range ms {
 		out.Time += m.Time
 		out.Wall += m.Wall
-		out.SimNet += m.SimNet
 		out.Compares += m.Compares
 		out.Bytes += m.Bytes
 		out.Rounds += m.Rounds
@@ -51,7 +50,6 @@ func average(ms []QueryMetrics) QueryMetrics {
 	n := time.Duration(len(ms))
 	out.Time /= n
 	out.Wall /= n
-	out.SimNet /= n
 	out.Compares /= int64(len(ms))
 	out.Bytes /= int64(len(ms))
 	out.Rounds /= int64(len(ms))
@@ -86,7 +84,7 @@ func (h *Harness) runQueries(env *Env, opt core.Options, qs []Query) ([]QueryMet
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, metricsOf(stats))
+		out = append(out, h.metricsOf(stats, env.Fed.P()))
 	}
 	return out, nil
 }

@@ -30,15 +30,15 @@ import (
 
 // Config scales the harness. Zero values select the paper's defaults.
 type Config struct {
-	Datasets        []string      // nil = CAL-S, BJ-S, FLA-S
-	Silos           int           // default 3 (paper's default federation)
-	Level           traffic.Level // default Moderate
-	QueriesPerGroup int           // default 20
-	NumGroups       int           // default 5
-	Landmarks       int           // default 32
-	Seed            uint64        // default 1
-	Mode            mpc.Mode      // default ModeIdeal (exact cost accounting)
-	Net             mpc.NetworkModel
+	Datasets        []string         // nil = CAL-S, BJ-S, FLA-S
+	Silos           int              // default 3 (paper's default federation)
+	Level           traffic.Level    // default Moderate
+	QueriesPerGroup int              // default 20
+	NumGroups       int              // default 5
+	Landmarks       int              // default 32
+	Seed            uint64           // default 1
+	Mode            mpc.Mode         // default ModeIdeal (exact cost accounting)
+	Net             mpc.NetworkModel // §VIII-B cost model; printed times add its prediction (default DefaultLAN)
 	MaxVertices     int              // 0 = full scale; tests pass a small cap
 	External        *ExternalDataset // pre-loaded network injected under its own name
 	Out             io.Writer        // default os.Stdout
@@ -168,7 +168,7 @@ func (h *Harness) envFor(name string, silos int, tag string) (*Env, error) {
 	}
 	g, w0, spec := h.generate(name)
 	sets := traffic.SiloWeights(w0, silos, h.cfg.Level, h.cfg.Seed+spec.Seed)
-	f, err := fed.New(g, w0, sets, mpc.Params{Mode: h.cfg.Mode, Seed: h.cfg.Seed, Net: h.cfg.Net})
+	f, err := fed.New(g, w0, sets, mpc.Params{Mode: h.cfg.Mode, Seed: h.cfg.Seed})
 	if err != nil {
 		return nil, err
 	}

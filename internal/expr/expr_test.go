@@ -146,7 +146,7 @@ func TestScalabilityShape(t *testing.T) {
 	if len(res.Rows) != 4*2 {
 		t.Fatalf("got %d rows", len(res.Rows))
 	}
-	// More silos means more bytes per comparison, hence more simulated time.
+	// More silos means more bytes per comparison, hence more modelled time.
 	for _, m := range []string{"Naive-Dijk", "+TM-tree"} {
 		var b2, b4 int64
 		for _, r := range res.Rows {
@@ -240,7 +240,7 @@ func TestFig10Correlation(t *testing.T) {
 		if r.BytesCorr < 0.999 {
 			t.Fatalf("%s: bytes correlation %.4f, expected ~1", r.Method, r.BytesCorr)
 		}
-		// Time (dominated by the simulated network component) is nearly so.
+		// Time (dominated by the modelled network component) is nearly so.
 		if r.TimeCorr < 0.9 {
 			t.Fatalf("%s: time correlation %.4f, expected near 1", r.Method, r.TimeCorr)
 		}

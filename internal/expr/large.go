@@ -1,7 +1,6 @@
 package expr
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand/v2"
@@ -35,8 +34,8 @@ type LargeBenchConfig struct {
 	Out       io.Writer     // default os.Stdout
 }
 
-// LargeBenchReport is the BENCH_large.json document, one per graph.
-type LargeBenchReport struct {
+// LargeReport is the BENCH_large.json document, one per graph.
+type LargeReport struct {
 	Experiment string `json:"experiment"` // "large"
 	Graph      string `json:"graph"`
 	Vertices   int    `json:"vertices"`
@@ -92,12 +91,12 @@ func (c LargeBenchConfig) withDefaults() LargeBenchConfig {
 }
 
 // RunLargeBench loads the graph at cfg.Path and measures the scale tier.
-func RunLargeBench(cfg LargeBenchConfig) (*LargeBenchReport, error) {
+func RunLargeBench(cfg LargeBenchConfig) (*LargeReport, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Path == "" {
 		return nil, fmt.Errorf("expr: large bench needs a -graph file")
 	}
-	rep := &LargeBenchReport{
+	rep := &LargeReport{
 		Experiment: "large",
 		Graph:      cfg.Path,
 		Landmarks:  cfg.Landmarks,
@@ -116,14 +115,9 @@ func RunLargeBench(cfg LargeBenchConfig) (*LargeBenchReport, error) {
 	}
 	rep.LoadMs = float64(time.Since(start).Microseconds()) / 1000
 	rep.LoadPeakBytes = int64(tracker.Stop())
-	if w == nil {
-		// Weightless snapshot: fall back to unit weights (after the peak
-		// sample — they are not part of the load).
-		w = make(graph.Weights, g.NumArcs())
-		for a := range w {
-			w[a] = 1
-		}
-	}
+	// A weightless snapshot falls back to unit weights after the peak sample:
+	// they are not part of the load.
+	w, _ = graph.UnitIfMissing(g, w)
 	rep.Vertices, rep.Arcs = g.NumVertices(), g.NumArcs()
 	rep.CSRBytes = g.MemoryFootprint() + int64(8*len(w))
 	if rep.CSRBytes > 0 {
@@ -178,7 +172,7 @@ func RunLargeBench(cfg LargeBenchConfig) (*LargeBenchReport, error) {
 }
 
 // Print renders the report as the human-readable table.
-func (r *LargeBenchReport) Print(out io.Writer) {
+func (r *LargeReport) Print(out io.Writer) {
 	fmt.Fprintf(out, "Large-graph bench — %s\n\n", r.Graph)
 	tw := tabwriter.NewWriter(out, 2, 4, 2, ' ', 0)
 	fmt.Fprintf(tw, "vertices\t%d\n", r.Vertices)
@@ -193,24 +187,4 @@ func (r *LargeBenchReport) Print(out io.Writer) {
 	fmt.Fprintf(tw, "queries (plaintext)\t%d, mean %s, %.2f/s\n", r.Queries,
 		fmtDuration(time.Duration(r.QueryMeanMs*float64(time.Millisecond))), r.QueriesPerSec)
 	tw.Flush()
-}
-
-// WriteJSON renders the report as indented JSON.
-func (r *LargeBenchReport) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
-// WriteFile writes the report to path.
-func (r *LargeBenchReport) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("expr: large bench report: %w", err)
-	}
-	if err := r.WriteJSON(f); err != nil {
-		f.Close()
-		return fmt.Errorf("expr: large bench report: %w", err)
-	}
-	return f.Close()
 }

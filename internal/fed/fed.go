@@ -68,6 +68,9 @@ type Federation struct {
 	silos []*Silo
 	eng   *mpc.Engine
 	root  *Federation // nil when this federation is itself the root
+	// wrap, when set, wraps the decision function of every Fed-SAC handle
+	// this view and its forks create (see WithDecide).
+	wrap func(Decide) Decide
 }
 
 // New assembles a federation. siloWeights[p] is silo p's private weight set;
@@ -128,7 +131,25 @@ func (f *Federation) Root() *Federation {
 // federation's engine. Queries on distinct forks run concurrently; each
 // individual fork remains single-goroutine.
 func (f *Federation) Fork() *Federation {
-	return &Federation{g: f.g, w0: f.w0, silos: f.silos, eng: f.eng.Fork(), root: f.Root()}
+	return &Federation{g: f.g, w0: f.w0, silos: f.silos, eng: f.eng.Fork(), root: f.Root(), wrap: f.wrap}
+}
+
+// Decide is Fed-SAC's decision function over one protocol instance:
+// result[i] reports whether Σ_p diffs[i][p] < 0. The engine's CompareBatch is
+// the production one.
+type Decide func(diffs [][]int64) ([]bool, error)
+
+// WithDecide returns a view of f that shares its topology, silos, engine and
+// root, and whose Fed-SAC handles — NewSAC on the view and on every Fork of
+// it — decide through wrap(engine's CompareBatch). It is the one seam at which
+// everything the silos learn passes, the opened bits and the width of every
+// instance, whichever package compares (core, ch, lb): the simulator tests
+// record a real run there and replay it on garbage weights. Production never
+// sets it.
+func (f *Federation) WithDecide(wrap func(Decide) Decide) *Federation {
+	v := *f
+	v.root, v.wrap = f.Root(), wrap
+	return &v
 }
 
 // ArcPartial returns the partial-cost vector of a single arc: entry p is
@@ -191,35 +212,28 @@ func ClonePartial(a Partial) Partial {
 func (f *Federation) ZeroPartial() Partial { return make(Partial, len(f.silos)) }
 
 // SAC is the Fed-SAC operator bound to a federation, with sticky error
-// handling: search loops call Less freely and check Err once at the end.
-// Every Less call is one secure comparison.
+// handling: search loops compare freely and check Err once at the end. Every
+// call is one protocol instance; a lone comparison is a batch of one.
 type SAC struct {
-	eng *mpc.Engine
-	err error
+	decide Decide
+	err    error
 }
 
-// NewSAC creates a Fed-SAC handle on the federation's MPC engine.
-func (f *Federation) NewSAC() *SAC { return &SAC{eng: f.eng} }
-
-// Less reports whether the joint cost of a is strictly smaller than the
-// joint cost of b, via one secure comparison. After an engine error it
-// returns false; check Err.
-func (s *SAC) Less(a, b Partial) bool {
-	if s.err != nil {
-		return false
+// NewSAC creates a Fed-SAC handle on the federation's MPC engine, through the
+// view's WithDecide wrapper if it has one.
+func (f *Federation) NewSAC() *SAC {
+	decide := Decide(f.eng.CompareBatch)
+	if f.wrap != nil {
+		decide = f.wrap(decide)
 	}
-	r, err := s.eng.CompareSums(a, b)
-	if err != nil {
-		s.err = err
-		return false
-	}
-	return r
+	return &SAC{decide: decide}
 }
 
 // LessBatch runs len(pairs) independent secure comparisons in one batched
 // protocol instance (one set of communication rounds for the whole batch).
 // result[i] reports whether the joint cost of pairs[i][0] is strictly
-// smaller than the joint cost of pairs[i][1].
+// smaller than the joint cost of pairs[i][1]. After an engine error every
+// bit is false; check Err.
 func (s *SAC) LessBatch(pairs [][2]Partial) []bool {
 	diffs := make([][]int64, len(pairs))
 	for i, pr := range pairs {
@@ -240,7 +254,7 @@ func (s *SAC) LessDiffs(diffs [][]int64) []bool {
 	if s.err != nil || len(diffs) == 0 {
 		return make([]bool, len(diffs))
 	}
-	res, err := s.eng.CompareBatch(diffs)
+	res, err := s.decide(diffs)
 	if err != nil {
 		s.err = err
 		return make([]bool, len(diffs))
@@ -250,6 +264,3 @@ func (s *SAC) LessDiffs(diffs [][]int64) []bool {
 
 // Err returns the first engine error encountered, if any.
 func (s *SAC) Err() error { return s.err }
-
-// Stats returns the engine's accumulated comparison statistics.
-func (s *SAC) Stats() mpc.Stats { return s.eng.Stats() }

@@ -1,6 +1,7 @@
 package fed
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/graph"
@@ -59,21 +60,49 @@ func TestSACMatchesPlaintext(t *testing.T) {
 		sac := f.NewSAC()
 		a := Partial{100, 200, 300} // joint 600
 		b := Partial{250, 250, 101} // joint 601
-		if !sac.Less(a, b) {
-			t.Fatalf("mode %v: 600 < 601 failed", mode)
-		}
-		if sac.Less(b, a) {
-			t.Fatalf("mode %v: 601 < 600 claimed", mode)
-		}
-		if sac.Less(a, a) {
-			t.Fatalf("mode %v: strict less of equal values", mode)
+		got := sac.LessBatch([][2]Partial{{a, b}, {b, a}, {a, a}})
+		if !got[0] || got[1] || got[2] {
+			t.Fatalf("mode %v: [600<601 601<600 600<600] = %v", mode, got)
 		}
 		if sac.Err() != nil {
 			t.Fatal(sac.Err())
 		}
-		if sac.Stats().Compares != 3 {
-			t.Fatalf("mode %v: %d comparisons counted", mode, sac.Stats().Compares)
+		if st := f.Engine().Stats(); st.Compares != 3 || st.Rounds != mpc.RoundsPerCompare {
+			t.Fatalf("mode %v: one instance of 3 counted as %+v", mode, st)
 		}
+	}
+}
+
+// TestWithDecideSeesEveryInstance: a view's wrapper decides for NewSAC on the
+// view and on its forks, the view keeps the engine and the root, and the
+// federation it was taken from stays unwrapped.
+func TestWithDecideSeesEveryInstance(t *testing.T) {
+	f := testFederation(t, 3, mpc.ModeIdeal)
+	var widths []int
+	v := f.WithDecide(func(inner Decide) Decide {
+		return func(diffs [][]int64) ([]bool, error) {
+			widths = append(widths, len(diffs))
+			return inner(diffs)
+		}
+	})
+	if v.Root() != f || v.Engine() != f.Engine() {
+		t.Fatal("the view does not share the root and the engine")
+	}
+	a, b := Partial{1, 1, 1}, Partial{2, 2, 2}
+	if got := v.NewSAC().LessBatch([][2]Partial{{a, b}, {b, a}}); !got[0] || got[1] {
+		t.Fatalf("wrapped bits %v", got)
+	}
+	fork := v.Fork()
+	if fork.Root() != f {
+		t.Fatal("a fork of the view lost the root")
+	}
+	fork.NewSAC().LessDiffs([][]int64{{-1, 0, 0}})
+	f.NewSAC().LessDiffs([][]int64{{-1, 0, 0}})
+	if !reflect.DeepEqual(widths, []int{2, 1}) {
+		t.Fatalf("wrapper saw instance widths %v, want [2 1]", widths)
+	}
+	if f.Engine().Stats().Compares != 3 || fork.Engine().Stats().Compares != 1 {
+		t.Fatal("the wrapper must decide on the engine it wraps")
 	}
 }
 

@@ -349,3 +349,17 @@ func LoadFile(path string) (*Graph, Weights, error) {
 	}
 	return ReadFrom(br)
 }
+
+// UnitIfMissing is the fallback for a file without a weight section: it
+// returns w unchanged, or, when w is nil, a travel time of 1 on every arc and
+// true, so the caller can say that the weights are fabricated.
+func UnitIfMissing(g *Graph, w Weights) (Weights, bool) {
+	if w != nil {
+		return w, false
+	}
+	w = make(Weights, g.NumArcs())
+	for a := range w {
+		w[a] = 1
+	}
+	return w, true
+}

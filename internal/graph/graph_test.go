@@ -185,3 +185,19 @@ func TestPathCost(t *testing.T) {
 		t.Fatalf("single-vertex path: cost %d err %v", c, err)
 	}
 }
+
+func TestUnitIfMissing(t *testing.T) {
+	g, w0 := GenerateGrid(3, 3, 1)
+	if w, unit := UnitIfMissing(g, w0); unit || &w[0] != &w0[0] {
+		t.Fatal("a weighted graph's weights were replaced")
+	}
+	w, unit := UnitIfMissing(g, nil)
+	if !unit || len(w) != g.NumArcs() {
+		t.Fatalf("weightless graph: unit=%v, %d weights for %d arcs", unit, len(w), g.NumArcs())
+	}
+	for a, x := range w {
+		if x != 1 {
+			t.Fatalf("arc %d: weight %d, want 1", a, x)
+		}
+	}
+}

@@ -307,7 +307,9 @@ func (e *altEstimator) Potential(v graph.Vertex) fed.Partial {
 			haveBest = true
 			continue
 		}
-		if e.sac.Less(best, cand) { // secure: is the candidate tighter?
+		// Secure: is the candidate tighter? Each comparison depends on the
+		// last one's winner, so each is an instance of one.
+		if e.sac.LessBatch([][2]fed.Partial{{best, cand}})[0] {
 			copy(best, cand)
 		}
 	}

@@ -176,9 +176,9 @@ func TestFedALTUsesSecureComparisons(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := sac.Stats().Compares
+	before := f.Engine().Stats().Compares
 	fw.Potential(5)
-	used := sac.Stats().Compares - before
+	used := f.Engine().Stats().Compares - before
 	if used != int64(len(lm.L)-1) {
 		t.Fatalf("Fed-ALT used %d comparisons per estimation, want |L|-1 = %d", used, len(lm.L)-1)
 	}
@@ -187,9 +187,9 @@ func TestFedALTUsesSecureComparisons(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before = sac.Stats().Compares
+	before = f.Engine().Stats().Compares
 	fwMax.Potential(5)
-	if sac.Stats().Compares != before {
+	if f.Engine().Stats().Compares != before {
 		t.Fatal("Fed-ALT-Max performed secure comparisons")
 	}
 }

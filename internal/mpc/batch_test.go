@@ -88,13 +88,12 @@ func TestCompareBatchRoundEconomy(t *testing.T) {
 		t.Fatal(err)
 	}
 	batchStats := e.Stats()
-	e.ResetStats()
 	for _, d := range diffs {
 		if _, err := e.Compare(d); err != nil {
 			t.Fatal(err)
 		}
 	}
-	seqStats := e.Stats()
+	seqStats := e.Stats().Sub(batchStats)
 	if batchStats.Compares != seqStats.Compares {
 		t.Fatalf("comparison counts differ: %d vs %d", batchStats.Compares, seqStats.Compares)
 	}
@@ -102,9 +101,9 @@ func TestCompareBatchRoundEconomy(t *testing.T) {
 		t.Fatalf("batch rounds %d, sequential %d (want factor %d)",
 			batchStats.Rounds, seqStats.Rounds, k)
 	}
-	if batchStats.SimNet >= seqStats.SimNet/4 {
-		t.Fatalf("batching should slash simulated network time: %v vs %v",
-			batchStats.SimNet, seqStats.SimNet)
+	lan := DefaultLAN()
+	if b, s := lan.Predict(batchStats, 3), lan.Predict(seqStats, 3); b >= s/4 {
+		t.Fatalf("batching should slash the modelled network time: %v vs %v", b, s)
 	}
 	// Bytes within 2x of sequential (framing overhead shrinks, packing helps).
 	if batchStats.Bytes > seqStats.Bytes {
@@ -159,12 +158,12 @@ func TestCompareIsCompareBatchOfOne(t *testing.T) {
 			}
 		}
 		// 60 compares of 3 parties: every round is 3·2 point-to-point messages.
-		if bytes, rounds, simNet := e.PerCompareCost(); e.Stats() != (Stats{
-			Compares: 60, Rounds: 60 * int64(rounds), Bytes: 60 * bytes,
-			Messages: 60 * 3 * 2 * int64(rounds), SimNet: 60 * simNet,
+		if bytes, _ := batchWireCost(3, 1); e.Stats() != (Stats{
+			Compares: 60, Rounds: 60 * RoundsPerCompare, Bytes: 60 * bytes,
+			Messages: 60 * 3 * 2 * RoundsPerCompare,
 		}) {
-			t.Fatalf("mode %v: 60 single compares cost %+v, PerCompareCost (%d B, %d rounds, %v)",
-				mode, e.Stats(), bytes, rounds, simNet)
+			t.Fatalf("mode %v: 60 single compares cost %+v, one costs %d B in %d rounds",
+				mode, e.Stats(), bytes, RoundsPerCompare)
 		}
 	}
 }

@@ -11,7 +11,8 @@ import (
 // RoundsPerCompare-round instance: masked openings, circuit-level AND
 // openings and result bits of all k instances travel in the same frames, so
 // communication rounds — the latency-dominated cost on real networks — are
-// paid once per batch. A single comparison is simply k = 1.
+// paid once per batch. A single comparison is simply k = 1: there is no
+// scalar variant of the protocol.
 //
 // Frame layout (every party broadcasts one frame per round):
 //
@@ -28,20 +29,6 @@ import (
 // FedRoad batches the TM-tree's tournament build, the SPSP frontier's
 // μ-updates and the CH builder's witness searches and customization, whose
 // level-wise comparisons are independent by construction (§VI).
-
-// RunCompareParty executes one party's role of a single secure comparison
-// over an arbitrary transport (e.g. a TCP mesh spanning real processes): the
-// party contributes the private difference diff = a_p − b_p and learns only
-// whether Σ_p diff_p < 0. The party's block must come from the same deal as
-// every other party's (the preprocessing phase); lane 0 of it is consumed
-// and the rest discarded.
-func RunCompareParty(conn transport.Conn, diff int64, block *TupleBlock) (bool, error) {
-	out, err := RunCompareBatchParty(conn, []int64{diff}, []*TupleBlock{block})
-	if err != nil {
-		return false, err
-	}
-	return out[0], nil
-}
 
 // RunCompareBatchParty executes one party's role for k comparisons at once
 // over an arbitrary transport. diffs[i] is the party's private input d_p of

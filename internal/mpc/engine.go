@@ -58,6 +58,15 @@ func DefaultLAN() NetworkModel {
 	return NetworkModel{Latency: 200 * time.Microsecond, Bandwidth: 1e9}
 }
 
+// Predict applies the model to measured counters: the network time the
+// rounds and bytes of st would take among the given number of parties,
+// Rounds·L + Bytes/(parties·B). It is a prediction, never a measurement; the
+// engine applies no delay and records no time.
+func (m NetworkModel) Predict(st Stats, parties int) time.Duration {
+	perParty := float64(st.Bytes) / float64(parties)
+	return time.Duration(float64(st.Rounds)*float64(m.Latency) + perParty/m.Bandwidth*float64(time.Second))
+}
+
 // RetryPolicy bounds protocol-round retries after transient transport
 // failures (timeouts, injected faults). The zero value disables retry.
 type RetryPolicy struct {
@@ -73,9 +82,6 @@ type Params struct {
 	Parties int
 	Mode    Mode
 	Seed    uint64 // deterministic randomness for dealer and parties
-	// Net is the network model Stats.SimNet accounts with (default
-	// DefaultLAN). It is never applied as a delay.
-	Net NetworkModel
 
 	// RoundTimeout bounds how long any party waits for a single frame during
 	// a protocol round (protocol mode; 0 = wait forever). With it set, a
@@ -163,11 +169,10 @@ func (in *Instruments) record(compares, rounds, bytes, msgs int64) {
 
 // Stats aggregates the cost of all comparisons executed by an engine.
 type Stats struct {
-	Compares int64         // secure comparisons executed
-	Rounds   int64         // communication rounds, summed over comparisons
-	Bytes    int64         // wire bytes, summed over all parties
-	Messages int64         // wire messages, summed over all parties
-	SimNet   time.Duration // simulated network time per the paper's cost model
+	Compares int64 // secure comparisons executed
+	Rounds   int64 // communication rounds, summed over comparisons
+	Bytes    int64 // wire bytes, summed over all parties
+	Messages int64 // wire messages, summed over all parties
 }
 
 // Add accumulates other into s.
@@ -176,7 +181,6 @@ func (s *Stats) Add(other Stats) {
 	s.Rounds += other.Rounds
 	s.Bytes += other.Bytes
 	s.Messages += other.Messages
-	s.SimNet += other.SimNet
 }
 
 // Sub returns s minus other.
@@ -186,7 +190,6 @@ func (s Stats) Sub(other Stats) Stats {
 		Rounds:   s.Rounds - other.Rounds,
 		Bytes:    s.Bytes - other.Bytes,
 		Messages: s.Messages - other.Messages,
-		SimNet:   s.SimNet - other.SimNet,
 	}
 }
 
@@ -201,7 +204,6 @@ func (s Stats) Sub(other Stats) Stats {
 type Engine struct {
 	n      int
 	mode   Mode
-	netm   NetworkModel
 	seed   uint64
 	dealer *Dealer
 	conns  []transport.Conn
@@ -239,14 +241,11 @@ func NewEngine(p Params) (*Engine, error) {
 	if p.Parties < 2 {
 		return nil, fmt.Errorf("mpc: need at least 2 parties, got %d", p.Parties)
 	}
-	if p.Net.Bandwidth == 0 {
-		p.Net = DefaultLAN()
-	}
 	if p.Dial == nil {
 		p.Dial = memDial(p.Parties)
 	}
 	e := &Engine{
-		n: p.Parties, mode: p.Mode, netm: p.Net, seed: p.Seed,
+		n: p.Parties, mode: p.Mode, seed: p.Seed,
 		dealer:       NewDealer(p.Parties, p.Seed),
 		forkCtr:      new(atomic.Uint64),
 		roundTimeout: p.RoundTimeout,
@@ -283,7 +282,7 @@ func (e *Engine) Fork() *Engine {
 	id := e.forkCtr.Add(1)
 	seed := e.seed + id*0xd1342543de82ef95 // distinct odd-multiplier stream per fork
 	f := &Engine{
-		n: e.n, mode: e.mode, netm: e.netm, seed: e.seed,
+		n: e.n, mode: e.mode, seed: e.seed,
 		dealer:       NewDealer(e.n, seed),
 		forkCtr:      e.forkCtr,
 		instr:        e.instr,
@@ -355,13 +354,6 @@ func (e *Engine) N() int { return e.n }
 // Mode returns the execution mode.
 func (e *Engine) Mode() Mode { return e.mode }
 
-// PerCompareCost reports the analytic cost of one unbatched comparison:
-// total wire bytes (all parties), rounds, and simulated network time.
-func (e *Engine) PerCompareCost() (bytes int64, rounds int, simNet time.Duration) {
-	bytes, _ = batchWireCost(e.n, 1)
-	return bytes, RoundsPerCompare, e.simNetFor(bytes)
-}
-
 // batchWireCost is the analytic wire cost of one k-batch comparison among n
 // parties: exact payload bytes and message count as transport.Mem would
 // account them (every byte counted once, at its sender). The protocol is
@@ -389,37 +381,13 @@ func batchWireCost(n, k int) (bytes, msgs int64) {
 	return pairs * int64(per), pairs * int64(RoundsPerCompare)
 }
 
-// simNetFor applies the paper's cost model to a protocol run's total bytes.
-func (e *Engine) simNetFor(totalBytes int64) time.Duration {
-	perParty := float64(totalBytes) / float64(e.n)
-	return time.Duration(float64(RoundsPerCompare)*float64(e.netm.Latency) +
-		perParty/e.netm.Bandwidth*float64(time.Second))
-}
-
 // Compare decides whether Σ diffs < 0, where diffs[p] is party p's private
 // difference a_p − b_p. In terms of Fed-SAC: it returns [Σ a_p] < [Σ b_p],
 // revealing only that bit. It is CompareBatch of one, magnitude check
 // included.
 func (e *Engine) Compare(diffs []int64) (bool, error) {
 	out, err := e.CompareBatch([][]int64{diffs})
-	if err != nil {
-		return false, err
-	}
-	return out[0], nil
-}
-
-// CompareSums is Fed-SAC in its natural form: partials a[p] and b[p] are the
-// per-party path costs; the result is whether the joint cost of a is
-// strictly smaller than the joint cost of b.
-func (e *Engine) CompareSums(a, b []int64) (bool, error) {
-	if len(a) != e.n || len(b) != e.n {
-		return false, fmt.Errorf("mpc: partial vectors sized %d/%d for %d parties", len(a), len(b), e.n)
-	}
-	diffs := make([]int64, e.n)
-	for p := range diffs {
-		diffs[p] = a[p] - b[p]
-	}
-	return e.Compare(diffs)
+	return err == nil && out[0], err
 }
 
 // CompareBatch decides, for each instance i, whether Σ_p diffs[i][p] < 0 —
@@ -468,7 +436,6 @@ func (e *Engine) CompareBatch(diffs [][]int64) ([]bool, error) {
 	e.stats.Rounds += int64(RoundsPerCompare)
 	e.stats.Bytes += bytes
 	e.stats.Messages += msgs
-	e.stats.SimNet += e.simNetFor(bytes)
 	e.instr.record(int64(k), int64(RoundsPerCompare), bytes, msgs)
 	return out, nil
 }
@@ -561,6 +528,3 @@ func (e *Engine) runProtocolOnce(diffs [][]int64) ([]bool, error) {
 
 // Stats returns the accumulated cost counters.
 func (e *Engine) Stats() Stats { return e.stats }
-
-// ResetStats zeroes the accumulated cost counters.
-func (e *Engine) ResetStats() { e.stats = Stats{} }

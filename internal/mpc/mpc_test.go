@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func testRNG(seed uint64) *rand.Rand {
@@ -286,27 +287,6 @@ func TestProtocolCompareRandomAllPartyCounts(t *testing.T) {
 	}
 }
 
-func TestCompareSums(t *testing.T) {
-	e := newTestEngine(t, 3, ModeProtocol)
-	less, err := e.CompareSums([]int64{10, 20, 30}, []int64{30, 20, 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !less {
-		t.Fatal("60 < 61 should be true")
-	}
-	less, err = e.CompareSums([]int64{10, 20, 31}, []int64{30, 20, 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if less {
-		t.Fatal("61 < 61 should be false")
-	}
-	if _, err := e.CompareSums([]int64{1}, []int64{1, 2, 3}); err == nil {
-		t.Fatal("mis-sized partials accepted")
-	}
-}
-
 func TestIdealMatchesProtocol(t *testing.T) {
 	proto := newTestEngine(t, 3, ModeProtocol)
 	ideal := newTestEngine(t, 3, ModeIdeal)
@@ -350,7 +330,7 @@ func TestIdealAccountingMatchesProtocol(t *testing.T) {
 	if ps.Compares != 5 || ps.Rounds != 5*int64(RoundsPerCompare) {
 		t.Fatalf("unexpected counts: %+v", ps)
 	}
-	if ps.Bytes <= 0 || ps.SimNet <= 0 {
+	if ps.Bytes <= 0 || ps.Messages <= 0 {
 		t.Fatalf("cost counters empty: %+v", ps)
 	}
 }
@@ -395,13 +375,6 @@ func TestEngineForkIndependence(t *testing.T) {
 	f1, f2 := root.Fork(), root.Fork()
 	defer f1.Close()
 	defer f2.Close()
-
-	// Forks share the root's calibration without re-running it.
-	rb, _, _ := root.PerCompareCost()
-	fb, _, _ := f1.PerCompareCost()
-	if rb == 0 || rb != fb {
-		t.Fatalf("fork calibration %d, root %d", fb, rb)
-	}
 
 	// Stats are per-engine.
 	if _, err := f1.Compare([]int64{-1, 0, 0}); err != nil {
@@ -450,7 +423,7 @@ func TestCompareQuickProperty(t *testing.T) {
 	f := func(a0, a1, a2, b0, b1, b2 int32) bool {
 		a := []int64{int64(a0), int64(a1), int64(a2)}
 		b := []int64{int64(b0), int64(b1), int64(b2)}
-		got, err := e.CompareSums(a, b)
+		got, err := e.Compare([]int64{a[0] - b[0], a[1] - b[1], a[2] - b[2]})
 		if err != nil {
 			return false
 		}
@@ -515,21 +488,9 @@ func TestMagnitudeBoundEnforced(t *testing.T) {
 	}
 }
 
-func TestResetStats(t *testing.T) {
-	e := newTestEngine(t, 2, ModeIdeal)
-	e.Compare([]int64{-1, 0})
-	if e.Stats().Compares != 1 {
-		t.Fatal("comparison not counted")
-	}
-	e.ResetStats()
-	if e.Stats() != (Stats{}) {
-		t.Fatal("reset failed")
-	}
-}
-
 func TestStatsAddSub(t *testing.T) {
-	a := Stats{Compares: 1, Rounds: 9, Bytes: 100, Messages: 10, SimNet: 5}
-	b := Stats{Compares: 2, Rounds: 18, Bytes: 200, Messages: 20, SimNet: 10}
+	a := Stats{Compares: 1, Rounds: 9, Bytes: 100, Messages: 10}
+	b := Stats{Compares: 2, Rounds: 18, Bytes: 200, Messages: 20}
 	var acc Stats
 	acc.Add(a)
 	acc.Add(b)
@@ -539,5 +500,18 @@ func TestStatsAddSub(t *testing.T) {
 	d := b.Sub(a)
 	if d != a {
 		t.Fatalf("Sub wrong: %+v", d)
+	}
+}
+
+// TestNetworkModelPredict: the paper's R·(L + S/B) over measured counters,
+// S being one party's share of the bytes.
+func TestNetworkModelPredict(t *testing.T) {
+	m := NetworkModel{Latency: time.Millisecond, Bandwidth: 1000}
+	st := Stats{Compares: 64, Rounds: 16, Bytes: 3000, Messages: 96}
+	if got, want := m.Predict(st, 3), 16*time.Millisecond+time.Second; got != want {
+		t.Fatalf("Predict = %v, want %v", got, want)
+	}
+	if got := m.Predict(Stats{}, 3); got != 0 {
+		t.Fatalf("Predict of nothing = %v", got)
 	}
 }

@@ -165,14 +165,14 @@ func TestProtocolOverRealTCP(t *testing.T) {
 	lanes := dialLanes(t, n)
 	blocks := NewDealer(n, 77).CmpTuples()
 	diffs := []int64{-500, 200, 200} // sum -100 < 0
-	results := make([]bool, n)
+	results := make([][]bool, n)
 	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for p := 0; p < n; p++ {
 		wg.Add(1)
 		go func(p int) {
 			defer wg.Done()
-			results[p], errs[p] = RunCompareParty(lanes[p], diffs[p], &blocks[p])
+			results[p], errs[p] = RunCompareBatchParty(lanes[p], diffs[p:p+1], []*TupleBlock{&blocks[p]})
 		}(p)
 	}
 	wg.Wait()
@@ -182,7 +182,7 @@ func TestProtocolOverRealTCP(t *testing.T) {
 		}
 	}
 	for p := 0; p < n; p++ {
-		if !results[p] {
+		if !results[p][0] {
 			t.Fatalf("party %d got false, want true", p)
 		}
 	}
@@ -216,12 +216,12 @@ func TestProtocolManyComparisonsOverTCP(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				got, err := RunCompareParty(lanes[p], inputs[r][p], &batches[r][p])
+				got, err := RunCompareBatchParty(lanes[p], inputs[r][p:p+1], []*TupleBlock{&batches[r][p]})
 				if err != nil {
 					errs[p] = err
 					return
 				}
-				if got != wants[r] {
+				if got[0] != wants[r] {
 					errs[p] = &mismatchError{round: r}
 					return
 				}

@@ -11,8 +11,8 @@
 // The query protocol is a replicated-control-flow federated Dijkstra: each
 // silo holds its private additive share of every arc weight, all silos run
 // the same public Dijkstra control flow, and every branch decision (frontier
-// argmin, relaxation test) is one secure comparison via mpc.RunCompareParty
-// over a per-query mux lane. The per-query dealer is re-seeded from
+// argmin, relaxation test) is one secure comparison, a batch of one for
+// mpc.RunCompareBatchParty, over a per-query mux lane. The per-query dealer is re-seeded from
 // Seed⊕query, so a silo process restarted mid-run regenerates exactly the
 // correlated randomness its peers hold — no offline state survives a crash.
 package soak
@@ -382,7 +382,8 @@ func (p *meshParty) runQuery(q uint32, src, dst fedroad.Vertex) (found bool, joi
 	me := p.cfg.Party
 	cmp := func(diff int64) (bool, error) {
 		blocks := dealer.CmpTuples()
-		return mpc.RunCompareParty(lane, diff, &blocks[me])
+		out, err := mpc.RunCompareBatchParty(lane, []int64{diff}, []*mpc.TupleBlock{&blocks[me]})
+		return err == nil && out[0], err
 	}
 
 	nV := p.g.NumVertices()

@@ -4,8 +4,10 @@
 package traffic
 
 import (
+	"fmt"
 	"math"
 	"math/rand/v2"
+	"strings"
 
 	"repro/internal/graph"
 )
@@ -30,6 +32,17 @@ var (
 
 // Levels lists the paper's congestion levels in increasing severity.
 func Levels() []Level { return []Level{Free, Slight, Moderate, Heavy} }
+
+// ParseLevel resolves a congestion level by name, ignoring case: free,
+// slight, moderate or heavy.
+func ParseLevel(name string) (Level, error) {
+	for _, l := range Levels() {
+		if strings.EqualFold(l.Name, name) {
+			return l, nil
+		}
+	}
+	return Level{}, fmt.Errorf("unknown congestion level %q (want free, slight, moderate or heavy)", name)
+}
 
 // SiloWeights generates P private weight sets from the static weights w0
 // under the given congestion level, following §VIII-A: one shared congested

@@ -158,3 +158,18 @@ func TestSplitDisjointCoversAll(t *testing.T) {
 		t.Fatalf("split covers %d of %d trajectories", total, obs.NumTrajectories())
 	}
 }
+
+func TestParseLevel(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		want Level
+	}{{"free", Free}, {"Slight", Slight}, {"MODERATE", Moderate}, {"heavy", Heavy}} {
+		got, err := ParseLevel(c.name)
+		if err != nil || got != c.want {
+			t.Fatalf("ParseLevel(%q) = %+v, %v; want %+v", c.name, got, err, c.want)
+		}
+	}
+	if _, err := ParseLevel("gridlock"); err == nil {
+		t.Fatal("unknown level accepted")
+	}
+}
