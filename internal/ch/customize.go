@@ -44,38 +44,31 @@ func NewCustomizer(f *fed.Federation, sk *Skeleton) (*Customizer, error) {
 		return nil, fmt.Errorf("ch: skeleton contracted a %d-vertex/%d-arc graph, federation serves %d/%d",
 			len(sk.rank), sk.numBase, g.NumVertices(), g.NumArcs())
 	}
-	m := len(sk.tail)
-	p := f.P()
 	x := &Index{
 		f:    f,
 		rank: sk.rank,
 		// The topology arrays are shared with the skeleton: both are
-		// immutable for a customized index (updates rebind children and
+		// immutable for a customized index (updates re-elect winners and
 		// refresh weights in place, never append arcs).
 		tail:    sk.tail,
 		head:    sk.head,
 		via:     sk.via,
-		childA:  make([]int32, m),
-		childB:  make([]int32, m),
 		numBase: sk.numBase,
 		skel:    sk,
 	}
-	for a := range x.childA {
-		x.childA[a], x.childB[a] = -1, -1
-	}
-	x.siloW = make([][]int64, p)
+	x.siloW = make([][]int64, f.P())
 	for s := range x.siloW {
-		x.siloW[s] = make([]int64, m)
+		x.siloW[s] = make([]int64, len(sk.tail))
 		copy(x.siloW[s], f.Silo(s).Weights())
 	}
 	return &Customizer{x: x, wf: f.Fork()}, nil
 }
 
-// Run executes the customization sweep on a blank index with every base arc
-// dirty (see Index.sweep): one Fed-SAC instance per tick of the skeleton's
-// comparison DAG, Skeleton.CriticalPath() of them whatever the weights. The
-// resulting index is query-equivalent to a witness-pruned Build at the same
-// weights.
+// Run executes the customization sweep on a blank index — no winner known,
+// every base arc dirty (see Index.sweep): one Fed-SAC instance per tick of
+// the skeleton's comparison DAG, Skeleton.CriticalPath() of them whatever the
+// weights. It elects every pair group's winner, and the resulting index is
+// query-equivalent to a witness-pruned Build at the same weights.
 func (c *Customizer) Run() (*Index, error) {
 	if c.ran {
 		return nil, fmt.Errorf("ch: Customizer.Run called twice")
@@ -85,6 +78,10 @@ func (c *Customizer) Run() (*Index, error) {
 
 	start := time.Now()
 	x, sk := c.x, c.x.skel
+	x.win = make([]int32, sk.Plan().nGrp)
+	for g := range x.win {
+		x.win[g] = -1
+	}
 	dirty := make([]int32, x.numBase)
 	for a := range dirty {
 		dirty[a] = int32(a)
@@ -92,13 +89,6 @@ func (c *Customizer) Run() (*Index, error) {
 	sw, err := x.sweep(c.wf.NewSAC(), dirty)
 	if err != nil {
 		return nil, err
-	}
-
-	n := len(sk.rank)
-	x.upOut = make([][]int32, n)
-	x.downIn = make([][]int32, n)
-	for a := int32(0); a < int32(len(x.tail)); a++ {
-		x.addArcToQueryLists(a)
 	}
 
 	sacStats := c.wf.Engine().Stats()
@@ -173,8 +163,9 @@ const (
 // the static downstream cone of the dirty arcs:
 //
 //   - a cone shortcut is pending until both child groups are decided; then it
-//     is final: if a child winner moved it is rebound and re-summed per silo
-//     (locally), and it counts as changed when a partial actually moved;
+//     is final: if a child winner moved it is re-summed per silo from the new
+//     winners (locally), and it counts as changed when a partial actually
+//     moved;
 //   - a group is dirty from the moment a final member has changed, and from
 //     then on holds its final members as contenders. Each tick sends ONE
 //     Fed-SAC instance with ⌊c/2⌋ comparisons from every group holding c ≥ 2
@@ -188,24 +179,25 @@ const (
 // So early members are reduced while later ones are still being computed, a
 // group of g members costs g−1 comparisons exactly when a member changed,
 // and a full sweep (every base arc dirty on a blank index) takes
-// Skeleton.CriticalPath() ticks.
+// Skeleton.CriticalPath() ticks. A decided group's winner goes to x.win in
+// place, which is also its query-list slot: nothing else is rebuilt.
 func (x *Index) sweep(sac *fed.SAC, dirty []int32) (cost sweepCost, err error) {
-	pl, nb, p := x.skel.Plan(), int32(x.numBase), len(x.siloW)
+	pl, nb, p, win := x.skel.Plan(), int32(x.numBase), len(x.siloW), x.win
+	rw := pl.rows()
 	flags := make([]uint8, pl.nGrp)
 	pendG := make([]int32, pl.nGrp)        // members still pending
 	nCont := make([]int32, pl.nGrp)        // contenders held, in cont[memStart[g]:]
-	cont := make([]int32, len(pl.members)) // one slot per member: never overflows
+	cont := make([]int32, len(rw.members)) // one slot per member: never overflows
 	pendS := make([]uint8, len(pl.kids)/2) // per shortcut: undecided child groups in the cone
 	changed := make([]bool, len(x.tail))   // per arc: partial vector moved in this sweep
-	win := make([]int32, pl.nGrp)          // elected member, where a shortcut reads it
 	var active, tick, ready []int32        // groups in the next / this tick; decided groups to release
 
 	// markDirty turns g's final members into its contenders.
 	markDirty := func(g int32) {
 		flags[g] |= grpDirty
-		for _, a := range pl.group(g) {
+		for _, a := range rw.group(g) {
 			if a < nb || pendS[a-nb] == 0 {
-				cont[pl.memStart[g]+nCont[g]] = a
+				cont[rw.memStart[g]+nCont[g]] = a
 				nCont[g]++
 			}
 		}
@@ -218,12 +210,12 @@ func (x *Index) sweep(sac *fed.SAC, dirty []int32) (cost sweepCost, err error) {
 		case pendG[g] == 0 && nCont[g] <= 1:
 			flags[g] |= grpDone
 			if flags[g]&grpDirty != 0 {
-				w := cont[pl.memStart[g]]
+				w := cont[rw.memStart[g]]
 				if w != win[g] || changed[w] {
 					win[g] = w
 					flags[g] |= grpMoved
 				}
-				if len(pl.group(g)) > 1 {
+				if len(rw.group(g)) > 1 {
 					cost.tournaments++
 				}
 			}
@@ -239,7 +231,7 @@ func (x *Index) sweep(sac *fed.SAC, dirty []int32) (cost sweepCost, err error) {
 		for len(ready) > 0 {
 			g := ready[len(ready)-1]
 			ready = ready[:len(ready)-1]
-			for _, slot := range pl.cons[pl.consStart[g]:pl.consStart[g+1]] {
+			for _, slot := range rw.cons[rw.consStart[g]:rw.consStart[g+1]] {
 				i := slot / 2
 				if pendS[i]--; pendS[i] > 0 {
 					continue
@@ -247,7 +239,6 @@ func (x *Index) sweep(sac *fed.SAC, dirty []int32) (cost sweepCost, err error) {
 				a, ga, gb := i+nb, pl.kids[2*i], pl.kids[2*i+1]
 				if (flags[ga]|flags[gb])&grpMoved != 0 {
 					ca, cb := win[ga], win[gb]
-					x.childA[a], x.childB[a] = ca, cb
 					for _, ws := range x.siloW {
 						if nw := ws[ca] + ws[cb]; ws[a] != nw {
 							ws[a], changed[a] = nw, true
@@ -257,7 +248,7 @@ func (x *Index) sweep(sac *fed.SAC, dirty []int32) (cost sweepCost, err error) {
 				own := pl.groupOf[a]
 				pendG[own]--
 				if flags[own]&grpDirty != 0 {
-					cont[pl.memStart[own]+nCont[own]] = a
+					cont[rw.memStart[own]+nCont[own]] = a
 					nCont[own]++
 				} else if changed[a] {
 					markDirty(own)
@@ -279,16 +270,13 @@ func (x *Index) sweep(sac *fed.SAC, dirty []int32) (cost sweepCost, err error) {
 		flags[pl.groupOf[a]] |= grpDirty
 	}
 	for i := range pendS {
-		// A shortcut's recorded children ARE the winners of its child groups.
-		a := int32(i) + nb
-		win[pl.kids[2*i]], win[pl.kids[2*i+1]] = x.childA[a], x.childB[a]
 		for _, g := range pl.kids[2*i : 2*i+2] {
 			if flags[g]&grpDirty != 0 || pendG[g] > 0 {
 				pendS[i]++
 			}
 		}
 		if pendS[i] > 0 {
-			pendG[pl.groupOf[a]]++
+			pendG[pl.groupOf[int32(i)+nb]]++
 		}
 	}
 	for _, a := range dirty {
@@ -308,7 +296,7 @@ func (x *Index) sweep(sac *fed.SAC, dirty []int32) (cost sweepCost, err error) {
 		slices.Sort(active)
 		duel, flat, rows = duel[:0], flat[:0], rows[:0]
 		for _, g := range active {
-			c := cont[pl.memStart[g]:][:nCont[g]]
+			c := cont[rw.memStart[g]:][:nCont[g]]
 			for j := 0; j+1 < len(c); j += 2 {
 				lo, hi := min(c[j], c[j+1]), max(c[j], c[j+1])
 				duel = append(duel, lo, hi)
@@ -330,7 +318,7 @@ func (x *Index) sweep(sac *fed.SAC, dirty []int32) (cost sweepCost, err error) {
 		// group later in the list a new contender.
 		i := 0
 		for _, g := range active {
-			c := cont[pl.memStart[g]:][:nCont[g]]
+			c := cont[rw.memStart[g]:][:nCont[g]]
 			for j := 0; j+1 < len(c); j, i = j+2, i+1 {
 				c[j/2] = duel[2*i]
 				if laterWins[i] {

@@ -102,8 +102,7 @@ func TestCustomizeOnRoadLikeNetwork(t *testing.T) {
 }
 
 // TestCustomizeRepeatable: two sweeps over the same skeleton and weights must
-// give the identical index — children (the group winners), every partial
-// weight.
+// give the identical index — the group winners, every partial weight.
 func TestCustomizeRepeatable(t *testing.T) {
 	g, w0 := graph.GenerateGrid(8, 8, 62)
 	sk, err := BuildSkeleton(g)
@@ -121,12 +120,12 @@ func TestCustomizeRepeatable(t *testing.T) {
 			ref = x
 			continue
 		}
-		if len(x.childA) != len(ref.childA) {
-			t.Fatal("arc count differs")
+		if len(x.win) != len(ref.win) {
+			t.Fatal("group count differs")
 		}
-		for a := range x.childA {
-			if x.childA[a] != ref.childA[a] || x.childB[a] != ref.childB[a] {
-				t.Fatalf("children of arc %d differ", a)
+		for g := range x.win {
+			if x.win[g] != ref.win[g] {
+				t.Fatalf("winner of pair group %d differs", g)
 			}
 		}
 		for p := range x.siloW {
@@ -136,6 +135,110 @@ func TestCustomizeRepeatable(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// checkWinnerLists holds a customized index to what the query may read: the
+// lists of every vertex hold exactly one arc per incident pair group — all
+// overlay arcs with its (tail, head), routed by rank — and that arc is the
+// group's earliest joint minimum; every shortcut is composed of the winners
+// of its two child groups. Groups and winners are recomputed here from the
+// arcs and their joint weights, not read off the plan.
+func checkWinnerLists(t *testing.T, tag string, x *Index) {
+	t.Helper()
+	type pair [2]graph.Vertex
+	winner := map[pair]int32{}
+	for a := int32(0); a < int32(x.NumArcs()); a++ {
+		k := pair{x.Tail(a), x.Head(a)}
+		if w, ok := winner[k]; !ok || x.JointWeight(a) < x.JointWeight(w) {
+			winner[k] = a
+		}
+	}
+	listed := map[pair]bool{}
+	for v := graph.Vertex(0); int(v) < len(x.rank); v++ {
+		for dir, arcs := range [][]int32{x.UpOut(v), x.DownIn(v)} {
+			for _, a := range arcs {
+				k := pair{x.Tail(a), x.Head(a)}
+				up := x.Rank(k[1]) > x.Rank(k[0])
+				if up != (dir == 0) || k[dir] != v {
+					t.Fatalf("%s: arc %d (%d→%d) listed in the wrong list of vertex %d", tag, a, k[0], k[1], v)
+				}
+				if listed[k] {
+					t.Fatalf("%s: pair %d→%d listed twice", tag, k[0], k[1])
+				}
+				listed[k] = true
+				if a != winner[k] {
+					t.Fatalf("%s: pair %d→%d lists arc %d (joint %d), its earliest minimum is %d (joint %d)",
+						tag, k[0], k[1], a, x.JointWeight(a), winner[k], x.JointWeight(winner[k]))
+				}
+			}
+		}
+	}
+	if len(listed) != len(winner) {
+		t.Fatalf("%s: %d pair groups listed, the overlay has %d", tag, len(listed), len(winner))
+	}
+	for a := int32(x.numBase); a < int32(x.NumArcs()); a++ {
+		ca, cb := x.children(a)
+		if ca != winner[pair{x.Tail(a), x.Via(a)}] || cb != winner[pair{x.Via(a), x.Head(a)}] {
+			t.Fatalf("%s: shortcut %d composed of (%d,%d), not its child groups' winners", tag, a, ca, cb)
+		}
+	}
+}
+
+// TestQueryListsHoldTheWinners: after a customization, after every step of a
+// seeded update sequence and after a WriteIndex/ReadIndex cycle, the query
+// lists hold exactly the pair groups' winners. Silo weights drawn from {1, 2}
+// make most groups tie, so only the earliest-minimum rule names the winner.
+func TestQueryListsHoldTheWinners(t *testing.T) {
+	gr, wr := graph.GenerateRoadLike(240, 84)
+	gg, wg := graph.GenerateGrid(8, 9, 85)
+	for _, net := range []network{{"road", gr, wr}, {"grid", gg, wg}} {
+		rng := rand.New(rand.NewPCG(86, 87))
+		draw := tieHeavy()["one-or-two"]
+		sets := make([]graph.Weights, 3)
+		for p := range sets {
+			sets[p] = make(graph.Weights, net.g.NumArcs())
+		}
+		for a := 0; a < net.g.NumArcs(); a++ {
+			for p, w := range draw(rng) {
+				sets[p][a] = w
+			}
+		}
+		f, err := fed.New(net.g, net.w0, sets, mpc.Params{Mode: mpc.ModeIdeal, Seed: 88})
+		if err != nil {
+			t.Fatal(err)
+		}
+		sk, err := BuildSkeleton(net.g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x, err := Customize(f, sk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkWinnerLists(t, net.name+" customized", x)
+		for step := 0; step < 5; step++ {
+			var changed []graph.Arc
+			for _, ai := range rng.Perm(net.g.NumArcs())[:net.g.NumArcs()/8] {
+				changed = append(changed, graph.Arc(ai))
+				for p, w := range draw(rng) {
+					f.Silo(p).SetWeight(graph.Arc(ai), w)
+				}
+			}
+			if _, err := x.Update(changed); err != nil {
+				t.Fatal(err)
+			}
+			checkWinnerLists(t, fmt.Sprintf("%s update %d", net.name, step), x)
+		}
+		derived, err := BuildSkeleton(net.g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := ReadIndex(f, bytes.NewReader(indexBytes(t, x)), derived)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkWinnerLists(t, net.name+" reloaded", loaded)
 	}
 }
 
@@ -316,9 +419,11 @@ func TestCustomizedUpdateCleanConeIsFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	pl := sk.Plan()
-	winner := func(g int32) int32 { // as the group's first reader records it
-		slot := pl.cons[pl.consStart[g]]
-		return [2][]int32{x.childA, x.childB}[slot%2][int32(x.numBase)+slot/2]
+	rw := pl.rows()
+	winner := func(g int32) int32 { // as the group's first reader composes it
+		slot := rw.cons[rw.consStart[g]]
+		ca, cb := x.children(int32(x.numBase) + slot/2)
+		return [2]int32{ca, cb}[slot%2]
 	}
 	scale := func(a int32, by int64) UpdateStats {
 		for p := 0; p < f.P(); p++ {
@@ -333,7 +438,7 @@ func TestCustomizedUpdateCleanConeIsFree(t *testing.T) {
 	tried := 0
 	for a := int32(0); a < int32(x.numBase) && tried < 8; a++ {
 		grp := pl.groupOf[a]
-		if len(pl.group(grp)) < 2 || pl.consStart[grp] == pl.consStart[grp+1] {
+		if len(rw.group(grp)) < 2 || rw.consStart[grp] == rw.consStart[grp+1] {
 			continue // want a base arc with rivals and readers
 		}
 		tried++
@@ -342,7 +447,7 @@ func TestCustomizedUpdateCleanConeIsFree(t *testing.T) {
 			t.Fatalf("arc %d: still elected at 50x its weight (%d shortcuts re-weighted)", a, st.RecomputedShortcuts)
 		}
 		st := scale(a, 2)
-		if want := int64(len(pl.group(grp)) - 1); st.SAC.Compares != want || st.RecomputedShortcuts != 0 || st.ReverifiedVertices != 1 {
+		if want := int64(len(rw.group(grp)) - 1); st.SAC.Compares != want || st.RecomputedShortcuts != 0 || st.ReverifiedVertices != 1 {
 			t.Fatalf("arc %d: %d comparisons, %d shortcuts re-weighted, %d tournaments; want %d, 0, 1",
 				a, st.SAC.Compares, st.RecomputedShortcuts, st.ReverifiedVertices, want)
 		}

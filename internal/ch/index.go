@@ -42,17 +42,16 @@ type Index struct {
 	// Per overlay arc:
 	tail, head []graph.Vertex
 	via        []graph.Vertex // shortcut's contracted middle vertex, NoShortcut for base arcs
-	childA     []int32        // overlay arc IDs forming the via path (shortcuts only)
-	childB     []int32
-	siloW      [][]int64 // [p][arc] private partial weights
+	siloW      [][]int64      // [p][arc] private partial weights
 
 	numBase int
 
-	// Query-time adjacency: upOut[v] holds out-arcs to higher-ranked heads,
-	// downIn[v] holds in-arcs from higher-ranked tails. Each arc lives in
-	// exactly one of the two lists.
-	upOut  [][]int32
-	downIn [][]int32
+	// Witness-built indexes only: a shortcut's children (the overlay arcs
+	// forming its via path), and the query-time adjacency — upOut[v] holds
+	// out-arcs to higher-ranked heads, downIn[v] in-arcs from higher-ranked
+	// tails, each arc in exactly one of the two lists.
+	childA, childB []int32
+	upOut, downIn  [][]int32
 
 	hs          *hierarchyState
 	witnessCap  int
@@ -60,10 +59,13 @@ type Index struct {
 	buildStats  BuildStats
 
 	// Customized indexes only: the immutable topology skeleton this index was
-	// customized from. The metric-dependent half of the customization state
-	// is childA/childB: a shortcut's children are the current winners (joint-
-	// minimum overlay arcs) of its two child pair groups.
+	// customized from, and the metric-dependent half of the customization
+	// state — win[g], the elected member of pair group g (its joint minimum,
+	// earliest on ties), −1 until decided. A shortcut's children are the
+	// winners of its two child groups, and the query reads only winners: the
+	// plan numbers groups in query-list order, so a list is a slice of win.
 	skel *Skeleton
+	win  []int32
 }
 
 // BuildStats reports the construction cost of the index.
@@ -123,11 +125,38 @@ func (x *Index) Head(a int32) graph.Vertex { return x.head[a] }
 // base arc.
 func (x *Index) Via(a int32) graph.Vertex { return x.via[a] }
 
-// UpOut returns v's out-arcs toward higher-ranked vertices.
-func (x *Index) UpOut(v graph.Vertex) []int32 { return x.upOut[v] }
+// UpOut returns v's out-arcs toward higher-ranked vertices; on a customized
+// index one per pair group, its winner.
+func (x *Index) UpOut(v graph.Vertex) []int32 {
+	if x.skel != nil {
+		return x.winners(2 * int32(v))
+	}
+	return x.upOut[v]
+}
 
-// DownIn returns v's in-arcs from higher-ranked vertices.
-func (x *Index) DownIn(v graph.Vertex) []int32 { return x.downIn[v] }
+// DownIn returns v's in-arcs from higher-ranked vertices; on a customized
+// index one per pair group, its winner.
+func (x *Index) DownIn(v graph.Vertex) []int32 {
+	if x.skel != nil {
+		return x.winners(2*int32(v) + 1)
+	}
+	return x.downIn[v]
+}
+
+// winners is query list l of a customized index (see custPlan.qStart).
+func (x *Index) winners(l int32) []int32 {
+	q := x.skel.Plan().qStart
+	return x.win[q[l]:q[l+1]:q[l+1]]
+}
+
+// children returns the two overlay arcs shortcut a is composed of.
+func (x *Index) children(a int32) (int32, int32) {
+	if x.skel == nil {
+		return x.childA[a], x.childB[a]
+	}
+	kids := x.skel.Plan().kids[2*(a-int32(x.numBase)):]
+	return x.win[kids[0]], x.win[kids[1]]
+}
 
 // Partial returns the per-silo partial weight vector of an overlay arc.
 func (x *Index) Partial(a int32) fed.Partial {
@@ -157,9 +186,8 @@ func (x *Index) Unpack(a int32) []graph.Vertex {
 	if x.via[a] == NoShortcut {
 		return []graph.Vertex{x.tail[a], x.head[a]}
 	}
-	left := x.Unpack(x.childA[a])
-	right := x.Unpack(x.childB[a])
-	return append(left, right[1:]...)
+	ca, cb := x.children(a)
+	return append(x.Unpack(ca), x.Unpack(cb)[1:]...)
 }
 
 // UnpackArcs expands an overlay arc into the sequence of base-graph arc IDs
@@ -168,7 +196,8 @@ func (x *Index) UnpackArcs(a int32) []int32 {
 	if x.via[a] == NoShortcut {
 		return []int32{a}
 	}
-	return append(x.UnpackArcs(x.childA[a]), x.UnpackArcs(x.childB[a])...)
+	ca, cb := x.children(a)
+	return append(x.UnpackArcs(ca), x.UnpackArcs(cb)...)
 }
 
 // addArcToQueryLists routes an overlay arc into upOut or downIn.

@@ -3,6 +3,7 @@ package ch
 import (
 	"bytes"
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"math/big"
 	"runtime"
@@ -213,6 +214,7 @@ func TestDerivationScheduleIgnoresGOMAXPROCS(t *testing.T) {
 // max T and the comparisons, Σ (g−1).
 func criticalPath(sk *Skeleton) (ticks int, compares int64) {
 	pl := sk.Plan()
+	rw := pl.rows()
 	one := big.NewInt(1)
 	tArc := make([]uint, len(sk.tail))
 	tGrp := make([]int, pl.nGrp)
@@ -222,7 +224,7 @@ func criticalPath(sk *Skeleton) (ticks int, compares int64) {
 	decided := func(g int32) int {
 		if tGrp[g] < 0 {
 			sum := new(big.Int)
-			for _, a := range pl.group(g) {
+			for _, a := range rw.group(g) {
 				sum.Add(sum, new(big.Int).Lsh(one, tArc[a]))
 			}
 			tGrp[g] = sum.Sub(sum, one).BitLen() // ⌈log2 sum⌉
@@ -235,7 +237,7 @@ func criticalPath(sk *Skeleton) (ticks int, compares int64) {
 	}
 	for g := range tGrp {
 		ticks = max(ticks, decided(int32(g)))
-		compares += int64(len(pl.group(int32(g))) - 1)
+		compares += int64(len(rw.group(int32(g))) - 1)
 	}
 	return ticks, compares
 }
@@ -271,22 +273,62 @@ func TestCustomizeRoundsAreTheCriticalPath(t *testing.T) {
 // TestDerivedIndexBytesPinned pins the WriteIndex stream of a seeded witness
 // build and a seeded customization to recorded values, so "same index" is
 // checked against a recorded value rather than against a second run of the
-// same code. The values are SHA-256(WritePublic ‖ WriteSiloWeights(0..2))
-// computed at 9000629 — before the stream lost its FRIX framing, with those
-// writers unchanged — whose framed bundles matched the bytes the deleted
-// forked-engine worker pool produced with a single worker.
+// same code. The values are SHA-256(WritePublic ‖ WriteSiloWeights(0..2)).
+// The witness values were computed at 9000629 — before the stream lost its
+// FRIX framing, with those writers unchanged — whose framed bundles matched
+// the bytes the deleted forked-engine worker pool produced with a single
+// worker. The customized stream has since traded its per-arc children for a
+// winner per pair group; its per-arc form, rebuilt from the winners, must
+// still hash to the value 9000629 recorded, so no winner has moved.
 func TestDerivedIndexBytesPinned(t *testing.T) {
-	want := map[string][2]string{ // network -> {build, customize}
+	want := map[string][3]string{ // network -> {build, customize, customize per arc}
 		"grid": {"56d7ee716eb82878b8bb51b7f8e65ab67994770806876b10d7e344981c1ea3a6",
+			"dc416179a72711e605e9805ad02cde3c850324199e192d5570cea5881df242cc",
 			"01a2d95bbbaee6a47ffd2e6a723ece77b45749b11aa870a535557602595955e5"},
 		"road": {"8512d41bde17e753ac839a94927e3aac5ab284361334ec8d6d30653a76b7a1d1",
+			"a823751f2ba4467cc7ba436c3ece3e654294c9180ac15b84a30b95cb731b572f",
 			"c1e1ca7cef614c2175e04aaf0e4aff2187c76f30dcd760a68736a3d2fea6cb24"},
 	}
 	for _, net := range scheduleNets() {
 		for i, customize := range []bool{false, true} {
-			if _, sum := derive(t, net.g, net.w0, mpc.ModeIdeal, customize, Params{}); sum != want[net.name][i] {
+			x, sum := derive(t, net.g, net.w0, mpc.ModeIdeal, customize, Params{})
+			if sum != want[net.name][i] {
 				t.Fatalf("%s customize=%v: WriteIndex SHA-256 %s, pinned %s", net.name, customize, sum, want[net.name][i])
+			}
+			if customize {
+				if sum := perArcStreamSum(t, x); sum != want[net.name][2] {
+					t.Fatalf("%s: per-arc customized stream SHA-256 %s, pinned %s", net.name, sum, want[net.name][2])
+				}
 			}
 		}
 	}
+}
+
+// perArcStreamSum is the SHA-256 of a customized index in the layout before
+// the winner table: the witness layout with every shortcut's children and no
+// skip records, then the shards.
+func perArcStreamSum(t *testing.T, x *Index) string {
+	t.Helper()
+	var b []byte
+	u32 := func(vs ...uint32) {
+		for _, v := range vs {
+			b = binary.LittleEndian.AppendUint32(b, v)
+		}
+	}
+	u32(indexMagic, indexVersion, uint32(len(x.rank)), uint32(x.NumArcs()), uint32(x.numBase))
+	for _, r := range x.rank {
+		u32(uint32(r))
+	}
+	for a := int32(0); a < int32(x.NumArcs()); a++ {
+		ca, cb := int32(-1), int32(-1)
+		if x.via[a] != NoShortcut {
+			ca, cb = x.children(a)
+		}
+		u32(uint32(x.tail[a]), uint32(x.head[a]), uint32(int32(x.via[a])), uint32(ca), uint32(cb))
+	}
+	b = append(b, make([]byte, 4*len(x.rank))...)
+	for _, shard := range serializeAll(t, x)[1:] {
+		b = append(b, shard...)
+	}
+	return fmt.Sprintf("%x", sha256.Sum256(b))
 }

@@ -22,23 +22,23 @@ import (
 
 // groupWinners decides the given pair groups: the joint-minimum member
 // (earliest on ties) of each, all brackets sharing one instance per round.
-func (x *Index) groupWinners(sac *fed.SAC, pl *custPlan, duel []int32) []int32 {
+func (x *Index) groupWinners(sac *fed.SAC, rw *groupRows, duel []int32) []int32 {
 	slates := make([][]fed.Partial, len(duel))
 	for i, g := range duel {
-		for _, a := range pl.group(g) {
+		for _, a := range rw.group(g) {
 			slates[i] = append(slates[i], x.Partial(a))
 		}
 	}
 	out := make([]int32, len(duel))
 	for i, w := range earliestMinGroups(sac, slates) {
-		out[i] = pl.group(duel[i])[w]
+		out[i] = rw.group(duel[i])[w]
 	}
 	return out
 }
 
 // referenceCustomize runs the level-synchronous sweep on a fresh federation
-// fork and returns the index (children, partials; no query lists)
-// with the Fed-SAC cost it paid.
+// fork and returns the index (winners, partials) with the Fed-SAC cost it
+// paid.
 func referenceCustomize(t *testing.T, f *fed.Federation, sk *Skeleton) (*Index, mpc.Stats) {
 	t.Helper()
 	c, err := NewCustomizer(f, sk)
@@ -47,6 +47,7 @@ func referenceCustomize(t *testing.T, f *fed.Federation, sk *Skeleton) (*Index, 
 	}
 	defer c.wf.Engine().Close()
 	x, pl, sac := c.x, sk.Plan(), c.wf.NewSAC()
+	rw := pl.rows()
 
 	// lvl(base arc) = 0, lvl(shortcut) = 1 + max lvl over both child groups'
 	// members; a group is decided at the level of its deepest member.
@@ -64,7 +65,7 @@ func referenceCustomize(t *testing.T, f *fed.Federation, sk *Skeleton) (*Index, 
 	groupsAt := make([][]int32, pl.maxLvl+1)
 	win := make([]int32, pl.nGrp)
 	for g := range win {
-		members := pl.group(int32(g))
+		members := rw.group(int32(g))
 		win[g] = members[0]
 		if len(members) > 1 {
 			groupsAt[groupLvl[g]] = append(groupsAt[groupLvl[g]], int32(g))
@@ -73,18 +74,18 @@ func referenceCustomize(t *testing.T, f *fed.Federation, sk *Skeleton) (*Index, 
 	for l := 0; l <= pl.maxLvl; l++ {
 		for _, a := range shortcutsAt[l] {
 			ca, cb := win[pl.kids[2*(a-int32(nb))]], win[pl.kids[2*(a-int32(nb))+1]]
-			x.childA[a], x.childB[a] = ca, cb
 			for _, ws := range x.siloW {
 				ws[a] = ws[ca] + ws[cb]
 			}
 		}
-		for i, w := range x.groupWinners(sac, pl, groupsAt[l]) {
+		for i, w := range x.groupWinners(sac, rw, groupsAt[l]) {
 			win[groupsAt[l][i]] = w
 		}
 		if err := sac.Err(); err != nil {
 			t.Fatal(err)
 		}
 	}
+	x.win = win
 	return x, c.wf.Engine().Stats()
 }
 
@@ -98,15 +99,16 @@ func indexBytes(t *testing.T, x *Index) []byte {
 }
 
 // sameCustomization demands two customized indexes over one skeleton agree
-// on everything a sweep decides: every shortcut's children — the winners of
-// every group a shortcut reads — and every partial weight.
+// on everything a sweep decides: every pair group's winner — so every
+// shortcut's children and every query list — and every partial weight.
 func sameCustomization(t *testing.T, tag string, got, want *Index) {
 	t.Helper()
-	for a := range want.childA {
-		if got.childA[a] != want.childA[a] || got.childB[a] != want.childB[a] {
-			t.Fatalf("%s: arc %d composed of (%d,%d), reference (%d,%d)", tag, a,
-				got.childA[a], got.childB[a], want.childA[a], want.childB[a])
+	for g := range want.win {
+		if got.win[g] != want.win[g] {
+			t.Fatalf("%s: pair group %d elected arc %d, reference %d", tag, g, got.win[g], want.win[g])
 		}
+	}
+	for a := range want.tail {
 		for p := range want.siloW {
 			if got.siloW[p][a] != want.siloW[p][a] {
 				t.Fatalf("%s: silo %d weight of arc %d is %d, reference %d", tag, p, a, got.siloW[p][a], want.siloW[p][a])

@@ -283,6 +283,49 @@ func TestLoadIndexAllocatesByStreamNotHeader(t *testing.T) {
 	}
 }
 
+// TestReadIndexRejectsBadWinnerTable: a customized stream's winner table must
+// name one member of every pair group the skeleton has — a winner from
+// another group, a winner past the arcs, a count above the skeleton's groups
+// (on a stream that ends after it, or holding every real winner) and a table
+// cut short are all refused.
+func TestReadIndexRejectsBadWinnerTable(t *testing.T) {
+	g, w0 := graph.GenerateGrid(6, 7, 77)
+	f := customizeFederation(t, g, w0, 78)
+	sk, err := BuildSkeleton(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := Customize(f, sk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := indexBytes(t, x)
+	if _, err := ReadIndex(f, bytes.NewReader(good), sk); err != nil {
+		t.Fatalf("good stream rejected: %v", err)
+	}
+	at := 20 + 4*len(x.rank) + 12*x.NumArcs() // the winner count
+	nGrp := uint32(len(x.win))
+	if got := binary.LittleEndian.Uint32(good[at:]); got != nGrp {
+		t.Fatalf("winner count %d at offset %d, the plan has %d groups", got, at, nGrp)
+	}
+	with := func(off int, v uint32) []byte {
+		b := append([]byte(nil), good...)
+		binary.LittleEndian.PutUint32(b[off:], v)
+		return b
+	}
+	for name, stream := range map[string][]byte{
+		"winner from another group": with(at+4, uint32(x.win[1])),
+		"winner past the arcs":      with(at+4, uint32(x.NumArcs())),
+		"count past the stream":     with(at, 1<<31)[:at+4],
+		"one group too many":        with(at, nGrp+1),
+		"table cut short":           good[:at+4+4*int(nGrp)-2],
+	} {
+		if _, err := ReadIndex(f, bytes.NewReader(stream), sk); err == nil {
+			t.Fatalf("%s: accepted", name)
+		}
+	}
+}
+
 func TestWriteSiloWeightsRange(t *testing.T) {
 	_, x := buildTestIndex(t, 5, 5, 73)
 	var b bytes.Buffer

@@ -161,6 +161,9 @@ func BuildSkeleton(g *graph.Graph) (*Skeleton, error) {
 			heap.Push(&h, skelCand{w, score(w)})
 		}
 	}
+	// Appending left slack in the arrays; the skeleton lives as long as its
+	// federation, so it keeps exact copies.
+	sk.tail, sk.head, sk.via = slices.Clone(sk.tail), slices.Clone(sk.head), slices.Clone(sk.via)
 	sk.stats = SkeletonStats{
 		Shortcuts: sk.NumShortcuts(),
 		WallTime:  time.Since(start),
@@ -230,7 +233,8 @@ func (sk *Skeleton) Levels() int { return sk.Plan().maxLvl }
 func (sk *Skeleton) CriticalPath() int { return sk.Plan().ticks }
 
 // custPlan is the metric-independent customization schedule derived once per
-// skeleton and shared by every Customize run and in-place customized update.
+// skeleton and shared by every Customize run, in-place customized update and
+// customized index's query lists.
 //
 // Overlay arcs with the same (tail, head) form a "pair group"; the merged-
 // CCH weight of the ordered pair is the joint minimum over the group. Every
@@ -251,17 +255,35 @@ type custPlan struct {
 	// Shortcut i (arc ID - numBase) is the winner of group kids[2i], tail to
 	// via, followed by the winner of group kids[2i+1], via to head.
 	kids []int32
-	// Flat CSR, rows ascending: group g's member arcs are
-	// members[memStart[g]:memStart[g+1]], and cons[consStart[g]:consStart[g+1]]
-	// are the slots of kids that name g (slot/2 is the reading shortcut).
+	// Groups are numbered in query-list order: those leaving v upward are
+	// qStart[2v]:qStart[2v+1], those entering v from above
+	// qStart[2v+1]:qStart[2v+2], each list by first member. A table indexed
+	// by group — the index's winners — is therefore the query lists.
+	qStart        []int32
+	nGrp          int
+	maxLvl, ticks int
+}
+
+// groupRows is the plan inverted, flat CSR with rows ascending: group g's
+// member arcs are members[memStart[g]:memStart[g+1]], and
+// cons[consStart[g]:consStart[g+1]] are the slots of kids that name g (slot/2
+// is the reading shortcut). Only a sweep walks them, so it derives them —
+// two linear passes — and drops them after: an idle index does not hold
+// them.
+type groupRows struct {
 	memStart, members []int32
 	consStart, cons   []int32
-	nGrp              int
-	maxLvl, ticks     int
+}
+
+func (pl *custPlan) rows() *groupRows {
+	r := &groupRows{}
+	r.memStart, r.members = csr(pl.nGrp, pl.groupOf)
+	r.consStart, r.cons = csr(pl.nGrp, pl.kids)
+	return r
 }
 
 // group returns the member arcs of pair group g, ascending.
-func (pl *custPlan) group(g int32) []int32 { return pl.members[pl.memStart[g]:pl.memStart[g+1]] }
+func (r *groupRows) group(g int32) []int32 { return r.members[r.memStart[g]:r.memStart[g+1]] }
 
 // Plan returns the skeleton's customization schedule, computing it on first
 // use.
@@ -290,8 +312,27 @@ func (sk *Skeleton) computePlan() *custPlan {
 		pl.groupOf[a] = id(sk.tail[a], sk.head[a])
 	}
 	pl.nGrp = len(ids)
-	pl.memStart, pl.members = csr(pl.nGrp, pl.groupOf)
-	pl.consStart, pl.cons = csr(pl.nGrp, pl.kids)
+	// Renumber by query list, routed by rank as addArcToQueryLists routes an
+	// arc: ids are in first-member order, which csr keeps within a row.
+	list := make([]int32, pl.nGrp)
+	for uw, g := range ids {
+		if u, w := uw[0], uw[1]; sk.rank[w] > sk.rank[u] {
+			list[g] = 2 * int32(u)
+		} else {
+			list[g] = 2*int32(w) + 1
+		}
+	}
+	pl.qStart, list = csr(2*len(sk.rank), list)
+	renum := make([]int32, pl.nGrp)
+	for i, g := range list {
+		renum[g] = int32(i)
+	}
+	for _, s := range [][]int32{pl.groupOf, pl.kids} {
+		for i, g := range s {
+			s[i] = renum[g]
+		}
+	}
+	rw := pl.rows()
 
 	// Finishing ticks and hierarchy levels (lvl(base arc) = 0, lvl(shortcut) =
 	// 1 + max lvl over both child groups' members), in arc order: a group is
@@ -305,7 +346,7 @@ func (sk *Skeleton) computePlan() *custPlan {
 	decided := func(g int32) int32 {
 		if tGrp[g] < 0 {
 			sum.SetInt64(0)
-			for _, a := range pl.group(g) {
+			for _, a := range rw.group(g) {
 				sum.Add(sum, term.Lsh(one, uint(tArc[a])))
 				lvlGrp[g] = max(lvlGrp[g], lvlArc[a])
 			}

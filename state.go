@@ -28,9 +28,11 @@ import (
 // skeleton is a function of the topology, so RestoreState re-derives it (or
 // reuses the federation's) and cross-checks it arc for arc.
 
+// Version 1 embedded the FRIX bundle, whose v2 stored the skeleton; version 2
+// stored a customized index's children per arc, not its pair-group winners.
 const (
 	stateMagic   = 0x46525354 // "FRST"
-	stateVersion = 2          // 1 embedded the FRIX bundle, whose v2 stored the skeleton
+	stateVersion = 3
 )
 
 // Index kinds of a state snapshot.
@@ -41,8 +43,8 @@ const (
 )
 
 // ErrStateVersion tags a snapshot written in a format this build does not
-// read (version 1 snapshots predate the skeleton-free layout): the snapshot
-// must be discarded, and the federation rebuilt from its graph.
+// read (versions 1 and 2 predate the winner-table layout): the snapshot must
+// be discarded, and the federation rebuilt from its graph.
 var ErrStateVersion = errors.New("fedroad: unsupported state version")
 
 // fingerprint hashes the topology and static weights (FNV-1a), so a restore

@@ -344,6 +344,51 @@ func TestRestoreCustomizedSnapshot(t *testing.T) {
 	}
 }
 
+// TestRestoredCustomizedRouteCostsTheSame: a customized snapshot carries the
+// winner of every pair group — those of the top groups, which no shortcut
+// reads, included — so a route asked after RestoreState reads the same query
+// lists and costs exactly the Fed-SACs it cost before SaveState. The first
+// route's count is pinned: its search reads only winners (lists holding
+// every member of a pair group cost this route 76 comparisons).
+func TestRestoredCustomizedRouteCostsTheSame(t *testing.T) {
+	src := customizedFederation(t, 71)
+	rng := rand.New(rand.NewPCG(76, 76))
+	var pairs [][2]Vertex
+	for len(pairs) < 12 {
+		if s, d := Vertex(rng.IntN(120)), Vertex(rng.IntN(120)); s != d {
+			pairs = append(pairs, [2]Vertex{s, d})
+		}
+	}
+	costs := func(f *Federation) []SACStats {
+		var out []SACStats
+		for _, p := range pairs {
+			_, st, err := f.ShortestPath(p[0], p[1], QueryOptions{BatchedMPC: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			out = append(out, st.SAC)
+		}
+		return out
+	}
+	before := costs(src)
+	if got := before[0].Compares; got != 30 {
+		t.Fatalf("route %d→%d: %d Fed-SACs, pinned 30", pairs[0][0], pairs[0][1], got)
+	}
+	var buf bytes.Buffer
+	if err := src.SaveState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	dst := freshTwin(t, 71)
+	if _, err := dst.RestoreState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for i, st := range costs(dst) {
+		if st != before[i] {
+			t.Fatalf("route %d→%d costs %+v after the restore, %+v before the save", pairs[i][0], pairs[i][1], st, before[i])
+		}
+	}
+}
+
 // TestRestoreFailureKeepsSkeletonState: a customized snapshot that fails
 // after its skeleton was derived leaves the federation without one, and a
 // federation that had one keeps exactly it.
@@ -391,6 +436,26 @@ func TestRestoreRefusesVersion1(t *testing.T) {
 		t.Fatalf("version-1 snapshot: %v, want ErrStateVersion", err)
 	}
 	if dst.HasIndex() || dst.TrafficVersion() != 0 {
+		t.Fatal("refused snapshot mutated the federation")
+	}
+}
+
+// TestRestoreRefusesVersion2: a version-2 snapshot stored a customized
+// index's children per arc, not its pair-group winners; it is refused with
+// ErrStateVersion and nothing is installed, not even a derived skeleton.
+func TestRestoreRefusesVersion2(t *testing.T) {
+	src := customizedFederation(t, 92)
+	var buf bytes.Buffer
+	if err := src.SaveState(&buf); err != nil {
+		t.Fatal(err)
+	}
+	v2 := append([]byte{}, buf.Bytes()...)
+	binary.LittleEndian.PutUint32(v2[4:], 2)
+	dst := freshTwin(t, 92)
+	if _, err := dst.RestoreState(bytes.NewReader(v2)); !errors.Is(err, ErrStateVersion) {
+		t.Fatalf("version-2 snapshot: %v, want ErrStateVersion", err)
+	}
+	if dst.HasIndex() || dst.HasSkeleton() || dst.TrafficVersion() != 0 {
 		t.Fatal("refused snapshot mutated the federation")
 	}
 }
@@ -448,6 +513,10 @@ func FuzzRestoreState(f *testing.F) {
 		return out
 	}
 	k := len(none) - 1 // the kind byte: the last byte of an index-free snapshot
+	// The last winner of cust's table ends its public part, ahead of two
+	// shards of 16 header bytes and 8 per overlay arc (the arc count is the
+	// public header's fourth word).
+	lastWinner := len(cust) - 2*(16+8*int(binary.LittleEndian.Uint32(cust[k+1+12:]))) - 4
 	for _, seed := range [][]byte{
 		none, witness, cust,
 		{},
@@ -463,6 +532,8 @@ func FuzzRestoreState(f *testing.F) {
 		withByte(none, 0, 0),                    // magic
 		withByte(cust, k+1+20, 0xff),            // first rank
 		withByte(witness, len(witness)-1, 0x80), // last weight negative
+		withByte(cust, 4, 2),                    // version 2: children per arc
+		withByte(cust, lastWinner, 0xff),        // a winner outside its pair group
 	} {
 		f.Add(seed)
 	}
