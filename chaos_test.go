@@ -2,6 +2,8 @@ package fedroad
 
 import (
 	"errors"
+	"fmt"
+	"math/rand/v2"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -210,4 +212,157 @@ func TestChaosLockstepPoisonedMidGang(t *testing.T) {
 	if poisoned < 5 {
 		t.Fatalf("only %d of the sweep's faults landed inside a query", poisoned)
 	}
+}
+
+// sendFault fails party 1's next Send on every engine once armed — the root
+// engine's included, since it is consulted per send, not when an engine is
+// forked — and disarms itself.
+type sendFault struct {
+	transport.Conn
+	armed *atomic.Bool
+}
+
+func (c sendFault) Send(to int, data []byte) error {
+	if c.Party() == 1 && c.armed.CompareAndSwap(true, false) {
+		return fmt.Errorf("chaos: injected send fault: %w", transport.ErrTransient)
+	}
+	return c.Conn.Send(to, data)
+}
+
+// sendFaultFederation is a protocol-mode federation over a 100-vertex road
+// network with a customized index, whose silo weights are the returned
+// slices (the federation updates them in place), and the switch that fails
+// the next Fed-SAC round.
+func sendFaultFederation(t *testing.T) (*Federation, []Weights, *atomic.Bool) {
+	t.Helper()
+	g, w0 := GenerateRoadNetwork(100, 61)
+	silos := SimulateCongestion(w0, 3, Moderate, 62)
+	armed := new(atomic.Bool)
+	f, err := New(g, w0, silos, Config{
+		Mode:         ModeProtocol,
+		Seed:         63,
+		RoundTimeout: 150 * time.Millisecond,
+		TransportWrap: func(_ int, c transport.Conn) transport.Conn {
+			return sendFault{Conn: c, armed: armed}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(f.Close)
+	if err := f.CustomizeIndex(); err != nil {
+		t.Fatal(err)
+	}
+	return f, silos, armed
+}
+
+// checkRoutesExact holds every route from s, and a seeded sample of others,
+// to plaintext Dijkstra on the weights of the version the route echoes.
+func checkRoutesExact(t *testing.T, tag string, f *Federation, silos []Weights, s Vertex) {
+	t.Helper()
+	sess := f.Session()
+	defer sess.Close()
+	g := f.Graph()
+	rng := rand.New(rand.NewPCG(uint64(s), 64))
+	pairs := [][2]Vertex{{s, 50}, {s, 80}}
+	for len(pairs) < 12 {
+		pairs = append(pairs, [2]Vertex{Vertex(rng.IntN(g.NumVertices())), Vertex(rng.IntN(g.NumVertices()))})
+	}
+	for _, p := range pairs {
+		route, _, ver, err := sess.ShortestPathAt(p[0], p[1], QueryOptions{BatchedMPC: true})
+		if err != nil {
+			t.Fatalf("%s: route %d→%d: %v", tag, p[0], p[1], err)
+		}
+		if ver != f.TrafficVersion() {
+			t.Fatalf("%s: route %d→%d echoes version %d, the federation is at %d", tag, p[0], p[1], ver, f.TrafficVersion())
+		}
+		if got, want := JointCost(route), jointDijkstra(g, silos, p[0], p[1]); got != want {
+			t.Fatalf("%s: route %d→%d at version %d costs %d, Dijkstra %d", tag, p[0], p[1], ver, got, want)
+		}
+	}
+}
+
+// jamRoute multiplies the arcs of the current route s→t by 40 at every silo.
+func jamRoute(t *testing.T, f *Federation, silos []Weights, s, d Vertex) []TrafficUpdate {
+	t.Helper()
+	route, _, err := f.ShortestPath(s, d)
+	if err != nil || len(route.Path) < 3 {
+		t.Fatalf("route %d→%d: %v (%d vertices)", s, d, err, len(route.Path))
+	}
+	var jam []TrafficUpdate
+	for i := 0; i+1 < len(route.Path); i++ {
+		a := f.Graph().FindArc(route.Path[i], route.Path[i+1])
+		for p := range silos {
+			jam = append(jam, TrafficUpdate{Silo: p, Arc: a, TravelMs: min(40*silos[p][a], MaxTravelMs-1)})
+		}
+	}
+	return jam
+}
+
+// TestChaosFailedRefreshRetiresIndex: a traffic batch is applied, and its
+// version bumped, before the index is refreshed. When the refresh fails — a
+// RebuildIndex derivation, or an in-place update left half swept — the index
+// describing the old weights must not keep serving: every route equals
+// Dijkstra at the version it echoes, searching flat until a derivation brings
+// an index back.
+func TestChaosFailedRefreshRetiresIndex(t *testing.T) {
+	f, silos, armed := sendFaultFederation(t)
+
+	jam := jamRoute(t, f, silos, 3, 50)
+	armed.Store(true)
+	if _, err := f.ApplyTraffic(jam, RebuildIndex); err == nil {
+		t.Fatal("a derivation through a failed round succeeded")
+	}
+	checkRoutesExact(t, "failed RebuildIndex", f, silos, 3)
+	if f.HasIndex() {
+		t.Fatal("the old index still serves after a failed RebuildIndex")
+	}
+
+	if _, err := f.ApplyTraffic(nil, RebuildIndex); err != nil || !f.HasIndex() {
+		t.Fatalf("ApplyTraffic(nil, RebuildIndex) after the failure: %v (index: %v)", err, f.HasIndex())
+	}
+	checkRoutesExact(t, "rebuilt", f, silos, 3)
+
+	jam = jamRoute(t, f, silos, 7, 80)
+	armed.Store(true)
+	if _, err := f.ApplyTraffic(jam); err == nil {
+		t.Fatal("an in-place update through a failed round succeeded")
+	}
+	checkRoutesExact(t, "failed in-place update", f, silos, 7)
+	if f.HasIndex() {
+		t.Fatal("a half-swept index still serves after a failed update")
+	}
+
+	if err := f.CustomizeIndex(); err != nil || !f.HasIndex() {
+		t.Fatalf("CustomizeIndex after the failure: %v (index: %v)", err, f.HasIndex())
+	}
+	checkRoutesExact(t, "re-customized", f, silos, 7)
+}
+
+// TestChaosUpdateFaultKeepsRootEngine: an in-place update runs on an engine
+// fork of its own, so a transport fault inside one fails that update only —
+// it does not poison the engine every later update and derivation forks.
+func TestChaosUpdateFaultKeepsRootEngine(t *testing.T) {
+	f, silos, armed := sendFaultFederation(t)
+	batch := func(ms int64) []TrafficUpdate {
+		return []TrafficUpdate{{Silo: 0, Arc: 5, TravelMs: ms}, {Silo: 2, Arc: 9, TravelMs: ms}}
+	}
+	if _, err := f.ApplyTraffic(batch(90000)); err != nil {
+		t.Fatalf("healthy update: %v", err)
+	}
+	armed.Store(true)
+	if _, err := f.ApplyTraffic(batch(91000)); err == nil {
+		t.Fatal("an update through a failed round succeeded")
+	}
+	if _, err := f.ApplyTraffic(batch(92000)); err != nil {
+		t.Fatalf("the update after the fault: %v", err)
+	}
+	if err := f.CustomizeIndex(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := f.ApplyTraffic(batch(93000))
+	if err != nil || st.SAC.Compares == 0 {
+		t.Fatalf("update after re-customizing: %+v, %v", st, err)
+	}
+	checkRoutesExact(t, "after the fault", f, silos, 3)
 }

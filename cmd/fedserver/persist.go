@@ -2,6 +2,7 @@ package main
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -123,12 +124,15 @@ func (p *persister) Snapshot() error {
 
 // Apply runs a traffic batch through the federation and logs it durably,
 // holding mu so the record order in the WAL matches the version order the
-// federation assigned. An empty batch neither bumps the version nor logs.
+// federation assigned. An empty batch neither bumps the version nor logs. Only
+// a rejected batch (ErrInvalidUpdate) was not applied: one whose index refresh
+// failed is live at its new version, so it is logged and the refresh error
+// still returned.
 func (p *persister) Apply(updates []fedroad.TrafficUpdate) (ch.UpdateStats, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	stats, err := p.fed.ApplyTraffic(updates)
-	if err != nil || len(updates) == 0 {
+	if errors.Is(err, fedroad.ErrInvalidUpdate) || len(updates) == 0 {
 		return stats, err
 	}
 	if werr := p.wal.Append(encodeTrafficRecord(p.fed.TrafficVersion(), updates)); werr != nil {
@@ -137,7 +141,7 @@ func (p *persister) Apply(updates []fedroad.TrafficUpdate) (ch.UpdateStats, erro
 		return stats, fmt.Errorf("persist: wal append: %w", werr)
 	}
 	p.walAppends.Add(1)
-	return stats, nil
+	return stats, err
 }
 
 // Close closes the WAL handle.

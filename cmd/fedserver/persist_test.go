@@ -1,12 +1,16 @@
 package main
 
 import (
+	"fmt"
 	"math/rand/v2"
 	"os"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	fedroad "repro"
 	"repro/internal/graph"
+	"repro/internal/transport"
 	"repro/internal/wal"
 )
 
@@ -253,5 +257,87 @@ func TestPersistApplySurfacesWALFailure(t *testing.T) {
 	_, err = p.Apply([]fedroad.TrafficUpdate{{Silo: 0, Arc: 1, TravelMs: 5000}})
 	if err == nil {
 		t.Fatal("apply with a dead WAL reported success")
+	}
+}
+
+// oneSendFault fails party 1's next Send once armed, on any engine.
+type oneSendFault struct {
+	transport.Conn
+	armed *atomic.Bool
+}
+
+func (c oneSendFault) Send(to int, data []byte) error {
+	if c.Party() == 1 && c.armed.CompareAndSwap(true, false) {
+		return fmt.Errorf("chaos: injected send fault: %w", transport.ErrTransient)
+	}
+	return c.Conn.Send(to, data)
+}
+
+// A batch whose index refresh fails was still applied, at a new traffic
+// version: the WAL must hold it, so a restart restores the weights and the
+// version that were served.
+func TestPersistLogsBatchWhoseRefreshFailed(t *testing.T) {
+	armed := new(atomic.Bool)
+	open := func() (*fedroad.Federation, []fedroad.Weights) {
+		g, w0 := fedroad.GenerateRoadNetwork(80, 411)
+		silosW := fedroad.SimulateCongestion(w0, 3, fedroad.Moderate, 412)
+		f, err := fedroad.New(g, w0, silosW, fedroad.Config{
+			Seed:         413,
+			Mode:         fedroad.ModeProtocol,
+			RoundTimeout: 150 * time.Millisecond,
+			TransportWrap: func(_ int, c transport.Conn) transport.Conn {
+				return oneSendFault{Conn: c, armed: armed}
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(f.Close)
+		return f, silosW // the federation updates these in place
+	}
+	dir := t.TempDir()
+	fed, silosW := open()
+	p, err := newPersister(fed, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Restore(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fed.CustomizeIndex(); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	armed.Store(true)
+	batch := []fedroad.TrafficUpdate{{Silo: 0, Arc: 3, TravelMs: 777000}, {Silo: 2, Arc: 11, TravelMs: 5}}
+	if _, err := p.Apply(batch); err == nil {
+		t.Fatal("an index refresh through a failed round succeeded")
+	}
+	wantVer := fed.TrafficVersion()
+	if wantVer != 1 || silosW[0][3] != 777000 {
+		t.Fatalf("the failed refresh's batch is not live: version %d, weight %d", wantVer, silosW[0][3])
+	}
+	p.Close()
+
+	fed2, silos2 := open()
+	p2, err := newPersister(fed2, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p2.Restore(); err != nil {
+		t.Fatal(err)
+	}
+	defer p2.Close()
+	if got := fed2.TrafficVersion(); got != wantVer {
+		t.Fatalf("traffic version %d after restart, %d was served", got, wantVer)
+	}
+	for q := range silosW {
+		for a, w := range silosW[q] {
+			if silos2[q][a] != w {
+				t.Fatalf("silo %d arc %d weight %d after restart, %d was served", q, a, silos2[q][a], w)
+			}
+		}
 	}
 }

@@ -320,8 +320,8 @@ func (s *server) handleTraffic(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// Validation re-runs inside ApplyTraffic and tags its rejections
 		// with ErrInvalidUpdate — those are the client's fault. Anything
-		// else (a shortcut-index refresh failure after the weights were
-		// already validated) is an internal server failure.
+		// else is an internal server failure: a shortcut-index refresh that
+		// failed after the batch was applied, which retired the index.
 		code := http.StatusInternalServerError
 		if errors.Is(err, fedroad.ErrInvalidUpdate) {
 			code = http.StatusBadRequest

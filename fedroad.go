@@ -216,7 +216,8 @@ var ErrPeerDown = transport.ErrPeerDown
 // in. ApplyTraffic(nil, RebuildIndex) retries from fresh weights
 // automatically; a direct BuildIndex or CustomizeIndex returns this error
 // (check with errors.Is) for the caller to re-invoke when the update rate
-// allows. A previously built index, if any, keeps serving queries.
+// allows. A previously built index, if any, keeps serving queries — unless a
+// RebuildIndex batch retired it.
 var ErrBuildConflict = errors.New("fedroad: index build conflicted with a concurrent traffic update")
 
 // ErrInvalidQuery tags query errors caused by the request itself: vertices
@@ -732,8 +733,9 @@ func (f *Federation) CustomizeInfo() CustomizeInfo {
 
 // HasIndex reports whether a shortcut index is currently serving queries.
 // During an off-lock rebuild it keeps reporting the previous index (true) —
-// or false if none was ever built — until the new index is swapped in; use
-// IndexBuilding to observe an in-flight build.
+// or false if none was ever built, or a RebuildIndex batch or a failed
+// refresh retired it — until the new index is swapped in; use IndexBuilding
+// to observe an in-flight build.
 func (f *Federation) HasIndex() bool {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
@@ -792,10 +794,11 @@ const (
 	// fresh off-lock derivation after the batch is applied: a
 	// weight-customization pass over the topology skeleton when one exists
 	// (no ordering, no witness searches — a fraction of the MPC rounds), or
-	// a full federated rebuild otherwise. Queries keep using the previous
-	// index until the replacement swaps in; further traffic landing mid-pass
+	// a full federated rebuild otherwise. A non-empty batch retires the
+	// previous index, which describes the old weights: routes search flat
+	// until the replacement swaps in. Further traffic landing mid-pass
 	// triggers up to two retries from fresh weights before ErrBuildConflict
-	// is returned.
+	// is returned; ApplyTraffic(nil, RebuildIndex) tries again.
 	RebuildIndex ApplyOption = iota
 )
 
@@ -807,7 +810,10 @@ const rebuildRetries = 2
 // the shortcut index is built, refreshes it — by default inside one exclusive
 // critical section (the federated partial update), so no query ever observes
 // silo weights that disagree with the index. Invalid updates are rejected up
-// front; nothing is applied.
+// front; nothing is applied. Any other error means the batch WAS applied (the
+// traffic version moved) but the refresh failed: the index is retired, routes
+// search flat, and ApplyTraffic(nil, RebuildIndex) or CustomizeIndex brings
+// an index back.
 //
 // With the RebuildIndex option the refresh instead derives a whole fresh
 // index off-lock — preferring weight customization when a skeleton exists —
@@ -836,6 +842,11 @@ func (f *Federation) ApplyTraffic(updates []TrafficUpdate, opts ...ApplyOption) 
 	}
 	if rebuild {
 		hasSkel := f.skel != nil
+		if len(updates) > 0 {
+			// The index describes the old weights: routes search flat, and
+			// exactly, until the derivation swaps its replacement in.
+			f.index = nil
+		}
 		f.mu.Unlock()
 		if hasSkel {
 			return ch.UpdateStats{}, f.customizeIndex(rebuildRetries)
@@ -850,7 +861,11 @@ func (f *Federation) ApplyTraffic(updates []TrafficUpdate, opts ...ApplyOption) 
 	for a := range arcSet {
 		arcs = append(arcs, a)
 	}
-	return f.index.Update(arcs)
+	st, err := f.index.Update(arcs)
+	if err != nil {
+		f.index = nil // half swept: routes search flat until a derivation
+	}
+	return st, err
 }
 
 // QueryOptions tunes a single query. Every query runs the paper's best stack

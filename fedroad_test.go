@@ -392,22 +392,36 @@ func (c *recordingConn) Send(to int, data []byte) error {
 }
 
 // TestSeedDeterminesTranscript: two federations built from the same Config
-// send byte-identical frames for the same customization, route and kNN on
-// their first session, and another seed changes them. A session's randomness
-// is a function of Config.Seed and its fork number alone, which is what lets
-// a recorded transcript be replayed.
+// send byte-identical frames for the same customization, in-place update of
+// a multi-arc traffic batch, route and kNN on their first session, and
+// another seed changes them. A session's randomness is a function of
+// Config.Seed and its fork number alone, which is what lets a recorded
+// transcript be replayed; the update pairs what it compares by arc, not by
+// the order the batch's arcs come out of a map.
 func TestSeedDeterminesTranscript(t *testing.T) {
 	g, w0 := GenerateRoadNetwork(120, 81)
 	silos := SimulateCongestion(w0, 3, Moderate, 82)
+	rng := rand.New(rand.NewPCG(81, 82))
+	var batch []TrafficUpdate
+	for _, a := range rng.Perm(g.NumArcs())[:40] {
+		batch = append(batch, TrafficUpdate{Silo: rng.IntN(3), Arc: Arc(a), TravelMs: w0[a] + rng.Int64N(90000) + 1})
+	}
 	transcript := func(seed uint64) [][][][]byte {
 		rec := &frameRecorder{}
-		f, err := New(g, w0, silos, Config{Mode: ModeProtocol, Seed: seed, TransportWrap: rec.wrap})
+		sets := make([]Weights, len(silos))
+		for p, ws := range silos {
+			sets[p] = slices.Clone(ws) // the federation owns, and updates, its silos' weights
+		}
+		f, err := New(g, w0, sets, Config{Mode: ModeProtocol, Seed: seed, TransportWrap: rec.wrap})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer f.Close()
 		if err := f.CustomizeIndex(); err != nil {
 			t.Fatal(err)
+		}
+		if st, err := f.ApplyTraffic(batch); err != nil || st.SAC.Compares == 0 {
+			t.Fatalf("in-place update: %+v, %v", st, err)
 		}
 		sess := f.Session()
 		defer sess.Close()

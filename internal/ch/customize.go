@@ -114,13 +114,11 @@ func (c *Customizer) Run() (*Index, error) {
 // what the changed arcs can reach. No arcs are ever added (AddedShortcuts is
 // always zero); UpdateStats.ReverifiedVertices counts re-run group
 // tournaments here.
-func (x *Index) updateCustomized(changed []graph.Arc) (UpdateStats, error) {
-	start := time.Now()
-	before := x.f.Engine().Stats()
-	stats := UpdateStats{ChangedArcs: len(changed)}
-
+func (x *Index) updateCustomized(sac *fed.SAC, changed []graph.Arc) (UpdateStats, error) {
 	// A base arc is dirty when its partial vector changed (per silo: equal
 	// joint costs can hide a redistribution consumers must still inherit).
+	// The sweep pairs contenders in the order they become final, so the dirty
+	// arcs are sorted: the pairs it opens may not depend on the caller's order.
 	var dirty []int32
 	for _, a := range changed {
 		moved := false
@@ -133,15 +131,15 @@ func (x *Index) updateCustomized(changed []graph.Arc) (UpdateStats, error) {
 			dirty = append(dirty, int32(a))
 		}
 	}
+	slices.Sort(dirty)
+	var stats UpdateStats
 	if len(dirty) > 0 {
-		sw, err := x.sweep(x.f.NewSAC(), dirty)
+		sw, err := x.sweep(sac, dirty)
 		if err != nil {
 			return stats, err
 		}
 		stats.RecomputedShortcuts, stats.ReverifiedVertices = sw.reweighted, sw.tournaments
-		stats.SAC = x.f.Engine().Stats().Sub(before)
 	}
-	stats.WallTime = time.Since(start)
 	return stats, nil
 }
 

@@ -234,7 +234,7 @@ func TestQueryListsHoldTheWinners(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		loaded, err := ReadIndex(f, bytes.NewReader(indexBytes(t, x)), derived)
+		loaded, err := ReadIndex(f, bytes.NewReader(indexBytes(t, x)), derived, f.SnapshotWeights())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -482,7 +482,7 @@ func TestBundleRoundTripCustomized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x2, err := ReadIndex(f, bytes.NewReader(buf.Bytes()), derived)
+	x2, err := ReadIndex(f, bytes.NewReader(buf.Bytes()), derived, f.SnapshotWeights())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -498,7 +498,7 @@ func TestBundleRoundTripCustomized(t *testing.T) {
 	if err := built.WriteIndex(&wb); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadIndex(f, &wb, derived); err == nil {
+	if _, err := ReadIndex(f, &wb, derived, f.SnapshotWeights()); err == nil {
 		t.Fatal("a witness-built index attached to a skeleton")
 	}
 	g2, _ := graph.GenerateGrid(7, 8, 80)
@@ -506,7 +506,7 @@ func TestBundleRoundTripCustomized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadIndex(f, bytes.NewReader(buf.Bytes()), other); err == nil {
+	if _, err := ReadIndex(f, bytes.NewReader(buf.Bytes()), other, f.SnapshotWeights()); err == nil {
 		t.Fatal("a skeleton of another graph attached")
 	}
 

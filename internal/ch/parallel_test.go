@@ -15,21 +15,17 @@ import (
 	"repro/internal/traffic"
 )
 
-// serializeAll captures everything observable about an index: the public
-// structure bytes and every silo's weight shard.
+// serializeAll captures everything observable about an index: its WriteIndex
+// stream, then every silo's partial weights.
 func serializeAll(t *testing.T, x *Index) [][]byte {
 	t.Helper()
-	var pub bytes.Buffer
-	if err := x.WritePublic(&pub); err != nil {
-		t.Fatal(err)
-	}
-	out := [][]byte{pub.Bytes()}
-	for p := 0; p < len(x.siloW); p++ {
-		var b bytes.Buffer
-		if err := x.WriteSiloWeights(p, &b); err != nil {
-			t.Fatal(err)
+	out := [][]byte{indexBytes(t, x)}
+	for _, ws := range x.siloW {
+		var b []byte
+		for _, w := range ws {
+			b = binary.LittleEndian.AppendUint64(b, uint64(w))
 		}
-		out = append(out, b.Bytes())
+		out = append(out, b)
 	}
 	return out
 }
@@ -77,9 +73,9 @@ func TestParallelBuildEquivalence(t *testing.T) {
 				}
 				for i, b := range serializeAll(t, x) {
 					if !bytes.Equal(b, refBytes[i]) {
-						part := "public structure"
+						part := "index stream"
 						if i > 0 {
-							part = "silo weight shard"
+							part = "silo partials"
 						}
 						t.Fatalf("seed %d: %s differs from the first build", seed, part)
 					}
@@ -273,62 +269,94 @@ func TestCustomizeRoundsAreTheCriticalPath(t *testing.T) {
 // TestDerivedIndexBytesPinned pins the WriteIndex stream of a seeded witness
 // build and a seeded customization to recorded values, so "same index" is
 // checked against a recorded value rather than against a second run of the
-// same code. The values are SHA-256(WritePublic ‖ WriteSiloWeights(0..2)).
-// The witness values were computed at 9000629 — before the stream lost its
-// FRIX framing, with those writers unchanged — whose framed bundles matched
-// the bytes the deleted forked-engine worker pool produced with a single
-// worker. The customized stream has since traded its per-arc children for a
-// winner per pair group; its per-arc form, rebuilt from the winners, must
-// still hash to the value 9000629 recorded, so no winner has moved.
+// same code. The stream holds no weight, so the index is also rebuilt in the
+// layouts that stored partials, and must hash to what those recorded: the
+// witness build, and a customization with its children per arc, to the values
+// 9000629 recorded — their bundles matched the bytes the deleted
+// forked-engine worker pool produced with a single worker — and the
+// customization with its winner table to the value 92b9b90 recorded. So no
+// winner, child or partial has moved.
 func TestDerivedIndexBytesPinned(t *testing.T) {
-	want := map[string][3]string{ // network -> {build, customize, customize per arc}
-		"grid": {"56d7ee716eb82878b8bb51b7f8e65ab67994770806876b10d7e344981c1ea3a6",
-			"dc416179a72711e605e9805ad02cde3c850324199e192d5570cea5881df242cc",
-			"01a2d95bbbaee6a47ffd2e6a723ece77b45749b11aa870a535557602595955e5"},
-		"road": {"8512d41bde17e753ac839a94927e3aac5ab284361334ec8d6d30653a76b7a1d1",
-			"a823751f2ba4467cc7ba436c3ece3e654294c9180ac15b84a30b95cb731b572f",
-			"c1e1ca7cef614c2175e04aaf0e4aff2187c76f30dcd760a68736a3d2fea6cb24"},
+	type sums struct{ build, customize, buildShards, perArcShards, winnersShards string }
+	want := map[string]sums{
+		"grid": {"58da95fc0d81500a4aef650da2572a7b95650e4ee58b4708c9d040a905283469",
+			"eda77bbc0993dc5fbdd4ad329040348cb8560f0dc1169a56f7910e6ca1e26227",
+			"56d7ee716eb82878b8bb51b7f8e65ab67994770806876b10d7e344981c1ea3a6",
+			"01a2d95bbbaee6a47ffd2e6a723ece77b45749b11aa870a535557602595955e5",
+			"dc416179a72711e605e9805ad02cde3c850324199e192d5570cea5881df242cc"},
+		"road": {"114d930544c7a18af16a7b19da39910023f2fd1b2519f23cf1e7ada0068272ff",
+			"4dc38e07d28d221454fe31532e9d41d25a51013971bf357e5705481e83cd70c8",
+			"8512d41bde17e753ac839a94927e3aac5ab284361334ec8d6d30653a76b7a1d1",
+			"c1e1ca7cef614c2175e04aaf0e4aff2187c76f30dcd760a68736a3d2fea6cb24",
+			"a823751f2ba4467cc7ba436c3ece3e654294c9180ac15b84a30b95cb731b572f"},
 	}
 	for _, net := range scheduleNets() {
-		for i, customize := range []bool{false, true} {
-			x, sum := derive(t, net.g, net.w0, mpc.ModeIdeal, customize, Params{})
-			if sum != want[net.name][i] {
-				t.Fatalf("%s customize=%v: WriteIndex SHA-256 %s, pinned %s", net.name, customize, sum, want[net.name][i])
-			}
-			if customize {
-				if sum := perArcStreamSum(t, x); sum != want[net.name][2] {
-					t.Fatalf("%s: per-arc customized stream SHA-256 %s, pinned %s", net.name, sum, want[net.name][2])
-				}
-			}
+		var got sums
+		x, sum := derive(t, net.g, net.w0, mpc.ModeIdeal, false, Params{})
+		got.build, got.buildShards = sum, shardedStreamSum(x, false)
+		x, sum = derive(t, net.g, net.w0, mpc.ModeIdeal, true, Params{})
+		got.customize, got.perArcShards, got.winnersShards = sum, shardedStreamSum(x, false), shardedStreamSum(x, true)
+		if got != want[net.name] {
+			t.Fatalf("%s: SHA-256 of the streams %+v, pinned %+v", net.name, got, want[net.name])
 		}
 	}
 }
 
-// perArcStreamSum is the SHA-256 of a customized index in the layout before
-// the winner table: the witness layout with every shortcut's children and no
-// skip records, then the shards.
-func perArcStreamSum(t *testing.T, x *Index) string {
-	t.Helper()
+// shardedStreamSum is the SHA-256 of x in the layouts that stored partials: a
+// public part, then one weight shard per silo ("FRSH", version 1, silo, arc
+// count, then every arc's partial). The public part is layout 1 — ranks,
+// every arc with its children, then skip records (none for a customized
+// index) — or, for a customized index with winners set, layout 2: ranks,
+// every arc without children, then the winner table.
+func shardedStreamSum(x *Index, winners bool) string {
 	var b []byte
 	u32 := func(vs ...uint32) {
 		for _, v := range vs {
 			b = binary.LittleEndian.AppendUint32(b, v)
 		}
 	}
-	u32(indexMagic, indexVersion, uint32(len(x.rank)), uint32(x.NumArcs()), uint32(x.numBase))
+	ver := uint32(1)
+	if winners {
+		ver = 2
+	}
+	u32(indexMagic, ver, uint32(len(x.rank)), uint32(x.NumArcs()), uint32(x.numBase))
 	for _, r := range x.rank {
 		u32(uint32(r))
 	}
 	for a := int32(0); a < int32(x.NumArcs()); a++ {
-		ca, cb := int32(-1), int32(-1)
-		if x.via[a] != NoShortcut {
-			ca, cb = x.children(a)
+		u32(uint32(x.tail[a]), uint32(x.head[a]), uint32(x.via[a]))
+		if !winners {
+			ca, cb := int32(-1), int32(-1)
+			if x.via[a] != NoShortcut {
+				ca, cb = x.children(a)
+			}
+			u32(uint32(ca), uint32(cb))
 		}
-		u32(uint32(x.tail[a]), uint32(x.head[a]), uint32(int32(x.via[a])), uint32(ca), uint32(cb))
 	}
-	b = append(b, make([]byte, 4*len(x.rank))...)
-	for _, shard := range serializeAll(t, x)[1:] {
-		b = append(b, shard...)
+	switch {
+	case winners:
+		u32(uint32(len(x.win)))
+		for _, a := range x.win {
+			u32(uint32(a))
+		}
+	case x.skel != nil:
+		b = append(b, make([]byte, 4*len(x.rank))...)
+	default:
+		for _, recs := range x.hs.skips {
+			u32(uint32(len(recs)))
+			for _, r := range recs {
+				u32(uint32(r.u), uint32(r.w), uint32(len(r.witnessArcs)))
+				for _, a := range r.witnessArcs {
+					u32(uint32(a))
+				}
+			}
+		}
+	}
+	for p, ws := range x.siloW {
+		u32(0x46525348, 1, uint32(p), uint32(len(ws)))
+		for _, w := range ws {
+			b = binary.LittleEndian.AppendUint64(b, uint64(w))
+		}
 	}
 	return fmt.Sprintf("%x", sha256.Sum256(b))
 }

@@ -228,7 +228,5 @@ func checkUpdate(t *testing.T, tag string, x *Index, st UpdateStats, parent pare
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(indexBytes(t, x), indexBytes(t, fresh)) {
-		t.Fatalf("%s: updated index differs from a fresh customization", tag)
-	}
+	sameCustomization(t, tag+": updated index against a fresh customization", x, fresh)
 }

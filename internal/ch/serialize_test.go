@@ -3,35 +3,30 @@ package ch
 import (
 	"bytes"
 	"encoding/binary"
-	"io"
+	"fmt"
 	"math/rand/v2"
 	"runtime"
+	"slices"
 	"testing"
 
+	"repro/internal/fed"
 	"repro/internal/graph"
 )
 
-func TestIndexSerializationRoundTrip(t *testing.T) {
-	f, x := buildTestIndex(t, 8, 8, 61)
-
-	var public bytes.Buffer
-	if err := x.WritePublic(&public); err != nil {
-		t.Fatal(err)
-	}
-	shards := make([]bytes.Buffer, f.P())
-	for p := 0; p < f.P(); p++ {
-		if err := x.WriteSiloWeights(p, &shards[p]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	readers := make([]io.Reader, f.P())
-	for p := range readers {
-		readers[p] = &shards[p]
-	}
-	loaded, err := LoadIndex(f, &public, readers)
+// reload is a WriteIndex/ReadIndex cycle of a witness-built index against the
+// federation's current silo weights.
+func reload(t *testing.T, f *fed.Federation, x *Index) *Index {
+	t.Helper()
+	loaded, err := ReadIndex(f, bytes.NewReader(indexBytes(t, x)), nil, f.SnapshotWeights())
 	if err != nil {
 		t.Fatal(err)
 	}
+	return loaded
+}
+
+func TestIndexSerializationRoundTrip(t *testing.T) {
+	f, x := buildTestIndex(t, 8, 8, 61)
+	loaded := reload(t, f, x)
 
 	if loaded.NumArcs() != x.NumArcs() || loaded.NumShortcuts() != x.NumShortcuts() {
 		t.Fatalf("size mismatch after reload: %d/%d arcs, %d/%d shortcuts",
@@ -68,22 +63,7 @@ func TestIndexSerializationRoundTrip(t *testing.T) {
 
 func TestReloadedIndexSupportsUpdates(t *testing.T) {
 	f, x := buildTestIndex(t, 7, 7, 67)
-	var public bytes.Buffer
-	if err := x.WritePublic(&public); err != nil {
-		t.Fatal(err)
-	}
-	shards := make([]io.Reader, f.P())
-	for p := 0; p < f.P(); p++ {
-		var b bytes.Buffer
-		if err := x.WriteSiloWeights(p, &b); err != nil {
-			t.Fatal(err)
-		}
-		shards[p] = &b
-	}
-	loaded, err := LoadIndex(f, &public, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
+	loaded := reload(t, f, x)
 
 	// Dynamic update on the reloaded index: change weights, update, verify.
 	g := f.Graph()
@@ -110,130 +90,108 @@ func TestReloadedIndexSupportsUpdates(t *testing.T) {
 	}
 }
 
+// TestLoadIndexRejectsCorruptInput: a truncated or mis-tagged stream, and
+// silo weights that do not cover the graph, are refused.
 func TestLoadIndexRejectsCorruptInput(t *testing.T) {
 	f, x := buildTestIndex(t, 6, 6, 71)
-	var public bytes.Buffer
-	if err := x.WritePublic(&public); err != nil {
-		t.Fatal(err)
-	}
-	goodPublic := public.Bytes()
-
-	shard := func(p int) []byte {
-		var b bytes.Buffer
-		if err := x.WriteSiloWeights(p, &b); err != nil {
-			t.Fatal(err)
-		}
-		return b.Bytes()
-	}
-	goodShards := [][]byte{shard(0), shard(1), shard(2)}
-	load := func(pub []byte, sh [][]byte) error {
-		rs := make([]io.Reader, len(sh))
-		for i := range sh {
-			rs[i] = bytes.NewReader(sh[i])
-		}
-		_, err := LoadIndex(f, bytes.NewReader(pub), rs)
+	good, weights := indexBytes(t, x), f.SnapshotWeights()
+	load := func(stream []byte, ws []graph.Weights) error {
+		_, err := ReadIndex(f, bytes.NewReader(stream), nil, ws)
 		return err
 	}
-
-	if err := load(goodPublic, goodShards); err != nil {
+	if err := load(good, weights); err != nil {
 		t.Fatalf("good input rejected: %v", err)
 	}
-	if err := load(goodPublic[:8], goodShards); err == nil {
-		t.Fatal("truncated public part accepted")
+	if err := load(good[:8], weights); err == nil {
+		t.Fatal("truncated stream accepted")
 	}
-	bad := append([]byte{}, goodPublic...)
+	bad := append([]byte{}, good...)
 	bad[0] ^= 0xff // corrupt magic
-	if err := load(bad, goodShards); err == nil {
+	if err := load(bad, weights); err == nil {
 		t.Fatal("corrupt magic accepted")
 	}
-	if err := load(goodPublic, [][]byte{goodShards[0], goodShards[1]}); err == nil {
-		t.Fatal("missing shard accepted")
+	bad = append([]byte{}, good...)
+	binary.LittleEndian.PutUint32(bad[4:], custVersion)
+	if err := load(bad, weights); err == nil {
+		t.Fatal("a customized layout read as witness-built")
 	}
-	// Shards in the wrong order carry the wrong silo IDs.
-	if err := load(goodPublic, [][]byte{goodShards[1], goodShards[0], goodShards[2]}); err == nil {
-		t.Fatal("swapped shards accepted")
+	if err := load(good, weights[:2]); err == nil {
+		t.Fatal("weights of a missing silo accepted")
 	}
-	if err := load(goodPublic, [][]byte{goodShards[0], goodShards[1], goodShards[2][:10]}); err == nil {
-		t.Fatal("truncated shard accepted")
+	short := append([]graph.Weights{}, weights...)
+	short[2] = short[2][:len(short[2])-1]
+	if err := load(good, short); err == nil {
+		t.Fatal("a silo's weights one arc short accepted")
 	}
 }
 
+// TestIndexBundleRoundTrip: the witness layout is the header, the ranks, one
+// five-word record per shortcut and the skip records — no base arc and no
+// weight — and it reloads with every partial re-summed from the weights.
 func TestIndexBundleRoundTrip(t *testing.T) {
 	f, x := buildTestIndex(t, 8, 8, 79)
-	var stream bytes.Buffer
-	if err := x.WriteIndex(&stream); err != nil {
-		t.Fatal(err)
-	}
-	// The stream is exactly the privacy-boundary parts, back to back.
-	if want := bytes.Join(serializeAll(t, x), nil); !bytes.Equal(stream.Bytes(), want) {
-		t.Fatal("WriteIndex is not WritePublic ‖ WriteSiloWeights(0..P−1)")
-	}
-	loaded, err := ReadIndex(f, &stream, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.NumArcs() != x.NumArcs() || loaded.NumShortcuts() != x.NumShortcuts() {
-		t.Fatalf("size mismatch after stream reload: %d/%d arcs, %d/%d shortcuts",
-			loaded.NumArcs(), x.NumArcs(), loaded.NumShortcuts(), x.NumShortcuts())
-	}
-	for a := int32(0); a < int32(x.NumArcs()); a++ {
-		if x.Tail(a) != loaded.Tail(a) || x.Head(a) != loaded.Head(a) || x.Via(a) != loaded.Via(a) {
-			t.Fatalf("arc %d structure changed", a)
-		}
-		for p := 0; p < f.P(); p++ {
-			if x.SiloWeight(p, a) != loaded.SiloWeight(p, a) {
-				t.Fatalf("arc %d silo %d weight changed", a, p)
-			}
+	stream := indexBytes(t, x)
+	size := 20 + 4*len(x.rank) + 20*x.NumShortcuts()
+	for _, recs := range x.hs.skips {
+		size += 4
+		for _, r := range recs {
+			size += 12 + 4*len(r.witnessArcs)
 		}
 	}
-	joint := f.JointWeights()
-	rng := rand.New(rand.NewPCG(5, 5))
-	for trial := 0; trial < 30; trial++ {
-		s := graph.Vertex(rng.IntN(f.Graph().NumVertices()))
-		tt := graph.Vertex(rng.IntN(f.Graph().NumVertices()))
-		want, _ := graph.DijkstraTo(f.Graph(), joint, s, tt)
-		if got := chQueryJoint(loaded, s, tt); got != want {
-			t.Fatalf("stream-reloaded index: dist(%d,%d) = %d, want %d", s, tt, got, want)
+	if len(stream) != size {
+		t.Fatalf("stream is %d bytes, its layout %d", len(stream), size)
+	}
+	loaded := reload(t, f, x)
+	if !bytes.Equal(indexBytes(t, loaded), stream) {
+		t.Fatal("a reloaded index writes other bytes")
+	}
+	for i, part := range serializeAll(t, loaded) {
+		if !bytes.Equal(part, serializeAll(t, x)[i]) {
+			t.Fatalf("part %d of the reloaded index differs", i)
 		}
 	}
+	checkShortcutInvariants(t, f, loaded)
 }
 
 func TestReadIndexRejectsCorruptBundle(t *testing.T) {
 	f, x := buildTestIndex(t, 6, 6, 83)
-	var stream bytes.Buffer
-	if err := x.WriteIndex(&stream); err != nil {
-		t.Fatal(err)
+	good, weights := indexBytes(t, x), f.SnapshotWeights()
+	read := func(stream []byte) error {
+		_, err := ReadIndex(f, bytes.NewReader(stream), nil, weights)
+		return err
 	}
-	good := stream.Bytes()
-
-	if _, err := ReadIndex(f, bytes.NewReader(good), nil); err != nil {
+	if err := read(good); err != nil {
 		t.Fatalf("good stream rejected: %v", err)
 	}
-	if _, err := ReadIndex(f, bytes.NewReader(nil), nil); err == nil {
+	if err := read(nil); err == nil {
 		t.Fatal("empty stream accepted")
 	}
 	bad := append([]byte{}, good...)
 	bad[0] ^= 0xff
-	if _, err := ReadIndex(f, bytes.NewReader(bad), nil); err == nil {
+	if err := read(bad); err == nil {
 		t.Fatal("corrupt magic accepted")
 	}
-	// Truncations at various depths, and at the end of every part.
-	cuts := []int{len(good) / 4, len(good) / 2, len(good) - 1}
-	at := 0
-	for _, part := range serializeAll(t, x)[:f.P()] {
-		at += len(part)
-		cuts = append(cuts, at)
-	}
-	for _, cut := range cuts {
-		if _, err := ReadIndex(f, bytes.NewReader(good[:cut]), nil); err == nil {
+	// Truncations at various depths, and at the end of every section: the
+	// header, the ranks, the shortcut records.
+	n := len(x.rank)
+	for _, cut := range []int{len(good) / 4, len(good) / 2, len(good) - 1, 20, 20 + 4*n, 20 + 4*n + 20*x.NumShortcuts()} {
+		if err := read(good[:cut]); err == nil {
 			t.Fatalf("stream truncated to %d/%d bytes accepted", cut, len(good))
 		}
 	}
 	// A header claiming the most arcs the guard admits, on a stream that
 	// ends after it, must error.
-	n, nb := uint32(f.Graph().NumVertices()), uint32(f.Graph().NumArcs())
-	if _, err := ReadIndex(f, bytes.NewReader(publicHeader(f, nb+n*n*n)), nil); err == nil {
+	nb := uint32(f.Graph().NumArcs())
+	if err := read(witnessHeader(f, nb+uint32(n*n*n))); err == nil {
 		t.Fatal("lying arc count accepted")
+	}
+	// A shortcut whose children do not compose it.
+	if x.NumShortcuts() > 0 {
+		bad = append([]byte{}, good...)
+		binary.LittleEndian.PutUint32(bad[20+4*n+12:], 0) // first shortcut's first child
+		if err := read(bad); err == nil {
+			t.Fatal("a shortcut of the wrong children accepted")
+		}
 	}
 }
 
@@ -241,44 +199,37 @@ func TestReadIndexRejectsCorruptBundle(t *testing.T) {
 // header's m ≤ numBase + n³ guard admits any 32-bit count, and a skip-record
 // count is bounded only by n². The loader must allocate by the records that
 // arrive: a 20-byte header claiming 50M arcs (954 MiB of up-front arrays
-// before), the largest count the guard admits, and a valid base-only public
-// part whose first vertex claims n² skip records (128 MiB) all fail with EOF
-// inside 4 MiB.
+// before), the largest count the guard admits, and a valid shortcut-free
+// stream whose first vertex claims n² skip records (128 MiB) all fail with
+// EOF inside 4 MiB beyond what the graph's own arcs take.
 func TestLoadIndexAllocatesByStreamNotHeader(t *testing.T) {
 	env := getFuzzEnv(t)
 	f, g := env.wide, env.wide.Graph()
 	n, m := g.NumVertices(), g.NumArcs()
-	skipLie := publicHeader(f, uint32(m))
+	weights := f.SnapshotWeights()
+	skipLie := witnessHeader(f, uint32(m))
 	for v := 0; v < n; v++ {
 		skipLie = binary.LittleEndian.AppendUint32(skipLie, uint32(v))
-	}
-	for a := 0; a < m; a++ {
-		for _, v := range []uint32{uint32(g.Tail(graph.Arc(a))), uint32(g.Head(graph.Arc(a))), ^uint32(0), 0, 0} {
-			skipLie = binary.LittleEndian.AppendUint32(skipLie, v)
-		}
 	}
 	skipLie = binary.LittleEndian.AppendUint32(skipLie, uint32(n*n))
 	for _, tc := range []struct {
 		name   string
-		public []byte
+		stream []byte
 	}{
-		{"50M arcs", publicHeader(f, 50_000_000)},
-		{"2^32-1 arcs", publicHeader(f, 1<<32-1)},
+		{"50M arcs", witnessHeader(f, 50_000_000)},
+		{"2^32-1 arcs", witnessHeader(f, 1<<32-1)},
 		{"n² skip records", skipLie},
 	} {
-		shards := make([]io.Reader, f.P())
-		for p := range shards {
-			shards[p] = bytes.NewReader(nil)
-		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := LoadIndex(f, bytes.NewReader(tc.public), shards)
+		_, err := ReadIndex(f, bytes.NewReader(tc.stream), nil, weights)
 		runtime.ReadMemStats(&after)
 		if err == nil {
 			t.Fatalf("%s: a truncated stream loaded", tc.name)
 		}
-		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4<<20 {
-			t.Fatalf("%s: rejecting a %d-byte stream allocated %d bytes", tc.name, len(tc.public), alloc)
+		// Base arcs are the graph's: five words of them per arc are owed.
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 4<<20+uint64(20*m) {
+			t.Fatalf("%s: rejecting a %d-byte stream allocated %d bytes", tc.name, len(tc.stream), alloc)
 		}
 	}
 }
@@ -299,14 +250,14 @@ func TestReadIndexRejectsBadWinnerTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good := indexBytes(t, x)
-	if _, err := ReadIndex(f, bytes.NewReader(good), sk); err != nil {
+	good, weights := indexBytes(t, x), f.SnapshotWeights()
+	if _, err := ReadIndex(f, bytes.NewReader(good), sk, weights); err != nil {
 		t.Fatalf("good stream rejected: %v", err)
 	}
-	at := 20 + 4*len(x.rank) + 12*x.NumArcs() // the winner count
+	const at = 20 // the winner count follows the header
 	nGrp := uint32(len(x.win))
-	if got := binary.LittleEndian.Uint32(good[at:]); got != nGrp {
-		t.Fatalf("winner count %d at offset %d, the plan has %d groups", got, at, nGrp)
+	if got := binary.LittleEndian.Uint32(good[at:]); got != nGrp || len(good) != at+4+4*int(nGrp) {
+		t.Fatalf("winner count %d at offset %d in a %d-byte stream, the plan has %d groups", got, at, len(good), nGrp)
 	}
 	with := func(off int, v uint32) []byte {
 		b := append([]byte(nil), good...)
@@ -320,16 +271,126 @@ func TestReadIndexRejectsBadWinnerTable(t *testing.T) {
 		"one group too many":        with(at, nGrp+1),
 		"table cut short":           good[:at+4+4*int(nGrp)-2],
 	} {
-		if _, err := ReadIndex(f, bytes.NewReader(stream), sk); err == nil {
+		if _, err := ReadIndex(f, bytes.NewReader(stream), sk, weights); err == nil {
 			t.Fatalf("%s: accepted", name)
 		}
 	}
 }
 
-func TestWriteSiloWeightsRange(t *testing.T) {
-	_, x := buildTestIndex(t, 5, 5, 73)
-	var b bytes.Buffer
-	if err := x.WriteSiloWeights(99, &b); err == nil {
-		t.Fatal("out-of-range silo accepted")
+// checkPartialsAreSums holds an index to the property its stream relies on:
+// every shortcut's per-silo partial is the sum of its children's, so a
+// loader derives every partial from the base weights.
+func checkPartialsAreSums(t *testing.T, tag string, x *Index) {
+	t.Helper()
+	for a := int32(x.numBase); a < int32(x.NumArcs()); a++ {
+		ca, cb := x.children(a)
+		for p, ws := range x.siloW {
+			if ws[a] != ws[ca]+ws[cb] {
+				t.Fatalf("%s: shortcut %d silo %d: partial %d, its children (%d, %d) sum to %d",
+					tag, a, p, ws[a], ca, cb, ws[ca]+ws[cb])
+			}
+		}
+	}
+}
+
+// TestShortcutPartialsAreSumsOfChildren: on both index kinds, after the
+// derivation, after every step of seeded update sequences and after a
+// WriteIndex/ReadIndex cycle. A witness update rewires a shortcut onto newer
+// arcs, so its children can follow it in arc order; the update re-sums along
+// the child relation, not by arc ID.
+func TestShortcutPartialsAreSumsOfChildren(t *testing.T) {
+	for _, seed := range []uint64{41, 87, 93} {
+		for _, customize := range []bool{false, true} {
+			g, w0 := graph.GenerateGrid(8, 8, seed)
+			f := customizeFederation(t, g, w0, seed+1)
+			var sk *Skeleton
+			x, err := Build(f)
+			if customize {
+				if sk, err = BuildSkeleton(g); err == nil {
+					x, err = Customize(f, sk)
+				}
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			tag := fmt.Sprintf("seed %d customized %v", seed, customize)
+			checkPartialsAreSums(t, tag+" derived", x)
+			rng := rand.New(rand.NewPCG(seed, 7))
+			for step, frac := range []float64{0.02, 0.3, 0.3, 0.12, 0.3, 0.05, 0.3, 0.3} {
+				if _, err := x.Update(jiggleWeights(f, rng, frac)); err != nil {
+					t.Fatal(err)
+				}
+				checkPartialsAreSums(t, fmt.Sprintf("%s update %d", tag, step), x)
+			}
+			loaded, err := ReadIndex(f, bytes.NewReader(indexBytes(t, x)), sk, f.SnapshotWeights())
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkPartialsAreSums(t, tag+" reloaded", loaded)
+			for p := range x.siloW {
+				if !slices.Equal(loaded.siloW[p], x.siloW[p]) {
+					t.Fatalf("%s: silo %d partials differ after the reload", tag, p)
+				}
+			}
+		}
+	}
+}
+
+// TestUpdateIgnoresArcOrder: an in-place update opens the same pairs, in the
+// same instances, whatever order the changed arcs are listed in — on both
+// index kinds. What the silos see is recorded at the WithDecide seam.
+func TestUpdateIgnoresArcOrder(t *testing.T) {
+	g, w0 := graph.GenerateGrid(16, 16, 5)
+	sk, err := BuildSkeleton(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, customize := range []bool{false, true} {
+		// transcript derives an index, changes 40 arcs and returns every
+		// comparison the update opened, listing the arcs in the given order.
+		transcript := func(order func([]graph.Arc)) []string {
+			f := customizeFederation(t, g, w0, 5)
+			var opened []string
+			v := f.WithDecide(func(d fed.Decide) fed.Decide {
+				return func(diffs [][]int64) ([]bool, error) {
+					opened = append(opened, fmt.Sprint(diffs))
+					return d(diffs)
+				}
+			})
+			x, err := Build(v)
+			if customize {
+				x, err = Customize(v, sk)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewPCG(5, 5))
+			var changed []graph.Arc
+			for _, ai := range rng.Perm(g.NumArcs())[:40] {
+				a := graph.Arc(ai)
+				changed = append(changed, a)
+				for p := 0; p < f.P(); p++ {
+					f.Silo(p).SetWeight(a, w0[a]+rng.Int64N(60000)+1)
+				}
+			}
+			order(changed)
+			opened = nil
+			if _, err := x.Update(changed); err != nil {
+				t.Fatal(err)
+			}
+			return opened
+		}
+		want := transcript(func([]graph.Arc) {})
+		if len(want) == 0 {
+			t.Fatalf("customized %v: the update compared nothing", customize)
+		}
+		for s := uint64(0); s < 3; s++ {
+			got := transcript(func(arcs []graph.Arc) {
+				rand.New(rand.NewPCG(s, 11)).Shuffle(len(arcs), func(i, j int) { arcs[i], arcs[j] = arcs[j], arcs[i] })
+			})
+			if !slices.Equal(got, want) {
+				t.Fatalf("customized %v, shuffle %d: the update opened other pairs than for the listed order", customize, s)
+			}
+		}
 	}
 }

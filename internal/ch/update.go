@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"time"
 
+	"repro/internal/fed"
 	"repro/internal/graph"
 	"repro/internal/mpc"
 )
@@ -42,51 +43,32 @@ type UpdateStats struct {
 // rebuild; callers can compare UpdateStats.SAC against BuildStatistics().SAC
 // and rebuild when updates trend that way.
 func (x *Index) Update(changed []graph.Arc) (UpdateStats, error) {
+	// Every update runs on an engine fork of its own, as a derivation does: a
+	// transport fault poisons the fork, never the engine the next update and
+	// the off-lock derivations fork from.
+	wf := x.f.Fork()
+	defer wf.Engine().Close()
+	start := time.Now()
+	var stats UpdateStats
+	var err error
 	// A customized index has an immutable topology: updates refresh the
 	// skeleton's weight slots in place instead of growing the overlay.
 	if x.skel != nil {
-		return x.updateCustomized(changed)
+		stats, err = x.updateCustomized(wf.NewSAC(), changed)
+	} else {
+		stats, err = x.updateWitness(wf.NewSAC(), changed)
 	}
-	start := time.Now()
-	before := x.f.Engine().Stats()
-	stats := UpdateStats{ChangedArcs: len(changed)}
+	stats.ChangedArcs = len(changed)
+	stats.SAC = wf.Engine().Stats()
+	stats.WallTime = time.Since(start)
+	return stats, err
+}
+
+// updateWitness is Update on a witness-built index.
+func (x *Index) updateWitness(sac *fed.SAC, changed []graph.Arc) (UpdateStats, error) {
+	var stats UpdateStats
 	p := x.f.P()
 
-	// Step 1 — refresh base arc partials.
-	affected := make(map[int32]bool)
-	for _, a := range changed {
-		ai := int32(a)
-		for s := 0; s < p; s++ {
-			nw := x.f.Silo(s).Weight(a)
-			if x.siloW[s][ai] != nw {
-				x.siloW[s][ai] = nw
-				affected[ai] = true
-			}
-		}
-	}
-
-	// Step 2 — bottom-up propagation. Children always have smaller overlay
-	// arc IDs than the shortcuts built on them, so one ascending scan
-	// suffices.
-	for a := int32(x.numBase); a < int32(len(x.tail)); a++ {
-		if !affected[x.childA[a]] && !affected[x.childB[a]] {
-			continue
-		}
-		changedHere := false
-		for s := 0; s < p; s++ {
-			nw := x.siloW[s][x.childA[a]] + x.siloW[s][x.childB[a]]
-			if x.siloW[s][a] != nw {
-				x.siloW[s][a] = nw
-				changedHere = true
-			}
-		}
-		if changedHere {
-			affected[a] = true
-			stats.RecomputedShortcuts++
-		}
-	}
-
-	// Step 3 — re-verification, cascading upward in rank order.
 	witOwners := x.witnessOwnerIndex()
 	queue := &vertexRankHeap{x: x}
 	enqueued := make(map[graph.Vertex]bool)
@@ -96,7 +78,15 @@ func (x *Index) Update(changed []graph.Arc) (UpdateStats, error) {
 			heap.Push(queue, v)
 		}
 	}
+	// affected holds every arc whose partials changed; each is seeded for
+	// re-verification — its lower-ranked endpoint and the contractions whose
+	// witness used it — once.
+	affected := make(map[int32]bool)
 	seed := func(a int32) {
+		if affected[a] {
+			return
+		}
+		affected[a] = true
 		u, w := x.tail[a], x.head[a]
 		if x.rank[u] < x.rank[w] {
 			push(u)
@@ -107,11 +97,44 @@ func (x *Index) Update(changed []graph.Arc) (UpdateStats, error) {
 			push(owner)
 		}
 	}
-	for a := range affected {
-		seed(a)
+	// propagate re-sums, per silo, every shortcut built on a changed arc, and
+	// the shortcuts built on those in turn. It follows hs.parents, not arc
+	// order: a shortcut an earlier update rewired may precede its children.
+	propagate := func(a int32) {
+		for frontier := []int32{a}; len(frontier) > 0; frontier = frontier[1:] {
+			cur := frontier[0]
+			if cur != a && !affected[cur] {
+				stats.RecomputedShortcuts++
+			}
+			seed(cur)
+			for _, parent := range x.hs.parents[cur] {
+				moved := false
+				for s := 0; s < p; s++ {
+					if nw := x.siloW[s][x.childA[parent]] + x.siloW[s][x.childB[parent]]; x.siloW[s][parent] != nw {
+						x.siloW[s][parent], moved = nw, true
+					}
+				}
+				if moved {
+					frontier = append(frontier, parent)
+				}
+			}
+		}
 	}
 
-	sac := x.f.NewSAC()
+	// Steps 1 and 2 — refresh base arc partials, and propagate.
+	for _, a := range changed {
+		ai, moved := int32(a), false
+		for s := 0; s < p; s++ {
+			if nw := x.f.Silo(s).Weight(a); x.siloW[s][ai] != nw {
+				x.siloW[s][ai], moved = nw, true
+			}
+		}
+		if moved {
+			propagate(ai)
+		}
+	}
+
+	// Step 3 — re-verification, cascading upward in rank order.
 	done := make(map[graph.Vertex]bool)
 	for queue.Len() > 0 {
 		v := heap.Pop(queue).(graph.Vertex)
@@ -137,50 +160,20 @@ func (x *Index) Update(changed []graph.Arc) (UpdateStats, error) {
 		}
 		stats.AddedShortcuts += len(added)
 		// Newly added arcs and weight-changed refreshed shortcuts cascade.
-		newAffected := append([]int32{}, added...)
 		for _, a := range x.hs.viaIndex[v] {
 			old, ok := beforeW[a]
-			changed := !ok
-			for s := 0; !changed && s < p; s++ {
-				changed = old[s] != x.siloW[s][a]
+			moved := !ok
+			for s := 0; !moved && s < p; s++ {
+				moved = old[s] != x.siloW[s][a]
 			}
-			if changed {
-				newAffected = append(newAffected, a)
-			}
-		}
-		for _, na := range newAffected {
-			// Propagate weight changes through dependents of na.
-			frontier := []int32{na}
-			for len(frontier) > 0 {
-				cur := frontier[0]
-				frontier = frontier[1:]
-				if !affected[cur] {
-					affected[cur] = true
-					seed(cur)
-				}
-				for _, parent := range x.hs.parents[cur] {
-					ch := false
-					for s := 0; s < p; s++ {
-						nw := x.siloW[s][x.childA[parent]] + x.siloW[s][x.childB[parent]]
-						if x.siloW[s][parent] != nw {
-							x.siloW[s][parent] = nw
-							ch = true
-						}
-					}
-					if ch && !affected[parent] {
-						stats.RecomputedShortcuts++
-						frontier = append(frontier, parent)
-					}
-				}
+			if moved {
+				propagate(a)
 			}
 		}
 		for _, a := range added {
 			x.addArcToQueryLists(a)
 		}
 	}
-
-	stats.SAC = x.f.Engine().Stats().Sub(before)
-	stats.WallTime = time.Since(start)
 	x.buildStats.Shortcuts = x.NumShortcuts()
 	return stats, nil
 }

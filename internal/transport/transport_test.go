@@ -285,6 +285,25 @@ func TestTCPOversizedFrameRejected(t *testing.T) {
 	if err := a.Send(1, make([]byte, muxMaxFrame+1)); err == nil {
 		t.Fatal("oversized send accepted")
 	}
+	// Park the receive on the current link before forging: party 1 redials
+	// as soon as the link dies, and a receive that started after the redial
+	// would wait on the fresh link instead of reporting the dead one.
+	bl := b.m.link(0)
+	got := make(chan error, 1)
+	go func() {
+		_, err := b.Recv(0)
+		got <- err
+	}()
+	parked := func() bool {
+		bl.qmu.Lock()
+		defer bl.qmu.Unlock()
+		return bl.lanes[b.ID()] != nil
+	}
+	for deadline := time.Now().Add(5 * time.Second); !parked(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("receive never bound its lane to the link")
+		}
+	}
 	// Forge a frame header claiming 1 GiB directly on the socket: the
 	// receiver must drop the link instead of allocating or delivering it.
 	var hdr [muxHeaderLen]byte
@@ -293,7 +312,7 @@ func TestTCPOversizedFrameRejected(t *testing.T) {
 	if _, err := a.m.links[1].Load().conn.Write(hdr[:]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Recv(0); !errors.Is(err, ErrPeerDown) {
+	if err := <-got; !errors.Is(err, ErrPeerDown) {
 		t.Fatalf("recv of an oversized frame: %v, want ErrPeerDown", err)
 	}
 }

@@ -16,23 +16,24 @@ import (
 // the traffic version, and the shortcut index if built — against the
 // immutable topology, which is NOT stored: the restoring process loads the
 // same graph by its usual means, and a fingerprint check rejects snapshots
-// taken against a different network. This is a single-process (simulation /
-// fedserver) format; a real deployment persists along the privacy boundary,
-// one ch.WriteSiloWeights shard per silo next to the shared ch.WritePublic
-// part — the very bytes the snapshot writes in sequence.
+// taken against a different network. The index part holds only what the
+// federation decided (ch.WriteIndex): every private partial of the index is a
+// sum of one silo's weights, which the snapshot already holds, so a silo
+// persists nothing private beyond the weights it owns.
 //
 // Format (little-endian): magic, version, topology fingerprint, traffic
 // version, silo count, arc count, P×m silo weights, an index-kind byte
 // (indexNone, indexWitness, indexCustomized), then — unless none — the
 // ch.WriteIndex stream. A customized index's skeleton is not in it: the
 // skeleton is a function of the topology, so RestoreState re-derives it (or
-// reuses the federation's) and cross-checks it arc for arc.
+// reuses the federation's).
 
 // Version 1 embedded the FRIX bundle, whose v2 stored the skeleton; version 2
-// stored a customized index's children per arc, not its pair-group winners.
+// stored a customized index's children per arc, not its pair-group winners;
+// version 3 stored every overlay arc and a weight shard per silo.
 const (
 	stateMagic   = 0x46525354 // "FRST"
-	stateVersion = 3
+	stateVersion = 4
 )
 
 // Index kinds of a state snapshot.
@@ -43,8 +44,8 @@ const (
 )
 
 // ErrStateVersion tags a snapshot written in a format this build does not
-// read (versions 1 and 2 predate the winner-table layout): the snapshot must
-// be discarded, and the federation rebuilt from its graph.
+// read (versions 1 to 3 stored index parts the restore now derives): the
+// snapshot must be discarded, and the federation rebuilt from its graph.
 var ErrStateVersion = errors.New("fedroad: unsupported state version")
 
 // fingerprint hashes the topology and static weights (FNV-1a), so a restore
@@ -139,7 +140,8 @@ func (f *Federation) SaveState(w io.Writer) error {
 }
 
 // RestoreState loads a SaveState snapshot into the federation: silo weights,
-// the shortcut index (validated exactly as ch.LoadIndex validates it), and
+// the shortcut index (validated as ch.ReadIndex validates it, its partials
+// derived from the restored weights, so a restore runs no Fed-SAC), and
 // finally the snapshot's traffic version. A customized index is attached to
 // the federation's skeleton when it has one (its customization plan
 // survives); otherwise the skeleton is derived off-lock and installed with
@@ -226,13 +228,14 @@ func (f *Federation) RestoreState(r io.Reader) (restoredIndex bool, err error) {
 		return false, err
 	}
 	// ReadIndex validates the stream against the federation's topology and
-	// silo count, and BuildSkeleton reads only the topology: no lock yet.
+	// reads the weights above, and BuildSkeleton reads only the topology: no
+	// lock yet.
 	var idx *ch.Index
 	var derived *ch.Skeleton
 	switch kind {
 	case indexNone:
 	case indexWitness:
-		idx, err = ch.ReadIndex(f.inner, br, nil)
+		idx, err = ch.ReadIndex(f.inner, br, nil, weights)
 	case indexCustomized:
 		f.mu.RLock()
 		sk := f.skel
@@ -242,7 +245,7 @@ func (f *Federation) RestoreState(r io.Reader) (restoredIndex bool, err error) {
 			derived = sk
 		}
 		if err == nil {
-			idx, err = ch.ReadIndex(f.inner, br, sk)
+			idx, err = ch.ReadIndex(f.inner, br, sk, weights)
 		}
 	default:
 		return false, fmt.Errorf("fedroad: state index kind %d invalid", kind)

@@ -171,25 +171,6 @@ func kindOffset(f *Federation) int {
 	return stateHeaderLen + 8*f.Silos()*f.Graph().NumArcs()
 }
 
-// indexParts returns the lengths of f's index stream parts: the public part,
-// then one shard per silo.
-func indexParts(t *testing.T, f *Federation) []int {
-	t.Helper()
-	var b bytes.Buffer
-	if err := f.index.WritePublic(&b); err != nil {
-		t.Fatal(err)
-	}
-	parts := []int{b.Len()}
-	for p := 0; p < f.Silos(); p++ {
-		b.Reset()
-		if err := f.index.WriteSiloWeights(p, &b); err != nil {
-			t.Fatal(err)
-		}
-		parts = append(parts, b.Len())
-	}
-	return parts
-}
-
 func TestRestoreRejectsCorruption(t *testing.T) {
 	src := stateFederation(t, 61)
 	var buf bytes.Buffer
@@ -198,8 +179,8 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 	}
 	good := buf.Bytes()
 	// Every section boundary: inside the header, after each header field,
-	// after each silo's weights, after the kind byte, after the public part
-	// and after every shard but the last; then a byte short of the end.
+	// after each silo's weights, after the kind byte, after the index
+	// stream's header and after its ranks; then a byte short of the end.
 	cuts := []int{0, 4, 8, 16, 24, 28, stateHeaderLen}
 	at := stateHeaderLen
 	for p := 0; p < src.Silos(); p++ {
@@ -207,16 +188,14 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 		cuts = append(cuts, at)
 	}
 	at++
-	cuts = append(cuts, at)
-	parts := indexParts(t, src)
-	for _, n := range parts[:len(parts)-1] {
-		at += n
-		cuts = append(cuts, at)
+	cuts = append(cuts, at, at+20, at+20+4*src.Graph().NumVertices(), len(good)-1)
+	var index bytes.Buffer
+	if err := src.index.WriteIndex(&index); err != nil {
+		t.Fatal(err)
 	}
-	if at += parts[len(parts)-1]; at != len(good) {
-		t.Fatalf("snapshot is %d bytes, its sections add up to %d", len(good), at)
+	if at+index.Len() != len(good) {
+		t.Fatalf("snapshot is %d bytes, its sections add up to %d", len(good), at+index.Len())
 	}
-	cuts = append(cuts, len(good)-1)
 	for _, cut := range cuts {
 		dst := freshTwin(t, 61)
 		if _, err := dst.RestoreState(bytes.NewReader(good[:cut])); err == nil {
@@ -399,11 +378,11 @@ func TestRestoreFailureKeepsSkeletonState(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := append([]byte{}, buf.Bytes()...)
-	bad[len(bad)-1] = 0x80 // the last weight of the last shard goes negative
+	bad[len(bad)-1] = 0x80 // the last winner leaves its pair group
 
 	bare := freshTwin(t, 81)
 	if _, err := bare.RestoreState(bytes.NewReader(bad)); err == nil {
-		t.Fatal("negative shard weight accepted")
+		t.Fatal("a winner outside its pair group accepted")
 	}
 	if bare.HasSkeleton() || bare.HasIndex() || bare.TrafficVersion() != 0 {
 		t.Fatal("failed restore installed state")
@@ -414,7 +393,7 @@ func TestRestoreFailureKeepsSkeletonState(t *testing.T) {
 	}
 	sk := warm.skel
 	if _, err := warm.RestoreState(bytes.NewReader(bad)); err == nil {
-		t.Fatal("negative shard weight accepted")
+		t.Fatal("a winner outside its pair group accepted")
 	}
 	if warm.skel != sk || warm.HasIndex() {
 		t.Fatal("failed restore touched the federation's skeleton or index")
@@ -457,6 +436,54 @@ func TestRestoreRefusesVersion2(t *testing.T) {
 	}
 	if dst.HasIndex() || dst.HasSkeleton() || dst.TrafficVersion() != 0 {
 		t.Fatal("refused snapshot mutated the federation")
+	}
+}
+
+// TestRestoreRefusesVersion3: a version-3 snapshot stored every overlay arc
+// and a weight shard per silo after the index; it is refused with
+// ErrStateVersion and nothing is installed.
+func TestRestoreRefusesVersion3(t *testing.T) {
+	for _, src := range []*Federation{stateFederation(t, 93), customizedFederation(t, 93)} {
+		var buf bytes.Buffer
+		if err := src.SaveState(&buf); err != nil {
+			t.Fatal(err)
+		}
+		v3 := append([]byte{}, buf.Bytes()...)
+		binary.LittleEndian.PutUint32(v3[4:], 3)
+		dst := freshTwin(t, 93)
+		if _, err := dst.RestoreState(bytes.NewReader(v3)); !errors.Is(err, ErrStateVersion) {
+			t.Fatalf("version-3 snapshot: %v, want ErrStateVersion", err)
+		}
+		if dst.HasIndex() || dst.HasSkeleton() || dst.TrafficVersion() != 0 {
+			t.Fatal("refused snapshot mutated the federation")
+		}
+	}
+}
+
+// TestRestoreRunsNoFedSAC: the snapshot holds no index weight, and the
+// restore derives every partial from the silo weights by local sums — it
+// opens no comparison and forks no engine, for either index kind.
+func TestRestoreRunsNoFedSAC(t *testing.T) {
+	for _, src := range []*Federation{stateFederation(t, 95), customizedFederation(t, 95)} {
+		var buf bytes.Buffer
+		if err := src.SaveState(&buf); err != nil {
+			t.Fatal(err)
+		}
+		dst := freshTwin(t, 95)
+		engine, counters := dst.inner.Engine().Stats(), dst.Metrics().Snapshot()
+		if restored, err := dst.RestoreState(&buf); err != nil || !restored {
+			t.Fatalf("restore: %v, %v", restored, err)
+		}
+		if st := dst.inner.Engine().Stats(); st != engine {
+			t.Fatalf("the restore moved the engine's stats: %+v → %+v", engine, st)
+		}
+		after := dst.Metrics().Snapshot()
+		for _, name := range []string{"fedroad_mpc_compares_total", "fedroad_mpc_rounds_total", "fedroad_mpc_engine_forks_total"} {
+			if after[name] != counters[name] {
+				t.Fatalf("%s moved across the restore: %v → %v", name, counters[name], after[name])
+			}
+		}
+		checkRoutesAgainstOracle(t, dst, 10, 96)
 	}
 }
 
@@ -513,27 +540,34 @@ func FuzzRestoreState(f *testing.F) {
 		return out
 	}
 	k := len(none) - 1 // the kind byte: the last byte of an index-free snapshot
-	// The last winner of cust's table ends its public part, ahead of two
-	// shards of 16 header bytes and 8 per overlay arc (the arc count is the
-	// public header's fourth word).
-	lastWinner := len(cust) - 2*(16+8*int(binary.LittleEndian.Uint32(cust[k+1+12:]))) - 4
+	// cust's index stream is a 20-byte header, the winner count, then one
+	// winner per pair group, the last of which ends the snapshot.
+	win0 := k + 1 + 24
+	withWord := func(b []byte, at int, v uint32) []byte {
+		out := append([]byte(nil), b...)
+		binary.LittleEndian.PutUint32(out[at:], v)
+		return out
+	}
 	for _, seed := range [][]byte{
 		none, witness, cust,
 		{},
-		cust[:k],                                // ends before the kind byte
-		cust[:k+1],                              // ends after it
-		cust[:(k+len(cust))/2],                  // mid-index
-		cust[:len(cust)-1],                      // a byte short
-		withByte(witness, k, 0xfe),              // flipped kind
-		withByte(cust, k, indexNone),            // index bytes trail
-		withByte(witness, k, 2),                 // no skeleton mirrors a witness index
-		withByte(cust, k, 1),                    // a customized overlay read as witness
-		withByte(witness, 4, 1),                 // version 1
-		withByte(none, 0, 0),                    // magic
-		withByte(cust, k+1+20, 0xff),            // first rank
-		withByte(witness, len(witness)-1, 0x80), // last weight negative
-		withByte(cust, 4, 2),                    // version 2: children per arc
-		withByte(cust, lastWinner, 0xff),        // a winner outside its pair group
+		cust[:k],                               // ends before the kind byte
+		cust[:k+1],                             // ends after it
+		cust[:(k+len(cust))/2],                 // mid-index
+		cust[:len(cust)-1],                     // a byte short
+		withByte(witness, k, 0xfe),             // flipped kind
+		withByte(cust, k, indexNone),           // index bytes trail
+		withByte(witness, k, 2),                // a witness stream read as customized
+		withByte(cust, k, 1),                   // a customized stream read as witness
+		withByte(witness, 4, 1),                // version 1
+		withByte(none, 0, 0),                   // magic
+		withByte(cust, k+1+20, 0xff),           // winner count
+		withByte(none, stateHeaderLen+7, 0x80), // first silo weight negative
+		withByte(cust, 4, 2),                   // version 2: children per arc
+		withByte(cust, len(cust)-1, 0xff),      // the last winner past the arcs
+		withByte(cust, 4, 3),                   // version 3: arcs and weight shards
+		cust[:win0+4],                          // the winner table cut after one winner
+		withWord(cust, win0, binary.LittleEndian.Uint32(cust[len(cust)-4:])), // a winner outside its pair group
 	} {
 		f.Add(seed)
 	}
