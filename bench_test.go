@@ -268,9 +268,9 @@ func benchSPSP(b *testing.B, opt core.Options, indexed bool) {
 		if err := f.BuildIndex(); err != nil {
 			b.Fatal(err)
 		}
-		opt.Index = f.index
+		opt.Index = f.cur.Load().index
 	}
-	fork := f.inner.Fork()
+	fork := f.cur.Load().fed.Fork()
 	defer fork.Engine().Close()
 	e, err := core.NewEngine(fork, opt)
 	if err != nil {

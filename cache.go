@@ -29,8 +29,8 @@ type CacheStats = cache.Stats
 // OD pair runs ONE MPC query.
 //
 // Correctness under races: the lookup version is read before the query, and
-// the version echoed with each result is the one captured under the query's
-// own read lock — which can only be newer. A served result therefore never
+// the version echoed with each result is the one the query loaded — which can
+// only be newer. A served result therefore never
 // reflects weights older than the version the caller observed.
 //
 // A QueryCache is safe for concurrent use. Cached routes are shared between

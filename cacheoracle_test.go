@@ -10,23 +10,10 @@ import (
 
 // The cached-serving staleness oracle: queries served through a QueryCache
 // while traffic updates race them must NEVER be stale. Every response echoes
-// the traffic version it was computed at; a shadow map records the plaintext
-// joint weights at every version; each response's route must match Dijkstra
-// on the joint weights of its echoed version. Run under -race this doubles
-// as the data-race check for the whole serving path.
-
-// jointAt sums the live per-silo weights into one plaintext weight vector.
-// Callers must guarantee no concurrent ApplyTraffic (single-updater rule).
-func jointAt(f *Federation) Weights {
-	g := f.Graph()
-	joint := make(Weights, g.NumArcs())
-	for p := 0; p < f.Silos(); p++ {
-		for a := 0; a < g.NumArcs(); a++ {
-			joint[a] += f.inner.Silo(p).Weight(Arc(a))
-		}
-	}
-	return joint
-}
+// the traffic version it was computed at; the updater's weight history
+// records the plaintext joint weights at every version; each response's
+// route must match Dijkstra on the joint weights of its echoed version. Run
+// under -race this doubles as the data-race check for the whole serving path.
 
 func TestCachedQueriesAreNeverStale(t *testing.T) {
 	g, w0 := GenerateRoadNetwork(90, 301)
@@ -39,24 +26,14 @@ func TestCachedQueriesAreNeverStale(t *testing.T) {
 		t.Fatal(err)
 	}
 	qc := f.NewQueryCache(512)
-
-	// Shadow oracle: traffic version → plaintext joint weights at that
-	// version. A single updater goroutine is the only weight writer, so it
-	// can read the silo weights back race-free right after each apply.
-	oracle := map[uint64]Weights{f.TrafficVersion(): jointAt(f)}
-	var oracleMu sync.Mutex
+	h := newWeightHistory(f, silos)
 
 	const (
 		workers = 6
 		iters   = 60
 		updates = 12
 	)
-	type observed struct {
-		src, dst Vertex
-		route    Route
-		ver      uint64
-	}
-	results := make([][]observed, workers)
+	results := make([][]answer, workers)
 
 	// A small OD-pair pool so repeated queries actually hit the cache.
 	pairs := make([][2]Vertex, 8)
@@ -84,7 +61,7 @@ func TestCachedQueriesAreNeverStale(t *testing.T) {
 					t.Errorf("worker %d: ShortestPath(%d,%d): %v", w, p[0], p[1], err)
 					return
 				}
-				results[w] = append(results[w], observed{p[0], p[1], route, ver})
+				results[w] = append(results[w], answer{ver, p[0], p[1], route})
 			}
 		}(w)
 	}
@@ -103,9 +80,7 @@ func TestCachedQueriesAreNeverStale(t *testing.T) {
 				t.Errorf("ApplyTraffic: %v", err)
 				return
 			}
-			oracleMu.Lock()
-			oracle[f.TrafficVersion()] = jointAt(f)
-			oracleMu.Unlock()
+			h.apply(f.TrafficVersion(), ups)
 		}
 	}()
 	close(start)
@@ -114,30 +89,7 @@ func TestCachedQueriesAreNeverStale(t *testing.T) {
 		return
 	}
 
-	checked := 0
-	for _, rs := range results {
-		for _, o := range rs {
-			joint, ok := oracle[o.ver]
-			if !ok {
-				t.Fatalf("response echoed traffic version %d, never recorded by the updater", o.ver)
-			}
-			want, _ := graph.DijkstraTo(g, joint, o.src, o.dst)
-			if want >= graph.InfCost {
-				if o.route.Found {
-					t.Fatalf("stale serve: route %d→%d found at version %d, oracle says unreachable", o.src, o.dst, o.ver)
-				}
-				continue
-			}
-			if !o.route.Found {
-				t.Fatalf("stale serve: no route %d→%d at version %d, oracle cost %d", o.src, o.dst, o.ver, want)
-			}
-			if got := JointCost(o.route); got != want {
-				t.Fatalf("stale serve: route %d→%d joint cost %d at version %d, oracle %d", o.src, o.dst, got, o.ver, want)
-			}
-			checked++
-		}
-	}
-	if checked == 0 {
+	if h.checkAll(t, results) == 0 {
 		t.Fatal("oracle checked nothing")
 	}
 	st := qc.Stats()
@@ -195,8 +147,7 @@ func TestQueryCacheVersionedLifecycle(t *testing.T) {
 	if v3 != v1+1 {
 		t.Fatalf("post-update version %d, want %d", v3, v1+1)
 	}
-	joint := jointAt(f)
-	want, _ := graph.DijkstraTo(g, joint, 2, 40)
+	want, _ := graph.DijkstraTo(g, liveJoint(f), 2, 40)
 	if got := JointCost(r3); r3.Found && got != want {
 		t.Fatalf("post-update cost %d, oracle %d", got, want)
 	}

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/ch"
 	"repro/internal/graph"
 	"repro/internal/transport"
 )
@@ -230,10 +231,9 @@ func (c sendFault) Send(to int, data []byte) error {
 }
 
 // sendFaultFederation is a protocol-mode federation over a 100-vertex road
-// network with a customized index, whose silo weights are the returned
-// slices (the federation updates them in place), and the switch that fails
-// the next Fed-SAC round.
-func sendFaultFederation(t *testing.T) (*Federation, []Weights, *atomic.Bool) {
+// network with a customized index, the history of its weights, and the
+// switch that fails the next Fed-SAC round.
+func sendFaultFederation(t *testing.T) (*Federation, *weightHistory, *atomic.Bool) {
 	t.Helper()
 	g, w0 := GenerateRoadNetwork(100, 61)
 	silos := SimulateCongestion(w0, 3, Moderate, 62)
@@ -253,12 +253,13 @@ func sendFaultFederation(t *testing.T) (*Federation, []Weights, *atomic.Bool) {
 	if err := f.CustomizeIndex(); err != nil {
 		t.Fatal(err)
 	}
-	return f, silos, armed
+	return f, newWeightHistory(f, silos), armed
 }
 
 // checkRoutesExact holds every route from s, and a seeded sample of others,
-// to plaintext Dijkstra on the weights of the version the route echoes.
-func checkRoutesExact(t *testing.T, tag string, f *Federation, silos []Weights, s Vertex) {
+// to plaintext Dijkstra on the weights of the version the route echoes,
+// which must be the federation's current one.
+func checkRoutesExact(t *testing.T, tag string, f *Federation, h *weightHistory, s Vertex) {
 	t.Helper()
 	sess := f.Session()
 	defer sess.Close()
@@ -276,14 +277,14 @@ func checkRoutesExact(t *testing.T, tag string, f *Federation, silos []Weights, 
 		if ver != f.TrafficVersion() {
 			t.Fatalf("%s: route %d→%d echoes version %d, the federation is at %d", tag, p[0], p[1], ver, f.TrafficVersion())
 		}
-		if got, want := JointCost(route), jointDijkstra(g, silos, p[0], p[1]); got != want {
-			t.Fatalf("%s: route %d→%d at version %d costs %d, Dijkstra %d", tag, p[0], p[1], ver, got, want)
+		if err := h.check(answer{ver, p[0], p[1], route}); err != nil {
+			t.Fatalf("%s: %v", tag, err)
 		}
 	}
 }
 
 // jamRoute multiplies the arcs of the current route s→t by 40 at every silo.
-func jamRoute(t *testing.T, f *Federation, silos []Weights, s, d Vertex) []TrafficUpdate {
+func jamRoute(t *testing.T, f *Federation, h *weightHistory, s, d Vertex) []TrafficUpdate {
 	t.Helper()
 	route, _, err := f.ShortestPath(s, d)
 	if err != nil || len(route.Path) < 3 {
@@ -292,77 +293,77 @@ func jamRoute(t *testing.T, f *Federation, silos []Weights, s, d Vertex) []Traff
 	var jam []TrafficUpdate
 	for i := 0; i+1 < len(route.Path); i++ {
 		a := f.Graph().FindArc(route.Path[i], route.Path[i+1])
-		for p := range silos {
-			jam = append(jam, TrafficUpdate{Silo: p, Arc: a, TravelMs: min(40*silos[p][a], MaxTravelMs-1)})
+		for p, ws := range h.shadow {
+			jam = append(jam, TrafficUpdate{Silo: p, Arc: a, TravelMs: min(40*ws[a], MaxTravelMs-1)})
 		}
 	}
 	return jam
 }
 
-// TestChaosFailedRefreshRetiresIndex: a traffic batch is applied, and its
-// version bumped, before the index is refreshed. When the refresh fails — a
-// RebuildIndex derivation, or an in-place update left half swept — the index
-// describing the old weights must not keep serving: every route equals
-// Dijkstra at the version it echoes, searching flat until a derivation brings
-// an index back.
-func TestChaosFailedRefreshRetiresIndex(t *testing.T) {
-	f, silos, armed := sendFaultFederation(t)
-
-	jam := jamRoute(t, f, silos, 3, 50)
-	armed.Store(true)
-	if _, err := f.ApplyTraffic(jam, RebuildIndex); err == nil {
-		t.Fatal("a derivation through a failed round succeeded")
+// TestChaosFailedRefreshPublishesNothing: a traffic batch and its index
+// refresh are published together or not at all. When the refresh fails — a
+// RebuildIndex derivation, or an in-place update — the version, its weights
+// and its index keep serving: every route equals Dijkstra at the old version,
+// indexed. The caller resends the batch, and the resent batch succeeds.
+func TestChaosFailedRefreshPublishesNothing(t *testing.T) {
+	f, h, armed := sendFaultFederation(t)
+	for _, tc := range []struct {
+		name string
+		opts []ApplyOption
+		s, d Vertex
+	}{
+		{"RebuildIndex", []ApplyOption{RebuildIndex}, 3, 50},
+		{"in-place update", nil, 7, 80},
+	} {
+		ver, stats := f.TrafficVersion(), f.IndexStats()
+		jam := jamRoute(t, f, h, tc.s, tc.d)
+		armed.Store(true)
+		if _, err := f.ApplyTraffic(jam, tc.opts...); err == nil {
+			t.Fatalf("%s through a failed round succeeded", tc.name)
+		}
+		if f.TrafficVersion() != ver || !f.HasIndex() || f.IndexStats() != stats {
+			t.Fatalf("failed %s published: version %d → %d, index %v", tc.name, ver, f.TrafficVersion(), f.HasIndex())
+		}
+		checkRoutesExact(t, "failed "+tc.name, f, h, tc.s)
+		if _, err := f.ApplyTraffic(jam, tc.opts...); err != nil {
+			t.Fatalf("%s resent: %v", tc.name, err)
+		}
+		h.apply(f.TrafficVersion(), jam)
+		if f.TrafficVersion() != ver+1 || !f.HasIndex() {
+			t.Fatalf("%s resent: version %d → %d, index %v", tc.name, ver, f.TrafficVersion(), f.HasIndex())
+		}
+		checkRoutesExact(t, tc.name+" resent", f, h, tc.s)
 	}
-	checkRoutesExact(t, "failed RebuildIndex", f, silos, 3)
-	if f.HasIndex() {
-		t.Fatal("the old index still serves after a failed RebuildIndex")
-	}
-
-	if _, err := f.ApplyTraffic(nil, RebuildIndex); err != nil || !f.HasIndex() {
-		t.Fatalf("ApplyTraffic(nil, RebuildIndex) after the failure: %v (index: %v)", err, f.HasIndex())
-	}
-	checkRoutesExact(t, "rebuilt", f, silos, 3)
-
-	jam = jamRoute(t, f, silos, 7, 80)
-	armed.Store(true)
-	if _, err := f.ApplyTraffic(jam); err == nil {
-		t.Fatal("an in-place update through a failed round succeeded")
-	}
-	checkRoutesExact(t, "failed in-place update", f, silos, 7)
-	if f.HasIndex() {
-		t.Fatal("a half-swept index still serves after a failed update")
-	}
-
-	if err := f.CustomizeIndex(); err != nil || !f.HasIndex() {
-		t.Fatalf("CustomizeIndex after the failure: %v (index: %v)", err, f.HasIndex())
-	}
-	checkRoutesExact(t, "re-customized", f, silos, 7)
 }
 
 // TestChaosUpdateFaultKeepsRootEngine: an in-place update runs on an engine
 // fork of its own, so a transport fault inside one fails that update only —
 // it does not poison the engine every later update and derivation forks.
 func TestChaosUpdateFaultKeepsRootEngine(t *testing.T) {
-	f, silos, armed := sendFaultFederation(t)
-	batch := func(ms int64) []TrafficUpdate {
-		return []TrafficUpdate{{Silo: 0, Arc: 5, TravelMs: ms}, {Silo: 2, Arc: 9, TravelMs: ms}}
+	f, h, armed := sendFaultFederation(t)
+	apply := func(ms int64) (ch.UpdateStats, error) {
+		ups := []TrafficUpdate{{Silo: 0, Arc: 5, TravelMs: ms}, {Silo: 2, Arc: 9, TravelMs: ms}}
+		st, err := f.ApplyTraffic(ups)
+		if err == nil {
+			h.apply(f.TrafficVersion(), ups)
+		}
+		return st, err
 	}
-	if _, err := f.ApplyTraffic(batch(90000)); err != nil {
+	if _, err := apply(90000); err != nil {
 		t.Fatalf("healthy update: %v", err)
 	}
 	armed.Store(true)
-	if _, err := f.ApplyTraffic(batch(91000)); err == nil {
+	if _, err := apply(91000); err == nil {
 		t.Fatal("an update through a failed round succeeded")
 	}
-	if _, err := f.ApplyTraffic(batch(92000)); err != nil {
+	if _, err := apply(92000); err != nil {
 		t.Fatalf("the update after the fault: %v", err)
 	}
 	if err := f.CustomizeIndex(); err != nil {
 		t.Fatal(err)
 	}
-	st, err := f.ApplyTraffic(batch(93000))
-	if err != nil || st.SAC.Compares == 0 {
+	if st, err := apply(93000); err != nil || st.SAC.Compares == 0 {
 		t.Fatalf("update after re-customizing: %+v, %v", st, err)
 	}
-	checkRoutesExact(t, "after the fault", f, silos, 3)
+	checkRoutesExact(t, "after the fault", f, h, 3)
 }

@@ -80,7 +80,7 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "random seed")
 		noIndex  = flag.Bool("no-index", false, "skip building the shortcut index")
 		custIdx  = flag.Bool("customize", false, "derive the shortcut index by weight customization over a topology-only skeleton (contract once per graph, customize per traffic version) instead of a full federated contraction")
-		reindex  = flag.Duration("reindex-interval", 0, "periodically re-derive the index off-lock from live weights when traffic has moved — a customization sweep when a skeleton exists, a full rebuild otherwise (0 = disabled)")
+		reindex  = flag.Duration("reindex-interval", 0, "periodically re-derive the index from live weights when traffic has moved — a customization sweep when a skeleton exists, a full rebuild otherwise (0 = disabled)")
 		protocol = flag.Bool("protocol", false, "run the full MPC protocol per comparison (default: ideal mode with analytic cost accounting)")
 		maxConc  = flag.Int("max-concurrent", 0, "max in-flight queries (0 = 4x GOMAXPROCS)")
 		maxQueue = flag.Int("max-queue", 0, "queries allowed to queue beyond -max-concurrent before shedding with 429 (0 = unbounded queue, no shedding)")
@@ -223,11 +223,10 @@ func main() {
 	defer stop()
 
 	if *reindex > 0 && !*noIndex {
-		// Rolling index swap: re-derive the serving index from live weights on
-		// a timer, entirely off-lock — queries keep flowing against the old
-		// index until the replacement swaps in. With a skeleton the refresh is
-		// a cheap customization sweep; traffic landing mid-pass is absorbed by
-		// bounded conflict retries.
+		// Rolling re-derivation: re-derive the serving index from live weights
+		// on a timer. Queries keep answering with the old index until the
+		// replacement is published; traffic batches wait for the derivation,
+		// a cheap customization sweep when a skeleton exists.
 		go func() {
 			tick := time.NewTicker(*reindex)
 			defer tick.Stop()
@@ -249,11 +248,11 @@ func main() {
 					continue
 				}
 				st := fed.IndexStats()
-				log.Printf("reindex: swapped in %v (customized: %v, %d MPC rounds)",
+				log.Printf("reindex: published in %v (customized: %v, %d MPC rounds)",
 					time.Since(start).Round(time.Millisecond), st.Customized, st.SAC.Rounds)
 			}
 		}()
-		log.Printf("reindex: rolling swap every %v (customization preferred when a skeleton exists)", *reindex)
+		log.Printf("reindex: rolling re-derivation every %v (customization preferred when a skeleton exists)", *reindex)
 	}
 
 	errc := make(chan error, 1)

@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -124,15 +123,14 @@ func (p *persister) Snapshot() error {
 
 // Apply runs a traffic batch through the federation and logs it durably,
 // holding mu so the record order in the WAL matches the version order the
-// federation assigned. An empty batch neither bumps the version nor logs. Only
-// a rejected batch (ErrInvalidUpdate) was not applied: one whose index refresh
-// failed is live at its new version, so it is logged and the refresh error
-// still returned.
+// federation assigned. A batch is logged iff it was applied: an empty batch
+// bumps no version, and a failed one — rejected, or its index refresh failed
+// — published nothing.
 func (p *persister) Apply(updates []fedroad.TrafficUpdate) (ch.UpdateStats, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	stats, err := p.fed.ApplyTraffic(updates)
-	if errors.Is(err, fedroad.ErrInvalidUpdate) || len(updates) == 0 {
+	if err != nil || len(updates) == 0 {
 		return stats, err
 	}
 	if werr := p.wal.Append(encodeTrafficRecord(p.fed.TrafficVersion(), updates)); werr != nil {
@@ -141,7 +139,7 @@ func (p *persister) Apply(updates []fedroad.TrafficUpdate) (ch.UpdateStats, erro
 		return stats, fmt.Errorf("persist: wal append: %w", werr)
 	}
 	p.walAppends.Add(1)
-	return stats, err
+	return stats, nil
 }
 
 // Close closes the WAL handle.

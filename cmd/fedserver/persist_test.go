@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand/v2"
 	"os"
@@ -273,12 +274,12 @@ func (c oneSendFault) Send(to int, data []byte) error {
 	return c.Conn.Send(to, data)
 }
 
-// A batch whose index refresh fails was still applied, at a new traffic
-// version: the WAL must hold it, so a restart restores the weights and the
-// version that were served.
-func TestPersistLogsBatchWhoseRefreshFailed(t *testing.T) {
+// A batch whose index refresh fails was not applied: the WAL must not hold
+// it, so a restart restores the version and the weights that were served —
+// and the batch, resent, is applied and logged.
+func TestPersistSkipsBatchWhoseRefreshFailed(t *testing.T) {
 	armed := new(atomic.Bool)
-	open := func() (*fedroad.Federation, []fedroad.Weights) {
+	open := func() *fedroad.Federation {
 		g, w0 := fedroad.GenerateRoadNetwork(80, 411)
 		silosW := fedroad.SimulateCongestion(w0, 3, fedroad.Moderate, 412)
 		f, err := fedroad.New(g, w0, silosW, fedroad.Config{
@@ -293,51 +294,56 @@ func TestPersistLogsBatchWhoseRefreshFailed(t *testing.T) {
 			t.Fatal(err)
 		}
 		t.Cleanup(f.Close)
-		return f, silosW // the federation updates these in place
+		return f
+	}
+	state := func(f *fedroad.Federation) []byte {
+		var buf bytes.Buffer
+		if err := f.SaveState(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
 	dir := t.TempDir()
-	fed, silosW := open()
-	p, err := newPersister(fed, dir)
-	if err != nil {
-		t.Fatal(err)
+	restart := func() (*fedroad.Federation, *persister) {
+		f := open()
+		p, err := newPersister(f, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Restore(); err != nil {
+			t.Fatal(err)
+		}
+		return f, p
 	}
-	if _, err := p.Restore(); err != nil {
-		t.Fatal(err)
-	}
+	fed, p := restart()
 	if err := fed.CustomizeIndex(); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.Snapshot(); err != nil {
 		t.Fatal(err)
 	}
+	served := state(fed)
 	armed.Store(true)
 	batch := []fedroad.TrafficUpdate{{Silo: 0, Arc: 3, TravelMs: 777000}, {Silo: 2, Arc: 11, TravelMs: 5}}
 	if _, err := p.Apply(batch); err == nil {
 		t.Fatal("an index refresh through a failed round succeeded")
 	}
-	wantVer := fed.TrafficVersion()
-	if wantVer != 1 || silosW[0][3] != 777000 {
-		t.Fatalf("the failed refresh's batch is not live: version %d, weight %d", wantVer, silosW[0][3])
+	if fed.TrafficVersion() != 0 || p.walAppends.Load() != 0 {
+		t.Fatalf("the failed batch: version %d, %d WAL appends", fed.TrafficVersion(), p.walAppends.Load())
 	}
 	p.Close()
 
-	fed2, silos2 := open()
-	p2, err := newPersister(fed2, dir)
-	if err != nil {
-		t.Fatal(err)
+	fed2, p2 := restart()
+	if got := state(fed2); !bytes.Equal(got, served) {
+		t.Fatalf("the state after restart differs from the state served (version %d)", fed2.TrafficVersion())
 	}
-	if _, err := p2.Restore(); err != nil {
-		t.Fatal(err)
+	if _, err := p2.Apply(batch); err != nil {
+		t.Fatalf("the batch resent: %v", err)
 	}
-	defer p2.Close()
-	if got := fed2.TrafficVersion(); got != wantVer {
-		t.Fatalf("traffic version %d after restart, %d was served", got, wantVer)
-	}
-	for q := range silosW {
-		for a, w := range silosW[q] {
-			if silos2[q][a] != w {
-				t.Fatalf("silo %d arc %d weight %d after restart, %d was served", q, a, silos2[q][a], w)
-			}
-		}
+	p2.Close()
+	fed3, p3 := restart()
+	defer p3.Close()
+	if !bytes.Equal(state(fed3), state(fed2)) || fed3.TrafficVersion() != 1 {
+		t.Fatalf("the resent batch did not survive a restart: version %d", fed3.TrafficVersion())
 	}
 }

@@ -182,8 +182,8 @@ type routeJSON struct {
 
 type routeResponse struct {
 	routeJSON
-	// TrafficVersion is the traffic version the answer was computed at,
-	// captured under the query's own read lock — the anchor for staleness
+	// TrafficVersion is the traffic version the answer was computed at, the
+	// version the query loaded — the anchor for staleness
 	// checks. Cached ("hit", "miss", "coalesced") is set when the result
 	// cache is enabled; on hits the cost block replays the computing query's
 	// counters (this request spent none).
@@ -293,8 +293,8 @@ func (s *server) handleTraffic(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("invalid body: %w", err))
 		return
 	}
-	// Validate everything before taking any lock so malformed requests get a
-	// 400 without ever touching federation state (silo/arc out of range or a
+	// Validate everything before calling the federation so malformed
+	// requests get a 400 without ever touching federation state (silo/arc out of range or a
 	// travel time outside (0, MaxTravelMs) would otherwise panic deep in the
 	// weight setter).
 	numArcs := s.fed.Graph().NumArcs()
@@ -319,10 +319,11 @@ func (s *server) handleTraffic(w http.ResponseWriter, r *http.Request) {
 	stats, err := s.applyTraffic(updates)
 	if err != nil {
 		// Validation re-runs inside ApplyTraffic and tags its rejections
-		// with ErrInvalidUpdate — those are the client's fault. Anything
-		// else is an internal server failure: a shortcut-index refresh that
-		// failed after the batch was applied, which retired the index.
-		code := http.StatusInternalServerError
+		// with ErrInvalidUpdate — those are the client's fault. A failed
+		// index refresh published nothing and maps as a failed query does:
+		// a dead silo (503) or a slow one (504), and the client resends the
+		// batch. Anything else, a WAL append failure included, is 500.
+		code := queryStatus(err)
 		if errors.Is(err, fedroad.ErrInvalidUpdate) {
 			code = http.StatusBadRequest
 		}

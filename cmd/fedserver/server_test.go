@@ -12,7 +12,9 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	fedroad "repro"
 	"repro/internal/graph"
@@ -469,6 +471,50 @@ func TestTrafficValidation(t *testing.T) {
 	}
 }
 
+// TestTrafficRefreshFaultStatus: a batch whose index refresh fails on a
+// faulted silo link answers as a failed query does — 503 or 504 — and
+// publishes nothing: the traffic version stays. Resent, the batch applies.
+func TestTrafficRefreshFaultStatus(t *testing.T) {
+	armed := new(atomic.Bool)
+	g, w0 := fedroad.GenerateRoadNetwork(80, 411)
+	fed, err := fedroad.New(g, w0, fedroad.SimulateCongestion(w0, 3, fedroad.Moderate, 412), fedroad.Config{
+		Seed:         413,
+		Mode:         fedroad.ModeProtocol,
+		RoundTimeout: 150 * time.Millisecond,
+		TransportWrap: func(_ int, c transport.Conn) transport.Conn {
+			return oneSendFault{Conn: c, armed: armed}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fed.Close()
+	if err := fed.CustomizeIndex(); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(newServer(fed, 8, 0, 0).routes())
+	defer ts.Close()
+	post := func() int {
+		body := `[{"silo":0,"arc":3,"travel_ms":777000},{"silo":2,"arc":11,"travel_ms":5}]`
+		resp, err := http.Post(ts.URL+"/traffic", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	armed.Store(true)
+	if code := post(); code != http.StatusServiceUnavailable && code != http.StatusGatewayTimeout {
+		t.Fatalf("a faulted refresh answered %d, want 503 or 504", code)
+	}
+	if v := fed.TrafficVersion(); v != 0 {
+		t.Fatalf("a faulted refresh moved the traffic version to %d", v)
+	}
+	if code := post(); code != http.StatusOK || fed.TrafficVersion() != 1 {
+		t.Fatalf("the batch resent: status %d, version %d", code, fed.TrafficVersion())
+	}
+}
+
 func TestStatsAndHealth(t *testing.T) {
 	ts, fed, _ := testServer(t)
 	var st struct {
@@ -488,7 +534,7 @@ func TestStatsAndHealth(t *testing.T) {
 }
 
 // TestStatsReportsIndexBuilding: /stats carries the index_building flag —
-// false at rest, observable as true while an off-lock rebuild runs (the
+// false at rest, observable as true while a rebuild runs (the
 // rebuild does not block the /stats request), and false again once the
 // build returns.
 func TestStatsReportsIndexBuilding(t *testing.T) {

@@ -6,9 +6,68 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 )
+
+// TestApplyTrafficWaitsForNoRoute: a traffic batch is applied while a route
+// is in flight — its session parked mid-protocol — and returns without
+// waiting for it; the route then answers at the version it loaded.
+func TestApplyTrafficWaitsForNoRoute(t *testing.T) {
+	p := newParker()
+	g, w0 := GenerateRoadNetwork(120, 47)
+	silos := SimulateCongestion(w0, 3, Moderate, 48)
+	f, err := New(g, w0, silos, Config{Mode: ModeProtocol, Seed: 49, TransportWrap: p.wrap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := f.CustomizeIndex(); err != nil {
+		t.Fatal(err)
+	}
+	h := newWeightHistory(f, silos)
+	type result struct {
+		a   answer
+		err error
+	}
+	routed := make(chan result, 1)
+	p.park(t, func() {
+		sess := f.Session()
+		go func() {
+			defer sess.Close()
+			route, _, ver, err := sess.ShortestPathAt(3, 100)
+			routed <- result{answer{ver, 3, 100, route}, err}
+		}()
+	})
+	batch := []TrafficUpdate{{Silo: 0, Arc: 5, TravelMs: 99000}, {Silo: 2, Arc: 9, TravelMs: 120000}}
+	applied := make(chan error, 1)
+	go func() {
+		_, err := f.ApplyTraffic(batch)
+		applied <- err
+	}()
+	select {
+	case err := <-applied:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		close(p.release)
+		t.Fatal("ApplyTraffic waited for a route in flight")
+	}
+	h.apply(f.TrafficVersion(), batch)
+	close(p.release)
+	r := <-routed
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	if r.a.ver != f.TrafficVersion()-1 {
+		t.Fatalf("the parked route answered at version %d, it loaded %d", r.a.ver, f.TrafficVersion()-1)
+	}
+	if err := h.check(r.a); err != nil {
+		t.Fatal(err)
+	}
+}
 
 func TestSessionMatchesFederation(t *testing.T) {
 	f, joint := testFederation(t, 300, 41)
@@ -75,20 +134,24 @@ func TestSessionsRunInParallel(t *testing.T) {
 }
 
 // TestConcurrentQueriesUnderTrafficStress is the -race stress test for the
-// session/locking model: query workers hammer SPSP through private sessions
-// while another goroutine continuously streams traffic updates through
-// ApplyTraffic. Every route is checked against a plaintext Dijkstra run on
-// the exact silo-weight snapshot the query observed — the ground truth is
-// materialized inside the same read-lock span as the query, so any torn
-// read of weights or index would surface as a cost mismatch (and any data
-// race trips the race detector).
+// session and version model: query workers hammer SPSP through private
+// sessions while another goroutine continuously streams traffic updates
+// through ApplyTraffic. Every route is checked against plaintext Dijkstra on
+// the weights of the version it echoes, which the updater records from its
+// own shadow — so a torn read of weights or index would surface as a cost
+// mismatch (and any data race trips the race detector).
 func TestConcurrentQueriesUnderTrafficStress(t *testing.T) {
-	f, _ := testFederation(t, 300, 44)
+	g, w0 := GenerateRoadNetwork(300, 44)
+	silos := SimulateCongestion(w0, 3, Moderate, 45)
+	f, err := New(g, w0, silos, Config{Seed: 44})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := f.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	g := f.Graph()
 	n := g.NumVertices()
+	h := newWeightHistory(f, silos)
 
 	const workers = 6
 	const queriesPerWorker = 10
@@ -119,11 +182,13 @@ func TestConcurrentQueriesUnderTrafficStress(t *testing.T) {
 				t.Error(err)
 				return
 			}
+			h.apply(f.TrafficVersion(), batch)
 			updates.Add(1)
 		}
 	}()
 
 	opts := facadeConfigs
+	answers := make([][]answer, workers)
 	var qWG sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		qWG.Add(1)
@@ -135,40 +200,25 @@ func TestConcurrentQueriesUnderTrafficStress(t *testing.T) {
 			for i := 0; i < queriesPerWorker; i++ {
 				s := Vertex(rng.IntN(n))
 				d := Vertex(rng.IntN(n))
-				opt := opts[(w+i)%len(opts)]
-
-				// Snapshot the joint weights inside the same read-lock span
-				// as the query itself: this is exactly the state the
-				// federation guarantees the query observes.
-				f.mu.RLock()
-				joint := f.inner.JointWeights()
-				route, _, err := sess.shortestPathLocked(s, d, opt)
-				f.mu.RUnlock()
-
+				route, _, ver, err := sess.ShortestPathAt(s, d, opts[(w+i)%len(opts)])
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				want, _ := graph.BidirectionalDijkstra(g, joint, s, d)
-				if route.Found {
-					if JointCost(route) != want {
-						t.Errorf("worker %d query %d (%d->%d, %+v): cost %d, plaintext %d",
-							w, i, s, d, opt, JointCost(route), want)
-						return
-					}
-				} else if want < graph.InfCost {
-					t.Errorf("worker %d query %d: %d->%d unreachable, plaintext cost %d", w, i, s, d, want)
-					return
-				}
+				answers[w] = append(answers[w], answer{ver, s, d, route})
 			}
 		}(w)
 	}
 	qWG.Wait()
 	close(done)
 	updWG.Wait()
+	if t.Failed() {
+		return
+	}
 	if updates.Load() == 0 {
 		t.Fatal("updater never ran — the stress test exercised nothing")
 	}
+	h.checkAll(t, answers)
 	t.Logf("served %d queries across %d sessions against %d concurrent index updates",
 		workers*queriesPerWorker, workers, updates.Load())
 }
@@ -210,7 +260,7 @@ func TestSetTrafficValidation(t *testing.T) {
 
 func TestApplyTrafficRejectsBatchAtomically(t *testing.T) {
 	f, _ := testFederation(t, 100, 48)
-	before := f.inner.Silo(0).Weight(5)
+	before := f.cur.Load().fed.Silo(0).Weight(5)
 	_, err := f.ApplyTraffic([]TrafficUpdate{
 		{Silo: 0, Arc: 5, TravelMs: 77777},           // valid
 		{Silo: 0, Arc: 5, TravelMs: MaxTravelMs + 1}, // invalid
@@ -218,7 +268,7 @@ func TestApplyTrafficRejectsBatchAtomically(t *testing.T) {
 	if err == nil {
 		t.Fatal("batch with an invalid update accepted")
 	}
-	if got := f.inner.Silo(0).Weight(5); got != before {
+	if got := f.cur.Load().fed.Silo(0).Weight(5); got != before {
 		t.Fatalf("rejected batch mutated weights: %d -> %d", before, got)
 	}
 }
@@ -248,7 +298,7 @@ func TestApplyTrafficRefreshesIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _ := graph.DijkstraTo(f.Graph(), f.inner.JointWeights(), 0, 200)
+	want, _ := graph.DijkstraTo(f.Graph(), f.cur.Load().fed.JointWeights(), 0, 200)
 	if JointCost(fast) != want {
 		t.Fatalf("post-update costs diverge: indexed %d, plaintext %d", JointCost(fast), want)
 	}

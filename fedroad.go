@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -210,16 +211,6 @@ var ErrSessionPoisoned = mpc.ErrPoisoned
 // redialed link once the peer returns. Check with errors.Is.
 var ErrPeerDown = transport.ErrPeerDown
 
-// ErrBuildConflict tags an index build abandoned because traffic updates
-// changed the silo weights after the build snapshotted them: the finished
-// index would describe stale weights, so it is discarded instead of swapped
-// in. ApplyTraffic(nil, RebuildIndex) retries from fresh weights
-// automatically; a direct BuildIndex or CustomizeIndex returns this error
-// (check with errors.Is) for the caller to re-invoke when the update rate
-// allows. A previously built index, if any, keeps serving queries — unless a
-// RebuildIndex batch retired it.
-var ErrBuildConflict = errors.New("fedroad: index build conflicted with a concurrent traffic update")
-
 // ErrInvalidQuery tags query errors caused by the request itself: vertices
 // outside the graph, a non-positive k, or more than one QueryOptions. Servers
 // should map these to 4xx; query errors NOT wrapping ErrInvalidQuery (or
@@ -235,35 +226,32 @@ func IsTimeout(err error) bool { return transport.IsTimeout(err) }
 // Federation is the top-level handle: the shared topology, the private
 // silos, the MPC engine and (once built) the pre-computed structures.
 //
-// A Federation is safe for concurrent use. Queries (ShortestPath,
-// NearestNeighbors, and every query issued through a Session) take a read
-// lock and run on a private MPC engine fork, so any number of them proceed
-// in parallel; the one traffic mutator, ApplyTraffic, takes the write lock
-// and therefore never interleaves with a search. Index derivations do their
-// heavy work OFF the lock — they snapshot the silo weights under a read lock,
-// compute unlocked, and swap the result in under a brief write lock — so
-// queries and traffic updates keep flowing during a (re)build. See DESIGN.md,
-// "Concurrency model" and "Deterministic, non-blocking index construction".
+// A Federation is safe for concurrent use. Its mutable state is published
+// as immutable versions — {traffic version, silo weights, index, skeleton} —
+// behind one atomic pointer. A query (ShortestPath, NearestNeighbors, and
+// every query issued through a Session) loads the current version once and
+// answers at it on a private MPC engine fork, so queries never wait for
+// anything. The writers — ApplyTraffic, BuildIndex, CustomizeIndex,
+// BuildSkeleton and RestoreState — take turns on one mutex; each builds the
+// next version beside the published one and publishes it with one store, or
+// publishes nothing when it fails. See DESIGN.md, "Concurrency model".
 type Federation struct {
-	mu    sync.RWMutex // queries read-lock; state mutation write-locks
+	// inner is the federation New assembled: the topology, the static
+	// weights and the root MPC engine, which every version shares. Its silo
+	// weights are version 0's; the published version holds the current ones.
 	inner *fed.Federation
-	index *ch.Index
-	skel  *ch.Skeleton // topology skeleton for weight customization (guarded by mu)
+	cur   atomic.Pointer[version] // the published version
+	write sync.Mutex              // serialises the writers
 	mesh  *transport.LocalMesh
 
-	// Customization pass accounting (atomics: read by gauges and /stats
-	// without taking mu).
+	// Customization pass accounting (atomics: read by gauges and /stats).
 	customizes     atomic.Int64
 	lastCustMs     atomic.Int64
 	lastCustRounds atomic.Int64
 	lastCustTicks  atomic.Int64
 
-	// trafficVer counts silo-weight mutations (guarded by mu). Off-lock
-	// builders record it at snapshot time; a changed version at swap time
-	// means the build no longer describes the live weights.
-	trafficVer uint64
-	// building counts in-flight off-lock index builds (for IndexBuilding
-	// and the build-in-progress gauge).
+	// building counts in-flight index derivations, waiting for the writer
+	// mutex included (for IndexBuilding and the build-in-progress gauge).
 	building atomic.Int32
 
 	// reg is the federation's metrics registry: MPC cost counters (fed by
@@ -275,12 +263,25 @@ type Federation struct {
 	bm  *buildMetricSet
 }
 
+// version is one published state of the federation. Nothing in it is written
+// after it is published: a writer that changes any part builds a new version.
+type version struct {
+	// traffic counts silo-weight mutations (non-empty ApplyTraffic batches,
+	// RestoreState): the number queries echo and caches key by.
+	traffic uint64
+	// fed is this version's view of the federation: its silo weights on the
+	// root engine, which derivations and updates fork and sessions answer
+	// over (fed.Federation.At).
+	fed   *fed.Federation
+	index *ch.Index    // nil without an index; derived over fed's weights
+	skel  *ch.Skeleton // nil until a customization or BuildSkeleton needs one
+}
+
 // buildMetricSet instruments the index-build pipeline. The gauges read only
-// atomics — a gauge callback must never take f.mu, or scraping /metrics
-// while a writer holds the lock would deadlock.
+// atomics, never the writer mutex, so scraping /metrics never waits for a
+// derivation.
 type buildMetricSet struct {
 	builds           *metrics.Counter
-	conflicts        *metrics.Counter
 	seconds          *metrics.Histogram
 	rounds           *metrics.Counter
 	roundsSaved      *metrics.Counter
@@ -290,11 +291,10 @@ type buildMetricSet struct {
 
 	// Weight-customization pipeline (the contract-once / customize-per-metric
 	// split; see DESIGN.md "Customizable hierarchy").
-	customizes    *metrics.Counter
-	custConflicts *metrics.Counter
-	custSeconds   *metrics.Histogram
-	custRounds    *metrics.Counter
-	custTicks     *metrics.Counter
+	customizes  *metrics.Counter
+	custSeconds *metrics.Histogram
+	custRounds  *metrics.Counter
+	custTicks   *metrics.Counter
 }
 
 // queryMetricSet is the per-query-kind ("spsp", "sssp") instrument bundle.
@@ -310,7 +310,9 @@ type queryMetricSet struct {
 
 // New assembles a federation of len(siloWeights) silos over the shared
 // topology g with public static weights w0. Each silo keeps its weight set
-// private; all cross-silo computation runs through the MPC engine.
+// private; all cross-silo computation runs through the MPC engine. The
+// weight sets become version 0 and are never written: a traffic update
+// copies the sets it changes.
 func New(g *Graph, w0 Weights, siloWeights []Weights, cfg ...Config) (*Federation, error) {
 	var c Config
 	if len(cfg) > 1 {
@@ -355,6 +357,7 @@ func New(g *Graph, w0 Weights, siloWeights []Weights, cfg ...Config) (*Federatio
 		return nil, err
 	}
 	f := &Federation{inner: inner, reg: reg, mesh: mesh}
+	f.cur.Store(&version{fed: inner})
 	f.initMetrics()
 	if mesh != nil {
 		f.initMeshMetrics()
@@ -388,31 +391,30 @@ func (f *Federation) initMetrics() {
 		}
 	}
 	f.bm = &buildMetricSet{
-		builds:           f.reg.Counter("fedroad_index_builds_total", "shortcut-index builds that completed and were swapped in", nil),
-		conflicts:        f.reg.Counter("fedroad_index_build_conflicts_total", "index builds discarded because traffic changed mid-build", nil),
+		builds:           f.reg.Counter("fedroad_index_builds_total", "shortcut-index builds that completed and were published", nil),
 		seconds:          f.reg.Histogram("fedroad_index_build_seconds", "wall time of completed index builds", nil, nil),
 		rounds:           f.reg.Counter("fedroad_index_build_contraction_rounds_total", "independent-set contraction rounds executed by index builds", nil),
 		roundsSaved:      f.reg.Counter("fedroad_index_build_mpc_rounds_saved_total", "MPC communication rounds avoided by batched Fed-SAC decisions during builds", nil),
 		phaseOrdering:    f.reg.Counter("fedroad_index_build_phase_seconds_total", "index-build wall time by phase", metrics.Labels{"phase": "ordering"}),
 		phaseContraction: f.reg.Counter("fedroad_index_build_phase_seconds_total", "index-build wall time by phase", metrics.Labels{"phase": "contraction"}),
-		customizes:       f.reg.Counter("fedroad_index_customizes_total", "weight-customization passes that completed and were swapped in", nil),
-		custConflicts:    f.reg.Counter("fedroad_index_customize_conflicts_total", "customization passes discarded because traffic changed mid-pass", nil),
+		customizes:       f.reg.Counter("fedroad_index_customizes_total", "weight-customization passes that completed and were published", nil),
 		custSeconds:      f.reg.Histogram("fedroad_index_customize_seconds", "wall time of completed weight-customization passes", nil, nil),
 		custRounds:       f.reg.Counter("fedroad_index_customize_mpc_rounds_total", "MPC communication rounds spent by weight-customization passes", nil),
 		custTicks:        f.reg.Counter("fedroad_index_customize_ticks_total", "scheduler ticks (one Fed-SAC instance each) run by weight-customization passes", nil),
 	}
 	bm := f.bm
-	f.reg.GaugeFunc("fedroad_index_build_in_progress", "off-lock index builds currently running", nil,
+	f.reg.GaugeFunc("fedroad_index_build_in_progress", "index derivations currently running or waiting for the writer", nil,
 		func() float64 { return float64(f.building.Load()) })
 	f.reg.GaugeFunc("fedroad_index_build_parallelism", "average vertices contracted per round in the last completed build", nil,
 		func() float64 { return math.Float64frombits(bm.lastAvgWidth.Load()) })
-	g := f.inner.Graph()
+	g := f.Graph()
+	p := f.Silos()
 	f.reg.GaugeFunc("fedroad_graph_vertices", "vertices in the shared road network", nil,
 		func() float64 { return float64(g.NumVertices()) })
 	f.reg.GaugeFunc("fedroad_graph_arcs", "arcs in the shared road network", nil,
 		func() float64 { return float64(g.NumArcs()) })
 	f.reg.GaugeFunc("fedroad_silos", "data silos in the federation", nil,
-		func() float64 { return float64(f.inner.P()) })
+		func() float64 { return float64(p) })
 }
 
 // recordQuery folds one query's outcome into the registry. Zero-cost when
@@ -448,7 +450,7 @@ func (f *Federation) Close() {
 
 // initMeshMetrics mirrors the mesh transport's counters into the registry.
 // All callbacks read atomics only — no lock is shared with the data path or
-// with f.mu.
+// with the writers.
 func (f *Federation) initMeshMetrics() {
 	mesh := f.mesh
 	sum := func(pick func(transport.MeshStats) int64) float64 {
@@ -501,11 +503,7 @@ func (f *Federation) Graph() *Graph { return f.inner.Graph() }
 // which makes every older cache entry unreachable without any explicit
 // invalidation. The versioned query methods (Session.ShortestPathAt,
 // Session.NearestNeighborsAt) echo the version their result was computed at.
-func (f *Federation) TrafficVersion() uint64 {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.trafficVer
-}
+func (f *Federation) TrafficVersion() uint64 { return f.cur.Load().traffic }
 
 // Silos returns the number of data silos.
 func (f *Federation) Silos() int { return f.inner.P() }
@@ -515,75 +513,48 @@ func (f *Federation) Silos() int { return f.inner.P() }
 // by cmd/fedbench on ch.Params. Queries use the index automatically once
 // built.
 //
-// The build never blocks queries or traffic updates: the silo weights are
-// snapshotted under a read lock, the whole ordering + contraction effort
-// happens off-lock on a forked MPC engine, and the finished index is swapped
-// in under a brief write lock. No query ever observes a half-built index —
-// searches use either the previous index or the new one. If a traffic update
-// lands between snapshot and swap, the stale build is discarded and
-// ErrBuildConflict is returned; any previously built index stays in service.
-// ApplyTraffic(nil, RebuildIndex) is the same derivation with retries.
-func (f *Federation) BuildIndex() error { return f.buildIndex(0) }
-
-// buildIndex runs the witness build, restarting from fresh weights up to
-// retries times when traffic invalidates its snapshot.
-func (f *Federation) buildIndex(retries int) error {
+// The build never blocks queries: it runs on a forked MPC engine over the
+// published weights while queries keep answering at the published version,
+// with the previous index if there is one, and it publishes the finished
+// index with one store. As a writer it holds the writer mutex throughout, so
+// a traffic update waits for it, and it waits for a derivation in progress.
+// On error nothing is published.
+func (f *Federation) BuildIndex() error {
 	f.building.Add(1)
 	defer f.building.Add(-1)
-	return f.deriveIndex(retries, func() (indexRunner, error) {
-		return ch.NewBuilder(f.inner, ch.Params{})
-	}, f.recordBuild)
+	f.write.Lock()
+	defer f.write.Unlock()
+	next := *f.cur.Load()
+	return f.derive(&next, false)
 }
 
-// indexRunner is the off-lock half of an index derivation (ch.Builder,
-// ch.Customizer): everything after the weight snapshot.
-type indexRunner interface{ Run() (*ch.Index, error) }
-
-// deriveIndex is the off-lock derivation protocol every index (re)build and
-// customization follows: snapshot (the only read of silo weights) under the
-// read lock, Run with no lock held while queries and updates proceed, then
-// swap the result in under the write lock unless the traffic version moved
-// since the snapshot — in which case the stale index is dropped and the
-// derivation restarts, up to retries times, before ErrBuildConflict. record
-// sees every finished run's statistics and whether it was swapped in.
-func (f *Federation) deriveIndex(retries int, snapshot func() (indexRunner, error), record func(st ch.BuildStats, swapped bool)) error {
-	for attempt := 0; ; attempt++ {
-		f.mu.RLock()
-		ver := f.trafficVer
-		r, err := snapshot()
-		f.mu.RUnlock()
-		if err != nil {
-			return err
-		}
-		idx, err := r.Run()
-		if err != nil {
-			return err
-		}
-		f.mu.Lock()
-		swapped := f.trafficVer == ver
-		if swapped {
-			f.index = idx
-		}
-		f.mu.Unlock()
-		record(idx.BuildStatistics(), swapped)
-		if swapped {
-			return nil
-		}
-		if attempt >= retries {
-			return fmt.Errorf("%w (after %d attempt(s))", ErrBuildConflict, attempt+1)
-		}
+// derive derives next's index from scratch over next's weights — a
+// customization over next's skeleton when custom, the witness build otherwise
+// — records it and publishes next with it. On error nothing is published.
+// The caller holds the writer mutex and counts itself in f.building.
+func (f *Federation) derive(next *version, custom bool) error {
+	var err error
+	if custom {
+		next.index, err = ch.Customize(next.fed, next.skel)
+	} else {
+		next.index, err = ch.BuildWith(next.fed, ch.Params{})
 	}
+	if err != nil {
+		return err
+	}
+	if st := next.index.BuildStatistics(); custom {
+		f.recordCustomize(st)
+	} else {
+		f.recordBuild(st)
+	}
+	f.cur.Store(next)
+	return nil
 }
 
-// recordBuild folds a finished build — swapped in, or discarded on a traffic
-// conflict — into the registry (nil-safe for tests constructing the struct
-// directly).
-func (f *Federation) recordBuild(st ch.BuildStats, swapped bool) {
+// recordBuild folds a published build into the registry (nil-safe for tests
+// constructing the struct directly).
+func (f *Federation) recordBuild(st ch.BuildStats) {
 	if f.bm == nil {
-		return
-	}
-	if !swapped {
-		f.bm.conflicts.Inc()
 		return
 	}
 	f.bm.builds.Inc()
@@ -601,54 +572,44 @@ func (f *Federation) recordBuild(st ch.BuildStats, swapped bool) {
 // metric-independent; CustomizeIndex derives a queryable index from it for
 // the CURRENT silo weights in a fraction of the MPC rounds a full
 // BuildIndex costs. Idempotent: a second call keeps the existing skeleton
-// (the topology is immutable, so it never goes stale).
+// (the topology is immutable, so it never goes stale). As a writer it waits
+// for a derivation in progress.
 func (f *Federation) BuildSkeleton() error {
-	_, err := f.ensureSkeleton()
+	f.write.Lock()
+	defer f.write.Unlock()
+	next := *f.cur.Load()
+	if next.skel != nil {
+		return nil
+	}
+	if err := withSkeleton(&next); err != nil {
+		return err
+	}
+	f.cur.Store(&next)
+	return nil
+}
+
+// withSkeleton gives next a skeleton when it has none. The skeleton is a
+// function of the topology, so every version may share it.
+func withSkeleton(next *version) error {
+	if next.skel != nil {
+		return nil
+	}
+	sk, err := ch.BuildSkeleton(next.fed.Graph())
+	next.skel = sk
 	return err
 }
 
-// ensureSkeleton returns the federation's skeleton, building it on first
-// demand. The build runs entirely off-lock — it reads only the immutable
-// topology — with double-checked locking so concurrent callers never install
-// two skeletons.
-func (f *Federation) ensureSkeleton() (*ch.Skeleton, error) {
-	f.mu.RLock()
-	sk := f.skel
-	f.mu.RUnlock()
-	if sk != nil {
-		return sk, nil
-	}
-	built, err := ch.BuildSkeleton(f.inner.Graph())
-	if err != nil {
-		return nil, err
-	}
-	f.mu.Lock()
-	if f.skel == nil {
-		f.skel = built
-	}
-	sk = f.skel
-	f.mu.Unlock()
-	return sk, nil
-}
-
 // HasSkeleton reports whether a topology skeleton is available, i.e. whether
-// CustomizeIndex can run (and ApplyTraffic's RebuildIndex option will prefer
-// customization over a full rebuild).
-func (f *Federation) HasSkeleton() bool {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.skel != nil
-}
+// ApplyTraffic's RebuildIndex option will customize rather than rebuild.
+func (f *Federation) HasSkeleton() bool { return f.cur.Load().skel != nil }
 
 // SkeletonStats reports the skeleton's shortcut count and (plaintext)
 // construction cost; the zero value when none has been built.
 func (f *Federation) SkeletonStats() ch.SkeletonStats {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	if f.skel == nil {
-		return ch.SkeletonStats{}
+	if sk := f.cur.Load().skel; sk != nil {
+		return sk.Stats()
 	}
-	return f.skel.Stats()
+	return ch.SkeletonStats{}
 }
 
 // CustomizeIndex derives a fresh queryable index from the topology skeleton
@@ -662,37 +623,24 @@ func (f *Federation) SkeletonStats() ch.SkeletonStats {
 // from-scratch BuildIndex at the same traffic version, for a small fraction
 // of the MPC rounds.
 //
-// Like BuildIndex it never blocks queries or traffic updates: the sweep runs
-// off-lock against a weight snapshot and the finished index swaps in under a
-// brief write lock, with the same ErrBuildConflict when traffic moves
-// mid-pass. IndexBuilding is already true while a first skeleton is being
-// contracted.
-func (f *Federation) CustomizeIndex() error { return f.customizeIndex(0) }
-
-// customizeIndex runs a customization pass, restarting from fresh weights up
-// to retries times when traffic invalidates its snapshot.
-func (f *Federation) customizeIndex(retries int) error {
+// Like BuildIndex it never blocks queries, holds the writer mutex throughout
+// and publishes the skeleton it built with the index, or nothing on error.
+// IndexBuilding is already true while a first skeleton is being contracted.
+func (f *Federation) CustomizeIndex() error {
 	f.building.Add(1)
 	defer f.building.Add(-1)
-	sk, err := f.ensureSkeleton()
-	if err != nil {
+	f.write.Lock()
+	defer f.write.Unlock()
+	next := *f.cur.Load()
+	if err := withSkeleton(&next); err != nil {
 		return err
 	}
-	return f.deriveIndex(retries, func() (indexRunner, error) {
-		return ch.NewCustomizer(f.inner, sk)
-	}, f.recordCustomize)
+	return f.derive(&next, true)
 }
 
-// recordCustomize folds a finished customization pass — swapped in, or
-// discarded on a traffic conflict — into the registry and the /stats atomics
-// (nil-safe for tests constructing the struct directly).
-func (f *Federation) recordCustomize(st ch.BuildStats, swapped bool) {
-	if !swapped {
-		if f.bm != nil {
-			f.bm.custConflicts.Inc()
-		}
-		return
-	}
+// recordCustomize folds a published customization pass into the registry and
+// the /stats atomics (nil-safe for tests constructing the struct directly).
+func (f *Federation) recordCustomize(st ch.BuildStats) {
 	f.customizes.Add(1)
 	f.lastCustMs.Store(st.WallTime.Milliseconds())
 	f.lastCustRounds.Store(st.SAC.Rounds)
@@ -709,7 +657,7 @@ func (f *Federation) recordCustomize(st ch.BuildStats, swapped bool) {
 // CustomizeInfo summarizes the customization pipeline for serving tiers'
 // status endpoints. Reads atomics only — safe to call from metric callbacks.
 type CustomizeInfo struct {
-	// Customizes counts completed customization passes swapped in.
+	// Customizes counts completed customization passes published.
 	Customizes int64
 	// LastWallMs is the wall time of the most recent pass, in milliseconds.
 	LastWallMs int64
@@ -731,34 +679,27 @@ func (f *Federation) CustomizeInfo() CustomizeInfo {
 	}
 }
 
-// HasIndex reports whether a shortcut index is currently serving queries.
-// During an off-lock rebuild it keeps reporting the previous index (true) —
-// or false if none was ever built, or a RebuildIndex batch or a failed
-// refresh retired it — until the new index is swapped in; use IndexBuilding
-// to observe an in-flight build.
-func (f *Federation) HasIndex() bool {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.index != nil
-}
+// HasIndex reports whether the published version has a shortcut index, i.e.
+// whether routes search indexed. During a derivation it keeps reporting the
+// previous index (true), or false if none was ever built, until the new one
+// is published; use IndexBuilding to observe a derivation in flight.
+func (f *Federation) HasIndex() bool { return f.cur.Load().index != nil }
 
-// IndexBuilding reports whether an off-lock index build is in flight.
-// Queries keep running against the previous index (if any) while this is
-// true.
+// IndexBuilding reports whether an index derivation is in flight (or waiting
+// for another writer). Queries keep running against the previous index (if
+// any) while this is true.
 func (f *Federation) IndexBuilding() bool { return f.building.Load() > 0 }
 
-// IndexStats reports the shortcut count and construction cost of the index
-// currently serving queries. During an off-lock rebuild these are the
-// PREVIOUS index's statistics, not the in-flight build's; zero values mean
-// no index has ever finished building (check IndexBuilding to distinguish
-// "never built" from "first build still running").
+// IndexStats reports the shortcut count and construction cost of the
+// published index. During a derivation these are the PREVIOUS index's
+// statistics, not the in-flight one's; zero values mean no index has ever
+// been published (check IndexBuilding to distinguish "never built" from
+// "first build still running").
 func (f *Federation) IndexStats() ch.BuildStats {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	if f.index == nil {
-		return ch.BuildStats{}
+	if x := f.cur.Load().index; x != nil {
+		return x.BuildStatistics()
 	}
-	return f.index.BuildStatistics()
+	return ch.BuildStats{}
 }
 
 // MaxTravelMs bounds every travel-time observation (exclusive); see
@@ -791,81 +732,89 @@ type ApplyOption int
 
 const (
 	// RebuildIndex replaces the in-place incremental index refresh with a
-	// fresh off-lock derivation after the batch is applied: a
-	// weight-customization pass over the topology skeleton when one exists
-	// (no ordering, no witness searches — a fraction of the MPC rounds), or
-	// a full federated rebuild otherwise. A non-empty batch retires the
-	// previous index, which describes the old weights: routes search flat
-	// until the replacement swaps in. Further traffic landing mid-pass
-	// triggers up to two retries from fresh weights before ErrBuildConflict
-	// is returned; ApplyTraffic(nil, RebuildIndex) tries again.
+	// fresh derivation over the batch's weights: a weight-customization pass
+	// over the topology skeleton when one exists (no ordering, no witness
+	// searches — a fraction of the MPC rounds), or a full federated rebuild
+	// otherwise. The batch and the new index are published together; until
+	// then routes answer at the previous version with the previous index.
 	RebuildIndex ApplyOption = iota
 )
 
-// rebuildRetries is how often RebuildIndex restarts a derivation whose weight
-// snapshot a concurrent traffic update invalidated.
-const rebuildRetries = 2
-
 // ApplyTraffic validates and applies a batch of traffic updates and, when
-// the shortcut index is built, refreshes it — by default inside one exclusive
-// critical section (the federated partial update), so no query ever observes
-// silo weights that disagree with the index. Invalid updates are rejected up
-// front; nothing is applied. Any other error means the batch WAS applied (the
-// traffic version moved) but the refresh failed: the index is retired, routes
-// search flat, and ApplyTraffic(nil, RebuildIndex) or CustomizeIndex brings
-// an index back.
+// the shortcut index is built, refreshes it: the batch's weights and the
+// refreshed index are published together as the next traffic version, so no
+// query ever observes silo weights that disagree with its index. By default
+// the refresh is the federated partial update, run on a copy of the index;
+// with the RebuildIndex option it derives a whole fresh index — preferring
+// weight customization when a skeleton exists — and the returned
+// UpdateStats are zero (the work is a (re)build, not a partial update).
 //
-// With the RebuildIndex option the refresh instead derives a whole fresh
-// index off-lock — preferring weight customization when a skeleton exists —
-// and the returned UpdateStats are zero (the work is a (re)build, not a
-// partial update).
+// It is all-or-nothing. Invalid updates (ErrInvalidUpdate) are rejected up
+// front, and any other error is a refresh that failed: either way nothing
+// was published, the previous version keeps serving with its index, and the
+// caller may resend the batch. As a writer it waits for a derivation in
+// progress (BuildIndex, CustomizeIndex or another RebuildIndex batch).
 func (f *Federation) ApplyTraffic(updates []TrafficUpdate, opts ...ApplyOption) (ch.UpdateStats, error) {
-	rebuild := false
-	for _, o := range opts {
-		if o == RebuildIndex {
-			rebuild = true
-		}
-	}
+	rebuild := slices.Contains(opts, RebuildIndex)
 	for _, u := range updates {
 		if err := f.validateTraffic(u.Silo, u.Arc, u.TravelMs); err != nil {
 			return ch.UpdateStats{}, err
 		}
 	}
-	f.mu.Lock()
-	arcSet := make(map[Arc]bool, len(updates))
-	for _, u := range updates {
-		f.inner.Silo(u.Silo).SetWeight(u.Arc, u.TravelMs)
-		arcSet[u.Arc] = true
-	}
-	if len(updates) > 0 {
-		f.trafficVer++
-	}
 	if rebuild {
-		hasSkel := f.skel != nil
-		if len(updates) > 0 {
-			// The index describes the old weights: routes search flat, and
-			// exactly, until the derivation swaps its replacement in.
-			f.index = nil
-		}
-		f.mu.Unlock()
-		if hasSkel {
-			return ch.UpdateStats{}, f.customizeIndex(rebuildRetries)
-		}
-		return ch.UpdateStats{}, f.buildIndex(rebuildRetries)
-	}
-	defer f.mu.Unlock()
-	if f.index == nil {
+		f.building.Add(1)
+		defer f.building.Add(-1)
+	} else if len(updates) == 0 {
 		return ch.UpdateStats{}, nil
 	}
-	arcs := make([]Arc, 0, len(arcSet))
-	for a := range arcSet {
-		arcs = append(arcs, a)
+	f.write.Lock()
+	defer f.write.Unlock()
+	cur := f.cur.Load()
+	next := cur.withTraffic(updates)
+	if rebuild {
+		return ch.UpdateStats{}, f.derive(next, next.skel != nil)
 	}
-	st, err := f.index.Update(arcs)
-	if err != nil {
-		f.index = nil // half swept: routes search flat until a derivation
+	var st ch.UpdateStats
+	if cur.index != nil {
+		arcs := make([]Arc, len(updates))
+		for i, u := range updates {
+			arcs[i] = u.Arc
+		}
+		slices.Sort(arcs)
+		next.index = cur.index.Fork(next.fed)
+		var err error
+		if st, err = next.index.Update(slices.Compact(arcs)); err != nil {
+			return st, err
+		}
 	}
-	return st, err
+	f.cur.Store(next)
+	return st, nil
+}
+
+// withTraffic returns the version after a batch of valid updates: the next
+// traffic version over copies of the silo weight sets the batch touches, the
+// others shared, with v's skeleton and no index. An empty batch keeps v's
+// version, weights and index.
+func (v *version) withTraffic(updates []TrafficUpdate) *version {
+	next := *v
+	if len(updates) == 0 {
+		return &next
+	}
+	sets := make([]Weights, v.fed.P())
+	copied := make([]bool, len(sets))
+	for p := range sets {
+		sets[p] = v.fed.Silo(p).Weights()
+	}
+	for _, u := range updates {
+		if !copied[u.Silo] {
+			sets[u.Silo], copied[u.Silo] = slices.Clone(sets[u.Silo]), true
+		}
+		sets[u.Silo][u.Arc] = u.TravelMs
+	}
+	next.traffic++
+	next.fed = v.fed.WithWeights(sets)
+	next.index = nil
+	return &next
 }
 
 // QueryOptions tunes a single query. Every query runs the paper's best stack
@@ -902,9 +851,8 @@ type SACStats = mpc.Stats
 
 // ShortestPath answers a federated single-pair shortest-path query with the
 // default (or given) options. Safe for concurrent use: each call runs in an
-// ephemeral query session (see Session) under the federation's read lock.
-// Callers issuing many queries should hold a Session to reuse its MPC
-// engine fork.
+// ephemeral query session (see Session) at the published version. Callers
+// issuing many queries should hold a Session to reuse its MPC engine fork.
 func (f *Federation) ShortestPath(s, t Vertex, opts ...QueryOptions) (Route, Stats, error) {
 	sess := f.Session()
 	defer sess.Close()

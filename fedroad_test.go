@@ -148,7 +148,7 @@ func TestTrafficUpdateFlow(t *testing.T) {
 	}
 	// After the update, the indexed stack must agree with plaintext Dijkstra
 	// on the new joint weights.
-	joint := f.inner.JointWeights()
+	joint := f.cur.Load().fed.JointWeights()
 	for trial := 0; trial < 10; trial++ {
 		s := Vertex(rng.IntN(f.Graph().NumVertices()))
 		tt := Vertex(rng.IntN(f.Graph().NumVertices()))
@@ -171,11 +171,11 @@ func TestUpdateIndexWithoutBuild(t *testing.T) {
 	if err != nil || stats != (ch.UpdateStats{}) {
 		t.Fatalf("ApplyTraffic without an index: stats %+v, err %v", stats, err)
 	}
-	if f.TrafficVersion() != ver+1 || f.inner.Silo(0).Weight(0) != 777777 {
-		t.Fatalf("update not applied: version %d -> %d, weight %d", ver, f.TrafficVersion(), f.inner.Silo(0).Weight(0))
+	if f.TrafficVersion() != ver+1 || f.cur.Load().fed.Silo(0).Weight(0) != 777777 {
+		t.Fatalf("update not applied: version %d -> %d, weight %d", ver, f.TrafficVersion(), f.cur.Load().fed.Silo(0).Weight(0))
 	}
 	route, _, err := f.ShortestPath(3, 90)
-	want, _ := graph.DijkstraTo(f.Graph(), f.inner.JointWeights(), 3, 90)
+	want, _ := graph.DijkstraTo(f.Graph(), f.cur.Load().fed.JointWeights(), 3, 90)
 	if err != nil || JointCost(route) != want {
 		t.Fatalf("flat query after the update: cost %d, plaintext %d, err %v", JointCost(route), want, err)
 	}

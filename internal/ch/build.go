@@ -85,37 +85,9 @@ func Build(f *fed.Federation) (*Index, error) {
 // (Alg. 3): a public ordering pass fixes the contraction order; the
 // contraction pass then decides every shortcut on *joint* weights via
 // Fed-SAC, so all silos end with identical shortcut sets while each keeps
-// only its partial shortcut weights. Equivalent to NewBuilder followed by
-// Run; callers that must not hold a lock during construction use the two
-// phases directly.
+// only its partial shortcut weights. The whole build runs on one engine forked
+// from f's, and the index answers over f's silo weights.
 func BuildWith(f *fed.Federation, prm Params) (*Index, error) {
-	b, err := NewBuilder(f, prm)
-	if err != nil {
-		return nil, err
-	}
-	return b.Run()
-}
-
-// Builder splits index construction into a snapshot phase and a work phase so
-// callers can keep their own locking brief: NewBuilder copies the silos'
-// private weights (the only read of mutable federation state), and Run
-// performs the entire ordering + contraction effort against that snapshot.
-// The fedroad layer builds without blocking queries this way — snapshot under
-// a read lock, Run with no lock held, swap the finished index in under a
-// brief write lock.
-type Builder struct {
-	f   *fed.Federation
-	prm Params
-	x   *Index
-	wf  *fed.Federation // the one forked engine the whole build runs on
-	ran bool
-}
-
-// NewBuilder validates the parameters and snapshots the federation: base
-// overlay arcs, per-silo partial weights and one forked MPC engine. The root
-// engine is never used by the build, so the caller may keep using it (e.g.
-// for dynamic updates of a previous index) while Run executes.
-func NewBuilder(f *fed.Federation, prm Params) (*Builder, error) {
 	switch prm.Ordering {
 	case "":
 		prm.Ordering = OrderEdgeDiff
@@ -160,30 +132,15 @@ func NewBuilder(f *fed.Federation, prm Params) (*Builder, error) {
 	}
 	x.indexHierarchy(make([][]skipRec, n))
 
-	return &Builder{f: f, prm: prm, x: x, wf: f.Fork()}, nil
-}
-
-// Run executes the ordering and contraction phases against the snapshot taken
-// by NewBuilder and returns the finished index. It reads no mutable
-// federation state, so it needs no external synchronization. Run may be
-// called once.
-func (b *Builder) Run() (*Index, error) {
-	if b.ran {
-		return nil, fmt.Errorf("ch: Builder.Run called twice")
-	}
-	b.ran = true
-	defer b.wf.Engine().Close()
-
+	wf := f.Fork()
+	defer wf.Engine().Close()
 	start := time.Now()
-	x := b.x
-	sac := b.wf.NewSAC()
-	g := b.f.Graph()
-	n := g.NumVertices()
+	sac := wf.NewSAC()
 
 	var order []graph.Vertex
-	switch b.prm.Ordering {
+	switch prm.Ordering {
 	case OrderEdgeDiff:
-		order = computeOrder(g, b.f.StaticWeights())
+		order = computeOrder(g, f.StaticWeights())
 	case OrderDegree:
 		order = computeOrderDegree(g)
 	}
@@ -236,7 +193,7 @@ func (b *Builder) Run() (*Index, error) {
 		x.addArcToQueryLists(a)
 	}
 
-	sacStats := b.wf.Engine().Stats()
+	sacStats := wf.Engine().Stats()
 	avgWidth := 0.0
 	if rounds > 0 {
 		avgWidth = float64(n) / float64(rounds)

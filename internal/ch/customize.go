@@ -11,31 +11,51 @@ import (
 )
 
 // Customize derives a query-ready index from a topology skeleton under the
-// federation's CURRENT traffic weights. Equivalent to NewCustomizer followed
-// by Run.
+// federation's silo weights: the customization sweep on a blank index — no
+// winner known, every base arc dirty (see Index.sweep) — on one engine forked
+// from f's, one Fed-SAC instance per tick of the skeleton's comparison DAG,
+// Skeleton.CriticalPath() of them whatever the weights. It elects every pair
+// group's winner, and the resulting index is query-equivalent to a
+// witness-pruned Build at the same weights.
 func Customize(f *fed.Federation, sk *Skeleton) (*Index, error) {
-	c, err := NewCustomizer(f, sk)
+	x, err := blankCustomized(f, sk)
 	if err != nil {
 		return nil, err
 	}
-	return c.Run()
+	wf := f.Fork()
+	defer wf.Engine().Close()
+
+	start := time.Now()
+	dirty := make([]int32, x.numBase)
+	for a := range dirty {
+		dirty[a] = int32(a)
+	}
+	sw, err := x.sweep(wf.NewSAC(), dirty)
+	if err != nil {
+		return nil, err
+	}
+
+	sacStats := wf.Engine().Stats()
+	x.buildStats = BuildStats{
+		Shortcuts:     x.NumShortcuts(),
+		SAC:           sacStats,
+		WallTime:      time.Since(start),
+		Rounds:        sw.ticks,
+		MaxRoundWidth: sw.widest,
+		RoundsSaved:   sacStats.Compares*int64(mpc.RoundsPerCompare) - sacStats.Rounds,
+		Customized:    true,
+		Levels:        sk.Levels(),
+	}
+	if sw.ticks > 0 {
+		x.buildStats.AvgRoundWidth = float64(sacStats.Compares) / float64(sw.ticks)
+	}
+	return x, nil
 }
 
-// Customizer splits weight customization into a snapshot phase and a work
-// phase, mirroring Builder: NewCustomizer copies the silos' private base
-// weights (the only read of mutable federation state) and forks one MPC
-// engine; Run performs the entire bottom-up sweep against that snapshot with
-// no lock held. The fedroad layer customizes without blocking queries exactly
-// the way it rebuilds.
-type Customizer struct {
-	x   *Index
-	wf  *fed.Federation // the one forked engine the whole sweep runs on
-	ran bool
-}
-
-// NewCustomizer validates that the skeleton fits the federation's graph and
-// snapshots the base-arc partial weights.
-func NewCustomizer(f *fed.Federation, sk *Skeleton) (*Customizer, error) {
+// blankCustomized validates that the skeleton fits the federation's graph and
+// returns an index over it with the silos' base-arc partials, no winner
+// elected and zero group partials.
+func blankCustomized(f *fed.Federation, sk *Skeleton) (*Index, error) {
 	if sk == nil {
 		return nil, fmt.Errorf("ch: customize without a skeleton")
 	}
@@ -56,54 +76,15 @@ func NewCustomizer(f *fed.Federation, sk *Skeleton) (*Customizer, error) {
 		numBase: sk.numBase,
 		skel:    sk,
 	}
-	x.siloW = make([][]int64, f.P())
+	nGrp := sk.Plan().nGrp
+	x.siloW, x.grpW = make([][]int64, f.P()), make([][]int64, f.P())
 	for s := range x.siloW {
-		x.siloW[s] = make([]int64, len(sk.tail))
-		copy(x.siloW[s], f.Silo(s).Weights())
+		x.siloW[s] = slices.Clone(f.Silo(s).Weights())
+		x.grpW[s] = make([]int64, nGrp)
 	}
-	return &Customizer{x: x, wf: f.Fork()}, nil
-}
-
-// Run executes the customization sweep on a blank index — no winner known,
-// every base arc dirty (see Index.sweep): one Fed-SAC instance per tick of
-// the skeleton's comparison DAG, Skeleton.CriticalPath() of them whatever the
-// weights. It elects every pair group's winner, and the resulting index is
-// query-equivalent to a witness-pruned Build at the same weights.
-func (c *Customizer) Run() (*Index, error) {
-	if c.ran {
-		return nil, fmt.Errorf("ch: Customizer.Run called twice")
-	}
-	c.ran = true
-	defer c.wf.Engine().Close()
-
-	start := time.Now()
-	x, sk := c.x, c.x.skel
-	x.win = make([]int32, sk.Plan().nGrp)
+	x.win = make([]int32, nGrp)
 	for g := range x.win {
 		x.win[g] = -1
-	}
-	dirty := make([]int32, x.numBase)
-	for a := range dirty {
-		dirty[a] = int32(a)
-	}
-	sw, err := x.sweep(c.wf.NewSAC(), dirty)
-	if err != nil {
-		return nil, err
-	}
-
-	sacStats := c.wf.Engine().Stats()
-	x.buildStats = BuildStats{
-		Shortcuts:     x.NumShortcuts(),
-		SAC:           sacStats,
-		WallTime:      time.Since(start),
-		Rounds:        sw.ticks,
-		MaxRoundWidth: sw.widest,
-		RoundsSaved:   sacStats.Compares*int64(mpc.RoundsPerCompare) - sacStats.Rounds,
-		Customized:    true,
-		Levels:        sk.Levels(),
-	}
-	if sw.ticks > 0 {
-		x.buildStats.AvgRoundWidth = float64(sacStats.Compares) / float64(sw.ticks)
 	}
 	return x, nil
 }
@@ -161,9 +142,8 @@ const (
 // the static downstream cone of the dirty arcs:
 //
 //   - a cone shortcut is pending until both child groups are decided; then it
-//     is final: if a child winner moved it is re-summed per silo from the new
-//     winners (locally), and it counts as changed when a partial actually
-//     moved;
+//     is final, and it counts as changed when a child winner moved and the
+//     sum of its child groups' partials moved with it (locally);
 //   - a group is dirty from the moment a final member has changed, and from
 //     then on holds its final members as contenders. Each tick sends ONE
 //     Fed-SAC instance with ⌊c/2⌋ comparisons from every group holding c ≥ 2
@@ -178,9 +158,10 @@ const (
 // group of g members costs g−1 comparisons exactly when a member changed,
 // and a full sweep (every base arc dirty on a blank index) takes
 // Skeleton.CriticalPath() ticks. A decided group's winner goes to x.win in
-// place, which is also its query-list slot: nothing else is rebuilt.
+// place, which is also its query-list slot, and its partials to x.grpW:
+// nothing else is rebuilt.
 func (x *Index) sweep(sac *fed.SAC, dirty []int32) (cost sweepCost, err error) {
-	pl, nb, p, win := x.skel.Plan(), int32(x.numBase), len(x.siloW), x.win
+	pl, nb, p, win, gw := x.skel.Plan(), int32(x.numBase), len(x.siloW), x.win, x.grpW
 	rw := pl.rows()
 	flags := make([]uint8, pl.nGrp)
 	pendG := make([]int32, pl.nGrp)        // members still pending
@@ -189,6 +170,16 @@ func (x *Index) sweep(sac *fed.SAC, dirty []int32) (cost sweepCost, err error) {
 	pendS := make([]uint8, len(pl.kids)/2) // per shortcut: undecided child groups in the cone
 	changed := make([]bool, len(x.tail))   // per arc: partial vector moved in this sweep
 	var active, tick, ready []int32        // groups in the next / this tick; decided groups to release
+	// A moved group's partials from before the sweep: row oldAt[g]-1 of
+	// oldW, which a consumer's old sum reads; oldAt[g] is 0 until g moves.
+	oldAt := make([]int32, pl.nGrp)
+	var oldW []int64
+	old := func(s int, g int32) int64 {
+		if r := oldAt[g]; r > 0 {
+			return oldW[int(r-1)*p+s]
+		}
+		return gw[s][g]
+	}
 
 	// markDirty turns g's final members into its contenders.
 	markDirty := func(g int32) {
@@ -210,6 +201,11 @@ func (x *Index) sweep(sac *fed.SAC, dirty []int32) (cost sweepCost, err error) {
 			if flags[g]&grpDirty != 0 {
 				w := cont[rw.memStart[g]]
 				if w != win[g] || changed[w] {
+					oldAt[g] = int32(len(oldW)/p) + 1
+					for s := range gw {
+						oldW = append(oldW, gw[s][g])
+						gw[s][g] = x.partial(s, w)
+					}
 					win[g] = w
 					flags[g] |= grpMoved
 				}
@@ -236,10 +232,10 @@ func (x *Index) sweep(sac *fed.SAC, dirty []int32) (cost sweepCost, err error) {
 				}
 				a, ga, gb := i+nb, pl.kids[2*i], pl.kids[2*i+1]
 				if (flags[ga]|flags[gb])&grpMoved != 0 {
-					ca, cb := win[ga], win[gb]
-					for _, ws := range x.siloW {
-						if nw := ws[ca] + ws[cb]; ws[a] != nw {
-							ws[a], changed[a] = nw, true
+					for s := range gw {
+						if gw[s][ga]+gw[s][gb] != old(s, ga)+old(s, gb) {
+							changed[a] = true
+							break
 						}
 					}
 				}
@@ -298,8 +294,8 @@ func (x *Index) sweep(sac *fed.SAC, dirty []int32) (cost sweepCost, err error) {
 			for j := 0; j+1 < len(c); j += 2 {
 				lo, hi := min(c[j], c[j+1]), max(c[j], c[j+1])
 				duel = append(duel, lo, hi)
-				for _, ws := range x.siloW {
-					flat = append(flat, ws[hi]-ws[lo])
+				for s := range gw {
+					flat = append(flat, x.partial(s, hi)-x.partial(s, lo))
 				}
 			}
 		}

@@ -128,9 +128,10 @@ func TestCustomizeRepeatable(t *testing.T) {
 				t.Fatalf("winner of pair group %d differs", g)
 			}
 		}
-		for p := range x.siloW {
-			for a := range x.siloW[p] {
-				if x.siloW[p][a] != ref.siloW[p][a] {
+		got, want := arcPartials(x), arcPartials(ref)
+		for p := range got {
+			for a := range got[p] {
+				if got[p][a] != want[p][a] {
 					t.Fatalf("silo %d weight of arc %d differs", p, a)
 				}
 			}

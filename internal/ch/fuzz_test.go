@@ -171,8 +171,9 @@ func FuzzReadIndex(f *testing.F) {
 				t.Fatalf("loaded winner %d of pair group %d is not one of its members", a, g)
 			}
 		}
+		partials := arcPartials(x)
 		for a := int32(0); a < int32(x.NumArcs()); a++ {
-			for p, ws := range x.siloW {
+			for p, ws := range partials {
 				if ws[a] <= 0 {
 					t.Fatalf("loaded index has non-positive weight (silo %d, arc %d)", p, a)
 				}

@@ -42,7 +42,7 @@ type Index struct {
 	// Per overlay arc:
 	tail, head []graph.Vertex
 	via        []graph.Vertex // shortcut's contracted middle vertex, NoShortcut for base arcs
-	siloW      [][]int64      // [p][arc] private partial weights
+	siloW      [][]int64      // [p][arc] private partial weights; base arcs only on a customized index
 
 	numBase int
 
@@ -64,8 +64,12 @@ type Index struct {
 	// earliest on ties), −1 until decided. A shortcut's children are the
 	// winners of its two child groups, and the query reads only winners: the
 	// plan numbers groups in query-list order, so a list is a slice of win.
+	// grpW[p][g] is silo p's partial of win[g]: a customized index keeps one
+	// partial vector per group, not per arc, because a shortcut's is the sum
+	// of its two child groups' (see partial).
 	skel *Skeleton
 	win  []int32
+	grpW [][]int64
 }
 
 // BuildStats reports the construction cost of the index.
@@ -162,20 +166,32 @@ func (x *Index) children(a int32) (int32, int32) {
 func (x *Index) Partial(a int32) fed.Partial {
 	out := make(fed.Partial, len(x.siloW))
 	for p := range x.siloW {
-		out[p] = x.siloW[p][a]
+		out[p] = x.partial(p, a)
 	}
 	return out
 }
 
 // SiloWeight returns silo p's private partial weight of an overlay arc.
-func (x *Index) SiloWeight(p int, a int32) int64 { return x.siloW[p][a] }
+func (x *Index) SiloWeight(p int, a int32) int64 { return x.partial(p, a) }
+
+// partial is silo p's partial weight of overlay arc a: stored per arc, except
+// for a customized index's shortcuts, whose partial is the sum of their child
+// groups' winners'.
+func (x *Index) partial(p int, a int32) int64 {
+	nb := int32(x.numBase)
+	if x.skel == nil || a < nb {
+		return x.siloW[p][a]
+	}
+	kids := x.skel.Plan().kids[2*(a-nb):]
+	return x.grpW[p][kids[0]] + x.grpW[p][kids[1]]
+}
 
 // JointWeight sums the partial weights of an overlay arc — evaluation-only,
 // used by the test suite as ground truth.
 func (x *Index) JointWeight(a int32) int64 {
 	var s int64
 	for p := range x.siloW {
-		s += x.siloW[p][a]
+		s += x.partial(p, a)
 	}
 	return s
 }

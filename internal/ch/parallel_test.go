@@ -20,7 +20,7 @@ import (
 func serializeAll(t *testing.T, x *Index) [][]byte {
 	t.Helper()
 	out := [][]byte{indexBytes(t, x)}
-	for _, ws := range x.siloW {
+	for _, ws := range arcPartials(x) {
 		var b []byte
 		for _, w := range ws {
 			b = binary.LittleEndian.AppendUint64(b, uint64(w))
@@ -352,7 +352,7 @@ func shardedStreamSum(x *Index, winners bool) string {
 			}
 		}
 	}
-	for p, ws := range x.siloW {
+	for p, ws := range arcPartials(x) {
 		u32(0x46525348, 1, uint32(p), uint32(len(ws)))
 		for _, w := range ws {
 			b = binary.LittleEndian.AppendUint64(b, uint64(w))

@@ -11,10 +11,10 @@ import (
 )
 
 // The level-synchronous bracket sweep Index.sweep replaced, kept as its
-// reference: hierarchy levels bottom-up, each level first re-summing its
-// shortcuts from the winners below, then running the tournaments of every
-// group whose deepest member sits there as brackets over the members in arc
-// order, bracket round r of all of them in one Fed-SAC instance. A level
+// reference: hierarchy levels bottom-up, each level running the tournaments
+// of every group whose deepest member sits there as brackets over the
+// members in arc order, bracket round r of all of them in one Fed-SAC
+// instance. A level
 // costs ⌈log2 of its largest group⌉ instances however far that group is from
 // the chain that decides the sweep's length — which is what the scheduler
 // stops paying — but the comparisons are the same in number and the winners
@@ -41,26 +41,23 @@ func (x *Index) groupWinners(sac *fed.SAC, rw *groupRows, duel []int32) []int32 
 // paid.
 func referenceCustomize(t *testing.T, f *fed.Federation, sk *Skeleton) (*Index, mpc.Stats) {
 	t.Helper()
-	c, err := NewCustomizer(f, sk)
+	x, err := blankCustomized(f, sk)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.wf.Engine().Close()
-	x, pl, sac := c.x, sk.Plan(), c.wf.NewSAC()
+	wf := f.Fork()
+	defer wf.Engine().Close()
+	pl, sac := sk.Plan(), wf.NewSAC()
 	rw := pl.rows()
 
 	// lvl(base arc) = 0, lvl(shortcut) = 1 + max lvl over both child groups'
 	// members; a group is decided at the level of its deepest member.
 	m, nb := len(sk.tail), sk.numBase
-	lvl, groupLvl := make([]int32, m), make([]int32, pl.nGrp)
+	groupLvl := make([]int32, pl.nGrp)
 	for a := nb; a < m; a++ {
-		lvl[a] = 1 + max(groupLvl[pl.kids[2*(a-nb)]], groupLvl[pl.kids[2*(a-nb)+1]])
+		lvl := 1 + max(groupLvl[pl.kids[2*(a-nb)]], groupLvl[pl.kids[2*(a-nb)+1]])
 		g := pl.groupOf[a]
-		groupLvl[g] = max(groupLvl[g], lvl[a])
-	}
-	shortcutsAt := make([][]int32, pl.maxLvl+1)
-	for a := nb; a < m; a++ {
-		shortcutsAt[lvl[a]] = append(shortcutsAt[lvl[a]], int32(a))
+		groupLvl[g] = max(groupLvl[g], lvl)
 	}
 	groupsAt := make([][]int32, pl.maxLvl+1)
 	win := make([]int32, pl.nGrp)
@@ -72,21 +69,36 @@ func referenceCustomize(t *testing.T, f *fed.Federation, sk *Skeleton) (*Index, 
 		}
 	}
 	for l := 0; l <= pl.maxLvl; l++ {
-		for _, a := range shortcutsAt[l] {
-			ca, cb := win[pl.kids[2*(a-int32(nb))]], win[pl.kids[2*(a-int32(nb))+1]]
-			for _, ws := range x.siloW {
-				ws[a] = ws[ca] + ws[cb]
-			}
-		}
 		for i, w := range x.groupWinners(sac, rw, groupsAt[l]) {
 			win[groupsAt[l][i]] = w
 		}
 		if err := sac.Err(); err != nil {
 			t.Fatal(err)
 		}
+		// The level's groups are decided: their partials, which the
+		// shortcuts above sum, are their winners'.
+		for g := range win {
+			if groupLvl[g] == int32(l) {
+				for p, gw := range x.grpW {
+					gw[g] = x.partial(p, win[g])
+				}
+			}
+		}
 	}
 	x.win = win
-	return x, c.wf.Engine().Stats()
+	return x, wf.Engine().Stats()
+}
+
+// arcPartials is every overlay arc's partial per silo, however x stores them.
+func arcPartials(x *Index) [][]int64 {
+	out := make([][]int64, len(x.siloW))
+	for p := range out {
+		out[p] = make([]int64, x.NumArcs())
+		for a := range out[p] {
+			out[p][a] = x.partial(p, int32(a))
+		}
+	}
+	return out
 }
 
 func indexBytes(t *testing.T, x *Index) []byte {
@@ -108,10 +120,11 @@ func sameCustomization(t *testing.T, tag string, got, want *Index) {
 			t.Fatalf("%s: pair group %d elected arc %d, reference %d", tag, g, got.win[g], want.win[g])
 		}
 	}
+	gotW, wantW := arcPartials(got), arcPartials(want)
 	for a := range want.tail {
-		for p := range want.siloW {
-			if got.siloW[p][a] != want.siloW[p][a] {
-				t.Fatalf("%s: silo %d weight of arc %d is %d, reference %d", tag, p, a, got.siloW[p][a], want.siloW[p][a])
+		for p := range wantW {
+			if gotW[p][a] != wantW[p][a] {
+				t.Fatalf("%s: silo %d weight of arc %d is %d, reference %d", tag, p, a, gotW[p][a], wantW[p][a])
 			}
 		}
 	}

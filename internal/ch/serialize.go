@@ -331,8 +331,9 @@ func (x *Index) readWitness(rd *reader, n, m int) error {
 	return nil
 }
 
-// derivePartials sets every arc's per-silo partial from the silos' weights:
-// a base arc's is its weight, a shortcut's the sum of its children's.
+// derivePartials sets every arc's per-silo partial from the silos' weights —
+// a base arc's is its weight, a shortcut's the sum of its children's — or, on
+// a customized index, every pair group's, its winner's.
 // Children need not precede their parent in arc order (see readWitness), so
 // the child DAG is walked with memoization; the via ranks bound the recursion
 // depth by n and rule out cycles. The same walk rejects shortcut trees that
@@ -340,9 +341,17 @@ func (x *Index) readWitness(rd *reader, n, m int) error {
 // could share children Fibonacci-style and make Unpack explode).
 func (x *Index) derivePartials(weights []graph.Weights) error {
 	n, m := len(x.rank), len(x.tail)
+	stored := m
+	if x.skel != nil {
+		stored = x.numBase
+		x.grpW = make([][]int64, len(weights))
+		for p := range x.grpW {
+			x.grpW[p] = make([]int64, len(x.win))
+		}
+	}
 	x.siloW = make([][]int64, len(weights))
 	for p, ws := range weights {
-		x.siloW[p] = make([]int64, m)
+		x.siloW[p] = make([]int64, stored)
 		copy(x.siloW[p], ws)
 	}
 	pathLen := make([]int64, m)
@@ -355,8 +364,19 @@ func (x *Index) derivePartials(weights []graph.Weights) error {
 		if x.via[a] != NoShortcut {
 			ca, cb := x.children(a)
 			l = min(walk(ca)+walk(cb), int64(n)+1) // clamped; rejected below
-			for _, ws := range x.siloW {
-				ws[a] = ws[ca] + ws[cb]
+			if x.skel == nil {
+				for _, ws := range x.siloW {
+					ws[a] = ws[ca] + ws[cb]
+				}
+			}
+		}
+		// A winner is walked after its children, so its child groups'
+		// partials are already set.
+		if x.skel != nil {
+			if g := x.skel.Plan().groupOf[a]; x.win[g] == a {
+				for p, gw := range x.grpW {
+					gw[g] = x.partial(p, a)
+				}
 			}
 		}
 		pathLen[a] = l

@@ -279,12 +279,21 @@ func TestReadIndexRejectsBadWinnerTable(t *testing.T) {
 
 // checkPartialsAreSums holds an index to the property its stream relies on:
 // every shortcut's per-silo partial is the sum of its children's, so a
-// loader derives every partial from the base weights.
+// loader derives every partial from the base weights. A customized index
+// stores a partial per pair group, which must be its winner's.
 func checkPartialsAreSums(t *testing.T, tag string, x *Index) {
 	t.Helper()
+	for g, w := range x.win {
+		for p, gw := range x.grpW {
+			if gw[g] != x.partial(p, w) {
+				t.Fatalf("%s: pair group %d silo %d: partial %d, its winner %d's is %d", tag, g, p, gw[g], w, x.partial(p, w))
+			}
+		}
+	}
+	partials := arcPartials(x)
 	for a := int32(x.numBase); a < int32(x.NumArcs()); a++ {
 		ca, cb := x.children(a)
-		for p, ws := range x.siloW {
+		for p, ws := range partials {
 			if ws[a] != ws[ca]+ws[cb] {
 				t.Fatalf("%s: shortcut %d silo %d: partial %d, its children (%d, %d) sum to %d",
 					tag, a, p, ws[a], ca, cb, ws[ca]+ws[cb])
@@ -327,8 +336,8 @@ func TestShortcutPartialsAreSumsOfChildren(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkPartialsAreSums(t, tag+" reloaded", loaded)
-			for p := range x.siloW {
-				if !slices.Equal(loaded.siloW[p], x.siloW[p]) {
+			for p, ws := range arcPartials(x) {
+				if !slices.Equal(arcPartials(loaded)[p], ws) {
 					t.Fatalf("%s: silo %d partials differ after the reload", tag, p)
 				}
 			}

@@ -2,6 +2,8 @@ package ch
 
 import (
 	"container/heap"
+	"maps"
+	"slices"
 	"time"
 
 	"repro/internal/fed"
@@ -45,7 +47,7 @@ type UpdateStats struct {
 func (x *Index) Update(changed []graph.Arc) (UpdateStats, error) {
 	// Every update runs on an engine fork of its own, as a derivation does: a
 	// transport fault poisons the fork, never the engine the next update and
-	// the off-lock derivations fork from.
+	// the next derivation fork from.
 	wf := x.f.Fork()
 	defer wf.Engine().Close()
 	start := time.Now()
@@ -62,6 +64,57 @@ func (x *Index) Update(changed []graph.Arc) (UpdateStats, error) {
 	stats.SAC = wf.Engine().Stats()
 	stats.WallTime = time.Since(start)
 	return stats, err
+}
+
+// Fork returns a copy of x over f, a later version of x's federation, for
+// Update to refresh while x keeps answering at its own weights. What Update
+// writes in place is copied: the partial columns, and a customized index's
+// winner table and group partials (its topology is the skeleton's) or a
+// witness index's children and skip records. What Update only appends to is
+// shared with its capacity clipped, so an append reallocates instead of
+// writing into x.
+func (x *Index) Fork(f *fed.Federation) *Index {
+	y := *x
+	y.f = f
+	y.siloW = cloneEach(x.siloW)
+	if x.skel != nil {
+		y.win, y.grpW = slices.Clone(x.win), cloneEach(x.grpW)
+		return &y
+	}
+	y.tail, y.head, y.via = slices.Clip(x.tail), slices.Clip(x.head), slices.Clip(x.via)
+	y.childA, y.childB = slices.Clone(x.childA), slices.Clone(x.childB)
+	y.upOut, y.downIn = clipEach(x.upOut), clipEach(x.downIn)
+	hs := *x.hs
+	hs.outAll, hs.inAll = clipEach(hs.outAll), clipEach(hs.inAll)
+	hs.skips = slices.Clone(hs.skips)
+	hs.viaIndex = maps.Clone(hs.viaIndex)
+	for v, arcs := range hs.viaIndex {
+		hs.viaIndex[v] = slices.Clip(arcs)
+	}
+	hs.parents = maps.Clone(hs.parents)
+	for a, arcs := range hs.parents {
+		hs.parents[a] = slices.Clip(arcs)
+	}
+	y.hs = &hs
+	return &y
+}
+
+// cloneEach is a deep copy of cols.
+func cloneEach[T any](cols [][]T) [][]T {
+	out := make([][]T, len(cols))
+	for i, c := range cols {
+		out[i] = slices.Clone(c)
+	}
+	return out
+}
+
+// clipEach is a copy of lists whose every list has its capacity clipped.
+func clipEach(lists [][]int32) [][]int32 {
+	out := make([][]int32, len(lists))
+	for i, l := range lists {
+		out[i] = slices.Clip(l)
+	}
+	return out
 }
 
 // updateWitness is Update on a witness-built index.

@@ -33,7 +33,8 @@ type Options struct {
 	Estimator lb.Kind
 	// Landmarks must be pre-computed for the Fed-ALT / Fed-ALT-Max kinds.
 	Landmarks *lb.Landmarks
-	// Index enables hierarchical search over the federated shortcut index.
+	// Index enables hierarchical search over the federated shortcut index,
+	// which must have been derived over the engine's silo weights.
 	Index *ch.Index
 	// BatchedMPC runs independent secure comparisons in shared protocol
 	// instances (one set of communication rounds for all of them): the
@@ -90,8 +91,8 @@ func NewEngine(f *fed.Federation, opt Options) (*Engine, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown queue kind %q", opt.Queue)
 	}
-	if opt.Index != nil && opt.Index.Federation().Root() != f.Root() {
-		return nil, fmt.Errorf("core: shortcut index belongs to a different federation")
+	if opt.Index != nil && !opt.Index.Federation().SameWeights(f) {
+		return nil, fmt.Errorf("core: shortcut index belongs to other silo weights")
 	}
 	if opt.BatchedMPC && opt.Queue != pq.KindTMTree {
 		return nil, fmt.Errorf("core: BatchedMPC requires the tm-tree queue, got %q", opt.Queue)

@@ -38,9 +38,11 @@ func (s *Silo) ID() int { return s.id }
 // at the silo; results must only leave the silo through Fed-SAC.
 func (s *Silo) Weight(a graph.Arc) int64 { return s.w[a] }
 
-// SetWeight updates the silo's private weight of arc a, reflecting a
+// SetWeight updates the silo's private weight of arc a in place, reflecting a
 // real-time traffic change. The federation must afterwards run the federated
 // index update (ch.Index.Update) so pre-computed structures stay consistent.
+// It is for single-threaded callers; a federation that serves queries while
+// traffic moves publishes a WithWeights view per change instead.
 func (s *Silo) SetWeight(a graph.Arc, w int64) {
 	if w <= 0 || w >= graph.MaxWeight {
 		panic(fmt.Sprintf("fed: silo %d: invalid weight %d for arc %d", s.id, w, a))
@@ -57,17 +59,17 @@ func (s *Silo) Weights() graph.Weights { return s.w }
 // silos and the MPC engine executing Fed-SAC.
 //
 // A Federation is not safe for unsynchronized concurrent use (its MPC engine
-// is single-goroutine and silo weights are mutable); Fork produces views that
+// is single-goroutine and SetWeight writes in place); Fork produces views that
 // share all federation data but own an independent engine, so queries on
-// different forks run concurrently. Coordinating queries against weight
-// mutation is the caller's responsibility (the fedroad package does this
-// with a reader/writer lock).
+// different forks run concurrently. A federation whose weights change while
+// it serves never writes them in place: each change is a WithWeights view
+// over fresh weight sets, and a long-lived fork answers at a view it loaded
+// through At (the fedroad package publishes one view per traffic version).
 type Federation struct {
 	g     *graph.Graph
 	w0    graph.Weights
 	silos []*Silo
 	eng   *mpc.Engine
-	root  *Federation // nil when this federation is itself the root
 	// wrap, when set, wraps the decision function of every Fed-SAC handle
 	// this view and its forks create (see WithDecide).
 	wrap func(Decide) Decide
@@ -115,23 +117,40 @@ func (f *Federation) Silo(p int) *Silo { return f.silos[p] }
 // Engine exposes the MPC engine (for cost accounting).
 func (f *Federation) Engine() *mpc.Engine { return f.eng }
 
-// Root returns the federation this one was (transitively) forked from, or
-// the federation itself if it is the root. Forks of one root share all
-// federation data — pre-computed structures built against any member of the
-// family are valid for every other member.
-func (f *Federation) Root() *Federation {
-	if f.root != nil {
-		return f.root
-	}
-	return f
-}
+// SameWeights reports whether f and o read the same silo weight sets: forks
+// and views of one federation, or of one WithWeights view. Pre-computed
+// structures built against one of them are valid for the other.
+func (f *Federation) SameWeights(o *Federation) bool { return &f.silos[0] == &o.silos[0] }
 
 // Fork returns a federation view backed by the same topology, public
 // weights and silos, with an independent MPC engine forked from this
 // federation's engine. Queries on distinct forks run concurrently; each
 // individual fork remains single-goroutine.
 func (f *Federation) Fork() *Federation {
-	return &Federation{g: f.g, w0: f.w0, silos: f.silos, eng: f.eng.Fork(), root: f.Root(), wrap: f.wrap}
+	return &Federation{g: f.g, w0: f.w0, silos: f.silos, eng: f.eng.Fork(), wrap: f.wrap}
+}
+
+// WithWeights returns a view of f over new silo weight sets — the next
+// version of a federation whose traffic moved. It shares f's topology, engine
+// and decision wrapper, so its forks continue f's fork sequence. The caller
+// hands the sets over, unvalidated: nothing may write them afterwards, and a
+// set it did not change may be f's own.
+func (f *Federation) WithWeights(sets []graph.Weights) *Federation {
+	v := *f
+	v.silos = make([]*Silo, len(sets))
+	for p, w := range sets {
+		v.silos[p] = &Silo{id: p, w: w}
+	}
+	return &v
+}
+
+// At returns a view that compares on f's engine over the silo weights of w,
+// another view of the same federation: a long-lived fork answers each query
+// at the version it loaded.
+func (f *Federation) At(w *Federation) *Federation {
+	v := *f
+	v.silos = w.silos
+	return &v
 }
 
 // Decide is Fed-SAC's decision function over one protocol instance:
@@ -139,8 +158,8 @@ func (f *Federation) Fork() *Federation {
 // the production one.
 type Decide func(diffs [][]int64) ([]bool, error)
 
-// WithDecide returns a view of f that shares its topology, silos, engine and
-// root, and whose Fed-SAC handles — NewSAC on the view and on every Fork of
+// WithDecide returns a view of f that shares its topology, silos and engine,
+// and whose Fed-SAC handles — NewSAC on the view and on every Fork of
 // it — decide through wrap(engine's CompareBatch). It is the one seam at which
 // everything the silos learn passes, the opened bits and the width of every
 // instance, whichever package compares (core, ch, lb): the simulator tests
@@ -148,7 +167,7 @@ type Decide func(diffs [][]int64) ([]bool, error)
 // sets it.
 func (f *Federation) WithDecide(wrap func(Decide) Decide) *Federation {
 	v := *f
-	v.root, v.wrap = f.Root(), wrap
+	v.wrap = wrap
 	return &v
 }
 
@@ -162,10 +181,9 @@ func (f *Federation) ArcPartial(a graph.Arc) Partial {
 	return v
 }
 
-// SnapshotWeights deep-copies every silo's private weight set. Callers that
-// compute off-lock against a consistent view of the federation (landmark
-// precomputation, index construction) snapshot under their read lock and
-// work on the copy.
+// SnapshotWeights deep-copies every silo's private weight set, for callers
+// that must keep a view's weights while SetWeight moves them (landmark
+// precomputation, serialization tests).
 func (f *Federation) SnapshotWeights() []graph.Weights {
 	sets := make([]graph.Weights, len(f.silos))
 	for p, s := range f.silos {

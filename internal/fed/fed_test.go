@@ -74,7 +74,7 @@ func TestSACMatchesPlaintext(t *testing.T) {
 }
 
 // TestWithDecideSeesEveryInstance: a view's wrapper decides for NewSAC on the
-// view and on its forks, the view keeps the engine and the root, and the
+// view and on its forks, the view keeps the engine and the weights, and the
 // federation it was taken from stays unwrapped.
 func TestWithDecideSeesEveryInstance(t *testing.T) {
 	f := testFederation(t, 3, mpc.ModeIdeal)
@@ -85,16 +85,16 @@ func TestWithDecideSeesEveryInstance(t *testing.T) {
 			return inner(diffs)
 		}
 	})
-	if v.Root() != f || v.Engine() != f.Engine() {
-		t.Fatal("the view does not share the root and the engine")
+	if !v.SameWeights(f) || v.Engine() != f.Engine() {
+		t.Fatal("the view does not share the weights and the engine")
 	}
 	a, b := Partial{1, 1, 1}, Partial{2, 2, 2}
 	if got := v.NewSAC().LessBatch([][2]Partial{{a, b}, {b, a}}); !got[0] || got[1] {
 		t.Fatalf("wrapped bits %v", got)
 	}
 	fork := v.Fork()
-	if fork.Root() != f {
-		t.Fatal("a fork of the view lost the root")
+	if !fork.SameWeights(f) {
+		t.Fatal("a fork of the view lost the weights")
 	}
 	fork.NewSAC().LessDiffs([][]int64{{-1, 0, 0}})
 	f.NewSAC().LessDiffs([][]int64{{-1, 0, 0}})
@@ -103,6 +103,28 @@ func TestWithDecideSeesEveryInstance(t *testing.T) {
 	}
 	if f.Engine().Stats().Compares != 3 || fork.Engine().Stats().Compares != 1 {
 		t.Fatal("the wrapper must decide on the engine it wraps")
+	}
+}
+
+// TestWithWeightsIsANewVersion: a WithWeights view reads its own sets and
+// leaves the federation it came from untouched; it shares the engine, so its
+// forks continue the same fork sequence; and At puts a fork's engine over the
+// view's weights.
+func TestWithWeightsIsANewVersion(t *testing.T) {
+	f := testFederation(t, 3, mpc.ModeIdeal)
+	sets := f.SnapshotWeights()
+	sets[1][4] = f.Silo(1).Weight(4) + 1000
+	next := f.WithWeights(sets)
+	if next.SameWeights(f) || next.Engine() != f.Engine() {
+		t.Fatal("a new version shares the weights or lost the engine")
+	}
+	if next.Silo(1).Weight(4) != f.Silo(1).Weight(4)+1000 || next.Silo(1).ID() != 1 {
+		t.Fatal("the new version does not read its own weights")
+	}
+	fork := f.Fork()
+	at := fork.At(next)
+	if !at.SameWeights(next) || at.Engine() != fork.Engine() || at.Silo(1).Weight(4) != next.Silo(1).Weight(4) {
+		t.Fatal("At does not pair the fork's engine with the version's weights")
 	}
 }
 

@@ -3,8 +3,8 @@
 // and therefore through one order of steps:
 //
 //	cache lookup → singleflight leader → admission gate → concurrency bound
-//	→ a query session opened for this request → the query under the
-//	federation's read lock, at the traffic version it echoes → cache fill
+//	→ a query session opened for this request → the query at the traffic
+//	version it loaded, which it echoes → cache fill
 //
 // A cache hit or a coalesced waiter stops at the first step: it takes no
 // admission slot, opens no session and runs no protocol round. Only the
@@ -51,8 +51,8 @@ type Meta struct {
 	// Stats are the computing query's cost counters: a hit or a coalesced
 	// waiter replays them, having spent nothing itself.
 	Stats fedroad.Stats
-	// Version is the traffic version the answer was computed at, captured
-	// under the query's own read lock.
+	// Version is the traffic version the answer was computed at: the
+	// version the query loaded.
 	Version uint64
 	// Outcome tells a hit and a coalesced waiter from the request that ran
 	// the query (CacheMiss — also every request of a pipeline without a

@@ -42,7 +42,6 @@ type Report struct {
 	Queries        int64 // answers served (hits, waiters and computed)
 	TrafficBatches int64
 	Rebuilds       int64
-	BuildConflicts int64
 
 	// Staleness oracle: every answer replayed against plaintext Dijkstra at
 	// the traffic version it echoed.
@@ -108,7 +107,6 @@ func Run(cfg Config) (*Report, error) {
 		leaders  atomic.Int64
 		batches  atomic.Int64
 		rebuilds atomic.Int64
-		conflict atomic.Int64
 		errCh    = make(chan error, cfg.Workers+2)
 		obs      = make([][]observation, cfg.Workers)
 		wg       sync.WaitGroup
@@ -168,22 +166,17 @@ func Run(cfg Config) (*Report, error) {
 		}
 	}()
 
-	// Rebuilder: full off-lock index rebuilds racing everything. A build that
-	// loses the race to a traffic update is abandoned with ErrBuildConflict —
-	// expected, counted, not fatal.
+	// Rebuilder: full index rebuilds racing everything. The updater waits for
+	// each one, and queries keep answering at the published version.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		for !stop.Load() {
-			switch err := f.BuildIndex(); {
-			case err == nil:
-				rebuilds.Add(1)
-			case errors.Is(err, fedroad.ErrBuildConflict):
-				conflict.Add(1)
-			default:
+			if err := f.BuildIndex(); err != nil {
 				errCh <- fmt.Errorf("soak rebuild: %w", err)
 				return
 			}
+			rebuilds.Add(1)
 			time.Sleep(20 * time.Millisecond)
 		}
 	}()
@@ -199,7 +192,6 @@ func Run(cfg Config) (*Report, error) {
 	rep := &Report{
 		TrafficBatches: batches.Load(),
 		Rebuilds:       rebuilds.Load(),
-		BuildConflicts: conflict.Load(),
 		LeaderAttempts: leaders.Load(),
 	}
 

@@ -87,7 +87,7 @@ type lattice struct {
 
 func newLattice(f *Federation, seed uint64) lattice {
 	g, w0 := f.Graph(), f.inner.StaticWeights()
-	return lattice{f: f, lm: lb.Precompute(g, w0, f.inner.SnapshotWeights(), lb.SelectLandmarks(g, w0, 8, seed), 0)}
+	return lattice{f: f, lm: lb.Precompute(g, w0, f.cur.Load().fed.SnapshotWeights(), lb.SelectLandmarks(g, w0, 8, seed), 0)}
 }
 
 // engine builds cfg's engine on a fresh fork, which done releases.
@@ -96,9 +96,9 @@ func (l lattice) engine(t *testing.T, cfg oracleConfig) (e *core.Engine, done fu
 	opt := cfg.opt
 	opt.Landmarks = l.lm
 	if cfg.indexed {
-		opt.Index = l.f.index
+		opt.Index = l.f.cur.Load().index
 	}
-	fork := l.f.inner.Fork()
+	fork := l.f.cur.Load().fed.Fork()
 	e, err := core.NewEngine(fork, opt)
 	if err != nil {
 		t.Fatalf("%s: %v", cfg.name, err)
@@ -347,7 +347,7 @@ func TestOracleAfterTrafficUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Rebuild the oracle from the live silo weights (post-update).
-	checkAgainstOracle(t, f, f.inner.JointWeights(), oracleQueries(g, 80, 3), 78)
+	checkAgainstOracle(t, f, f.cur.Load().fed.JointWeights(), oracleQueries(g, 80, 3), 78)
 }
 
 // TestOracleCustomizeAxis is the customize axis of the oracle: an index
@@ -426,8 +426,8 @@ func TestOracleCustomizeAxis(t *testing.T) {
 			t.Fatalf("version %d: from-scratch build reported Customized", v)
 		}
 
-		joint := fCust.inner.JointWeights()
-		if jf := fFull.inner.JointWeights(); !slices.Equal(joint, jf) {
+		joint := fCust.cur.Load().fed.JointWeights()
+		if jf := fFull.cur.Load().fed.JointWeights(); !slices.Equal(joint, jf) {
 			t.Fatalf("version %d: the two federations diverged on silo weights", v)
 		}
 		queries := oracleQueries(g, 94+uint64(v), 3)

@@ -1,8 +1,8 @@
 package fedroad
 
 import (
-	"errors"
 	"fmt"
+	"math/rand/v2"
 	"sync"
 	"testing"
 	"time"
@@ -10,23 +10,13 @@ import (
 	"repro/internal/graph"
 )
 
-// These tests exercise the off-lock rebuild protocol: queries must stay
-// oracle-correct while a build runs in the background, and a traffic update
-// landing mid-build must yield either the typed conflict error or a
-// consistent retried index — never a half-built or stale one.
+// These tests exercise index derivations beside queries and traffic: queries
+// stay oracle-correct and indexed at the published version while a
+// derivation runs, and a derivation that traffic keeps arriving beside
+// finishes — the traffic waits for it.
 
-// liveJoint reads the current joint weights straight off the silos. Only
-// safe once all concurrent goroutines have been joined.
-func liveJoint(f *Federation) Weights {
-	g := f.Graph()
-	joint := make(Weights, g.NumArcs())
-	for p := 0; p < f.Silos(); p++ {
-		for a := 0; a < g.NumArcs(); a++ {
-			joint[a] += f.inner.Silo(p).Weight(Arc(a))
-		}
-	}
-	return joint
-}
+// liveJoint is the joint weights of the published version.
+func liveJoint(f *Federation) Weights { return f.cur.Load().fed.JointWeights() }
 
 // spotCheck verifies a handful of queries against plaintext Dijkstra on the
 // given joint weights, on every stack the facade can select.
@@ -64,8 +54,8 @@ func rebuildFederation(t *testing.T, n int, seed uint64) *Federation {
 
 // TestRebuildQueriesDuringBuild runs oracle-checked queries from several
 // goroutines while an index build is in flight. The weights never
-// change, so every answer — before, during, and after the swap — must match
-// one fixed oracle, whichever index generation served it.
+// change, so every answer — before, during, and after the publish — must
+// match one fixed oracle, whichever index generation served it.
 func TestRebuildQueriesDuringBuild(t *testing.T) {
 	f := rebuildFederation(t, 220, 50)
 	joint := liveJoint(f)
@@ -127,76 +117,151 @@ func TestRebuildQueriesDuringBuild(t *testing.T) {
 	spotCheck(t, f, joint, "after build")
 }
 
-// TestRebuildConflict lands a traffic update in the middle of a build with
-// no retries configured: the build must either finish before the update (nil
-// error) or surface ErrBuildConflict — and in both cases the federation must
-// answer queries consistently with the live weights afterward.
-func TestRebuildConflict(t *testing.T) {
-	f := rebuildFederation(t, 260, 60)
-
-	buildDone := make(chan error, 1)
-	go func() { buildDone <- f.BuildIndex() }()
-
-	// Wait until the build is observably in flight, then invalidate its
-	// snapshot.
-	deadline := time.Now().Add(5 * time.Second)
-	for !f.IndexBuilding() && time.Now().Before(deadline) {
-		time.Sleep(100 * time.Microsecond)
-	}
-	if _, err := f.ApplyTraffic([]TrafficUpdate{{Silo: 0, Arc: 0, TravelMs: 123}}); err != nil {
+// TestRebuildRouteDuringDerivation parks a RebuildIndex batch's customization
+// mid-protocol: a route asked meanwhile returns at once, at the previous
+// version, over the previous index — it makes the comparisons the same route
+// made before the batch, which a flat search does not. Released, the
+// derivation publishes the batch with its index.
+func TestRebuildRouteDuringDerivation(t *testing.T) {
+	p := newParker()
+	g, w0 := GenerateRoadNetwork(150, 51)
+	silos := SimulateCongestion(w0, 3, Moderate, 52)
+	f, err := New(g, w0, silos, Config{Mode: ModeProtocol, Seed: 53, TransportWrap: p.wrap})
+	if err != nil {
 		t.Fatal(err)
 	}
-	raced := time.Now().After(deadline) // build finished before we saw it
-
-	err := <-buildDone
-	switch {
-	case err == nil:
-		// The build swapped in before the update; ApplyTraffic then refreshed
-		// the index, so it must be present and consistent.
-		if !f.HasIndex() {
-			t.Fatal("nil build error but no index")
-		}
-	case errors.Is(err, ErrBuildConflict):
-		if raced {
-			t.Fatalf("build never became observable yet reports a conflict: %v", err)
-		}
-		if f.HasIndex() {
-			t.Fatal("conflicted build must not leave an index installed")
-		}
-	default:
-		t.Fatalf("build returned unexpected error: %v", err)
+	defer f.Close()
+	if err := f.CustomizeIndex(); err != nil {
+		t.Fatal(err)
 	}
-	spotCheck(t, f, liveJoint(f), "after conflict")
+	h := newWeightHistory(f, silos)
+	route := func() (answer, Stats, error) {
+		sess := f.Session()
+		defer sess.Close()
+		r, st, ver, err := sess.ShortestPathAt(3, 140)
+		return answer{ver, 3, 140, r}, st, err
+	}
+	before, indexed, err := route()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	batch := []TrafficUpdate{{Silo: 0, Arc: 5, TravelMs: 99000}, {Silo: 1, Arc: 40, TravelMs: 150000}}
+	rebuilt := make(chan error, 1)
+	p.park(t, func() {
+		go func() {
+			_, err := f.ApplyTraffic(batch, RebuildIndex)
+			rebuilt <- err
+		}()
+	})
+	routed := make(chan struct{})
+	var during answer
+	var st Stats
+	var routeErr error
+	go func() {
+		defer close(routed)
+		during, st, routeErr = route()
+	}()
+	select {
+	case <-routed:
+	case <-time.After(10 * time.Second):
+		close(p.release)
+		t.Fatal("a route waited for the derivation")
+	}
+	if routeErr != nil {
+		close(p.release)
+		t.Fatal(routeErr)
+	}
+	if during.ver != before.ver || !f.HasIndex() || !f.IndexBuilding() {
+		t.Fatalf("during the derivation: version %d (before %d), index %v, building %v",
+			during.ver, before.ver, f.HasIndex(), f.IndexBuilding())
+	}
+	if st.SAC != indexed.SAC {
+		t.Fatalf("the route made %+v, indexed before the batch %+v: it did not search the previous index", st.SAC, indexed.SAC)
+	}
+	if err := h.check(during); err != nil {
+		t.Fatal(err)
+	}
+
+	close(p.release)
+	if err := <-rebuilt; err != nil {
+		t.Fatal(err)
+	}
+	h.apply(f.TrafficVersion(), batch)
+	if f.TrafficVersion() != before.ver+1 || !f.HasIndex() || f.IndexBuilding() {
+		t.Fatalf("after the derivation: version %d, index %v, building %v", f.TrafficVersion(), f.HasIndex(), f.IndexBuilding())
+	}
+	after, _, err := route()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.check(after); err != nil {
+		t.Fatal(err)
+	}
 }
 
-// TestRebuildConflictRetry is the same race with conflict retries:
-// the build must absorb the conflict, restart from fresh weights, and
-// install a consistent index with a nil error.
-func TestRebuildConflictRetry(t *testing.T) {
-	f := rebuildFederation(t, 260, 70)
-
-	buildDone := make(chan error, 1)
-	go func() { buildDone <- f.buildIndex(3) }()
-
-	deadline := time.Now().Add(5 * time.Second)
-	for !f.IndexBuilding() && time.Now().Before(deadline) {
-		time.Sleep(100 * time.Microsecond)
-	}
-	if _, err := f.ApplyTraffic([]TrafficUpdate{{Silo: 1, Arc: 2, TravelMs: 321}}); err != nil {
+// TestRebuildUnderStreamingTraffic: ApplyTraffic(nil, RebuildIndex) succeeds
+// while another goroutine streams traffic batches without pause — each batch
+// waits for the derivation instead of invalidating it — and the index it
+// publishes, updated in place by the batches after it, answers exactly.
+func TestRebuildUnderStreamingTraffic(t *testing.T) {
+	g, w0 := GenerateRoadNetwork(260, 54)
+	silos := SimulateCongestion(w0, 3, Moderate, 55)
+	f, err := New(g, w0, silos, Config{Seed: 56})
+	if err != nil {
 		t.Fatal(err)
 	}
-
-	if err := <-buildDone; err != nil {
-		t.Fatalf("build with retries failed: %v", err)
-	}
-	if !f.HasIndex() {
-		t.Fatal("successful retried build left no index")
-	}
-	spotCheck(t, f, liveJoint(f), "after retried build")
-
-	// A further update must go through the incremental refresh path cleanly.
-	if _, err := f.ApplyTraffic([]TrafficUpdate{{Silo: 2, Arc: 5, TravelMs: 777}}); err != nil {
+	if err := f.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	spotCheck(t, f, liveJoint(f), "after post-build update")
+	h := newWeightHistory(f, silos)
+	// The stream runs until three batches have followed the rebuild.
+	flowing, rebuilt := make(chan struct{}), make(chan struct{})
+	streamed := make(chan error, 1)
+	go func() {
+		rng := rand.New(rand.NewPCG(57, 57))
+		for i, after := 0, 0; after < 3; i++ {
+			select {
+			case <-rebuilt:
+				after++
+			default:
+			}
+			ups := []TrafficUpdate{{Silo: rng.IntN(3), Arc: Arc(rng.IntN(g.NumArcs())), TravelMs: 1 + rng.Int64N(200000)}}
+			if _, err := f.ApplyTraffic(ups); err != nil {
+				streamed <- err
+				return
+			}
+			h.apply(f.TrafficVersion(), ups)
+			if i == 0 {
+				close(flowing)
+			}
+		}
+		streamed <- nil
+	}()
+	select {
+	case <-flowing:
+	case err := <-streamed:
+		t.Fatal(err)
+	}
+	_, rebuildErr := f.ApplyTraffic(nil, RebuildIndex)
+	close(rebuilt)
+	if err := <-streamed; err != nil {
+		t.Fatal(err)
+	}
+	if rebuildErr != nil {
+		t.Fatalf("ApplyTraffic(nil, RebuildIndex) under streaming traffic: %v", rebuildErr)
+	}
+	sess := f.Session()
+	defer sess.Close()
+	rng := rand.New(rand.NewPCG(58, 58))
+	for i := 0; i < 20; i++ {
+		s, d := Vertex(rng.IntN(g.NumVertices())), Vertex(rng.IntN(g.NumVertices()))
+		r, _, ver, err := sess.ShortestPathAt(s, d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := h.check(answer{ver, s, d, r}); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

@@ -9,29 +9,25 @@ import (
 	"repro/internal/pq"
 )
 
-// Session is a concurrent query context over a federation. It snapshots
-// nothing and copies nothing heavyweight: the shared immutable state
-// (topology, public static weights, shortcut index) is referenced, while
-// everything mutable per query — the MPC engine with its transport lanes,
-// dealer randomness stream and cost counters — is owned by the session,
-// forked from the federation's root engine. Queries on distinct sessions
-// therefore run fully in parallel; the federation's reader/writer lock only
-// serializes them against traffic updates and the brief index swap at the end
-// of an off-lock rebuild (the heavy construction work runs without the lock,
-// so queries keep flowing during it — see Federation.BuildIndex).
+// Session is a concurrent query context over a federation. It copies nothing
+// heavyweight: each query loads the published version — topology, silo
+// weights, shortcut index, all immutable — while everything mutable per query
+// — the MPC engine with its transport lanes, dealer randomness stream and
+// cost counters — is owned by the session, forked from the federation's root
+// engine. Queries on distinct sessions therefore run fully in parallel, and
+// no query waits for a traffic update or an index derivation: it answers at
+// the version it loaded (see Federation.BuildIndex).
 //
 // A Session issues one query at a time (it is not itself safe for
 // concurrent use); open one session per worker goroutine.
 type Session struct {
 	f     *Federation
-	inner *fed.Federation // engine-owning fork of the root federation
+	inner *fed.Federation // the session's engine fork
 }
 
 // Session opens a query session. Sessions are cheap (no protocol
 // calibration is repeated); Close releases their transport endpoints.
 func (f *Federation) Session() *Session {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
 	return &Session{f: f, inner: f.inner.Fork()}
 }
 
@@ -74,16 +70,16 @@ func (s *Session) checkVertex(name string, v Vertex) error {
 }
 
 // ShortestPath answers a federated single-pair shortest-path query on this
-// session, under the federation's read lock.
+// session, at the published version.
 func (s *Session) ShortestPath(src, dst Vertex, opts ...QueryOptions) (Route, Stats, error) {
 	route, stats, _, err := s.ShortestPathAt(src, dst, opts...)
 	return route, stats, err
 }
 
 // ShortestPathAt is ShortestPath plus the traffic version the answer was
-// computed at, captured under the same read lock as the search itself — so
-// the result is exact for precisely that version. Serving tiers echo it to
-// clients and key caches by it.
+// computed at: the query loads the published version once and searches its
+// weights and index, so the result is exact for precisely that version.
+// Serving tiers echo it to clients and key caches by it.
 func (s *Session) ShortestPathAt(src, dst Vertex, opts ...QueryOptions) (Route, Stats, uint64, error) {
 	opt, err := oneOpt(opts)
 	if err == nil {
@@ -96,20 +92,17 @@ func (s *Session) ShortestPathAt(src, dst Vertex, opts ...QueryOptions) (Route, 
 		s.f.recordQuery("spsp", Stats{}, err)
 		return Route{}, Stats{}, 0, err
 	}
-	s.f.mu.RLock()
-	defer s.f.mu.RUnlock()
-	ver := s.f.trafficVer
-	route, stats, err := s.shortestPathLocked(src, dst, opt)
+	v := s.f.cur.Load()
+	route, stats, err := s.shortestPath(v, src, dst, opt)
 	s.f.recordQuery("spsp", stats, err)
-	return route, stats, ver, err
+	return route, stats, v.traffic, err
 }
 
-// shortestPathLocked runs the query body — the TM-tree and Fed-AMPS over the
-// shortcut index when one is built, flat otherwise; the caller holds f.mu
-// (read).
-func (s *Session) shortestPathLocked(src, dst Vertex, opt QueryOptions) (Route, Stats, error) {
-	e, err := core.NewEngine(s.inner, core.Options{
-		Queue: pq.KindTMTree, Estimator: lb.FedAMPS, Index: s.f.index, BatchedMPC: opt.BatchedMPC,
+// shortestPath runs the query body at version v — the TM-tree and Fed-AMPS
+// over v's shortcut index when it has one, flat otherwise.
+func (s *Session) shortestPath(v *version, src, dst Vertex, opt QueryOptions) (Route, Stats, error) {
+	e, err := core.NewEngine(s.inner.At(v.fed), core.Options{
+		Queue: pq.KindTMTree, Estimator: lb.FedAMPS, Index: v.index, BatchedMPC: opt.BatchedMPC,
 	})
 	if err != nil {
 		return Route{}, Stats{}, err
@@ -121,8 +114,8 @@ func (s *Session) shortestPathLocked(src, dst Vertex, opt QueryOptions) (Route, 
 	return Route{Path: res.Path, Partials: res.Partial, Found: res.Found}, stats, nil
 }
 
-// NearestNeighbors answers a federated kNN query on this session, under the
-// federation's read lock. kNN runs Fed-SSSP on the flat network with the
+// NearestNeighbors answers a federated kNN query on this session, at the
+// published version. kNN runs Fed-SSSP on the flat network with the
 // TM-tree: there is no fixed target to estimate toward or to search an index
 // for.
 func (s *Session) NearestNeighbors(src Vertex, k int, opts ...QueryOptions) ([]Route, Stats, error) {
@@ -131,8 +124,7 @@ func (s *Session) NearestNeighbors(src Vertex, k int, opts ...QueryOptions) ([]R
 }
 
 // NearestNeighborsAt is NearestNeighbors plus the traffic version the answer
-// was computed at, captured under the same read lock as the search (see
-// ShortestPathAt).
+// was computed at, the one version the query loaded (see ShortestPathAt).
 func (s *Session) NearestNeighborsAt(src Vertex, k int, opts ...QueryOptions) ([]Route, Stats, uint64, error) {
 	opt, err := oneOpt(opts)
 	if err == nil {
@@ -145,17 +137,15 @@ func (s *Session) NearestNeighborsAt(src Vertex, k int, opts ...QueryOptions) ([
 		s.f.recordQuery("sssp", Stats{}, err)
 		return nil, Stats{}, 0, err
 	}
-	s.f.mu.RLock()
-	defer s.f.mu.RUnlock()
-	ver := s.f.trafficVer
-	routes, stats, err := s.nearestNeighborsLocked(src, k, opt)
+	v := s.f.cur.Load()
+	routes, stats, err := s.nearestNeighbors(v, src, k, opt)
 	s.f.recordQuery("sssp", stats, err)
-	return routes, stats, ver, err
+	return routes, stats, v.traffic, err
 }
 
-// nearestNeighborsLocked runs the query body; the caller holds f.mu (read).
-func (s *Session) nearestNeighborsLocked(src Vertex, k int, opt QueryOptions) ([]Route, Stats, error) {
-	e, err := core.NewEngine(s.inner, core.Options{Queue: pq.KindTMTree, BatchedMPC: opt.BatchedMPC})
+// nearestNeighbors runs the query body at version v.
+func (s *Session) nearestNeighbors(v *version, src Vertex, k int, opt QueryOptions) ([]Route, Stats, error) {
+	e, err := core.NewEngine(s.inner.At(v.fed), core.Options{Queue: pq.KindTMTree, BatchedMPC: opt.BatchedMPC})
 	if err != nil {
 		return nil, Stats{}, err
 	}

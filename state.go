@@ -63,7 +63,7 @@ func (f *Federation) fingerprint() uint64 {
 			v >>= 8
 		}
 	}
-	g := f.inner.Graph()
+	g := f.Graph()
 	w0 := f.inner.StaticWeights()
 	mix(uint64(g.NumVertices()))
 	mix(uint64(g.NumArcs()))
@@ -76,11 +76,10 @@ func (f *Federation) fingerprint() uint64 {
 }
 
 // SaveState writes a consistent snapshot of the federation's mutable state —
-// silo weights, traffic version, and the shortcut index when built — taken
-// under the read lock, so it never interleaves with a traffic update.
+// silo weights, traffic version, and the shortcut index when built — all of
+// one published version, so it never waits for or interleaves with a writer.
 func (f *Federation) SaveState(w io.Writer) error {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
+	v := f.cur.Load()
 	bw := bufio.NewWriter(w)
 	var b [8]byte
 	u32 := func(v uint32) error {
@@ -93,26 +92,26 @@ func (f *Federation) SaveState(w io.Writer) error {
 		_, err := bw.Write(b[:])
 		return err
 	}
-	m := f.inner.Graph().NumArcs()
-	for _, v := range []uint32{stateMagic, stateVersion} {
-		if err := u32(v); err != nil {
+	m := v.fed.Graph().NumArcs()
+	for _, word := range []uint32{stateMagic, stateVersion} {
+		if err := u32(word); err != nil {
 			return err
 		}
 	}
 	if err := u64(f.fingerprint()); err != nil {
 		return err
 	}
-	if err := u64(f.trafficVer); err != nil {
+	if err := u64(v.traffic); err != nil {
 		return err
 	}
-	if err := u32(uint32(f.Silos())); err != nil {
+	if err := u32(uint32(v.fed.P())); err != nil {
 		return err
 	}
 	if err := u32(uint32(m)); err != nil {
 		return err
 	}
-	for p := 0; p < f.Silos(); p++ {
-		ws := f.inner.Silo(p).Weights()
+	for p := 0; p < v.fed.P(); p++ {
+		ws := v.fed.Silo(p).Weights()
 		for a := 0; a < m; a++ {
 			if err := u64(uint64(ws[a])); err != nil {
 				return err
@@ -121,8 +120,8 @@ func (f *Federation) SaveState(w io.Writer) error {
 	}
 	kind := indexNone
 	switch {
-	case f.index == nil:
-	case f.index.Customized():
+	case v.index == nil:
+	case v.index.Customized():
 		kind = indexCustomized
 	default:
 		kind = indexWitness
@@ -133,23 +132,23 @@ func (f *Federation) SaveState(w io.Writer) error {
 	if err := bw.Flush(); err != nil {
 		return err
 	}
-	if f.index != nil {
-		return f.index.WriteIndex(w)
+	if v.index != nil {
+		return v.index.WriteIndex(w)
 	}
 	return nil
 }
 
 // RestoreState loads a SaveState snapshot into the federation: silo weights,
 // the shortcut index (validated as ch.ReadIndex validates it, its partials
-// derived from the restored weights, so a restore runs no Fed-SAC), and
-// finally the snapshot's traffic version. A customized index is attached to
-// the federation's skeleton when it has one (its customization plan
-// survives); otherwise the skeleton is derived off-lock and installed with
-// the index. Everything is validated before anything is applied; on error
-// the federation is unchanged. Intended for startup (fedserver -persist) — it
-// invalidates the weight snapshot of any index build racing it only when the
-// restored traffic version differs from the current one. It returns whether
-// the snapshot carried an index.
+// derived from the restored weights, so a restore runs no Fed-SAC) or none,
+// and the snapshot's traffic version, published together as one version. A
+// customized index is attached to the federation's skeleton when it has one
+// (its customization plan survives); otherwise the skeleton is derived and
+// published with the index. Everything is validated before the writer mutex
+// is taken; on error nothing is published. The install waits for a
+// derivation in progress, which publishes first and is then replaced.
+// Intended for startup (fedserver -persist). It returns whether the snapshot
+// carried an index.
 func (f *Federation) RestoreState(r io.Reader) (restoredIndex bool, err error) {
 	br := bufio.NewReader(r)
 	var b [8]byte
@@ -201,11 +200,11 @@ func (f *Federation) RestoreState(r io.Reader) (restoredIndex bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	m := f.inner.Graph().NumArcs()
+	m := f.Graph().NumArcs()
 	if int(m32) != m {
 		return false, fmt.Errorf("fedroad: state snapshot covers %d arcs, graph has %d", m32, m)
 	}
-	weights := make([][]int64, f.Silos())
+	weights := make([]Weights, f.Silos())
 	for p := range weights {
 		ws := make([]int64, m)
 		for a := 0; a < m; a++ {
@@ -214,8 +213,8 @@ func (f *Federation) RestoreState(r io.Reader) (restoredIndex bool, err error) {
 				return false, fmt.Errorf("fedroad: state silo %d weights: %w", p, err)
 			}
 			w := int64(v)
-			// fed.Silo.SetWeight enforces this with a panic; a snapshot that
-			// violates it is corrupt, which must surface as an error.
+			// Every weight a federation holds lies in this range; a snapshot
+			// that violates it is corrupt, which must surface as an error.
 			if w <= 0 || w >= MaxTravelMs {
 				return false, fmt.Errorf("fedroad: state silo %d arc %d weight %d outside (0,%d)", p, a, w, MaxTravelMs)
 			}
@@ -227,25 +226,17 @@ func (f *Federation) RestoreState(r io.Reader) (restoredIndex bool, err error) {
 	if err != nil {
 		return false, err
 	}
-	// ReadIndex validates the stream against the federation's topology and
-	// reads the weights above, and BuildSkeleton reads only the topology: no
-	// lock yet.
-	var idx *ch.Index
-	var derived *ch.Skeleton
+	// The restored version's weights; ReadIndex validates the stream against
+	// the topology and derives the index over them. No writer waits yet.
+	cur := f.cur.Load()
+	next := &version{traffic: trafficVer, fed: cur.fed.WithWeights(weights), skel: cur.skel}
 	switch kind {
 	case indexNone:
 	case indexWitness:
-		idx, err = ch.ReadIndex(f.inner, br, nil, weights)
+		next.index, err = ch.ReadIndex(next.fed, br, nil, weights)
 	case indexCustomized:
-		f.mu.RLock()
-		sk := f.skel
-		f.mu.RUnlock()
-		if sk == nil {
-			sk, err = ch.BuildSkeleton(f.inner.Graph())
-			derived = sk
-		}
-		if err == nil {
-			idx, err = ch.ReadIndex(f.inner, br, sk, weights)
+		if err = withSkeleton(next); err == nil {
+			next.index, err = ch.ReadIndex(next.fed, br, next.skel, weights)
 		}
 	default:
 		return false, fmt.Errorf("fedroad: state index kind %d invalid", kind)
@@ -259,23 +250,15 @@ func (f *Federation) RestoreState(r io.Reader) (restoredIndex bool, err error) {
 	} else if err != io.EOF {
 		return false, fmt.Errorf("fedroad: state snapshot end: %w", err)
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	for p, ws := range weights {
-		silo := f.inner.Silo(p)
-		for a := 0; a < m; a++ {
-			silo.SetWeight(Arc(a), ws[a])
-		}
+	// The snapshot replaces weights, index and traffic version together: an
+	// index-less snapshot publishes no index, whatever served before. The
+	// restored version also keys every WAL delta replayed on top (deltas with
+	// versions <= this one are already in the snapshot).
+	f.write.Lock()
+	defer f.write.Unlock()
+	if next.skel == nil {
+		next.skel = f.cur.Load().skel // one published meanwhile fits the same topology
 	}
-	if idx != nil {
-		f.index = idx
-	}
-	if derived != nil && f.skel == nil {
-		f.skel = derived
-	}
-	// The traffic version is restored LAST: it must describe the weights and
-	// index now in place, and restoring it also keys every WAL delta replayed
-	// on top (deltas with versions <= this one are already in the snapshot).
-	f.trafficVer = trafficVer
-	return idx != nil, nil
+	f.cur.Store(next)
+	return next.index != nil, nil
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand/v2"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 )
@@ -82,7 +83,7 @@ func TestStateRoundTrip(t *testing.T) {
 	joint := make(Weights, g.NumArcs())
 	for p := 0; p < src.Silos(); p++ {
 		for a := 0; a < g.NumArcs(); a++ {
-			joint[a] += src.inner.Silo(p).Weight(Arc(a))
+			joint[a] += src.cur.Load().fed.Silo(p).Weight(Arc(a))
 		}
 	}
 	rng := rand.New(rand.NewPCG(32, 32))
@@ -136,7 +137,7 @@ func TestStateRoundTripWithoutIndex(t *testing.T) {
 	if restoredIndex || dst.HasIndex() {
 		t.Fatal("index restored from an index-free snapshot")
 	}
-	if dst.inner.Silo(0).Weight(5) != 99999 {
+	if dst.cur.Load().fed.Silo(0).Weight(5) != 99999 {
 		t.Fatal("silo weight not restored")
 	}
 	if dst.TrafficVersion() != 1 {
@@ -190,7 +191,7 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 	at++
 	cuts = append(cuts, at, at+20, at+20+4*src.Graph().NumVertices(), len(good)-1)
 	var index bytes.Buffer
-	if err := src.index.WriteIndex(&index); err != nil {
+	if err := src.cur.Load().index.WriteIndex(&index); err != nil {
 		t.Fatal(err)
 	}
 	if at+index.Len() != len(good) {
@@ -251,13 +252,13 @@ func customizedFederation(t *testing.T, seed uint64) *Federation {
 // current joint weights.
 func checkRoutesAgainstOracle(t *testing.T, f *Federation, trials int, seed uint64) {
 	t.Helper()
+	checkRoutesOn(t, f, liveJoint(f), trials, seed)
+}
+
+// checkRoutesOn holds f's routes to plaintext Dijkstra on the joint weights.
+func checkRoutesOn(t *testing.T, f *Federation, joint Weights, trials int, seed uint64) {
+	t.Helper()
 	g := f.Graph()
-	joint := make(Weights, g.NumArcs())
-	for p := 0; p < f.Silos(); p++ {
-		for a, w := range f.inner.Silo(p).Weights() {
-			joint[a] += w
-		}
-	}
 	rng := rand.New(rand.NewPCG(seed, seed))
 	for trial := 0; trial < trials; trial++ {
 		s, d := Vertex(rng.IntN(g.NumVertices())), Vertex(rng.IntN(g.NumVertices()))
@@ -270,6 +271,92 @@ func checkRoutesAgainstOracle(t *testing.T, f *Federation, trials int, seed uint
 			t.Fatalf("ShortestPath(%d,%d) joint cost %d (found %v), oracle %d", s, d, got, route.Found, want)
 		}
 	}
+}
+
+// heavySnapshot is the snapshot of a federation over g whose silos carry
+// Heavy congestion, customized when indexed, and those silo weights' sums.
+func heavySnapshot(t *testing.T, g *Graph, w0 Weights, indexed bool) ([]byte, Weights) {
+	t.Helper()
+	heavy := SimulateCongestion(w0, 3, Heavy, 12)
+	src, err := New(g, w0, heavy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if indexed {
+		if err := src.CustomizeIndex(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var snap bytes.Buffer
+	if err := src.SaveState(&snap); err != nil {
+		t.Fatal(err)
+	}
+	return snap.Bytes(), graph.JointWeights(heavy)
+}
+
+// TestRestoreIndexlessSnapshotDropsIndex: an index-less snapshot restored
+// into a federation whose customized index describes other weights replaces
+// the whole version — the old index stops serving, and routes are exact on
+// the restored weights.
+func TestRestoreIndexlessSnapshotDropsIndex(t *testing.T) {
+	g, w0 := GenerateRoadNetwork(300, 11)
+	snap, joint := heavySnapshot(t, g, w0, false)
+	f, err := New(g, w0, SimulateCongestion(w0, 3, Free, 12))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.CustomizeIndex(); err != nil {
+		t.Fatal(err)
+	}
+	if restored, err := f.RestoreState(bytes.NewReader(snap)); err != nil || restored {
+		t.Fatalf("restore: index %v, %v", restored, err)
+	}
+	if f.HasIndex() {
+		t.Fatal("the index over the pre-restore weights still serves")
+	}
+	checkRoutesOn(t, f, joint, 100, 11)
+}
+
+// TestRestoreReplacesDerivationInFlight: a customization parked mid-protocol
+// over the pre-restore weights, at the very traffic version the snapshot
+// restores, must not publish its index over the restored weights. The restore
+// waits for it and then replaces the whole version.
+func TestRestoreReplacesDerivationInFlight(t *testing.T) {
+	g, w0 := GenerateRoadNetwork(150, 11)
+	snap, joint := heavySnapshot(t, g, w0, true)
+	p := newParker()
+	f, err := New(g, w0, SimulateCongestion(w0, 3, Free, 12), Config{Mode: ModeProtocol, Seed: 13, TransportWrap: p.wrap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	derived := make(chan error, 1)
+	p.park(t, func() {
+		go func() { derived <- f.CustomizeIndex() }()
+	})
+	restored := make(chan error, 1)
+	go func() {
+		_, err := f.RestoreState(bytes.NewReader(snap))
+		restored <- err
+	}()
+	// Give a restore that does not wait for the derivation time to finish.
+	var restoreErr error
+	select {
+	case restoreErr = <-restored:
+		restored <- restoreErr
+	case <-time.After(time.Second):
+	}
+	close(p.release)
+	if err := <-derived; err != nil {
+		t.Fatal(err)
+	}
+	if err := <-restored; err != nil {
+		t.Fatal(err)
+	}
+	if !f.HasIndex() || f.TrafficVersion() != 0 {
+		t.Fatalf("after the restore: index %v, version %d", f.HasIndex(), f.TrafficVersion())
+	}
+	checkRoutesOn(t, f, joint, 60, 13)
 }
 
 // TestRestoreCustomizedSnapshot: a customized snapshot carries no skeleton.
@@ -292,7 +379,7 @@ func TestRestoreCustomizedSnapshot(t *testing.T) {
 	if restored, err := bare.RestoreState(bytes.NewReader(snap)); err != nil || !restored {
 		t.Fatalf("restore into a federation without a skeleton: %v, %v", restored, err)
 	}
-	if !bare.HasSkeleton() || !bare.IndexStats().Customized || bare.index.Skeleton() != bare.skel {
+	if !bare.HasSkeleton() || !bare.IndexStats().Customized || bare.cur.Load().index.Skeleton() != bare.cur.Load().skel {
 		t.Fatal("derived skeleton not installed with the customized index")
 	}
 	checkRoutesAgainstOracle(t, bare, 20, 72)
@@ -301,12 +388,12 @@ func TestRestoreCustomizedSnapshot(t *testing.T) {
 	if err := warm.BuildSkeleton(); err != nil {
 		t.Fatal(err)
 	}
-	sk := warm.skel
+	sk := warm.cur.Load().skel
 	plan := sk.Plan()
 	if _, err := warm.RestoreState(bytes.NewReader(snap)); err != nil {
 		t.Fatal(err)
 	}
-	if warm.skel != sk || warm.index.Skeleton() != sk || warm.skel.Plan() != plan {
+	if warm.cur.Load().skel != sk || warm.cur.Load().index.Skeleton() != sk || warm.cur.Load().skel.Plan() != plan {
 		t.Fatal("restore replaced the federation's skeleton (and its plan) instead of reusing it")
 	}
 	checkRoutesAgainstOracle(t, warm, 20, 73)
@@ -391,11 +478,11 @@ func TestRestoreFailureKeepsSkeletonState(t *testing.T) {
 	if err := warm.BuildSkeleton(); err != nil {
 		t.Fatal(err)
 	}
-	sk := warm.skel
+	sk := warm.cur.Load().skel
 	if _, err := warm.RestoreState(bytes.NewReader(bad)); err == nil {
 		t.Fatal("a winner outside its pair group accepted")
 	}
-	if warm.skel != sk || warm.HasIndex() {
+	if warm.cur.Load().skel != sk || warm.HasIndex() {
 		t.Fatal("failed restore touched the federation's skeleton or index")
 	}
 }
