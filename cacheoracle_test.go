@@ -2,96 +2,55 @@ package fedroad
 
 import (
 	"math/rand/v2"
-	"sync"
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/scenario"
 )
 
-// The cached-serving staleness oracle: queries served through a QueryCache
-// while traffic updates race them must NEVER be stale. Every response echoes
-// the traffic version it was computed at; the updater's weight history
-// records the plaintext joint weights at every version; each response's
-// route must match Dijkstra on the joint weights of its echoed version. Run
+// TestCachedQueriesAreNeverStale: queries served through a QueryCache while
+// traffic updates race them must NEVER be stale. Every response echoes the
+// traffic version it was computed at and must be exact at that version. Run
 // under -race this doubles as the data-race check for the whole serving path.
-
 func TestCachedQueriesAreNeverStale(t *testing.T) {
-	g, w0 := GenerateRoadNetwork(90, 301)
-	silos := SimulateCongestion(w0, 3, Moderate, 302)
-	f, err := New(g, w0, silos, Config{Seed: 303})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, h := rebuildFederation(t, 90, 301)
 	if err := f.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
 	qc := f.NewQueryCache(512)
-	h := newWeightHistory(f, silos)
+	g := f.Graph()
 
 	const (
 		workers = 6
 		iters   = 60
 		updates = 12
 	)
-	results := make([][]answer, workers)
-
 	// A small OD-pair pool so repeated queries actually hit the cache.
 	pairs := make([][2]Vertex, 8)
 	prng := rand.New(rand.NewPCG(304, 0))
 	for i := range pairs {
 		pairs[i] = [2]Vertex{Vertex(prng.IntN(g.NumVertices())), Vertex(prng.IntN(g.NumVertices()))}
 	}
-
-	var wg sync.WaitGroup
-	start := make(chan struct{})
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
+	rng := rand.New(rand.NewPCG(306, 0))
+	race(t, h, scenario.Row{
+		Fronts: workers, Queries: iters,
+		Front: func(w int) scenario.Front {
 			s := f.Session()
-			defer s.Close()
+			t.Cleanup(s.Close)
 			rng := rand.New(rand.NewPCG(uint64(w), 305))
-			<-start
-			for i := 0; i < iters; i++ {
+			return func(int) (scenario.Answer, error) {
 				p := pairs[rng.IntN(len(pairs))]
 				route, _, ver, _, err := qc.ShortestPath(p[0], p[1], QueryOptions{}, func() (Route, Stats, uint64, error) {
 					return s.ShortestPathAt(p[0], p[1])
 				})
-				if err != nil {
-					t.Errorf("worker %d: ShortestPath(%d,%d): %v", w, p[0], p[1], err)
-					return
-				}
-				results[w] = append(results[w], answer{ver, p[0], p[1], route})
+				return answerOf(ver, p[0], p[1], route), err
 			}
-		}(w)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		rng := rand.New(rand.NewPCG(306, 0))
-		<-start
-		for i := 0; i < updates; i++ {
-			ups := []TrafficUpdate{{
-				Silo:     rng.IntN(3),
-				Arc:      Arc(rng.IntN(g.NumArcs())),
-				TravelMs: int64(1 + rng.IntN(150000)),
-			}}
-			if _, err := f.ApplyTraffic(ups); err != nil {
-				t.Errorf("ApplyTraffic: %v", err)
-				return
-			}
-			h.apply(f.TrafficVersion(), ups)
-		}
-	}()
-	close(start)
-	wg.Wait()
-	if t.Failed() {
-		return
-	}
-
-	if h.checkAll(t, results) == 0 {
-		t.Fatal("oracle checked nothing")
-	}
+		},
+		Writer: func(int) ([]scenario.Update, error) {
+			return applyTraffic(f, scenario.Batch(rng, 1, 3, g.NumArcs(), 1, 150001))
+		},
+		Ops: updates,
+	})
 	st := qc.Stats()
 	if st.Hits+st.Misses+st.Coalesced != uint64(workers*iters) {
 		t.Fatalf("cache accounting: hits %d + misses %d + coalesced %d != %d calls",

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/ch"
 	"repro/internal/graph"
+	"repro/internal/scenario"
 	"repro/internal/transport"
 )
 
@@ -233,7 +234,7 @@ func (c sendFault) Send(to int, data []byte) error {
 // sendFaultFederation is a protocol-mode federation over a 100-vertex road
 // network with a customized index, the history of its weights, and the
 // switch that fails the next Fed-SAC round.
-func sendFaultFederation(t *testing.T) (*Federation, *weightHistory, *atomic.Bool) {
+func sendFaultFederation(t *testing.T) (*Federation, *scenario.History, *atomic.Bool) {
 	t.Helper()
 	g, w0 := GenerateRoadNetwork(100, 61)
 	silos := SimulateCongestion(w0, 3, Moderate, 62)
@@ -253,13 +254,13 @@ func sendFaultFederation(t *testing.T) (*Federation, *weightHistory, *atomic.Boo
 	if err := f.CustomizeIndex(); err != nil {
 		t.Fatal(err)
 	}
-	return f, newWeightHistory(f, silos), armed
+	return f, newHistory(f, silos), armed
 }
 
 // checkRoutesExact holds every route from s, and a seeded sample of others,
 // to plaintext Dijkstra on the weights of the version the route echoes,
 // which must be the federation's current one.
-func checkRoutesExact(t *testing.T, tag string, f *Federation, h *weightHistory, s Vertex) {
+func checkRoutesExact(t *testing.T, tag string, f *Federation, h *scenario.History, s Vertex) {
 	t.Helper()
 	sess := f.Session()
 	defer sess.Close()
@@ -277,14 +278,14 @@ func checkRoutesExact(t *testing.T, tag string, f *Federation, h *weightHistory,
 		if ver != f.TrafficVersion() {
 			t.Fatalf("%s: route %d→%d echoes version %d, the federation is at %d", tag, p[0], p[1], ver, f.TrafficVersion())
 		}
-		if err := h.check(answer{ver, p[0], p[1], route}); err != nil {
+		if err := h.Check(answerOf(ver, p[0], p[1], route)); err != nil {
 			t.Fatalf("%s: %v", tag, err)
 		}
 	}
 }
 
 // jamRoute multiplies the arcs of the current route s→t by 40 at every silo.
-func jamRoute(t *testing.T, f *Federation, h *weightHistory, s, d Vertex) []TrafficUpdate {
+func jamRoute(t *testing.T, f *Federation, h *scenario.History, s, d Vertex) []TrafficUpdate {
 	t.Helper()
 	route, _, err := f.ShortestPath(s, d)
 	if err != nil || len(route.Path) < 3 {
@@ -293,8 +294,8 @@ func jamRoute(t *testing.T, f *Federation, h *weightHistory, s, d Vertex) []Traf
 	var jam []TrafficUpdate
 	for i := 0; i+1 < len(route.Path); i++ {
 		a := f.Graph().FindArc(route.Path[i], route.Path[i+1])
-		for p, ws := range h.shadow {
-			jam = append(jam, TrafficUpdate{Silo: p, Arc: a, TravelMs: min(40*ws[a], MaxTravelMs-1)})
+		for p := 0; p < f.Silos(); p++ {
+			jam = append(jam, TrafficUpdate{Silo: p, Arc: a, TravelMs: min(40*h.Weight(p, a), MaxTravelMs-1)})
 		}
 	}
 	return jam
@@ -328,7 +329,7 @@ func TestChaosFailedRefreshPublishesNothing(t *testing.T) {
 		if _, err := f.ApplyTraffic(jam, tc.opts...); err != nil {
 			t.Fatalf("%s resent: %v", tc.name, err)
 		}
-		h.apply(f.TrafficVersion(), jam)
+		record(t, h, jam)
 		if f.TrafficVersion() != ver+1 || !f.HasIndex() {
 			t.Fatalf("%s resent: version %d → %d, index %v", tc.name, ver, f.TrafficVersion(), f.HasIndex())
 		}
@@ -345,7 +346,7 @@ func TestChaosUpdateFaultKeepsRootEngine(t *testing.T) {
 		ups := []TrafficUpdate{{Silo: 0, Arc: 5, TravelMs: ms}, {Silo: 2, Arc: 9, TravelMs: ms}}
 		st, err := f.ApplyTraffic(ups)
 		if err == nil {
-			h.apply(f.TrafficVersion(), ups)
+			record(t, h, ups)
 		}
 		return st, err
 	}

@@ -6,18 +6,19 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	fedroad "repro"
 	"repro/internal/graph"
+	"repro/internal/scenario"
 	"repro/internal/serve"
 	"repro/internal/transport"
 )
@@ -30,10 +31,15 @@ func (timeoutErr) Error() string   { return "i/o timeout" }
 func (timeoutErr) Timeout() bool   { return true }
 func (timeoutErr) Temporary() bool { return true }
 
+// testNetwork is testServer's road network and silo weights.
+func testNetwork() (*fedroad.Graph, fedroad.Weights, []fedroad.Weights) {
+	g, w0 := fedroad.GenerateRoadNetwork(250, 31)
+	return g, w0, fedroad.SimulateCongestion(w0, 3, fedroad.Moderate, 32)
+}
+
 func testServer(t *testing.T) (*httptest.Server, *fedroad.Federation, fedroad.Weights) {
 	t.Helper()
-	g, w0 := fedroad.GenerateRoadNetwork(250, 31)
-	silosW := fedroad.SimulateCongestion(w0, 3, fedroad.Moderate, 32)
+	g, w0, silosW := testNetwork()
 	fed, err := fedroad.New(g, w0, silosW, fedroad.Config{Seed: 33})
 	if err != nil {
 		t.Fatal(err)
@@ -634,31 +640,51 @@ func TestStatsCustomizeBlock(t *testing.T) {
 	}
 }
 
+// TestConcurrentRequests: concurrent GET /route requests race POST /traffic
+// batches. Every status is 200, and every route is exact at the
+// traffic_version it reports.
 func TestConcurrentRequests(t *testing.T) {
 	ts, fed, _ := testServer(t)
-	var wg sync.WaitGroup
-	errs := make(chan error, 20)
-	for i := 0; i < 20; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			s := i % fed.Graph().NumVertices()
-			tt := (i * 37) % fed.Graph().NumVertices()
-			resp, err := http.Get(fmt.Sprintf("%s/route?s=%d&t=%d", ts.URL, s, tt))
-			if err != nil {
-				errs <- err
-				return
+	_, _, silos := testNetwork()
+	n := fed.Graph().NumVertices()
+	rng := rand.New(rand.NewPCG(34, 0))
+	if _, err := scenario.Run(scenario.NewHistory(fed.Graph(), silos, fed.TrafficVersion), scenario.Row{
+		Fronts: 20, Queries: 1,
+		Front: func(w int) scenario.Front {
+			return func(int) (scenario.Answer, error) {
+				s, d := fedroad.Vertex(w%n), fedroad.Vertex((w*37)%n)
+				resp, err := http.Get(fmt.Sprintf("%s/route?s=%d&t=%d", ts.URL, s, d))
+				var r routeResponse
+				err = read(resp, err, &r)
+				return scenario.Answer{Version: r.TrafficVersion, Src: s, Dst: d, Found: r.Found, Path: r.Path}, err
 			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				errs <- fmt.Errorf("status %d", resp.StatusCode)
+		},
+		Writer: func(int) ([]scenario.Update, error) {
+			ups := scenario.Batch(rng, 3, fed.Silos(), fed.Graph().NumArcs(), 1, 120001)
+			changes := make([]trafficChange, len(ups))
+			for i, u := range ups {
+				changes[i] = trafficChange(u)
 			}
-		}(i)
-	}
-	wg.Wait()
-	select {
-	case err := <-errs:
+			body, _ := json.Marshal(changes)
+			resp, err := http.Post(ts.URL+"/traffic", "application/json", bytes.NewReader(body))
+			return ups, read(resp, err, nil)
+		},
+	}); err != nil {
 		t.Fatal(err)
-	default:
 	}
+}
+
+// read decodes a response that must be a 200 into out, unless out is nil.
+func read(resp *http.Response, err error, out any) error {
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("%s %s: status %d", resp.Request.Method, resp.Request.URL.Path, resp.StatusCode)
+	}
+	if out == nil {
+		return nil
+	}
+	return json.NewDecoder(resp.Body).Decode(out)
 }

@@ -3,12 +3,11 @@ package fedroad
 import (
 	"errors"
 	"math/rand/v2"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/scenario"
 )
 
 // TestApplyTrafficWaitsForNoRoute: a traffic batch is applied while a route
@@ -26,9 +25,9 @@ func TestApplyTrafficWaitsForNoRoute(t *testing.T) {
 	if err := f.CustomizeIndex(); err != nil {
 		t.Fatal(err)
 	}
-	h := newWeightHistory(f, silos)
+	h := newHistory(f, silos)
 	type result struct {
-		a   answer
+		a   scenario.Answer
 		err error
 	}
 	routed := make(chan result, 1)
@@ -37,7 +36,7 @@ func TestApplyTrafficWaitsForNoRoute(t *testing.T) {
 		go func() {
 			defer sess.Close()
 			route, _, ver, err := sess.ShortestPathAt(3, 100)
-			routed <- result{answer{ver, 3, 100, route}, err}
+			routed <- result{answerOf(ver, 3, 100, route), err}
 		}()
 	})
 	batch := []TrafficUpdate{{Silo: 0, Arc: 5, TravelMs: 99000}, {Silo: 2, Arc: 9, TravelMs: 120000}}
@@ -55,16 +54,16 @@ func TestApplyTrafficWaitsForNoRoute(t *testing.T) {
 		close(p.release)
 		t.Fatal("ApplyTraffic waited for a route in flight")
 	}
-	h.apply(f.TrafficVersion(), batch)
+	record(t, h, batch)
 	close(p.release)
 	r := <-routed
 	if r.err != nil {
 		t.Fatal(r.err)
 	}
-	if r.a.ver != f.TrafficVersion()-1 {
-		t.Fatalf("the parked route answered at version %d, it loaded %d", r.a.ver, f.TrafficVersion()-1)
+	if r.a.Version != f.TrafficVersion()-1 {
+		t.Fatalf("the parked route answered at version %d, it loaded %d", r.a.Version, f.TrafficVersion()-1)
 	}
-	if err := h.check(r.a); err != nil {
+	if err := h.Check(r.a); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -94,52 +93,37 @@ func TestSessionMatchesFederation(t *testing.T) {
 	}
 }
 
+// TestSessionsRunInParallel: eight Sessions and the facade's ephemeral
+// session answer at once, each route exact. No version moves, so the facade's
+// routes, which echo none, are checked at the published one.
 func TestSessionsRunInParallel(t *testing.T) {
 	f, joint := testFederation(t, 300, 42)
 	if err := f.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	opts := facadeConfigs
-	n := f.Graph().NumVertices()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			sess := f.Session()
-			defer sess.Close()
-			rng := rand.New(rand.NewPCG(uint64(w), 43))
-			for i := 0; i < 10; i++ {
-				s := Vertex(rng.IntN(n))
-				d := Vertex(rng.IntN(n))
-				route, _, err := sess.ShortestPath(s, d, opts[(w+i)%len(opts)])
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				want, _ := graph.BidirectionalDijkstra(f.Graph(), joint, s, d)
-				if route.Found {
-					if JointCost(route) != want {
-						t.Errorf("worker %d: %d->%d cost %d, want %d", w, s, d, JointCost(route), want)
-						return
-					}
-				} else if want < graph.InfCost {
-					t.Errorf("worker %d: %d->%d not found, want cost %d", w, s, d, want)
-					return
-				}
+	sessions := sessionFront(t, f, randomPairs(f, 43))
+	race(t, scenario.NewHistory(f.Graph(), []Weights{joint}, f.TrafficVersion), scenario.Row{
+		Fronts: 9, Queries: 10,
+		Front: func(w int) scenario.Front {
+			if w < 8 {
+				return sessions(w)
 			}
-		}(w)
-	}
-	wg.Wait()
+			next := randomPairs(f, 43)(w)
+			return func(i int) (scenario.Answer, error) {
+				s, d := next(i)
+				route, _, err := f.ShortestPath(s, d, facadeConfigs[i%len(facadeConfigs)])
+				return answerOf(f.TrafficVersion(), s, d, route), err
+			}
+		},
+	})
 }
 
 // TestConcurrentQueriesUnderTrafficStress is the -race stress test for the
 // session and version model: query workers hammer SPSP through private
-// sessions while another goroutine continuously streams traffic updates
-// through ApplyTraffic. Every route is checked against plaintext Dijkstra on
-// the weights of the version it echoes, which the updater records from its
-// own shadow — so a torn read of weights or index would surface as a cost
-// mismatch (and any data race trips the race detector).
+// sessions while the writer continuously streams traffic updates through
+// ApplyTraffic, each refreshing the witness index in place. A torn read of
+// weights or index would surface as a route the oracle rejects (and any data
+// race trips the race detector).
 func TestConcurrentQueriesUnderTrafficStress(t *testing.T) {
 	g, w0 := GenerateRoadNetwork(300, 44)
 	silos := SimulateCongestion(w0, 3, Moderate, 45)
@@ -150,77 +134,14 @@ func TestConcurrentQueriesUnderTrafficStress(t *testing.T) {
 	if err := f.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	n := g.NumVertices()
-	h := newWeightHistory(f, silos)
-
-	const workers = 6
-	const queriesPerWorker = 10
-	done := make(chan struct{})
-	var updates atomic.Int64
-
-	// Updater: random jams and recoveries, index refreshed atomically.
-	var updWG sync.WaitGroup
-	updWG.Add(1)
-	go func() {
-		defer updWG.Done()
-		rng := rand.New(rand.NewPCG(99, 45))
-		for {
-			select {
-			case <-done:
-				return
-			default:
-			}
-			batch := make([]TrafficUpdate, 0, 6)
-			for j := 0; j < 6; j++ {
-				batch = append(batch, TrafficUpdate{
-					Silo:     rng.IntN(f.Silos()),
-					Arc:      Arc(rng.IntN(g.NumArcs())),
-					TravelMs: 1000 + int64(rng.IntN(400000)),
-				})
-			}
-			if _, err := f.ApplyTraffic(batch); err != nil {
-				t.Error(err)
-				return
-			}
-			h.apply(f.TrafficVersion(), batch)
-			updates.Add(1)
-		}
-	}()
-
-	opts := facadeConfigs
-	answers := make([][]answer, workers)
-	var qWG sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		qWG.Add(1)
-		go func(w int) {
-			defer qWG.Done()
-			sess := f.Session()
-			defer sess.Close()
-			rng := rand.New(rand.NewPCG(uint64(w), 46))
-			for i := 0; i < queriesPerWorker; i++ {
-				s := Vertex(rng.IntN(n))
-				d := Vertex(rng.IntN(n))
-				route, _, ver, err := sess.ShortestPathAt(s, d, opts[(w+i)%len(opts)])
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				answers[w] = append(answers[w], answer{ver, s, d, route})
-			}
-		}(w)
-	}
-	qWG.Wait()
-	close(done)
-	updWG.Wait()
-	if t.Failed() {
-		return
-	}
-	if updates.Load() == 0 {
-		t.Fatal("updater never ran — the stress test exercised nothing")
-	}
-	h.checkAll(t, answers)
-	t.Logf("served %d queries across %d sessions against %d concurrent index updates",
-		workers*queriesPerWorker, workers, updates.Load())
+	rng := rand.New(rand.NewPCG(99, 45))
+	race(t, newHistory(f, silos), scenario.Row{
+		Fronts: 6, Queries: 10,
+		Front: sessionFront(t, f, randomPairs(f, 46)),
+		Writer: func(int) ([]scenario.Update, error) {
+			return applyTraffic(f, scenario.Batch(rng, 6, f.Silos(), g.NumArcs(), 1000, 401000))
+		},
+	})
 }
 
 // Every out-of-range update is rejected as the client's mistake

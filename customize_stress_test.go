@@ -3,11 +3,11 @@ package fedroad
 import (
 	"math/rand/v2"
 	"runtime"
-	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/scenario"
 	"repro/internal/transport"
 )
 
@@ -20,130 +20,40 @@ import (
 // TestCustomizeStressInterleaved hammers one federation from five directions
 // at once: two query workers, a traffic writer, a customization worker and a
 // full-rebuild worker. Every writer must succeed — they take turns — and
-// every answer must equal Dijkstra at the version it echoes; an error, a
-// data race (-race) or an oracle divergence fails the test.
+// every answer must be exact at the version it echoes; an error, a data race
+// (-race) or an oracle divergence fails the test.
 func TestCustomizeStressInterleaved(t *testing.T) {
-	g, w0 := GenerateRoadNetwork(150, 90)
-	silos := SimulateCongestion(w0, 3, Moderate, 91)
-	f, err := New(g, w0, silos, Config{Seed: 92})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, h := rebuildFederation(t, 150, 90)
 	if err := f.BuildSkeleton(); err != nil {
 		t.Fatal(err)
 	}
 	if err := f.CustomizeIndex(); err != nil {
 		t.Fatal(err)
 	}
-	h := newWeightHistory(f, silos)
-
-	const duration = 900 * time.Millisecond
-	stop := make(chan struct{})
-	errs := make(chan error, 8)
-	var wg sync.WaitGroup
-
-	// Query workers: every answer is checked at its echoed version once the
-	// writer has recorded them all.
-	answers := make([][]answer, 2)
-	for w := range answers {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			s := f.Session()
-			defer s.Close()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				src := Vertex((w*41 + i) % g.NumVertices())
-				dst := Vertex((w*13 + i*5) % g.NumVertices())
-				route, _, ver, err := s.ShortestPathAt(src, dst)
-				if err != nil {
-					errs <- err
-					return
-				}
-				answers[w] = append(answers[w], answer{ver, src, dst, route})
-			}
-		}(w)
-	}
-
-	// Traffic writer: small random batches through the incremental path.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		rng := rand.New(rand.NewPCG(91, 0x7aff1c))
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			ups := make([]TrafficUpdate, 0, 4)
-			for i := 0; i < 4; i++ {
-				ups = append(ups, TrafficUpdate{
-					Silo:     rng.IntN(f.Silos()),
-					Arc:      Arc(rng.IntN(g.NumArcs())),
-					TravelMs: int64(1 + rng.IntN(9000)),
-				})
-			}
-			if _, err := f.ApplyTraffic(ups); err != nil {
-				errs <- err
-				return
-			}
-			h.apply(f.TrafficVersion(), ups)
-			time.Sleep(time.Millisecond)
-		}
-	}()
-
-	// Customization worker: repeated full customization passes, each over
-	// the weights it finds published.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if err := f.CustomizeIndex(); err != nil {
-				errs <- err
-				return
-			}
-		}
-	}()
-
-	// Full-rebuild worker: the expensive path must coexist with everything
-	// above.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if err := f.BuildIndex(); err != nil {
-				errs <- err
-				return
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}()
-
-	time.Sleep(duration)
-	close(stop)
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-	if n := h.checkAll(t, answers); n == 0 {
-		t.Fatal("the query workers answered nothing")
-	}
+	n := f.Graph().NumVertices()
+	rng := rand.New(rand.NewPCG(91, 0x7aff1c))
+	race(t, h, scenario.Row{
+		Fronts: 2,
+		Front: sessionFront(t, f, func(w int) pairs {
+			return func(i int) (Vertex, Vertex) { return Vertex((w*41 + i) % n), Vertex((w*13 + i*5) % n) }
+		}),
+		// Small random batches through the incremental path.
+		Writer: func(int) ([]scenario.Update, error) {
+			defer time.Sleep(time.Millisecond)
+			return applyTraffic(f, scenario.Batch(rng, 4, f.Silos(), f.Graph().NumArcs(), 1, 9001))
+		},
+		Derivers: []func(int) error{
+			// Repeated full customization passes, each over the weights it
+			// finds published.
+			func(int) error { return f.CustomizeIndex() },
+			// The expensive path must coexist with everything above.
+			func(int) error {
+				defer time.Sleep(5 * time.Millisecond)
+				return f.BuildIndex()
+			},
+		},
+		For: 900 * time.Millisecond,
+	})
 
 	// Quiesced: a final customization must agree with plaintext Dijkstra on
 	// the live weights.
@@ -163,7 +73,7 @@ func TestCustomizeStressInterleaved(t *testing.T) {
 // bytes that differ only by frame rounding (an instance rounds 7 frames per
 // ordered silo pair up to whole bytes; fewer instances round less).
 func TestCustomizedTrafficCostPinned(t *testing.T) {
-	f := rebuildFederation(t, 150, 90)
+	f, _ := rebuildFederation(t, 150, 90)
 	if err := f.CustomizeIndex(); err != nil {
 		t.Fatal(err)
 	}

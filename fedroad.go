@@ -417,14 +417,9 @@ func (f *Federation) initMetrics() {
 		func() float64 { return float64(p) })
 }
 
-// recordQuery folds one query's outcome into the registry. Zero-cost when
-// the federation was built without a registry (tests constructing the struct
-// directly).
+// recordQuery folds one query's outcome into the registry.
 func (f *Federation) recordQuery(kind string, stats Stats, err error) {
 	m := f.qm[kind]
-	if m == nil {
-		return
-	}
 	m.total.Inc()
 	if err != nil {
 		m.errors.Inc()
@@ -551,12 +546,8 @@ func (f *Federation) derive(next *version, custom bool) error {
 	return nil
 }
 
-// recordBuild folds a published build into the registry (nil-safe for tests
-// constructing the struct directly).
+// recordBuild folds a published build into the registry.
 func (f *Federation) recordBuild(st ch.BuildStats) {
-	if f.bm == nil {
-		return
-	}
 	f.bm.builds.Inc()
 	f.bm.seconds.Observe(st.WallTime.Seconds())
 	f.bm.rounds.Add(float64(st.Rounds))
@@ -639,15 +630,12 @@ func (f *Federation) CustomizeIndex() error {
 }
 
 // recordCustomize folds a published customization pass into the registry and
-// the /stats atomics (nil-safe for tests constructing the struct directly).
+// the /stats atomics.
 func (f *Federation) recordCustomize(st ch.BuildStats) {
 	f.customizes.Add(1)
 	f.lastCustMs.Store(st.WallTime.Milliseconds())
 	f.lastCustRounds.Store(st.SAC.Rounds)
 	f.lastCustTicks.Store(int64(st.Rounds))
-	if f.bm == nil {
-		return
-	}
 	f.bm.customizes.Inc()
 	f.bm.custSeconds.Observe(st.WallTime.Seconds())
 	f.bm.custRounds.Add(float64(st.SAC.Rounds))

@@ -263,108 +263,6 @@ func DijkstraTo(g *Graph, w Weights, s, t Vertex) (int64, []Vertex) {
 	return InfCost, nil
 }
 
-// BidirectionalDijkstra computes the shortest distance and path from s to t
-// by searching simultaneously from both endpoints. It is the plaintext
-// counterpart of the paper's Naive-Dijk baseline.
-func BidirectionalDijkstra(g *Graph, w Weights, s, t Vertex) (int64, []Vertex) {
-	if s == t {
-		return 0, []Vertex{s}
-	}
-	n := g.NumVertices()
-	df := make([]int64, n)
-	db := make([]int64, n)
-	pf := make([]Vertex, n)
-	pb := make([]Vertex, n)
-	for i := 0; i < n; i++ {
-		df[i], db[i] = InfCost, InfCost
-		pf[i], pb[i] = NoVertex, NoVertex
-	}
-	df[s], db[t] = 0, 0
-	hf, hb := &intHeap{}, &intHeap{}
-	hf.push(s, 0)
-	hb.push(t, 0)
-	setf := make([]bool, n)
-	setb := make([]bool, n)
-	best := InfCost
-	var meet Vertex = NoVertex
-
-	relaxF := func(v Vertex, dv int64) {
-		first := g.FirstOut(v)
-		for i, u := range g.OutNeighbors(v) {
-			a := first + Arc(i)
-			if nd := dv + w[a]; nd < df[u] {
-				df[u] = nd
-				pf[u] = v
-				hf.push(u, nd)
-				if db[u] < InfCost && nd+db[u] < best {
-					best = nd + db[u]
-					meet = u
-				}
-			}
-		}
-	}
-	relaxB := func(v Vertex, dv int64) {
-		in, arcs := g.InNeighbors(v)
-		for i, u := range in {
-			a := arcs[i]
-			if nd := dv + w[a]; nd < db[u] {
-				db[u] = nd
-				pb[u] = v
-				hb.push(u, nd)
-				if df[u] < InfCost && nd+df[u] < best {
-					best = nd + df[u]
-					meet = u
-				}
-			}
-		}
-	}
-	// Also consider the initial endpoints as potential meeting points.
-	if s == t {
-		best, meet = 0, s
-	}
-	for !hf.empty() || !hb.empty() {
-		var topf, topb int64 = InfCost, InfCost
-		if !hf.empty() {
-			topf = hf.keys[0]
-		}
-		if !hb.empty() {
-			topb = hb.keys[0]
-		}
-		if topf+topb >= best {
-			break
-		}
-		if topf <= topb {
-			v, dv := hf.pop()
-			if setf[v] {
-				continue
-			}
-			setf[v] = true
-			relaxF(v, dv)
-		} else {
-			v, dv := hb.pop()
-			if setb[v] {
-				continue
-			}
-			setb[v] = true
-			relaxB(v, dv)
-		}
-	}
-	if meet == NoVertex {
-		return InfCost, nil
-	}
-	var fwd []Vertex
-	for v := meet; v != NoVertex; v = pf[v] {
-		fwd = append(fwd, v)
-	}
-	for i, j := 0, len(fwd)-1; i < j; i, j = i+1, j-1 {
-		fwd[i], fwd[j] = fwd[j], fwd[i]
-	}
-	for v := pb[meet]; v != NoVertex; v = pb[v] {
-		fwd = append(fwd, v)
-	}
-	return best, fwd
-}
-
 // LazySSSP incrementally settles vertices of a Dijkstra search from a fixed
 // root, answering DistTo queries on demand. Direction Backward searches over
 // reversed arcs, giving distances *to* the root. Fed-AMPS uses one LazySSSP

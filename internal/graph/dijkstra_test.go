@@ -96,39 +96,6 @@ func TestDijkstraToMatchesFull(t *testing.T) {
 	}
 }
 
-func TestBidirectionalMatchesDijkstra(t *testing.T) {
-	for seed := uint64(1); seed <= 5; seed++ {
-		g, w := GenerateRandomDirected(90, 400, 70, seed+100)
-		rng := rand.New(rand.NewPCG(seed, 77))
-		for i := 0; i < 20; i++ {
-			s := Vertex(rng.IntN(g.NumVertices()))
-			tt := Vertex(rng.IntN(g.NumVertices()))
-			want, _ := DijkstraTo(g, w, s, tt)
-			got, path := BidirectionalDijkstra(g, w, s, tt)
-			if got != want {
-				t.Fatalf("seed %d: bidi(%d,%d) = %d, want %d", seed, s, tt, got, want)
-			}
-			if got < InfCost {
-				c, err := PathCost(g, w, path)
-				if err != nil || c != got {
-					t.Fatalf("seed %d: bidi path invalid: cost=%d err=%v want=%d", seed, c, err, got)
-				}
-				if path[0] != s || path[len(path)-1] != tt {
-					t.Fatalf("bad endpoints %v for (%d,%d)", path, s, tt)
-				}
-			}
-		}
-	}
-}
-
-func TestBidirectionalSameSourceTarget(t *testing.T) {
-	g, w := GenerateRandomDirected(20, 60, 10, 3)
-	d, path := BidirectionalDijkstra(g, w, 7, 7)
-	if d != 0 || len(path) != 1 || path[0] != 7 {
-		t.Fatalf("self query: d=%d path=%v", d, path)
-	}
-}
-
 func TestLazySSSPMatchesFullBothDirections(t *testing.T) {
 	g, w := GenerateRandomDirected(60, 240, 40, 21)
 	root := Vertex(5)

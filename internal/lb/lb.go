@@ -109,9 +109,9 @@ func SelectLandmarks(g *graph.Graph, w0 graph.Weights, k int, seed uint64) []gra
 // tests) and derives each silo's partial cost along the joint tree, exactly
 // as the paper's pre-processing records φ_p(ρ*).
 //
-// It reads the silos' live weight sets, so the caller must hold whatever
-// lock guards them for the whole call. For precomputing without blocking
-// traffic updates, snapshot the weights first and use Precompute.
+// It reads the weight sets f's silos hold. A published version's weights
+// never change, so no lock guards them; Precompute takes weight sets
+// directly.
 //
 // workers bounds the parallelism of the per-landmark computation; ≤ 0
 // selects one worker per landmark. The result is identical for every

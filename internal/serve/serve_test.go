@@ -11,7 +11,7 @@ import (
 	"time"
 
 	fedroad "repro"
-	"repro/internal/graph"
+	"repro/internal/scenario"
 	"repro/internal/serve"
 	"repro/internal/transport"
 )
@@ -295,9 +295,25 @@ func TestThousandRequestsOverMeshLeaveNothingOpen(t *testing.T) {
 	waitFor(t, "request goroutines to exit", func() bool { return runtime.NumGoroutine() <= goroutines })
 }
 
+// answerOf is a route the pipeline served for src→dst, as the checker reads
+// it.
+func answerOf(src, dst fedroad.Vertex, r fedroad.Route, m serve.Meta) scenario.Answer {
+	return scenario.Answer{Version: m.Version, Src: src, Dst: dst, Found: r.Found, Path: r.Path, Partials: r.Partials}
+}
+
+// applyTraffic is a writer op: ups applied as one ApplyTraffic batch.
+func applyTraffic(fed *fedroad.Federation, ups []scenario.Update) ([]scenario.Update, error) {
+	batch := make([]fedroad.TrafficUpdate, len(ups))
+	for i, u := range ups {
+		batch[i] = fedroad.TrafficUpdate(u)
+	}
+	_, err := fed.ApplyTraffic(batch)
+	return ups, err
+}
+
 // The version a served answer echoes is the version it was computed at, for
 // hits, waiters and leaders alike, while traffic moves underneath: every
-// answer equals plaintext Dijkstra on the joint weights of its echoed version.
+// answer is exact at its echoed version.
 func TestEchoedVersionIsComputedAtVersionAcrossApplyTraffic(t *testing.T) {
 	g, w0 := fedroad.GenerateRoadNetwork(120, 7)
 	silos := fedroad.SimulateCongestion(w0, 3, fedroad.Moderate, 8)
@@ -311,83 +327,111 @@ func TestEchoedVersionIsComputedAtVersionAcrossApplyTraffic(t *testing.T) {
 	}
 	p := serve.New(fed, 4, 0, 256)
 
-	// The oracle: traffic version → plaintext joint weights, from the test's
-	// own copy of the silo weights plus every update it applies.
-	shadow := make([]fedroad.Weights, len(silos))
-	for i, s := range silos {
-		shadow[i] = append(fedroad.Weights(nil), s...)
-	}
-	joint := func() fedroad.Weights {
-		j := make(fedroad.Weights, g.NumArcs())
-		for _, s := range shadow {
-			for a, w := range s {
-				j[a] += w
-			}
-		}
-		return j
-	}
-	oracle := map[uint64]fedroad.Weights{fed.TrafficVersion(): joint()}
-
-	type served struct {
-		src, dst fedroad.Vertex
-		route    fedroad.Route
-		meta     serve.Meta
-	}
-	const workers = 4
-	var (
-		stop     atomic.Bool
-		answered atomic.Int64
-		wg       sync.WaitGroup
-		obs      [workers][]served
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
+	var misses, hits atomic.Int64
+	rng := rand.New(rand.NewPCG(11, 0))
+	if _, err := scenario.Run(scenario.NewHistory(g, silos, fed.TrafficVersion), scenario.Row{
+		Fronts: 4,
+		Front: func(w int) scenario.Front {
 			rng := rand.New(rand.NewPCG(10, uint64(w)))
-			for !stop.Load() {
+			return func(int) (scenario.Answer, error) {
 				// Four pairs, so that most answers of an epoch are cached ones.
 				src, dst := fedroad.Vertex(rng.IntN(2)), fedroad.Vertex(100+rng.IntN(2))
 				r, m, err := p.Route(src, dst)
-				if err != nil {
-					t.Error(err)
-					return
+				switch m.Outcome {
+				case fedroad.CacheMiss:
+					misses.Add(1)
+				case fedroad.CacheHit:
+					hits.Add(1)
 				}
-				obs[w] = append(obs[w], served{src, dst, r, m})
-				answered.Add(1)
+				return answerOf(src, dst, r, m), err
 			}
-		}()
-	}
-	rng := rand.New(rand.NewPCG(11, 0))
-	for i := 0; i < 40; i++ {
-		u := fedroad.TrafficUpdate{Silo: rng.IntN(3), Arc: fedroad.Arc(rng.IntN(g.NumArcs())), TravelMs: int64(1 + rng.IntN(120000))}
-		if _, err := fed.ApplyTraffic([]fedroad.TrafficUpdate{u}); err != nil {
-			t.Fatal(err)
-		}
-		shadow[u.Silo][u.Arc] = u.TravelMs
-		oracle[fed.TrafficVersion()] = joint()
+		},
+		Writer: func(int) ([]scenario.Update, error) {
+			return applyTraffic(fed, scenario.Batch(rng, 1, 3, g.NumArcs(), 1, 120001))
+		},
 		// An epoch lasts a dozen answers, however slow the host.
-		epoch := answered.Load() + 12
-		waitFor(t, "a dozen answers", func() bool { return answered.Load() >= epoch || t.Failed() })
+		Ops: 40, Epoch: 12,
+	}); err != nil {
+		t.Fatal(err)
 	}
-	stop.Store(true)
-	wg.Wait()
+	if misses.Load() == 0 || hits.Load() == 0 {
+		t.Fatalf("%d misses, %d hits: the run must see both computed and cached answers", misses.Load(), hits.Load())
+	}
+}
 
-	outcomes := map[fedroad.CacheOutcome]int{}
-	for _, list := range obs {
-		for _, o := range list {
-			w, ok := oracle[o.meta.Version]
-			if !ok {
-				t.Fatalf("%d→%d echoed version %d, which never existed", o.src, o.dst, o.meta.Version)
-			}
-			want, _ := graph.DijkstraTo(g, w, o.src, o.dst)
-			if got := fedroad.JointCost(o.route); !o.route.Found || got != want {
-				t.Fatalf("%d→%d (%v) at version %d: cost %d, plaintext %d", o.src, o.dst, o.meta.Outcome, o.meta.Version, got, want)
-			}
-			outcomes[o.meta.Outcome]++
-		}
+// TestPipelineSoak races the serving pipeline — the code fedserver's
+// handlers call — against traffic updates and index rebuilds, the contention
+// a deployment sees, compressed into a fraction of a second. A small OD pool
+// makes cache pressure real and an in-system limit below the worker count
+// makes overload real: a shed request retries after a beat, as a client
+// honouring Retry-After does. Every answer is exact at its echoed version,
+// and the admission accounting is exact with cached answers not admitted.
+func TestPipelineSoak(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the soak takes a second of wall time")
 	}
-	if outcomes[fedroad.CacheMiss] == 0 || outcomes[fedroad.CacheHit] == 0 {
-		t.Fatalf("outcomes %v: the run must see both computed and cached answers", outcomes)
+	const workers = 6
+	g, w0 := fedroad.GenerateRoadNetwork(150, 1)
+	silos := fedroad.SimulateCongestion(w0, 3, fedroad.Moderate, 2)
+	fed, err := fedroad.New(g, w0, silos, fedroad.Config{Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fed.Close()
+	if err := fed.BuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	p := serve.New(fed, workers/2, 1, 1024)
+	pairs := make([][2]fedroad.Vertex, 12)
+	prng := rand.New(rand.NewPCG(4, 0))
+	for i := range pairs {
+		pairs[i] = [2]fedroad.Vertex{fedroad.Vertex(prng.IntN(g.NumVertices())), fedroad.Vertex(prng.IntN(g.NumVertices()))}
+	}
+
+	var leaders atomic.Int64 // only flight leaders reach the gate
+	rng := rand.New(rand.NewPCG(6, 0))
+	c, err := scenario.Run(scenario.NewHistory(g, silos, fed.TrafficVersion), scenario.Row{
+		Fronts: workers,
+		Front: func(w int) scenario.Front {
+			rng := rand.New(rand.NewPCG(5, uint64(w)))
+			return func(int) (scenario.Answer, error) {
+				pr := pairs[rng.IntN(len(pairs))]
+				r, m, err := p.Route(pr[0], pr[1])
+				if m.Outcome == fedroad.CacheMiss {
+					leaders.Add(1)
+				}
+				return answerOf(pr[0], pr[1], r, m), err
+			}
+		},
+		Retry: func(err error) bool { return errors.Is(err, serve.ErrShed) },
+		Writer: func(int) ([]scenario.Update, error) {
+			defer time.Sleep(5 * time.Millisecond)
+			return applyTraffic(fed, scenario.Batch(rng, 1+rng.IntN(3), 3, g.NumArcs(), 1, 120001))
+		},
+		// Full index rebuilds: the writer waits for each one, and queries
+		// keep answering at the published version.
+		Derivers: []func(int) error{func(int) error {
+			defer time.Sleep(20 * time.Millisecond)
+			return fed.BuildIndex()
+		}},
+		For: 600 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := p.Stats()
+	t.Logf("%+v, %d leader attempts, %+v, %+v", c, leaders.Load(), st.Admission, *st.Cache)
+	if st.Admission.Admitted+st.Admission.Shed != leaders.Load() || st.Admission.Depth != 0 {
+		t.Fatalf("admitted %d + shed %d != %d leader attempts, or the gate did not drain", st.Admission.Admitted, st.Admission.Shed, leaders.Load())
+	}
+	if st.Admission.Admitted >= int64(c.Answers) {
+		t.Fatalf("admitted %d of %d answers (%d hits, %d coalesced): cached answers must not take admission slots",
+			st.Admission.Admitted, c.Answers, st.Cache.Hits, st.Cache.Coalesced)
+	}
+	if st.Admission.Shed == 0 {
+		t.Fatal("nothing was shed: the overload path went unexercised")
+	}
+	if int64(st.Cache.Misses) != leaders.Load() {
+		t.Fatalf("cache counted %d misses, the workers %d leader attempts", st.Cache.Misses, leaders.Load())
 	}
 }

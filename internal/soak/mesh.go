@@ -1,6 +1,6 @@
-// Cross-process mesh chaos: the deployment-shaped counterpart of the
-// in-process soak. RunMeshChaos spawns one OS process per silo (the fedmesh
-// binary re-executing itself), connects them into a resilient multiplexed
+// Package soak is the cross-process mesh chaos harness behind cmd/fedmesh.
+// RunMeshChaos spawns one OS process per silo (the fedmesh binary
+// re-executing itself), connects them into a resilient multiplexed
 // TCP mesh — mTLS when configured — and drives a stream of federated
 // shortest-path queries while links are broken mid-round and one silo is
 // killed and restarted. Every query must either complete with the plaintext
@@ -647,7 +647,12 @@ func RunMeshChaos(cfg MeshChaosConfig) (*MeshChaosReport, error) {
 	// weights — and replays every answer against them.
 	g, w0 := fedroad.GenerateRoadNetwork(cfg.Vertices, cfg.Seed)
 	silosW := fedroad.SimulateCongestion(w0, cfg.Silos, fedroad.Moderate, cfg.Seed+1)
-	joint := jointOf(silosW, g.NumArcs())
+	joint := make(fedroad.Weights, g.NumArcs())
+	for _, w := range silosW {
+		for a := range joint {
+			joint[a] += w[a]
+		}
+	}
 
 	procs := &meshProcs{cmds: make([]*exec.Cmd, cfg.Silos), files: make([]*os.File, cfg.Silos)}
 	defer procs.killAll()

@@ -3,11 +3,12 @@ package fedroad
 import (
 	"fmt"
 	"math/rand/v2"
-	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/scenario"
 )
 
 // These tests exercise index derivations beside queries and traffic: queries
@@ -41,7 +42,9 @@ func spotCheck(t *testing.T, f *Federation, joint Weights, tag string) {
 	}
 }
 
-func rebuildFederation(t *testing.T, n int, seed uint64) *Federation {
+// rebuildFederation is a 3-silo federation over an n-vertex road network
+// and the history of its weights.
+func rebuildFederation(t *testing.T, n int, seed uint64) (*Federation, *scenario.History) {
 	t.Helper()
 	g, w0 := GenerateRoadNetwork(n, seed)
 	silos := SimulateCongestion(w0, 3, Moderate, seed+1)
@@ -49,72 +52,31 @@ func rebuildFederation(t *testing.T, n int, seed uint64) *Federation {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return f
+	return f, newHistory(f, silos)
 }
 
 // TestRebuildQueriesDuringBuild runs oracle-checked queries from several
-// goroutines while an index build is in flight. The weights never
-// change, so every answer — before, during, and after the publish — must
-// match one fixed oracle, whichever index generation served it.
+// goroutines while an index build is in flight. The weights never change,
+// so every answer — before, during, and after the publish — is checked at
+// the one version, whichever index generation served it.
 func TestRebuildQueriesDuringBuild(t *testing.T) {
-	f := rebuildFederation(t, 220, 50)
-	joint := liveJoint(f)
-
-	buildDone := make(chan error, 1)
-	go func() { buildDone <- f.BuildIndex() }()
-
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	errs := make(chan error, 4)
-	for w := 0; w < 3; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			s := f.Session()
-			defer s.Close()
-			g := f.Graph()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				src := Vertex((w*31 + i) % g.NumVertices())
-				dst := Vertex((w*17 + i*7) % g.NumVertices())
-				want, _ := graph.DijkstraTo(g, joint, src, dst)
-				route, _, err := s.ShortestPath(src, dst)
-				if err != nil {
-					errs <- fmt.Errorf("worker %d: %v", w, err)
-					return
-				}
-				if route.Found && JointCost(route) != want {
-					errs <- fmt.Errorf("worker %d: query %d->%d cost %d, oracle %d", w, src, dst, JointCost(route), want)
-					return
-				}
-				if !route.Found && want < graph.InfCost {
-					errs <- fmt.Errorf("worker %d: query %d->%d found nothing, oracle %d", w, src, dst, want)
-					return
-				}
-			}
-		}(w)
-	}
-
-	if err := <-buildDone; err != nil {
-		t.Fatalf("background build failed: %v", err)
-	}
-	close(stop)
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
+	f, h := rebuildFederation(t, 220, 50)
+	n := f.Graph().NumVertices()
+	race(t, h, scenario.Row{
+		Fronts: 3,
+		Front: sessionFront(t, f, func(w int) pairs {
+			return func(i int) (Vertex, Vertex) { return Vertex((w*31 + i) % n), Vertex((w*17 + i*7) % n) }
+		}),
+		Derivers:    []func(int) error{func(int) error { return f.BuildIndex() }},
+		Derivations: 1,
+	})
 	if !f.HasIndex() {
 		t.Fatal("build reported success but HasIndex is false")
 	}
 	if f.IndexBuilding() {
 		t.Fatal("IndexBuilding still true after build returned")
 	}
-	spotCheck(t, f, joint, "after build")
+	spotCheck(t, f, liveJoint(f), "after build")
 }
 
 // TestRebuildRouteDuringDerivation parks a RebuildIndex batch's customization
@@ -134,12 +96,12 @@ func TestRebuildRouteDuringDerivation(t *testing.T) {
 	if err := f.CustomizeIndex(); err != nil {
 		t.Fatal(err)
 	}
-	h := newWeightHistory(f, silos)
-	route := func() (answer, Stats, error) {
+	h := newHistory(f, silos)
+	route := func() (scenario.Answer, Stats, error) {
 		sess := f.Session()
 		defer sess.Close()
 		r, st, ver, err := sess.ShortestPathAt(3, 140)
-		return answer{ver, 3, 140, r}, st, err
+		return answerOf(ver, 3, 140, r), st, err
 	}
 	before, indexed, err := route()
 	if err != nil {
@@ -155,7 +117,7 @@ func TestRebuildRouteDuringDerivation(t *testing.T) {
 		}()
 	})
 	routed := make(chan struct{})
-	var during answer
+	var during scenario.Answer
 	var st Stats
 	var routeErr error
 	go func() {
@@ -172,14 +134,14 @@ func TestRebuildRouteDuringDerivation(t *testing.T) {
 		close(p.release)
 		t.Fatal(routeErr)
 	}
-	if during.ver != before.ver || !f.HasIndex() || !f.IndexBuilding() {
+	if during.Version != before.Version || !f.HasIndex() || !f.IndexBuilding() {
 		t.Fatalf("during the derivation: version %d (before %d), index %v, building %v",
-			during.ver, before.ver, f.HasIndex(), f.IndexBuilding())
+			during.Version, before.Version, f.HasIndex(), f.IndexBuilding())
 	}
 	if st.SAC != indexed.SAC {
 		t.Fatalf("the route made %+v, indexed before the batch %+v: it did not search the previous index", st.SAC, indexed.SAC)
 	}
-	if err := h.check(during); err != nil {
+	if err := h.Check(during); err != nil {
 		t.Fatal(err)
 	}
 
@@ -187,81 +149,60 @@ func TestRebuildRouteDuringDerivation(t *testing.T) {
 	if err := <-rebuilt; err != nil {
 		t.Fatal(err)
 	}
-	h.apply(f.TrafficVersion(), batch)
-	if f.TrafficVersion() != before.ver+1 || !f.HasIndex() || f.IndexBuilding() {
+	record(t, h, batch)
+	if f.TrafficVersion() != before.Version+1 || !f.HasIndex() || f.IndexBuilding() {
 		t.Fatalf("after the derivation: version %d, index %v, building %v", f.TrafficVersion(), f.HasIndex(), f.IndexBuilding())
 	}
 	after, _, err := route()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := h.check(after); err != nil {
+	if err := h.Check(after); err != nil {
 		t.Fatal(err)
 	}
 }
 
 // TestRebuildUnderStreamingTraffic: ApplyTraffic(nil, RebuildIndex) succeeds
-// while another goroutine streams traffic batches without pause — each batch
-// waits for the derivation instead of invalidating it — and the index it
+// while the writer streams traffic batches without pause — each batch waits
+// for the derivation instead of invalidating it — and the index it
 // publishes, updated in place by the batches after it, answers exactly.
 func TestRebuildUnderStreamingTraffic(t *testing.T) {
-	g, w0 := GenerateRoadNetwork(260, 54)
-	silos := SimulateCongestion(w0, 3, Moderate, 55)
-	f, err := New(g, w0, silos, Config{Seed: 56})
-	if err != nil {
-		t.Fatal(err)
-	}
+	f, h := rebuildFederation(t, 260, 54)
 	if err := f.BuildIndex(); err != nil {
 		t.Fatal(err)
 	}
-	h := newWeightHistory(f, silos)
-	// The stream runs until three batches have followed the rebuild.
-	flowing, rebuilt := make(chan struct{}), make(chan struct{})
-	streamed := make(chan error, 1)
-	go func() {
-		rng := rand.New(rand.NewPCG(57, 57))
-		for i, after := 0, 0; after < 3; i++ {
-			select {
-			case <-rebuilt:
-				after++
-			default:
-			}
-			ups := []TrafficUpdate{{Silo: rng.IntN(3), Arc: Arc(rng.IntN(g.NumArcs())), TravelMs: 1 + rng.Int64N(200000)}}
-			if _, err := f.ApplyTraffic(ups); err != nil {
-				streamed <- err
-				return
-			}
-			h.apply(f.TrafficVersion(), ups)
+	rng := rand.New(rand.NewPCG(57, 57))
+	flowing := make(chan struct{})
+	var rebuilt atomic.Bool
+	after := 0
+	race(t, h, scenario.Row{
+		Fronts: 1,
+		Front:  sessionFront(t, f, randomPairs(f, 58)),
+		// The stream ends three batches after the rebuild, far below Ops.
+		Writer: func(i int) ([]scenario.Update, error) {
 			if i == 0 {
 				close(flowing)
 			}
-		}
-		streamed <- nil
-	}()
-	select {
-	case <-flowing:
-	case err := <-streamed:
-		t.Fatal(err)
+			if rebuilt.Load() {
+				if after++; after > 3 {
+					return nil, scenario.Done
+				}
+			}
+			return applyTraffic(f, scenario.Batch(rng, 1, 3, f.Graph().NumArcs(), 1, 200001))
+		},
+		Ops: 10000,
+		Derivers: []func(int) error{func(int) error {
+			<-flowing
+			if _, err := f.ApplyTraffic(nil, RebuildIndex); err != nil {
+				return fmt.Errorf("ApplyTraffic(nil, RebuildIndex) under streaming traffic: %w", err)
+			}
+			rebuilt.Store(true)
+			return nil
+		}},
+		Derivations: 1,
+	})
+	if after != 4 {
+		t.Fatalf("%d batches followed the rebuild, want 3", after-1)
 	}
-	_, rebuildErr := f.ApplyTraffic(nil, RebuildIndex)
-	close(rebuilt)
-	if err := <-streamed; err != nil {
-		t.Fatal(err)
-	}
-	if rebuildErr != nil {
-		t.Fatalf("ApplyTraffic(nil, RebuildIndex) under streaming traffic: %v", rebuildErr)
-	}
-	sess := f.Session()
-	defer sess.Close()
-	rng := rand.New(rand.NewPCG(58, 58))
-	for i := 0; i < 20; i++ {
-		s, d := Vertex(rng.IntN(g.NumVertices())), Vertex(rng.IntN(g.NumVertices()))
-		r, _, ver, err := sess.ShortestPathAt(s, d)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := h.check(answer{ver, s, d, r}); err != nil {
-			t.Fatal(err)
-		}
-	}
+	checkRoutesExact(t, "after the stream", f, h, 0)
 }

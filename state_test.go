@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand/v2"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/scenario"
 )
 
 // stateFederation builds a small federation with an index and a few traffic
@@ -357,6 +359,35 @@ func TestRestoreReplacesDerivationInFlight(t *testing.T) {
 		t.Fatalf("after the restore: index %v, version %d", f.HasIndex(), f.TrafficVersion())
 	}
 	checkRoutesOn(t, f, joint, 60, 13)
+}
+
+// TestRoutesRaceRestore: routes race a writer that interleaves traffic
+// batches with SaveState → RestoreState into the same federation. A restore
+// republishes the version it saved, index included, so the history is
+// unchanged and every route is exact at the version it echoes.
+func TestRoutesRaceRestore(t *testing.T) {
+	f, h := rebuildFederation(t, 200, 81)
+	if err := f.CustomizeIndex(); err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewPCG(84, 0))
+	race(t, h, scenario.Row{
+		Fronts: 3, Queries: 20,
+		Front: sessionFront(t, f, randomPairs(f, 85)),
+		Writer: func(i int) ([]scenario.Update, error) {
+			if i%2 == 0 {
+				return applyTraffic(f, scenario.Batch(rng, 3, f.Silos(), f.Graph().NumArcs(), 1, 120001))
+			}
+			var snap bytes.Buffer
+			if err := f.SaveState(&snap); err != nil {
+				return nil, err
+			}
+			if restored, err := f.RestoreState(&snap); err != nil || !restored {
+				return nil, fmt.Errorf("restore: index %v, %v", restored, err)
+			}
+			return nil, nil
+		},
+	})
 }
 
 // TestRestoreCustomizedSnapshot: a customized snapshot carries no skeleton.

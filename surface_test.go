@@ -35,7 +35,7 @@ func TestProductionSurface(t *testing.T) {
 
 	check("Config fields", fieldNames(Config{}), []string{
 		"Mode",            // benchmark/fixture.go: ModeProtocol; cmd/fedserver without -protocol: ideal
-		"Seed",            // benchmark/fixture.go: worldSeed; cmd/fedserver -seed; internal/soak: its own
+		"Seed",            // benchmark/fixture.go: worldSeed; cmd/fedserver -seed
 		"RoundTimeout",    // benchmark/fixture.go: 5s (a hang becomes a counted failure); cmd/fedserver: 0 unless -round-timeout
 		"SACRetries",      // cmd/fedserver, cmd/fedroad -sac-retries; benchmark/fixture.go: 0 (a retry would hide a failure)
 		"SACRetryBackoff", // cmd/fedserver, cmd/fedroad -sac-retry-backoff; benchmark/fixture.go: 0
@@ -73,8 +73,8 @@ func TestProductionSurface(t *testing.T) {
 		"ShortestPath", "NearestNeighbors", "Session", "NewQueryCache",
 		// Traffic and state.
 		"ApplyTraffic", "TrafficVersion", "SaveState", "RestoreState",
-		// Index derivation. The conflict-retry count is fixed by the entry
-		// point: 0 here, 2 through ApplyTraffic's RebuildIndex.
+		// Index derivation. Writers take turns, so no entry point re-runs a
+		// derivation that another writer invalidated.
 		"BuildIndex", "BuildSkeleton", "CustomizeIndex",
 		"HasIndex", "HasSkeleton", "IndexBuilding", "IndexStats", "SkeletonStats", "CustomizeInfo",
 		// Topology, resources and observability.
