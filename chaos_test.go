@@ -39,6 +39,31 @@ func chaosFederation(t *testing.T, plan transport.FaultPlan, party int, opts Con
 	return f, g, silos, armed
 }
 
+// TestNewRejectsInconsistentConfig: New refuses a Config that contradicts
+// itself with an error and a nil federation, before it opens a loopback mesh:
+// no goroutine of one outlives the call.
+func TestNewRejectsInconsistentConfig(t *testing.T) {
+	g, w0 := GenerateGridNetwork(3, 3, 54)
+	silos := SimulateCongestion(w0, 3, Moderate, 55)
+	for _, tc := range []struct {
+		name string
+		cfgs []Config
+	}{
+		{"MeshTCP in ideal mode", []Config{{MeshTCP: true}}},
+		{"MeshTLS without MeshTCP", []Config{{Mode: ModeProtocol, MeshTLS: &TLSConfig{CertFile: "party.pem", KeyFile: "party.key", CAFile: "ca.pem"}}}},
+		{"two Configs", []Config{{Mode: ModeProtocol, MeshTCP: true}, {}}},
+	} {
+		base := runtime.NumGoroutine()
+		f, err := New(g, w0, silos, tc.cfgs...)
+		if err == nil || f != nil {
+			t.Fatalf("%s: New returned (%v, %v), want a nil federation and an error", tc.name, f, err)
+		}
+		if n := runtime.NumGoroutine(); n > base {
+			t.Fatalf("%s: %d goroutines after the refusal, %d before", tc.name, n, base)
+		}
+	}
+}
+
 // jointDijkstra computes the plaintext joint-cost answer the secure query
 // must reproduce.
 func jointDijkstra(g *Graph, silos []Weights, src, dst Vertex) int64 {

@@ -77,15 +77,10 @@ func main() {
 		RoundTimeout:    *roundTimeout,
 		SACRetries:      *sacRetries,
 		SACRetryBackoff: *sacBackoff,
+		MeshTCP:         *meshTCP,
 	}
 	if *protocol {
 		cfg.Mode = fedroad.ModeProtocol
-	}
-	if *meshTCP {
-		if !*protocol {
-			fail(fmt.Errorf("-mesh-tcp requires -protocol (ideal mode exchanges no messages)"))
-		}
-		cfg.MeshTCP = true
 	}
 	if *tlsCert != "" || *tlsKey != "" || *tlsCA != "" {
 		cfg.MeshTLS = &fedroad.TLSConfig{CertFile: *tlsCert, KeyFile: *tlsKey, CAFile: *tlsCA}

@@ -113,16 +113,10 @@ func main() {
 		RoundTimeout:    *roundTimeout,
 		SACRetries:      *sacRetries,
 		SACRetryBackoff: *sacBackoff,
+		MeshTCP:         *meshTCP,
 	}
 	if *protocol {
 		cfg.Mode = fedroad.ModeProtocol
-	}
-	if *meshTCP {
-		cfg.MeshTCP = true
-		if !*protocol {
-			fmt.Fprintln(os.Stderr, "fedserver: -mesh-tcp requires -protocol (ideal mode exchanges no messages)")
-			os.Exit(1)
-		}
 	}
 	if *tlsCert != "" || *tlsKey != "" || *tlsCA != "" {
 		cfg.MeshTLS = &fedroad.TLSConfig{CertFile: *tlsCert, KeyFile: *tlsKey, CAFile: *tlsCA}

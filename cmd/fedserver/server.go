@@ -27,8 +27,9 @@ import (
 //
 // The query handlers decode the request, call the serving pipeline
 // (internal/serve: cache, admission, concurrency bound, a session per
-// request) and encode its answer; the federation's reader/writer lock keeps
-// traffic updates from ever interleaving with a search.
+// request) and encode its answer. A search answers at the traffic version it
+// loaded, with that version's index, so a traffic update never interleaves
+// with it.
 type server struct {
 	fed   *fedroad.Federation
 	pipe  *serve.Pipeline

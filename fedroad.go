@@ -308,12 +308,12 @@ type queryMetricSet struct {
 	phaseRelax    *metrics.Counter
 }
 
-// New assembles a federation of len(siloWeights) silos over the shared
+// New assembles a federation of len(sets) silos over the shared
 // topology g with public static weights w0. Each silo keeps its weight set
 // private; all cross-silo computation runs through the MPC engine. The
 // weight sets become version 0 and are never written: a traffic update
 // copies the sets it changes.
-func New(g *Graph, w0 Weights, siloWeights []Weights, cfg ...Config) (*Federation, error) {
+func New(g *Graph, w0 Weights, sets []Weights, cfg ...Config) (*Federation, error) {
 	var c Config
 	if len(cfg) > 1 {
 		return nil, fmt.Errorf("fedroad: at most one Config")
@@ -338,7 +338,7 @@ func New(g *Graph, w0 Weights, siloWeights []Weights, cfg ...Config) (*Federatio
 			return nil, fmt.Errorf("fedroad: MeshTCP requires ModeProtocol (ideal mode exchanges no messages)")
 		}
 		var err error
-		mesh, err = transport.NewLocalMesh(len(siloWeights), transport.MeshOptions{TLS: c.MeshTLS})
+		mesh, err = transport.NewLocalMesh(len(sets), transport.MeshOptions{TLS: c.MeshTLS})
 		if err != nil {
 			return nil, err
 		}
@@ -349,7 +349,7 @@ func New(g *Graph, w0 Weights, siloWeights []Weights, cfg ...Config) (*Federatio
 	} else if c.MeshTLS.Enabled() {
 		return nil, fmt.Errorf("fedroad: MeshTLS requires MeshTCP")
 	}
-	inner, err := fed.New(g, w0, siloWeights, params)
+	inner, err := fed.New(g, w0, sets, params)
 	if err != nil {
 		if mesh != nil {
 			mesh.Close()
@@ -732,8 +732,9 @@ const (
 // the shortcut index is built, refreshes it: the batch's weights and the
 // refreshed index are published together as the next traffic version, so no
 // query ever observes silo weights that disagree with its index. By default
-// the refresh is the federated partial update, run on a copy of the index;
-// with the RebuildIndex option it derives a whole fresh index — preferring
+// the refresh is the federated partial update, which derives the next
+// version's index from the serving one and leaves that one as it was; with
+// the RebuildIndex option it derives a whole fresh index — preferring
 // weight customization when a skeleton exists — and the returned
 // UpdateStats are zero (the work is a (re)build, not a partial update).
 //
@@ -769,9 +770,8 @@ func (f *Federation) ApplyTraffic(updates []TrafficUpdate, opts ...ApplyOption) 
 			arcs[i] = u.Arc
 		}
 		slices.Sort(arcs)
-		next.index = cur.index.Fork(next.fed)
 		var err error
-		if st, err = next.index.Update(slices.Compact(arcs)); err != nil {
+		if next.index, st, err = cur.index.Update(next.fed, slices.Compact(arcs)); err != nil {
 			return st, err
 		}
 	}

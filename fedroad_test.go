@@ -408,11 +408,7 @@ func TestSeedDeterminesTranscript(t *testing.T) {
 	}
 	transcript := func(seed uint64) [][][][]byte {
 		rec := &frameRecorder{}
-		sets := make([]Weights, len(silos))
-		for p, ws := range silos {
-			sets[p] = slices.Clone(ws) // the federation owns, and updates, its silos' weights
-		}
-		f, err := New(g, w0, sets, Config{Mode: ModeProtocol, Seed: seed, TransportWrap: rec.wrap})
+		f, err := New(g, w0, silos, Config{Mode: ModeProtocol, Seed: seed, TransportWrap: rec.wrap})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -454,5 +450,87 @@ func TestSeedDeterminesTranscript(t *testing.T) {
 	}
 	if reflect.DeepEqual(a, transcript(84)) {
 		t.Fatal("another seed sent the same frames")
+	}
+}
+
+// TestModesCountTheSameWork: ideal and protocol mode differ only in how a
+// Fed-SAC instance is evaluated, never in what is compared or what it costs.
+// Twin federations that differ only in Config.Mode run the same operations —
+// a flat route, a customization, an indexed route, a kNN, an in-place traffic
+// batch and a rebuilding one — and must return the same routes and count the
+// same Fed-SACs, rounds, bytes and messages for every operation.
+func TestModesCountTheSameWork(t *testing.T) {
+	grid, wg := GenerateGridNetwork(5, 5, 91)
+	road, wr := GenerateRoadNetwork(120, 92)
+	for _, net := range []struct {
+		name string
+		g    *Graph
+		w0   Weights
+	}{{"grid", grid, wg}, {"road", road, wr}} {
+		silos := SimulateCongestion(net.w0, 3, Moderate, 93)
+		rng := rand.New(rand.NewPCG(94, 95))
+		batch := func() []TrafficUpdate {
+			var b []TrafficUpdate
+			for _, a := range rng.Perm(net.g.NumArcs())[:net.g.NumArcs()/6] {
+				b = append(b, TrafficUpdate{Silo: rng.IntN(3), Arc: Arc(a), TravelMs: net.w0[a] + rng.Int64N(90000) + 1})
+			}
+			return b
+		}
+		inPlace, rebuild := batch(), batch()
+		n := Vertex(net.g.NumVertices())
+		opt := QueryOptions{BatchedMPC: true}
+		// run returns every route the operations answered, and per operation
+		// what it cost.
+		run := func(mode ExecutionMode) (routes []Route, costs map[string]SACStats) {
+			f, err := New(net.g, net.w0, silos, Config{Mode: mode, Seed: 96})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			costs = make(map[string]SACStats)
+			route := func(op string) {
+				r, st, err := f.ShortestPath(0, n-1, opt)
+				if err != nil {
+					t.Fatalf("%s %s: %v", net.name, op, err)
+				}
+				routes, costs[op] = append(routes, r), st.SAC
+			}
+			route("flat route")
+			if err := f.CustomizeIndex(); err != nil {
+				t.Fatal(err)
+			}
+			costs["customization"] = f.IndexStats().SAC
+			route("indexed route")
+			rs, st, err := f.NearestNeighbors(n/2, 6, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			routes, costs["kNN"] = append(routes, rs...), st.SAC
+			up, err := f.ApplyTraffic(inPlace)
+			if err != nil {
+				t.Fatal(err)
+			}
+			costs["in-place batch"] = up.SAC
+			route("route after the in-place batch")
+			if _, err := f.ApplyTraffic(rebuild, RebuildIndex); err != nil {
+				t.Fatal(err)
+			}
+			costs["rebuilding batch"] = f.IndexStats().SAC
+			route("route after the rebuild")
+			return routes, costs
+		}
+		idealRoutes, ideal := run(ModeIdeal)
+		protoRoutes, proto := run(ModeProtocol)
+		if !reflect.DeepEqual(idealRoutes, protoRoutes) {
+			t.Fatalf("%s: the modes answered different routes", net.name)
+		}
+		for op, want := range ideal {
+			if want.Compares == 0 {
+				t.Fatalf("%s %s: compared nothing", net.name, op)
+			}
+			if got := proto[op]; got != want {
+				t.Fatalf("%s %s: protocol mode counts %+v, ideal mode %+v", net.name, op, got, want)
+			}
+		}
 	}
 }

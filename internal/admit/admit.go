@@ -25,8 +25,8 @@ type Gate struct {
 }
 
 // Stats is a point-in-time view of the gate's accounting. Admitted + Shed
-// equals the number of Acquire calls ever made — the invariant the soak
-// bench checks.
+// equals the number of Acquire calls ever made — the invariant
+// TestPipelineSoak checks.
 type Stats struct {
 	Admitted int64
 	Shed     int64

@@ -103,21 +103,17 @@ func BuildWith(f *fed.Federation, prm Params) (*Index, error) {
 	}
 	g := f.Graph()
 	n := g.NumVertices()
-	p := f.P()
 
 	x := &Index{
 		f:           f,
 		rank:        make([]int32, n),
 		numBase:     g.NumArcs(),
+		scW:         make([][]int64, f.P()),
 		witnessCap:  prm.WitnessCap,
 		witnessHops: prm.WitnessHops,
 	}
 	for v := range x.rank {
 		x.rank[v] = -1
-	}
-	x.siloW = make([][]int64, p)
-	for s := 0; s < p; s++ {
-		x.siloW[s] = make([]int64, 0, 2*g.NumArcs())
 	}
 	for a := 0; a < g.NumArcs(); a++ {
 		u, w := g.Tail(graph.Arc(a)), g.Head(graph.Arc(a))
@@ -126,9 +122,6 @@ func BuildWith(f *fed.Federation, prm Params) (*Index, error) {
 		x.via = append(x.via, NoShortcut)
 		x.childA = append(x.childA, -1)
 		x.childB = append(x.childB, -1)
-		for s := 0; s < p; s++ {
-			x.siloW[s] = append(x.siloW[s], f.Silo(s).Weight(graph.Arc(a)))
-		}
 	}
 	x.indexHierarchy(make([][]skipRec, n))
 
@@ -338,7 +331,7 @@ func (x *Index) propose(sac *fed.SAC, v graph.Vertex, el eligibility) *proposal 
 			}
 			via := make(fed.Partial, p)
 			for s := 0; s < p; s++ {
-				via[s] = x.siloW[s][arcUV] + x.siloW[s][gw.arcs[0]]
+				via[s] = x.partial(s, arcUV) + x.partial(s, gw.arcs[0])
 			}
 			c := candidate{u: u, w: gw.other, arcUV: arcUV, arcVW: gw.arcs[0], via: via}
 			if lbl := labels[gw.other]; lbl != nil {
@@ -389,8 +382,8 @@ func (x *Index) apply(prop *proposal) []int32 {
 			x.hs.parents[r.ca] = append(x.hs.parents[r.ca], r.a)
 			x.hs.parents[r.cb] = append(x.hs.parents[r.cb], r.a)
 		}
-		for s := range x.siloW {
-			x.siloW[s][r.a] = r.via[s]
+		for s, ws := range x.scW {
+			ws[r.a-int32(x.numBase)] = r.via[s]
 		}
 	}
 	var added []int32
@@ -534,8 +527,8 @@ func (x *Index) addShortcut(v graph.Vertex, ca, cb int32) int32 {
 	x.via = append(x.via, v)
 	x.childA = append(x.childA, ca)
 	x.childB = append(x.childB, cb)
-	for s := range x.siloW {
-		x.siloW[s] = append(x.siloW[s], x.siloW[s][ca]+x.siloW[s][cb])
+	for s := range x.scW {
+		x.scW[s] = append(x.scW[s], x.partial(s, ca)+x.partial(s, cb))
 	}
 	x.hs.outAll[u] = append(x.hs.outAll[u], a)
 	x.hs.inAll[w] = append(x.hs.inAll[w], a)
@@ -623,7 +616,7 @@ func (x *Index) witnessSearchAll(sac *fed.SAC, srcs []graph.Vertex, v graph.Vert
 					}
 					np := make(fed.Partial, len(yl.part))
 					for sl := range np {
-						np[sl] = yl.part[sl] + x.siloW[sl][a]
+						np[sl] = yl.part[sl] + x.partial(sl, a)
 					}
 					key := slotKey{si, z}
 					if _, seen := cands[key]; !seen {

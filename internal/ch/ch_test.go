@@ -188,24 +188,14 @@ func TestUpdateKeepsQueriesCorrect(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		// Re-sample weights of a random subset of arcs on every silo: some
 		// rise, some fall back toward free flow.
-		numChange := g.NumArcs() / 10
-		changed := make([]graph.Arc, 0, numChange)
-		for _, ai := range rng.Perm(g.NumArcs())[:numChange] {
-			a := graph.Arc(ai)
-			changed = append(changed, a)
-			for p := 0; p < f.P(); p++ {
-				factor := 0.8 + rng.Float64()*1.2
-				nw := int64(float64(f.StaticWeights()[a]) * factor)
-				if nw < 1 {
-					nw = 1
-				}
-				f.Silo(p).SetWeight(a, nw)
+		changed := pickArcs(f, rng, g.NumArcs()/10)
+		f = nextVersion(f, changed, func(a graph.Arc, ws []int64) {
+			for p := range ws {
+				ws[p] = max(int64(float64(f.StaticWeights()[a])*(0.8+rng.Float64()*1.2)), 1)
 			}
-		}
-		stats, err := x.Update(changed)
-		if err != nil {
-			t.Fatal(err)
-		}
+		})
+		var stats UpdateStats
+		x, stats = mustUpdate(t, x, f, changed)
 		if stats.ChangedArcs != len(changed) {
 			t.Fatalf("stats.ChangedArcs = %d", stats.ChangedArcs)
 		}
@@ -225,11 +215,7 @@ func TestUpdateKeepsQueriesCorrect(t *testing.T) {
 
 func TestUpdateNoChangesIsCheap(t *testing.T) {
 	f, x := buildTestIndex(t, 8, 8, 43)
-	_ = f
-	stats, err := x.Update(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, stats := mustUpdate(t, x, f, nil)
 	if stats.RecomputedShortcuts != 0 || stats.ReverifiedVertices != 0 || stats.AddedShortcuts != 0 {
 		t.Fatalf("no-op update did work: %+v", stats)
 	}
@@ -239,20 +225,14 @@ func TestUpdateCostScalesWithChangeSize(t *testing.T) {
 	f, x := buildTestIndex(t, 10, 10, 47)
 	g := f.Graph()
 	rng := rand.New(rand.NewPCG(13, 13))
-	change := func(frac float64) UpdateStats {
-		num := int(frac * float64(g.NumArcs()))
-		changed := make([]graph.Arc, 0, num)
-		for _, ai := range rng.Perm(g.NumArcs())[:num] {
-			a := graph.Arc(ai)
-			changed = append(changed, a)
-			for p := 0; p < f.P(); p++ {
-				f.Silo(p).SetWeight(a, f.StaticWeights()[a]+int64(rng.IntN(10000))+1)
+	change := func(frac float64) (st UpdateStats) {
+		changed := pickArcs(f, rng, int(frac*float64(g.NumArcs())))
+		f = nextVersion(f, changed, func(a graph.Arc, ws []int64) {
+			for p := range ws {
+				ws[p] = f.StaticWeights()[a] + int64(rng.IntN(10000)) + 1
 			}
-		}
-		st, err := x.Update(changed)
-		if err != nil {
-			t.Fatal(err)
-		}
+		})
+		x, st = mustUpdate(t, x, f, changed)
 		return st
 	}
 	small := change(0.01)

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/fed"
-	"repro/internal/graph"
 	"repro/internal/mpc"
 )
 
@@ -53,8 +52,7 @@ func Customize(f *fed.Federation, sk *Skeleton) (*Index, error) {
 }
 
 // blankCustomized validates that the skeleton fits the federation's graph and
-// returns an index over it with the silos' base-arc partials, no winner
-// elected and zero group partials.
+// returns an index over it with no winner elected and zero group partials.
 func blankCustomized(f *fed.Federation, sk *Skeleton) (*Index, error) {
 	if sk == nil {
 		return nil, fmt.Errorf("ch: customize without a skeleton")
@@ -68,8 +66,8 @@ func blankCustomized(f *fed.Federation, sk *Skeleton) (*Index, error) {
 		f:    f,
 		rank: sk.rank,
 		// The topology arrays are shared with the skeleton: both are
-		// immutable for a customized index (updates re-elect winners and
-		// refresh weights in place, never append arcs).
+		// immutable for a customized index (an update re-elects winners,
+		// never appends arcs).
 		tail:    sk.tail,
 		head:    sk.head,
 		via:     sk.via,
@@ -77,9 +75,8 @@ func blankCustomized(f *fed.Federation, sk *Skeleton) (*Index, error) {
 		skel:    sk,
 	}
 	nGrp := sk.Plan().nGrp
-	x.siloW, x.grpW = make([][]int64, f.P()), make([][]int64, f.P())
-	for s := range x.siloW {
-		x.siloW[s] = slices.Clone(f.Silo(s).Weights())
+	x.grpW = make([][]int64, f.P())
+	for s := range x.grpW {
 		x.grpW[s] = make([]int64, nGrp)
 	}
 	x.win = make([]int32, nGrp)
@@ -90,29 +87,12 @@ func blankCustomized(f *fed.Federation, sk *Skeleton) (*Index, error) {
 }
 
 // updateCustomized is the dynamic-update path for customized indexes: the
-// topology is immutable, so a traffic change refreshes the skeleton's weight
-// slots in place by the same sweep a full customization runs, restricted to
-// what the changed arcs can reach. No arcs are ever added (AddedShortcuts is
+// topology is immutable, so the next version re-elects winners and re-sums
+// group partials by the same sweep a full customization runs, restricted to
+// what the moved arcs can reach. No arcs are ever added (AddedShortcuts is
 // always zero); UpdateStats.ReverifiedVertices counts re-run group
 // tournaments here.
-func (x *Index) updateCustomized(sac *fed.SAC, changed []graph.Arc) (UpdateStats, error) {
-	// A base arc is dirty when its partial vector changed (per silo: equal
-	// joint costs can hide a redistribution consumers must still inherit).
-	// The sweep pairs contenders in the order they become final, so the dirty
-	// arcs are sorted: the pairs it opens may not depend on the caller's order.
-	var dirty []int32
-	for _, a := range changed {
-		moved := false
-		for s, ws := range x.siloW {
-			if nw := x.f.Silo(s).Weight(a); ws[a] != nw {
-				ws[a], moved = nw, true
-			}
-		}
-		if moved {
-			dirty = append(dirty, int32(a))
-		}
-	}
-	slices.Sort(dirty)
+func (x *Index) updateCustomized(sac *fed.SAC, dirty []int32) (UpdateStats, error) {
 	var stats UpdateStats
 	if len(dirty) > 0 {
 		sw, err := x.sweep(sac, dirty)
@@ -137,7 +117,8 @@ const (
 )
 
 // sweep brings the customized weights up to date after the partial vectors of
-// the given base arcs (already refreshed in siloW, each listed once) changed.
+// the given base arcs (x.f's silo weights of them, each listed once, in
+// ascending order) changed.
 // It is a dependency-driven schedule over the plan's pair groups, confined to
 // the static downstream cone of the dirty arcs:
 //
@@ -161,7 +142,7 @@ const (
 // place, which is also its query-list slot, and its partials to x.grpW:
 // nothing else is rebuilt.
 func (x *Index) sweep(sac *fed.SAC, dirty []int32) (cost sweepCost, err error) {
-	pl, nb, p, win, gw := x.skel.Plan(), int32(x.numBase), len(x.siloW), x.win, x.grpW
+	pl, nb, p, win, gw := x.skel.Plan(), int32(x.numBase), x.f.P(), x.win, x.grpW
 	rw := pl.rows()
 	flags := make([]uint8, pl.nGrp)
 	pendG := make([]int32, pl.nGrp)        // members still pending

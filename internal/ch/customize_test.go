@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/fed"
@@ -22,28 +23,53 @@ func customizeFederation(t *testing.T, g *graph.Graph, w0 graph.Weights, seed ui
 	return f
 }
 
-// jiggleWeights re-samples the silo weights of a random arc subset,
-// returning the changed arcs.
-func jiggleWeights(f *fed.Federation, rng *rand.Rand, frac float64) []graph.Arc {
-	g := f.Graph()
-	num := int(frac * float64(g.NumArcs()))
-	if num < 1 {
-		num = 1
+// nextVersion is the traffic version after f, as a traffic batch publishes
+// it: fresh weight sets, equal to f's except on the changed arcs, where
+// draw(a, ws) fills ws[p] with silo p's new weight of a — arc by arc, in the
+// listed order.
+func nextVersion(f *fed.Federation, changed []graph.Arc, draw func(a graph.Arc, ws []int64)) *fed.Federation {
+	sets := make([]graph.Weights, f.P())
+	for p := range sets {
+		sets[p] = slices.Clone(f.Silo(p).Weights())
 	}
-	changed := make([]graph.Arc, 0, num)
-	for _, ai := range rng.Perm(g.NumArcs())[:num] {
-		a := graph.Arc(ai)
-		changed = append(changed, a)
-		for p := 0; p < f.P(); p++ {
-			factor := 0.6 + rng.Float64()*1.8
-			nw := int64(float64(f.StaticWeights()[a]) * factor)
-			if nw < 1 {
-				nw = 1
-			}
-			f.Silo(p).SetWeight(a, nw)
+	ws := make([]int64, f.P())
+	for _, a := range changed {
+		draw(a, ws)
+		for p, w := range ws {
+			sets[p][a] = w
 		}
 	}
-	return changed
+	return f.WithWeights(sets)
+}
+
+// pickArcs lists the first num arcs of a random permutation of f's arcs.
+func pickArcs(f *fed.Federation, rng *rand.Rand, num int) []graph.Arc {
+	var arcs []graph.Arc
+	for _, a := range rng.Perm(f.Graph().NumArcs())[:num] {
+		arcs = append(arcs, graph.Arc(a))
+	}
+	return arcs
+}
+
+// jiggleWeights re-samples the silo weights of a random arc subset, returning
+// the next version and the changed arcs.
+func jiggleWeights(f *fed.Federation, rng *rand.Rand, frac float64) (*fed.Federation, []graph.Arc) {
+	changed := pickArcs(f, rng, max(int(frac*float64(f.Graph().NumArcs())), 1))
+	return nextVersion(f, changed, func(a graph.Arc, ws []int64) {
+		for p := range ws {
+			ws[p] = max(int64(float64(f.StaticWeights()[a])*(0.6+rng.Float64()*1.8)), 1)
+		}
+	}), changed
+}
+
+// mustUpdate is x.Update to next, failing the test on an error.
+func mustUpdate(t *testing.T, x *Index, next *fed.Federation, changed []graph.Arc) (*Index, UpdateStats) {
+	t.Helper()
+	y, st, err := x.Update(next, changed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return y, st
 }
 
 func checkExactDistances(t *testing.T, f *fed.Federation, x *Index, trials int, seed uint64, tag string) {
@@ -219,23 +245,19 @@ func TestQueryListsHoldTheWinners(t *testing.T) {
 		}
 		checkWinnerLists(t, net.name+" customized", x)
 		for step := 0; step < 5; step++ {
-			var changed []graph.Arc
-			for _, ai := range rng.Perm(net.g.NumArcs())[:net.g.NumArcs()/8] {
-				changed = append(changed, graph.Arc(ai))
-				for p, w := range draw(rng) {
-					f.Silo(p).SetWeight(graph.Arc(ai), w)
-				}
-			}
-			if _, err := x.Update(changed); err != nil {
-				t.Fatal(err)
-			}
+			changed := pickArcs(f, rng, net.g.NumArcs()/8)
+			f = nextVersion(f, changed, func(_ graph.Arc, ws []int64) {
+				w := draw(rng)
+				copy(ws, w[:])
+			})
+			x, _ = mustUpdate(t, x, f, changed)
 			checkWinnerLists(t, fmt.Sprintf("%s update %d", net.name, step), x)
 		}
 		derived, err := BuildSkeleton(net.g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		loaded, err := ReadIndex(f, bytes.NewReader(indexBytes(t, x)), derived, f.SnapshotWeights())
+		loaded, err := ReadIndex(f, bytes.NewReader(indexBytes(t, x)), derived)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -345,9 +367,9 @@ func TestCalS300DerivationCountsPinned(t *testing.T) {
 	}
 }
 
-// TestCustomizedUpdateInPlace: dynamic updates on a customized index refresh
-// weight slots in place — the overlay never grows, children always compose,
-// and queries stay exact across many rounds of churn.
+// TestCustomizedUpdateInPlace: dynamic updates on a customized index keep its
+// topology in place — the overlay never grows, children always compose, and
+// queries stay exact across many rounds of churn.
 func TestCustomizedUpdateInPlace(t *testing.T) {
 	g, w0 := graph.GenerateGrid(9, 9, 69)
 	f := customizeFederation(t, g, w0, 70)
@@ -366,11 +388,10 @@ func TestCustomizedUpdateInPlace(t *testing.T) {
 	}
 	rng := rand.New(rand.NewPCG(71, 71))
 	for round := 0; round < 6; round++ {
-		changed := jiggleWeights(f, rng, 0.12)
-		st, err := x.Update(changed)
-		if err != nil {
-			t.Fatal(err)
-		}
+		var changed []graph.Arc
+		f, changed = jiggleWeights(f, rng, 0.12)
+		var st UpdateStats
+		x, st = mustUpdate(t, x, f, changed)
 		if st.AddedShortcuts != 0 {
 			t.Fatalf("round %d: customized update added %d shortcuts", round, st.AddedShortcuts)
 		}
@@ -394,10 +415,7 @@ func TestCustomizedUpdateNoChangesIsFree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := x.Update(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, st := mustUpdate(t, x, f, nil)
 	if st.RecomputedShortcuts != 0 || st.ReverifiedVertices != 0 || st.SAC.Compares != 0 {
 		t.Fatalf("no-op customized update did work: %+v", st)
 	}
@@ -426,14 +444,14 @@ func TestCustomizedUpdateCleanConeIsFree(t *testing.T) {
 		ca, cb := x.children(int32(x.numBase) + slot/2)
 		return [2]int32{ca, cb}[slot%2]
 	}
-	scale := func(a int32, by int64) UpdateStats {
-		for p := 0; p < f.P(); p++ {
-			f.Silo(p).SetWeight(graph.Arc(a), by*f.Silo(p).Weight(graph.Arc(a)))
-		}
-		st, err := x.Update([]graph.Arc{graph.Arc(a)})
-		if err != nil {
-			t.Fatal(err)
-		}
+	scale := func(a int32, by int64) (st UpdateStats) {
+		changed := []graph.Arc{graph.Arc(a)}
+		f = nextVersion(f, changed, func(a graph.Arc, ws []int64) {
+			for p := range ws {
+				ws[p] = by * f.Silo(p).Weight(a)
+			}
+		})
+		x, st = mustUpdate(t, x, f, changed)
 		return st
 	}
 	tried := 0
@@ -483,7 +501,7 @@ func TestBundleRoundTripCustomized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	x2, err := ReadIndex(f, bytes.NewReader(buf.Bytes()), derived, f.SnapshotWeights())
+	x2, err := ReadIndex(f, bytes.NewReader(buf.Bytes()), derived)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,7 +517,7 @@ func TestBundleRoundTripCustomized(t *testing.T) {
 	if err := built.WriteIndex(&wb); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadIndex(f, &wb, derived, f.SnapshotWeights()); err == nil {
+	if _, err := ReadIndex(f, &wb, derived); err == nil {
 		t.Fatal("a witness-built index attached to a skeleton")
 	}
 	g2, _ := graph.GenerateGrid(7, 8, 80)
@@ -507,7 +525,7 @@ func TestBundleRoundTripCustomized(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ReadIndex(f, bytes.NewReader(buf.Bytes()), other, f.SnapshotWeights()); err == nil {
+	if _, err := ReadIndex(f, bytes.NewReader(buf.Bytes()), other); err == nil {
 		t.Fatal("a skeleton of another graph attached")
 	}
 
@@ -515,11 +533,10 @@ func TestBundleRoundTripCustomized(t *testing.T) {
 	parent := []parentCost{{478, 408, 112410}, {476, 400, 111978}, {445, 392, 104688}}
 	rng := rand.New(rand.NewPCG(82, 82))
 	for round := 0; round < 3; round++ {
-		changed := jiggleWeights(f, rng, 0.1)
-		st, err := x2.Update(changed)
-		if err != nil {
-			t.Fatal(err)
-		}
+		var changed []graph.Arc
+		f, changed = jiggleWeights(f, rng, 0.1)
+		var st UpdateStats
+		x2, st = mustUpdate(t, x2, f, changed)
 		if st.AddedShortcuts != 0 || x2.NumArcs() != arcsBefore {
 			t.Fatalf("round %d: reloaded customized index grew", round)
 		}

@@ -109,7 +109,7 @@ func FuzzLoadIndexPublic(f *testing.F) {
 		if wide {
 			fd = env.wide
 		}
-		x, err := ReadIndex(fd, bytes.NewReader(stream), nil, fd.SnapshotWeights())
+		x, err := ReadIndex(fd, bytes.NewReader(stream), nil)
 		if err != nil {
 			return // clean rejection is the expected outcome for corrupt input
 		}
@@ -161,7 +161,7 @@ func FuzzReadIndex(f *testing.F) {
 	f.Add(mut)
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		env := getFuzzEnv(t)
-		x, err := ReadIndex(env.f, bytes.NewReader(stream), env.sk, env.f.SnapshotWeights())
+		x, err := ReadIndex(env.f, bytes.NewReader(stream), env.sk)
 		if err != nil {
 			return // clean rejection is the expected outcome for corrupt input
 		}

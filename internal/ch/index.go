@@ -16,9 +16,9 @@
 //     every silo.
 //
 // The index also supports the dynamic partial update of Table II: after a
-// subset of edge weights change, affected shortcut weights are recomputed
-// and the contraction decisions of affected vertices re-verified, without a
-// full rebuild.
+// subset of edge weights change, the index for the next traffic version
+// recomputes the affected shortcut weights and re-verifies the contraction
+// decisions of affected vertices, without a full rebuild.
 package ch
 
 import (
@@ -33,8 +33,10 @@ import (
 const NoShortcut = graph.NoVertex
 
 // Index is the federated shortcut index over a federation's road network.
-// Overlay arcs 0..numBase-1 mirror the base graph's arcs; higher IDs are
-// shortcuts.
+// Overlay arcs 0..numBase-1 mirror the base graph's arcs, and their partials
+// are f's silo weights, which the index reads and never copies; higher IDs
+// are shortcuts. An index is immutable once derived: Update returns the index
+// of the next traffic version.
 type Index struct {
 	f    *fed.Federation
 	rank []int32 // contraction position per vertex (0 = contracted first)
@@ -42,15 +44,16 @@ type Index struct {
 	// Per overlay arc:
 	tail, head []graph.Vertex
 	via        []graph.Vertex // shortcut's contracted middle vertex, NoShortcut for base arcs
-	siloW      [][]int64      // [p][arc] private partial weights; base arcs only on a customized index
 
 	numBase int
 
 	// Witness-built indexes only: a shortcut's children (the overlay arcs
-	// forming its via path), and the query-time adjacency — upOut[v] holds
+	// forming its via path), its partials — scW[p][a-numBase] is silo p's
+	// partial of shortcut a — and the query-time adjacency: upOut[v] holds
 	// out-arcs to higher-ranked heads, downIn[v] in-arcs from higher-ranked
 	// tails, each arc in exactly one of the two lists.
 	childA, childB []int32
+	scW            [][]int64
 	upOut, downIn  [][]int32
 
 	hs          *hierarchyState
@@ -164,8 +167,8 @@ func (x *Index) children(a int32) (int32, int32) {
 
 // Partial returns the per-silo partial weight vector of an overlay arc.
 func (x *Index) Partial(a int32) fed.Partial {
-	out := make(fed.Partial, len(x.siloW))
-	for p := range x.siloW {
+	out := x.f.ZeroPartial()
+	for p := range out {
 		out[p] = x.partial(p, a)
 	}
 	return out
@@ -174,13 +177,16 @@ func (x *Index) Partial(a int32) fed.Partial {
 // SiloWeight returns silo p's private partial weight of an overlay arc.
 func (x *Index) SiloWeight(p int, a int32) int64 { return x.partial(p, a) }
 
-// partial is silo p's partial weight of overlay arc a: stored per arc, except
-// for a customized index's shortcuts, whose partial is the sum of their child
-// groups' winners'.
+// partial is silo p's partial weight of overlay arc a: a base arc's is the
+// silo's weight at the index's version, a witness shortcut's is stored, and a
+// customized shortcut's is the sum of its child groups' winners'.
 func (x *Index) partial(p int, a int32) int64 {
 	nb := int32(x.numBase)
-	if x.skel == nil || a < nb {
-		return x.siloW[p][a]
+	switch {
+	case a < nb:
+		return x.f.Silo(p).Weight(graph.Arc(a))
+	case x.skel == nil:
+		return x.scW[p][a-nb]
 	}
 	kids := x.skel.Plan().kids[2*(a-nb):]
 	return x.grpW[p][kids[0]] + x.grpW[p][kids[1]]
@@ -190,7 +196,7 @@ func (x *Index) partial(p int, a int32) int64 {
 // used by the test suite as ground truth.
 func (x *Index) JointWeight(a int32) int64 {
 	var s int64
-	for p := range x.siloW {
+	for p := 0; p < x.f.P(); p++ {
 		s += x.partial(p, a)
 	}
 	return s

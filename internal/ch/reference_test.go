@@ -91,7 +91,7 @@ func referenceCustomize(t *testing.T, f *fed.Federation, sk *Skeleton) (*Index, 
 
 // arcPartials is every overlay arc's partial per silo, however x stores them.
 func arcPartials(x *Index) [][]int64 {
-	out := make([][]int64, len(x.siloW))
+	out := make([][]int64, x.f.P())
 	for p := range out {
 		out[p] = make([]int64, x.NumArcs())
 		for a := range out[p] {
@@ -170,15 +170,16 @@ func TestSweepElectsTheBracketWinners(t *testing.T) {
 			for p := range sets {
 				sets[p] = make(graph.Weights, net.g.NumArcs())
 			}
-			redraw := func(a graph.Arc) [3]int64 {
+			redraw := func(_ graph.Arc, ws []int64) {
 				w := draw(rng)
-				for p := range sets {
-					sets[p][a] = w[p]
-				}
-				return w
+				copy(ws, w[:])
 			}
-			for a := 0; a < net.g.NumArcs(); a++ {
-				redraw(graph.Arc(a))
+			ws := make([]int64, 3)
+			for a := range net.g.NumArcs() {
+				redraw(graph.Arc(a), ws)
+				for p, w := range ws {
+					sets[p][a] = w
+				}
 			}
 			f, err := fed.New(net.g, net.w0, sets, mpc.Params{Mode: mpc.ModeIdeal, Seed: 45})
 			if err != nil {
@@ -197,21 +198,12 @@ func TestSweepElectsTheBracketWinners(t *testing.T) {
 			}
 			checkExactDistances(t, f, x, 25, 46, tag)
 
-			// The same through in-place updates: redraw a tenth of the arcs
-			// (ties stay ties) and the updated index must be the fresh one.
+			// The same through updates: redraw a tenth of the arcs (ties stay
+			// ties) and the updated index must be the fresh one.
 			for round := 0; round < 4; round++ {
-				var changed []graph.Arc
-				for _, ai := range rng.Perm(net.g.NumArcs())[:net.g.NumArcs()/10] {
-					a := graph.Arc(ai)
-					w := redraw(a)
-					for p := 0; p < f.P(); p++ {
-						f.Silo(p).SetWeight(a, w[p])
-					}
-					changed = append(changed, a)
-				}
-				if _, err := x.Update(changed); err != nil {
-					t.Fatal(err)
-				}
+				changed := pickArcs(f, rng, net.g.NumArcs()/10)
+				f = nextVersion(f, changed, redraw)
+				x, _ = mustUpdate(t, x, f, changed)
 				ref, _ := referenceCustomize(t, f, sk)
 				sameCustomization(t, tag+" updated", x, ref)
 			}
@@ -219,17 +211,17 @@ func TestSweepElectsTheBracketWinners(t *testing.T) {
 	}
 }
 
-// parentCost is UpdateStats.SAC.{Compares, Rounds, Bytes} of one in-place
-// update as the level-synchronous sweep ran it at c495f6e, recorded there for
-// the seeded sequences of the update tests before the update moved onto
+// parentCost is UpdateStats.SAC.{Compares, Rounds, Bytes} of one update as
+// the level-synchronous sweep ran it at c495f6e, recorded there for the
+// seeded sequences of the update tests before the update moved onto
 // Index.sweep.
 type parentCost [3]int64
 
-// checkUpdate holds one in-place update to what it replaced: the same
-// comparisons, no more rounds, bytes no more than 0.1 % above and below only
-// by frame rounding (an instance rounds 7 frames per ordered silo pair up to
-// whole bytes — under 42 B at 3 silos — and fewer instances round less), and
-// an index byte-identical to a fresh customization at the new weights.
+// checkUpdate holds one update to what it replaced: the same comparisons, no
+// more rounds, bytes no more than 0.1 % above and below only by frame
+// rounding (an instance rounds 7 frames per ordered silo pair up to whole
+// bytes — under 42 B at 3 silos — and fewer instances round less), and an
+// index byte-identical to a fresh customization at the new weights.
 func checkUpdate(t *testing.T, tag string, x *Index, st UpdateStats, parent parentCost) {
 	t.Helper()
 	drift := st.SAC.Bytes - parent[2]

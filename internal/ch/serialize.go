@@ -12,10 +12,10 @@ import (
 
 // An index stream holds the index's public decisions and no weight: every
 // private partial is one silo's sum of its own base weights along public
-// structure, so ReadIndex derives them from the silo weights the loader
-// already holds. The stream is identical at every silo. Two layouts, each
-// after a header of little-endian words (magic, layout version, vertices,
-// overlay arcs, base arcs):
+// structure, so ReadIndex derives them from the federation's silo weights.
+// The stream is identical at every silo. Two layouts, each after a header of
+// little-endian words (magic, layout version, vertices, overlay arcs, base
+// arcs):
 //
 //   - customized: one winner per pair group, after their count. Ranks, arcs
 //     and the pair groups come from the skeleton, a function of the topology
@@ -99,10 +99,9 @@ func (x *Index) WriteIndex(w io.Writer) error {
 // ReadIndex reassembles an index for a federation from a WriteIndex stream:
 // with a non-nil sk a customization of that skeleton, whose topology arrays
 // it shares as a fresh customization does; otherwise a witness-built index.
-// weights[p] is silo p's weight of every graph arc, already validated (as
-// RestoreState validates a snapshot's): a base arc's partial is its weight,
-// a shortcut's the sum of its children's.
-func ReadIndex(f *fed.Federation, r io.Reader, sk *Skeleton, weights []graph.Weights) (*Index, error) {
+// A base arc's partial is f's silo weight of it, a shortcut's the sum of its
+// children's.
+func ReadIndex(f *fed.Federation, r io.Reader, sk *Skeleton) (*Index, error) {
 	rd := &reader{r: bufio.NewReader(r)}
 	var hdr [5]uint32
 	for i := range hdr {
@@ -137,14 +136,6 @@ func ReadIndex(f *fed.Federation, r io.Reader, sk *Skeleton, weights []graph.Wei
 	if uint64(m) > uint64(numBase)+uint64(n)*uint64(n)*uint64(n) {
 		return nil, fmt.Errorf("ch: implausible overlay arc count %d for %d vertices", m, n)
 	}
-	if len(weights) != f.P() {
-		return nil, fmt.Errorf("ch: weights of %d silos for %d", len(weights), f.P())
-	}
-	for p, ws := range weights {
-		if len(ws) != numBase {
-			return nil, fmt.Errorf("ch: silo %d has %d weights for %d arcs", p, len(ws), numBase)
-		}
-	}
 	x := &Index{
 		f:           f,
 		numBase:     numBase,
@@ -160,7 +151,7 @@ func ReadIndex(f *fed.Federation, r io.Reader, sk *Skeleton, weights []graph.Wei
 	if err != nil {
 		return nil, err
 	}
-	if err := x.derivePartials(weights); err != nil {
+	if err := x.derivePartials(); err != nil {
 		return nil, err
 	}
 	if sk == nil {
@@ -331,28 +322,26 @@ func (x *Index) readWitness(rd *reader, n, m int) error {
 	return nil
 }
 
-// derivePartials sets every arc's per-silo partial from the silos' weights —
-// a base arc's is its weight, a shortcut's the sum of its children's — or, on
+// derivePartials sets every shortcut's per-silo partial from the silos'
+// weights — the sum of its children's, a base arc's being its weight — or, on
 // a customized index, every pair group's, its winner's.
 // Children need not precede their parent in arc order (see readWitness), so
 // the child DAG is walked with memoization; the via ranks bound the recursion
 // depth by n and rule out cycles. The same walk rejects shortcut trees that
 // unpack into longer walks than any simple path admits (a corrupt stream
 // could share children Fibonacci-style and make Unpack explode).
-func (x *Index) derivePartials(weights []graph.Weights) error {
-	n, m := len(x.rank), len(x.tail)
-	stored := m
+func (x *Index) derivePartials() error {
+	n, m, nb := len(x.rank), len(x.tail), int32(x.numBase)
 	if x.skel != nil {
-		stored = x.numBase
-		x.grpW = make([][]int64, len(weights))
+		x.grpW = make([][]int64, x.f.P())
 		for p := range x.grpW {
 			x.grpW[p] = make([]int64, len(x.win))
 		}
-	}
-	x.siloW = make([][]int64, len(weights))
-	for p, ws := range weights {
-		x.siloW[p] = make([]int64, stored)
-		copy(x.siloW[p], ws)
+	} else {
+		x.scW = make([][]int64, x.f.P())
+		for p := range x.scW {
+			x.scW[p] = make([]int64, m-x.numBase)
+		}
 	}
 	pathLen := make([]int64, m)
 	var walk func(a int32) int64
@@ -365,8 +354,8 @@ func (x *Index) derivePartials(weights []graph.Weights) error {
 			ca, cb := x.children(a)
 			l = min(walk(ca)+walk(cb), int64(n)+1) // clamped; rejected below
 			if x.skel == nil {
-				for _, ws := range x.siloW {
-					ws[a] = ws[ca] + ws[cb]
+				for p, ws := range x.scW {
+					ws[a-nb] = x.partial(p, ca) + x.partial(p, cb)
 				}
 			}
 		}

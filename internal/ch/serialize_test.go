@@ -17,7 +17,7 @@ import (
 // federation's current silo weights.
 func reload(t *testing.T, f *fed.Federation, x *Index) *Index {
 	t.Helper()
-	loaded, err := ReadIndex(f, bytes.NewReader(indexBytes(t, x)), nil, f.SnapshotWeights())
+	loaded, err := ReadIndex(f, bytes.NewReader(indexBytes(t, x)), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,17 +68,13 @@ func TestReloadedIndexSupportsUpdates(t *testing.T) {
 	// Dynamic update on the reloaded index: change weights, update, verify.
 	g := f.Graph()
 	rng := rand.New(rand.NewPCG(3, 3))
-	var changed []graph.Arc
-	for _, ai := range rng.Perm(g.NumArcs())[:g.NumArcs()/10] {
-		a := graph.Arc(ai)
-		changed = append(changed, a)
-		for p := 0; p < f.P(); p++ {
-			f.Silo(p).SetWeight(a, f.StaticWeights()[a]+int64(rng.IntN(20000))+1)
+	changed := pickArcs(f, rng, g.NumArcs()/10)
+	f = nextVersion(f, changed, func(a graph.Arc, ws []int64) {
+		for p := range ws {
+			ws[p] = f.StaticWeights()[a] + int64(rng.IntN(20000)) + 1
 		}
-	}
-	if _, err := loaded.Update(changed); err != nil {
-		t.Fatal(err)
-	}
+	})
+	loaded, _ = mustUpdate(t, loaded, f, changed)
 	joint := f.JointWeights()
 	for trial := 0; trial < 25; trial++ {
 		s := graph.Vertex(rng.IntN(g.NumVertices()))
@@ -90,38 +86,30 @@ func TestReloadedIndexSupportsUpdates(t *testing.T) {
 	}
 }
 
-// TestLoadIndexRejectsCorruptInput: a truncated or mis-tagged stream, and
-// silo weights that do not cover the graph, are refused.
+// TestLoadIndexRejectsCorruptInput: a truncated or mis-tagged stream is
+// refused.
 func TestLoadIndexRejectsCorruptInput(t *testing.T) {
 	f, x := buildTestIndex(t, 6, 6, 71)
-	good, weights := indexBytes(t, x), f.SnapshotWeights()
-	load := func(stream []byte, ws []graph.Weights) error {
-		_, err := ReadIndex(f, bytes.NewReader(stream), nil, ws)
+	good := indexBytes(t, x)
+	load := func(stream []byte) error {
+		_, err := ReadIndex(f, bytes.NewReader(stream), nil)
 		return err
 	}
-	if err := load(good, weights); err != nil {
+	if err := load(good); err != nil {
 		t.Fatalf("good input rejected: %v", err)
 	}
-	if err := load(good[:8], weights); err == nil {
+	if err := load(good[:8]); err == nil {
 		t.Fatal("truncated stream accepted")
 	}
 	bad := append([]byte{}, good...)
 	bad[0] ^= 0xff // corrupt magic
-	if err := load(bad, weights); err == nil {
+	if err := load(bad); err == nil {
 		t.Fatal("corrupt magic accepted")
 	}
 	bad = append([]byte{}, good...)
 	binary.LittleEndian.PutUint32(bad[4:], custVersion)
-	if err := load(bad, weights); err == nil {
+	if err := load(bad); err == nil {
 		t.Fatal("a customized layout read as witness-built")
-	}
-	if err := load(good, weights[:2]); err == nil {
-		t.Fatal("weights of a missing silo accepted")
-	}
-	short := append([]graph.Weights{}, weights...)
-	short[2] = short[2][:len(short[2])-1]
-	if err := load(good, short); err == nil {
-		t.Fatal("a silo's weights one arc short accepted")
 	}
 }
 
@@ -155,9 +143,9 @@ func TestIndexBundleRoundTrip(t *testing.T) {
 
 func TestReadIndexRejectsCorruptBundle(t *testing.T) {
 	f, x := buildTestIndex(t, 6, 6, 83)
-	good, weights := indexBytes(t, x), f.SnapshotWeights()
+	good := indexBytes(t, x)
 	read := func(stream []byte) error {
-		_, err := ReadIndex(f, bytes.NewReader(stream), nil, weights)
+		_, err := ReadIndex(f, bytes.NewReader(stream), nil)
 		return err
 	}
 	if err := read(good); err != nil {
@@ -206,7 +194,6 @@ func TestLoadIndexAllocatesByStreamNotHeader(t *testing.T) {
 	env := getFuzzEnv(t)
 	f, g := env.wide, env.wide.Graph()
 	n, m := g.NumVertices(), g.NumArcs()
-	weights := f.SnapshotWeights()
 	skipLie := witnessHeader(f, uint32(m))
 	for v := 0; v < n; v++ {
 		skipLie = binary.LittleEndian.AppendUint32(skipLie, uint32(v))
@@ -222,7 +209,7 @@ func TestLoadIndexAllocatesByStreamNotHeader(t *testing.T) {
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		_, err := ReadIndex(f, bytes.NewReader(tc.stream), nil, weights)
+		_, err := ReadIndex(f, bytes.NewReader(tc.stream), nil)
 		runtime.ReadMemStats(&after)
 		if err == nil {
 			t.Fatalf("%s: a truncated stream loaded", tc.name)
@@ -250,8 +237,8 @@ func TestReadIndexRejectsBadWinnerTable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	good, weights := indexBytes(t, x), f.SnapshotWeights()
-	if _, err := ReadIndex(f, bytes.NewReader(good), sk, weights); err != nil {
+	good := indexBytes(t, x)
+	if _, err := ReadIndex(f, bytes.NewReader(good), sk); err != nil {
 		t.Fatalf("good stream rejected: %v", err)
 	}
 	const at = 20 // the winner count follows the header
@@ -271,7 +258,7 @@ func TestReadIndexRejectsBadWinnerTable(t *testing.T) {
 		"one group too many":        with(at, nGrp+1),
 		"table cut short":           good[:at+4+4*int(nGrp)-2],
 	} {
-		if _, err := ReadIndex(f, bytes.NewReader(stream), sk, weights); err == nil {
+		if _, err := ReadIndex(f, bytes.NewReader(stream), sk); err == nil {
 			t.Fatalf("%s: accepted", name)
 		}
 	}
@@ -326,12 +313,12 @@ func TestShortcutPartialsAreSumsOfChildren(t *testing.T) {
 			checkPartialsAreSums(t, tag+" derived", x)
 			rng := rand.New(rand.NewPCG(seed, 7))
 			for step, frac := range []float64{0.02, 0.3, 0.3, 0.12, 0.3, 0.05, 0.3, 0.3} {
-				if _, err := x.Update(jiggleWeights(f, rng, frac)); err != nil {
-					t.Fatal(err)
-				}
+				var changed []graph.Arc
+				f, changed = jiggleWeights(f, rng, frac)
+				x, _ = mustUpdate(t, x, f, changed)
 				checkPartialsAreSums(t, fmt.Sprintf("%s update %d", tag, step), x)
 			}
-			loaded, err := ReadIndex(f, bytes.NewReader(indexBytes(t, x)), sk, f.SnapshotWeights())
+			loaded, err := ReadIndex(f, bytes.NewReader(indexBytes(t, x)), sk)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -345,7 +332,7 @@ func TestShortcutPartialsAreSumsOfChildren(t *testing.T) {
 	}
 }
 
-// TestUpdateIgnoresArcOrder: an in-place update opens the same pairs, in the
+// TestUpdateIgnoresArcOrder: an update opens the same pairs, in the
 // same instances, whatever order the changed arcs are listed in — on both
 // index kinds. What the silos see is recorded at the WithDecide seam.
 func TestUpdateIgnoresArcOrder(t *testing.T) {
@@ -374,19 +361,15 @@ func TestUpdateIgnoresArcOrder(t *testing.T) {
 				t.Fatal(err)
 			}
 			rng := rand.New(rand.NewPCG(5, 5))
-			var changed []graph.Arc
-			for _, ai := range rng.Perm(g.NumArcs())[:40] {
-				a := graph.Arc(ai)
-				changed = append(changed, a)
-				for p := 0; p < f.P(); p++ {
-					f.Silo(p).SetWeight(a, w0[a]+rng.Int64N(60000)+1)
+			changed := pickArcs(f, rng, 40)
+			next := nextVersion(v, changed, func(a graph.Arc, ws []int64) {
+				for p := range ws {
+					ws[p] = w0[a] + rng.Int64N(60000) + 1
 				}
-			}
+			})
 			order(changed)
 			opened = nil
-			if _, err := x.Update(changed); err != nil {
-				t.Fatal(err)
-			}
+			mustUpdate(t, x, next, changed)
 			return opened
 		}
 		want := transcript(func([]graph.Arc) {})

@@ -21,10 +21,14 @@ type UpdateStats struct {
 	WallTime            time.Duration
 }
 
-// Update refreshes the index after the silos changed their private weights
-// of the given base arcs (§IV, Federated Index Updating). Three steps:
+// Update returns the index of f, the next traffic version of x's
+// federation, whose silos changed their private weights of the given base
+// arcs (§IV, Federated Index Updating); x is left as it was. An arc has moved
+// when any silo's weight of it differs between x's federation and f (per
+// silo: equal joint costs can hide a redistribution that shortcuts must still
+// inherit). On a witness-built index, three steps:
 //
-//  1. refresh the partial weights of the changed base arcs from the silos;
+//  1. take the moved arcs' partials from f's silos;
 //  2. propagate weight recomputation bottom-up through the shortcuts whose
 //     via paths depend on an affected arc (pure local computation: each
 //     silo recomputes its own partial sums);
@@ -44,43 +48,57 @@ type UpdateStats struct {
 // invalidate so many witness decisions that re-verification exceeds a
 // rebuild; callers can compare UpdateStats.SAC against BuildStatistics().SAC
 // and rebuild when updates trend that way.
-func (x *Index) Update(changed []graph.Arc) (UpdateStats, error) {
+func (x *Index) Update(f *fed.Federation, changed []graph.Arc) (*Index, UpdateStats, error) {
 	// Every update runs on an engine fork of its own, as a derivation does: a
 	// transport fault poisons the fork, never the engine the next update and
 	// the next derivation fork from.
-	wf := x.f.Fork()
+	wf := f.Fork()
 	defer wf.Engine().Close()
 	start := time.Now()
+	// The moved arcs are sorted: the pairs an update opens may not depend on
+	// the caller's order.
+	var moved []int32
+	for _, a := range changed {
+		for p := 0; p < f.P(); p++ {
+			if f.Silo(p).Weight(a) != x.f.Silo(p).Weight(a) {
+				moved = append(moved, int32(a))
+				break
+			}
+		}
+	}
+	slices.Sort(moved)
+	moved = slices.Compact(moved)
+	y := x.fork(f)
 	var stats UpdateStats
 	var err error
-	// A customized index has an immutable topology: updates refresh the
-	// skeleton's weight slots in place instead of growing the overlay.
-	if x.skel != nil {
-		stats, err = x.updateCustomized(wf.NewSAC(), changed)
+	if y.skel != nil {
+		stats, err = y.updateCustomized(wf.NewSAC(), moved)
 	} else {
-		stats, err = x.updateWitness(wf.NewSAC(), changed)
+		stats, err = y.updateWitness(wf.NewSAC(), moved)
 	}
 	stats.ChangedArcs = len(changed)
 	stats.SAC = wf.Engine().Stats()
 	stats.WallTime = time.Since(start)
-	return stats, err
+	if err != nil {
+		return nil, stats, err
+	}
+	return y, stats, nil
 }
 
-// Fork returns a copy of x over f, a later version of x's federation, for
-// Update to refresh while x keeps answering at its own weights. What Update
-// writes in place is copied: the partial columns, and a customized index's
-// winner table and group partials (its topology is the skeleton's) or a
-// witness index's children and skip records. What Update only appends to is
-// shared with its capacity clipped, so an append reallocates instead of
-// writing into x.
-func (x *Index) Fork(f *fed.Federation) *Index {
+// fork returns a copy of x over f for Update to bring up to f's weights while
+// x keeps answering at its own. What Update writes in place is copied: a
+// customized index's winner table and group partials (its topology is the
+// skeleton's), or a witness index's shortcut partials, children and skip
+// records. What Update only appends to is shared with its capacity clipped,
+// so an append reallocates instead of writing into x.
+func (x *Index) fork(f *fed.Federation) *Index {
 	y := *x
 	y.f = f
-	y.siloW = cloneEach(x.siloW)
 	if x.skel != nil {
 		y.win, y.grpW = slices.Clone(x.win), cloneEach(x.grpW)
 		return &y
 	}
+	y.scW = cloneEach(x.scW)
 	y.tail, y.head, y.via = slices.Clip(x.tail), slices.Clip(x.head), slices.Clip(x.via)
 	y.childA, y.childB = slices.Clone(x.childA), slices.Clone(x.childB)
 	y.upOut, y.downIn = clipEach(x.upOut), clipEach(x.downIn)
@@ -117,10 +135,10 @@ func clipEach(lists [][]int32) [][]int32 {
 	return out
 }
 
-// updateWitness is Update on a witness-built index.
-func (x *Index) updateWitness(sac *fed.SAC, changed []graph.Arc) (UpdateStats, error) {
+// updateWitness is Update on a witness-built index, given its moved arcs.
+func (x *Index) updateWitness(sac *fed.SAC, dirty []int32) (UpdateStats, error) {
 	var stats UpdateStats
-	p := x.f.P()
+	p, nb := x.f.P(), int32(x.numBase)
 
 	witOwners := x.witnessOwnerIndex()
 	queue := &vertexRankHeap{x: x}
@@ -162,9 +180,9 @@ func (x *Index) updateWitness(sac *fed.SAC, changed []graph.Arc) (UpdateStats, e
 			seed(cur)
 			for _, parent := range x.hs.parents[cur] {
 				moved := false
-				for s := 0; s < p; s++ {
-					if nw := x.siloW[s][x.childA[parent]] + x.siloW[s][x.childB[parent]]; x.siloW[s][parent] != nw {
-						x.siloW[s][parent], moved = nw, true
+				for s, ws := range x.scW {
+					if nw := x.partial(s, x.childA[parent]) + x.partial(s, x.childB[parent]); ws[parent-nb] != nw {
+						ws[parent-nb], moved = nw, true
 					}
 				}
 				if moved {
@@ -174,17 +192,9 @@ func (x *Index) updateWitness(sac *fed.SAC, changed []graph.Arc) (UpdateStats, e
 		}
 	}
 
-	// Steps 1 and 2 — refresh base arc partials, and propagate.
-	for _, a := range changed {
-		ai, moved := int32(a), false
-		for s := 0; s < p; s++ {
-			if nw := x.f.Silo(s).Weight(a); x.siloW[s][ai] != nw {
-				x.siloW[s][ai], moved = nw, true
-			}
-		}
-		if moved {
-			propagate(ai)
-		}
+	// Steps 1 and 2 — the moved arcs' partials are x.f's; propagate them.
+	for _, a := range dirty {
+		propagate(a)
 	}
 
 	// Step 3 — re-verification, cascading upward in rank order.
@@ -203,7 +213,7 @@ func (x *Index) updateWitness(sac *fed.SAC, changed []graph.Arc) (UpdateStats, e
 		for _, a := range x.hs.viaIndex[v] {
 			ws := make([]int64, p)
 			for s := 0; s < p; s++ {
-				ws[s] = x.siloW[s][a]
+				ws[s] = x.partial(s, a)
 			}
 			beforeW[a] = ws
 		}
@@ -217,7 +227,7 @@ func (x *Index) updateWitness(sac *fed.SAC, changed []graph.Arc) (UpdateStats, e
 			old, ok := beforeW[a]
 			moved := !ok
 			for s := 0; !moved && s < p; s++ {
-				moved = old[s] != x.siloW[s][a]
+				moved = old[s] != x.partial(s, a)
 			}
 			if moved {
 				propagate(a)

@@ -26,17 +26,13 @@ func TestUpdateOnlyIncreases(t *testing.T) {
 	f, x := buildTestIndex(t, 8, 8, 81)
 	g := f.Graph()
 	rng := rand.New(rand.NewPCG(21, 21))
-	var changed []graph.Arc
-	for _, ai := range rng.Perm(g.NumArcs())[:g.NumArcs()/8] {
-		a := graph.Arc(ai)
-		changed = append(changed, a)
-		for p := 0; p < f.P(); p++ {
-			f.Silo(p).SetWeight(a, f.Silo(p).Weight(a)*3)
+	changed := pickArcs(f, rng, g.NumArcs()/8)
+	f = nextVersion(f, changed, func(a graph.Arc, ws []int64) {
+		for p := range ws {
+			ws[p] = f.Silo(p).Weight(a) * 3
 		}
-	}
-	if _, err := x.Update(changed); err != nil {
-		t.Fatal(err)
-	}
+	})
+	x, _ = mustUpdate(t, x, f, changed)
 	joint := f.JointWeights()
 	for trial := 0; trial < 40; trial++ {
 		s := graph.Vertex(rng.IntN(g.NumVertices()))
@@ -56,21 +52,13 @@ func TestUpdateOnlyDecreases(t *testing.T) {
 	f, x := buildTestIndex(t, 8, 8, 83)
 	g := f.Graph()
 	rng := rand.New(rand.NewPCG(23, 23))
-	var changed []graph.Arc
-	for _, ai := range rng.Perm(g.NumArcs())[:g.NumArcs()/8] {
-		a := graph.Arc(ai)
-		changed = append(changed, a)
-		for p := 0; p < f.P(); p++ {
-			nw := f.Silo(p).Weight(a) / 3
-			if nw < 1 {
-				nw = 1
-			}
-			f.Silo(p).SetWeight(a, nw)
+	changed := pickArcs(f, rng, g.NumArcs()/8)
+	f = nextVersion(f, changed, func(a graph.Arc, ws []int64) {
+		for p := range ws {
+			ws[p] = max(f.Silo(p).Weight(a)/3, 1)
 		}
-	}
-	if _, err := x.Update(changed); err != nil {
-		t.Fatal(err)
-	}
+	})
+	x, _ = mustUpdate(t, x, f, changed)
 	joint := f.JointWeights()
 	for trial := 0; trial < 40; trial++ {
 		s := graph.Vertex(rng.IntN(g.NumVertices()))
@@ -97,12 +85,13 @@ func TestUpdateExtremeSingleArc(t *testing.T) {
 		if round%2 == 1 {
 			factor = 1
 		}
-		for p := 0; p < f.P(); p++ {
-			f.Silo(p).SetWeight(a, f.StaticWeights()[a]*factor)
-		}
-		if _, err := x.Update([]graph.Arc{a}); err != nil {
-			t.Fatal(err)
-		}
+		changed := []graph.Arc{a}
+		f = nextVersion(f, changed, func(a graph.Arc, ws []int64) {
+			for p := range ws {
+				ws[p] = f.StaticWeights()[a] * factor
+			}
+		})
+		x, _ = mustUpdate(t, x, f, changed)
 		joint := f.JointWeights()
 		for trial := 0; trial < 15; trial++ {
 			s := graph.Vertex(rng.IntN(g.NumVertices()))
@@ -124,17 +113,13 @@ func TestUpdateConvergesAcrossManyRounds(t *testing.T) {
 	rng := rand.New(rand.NewPCG(27, 27))
 	prevArcs := x.NumArcs()
 	for round := 0; round < 10; round++ {
-		var changed []graph.Arc
-		for _, ai := range rng.Perm(g.NumArcs())[:g.NumArcs()/20] {
-			a := graph.Arc(ai)
-			changed = append(changed, a)
-			for p := 0; p < f.P(); p++ {
-				f.Silo(p).SetWeight(a, f.StaticWeights()[a]+rng.Int64N(40000)+1)
+		changed := pickArcs(f, rng, g.NumArcs()/20)
+		f = nextVersion(f, changed, func(a graph.Arc, ws []int64) {
+			for p := range ws {
+				ws[p] = f.StaticWeights()[a] + rng.Int64N(40000) + 1
 			}
-		}
-		if _, err := x.Update(changed); err != nil {
-			t.Fatal(err)
-		}
+		})
+		x, _ = mustUpdate(t, x, f, changed)
 		if x.NumArcs() < prevArcs {
 			t.Fatal("overlay shrank")
 		}
@@ -155,8 +140,8 @@ func TestUpdateConvergesAcrossManyRounds(t *testing.T) {
 // TestCustomizedUpdateNeverGrows is the regression test for the customized
 // dynamic-update path: a witness-built index may legitimately grow higher-ID
 // arcs when traffic flips witness decisions, but a CUSTOMIZED index has an
-// immutable topology — Update must refresh the skeleton's weight slots in
-// place and never append an arc, across many rounds of heavy re-congestion,
+// immutable topology — Update must re-elect the skeleton's winners and never
+// append an arc, across many rounds of heavy re-congestion,
 // while staying exactly Dijkstra-correct.
 func TestCustomizedUpdateNeverGrows(t *testing.T) {
 	g, w0 := graph.GenerateRoadLike(260, 93)
@@ -177,18 +162,14 @@ func TestCustomizedUpdateNeverGrows(t *testing.T) {
 	}
 	rng := rand.New(rand.NewPCG(31, 31))
 	for round := 0; round < 15; round++ {
-		var changed []graph.Arc
-		for _, ai := range rng.Perm(g.NumArcs())[:g.NumArcs()/12] {
-			a := graph.Arc(ai)
-			changed = append(changed, a)
-			for p := 0; p < f.P(); p++ {
-				f.Silo(p).SetWeight(a, w0[a]+rng.Int64N(60000)+1)
+		changed := pickArcs(f, rng, g.NumArcs()/12)
+		f = nextVersion(f, changed, func(a graph.Arc, ws []int64) {
+			for p := range ws {
+				ws[p] = w0[a] + rng.Int64N(60000) + 1
 			}
-		}
-		st, err := x.Update(changed)
-		if err != nil {
-			t.Fatal(err)
-		}
+		})
+		var st UpdateStats
+		x, st = mustUpdate(t, x, f, changed)
 		if st.AddedShortcuts != 0 {
 			t.Fatalf("round %d: customized update added %d shortcuts", round, st.AddedShortcuts)
 		}
@@ -216,17 +197,13 @@ func TestUpdateOnRoadLikeTopology(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewPCG(29, 29))
-	var changed []graph.Arc
-	for _, ai := range rng.Perm(g.NumArcs())[:g.NumArcs()/10] {
-		a := graph.Arc(ai)
-		changed = append(changed, a)
-		for p := 0; p < f.P(); p++ {
-			f.Silo(p).SetWeight(a, w0[a]*2+rng.Int64N(10000))
+	changed := pickArcs(f, rng, g.NumArcs()/10)
+	f = nextVersion(f, changed, func(a graph.Arc, ws []int64) {
+		for p := range ws {
+			ws[p] = w0[a]*2 + rng.Int64N(10000)
 		}
-	}
-	if _, err := x.Update(changed); err != nil {
-		t.Fatal(err)
-	}
+	})
+	x, _ = mustUpdate(t, x, f, changed)
 	joint := f.JointWeights()
 	for trial := 0; trial < 40; trial++ {
 		s := graph.Vertex(rng.IntN(g.NumVertices()))

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand/v2"
+	"slices"
 	"sort"
 	"testing"
 
@@ -315,18 +316,24 @@ func TestSPSPAfterDynamicUpdate(t *testing.T) {
 	fx := newFixture(t, "grid", 73, mpc.ModeIdeal)
 	g := fx.f.Graph()
 	rng := rand.New(rand.NewPCG(5, 5))
+	sets := make([]graph.Weights, fx.f.P())
+	for p := range sets {
+		sets[p] = slices.Clone(fx.f.Silo(p).Weights())
+	}
 	var changed []graph.Arc
 	for _, ai := range rng.Perm(g.NumArcs())[:g.NumArcs()/20] {
 		a := graph.Arc(ai)
 		changed = append(changed, a)
-		for p := 0; p < fx.f.P(); p++ {
-			fx.f.Silo(p).SetWeight(a, fx.f.StaticWeights()[a]*2+int64(rng.IntN(5000)))
+		for p := range sets {
+			sets[p][a] = fx.f.StaticWeights()[a]*2 + int64(rng.IntN(5000))
 		}
 	}
-	if _, err := fx.idx.Update(changed); err != nil {
+	next := fx.f.WithWeights(sets)
+	idx, _, err := fx.idx.Update(next, changed)
+	if err != nil {
 		t.Fatal(err)
 	}
-	fx.joint = fx.f.JointWeights()
+	fx.f, fx.idx, fx.joint = next, idx, next.JointWeights()
 	e := fx.engine(t, Options{Queue: pq.KindTMTree, Estimator: lb.FedAMPS, Index: fx.idx})
 	n := g.NumVertices()
 	for trial := 0; trial < 40; trial++ {

@@ -2,6 +2,7 @@ package expr
 
 import (
 	"math/rand/v2"
+	"slices"
 	"strconv"
 	"time"
 
@@ -94,21 +95,22 @@ func (h *Harness) RunTab2() ([]Tab2Row, error) {
 			if num < 1 {
 				num = 1
 			}
+			// The next traffic version re-samples the congestion of these
+			// arcs at every silo.
+			sets := make([]graph.Weights, env.Fed.P())
+			for p := range sets {
+				sets[p] = slices.Clone(env.Fed.Silo(p).Weights())
+			}
 			changed := make([]graph.Arc, 0, num)
 			for _, ai := range rng.Perm(env.G.NumArcs())[:num] {
 				a := graph.Arc(ai)
 				changed = append(changed, a)
-				// Re-sample the congestion of these arcs at every silo.
-				for p := 0; p < env.Fed.P(); p++ {
+				for p := range sets {
 					theta := rng.Float64() * h.cfg.Level.ThetaMax
-					nw := int64(float64(env.W0[a]) * (1 + theta))
-					if nw < 1 {
-						nw = 1
-					}
-					env.Fed.Silo(p).SetWeight(a, nw)
+					sets[p][a] = max(int64(float64(env.W0[a])*(1+theta)), 1)
 				}
 			}
-			stats, err := env.Index.Update(changed)
+			_, stats, err := env.Index.Update(env.Fed.WithWeights(sets), changed)
 			if err != nil {
 				return nil, err
 			}

@@ -38,33 +38,21 @@ func (s *Silo) ID() int { return s.id }
 // at the silo; results must only leave the silo through Fed-SAC.
 func (s *Silo) Weight(a graph.Arc) int64 { return s.w[a] }
 
-// SetWeight updates the silo's private weight of arc a in place, reflecting a
-// real-time traffic change. The federation must afterwards run the federated
-// index update (ch.Index.Update) so pre-computed structures stay consistent.
-// It is for single-threaded callers; a federation that serves queries while
-// traffic moves publishes a WithWeights view per change instead.
-func (s *Silo) SetWeight(a graph.Arc, w int64) {
-	if w <= 0 || w >= graph.MaxWeight {
-		panic(fmt.Sprintf("fed: silo %d: invalid weight %d for arc %d", s.id, w, a))
-	}
-	s.w[a] = w
-}
-
 // Weights exposes the silo's full private weight set for silo-local
 // computation (e.g. Fed-AMPS local searches). Callers must not mix weight
-// sets across silos outside the MPC engine.
+// sets across silos outside the MPC engine, and must not write it.
 func (s *Silo) Weights() graph.Weights { return s.w }
 
 // Federation binds the shared topology, the public static weights, the P
 // silos and the MPC engine executing Fed-SAC.
 //
 // A Federation is not safe for unsynchronized concurrent use (its MPC engine
-// is single-goroutine and SetWeight writes in place); Fork produces views that
-// share all federation data but own an independent engine, so queries on
-// different forks run concurrently. A federation whose weights change while
-// it serves never writes them in place: each change is a WithWeights view
-// over fresh weight sets, and a long-lived fork answers at a view it loaded
-// through At (the fedroad package publishes one view per traffic version).
+// is single-goroutine); Fork produces views that share all federation data but
+// own an independent engine, so queries on different forks run concurrently.
+// Nothing writes a weight set after New or WithWeights has taken it: a traffic
+// change is a WithWeights view over fresh weight sets, and a long-lived fork
+// answers at a view it loaded through At (the fedroad package publishes one
+// view per traffic version).
 type Federation struct {
 	g     *graph.Graph
 	w0    graph.Weights
@@ -75,27 +63,28 @@ type Federation struct {
 	wrap func(Decide) Decide
 }
 
-// New assembles a federation. siloWeights[p] is silo p's private weight set;
-// every set must cover all arcs with positive weights.
-func New(g *graph.Graph, w0 graph.Weights, siloWeights []graph.Weights, params mpc.Params) (*Federation, error) {
-	if len(siloWeights) < 2 {
-		return nil, fmt.Errorf("fed: need at least 2 silos, got %d", len(siloWeights))
+// New assembles a federation. sets[p] is silo p's private weight set;
+// every set must cover all arcs with positive weights. The federation keeps
+// the sets: nothing may write them afterwards.
+func New(g *graph.Graph, w0 graph.Weights, sets []graph.Weights, params mpc.Params) (*Federation, error) {
+	if len(sets) < 2 {
+		return nil, fmt.Errorf("fed: need at least 2 silos, got %d", len(sets))
 	}
 	if err := graph.ValidateWeights(g, w0); err != nil {
 		return nil, fmt.Errorf("fed: static weights: %w", err)
 	}
-	for p, w := range siloWeights {
+	for p, w := range sets {
 		if err := graph.ValidateWeights(g, w); err != nil {
 			return nil, fmt.Errorf("fed: silo %d weights: %w", p, err)
 		}
 	}
-	params.Parties = len(siloWeights)
+	params.Parties = len(sets)
 	eng, err := mpc.NewEngine(params)
 	if err != nil {
 		return nil, err
 	}
 	f := &Federation{g: g, w0: w0, eng: eng}
-	for p, w := range siloWeights {
+	for p, w := range sets {
 		f.silos = append(f.silos, &Silo{id: p, w: w})
 	}
 	return f, nil
@@ -179,17 +168,6 @@ func (f *Federation) ArcPartial(a graph.Arc) Partial {
 		v[p] = s.w[a]
 	}
 	return v
-}
-
-// SnapshotWeights deep-copies every silo's private weight set, for callers
-// that must keep a view's weights while SetWeight moves them (landmark
-// precomputation, serialization tests).
-func (f *Federation) SnapshotWeights() []graph.Weights {
-	sets := make([]graph.Weights, len(f.silos))
-	for p, s := range f.silos {
-		sets[p] = append(graph.Weights(nil), s.w...)
-	}
-	return sets
 }
 
 // JointWeights materializes the WJRN weight set (scaled by P). This is an

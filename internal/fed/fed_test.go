@@ -2,6 +2,7 @@ package fed
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -112,7 +113,10 @@ func TestWithDecideSeesEveryInstance(t *testing.T) {
 // view's weights.
 func TestWithWeightsIsANewVersion(t *testing.T) {
 	f := testFederation(t, 3, mpc.ModeIdeal)
-	sets := f.SnapshotWeights()
+	sets := make([]graph.Weights, f.P())
+	for p := range sets {
+		sets[p] = slices.Clone(f.Silo(p).Weights())
+	}
 	sets[1][4] = f.Silo(1).Weight(4) + 1000
 	next := f.WithWeights(sets)
 	if next.SameWeights(f) || next.Engine() != f.Engine() {

@@ -125,16 +125,16 @@ func PrecomputeLandmarks(f *fed.Federation, landmarks []graph.Vertex, workers in
 }
 
 // Precompute builds the landmark matrices from an explicit weight snapshot
-// (siloWeights[p] is silo p's weight set), independent of any live
+// (sets[p] is silo p's weight set), independent of any live
 // federation state. Landmarks are independent of each other — per-silo local
 // Dijkstras plus a tree walk — so with workers > 1 they are computed in
 // parallel (workers ≤ 0 means one worker per landmark). The result is
 // identical for every worker count.
-func Precompute(g *graph.Graph, w0 graph.Weights, siloWeights []graph.Weights, landmarks []graph.Vertex, workers int) *Landmarks {
+func Precompute(g *graph.Graph, w0 graph.Weights, sets []graph.Weights, landmarks []graph.Vertex, workers int) *Landmarks {
 	n := g.NumVertices()
-	p := len(siloWeights)
+	p := len(sets)
 	lm := &Landmarks{L: landmarks}
-	joint := graph.JointWeights(siloWeights) // ideal functionality of the collaborative SSSP
+	joint := graph.JointWeights(sets) // ideal functionality of the collaborative SSSP
 	lm.Phi0 = make([][]int64, len(landmarks))
 	lm.Phi = make([][][]int64, p)
 	for s := 0; s < p; s++ {
@@ -166,7 +166,7 @@ func Precompute(g *graph.Graph, w0 graph.Weights, siloWeights []graph.Weights, l
 			}
 			succ, arc := res.Parent[v], res.PArc[v]
 			for s := 0; s < p; s++ {
-				parts[s][v] = parts[s][succ] + siloWeights[s][arc]
+				parts[s][v] = parts[s][succ] + sets[s][arc]
 			}
 		}
 		for s := 0; s < p; s++ {

@@ -1,6 +1,6 @@
 // Package serve is the serving path, written once: every query a front door
-// answers — fedserver's /route and /knn, the soak — goes through one Pipeline
-// and therefore through one order of steps:
+// answers — fedserver's /route and /knn, the race driver's pipeline rows —
+// goes through one Pipeline and therefore through one order of steps:
 //
 //	cache lookup → singleflight leader → admission gate → concurrency bound
 //	→ a query session opened for this request → the query at the traffic

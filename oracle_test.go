@@ -79,15 +79,19 @@ var facadeConfigs = []QueryOptions{{}, {BatchedMPC: true}}
 
 // lattice binds the configuration lattice to one federation at its current
 // weights: engines run on forks of its MPC engine, over its index, with
-// landmark matrices computed from a snapshot of those weights.
+// landmark matrices computed from those weights.
 type lattice struct {
 	f  *Federation
 	lm *lb.Landmarks
 }
 
 func newLattice(f *Federation, seed uint64) lattice {
-	g, w0 := f.Graph(), f.inner.StaticWeights()
-	return lattice{f: f, lm: lb.Precompute(g, w0, f.cur.Load().fed.SnapshotWeights(), lb.SelectLandmarks(g, w0, 8, seed), 0)}
+	g, w0, v := f.Graph(), f.inner.StaticWeights(), f.cur.Load().fed
+	sets := make([]Weights, v.P())
+	for p := range sets {
+		sets[p] = v.Silo(p).Weights()
+	}
+	return lattice{f: f, lm: lb.Precompute(g, w0, sets, lb.SelectLandmarks(g, w0, 8, seed), 0)}
 }
 
 // engine builds cfg's engine on a fresh fork, which done releases.

@@ -233,10 +233,10 @@ func (f *Federation) RestoreState(r io.Reader) (restoredIndex bool, err error) {
 	switch kind {
 	case indexNone:
 	case indexWitness:
-		next.index, err = ch.ReadIndex(next.fed, br, nil, weights)
+		next.index, err = ch.ReadIndex(next.fed, br, nil)
 	case indexCustomized:
 		if err = withSkeleton(next); err == nil {
-			next.index, err = ch.ReadIndex(next.fed, br, next.skel, weights)
+			next.index, err = ch.ReadIndex(next.fed, br, next.skel)
 		}
 	default:
 		return false, fmt.Errorf("fedroad: state index kind %d invalid", kind)
