@@ -70,6 +70,19 @@ func loadNetwork(dataset, graphF string, n int, seed uint64) (g *fedroad.Graph, 
 	return g, w0, unitWeights, nil
 }
 
+// refuseReindex explains why -reindex-interval cannot run beside the index
+// fedserver serves, or returns nil. A customized index — asked for with
+// -customize or restored from a customized snapshot — is kept exact by
+// /traffic's in-place updates, so a periodic re-derivation would elect the
+// winners it already holds while holding up every traffic write.
+func refuseReindex(fed *fedroad.Federation, customize bool) error {
+	if !customize && !(fed.HasIndex() && fed.IndexStats().Customized) {
+		return nil
+	}
+	return errors.New("-reindex-interval refused: the index is customized, and /traffic's in-place updates already keep it exact, " +
+		"so a periodic re-derivation would recompute the winners it holds while blocking every traffic write; drop -reindex-interval")
+}
+
 func main() {
 	var (
 		addr     = flag.String("addr", "127.0.0.1:8080", "listen address")
@@ -80,7 +93,7 @@ func main() {
 		seed     = flag.Uint64("seed", 1, "random seed")
 		noIndex  = flag.Bool("no-index", false, "skip building the shortcut index")
 		custIdx  = flag.Bool("customize", false, "derive the shortcut index by weight customization over a topology-only skeleton (contract once per graph, customize per traffic version) instead of a full federated contraction")
-		reindex  = flag.Duration("reindex-interval", 0, "periodically re-derive the index from live weights when traffic has moved — a customization sweep when a skeleton exists, a full rebuild otherwise (0 = disabled)")
+		reindex  = flag.Duration("reindex-interval", 0, "periodically rebuild the witness index from live weights when traffic has moved (0 = disabled); refused beside a customized index, which /traffic's in-place updates already keep exact")
 		protocol = flag.Bool("protocol", false, "run the full MPC protocol per comparison (default: ideal mode with analytic cost accounting)")
 		maxConc  = flag.Int("max-concurrent", 0, "max in-flight queries (0 = 4x GOMAXPROCS)")
 		maxQueue = flag.Int("max-queue", 0, "queries allowed to queue beyond -max-concurrent before shedding with 429 (0 = unbounded queue, no shedding)")
@@ -150,6 +163,12 @@ func main() {
 		log.Printf("persist: restored from %s in %dms (index: %v, replayed deltas: %d)",
 			*persist, ps.RestoreMs, ps.RestoredIndex, ps.ReplayedDeltas)
 	}
+	if *reindex > 0 && !*noIndex {
+		if err := refuseReindex(fed, *custIdx); err != nil {
+			fmt.Fprintf(os.Stderr, "fedserver: %v\n", err)
+			os.Exit(1)
+		}
+	}
 
 	if *custIdx && !fed.HasSkeleton() {
 		// Topology-only contraction: plaintext, no MPC, reusable for every
@@ -217,10 +236,9 @@ func main() {
 	defer stop()
 
 	if *reindex > 0 && !*noIndex {
-		// Rolling re-derivation: re-derive the serving index from live weights
-		// on a timer. Queries keep answering with the old index until the
-		// replacement is published; traffic batches wait for the derivation,
-		// a cheap customization sweep when a skeleton exists.
+		// Rolling rebuild of the witness index from live weights on a timer.
+		// Queries keep answering with the old index until the replacement is
+		// published; traffic batches wait for the rebuild.
 		go func() {
 			tick := time.NewTicker(*reindex)
 			defer tick.Stop()
@@ -242,11 +260,11 @@ func main() {
 					continue
 				}
 				st := fed.IndexStats()
-				log.Printf("reindex: published in %v (customized: %v, %d MPC rounds)",
-					time.Since(start).Round(time.Millisecond), st.Customized, st.SAC.Rounds)
+				log.Printf("reindex: published in %v (%d MPC rounds)",
+					time.Since(start).Round(time.Millisecond), st.SAC.Rounds)
 			}
 		}()
-		log.Printf("reindex: rolling re-derivation every %v (customization preferred when a skeleton exists)", *reindex)
+		log.Printf("reindex: rolling rebuild every %v", *reindex)
 	}
 
 	errc := make(chan error, 1)

@@ -29,7 +29,7 @@ func main() {
 		fed.IndexStats().SAC.Compares)
 
 	s, t := fedroad.Vertex(0), fedroad.Vertex(g.NumVertices()-1)
-	before, _, err := fed.ShortestPath(s, t)
+	before, _, err := fed.ShortestPath(s, t, fedroad.QueryOptions{BatchedMPC: true})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func main() {
 	fmt.Printf("update used %.1f%% of the construction comparisons\n",
 		100*float64(upd.SAC.Compares)/float64(fed.IndexStats().SAC.Compares))
 
-	after, _, err := fed.ShortestPath(s, t)
+	after, _, err := fed.ShortestPath(s, t, fedroad.QueryOptions{BatchedMPC: true})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -37,7 +37,7 @@ func main() {
 	found := 0
 	k := 16
 	for found < want && k <= g.NumVertices() {
-		routes, stats, err := fed.NearestNeighbors(rider, k)
+		routes, stats, err := fed.NearestNeighbors(rider, k, fedroad.QueryOptions{BatchedMPC: true})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -32,8 +32,9 @@ func main() {
 	fmt.Printf("index: %d shortcuts\n", fed.IndexStats().Shortcuts)
 
 	// One secure joint shortest-path query with the paper's best stack
-	// (shortcut index + Fed-AMPS pruning + TM-tree queue).
-	route, stats, err := fed.ShortestPath(12, 1780)
+	// (shortcut index + Fed-AMPS pruning + TM-tree queue, comparisons
+	// batched into shared rounds).
+	route, stats, err := fed.ShortestPath(12, 1780, fedroad.QueryOptions{BatchedMPC: true})
 	if err != nil {
 		log.Fatal(err)
 	}

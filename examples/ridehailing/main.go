@@ -55,7 +55,7 @@ func main() {
 
 		// Federated routing on the joint view (secure: platform estimates
 		// never leave their silos).
-		route, _, err := fed.ShortestPath(s, t)
+		route, _, err := fed.ShortestPath(s, t, fedroad.QueryOptions{BatchedMPC: true})
 		if err != nil {
 			log.Fatal(err)
 		}

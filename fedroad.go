@@ -725,6 +725,12 @@ const (
 	// searches — a fraction of the MPC rounds), or a full federated rebuild
 	// otherwise. The batch and the new index are published together; until
 	// then routes answer at the previous version with the previous index.
+	//
+	// It is the refresh that does not reveal which arcs moved. The in-place
+	// update opens comparisons only inside the batch's cone, so every party
+	// learns the arc set; a derivation's comparisons do not depend on it.
+	// On a customized index both elect the same winners, so that is all it
+	// buys there.
 	RebuildIndex ApplyOption = iota
 )
 

@@ -335,8 +335,8 @@ func TestBatchedMPCFacade(t *testing.T) {
 }
 
 // TestRebuildIndexBuildsWithoutSkeleton: an empty RebuildIndex batch on a
-// federation with neither index nor skeleton runs the witness build with
-// conflict retries — fedserver's -reindex-interval body. The witness build's
+// federation with neither index nor skeleton runs the witness build —
+// fedserver's -reindex-interval body. The witness build's
 // ordering and caps are evaluation axes on ch.Params (internal/ch's
 // TestDegreeOrderingBuildsCorrectIndex).
 func TestRebuildIndexBuildsWithoutSkeleton(t *testing.T) {

@@ -31,18 +31,18 @@ func buildTestIndex(t *testing.T, rows, cols int, seed uint64) (*fed.Federation,
 func chQueryJoint(x *Index, s, t graph.Vertex) int64 {
 	type side struct {
 		dist map[graph.Vertex]int64
-		h    *pairHeap
+		h    *graph.MinHeap
 	}
 	mk := func(root graph.Vertex) *side {
-		sd := &side{dist: map[graph.Vertex]int64{root: 0}, h: &pairHeap{}}
-		sd.h.push(root, 0)
+		sd := &side{dist: map[graph.Vertex]int64{root: 0}, h: &graph.MinHeap{}}
+		sd.h.Push(root, 0)
 		return sd
 	}
 	fwd, bwd := mk(s), mk(t)
 	run := func(sd *side, forward bool) {
 		settled := map[graph.Vertex]bool{}
 		for sd.h.Len() > 0 {
-			v, dv := sd.h.pop()
+			v, dv := sd.h.Pop()
 			if settled[v] {
 				continue
 			}
@@ -63,7 +63,7 @@ func chQueryJoint(x *Index, s, t graph.Vertex) int64 {
 				nd := dv + x.JointWeight(a)
 				if old, ok := sd.dist[z]; !ok || nd < old {
 					sd.dist[z] = nd
-					sd.h.push(z, nd)
+					sd.h.Push(z, nd)
 				}
 			}
 		}

@@ -106,12 +106,12 @@ func computeOrder(g *graph.Graph, w0 graph.Weights) []graph.Vertex {
 		}
 		dist := map[graph.Vertex]int64{u: 0}
 		settledD := make(map[graph.Vertex]int64, len(targets))
-		h := &pairHeap{}
-		h.push(u, 0)
+		var h graph.MinHeap
+		h.Push(u, 0)
 		settles, found := 0, 0
 		settled := map[graph.Vertex]bool{}
 		for h.Len() > 0 && settles < witnessCap && found < len(targets) {
-			y, dy := h.pop()
+			y, dy := h.Pop()
 			if settled[y] || dy > maxVia {
 				if dy > maxVia {
 					break
@@ -140,7 +140,7 @@ func computeOrder(g *graph.Graph, w0 graph.Weights) []graph.Vertex {
 				if nd := dy + out[y][z]; !settled[z] {
 					if old, ok := dist[z]; !ok || nd < old {
 						dist[z] = nd
-						h.push(z, nd)
+						h.Push(z, nd)
 					}
 				}
 			}
@@ -239,54 +239,6 @@ func computeOrder(g *graph.Graph, w0 graph.Weights) []graph.Vertex {
 		order = append(order, v)
 	}
 	return order
-}
-
-// pairHeap is a small (vertex, key) min-heap for plaintext witness searches.
-type pairHeap struct {
-	vs   []graph.Vertex
-	keys []int64
-}
-
-func (h *pairHeap) Len() int { return len(h.vs) }
-
-func (h *pairHeap) push(v graph.Vertex, k int64) {
-	h.vs = append(h.vs, v)
-	h.keys = append(h.keys, k)
-	i := len(h.vs) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if h.keys[p] <= h.keys[i] {
-			break
-		}
-		h.vs[p], h.vs[i] = h.vs[i], h.vs[p]
-		h.keys[p], h.keys[i] = h.keys[i], h.keys[p]
-		i = p
-	}
-}
-
-func (h *pairHeap) pop() (graph.Vertex, int64) {
-	v, k := h.vs[0], h.keys[0]
-	n := len(h.vs) - 1
-	h.vs[0], h.keys[0] = h.vs[n], h.keys[n]
-	h.vs, h.keys = h.vs[:n], h.keys[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		s := i
-		if l < n && h.keys[l] < h.keys[s] {
-			s = l
-		}
-		if r < n && h.keys[r] < h.keys[s] {
-			s = r
-		}
-		if s == i {
-			break
-		}
-		h.vs[s], h.vs[i] = h.vs[i], h.vs[s]
-		h.keys[s], h.keys[i] = h.keys[i], h.keys[s]
-		i = s
-	}
-	return v, k
 }
 
 // prioHeap implements container/heap for the lazy ordering queue.

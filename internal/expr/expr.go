@@ -278,55 +278,18 @@ func (h *Harness) QueryGroups(env *Env) []HopGroup {
 
 // hopDepths returns per-vertex hop counts of static shortest paths from s.
 func hopDepths(g *graph.Graph, w0 graph.Weights, s graph.Vertex) []int {
-	res := graph.Dijkstra(g, w0, s)
 	depth := make([]int, g.NumVertices())
-	order := make([]graph.Vertex, g.NumVertices())
-	for v := range order {
-		order[v] = graph.Vertex(v)
+	for v := range depth {
 		depth[v] = 1 << 30
 	}
-	// Vertices in ascending distance: parents resolved before children.
-	sortByDist(order, res.Dist)
 	depth[s] = 0
-	for _, v := range order {
-		if v == s || res.Dist[v] >= graph.InfCost {
-			continue
-		}
-		depth[v] = depth[res.Parent[v]] + 1
+	// Settle order: a vertex's parent comes, and is resolved, before it.
+	x := graph.NewSearch(g, w0, s, false)
+	x.Next() // s itself
+	for v, ok := x.Next(); ok; v, ok = x.Next() {
+		depth[v] = depth[x.Parent(v)] + 1
 	}
 	return depth
-}
-
-func sortByDist(order []graph.Vertex, dist []int64) {
-	// Simple sort; n log n on vertex count.
-	quickSortVerts(order, dist, 0, len(order)-1)
-}
-
-func quickSortVerts(order []graph.Vertex, dist []int64, lo, hi int) {
-	for lo < hi {
-		p := dist[order[(lo+hi)/2]]
-		i, j := lo, hi
-		for i <= j {
-			for dist[order[i]] < p {
-				i++
-			}
-			for dist[order[j]] > p {
-				j--
-			}
-			if i <= j {
-				order[i], order[j] = order[j], order[i]
-				i++
-				j--
-			}
-		}
-		if j-lo < hi-i {
-			quickSortVerts(order, dist, lo, j)
-			lo = i
-		} else {
-			quickSortVerts(order, dist, i, hi)
-			hi = j
-		}
-	}
 }
 
 // Method is one of the comparative baselines of §VIII-B.

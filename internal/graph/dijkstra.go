@@ -1,6 +1,9 @@
 package graph
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // InfCost is the sentinel "unreachable" cost. It is far below overflow range
 // so that InfCost+weight never wraps.
@@ -71,15 +74,20 @@ func PathCost(g *Graph, w Weights, path []Vertex) (int64, error) {
 	return total, nil
 }
 
-// intHeap is a minimal indexed binary min-heap on (vertex, key) pairs used by
-// the plaintext reference algorithms. It supports decrease-key via lazy
-// insertion with a settled check at pop.
-type intHeap struct {
+// MinHeap is a binary min-heap on (vertex, key) pairs. Decrease-key is lazy:
+// push the vertex again with its new key and skip the stale entry at pop.
+// Equal keys pop in an order fixed by the push sequence, so a search over it
+// is reproducible run to run.
+type MinHeap struct {
 	vs   []Vertex
 	keys []int64
 }
 
-func (h *intHeap) push(v Vertex, k int64) {
+// Len reports the number of entries, stale ones included.
+func (h *MinHeap) Len() int { return len(h.vs) }
+
+// Push inserts v with key k.
+func (h *MinHeap) Push(v Vertex, k int64) {
 	h.vs = append(h.vs, v)
 	h.keys = append(h.keys, k)
 	i := len(h.vs) - 1
@@ -94,7 +102,8 @@ func (h *intHeap) push(v Vertex, k int64) {
 	}
 }
 
-func (h *intHeap) pop() (Vertex, int64) {
+// Pop removes and returns an entry of least key. The heap must not be empty.
+func (h *MinHeap) Pop() (Vertex, int64) {
 	v, k := h.vs[0], h.keys[0]
 	n := len(h.vs) - 1
 	h.vs[0], h.keys[0] = h.vs[n], h.keys[n]
@@ -119,225 +128,140 @@ func (h *intHeap) pop() (Vertex, int64) {
 	return v, k
 }
 
-func (h *intHeap) empty() bool { return len(h.vs) == 0 }
+// Search is the one plaintext shortest-path search: Dijkstra from a root
+// over one weight set, settled on demand. A forward search finds distances
+// from the root; a backward one searches reversed arcs and finds distances
+// to it. It runs to the end (Dijkstra), up to a target (DijkstraTo, DistTo)
+// or one vertex at a time in settle order (Next). Fed-AMPS keeps one
+// backward and one forward Search per silo per query so that its repeated
+// estimations amortize to a single local Dijkstra (paper §V).
+type Search struct {
+	// Dist[v] is the shortest distance between the root and v once v is
+	// settled, the best found so far before, and InfCost while unreached.
+	Dist []int64
+	// PArc[v] is v's arc in the shortest-path tree: into v going forward,
+	// out of v toward the root going backward. NoArc at the root and at
+	// unreached vertices.
+	PArc []Arc
 
-// SSSPResult holds a full single-source shortest-path tree.
-type SSSPResult struct {
-	Dist   []int64  // Dist[v] = shortest distance from source; InfCost if unreachable
-	Parent []Vertex // Parent[v] = predecessor on a shortest path; NoVertex at source/unreachable
-	PArc   []Arc    // PArc[v] = arc into v on the tree; NoArc at source/unreachable
-}
-
-// Dijkstra computes shortest paths from s to all vertices under weight set w.
-func Dijkstra(g *Graph, w Weights, s Vertex) *SSSPResult {
-	n := g.NumVertices()
-	res := &SSSPResult{
-		Dist:   make([]int64, n),
-		Parent: make([]Vertex, n),
-		PArc:   make([]Arc, n),
-	}
-	for i := range res.Dist {
-		res.Dist[i] = InfCost
-		res.Parent[i] = NoVertex
-		res.PArc[i] = NoArc
-	}
-	res.Dist[s] = 0
-	h := &intHeap{}
-	h.push(s, 0)
-	settled := make([]bool, n)
-	for !h.empty() {
-		v, dv := h.pop()
-		if settled[v] {
-			continue
-		}
-		settled[v] = true
-		first := g.FirstOut(v)
-		for i, u := range g.OutNeighbors(v) {
-			a := first + Arc(i)
-			if nd := dv + w[a]; nd < res.Dist[u] {
-				res.Dist[u] = nd
-				res.Parent[u] = v
-				res.PArc[u] = a
-				h.push(u, nd)
-			}
-		}
-	}
-	return res
-}
-
-// DijkstraBackward computes shortest paths from every vertex *to* root by
-// searching over reversed arcs: Dist[v] = dist(v → root). Parent[v] is the
-// successor of v on a shortest v→root path and PArc[v] the arc from v to it.
-func DijkstraBackward(g *Graph, w Weights, root Vertex) *SSSPResult {
-	n := g.NumVertices()
-	res := &SSSPResult{
-		Dist:   make([]int64, n),
-		Parent: make([]Vertex, n),
-		PArc:   make([]Arc, n),
-	}
-	for i := range res.Dist {
-		res.Dist[i] = InfCost
-		res.Parent[i] = NoVertex
-		res.PArc[i] = NoArc
-	}
-	res.Dist[root] = 0
-	h := &intHeap{}
-	h.push(root, 0)
-	settled := make([]bool, n)
-	for !h.empty() {
-		v, dv := h.pop()
-		if settled[v] {
-			continue
-		}
-		settled[v] = true
-		in, arcs := g.InNeighbors(v)
-		for i, u := range in {
-			a := arcs[i]
-			if nd := dv + w[a]; nd < res.Dist[u] {
-				res.Dist[u] = nd
-				res.Parent[u] = v
-				res.PArc[u] = a
-				h.push(u, nd)
-			}
-		}
-	}
-	return res
-}
-
-// Path extracts the shortest path from the tree's source to t as a vertex
-// sequence, or nil if t is unreachable.
-func (r *SSSPResult) Path(t Vertex) []Vertex {
-	if r.Dist[t] >= InfCost {
-		return nil
-	}
-	var rev []Vertex
-	for v := t; v != NoVertex; v = r.Parent[v] {
-		rev = append(rev, v)
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
-}
-
-// DijkstraTo computes the shortest distance and path from s to t, stopping as
-// soon as t is settled. The path is nil when t is unreachable.
-func DijkstraTo(g *Graph, w Weights, s, t Vertex) (int64, []Vertex) {
-	n := g.NumVertices()
-	dist := make([]int64, n)
-	parent := make([]Vertex, n)
-	for i := range dist {
-		dist[i] = InfCost
-		parent[i] = NoVertex
-	}
-	dist[s] = 0
-	h := &intHeap{}
-	h.push(s, 0)
-	settled := make([]bool, n)
-	for !h.empty() {
-		v, dv := h.pop()
-		if settled[v] {
-			continue
-		}
-		settled[v] = true
-		if v == t {
-			var rev []Vertex
-			for u := t; u != NoVertex; u = parent[u] {
-				rev = append(rev, u)
-			}
-			for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-				rev[i], rev[j] = rev[j], rev[i]
-			}
-			return dv, rev
-		}
-		first := g.FirstOut(v)
-		for i, u := range g.OutNeighbors(v) {
-			a := first + Arc(i)
-			if nd := dv + w[a]; nd < dist[u] {
-				dist[u] = nd
-				parent[u] = v
-				h.push(u, nd)
-			}
-		}
-	}
-	return InfCost, nil
-}
-
-// LazySSSP incrementally settles vertices of a Dijkstra search from a fixed
-// root, answering DistTo queries on demand. Direction Backward searches over
-// reversed arcs, giving distances *to* the root. Fed-AMPS uses one LazySSSP
-// per silo per query direction so that repeated estimations amortize to a
-// single local Dijkstra (paper §V: local computation traded for accuracy).
-type LazySSSP struct {
 	g        *Graph
 	w        Weights
 	backward bool
-	dist     []int64
 	settled  []bool
-	h        *intHeap
+	h        MinHeap
 }
 
-// NewLazySSSP creates a lazy search from root. If backward is true, DistTo(v)
-// returns the distance from v to root (search over incoming arcs).
-func NewLazySSSP(g *Graph, w Weights, root Vertex, backward bool) *LazySSSP {
+// NewSearch starts a search from root under w, over reversed arcs if
+// backward is true. Nothing is settled yet.
+func NewSearch(g *Graph, w Weights, root Vertex, backward bool) *Search {
 	n := g.NumVertices()
-	l := &LazySSSP{
+	s := &Search{
+		Dist:     make([]int64, n),
+		PArc:     make([]Arc, n),
 		g:        g,
 		w:        w,
 		backward: backward,
-		dist:     make([]int64, n),
 		settled:  make([]bool, n),
-		h:        &intHeap{},
 	}
-	for i := range l.dist {
-		l.dist[i] = InfCost
+	for i := range s.Dist {
+		s.Dist[i] = InfCost
+		s.PArc[i] = NoArc
 	}
-	l.dist[root] = 0
-	l.h.push(root, 0)
-	return l
+	s.Dist[root] = 0
+	s.h.Push(root, 0)
+	return s
 }
 
-// DistTo settles vertices until v is settled (or the search exhausts) and
-// returns the shortest distance between root and v in the configured
-// direction. Unreachable vertices report InfCost.
-func (l *LazySSSP) DistTo(v Vertex) int64 {
-	for !l.settled[v] && !l.h.empty() {
-		u, du := l.h.pop()
-		if l.settled[u] {
+// Dijkstra computes shortest paths from s to every vertex under w.
+func Dijkstra(g *Graph, w Weights, s Vertex) *Search {
+	x := NewSearch(g, w, s, false)
+	for _, ok := x.Next(); ok; _, ok = x.Next() {
+	}
+	return x
+}
+
+// DijkstraTo computes the shortest distance and path from s to t, stopping
+// once t is settled. The path is nil when t is unreachable.
+func DijkstraTo(g *Graph, w Weights, s, t Vertex) (int64, []Vertex) {
+	x := NewSearch(g, w, s, false)
+	return x.DistTo(t), x.Path(t)
+}
+
+// Next settles the unsettled vertex nearest the root, relaxes its arcs and
+// returns it; false once every reachable vertex is settled. Vertices come in
+// non-decreasing Dist, and since weights are positive a vertex's parent
+// always comes before it.
+func (s *Search) Next() (Vertex, bool) {
+	for s.h.Len() > 0 {
+		v, dv := s.h.Pop()
+		if s.settled[v] {
 			continue
 		}
-		l.settled[u] = true
-		if l.backward {
-			in, arcs := l.g.InNeighbors(u)
-			for i, x := range in {
-				a := arcs[i]
-				if nd := du + l.w[a]; nd < l.dist[x] {
-					l.dist[x] = nd
-					l.h.push(x, nd)
-				}
+		s.settled[v] = true
+		if s.backward {
+			in, arcs := s.g.InNeighbors(v)
+			for i, u := range in {
+				s.relax(u, arcs[i], dv)
 			}
 		} else {
-			first := l.g.FirstOut(u)
-			for i, x := range l.g.OutNeighbors(u) {
-				a := first + Arc(i)
-				if nd := du + l.w[a]; nd < l.dist[x] {
-					l.dist[x] = nd
-					l.h.push(x, nd)
-				}
+			first := s.g.FirstOut(v)
+			for i, u := range s.g.OutNeighbors(v) {
+				s.relax(u, first+Arc(i), dv)
 			}
 		}
+		return v, true
 	}
-	return l.dist[v]
+	return NoVertex, false
 }
 
-// SettledCount reports how many vertices have been settled so far, a proxy
-// for the local computation spent by Fed-AMPS.
-func (l *LazySSSP) SettledCount() int {
-	c := 0
-	for _, s := range l.settled {
-		if s {
-			c++
+func (s *Search) relax(u Vertex, a Arc, dv int64) {
+	if nd := dv + s.w[a]; nd < s.Dist[u] {
+		s.Dist[u] = nd
+		s.PArc[u] = a
+		s.h.Push(u, nd)
+	}
+}
+
+// DistTo settles vertices until v is settled or the search runs out, and
+// returns the shortest distance between the root and v in the search's
+// direction; InfCost if v is unreachable.
+func (s *Search) DistTo(v Vertex) int64 {
+	for !s.settled[v] {
+		if _, ok := s.Next(); !ok {
+			break
 		}
 	}
-	return c
+	return s.Dist[v]
+}
+
+// Parent returns v's neighbour in the tree, one step toward the root: its
+// predecessor going forward, its successor going backward. NoVertex at the
+// root and at unreached vertices.
+func (s *Search) Parent(v Vertex) Vertex {
+	a := s.PArc[v]
+	switch {
+	case a == NoArc:
+		return NoVertex
+	case s.backward:
+		return s.g.Head(a)
+	default:
+		return s.g.Tail(a)
+	}
+}
+
+// Path returns the tree path between the root and t in travel order — root
+// to t going forward, t to root going backward — or nil if t is unreached.
+// It is a shortest path once t is settled.
+func (s *Search) Path(t Vertex) []Vertex {
+	if s.Dist[t] >= InfCost {
+		return nil
+	}
+	var path []Vertex
+	for v := t; v != NoVertex; v = s.Parent(v) {
+		path = append(path, v)
+	}
+	if !s.backward {
+		slices.Reverse(path)
+	}
+	return path
 }

@@ -1,8 +1,7 @@
 // Package graph provides the road-network substrate for FedRoad: a compact
 // CSR-encoded directed graph with per-arc weights kept in external weight
-// sets, plaintext reference shortest-path algorithms (Dijkstra, A*,
-// bidirectional), deterministic road-network generators, and simple
-// serialization.
+// sets, one resumable plaintext Dijkstra (Search), deterministic road-network
+// generators, and simple serialization.
 //
 // The graph itself carries only topology and coordinates. Weights live in
 // separate []int64 slices indexed by Arc so that every federation silo can

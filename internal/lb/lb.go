@@ -15,9 +15,7 @@
 package lb
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -140,18 +138,12 @@ func Precompute(g *graph.Graph, w0 graph.Weights, sets []graph.Weights, landmark
 	for s := 0; s < p; s++ {
 		lm.Phi[s] = make([][]int64, len(landmarks))
 	}
-	// one computes one landmark's rows. order is per-worker scratch: at
-	// continent scale an n-element slice per landmark is real garbage, so
-	// each worker reuses a single slice across its landmarks.
-	one := func(li int, l graph.Vertex, order []graph.Vertex) {
-		lm.Phi0[li] = graph.DijkstraBackward(g, w0, l).Dist
-		res := graph.DijkstraBackward(g, joint, l)
-		// Partial costs along the joint tree: process vertices in order of
-		// increasing joint distance so successors are resolved first.
-		for v := range order {
-			order[v] = graph.Vertex(v)
+	// one computes one landmark's rows.
+	one := func(li int, l graph.Vertex) {
+		static := graph.NewSearch(g, w0, l, true)
+		for _, ok := static.Next(); ok; _, ok = static.Next() {
 		}
-		slices.SortFunc(order, func(a, b graph.Vertex) int { return cmp.Compare(res.Dist[a], res.Dist[b]) })
+		lm.Phi0[li] = static.Dist
 		parts := make([][]int64, p)
 		for s := 0; s < p; s++ {
 			parts[s] = make([]int64, n)
@@ -159,27 +151,25 @@ func Precompute(g *graph.Graph, w0 graph.Weights, sets []graph.Weights, landmark
 				parts[s][v] = graph.InfCost
 			}
 			parts[s][l] = 0
+			lm.Phi[s][li] = parts[s]
 		}
-		for _, v := range order {
-			if v == l || res.Dist[v] >= graph.InfCost {
-				continue
-			}
-			succ, arc := res.Parent[v], res.PArc[v]
+		// Partial costs along the joint tree, in settle order: a vertex's
+		// successor toward l is settled, and so resolved, before it.
+		res := graph.NewSearch(g, joint, l, true)
+		res.Next() // l itself
+		for v, ok := res.Next(); ok; v, ok = res.Next() {
+			succ, arc := res.Parent(v), res.PArc[v]
 			for s := 0; s < p; s++ {
 				parts[s][v] = parts[s][succ] + sets[s][arc]
 			}
-		}
-		for s := 0; s < p; s++ {
-			lm.Phi[s][li] = parts[s]
 		}
 	}
 	if workers <= 0 || workers > len(landmarks) {
 		workers = len(landmarks)
 	}
 	if workers <= 1 {
-		order := make([]graph.Vertex, n)
 		for li, l := range landmarks {
-			one(li, l, order)
+			one(li, l)
 		}
 		return lm
 	}
@@ -191,13 +181,12 @@ func Precompute(g *graph.Graph, w0 graph.Weights, sets []graph.Weights, landmark
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			order := make([]graph.Vertex, n)
 			for {
 				li := int(next.Add(1)) - 1
 				if li >= len(landmarks) {
 					return
 				}
-				one(li, landmarks[li], order)
+				one(li, landmarks[li])
 			}
 		}()
 	}
@@ -325,13 +314,13 @@ func (e *altEstimator) Potential(v graph.Vertex) fed.Partial {
 // (or from) the query endpoint; the per-silo local shortest-path costs form
 // the partial lower-bound vector (Eq. 3). Pure local computation.
 type ampsEstimator struct {
-	lazies []*graph.LazySSSP
+	searches []*graph.Search
 }
 
 func (e *ampsEstimator) Potential(v graph.Vertex) fed.Partial {
-	out := make(fed.Partial, len(e.lazies))
-	for p, lz := range e.lazies {
-		d := lz.DistTo(v)
+	out := make(fed.Partial, len(e.searches))
+	for p, x := range e.searches {
+		d := x.DistTo(v)
 		if d > graph.MaxPathCost {
 			// Unreachable in the shared topology ⇒ unreachable jointly; the
 			// clamp keeps MPC magnitudes sound and is irrelevant for
@@ -371,8 +360,8 @@ func NewPair(kind Kind, f *fed.Federation, lm *Landmarks, sac *fed.SAC, s, t gra
 		bw := &ampsEstimator{}
 		for p := 0; p < f.P(); p++ {
 			w := f.Silo(p).Weights()
-			fw.lazies = append(fw.lazies, graph.NewLazySSSP(f.Graph(), w, t, true))
-			bw.lazies = append(bw.lazies, graph.NewLazySSSP(f.Graph(), w, s, false))
+			fw.searches = append(fw.searches, graph.NewSearch(f.Graph(), w, t, true))
+			bw.searches = append(bw.searches, graph.NewSearch(f.Graph(), w, s, false))
 		}
 		return fw, bw, nil
 	default:

@@ -57,24 +57,25 @@ func TestPrecomputePartialSumsMatchJoint(t *testing.T) {
 	lm := PrecomputeLandmarks(f, L, 0)
 	joint := f.JointWeights()
 	for li, l := range L {
-		want := graph.DijkstraBackward(g, joint, l)
+		want := graph.NewSearch(g, joint, l, true)
 		for v := 0; v < g.NumVertices(); v++ {
+			d := want.DistTo(graph.Vertex(v))
 			var sum int64
 			for p := 0; p < f.P(); p++ {
 				sum += lm.Phi[p][li][v]
 			}
-			if want.Dist[v] >= graph.InfCost {
+			if d >= graph.InfCost {
 				continue
 			}
-			if sum != want.Dist[v] {
+			if sum != d {
 				t.Fatalf("landmark %d vertex %d: partial sum %d != joint dist %d",
-					l, v, sum, want.Dist[v])
+					l, v, sum, d)
 			}
 		}
 		// Static matrix matches a plain backward Dijkstra under W0.
-		want0 := graph.DijkstraBackward(g, f.StaticWeights(), l)
+		want0 := graph.NewSearch(g, f.StaticWeights(), l, true)
 		for v := 0; v < g.NumVertices(); v++ {
-			if lm.Phi0[li][v] != want0.Dist[v] {
+			if lm.Phi0[li][v] != want0.DistTo(graph.Vertex(v)) {
 				t.Fatalf("static matrix wrong at landmark %d vertex %d", l, v)
 			}
 		}

@@ -52,26 +52,33 @@ const (
 	muxHelloLen     = 12
 )
 
+// Mesh constants no caller tunes.
+const (
+	// heartbeatMisses is the dead-peer threshold in heartbeat intervals: a
+	// link with no inbound traffic for Heartbeat×heartbeatMisses is dead.
+	heartbeatMisses = 4
+	// redialMax caps the exponential backoff between redial attempts after
+	// a link dies.
+	redialMax = 2 * time.Second
+	// laneQueue caps buffered inbound frames per lane per peer. A full
+	// queue exerts TCP backpressure: the link reader blocks, the peer's
+	// socket writes stall, and — if the stall outlives the heartbeat
+	// deadline — the link is declared dead and redialed clean.
+	laneQueue = 64
+)
+
 // MeshOptions tunes a Mesh. The zero value gives production-ish defaults
 // suitable for LAN deployments and loopback tests.
 type MeshOptions struct {
 	// TLS enables mutual-auth TLS on every inter-silo link (nil = plaintext).
 	TLS *TLSConfig
 	// Heartbeat is the control-ping interval per link; a link with no
-	// inbound traffic for Heartbeat×HeartbeatMisses is declared dead.
-	// Default 250ms. Negative disables heartbeats (deterministic tests).
+	// inbound traffic for 4 heartbeats is declared dead. Default 250ms.
+	// Negative disables heartbeats (deterministic tests).
 	Heartbeat time.Duration
-	// HeartbeatMisses is the dead-peer threshold in heartbeat intervals
-	// (default 4).
-	HeartbeatMisses int
-	// RedialMin/RedialMax bound the exponential backoff between redial
-	// attempts after a link dies (defaults 50ms / 2s).
-	RedialMin, RedialMax time.Duration
-	// LaneQueue caps buffered inbound frames per lane per peer (default 64).
-	// A full queue exerts TCP backpressure: the link reader blocks, the
-	// peer's socket writes stall, and — if the stall outlives the heartbeat
-	// deadline — the link is declared dead and redialed clean.
-	LaneQueue int
+	// RedialMin is the first backoff between redial attempts after a link
+	// dies, doubled per attempt up to 2s (default 50ms).
+	RedialMin time.Duration
 	// DialTimeout bounds the initial full-mesh establishment (default 10s).
 	DialTimeout time.Duration
 	// Listener, when set, is used instead of listening on addrs[id]
@@ -83,17 +90,8 @@ func (o MeshOptions) withDefaults() MeshOptions {
 	if o.Heartbeat == 0 {
 		o.Heartbeat = 250 * time.Millisecond
 	}
-	if o.HeartbeatMisses <= 0 {
-		o.HeartbeatMisses = 4
-	}
 	if o.RedialMin <= 0 {
 		o.RedialMin = 50 * time.Millisecond
-	}
-	if o.RedialMax <= 0 {
-		o.RedialMax = 2 * time.Second
-	}
-	if o.LaneQueue <= 0 {
-		o.LaneQueue = 64
 	}
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 10 * time.Second
@@ -181,7 +179,7 @@ func (l *link) laneFor(lane uint32) *laneState {
 		if len(l.lanes) >= maxLanesPerLink {
 			return nil // treated as protocol insanity by the caller
 		}
-		ls = &laneState{q: make(chan muxFrame, l.m.opts.LaneQueue)}
+		ls = &laneState{q: make(chan muxFrame, laneQueue)}
 		l.lanes[lane] = ls
 	}
 	return ls
@@ -442,13 +440,13 @@ func (m *Mesh) N() int     { return m.n }
 // waiters).
 func (m *Mesh) SetRoundTimeout(d time.Duration) { m.roundTimeoutNs.Store(int64(d)) }
 
-// heartbeatDeadline is the I/O stall budget: Heartbeat×Misses (0 when
+// heartbeatDeadline is the I/O stall budget: Heartbeat×heartbeatMisses (0 when
 // heartbeats are disabled).
 func (m *Mesh) heartbeatDeadline() time.Duration {
 	if m.opts.Heartbeat < 0 {
 		return 0
 	}
-	return m.opts.Heartbeat * time.Duration(m.opts.HeartbeatMisses)
+	return m.opts.Heartbeat * heartbeatMisses
 }
 
 // waitReady blocks until every peer link is up (initial mesh establishment).
@@ -567,8 +565,8 @@ func (m *Mesh) dialLoop(peer int) {
 				case <-time.After(backoff):
 				}
 				backoff *= 2
-				if backoff > m.opts.RedialMax {
-					backoff = m.opts.RedialMax
+				if backoff > redialMax {
+					backoff = redialMax
 				}
 				continue
 			}

@@ -89,7 +89,7 @@ func TestProductionSurface(t *testing.T) {
 		"tls-cert", "tls-key", "tls-ca",
 		"no-index",         // the verify skill's flat instance; README's default builds the index
 		"customize",        // README "contract once, re-customize": on; default witness build (ROADMAP item 1 decides)
-		"reindex-interval", // README -customize deployment: 30s; default off
+		"reindex-interval", // witness deployments' periodic rebuild; refused beside a customized index; default off
 		"protocol",         // README mesh deployment, verify skill: on; default ideal mode
 		"max-concurrent",   // verify skill overload drill: 2; default 4×GOMAXPROCS
 		"max-queue",        // README durable deployment: 64; default unbounded
