@@ -18,6 +18,7 @@ import (
 
 	fedroad "repro"
 	"repro/internal/graph"
+	"repro/internal/mpc"
 	"repro/internal/scenario"
 	"repro/internal/serve"
 	"repro/internal/transport"
@@ -618,7 +619,7 @@ func TestStatsCustomizeBlock(t *testing.T) {
 	if !c.HasSkeleton || !c.IndexCustomized {
 		t.Fatalf("customize block missing skeleton/customized flags: %+v", c)
 	}
-	if c.Passes != 1 || c.LastTicks <= 0 || c.LastMPCRounds != 8*c.LastTicks {
+	if c.Passes != 1 || c.LastTicks <= 0 || c.LastMPCRounds != mpc.RoundsPerCompare*c.LastTicks {
 		t.Fatalf("customize block counters: %+v", c)
 	}
 

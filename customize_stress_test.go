@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/graph"
+	"repro/internal/mpc"
 	"repro/internal/scenario"
 	"repro/internal/transport"
 )
@@ -68,19 +69,23 @@ func TestCustomizeStressInterleaved(t *testing.T) {
 
 // TestCustomizedTrafficCostPinned replays the first batches of the stress
 // writer's seeded sequence above on a quiet federation and holds every
-// in-place update to the Fed-SAC cost the level-synchronous sweep paid for it
-// at c495f6e (recorded there): the same comparisons, never more rounds, and
-// bytes that differ only by frame rounding (an instance rounds 7 frames per
-// ordered silo pair up to whole bytes; fewer instances round less).
+// in-place update to a pinned Fed-SAC cost: the comparisons and protocol
+// instances the level-synchronous sweep paid at c495f6e (recorded there as
+// rounds, 8 per instance) — the same comparisons, never more instances — and
+// the bytes the 4-round carry circuit paid when it replaced the 8-round one,
+// which may differ only by frame rounding (an instance rounds its
+// RoundsPerCompare−1 bit-stream frames per ordered silo pair up to whole
+// bytes; fewer instances round less).
 func TestCustomizedTrafficCostPinned(t *testing.T) {
 	f, _ := rebuildFederation(t, 150, 90)
 	if err := f.CustomizeIndex(); err != nil {
 		t.Fatal(err)
 	}
-	parent := [][3]int64{ // comparisons, rounds, bytes
-		{34, 160, 8160}, {15, 88, 3618}, {21, 128, 5088}, {29, 152, 6990}, {28, 136, 6714}, {18, 88, 4326},
-		{18, 96, 4332}, {38, 168, 9090}, {32, 128, 7644}, {25, 120, 6006}, {17, 80, 4092}, {20, 80, 4776},
+	parent := [][3]int64{ // comparisons, instances, bytes
+		{34, 20, 2586}, {15, 11, 1134}, {21, 16, 1608}, {29, 19, 2220}, {28, 17, 2148}, {18, 11, 1362},
+		{18, 12, 1392}, {38, 21, 2922}, {32, 16, 2430}, {25, 15, 1920}, {17, 10, 1284}, {20, 10, 1536},
 	}
+	pairs := int64(f.Silos() * (f.Silos() - 1))
 	g := f.Graph()
 	rng := rand.New(rand.NewPCG(91, 0x7aff1c))
 	for batch, want := range parent {
@@ -97,9 +102,10 @@ func TestCustomizedTrafficCostPinned(t *testing.T) {
 			t.Fatal(err)
 		}
 		drift := st.SAC.Bytes - want[2]
-		if st.SAC.Compares != want[0] || st.SAC.Rounds > want[1] || 1000*drift > want[2] || -drift > 42*want[1]/8 {
-			t.Fatalf("batch %d: update cost {%d, %d, %d} (comparisons, rounds, bytes), level-synchronous sweep %v",
-				batch, st.SAC.Compares, st.SAC.Rounds, st.SAC.Bytes, want)
+		instances := st.SAC.Rounds / mpc.RoundsPerCompare
+		if st.SAC.Compares != want[0] || instances > want[1] || 1000*drift > want[2] || -drift > pairs*(mpc.RoundsPerCompare-1)*want[1] {
+			t.Fatalf("batch %d: update cost {%d, %d, %d} (comparisons, instances, bytes), pinned %v",
+				batch, st.SAC.Compares, instances, st.SAC.Bytes, want)
 		}
 	}
 	spotCheck(t, f, liveJoint(f), "after pinned batches")

@@ -356,11 +356,11 @@ func TestCalS300DerivationCountsPinned(t *testing.T) {
 		return x.BuildStatistics().SAC
 	}
 	build, cust := derive(false), derive(true)
-	if build.Compares != 96026 || build.Rounds != 38848 {
-		t.Errorf("build: %d Fed-SACs / %d rounds, pinned 96026 / 38848", build.Compares, build.Rounds)
+	if build.Compares != 96026 || build.Rounds != 19424 {
+		t.Errorf("build: %d Fed-SACs / %d rounds, pinned 96026 / 19424", build.Compares, build.Rounds)
 	}
-	if cust.Compares != 1054 || cust.Rounds != 160 {
-		t.Errorf("customize: %d Fed-SACs / %d rounds, pinned 1054 / 160", cust.Compares, cust.Rounds)
+	if cust.Compares != 1054 || cust.Rounds != 80 {
+		t.Errorf("customize: %d Fed-SACs / %d rounds, pinned 1054 / 80", cust.Compares, cust.Rounds)
 	}
 	if 4*cust.Rounds >= build.Rounds {
 		t.Errorf("customize rounds %d not under 25%% of build rounds %d", cust.Rounds, build.Rounds)
@@ -383,8 +383,8 @@ func TestCustomizedUpdateInPlace(t *testing.T) {
 	}
 	arcsBefore := x.NumArcs()
 	parent := []parentCost{
-		{1005, 568, 236238}, {1009, 560, 237162}, {1023, 568, 240456},
-		{964, 560, 226596}, {988, 568, 232218}, {1009, 568, 237132},
+		{1005, 71, 74010}, {1009, 70, 74364}, {1023, 71, 75402},
+		{964, 70, 71076}, {988, 71, 72810}, {1009, 71, 74364},
 	}
 	rng := rand.New(rand.NewPCG(71, 71))
 	for round := 0; round < 6; round++ {
@@ -530,7 +530,7 @@ func TestBundleRoundTripCustomized(t *testing.T) {
 	}
 
 	arcsBefore := x2.NumArcs()
-	parent := []parentCost{{478, 408, 112410}, {476, 400, 111978}, {445, 392, 104688}}
+	parent := []parentCost{{478, 51, 35316}, {476, 50, 35112}, {445, 49, 32850}}
 	rng := rand.New(rand.NewPCG(82, 82))
 	for round := 0; round < 3; round++ {
 		var changed []graph.Arc

@@ -211,23 +211,27 @@ func TestSweepElectsTheBracketWinners(t *testing.T) {
 	}
 }
 
-// parentCost is UpdateStats.SAC.{Compares, Rounds, Bytes} of one update as
-// the level-synchronous sweep ran it at c495f6e, recorded there for the
-// seeded sequences of the update tests before the update moved onto
-// Index.sweep.
+// parentCost is {Fed-SACs, protocol instances, wire bytes} of one update in
+// the seeded sequences of the update tests. Comparisons and instances are
+// those of the level-synchronous sweep at c495f6e, recorded there (as rounds,
+// 8 per instance) before the update moved onto Index.sweep; the bytes are
+// Index.sweep's on the 4-round carry circuit, recorded when it replaced the
+// 8-round one.
 type parentCost [3]int64
 
 // checkUpdate holds one update to what it replaced: the same comparisons, no
-// more rounds, bytes no more than 0.1 % above and below only by frame
-// rounding (an instance rounds 7 frames per ordered silo pair up to whole
-// bytes — under 42 B at 3 silos — and fewer instances round less), and an
-// index byte-identical to a fresh customization at the new weights.
+// more instances, bytes no more than 0.1 % above and below only by frame
+// rounding (an instance rounds its RoundsPerCompare−1 bit-stream frames per
+// ordered silo pair up to whole bytes — under 18 B at 3 silos — and fewer
+// instances round less), and an index byte-identical to a fresh
+// customization at the new weights.
 func checkUpdate(t *testing.T, tag string, x *Index, st UpdateStats, parent parentCost) {
 	t.Helper()
 	drift := st.SAC.Bytes - parent[2]
-	if st.SAC.Compares != parent[0] || st.SAC.Rounds > parent[1] || 1000*drift > parent[2] || -drift > 42*parent[1]/8 {
-		t.Fatalf("%s: update cost {%d, %d, %d} (comparisons, rounds, bytes), level-synchronous sweep {%d, %d, %d}",
-			tag, st.SAC.Compares, st.SAC.Rounds, st.SAC.Bytes, parent[0], parent[1], parent[2])
+	rounding := int64(3*2*(mpc.RoundsPerCompare-1)) * parent[1]
+	if st.SAC.Compares != parent[0] || st.SAC.Rounds/mpc.RoundsPerCompare > parent[1] || 1000*drift > parent[2] || -drift > rounding {
+		t.Fatalf("%s: update cost {%d, %d, %d} (comparisons, instances, bytes), pinned %v",
+			tag, st.SAC.Compares, st.SAC.Rounds/mpc.RoundsPerCompare, st.SAC.Bytes, parent)
 	}
 	fresh, err := Customize(x.f, x.skel)
 	if err != nil {

@@ -156,9 +156,9 @@ func TestCustomizedUpdateNeverGrows(t *testing.T) {
 	}
 	arcs0 := x.NumArcs()
 	parent := []parentCost{
-		{393, 384, 92502}, {466, 400, 109650}, {432, 392, 101658}, {431, 392, 101424}, {421, 384, 99054},
-		{366, 392, 86154}, {434, 400, 102192}, {449, 400, 105642}, {435, 384, 102348}, {446, 400, 104934},
-		{441, 400, 103782}, {419, 400, 98604}, {438, 400, 103074}, {410, 392, 96534}, {425, 376, 100002},
+		{393, 48, 29040}, {466, 50, 34422}, {432, 49, 31932}, {431, 49, 31818}, {421, 48, 31086},
+		{366, 49, 27090}, {434, 50, 32052}, {449, 50, 33138}, {435, 48, 32130}, {446, 50, 32916},
+		{441, 50, 32592}, {419, 50, 30966}, {438, 50, 32322}, {410, 49, 30282}, {425, 47, 31392},
 	}
 	rng := rand.New(rand.NewPCG(31, 31))
 	for round := 0; round < 15; round++ {

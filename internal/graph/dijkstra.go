@@ -9,9 +9,12 @@ import (
 // so that InfCost+weight never wraps.
 const InfCost int64 = 1 << 60
 
-// MaxWeight bounds every edge weight, and MaxPathCost bounds every path cost
-// representable by the federation (see DESIGN.md, fixed-point discipline).
-// The MPC comparison circuit relies on |joint cost difference| < 2^41.
+// MaxWeight bounds every edge weight (validated by ValidateWeights), and
+// MaxPathCost is the expected bound on a path cost (256 maximal arcs),
+// which Fed-AMPS clamps its potentials to; no path is checked against it
+// (see DESIGN.md, fixed-point discipline). A comparison's soundness rests
+// on the MPC engine's own check instead: mpc.Engine.CompareBatch refuses a
+// difference share of magnitude ≥ mpc.MaxMagnitude/n with mpc.ErrMagnitude.
 const (
 	MaxWeight   int64 = 1 << 32
 	MaxPathCost int64 = 1 << 40

@@ -3,25 +3,27 @@ package mpc
 import (
 	"crypto/subtle"
 	"fmt"
+	"math/bits"
 
 	"repro/internal/transport"
 )
 
 // The comparison protocol runs k independent comparisons inside ONE
-// RoundsPerCompare-round instance: masked openings, circuit-level AND
-// openings and result bits of all k instances travel in the same frames, so
-// communication rounds — the latency-dominated cost on real networks — are
-// paid once per batch. A single comparison is simply k = 1: there is no
-// scalar variant of the protocol.
+// RoundsPerCompare-round instance: masked openings, carry-level openings and
+// result bits of all k instances travel in the same frames, so communication
+// rounds — the latency-dominated cost on real networks — are paid once per
+// batch. A single comparison is simply k = 1: there is no scalar variant of
+// the protocol.
 //
 // Frame layout (every party broadcasts one frame per round):
 //
 //	round 1      8k bytes: instance i's masked opening d_i + r_i as a
 //	             little-endian uint64 at offset 8i
-//	level ℓ      ⌈gates_ℓ·2·k/8⌉ bytes: one dense bit-stream, gate-major,
-//	             LSB-first — gate t's masked e-vector occupies stream bits
-//	             2t·k … 2t·k+k−1, its f-vector the next k bits; instance i
-//	             is bit i of a vector; only the last byte is zero-padded
+//	levels 2, 3  ⌈wires·k/8⌉ bytes (27 and 6 wires): one dense bit-stream,
+//	             LSB-first — opened wire j of the level (groups lowest
+//	             first, each group's opened slots ascending) occupies stream
+//	             bits j·k … j·k+k−1; instance i is bit i of a vector; only
+//	             the last byte is zero-padded
 //	last round   ⌈k/8⌉ bytes: the k result-bit shares, same bit order
 //
 // batchWireCost (engine.go) restates these sizes as the analytic cost.
@@ -29,6 +31,248 @@ import (
 // FedRoad batches the TM-tree's tournament build, the SPSP frontier's
 // μ-updates and the CH builder's witness searches and customization, whose
 // level-wise comparisons are independent by construction (§VI).
+
+// The borrow circuit. D = C − R is negative iff its bit K−1 is set:
+// d_{K−1} = c_{K−1} ⊕ r_{K−1} ⊕ β, where β, the borrow into bit K−1, is the
+// generate of the NumLeaves leaves 0..K−2 with
+//
+//	g_b = ¬c_b ∧ r_b          (bit b generates a borrow)
+//	p_b = ¬(c_b ⊕ r_b)        (bit b passes a borrow through)
+//
+// A carry group folds up to four (generate, propagate) pairs x_i, y_i,
+// lowest first, into one:
+//
+//	G = x3 ⊕ y3·x2 ⊕ y3·y2·x1 ⊕ y3·y2·y1·x0      P = y3·y2·y1·y0
+//
+// (the ⊕ are ORs of mutually exclusive terms). Three levels of groups take
+// the 63 leaves to one: 16 groups (15 of four leaves, the top one of three),
+// then 4, then 1. The lowest group of a level needs no P: nothing above it
+// reads one.
+//
+// Every wire the circuit multiplies is affine in ONE secret bit v,
+// x = α ⊕ β·v with α and β public per lane, and no product term holds two
+// wires of the same secret bit. A term's product therefore expands into
+// Σ_S (Π_{w∈S} β_w)(Π_{w∉S} α_w)·v_S over the subsets S of its wires, v_S
+// being the AND of S's secret bits, so a party evaluates its share of a whole
+// group locally from dealt XOR shares of every v_S with |S| ≥ 2:
+//
+//	level 1     leaf b: g_b = ¬c_b·r_b and p_b = ¬c_b ⊕ r_b are affine in
+//	            r_b with c public: no round at all; the dealt products are
+//	            subsets of a group's r-bits.
+//	levels 2, 3 each wire entering a product of two or more is opened once
+//	            as x ⊕ m under a fresh dealt mask m (one round per level), so
+//	            x = o ⊕ m with o public; the dealt products are subsets of a
+//	            group's masks. A group's top generate enters G alone and
+//	            stays unopened, as does the lowest group's y0.
+
+// fanIn is the number of (generate, propagate) pairs a carry group folds.
+const fanIn = 4
+
+// carryLevels is the depth of the fan-in-4 circuit over NumLeaves leaves:
+// 63 → 16 → 4 → 1.
+const carryLevels = 3
+
+// RoundsPerCompare is the number of communication rounds of one comparison:
+// fused masked opening (the inputs are already an additive sharing, so no
+// separate input-sharing round exists), one per opened carry level (the
+// first level is dealt and opens nothing), result opening.
+const RoundsPerCompare = 1 + (carryLevels - 1) + 1
+
+// MasksPerCompare is the number of wires the opened carry levels open, each
+// under its own dealt mask: 27 at level 2 (seven per group, six in the
+// lowest) and 6 at level 3.
+const MasksPerCompare = 33
+
+// ProductsPerCompare is the number of dealt subset products one comparison
+// consumes: 11 per four-leaf group and 4 for the three-leaf one at level 1
+// (every subset of ≥ 2 of a group's r-bits), 22 per group and 15 in the
+// lowest at levels 2 and 3 (every subset of ≥ 2 masks inside one product
+// term).
+const ProductsPerCompare = 265
+
+// carryGroup is one group of the circuit with its expansion precomputed.
+// Wire slot i < fanIn is generate x_i, slot fanIn+i propagate y_i.
+type carryGroup struct {
+	in, size int // inputs in..in+size−1: leaves at level 1, else groups of the level below
+	terms    []carryTerm
+	open     []int // slots opened under a mask, ascending (levels 2, 3)
+	mask     int   // TupleBlock.Masks offset of open[0]
+	prod     int   // TupleBlock.Prods offset of the group's first product
+	nprod    int   // its number of products
+}
+
+// maxGroupProducts bounds the products of one group: 22 for a fan-in-4
+// group with P.
+const maxGroupProducts = 22
+
+// carryTerm is one product of G or P.
+type carryTerm struct {
+	p     bool  // a term of P, else of G
+	slots []int // the wires it multiplies
+	// src[s] locates the share of v_s, for the subset s of slots (bit i =
+	// slots[i]), among the shares eval gathers: 0 is the constant 1, 1+slot
+	// a slot's secret bit, 1+2·fanIn+i the group's product i.
+	src []uint8
+}
+
+// circuit holds the carry groups, level by level, lowest group first.
+// productFactors[i] lists the secret bits whose AND is dealt as
+// TupleBlock.Prods[i]: r-bit b as b, mask j as K+j.
+var circuit, productFactors = planCircuit()
+
+// planCircuit lays the circuit out: the masks of the opened levels and the
+// products of every level are numbered group by group in circuit order, a
+// group's products in ascending order of their bitmask over its secret bits
+// (bit i = r-bit in+i at level 1, else bit s = the mask of slot s).
+func planCircuit() ([][]carryGroup, [][]int) {
+	var levels [][]carryGroup
+	var factors [][]int
+	masks := 0
+	for inputs, leaf := NumLeaves, true; inputs > 1; inputs, leaf = (inputs+fanIn-1)/fanIn, false {
+		var level []carryGroup
+		for in := 0; in < inputs; in += fanIn {
+			grp, f := newCarryGroup(in, min(fanIn, inputs-in), leaf, in > 0, masks)
+			grp.prod = len(factors)
+			masks += len(grp.open)
+			factors = append(factors, f...)
+			level = append(level, grp)
+		}
+		levels = append(levels, level)
+	}
+	if len(levels) != carryLevels || masks != MasksPerCompare || len(factors) != ProductsPerCompare {
+		panic(fmt.Sprintf("mpc: circuit has %d levels, %d masks, %d products", len(levels), masks, len(factors)))
+	}
+	return levels, factors
+}
+
+// newCarryGroup expands one group's terms, its masks numbered from mask,
+// and returns it with the factors of its products in layout order.
+func newCarryGroup(in, size int, leaf, needP bool, mask int) (carryGroup, [][]int) {
+	grp := carryGroup{in: in, size: size, mask: mask}
+	for i := 0; i < size; i++ { // x_i · y_{i+1} ⋯ y_{size−1}
+		t := carryTerm{slots: []int{i}}
+		for j := i + 1; j < size; j++ {
+			t.slots = append(t.slots, fanIn+j)
+		}
+		grp.terms = append(grp.terms, t)
+	}
+	if needP { // y_0 ⋯ y_{size−1}
+		t := carryTerm{p: true}
+		for j := 0; j < size; j++ {
+			t.slots = append(t.slots, fanIn+j)
+		}
+		grp.terms = append(grp.terms, t)
+	}
+	secret := func(slot int) uint {
+		if leaf {
+			return 1 << (slot % fanIn)
+		}
+		return 1 << slot
+	}
+	// subsetOf maps a subset of a term's wires to its secret-bit bitmask.
+	subsetOf := func(t carryTerm, s int) uint {
+		var m uint
+		for i, slot := range t.slots {
+			if s>>i&1 == 1 {
+				m |= secret(slot)
+			}
+		}
+		return m
+	}
+	var used [1 << (2 * fanIn)]bool
+	var opened uint
+	for _, t := range grp.terms {
+		for s := 0; s < 1<<len(t.slots); s++ {
+			if bits.OnesCount(uint(s)) >= 2 {
+				used[subsetOf(t, s)] = true
+			}
+		}
+		if len(t.slots) >= 2 {
+			for _, slot := range t.slots {
+				opened |= 1 << slot
+			}
+		}
+	}
+	if !leaf {
+		for slot := 0; slot < 2*fanIn; slot++ {
+			if opened>>slot&1 == 1 {
+				grp.open = append(grp.open, slot)
+			}
+		}
+	}
+	var factors [][]int
+	var at [len(used)]int // a used subset's offset among the group's products
+	for m, u := range used {
+		if !u {
+			continue
+		}
+		at[m] = len(factors)
+		var f []int
+		for b := 0; b < 2*fanIn; b++ {
+			switch {
+			case m>>b&1 == 0:
+			case leaf:
+				f = append(f, in+b)
+			default: // the mask of slot b, the rank of b among the opened slots
+				f = append(f, K+mask+bits.OnesCount(opened&(1<<b-1)))
+			}
+		}
+		factors = append(factors, f)
+	}
+	for ti := range grp.terms {
+		t := &grp.terms[ti]
+		t.src = make([]uint8, 1<<len(t.slots))
+		for s := range t.src {
+			switch bits.OnesCount(uint(s)) {
+			case 0:
+			case 1:
+				t.src[s] = uint8(1 + t.slots[bits.TrailingZeros(uint(s))])
+			default:
+				t.src[s] = uint8(1 + 2*fanIn + at[subsetOf(*t, s)])
+			}
+		}
+	}
+	if grp.nprod = len(factors); grp.nprod > maxGroupProducts {
+		panic(fmt.Sprintf("mpc: a carry group with %d products", grp.nprod))
+	}
+	return grp, factors
+}
+
+// eval returns this party's shares of the group's G and P (P = 0 when the
+// group has no P term) on one word of lanes. Slot s carries the wire
+// α[s] ⊕ β[s]·v with α, β public and v[s] this party's share of its secret
+// bit; prods are its shares of the group's dealt products and one its share
+// of the constant 1 (all-ones at party 0, else zero).
+func (grp *carryGroup) eval(alpha, beta, v *[2 * fanIn]uint64, prods []uint64, one uint64) (g, p uint64) {
+	var shares [1 + 2*fanIn + maxGroupProducts]uint64
+	shares[0] = one
+	copy(shares[1:], v[:])
+	copy(shares[1+2*fanIn:], prods[:grp.nprod])
+	var coef [1 << fanIn]uint64
+	for ti := range grp.terms {
+		t := &grp.terms[ti]
+		// coef[s] = Π_{i∈s} β · Π_{i∉s} α over the term's wires, built up
+		// one wire at a time.
+		coef[0] = ^uint64(0)
+		for i, slot := range t.slots {
+			a, b, n := alpha[slot], beta[slot], 1<<i
+			for s := 0; s < n; s++ {
+				coef[s|n] = coef[s] & b
+				coef[s] &= a
+			}
+		}
+		var acc uint64
+		for s, at := range t.src {
+			acc ^= coef[s] & shares[at]
+		}
+		if t.p {
+			p ^= acc
+		} else {
+			g ^= acc
+		}
+	}
+	return g, p
+}
 
 // RunCompareBatchParty executes one party's role for k comparisons at once
 // over an arbitrary transport. diffs[i] is the party's private input d_p of
@@ -39,7 +283,7 @@ import (
 //
 // This is the only function that performs comparison rounds: each circuit
 // wire holds one bit of every instance in machine-word lanes (see pack.go),
-// so the level-synchronous Beaver evaluation is 64-way SIMD in plain uint64
+// so every carry group is evaluated 64 lanes at a time in plain uint64
 // arithmetic.
 func RunCompareBatchParty(conn transport.Conn, diffs []int64, blocks []*TupleBlock) ([]bool, error) {
 	me, n := conn.Party(), conn.N()
@@ -75,122 +319,63 @@ func RunCompareBatchParty(conn transport.Conn, diffs []int64, blocks []*TupleBlo
 	}
 	putFrame(frame)
 
-	// Transpose the openings into word lanes: vector b of g starts as the
-	// (public) bit b of every instance's C (word b*W+w covers instances
-	// 64w..64w+63, as blocks[w] does).
-	g := getWords(K * W)
-	p := getWords(K * W)
-	defer putWords(g)
-	defer putWords(p)
+	// Transpose the openings into word lanes, complemented: vector b of nc is
+	// ¬c_b of every instance (word b*W+w covers instances 64w..64w+63, as
+	// blocks[w] does). Lanes ≥ k hold unused randomness and garbage derived
+	// from public values; putLanes drops them.
+	nc := getWords(K * W)
+	defer putWords(nc)
 	for i, c := range cs {
 		wi, bit := i>>6, uint(i&63)
 		for b := 0; b < K; b++ {
-			g[b*W+wi] |= (c >> uint(b) & 1) << bit
+			nc[b*W+wi] |= (c >> uint(b) & 1) << bit
 		}
 	}
+	for i := range nc {
+		nc[i] = ^nc[i]
+	}
+	var one uint64
+	if me == 0 {
+		one = ^uint64(0)
+	}
 
-	// Borrow circuit over bits 0..K-2 of C − R. Leaf shares, word-parallel
-	// over instances, computed from c_b (in g) and this party's share r_b of
-	// bit b of every instance's R:
-	//
-	//	g_b = ¬c_b ∧ r_b          (borrow generated at bit b)
-	//	p_b = ¬(c_b ⊕ r_b)        (borrow propagated through bit b)
-	//
-	// Constants fold into party 0's share. Vector K-1 of g and p keeps the
-	// top bits of C and R for the final round: the reduction below only
-	// touches vectors below NumLeaves. Lanes ≥ k hold unused randomness and
-	// garbage derived from public values; putLanes drops them.
+	// Level 1, local: leaf b's generate is ¬c_b·r_b, its propagate
+	// ¬c_b ⊕ r_b.
+	first := circuit[0]
+	gs, ps := getWords(len(first)*W), getWords(len(first)*W)
 	for w, blk := range blocks {
-		for b := 0; b < NumLeaves; b++ {
-			i := b*W + w
-			cw, rw := g[i], blk.RBits[b]
-			g[i], p[i] = rw&^cw, rw
-			if me == 0 {
-				p[i] = rw ^ ^cw
+		for j := range first {
+			grp := &first[j]
+			var alpha, beta, v [2 * fanIn]uint64
+			for i := 0; i < grp.size; i++ {
+				a, r := nc[(grp.in+i)*W+w], blk.RBits[grp.in+i]
+				alpha[i], beta[i], v[i] = 0, a, r
+				alpha[fanIn+i], beta[fanIn+i], v[fanIn+i] = a, ^uint64(0), r
 			}
+			gs[j*W+w], ps[j*W+w] = grp.eval(&alpha, &beta, &v, blk.Prods[grp.prod:], one)
 		}
-		p[(K-1)*W+w] = blk.RBits[K-1]
 	}
 
-	// Log-depth tree reduction of (g, p) segments, ascending significance:
-	// (G, P) = (g_hi ⊕ (p_hi ∧ g_lo), p_hi ∧ p_lo). Each level opens all its
-	// gates' masked vectors in one frame; gate t of the circuit consumes
-	// triple t of every instance.
-	ew := getWords(W)
-	fw := getWords(W)
-	zw := getWords(2 * W) // z of the pair's two gates
-	defer putWords(ew)
-	defer putWords(fw)
-	defer putWords(zw)
-	triplesUsed := 0
-	leaves := NumLeaves
-	for leaves > 1 {
-		half := leaves / 2
-		gates := 2 * half
-		frame := getFrame(streamBytes(gates * 2 * k))
-		for pr := 0; pr < half; pr++ {
-			lo, hi := 2*pr, 2*pr+1
-			for sub := 0; sub < 2; sub++ {
-				// Gate 2pr: (p_hi ∧ g_lo); gate 2pr+1: (p_hi ∧ p_lo).
-				gate := 2*pr + sub
-				y := g
-				if sub == 1 {
-					y = p
-				}
-				t := triplesUsed + gate
-				for w, blk := range blocks {
-					ew[w] = p[hi*W+w] ^ blk.A[t]
-					fw[w] = y[lo*W+w] ^ blk.B[t]
-				}
-				putLanes(frame, 2*gate*k, ew, k)
-				putLanes(frame, (2*gate+1)*k, fw, k)
-			}
-		}
-		if err := openXOR(conn, frame); err != nil {
-			putFrame(frame)
+	// Levels 2 and 3, one opening round each.
+	for _, level := range circuit[1:] {
+		ng, np, err := carryLevel(conn, level, gs, ps, blocks, k, one)
+		putWords(gs)
+		putWords(ps)
+		if err != nil {
 			return nil, err
 		}
-		for pr := 0; pr < half; pr++ {
-			for sub := 0; sub < 2; sub++ {
-				gate := 2*pr + sub
-				getLanes(ew, frame, 2*gate*k, k)
-				getLanes(fw, frame, (2*gate+1)*k, k)
-				t := triplesUsed + gate
-				for w, blk := range blocks {
-					z := blk.C[t] ^ (fw[w] & blk.A[t]) ^ (ew[w] & blk.B[t])
-					if me == 0 {
-						z ^= ew[w] & fw[w]
-					}
-					zw[sub*W+w] = z
-				}
-			}
-			// Combine in place: pair pr writes index pr, reads 2pr/2pr+1 —
-			// always at or beyond the write cursor.
-			hi := 2*pr + 1
-			for w := 0; w < W; w++ {
-				g[pr*W+w] = g[hi*W+w] ^ zw[w]
-				p[pr*W+w] = zw[W+w]
-			}
-		}
-		if leaves%2 == 1 { // odd element is most significant: stays last
-			copy(g[half*W:(half+1)*W], g[(leaves-1)*W:leaves*W])
-			copy(p[half*W:(half+1)*W], p[(leaves-1)*W:leaves*W])
-		}
-		putFrame(frame)
-		triplesUsed += gates
-		leaves = half + leaves%2
+		gs, ps = ng, np
 	}
+	defer putWords(gs)
+	defer putWords(ps)
 
 	// Final round — open all k result bits in one vector. Sign bit of D:
 	// d_{K-1} = c_{K-1} ⊕ r_{K-1} ⊕ G, where the borrow into the top bit is
-	// the tree's total generate G.
+	// the circuit's total generate G.
 	res := getWords(W)
 	defer putWords(res)
-	for w := 0; w < W; w++ {
-		res[w] = p[(K-1)*W+w] ^ g[w]
-		if me == 0 {
-			res[w] ^= g[(K-1)*W+w]
-		}
+	for w, blk := range blocks {
+		res[w] = blk.RBits[K-1] ^ gs[w] ^ one&^nc[(K-1)*W+w]
 	}
 	resFrame := getFrame(streamBytes(k))
 	putLanes(resFrame, 0, res, k)
@@ -205,6 +390,67 @@ func RunCompareBatchParty(conn transport.Conn, diffs []int64, blocks []*TupleBlo
 		out[i] = res[i>>6]>>(uint(i)&63)&1 == 1
 	}
 	return out, nil
+}
+
+// carryLevel evaluates one opened level: every wire of the level's groups
+// that enters a product is opened under its mask, all in one frame, and each
+// group is then folded locally. gIn and pIn hold the level below's G and P
+// vectors; the returned vectors are pooled words.
+func carryLevel(conn transport.Conn, level []carryGroup, gIn, pIn []uint64, blocks []*TupleBlock, k int, one uint64) (gOut, pOut []uint64, err error) {
+	W := len(blocks)
+	wire := func(grp *carryGroup, slot int) []uint64 {
+		in, vecs := grp.in+slot, gIn
+		if slot >= fanIn {
+			in, vecs = grp.in+slot-fanIn, pIn
+		}
+		return vecs[in*W : (in+1)*W]
+	}
+	base := level[0].mask
+	frame := getFrame(streamBytes(openedWires(level) * k))
+	defer putFrame(frame)
+	opened := getWords(2 * fanIn * W) // slot s of the current group at s*W
+	defer putWords(opened)
+	for gi := range level {
+		grp := &level[gi]
+		for o, slot := range grp.open {
+			vec := opened[:W]
+			for w, x := range wire(grp, slot) {
+				vec[w] = x ^ blocks[w].Masks[grp.mask+o]
+			}
+			putLanes(frame, (grp.mask+o-base)*k, vec, k)
+		}
+	}
+	if err := openXOR(conn, frame); err != nil {
+		return nil, nil, err
+	}
+	gOut, pOut = getWords(len(level)*W), getWords(len(level)*W)
+	for gi := range level {
+		grp := &level[gi]
+		for o, slot := range grp.open {
+			getLanes(opened[slot*W:(slot+1)*W], frame, (grp.mask+o-base)*k, k)
+		}
+		for w, blk := range blocks {
+			// An unopened wire is its own share: α = 0, β = 1, v = the share.
+			var alpha, beta, v [2 * fanIn]uint64
+			for i := 0; i < grp.size; i++ {
+				for _, slot := range [2]int{i, fanIn + i} {
+					beta[slot], v[slot] = ^uint64(0), wire(grp, slot)[w]
+				}
+			}
+			for o, slot := range grp.open {
+				alpha[slot], v[slot] = opened[slot*W+w], blk.Masks[grp.mask+o]
+			}
+			gOut[gi*W+w], pOut[gi*W+w] = grp.eval(&alpha, &beta, &v, blk.Prods[grp.prod:], one)
+		}
+	}
+	return gOut, pOut, nil
+}
+
+// openedWires is the number of wires an opened level opens: its frame
+// carries that many k-lane vectors.
+func openedWires(level []carryGroup) int {
+	last := &level[len(level)-1]
+	return last.mask + len(last.open) - level[0].mask
 }
 
 // openXOR opens XOR-shared bits: it broadcasts this party's frame of shares

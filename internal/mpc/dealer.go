@@ -5,17 +5,6 @@ import (
 	"math/rand/v2"
 )
 
-// TriplesPerCompare is the number of Beaver bit triples one comparison
-// consumes: two ANDs per carry-combine node of a binary tree over NumLeaves
-// leaves, which has NumLeaves−1 nodes.
-const TriplesPerCompare = 2 * (NumLeaves - 1)
-
-// RoundsPerCompare is the number of communication rounds of one comparison:
-// fused masked opening (the inputs are already an additive sharing, so no
-// separate input-sharing round exists), one per level of the borrow tree
-// (⌈log₂ NumLeaves⌉ = 6), result opening.
-const RoundsPerCompare = 8
-
 // TupleBlock is one party's share of the correlated randomness of 64
 // comparison lanes, in the layout the kernel computes on (see pack.go):
 // instance i of a k-batch is lane i%64 of block i/64. The dealer deals it
@@ -26,9 +15,13 @@ type TupleBlock struct {
 	R [64]uint64
 	// RBits[b] is the XOR share of bit b of every lane's R.
 	RBits [K]uint64
-	// A[t], B[t], C[t] are the XOR shares of Beaver bit triple t of every
-	// lane (c = a ∧ b jointly); triple t serves circuit gate t.
-	A, B, C [TriplesPerCompare]uint64
+	// Masks[j] is the XOR share of the mask under which the carry circuit
+	// opens its j-th wire, level 2's first (see RunCompareBatchParty).
+	Masks [MasksPerCompare]uint64
+	// Prods[i] is the XOR share of the AND of the secret bits (r-bits or
+	// masks) productFactors[i] lists: the subset products the carry groups
+	// expand into, group by group in circuit order.
+	Prods [ProductsPerCompare]uint64
 }
 
 // Dealer produces correlated randomness for the online protocol. It models
@@ -60,8 +53,8 @@ func NewDealer(n int, seed uint64) *Dealer {
 // CmpTuples deals one comparison's correlated randomness — one TupleBlock
 // per party, which serves up to 64 comparisons run as one batch word. Every
 // share vector of parties 1..n−1 is a raw PRG word and party 0's is the
-// secret minus (R) or XOR (bits, triples) the rest, so any n−1 blocks are
-// jointly uniform.
+// secret minus (R) or XOR (bits, masks, products) the rest, so any n−1 blocks
+// are jointly uniform.
 func (d *Dealer) CmpTuples() []TupleBlock {
 	blocks := make([]TupleBlock, d.n)
 	rest := blocks[1:]
@@ -78,25 +71,39 @@ func (d *Dealer) CmpTuples() []TupleBlock {
 		blocks[0].R[i] = r
 	}
 	transpose64(&rbits)
-	for b, v := range rbits {
-		for p := range rest {
-			s := d.rng.Uint64()
-			rest[p].RBits[b] = s
-			v ^= s
-		}
-		blocks[0].RBits[b] = v
+	// Party 0's XOR-shared vectors start as the secrets.
+	zero := &blocks[0]
+	zero.RBits = rbits
+	for j := range zero.Masks {
+		zero.Masks[j] = d.rng.Uint64()
 	}
-	for t := 0; t < TriplesPerCompare; t++ {
-		a, b := d.rng.Uint64(), d.rng.Uint64()
-		c := a & b
-		for p := range rest {
-			sa, sb, sc := d.rng.Uint64(), d.rng.Uint64(), d.rng.Uint64()
-			rest[p].A[t], rest[p].B[t], rest[p].C[t] = sa, sb, sc
-			a, b, c = a^sa, b^sb, c^sc
+	for i, factors := range productFactors {
+		v := ^uint64(0)
+		for _, f := range factors {
+			if f < K {
+				v &= rbits[f]
+			} else {
+				v &= zero.Masks[f-K]
+			}
 		}
-		blocks[0].A[t], blocks[0].B[t], blocks[0].C[t] = a, b, c
+		zero.Prods[i] = v
+	}
+	for p := range rest {
+		d.xorShare(rest[p].RBits[:], zero.RBits[:])
+		d.xorShare(rest[p].Masks[:], zero.Masks[:])
+		d.xorShare(rest[p].Prods[:], zero.Prods[:])
 	}
 	return blocks
+}
+
+// xorShare fills one party's share vector with raw PRG words and XORs them
+// into party 0's.
+func (d *Dealer) xorShare(share, zero []uint64) {
+	for i := range share {
+		s := d.rng.Uint64()
+		share[i] = s
+		zero[i] ^= s
+	}
 }
 
 // transpose64 transposes a 64×64 bit matrix in place: bit j of m[i] trades

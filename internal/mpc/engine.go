@@ -361,7 +361,7 @@ func (e *Engine) Mode() Mode { return e.mode }
 // layout of RunCompareBatchParty restated:
 //
 //	masked open   n(n−1) frames of 8k bytes
-//	circuit level n(n−1) frames of ⌈gates·2·k/8⌉ bytes
+//	carry level   n(n−1) frames of ⌈wires·k/8⌉ bytes (levels 2 and 3)
 //	result open   n(n−1) frames of ⌈k/8⌉ bytes
 //
 // Both execution modes account with it, and TestBatchWireCostMatchesMeasured
@@ -373,9 +373,8 @@ func batchWireCost(n, k int) (bytes, msgs int64) {
 		return 0, 0
 	}
 	per := 8*k + streamBytes(k) // masked open + result open
-	for leaves := NumLeaves; leaves > 1; leaves = leaves/2 + leaves%2 {
-		gates := 2 * (leaves / 2)
-		per += streamBytes(gates * 2 * k)
+	for _, level := range circuit[1:] {
+		per += streamBytes(openedWires(level) * k)
 	}
 	pairs := int64(n) * int64(n-1)
 	return pairs * int64(per), pairs * int64(RoundsPerCompare)

@@ -96,10 +96,11 @@ func combineBlocks(deal []TupleBlock, skip int) TupleBlock {
 		for b := range x.RBits {
 			x.RBits[b] ^= deal[p].RBits[b]
 		}
-		for tr := range x.A {
-			x.A[tr] ^= deal[p].A[tr]
-			x.B[tr] ^= deal[p].B[tr]
-			x.C[tr] ^= deal[p].C[tr]
+		for j := range x.Masks {
+			x.Masks[j] ^= deal[p].Masks[j]
+		}
+		for i := range x.Prods {
+			x.Prods[i] ^= deal[p].Prods[i]
 		}
 	}
 	return x
@@ -107,7 +108,8 @@ func combineBlocks(deal []TupleBlock, skip int) TupleBlock {
 
 // checkDeal asserts the dealer invariants on one deal (a block per party):
 // in every lane the additive shares of R sum to the value whose bit b is the
-// XOR of the parties' RBits[b], and every triple holds in every lane.
+// XOR of the parties' RBits[b], and every dealt subset product is, in every
+// lane, the AND of its reconstructed factors.
 func checkDeal(t *testing.T, deal []TupleBlock) {
 	t.Helper()
 	x := combineBlocks(deal, -1)
@@ -118,9 +120,17 @@ func checkDeal(t *testing.T, deal []TupleBlock) {
 			}
 		}
 	}
-	for tr := range x.A {
-		if x.C[tr] != x.A[tr]&x.B[tr] {
-			t.Fatalf("triple %d violated: a=%x b=%x c=%x", tr, x.A[tr], x.B[tr], x.C[tr])
+	for i, factors := range productFactors {
+		want := ^uint64(0)
+		for _, f := range factors {
+			if f < K {
+				want &= x.RBits[f]
+			} else {
+				want &= x.Masks[f-K]
+			}
+		}
+		if len(factors) < 2 || x.Prods[i] != want {
+			t.Fatalf("product %d of %v: %x, AND of its factors %x", i, factors, x.Prods[i], want)
 		}
 	}
 }
@@ -144,19 +154,21 @@ func TestDealerBlocksReconstruct(t *testing.T) {
 // TestDealerCoalitionViewIsUniform: what any n−1 parties hold of a share
 // vector is uniform — party 0's share is the secret XOR the rest, and every
 // other share is a raw PRG word — so over 4,096 deals the bits of the
-// coalition's XOR are set about half the time, whichever party is left out.
+// coalition's XOR are set about half the time, whichever party is left out,
+// for the r-bits, the masks and the subset products alike (a product of
+// four uniform bits is set a sixteenth of the time; its shares must not be).
 func TestDealerCoalitionViewIsUniform(t *testing.T) {
 	const deals = 4096
-	fields := []string{"RBits", "A", "B", "C"}
+	fields := []string{"RBits", "Masks", "Prods"}
 	for _, n := range []int{2, 3, 5} {
 		d := NewDealer(n, 61)
-		ones := make([][4]int, n) // [party left out][field] set bits
-		vectors := make([]int, 4) // [field] vectors per block
+		ones := make([][3]int, n) // [party left out][field] set bits
+		vectors := make([]int, 3) // [field] vectors per block
 		for i := 0; i < deals; i++ {
 			deal := d.CmpTuples()
 			for out := range ones {
 				x := combineBlocks(deal, out)
-				for f, vecs := range [][]uint64{x.RBits[:], x.A[:], x.B[:], x.C[:]} {
+				for f, vecs := range [][]uint64{x.RBits[:], x.Masks[:], x.Prods[:]} {
 					vectors[f] = len(vecs)
 					for _, v := range vecs {
 						ones[out][f] += bits.OnesCount64(v)
@@ -188,45 +200,87 @@ func TestDealerDeterministic(t *testing.T) {
 	}
 }
 
-// combinesFor counts the combine nodes of a binary reduction tree.
-func combinesFor(leaves int) int {
-	total := 0
-	for leaves > 1 {
-		total += leaves / 2
-		leaves = leaves/2 + leaves%2
-	}
-	return total
-}
-
-// circuitLevels counts the rounds the borrow circuit needs.
-func circuitLevels(leaves int) int {
+// carryDepth counts the levels of a fan-in-fanIn reduction over leaves.
+func carryDepth(leaves int) int {
 	levels := 0
 	for leaves > 1 {
-		leaves = leaves/2 + leaves%2
+		leaves = (leaves + fanIn - 1) / fanIn
 		levels++
 	}
 	return levels
 }
 
-// TestCircuitSizeConstants pins the declared constants to the circuit they
-// describe.
+// termSubsets counts the subsets of at least two wires lying inside one
+// product term of a carry group over size inputs — wire i < fanIn generate
+// x_i, fanIn+i propagate y_i —, its P term included when withP.
+func termSubsets(size int, withP bool) int {
+	var terms []int
+	for i := 0; i < size; i++ { // x_i · y_{i+1} ⋯ y_{size−1}
+		t := 1 << i
+		for j := i + 1; j < size; j++ {
+			t |= 1 << (fanIn + j)
+		}
+		terms = append(terms, t)
+	}
+	if withP {
+		terms = append(terms, (1<<size-1)<<fanIn)
+	}
+	seen := map[int]bool{}
+	for _, t := range terms {
+		for sub := t; sub > 0; sub = (sub - 1) & t {
+			if bits.OnesCount(uint(sub)) >= 2 {
+				seen[sub] = true
+			}
+		}
+	}
+	return len(seen)
+}
+
+// TestCircuitSizeConstants derives the declared constants from the circuit
+// they describe: depth and rounds from the fan-in, masks from the wires that
+// enter a product (every group's but its top generate, and the lowest
+// group's bottom propagate), products from the subsets of ≥ 2 secret bits
+// inside one term (at level 1 a leaf's generate and propagate share one
+// r-bit, so those are all subsets of ≥ 2 of a group's leaves).
 func TestCircuitSizeConstants(t *testing.T) {
-	if TriplesPerCompare != 2*combinesFor(NumLeaves) || RoundsPerCompare != 2+circuitLevels(NumLeaves) {
-		t.Fatalf("TriplesPerCompare %d / RoundsPerCompare %d do not match the circuit over %d leaves: %d / %d",
-			TriplesPerCompare, RoundsPerCompare, NumLeaves, 2*combinesFor(NumLeaves), 2+circuitLevels(NumLeaves))
+	levels := carryDepth(NumLeaves)
+	if carryLevels != levels || len(circuit) != levels {
+		t.Fatalf("carry depth over %d leaves: %d, carryLevels %d, circuit %d", NumLeaves, levels, carryLevels, len(circuit))
 	}
-	if combinesFor(63) != 62 {
-		t.Fatalf("combinesFor(63) = %d, want 62", combinesFor(63))
+	// Fused masked opening, the two opened levels (the first is dealt),
+	// result opening.
+	if RoundsPerCompare != 1+(levels-1)+1 {
+		t.Fatalf("RoundsPerCompare = %d, the circuit over %d levels needs %d", RoundsPerCompare, levels, 1+(levels-1)+1)
 	}
-	if circuitLevels(63) != 6 {
-		t.Fatalf("circuitLevels(63) = %d, want 6", circuitLevels(63))
+	if RoundsPerCompare != 4 {
+		t.Fatalf("RoundsPerCompare = %d, want 4", RoundsPerCompare)
 	}
-	// Fused masked opening + 6 circuit levels + result opening.
-	if RoundsPerCompare != 8 {
-		t.Fatalf("RoundsPerCompare = %d, want 8", RoundsPerCompare)
+	masks, products := 0, 0
+	for leaf := 0; leaf < NumLeaves; leaf += fanIn {
+		size := min(fanIn, NumLeaves-leaf)
+		products += 1<<size - size - 1
 	}
-	if TriplesPerCompare != 124 {
-		t.Fatalf("TriplesPerCompare = %d, want 124", TriplesPerCompare)
+	for inputs := (NumLeaves + fanIn - 1) / fanIn; inputs > 1; inputs = (inputs + fanIn - 1) / fanIn {
+		for in := 0; in < inputs; in += fanIn {
+			size, withP := min(fanIn, inputs-in), in > 0
+			masks += 2*size - 1
+			if !withP {
+				masks--
+			}
+			products += termSubsets(size, withP)
+		}
+	}
+	if MasksPerCompare != masks {
+		t.Fatalf("MasksPerCompare = %d, the circuit opens %d wires", MasksPerCompare, masks)
+	}
+	if ProductsPerCompare != products {
+		t.Fatalf("ProductsPerCompare = %d, the circuit expands into %d", ProductsPerCompare, products)
+	}
+	if MasksPerCompare != 33 || ProductsPerCompare != 265 {
+		t.Fatalf("%d masks / %d products, want 33 / 265", MasksPerCompare, ProductsPerCompare)
+	}
+	if termSubsets(4, true) != 22 || termSubsets(4, false) != 15 {
+		t.Fatalf("term subsets of a fan-in-4 group: %d with P, %d without, want 22 / 15", termSubsets(4, true), termSubsets(4, false))
 	}
 }
 

@@ -3,8 +3,8 @@ package mpc
 import "sync"
 
 // Word-lane bit-sharing: the comparison protocol keeps one bit of every
-// instance in the same machine-word lane, so a 64-lane XOR, AND or Beaver
-// masking step costs one uint64 operation instead of 64 byte operations. The
+// instance in the same machine-word lane, so a 64-lane XOR, AND or masking
+// step costs one uint64 operation instead of 64 byte operations. The
 // dealer deals its randomness in the same lanes (TupleBlock), one block per
 // word of a batch.
 //

@@ -25,9 +25,10 @@ func TestBatchWireCostMatchesMeasured(t *testing.T) {
 			}
 		}
 	}
-	// The k = 1 figure every cost table quotes: 41 B per ordered party pair.
-	if b, m := batchWireCost(3, 1); b != 246 || m != 48 {
-		t.Fatalf("batchWireCost(3,1) = %d B / %d msgs, want 246 / 48", b, m)
+	// The k = 1 figure every cost table quotes: 14 B per ordered party pair
+	// (8 + ⌈27/8⌉ + ⌈6/8⌉ + ⌈1/8⌉), in 4 rounds.
+	if b, m := batchWireCost(3, 1); b != 84 || m != 24 {
+		t.Fatalf("batchWireCost(3,1) = %d B / %d msgs, want 84 / 24", b, m)
 	}
 }
 

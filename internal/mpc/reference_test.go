@@ -2,7 +2,7 @@ package mpc
 
 import (
 	"bytes"
-	"fmt"
+	"math/bits"
 	"math/rand/v2"
 	"sync"
 	"testing"
@@ -11,40 +11,40 @@ import (
 )
 
 // The byte-per-bit scalar comparison protocol, kept as a test-only reference
-// for the word-lane kernel (RunCompareBatchParty): it was the production
-// single-comparison path before the kernels were unified, it shares no
-// circuit or codec code with the kernel, and at k = 1 the two must produce
+// for the word-lane kernel (RunCompareBatchParty). It shares no circuit or
+// codec code with the kernel: it writes the borrow circuit as a plaintext
+// fold, obtains every carry group's share from the fold's algebraic normal
+// form (truth table, then Möbius transform) over the group's secret bits,
+// derives which wires to open and which products to read from that form
+// alone, and packs its frames bit by bit. At k = 1 the two must produce
 // byte-identical transcripts — which is also the proof that a party running
-// the old scalar protocol interoperates with one running the kernel.
+// the scalar protocol interoperates with one running the kernel.
 
-// bitTriple is one party's share of a Beaver bit triple (a, b, c) with
-// c = a AND b jointly; only the low bit of each byte is meaningful.
-type bitTriple struct {
-	A, B, C byte
-}
+// refFan is the reference's carry-group fan-in.
+const refFan = 4
 
 // refTuple is the reference protocol's byte-per-bit view of one party's
 // randomness for a single comparison.
 type refTuple struct {
-	RShare  uint64
-	RBits   [K]byte
-	Triples []bitTriple
+	RShare uint64
+	RBits  [K]byte
+	Masks  []byte
+	Prods  []byte
 }
 
 // scalarTuple reads instance i's randomness — lane i%64 of blocks[i/64] —
 // out of one party's blocks.
 func scalarTuple(blocks []*TupleBlock, i int) *refTuple {
 	blk, lane := blocks[i>>6], uint(i&63)
-	tup := &refTuple{RShare: blk.R[lane], Triples: make([]bitTriple, TriplesPerCompare)}
+	tup := &refTuple{RShare: blk.R[lane]}
 	for b := range tup.RBits {
 		tup.RBits[b] = byte(blk.RBits[b] >> lane & 1)
 	}
-	for t := range tup.Triples {
-		tup.Triples[t] = bitTriple{
-			A: byte(blk.A[t] >> lane & 1),
-			B: byte(blk.B[t] >> lane & 1),
-			C: byte(blk.C[t] >> lane & 1),
-		}
+	for _, v := range blk.Masks {
+		tup.Masks = append(tup.Masks, byte(v>>lane&1))
+	}
+	for _, v := range blk.Prods {
+		tup.Prods = append(tup.Prods, byte(v>>lane&1))
 	}
 	return tup
 }
@@ -92,10 +92,160 @@ func reconstructBit(shares []byte) byte {
 	return acc & 1
 }
 
+// refFold folds (generate, propagate) pairs, lowest first: the borrow that
+// leaves the span, and whether a borrow entering it passes through.
+func refFold(g, p []byte) (G, P byte) {
+	P = 1
+	for i := range g {
+		G = g[i] ^ p[i]&G
+		P &= p[i]
+	}
+	return G, P
+}
+
+// refANF returns the algebraic normal form of the Boolean function f on
+// nbits inputs: coefficient S is the XOR of f over the subsets of S.
+func refANF(nbits int, f func(x int) byte) []byte {
+	t := make([]byte, 1<<nbits)
+	for x := range t {
+		t[x] = f(x) & 1
+	}
+	for i := 0; i < nbits; i++ {
+		for x := range t {
+			if x>>i&1 == 1 {
+				t[x] ^= t[x^1<<i]
+			}
+		}
+	}
+	return t
+}
+
+// leafOut is a level-1 group's plaintext (G, P) for the leaves' public bits
+// c and secret r-bits r (bit i = leaf i).
+func leafOut(size, c, r int) (byte, byte) {
+	g, p := make([]byte, size), make([]byte, size)
+	for i := range g {
+		ci, ri := byte(c>>i&1), byte(r>>i&1)
+		g[i], p[i] = (1^ci)&ri, 1^ci^ri
+	}
+	return refFold(g, p)
+}
+
+// wireOut is an opened group's plaintext (G, P) for opened values o and
+// secret bits m, both indexed by slot (generate i at i, propagate i at
+// refFan+i): wire s is o_s ⊕ m_s.
+func wireOut(o, m int) (byte, byte) {
+	g, p := make([]byte, refFan), make([]byte, refFan)
+	for i := range g {
+		g[i] = byte((o ^ m) >> i & 1)
+		p[i] = byte((o ^ m) >> (refFan + i) & 1)
+	}
+	return refFold(g, p)
+}
+
+// refLayout numbers a group's dealt products: every subset of ≥ 2 secret
+// bits whose ANF coefficient in a needed output is 1 for some public input,
+// in ascending order of its bitmask.
+func refLayout(nsec, npub int, needP bool, out func(pub, sec int) (byte, byte)) map[int]int {
+	used := make([]bool, 1<<nsec)
+	for pub := 0; pub < 1<<npub; pub++ {
+		gs := refANF(nsec, func(sec int) byte { g, _ := out(pub, sec); return g })
+		ps := refANF(nsec, func(sec int) byte { _, p := out(pub, sec); return p })
+		for s := range used {
+			used[s] = used[s] || gs[s] == 1 || needP && ps[s] == 1
+		}
+	}
+	at := map[int]int{}
+	for s, u := range used {
+		if u && bits.OnesCount(uint(s)) >= 2 {
+			at[s] = len(at)
+		}
+	}
+	return at
+}
+
+// refGroup is one carry group as the reference lays it out.
+type refGroup struct {
+	in, size int
+	needP    bool
+	at       map[int]int // secret subset → offset among the group's products
+	open     []int       // levels 2, 3: slots opened, ascending
+	mask     int         // first mask
+	prod     int         // first product
+}
+
+// refPlan lays out the circuit: 63 leaves, groups of refFan lowest first,
+// masks and products numbered group by group.
+func refPlan() [][]refGroup {
+	type shape struct {
+		size  int
+		needP bool
+	}
+	leafAt := map[shape]map[int]int{}
+	wireAt := map[bool]map[int]int{}
+	var levels [][]refGroup
+	masks, prods := 0, 0
+	for inputs, level1 := K-1, true; inputs > 1; inputs, level1 = (inputs+refFan-1)/refFan, false {
+		var level []refGroup
+		for in := 0; in < inputs; in += refFan {
+			grp := refGroup{in: in, size: min(refFan, inputs-in), needP: in > 0, mask: masks, prod: prods}
+			if level1 {
+				key := shape{grp.size, grp.needP}
+				if leafAt[key] == nil {
+					size := grp.size
+					leafAt[key] = refLayout(size, size, grp.needP, func(c, r int) (byte, byte) { return leafOut(size, c, r) })
+				}
+				grp.at = leafAt[key]
+			} else {
+				if wireAt[grp.needP] == nil {
+					wireAt[grp.needP] = refLayout(2*refFan, 2*refFan, grp.needP, wireOut)
+				}
+				grp.at = wireAt[grp.needP]
+				var opened int
+				for s := range grp.at {
+					opened |= s
+				}
+				for slot := 0; slot < 2*refFan; slot++ {
+					if opened>>slot&1 == 1 {
+						grp.open = append(grp.open, slot)
+					}
+				}
+			}
+			masks += len(grp.open)
+			prods += len(grp.at)
+			level = append(level, grp)
+		}
+		levels = append(levels, level)
+	}
+	return levels
+}
+
+var refCircuit = refPlan()
+
+// refShare returns this party's shares of a group's G and P: out gives them
+// as a function of the group's secret bits for this instance's public
+// values, share(S) this party's share of the AND of the secret subset S.
+func refShare(nsec int, out func(sec int) (byte, byte), share func(S int) byte) (G, P byte) {
+	gs := refANF(nsec, func(sec int) byte { g, _ := out(sec); return g })
+	ps := refANF(nsec, func(sec int) byte { _, p := out(sec); return p })
+	for s := range gs {
+		if gs[s]|ps[s] == 1 {
+			v := share(s)
+			G ^= gs[s] & v
+			P ^= ps[s] & v
+		}
+	}
+	return G, P
+}
+
 // refCompareParty runs one party's role of a single comparison: one bit per
 // byte for every circuit wire, global bit-packing per frame.
 func refCompareParty(conn transport.Conn, diff uint64, tup *refTuple) (bool, error) {
 	me, n := conn.Party(), conn.N()
+	var one byte
+	if me == 0 {
+		one = 1
+	}
 
 	var buf8 [8]byte
 	putU64(buf8[:], diff+tup.RShare)
@@ -108,55 +258,80 @@ func refCompareParty(conn transport.Conn, diff uint64, tup *refTuple) (bool, err
 		c += getU64(opened[q])
 	}
 
-	g := make([]byte, NumLeaves)
-	p := make([]byte, NumLeaves)
-	for i := 0; i < NumLeaves; i++ {
-		ci := byte(c>>uint(i)) & 1
-		ri := tup.RBits[i]
-		if ci == 0 {
-			g[i] = ri
-		}
-		p[i] = ri
-		if me == 0 {
-			p[i] ^= 1 ^ ci
-		}
+	// Level 1: the secret bits are the group's r-bits.
+	var gs, ps []byte
+	for _, grp := range refCircuit[0] {
+		cg := int(c >> uint(grp.in) & (1<<uint(grp.size) - 1))
+		G, P := refShare(grp.size,
+			func(r int) (byte, byte) { return leafOut(grp.size, cg, r) },
+			func(S int) byte {
+				switch bits.OnesCount(uint(S)) {
+				case 0:
+					return one
+				case 1:
+					return tup.RBits[grp.in+bits.TrailingZeros(uint(S))]
+				}
+				return tup.Prods[grp.prod+grp.at[S]]
+			})
+		gs, ps = append(gs, G), append(ps, P)
 	}
 
-	triples := tup.Triples
-	for len(g) > 1 {
-		half := len(g) / 2
-		xs := make([]byte, 0, 2*half)
-		ys := make([]byte, 0, 2*half)
-		for k := 0; k < half; k++ {
-			lo, hi := 2*k, 2*k+1
-			xs = append(xs, p[hi], p[hi])
-			ys = append(ys, g[lo], p[lo])
+	// Levels 2 and 3: open the wires under their masks, then fold.
+	for _, level := range refCircuit[1:] {
+		wire := func(grp refGroup, slot int) byte {
+			if slot < refFan {
+				return gs[grp.in+slot]
+			}
+			return ps[grp.in+slot-refFan]
 		}
-		if len(triples) < 2*half {
-			return false, fmt.Errorf("mpc: out of bit triples")
+		var masked []byte
+		for _, grp := range level {
+			for i, slot := range grp.open {
+				masked = append(masked, wire(grp, slot)^tup.Masks[grp.mask+i])
+			}
 		}
-		zs, err := refAndBatch(conn, me, xs, ys, triples[:2*half])
+		frame := make([]byte, (len(masked)+7)/8)
+		packBits(frame, masked)
+		frames, err := broadcast(conn, frame)
 		if err != nil {
 			return false, err
 		}
-		triples = triples[2*half:]
-		ng := make([]byte, 0, half+1)
-		np := make([]byte, 0, half+1)
-		for k := 0; k < half; k++ {
-			ng = append(ng, g[2*k+1]^zs[2*k])
-			np = append(np, zs[2*k+1])
+		var ng, np []byte
+		j := 0
+		for _, grp := range level {
+			var o, isOpen int
+			maskOf := map[int]byte{}
+			for i, slot := range grp.open {
+				var bit byte
+				for q := 0; q < n; q++ {
+					bit ^= unpackBit(frames[q], j)
+				}
+				j++
+				o |= int(bit) << slot
+				isOpen |= 1 << slot
+				maskOf[slot] = tup.Masks[grp.mask+i]
+			}
+			G, P := refShare(2*refFan,
+				func(m int) (byte, byte) { return wireOut(o, m) },
+				func(S int) byte {
+					switch bits.OnesCount(uint(S)) {
+					case 0:
+						return one
+					case 1:
+						slot := bits.TrailingZeros(uint(S))
+						if isOpen>>slot&1 == 1 {
+							return maskOf[slot]
+						}
+						return wire(grp, slot) // an unopened wire is its own secret
+					}
+					return tup.Prods[grp.prod+grp.at[S]]
+				})
+			ng, np = append(ng, G), append(np, P)
 		}
-		if len(g)%2 == 1 {
-			ng = append(ng, g[len(g)-1])
-			np = append(np, p[len(p)-1])
-		}
-		g, p = ng, np
+		gs, ps = ng, np
 	}
 
-	resShare := tup.RBits[K-1] ^ g[0]
-	if me == 0 {
-		resShare ^= byte(c>>(K-1)) & 1
-	}
+	resShare := tup.RBits[K-1] ^ gs[0] ^ one&byte(c>>(K-1))
 	openedBits, err := broadcast(conn, []byte{resShare & 1})
 	if err != nil {
 		return false, err
@@ -166,37 +341,6 @@ func refCompareParty(conn transport.Conn, diff uint64, tup *refTuple) (bool, err
 		result ^= openedBits[q][0]
 	}
 	return result&1 == 1, nil
-}
-
-// refAndBatch evaluates z_i = x_i ∧ y_i over XOR-shared bits with one Beaver
-// triple each and a single opening round.
-func refAndBatch(conn transport.Conn, me int, xs, ys []byte, trip []bitTriple) ([]byte, error) {
-	k := len(xs)
-	masked := make([]byte, 2*k)
-	for i := 0; i < k; i++ {
-		masked[2*i] = (xs[i] ^ trip[i].A) & 1
-		masked[2*i+1] = (ys[i] ^ trip[i].B) & 1
-	}
-	frame := make([]byte, (2*k+7)/8)
-	packBits(frame, masked)
-	opened, err := broadcast(conn, frame)
-	if err != nil {
-		return nil, err
-	}
-	zs := make([]byte, k)
-	for i := 0; i < k; i++ {
-		var e, f byte
-		for q := 0; q < conn.N(); q++ {
-			e ^= unpackBit(opened[q], 2*i)
-			f ^= unpackBit(opened[q], 2*i+1)
-		}
-		z := trip[i].C ^ (f & trip[i].A) ^ (e & trip[i].B)
-		if me == 0 {
-			z ^= e & f
-		}
-		zs[i] = z & 1
-	}
-	return zs, nil
 }
 
 // packBits stores bits (low bit of each byte) into dst, little-endian within

@@ -58,7 +58,7 @@ func TestTranscriptIsMasked(t *testing.T) {
 			}
 		}
 		// Only the shortest frames (the ⌈k/8⌉-byte result shares and, at
-		// k = 1, the 4-bit last circuit level) may coincide by chance; every
+		// k = 1, the 6-bit last carry level) may coincide by chance; every
 		// longer masked frame must differ.
 		if identical > len(diffs[0]) {
 			t.Fatalf("k=%d: %d of %d frames identical across independently masked runs", k, identical, len(sent1))

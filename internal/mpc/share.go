@@ -10,9 +10,12 @@
 //     additive sharing of D — is opened masked as C = D + R for a random
 //     ring element R whose bit decomposition is XOR-shared among the
 //     parties (1 round; each party broadcasts d_p + r_p),
-//  2. the borrow of the subtraction C − R is evaluated with a log-depth
-//     binary tree of carry-combine gates over the shared bits, each level
-//     batching its AND gates through Beaver bit triples (⌈log₂(K−1)⌉ rounds),
+//  2. the borrow of the subtraction C − R is evaluated with a fan-in-4 carry
+//     circuit over the shared bits: its first level is affine in the bits of
+//     R and costs no round, each of the two levels above opens every wire
+//     it multiplies once under a fresh mask (1 round each), and products of
+//     up to four bits come from dealt shares of subset products
+//     (preprocessed multi-input ANDs),
 //  3. the resulting comparison bit — and nothing else — is opened (1 round).
 //
 // One kernel (RunCompareBatchParty) runs the protocol at every width: the
@@ -21,11 +24,12 @@
 // a whole frontier's comparisons cost the rounds of one. A single comparison
 // is the same kernel at k = 1.
 //
-// The correlated randomness (R, its bit shares, and the bit triples) comes
-// from a preprocessing Dealer, modelling MP-SPDZ's offline phase, which deals
-// it 64 lanes at a time in the kernel's own layout (TupleBlock). Inputs and
-// all intermediate values stay secret; the transcripts contain only uniformly
-// masked openings and the final comparison bit.
+// The correlated randomness (R, its bit shares, the wire masks and the subset
+// products) comes from a preprocessing Dealer, modelling MP-SPDZ's offline
+// phase, which deals it 64 lanes at a time in the kernel's own layout
+// (TupleBlock). Inputs and all intermediate values stay secret; the
+// transcripts contain only uniformly masked openings and the final
+// comparison bit.
 package mpc
 
 import "encoding/binary"

@@ -95,6 +95,13 @@ type Mem struct {
 	msgs   atomic.Int64
 }
 
+// memQueue is the number of frames a Mem channel buffers per ordered pair. A
+// comparison keeps at most two in flight (a party runs at most one round
+// ahead of a peer's receive); the rest is headroom for injected duplicates
+// and for callers that queue a burst before reading. Every engine fork owns
+// a Mem, so the buffers are per-session memory: 18 KB at three parties.
+const memQueue = 128
+
 // NewMem creates an in-process network for n parties.
 func NewMem(n int) *Mem {
 	if n < 2 {
@@ -105,7 +112,7 @@ func NewMem(n int) *Mem {
 		m.chans[i] = make([]chan []byte, n)
 		for j := range m.chans[i] {
 			if i != j {
-				m.chans[i][j] = make(chan []byte, 1024)
+				m.chans[i][j] = make(chan []byte, memQueue)
 			}
 		}
 	}

@@ -5,16 +5,18 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/mpc"
 )
 
 // Fed-SAC usage of the round-budget fixture below, measured at the commit
 // before round coalescing (38e11d6): sums over the fixed query lists of
-// budgetFixture, batched TM-tree, defaults otherwise.
+// budgetFixture, batched TM-tree, defaults otherwise. Instances are the
+// rounds recorded there over its 8 rounds per instance (8,424 and 3,752).
 const (
-	parentSPSPRounds   = 8424
-	parentSPSPCompares = 1315
-	parentKNNRounds    = 3752
-	parentKNNCompares  = 477
+	parentSPSPInstances = 8424 / 8
+	parentSPSPCompares  = 1315
+	parentKNNInstances  = 3752 / 8
+	parentKNNCompares   = 477
 )
 
 // budgetFixture is a fixed-seed indexed road network with fixed query lists.
@@ -39,9 +41,10 @@ func budgetFixture(t *testing.T) (f *Federation, joint Weights, pairs [][2]Verte
 }
 
 // TestLockstepRoundsBudget pins what round coalescing buys: the same
-// comparisons (within tie-order noise) in far fewer protocol instances.
-// Rounds and compares are exact functions of the fixture, so the budget is a
-// hard gate, not a timing.
+// comparisons (within tie-order noise) in far fewer protocol instances —
+// counted as rounds over mpc.RoundsPerCompare, so a cheaper circuit cannot
+// hide more instances. Rounds and compares are exact functions of the
+// fixture, so the budget is a hard gate, not a timing.
 func TestLockstepRoundsBudget(t *testing.T) {
 	f, joint, pairs, sources := budgetFixture(t)
 	opt := QueryOptions{BatchedMPC: true}
@@ -58,8 +61,8 @@ func TestLockstepRoundsBudget(t *testing.T) {
 		rounds += stats.SAC.Rounds
 		compares += stats.SAC.Compares
 	}
-	t.Logf("SPSP: rounds %d (parent %d), compares %d (parent %d)", rounds, parentSPSPRounds, compares, parentSPSPCompares)
-	checkBudget(t, "SPSP", rounds, compares, parentSPSPRounds, parentSPSPCompares, 0.55)
+	t.Logf("SPSP: instances %d (parent %d), compares %d (parent %d)", rounds/mpc.RoundsPerCompare, parentSPSPInstances, compares, parentSPSPCompares)
+	checkBudget(t, "SPSP", rounds/mpc.RoundsPerCompare, compares, parentSPSPInstances, parentSPSPCompares, 0.55)
 
 	rounds, compares = 0, 0
 	for _, s := range sources {
@@ -70,14 +73,14 @@ func TestLockstepRoundsBudget(t *testing.T) {
 		rounds += stats.SAC.Rounds
 		compares += stats.SAC.Compares
 	}
-	t.Logf("kNN: rounds %d (parent %d), compares %d (parent %d)", rounds, parentKNNRounds, compares, parentKNNCompares)
-	checkBudget(t, "kNN", rounds, compares, parentKNNRounds, parentKNNCompares, 0.92)
+	t.Logf("kNN: instances %d (parent %d), compares %d (parent %d)", rounds/mpc.RoundsPerCompare, parentKNNInstances, compares, parentKNNCompares)
+	checkBudget(t, "kNN", rounds/mpc.RoundsPerCompare, compares, parentKNNInstances, parentKNNCompares, 0.92)
 }
 
-func checkBudget(t *testing.T, what string, rounds, compares, parentRounds, parentCompares int64, budget float64) {
+func checkBudget(t *testing.T, what string, instances, compares, parentInstances, parentCompares int64, budget float64) {
 	t.Helper()
-	if float64(rounds) > budget*float64(parentRounds) {
-		t.Errorf("%s: %d rounds exceed %.2f × parent's %d", what, rounds, budget, parentRounds)
+	if float64(instances) > budget*float64(parentInstances) {
+		t.Errorf("%s: %d instances exceed %.2f × parent's %d", what, instances, budget, parentInstances)
 	}
 	if d := float64(compares - parentCompares); d > 0.02*float64(parentCompares) || -d > 0.02*float64(parentCompares) {
 		t.Errorf("%s: %d compares not within 2%% of parent's %d — the saving must be fewer instances, not fewer compares",
