@@ -151,9 +151,10 @@ type Decide func(diffs [][]int64) ([]bool, error)
 // and whose Fed-SAC handles — NewSAC on the view and on every Fork of
 // it — decide through wrap(engine's CompareBatch). It is the one seam at which
 // everything the silos learn passes, the opened bits and the width of every
-// instance, whichever package compares (core, ch, lb): the simulator tests
-// record a real run there and replay it on garbage weights. Production never
-// sets it.
+// instance, whichever package compares (core, ch, lb). The simulator tests set
+// it to record a real run and replay it on garbage weights, and the
+// cross-process harness (internal/soak) to run each party's side of every
+// instance over the wire; the fedroad facade never sets it.
 func (f *Federation) WithDecide(wrap func(Decide) Decide) *Federation {
 	v := *f
 	v.wrap = wrap

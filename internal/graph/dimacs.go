@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 )
@@ -238,14 +239,15 @@ func ImportDIMACS(open func() (io.ReadCloser, error), co io.Reader, opt ImportOp
 // format — standard DIMACS keeps them in a separate .co file) go to onV
 // when non-nil and are skipped otherwise. Parsing is manual ([]byte field
 // splitting) — at tens of millions of lines, fmt.Sscanf dominates import
-// time.
+// time. Each line is trimmed of surrounding white space, so indented records
+// and CRLF line ends parse.
 func scanGR(rd io.Reader, onP func(n, m int64) error, onA func(u, v, w, line int64) error, onV func(id int64, x, y float64) error) error {
 	sc := bufio.NewScanner(rd)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, 1<<20)
 	havep := false
 	var arcs int64
 	for sc.Scan() {
-		b := sc.Bytes()
+		b := bytes.TrimSpace(sc.Bytes())
 		if len(b) == 0 {
 			continue
 		}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -53,6 +54,25 @@ func TestReadFromMixedBase(t *testing.T) {
 func TestReadFromKindValidation(t *testing.T) {
 	if _, _, err := ReadFrom(strings.NewReader("p max 2 1\na 0 1 5\n")); err == nil {
 		t.Fatal("accepted problem kind other than sp")
+	}
+}
+
+// TestReadFromAllocatesByInputNotHeader: a problem line is no licence to
+// allocate. A 19-byte header declaring 2^26 arcs, alone or followed by one
+// arc, fails having allocated what its bytes warrant, not the gigabyte of
+// staging the header claims.
+func TestReadFromAllocatesByInputNotHeader(t *testing.T) {
+	for _, in := range []string{"p sp 1000 67108864\n", "p sp 1000 67108864\na 0 1 5\n"} {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, _, err := ReadFrom(strings.NewReader(in))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%q parsed", in)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+			t.Fatalf("rejecting %q allocated %d bytes", in, alloc)
+		}
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strings"
 )
 
 // WriteTo serializes the graph and an optional weight set in a DIMACS-like
@@ -40,8 +39,9 @@ func WriteTo(wr io.Writer, g *Graph, w Weights) error {
 }
 
 // ReadFrom parses the format written by WriteTo as well as standard
-// 9th-DIMACS-challenge .gr files. Arc IDs in the returned graph match line
-// order of the "a" records, so the returned weight set is aligned.
+// 9th-DIMACS-challenge .gr files, with ImportDIMACS's record parser (scanGR).
+// Arc IDs in the returned graph match line order of the "a" records, so the
+// returned weight set is aligned.
 //
 // The problem-line kind must be "sp". Comment lines starting with "c" are
 // ignored. Vertex IDs may be 0-based (this repo's format) or 1-based (the
@@ -50,103 +50,52 @@ func WriteTo(wr io.Writer, g *Graph, w Weights) error {
 // both 0 and n is an error, and inputs touching neither extreme parse as
 // 0-based for round-trip compatibility with WriteTo.
 //
-// The parse is memory-lean: arcs stream into exact-size columnar staging
-// (the problem line declares the count) and the CSR arrays are built with a
-// counting two-pass instead of a sort, so peak memory is O(final CSR)
-// rather than the ~3× of a buffer-and-sort path.
+// What the parse allocates follows its input, not its header: arcs are
+// staged by append, and the coordinate arrays are allocated on the first "v"
+// record. The declared vertex count still sizes the CSR arrays, which are
+// built with a counting two-pass instead of a sort.
 func ReadFrom(rd io.Reader) (*Graph, Weights, error) {
-	sc := bufio.NewScanner(rd)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	n, m := -1, -1
-	var havep bool
-	var tails, heads []int32 // raw (unshifted) endpoint ids, exact-size
+	var tails, heads []int32 // raw (unshifted) endpoint ids
 	var wts []int64
 	var xs, ys []float64 // raw-id indexed, length n+1 to admit 1-based ids
-	var haveCoord bool
-	narcs := 0
 	minID, maxID := int32(1<<30), int32(-1)
-	seen := func(id int32) {
-		if id < minID {
-			minID = id
-		}
-		if id > maxID {
-			maxID = id
-		}
+	seen := func(id int64) {
+		minID, maxID = min(minID, int32(id)), max(maxID, int32(id))
 	}
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "c") {
-			continue
+	err := scanGR(rd, func(pn, pm int64) error {
+		if pn > 1<<28 || pm > 1<<30 {
+			return fmt.Errorf("graph: implausible problem line p sp %d %d", pn, pm)
 		}
-		switch line[0] {
-		case 'p':
-			var kind string
-			if _, err := fmt.Sscanf(line, "p %s %d %d", &kind, &n, &m); err != nil {
-				return nil, nil, fmt.Errorf("graph: bad problem line %q: %w", line, err)
-			}
-			if kind != "sp" {
-				return nil, nil, fmt.Errorf("graph: problem kind %q, want \"sp\"", kind)
-			}
-			if n < 0 || m < 0 || n > 1<<28 || m > 1<<30 {
-				return nil, nil, fmt.Errorf("graph: implausible problem line %q", line)
-			}
-			if havep {
-				return nil, nil, fmt.Errorf("graph: duplicate problem line")
-			}
-			havep = true
-			tails = make([]int32, m)
-			heads = make([]int32, m)
-			wts = make([]int64, m)
-			xs = make([]float64, n+1)
-			ys = make([]float64, n+1)
-		case 'v':
-			var id int
-			var x, y float64
-			if _, err := fmt.Sscanf(line, "v %d %g %g", &id, &x, &y); err != nil {
-				return nil, nil, fmt.Errorf("graph: bad vertex line %q: %w", line, err)
-			}
-			if !havep {
-				return nil, nil, fmt.Errorf("graph: vertex before problem line")
-			}
-			if id < 0 || id > n {
-				return nil, nil, fmt.Errorf("graph: vertex id %d out of range", id)
-			}
-			seen(int32(id))
-			xs[id], ys[id] = x, y
-			haveCoord = true
-		case 'a':
-			var u, v int
-			var wt int64
-			if _, err := fmt.Sscanf(line, "a %d %d %d", &u, &v, &wt); err != nil {
-				return nil, nil, fmt.Errorf("graph: bad arc line %q: %w", line, err)
-			}
-			if !havep {
-				return nil, nil, fmt.Errorf("graph: arc before problem line")
-			}
-			if u < 0 || u > n || v < 0 || v > n {
-				return nil, nil, fmt.Errorf("graph: arc (%d,%d) out of range", u, v)
-			}
-			if narcs >= m {
-				return nil, nil, fmt.Errorf("graph: problem line declares %d arcs, found more", m)
-			}
-			seen(int32(u))
-			seen(int32(v))
-			tails[narcs] = int32(u)
-			heads[narcs] = int32(v)
-			wts[narcs] = wt
-			narcs++
-		default:
-			return nil, nil, fmt.Errorf("graph: unknown record %q", line)
+		n, m = int(pn), int(pm)
+		return nil
+	}, func(u, v, w, _ int64) error {
+		if u < 0 || u > int64(n) || v < 0 || v > int64(n) {
+			return fmt.Errorf("graph: arc (%d,%d) out of range", u, v)
 		}
-	}
-	if err := sc.Err(); err != nil {
+		if len(tails) == m {
+			return fmt.Errorf("graph: problem line declares %d arcs, found more", m)
+		}
+		seen(u)
+		seen(v)
+		tails, heads, wts = append(tails, int32(u)), append(heads, int32(v)), append(wts, w)
+		return nil
+	}, func(id int64, x, y float64) error {
+		if id < 0 || id > int64(n) {
+			return fmt.Errorf("graph: vertex id %d out of range", id)
+		}
+		seen(id)
+		if xs == nil {
+			xs, ys = make([]float64, n+1), make([]float64, n+1)
+		}
+		xs[id], ys[id] = x, y
+		return nil
+	})
+	if err != nil {
 		return nil, nil, err
 	}
-	if !havep {
-		return nil, nil, fmt.Errorf("graph: missing problem line")
-	}
-	if narcs != m {
-		return nil, nil, fmt.Errorf("graph: problem line declares %d arcs, found %d", m, narcs)
+	if len(tails) != m {
+		return nil, nil, fmt.Errorf("graph: problem line declares %d arcs, found %d", m, len(tails))
 	}
 
 	// Decide the ID base. An id equal to n can only occur 1-based; an id 0
@@ -173,7 +122,7 @@ func ReadFrom(rd io.Reader) (*Graph, Weights, error) {
 		csr.Place(Vertex(tails[i]-base), Vertex(heads[i]-base), wts[i])
 	}
 	tails, heads, wts = nil, nil, nil // release staging before the reverse arrays allocate
-	if haveCoord {
+	if xs != nil {
 		csr.SetCoordinates(xs[base:int32(n)+base], ys[base:int32(n)+base])
 	}
 	return csr.Finish()

@@ -1,6 +1,8 @@
 // Package scenario is the oracle and the race driver of the repository's
 // concurrency tests, written once for every front door a query comes through:
-// the facade, a Session, a QueryCache, serve.Pipeline and HTTP.
+// the facade, a Session, a QueryCache, serve.Pipeline, HTTP and the
+// cross-process mesh, whose chaos driver (internal/soak) checks every answer
+// of its silo processes with History.Check.
 //
 // A History records the joint weights of every traffic version from the
 // writer's own shadow of the silo weights — never read back from the

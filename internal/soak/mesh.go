@@ -3,18 +3,20 @@
 // re-executing itself), connects them into a resilient multiplexed
 // TCP mesh — mTLS when configured — and drives a stream of federated
 // shortest-path queries while links are broken mid-round and one silo is
-// killed and restarted. Every query must either complete with the plaintext
-// Dijkstra answer or fail with a typed transport error; hangs are caught by
-// a hard wall-clock deadline, and the coordinator's mesh counters must show
-// at least one automatic reconnection.
+// killed and restarted. Every query must either return a route that
+// scenario.History.Check accepts or fail with a typed transport error; hangs
+// are caught by a hard wall-clock deadline, and the coordinator's mesh
+// counters must show at least one automatic reconnection.
 //
-// The query protocol is a replicated-control-flow federated Dijkstra: each
-// silo holds its private additive share of every arc weight, all silos run
-// the same public Dijkstra control flow, and every branch decision (frontier
-// argmin, relaxation test) is one secure comparison, a batch of one for
-// mpc.RunCompareBatchParty, over a per-query mux lane. The per-query dealer is re-seeded from
-// Seed⊕query, so a silo process restarted mid-run regenerates exactly the
-// correlated randomness its peers hold — no offline state survives a crash.
+// Each silo process runs the production route search — the one a flat
+// fedroad session runs: TM-tree, Fed-AMPS, lockstep-batched Fed-SAC — with
+// replicated control flow: every party replays the search, and each runs its
+// own side of every Fed-SAC instance, through mpc.RunCompareBatchParty over a
+// per-query mux lane, inside a fed.WithDecide view (partyQuery). Every
+// process derives every silo's weights, so it also holds each opened bit to
+// the ideal decision. The per-query dealer is re-seeded from Seed⊕query, so a
+// silo process restarted mid-run regenerates exactly the correlated
+// randomness its peers hold.
 package soak
 
 import (
@@ -35,8 +37,11 @@ import (
 	"time"
 
 	fedroad "repro"
+	"repro/internal/core"
+	"repro/internal/fed"
 	"repro/internal/graph"
 	"repro/internal/mpc"
+	"repro/internal/scenario"
 	"repro/internal/transport"
 )
 
@@ -102,14 +107,15 @@ func (c MeshPartyConfig) withDefaults() MeshPartyConfig {
 // line each. ErrKind is the typed-failure classification; an empty ErrKind
 // with a non-empty Err is an untyped failure and counts as a violation.
 type MeshQueryResult struct {
-	Q       int    `json:"q"`
-	Src     int    `json:"src"`
-	Dst     int    `json:"dst"`
-	Found   bool   `json:"found"`
-	Joint   int64  `json:"joint"`
-	Settled int    `json:"settled"`
-	Err     string `json:"err,omitempty"`
-	ErrKind string `json:"err_kind,omitempty"`
+	Q        int            `json:"q"`
+	Src      int            `json:"src"`
+	Dst      int            `json:"dst"`
+	Found    bool           `json:"found"`
+	Path     []graph.Vertex `json:"path,omitempty"`
+	Partials []int64        `json:"partials,omitempty"`
+	Settled  int            `json:"settled"`
+	Err      string         `json:"err,omitempty"`
+	ErrKind  string         `json:"err_kind,omitempty"`
 }
 
 // meshRunSummary is the final JSON line each party emits: its mesh counters.
@@ -121,8 +127,9 @@ type meshRunSummary struct {
 }
 
 // classifyMeshErr maps a query failure onto the typed taxonomy. "untyped"
-// marks an error outside the closed set — protocol desync, share corruption
-// — which the chaos driver treats as a correctness violation.
+// marks an error outside the closed set — protocol desync, an opened bit that
+// is not the ideal decision — which the chaos driver treats as a correctness
+// violation.
 func classifyMeshErr(err error) string {
 	switch {
 	case err == nil:
@@ -149,8 +156,7 @@ type meshParty struct {
 	cfg  MeshPartyConfig
 	mesh *transport.Mesh
 	rdv  *transport.LaneConn
-	g    *fedroad.Graph
-	mine fedroad.Weights // this silo's private weight share
+	f    *fed.Federation
 }
 
 // RunMeshParty runs one silo process of the chaos mesh until the query
@@ -166,9 +172,13 @@ func RunMeshParty(cfg MeshPartyConfig) error {
 	}
 
 	// Every process derives the identical federation deterministically; only
-	// silosW[Party] is "its" private data.
+	// silosW[Party] is "its" private data, the one column it feeds to Fed-SAC.
 	g, w0 := fedroad.GenerateRoadNetwork(cfg.Vertices, cfg.Seed)
 	silosW := fedroad.SimulateCongestion(w0, cfg.Silos, fedroad.Moderate, cfg.Seed+1)
+	f, err := fed.New(g, w0, silosW, mpc.Params{})
+	if err != nil {
+		return fmt.Errorf("soak: party %d federation: %w", cfg.Party, err)
+	}
 
 	opts := transport.MeshOptions{Heartbeat: cfg.Heartbeat}
 	if cfg.CertDir != "" {
@@ -204,7 +214,7 @@ func RunMeshParty(cfg MeshPartyConfig) error {
 		}()
 	}
 
-	p := &meshParty{cfg: cfg, mesh: mesh, g: g, mine: silosW[cfg.Party]}
+	p := &meshParty{cfg: cfg, mesh: mesh, f: f}
 	p.rdv = mesh.Lane(laneRendezvous)
 	p.rdv.SetRoundTimeout(200 * time.Millisecond) // rendezvous loops poll past link flaps
 	var queries int
@@ -232,9 +242,9 @@ func encodeBegin(q uint32, src, dst fedroad.Vertex) []byte {
 
 // coordinate drives the query stream from silo 0: per query, a reliable
 // BEGIN/ACK rendezvous (retried across link flaps until a deadline), then
-// the federated Dijkstra on the query's own lane, then one result line.
+// the route search on the query's own lane, then one result line.
 func (p *meshParty) coordinate() (int, error) {
-	nV := p.g.NumVertices()
+	nV := p.f.Graph().NumVertices()
 	rng := rand.New(rand.NewPCG(p.cfg.Seed+17, 0))
 	rdvBudget := 4 * p.cfg.RoundTimeout
 	if rdvBudget < 8*time.Second {
@@ -248,11 +258,11 @@ func (p *meshParty) coordinate() (int, error) {
 		if err := p.rendezvous(uint32(q), src, dst, time.Now().Add(rdvBudget)); err != nil {
 			res.Err, res.ErrKind = err.Error(), classifyMeshErr(err)
 		} else {
-			found, joint, settled, err := p.runQuery(uint32(q), src, dst)
-			res.Found, res.Joint, res.Settled = found, joint, settled
+			route, stats, err := p.runQuery(uint32(q), src, dst)
 			if err != nil {
-				res.Found, res.Joint = false, 0
 				res.Err, res.ErrKind = err.Error(), classifyMeshErr(err)
+			} else {
+				res.Found, res.Path, res.Partials, res.Settled = route.Found, route.Path, route.Partial, stats.SettledVertices
 			}
 		}
 		if err := enc.Encode(res); err != nil {
@@ -357,114 +367,72 @@ func (p *meshParty) follow() (int, error) {
 		if p.rdv.Send(0, ack) != nil {
 			continue // coordinator will time the rendezvous out
 		}
-		if _, _, _, err := p.runQuery(q, src, dst); err != nil {
+		if _, _, err := p.runQuery(q, src, dst); err != nil {
 			fmt.Fprintf(p.cfg.Log, "party %d: query %d failed: %v\n", p.cfg.Party, q, err)
 		}
 		ran++
 	}
 }
 
-// runQuery executes this party's role of federated Dijkstra for query q:
-// public control flow, private additive weight shares, one secure
-// comparison per branch decision. On success the followers open their
-// distance share of dst toward the coordinator, which returns the joint
-// cost. settled counts settled vertices (identical at every party).
-func (p *meshParty) runQuery(q uint32, src, dst fedroad.Vertex) (found bool, joint int64, settled int, err error) {
+// runQuery runs this party's side of query q on the query's own lane. The
+// per-query dealer is re-seeded from Seed⊕q: every party regenerates the same
+// correlated randomness and keeps its own blocks, so a restarted process is
+// instantly back in sync — no offline state survives a crash.
+func (p *meshParty) runQuery(q uint32, src, dst graph.Vertex) (core.PathResult, core.QueryStats, error) {
 	lane := p.mesh.Lane(queryLaneBase + q)
 	lane.SetRoundTimeout(p.cfg.RoundTimeout)
 	defer lane.Close()
-
-	// Per-query dealer: every party regenerates the full correlated
-	// randomness from the shared seed and keeps only its own slice — the
-	// offline phase modeled as a deterministic function, so a restarted
-	// process is instantly back in sync.
 	dealer := mpc.NewDealer(p.cfg.Silos, p.cfg.Seed^(0x6d657368+uint64(q)*0x9e3779b97f4a7c15))
-	me := p.cfg.Party
-	cmp := func(diff int64) (bool, error) {
-		blocks := dealer.CmpTuples()
-		out, err := mpc.RunCompareBatchParty(lane, []int64{diff}, []*mpc.TupleBlock{&blocks[me]})
-		return err == nil && out[0], err
-	}
+	res, stats, _, err := partyQuery(p.f, lane, dealer, src, dst)
+	return res, stats, err
+}
 
-	nV := p.g.NumVertices()
-	const (
-		unseen = iota
-		inFrontier
-		done
-	)
-	dist := make([]int64, nV) // this party's additive share of each label
-	state := make([]byte, nV)
-	frontier := []fedroad.Vertex{src}
-	state[src] = inFrontier
-	for len(frontier) > 0 {
-		// Secure argmin over the frontier by linear scan: same comparison
-		// bits at every party, hence the same settle order.
-		best := 0
-		for i := 1; i < len(frontier); i++ {
-			less, cerr := cmp(dist[frontier[i]] - dist[frontier[best]])
-			if cerr != nil {
-				return false, 0, settled, cerr
+// partyQuery runs conn's party's side of the route src→dst: the search a flat
+// fedroad session runs (core.RouteOptions without an index: TM-tree,
+// Fed-AMPS, lockstep-batched Fed-SAC) on a view of f whose every Fed-SAC
+// instance of k comparisons runs this party's column of the diffs through
+// mpc.RunCompareBatchParty over conn, on block [party] of ⌈k/64⌉ deals of
+// dealer. Control flow depends only on opened bits, so every party replays
+// the same search and the same instances.
+//
+// The process holds every silo's weights, so it also holds each opened bit to
+// the ideal decision on the full diffs; a disagreement fails the query with an
+// untyped error. widths lists the instances' widths in order.
+func partyQuery(f *fed.Federation, conn transport.Conn, dealer *mpc.Dealer, src, dst graph.Vertex) (res core.PathResult, stats core.QueryStats, widths []int, err error) {
+	me := conn.Party()
+	view := f.WithDecide(func(fed.Decide) fed.Decide {
+		return func(diffs [][]int64) ([]bool, error) {
+			widths = append(widths, len(diffs))
+			mine := make([]int64, len(diffs))
+			for i, d := range diffs {
+				mine[i] = d[me]
 			}
-			if less {
-				best = i
+			blocks := make([]*mpc.TupleBlock, (len(diffs)+63)/64)
+			for w := range blocks {
+				blocks[w] = &dealer.CmpTuples()[me]
 			}
-		}
-		u := frontier[best]
-		frontier[best] = frontier[len(frontier)-1]
-		frontier = frontier[:len(frontier)-1]
-		state[u] = done
-		settled++
-		if u == dst {
-			found = true
-			break
-		}
-		arc := p.g.FirstOut(u)
-		for _, v := range p.g.OutNeighbors(u) {
-			if state[v] != done {
-				cand := dist[u] + int64(p.mine[arc])
-				if state[v] == unseen {
-					dist[v] = cand
-					state[v] = inFrontier
-					frontier = append(frontier, v)
-				} else {
-					less, cerr := cmp(cand - dist[v])
-					if cerr != nil {
-						return false, 0, settled, cerr
-					}
-					if less {
-						dist[v] = cand
-					}
+			bits, err := mpc.RunCompareBatchParty(conn, mine, blocks)
+			if err != nil {
+				return nil, err
+			}
+			for i, d := range diffs {
+				var sum int64
+				for _, x := range d {
+					sum += x
+				}
+				if bits[i] != (sum < 0) {
+					return nil, fmt.Errorf("soak: party %d opened %v for instance %d of %d, whose diffs sum to %d", me, bits[i], i, len(diffs), sum)
 				}
 			}
-			arc++
+			return bits, nil
 		}
+	})
+	e, err := core.NewEngine(view, core.RouteOptions(nil, true))
+	if err != nil {
+		return res, stats, nil, err
 	}
-
-	if !found {
-		return false, 0, settled, nil
-	}
-	// Open the result toward the coordinator: the route cost is the query's
-	// public output, the per-arc shares never leave their silo.
-	var share [8]byte
-	if me != 0 {
-		binary.LittleEndian.PutUint64(share[:], uint64(dist[dst]))
-		if serr := lane.Send(0, share[:]); serr != nil {
-			return false, 0, settled, serr
-		}
-		return true, 0, settled, nil
-	}
-	joint = dist[dst]
-	for peer := 1; peer < p.cfg.Silos; peer++ {
-		msg, rerr := lane.Recv(peer)
-		if rerr != nil {
-			return false, 0, settled, rerr
-		}
-		if len(msg) != 8 {
-			return false, 0, settled, fmt.Errorf("soak: bad share frame from silo %d", peer)
-		}
-		joint += int64(binary.LittleEndian.Uint64(msg))
-	}
-	return true, joint, settled, nil
+	res, stats, err = e.SPSP(src, dst)
+	return res, stats, widths, err
 }
 
 // ---------------------------------------------------------------------------
@@ -643,16 +611,10 @@ func RunMeshChaos(cfg MeshChaosConfig) (*MeshChaosReport, error) {
 		return nil, err
 	}
 
-	// Plaintext oracle: the driver holds what no silo does — the joint
-	// weights — and replays every answer against them.
+	// The oracle: every answer is checked at the run's one traffic version.
 	g, w0 := fedroad.GenerateRoadNetwork(cfg.Vertices, cfg.Seed)
 	silosW := fedroad.SimulateCongestion(w0, cfg.Silos, fedroad.Moderate, cfg.Seed+1)
-	joint := make(fedroad.Weights, g.NumArcs())
-	for _, w := range silosW {
-		for a := range joint {
-			joint[a] += w[a]
-		}
-	}
+	h := scenario.NewHistory(g, silosW, func() uint64 { return 0 })
 
 	procs := &meshProcs{cmds: make([]*exec.Cmd, cfg.Silos), files: make([]*os.File, cfg.Silos)}
 	defer procs.killAll()
@@ -752,7 +714,9 @@ stream:
 				continue
 			}
 			rep.Results++
-			verifyMeshResult(rep, g, joint, res)
+			if err := verifyMeshResult(rep, h, res); err != nil {
+				fmt.Fprintf(cfg.Log, "chaos: query %d: %v\n", res.Q, err)
+			}
 			if cfg.Kill && !killed && rep.Results >= killAt {
 				killed = true
 				rep.Kills++
@@ -798,25 +762,29 @@ stream:
 	return rep, nil
 }
 
-// verifyMeshResult scores one coordinator result line against the oracle.
-func verifyMeshResult(rep *MeshChaosReport, g *fedroad.Graph, joint fedroad.Weights, res MeshQueryResult) {
+// verifyMeshResult scores one coordinator result line against the oracle and
+// returns why an answer is incorrect or its failure untyped.
+func verifyMeshResult(rep *MeshChaosReport, h *scenario.History, res MeshQueryResult) error {
 	if res.Err != "" {
 		if res.ErrKind == "" || res.ErrKind == "untyped" {
 			rep.FailedUntyped++
-		} else {
-			rep.FailedTyped++
-			rep.FailureKinds[res.ErrKind]++
+			return fmt.Errorf("untyped failure: %s", res.Err)
 		}
-		return
+		rep.FailedTyped++
+		rep.FailureKinds[res.ErrKind]++
+		return nil
 	}
-	want, _ := graph.DijkstraTo(g, joint, fedroad.Vertex(res.Src), fedroad.Vertex(res.Dst))
-	reachable := want < graph.InfCost
+	err := h.Check(scenario.Answer{Src: graph.Vertex(res.Src), Dst: graph.Vertex(res.Dst), Found: res.Found, Path: res.Path, Partials: res.Partials})
+	if err == nil && res.Found && len(res.Partials) != rep.Silos {
+		err = fmt.Errorf("%d→%d: %d partials for %d silos", res.Src, res.Dst, len(res.Partials), rep.Silos)
+	}
 	switch {
-	case res.Found != reachable, res.Found && res.Joint != want:
+	case err != nil:
 		rep.Incorrect++
-	case reachable:
+	case res.Found:
 		rep.Succeeded++
 	default:
 		rep.Unreachable++
 	}
+	return err
 }

@@ -203,13 +203,16 @@ func (l *link) closeLane(lane uint32) {
 	}
 }
 
-// opError normalizes a socket error: deadline expiries additionally wrap
-// ErrRoundTimeout so callers can classify without poking at net internals.
+// opError normalizes the socket error of a write that failed its link, so
+// callers can classify without poking at net internals: a deadline expiry
+// additionally wraps ErrRoundTimeout, any other error ErrPeerDown (a link
+// closed under the write by a break or a redial reports "use of closed
+// network connection").
 func opError(verb string, peer int, err error) error {
 	if ne, ok := err.(net.Error); ok && ne.Timeout() {
 		return fmt.Errorf("transport: %s party %d: %w: %w", verb, peer, ErrRoundTimeout, err)
 	}
-	return fmt.Errorf("transport: %s party %d: %w", verb, peer, err)
+	return fmt.Errorf("transport: %s party %d: %w: %w", verb, peer, ErrPeerDown, err)
 }
 
 // writeFrame serializes one frame onto the socket under the link's write

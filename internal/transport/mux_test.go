@@ -3,6 +3,8 @@ package transport
 import (
 	"errors"
 	"fmt"
+	"net"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -18,6 +20,18 @@ func twoMesh(t *testing.T, opts MeshOptions) *LocalMesh {
 	}
 	t.Cleanup(func() { lm.Close() })
 	return lm
+}
+
+// TestWriteFailureIsTyped: a write that fails its link is a typed error — a
+// deadline is a timeout, and a link closed under the write (a break or a
+// redial racing a Send) is ErrPeerDown, not a bare socket error.
+func TestWriteFailureIsTyped(t *testing.T) {
+	if err := opError("send to", 1, net.ErrClosed); !errors.Is(err, ErrPeerDown) || IsTimeout(err) {
+		t.Fatalf("closed connection: %v", err)
+	}
+	if err := opError("send to", 1, os.ErrDeadlineExceeded); !IsTimeout(err) || errors.Is(err, ErrPeerDown) {
+		t.Fatalf("deadline: %v", err)
+	}
 }
 
 // TestMuxThousandLanes is the lane-scalability acceptance test: 1024

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fed"
-	"repro/internal/lb"
 	"repro/internal/pq"
 )
 
@@ -101,9 +100,7 @@ func (s *Session) ShortestPathAt(src, dst Vertex, opts ...QueryOptions) (Route, 
 // shortestPath runs the query body at version v — the TM-tree and Fed-AMPS
 // over v's shortcut index when it has one, flat otherwise.
 func (s *Session) shortestPath(v *version, src, dst Vertex, opt QueryOptions) (Route, Stats, error) {
-	e, err := core.NewEngine(s.inner.At(v.fed), core.Options{
-		Queue: pq.KindTMTree, Estimator: lb.FedAMPS, Index: v.index, BatchedMPC: opt.BatchedMPC,
-	})
+	e, err := core.NewEngine(s.inner.At(v.fed), core.RouteOptions(v.index, opt.BatchedMPC))
 	if err != nil {
 		return Route{}, Stats{}, err
 	}
