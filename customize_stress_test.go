@@ -72,18 +72,18 @@ func TestCustomizeStressInterleaved(t *testing.T) {
 // in-place update to a pinned Fed-SAC cost: the comparisons and protocol
 // instances the level-synchronous sweep paid at c495f6e (recorded there as
 // rounds, 8 per instance) — the same comparisons, never more instances — and
-// the bytes the 4-round carry circuit paid when it replaced the 8-round one,
-// which may differ only by frame rounding (an instance rounds its
-// RoundsPerCompare−1 bit-stream frames per ordered silo pair up to whole
-// bytes; fewer instances round less).
+// the bytes the 48-bit ring paid when it replaced the 64-bit one, which may
+// differ only by frame rounding (an instance rounds its RoundsPerCompare−1
+// bit-stream frames per ordered silo pair up to whole bytes; fewer instances
+// round less).
 func TestCustomizedTrafficCostPinned(t *testing.T) {
 	f, _ := rebuildFederation(t, 150, 90)
 	if err := f.CustomizeIndex(); err != nil {
 		t.Fatal(err)
 	}
 	parent := [][3]int64{ // comparisons, instances, bytes
-		{34, 20, 2586}, {15, 11, 1134}, {21, 16, 1608}, {29, 19, 2220}, {28, 17, 2148}, {18, 11, 1362},
-		{18, 12, 1392}, {38, 21, 2922}, {32, 16, 2430}, {25, 15, 1920}, {17, 10, 1284}, {20, 10, 1536},
+		{34, 20, 1932}, {15, 11, 840}, {21, 16, 1194}, {29, 19, 1662}, {28, 17, 1596}, {18, 11, 1014},
+		{18, 12, 1038}, {38, 21, 2214}, {32, 16, 1806}, {25, 15, 1446}, {17, 10, 948}, {20, 10, 1158},
 	}
 	pairs := int64(f.Silos() * (f.Silos() - 1))
 	g := f.Graph()

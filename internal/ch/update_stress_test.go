@@ -156,9 +156,9 @@ func TestCustomizedUpdateNeverGrows(t *testing.T) {
 	}
 	arcs0 := x.NumArcs()
 	parent := []parentCost{
-		{393, 48, 29040}, {466, 50, 34422}, {432, 49, 31932}, {431, 49, 31818}, {421, 48, 31086},
-		{366, 49, 27090}, {434, 50, 32052}, {449, 50, 33138}, {435, 48, 32130}, {446, 50, 32916},
-		{441, 50, 32592}, {419, 50, 30966}, {438, 50, 32322}, {410, 49, 30282}, {425, 47, 31392},
+		{393, 48, 21624}, {466, 50, 25668}, {432, 49, 23778}, {431, 49, 23676}, {421, 48, 23154},
+		{366, 49, 20160}, {434, 50, 23874}, {449, 50, 24672}, {435, 48, 23910}, {446, 50, 24534},
+		{441, 50, 24258}, {419, 50, 23046}, {438, 50, 24084}, {410, 49, 22578}, {425, 47, 23370},
 	}
 	rng := rand.New(rand.NewPCG(31, 31))
 	for round := 0; round < 15; round++ {

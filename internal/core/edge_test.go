@@ -196,3 +196,66 @@ func TestExtremeWeightSkew(t *testing.T) {
 		}
 	}
 }
+
+// TestDeadEndPotentialsStayInRing: on a directed graph whose dead-end
+// branch is reachable from s but cannot reach t, Fed-AMPS clamps the
+// branch's potentials at graph.MaxPathCost, so a silo's share of a queue
+// comparison approaches 2^40. The served route search, flat and indexed,
+// still finds every s→t route exactly at P = 2, 8 and 64 — the most silos
+// fed.New accepts — with no share reaching the engine's mpc.MaxMagnitude/P
+// (ideal mode applies the protocol's magnitude check).
+func TestDeadEndPotentialsStayInRing(t *testing.T) {
+	// Route 0 → 1 → 2 → 3; each route vertex also leads into the cycle
+	// 4 → 5 → 6 → 7 → 4, which has no way back.
+	b := graph.NewBuilder(8)
+	for _, a := range [][2]graph.Vertex{{0, 1}, {1, 2}, {2, 3}, {0, 4}, {1, 5}, {2, 6}, {4, 5}, {5, 6}, {6, 7}, {7, 4}} {
+		b.AddArc(a[0], a[1])
+	}
+	g := b.Build()
+	w0 := make(graph.Weights, g.NumArcs())
+	for a := range w0 {
+		w0[a] = int64(1000 + 137*a)
+	}
+	for _, silos := range []int{2, 8, 64} {
+		sets := traffic.SiloWeights(w0, silos, traffic.Moderate, uint64(silos))
+		f, err := fed.New(g, w0, sets, mpc.Params{Mode: mpc.ModeIdeal, Seed: 9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var widest int64 // the largest |share| any instance carried
+		view := f.WithDecide(func(decide fed.Decide) fed.Decide {
+			return func(diffs [][]int64) ([]bool, error) {
+				for _, d := range diffs {
+					for _, v := range d {
+						widest = max(widest, v, -v)
+					}
+				}
+				return decide(diffs)
+			}
+		})
+		idx, err := ch.Build(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		joint := f.JointWeights()
+		for _, index := range []*ch.Index{nil, idx} {
+			e, err := NewEngine(view, RouteOptions(index, true))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range []graph.Vertex{0, 1, 2} {
+				res, _, err := e.SPSP(s, 3)
+				if err != nil {
+					t.Fatalf("P=%d indexed=%v: route %d→3: %v", silos, index != nil, s, err)
+				}
+				want, _ := graph.DijkstraTo(g, joint, s, 3)
+				if !res.Found || jointSum(res.Partial) != want {
+					t.Fatalf("P=%d indexed=%v: route %d→3 found=%v cost %d, want %d", silos, index != nil, s, res.Found, jointSum(res.Partial), want)
+				}
+			}
+		}
+		if limit := mpc.MaxMagnitude / int64(silos); widest < graph.MaxPathCost/2 || widest >= limit {
+			t.Fatalf("P=%d: widest share %d, want a clamped potential's (≥ %d) below the limit %d", silos, widest, graph.MaxPathCost/2, limit)
+		}
+	}
+}

@@ -63,12 +63,22 @@ type Federation struct {
 	wrap func(Decide) Decide
 }
 
-// New assembles a federation. sets[p] is silo p's private weight set;
-// every set must cover all arcs with positive weights. The federation keeps
-// the sets: nothing may write them afterwards.
+// maxSilos bounds the number of silos. A silo's share of any comparison is
+// below 2·graph.MaxPathCost — a partial-cost difference below MaxPathCost
+// plus a Fed-AMPS potential difference, at most MaxPathCost, where the
+// potentials are clamped — and the engine accepts shares below
+// mpc.MaxMagnitude/P. The blank constant overflows, and the package stops
+// compiling, if a narrower ring breaks that for maxSilos silos.
+const maxSilos = 64
+
+const _ = uint64(mpc.MaxMagnitude/maxSilos - 2*graph.MaxPathCost)
+
+// New assembles a federation of 2 to maxSilos silos. sets[p] is silo p's
+// private weight set; every set must cover all arcs with positive weights.
+// The federation keeps the sets: nothing may write them afterwards.
 func New(g *graph.Graph, w0 graph.Weights, sets []graph.Weights, params mpc.Params) (*Federation, error) {
-	if len(sets) < 2 {
-		return nil, fmt.Errorf("fed: need at least 2 silos, got %d", len(sets))
+	if len(sets) < 2 || len(sets) > maxSilos {
+		return nil, fmt.Errorf("fed: need 2 to %d silos, got %d", maxSilos, len(sets))
 	}
 	if err := graph.ValidateWeights(g, w0); err != nil {
 		return nil, fmt.Errorf("fed: static weights: %w", err)

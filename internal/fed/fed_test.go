@@ -1,8 +1,10 @@
 package fed
 
 import (
+	"fmt"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/graph"
@@ -166,5 +168,35 @@ func TestNewRejectsBadInput(t *testing.T) {
 	}
 	if _, err := New(g, bad, []graph.Weights{w0, w0}, mpc.Params{}); err == nil {
 		t.Fatal("bad static weights accepted")
+	}
+}
+
+// TestNewBoundsSiloCount: maxSilos silos make a federation whose engine
+// accepts a share at the discipline's bound, 2·MaxPathCost − 1; one more
+// silo is refused with an error that names the bound.
+func TestNewBoundsSiloCount(t *testing.T) {
+	g, w0 := graph.GenerateGrid(3, 3, 1)
+	sets := make([]graph.Weights, maxSilos+1)
+	for p := range sets {
+		sets[p] = w0
+	}
+	_, err := New(g, w0, sets, mpc.Params{})
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprint(maxSilos)) {
+		t.Fatalf("%d silos: err = %v, want a refusal naming %d", len(sets), err, maxSilos)
+	}
+	f, err := New(g, w0, sets[:maxSilos], mpc.Params{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	diffs := make([]int64, maxSilos)
+	for p := range diffs {
+		diffs[p] = 2*graph.MaxPathCost - 1
+		if p%2 == 1 {
+			diffs[p] = -diffs[p]
+		}
+	}
+	diffs[0]--
+	if less, err := f.Engine().Compare(diffs); err != nil || !less {
+		t.Fatalf("%d silos at ±(2·MaxPathCost − 1): less = %v, err = %v", maxSilos, less, err)
 	}
 }

@@ -42,15 +42,17 @@ func groupProducts(rng *rand.Rand, grp *carryGroup, n int, secret func(f int) ui
 
 // TestCarryGroupsExhaustive holds the kernel's carry groups to plaintext on
 // every input. For every (c, r) of a four-leaf group (256 cases) and of the
-// three-leaf top group (64), and for every (g, p) input of a fan-in-4 group
-// of levels 2 and 3 (256) under random masks, n parties evaluate their
-// shares with carryGroup.eval from random sharings of the secret bits, the
-// masks and the dealt products, and the shares must open to the group's
-// plaintext generate and propagate. A level-1 group's are those of c − r
-// over its bits: it generates a borrow iff c < r and passes one through iff
-// c = r. A fan-in-4 group's are the fold G ← x_i ⊕ y_i·G, P ← P·y_i, lowest
-// pair first (for the mutually exclusive x_i, y_i of the borrow circuit the
-// ⊕ is an OR). The lowest group of a level computes no P.
+// three-leaf top group (64), and for every (g, p) input of a level-2 group of
+// four inputs and of level 3's group of three (256 wire patterns; a
+// three-input group reads no slot 3 or 7) under random masks, n parties
+// evaluate their shares with carryGroup.eval from random sharings of the
+// secret bits, the masks and the dealt products, and the shares must open to
+// the group's plaintext generate and propagate. A level-1 group's are those
+// of c − r over its bits: it generates a borrow iff c < r and passes one
+// through iff c = r. An opened group's are the fold G ← x_i ⊕ y_i·G,
+// P ← P·y_i over its inputs, lowest pair first (for the mutually exclusive
+// x_i, y_i of the borrow circuit the ⊕ is an OR). The lowest group of a
+// level computes no P.
 func TestCarryGroupsExhaustive(t *testing.T) {
 	rng := rand.New(rand.NewPCG(37, 37))
 	ones := ^uint64(0)
@@ -136,7 +138,7 @@ func TestCarryGroupsExhaustive(t *testing.T) {
 				for l := 0; l < 64; l++ {
 					x := 64*w + l
 					var wantG, wantP uint64 = 0, 1
-					for i := 0; i < fanIn; i++ {
+					for i := 0; i < grp.size; i++ {
 						wantG = uint64(x>>i&1) ^ uint64(x>>(fanIn+i)&1)&wantG
 						wantP &= uint64(x >> (fanIn + i) & 1)
 					}
@@ -144,8 +146,8 @@ func TestCarryGroupsExhaustive(t *testing.T) {
 						wantP = 0
 					}
 					if G>>l&1 != wantG || P>>l&1 != wantP {
-						t.Fatalf("n=%d fan-in group at %d, wires %08b: G %d P %d, want %d %d",
-							n, grp.in, x, G>>l&1, P>>l&1, wantG, wantP)
+						t.Fatalf("n=%d opened group at %d (%d inputs), wires %08b: G %d P %d, want %d %d",
+							n, grp.in, grp.size, x, G>>l&1, P>>l&1, wantG, wantP)
 					}
 				}
 			}

@@ -17,9 +17,9 @@ import (
 //
 // Frame layout (every party broadcasts one frame per round):
 //
-//	round 1      8k bytes: instance i's masked opening d_i + r_i as a
-//	             little-endian uint64 at offset 8i
-//	levels 2, 3  ⌈wires·k/8⌉ bytes (27 and 6 wires): one dense bit-stream,
+//	round 1      6k bytes: instance i's masked opening d_i + r_i mod 2^48
+//	             as 6 little-endian bytes at offset 6i
+//	levels 2, 3  ⌈wires·k/8⌉ bytes (20 and 4 wires): one dense bit-stream,
 //	             LSB-first — opened wire j of the level (groups lowest
 //	             first, each group's opened slots ascending) occupies stream
 //	             bits j·k … j·k+k−1; instance i is bit i of a vector; only
@@ -45,9 +45,9 @@ import (
 //	G = x3 ⊕ y3·x2 ⊕ y3·y2·x1 ⊕ y3·y2·y1·x0      P = y3·y2·y1·y0
 //
 // (the ⊕ are ORs of mutually exclusive terms). Three levels of groups take
-// the 63 leaves to one: 16 groups (15 of four leaves, the top one of three),
-// then 4, then 1. The lowest group of a level needs no P: nothing above it
-// reads one.
+// the 47 leaves to one: 12 groups (11 of four leaves, the top one of three),
+// then 3, then 1 of three inputs. The lowest group of a level needs no P:
+// nothing above it reads one.
 //
 // Every wire the circuit multiplies is affine in ONE secret bit v,
 // x = α ⊕ β·v with α and β public per lane, and no product term holds two
@@ -69,7 +69,7 @@ import (
 const fanIn = 4
 
 // carryLevels is the depth of the fan-in-4 circuit over NumLeaves leaves:
-// 63 → 16 → 4 → 1.
+// 47 → 12 → 3 → 1.
 const carryLevels = 3
 
 // RoundsPerCompare is the number of communication rounds of one comparison:
@@ -79,16 +79,16 @@ const carryLevels = 3
 const RoundsPerCompare = 1 + (carryLevels - 1) + 1
 
 // MasksPerCompare is the number of wires the opened carry levels open, each
-// under its own dealt mask: 27 at level 2 (seven per group, six in the
-// lowest) and 6 at level 3.
-const MasksPerCompare = 33
+// under its own dealt mask: 20 at level 2 (seven per group, six in the
+// lowest) and 4 at level 3 (its one three-input group, which has no P).
+const MasksPerCompare = 24
 
 // ProductsPerCompare is the number of dealt subset products one comparison
 // consumes: 11 per four-leaf group and 4 for the three-leaf one at level 1
 // (every subset of ≥ 2 of a group's r-bits), 22 per group and 15 in the
-// lowest at levels 2 and 3 (every subset of ≥ 2 masks inside one product
-// term).
-const ProductsPerCompare = 265
+// lowest at level 2, and 5 in level 3's three-input group (every subset of
+// ≥ 2 masks inside one product term).
+const ProductsPerCompare = 189
 
 // carryGroup is one group of the circuit with its expansion precomputed.
 // Wire slot i < fanIn is generate x_i, slot fanIn+i propagate y_i.
@@ -302,9 +302,9 @@ func RunCompareBatchParty(conn transport.Conn, diffs []int64, blocks []*TupleBlo
 	// directly, where r_p is its additive share of the dealer's uniform mask
 	// R. Any n−1 of the m_p are jointly uniform (each is masked by an r_p the
 	// observer does not hold), and their sum opens only C = D + R.
-	frame := getFrame(8 * k)
+	frame := getFrame(openBytes * k)
 	for i, d := range diffs {
-		putU64(frame[8*i:], uint64(d)+blocks[i>>6].R[i&63])
+		putU48(frame[openBytes*i:], uint64(d)+blocks[i>>6].R[i&63])
 	}
 	opened, err := broadcast(conn, frame)
 	if err != nil {
@@ -314,15 +314,17 @@ func RunCompareBatchParty(conn transport.Conn, diffs []int64, blocks []*TupleBlo
 	cs := make([]uint64, k)
 	for q := 0; q < n; q++ {
 		for i := 0; i < k; i++ {
-			cs[i] += getU64(opened[q][8*i:])
+			cs[i] += getU48(opened[q][openBytes*i:])
 		}
 	}
 	putFrame(frame)
 
 	// Transpose the openings into word lanes, complemented: vector b of nc is
 	// ¬c_b of every instance (word b*W+w covers instances 64w..64w+63, as
-	// blocks[w] does). Lanes ≥ k hold unused randomness and garbage derived
-	// from public values; putLanes drops them.
+	// blocks[w] does). Only the K ring bits are read, so the sum's carries
+	// above bit K−1 drop out: C is D + R mod 2^K. Lanes ≥ k hold unused
+	// randomness and garbage derived from public values; putLanes drops
+	// them.
 	nc := getWords(K * W)
 	defer putWords(nc)
 	for i, c := range cs {

@@ -11,7 +11,7 @@ import (
 // and RunCompareBatchParty indexes it in place; a batch
 // discards the lanes ≥ k of its last block, so no block is ever used twice.
 type TupleBlock struct {
-	// R[i] is the additive share of lane i's mask R.
+	// R[i] is the additive share of lane i's mask R, mod 2^K.
 	R [64]uint64
 	// RBits[b] is the XOR share of bit b of every lane's R.
 	RBits [K]uint64
@@ -59,7 +59,7 @@ func (d *Dealer) CmpTuples() []TupleBlock {
 	blocks := make([]TupleBlock, d.n)
 	rest := blocks[1:]
 
-	var rbits [K]uint64 // the lanes' masks; once transposed, vector b = bit b of every lane's mask
+	var rbits [64]uint64 // the lanes' masks; once transposed, vector b = bit b of every lane's mask
 	for i := range rbits {
 		r := d.rng.Uint64()
 		rbits[i] = r
@@ -73,7 +73,7 @@ func (d *Dealer) CmpTuples() []TupleBlock {
 	transpose64(&rbits)
 	// Party 0's XOR-shared vectors start as the secrets.
 	zero := &blocks[0]
-	zero.RBits = rbits
+	copy(zero.RBits[:], rbits[:K]) // bits ≥ K lie outside the ring
 	for j := range zero.Masks {
 		zero.Masks[j] = d.rng.Uint64()
 	}

@@ -360,7 +360,7 @@ func (e *Engine) Mode() Mode { return e.mode }
 // data-oblivious, so the cost is a pure function of (n, k) — the frame
 // layout of RunCompareBatchParty restated:
 //
-//	masked open   n(n−1) frames of 8k bytes
+//	masked open   n(n−1) frames of 6k bytes
 //	carry level   n(n−1) frames of ⌈wires·k/8⌉ bytes (levels 2 and 3)
 //	result open   n(n−1) frames of ⌈k/8⌉ bytes
 //
@@ -372,7 +372,7 @@ func batchWireCost(n, k int) (bytes, msgs int64) {
 	if k == 0 {
 		return 0, 0
 	}
-	per := 8*k + streamBytes(k) // masked open + result open
+	per := openBytes*k + streamBytes(k) // masked open + result open
 	for _, level := range circuit[1:] {
 		per += streamBytes(openedWires(level) * k)
 	}

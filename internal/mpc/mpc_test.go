@@ -157,13 +157,14 @@ func TestDealerBlocksReconstruct(t *testing.T) {
 // coalition's XOR are set about half the time, whichever party is left out,
 // for the r-bits, the masks and the subset products alike (a product of
 // four uniform bits is set a sixteenth of the time; its shares must not be).
+// A block carries the 48 r-bits of the ring, 24 masks and 189 products.
 func TestDealerCoalitionViewIsUniform(t *testing.T) {
 	const deals = 4096
 	fields := []string{"RBits", "Masks", "Prods"}
 	for _, n := range []int{2, 3, 5} {
 		d := NewDealer(n, 61)
 		ones := make([][3]int, n) // [party left out][field] set bits
-		vectors := make([]int, 3) // [field] vectors per block
+		var vectors [3]int        // [field] vectors per block
 		for i := 0; i < deals; i++ {
 			deal := d.CmpTuples()
 			for out := range ones {
@@ -175,6 +176,9 @@ func TestDealerCoalitionViewIsUniform(t *testing.T) {
 					}
 				}
 			}
+		}
+		if vectors != [3]int{48, 24, 189} {
+			t.Fatalf("n=%d: a block holds %v RBits, Masks, Prods vectors, want 48, 24, 189", n, vectors)
 		}
 		for out := range ones {
 			for f, name := range fields {
@@ -276,8 +280,8 @@ func TestCircuitSizeConstants(t *testing.T) {
 	if ProductsPerCompare != products {
 		t.Fatalf("ProductsPerCompare = %d, the circuit expands into %d", ProductsPerCompare, products)
 	}
-	if MasksPerCompare != 33 || ProductsPerCompare != 265 {
-		t.Fatalf("%d masks / %d products, want 33 / 265", MasksPerCompare, ProductsPerCompare)
+	if MasksPerCompare != 24 || ProductsPerCompare != 189 {
+		t.Fatalf("%d masks / %d products, want 24 / 189", MasksPerCompare, ProductsPerCompare)
 	}
 	if termSubsets(4, true) != 22 || termSubsets(4, false) != 15 {
 		t.Fatalf("term subsets of a fan-in-4 group: %d with P, %d without, want 22 / 15", termSubsets(4, true), termSubsets(4, false))
@@ -501,7 +505,9 @@ func TestEngineRejectsBadInput(t *testing.T) {
 // TestMagnitudeBoundEnforced: at the boundary, in both modes, one share at
 // MaxMagnitude/n refuses the whole batch with ErrMagnitude before anything
 // is spent — no stats, no dealer randomness, no poisoning — and the largest
-// legal shares still compare correctly afterwards.
+// legal shares still compare correctly afterwards: all of one sign (|D| just
+// under MaxMagnitude, the sign bit K−1 of the ring) and cancelling to 0 and
+// −1.
 func TestMagnitudeBoundEnforced(t *testing.T) {
 	for _, mode := range []Mode{ModeIdeal, ModeProtocol} {
 		for _, n := range []int{2, 3, 5} {
@@ -525,12 +531,15 @@ func TestMagnitudeBoundEnforced(t *testing.T) {
 			for p := range neg {
 				neg[p] = -(limit - 1)
 			}
+			zero, minus := make([]int64, n), make([]int64, n)
+			zero[0], zero[1] = limit-1, -(limit - 1)
+			minus[0], minus[1] = limit-2, -(limit - 1)
 			for _, eng := range []*Engine{e, twin} {
-				got, err := eng.CompareBatch([][]int64{ok, neg})
+				got, err := eng.CompareBatch([][]int64{ok, neg, zero, minus})
 				if err != nil {
 					t.Fatal(err)
 				}
-				if got[0] || !got[1] {
+				if got[0] || !got[1] || got[2] || !got[3] {
 					t.Fatalf("mode %d n=%d: boundary shares compared wrongly: %v", mode, n, got)
 				}
 			}

@@ -131,11 +131,11 @@ func leafOut(size, c, r int) (byte, byte) {
 	return refFold(g, p)
 }
 
-// wireOut is an opened group's plaintext (G, P) for opened values o and
-// secret bits m, both indexed by slot (generate i at i, propagate i at
-// refFan+i): wire s is o_s ⊕ m_s.
-func wireOut(o, m int) (byte, byte) {
-	g, p := make([]byte, refFan), make([]byte, refFan)
+// wireOut is an opened group's plaintext (G, P) over its size inputs for
+// opened values o and secret bits m, both indexed by slot (generate i at i,
+// propagate i at refFan+i): wire s is o_s ⊕ m_s.
+func wireOut(size, o, m int) (byte, byte) {
+	g, p := make([]byte, size), make([]byte, size)
 	for i := range g {
 		g[i] = byte((o ^ m) >> i & 1)
 		p[i] = byte((o ^ m) >> (refFan + i) & 1)
@@ -174,7 +174,7 @@ type refGroup struct {
 	prod     int         // first product
 }
 
-// refPlan lays out the circuit: 63 leaves, groups of refFan lowest first,
+// refPlan lays out the circuit: 47 leaves, groups of refFan lowest first,
 // masks and products numbered group by group.
 func refPlan() [][]refGroup {
 	type shape struct {
@@ -182,25 +182,24 @@ func refPlan() [][]refGroup {
 		needP bool
 	}
 	leafAt := map[shape]map[int]int{}
-	wireAt := map[bool]map[int]int{}
+	wireAt := map[shape]map[int]int{}
 	var levels [][]refGroup
 	masks, prods := 0, 0
 	for inputs, level1 := K-1, true; inputs > 1; inputs, level1 = (inputs+refFan-1)/refFan, false {
 		var level []refGroup
 		for in := 0; in < inputs; in += refFan {
 			grp := refGroup{in: in, size: min(refFan, inputs-in), needP: in > 0, mask: masks, prod: prods}
+			key, size := shape{grp.size, grp.needP}, grp.size
 			if level1 {
-				key := shape{grp.size, grp.needP}
 				if leafAt[key] == nil {
-					size := grp.size
 					leafAt[key] = refLayout(size, size, grp.needP, func(c, r int) (byte, byte) { return leafOut(size, c, r) })
 				}
 				grp.at = leafAt[key]
 			} else {
-				if wireAt[grp.needP] == nil {
-					wireAt[grp.needP] = refLayout(2*refFan, 2*refFan, grp.needP, wireOut)
+				if wireAt[key] == nil {
+					wireAt[key] = refLayout(2*refFan, 2*refFan, grp.needP, func(o, m int) (byte, byte) { return wireOut(size, o, m) })
 				}
-				grp.at = wireAt[grp.needP]
+				grp.at = wireAt[key]
 				var opened int
 				for s := range grp.at {
 					opened |= s
@@ -247,16 +246,25 @@ func refCompareParty(conn transport.Conn, diff uint64, tup *refTuple) (bool, err
 		one = 1
 	}
 
-	var buf8 [8]byte
-	putU64(buf8[:], diff+tup.RShare)
-	opened, err := broadcast(conn, buf8[:])
+	// The masked opening: the K-bit ring element, one byte at a time.
+	m := diff + tup.RShare
+	buf := make([]byte, K/8)
+	for i := range buf {
+		buf[i] = byte(m >> (8 * i))
+	}
+	opened, err := broadcast(conn, buf)
 	if err != nil {
 		return false, err
 	}
 	c := uint64(0)
 	for q := 0; q < n; q++ {
-		c += getU64(opened[q])
+		var v uint64
+		for i, b := range opened[q] {
+			v |= uint64(b) << (8 * i)
+		}
+		c += v
 	}
+	c &= 1<<K - 1
 
 	// Level 1: the secret bits are the group's r-bits.
 	var gs, ps []byte
@@ -312,7 +320,7 @@ func refCompareParty(conn transport.Conn, diff uint64, tup *refTuple) (bool, err
 				maskOf[slot] = tup.Masks[grp.mask+i]
 			}
 			G, P := refShare(2*refFan,
-				func(m int) (byte, byte) { return wireOut(o, m) },
+				func(m int) (byte, byte) { return wireOut(grp.size, o, m) },
 				func(S int) byte {
 					switch bits.OnesCount(uint(S)) {
 					case 0:

@@ -2,6 +2,8 @@ package mpc
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"math/rand/v2"
 	"net"
 	"slices"
@@ -51,17 +53,14 @@ func TestTranscriptIsMasked(t *testing.T) {
 		if len(sent1) != len(sent2) {
 			t.Fatalf("k=%d: frame counts differ: %d vs %d", k, len(sent1), len(sent2))
 		}
-		identical := 0
+		// Only frames of at most ⌈k/8⌉ bytes may coincide by chance: the
+		// result shares and, at k = 1, the one-byte frame of level 3's four
+		// masked bits (equal 1 time in 16). Every longer masked frame must
+		// differ.
 		for i := range sent1 {
-			if bytes.Equal(sent1[i], sent2[i]) {
-				identical++
+			if len(sent1[i]) > streamBytes(k) && bytes.Equal(sent1[i], sent2[i]) {
+				t.Fatalf("k=%d: frame %d (%d B) identical across independently masked runs", k, i, len(sent1[i]))
 			}
-		}
-		// Only the shortest frames (the ⌈k/8⌉-byte result shares and, at
-		// k = 1, the 6-bit last carry level) may coincide by chance; every
-		// longer masked frame must differ.
-		if identical > len(diffs[0]) {
-			t.Fatalf("k=%d: %d of %d frames identical across independently masked runs", k, identical, len(sent1))
 		}
 	}
 }
@@ -75,14 +74,15 @@ func TestInputSharesDoNotRevealInput(t *testing.T) {
 		diffs := repeatInstance([]int64{424242, 0, 0}, k)
 		_, sent1 := runRecorded(t, diffs, 3)
 		_, sent2 := runRecorded(t, diffs, 4)
-		// Round 1 frames are the first n-1 sends, 8k bytes each.
+		// Round 1 frames are the first n-1 sends, 6k bytes each: one
+		// 48-bit ring element per instance.
 		for f := 0; f < 2; f++ {
-			if len(sent1[f]) != 8*k {
-				t.Fatalf("k=%d: round-1 frame is %d bytes, want %d", k, len(sent1[f]), 8*k)
+			if len(sent1[f]) != 6*k || len(sent2[f]) != 6*k {
+				t.Fatalf("k=%d: round-1 frames are %d and %d bytes, want %d", k, len(sent1[f]), len(sent2[f]), 6*k)
 			}
 			for i := 0; i < k; i++ {
-				v1 := getU64(sent1[f][8*i:])
-				v2 := getU64(sent2[f][8*i:])
+				v1 := getU48(sent1[f][6*i:])
+				v2 := getU48(sent2[f][6*i:])
 				if v1 == uint64(diffs[i][0]) || v2 == uint64(diffs[i][0]) {
 					t.Fatalf("k=%d: raw input of instance %d appeared on the wire", k, i)
 				}
@@ -90,6 +90,60 @@ func TestInputSharesDoNotRevealInput(t *testing.T) {
 					t.Fatalf("k=%d: masked opening of instance %d did not change across runs", k, i)
 				}
 			}
+		}
+	}
+}
+
+// TestOpeningsAreUniform: for a fixed D, every opened bit of a run other
+// than the result is set about half the time over 4,096 independently dealt
+// lanes — each of the 48 bits of C = D + R mod 2^48, bits 40–47 included,
+// where a FedRoad difference (|D| < 2^47) keeps its sign, and each of the
+// 20 + 4 masked wires of the carry levels — for D = −1 (every bit set) and
+// D = 2^40 (one sign-region bit set). So the 48-bit mask covers the sign,
+// and no carry-level mask is left out.
+func TestOpeningsAreUniform(t *testing.T) {
+	const runs, k = 64, 64
+	for _, d := range [][]int64{{-1, 0, 0}, {1 << 39, 1 << 39, 0}} {
+		n := len(d)
+		var cBits [K]int
+		wireBits := make([]int, MasksPerCompare)
+		for seed := uint64(0); seed < runs; seed++ {
+			_, sent, _ := runKernel(t, n, 900+seed, repeatInstance(d, k))
+			// Party p's frames, each sent to its n−1 peers: round r's is
+			// sent[p][r·(n−1)].
+			for i := 0; i < k; i++ {
+				var c uint64
+				for p := range sent {
+					c += getU48(sent[p][0][6*i:])
+				}
+				for b := range cBits {
+					cBits[b] += int(c >> b & 1)
+				}
+			}
+			wire := 0
+			for level := 1; level < RoundsPerCompare-1; level++ {
+				for j := 0; j < openedWires(circuit[level]); j, wire = j+1, wire+1 {
+					for i := 0; i < k; i++ {
+						var o byte
+						for p := range sent {
+							o ^= unpackBit(sent[p][level*(n-1)], j*k+i)
+						}
+						wireBits[wire] += int(o)
+					}
+				}
+			}
+		}
+		total := float64(runs * k)
+		uniform := func(what string, set int) {
+			if dev := math.Abs(float64(set) - total/2); dev > 4*math.Sqrt(total)/2 {
+				t.Fatalf("D = %v: %s set %d of %.0f times, beyond 4σ of half", d, what, set, total)
+			}
+		}
+		for b, set := range cBits {
+			uniform(fmt.Sprintf("bit %d of C", b), set)
+		}
+		for w, set := range wireBits {
+			uniform(fmt.Sprintf("opened carry wire %d", w), set)
 		}
 	}
 }

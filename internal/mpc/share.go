@@ -1,5 +1,5 @@
 // Package mpc implements the secure multi-party computation substrate behind
-// FedRoad's Fed-SAC operator: additive secret sharing over the ring Z_2^64
+// FedRoad's Fed-SAC operator: additive secret sharing over the ring Z_2^48
 // and a semi-honest n-party secure comparison in the preprocessing model.
 //
 // The paper implements Fed-SAC on MP-SPDZ with the "Temi" protocol and the
@@ -34,9 +34,12 @@ package mpc
 
 import "encoding/binary"
 
-// K is the ring bit width. All arithmetic is mod 2^K with K = 64 so that
-// values map directly onto uint64 two's-complement.
-const K = 64
+// K is the ring bit width: all arithmetic is mod 2^K. Values live in uint64
+// words and only their low K bits are opened or decomposed. K = 48 keeps the
+// masked opening byte-aligned (putU48) and leaves the sign bit K−1 above
+// every difference FedRoad compares (see MaxMagnitude). It is not a knob:
+// the circuit plan, TupleBlock and the wire format are sized by it.
+const K = 48
 
 // NumLeaves is the number of borrow-circuit leaves: bits 0..K-2 feed the
 // borrow into the sign bit K-1.
@@ -45,9 +48,23 @@ const NumLeaves = K - 1
 // MaxMagnitude bounds |input difference| for a sound comparison: the sign bit
 // of D = Σ diffs must be meaningful, so |D| must stay below 2^(K-1).
 // Engine.CompareBatch enforces it per party (|diffs[p]| < MaxMagnitude/n,
-// else ErrMagnitude). FedRoad path costs are < 2^40 and silo counts ≤ 64,
-// leaving huge headroom.
-const MaxMagnitude = int64(1) << 50
+// else ErrMagnitude). Every FedRoad comparison has |d_p| < 2^41 — a
+// partial-cost difference below graph.MaxPathCost = 2^40 plus a Fed-AMPS
+// potential difference of at most the 2^40 clamp — so 2^47/n covers every
+// federation of up to 64 silos, the bound fed.New enforces.
+const MaxMagnitude = int64(1) << (K - 1)
 
-func putU64(dst []byte, v uint64) { binary.LittleEndian.PutUint64(dst, v) }
-func getU64(src []byte) uint64    { return binary.LittleEndian.Uint64(src) }
+// openBytes is the wire size of one ring element: K/8 = 6 bytes.
+const openBytes = K / 8
+
+// putU48 writes the low K bits of v, a ring element, as openBytes
+// little-endian bytes.
+func putU48(dst []byte, v uint64) {
+	binary.LittleEndian.PutUint32(dst, uint32(v))
+	binary.LittleEndian.PutUint16(dst[4:], uint16(v>>32))
+}
+
+// getU48 reads a ring element putU48 wrote.
+func getU48(src []byte) uint64 {
+	return uint64(binary.LittleEndian.Uint32(src)) | uint64(binary.LittleEndian.Uint16(src[4:]))<<32
+}
