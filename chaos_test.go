@@ -157,29 +157,33 @@ func TestChaosSilentPartyTimesOut(t *testing.T) {
 	}
 }
 
-func TestChaosRetryAbsorbsTransientFault(t *testing.T) {
-	// A single transient transport fault inside a query is absorbed by the
-	// configured Fed-SAC retry budget: the query succeeds with the correct
-	// joint cost and the session stays healthy.
+func TestChaosTransientFaultFailsOnlyItsQuery(t *testing.T) {
+	// A single injected transport fault inside a query fails that query: its
+	// session is poisoned, with the fault in the error chain, and a fresh
+	// session answers with the joint-Dijkstra cost.
 	plan := transport.FaultPlan{After: 30, Script: []transport.FaultKind{transport.FaultError}}
-	f, g, silos, armed := chaosFederation(t, plan, 0, Config{
-		RoundTimeout:    150 * time.Millisecond,
-		SACRetries:      2,
-		SACRetryBackoff: time.Millisecond,
-	})
+	f, g, silos, armed := chaosFederation(t, plan, 0, Config{RoundTimeout: 150 * time.Millisecond})
 
 	armed.Store(true)
 	sess := f.Session()
 	defer sess.Close()
-	route, _, err := sess.ShortestPath(0, 24)
+	_, _, err := sess.ShortestPath(0, 24)
+	if !errors.Is(err, ErrSessionPoisoned) || !errors.Is(err, transport.ErrTransient) {
+		t.Fatalf("faulted query = %v, want ErrSessionPoisoned wrapping the injected fault", err)
+	}
+	if !sess.Poisoned() {
+		t.Fatal("session not poisoned by the fault")
+	}
+
+	armed.Store(false)
+	fresh := f.Session()
+	defer fresh.Close()
+	route, _, err := fresh.ShortestPath(0, 24)
 	if err != nil {
-		t.Fatalf("retry did not absorb the transient fault: %v", err)
+		t.Fatalf("fresh session after the fault: %v", err)
 	}
 	if want := jointDijkstra(g, silos, 0, 24); JointCost(route) != want {
-		t.Fatalf("faulty-but-retried query cost %d, want %d", JointCost(route), want)
-	}
-	if sess.Poisoned() {
-		t.Fatal("session poisoned by a recovered fault")
+		t.Fatalf("fresh session cost %d, want %d", JointCost(route), want)
 	}
 }
 

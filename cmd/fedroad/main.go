@@ -40,8 +40,6 @@ func main() {
 		protocol  = flag.Bool("protocol", false, "run the full MPC protocol per comparison")
 
 		roundTimeout = flag.Duration("round-timeout", 0, "per-frame MPC round timeout; a slow/dead silo fails the query instead of hanging it (protocol mode; 0 = no timeout)")
-		sacRetries   = flag.Int("sac-retries", 0, "bounded retries of a Fed-SAC round after a transient transport failure")
-		sacBackoff   = flag.Duration("sac-retry-backoff", 10*time.Millisecond, "backoff before the first Fed-SAC retry, doubled per retry")
 
 		meshTCP = flag.Bool("mesh-tcp", false, "run MPC rounds over a loopback TCP mesh with multiplexed lanes and automatic redial (requires -protocol)")
 		tlsCert = flag.String("tls-cert", "", "silo certificate PEM for mutual-auth TLS on mesh links (requires -mesh-tcp, -tls-key and -tls-ca)")
@@ -73,11 +71,9 @@ func main() {
 	fmt.Printf("road network: %d vertices, %d arcs\n", g.NumVertices(), g.NumArcs())
 
 	cfg := fedroad.Config{
-		Seed:            *seed,
-		RoundTimeout:    *roundTimeout,
-		SACRetries:      *sacRetries,
-		SACRetryBackoff: *sacBackoff,
-		MeshTCP:         *meshTCP,
+		Seed:         *seed,
+		RoundTimeout: *roundTimeout,
+		MeshTCP:      *meshTCP,
 	}
 	if *protocol {
 		cfg.Mode = fedroad.ModeProtocol

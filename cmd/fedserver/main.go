@@ -102,8 +102,6 @@ func main() {
 		pprofOn  = flag.Bool("pprof", false, "mount /debug/pprof/* profiling handlers")
 
 		roundTimeout = flag.Duration("round-timeout", 0, "per-frame MPC round timeout; a slow/dead silo fails the query with 503/504 instead of hanging it (protocol mode; 0 = no timeout)")
-		sacRetries   = flag.Int("sac-retries", 0, "bounded retries of a Fed-SAC round after a transient transport failure")
-		sacBackoff   = flag.Duration("sac-retry-backoff", 10*time.Millisecond, "backoff before the first Fed-SAC retry, doubled per retry")
 
 		meshTCP = flag.Bool("mesh-tcp", false, "run MPC rounds over a loopback TCP mesh with multiplexed lanes, heartbeats and automatic redial (protocol mode; the deployment-shaped wire path)")
 		tlsCert = flag.String("tls-cert", "", "silo certificate PEM for mutual-auth TLS on mesh links (requires -mesh-tcp, -tls-key and -tls-ca)")
@@ -122,11 +120,9 @@ func main() {
 	}
 	silosW := fedroad.SimulateCongestion(w0, *silos, fedroad.Moderate, *seed+1)
 	cfg := fedroad.Config{
-		Seed:            *seed,
-		RoundTimeout:    *roundTimeout,
-		SACRetries:      *sacRetries,
-		SACRetryBackoff: *sacBackoff,
-		MeshTCP:         *meshTCP,
+		Seed:         *seed,
+		RoundTimeout: *roundTimeout,
+		MeshTCP:      *meshTCP,
 	}
 	if *protocol {
 		cfg.Mode = fedroad.ModeProtocol

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand/v2"
+	"net/http"
+	"net/http/httptest"
 	"os"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -345,5 +348,42 @@ func TestPersistSkipsBatchWhoseRefreshFailed(t *testing.T) {
 	defer p3.Close()
 	if !bytes.Equal(state(fed3), state(fed2)) || fed3.TrafficVersion() != 1 {
 		t.Fatalf("the resent batch did not survive a restart: version %d", fed3.TrafficVersion())
+	}
+}
+
+// TestPersistLogsNoMalformedTraffic: under -persist, a /traffic body that
+// names a silo or arc out of range or a travel time outside (0, MaxTravelMs)
+// gets 400 from ApplyTraffic's validation, and nothing reaches the WAL.
+func TestPersistLogsNoMalformedTraffic(t *testing.T) {
+	fed, _ := persistFed(t)
+	p, err := newPersister(fed, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	srv := newServer(fed, 8, 0, 0)
+	srv.persist = p
+	ts := httptest.NewServer(srv.routes())
+	defer ts.Close()
+	for _, body := range []string{
+		`[{"silo":99,"arc":0,"travel_ms":1000}]`,
+		`[{"silo":0,"arc":999999,"travel_ms":1000}]`,
+		`[{"silo":0,"arc":0,"travel_ms":0}]`,
+		`[{"silo":-1,"arc":0,"travel_ms":1000}]`,
+		`[{"silo":0,"arc":-1,"travel_ms":1000}]`,
+		`[{"silo":0,"arc":0,"travel_ms":4294967296}]`,
+		`[{"silo":0,"arc":0,"travel_ms":1000},{"silo":0,"arc":1,"travel_ms":0}]`,
+	} {
+		resp, err := http.Post(ts.URL+"/traffic", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("body %s: status %d, want 400", body, resp.StatusCode)
+		}
+	}
+	if n := p.walAppends.Load(); n != 0 || fed.TrafficVersion() != 0 {
+		t.Fatalf("malformed batches: %d WAL appends, traffic version %d", n, fed.TrafficVersion())
 	}
 }

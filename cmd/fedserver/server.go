@@ -294,36 +294,20 @@ func (s *server) handleTraffic(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("invalid body: %w", err))
 		return
 	}
-	// Validate everything before calling the federation so malformed
-	// requests get a 400 without ever touching federation state (silo/arc out of range or a
-	// travel time outside (0, MaxTravelMs) would otherwise panic deep in the
-	// weight setter).
-	numArcs := s.fed.Graph().NumArcs()
 	updates := make([]fedroad.TrafficUpdate, len(changes))
 	for i, c := range changes {
-		if c.Silo < 0 || c.Silo >= s.fed.Silos() {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("silo %d out of range", c.Silo))
-			return
-		}
-		if c.Arc < 0 || int(c.Arc) >= numArcs {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("arc %d out of range", c.Arc))
-			return
-		}
-		if c.TravelMs < 1 || c.TravelMs >= fedroad.MaxTravelMs {
-			httpError(w, http.StatusBadRequest, fmt.Errorf("travel_ms %d outside (0,%d)", c.TravelMs, fedroad.MaxTravelMs))
-			return
-		}
 		updates[i] = fedroad.TrafficUpdate{Silo: c.Silo, Arc: c.Arc, TravelMs: c.TravelMs}
 	}
 	start := time.Now()
 	hadIndex := s.fed.HasIndex()
 	stats, err := s.applyTraffic(updates)
 	if err != nil {
-		// Validation re-runs inside ApplyTraffic and tags its rejections
-		// with ErrInvalidUpdate — those are the client's fault. A failed
-		// index refresh published nothing and maps as a failed query does:
-		// a dead silo (503) or a slow one (504), and the client resends the
-		// batch. Anything else, a WAL append failure included, is 500.
+		// ApplyTraffic validates the whole batch before it changes anything
+		// and tags its rejections with ErrInvalidUpdate — the client's
+		// fault. A failed index refresh published nothing and maps as a
+		// failed query does: a dead silo (503) or a slow one (504), and the
+		// client resends the batch. Anything else, a WAL append failure
+		// included, is 500.
 		code := queryStatus(err)
 		if errors.Is(err, fedroad.ErrInvalidUpdate) {
 			code = http.StatusBadRequest

@@ -142,14 +142,6 @@ type Config struct {
 	// silo degrades a query into a clean wrapped error within roughly
 	// rounds×RoundTimeout instead of hanging the session forever.
 	RoundTimeout time.Duration
-	// SACRetries re-runs a Fed-SAC protocol round up to this many times
-	// after a transient transport failure (timeout or injected fault) before
-	// declaring the session's engine unusable. Default 0: fail on first
-	// error.
-	SACRetries int
-	// SACRetryBackoff is the sleep before the first retry, doubled per
-	// retry. Zero retries immediately.
-	SACRetryBackoff time.Duration
 
 	// TransportWrap, when set, wraps every MPC transport endpoint the
 	// federation and its sessions create. This is the chaos-testing hook:
@@ -205,10 +197,10 @@ var ErrSessionPoisoned = mpc.ErrPoisoned
 
 // ErrPeerDown tags transport errors caused by a dead inter-silo link (the
 // mesh's heartbeat monitor declared the peer unreachable, or redial has not
-// yet succeeded). It is deliberately not retryable at the protocol-round
-// level — in-flight rounds on a dead link are unrecoverable — so it surfaces
-// wrapped in ErrSessionPoisoned; fresh sessions transparently use the
-// redialed link once the peer returns. Check with errors.Is.
+// yet succeeded). Like every transport failure it surfaces wrapped in
+// ErrSessionPoisoned — in-flight rounds on a dead link are unrecoverable —
+// and fresh sessions transparently use the redialed link once the peer
+// returns. Check with errors.Is.
 var ErrPeerDown = transport.ErrPeerDown
 
 // ErrInvalidQuery tags query errors caused by the request itself: vertices
@@ -325,7 +317,6 @@ func New(g *Graph, w0 Weights, sets []Weights, cfg ...Config) (*Federation, erro
 	params := mpc.Params{
 		Seed:         c.Seed,
 		RoundTimeout: c.RoundTimeout,
-		Retry:        mpc.RetryPolicy{Attempts: c.SACRetries, Backoff: c.SACRetryBackoff},
 		Wrap:         c.TransportWrap,
 		Instr:        mpc.NewInstruments(reg),
 	}
@@ -343,8 +334,8 @@ func New(g *Graph, w0 Weights, sets []Weights, cfg ...Config) (*Federation, erro
 			return nil, err
 		}
 		params.Dial = func() (mpc.ConnSet, error) {
-			conns, drain := mesh.SessionConns()
-			return mpc.ConnSet{Conns: conns, Drain: drain}, nil
+			conns, _ := mesh.SessionConns()
+			return mpc.ConnSet{Conns: conns}, nil
 		}
 	} else if c.MeshTLS.Enabled() {
 		return nil, fmt.Errorf("fedroad: MeshTLS requires MeshTCP")
@@ -366,7 +357,7 @@ func New(g *Graph, w0 Weights, sets []Weights, cfg ...Config) (*Federation, erro
 }
 
 // Metrics returns the federation's metrics registry. The library pre-wires
-// MPC cost counters (Fed-SAC compares, rounds, bytes, retries, poisonings,
+// MPC cost counters (Fed-SAC compares, rounds, bytes, poisonings,
 // engine forks) and per-query latency histograms with per-phase timing
 // breakdowns; callers may register their own metrics (an HTTP layer, a
 // serving tier) into the same registry and expose everything with one

@@ -31,8 +31,8 @@ func armedWrap(party int, plan transport.FaultPlan) (wrap func(int, transport.Co
 // overConnSources runs a chaos case over both sources of a three-party
 // ConnSet — the default in-process network (a nil Params.Dial) and session
 // lanes of a loopback mux mesh, what Config.MeshTCP dials — because the
-// engine has one endpoint path and its retry, drain and poison rules must
-// hold whichever set it was handed.
+// engine has one endpoint path and its poison rule must hold whichever set
+// it was handed.
 func overConnSources(t *testing.T, run func(t *testing.T, dial func() (ConnSet, error))) {
 	t.Run("mem", func(t *testing.T) { run(t, nil) })
 	t.Run("mesh", func(t *testing.T) {
@@ -42,53 +42,61 @@ func overConnSources(t *testing.T, run func(t *testing.T, dial func() (ConnSet, 
 		}
 		defer lm.Close()
 		run(t, func() (ConnSet, error) {
-			conns, drain := lm.SessionConns()
-			return ConnSet{Conns: conns, Drain: drain}, nil
+			conns, _ := lm.SessionConns()
+			return ConnSet{Conns: conns}, nil
 		})
 	})
 }
 
-func TestChaosRetryRecoversTransientFault(t *testing.T) {
-	overConnSources(t, testChaosRetryRecoversTransientFault)
+func TestChaosTransientFaultPoisonsWithoutReplay(t *testing.T) {
+	overConnSources(t, testChaosTransientFaultPoisonsWithoutReplay)
 }
 
-func testChaosRetryRecoversTransientFault(t *testing.T, dial func() (ConnSet, error)) {
-	// Party 0's first protocol operation fails with a transient fault; the
-	// engine's retry budget must absorb it and still produce the right bit.
+func testChaosTransientFaultPoisonsWithoutReplay(t *testing.T, dial func() (ConnSet, error)) {
+	// Party 0's first protocol operation fails with an injected fault. A
+	// Fed-SAC instance runs once: the fork is poisoned at that first failure,
+	// party 0 never touches its endpoint again, and the next fork answers
+	// right.
 	wrap, arm, installed := armedWrap(0, transport.FaultPlan{Script: []transport.FaultKind{transport.FaultError}})
 	root, err := NewEngine(Params{
 		Parties:      3,
 		Mode:         ModeProtocol,
 		Seed:         31,
-		RoundTimeout: 500 * time.Millisecond,
-		Retry:        RetryPolicy{Attempts: 2, Backoff: time.Millisecond},
+		RoundTimeout: 100 * time.Millisecond,
 		Wrap:         wrap,
 		Dial:         dial,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer root.Close()
 	arm.Store(true)
 	e := root.Fork()
 	defer e.Close()
 
-	got, err := e.Compare([]int64{-7, 2, 1}) // sum -4 < 0
-	if err != nil {
-		t.Fatalf("retry did not absorb the transient fault: %v", err)
+	if _, err := e.Compare([]int64{-7, 2, 1}); !errors.Is(err, ErrPoisoned) || !errors.Is(err, transport.ErrTransient) {
+		t.Fatalf("compare with an injected fault = %v, want ErrPoisoned wrapping the injected fault", err)
 	}
-	if !got {
-		t.Fatal("comparison bit wrong after retry")
+	if !e.Poisoned() {
+		t.Fatal("engine not poisoned")
 	}
-	if e.Poisoned() {
-		t.Fatal("engine poisoned by a recovered fault")
+	if ops := installed.Load().Ops(); ops != 1 {
+		t.Fatalf("party 0 made %d transport operations, want the faulted one only (no replay)", ops)
 	}
 	if inj := installed.Load().Injected(); len(inj) != 1 || inj[0] != transport.FaultError {
 		t.Fatalf("injected log = %v, want one injected error", inj)
 	}
 
-	// The engine keeps working after the recovered round.
-	if got, err := e.Compare([]int64{5, -2, 1}); err != nil || got {
-		t.Fatalf("comparison after recovery = %v, %v", got, err)
+	arm.Store(false)
+	f := root.Fork()
+	defer f.Close()
+	for _, c := range []struct {
+		in   []int64
+		want bool
+	}{{[]int64{-7, 2, 1}, true}, {[]int64{5, -2, 1}, false}} {
+		if got, err := f.Compare(c.in); err != nil || got != c.want {
+			t.Fatalf("next fork: compare %v = %v, %v, want %v", c.in, got, err, c.want)
+		}
 	}
 }
 
@@ -97,9 +105,9 @@ func TestChaosTimeoutWithoutRetryPoisons(t *testing.T) {
 }
 
 func testChaosTimeoutWithoutRetryPoisons(t *testing.T, dial func() (ConnSet, error)) {
-	// Party 0 silently drops a frame. With no retry budget the round times
-	// out at the starved peer, and the engine must poison itself: its
-	// streams may hold half a round's frames.
+	// Party 0 silently drops a frame. The round times out at the starved
+	// peer, and the engine must poison itself: its streams may hold half a
+	// round's frames.
 	wrap, arm, _ := armedWrap(0, transport.FaultPlan{Script: []transport.FaultKind{transport.FaultDrop}})
 	root, err := NewEngine(Params{
 		Parties:      3,
@@ -161,16 +169,15 @@ func TestChaosCloseMidRoundPoisonsDespiteRetries(t *testing.T) {
 }
 
 func testChaosCloseMidRoundPoisonsDespiteRetries(t *testing.T, dial func() (ConnSet, error)) {
-	// A crashed party (closed endpoint mid-round) is not transient: even a
-	// generous retry budget must not replay against it, and the failure must
-	// surface promptly rather than burning backoff sleeps.
+	// A crashed party (closed endpoint mid-round) poisons the engine, and
+	// the error names the closed endpoint ahead of the timeouts it starved
+	// its peers into, within about one round timeout.
 	wrap, arm, _ := armedWrap(1, transport.FaultPlan{After: 2, Script: []transport.FaultKind{transport.FaultClose}})
 	root, err := NewEngine(Params{
 		Parties:      3,
 		Mode:         ModeProtocol,
 		Seed:         33,
 		RoundTimeout: 100 * time.Millisecond,
-		Retry:        RetryPolicy{Attempts: 5, Backoff: time.Second},
 		Wrap:         wrap,
 		Dial:         dial,
 	})
@@ -190,7 +197,7 @@ func testChaosCloseMidRoundPoisonsDespiteRetries(t *testing.T, dial func() (Conn
 		t.Fatalf("crash error classification: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > 900*time.Millisecond {
-		t.Fatalf("non-transient failure burned retries: took %v with 1s backoff configured", elapsed)
+		t.Fatalf("crashed-party compare took %v, round timeout is 100ms", elapsed)
 	}
 	if !e.Poisoned() {
 		t.Fatal("engine not poisoned after crash")
@@ -198,16 +205,15 @@ func testChaosCloseMidRoundPoisonsDespiteRetries(t *testing.T, dial func() (Conn
 }
 
 func TestChaosNilDrainPoisonsOnFirstTransientFault(t *testing.T) {
-	// A ConnSet that cannot discard in-flight frames is not retry-safe: the
-	// fault TestChaosRetryRecoversTransientFault absorbs must poison here,
-	// retry budget or not, without a second attempt.
+	// A ConnSet whose Drain is nil, handed in by a caller's own Dial, runs
+	// under the same one-attempt rule: the injected fault poisons the fork
+	// without a second attempt.
 	wrap, arm, installed := armedWrap(0, transport.FaultPlan{Script: []transport.FaultKind{transport.FaultError}})
 	root, err := NewEngine(Params{
 		Parties:      3,
 		Mode:         ModeProtocol,
 		Seed:         31,
 		RoundTimeout: 100 * time.Millisecond,
-		Retry:        RetryPolicy{Attempts: 2, Backoff: time.Millisecond},
 		Wrap:         wrap,
 		Dial: func() (ConnSet, error) {
 			cs, err := memDial(3)()
@@ -218,11 +224,12 @@ func TestChaosNilDrainPoisonsOnFirstTransientFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer root.Close()
 	arm.Store(true)
 	e := root.Fork()
 	defer e.Close()
 	if _, err := e.Compare([]int64{-7, 2, 1}); !errors.Is(err, ErrPoisoned) || !errors.Is(err, transport.ErrTransient) {
-		t.Fatalf("compare over an undrainable set = %v, want ErrPoisoned wrapping the transient fault", err)
+		t.Fatalf("compare over a nil-Drain set = %v, want ErrPoisoned wrapping the injected fault", err)
 	}
 	if !e.Poisoned() {
 		t.Fatal("engine not poisoned")
@@ -235,14 +242,15 @@ func TestChaosNilDrainPoisonsOnFirstTransientFault(t *testing.T) {
 func TestChaosBatchCompare(t *testing.T) { overConnSources(t, testChaosBatchCompare) }
 
 func testChaosBatchCompare(t *testing.T, dial func() (ConnSet, error)) {
-	// Batches run under the same retry/poison machinery as single compares.
+	// Batches run under the same poison rule as single compares: an
+	// injected fault poisons the fork, and the next fork answers every
+	// instance right.
 	wrap, arm, _ := armedWrap(2, transport.FaultPlan{Script: []transport.FaultKind{transport.FaultError}})
 	root, err := NewEngine(Params{
 		Parties:      3,
 		Mode:         ModeProtocol,
 		Seed:         34,
-		RoundTimeout: 500 * time.Millisecond,
-		Retry:        RetryPolicy{Attempts: 2, Backoff: time.Millisecond},
+		RoundTimeout: 100 * time.Millisecond,
 		Wrap:         wrap,
 		Dial:         dial,
 	})
@@ -255,21 +263,23 @@ func testChaosBatchCompare(t *testing.T, dial func() (ConnSet, error)) {
 	arm.Store(true)
 	e := root.Fork()
 	defer e.Close()
-	got, err := e.CompareBatch(diffs)
+	if _, err := e.CompareBatch(diffs); !errors.Is(err, ErrPoisoned) || !e.Poisoned() {
+		t.Fatalf("batched injected fault = %v, want the fork poisoned", err)
+	}
+	arm.Store(false)
+	f := root.Fork()
+	defer f.Close()
+	got, err := f.CompareBatch(diffs)
 	if err != nil {
-		t.Fatalf("batched retry did not absorb the transient fault: %v", err)
+		t.Fatalf("next fork's batch: %v", err)
 	}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("batch bits = %v, want %v", got, want)
 		}
 	}
-	if e.Poisoned() {
-		t.Fatal("engine poisoned by a recovered batched fault")
-	}
 
 	// A crash mid-batch poisons, exactly like a single comparison's.
-	arm.Store(false)
 	wrap2, arm2, _ := armedWrap(0, transport.FaultPlan{Script: []transport.FaultKind{transport.FaultClose}})
 	root2, err := NewEngine(Params{
 		Parties: 3, Mode: ModeProtocol, Seed: 35,
@@ -292,9 +302,9 @@ func testChaosBatchCompare(t *testing.T, dial func() (ConnSet, error)) {
 func TestChaosPackedRaggedBatch(t *testing.T) { overConnSources(t, testChaosPackedRaggedBatch) }
 
 func testChaosPackedRaggedBatch(t *testing.T, dial func() (ConnSet, error)) {
-	// Word-lane rounds under fault injection: a transient fault mid-batch on
-	// a ragged (non-multiple-of-8) lane count must be absorbed by retry with
-	// every lane still correct.
+	// Word-lane rounds under fault injection: an injected fault mid-batch on
+	// a ragged (non-multiple-of-8) lane count poisons the fork, and the next
+	// fork gets every lane right.
 	rng := rand.New(rand.NewPCG(77, 77))
 	diffs, want := randomBatch(rng, 3, 13)
 	wrap, arm, _ := armedWrap(1, transport.FaultPlan{After: 1, Script: []transport.FaultKind{transport.FaultError}})
@@ -302,8 +312,7 @@ func testChaosPackedRaggedBatch(t *testing.T, dial func() (ConnSet, error)) {
 		Parties:      3,
 		Mode:         ModeProtocol,
 		Seed:         36,
-		RoundTimeout: 500 * time.Millisecond,
-		Retry:        RetryPolicy{Attempts: 2, Backoff: time.Millisecond},
+		RoundTimeout: 100 * time.Millisecond,
 		Wrap:         wrap,
 		Dial:         dial,
 	})
@@ -314,17 +323,20 @@ func testChaosPackedRaggedBatch(t *testing.T, dial func() (ConnSet, error)) {
 	arm.Store(true)
 	e := root.Fork()
 	defer e.Close()
-	got, err := e.CompareBatch(diffs)
+	if _, err := e.CompareBatch(diffs); !errors.Is(err, ErrPoisoned) || !e.Poisoned() {
+		t.Fatalf("ragged batch with an injected fault = %v, want the fork poisoned", err)
+	}
+	arm.Store(false)
+	f := root.Fork()
+	defer f.Close()
+	got, err := f.CompareBatch(diffs)
 	if err != nil {
-		t.Fatalf("retry did not absorb the fault: %v", err)
+		t.Fatalf("next fork's ragged batch: %v", err)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("lane %d wrong after retry", i)
+			t.Fatalf("lane %d wrong", i)
 		}
-	}
-	if e.Poisoned() {
-		t.Fatal("engine poisoned by a recovered fault")
 	}
 }
 
@@ -334,9 +346,8 @@ func testChaosRandomizedSoak(t *testing.T, dial func() (ConnSet, error)) {
 	// Seeded random fault schedules (drops, delays, transient errors and the
 	// occasional crash — no duplicates, which desynchronize FIFO streams and
 	// are exercised separately) hammer single comparisons. The invariants:
-	// never a panic or a hang, every error is classified (poisoned or
-	// transient-but-recovered), and every successful comparison returns the
-	// right bit.
+	// never a panic or a hang, every error wraps ErrPoisoned, and every
+	// successful comparison returns the right bit.
 	if testing.Short() {
 		t.Skip("soak test")
 	}
@@ -352,7 +363,6 @@ func testChaosRandomizedSoak(t *testing.T, dial func() (ConnSet, error)) {
 			Mode:         ModeProtocol,
 			Seed:         seed + 100,
 			RoundTimeout: 50 * time.Millisecond,
-			Retry:        RetryPolicy{Attempts: 1, Backoff: time.Millisecond},
 			Wrap:         wrap,
 			Dial:         dial,
 		})

@@ -67,16 +67,6 @@ func (m NetworkModel) Predict(st Stats, parties int) time.Duration {
 	return time.Duration(float64(st.Rounds)*float64(m.Latency) + perParty/m.Bandwidth*float64(time.Second))
 }
 
-// RetryPolicy bounds protocol-round retries after transient transport
-// failures (timeouts, injected faults). The zero value disables retry.
-type RetryPolicy struct {
-	// Attempts is how many times a failed protocol run is retried (so a
-	// comparison executes at most Attempts+1 times).
-	Attempts int
-	// Backoff is the sleep before the first retry; it doubles per retry.
-	Backoff time.Duration
-}
-
 // Params configures an Engine.
 type Params struct {
 	Parties int
@@ -88,11 +78,6 @@ type Params struct {
 	// slow or dead peer turns into a clean wrapped transport.ErrRoundTimeout
 	// instead of a goroutine blocked for the life of the process.
 	RoundTimeout time.Duration
-
-	// Retry re-runs a protocol round after a transient failure (see
-	// transport.Transient). Non-transient failures — and transient ones that
-	// outlive the retry budget — poison the engine.
-	Retry RetryPolicy
 
 	// Wrap, when set, wraps every party endpoint the engine creates (root
 	// and forks). Chaos tests install transport.FaultConn here to drive the
@@ -106,7 +91,7 @@ type Params struct {
 	// rounds travel an actual socket. Nil selects a fresh in-process Mem
 	// network per engine. A Fork whose dial fails starts pre-poisoned (Fork
 	// cannot return an error); callers observe the standard ErrPoisoned
-	// fast-fail and retry on a fresh session.
+	// fast-fail and open a fresh session.
 	Dial func() (ConnSet, error)
 
 	// Instr, when set, mirrors the engine's cost counters into a process-wide
@@ -117,12 +102,9 @@ type Params struct {
 }
 
 // ConnSet is one session-private set of party endpoints produced by a
-// Params.Dial factory: conns[p] belongs to party p. Drain, when non-nil,
-// discards every in-flight frame of the set (e.g. by rotating multiplexed
-// lanes) and is invoked between protocol-retry attempts so a replayed round
-// never reads stale frames of the aborted one. A set with a nil Drain is
-// not retry-safe: the engine poisons on the first transport failure instead
-// of replaying against possibly desynchronized streams.
+// Params.Dial factory: conns[p] belongs to party p. Drain is ignored; it is
+// kept only so benchmark/, which sets it from LocalMesh.SessionConns's
+// always-nil second result, compiles.
 type ConnSet struct {
 	Conns []transport.Conn
 	Drain func()
@@ -137,7 +119,6 @@ type Instruments struct {
 	Rounds     *metrics.Counter
 	Bytes      *metrics.Counter
 	Messages   *metrics.Counter
-	Retries    *metrics.Counter
 	Poisonings *metrics.Counter
 	Forks      *metrics.Counter
 }
@@ -150,7 +131,6 @@ func NewInstruments(reg *metrics.Registry) *Instruments {
 		Rounds:     reg.Counter("fedroad_mpc_rounds_total", "MPC communication rounds (R in the paper's R·(L+S/B) cost model)", nil),
 		Bytes:      reg.Counter("fedroad_mpc_bytes_total", "MPC wire bytes across all silos (S, summed over rounds)", nil),
 		Messages:   reg.Counter("fedroad_mpc_messages_total", "MPC wire messages across all silos", nil),
-		Retries:    reg.Counter("fedroad_mpc_retries_total", "Fed-SAC protocol rounds re-run after transient transport failures", nil),
 		Poisonings: reg.Counter("fedroad_mpc_poisonings_total", "engines disabled by unrecoverable transport failures", nil),
 		Forks:      reg.Counter("fedroad_mpc_engine_forks_total", "per-session engine forks created", nil),
 	}
@@ -209,16 +189,12 @@ type Engine struct {
 	conns  []transport.Conn
 	stats  Stats
 
-	// dial is the endpoint factory (see Params.Dial), inherited by forks;
-	// drain belongs to this engine's ConnSet and is nil when the set cannot
-	// discard in-flight frames.
-	dial  func() (ConnSet, error)
-	drain func()
+	// dial is the endpoint factory (see Params.Dial), inherited by forks.
+	dial func() (ConnSet, error)
 
-	// roundTimeout, retry and wrap carry the failure policy (see Params);
-	// inherited by forks.
+	// roundTimeout and wrap carry the failure policy (see Params); inherited
+	// by forks.
 	roundTimeout time.Duration
-	retry        RetryPolicy
 	wrap         func(party int, c transport.Conn) transport.Conn
 
 	// poisoned is set after an unrecoverable transport failure: the engine's
@@ -249,7 +225,6 @@ func NewEngine(p Params) (*Engine, error) {
 		dealer:       NewDealer(p.Parties, p.Seed),
 		forkCtr:      new(atomic.Uint64),
 		roundTimeout: p.RoundTimeout,
-		retry:        p.Retry,
 		wrap:         p.Wrap,
 		dial:         p.Dial,
 		instr:        p.Instr,
@@ -261,7 +236,7 @@ func NewEngine(p Params) (*Engine, error) {
 }
 
 // memDial is the default endpoint factory: a fresh in-process network per
-// engine, drained between retry attempts.
+// engine.
 func memDial(n int) func() (ConnSet, error) {
 	return func() (ConnSet, error) {
 		mem := transport.NewMem(n)
@@ -269,7 +244,7 @@ func memDial(n int) func() (ConnSet, error) {
 		for p := range conns {
 			conns[p] = mem.Conn(p)
 		}
-		return ConnSet{Conns: conns, Drain: mem.Drain}, nil
+		return ConnSet{Conns: conns}, nil
 	}
 }
 
@@ -287,7 +262,6 @@ func (e *Engine) Fork() *Engine {
 		forkCtr:      e.forkCtr,
 		instr:        e.instr,
 		roundTimeout: e.roundTimeout,
-		retry:        e.retry,
 		wrap:         e.wrap,
 		dial:         e.dial,
 	}
@@ -297,7 +271,7 @@ func (e *Engine) Fork() *Engine {
 	if err := f.installConns(); err != nil {
 		// Fork cannot return an error; a fork whose dial failed (e.g. its
 		// mesh links are down mid-redial) starts poisoned and fails every
-		// comparison fast — the caller's session retry path takes over.
+		// comparison fast — its caller opens a fresh session.
 		f.poisoned = true
 		if f.instr != nil {
 			f.instr.Poisonings.Inc()
@@ -316,7 +290,6 @@ func (e *Engine) installConns() error {
 	if len(cs.Conns) != e.n {
 		return fmt.Errorf("mpc: dial returned %d conns for %d parties", len(cs.Conns), e.n)
 	}
-	e.drain = cs.Drain
 	e.conns = make([]transport.Conn, e.n)
 	for i, c := range cs.Conns {
 		if rt, ok := c.(interface{ SetRoundTimeout(time.Duration) }); ok {
@@ -439,41 +412,24 @@ func (e *Engine) CompareBatch(diffs [][]int64) ([]bool, error) {
 	return out, nil
 }
 
-// runProtocol executes one batched comparison under the engine's failure
-// policy: transient failures (timeouts, injected faults — see
-// transport.Transient) are retried with exponential backoff up to the retry
-// budget, with the transport drained between attempts so a replay never
-// reads stale frames of the aborted round. Any other failure, or a
-// transient one that exhausts the budget, poisons the engine: its party
-// streams may be desynchronized mid-round, and replaying against them could
-// open garbage as a comparison bit.
+// runProtocol executes one batched comparison, once: any failure poisons the
+// engine, whose party streams may be desynchronized mid-round, so that no
+// later comparison can open garbage as a bit. The failed comparison's caller
+// discards the engine (a session dies with its request) and the next request
+// runs on a fresh fork.
 func (e *Engine) runProtocol(diffs [][]int64) ([]bool, error) {
 	if e.poisoned {
 		return nil, ErrPoisoned
 	}
-	for attempt := 0; ; attempt++ {
-		out, err := e.runProtocolOnce(diffs)
-		if err == nil {
-			return out, nil
-		}
-		// Retry requires the ConnSet's Drain (Mem.Drain, lane rotation on a
-		// mux mesh): without one a replay could read stale frames of the
-		// aborted round, so the first failure poisons instead.
-		if attempt >= e.retry.Attempts || !transport.Transient(err) || e.drain == nil {
-			e.poisoned = true
-			if e.instr != nil {
-				e.instr.Poisonings.Inc()
-			}
-			return nil, fmt.Errorf("%w: %w", ErrPoisoned, err)
-		}
+	out, err := e.runProtocolOnce(diffs)
+	if err != nil {
+		e.poisoned = true
 		if e.instr != nil {
-			e.instr.Retries.Inc()
+			e.instr.Poisonings.Inc()
 		}
-		e.drain()
-		if e.retry.Backoff > 0 {
-			time.Sleep(e.retry.Backoff << min(attempt, 16))
-		}
+		return nil, fmt.Errorf("%w: %w", ErrPoisoned, err)
 	}
+	return out, nil
 }
 
 // runProtocolOnce executes one batched comparison across party goroutines,
@@ -503,9 +459,9 @@ func (e *Engine) runProtocolOnce(diffs [][]int64) ([]bool, error) {
 		}(p)
 	}
 	wg.Wait()
-	// The round fails with its first party's error — unless an endpoint was
-	// closed: that is final, while the peers starved by it only report
-	// timeouts, which the retry policy would replay against.
+	// The run fails with its first party's error — unless an endpoint was
+	// closed: that is the cause, while the peers starved by it only report
+	// timeouts.
 	failed := -1
 	for p, err := range errs {
 		if err != nil && (failed < 0 || errors.Is(err, transport.ErrClosed)) {

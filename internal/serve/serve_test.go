@@ -366,6 +366,12 @@ func TestEchoedVersionIsComputedAtVersionAcrossApplyTraffic(t *testing.T) {
 // makes overload real: a shed request retries after a beat, as a client
 // honouring Retry-After does. Every answer is exact at its echoed version,
 // and the admission accounting is exact with cached answers not admitted.
+//
+// The overload is certain, not left to timing: each front's first request
+// is a distinct uncached pair, and until the gate has shed one, every engine
+// fork waits in the transport hook (which a session's engine calls when it
+// forks, in ideal mode too). Four of the six leaders fill the limit-4 gate
+// and stay in it, so a fifth is shed.
 func TestPipelineSoak(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the soak takes a second of wall time")
@@ -373,7 +379,17 @@ func TestPipelineSoak(t *testing.T) {
 	const workers = 6
 	g, w0 := fedroad.GenerateRoadNetwork(150, 1)
 	silos := fedroad.SimulateCongestion(w0, 3, fedroad.Moderate, 2)
-	fed, err := fedroad.New(g, w0, silos, fedroad.Config{Seed: 3})
+	var holding atomic.Bool
+	released := make(chan struct{})
+	fed, err := fedroad.New(g, w0, silos, fedroad.Config{
+		Seed: 3,
+		TransportWrap: func(party int, c transport.Conn) transport.Conn {
+			if party == 0 && holding.Load() {
+				<-released
+			}
+			return c
+		},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -390,12 +406,23 @@ func TestPipelineSoak(t *testing.T) {
 
 	var leaders atomic.Int64 // only flight leaders reach the gate
 	rng := rand.New(rand.NewPCG(6, 0))
+	holding.Store(true)
+	go func() {
+		defer close(released)
+		defer holding.Store(false)
+		for deadline := time.Now().Add(10 * time.Second); p.Stats().Admission.Shed == 0 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+	}()
 	c, err := scenario.Run(scenario.NewHistory(g, silos, fed.TrafficVersion), scenario.Row{
 		Fronts: workers,
 		Front: func(w int) scenario.Front {
 			rng := rand.New(rand.NewPCG(5, uint64(w)))
-			return func(int) (scenario.Answer, error) {
-				pr := pairs[rng.IntN(len(pairs))]
+			return func(i int) (scenario.Answer, error) {
+				pr := [2]fedroad.Vertex{fedroad.Vertex(w), fedroad.Vertex(g.NumVertices() - 1 - w)}
+				if i > 0 {
+					pr = pairs[rng.IntN(len(pairs))]
+				}
 				r, m, err := p.Route(pr[0], pr[1])
 				if m.Outcome == fedroad.CacheMiss {
 					leaders.Add(1)
@@ -416,6 +443,7 @@ func TestPipelineSoak(t *testing.T) {
 		}},
 		For: 600 * time.Millisecond,
 	})
+	<-released
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,8 +22,8 @@ const (
 	// FaultDuplicate sends the frame twice, desynchronizing the FIFO stream —
 	// a retransmitting middlebox. Ignored on Recv.
 	FaultDuplicate
-	// FaultError fails the operation with a wrapped ErrTransient (the kind of
-	// failure a bounded retry should clear).
+	// FaultError fails the operation with a wrapped ErrTransient; the
+	// endpoint stays open.
 	FaultError
 	// FaultClose closes the underlying endpoint mid-round and fails the
 	// operation — a crashed party. Subsequent operations fail with the inner

@@ -83,26 +83,16 @@ func (lm *LocalMesh) SetRoundTimeout(d time.Duration) {
 
 // SessionConns opens one multiplexed lane per party, all sharing a fresh
 // lane ID, so the P returned Conns form a session-private mesh over the
-// shared physical links. The returned drain rotates the session onto
-// another fresh lane ID, tombstoning the old one everywhere — the retry
-// primitive: a replayed protocol round can never read stale frames of the
-// aborted attempt. Neither the conns nor drain may be used concurrently
-// with each other.
-func (lm *LocalMesh) SessionConns() (conns []Conn, drain func()) {
+// shared physical links. The second result is always nil; it is kept only
+// so benchmark/, which passes it on as mpc.ConnSet's ignored Drain,
+// compiles.
+func (lm *LocalMesh) SessionConns() ([]Conn, func()) {
 	id := lm.lanes.Add(1)
-	lcs := make([]*LaneConn, lm.n)
-	conns = make([]Conn, lm.n)
-	for p := 0; p < lm.n; p++ {
-		lcs[p] = lm.meshes[p].Lane(id)
-		conns[p] = lcs[p]
+	conns := make([]Conn, lm.n)
+	for p := range conns {
+		conns[p] = lm.meshes[p].Lane(id)
 	}
-	drain = func() {
-		next := lm.lanes.Add(1)
-		for _, lc := range lcs {
-			lc.Rebind(next)
-		}
-	}
-	return conns, drain
+	return conns, nil
 }
 
 // Stats aggregates all endpoints' mesh counters.

@@ -15,11 +15,10 @@ import (
 
 // ErrPeerDown is returned (wrapped) by lane operations when the physical
 // link to the peer is down — declared dead by the heartbeat monitor, torn by
-// a socket error, or not yet (re-)established. It is deliberately NOT
-// transient: an in-flight protocol round on a dead link cannot be resumed
-// (frames may be lost mid-round), so the MPC engine poisons itself fast and
-// its owner retries on a fresh session, whose lanes transparently use the
-// redialed link.
+// a socket error, or not yet (re-)established. An in-flight protocol round
+// on a dead link cannot be resumed (frames may be lost mid-round), so the
+// MPC engine poisons itself fast and the next request opens a fresh session,
+// whose lanes transparently use the redialed link.
 var ErrPeerDown = errors.New("transport: peer link down")
 
 // ErrLaneClosed is returned by operations on a closed lane.
@@ -886,26 +885,4 @@ func (c *LaneConn) Close() error {
 		}
 	}
 	return nil
-}
-
-// Rebind atomically moves the lane handle onto a fresh lane ID: the old
-// lane is tombstoned everywhere (discarding any stale in-flight frames) and
-// sequence tracking restarts. The MPC engine uses this as the
-// drain-between-retries primitive — a replayed protocol round must never
-// read frames of the aborted attempt. The caller must not have concurrent
-// operations in flight on the lane.
-func (c *LaneConn) Rebind(newLane uint32) {
-	for p := 0; p < c.m.n; p++ {
-		if p == c.m.id {
-			continue
-		}
-		if l := c.m.links[p].Load(); l != nil {
-			l.closeLane(c.lane)
-		}
-	}
-	c.lane = newLane
-	for i := range c.sendSeq {
-		c.sendSeq[i] = laneSeq{}
-	}
-	c.closed.Store(false)
 }

@@ -144,7 +144,7 @@ func realPairs() []realPair {
 // over real TCP sockets, asserting each fault surfaces with the
 // same typed semantics the in-memory transport established: drops become
 // round timeouts, duplicates stay FIFO-visible, injected errors are
-// Transient, closes are terminal.
+// ErrTransient and no timeout, closes are terminal.
 func TestFaultMatrixOverRealSockets(t *testing.T) {
 	for _, pair := range realPairs() {
 		pair := pair
@@ -175,9 +175,6 @@ func TestFaultMatrixOverRealSockets(t *testing.T) {
 				if !IsTimeout(err) {
 					t.Fatalf("recv of dropped frame: %v, want round timeout", err)
 				}
-				if !Transient(err) {
-					t.Fatalf("dropped-frame timeout must be transient (retryable): %v", err)
-				}
 			})
 			t.Run("duplicate", func(t *testing.T) {
 				a, b, setTO := pair.build(t)
@@ -198,8 +195,8 @@ func TestFaultMatrixOverRealSockets(t *testing.T) {
 				setTO(5 * time.Second)
 				fc := NewFaultConn(a, FaultPlan{Script: []FaultKind{FaultError}})
 				err := fc.Send(1, []byte("x"))
-				if !Transient(err) || IsTimeout(err) {
-					t.Fatalf("injected fault: %v, want transient non-timeout", err)
+				if !errors.Is(err, ErrTransient) || IsTimeout(err) {
+					t.Fatalf("injected fault: %v, want ErrTransient, not a timeout", err)
 				}
 			})
 			t.Run("close", func(t *testing.T) {
@@ -248,11 +245,8 @@ func TestMuxLinkBreakRecovery(t *testing.T) {
 	lm.Mesh(1).BreakLink(0)
 	select {
 	case err := <-done:
-		if !errors.Is(err, ErrPeerDown) {
-			t.Fatalf("recv across break: %v, want ErrPeerDown", err)
-		}
-		if Transient(err) {
-			t.Fatalf("ErrPeerDown must not be transient (poison, don't replay): %v", err)
+		if !errors.Is(err, ErrPeerDown) || IsTimeout(err) {
+			t.Fatalf("recv across break: %v, want ErrPeerDown, not a timeout", err)
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("recv did not wake on link break")

@@ -41,31 +41,14 @@ type Conn interface {
 var ErrClosed = errors.New("transport: endpoint closed")
 
 // ErrRoundTimeout is returned (wrapped) when a Send or Recv exceeds the
-// endpoint's configured per-round timeout: the peer is slow or dead, but the
-// endpoint itself may still be usable. Callers decide whether to retry the
-// round or tear the session down.
+// endpoint's configured per-round timeout: the peer is slow or dead. The MPC
+// engine treats it like any other transport failure and poisons itself.
 var ErrRoundTimeout = errors.New("transport: round timeout")
 
-// ErrTransient tags injected or environmental faults that a bounded retry of
-// the protocol round may clear (in contrast to ErrClosed, which is final).
+// ErrTransient tags an injected fault (FaultConn's FaultError): one failed
+// operation on an endpoint that stays open, in contrast to ErrClosed. The
+// MPC engine poisons on it like on any other transport failure.
 var ErrTransient = errors.New("transport: transient fault")
-
-// Transient reports whether err is worth retrying at the protocol-round
-// level: explicit transient faults and timeouts (a slow peer may catch up on
-// the next round) qualify; closed endpoints and structural errors do not.
-func Transient(err error) bool {
-	if err == nil {
-		return false
-	}
-	if errors.Is(err, ErrClosed) {
-		return false
-	}
-	if errors.Is(err, ErrTransient) || errors.Is(err, ErrRoundTimeout) {
-		return true
-	}
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
-}
 
 // IsTimeout reports whether err stems from a per-round deadline expiring —
 // either the in-process ErrRoundTimeout or a net.Error deadline on a real
@@ -117,34 +100,6 @@ func NewMem(n int) *Mem {
 		}
 	}
 	return m
-}
-
-// Drain discards every buffered in-flight message. Protocol-round retry uses
-// this between attempts: a failed round can leave stale frames mid-stream,
-// and replaying against them would desynchronize every later round. Callers
-// must ensure no party goroutine is mid-protocol when draining.
-func (m *Mem) Drain() {
-	for i := range m.chans {
-		for j, ch := range m.chans[i] {
-			if i == j {
-				continue
-			}
-			drainChan(ch)
-		}
-	}
-}
-
-func drainChan(ch chan []byte) {
-	for {
-		select {
-		case _, ok := <-ch:
-			if !ok {
-				return
-			}
-		default:
-			return
-		}
-	}
 }
 
 // Stats returns a snapshot of total traffic.

@@ -353,21 +353,15 @@ func TestTCPSendRecvValidation(t *testing.T) {
 }
 
 func TestErrorClassification(t *testing.T) {
-	if Transient(nil) || IsTimeout(nil) {
-		t.Fatal("nil error classified as a fault")
+	if IsTimeout(nil) {
+		t.Fatal("nil error classified as a timeout")
 	}
-	if Transient(ErrClosed) {
-		t.Fatal("closed endpoint classified as transient")
-	}
-	if !Transient(ErrTransient) || !Transient(ErrRoundTimeout) {
-		t.Fatal("transient sentinels not classified as transient")
-	}
-	if !IsTimeout(ErrRoundTimeout) || IsTimeout(ErrTransient) {
+	if !IsTimeout(ErrRoundTimeout) || IsTimeout(ErrTransient) || IsTimeout(ErrClosed) {
 		t.Fatal("timeout classification wrong on sentinels")
 	}
 	// Classification must survive wrapping through protocol layers.
 	wrapped := fmt.Errorf("mpc: party 1: %w", fmt.Errorf("transport: recv from 0: %w", ErrRoundTimeout))
-	if !Transient(wrapped) || !IsTimeout(wrapped) {
+	if !IsTimeout(wrapped) {
 		t.Fatalf("wrapped timeout not classified: %v", wrapped)
 	}
 }
@@ -389,7 +383,7 @@ func TestMemRecvTimeout(t *testing.T) {
 	if err == nil {
 		t.Fatal("recv with no sender succeeded")
 	}
-	if !errors.Is(err, ErrRoundTimeout) || !IsTimeout(err) || !Transient(err) {
+	if !errors.Is(err, ErrRoundTimeout) || !IsTimeout(err) {
 		t.Fatalf("timeout not classified: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > 3*time.Second {
@@ -414,38 +408,6 @@ func TestMemRecvTimeout(t *testing.T) {
 	}
 }
 
-func TestMemDrain(t *testing.T) {
-	m := NewMem(3)
-	c0, c1, c2 := m.Conn(0), m.Conn(1), m.Conn(2)
-	c0.Send(1, []byte("stale-a"))
-	c2.Send(1, []byte("stale-b"))
-	c1.Send(0, []byte("stale-c"))
-	m.Drain()
-
-	bound(20*time.Millisecond, c0, c1)
-	for _, probe := range []struct {
-		conn Conn
-		from int
-	}{{c1, 0}, {c1, 2}, {c0, 1}} {
-		if _, err := probe.conn.Recv(probe.from); !errors.Is(err, ErrRoundTimeout) {
-			t.Fatalf("stale frame survived drain at party %d from %d: %v",
-				probe.conn.Party(), probe.from, err)
-		}
-	}
-
-	// Fresh traffic flows after a drain.
-	if err := c0.Send(1, []byte("fresh")); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := c1.Recv(0); err != nil || string(got) != "fresh" {
-		t.Fatalf("recv after drain = %q, %v", got, err)
-	}
-
-	// Draining a network with a closed endpoint must not panic.
-	c2.Close()
-	m.Drain()
-}
-
 func TestTCPRoundTimeout(t *testing.T) {
 	a, b := lanePair(t, MeshOptions{})
 	a.SetRoundTimeout(100 * time.Millisecond)
@@ -454,7 +416,7 @@ func TestTCPRoundTimeout(t *testing.T) {
 	if err == nil {
 		t.Fatal("recv from a silent peer succeeded")
 	}
-	if !errors.Is(err, ErrRoundTimeout) || !IsTimeout(err) || !Transient(err) {
+	if !errors.Is(err, ErrRoundTimeout) || !IsTimeout(err) {
 		t.Fatalf("lane timeout not classified: %v", err)
 	}
 	if elapsed := time.Since(start); elapsed > 3*time.Second {

@@ -34,14 +34,12 @@ func TestProductionSurface(t *testing.T) {
 	}
 
 	check("Config fields", fieldNames(Config{}), []string{
-		"Mode",            // benchmark/fixture.go: ModeProtocol; cmd/fedserver without -protocol: ideal
-		"Seed",            // benchmark/fixture.go: worldSeed; cmd/fedserver -seed
-		"RoundTimeout",    // benchmark/fixture.go: 5s (a hang becomes a counted failure); cmd/fedserver: 0 unless -round-timeout
-		"SACRetries",      // cmd/fedserver, cmd/fedroad -sac-retries; benchmark/fixture.go: 0 (a retry would hide a failure)
-		"SACRetryBackoff", // cmd/fedserver, cmd/fedroad -sac-retry-backoff; benchmark/fixture.go: 0
-		"TransportWrap",   // benchmark/trace.go: the tracer; cmd/fedserver: nil
-		"MeshTCP",         // benchmark route_wire: true, knn_mem: false; cmd/fedserver -mesh-tcp
-		"MeshTLS",         // benchmark route_wire: test certs; cmd/fedserver -tls-*: the operator's
+		"Mode",          // benchmark/fixture.go: ModeProtocol; cmd/fedserver without -protocol: ideal
+		"Seed",          // benchmark/fixture.go: worldSeed; cmd/fedserver -seed
+		"RoundTimeout",  // benchmark/fixture.go: 5s (a hang becomes a counted failure); cmd/fedserver: 0 unless -round-timeout
+		"TransportWrap", // benchmark/trace.go: the tracer; cmd/fedserver: nil
+		"MeshTCP",       // benchmark route_wire: true, knn_mem: false; cmd/fedserver -mesh-tcp
+		"MeshTLS",       // benchmark route_wire: test certs; cmd/fedserver -tls-*: the operator's
 	})
 	check("QueryOptions fields", fieldNames(QueryOptions{}), []string{
 		// No second value: internal/serve, cmd/fedroad and benchmark/fixture.go
@@ -96,9 +94,7 @@ func TestProductionSurface(t *testing.T) {
 		"cache",            // default 4096; verify skill / soak-style runs: 0 to measure every query
 		"pprof",            // operators' profiling sessions; default off (timing is a side channel)
 		"round-timeout",    // README mesh deployment; default wait forever
-		"sac-retries",      // README mesh deployment; default 0
-		"sac-retry-backoff",
-		"mesh-tcp", // README mesh deployment: on; default in-process transport
+		"mesh-tcp",         // README mesh deployment: on; default in-process transport
 	})
 	check("fedserver query parameters", params, []string{
 		"s", "t", // /route, /knn: the request
