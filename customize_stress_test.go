@@ -72,8 +72,8 @@ func TestCustomizeStressInterleaved(t *testing.T) {
 // in-place update to a pinned Fed-SAC cost: the comparisons and protocol
 // instances the level-synchronous sweep paid at c495f6e (recorded there as
 // rounds, 8 per instance) — the same comparisons, never more instances — and
-// the bytes the 48-bit ring paid when it replaced the 64-bit one, which may
-// differ only by frame rounding (an instance rounds its RoundsPerCompare−1
+// the bytes the 3-round carry circuit paid when it replaced the 4-round one,
+// which may differ only by frame rounding (an instance rounds its RoundsPerCompare−1
 // bit-stream frames per ordered silo pair up to whole bytes; fewer instances
 // round less).
 func TestCustomizedTrafficCostPinned(t *testing.T) {
@@ -82,8 +82,8 @@ func TestCustomizedTrafficCostPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	parent := [][3]int64{ // comparisons, instances, bytes
-		{34, 20, 1932}, {15, 11, 840}, {21, 16, 1194}, {29, 19, 1662}, {28, 17, 1596}, {18, 11, 1014},
-		{18, 12, 1038}, {38, 21, 2214}, {32, 16, 1806}, {25, 15, 1446}, {17, 10, 948}, {20, 10, 1158},
+		{34, 20, 1662}, {15, 11, 726}, {21, 16, 1038}, {29, 19, 1428}, {28, 17, 1386}, {18, 11, 876},
+		{18, 12, 894}, {38, 21, 1884}, {32, 16, 1560}, {25, 15, 1236}, {17, 10, 822}, {20, 10, 990},
 	}
 	pairs := int64(f.Silos() * (f.Silos() - 1))
 	g := f.Graph()

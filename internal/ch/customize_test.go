@@ -356,11 +356,11 @@ func TestCalS300DerivationCountsPinned(t *testing.T) {
 		return x.BuildStatistics().SAC
 	}
 	build, cust := derive(false), derive(true)
-	if build.Compares != 96026 || build.Rounds != 19424 {
-		t.Errorf("build: %d Fed-SACs / %d rounds, pinned 96026 / 19424", build.Compares, build.Rounds)
+	if build.Compares != 96026 || build.Rounds != 14568 {
+		t.Errorf("build: %d Fed-SACs / %d rounds, pinned 96026 / 14568", build.Compares, build.Rounds)
 	}
-	if cust.Compares != 1054 || cust.Rounds != 80 {
-		t.Errorf("customize: %d Fed-SACs / %d rounds, pinned 1054 / 80", cust.Compares, cust.Rounds)
+	if cust.Compares != 1054 || cust.Rounds != 60 {
+		t.Errorf("customize: %d Fed-SACs / %d rounds, pinned 1054 / 60", cust.Compares, cust.Rounds)
 	}
 	if 4*cust.Rounds >= build.Rounds {
 		t.Errorf("customize rounds %d not under 25%% of build rounds %d", cust.Rounds, build.Rounds)
@@ -383,8 +383,8 @@ func TestCustomizedUpdateInPlace(t *testing.T) {
 	}
 	arcsBefore := x.NumArcs()
 	parent := []parentCost{
-		{1005, 71, 55122}, {1009, 70, 55374}, {1023, 71, 56166},
-		{964, 70, 52938}, {988, 71, 54234}, {1009, 71, 55404},
+		{1005, 71, 47580}, {1009, 70, 47802}, {1023, 71, 48468},
+		{964, 70, 45690}, {988, 71, 46806}, {1009, 71, 47808},
 	}
 	rng := rand.New(rand.NewPCG(71, 71))
 	for round := 0; round < 6; round++ {
@@ -530,7 +530,7 @@ func TestBundleRoundTripCustomized(t *testing.T) {
 	}
 
 	arcsBefore := x2.NumArcs()
-	parent := []parentCost{{478, 51, 26304}, {476, 50, 26166}, {445, 49, 24450}}
+	parent := []parentCost{{478, 51, 22710}, {476, 50, 22578}, {445, 49, 21120}}
 	rng := rand.New(rand.NewPCG(82, 82))
 	for round := 0; round < 3; round++ {
 		var changed []graph.Arc

@@ -259,7 +259,7 @@ func TestCustomizeRoundsAreTheCriticalPath(t *testing.T) {
 		}
 		if net.name == "grid24" {
 			got := [4]int64{int64(ticks), st.SAC.Rounds, st.SAC.Compares, st.SAC.Bytes}
-			if want := [4]int64{70, 280, 50028, 2739204}; got != want {
+			if want := [4]int64{70, 210, 50028, 2364114}; got != want {
 				t.Fatalf("grid24: ticks, rounds, comparisons, bytes = %v, pinned %v", got, want)
 			}
 		}

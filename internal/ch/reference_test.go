@@ -215,17 +215,17 @@ func TestSweepElectsTheBracketWinners(t *testing.T) {
 // the seeded sequences of the update tests. Comparisons and instances are
 // those of the level-synchronous sweep at c495f6e, recorded there (as rounds,
 // 8 per instance) before the update moved onto Index.sweep; the bytes are
-// Index.sweep's on the 4-round carry circuit over the 48-bit ring, recorded
-// when that ring replaced the 64-bit one.
+// Index.sweep's on the 3-round carry circuit over the 48-bit ring, recorded
+// when that circuit replaced the 4-round one.
 type parentCost [3]int64
 
 // checkUpdate holds one update to what it replaced: the same comparisons, no
 // more instances, bytes no more than 0.1 % above and below only by frame
 // rounding, and an index byte-identical to a fresh customization at the new
 // weights. Per ordered silo pair, an instance of width k rounds its
-// bit-stream frames up to whole bytes — ⌈20k/8⌉ and ⌈4k/8⌉ by at most ½ B
-// each, ⌈k/8⌉ by at most ⅞ B, under 2 B in all, so under 12 B at 3 silos —
-// and fewer instances round less.
+// bit-stream frames up to whole bytes — ⌈14k/8⌉ by at most ¾ B, ⌈k/8⌉ by at
+// most ⅞ B, under 2 B in all, so under 12 B at 3 silos — and fewer
+// instances round less.
 func checkUpdate(t *testing.T, tag string, x *Index, st UpdateStats, parent parentCost) {
 	t.Helper()
 	drift := st.SAC.Bytes - parent[2]

@@ -156,9 +156,9 @@ func TestCustomizedUpdateNeverGrows(t *testing.T) {
 	}
 	arcs0 := x.NumArcs()
 	parent := []parentCost{
-		{393, 48, 21624}, {466, 50, 25668}, {432, 49, 23778}, {431, 49, 23676}, {421, 48, 23154},
-		{366, 49, 20160}, {434, 50, 23874}, {449, 50, 24672}, {435, 48, 23910}, {446, 50, 24534},
-		{441, 50, 24258}, {419, 50, 23046}, {438, 50, 24084}, {410, 49, 22578}, {425, 47, 23370},
+		{393, 48, 18672}, {466, 50, 22134}, {432, 49, 20532}, {431, 49, 20454}, {421, 48, 19986},
+		{366, 49, 17418}, {434, 50, 20604}, {449, 50, 21306}, {435, 48, 20646}, {446, 50, 21174},
+		{441, 50, 20952}, {419, 50, 19908}, {438, 50, 20778}, {410, 49, 19476}, {425, 47, 20178},
 	}
 	rng := rand.New(rand.NewPCG(31, 31))
 	for round := 0; round < 15; round++ {

@@ -4,6 +4,8 @@ import (
 	"crypto/subtle"
 	"fmt"
 	"math/bits"
+	"slices"
+	"sync"
 
 	"repro/internal/transport"
 )
@@ -19,11 +21,11 @@ import (
 //
 //	round 1      6k bytes: instance i's masked opening d_i + r_i mod 2^48
 //	             as 6 little-endian bytes at offset 6i
-//	levels 2, 3  ⌈wires·k/8⌉ bytes (20 and 4 wires): one dense bit-stream,
-//	             LSB-first — opened wire j of the level (groups lowest
-//	             first, each group's opened slots ascending) occupies stream
-//	             bits j·k … j·k+k−1; instance i is bit i of a vector; only
-//	             the last byte is zero-padded
+//	round 2      ⌈14k/8⌉ bytes: the carry level's 14 opened wires as one
+//	             dense bit-stream, LSB-first — opened wire j (its group's
+//	             opened slots ascending) occupies stream bits j·k … j·k+k−1;
+//	             instance i is bit i of a vector; only the last byte is
+//	             zero-padded
 //	last round   ⌈k/8⌉ bytes: the k result-bit shares, same bit order
 //
 // batchWireCost (engine.go) restates these sizes as the analytic cost.
@@ -39,14 +41,14 @@ import (
 //	g_b = ¬c_b ∧ r_b          (bit b generates a borrow)
 //	p_b = ¬(c_b ⊕ r_b)        (bit b passes a borrow through)
 //
-// A carry group folds up to four (generate, propagate) pairs x_i, y_i,
+// A carry group folds up to eight (generate, propagate) pairs x_i, y_i,
 // lowest first, into one:
 //
-//	G = x3 ⊕ y3·x2 ⊕ y3·y2·x1 ⊕ y3·y2·y1·x0      P = y3·y2·y1·y0
+//	G = x_{s−1} ⊕ y_{s−1}·x_{s−2} ⊕ … ⊕ y_{s−1}⋯y_1·x_0      P = y_{s−1}⋯y_0
 //
-// (the ⊕ are ORs of mutually exclusive terms). Three levels of groups take
-// the 47 leaves to one: 12 groups (11 of four leaves, the top one of three),
-// then 3, then 1 of three inputs. The lowest group of a level needs no P:
+// (the ⊕ are ORs of mutually exclusive terms). Two levels of groups take
+// the 47 leaves to one: 8 groups of fan-in 6 (7 of six leaves, the top one
+// of five), then 1 of eight inputs. The lowest group of a level needs no P:
 // nothing above it reads one.
 //
 // Every wire the circuit multiplies is affine in ONE secret bit v,
@@ -54,23 +56,31 @@ import (
 // wires of the same secret bit. A term's product therefore expands into
 // Σ_S (Π_{w∈S} β_w)(Π_{w∉S} α_w)·v_S over the subsets S of its wires, v_S
 // being the AND of S's secret bits, so a party evaluates its share of a whole
-// group locally from dealt XOR shares of every v_S with |S| ≥ 2:
+// group locally from dealt XOR shares of every v_S with |S| ≥ 2. The terms
+// share their propagate suffixes, so eval builds the coefficients of
+// y_{i+1}⋯y_{s−1} once, from the top term down, and the term x_i·y_{i+1}⋯
+// reads them twice: against v_S (times α of x_i) and v_{S∪x_i} (times β).
 //
 //	level 1     leaf b: g_b = ¬c_b·r_b and p_b = ¬c_b ⊕ r_b are affine in
 //	            r_b with c public: no round at all; the dealt products are
-//	            subsets of a group's r-bits.
-//	levels 2, 3 each wire entering a product of two or more is opened once
-//	            as x ⊕ m under a fresh dealt mask m (one round per level), so
-//	            x = o ⊕ m with o public; the dealt products are subsets of a
-//	            group's masks. A group's top generate enters G alone and
-//	            stays unopened, as does the lowest group's y0.
+//	            subsets of a group's r-bits (57 per six-leaf group, 26 for
+//	            the five-leaf one).
+//	level 2     each wire entering a product of two or more is opened once
+//	            as x ⊕ m under a fresh dealt mask m (one round: x_0…x_6 and
+//	            y_1…y_7), so x = o ⊕ m with o public; the dealt products are
+//	            the 367 subsets of its masks that lie inside one term. The
+//	            top generate x_7 enters G alone and stays unopened; y_0 is
+//	            read by no term.
 
-// fanIn is the number of (generate, propagate) pairs a carry group folds.
-const fanIn = 4
+// carryLevels is the depth of the circuit.
+const carryLevels = 2
 
-// carryLevels is the depth of the fan-in-4 circuit over NumLeaves leaves:
-// 47 → 12 → 3 → 1.
-const carryLevels = 3
+// levelFanIn is the fan-in of each carry level: 47 → 8 → 1.
+var levelFanIn = [carryLevels]int{6, 8}
+
+// maxFanIn is the widest group's fan-in. Wire slot i < maxFanIn of a group
+// is generate x_i, slot maxFanIn+i propagate y_i, whatever its level.
+const maxFanIn = 8
 
 // RoundsPerCompare is the number of communication rounds of one comparison:
 // fused masked opening (the inputs are already an additive sharing, so no
@@ -78,137 +88,184 @@ const carryLevels = 3
 // first level is dealt and opens nothing), result opening.
 const RoundsPerCompare = 1 + (carryLevels - 1) + 1
 
-// MasksPerCompare is the number of wires the opened carry levels open, each
-// under its own dealt mask: 20 at level 2 (seven per group, six in the
-// lowest) and 4 at level 3 (its one three-input group, which has no P).
-const MasksPerCompare = 24
+// MasksPerCompare is the number of wires the opened carry level opens, each
+// under its own dealt mask: x_0…x_6 and y_1…y_7 of its one eight-input group,
+// which has no P.
+const MasksPerCompare = 14
 
 // ProductsPerCompare is the number of dealt subset products one comparison
-// consumes: 11 per four-leaf group and 4 for the three-leaf one at level 1
-// (every subset of ≥ 2 of a group's r-bits), 22 per group and 15 in the
-// lowest at level 2, and 5 in level 3's three-input group (every subset of
-// ≥ 2 masks inside one product term).
-const ProductsPerCompare = 189
+// consumes: 57 per six-leaf group and 26 for the five-leaf one at level 1
+// (every subset of ≥ 2 of a group's r-bits), and 367 in level 2's group
+// (every subset of ≥ 2 masks inside one product term).
+const ProductsPerCompare = 792
 
 // carryGroup is one group of the circuit with its expansion precomputed.
-// Wire slot i < fanIn is generate x_i, slot fanIn+i propagate y_i.
+// Index s of a coefficient vector over propagates is the set of
+// y_{size−1−k} for the bits k of s, so extending a vector by y_i, the
+// next propagate down, appends its upper half.
 type carryGroup struct {
 	in, size int // inputs in..in+size−1: leaves at level 1, else groups of the level below
-	terms    []carryTerm
-	open     []int // slots opened under a mask, ascending (levels 2, 3)
-	mask     int   // TupleBlock.Masks offset of open[0]
-	prod     int   // TupleBlock.Prods offset of the group's first product
-	nprod    int   // its number of products
+	// gReads[i][s] locates, among the shares eval reads, those of v_S and
+	// v_{S∪x_i} for the set S of propagates above x_i that s indexes;
+	// pReads[s] that of v_S for every S of the group's propagates (P
+	// only: nil in the lowest group of a level).
+	gReads [][][2]uint16
+	pReads []uint16
+	open   []int // slots opened under a mask, ascending (level 2)
+	mask   int   // TupleBlock.Masks offset of open[0]
+	prod   int   // TupleBlock.Prods offset of the group's first product
+	nprod  int   // its number of products
 }
 
-// maxGroupProducts bounds the products of one group: 22 for a fan-in-4
-// group with P.
-const maxGroupProducts = 22
+// maxGroupProducts bounds the products of one group: 367 for the
+// eight-input group without P.
+const maxGroupProducts = 367
 
-// carryTerm is one product of G or P.
-type carryTerm struct {
-	p     bool  // a term of P, else of G
-	slots []int // the wires it multiplies
-	// src[s] locates the share of v_s, for the subset s of slots (bit i =
-	// slots[i]), among the shares eval gathers: 0 is the constant 1, 1+slot
-	// a slot's secret bit, 1+2·fanIn+i the group's product i.
-	src []uint8
+// The shares eval reads, one word each: 0 the constant 1 (all-ones at party
+// 0, else zero), 1+slot the slot's secret bit, prodShare+j the group's
+// product j.
+const (
+	prodShare = 1 + 2*maxFanIn
+	numShares = prodShare + maxGroupProducts
+)
+
+// evalScratch is eval's working memory on one word of lanes: slot s carries
+// the wire α[s] ⊕ β[s]·v, α and β public, v this party's share of its secret
+// bit, sh[1+s]. The kernel takes one from a pool per call, so none of it
+// grows a party goroutine's stack.
+type evalScratch struct {
+	alpha, beta [2 * maxFanIn]uint64
+	sh          [numShares]uint64
+	coef        [1 << maxFanIn]uint64
 }
+
+var scratchPool = sync.Pool{New: func() any { return new(evalScratch) }}
 
 // circuit holds the carry groups, level by level, lowest group first.
 // productFactors[i] lists the secret bits whose AND is dealt as
-// TupleBlock.Prods[i]: r-bit b as b, mask j as K+j.
-var circuit, productFactors = planCircuit()
+// TupleBlock.Prods[i]: r-bit b as b, mask j as K+j. The dealer computes
+// product i as one AND, x[productSteps[i][0]] & x[productSteps[i][1]], over
+// the dealt vector x = r-bits, masks, products (x[K+MasksPerCompare+j] is
+// product j): the product of its factors but the last, dealt earlier (or a
+// lone secret bit), and its last factor.
+var circuit, productFactors, productSteps = planCircuit()
 
-// planCircuit lays the circuit out: the masks of the opened levels and the
+// index16 returns i as a uint16 plan index, or panics: a plan index that
+// does not fit is a plan bug, never a silent wrap.
+func index16(i int) uint16 {
+	if i < 0 || i > 0xffff {
+		panic(fmt.Sprintf("mpc: circuit plan index %d does not fit 16 bits", i))
+	}
+	return uint16(i)
+}
+
+// planCircuit lays the circuit out: the masks of the opened level and the
 // products of every level are numbered group by group in circuit order, a
 // group's products in ascending order of their bitmask over its secret bits
-// (bit i = r-bit in+i at level 1, else bit s = the mask of slot s).
-func planCircuit() ([][]carryGroup, [][]int) {
+// (bit i = r-bit in+i at level 1, else bit s = the mask of slot s). That
+// order deals a product's predecessor, its set without the highest bit,
+// before it.
+func planCircuit() ([][]carryGroup, [][]int, [][2]uint16) {
 	var levels [][]carryGroup
 	var factors [][]int
-	masks := 0
-	for inputs, leaf := NumLeaves, true; inputs > 1; inputs, leaf = (inputs+fanIn-1)/fanIn, false {
+	var steps [][2]uint16
+	masks, inputs := 0, NumLeaves
+	for l, fanIn := range levelFanIn {
 		var level []carryGroup
 		for in := 0; in < inputs; in += fanIn {
-			grp, f := newCarryGroup(in, min(fanIn, inputs-in), leaf, in > 0, masks)
+			grp, f := newCarryGroup(in, min(fanIn, inputs-in), l == 0, in > 0, masks)
 			grp.prod = len(factors)
 			masks += len(grp.open)
-			factors = append(factors, f...)
+			for _, fs := range f {
+				steps = append(steps, dealStep(factors, grp.prod, fs))
+				factors = append(factors, fs)
+			}
 			level = append(level, grp)
 		}
 		levels = append(levels, level)
+		inputs = len(level)
 	}
-	if len(levels) != carryLevels || masks != MasksPerCompare || len(factors) != ProductsPerCompare {
-		panic(fmt.Sprintf("mpc: circuit has %d levels, %d masks, %d products", len(levels), masks, len(factors)))
+	if inputs != 1 || masks != MasksPerCompare || len(factors) != ProductsPerCompare {
+		panic(fmt.Sprintf("mpc: circuit has %d outputs, %d masks, %d products", inputs, masks, len(factors)))
 	}
-	return levels, factors
+	return levels, factors, steps
 }
 
-// newCarryGroup expands one group's terms, its masks numbered from mask,
-// and returns it with the factors of its products in layout order.
+// dealStep returns the dealer's one-AND step for a product with factors fs,
+// factors[from:] being its group's products dealt before it: the
+// dealt-vector index of the product of fs without its last factor (a lone
+// secret bit when that leaves one), and of the last factor.
+func dealStep(factors [][]int, from int, fs []int) [2]uint16 {
+	head, last := fs[:len(fs)-1], index16(fs[len(fs)-1])
+	if len(head) == 1 {
+		return [2]uint16{index16(head[0]), last}
+	}
+	for j := from; j < len(factors); j++ {
+		if slices.Equal(factors[j], head) {
+			return [2]uint16{index16(K + MasksPerCompare + j), last}
+		}
+	}
+	panic(fmt.Sprintf("mpc: product %v dealt before its predecessor", fs))
+}
+
+// newCarryGroup expands one group, its masks numbered from mask, and
+// returns it with the factors of its products in layout order.
 func newCarryGroup(in, size int, leaf, needP bool, mask int) (carryGroup, [][]int) {
 	grp := carryGroup{in: in, size: size, mask: mask}
-	for i := 0; i < size; i++ { // x_i · y_{i+1} ⋯ y_{size−1}
-		t := carryTerm{slots: []int{i}}
-		for j := i + 1; j < size; j++ {
-			t.slots = append(t.slots, fanIn+j)
-		}
-		grp.terms = append(grp.terms, t)
-	}
-	if needP { // y_0 ⋯ y_{size−1}
-		t := carryTerm{p: true}
-		for j := 0; j < size; j++ {
-			t.slots = append(t.slots, fanIn+j)
-		}
-		grp.terms = append(grp.terms, t)
-	}
-	secret := func(slot int) uint {
-		if leaf {
-			return 1 << (slot % fanIn)
-		}
-		return 1 << slot
-	}
-	// subsetOf maps a subset of a term's wires to its secret-bit bitmask.
-	subsetOf := func(t carryTerm, s int) uint {
+	// ys maps a coefficient index to its set of propagate slots.
+	ys := func(s int) uint {
 		var m uint
-		for i, slot := range t.slots {
-			if s>>i&1 == 1 {
-				m |= secret(slot)
-			}
+		for k := 0; s>>k != 0; k++ {
+			m |= uint(s>>k&1) << (maxFanIn + size - 1 - k)
 		}
 		return m
 	}
-	var used [1 << (2 * fanIn)]bool
-	var opened uint
-	for _, t := range grp.terms {
-		for s := 0; s < 1<<len(t.slots); s++ {
-			if bits.OnesCount(uint(s)) >= 2 {
-				used[subsetOf(t, s)] = true
-			}
+	// secret maps a set of wire slots to its set of secret bits: the
+	// leaf's r-bit for both wires of leaf i (bit i), else the slot's mask
+	// (bit slot).
+	secret := func(w uint) uint {
+		if leaf {
+			return w&(1<<maxFanIn-1) | w>>maxFanIn
 		}
-		if len(t.slots) >= 2 {
-			for _, slot := range t.slots {
-				opened |= 1 << slot
-			}
+		return w
+	}
+	// The wire sets the terms read: S and S ∪ x_i under x_i, every S for P.
+	var sets []uint
+	for i := 0; i < size; i++ {
+		for s := 0; s < 1<<(size-1-i); s++ {
+			sets = append(sets, ys(s), ys(s)|1<<i)
+		}
+	}
+	if needP {
+		for s := 0; s < 1<<size; s++ {
+			sets = append(sets, ys(s))
+		}
+	}
+	at := map[uint]int{} // a used set of secret bits → its offset among the group's products
+	var opened uint
+	for _, w := range sets {
+		if bits.OnesCount(w) >= 2 {
+			at[secret(w)] = 0
+			opened |= w
 		}
 	}
 	if !leaf {
-		for slot := 0; slot < 2*fanIn; slot++ {
+		for slot := 0; slot < 2*maxFanIn; slot++ {
 			if opened>>slot&1 == 1 {
 				grp.open = append(grp.open, slot)
 			}
 		}
 	}
+	used := make([]uint, 0, len(at))
+	for m := range at {
+		used = append(used, m)
+	}
+	slices.Sort(used)
 	var factors [][]int
-	var at [len(used)]int // a used subset's offset among the group's products
-	for m, u := range used {
-		if !u {
-			continue
-		}
+	for _, m := range used {
 		at[m] = len(factors)
 		var f []int
-		for b := 0; b < 2*fanIn; b++ {
+		for b := 0; b < 2*maxFanIn; b++ {
 			switch {
 			case m>>b&1 == 0:
 			case leaf:
@@ -219,57 +276,56 @@ func newCarryGroup(in, size int, leaf, needP bool, mask int) (carryGroup, [][]in
 		}
 		factors = append(factors, f)
 	}
-	for ti := range grp.terms {
-		t := &grp.terms[ti]
-		t.src = make([]uint8, 1<<len(t.slots))
-		for s := range t.src {
-			switch bits.OnesCount(uint(s)) {
-			case 0:
-			case 1:
-				t.src[s] = uint8(1 + t.slots[bits.TrailingZeros(uint(s))])
-			default:
-				t.src[s] = uint8(1 + 2*fanIn + at[subsetOf(*t, s)])
-			}
-		}
-	}
 	if grp.nprod = len(factors); grp.nprod > maxGroupProducts {
 		panic(fmt.Sprintf("mpc: a carry group with %d products", grp.nprod))
+	}
+	src := func(w uint) uint16 {
+		switch bits.OnesCount(w) {
+		case 0:
+			return 0
+		case 1:
+			return index16(1 + bits.TrailingZeros(w))
+		}
+		return index16(prodShare + at[secret(w)])
+	}
+	grp.gReads = make([][][2]uint16, size)
+	for i := range grp.gReads {
+		for s := 0; s < 1<<(size-1-i); s++ {
+			grp.gReads[i] = append(grp.gReads[i], [2]uint16{src(ys(s)), src(ys(s) | 1<<i)})
+		}
+	}
+	if needP {
+		for s := 0; s < 1<<size; s++ {
+			grp.pReads = append(grp.pReads, src(ys(s)))
+		}
 	}
 	return grp, factors
 }
 
 // eval returns this party's shares of the group's G and P (P = 0 when the
-// group has no P term) on one word of lanes. Slot s carries the wire
-// α[s] ⊕ β[s]·v with α, β public and v[s] this party's share of its secret
-// bit; prods are its shares of the group's dealt products and one its share
-// of the constant 1 (all-ones at party 0, else zero).
-func (grp *carryGroup) eval(alpha, beta, v *[2 * fanIn]uint64, prods []uint64, one uint64) (g, p uint64) {
-	var shares [1 + 2*fanIn + maxGroupProducts]uint64
-	shares[0] = one
-	copy(shares[1:], v[:])
-	copy(shares[1+2*fanIn:], prods[:grp.nprod])
-	var coef [1 << fanIn]uint64
-	for ti := range grp.terms {
-		t := &grp.terms[ti]
-		// coef[s] = Π_{i∈s} β · Π_{i∉s} α over the term's wires, built up
-		// one wire at a time.
-		coef[0] = ^uint64(0)
-		for i, slot := range t.slots {
-			a, b, n := alpha[slot], beta[slot], 1<<i
+// group has no P) from the wires and shares in x.
+func (grp *carryGroup) eval(x *evalScratch) (g, p uint64) {
+	alpha, beta, sh := &x.alpha, &x.beta, &x.sh
+	// c[s] = Π_{y∈S} β · Π_{y∉S} α over the propagates above the current
+	// term, S the set s indexes.
+	c := &x.coef
+	c[0] = ^uint64(0)
+	for i := grp.size - 1; i >= 0; i-- {
+		reads := grp.gReads[i]
+		a, b := alpha[i], beta[i]
+		for s, rd := range reads {
+			g ^= c[s] & (a&sh[rd[0]] ^ b&sh[rd[1]])
+		}
+		if i > 0 || grp.pReads != nil { // extend by y_i
+			a, b, n := alpha[maxFanIn+i], beta[maxFanIn+i], len(reads)
 			for s := 0; s < n; s++ {
-				coef[s|n] = coef[s] & b
-				coef[s] &= a
+				c[s|n] = c[s] & b
+				c[s] &= a
 			}
 		}
-		var acc uint64
-		for s, at := range t.src {
-			acc ^= coef[s] & shares[at]
-		}
-		if t.p {
-			p ^= acc
-		} else {
-			g ^= acc
-		}
+	}
+	for s, rd := range grp.pReads {
+		p ^= c[s] & sh[rd]
 	}
 	return g, p
 }
@@ -345,22 +401,25 @@ func RunCompareBatchParty(conn transport.Conn, diffs []int64, blocks []*TupleBlo
 	// ¬c_b ⊕ r_b.
 	first := circuit[0]
 	gs, ps := getWords(len(first)*W), getWords(len(first)*W)
+	x := scratchPool.Get().(*evalScratch)
+	defer scratchPool.Put(x)
+	x.sh[0] = one
 	for w, blk := range blocks {
 		for j := range first {
 			grp := &first[j]
-			var alpha, beta, v [2 * fanIn]uint64
 			for i := 0; i < grp.size; i++ {
 				a, r := nc[(grp.in+i)*W+w], blk.RBits[grp.in+i]
-				alpha[i], beta[i], v[i] = 0, a, r
-				alpha[fanIn+i], beta[fanIn+i], v[fanIn+i] = a, ^uint64(0), r
+				x.alpha[i], x.beta[i], x.sh[1+i] = 0, a, r
+				x.alpha[maxFanIn+i], x.beta[maxFanIn+i], x.sh[1+maxFanIn+i] = a, ^uint64(0), r
 			}
-			gs[j*W+w], ps[j*W+w] = grp.eval(&alpha, &beta, &v, blk.Prods[grp.prod:], one)
+			copy(x.sh[prodShare:], blk.Prods[grp.prod:grp.prod+grp.nprod])
+			gs[j*W+w], ps[j*W+w] = grp.eval(x)
 		}
 	}
 
-	// Levels 2 and 3, one opening round each.
+	// Level 2, one opening round.
 	for _, level := range circuit[1:] {
-		ng, np, err := carryLevel(conn, level, gs, ps, blocks, k, one)
+		ng, np, err := carryLevel(conn, level, gs, ps, blocks, k, x)
 		putWords(gs)
 		putWords(ps)
 		if err != nil {
@@ -397,27 +456,28 @@ func RunCompareBatchParty(conn transport.Conn, diffs []int64, blocks []*TupleBlo
 // carryLevel evaluates one opened level: every wire of the level's groups
 // that enters a product is opened under its mask, all in one frame, and each
 // group is then folded locally. gIn and pIn hold the level below's G and P
-// vectors; the returned vectors are pooled words.
-func carryLevel(conn transport.Conn, level []carryGroup, gIn, pIn []uint64, blocks []*TupleBlock, k int, one uint64) (gOut, pOut []uint64, err error) {
+// vectors, x is eval's scratch with the constant 1 in place; the returned
+// vectors are pooled words.
+func carryLevel(conn transport.Conn, level []carryGroup, gIn, pIn []uint64, blocks []*TupleBlock, k int, x *evalScratch) (gOut, pOut []uint64, err error) {
 	W := len(blocks)
 	wire := func(grp *carryGroup, slot int) []uint64 {
 		in, vecs := grp.in+slot, gIn
-		if slot >= fanIn {
-			in, vecs = grp.in+slot-fanIn, pIn
+		if slot >= maxFanIn {
+			in, vecs = grp.in+slot-maxFanIn, pIn
 		}
 		return vecs[in*W : (in+1)*W]
 	}
 	base := level[0].mask
 	frame := getFrame(streamBytes(openedWires(level) * k))
 	defer putFrame(frame)
-	opened := getWords(2 * fanIn * W) // slot s of the current group at s*W
+	opened := getWords(2 * maxFanIn * W) // slot s of the current group at s*W
 	defer putWords(opened)
 	for gi := range level {
 		grp := &level[gi]
 		for o, slot := range grp.open {
 			vec := opened[:W]
-			for w, x := range wire(grp, slot) {
-				vec[w] = x ^ blocks[w].Masks[grp.mask+o]
+			for w, v := range wire(grp, slot) {
+				vec[w] = v ^ blocks[w].Masks[grp.mask+o]
 			}
 			putLanes(frame, (grp.mask+o-base)*k, vec, k)
 		}
@@ -433,16 +493,16 @@ func carryLevel(conn transport.Conn, level []carryGroup, gIn, pIn []uint64, bloc
 		}
 		for w, blk := range blocks {
 			// An unopened wire is its own share: α = 0, β = 1, v = the share.
-			var alpha, beta, v [2 * fanIn]uint64
 			for i := 0; i < grp.size; i++ {
-				for _, slot := range [2]int{i, fanIn + i} {
-					beta[slot], v[slot] = ^uint64(0), wire(grp, slot)[w]
+				for _, slot := range [2]int{i, maxFanIn + i} {
+					x.alpha[slot], x.beta[slot], x.sh[1+slot] = 0, ^uint64(0), wire(grp, slot)[w]
 				}
 			}
 			for o, slot := range grp.open {
-				alpha[slot], v[slot] = opened[slot*W+w], blk.Masks[grp.mask+o]
+				x.alpha[slot], x.sh[1+slot] = opened[slot*W+w], blk.Masks[grp.mask+o]
 			}
-			gOut[gi*W+w], pOut[gi*W+w] = grp.eval(&alpha, &beta, &v, blk.Prods[grp.prod:], one)
+			copy(x.sh[prodShare:], blk.Prods[grp.prod:grp.prod+grp.nprod])
+			gOut[gi*W+w], pOut[gi*W+w] = grp.eval(x)
 		}
 	}
 	return gOut, pOut, nil

@@ -51,12 +51,24 @@ func NewDealer(n int, seed uint64) *Dealer {
 }
 
 // CmpTuples deals one comparison's correlated randomness — one TupleBlock
-// per party, which serves up to 64 comparisons run as one batch word. Every
-// share vector of parties 1..n−1 is a raw PRG word and party 0's is the
-// secret minus (R) or XOR (bits, masks, products) the rest, so any n−1 blocks
-// are jointly uniform.
+// per party, which serves up to 64 comparisons run as one batch word — into
+// fresh memory. See deal.
 func (d *Dealer) CmpTuples() []TupleBlock {
 	blocks := make([]TupleBlock, d.n)
+	d.deal(blocks)
+	return blocks
+}
+
+// dealtVector is the length of the vector of secrets a deal computes:
+// r-bits, masks, then products (see productSteps).
+const dealtVector = K + MasksPerCompare + ProductsPerCompare
+
+// deal deals one comparison's correlated randomness into blocks, one per
+// party, overwriting every field, so the engine redeals one slab in place.
+// Every share vector of parties 1..n−1 is a raw PRG word and party 0's is
+// the secret minus (R) or XOR (bits, masks, products) the rest, so any n−1
+// blocks are jointly uniform.
+func (d *Dealer) deal(blocks []TupleBlock) {
 	rest := blocks[1:]
 
 	var rbits [64]uint64 // the lanes' masks; once transposed, vector b = bit b of every lane's mask
@@ -71,29 +83,27 @@ func (d *Dealer) CmpTuples() []TupleBlock {
 		blocks[0].R[i] = r
 	}
 	transpose64(&rbits)
+	// The secrets: r-bits (bits ≥ K lie outside the ring), fresh masks, and
+	// each product as one AND of a secret dealt before it and its last
+	// factor.
+	var x [dealtVector]uint64
+	copy(x[:K], rbits[:K])
+	for j := K; j < K+MasksPerCompare; j++ {
+		x[j] = d.rng.Uint64()
+	}
+	for i, st := range productSteps {
+		x[K+MasksPerCompare+i] = x[st[0]] & x[st[1]]
+	}
 	// Party 0's XOR-shared vectors start as the secrets.
 	zero := &blocks[0]
-	copy(zero.RBits[:], rbits[:K]) // bits ≥ K lie outside the ring
-	for j := range zero.Masks {
-		zero.Masks[j] = d.rng.Uint64()
-	}
-	for i, factors := range productFactors {
-		v := ^uint64(0)
-		for _, f := range factors {
-			if f < K {
-				v &= rbits[f]
-			} else {
-				v &= zero.Masks[f-K]
-			}
-		}
-		zero.Prods[i] = v
-	}
+	copy(zero.RBits[:], x[:K])
+	copy(zero.Masks[:], x[K:])
+	copy(zero.Prods[:], x[K+MasksPerCompare:])
 	for p := range rest {
 		d.xorShare(rest[p].RBits[:], zero.RBits[:])
 		d.xorShare(rest[p].Masks[:], zero.Masks[:])
 		d.xorShare(rest[p].Prods[:], zero.Prods[:])
 	}
-	return blocks
 }
 
 // xorShare fills one party's share vector with raw PRG words and XORs them

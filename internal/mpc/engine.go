@@ -209,6 +209,11 @@ type Engine struct {
 	// forkCtr hands out distinct randomness streams to forks; shared by the
 	// whole fork family.
 	forkCtr *atomic.Uint64
+
+	// deals is the slab every instance deals its blocks into, [word][party];
+	// it grows a word at a time to the widest batch, so growing never copies
+	// or drops a word, and is redealt in place, every field overwritten.
+	deals [][]TupleBlock
 }
 
 // NewEngine creates an engine. Wire costs are computed analytically (the
@@ -334,7 +339,7 @@ func (e *Engine) Mode() Mode { return e.mode }
 // layout of RunCompareBatchParty restated:
 //
 //	masked open   n(n−1) frames of 6k bytes
-//	carry level   n(n−1) frames of ⌈wires·k/8⌉ bytes (levels 2 and 3)
+//	carry level   n(n−1) frames of ⌈14k/8⌉ bytes (level 2)
 //	result open   n(n−1) frames of ⌈k/8⌉ bytes
 //
 // Both execution modes account with it, and TestBatchWireCostMatchesMeasured
@@ -435,10 +440,12 @@ func (e *Engine) runProtocol(diffs [][]int64) ([]bool, error) {
 // runProtocolOnce executes one batched comparison across party goroutines,
 // each batch word on a fresh deal from the engine's dealer.
 func (e *Engine) runProtocolOnce(diffs [][]int64) ([]bool, error) {
-	k := len(diffs)
-	deals := make([][]TupleBlock, wordsFor(k)) // [word][party]
-	for w := range deals {
-		deals[w] = e.dealer.CmpTuples()
+	k, W := len(diffs), wordsFor(len(diffs))
+	for len(e.deals) < W {
+		e.deals = append(e.deals, make([]TupleBlock, e.n))
+	}
+	for _, deal := range e.deals[:W] {
+		e.dealer.deal(deal)
 	}
 	results := make([][]bool, e.n)
 	errs := make([]error, e.n)
@@ -451,9 +458,9 @@ func (e *Engine) runProtocolOnce(diffs [][]int64) ([]bool, error) {
 			for i := range mine {
 				mine[i] = diffs[i][p]
 			}
-			blocks := make([]*TupleBlock, len(deals))
+			blocks := make([]*TupleBlock, W)
 			for w := range blocks {
-				blocks[w] = &deals[w][p]
+				blocks[w] = &e.deals[w][p]
 			}
 			results[p], errs[p] = RunCompareBatchParty(e.conns[p], mine, blocks)
 		}(p)

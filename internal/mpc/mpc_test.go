@@ -10,6 +10,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 )
 
 func testRNG(seed uint64) *rand.Rand {
@@ -152,24 +153,25 @@ func TestDealerBlocksReconstruct(t *testing.T) {
 }
 
 // TestDealerCoalitionViewIsUniform: what any n−1 parties hold of a share
-// vector is uniform — party 0's share is the secret XOR the rest, and every
-// other share is a raw PRG word — so over 4,096 deals the bits of the
-// coalition's XOR are set about half the time, whichever party is left out,
-// for the r-bits, the masks and the subset products alike (a product of
-// four uniform bits is set a sixteenth of the time; its shares must not be).
-// A block carries the 48 r-bits of the ring, 24 masks and 189 products.
+// vector is uniform — party 0's share is the secret minus (R) or XOR (the
+// bit vectors) the rest, and every other share is a raw PRG word — so over
+// 4,096 deals the bits of the coalition's sum or XOR are set about half the
+// time, whichever party is left out, for R, the r-bits, the masks and the
+// subset products alike (a product of eight uniform bits is set a 256th of
+// the time; its shares must not be). A block carries all 918 words: 64 R
+// lanes, the 48 r-bits of the ring, 14 masks and 792 products.
 func TestDealerCoalitionViewIsUniform(t *testing.T) {
 	const deals = 4096
-	fields := []string{"RBits", "Masks", "Prods"}
+	fields := []string{"R", "RBits", "Masks", "Prods"}
 	for _, n := range []int{2, 3, 5} {
 		d := NewDealer(n, 61)
-		ones := make([][3]int, n) // [party left out][field] set bits
-		var vectors [3]int        // [field] vectors per block
+		ones := make([][4]int, n) // [party left out][field] set bits
+		var vectors [4]int        // [field] words per block
 		for i := 0; i < deals; i++ {
 			deal := d.CmpTuples()
 			for out := range ones {
 				x := combineBlocks(deal, out)
-				for f, vecs := range [][]uint64{x.RBits[:], x.Masks[:], x.Prods[:]} {
+				for f, vecs := range [][]uint64{x.R[:], x.RBits[:], x.Masks[:], x.Prods[:]} {
 					vectors[f] = len(vecs)
 					for _, v := range vecs {
 						ones[out][f] += bits.OnesCount64(v)
@@ -177,8 +179,9 @@ func TestDealerCoalitionViewIsUniform(t *testing.T) {
 				}
 			}
 		}
-		if vectors != [3]int{48, 24, 189} {
-			t.Fatalf("n=%d: a block holds %v RBits, Masks, Prods vectors, want 48, 24, 189", n, vectors)
+		if vectors != [4]int{64, 48, 14, 792} || int(unsafe.Sizeof(TupleBlock{})) != 8*918 {
+			t.Fatalf("n=%d: a block holds %v R, RBits, Masks, Prods words (%d B), want 64, 48, 14, 792 (918 words)",
+				n, vectors, unsafe.Sizeof(TupleBlock{}))
 		}
 		for out := range ones {
 			for f, name := range fields {
@@ -188,6 +191,34 @@ func TestDealerCoalitionViewIsUniform(t *testing.T) {
 						n, out, name, ones[out][f], total)
 				}
 			}
+		}
+	}
+}
+
+// TestDealOverwritesEveryField: the engine redeals one slab in place, so a
+// deal into blocks that hold an earlier deal, or any garbage, must equal the
+// same dealer stream's deal into fresh memory, word for word, and
+// reconstruct.
+func TestDealOverwritesEveryField(t *testing.T) {
+	for _, n := range []int{2, 3, 5} {
+		slab := make([]TupleBlock, n)
+		inPlace, fresh := NewDealer(n, 5), NewDealer(n, 5)
+		for i := 0; i < 3; i++ {
+			if i == 0 {
+				for p := range slab {
+					b := &slab[p]
+					for _, vec := range [][]uint64{b.R[:], b.RBits[:], b.Masks[:], b.Prods[:]} {
+						for j := range vec {
+							vec[j] = ^uint64(0)
+						}
+					}
+				}
+			}
+			inPlace.deal(slab)
+			if want := fresh.CmpTuples(); !reflect.DeepEqual(slab, want) {
+				t.Fatalf("n=%d deal %d: an in-place deal differs from a fresh one", n, i)
+			}
+			checkDeal(t, slab)
 		}
 	}
 }
@@ -204,30 +235,32 @@ func TestDealerDeterministic(t *testing.T) {
 	}
 }
 
-// carryDepth counts the levels of a fan-in-fanIn reduction over leaves.
+// carryDepth counts the levels of the reduction over leaves with the
+// circuit's per-level fan-ins.
 func carryDepth(leaves int) int {
 	levels := 0
-	for leaves > 1 {
+	for ; leaves > 1; levels++ {
+		fanIn := levelFanIn[levels]
 		leaves = (leaves + fanIn - 1) / fanIn
-		levels++
 	}
 	return levels
 }
 
 // termSubsets counts the subsets of at least two wires lying inside one
-// product term of a carry group over size inputs — wire i < fanIn generate
-// x_i, fanIn+i propagate y_i —, its P term included when withP.
+// product term of a carry group over size inputs — wire i generate x_i,
+// wire maxFanIn+i propagate y_i, propagates offset by the widest group so
+// that no two wires share a bit —, its P term included when withP.
 func termSubsets(size int, withP bool) int {
 	var terms []int
 	for i := 0; i < size; i++ { // x_i · y_{i+1} ⋯ y_{size−1}
 		t := 1 << i
 		for j := i + 1; j < size; j++ {
-			t |= 1 << (fanIn + j)
+			t |= 1 << (maxFanIn + j)
 		}
 		terms = append(terms, t)
 	}
 	if withP {
-		terms = append(terms, (1<<size-1)<<fanIn)
+		terms = append(terms, (1<<size-1)<<maxFanIn)
 	}
 	seen := map[int]bool{}
 	for _, t := range terms {
@@ -240,39 +273,40 @@ func termSubsets(size int, withP bool) int {
 	return len(seen)
 }
 
+// planSize counts the masks and products of a two-level plan whose first
+// level is dealt with fan-in leafFan and whose second folds its groups in
+// one opened group: at level 1 a leaf's generate and propagate share one
+// r-bit, so a group of s leaves takes every subset of ≥ 2 of them; the
+// opened group takes the subsets inside one term and opens every wire but
+// its top generate and its bottom propagate.
+func planSize(leafFan int) (masks, products int) {
+	groups := 0
+	for leaf := 0; leaf < NumLeaves; leaf += leafFan {
+		size := min(leafFan, NumLeaves-leaf)
+		products += 1<<size - size - 1
+		groups++
+	}
+	return 2*groups - 2, products + termSubsets(groups, false)
+}
+
 // TestCircuitSizeConstants derives the declared constants from the circuit
-// they describe: depth and rounds from the fan-in, masks from the wires that
-// enter a product (every group's but its top generate, and the lowest
-// group's bottom propagate), products from the subsets of ≥ 2 secret bits
-// inside one term (at level 1 a leaf's generate and propagate share one
-// r-bit, so those are all subsets of ≥ 2 of a group's leaves).
+// they describe: depth and rounds from the fan-ins, masks from the wires that
+// enter a product (every wire of the opened group but its top generate and
+// its bottom propagate), products from the subsets of ≥ 2 secret bits inside
+// one term.
 func TestCircuitSizeConstants(t *testing.T) {
 	levels := carryDepth(NumLeaves)
-	if carryLevels != levels || len(circuit) != levels {
-		t.Fatalf("carry depth over %d leaves: %d, carryLevels %d, circuit %d", NumLeaves, levels, carryLevels, len(circuit))
+	if carryLevels != levels || len(circuit) != levels || levels != 2 {
+		t.Fatalf("carry depth over %d leaves: %d, carryLevels %d, circuit %d, want 2", NumLeaves, levels, carryLevels, len(circuit))
 	}
-	// Fused masked opening, the two opened levels (the first is dealt),
-	// result opening.
-	if RoundsPerCompare != 1+(levels-1)+1 {
-		t.Fatalf("RoundsPerCompare = %d, the circuit over %d levels needs %d", RoundsPerCompare, levels, 1+(levels-1)+1)
+	// Fused masked opening, the opened level (the first is dealt), result
+	// opening.
+	if RoundsPerCompare != 1+(levels-1)+1 || RoundsPerCompare != 3 {
+		t.Fatalf("RoundsPerCompare = %d, the circuit over %d levels needs %d, want 3", RoundsPerCompare, levels, 1+(levels-1)+1)
 	}
-	if RoundsPerCompare != 4 {
-		t.Fatalf("RoundsPerCompare = %d, want 4", RoundsPerCompare)
-	}
-	masks, products := 0, 0
-	for leaf := 0; leaf < NumLeaves; leaf += fanIn {
-		size := min(fanIn, NumLeaves-leaf)
-		products += 1<<size - size - 1
-	}
-	for inputs := (NumLeaves + fanIn - 1) / fanIn; inputs > 1; inputs = (inputs + fanIn - 1) / fanIn {
-		for in := 0; in < inputs; in += fanIn {
-			size, withP := min(fanIn, inputs-in), in > 0
-			masks += 2*size - 1
-			if !withP {
-				masks--
-			}
-			products += termSubsets(size, withP)
-		}
+	masks, products := planSize(levelFanIn[0])
+	if len(circuit[0]) != levelFanIn[1] {
+		t.Fatalf("level 1 has %d groups, level 2's fan-in is %d", len(circuit[0]), levelFanIn[1])
 	}
 	if MasksPerCompare != masks {
 		t.Fatalf("MasksPerCompare = %d, the circuit opens %d wires", MasksPerCompare, masks)
@@ -280,12 +314,60 @@ func TestCircuitSizeConstants(t *testing.T) {
 	if ProductsPerCompare != products {
 		t.Fatalf("ProductsPerCompare = %d, the circuit expands into %d", ProductsPerCompare, products)
 	}
-	if MasksPerCompare != 24 || ProductsPerCompare != 189 {
-		t.Fatalf("%d masks / %d products, want 24 / 189", MasksPerCompare, ProductsPerCompare)
+	if MasksPerCompare != 14 || ProductsPerCompare != 792 {
+		t.Fatalf("%d masks / %d products, want 14 / 792", MasksPerCompare, ProductsPerCompare)
 	}
-	if termSubsets(4, true) != 22 || termSubsets(4, false) != 15 {
-		t.Fatalf("term subsets of a fan-in-4 group: %d with P, %d without, want 22 / 15", termSubsets(4, true), termSubsets(4, false))
+	if termSubsets(8, false) != 367 || termSubsets(4, true) != 22 {
+		t.Fatalf("term subsets: %d of an eight-input group without P, %d of a four-input one with P, want 367 / 22",
+			termSubsets(8, false), termSubsets(4, true))
 	}
+	// The other two-level plan, fan-in 7 then 7, opens fewer wires but
+	// deals more products.
+	if m, p := planSize(7); m != 12 || p != 923 {
+		t.Fatalf("the 7→7 plan: %d masks / %d products, want 12 / 923", m, p)
+	}
+	if maxGroupProducts != termSubsets(8, false) {
+		t.Fatalf("maxGroupProducts = %d, the widest group has %d", maxGroupProducts, termSubsets(8, false))
+	}
+}
+
+// TestPlanIndicesFit: every share a group reads lies inside the shares eval
+// gathers for it, the widest group reads up to index 1 + 16 + 366 = 383 (a
+// wrap at 8 bits would alias it), and every dealer step reads what the
+// dealer has dealt before it, so no plan index could have wrapped when it was
+// stored.
+func TestPlanIndicesFit(t *testing.T) {
+	top := 0
+	for _, level := range circuit {
+		for _, grp := range level {
+			var reads []uint16
+			for _, rd := range grp.gReads {
+				for _, r := range rd {
+					reads = append(reads, r[0], r[1])
+				}
+			}
+			for _, at := range append(reads, grp.pReads...) {
+				if int(at) >= prodShare+grp.nprod {
+					t.Fatalf("group at %d reads share %d of %d", grp.in, at, prodShare+grp.nprod)
+				}
+				top = max(top, int(at))
+			}
+		}
+	}
+	if top != 383 || numShares != 384 {
+		t.Fatalf("the widest share index is %d of %d, want 383 of 384", top, numShares)
+	}
+	for i, st := range productSteps {
+		if int(st[0]) >= K+MasksPerCompare+i || int(st[1]) >= K+MasksPerCompare {
+			t.Fatalf("product %d steps from %v", i, st)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("index16(65536) did not panic")
+		}
+	}()
+	index16(1 << 16)
 }
 
 func newTestEngine(t *testing.T, n int, mode Mode) *Engine {

@@ -25,10 +25,10 @@ func TestBatchWireCostMatchesMeasured(t *testing.T) {
 			}
 		}
 	}
-	// The k = 1 figure every cost table quotes: 11 B per ordered party pair
-	// (6 + ⌈20/8⌉ + ⌈4/8⌉ + ⌈1/8⌉), in 4 rounds.
-	if b, m := batchWireCost(3, 1); b != 66 || m != 24 {
-		t.Fatalf("batchWireCost(3,1) = %d B / %d msgs, want 66 / 24", b, m)
+	// The k = 1 figure every cost table quotes: 9 B per ordered party pair
+	// (6 + ⌈14/8⌉ + ⌈1/8⌉), in 3 rounds.
+	if b, m := batchWireCost(3, 1); b != 54 || m != 18 {
+		t.Fatalf("batchWireCost(3,1) = %d B / %d msgs, want 54 / 18", b, m)
 	}
 }
 

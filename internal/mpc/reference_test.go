@@ -14,14 +14,19 @@ import (
 // for the word-lane kernel (RunCompareBatchParty). It shares no circuit or
 // codec code with the kernel: it writes the borrow circuit as a plaintext
 // fold, obtains every carry group's share from the fold's algebraic normal
-// form (truth table, then Möbius transform) over the group's secret bits,
-// derives which wires to open and which products to read from that form
-// alone, and packs its frames bit by bit. At k = 1 the two must produce
+// form (truth table, then Möbius transform), derives which wires to open and
+// which products to read from that form alone, and packs its frames bit by
+// bit. At k = 1 the two must produce
 // byte-identical transcripts — which is also the proof that a party running
 // the scalar protocol interoperates with one running the kernel.
 
-// refFan is the reference's carry-group fan-in.
-const refFan = 4
+// refLeafFan is the fan-in of the reference's leaf groups; refTopFan, the
+// number of leaf groups, is the fan-in of its one opened group, whose wire
+// slot i is generate i and slot refTopFan+i propagate i.
+const (
+	refLeafFan = 6
+	refTopFan  = (K - 1 + refLeafFan - 1) / refLeafFan
+)
 
 // refTuple is the reference protocol's byte-per-bit view of one party's
 // randomness for a single comparison.
@@ -120,122 +125,102 @@ func refANF(nbits int, f func(x int) byte) []byte {
 	return t
 }
 
-// leafOut is a level-1 group's plaintext (G, P) for the leaves' public bits
-// c and secret r-bits r (bit i = leaf i).
+// leafOut is a leaf group's plaintext (G, P) for the leaves' public bits c
+// and secret r-bits r (bit i = leaf i).
 func leafOut(size, c, r int) (byte, byte) {
-	g, p := make([]byte, size), make([]byte, size)
-	for i := range g {
+	var g, p [refLeafFan]byte
+	for i := 0; i < size; i++ {
 		ci, ri := byte(c>>i&1), byte(r>>i&1)
 		g[i], p[i] = (1^ci)&ri, 1^ci^ri
 	}
-	return refFold(g, p)
+	return refFold(g[:size], p[:size])
 }
 
-// wireOut is an opened group's plaintext (G, P) over its size inputs for
-// opened values o and secret bits m, both indexed by slot (generate i at i,
-// propagate i at refFan+i): wire s is o_s ⊕ m_s.
-func wireOut(size, o, m int) (byte, byte) {
-	g, p := make([]byte, size), make([]byte, size)
-	for i := range g {
-		g[i] = byte((o ^ m) >> i & 1)
-		p[i] = byte((o ^ m) >> (refFan + i) & 1)
-	}
-	return refFold(g, p)
-}
-
-// refLayout numbers a group's dealt products: every subset of ≥ 2 secret
-// bits whose ANF coefficient in a needed output is 1 for some public input,
-// in ascending order of its bitmask.
-func refLayout(nsec, npub int, needP bool, out func(pub, sec int) (byte, byte)) map[int]int {
-	used := make([]bool, 1<<nsec)
-	for pub := 0; pub < 1<<npub; pub++ {
-		gs := refANF(nsec, func(sec int) byte { g, _ := out(pub, sec); return g })
-		ps := refANF(nsec, func(sec int) byte { _, p := out(pub, sec); return p })
-		for s := range used {
-			used[s] = used[s] || gs[s] == 1 || needP && ps[s] == 1
-		}
-	}
-	at := map[int]int{}
-	for s, u := range used {
-		if u && bits.OnesCount(uint(s)) >= 2 {
-			at[s] = len(at)
-		}
-	}
-	return at
-}
-
-// refGroup is one carry group as the reference lays it out.
-type refGroup struct {
+// refLeafGroup is one leaf group as the reference lays it out.
+type refLeafGroup struct {
 	in, size int
-	needP    bool
 	at       map[int]int // secret subset → offset among the group's products
-	open     []int       // levels 2, 3: slots opened, ascending
-	mask     int         // first mask
 	prod     int         // first product
 }
 
-// refPlan lays out the circuit: 47 leaves, groups of refFan lowest first,
-// masks and products numbered group by group.
-func refPlan() [][]refGroup {
-	type shape struct {
-		size  int
-		needP bool
-	}
-	leafAt := map[shape]map[int]int{}
-	wireAt := map[shape]map[int]int{}
-	var levels [][]refGroup
-	masks, prods := 0, 0
-	for inputs, level1 := K-1, true; inputs > 1; inputs, level1 = (inputs+refFan-1)/refFan, false {
-		var level []refGroup
-		for in := 0; in < inputs; in += refFan {
-			grp := refGroup{in: in, size: min(refFan, inputs-in), needP: in > 0, mask: masks, prod: prods}
-			key, size := shape{grp.size, grp.needP}, grp.size
-			if level1 {
-				if leafAt[key] == nil {
-					leafAt[key] = refLayout(size, size, grp.needP, func(c, r int) (byte, byte) { return leafOut(size, c, r) })
-				}
-				grp.at = leafAt[key]
-			} else {
-				if wireAt[key] == nil {
-					wireAt[key] = refLayout(2*refFan, 2*refFan, grp.needP, func(o, m int) (byte, byte) { return wireOut(size, o, m) })
-				}
-				grp.at = wireAt[key]
-				var opened int
-				for s := range grp.at {
-					opened |= s
-				}
-				for slot := 0; slot < 2*refFan; slot++ {
-					if opened>>slot&1 == 1 {
-						grp.open = append(grp.open, slot)
-					}
+// refTop is the opened group: it folds the leaf groups' outputs into the
+// borrow. Its wires w are public-XOR-secret, w_s = o_s ⊕ m_s, so the share of
+// a monomial w_T of the fold's ANF expands into Σ_{S⊆T} o_{T∖S}·m_S.
+type refTop struct {
+	monomials []int // the fold's ANF support over the wire slots
+	open      []int // slots inside a product of ≥ 2 wires, ascending
+	at        []int // slot subset of ≥ 2 wires → product offset (−1: none)
+	prod      int   // first product
+}
+
+// refPlan lays out the circuit: leaf groups of refLeafFan lowest first, their
+// products numbered group by group in ascending bitmask order (bit i = r-bit
+// in+i), then the opened group's masks and products, numbered by ascending
+// slot bitmask.
+func refPlan() ([]refLeafGroup, refTop) {
+	var leaves []refLeafGroup
+	layouts := map[int]map[int]int{} // by group size; the lowest group, which needs no P, has the same products
+	prods := 0
+	for in := 0; in < K-1; in += refLeafFan {
+		size := min(refLeafFan, K-1-in)
+		if layouts[size] == nil {
+			used := make([]bool, 1<<size)
+			for c := 0; c < 1<<size; c++ {
+				gs := refANF(size, func(r int) byte { g, _ := leafOut(size, c, r); return g })
+				ps := refANF(size, func(r int) byte { _, p := leafOut(size, c, r); return p })
+				for s := range used {
+					used[s] = used[s] || gs[s]|ps[s] == 1
 				}
 			}
-			masks += len(grp.open)
-			prods += len(grp.at)
-			level = append(level, grp)
+			at := map[int]int{}
+			for s, u := range used {
+				if u && bits.OnesCount(uint(s)) >= 2 {
+					at[s] = len(at)
+				}
+			}
+			layouts[size] = at
 		}
-		levels = append(levels, level)
+		leaves = append(leaves, refLeafGroup{in: in, size: size, at: layouts[size], prod: prods})
+		prods += len(layouts[size])
 	}
-	return levels
+
+	top := refTop{prod: prods, at: make([]int, 1<<(2*refTopFan))}
+	anf := refANF(2*refTopFan, func(w int) byte {
+		var g, p [refTopFan]byte
+		for i := range g {
+			g[i], p[i] = byte(w>>i&1), byte(w>>(refTopFan+i)&1)
+		}
+		G, _ := refFold(g[:], p[:])
+		return G
+	})
+	used := make([]bool, len(anf))
+	for m, c := range anf {
+		if c == 0 {
+			continue
+		}
+		top.monomials = append(top.monomials, m)
+		for s := m; s > 0; s = (s - 1) & m {
+			used[s] = used[s] || bits.OnesCount(uint(s)) >= 2
+		}
+	}
+	var opened, n int
+	for s, u := range used {
+		top.at[s] = -1
+		if u {
+			top.at[s] = n
+			n++
+			opened |= s
+		}
+	}
+	for slot := 0; slot < 2*refTopFan; slot++ {
+		if opened>>slot&1 == 1 {
+			top.open = append(top.open, slot)
+		}
+	}
+	return leaves, top
 }
 
-var refCircuit = refPlan()
-
-// refShare returns this party's shares of a group's G and P: out gives them
-// as a function of the group's secret bits for this instance's public
-// values, share(S) this party's share of the AND of the secret subset S.
-func refShare(nsec int, out func(sec int) (byte, byte), share func(S int) byte) (G, P byte) {
-	gs := refANF(nsec, func(sec int) byte { g, _ := out(sec); return g })
-	ps := refANF(nsec, func(sec int) byte { _, p := out(sec); return p })
-	for s := range gs {
-		if gs[s]|ps[s] == 1 {
-			v := share(s)
-			G ^= gs[s] & v
-			P ^= ps[s] & v
-		}
-	}
-	return G, P
-}
+var refLeaves, refTopGroup = refPlan()
 
 // refCompareParty runs one party's role of a single comparison: one bit per
 // byte for every circuit wire, global bit-packing per frame.
@@ -266,80 +251,73 @@ func refCompareParty(conn transport.Conn, diff uint64, tup *refTuple) (bool, err
 	}
 	c &= 1<<K - 1
 
-	// Level 1: the secret bits are the group's r-bits.
-	var gs, ps []byte
-	for _, grp := range refCircuit[0] {
+	// Leaf groups: for this c, each output's ANF over the group's r-bits
+	// names the shares it sums.
+	var wires [2 * refTopFan]byte // this party's shares of the top group's wires
+	for j, grp := range refLeaves {
 		cg := int(c >> uint(grp.in) & (1<<uint(grp.size) - 1))
-		G, P := refShare(grp.size,
-			func(r int) (byte, byte) { return leafOut(grp.size, cg, r) },
-			func(S int) byte {
-				switch bits.OnesCount(uint(S)) {
+		gs := refANF(grp.size, func(r int) byte { g, _ := leafOut(grp.size, cg, r); return g })
+		ps := refANF(grp.size, func(r int) byte { _, p := leafOut(grp.size, cg, r); return p })
+		for s := range gs {
+			var v byte
+			switch bits.OnesCount(uint(s)) {
+			case 0:
+				v = one
+			case 1:
+				v = tup.RBits[grp.in+bits.TrailingZeros(uint(s))]
+			default:
+				v = tup.Prods[grp.prod+grp.at[s]]
+			}
+			wires[j] ^= gs[s] & v
+			wires[refTopFan+j] ^= ps[s] & v
+		}
+	}
+
+	// The opened group: open its wires under their masks, then expand.
+	top := refTopGroup
+	masked := make([]byte, len(top.open))
+	for i, slot := range top.open {
+		masked[i] = wires[slot] ^ tup.Masks[i]
+	}
+	frame := make([]byte, (len(masked)+7)/8)
+	packBits(frame, masked)
+	frames, err := broadcast(conn, frame)
+	if err != nil {
+		return false, err
+	}
+	var o int                      // the opened values, bit s = slot s; unopened slots are 0
+	var secret [2 * refTopFan]byte // m_s: a mask, or an unopened wire's own share
+	copy(secret[:], wires[:])
+	for i, slot := range top.open {
+		var bit byte
+		for q := 0; q < n; q++ {
+			bit ^= unpackBit(frames[q], i)
+		}
+		o |= int(bit) << slot
+		secret[slot] = tup.Masks[i]
+	}
+	var borrow byte
+	for _, mono := range top.monomials {
+		for s := mono; ; s = (s - 1) & mono {
+			if o&(mono&^s) == mono&^s { // o_{T∖S} = 1
+				var v byte
+				switch bits.OnesCount(uint(s)) {
 				case 0:
-					return one
+					v = one
 				case 1:
-					return tup.RBits[grp.in+bits.TrailingZeros(uint(S))]
+					v = secret[bits.TrailingZeros(uint(s))]
+				default:
+					v = tup.Prods[top.prod+top.at[s]]
 				}
-				return tup.Prods[grp.prod+grp.at[S]]
-			})
-		gs, ps = append(gs, G), append(ps, P)
+				borrow ^= v
+			}
+			if s == 0 {
+				break
+			}
+		}
 	}
 
-	// Levels 2 and 3: open the wires under their masks, then fold.
-	for _, level := range refCircuit[1:] {
-		wire := func(grp refGroup, slot int) byte {
-			if slot < refFan {
-				return gs[grp.in+slot]
-			}
-			return ps[grp.in+slot-refFan]
-		}
-		var masked []byte
-		for _, grp := range level {
-			for i, slot := range grp.open {
-				masked = append(masked, wire(grp, slot)^tup.Masks[grp.mask+i])
-			}
-		}
-		frame := make([]byte, (len(masked)+7)/8)
-		packBits(frame, masked)
-		frames, err := broadcast(conn, frame)
-		if err != nil {
-			return false, err
-		}
-		var ng, np []byte
-		j := 0
-		for _, grp := range level {
-			var o, isOpen int
-			maskOf := map[int]byte{}
-			for i, slot := range grp.open {
-				var bit byte
-				for q := 0; q < n; q++ {
-					bit ^= unpackBit(frames[q], j)
-				}
-				j++
-				o |= int(bit) << slot
-				isOpen |= 1 << slot
-				maskOf[slot] = tup.Masks[grp.mask+i]
-			}
-			G, P := refShare(2*refFan,
-				func(m int) (byte, byte) { return wireOut(grp.size, o, m) },
-				func(S int) byte {
-					switch bits.OnesCount(uint(S)) {
-					case 0:
-						return one
-					case 1:
-						slot := bits.TrailingZeros(uint(S))
-						if isOpen>>slot&1 == 1 {
-							return maskOf[slot]
-						}
-						return wire(grp, slot) // an unopened wire is its own secret
-					}
-					return tup.Prods[grp.prod+grp.at[S]]
-				})
-			ng, np = append(ng, G), append(np, P)
-		}
-		gs, ps = ng, np
-	}
-
-	resShare := tup.RBits[K-1] ^ gs[0] ^ one&byte(c>>(K-1))
+	resShare := tup.RBits[K-1] ^ borrow ^ one&byte(c>>(K-1))
 	openedBits, err := broadcast(conn, []byte{resShare & 1})
 	if err != nil {
 		return false, err

@@ -54,9 +54,8 @@ func TestTranscriptIsMasked(t *testing.T) {
 			t.Fatalf("k=%d: frame counts differ: %d vs %d", k, len(sent1), len(sent2))
 		}
 		// Only frames of at most ⌈k/8⌉ bytes may coincide by chance: the
-		// result shares and, at k = 1, the one-byte frame of level 3's four
-		// masked bits (equal 1 time in 16). Every longer masked frame must
-		// differ.
+		// result shares. Every longer masked frame must differ, the carry
+		// level's 14 masked bits at k = 1 included.
 		for i := range sent1 {
 			if len(sent1[i]) > streamBytes(k) && bytes.Equal(sent1[i], sent2[i]) {
 				t.Fatalf("k=%d: frame %d (%d B) identical across independently masked runs", k, i, len(sent1[i]))
@@ -98,7 +97,7 @@ func TestInputSharesDoNotRevealInput(t *testing.T) {
 // than the result is set about half the time over 4,096 independently dealt
 // lanes — each of the 48 bits of C = D + R mod 2^48, bits 40–47 included,
 // where a FedRoad difference (|D| < 2^47) keeps its sign, and each of the
-// 20 + 4 masked wires of the carry levels — for D = −1 (every bit set) and
+// 14 masked wires of the carry level — for D = −1 (every bit set) and
 // D = 2^40 (one sign-region bit set). So the 48-bit mask covers the sign,
 // and no carry-level mask is left out.
 func TestOpeningsAreUniform(t *testing.T) {

@@ -10,12 +10,12 @@
 //     additive sharing of D — is opened masked as C = D + R for a random
 //     ring element R whose bit decomposition is XOR-shared among the
 //     parties (1 round; each party broadcasts d_p + r_p),
-//  2. the borrow of the subtraction C − R is evaluated with a fan-in-4 carry
-//     circuit over the shared bits: its first level is affine in the bits of
-//     R and costs no round, each of the two levels above opens every wire
-//     it multiplies once under a fresh mask (1 round each), and products of
-//     up to four bits come from dealt shares of subset products
-//     (preprocessed multi-input ANDs),
+//  2. the borrow of the subtraction C − R is evaluated with a two-level
+//     carry circuit over the shared bits: its first level (fan-in 6) is
+//     affine in the bits of R and costs no round, its second (one group of
+//     fan-in 8) opens every wire it multiplies once under a fresh mask
+//     (1 round), and products of up to eight bits come from dealt shares of
+//     subset products (preprocessed multi-input ANDs),
 //  3. the resulting comparison bit — and nothing else — is opened (1 round).
 //
 // One kernel (RunCompareBatchParty) runs the protocol at every width: the

@@ -81,7 +81,7 @@ func (c MeshPartyConfig) withDefaults() MeshPartyConfig {
 	if c.Queries == 0 {
 		c.Queries = 200
 	}
-	// 1s comfortably bounds a 4-round loopback compare (normally <5ms) and
+	// 1s comfortably bounds a 3-round loopback compare (normally <5ms) and
 	// caps the dead time when a break between two OTHER silos aborts them
 	// mid-round: this party's Recv then has nothing coming and must wait the
 	// full round timeout before failing the query typed.
