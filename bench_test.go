@@ -54,38 +54,21 @@ func BenchmarkTable1Datasets(b *testing.B) {
 	}
 }
 
-func BenchmarkFig7QueryTime(b *testing.B) {
+// benchExperiment runs one of the harness's run-and-print experiments per
+// iteration on a fresh bench-scale harness.
+func benchExperiment(b *testing.B, run func(*expr.Harness) error) {
 	for i := 0; i < b.N; i++ {
-		h := benchHarness()
-		res, err := h.RunComparative()
-		if err != nil {
+		if err := run(benchHarness()); err != nil {
 			b.Fatal(err)
 		}
-		h.PrintFig7(res)
 	}
 }
 
-func BenchmarkFig8Communication(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		h := benchHarness()
-		res, err := h.RunComparative()
-		if err != nil {
-			b.Fatal(err)
-		}
-		h.PrintFig8(res)
-	}
-}
+func BenchmarkFig7QueryTime(b *testing.B) { benchExperiment(b, (*expr.Harness).Fig7) }
 
-func BenchmarkFig9SiloScalability(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		h := benchHarness()
-		res, err := h.RunScalability([]int{2, 4, 6, 8})
-		if err != nil {
-			b.Fatal(err)
-		}
-		h.PrintFig9(res)
-	}
-}
+func BenchmarkFig8Communication(b *testing.B) { benchExperiment(b, (*expr.Harness).Fig8) }
+
+func BenchmarkFig9SiloScalability(b *testing.B) { benchExperiment(b, (*expr.Harness).Fig9) }
 
 func BenchmarkTable2IndexUpdate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -98,16 +81,7 @@ func BenchmarkTable2IndexUpdate(b *testing.B) {
 	}
 }
 
-func BenchmarkFig10CostCorrelation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		h := benchHarness()
-		comp, err := h.RunComparative()
-		if err != nil {
-			b.Fatal(err)
-		}
-		h.PrintFig10(h.RunFig10(comp))
-	}
-}
+func BenchmarkFig10CostCorrelation(b *testing.B) { benchExperiment(b, (*expr.Harness).Fig10) }
 
 func BenchmarkFig11LowerBoundAccuracy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -120,60 +94,10 @@ func BenchmarkFig11LowerBoundAccuracy(b *testing.B) {
 	}
 }
 
-func BenchmarkFig12QueueComparisons(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		h := benchHarness()
-		res, err := h.RunFig12()
-		if err != nil {
-			b.Fatal(err)
-		}
-		h.PrintFig12(res)
-	}
-}
+func BenchmarkFig12QueueComparisons(b *testing.B) { benchExperiment(b, (*expr.Harness).Fig12) }
 
-func BenchmarkAblationAlpha(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		h := benchHarness()
-		rows, err := h.RunAlphaAblation([]int{2, 4, 8, 16})
-		if err != nil {
-			b.Fatal(err)
-		}
-		h.PrintAlphaAblation(rows)
-	}
-}
-
-func BenchmarkAblationLandmarks(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		h := benchHarness()
-		rows, err := h.RunLandmarkAblation(nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		h.PrintLandmarkAblation(rows)
-	}
-}
-
-func BenchmarkAblationEstimators(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		h := benchHarness()
-		rows, err := h.RunEstimatorAblation()
-		if err != nil {
-			b.Fatal(err)
-		}
-		h.PrintEstimatorAblation(rows)
-	}
-}
-
-func BenchmarkAblationBatching(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		h := benchHarness()
-		rows, err := h.RunBatchingAblation()
-		if err != nil {
-			b.Fatal(err)
-		}
-		h.PrintBatchingAblation(rows)
-	}
-}
+// BenchmarkAblations runs the five ablation tables of `fedbench ablate`.
+func BenchmarkAblations(b *testing.B) { benchExperiment(b, (*expr.Harness).Ablate) }
 
 // --- micro-benchmarks of the primitives ---
 

@@ -1,6 +1,9 @@
 // Command fedbench regenerates the paper's evaluation tables and figures
 // (§VIII). Every experiment prints the rows/series the corresponding table
-// or figure reports; EXPERIMENTS.md records a full run.
+// or figure reports; EXPERIMENTS.md records a full run. One ordered list
+// holds every experiment: `fedbench <name>` runs one entry, and `fedbench
+// all` runs the paper's tables and figures (fig1 through fig12) in list
+// order.
 //
 // Usage:
 //
@@ -51,83 +54,129 @@ import (
 	"repro/internal/traffic"
 )
 
-func main() {
-	var (
-		datasets  = flag.String("datasets", "CAL-S,BJ-S,FLA-S", "comma-separated dataset names")
-		silos     = flag.Int("silos", 3, "number of data silos")
-		level     = flag.String("level", "moderate", "congestion level: free|slight|moderate|heavy")
-		queries   = flag.Int("queries", 20, "queries per hop group")
-		groups    = flag.Int("groups", 5, "number of hop groups")
-		landmarks = flag.Int("landmarks", 32, "landmark count")
-		seed      = flag.Uint64("seed", 1, "random seed")
-		maxV      = flag.Int("max-vertices", 0, "cap dataset sizes (0 = full scale)")
-		protocol  = flag.Bool("protocol", false, "run the full MPC protocol instead of the calibrated ideal mode")
-		latency   = flag.Duration("latency", 200*time.Microsecond, "modeled one-way network latency")
-		bandwidth = flag.Float64("bandwidth", 1e9, "modeled bandwidth in bytes/s")
-		jsonOut   = flag.String("json", "", "report path for build (default BENCH_build.json) and large (default BENCH_large.json)")
-		profile   = flag.String("profile", "", "write CPU and heap profiles to <prefix>.cpu.pprof / <prefix>.heap.pprof")
-		graphFile = flag.String("graph", "", "bench an imported graph file (binary snapshot or text) alongside/instead of the synthetic datasets")
-		workers   = flag.Int("workers", 0, "with large: parallel precompute workers (0 = GOMAXPROCS)")
-	)
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: fedbench [flags] all|fig1|tab1|fig7|fig8|fig9|tab2|fig10|fig11|fig12|ablate|build|large")
-		flag.PrintDefaults()
-		os.Exit(2)
-	}
+var (
+	datasets  = flag.String("datasets", "CAL-S,BJ-S,FLA-S", "comma-separated dataset names")
+	silos     = flag.Int("silos", 3, "number of data silos")
+	level     = flag.String("level", "moderate", "congestion level: free|slight|moderate|heavy")
+	queries   = flag.Int("queries", 20, "queries per hop group")
+	groups    = flag.Int("groups", 5, "number of hop groups")
+	landmarks = flag.Int("landmarks", 32, "landmark count")
+	seed      = flag.Uint64("seed", 1, "random seed")
+	maxV      = flag.Int("max-vertices", 0, "cap dataset sizes (0 = full scale)")
+	protocol  = flag.Bool("protocol", false, "run the full MPC protocol instead of the calibrated ideal mode")
+	latency   = flag.Duration("latency", 200*time.Microsecond, "modeled one-way network latency")
+	bandwidth = flag.Float64("bandwidth", 1e9, "modeled bandwidth in bytes/s")
+	jsonOut   = flag.String("json", "", "report path for build (default BENCH_build.json) and large (default BENCH_large.json)")
+	profile   = flag.String("profile", "", "write CPU and heap profiles to <prefix>.cpu.pprof / <prefix>.heap.pprof")
+	graphFile = flag.String("graph", "", "bench an imported graph file (binary snapshot or text) alongside/instead of the synthetic datasets")
+	workers   = flag.Int("workers", 0, "with large: parallel precompute workers (0 = GOMAXPROCS)")
 
-	lvl, err := traffic.ParseLevel(*level)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "fedbench: %v\n", err)
-		os.Exit(2)
+	lvl traffic.Level // -level, parsed
+)
+
+// experiment is one fedbench command: it runs its experiment on the harness
+// and prints it. large loads -graph itself and gets no harness.
+type experiment struct {
+	name string
+	all  bool // part of `fedbench all`
+	run  func(h *expr.Harness) error
+}
+
+// experiments lists every command in the order `fedbench all` runs its
+// entries.
+var experiments = []experiment{
+	{"fig1", true, func(h *expr.Harness) error { return printed(h.PrintFig1)(h.RunFig1(0, 0)) }},
+	{"tab1", true, func(h *expr.Harness) error { return printed(h.PrintTab1)(h.RunTab1()) }},
+	{"fig7", true, (*expr.Harness).Fig7},
+	{"fig8", true, (*expr.Harness).Fig8},
+	{"fig9", true, (*expr.Harness).Fig9},
+	{"tab2", true, func(h *expr.Harness) error { return printed(h.PrintTab2)(h.RunTab2()) }},
+	{"fig10", true, (*expr.Harness).Fig10},
+	{"fig11", true, func(h *expr.Harness) error { return printed(h.PrintFig11)(h.RunFig11(0)) }},
+	{"fig12", true, (*expr.Harness).Fig12},
+	{"ablate", false, (*expr.Harness).Ablate},
+	{"build", false, build},
+	{"large", false, large},
+}
+
+// printed passes a Run method's results to its Print method unless the run
+// failed.
+func printed[R any](print func(R)) func(R, error) error {
+	return func(r R, err error) error {
+		if err == nil {
+			print(r)
+		}
+		return err
 	}
+}
+
+// runAll runs the entries of experiments marked all, in list order.
+func runAll(h *expr.Harness) error {
+	for _, e := range experiments {
+		if !e.all {
+			continue
+		}
+		if err := e.run(h); err != nil {
+			return fmt.Errorf("%s: %w", e.name, err)
+		}
+	}
+	return nil
+}
+
+// build measures index derivation and writes its report.
+func build(h *expr.Harness) error {
+	rep, err := h.RunIndexBuildBench()
+	if err != nil {
+		return err
+	}
+	h.PrintIndexBuildBench(rep)
+	return report("BENCH_build.json", rep)
+}
+
+// large runs the scale tier on -graph, which it loads and times itself.
+func large(*expr.Harness) error {
+	rep, err := expr.RunLargeBench(expr.LargeBenchConfig{
+		Path:      *graphFile,
+		Silos:     *silos,
+		Landmarks: *landmarks,
+		Queries:   *queries,
+		Workers:   *workers,
+		Seed:      *seed,
+		Level:     lvl,
+	})
+	if err != nil {
+		return err
+	}
+	rep.Print(os.Stdout)
+	return report("BENCH_large.json", rep)
+}
+
+// report writes a build or large report to -json, or else to def.
+func report(def string, rep any) error {
+	out := *jsonOut
+	if out == "" {
+		out = def
+	}
+	if err := expr.WriteReport(out, rep); err != nil {
+		return err
+	}
+	fmt.Printf("\nwrote %s\n", out)
+	return nil
+}
+
+// harness builds the experiment harness from the flags; an imported -graph
+// file joins the dataset list.
+func harness() (*expr.Harness, error) {
 	mode := mpc.ModeIdeal
 	if *protocol {
 		mode = mpc.ModeProtocol
-	}
-	// report writes a build or large report to -json, or else to def.
-	report := func(def string, rep any) error {
-		out := *jsonOut
-		if out == "" {
-			out = def
-		}
-		if err := expr.WriteReport(out, rep); err != nil {
-			return err
-		}
-		fmt.Printf("\nwrote %s\n", out)
-		return nil
-	}
-
-	// The large tier loads the graph itself (it times the load); every other
-	// experiment gets an imported -graph file injected as an extra dataset.
-	if flag.Arg(0) == "large" {
-		rep, err := expr.RunLargeBench(expr.LargeBenchConfig{
-			Path:      *graphFile,
-			Silos:     *silos,
-			Landmarks: *landmarks,
-			Queries:   *queries,
-			Workers:   *workers,
-			Seed:      *seed,
-			Level:     lvl,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fedbench: %v\n", err)
-			os.Exit(1)
-		}
-		rep.Print(os.Stdout)
-		if err := report("BENCH_large.json", rep); err != nil {
-			fmt.Fprintf(os.Stderr, "fedbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
 	dsList := strings.Split(*datasets, ",")
 	var external *expr.ExternalDataset
 	if *graphFile != "" {
 		g, w0, err := graph.LoadFile(*graphFile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "fedbench: %v\n", err)
-			os.Exit(1)
+			return nil, err
 		}
 		w0, _ = graph.UnitIfMissing(g, w0)
 		name := filepath.Base(*graphFile)
@@ -135,8 +184,7 @@ func main() {
 		dsList = append(dsList, name)
 		fmt.Printf("loaded %s: %d vertices, %d arcs\n", name, g.NumVertices(), g.NumArcs())
 	}
-
-	h := expr.New(expr.Config{
+	return expr.New(expr.Config{
 		Datasets:        dsList,
 		Silos:           *silos,
 		Level:           lvl,
@@ -149,7 +197,45 @@ func main() {
 		MaxVertices:     *maxV,
 		External:        external,
 		Out:             os.Stdout,
-	})
+	}), nil
+}
+
+func fail(code int, err error) {
+	fmt.Fprintf(os.Stderr, "fedbench: %v\n", err)
+	os.Exit(code)
+}
+
+func main() {
+	names := []string{"all"}
+	for _, e := range experiments {
+		names = append(names, e.name)
+	}
+	flag.Parse()
+	if flag.NArg() != 1 {
+		fmt.Fprintln(os.Stderr, "usage: fedbench [flags] "+strings.Join(names, "|"))
+		flag.PrintDefaults()
+		os.Exit(2)
+	}
+	var err error
+	if lvl, err = traffic.ParseLevel(*level); err != nil {
+		fail(2, err)
+	}
+	e := experiment{name: "all", run: runAll}
+	for _, x := range experiments {
+		if x.name == flag.Arg(0) {
+			e = x
+		}
+	}
+	if e.name != flag.Arg(0) {
+		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", flag.Arg(0))
+		os.Exit(2)
+	}
+	var h *expr.Harness
+	if e.name != "large" {
+		if h, err = harness(); err != nil {
+			fail(1, err)
+		}
+	}
 
 	// -profile wraps the whole experiment in a CPU profile and snapshots the
 	// heap at the end; stopProfile is called on every exit path (os.Exit
@@ -158,12 +244,10 @@ func main() {
 	if *profile != "" {
 		cf, err := os.Create(*profile + ".cpu.pprof")
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "fedbench: %v\n", err)
-			os.Exit(1)
+			fail(1, err)
 		}
 		if err := pprof.StartCPUProfile(cf); err != nil {
-			fmt.Fprintf(os.Stderr, "fedbench: %v\n", err)
-			os.Exit(1)
+			fail(1, err)
 		}
 		stopProfile = func() {
 			pprof.StopCPUProfile()
@@ -183,93 +267,10 @@ func main() {
 	}
 
 	start := time.Now()
-	switch flag.Arg(0) {
-	case "all":
-		err = h.RunAll()
-	case "fig1":
-		var rows []expr.Fig1Row
-		if rows, err = h.RunFig1(0, 0); err == nil {
-			h.PrintFig1(rows)
-		}
-	case "tab1":
-		var rows []expr.Tab1Row
-		if rows, err = h.RunTab1(); err == nil {
-			h.PrintTab1(rows)
-		}
-	case "fig7", "fig8":
-		var res *expr.CompResult
-		if res, err = h.RunComparative(); err == nil {
-			if flag.Arg(0) == "fig7" {
-				h.PrintFig7(res)
-			} else {
-				h.PrintFig8(res)
-			}
-		}
-	case "build":
-		var rep *expr.BuildReport
-		if rep, err = h.RunIndexBuildBench(); err == nil {
-			h.PrintIndexBuildBench(rep)
-			err = report("BENCH_build.json", rep)
-		}
-	case "fig9":
-		var res *expr.ScalResult
-		if res, err = h.RunScalability(nil); err == nil {
-			h.PrintFig9(res)
-		}
-	case "tab2":
-		var rows []expr.Tab2Row
-		if rows, err = h.RunTab2(); err == nil {
-			h.PrintTab2(rows)
-		}
-	case "fig10":
-		var comp *expr.CompResult
-		if comp, err = h.RunComparative(); err == nil {
-			h.PrintFig10(h.RunFig10(comp))
-		}
-	case "fig11":
-		var res *expr.Fig11Result
-		if res, err = h.RunFig11(0); err == nil {
-			h.PrintFig11(res)
-		}
-	case "fig12":
-		var res *expr.Fig12Result
-		if res, err = h.RunFig12(); err == nil {
-			h.PrintFig12(res)
-		}
-	case "ablate":
-		var alphas []expr.AlphaRow
-		if alphas, err = h.RunAlphaAblation(nil); err != nil {
-			break
-		}
-		h.PrintAlphaAblation(alphas)
-		var lms []expr.LandmarkRow
-		if lms, err = h.RunLandmarkAblation(nil); err != nil {
-			break
-		}
-		h.PrintLandmarkAblation(lms)
-		var ests []expr.EstimatorRow
-		if ests, err = h.RunEstimatorAblation(); err != nil {
-			break
-		}
-		h.PrintEstimatorAblation(ests)
-		var bats []expr.BatchRow
-		if bats, err = h.RunBatchingAblation(); err != nil {
-			break
-		}
-		h.PrintBatchingAblation(bats)
-		var idxs []expr.IndexRow
-		if idxs, err = h.RunIndexAblation(); err != nil {
-			break
-		}
-		h.PrintIndexAblation(idxs)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", flag.Arg(0))
-		os.Exit(2)
-	}
+	err = e.run(h)
 	stopProfile()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "fedbench: %v\n", err)
-		os.Exit(1)
+		fail(1, err)
 	}
 	fmt.Printf("\ncompleted in %v\n", time.Since(start).Round(time.Millisecond))
 }

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"strconv"
 	"time"
 
 	"repro/internal/ch"
@@ -125,22 +126,29 @@ func (h *Harness) RunIndexBuildBench() (*BuildReport, error) {
 // "unbatched" is computed, not run: every Fed-SAC as its own protocol
 // instance costs exactly mpc.RoundsPerCompare rounds.
 func (h *Harness) PrintIndexBuildBench(rep *BuildReport) {
-	h.printf("Index derivation: witness build vs customization (%d silos)\n", rep.Silos)
-	w := h.tab()
-	fmt.Fprintln(w, "dataset\tmode\ttime\twall\tsimnet\tshortcuts\tFed-SACs\tMPC rounds\tunbatched rounds\tcontraction rounds\tavg width")
-	for _, r := range rep.Rows {
-		mode := "build"
-		if r.Customize {
-			mode = "customize"
-		}
-		fmt.Fprintf(w, "%s\t%s\t%s\t%s\t%s\t%d\t%d\t%d\t%d\t%d\t%.1f\n",
-			r.Dataset, mode,
-			fmtDuration(time.Duration(r.TimeMs*1e6)),
-			fmtDuration(time.Duration(r.WallMs*1e6)),
-			fmtDuration(time.Duration(r.SimNetMs*1e6)),
-			r.Shortcuts, r.Compares, r.MPCRounds, r.Compares*int64(mpc.RoundsPerCompare),
-			r.ContractionRounds, r.AvgRoundWidth)
+	type c = column[BuildBenchRow]
+	ms := func(f func(BuildBenchRow) float64) func(BuildBenchRow) string {
+		return func(r BuildBenchRow) string { return fmtDuration(time.Duration(f(r) * 1e6)) }
 	}
-	w.Flush()
+	count := func(f func(BuildBenchRow) int64) func(BuildBenchRow) string {
+		return func(r BuildBenchRow) string { return strconv.FormatInt(f(r), 10) }
+	}
+	table(h, fmt.Sprintf("Index derivation: witness build vs customization (%d silos)", rep.Silos), rep.Rows,
+		c{"dataset", func(r BuildBenchRow) string { return r.Dataset }},
+		c{"mode", func(r BuildBenchRow) string {
+			if r.Customize {
+				return "customize"
+			}
+			return "build"
+		}},
+		c{"time", ms(func(r BuildBenchRow) float64 { return r.TimeMs })},
+		c{"wall", ms(func(r BuildBenchRow) float64 { return r.WallMs })},
+		c{"simnet", ms(func(r BuildBenchRow) float64 { return r.SimNetMs })},
+		c{"shortcuts", count(func(r BuildBenchRow) int64 { return int64(r.Shortcuts) })},
+		c{"Fed-SACs", count(func(r BuildBenchRow) int64 { return r.Compares })},
+		c{"MPC rounds", count(func(r BuildBenchRow) int64 { return r.MPCRounds })},
+		c{"unbatched rounds", count(func(r BuildBenchRow) int64 { return r.Compares * int64(mpc.RoundsPerCompare) })},
+		c{"contraction rounds", count(func(r BuildBenchRow) int64 { return int64(r.ContractionRounds) })},
+		c{"avg width", func(r BuildBenchRow) string { return strconv.FormatFloat(r.AvgRoundWidth, 'f', 1, 64) }})
 	h.printf("\n")
 }

@@ -2,304 +2,191 @@ package expr
 
 import (
 	"math"
+	"slices"
 	"strconv"
-	"time"
 
 	"repro/internal/core"
+	"repro/internal/lb"
 	"repro/internal/pq"
 )
 
-// QueryMetrics is the cost of one query (or an average over a group).
-type QueryMetrics struct {
-	// Time is Wall plus the network time Config.Net predicts from Rounds and
-	// Bytes: the estimated end-to-end time on the paper's testbed.
-	Time     time.Duration
-	Wall     time.Duration // local computation measured in-process
-	Compares int64         // Fed-SAC invocations
-	Bytes    int64         // MPC bytes across all silos
-	Rounds   int64         // MPC communication rounds
-	Settled  int           // search iterations
-	Queue    pq.Counts     // priority-queue comparison breakdown (Fig. 12)
-}
-
-func (h *Harness) metricsOf(stats core.QueryStats, parties int) QueryMetrics {
-	return QueryMetrics{
-		Time:     stats.WallTime + h.cfg.Net.Predict(stats.SAC, parties),
-		Wall:     stats.WallTime,
-		Compares: stats.SAC.Compares,
-		Bytes:    stats.SAC.Bytes,
-		Rounds:   stats.SAC.Rounds,
-		Settled:  stats.SettledVertices,
-		Queue:    stats.Queue,
+// methods returns the paper's six baselines over env in its order (§VIII-B):
+// each of the first five adds one layer to the one before, and the last runs
+// the TM-tree without the index.
+func methods(env *Env) []variant {
+	return []variant{
+		{"Naive-Dijk", env, core.Options{}},
+		{"+Fed-Shortcut", env, core.Options{Index: env.Index}},
+		{"+Fed-ALT-Max", env, core.Options{Index: env.Index, Estimator: lb.FedALTMax, Landmarks: env.LM}},
+		{"+Fed-AMPS", env, core.Options{Index: env.Index, Estimator: lb.FedAMPS}},
+		{"+TM-tree", env, core.Options{Index: env.Index, Estimator: lb.FedAMPS, Queue: pq.KindTMTree}},
+		{"Naive-Dijk+TM-tree", env, core.Options{Queue: pq.KindTMTree}},
 	}
 }
 
-func average(ms []QueryMetrics) QueryMetrics {
-	if len(ms) == 0 {
-		return QueryMetrics{}
-	}
-	var out QueryMetrics
-	for _, m := range ms {
-		out.Time += m.Time
-		out.Wall += m.Wall
-		out.Compares += m.Compares
-		out.Bytes += m.Bytes
-		out.Rounds += m.Rounds
-		out.Settled += m.Settled
-	}
-	n := time.Duration(len(ms))
-	out.Time /= n
-	out.Wall /= n
-	out.Compares /= int64(len(ms))
-	out.Bytes /= int64(len(ms))
-	out.Rounds /= int64(len(ms))
-	out.Settled /= len(ms)
-	return out
+// fig9Methods are the methods Fig. 9 plots.
+var fig9Methods = []string{"Naive-Dijk", "+Fed-Shortcut", "+Fed-AMPS", "+TM-tree"}
+
+// methodColumn names the method of a line holding one method's rows.
+var methodColumn = column[[]row]{"method", func(rs []row) string { return rs[0].name }}
+
+// comparison is one dataset's sweep behind Fig. 7, 8 and 10: rows[m][g] is
+// the paper's method m over hop group g.
+type comparison struct {
+	dataset string
+	groups  []HopGroup
+	rows    [][]row
 }
 
-// CompRow is one (dataset, method, hop-group) cell of Fig. 7/8.
-type CompRow struct {
-	Dataset string
-	Method  string
-	Group   string
-	Avg     QueryMetrics
-	PerQ    []QueryMetrics // retained for the Fig. 10 correlation analysis
-}
-
-// CompResult carries the comparative sweep backing Fig. 7, Fig. 8 and
-// Fig. 10.
-type CompResult struct {
-	Rows []CompRow
-}
-
-// runQueries executes a query set under the given engine options.
-func (h *Harness) runQueries(env *Env, opt core.Options, qs []Query) ([]QueryMetrics, error) {
-	e, err := core.NewEngine(env.Fed, opt)
-	if err != nil {
-		return nil, err
+// comparative sweeps every dataset's hop groups with the paper's methods,
+// once per harness: Fig. 7, 8 and 10 print the same runs.
+func (h *Harness) comparative() ([]comparison, error) {
+	if h.comp != nil {
+		return h.comp, nil
 	}
-	out := make([]QueryMetrics, 0, len(qs))
-	for _, q := range qs {
-		_, stats, err := e.SPSP(q.S, q.T)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, h.metricsOf(stats, env.Fed.P()))
-	}
-	return out, nil
-}
-
-// RunComparative sweeps all datasets × methods × hop groups (the runs behind
-// Fig. 7 and Fig. 8).
-func (h *Harness) RunComparative() (*CompResult, error) {
-	res := &CompResult{}
+	var comp []comparison
 	for _, ds := range h.cfg.Datasets {
 		env, err := h.Env(ds)
 		if err != nil {
 			return nil, err
 		}
 		groups := h.QueryGroups(env)
-		for _, m := range Methods() {
-			for _, grp := range groups {
-				ms, err := h.runQueries(env, m.Options(env), grp.Queries)
-				if err != nil {
-					return nil, err
-				}
-				res.Rows = append(res.Rows, CompRow{
-					Dataset: ds,
-					Method:  m.Name,
-					Group:   grp.Label(),
-					Avg:     average(ms),
-					PerQ:    ms,
-				})
-			}
+		sets := make([][]Query, len(groups))
+		for i, g := range groups {
+			sets[i] = g.Queries
 		}
+		rows, err := h.sweep(methods(env), sets...)
+		if err != nil {
+			return nil, err
+		}
+		comp = append(comp, comparison{ds, groups, rows})
 	}
-	return res, nil
+	h.comp = comp
+	return comp, nil
 }
 
-// PrintFig7 renders average query times per hop group (paper Fig. 7).
-func (h *Harness) PrintFig7(res *CompResult) {
-	h.printf("\n== Fig. 7: federated SPSP query time vs query scale (hops) ==\n")
-	h.printComp(res, func(m QueryMetrics) string { return fmtDuration(m.Time) })
+// Fig7 prints average query time per hop group (paper Fig. 7).
+func (h *Harness) Fig7() error {
+	return h.printComparison("\n== Fig. 7: federated SPSP query time vs query scale (hops) ==",
+		func(m QueryMetrics) string { return fmtDuration(m.Time) })
 }
 
-// PrintFig8 renders average communication sizes per hop group (paper
-// Fig. 8).
-func (h *Harness) PrintFig8(res *CompResult) {
-	h.printf("\n== Fig. 8: federated SPSP communication size vs query scale (hops) ==\n")
-	h.printComp(res, func(m QueryMetrics) string { return fmtBytes(m.Bytes) })
+// Fig8 prints average communication per hop group (paper Fig. 8).
+func (h *Harness) Fig8() error {
+	return h.printComparison("\n== Fig. 8: federated SPSP communication size vs query scale (hops) ==",
+		func(m QueryMetrics) string { return fmtBytes(m.Bytes) })
 }
 
-// printComp renders one dataset block per table: methods as rows, hop groups
+// printComparison prints one table per dataset: methods as lines, hop groups
 // as columns.
-func (h *Harness) printComp(res *CompResult, cell func(QueryMetrics) string) {
-	for _, ds := range h.cfg.Datasets {
-		groups := []string{}
-		seen := map[string]bool{}
-		for _, r := range res.Rows {
-			if r.Dataset == ds && !seen[r.Group] {
-				seen[r.Group] = true
-				groups = append(groups, r.Group)
-			}
-		}
-		if len(groups) == 0 {
-			continue
-		}
-		h.printf("--- %s ---\n", ds)
-		w := h.tab()
-		w.Write([]byte("method"))
-		for _, g := range groups {
-			w.Write([]byte("\t" + g))
-		}
-		w.Write([]byte("\n"))
-		for _, m := range Methods() {
-			w.Write([]byte(m.Name))
-			for _, g := range groups {
-				for _, r := range res.Rows {
-					if r.Dataset == ds && r.Method == m.Name && r.Group == g {
-						w.Write([]byte("\t" + cell(r.Avg)))
-					}
-				}
-			}
-			w.Write([]byte("\n"))
-		}
-		w.Flush()
+func (h *Harness) printComparison(title string, cell func(QueryMetrics) string) error {
+	comp, err := h.comparative()
+	if err != nil {
+		return err
 	}
-}
-
-// ScalRow is one (dataset, method, silo-count) cell of Fig. 9.
-type ScalRow struct {
-	Dataset string
-	Method  string
-	Silos   int
-	Avg     QueryMetrics
-}
-
-// ScalResult backs Fig. 9.
-type ScalResult struct {
-	Rows     []ScalRow
-	SiloAxis []int
-}
-
-// RunScalability measures query time of the four proposed methods for 2–8
-// silos on the first hop group of each dataset (paper Fig. 9).
-func (h *Harness) RunScalability(siloCounts []int) (*ScalResult, error) {
-	if siloCounts == nil {
-		siloCounts = []int{2, 3, 4, 5, 6, 7, 8}
+	h.printf("%s\n", title)
+	for _, c := range comp {
+		cols := []column[[]row]{methodColumn}
+		for g, grp := range c.groups {
+			cols = append(cols, column[[]row]{grp.Label(), func(rs []row) string { return cell(rs[g].avg) }})
+		}
+		table(h, "--- "+c.dataset+" ---", c.rows, cols...)
 	}
-	methods := Methods()
-	picked := []Method{methods[0], methods[1], methods[3], methods[4]}
-	res := &ScalResult{SiloAxis: siloCounts}
+	return nil
+}
+
+// Fig9 prints query time against silo count, 2 to 8, on each dataset's
+// first hop group (paper Fig. 9).
+func (h *Harness) Fig9() error {
+	silos := []int{2, 3, 4, 5, 6, 7, 8}
+	lines, err := h.scalability(silos)
+	if err != nil {
+		return err
+	}
+	h.printFig9(silos, lines)
+	return nil
+}
+
+// scalability runs Fig. 9's methods at every silo count on each dataset's
+// first hop group. lines[d][m][p] is dataset d's method m at silos[p]; each
+// silo count is a federation of its own.
+func (h *Harness) scalability(silos []int) ([][][]row, error) {
+	var lines [][][]row
 	for _, ds := range h.cfg.Datasets {
-		for _, p := range siloCounts {
+		var vs []variant
+		for _, p := range silos {
 			env, err := h.envFor(ds, p, "fig9")
 			if err != nil {
 				return nil, err
 			}
-			groups := h.QueryGroups(env)
-			qs := groups[0].Queries
-			for _, m := range picked {
-				ms, err := h.runQueries(env, m.Options(env), qs)
-				if err != nil {
-					return nil, err
+			for _, v := range methods(env) {
+				if slices.Contains(fig9Methods, v.name) {
+					vs = append(vs, v)
 				}
-				res.Rows = append(res.Rows, ScalRow{Dataset: ds, Method: m.Name, Silos: p, Avg: average(ms)})
 			}
 		}
+		// Every silo count draws the same queries: they depend on the
+		// topology alone.
+		rows, err := h.sweep(vs, h.QueryGroups(vs[0].env)[0].Queries)
+		if err != nil {
+			return nil, err
+		}
+		byMethod := make([][]row, len(fig9Methods))
+		for i, rs := range rows {
+			byMethod[i%len(byMethod)] = append(byMethod[i%len(byMethod)], rs[0])
+		}
+		lines = append(lines, byMethod)
 	}
-	return res, nil
+	return lines, nil
 }
 
-// PrintFig9 renders query time vs silo count.
-func (h *Harness) PrintFig9(res *ScalResult) {
+func (h *Harness) printFig9(silos []int, lines [][][]row) {
 	h.printf("\n== Fig. 9: federated SPSP query time vs number of silos ==\n")
-	for _, ds := range h.cfg.Datasets {
-		h.printf("--- %s (first hop group) ---\n", ds)
-		w := h.tab()
-		w.Write([]byte("method"))
-		for _, p := range res.SiloAxis {
-			w.Write([]byte("\t" + strconv.Itoa(p) + " silos"))
+	for d, byMethod := range lines {
+		cols := []column[[]row]{methodColumn}
+		for p, n := range silos {
+			cols = append(cols, column[[]row]{strconv.Itoa(n) + " silos", func(rs []row) string { return fmtDuration(rs[p].avg.Time) }})
 		}
-		w.Write([]byte("\n"))
-		names := []string{}
-		seen := map[string]bool{}
-		for _, r := range res.Rows {
-			if r.Dataset == ds && !seen[r.Method] {
-				seen[r.Method] = true
-				names = append(names, r.Method)
-			}
-		}
-		for _, name := range names {
-			w.Write([]byte(name))
-			for _, p := range res.SiloAxis {
-				for _, r := range res.Rows {
-					if r.Dataset == ds && r.Method == name && r.Silos == p {
-						w.Write([]byte("\t" + fmtDuration(r.Avg.Time)))
-					}
-				}
-			}
-			w.Write([]byte("\n"))
-		}
-		w.Flush()
+		table(h, "--- "+h.cfg.Datasets[d]+" (first hop group) ---", byMethod, cols...)
 	}
 }
 
-// CorrRow is one method's Fig. 10 correlation between Fed-SAC usage and
-// query costs.
-type CorrRow struct {
-	Method       string
-	TimeCorr     float64 // Pearson r between #Fed-SAC and query time
-	BytesCorr    float64 // Pearson r between #Fed-SAC and bytes
-	MeanCompares float64
-}
-
-// Fig10Result backs Fig. 10 (query costs ∝ Fed-SAC usage).
-type Fig10Result struct {
-	Dataset string
-	Rows    []CorrRow
-}
-
-// RunFig10 correlates per-query Fed-SAC counts with per-query time and
-// communication, over all methods and scales on the first dataset (the
-// paper uses CAL).
-func (h *Harness) RunFig10(comp *CompResult) *Fig10Result {
-	ds := h.cfg.Datasets[0]
-	res := &Fig10Result{Dataset: ds}
-	for _, m := range Methods() {
-		var xs, ts, bs []float64
-		for _, r := range comp.Rows {
-			if r.Dataset != ds || r.Method != m.Name {
-				continue
-			}
-			for _, q := range r.PerQ {
-				xs = append(xs, float64(q.Compares))
-				ts = append(ts, float64(q.Time))
-				bs = append(bs, float64(q.Bytes))
-			}
-		}
-		if len(xs) < 3 {
-			continue
-		}
-		res.Rows = append(res.Rows, CorrRow{
-			Method:       m.Name,
-			TimeCorr:     pearson(xs, ts),
-			BytesCorr:    pearson(xs, bs),
-			MeanCompares: mean(xs),
-		})
+// Fig10 prints, per method, the correlation of per-query Fed-SAC counts with
+// per-query time and communication over every hop group of the first
+// dataset (paper Fig. 10; the paper uses CAL).
+func (h *Harness) Fig10() error {
+	comp, err := h.comparative()
+	if err != nil {
+		return err
 	}
-	return res
+	var lines [][]row
+	for _, rs := range comp[0].rows {
+		if sacs, _, _ := perQuery(rs); len(sacs) >= 3 {
+			lines = append(lines, rs)
+		}
+	}
+	corr := func(head string, of func(sacs, time, bytes []float64) float64) column[[]row] {
+		return column[[]row]{head, func(rs []row) string { return fmtF(of(perQuery(rs))) }}
+	}
+	table(h, "\n== Fig. 10: query costs are proportional to Fed-SAC usage ("+comp[0].dataset+") ==", lines,
+		methodColumn,
+		corr("corr(#Fed-SAC, time)", func(s, t, _ []float64) float64 { return pearson(s, t) }),
+		corr("corr(#Fed-SAC, bytes)", func(s, _, b []float64) float64 { return pearson(s, b) }),
+		corr("mean #Fed-SAC", func(s, _, _ []float64) float64 { return mean(s) }))
+	return nil
 }
 
-// PrintFig10 renders the correlation table.
-func (h *Harness) PrintFig10(res *Fig10Result) {
-	h.printf("\n== Fig. 10: query costs are proportional to Fed-SAC usage (%s) ==\n", res.Dataset)
-	w := h.tab()
-	w.Write([]byte("method\tcorr(#Fed-SAC, time)\tcorr(#Fed-SAC, bytes)\tmean #Fed-SAC\n"))
-	for _, r := range res.Rows {
-		w.Write([]byte(r.Method + "\t" + fmtF(r.TimeCorr) + "\t" + fmtF(r.BytesCorr) + "\t" + fmtF(r.MeanCompares) + "\n"))
+// perQuery returns one method's per-query Fed-SAC counts, times and bytes
+// over all its hop groups.
+func perQuery(rs []row) (sacs, times, bytes []float64) {
+	for _, r := range rs {
+		for _, q := range r.perQ {
+			sacs = append(sacs, float64(q.Compares))
+			times = append(times, float64(q.Time))
+			bytes = append(bytes, float64(q.Bytes))
+		}
 	}
-	w.Flush()
+	return sacs, times, bytes
 }
 
 func fmtF(f float64) string {

@@ -5,9 +5,12 @@
 // Fig. 10 (cost ∝ Fed-SAC), Fig. 11 (lower-bound accuracy) and Fig. 12
 // (priority-queue comparisons).
 //
-// Each experiment has a Run method returning typed rows plus a Print method
-// producing the table the paper reports. The Config lets tests run the same
-// code on tiny instances while cmd/fedbench runs the full scale.
+// Every experiment that runs federated queries is a list of named variants
+// (engine options over an environment) run by one sweep over hop-grouped
+// query sets, and every table goes through one writer. Fig. 1, Fig. 11 and
+// Tables I–II, which run no federated query, keep Run methods returning
+// typed rows and Print methods. The Config lets tests run the same code on
+// tiny instances while cmd/fedbench runs the full scale.
 package expr
 
 import (
@@ -16,11 +19,9 @@ import (
 	"math"
 	"math/rand/v2"
 	"os"
-	"text/tabwriter"
 	"time"
 
 	"repro/internal/ch"
-	"repro/internal/core"
 	"repro/internal/fed"
 	"repro/internal/graph"
 	"repro/internal/lb"
@@ -85,10 +86,12 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Harness caches per-dataset environments across experiments.
+// Harness caches per-dataset environments, and the comparative sweep that
+// Fig. 7, 8 and 10 share, across experiments.
 type Harness struct {
 	cfg  Config
 	envs map[string]*Env
+	comp []comparison
 }
 
 // New creates a harness.
@@ -139,6 +142,17 @@ func (h *Harness) generate(name string) (*graph.Graph, graph.Weights, graph.Data
 		g, w0 = graph.GenerateRoadLike(spec.Vertices, spec.Seed)
 	}
 	return g, w0, spec
+}
+
+// beijing returns BJ-S when it is configured, else the first dataset: the
+// paper runs Fig. 1 and Fig. 12 on Beijing.
+func (h *Harness) beijing() string {
+	for _, d := range h.cfg.Datasets {
+		if d == "BJ-S" {
+			return d
+		}
+	}
+	return h.cfg.Datasets[0]
 }
 
 func specFor(name string) graph.DatasetSpec {
@@ -290,67 +304,4 @@ func hopDepths(g *graph.Graph, w0 graph.Weights, s graph.Vertex) []int {
 		depth[v] = depth[x.Parent(v)] + 1
 	}
 	return depth
-}
-
-// Method is one of the comparative baselines of §VIII-B.
-type Method struct {
-	Name    string
-	Options func(env *Env) core.Options
-}
-
-// Methods returns the paper's six baselines in its order.
-func Methods() []Method {
-	return []Method{
-		{"Naive-Dijk", func(env *Env) core.Options {
-			return core.Options{}
-		}},
-		{"+Fed-Shortcut", func(env *Env) core.Options {
-			return core.Options{Index: env.Index}
-		}},
-		{"+Fed-ALT-Max", func(env *Env) core.Options {
-			return core.Options{Index: env.Index, Estimator: lb.FedALTMax, Landmarks: env.LM}
-		}},
-		{"+Fed-AMPS", func(env *Env) core.Options {
-			return core.Options{Index: env.Index, Estimator: lb.FedAMPS}
-		}},
-		{"+TM-tree", func(env *Env) core.Options {
-			return core.Options{Index: env.Index, Estimator: lb.FedAMPS, Queue: "tm-tree"}
-		}},
-		{"Naive-Dijk+TM-tree", func(env *Env) core.Options {
-			return core.Options{Queue: "tm-tree"}
-		}},
-	}
-}
-
-// tab returns a tabwriter on the configured output.
-func (h *Harness) tab() *tabwriter.Writer {
-	return tabwriter.NewWriter(h.cfg.Out, 2, 4, 2, ' ', 0)
-}
-
-func (h *Harness) printf(format string, args ...interface{}) {
-	fmt.Fprintf(h.cfg.Out, format, args...)
-}
-
-// fmtDuration renders durations compactly for tables.
-func fmtDuration(d time.Duration) string {
-	switch {
-	case d >= time.Second:
-		return fmt.Sprintf("%.2fs", d.Seconds())
-	case d >= time.Millisecond:
-		return fmt.Sprintf("%.1fms", float64(d.Microseconds())/1000)
-	default:
-		return fmt.Sprintf("%dµs", d.Microseconds())
-	}
-}
-
-// fmtBytes renders byte counts compactly.
-func fmtBytes(b int64) string {
-	switch {
-	case b >= 1<<20:
-		return fmt.Sprintf("%.1fMB", float64(b)/(1<<20))
-	case b >= 1<<10:
-		return fmt.Sprintf("%.1fKB", float64(b)/(1<<10))
-	default:
-		return fmt.Sprintf("%dB", b)
-	}
 }

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"strings"
 	"testing"
-
-	"repro/internal/pq"
 )
 
 // tinyHarness runs every experiment on drastically scaled-down instances so
@@ -95,31 +93,27 @@ func TestQueryGroups(t *testing.T) {
 func TestComparativeShape(t *testing.T) {
 	var out bytes.Buffer
 	h := tinyHarness(&out)
-	comp, err := h.RunComparative()
+	comp, err := h.comparative()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(comp.Rows) != len(Methods())*3 {
-		t.Fatalf("got %d rows", len(comp.Rows))
+	if len(comp) != 1 || len(comp[0].rows) != 6 {
+		t.Fatalf("got %d datasets", len(comp))
+	}
+	for _, rs := range comp[0].rows {
+		if len(rs) != 3 {
+			t.Fatalf("%s: got %d groups", rs[0].name, len(rs))
+		}
 	}
 	// The Fig. 7 headline: the full stack beats Naive-Dijk on comparisons in
 	// the longest-query group.
-	longest := comp.Rows[0].Group
-	for _, r := range comp.Rows {
-		if r.Group > longest {
-			longest = r.Group
-		}
-	}
 	var naive, full int64
-	for _, r := range comp.Rows {
-		if r.Group != longest {
-			continue
-		}
-		switch r.Method {
+	for _, rs := range comp[0].rows {
+		switch longest := rs[len(rs)-1]; longest.name {
 		case "Naive-Dijk":
-			naive = r.Avg.Compares
+			naive = longest.avg.Compares
 		case "+TM-tree":
-			full = r.Avg.Compares
+			full = longest.avg.Compares
 		}
 	}
 	if naive == 0 || full == 0 {
@@ -128,8 +122,12 @@ func TestComparativeShape(t *testing.T) {
 	if full >= naive {
 		t.Fatalf("full stack (%d comparisons) should beat Naive-Dijk (%d)", full, naive)
 	}
-	h.PrintFig7(comp)
-	h.PrintFig8(comp)
+	if err := h.Fig7(); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Fig8(); err != nil {
+		t.Fatal(err)
+	}
 	s := out.String()
 	if !strings.Contains(s, "Fig. 7") || !strings.Contains(s, "Naive-Dijk") {
 		t.Fatalf("output missing expected content:\n%s", s)
@@ -139,29 +137,26 @@ func TestComparativeShape(t *testing.T) {
 func TestScalabilityShape(t *testing.T) {
 	var out bytes.Buffer
 	h := tinyHarness(&out)
-	res, err := h.RunScalability([]int{2, 4})
+	silos := []int{2, 4}
+	lines, err := h.scalability(silos)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 4*2 {
-		t.Fatalf("got %d rows", len(res.Rows))
+	if len(lines) != 1 || len(lines[0]) != 4 {
+		t.Fatalf("got %d datasets", len(lines))
 	}
 	// More silos means more bytes per comparison, hence more modelled time.
-	for _, m := range []string{"Naive-Dijk", "+TM-tree"} {
-		var b2, b4 int64
-		for _, r := range res.Rows {
-			if r.Method == m && r.Silos == 2 {
-				b2 = r.Avg.Bytes
-			}
-			if r.Method == m && r.Silos == 4 {
-				b4 = r.Avg.Bytes
-			}
+	for _, rs := range lines[0] {
+		if len(rs) != 2 || rs[0].env.Fed.P() != 2 || rs[1].env.Fed.P() != 4 {
+			t.Fatalf("%s: rows do not follow the silo axis", rs[0].name)
 		}
-		if b4 <= b2 {
-			t.Fatalf("%s: bytes did not grow with silos (%d vs %d)", m, b2, b4)
+		if m := rs[0].name; m == "Naive-Dijk" || m == "+TM-tree" {
+			if b2, b4 := rs[0].avg.Bytes, rs[1].avg.Bytes; b4 <= b2 {
+				t.Fatalf("%s: bytes did not grow with silos (%d vs %d)", m, b2, b4)
+			}
 		}
 	}
-	h.PrintFig9(res)
+	h.printFig9(silos, lines)
 	if !strings.Contains(out.String(), "Fig. 9") {
 		t.Fatal("missing Fig. 9 output")
 	}
@@ -227,25 +222,30 @@ func TestFig1Shape(t *testing.T) {
 func TestFig10Correlation(t *testing.T) {
 	var out bytes.Buffer
 	h := tinyHarness(&out)
-	comp, err := h.RunComparative()
+	comp, err := h.comparative()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := h.RunFig10(comp)
-	if len(res.Rows) == 0 {
-		t.Fatal("no correlation rows")
-	}
-	for _, r := range res.Rows {
+	for _, rs := range comp[0].rows {
+		sacs, times, bytes := perQuery(rs)
+		if len(sacs) < 3 {
+			t.Fatalf("%s: %d queries", rs[0].name, len(sacs))
+		}
 		// Communication is exactly proportional to Fed-SAC usage.
-		if r.BytesCorr < 0.999 {
-			t.Fatalf("%s: bytes correlation %.4f, expected ~1", r.Method, r.BytesCorr)
+		if r := pearson(sacs, bytes); r < 0.999 {
+			t.Fatalf("%s: bytes correlation %.4f, expected ~1", rs[0].name, r)
 		}
 		// Time (dominated by the modelled network component) is nearly so.
-		if r.TimeCorr < 0.9 {
-			t.Fatalf("%s: time correlation %.4f, expected near 1", r.Method, r.TimeCorr)
+		if r := pearson(sacs, times); r < 0.9 {
+			t.Fatalf("%s: time correlation %.4f, expected near 1", rs[0].name, r)
 		}
 	}
-	h.PrintFig10(res)
+	if err := h.Fig10(); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out.String(), "Fig. 10") {
+		t.Fatal("missing Fig. 10 output")
+	}
 }
 
 func TestFig11Shape(t *testing.T) {
@@ -288,65 +288,5 @@ func TestFig11Shape(t *testing.T) {
 	h.PrintFig11(res)
 	if !strings.Contains(out.String(), "Fig. 11") {
 		t.Fatal("missing Fig. 11 output")
-	}
-}
-
-func TestFig12Shape(t *testing.T) {
-	var out bytes.Buffer
-	h := tinyHarness(&out)
-	res, err := h.RunFig12()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 3 {
-		t.Fatalf("got %d queue rows", len(res.Rows))
-	}
-	byKind := map[pq.Kind]pq.Counts{}
-	for _, r := range res.Rows {
-		byKind[r.Queue] = r.Counts
-	}
-	tm := byKind[pq.KindTMTree]
-	heap := byKind[pq.KindHeap]
-	// TM-tree's push-side comparisons approach the #push lower bound and
-	// stay below the heap's (Fig. 12 headline).
-	if tm.Build+tm.Merge >= heap.Build+heap.Merge {
-		t.Fatalf("TM-tree push comparisons (%d) should beat heap (%d)",
-			tm.Build+tm.Merge, heap.Build+heap.Merge)
-	}
-	if tm.Total() >= heap.Total() {
-		t.Fatalf("TM-tree total (%d) should beat heap total (%d)", tm.Total(), heap.Total())
-	}
-	h.PrintFig12(res)
-	if !strings.Contains(out.String(), "Fig. 12") {
-		t.Fatal("missing Fig. 12 output")
-	}
-}
-
-func TestRunAllTinyEndToEnd(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full pipeline")
-	}
-	var out bytes.Buffer
-	h := New(Config{
-		Datasets:        []string{"CAL-S"},
-		QueriesPerGroup: 2,
-		NumGroups:       2,
-		Landmarks:       4,
-		MaxVertices:     150,
-		Out:             &out,
-	})
-	// RunAll drives every experiment through the exact cmd/fedbench path.
-	// Fig. 1/9 internals are downscaled via the config already; shrink the
-	// heavy ones by calling them individually where RunAll uses defaults.
-	if err := h.RunAll(); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		"Fig. 1", "Table I", "Fig. 7", "Fig. 8", "Fig. 9",
-		"Table II", "Fig. 10", "Fig. 11", "Fig. 12",
-	} {
-		if !strings.Contains(out.String(), want) {
-			t.Fatalf("RunAll output missing %q", want)
-		}
 	}
 }

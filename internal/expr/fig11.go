@@ -8,7 +8,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/lb"
 	"repro/internal/mpc"
-	"repro/internal/pq"
 	"repro/internal/traffic"
 )
 
@@ -142,84 +141,10 @@ func (h *Harness) RunFig11(numQueries int) (*Fig11Result, error) {
 
 // PrintFig11 renders the estimator-accuracy table.
 func (h *Harness) PrintFig11(res *Fig11Result) {
-	h.printf("\n== Fig. 11: mean relative error of lower-bound estimation (%s) ==\n", res.Dataset)
-	w := h.tab()
-	w.Write([]byte("method"))
+	cols := []column[Fig11Row]{{"method", func(r Fig11Row) string { return r.Method }}}
 	for _, l := range res.Levels {
-		w.Write([]byte("\t" + l))
+		cols = append(cols, column[Fig11Row]{l,
+			func(r Fig11Row) string { return strconv.FormatFloat(r.Errors[l]*100, 'f', 2, 64) + "%" }})
 	}
-	w.Write([]byte("\n"))
-	for _, r := range res.Rows {
-		w.Write([]byte(r.Method))
-		for _, l := range res.Levels {
-			w.Write([]byte("\t" + strconv.FormatFloat(r.Errors[l]*100, 'f', 2, 64) + "%"))
-		}
-		w.Write([]byte("\n"))
-	}
-	w.Flush()
-}
-
-// Fig12Row is one priority queue's comparison breakdown over a query batch.
-type Fig12Row struct {
-	Queue  pq.Kind
-	Counts pq.Counts
-}
-
-// Fig12Result backs Fig. 12 (queue comparison usage).
-type Fig12Result struct {
-	Dataset string
-	Rows    []Fig12Row
-	Pushes  int64 // the lower-bound line of Fig. 12
-}
-
-// RunFig12 runs the configured query groups under Fed-Shortcut + Fed-AMPS
-// with each priority-queue structure and reports the Fed-SAC comparisons
-// consumed by queue building, merging and popping (paper Fig. 12; the paper
-// uses BJ).
-func (h *Harness) RunFig12() (*Fig12Result, error) {
-	ds := h.cfg.Datasets[0]
-	for _, d := range h.cfg.Datasets {
-		if d == "BJ-S" {
-			ds = d
-		}
-	}
-	env, err := h.Env(ds)
-	if err != nil {
-		return nil, err
-	}
-	groups := h.QueryGroups(env)
-	res := &Fig12Result{Dataset: ds}
-	for _, kind := range []pq.Kind{pq.KindHeap, pq.KindLeftist, pq.KindTMTree} {
-		opt := Methods()[4].Options(env) // +TM-tree stack: shortcut + Fed-AMPS
-		opt.Queue = kind
-		var total pq.Counts
-		for _, grp := range groups {
-			ms, err := h.runQueries(env, opt, grp.Queries)
-			if err != nil {
-				return nil, err
-			}
-			for _, m := range ms {
-				total.Add(m.Queue)
-			}
-		}
-		res.Rows = append(res.Rows, Fig12Row{Queue: kind, Counts: total})
-		res.Pushes = total.Pushes
-	}
-	return res, nil
-}
-
-// PrintFig12 renders the queue comparison table.
-func (h *Harness) PrintFig12(res *Fig12Result) {
-	h.printf("\n== Fig. 12: Fed-SAC comparisons by priority-queue structure (%s) ==\n", res.Dataset)
-	w := h.tab()
-	w.Write([]byte("queue\tbuild\tmerge\tpop\ttotal\n"))
-	for _, r := range res.Rows {
-		w.Write([]byte(string(r.Queue) + "\t" +
-			strconv.FormatInt(r.Counts.Build, 10) + "\t" +
-			strconv.FormatInt(r.Counts.Merge, 10) + "\t" +
-			strconv.FormatInt(r.Counts.Pop, 10) + "\t" +
-			strconv.FormatInt(r.Counts.Total(), 10) + "\n"))
-	}
-	w.Flush()
-	h.printf("#push operations (comparison lower bound): %d\n", res.Pushes)
+	table(h, "\n== Fig. 11: mean relative error of lower-bound estimation ("+res.Dataset+") ==", res.Rows, cols...)
 }

@@ -45,16 +45,17 @@ func (h *Harness) RunTab1() ([]Tab1Row, error) {
 
 // PrintTab1 renders the dataset table.
 func (h *Harness) PrintTab1(rows []Tab1Row) {
-	h.printf("\n== Table I: datasets (scaled stand-ins for the paper's networks) ==\n")
-	w := h.tab()
-	w.Write([]byte("dataset\tregion\tpaper #V\tpaper #E\tours #V\tours #arcs\tshortcuts\n"))
-	for _, r := range rows {
-		w.Write([]byte(r.Name + "\t" + r.Region + "\t" +
-			strconv.Itoa(r.PaperV) + "\t" + strconv.Itoa(r.PaperE) + "\t" +
-			strconv.Itoa(r.Vertices) + "\t" + strconv.Itoa(r.Arcs) + "\t" +
-			strconv.Itoa(r.Shortcuts) + "\n"))
+	cell := func(f func(Tab1Row) int) func(Tab1Row) string {
+		return func(r Tab1Row) string { return strconv.Itoa(f(r)) }
 	}
-	w.Flush()
+	table(h, "\n== Table I: datasets (scaled stand-ins for the paper's networks) ==", rows,
+		column[Tab1Row]{"dataset", func(r Tab1Row) string { return r.Name }},
+		column[Tab1Row]{"region", func(r Tab1Row) string { return r.Region }},
+		column[Tab1Row]{"paper #V", cell(func(r Tab1Row) int { return r.PaperV })},
+		column[Tab1Row]{"paper #E", cell(func(r Tab1Row) int { return r.PaperE })},
+		column[Tab1Row]{"ours #V", cell(func(r Tab1Row) int { return r.Vertices })},
+		column[Tab1Row]{"ours #arcs", cell(func(r Tab1Row) int { return r.Arcs })},
+		column[Tab1Row]{"shortcuts", cell(func(r Tab1Row) int { return r.Shortcuts })})
 }
 
 // Tab2Row is one dataset row of Table II: construction time plus update
@@ -124,21 +125,13 @@ func (h *Harness) RunTab2() ([]Tab2Row, error) {
 
 // PrintTab2 renders the construction/update table.
 func (h *Harness) PrintTab2(rows []Tab2Row) {
-	h.printf("\n== Table II: federated shortcut index construction & update time ==\n")
-	w := h.tab()
-	w.Write([]byte("dataset"))
+	cols := []column[Tab2Row]{{"dataset", func(r Tab2Row) string { return r.Dataset }}}
 	for _, pct := range Tab2Percentages {
-		w.Write([]byte("\tupd " + strconv.FormatFloat(pct, 'g', -1, 64) + "%"))
+		cols = append(cols, column[Tab2Row]{"upd " + strconv.FormatFloat(pct, 'g', -1, 64) + "%",
+			func(r Tab2Row) string { return fmtDuration(r.Updates[pct]) }})
 	}
-	w.Write([]byte("\tconstruction\n"))
-	for _, r := range rows {
-		w.Write([]byte(r.Dataset))
-		for _, pct := range Tab2Percentages {
-			w.Write([]byte("\t" + fmtDuration(r.Updates[pct])))
-		}
-		w.Write([]byte("\t" + fmtDuration(r.Construction) + "\n"))
-	}
-	w.Flush()
+	cols = append(cols, column[Tab2Row]{"construction", func(r Tab2Row) string { return fmtDuration(r.Construction) }})
+	table(h, "\n== Table II: federated shortcut index construction & update time ==", rows, cols...)
 }
 
 // Fig1Row is one traffic-data setting of Fig. 1: the share of queries whose
@@ -165,15 +158,7 @@ func (h *Harness) RunFig1(numTrajectories, numQueries int) ([]Fig1Row, error) {
 	if numQueries == 0 {
 		numQueries = 200
 	}
-	// The paper runs Fig. 1 on Beijing; we use the grid dataset (BJ-S) when
-	// configured, else the first dataset.
-	ds := h.cfg.Datasets[0]
-	for _, d := range h.cfg.Datasets {
-		if d == "BJ-S" {
-			ds = d
-		}
-	}
-	g, w0, _ := h.generate(ds)
+	g, w0, _ := h.generate(h.beijing())
 	wTrue := traffic.GroundTruth(w0, traffic.Heavy, h.cfg.Seed+11)
 	obs := traffic.Simulate(g, wTrue, w0, numTrajectories, 0.25, h.cfg.Seed+12)
 
@@ -237,19 +222,11 @@ func (h *Harness) RunFig1(numTrajectories, numQueries int) ([]Fig1Row, error) {
 
 // PrintFig1 renders the delay table.
 func (h *Harness) PrintFig1(rows []Fig1Row) {
-	h.printf("\n== Fig. 1: routing delay vs volume of traffic data ==\n")
-	w := h.tab()
-	w.Write([]byte("traffic data"))
+	cols := []column[Fig1Row]{{"traffic data", func(r Fig1Row) string { return r.Setting }}}
 	for _, th := range Fig1Thresholds {
-		w.Write([]byte("\t>" + strconv.Itoa(th) + "min"))
+		cols = append(cols, column[Fig1Row]{">" + strconv.Itoa(th) + "min",
+			func(r Fig1Row) string { return strconv.FormatFloat(r.DelayedGT[th]*100, 'f', 1, 64) + "%" }})
 	}
-	w.Write([]byte("\tmean delay\n"))
-	for _, r := range rows {
-		w.Write([]byte(r.Setting))
-		for _, th := range Fig1Thresholds {
-			w.Write([]byte("\t" + strconv.FormatFloat(r.DelayedGT[th]*100, 'f', 1, 64) + "%"))
-		}
-		w.Write([]byte("\t" + fmtDuration(r.MeanDelay) + "\n"))
-	}
-	w.Flush()
+	cols = append(cols, column[Fig1Row]{"mean delay", func(r Fig1Row) string { return fmtDuration(r.MeanDelay) }})
+	table(h, "\n== Fig. 1: routing delay vs volume of traffic data ==", rows, cols...)
 }

@@ -5,7 +5,6 @@ import (
 	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // LocalMesh runs all P parties' Mesh endpoints in one process over real
@@ -73,13 +72,6 @@ func (lm *LocalMesh) N() int { return lm.n }
 
 // Mesh returns party p's endpoint (for stats, chaos hooks, lane control).
 func (lm *LocalMesh) Mesh(p int) *Mesh { return lm.meshes[p] }
-
-// SetRoundTimeout bounds lane Recvs on every endpoint.
-func (lm *LocalMesh) SetRoundTimeout(d time.Duration) {
-	for _, m := range lm.meshes {
-		m.SetRoundTimeout(d)
-	}
-}
 
 // SessionConns opens one multiplexed lane per party, all sharing a fresh
 // lane ID, so the P returned Conns form a session-private mesh over the

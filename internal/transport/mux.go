@@ -56,8 +56,9 @@ const (
 	// heartbeatMisses is the dead-peer threshold in heartbeat intervals: a
 	// link with no inbound traffic for Heartbeat×heartbeatMisses is dead.
 	heartbeatMisses = 4
-	// redialMax caps the exponential backoff between redial attempts after
-	// a link dies.
+	// redialMin is the first backoff between redial attempts after a link
+	// dies; it doubles per failed attempt up to redialMax.
+	redialMin = 50 * time.Millisecond
 	redialMax = 2 * time.Second
 	// laneQueue caps buffered inbound frames per lane per peer. A full
 	// queue exerts TCP backpressure: the link reader blocks, the peer's
@@ -75,9 +76,6 @@ type MeshOptions struct {
 	// inbound traffic for 4 heartbeats is declared dead. Default 250ms.
 	// Negative disables heartbeats (deterministic tests).
 	Heartbeat time.Duration
-	// RedialMin is the first backoff between redial attempts after a link
-	// dies, doubled per attempt up to 2s (default 50ms).
-	RedialMin time.Duration
 	// DialTimeout bounds the initial full-mesh establishment (default 10s).
 	DialTimeout time.Duration
 	// Listener, when set, is used instead of listening on addrs[id]
@@ -88,9 +86,6 @@ type MeshOptions struct {
 func (o MeshOptions) withDefaults() MeshOptions {
 	if o.Heartbeat == 0 {
 		o.Heartbeat = 250 * time.Millisecond
-	}
-	if o.RedialMin <= 0 {
-		o.RedialMin = 50 * time.Millisecond
 	}
 	if o.DialTimeout <= 0 {
 		o.DialTimeout = 10 * time.Second
@@ -374,8 +369,7 @@ type Mesh struct {
 	links []atomic.Pointer[link]
 	gens  []atomic.Uint64
 
-	laneCtr        atomic.Uint32
-	roundTimeoutNs atomic.Int64
+	laneCtr atomic.Uint32
 
 	pstats []peerCounters
 }
@@ -436,11 +430,6 @@ func DialMeshMux(id, n int, addrs []string, opts MeshOptions) (*Mesh, error) {
 
 func (m *Mesh) Party() int { return m.id }
 func (m *Mesh) N() int     { return m.n }
-
-// SetRoundTimeout bounds every lane Recv on this mesh that has no per-lane
-// override (0 = wait forever, except for link death, which always wakes
-// waiters).
-func (m *Mesh) SetRoundTimeout(d time.Duration) { m.roundTimeoutNs.Store(int64(d)) }
 
 // heartbeatDeadline is the I/O stall budget: Heartbeat×heartbeatMisses (0 when
 // heartbeats are disabled).
@@ -552,7 +541,7 @@ func (m *Mesh) handleInbound(conn net.Conn) {
 // bounded exponential backoff. Backoff resets after every successful dial.
 func (m *Mesh) dialLoop(peer int) {
 	defer m.wg.Done()
-	backoff := m.opts.RedialMin
+	backoff := redialMin
 	for {
 		if m.stopped() {
 			return
@@ -573,7 +562,7 @@ func (m *Mesh) dialLoop(peer int) {
 				continue
 			}
 			m.install(peer, conn)
-			backoff = m.opts.RedialMin
+			backoff = redialMin
 		}
 		l := m.links[peer].Load()
 		if l == nil {
@@ -786,7 +775,7 @@ type LaneConn struct {
 	sendSeq []laneSeq
 	closed  atomic.Bool
 
-	timeoutNs atomic.Int64 // per-lane Recv bound override (0 = mesh default)
+	timeoutNs atomic.Int64 // per-Recv wait bound, nanoseconds (0 = none)
 }
 
 func (c *LaneConn) Party() int { return c.m.id }
@@ -795,15 +784,9 @@ func (c *LaneConn) N() int     { return c.m.n }
 // ID returns the lane's mux ID.
 func (c *LaneConn) ID() uint32 { return c.lane }
 
-// SetRoundTimeout overrides the mesh-wide Recv bound for this lane.
+// SetRoundTimeout bounds every Recv on this lane (0 = wait forever, except
+// for link death, which always wakes waiters).
 func (c *LaneConn) SetRoundTimeout(d time.Duration) { c.timeoutNs.Store(int64(d)) }
-
-func (c *LaneConn) recvTimeout() time.Duration {
-	if d := c.timeoutNs.Load(); d != 0 {
-		return time.Duration(d)
-	}
-	return time.Duration(c.m.roundTimeoutNs.Load())
-}
 
 // Send transmits one frame to party `to` over the shared link.
 func (c *LaneConn) Send(to int, data []byte) error {
@@ -855,7 +838,7 @@ func (c *LaneConn) Recv(from int) ([]byte, error) {
 	}
 	var timer *time.Timer
 	var timeoutC <-chan time.Time
-	if d := c.recvTimeout(); d > 0 {
+	if d := time.Duration(c.timeoutNs.Load()); d > 0 {
 		timer = time.NewTimer(d)
 		defer timer.Stop()
 		timeoutC = timer.C

@@ -223,7 +223,7 @@ func TestFaultMatrixOverRealSockets(t *testing.T) {
 // fresh lane over the new generation carries traffic. The reconnect shows
 // up in the counters on both sides.
 func TestMuxLinkBreakRecovery(t *testing.T) {
-	lm := twoMesh(t, MeshOptions{RedialMin: 10 * time.Millisecond})
+	lm := twoMesh(t, MeshOptions{})
 	a := lm.Mesh(0).Lane(20)
 	b := lm.Mesh(1).Lane(20)
 	a.SetRoundTimeout(2 * time.Second)
