@@ -69,11 +69,10 @@ func TestCustomizeStressInterleaved(t *testing.T) {
 
 // TestCustomizedTrafficCostPinned replays the first batches of the stress
 // writer's seeded sequence above on a quiet federation and holds every
-// in-place update to a pinned Fed-SAC cost: the comparisons and protocol
-// instances the level-synchronous sweep paid at c495f6e (recorded there as
-// rounds, 8 per instance) — the same comparisons, never more instances — and
-// the bytes the 3-round carry circuit paid when it replaced the 4-round one,
-// which may differ only by frame rounding (an instance rounds its RoundsPerCompare−1
+// in-place update to a pinned Fed-SAC cost, recorded when the sweep became
+// winner-aware (every value at most the winner-blind sweep's): exactly the
+// pinned comparisons, never more instances, and bytes that may differ only by
+// frame rounding (an instance rounds its RoundsPerCompare−1
 // bit-stream frames per ordered silo pair up to whole bytes; fewer instances
 // round less).
 func TestCustomizedTrafficCostPinned(t *testing.T) {
@@ -82,8 +81,8 @@ func TestCustomizedTrafficCostPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	parent := [][3]int64{ // comparisons, instances, bytes
-		{34, 20, 1662}, {15, 11, 726}, {21, 16, 1038}, {29, 19, 1428}, {28, 17, 1386}, {18, 11, 876},
-		{18, 12, 894}, {38, 21, 1884}, {32, 16, 1560}, {25, 15, 1236}, {17, 10, 822}, {20, 10, 990},
+		{20, 8, 996}, {12, 4, 594}, {15, 6, 750}, {22, 7, 1080}, {17, 7, 852}, {14, 5, 696},
+		{15, 6, 744}, {29, 14, 1452}, {24, 8, 1182}, {18, 8, 906}, {13, 4, 636}, {13, 5, 648},
 	}
 	pairs := int64(f.Silos() * (f.Silos() - 1))
 	g := f.Graph()

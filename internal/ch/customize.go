@@ -89,9 +89,10 @@ func blankCustomized(f *fed.Federation, sk *Skeleton) (*Index, error) {
 // updateCustomized is the dynamic-update path for customized indexes: the
 // topology is immutable, so the next version re-elects winners and re-sums
 // group partials by the same sweep a full customization runs, restricted to
-// what the moved arcs can reach. No arcs are ever added (AddedShortcuts is
-// always zero); UpdateStats.ReverifiedVertices counts re-run group
-// tournaments here.
+// what the moved arcs can reach, where a group whose old winner did not move
+// compares it only with the members that moved. No arcs are ever added
+// (AddedShortcuts is always zero); UpdateStats.ReverifiedVertices counts
+// re-decided multi-member groups here.
 func (x *Index) updateCustomized(sac *fed.SAC, dirty []int32) (UpdateStats, error) {
 	var stats UpdateStats
 	if len(dirty) > 0 {
@@ -110,10 +111,11 @@ type sweepCost struct{ ticks, widest, reweighted, tournaments int }
 
 // Per-group sweep flags.
 const (
-	grpDirty  = 1 << iota // a member's partial vector changed: the tournament re-runs
-	grpMoved              // decided, and its winner's identity or partials changed
-	grpActive             // queued for the next tick
-	grpDone               // decided
+	grpDirty     = 1 << iota // a member's partial vector changed: the group is re-decided
+	grpMoved                 // decided, and its winner's identity or partials changed
+	grpActive                // queued for the next tick
+	grpDone                  // decided
+	grpWinStands             // dirty, and its old winner is final and unmoved
 )
 
 // sweep brings the customized weights up to date after the partial vectors of
@@ -126,7 +128,11 @@ const (
 //     is final, and it counts as changed when a child winner moved and the
 //     sum of its child groups' partials moved with it (locally);
 //   - a group is dirty from the moment a final member has changed, and from
-//     then on holds its final members as contenders. Each tick sends ONE
+//     then on holds its final members as contenders — until its old winner
+//     (x.win, −1 on a blank index) is final and unmoved: a member that did
+//     not move lost to it at the previous version and still does, so the
+//     old winner replaces every unmoved contender and only members that
+//     moved join after it. Each tick sends ONE
 //     Fed-SAC instance with ⌊c/2⌋ comparisons from every group holding c ≥ 2
 //     contenders (groups ascending, each pair as (later arc, earlier arc) so
 //     a tie keeps the earlier: lexicographic min on (joint cost, arc ID) is
@@ -135,9 +141,11 @@ const (
 //     or at once, keeping its winner, if no member changed — and releases the
 //     shortcuts that read it, cascading without a round.
 //
-// So early members are reduced while later ones are still being computed, a
-// group of g members costs g−1 comparisons exactly when a member changed,
-// and a full sweep (every base arc dirty on a blank index) takes
+// So early members are reduced while later ones are still being computed. A
+// dirty group of g members costs one comparison per moved member when its
+// old winner stands, g−1 when the old winner moved or there is none, and in
+// between when the old winner turns out unmoved after some of the others
+// were compared; a full sweep (every base arc dirty on a blank index) takes
 // Skeleton.CriticalPath() ticks. A decided group's winner goes to x.win in
 // place, which is also its query-list slot, and its partials to x.grpW:
 // nothing else is rebuilt.
@@ -162,13 +170,28 @@ func (x *Index) sweep(sac *fed.SAC, dirty []int32) (cost sweepCost, err error) {
 		return gw[s][g]
 	}
 
-	// markDirty turns g's final members into its contenders.
+	// admit makes a, a final member of dirty group g, a contender, unless it
+	// cannot win: a member that did not move lost to an old winner that did
+	// not move, so once that winner is final and unmoved it replaces every
+	// unmoved contender and only moved members join it.
+	admit := func(g, a int32) {
+		switch {
+		case flags[g]&grpWinStands != 0 && !changed[a]:
+			return
+		case a == win[g] && !changed[a]:
+			c := cont[rw.memStart[g]:][:nCont[g]]
+			nCont[g] = int32(len(slices.DeleteFunc(c, func(b int32) bool { return !changed[b] })))
+			flags[g] |= grpWinStands
+		}
+		cont[rw.memStart[g]+nCont[g]] = a
+		nCont[g]++
+	}
+	// markDirty admits g's final members.
 	markDirty := func(g int32) {
 		flags[g] |= grpDirty
 		for _, a := range rw.group(g) {
 			if a < nb || pendS[a-nb] == 0 {
-				cont[rw.memStart[g]+nCont[g]] = a
-				nCont[g]++
+				admit(g, a)
 			}
 		}
 	}
@@ -223,8 +246,7 @@ func (x *Index) sweep(sac *fed.SAC, dirty []int32) (cost sweepCost, err error) {
 				own := pl.groupOf[a]
 				pendG[own]--
 				if flags[own]&grpDirty != 0 {
-					cont[rw.memStart[own]+nCont[own]] = a
-					nCont[own]++
+					admit(own, a)
 				} else if changed[a] {
 					markDirty(own)
 				}
@@ -288,7 +310,9 @@ func (x *Index) sweep(sac *fed.SAC, dirty []int32) (cost sweepCost, err error) {
 		if err := sac.Err(); err != nil {
 			return cost, err
 		}
-		cost.ticks, cost.widest = cost.ticks+1, max(cost.widest, k)
+		if k > 0 { // else a filter left every queued group one contender
+			cost.ticks, cost.widest = cost.ticks+1, max(cost.widest, k)
+		}
 		// Reduce every group before anything is settled: a release may hand a
 		// group later in the list a new contender.
 		i := 0

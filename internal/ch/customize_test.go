@@ -383,8 +383,8 @@ func TestCustomizedUpdateInPlace(t *testing.T) {
 	}
 	arcsBefore := x.NumArcs()
 	parent := []parentCost{
-		{1005, 71, 47580}, {1009, 70, 47802}, {1023, 71, 48468},
-		{964, 70, 45690}, {988, 71, 46806}, {1009, 71, 47808},
+		{797, 21, 37764}, {798, 21, 37812}, {753, 18, 35664},
+		{810, 22, 38382}, {806, 22, 38196}, {807, 21, 38232},
 	}
 	rng := rand.New(rand.NewPCG(71, 71))
 	for round := 0; round < 6; round++ {
@@ -422,8 +422,8 @@ func TestCustomizedUpdateNoChangesIsFree(t *testing.T) {
 }
 
 // TestCustomizedUpdateCleanConeIsFree: making an arc that already loses its
-// group's tournament dearer re-runs that one tournament (a member changed)
-// and nothing else — the winner and its partials stand, so every shortcut and
+// group's tournament dearer compares it once with the group's old winner
+// (one member moved, the winner did not) and nothing else — the winner and its partials stand, so every shortcut and
 // group downstream, though in the dirty arc's static cone, ends clean and
 // must spend no comparison.
 func TestCustomizedUpdateCleanConeIsFree(t *testing.T) {
@@ -466,7 +466,7 @@ func TestCustomizedUpdateCleanConeIsFree(t *testing.T) {
 			t.Fatalf("arc %d: still elected at 50x its weight (%d shortcuts re-weighted)", a, st.RecomputedShortcuts)
 		}
 		st := scale(a, 2)
-		if want := int64(len(rw.group(grp)) - 1); st.SAC.Compares != want || st.RecomputedShortcuts != 0 || st.ReverifiedVertices != 1 {
+		if want := int64(1); st.SAC.Compares != want || st.RecomputedShortcuts != 0 || st.ReverifiedVertices != 1 {
 			t.Fatalf("arc %d: %d comparisons, %d shortcuts re-weighted, %d tournaments; want %d, 0, 1",
 				a, st.SAC.Compares, st.RecomputedShortcuts, st.ReverifiedVertices, want)
 		}
@@ -530,7 +530,7 @@ func TestBundleRoundTripCustomized(t *testing.T) {
 	}
 
 	arcsBefore := x2.NumArcs()
-	parent := []parentCost{{478, 51, 22710}, {476, 50, 22578}, {445, 49, 21120}}
+	parent := []parentCost{{376, 19, 17844}, {351, 16, 16644}, {331, 16, 15720}}
 	rng := rand.New(rand.NewPCG(82, 82))
 	for round := 0; round < 3; round++ {
 		var changed []graph.Arc
@@ -543,4 +543,90 @@ func TestBundleRoundTripCustomized(t *testing.T) {
 		checkUpdate(t, fmt.Sprintf("round %d", round), x2, st, parent[round])
 		checkExactDistances(t, f, x2, 25, 83+uint64(round), "reloaded customized update")
 	}
+}
+
+// TestUpdateComparesOnlyTheOldWinnerAndMovers pins the winner-aware rule on
+// a fan: four middle vertices between a and b (the highest IDs, so every
+// middle contracts first) give the pair group a→b the base arc and four
+// shortcuts, g = 5 members. A member that did not move lost to an old winner
+// that did not move, so moving one loser costs one comparison; moving the
+// winner costs g−1; moving nothing costs none. Each updated index must equal
+// a fresh customization.
+func TestUpdateComparesOnlyTheOldWinnerAndMovers(t *testing.T) {
+	const a, b = 4, 5
+	bl := graph.NewBuilder(6)
+	bl.AddEdge(a, b)
+	for m := graph.Vertex(0); m < a; m++ {
+		bl.AddEdge(a, m)
+		bl.AddEdge(m, b)
+	}
+	g := bl.Build()
+	arc := func(u, v graph.Vertex) graph.Arc {
+		for e := range g.NumArcs() {
+			if g.Tail(graph.Arc(e)) == u && g.Head(graph.Arc(e)) == v {
+				return graph.Arc(e)
+			}
+		}
+		t.Fatalf("no arc %d→%d", u, v)
+		return graph.NoArc
+	}
+	// Each silo holds 50 on a–b and 10+m on each leg through middle m: the
+	// path through middle 0 wins, the base arc loses.
+	w0 := make(graph.Weights, g.NumArcs())
+	for e := range w0 {
+		w0[e] = 10 + int64(min(g.Tail(graph.Arc(e)), g.Head(graph.Arc(e))))
+		if w0[e] == 10+a {
+			w0[e] = 50
+		}
+	}
+	f, err := fed.New(g, w0, []graph.Weights{w0, w0, w0}, mpc.Params{Mode: mpc.ModeIdeal, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk, err := BuildSkeleton(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := Customize(f, sk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pl := sk.Plan()
+	grp := pl.groupOf[arc(a, b)]
+	if n := len(pl.rows().group(grp)); n != 5 {
+		t.Fatalf("pair group a→b holds %d members, want 5", n)
+	}
+	set := func(tag string, e graph.Arc, w int64, compares, instances int64) {
+		t.Helper()
+		f = nextVersion(f, []graph.Arc{e}, func(_ graph.Arc, ws []int64) {
+			for p := range ws {
+				ws[p] = w
+			}
+		})
+		var st UpdateStats
+		x, st = mustUpdate(t, x, f, []graph.Arc{e})
+		if st.SAC.Compares != compares || st.SAC.Rounds/mpc.RoundsPerCompare != instances {
+			t.Fatalf("%s: %d Fed-SACs in %d instances, want %d in %d",
+				tag, st.SAC.Compares, st.SAC.Rounds/mpc.RoundsPerCompare, compares, instances)
+		}
+		fresh, err := Customize(f, sk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameCustomization(t, tag, x, fresh)
+	}
+	viaOf := func() graph.Vertex { return x.via[x.win[grp]] }
+	if viaOf() != 0 {
+		t.Fatalf("a→b elected the path via %d, want via 0", viaOf())
+	}
+	set("a loser moves", arc(a, b), 40, 1, 1)
+	set("a loser overtakes", arc(a, 3), 1, 1, 1)
+	if viaOf() != 3 {
+		t.Fatalf("a→b elected the path via %d after its leg fell, want via 3", viaOf())
+	}
+	set("the winner moves", arc(a, 3), 100, 4, 3)
+	if viaOf() != 0 {
+		t.Fatalf("a→b elected the path via %d after the winner's leg rose, want via 0", viaOf())
+	}
+	set("nothing moves", arc(a, 1), w0[arc(a, 1)], 0, 0)
 }

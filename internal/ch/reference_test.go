@@ -212,14 +212,14 @@ func TestSweepElectsTheBracketWinners(t *testing.T) {
 }
 
 // parentCost is {Fed-SACs, protocol instances, wire bytes} of one update in
-// the seeded sequences of the update tests. Comparisons and instances are
-// those of the level-synchronous sweep at c495f6e, recorded there (as rounds,
-// 8 per instance) before the update moved onto Index.sweep; the bytes are
-// Index.sweep's on the 3-round carry circuit over the 48-bit ring, recorded
-// when that circuit replaced the 4-round one.
+// the seeded sequences of the update tests, recorded when Index.sweep became
+// winner-aware (a dirty group compares only its old winner and the members
+// that moved) on the 3-round carry circuit over the 48-bit ring. Each value is
+// at most what the sweep that re-ran every dirty group's whole tournament
+// paid for the same update.
 type parentCost [3]int64
 
-// checkUpdate holds one update to what it replaced: the same comparisons, no
+// checkUpdate holds one update to its pin: exactly the pinned comparisons, no
 // more instances, bytes no more than 0.1 % above and below only by frame
 // rounding, and an index byte-identical to a fresh customization at the new
 // weights. Per ordered silo pair, an instance of width k rounds its

@@ -26,7 +26,10 @@ type UpdateStats struct {
 // arcs (§IV, Federated Index Updating); x is left as it was. An arc has moved
 // when any silo's weight of it differs between x's federation and f (per
 // silo: equal joint costs can hide a redistribution that shortcuts must still
-// inherit). On a witness-built index, three steps:
+// inherit). On a customized index, Index.sweep re-decides the pair groups in
+// the moved arcs' static cone, each by comparing its old winner with the
+// members that moved (all members if the winner itself moved). On a
+// witness-built index, three steps:
 //
 //  1. take the moved arcs' partials from f's silos;
 //  2. propagate weight recomputation bottom-up through the shortcuts whose

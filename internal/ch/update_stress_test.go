@@ -3,6 +3,7 @@ package ch
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/fed"
@@ -156,9 +157,9 @@ func TestCustomizedUpdateNeverGrows(t *testing.T) {
 	}
 	arcs0 := x.NumArcs()
 	parent := []parentCost{
-		{393, 48, 18672}, {466, 50, 22134}, {432, 49, 20532}, {431, 49, 20454}, {421, 48, 19986},
-		{366, 49, 17418}, {434, 50, 20604}, {449, 50, 21306}, {435, 48, 20646}, {446, 50, 21174},
-		{441, 50, 20952}, {419, 50, 19908}, {438, 50, 20778}, {410, 49, 19476}, {425, 47, 20178},
+		{343, 17, 16308}, {377, 21, 17904}, {364, 21, 17304}, {360, 17, 17094}, {356, 21, 16920},
+		{316, 18, 15036}, {359, 19, 17052}, {374, 17, 17766}, {362, 18, 17202}, {377, 17, 17898},
+		{369, 21, 17538}, {350, 19, 16614}, {372, 17, 17658}, {321, 16, 15264}, {347, 18, 16506},
 	}
 	rng := rand.New(rand.NewPCG(31, 31))
 	for round := 0; round < 15; round++ {
@@ -212,5 +213,73 @@ func TestUpdateOnRoadLikeTopology(t *testing.T) {
 		if got := chQueryJoint(x, s, tt); got != want {
 			t.Fatalf("road-like update: dist(%d,%d) = %d, want %d", s, tt, got, want)
 		}
+	}
+}
+
+// TestGridBatchesStayUnderACustomization replays five successive 64-arc
+// traffic batches on the repo benchmark's refresh_grid world (a 24×24 grid,
+// world seed 7, moderate congestion over 3 silos), each drawn as the
+// benchmark's trafficBatch draws one: a random silo reports 1x–3x the
+// free-flow time on a random arc. Every in-place update must keep to its pin
+// (checkUpdate: an index equal to a fresh customization), stay within a full
+// customization's 50,028 Fed-SACs, and take no more instances than the
+// winner-blind sweep, which re-ran every dirty group's whole tournament:
+//
+//	batch   winner-blind sweep {Fed-SACs, instances, bytes}
+//	0       {42481, 87, 2007618}
+//	1       {43130, 84, 2038260}
+//	2       {43316, 70, 2047014}
+//	3       {44102, 82, 2084178}
+//	4       {43834, 78, 2071578}
+//
+// A full customization takes Skeleton.CriticalPath() = 70 instances; each
+// batch's instances are logged against it, not held to it.
+func TestGridBatchesStayUnderACustomization(t *testing.T) {
+	g, w0 := graph.GenerateGrid(24, 24, 7)
+	sets := traffic.SiloWeights(w0, 3, traffic.Moderate, 7)
+	f, err := fed.New(g, w0, sets, mpc.Params{Mode: mpc.ModeIdeal, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sk, err := BuildSkeleton(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := Customize(f, sk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := x.BuildStatistics().SAC.Compares
+	if full != 50028 || sk.CriticalPath() != 70 {
+		t.Fatalf("customization: %d Fed-SACs in %d instances, want 50028 in 70", full, sk.CriticalPath())
+	}
+	pin := []parentCost{
+		{24886, 62, 1176168}, {29380, 63, 1388514}, {29710, 61, 1404096},
+		{29416, 71, 1390266}, {31567, 67, 1491882},
+	}
+	blind := []int64{87, 84, 70, 82, 78} // the winner-blind sweep's instances
+	rng := rand.New(rand.NewPCG(7, 16))
+	for batch := range pin {
+		sets := make([]graph.Weights, f.P())
+		for p := range sets {
+			sets[p] = slices.Clone(f.Silo(p).Weights())
+		}
+		changed := make([]graph.Arc, 64)
+		for i := range changed {
+			a := rng.IntN(g.NumArcs())
+			sets[rng.IntN(f.P())][a] = w0[a] + rng.Int64N(2*w0[a]+1)
+			changed[i] = graph.Arc(a)
+		}
+		f = f.WithWeights(sets)
+		var st UpdateStats
+		x, st = mustUpdate(t, x, f, changed)
+		instances := st.SAC.Rounds / mpc.RoundsPerCompare
+		t.Logf("batch %d: {%d, %d, %d}, critical path %d instances",
+			batch, st.SAC.Compares, instances, st.SAC.Bytes, sk.CriticalPath())
+		if st.SAC.Compares > full || instances > blind[batch] {
+			t.Errorf("batch %d: %d Fed-SACs in %d instances, want ≤ %d in ≤ %d",
+				batch, st.SAC.Compares, instances, full, blind[batch])
+		}
+		checkUpdate(t, fmt.Sprintf("batch %d", batch), x, st, pin[batch])
 	}
 }

@@ -96,59 +96,57 @@ func (h *Harness) printComparison(title string, cell func(QueryMetrics) string) 
 }
 
 // Fig9 prints query time against silo count, 2 to 8, on each dataset's
-// first hop group (paper Fig. 9).
+// first hop group (paper Fig. 9). A dataset's federations are dropped once
+// its table is printed.
 func (h *Harness) Fig9() error {
 	silos := []int{2, 3, 4, 5, 6, 7, 8}
-	lines, err := h.scalability(silos)
-	if err != nil {
-		return err
+	h.printf("\n== Fig. 9: federated SPSP query time vs number of silos ==\n")
+	for _, ds := range h.cfg.Datasets {
+		byMethod, err := h.scalability(ds, silos)
+		if err != nil {
+			return err
+		}
+		h.printFig9(ds, silos, byMethod)
 	}
-	h.printFig9(silos, lines)
 	return nil
 }
 
-// scalability runs Fig. 9's methods at every silo count on each dataset's
-// first hop group. lines[d][m][p] is dataset d's method m at silos[p]; each
-// silo count is a federation of its own.
-func (h *Harness) scalability(silos []int) ([][][]row, error) {
-	var lines [][][]row
-	for _, ds := range h.cfg.Datasets {
-		var vs []variant
-		for _, p := range silos {
-			env, err := h.envFor(ds, p, "fig9")
-			if err != nil {
-				return nil, err
-			}
-			for _, v := range methods(env) {
-				if slices.Contains(fig9Methods, v.name) {
-					vs = append(vs, v)
-				}
-			}
-		}
-		// Every silo count draws the same queries: they depend on the
-		// topology alone.
-		rows, err := h.sweep(vs, h.QueryGroups(vs[0].env)[0].Queries)
+// scalability runs Fig. 9's methods at every silo count on a dataset's first
+// hop group. byMethod[m][p] is method m at silos[p]; each silo count is a
+// federation of its own.
+func (h *Harness) scalability(ds string, silos []int) ([][]row, error) {
+	var vs []variant
+	for _, p := range silos {
+		env, err := h.buildEnv(ds, p)
 		if err != nil {
 			return nil, err
 		}
-		byMethod := make([][]row, len(fig9Methods))
-		for i, rs := range rows {
-			byMethod[i%len(byMethod)] = append(byMethod[i%len(byMethod)], rs[0])
+		for _, v := range methods(env) {
+			if slices.Contains(fig9Methods, v.name) {
+				vs = append(vs, v)
+			}
 		}
-		lines = append(lines, byMethod)
 	}
-	return lines, nil
+	// Every silo count draws the same queries: they depend on the topology
+	// alone.
+	rows, err := h.sweep(vs, h.QueryGroups(vs[0].env)[0].Queries)
+	if err != nil {
+		return nil, err
+	}
+	byMethod := make([][]row, len(fig9Methods))
+	for i, rs := range rows {
+		byMethod[i%len(byMethod)] = append(byMethod[i%len(byMethod)], rs[0])
+	}
+	return byMethod, nil
 }
 
-func (h *Harness) printFig9(silos []int, lines [][][]row) {
-	h.printf("\n== Fig. 9: federated SPSP query time vs number of silos ==\n")
-	for d, byMethod := range lines {
-		cols := []column[[]row]{methodColumn}
-		for p, n := range silos {
-			cols = append(cols, column[[]row]{strconv.Itoa(n) + " silos", func(rs []row) string { return fmtDuration(rs[p].avg.Time) }})
-		}
-		table(h, "--- "+h.cfg.Datasets[d]+" (first hop group) ---", byMethod, cols...)
+// printFig9 prints one dataset's Fig. 9 table.
+func (h *Harness) printFig9(ds string, silos []int, byMethod [][]row) {
+	cols := []column[[]row]{methodColumn}
+	for p, n := range silos {
+		cols = append(cols, column[[]row]{strconv.Itoa(n) + " silos", func(rs []row) string { return fmtDuration(rs[p].avg.Time) }})
 	}
+	table(h, "--- "+ds+" (first hop group) ---", byMethod, cols...)
 }
 
 // Fig10 prints, per method, the correlation of per-query Fed-SAC counts with

@@ -86,8 +86,8 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Harness caches per-dataset environments, and the comparative sweep that
-// Fig. 7, 8 and 10 share, across experiments.
+// Harness caches each dataset's default environment (Env), and the
+// comparative sweep that Fig. 7, 8 and 10 share, across experiments.
 type Harness struct {
 	cfg  Config
 	envs map[string]*Env
@@ -165,21 +165,26 @@ func specFor(name string) graph.DatasetSpec {
 }
 
 // Env returns (building on first use) the environment for a dataset at the
-// configured silo count.
+// configured silo count. It is kept for the whole run.
 func (h *Harness) Env(name string) (*Env, error) {
-	return h.envFor(name, h.cfg.Silos, "")
-}
-
-// envFor builds an environment keyed by dataset, silo count and an arbitrary
-// tag. An experiment that mutates the environment takes its own tag: Joint
-// and LM describe the silo weights at construction, nothing refreshes them,
-// and landmark bounds over changed weights prune to wrong routes (see
-// lb.Landmarks).
-func (h *Harness) envFor(name string, silos int, tag string) (*Env, error) {
-	key := fmt.Sprintf("%s/%d/%s", name, silos, tag)
-	if env, ok := h.envs[key]; ok {
+	if env, ok := h.envs[name]; ok {
 		return env, nil
 	}
+	env, err := h.buildEnv(name, h.cfg.Silos)
+	if err != nil {
+		return nil, err
+	}
+	h.envs[name] = env
+	return env, nil
+}
+
+// buildEnv builds an environment for a dataset at a silo count, which the
+// caller drops when done with it. An experiment that needs another silo
+// count, or that mutates the environment, builds its own: Joint and LM
+// describe the silo weights at construction, nothing refreshes them, and
+// landmark bounds over changed weights prune to wrong routes (see
+// lb.Landmarks).
+func (h *Harness) buildEnv(name string, silos int) (*Env, error) {
 	g, w0, spec := h.generate(name)
 	sets := traffic.SiloWeights(w0, silos, h.cfg.Level, h.cfg.Seed+spec.Seed)
 	f, err := fed.New(g, w0, sets, mpc.Params{Mode: h.cfg.Mode, Seed: h.cfg.Seed})
@@ -205,7 +210,6 @@ func (h *Harness) envFor(name string, silos int, tag string) (*Env, error) {
 		k = g.NumVertices() / 2
 	}
 	env.LM = lb.PrecomputeLandmarks(f, lb.SelectLandmarks(g, w0, k, h.cfg.Seed), 0)
-	h.envs[key] = env
 	return env, nil
 }
 

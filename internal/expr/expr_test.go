@@ -138,15 +138,15 @@ func TestScalabilityShape(t *testing.T) {
 	var out bytes.Buffer
 	h := tinyHarness(&out)
 	silos := []int{2, 4}
-	lines, err := h.scalability(silos)
+	byMethod, err := h.scalability("CAL-S", silos)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(lines) != 1 || len(lines[0]) != 4 {
-		t.Fatalf("got %d datasets", len(lines))
+	if len(byMethod) != 4 {
+		t.Fatalf("got %d methods", len(byMethod))
 	}
 	// More silos means more bytes per comparison, hence more modelled time.
-	for _, rs := range lines[0] {
+	for _, rs := range byMethod {
 		if len(rs) != 2 || rs[0].env.Fed.P() != 2 || rs[1].env.Fed.P() != 4 {
 			t.Fatalf("%s: rows do not follow the silo axis", rs[0].name)
 		}
@@ -156,7 +156,31 @@ func TestScalabilityShape(t *testing.T) {
 			}
 		}
 	}
-	h.printFig9(silos, lines)
+	h.printFig9("CAL-S", silos, byMethod)
+	if !strings.Contains(out.String(), "--- CAL-S (first hop group) ---") {
+		t.Fatal("missing Fig. 9 output")
+	}
+}
+
+// TestHarnessKeepsOnlyDefaultEnvironments: Fig. 9's per-silo-count
+// federations and Table II's per-percentage ones are built for their own
+// rows and dropped, so the harness keeps only Env's default environments.
+func TestHarnessKeepsOnlyDefaultEnvironments(t *testing.T) {
+	var out bytes.Buffer
+	h := tinyHarness(&out)
+	env, err := h.Env("CAL-S")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Fig9(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.RunTab2(); err != nil {
+		t.Fatal(err)
+	}
+	if len(h.envs) != 1 || h.envs["CAL-S"] != env {
+		t.Fatalf("harness keeps %d environments, want only CAL-S's default one", len(h.envs))
+	}
 	if !strings.Contains(out.String(), "Fig. 9") {
 		t.Fatal("missing Fig. 9 output")
 	}

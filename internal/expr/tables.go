@@ -84,7 +84,7 @@ func (h *Harness) RunTab2() ([]Tab2Row, error) {
 			UpdateSAC: make(map[float64]int64),
 		}
 		for i, pct := range Tab2Percentages {
-			env, err := h.envFor(ds, h.cfg.Silos, "tab2-"+strconv.Itoa(i))
+			env, err := h.buildEnv(ds, h.cfg.Silos)
 			if err != nil {
 				return nil, err
 			}
