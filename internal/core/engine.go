@@ -43,7 +43,9 @@ type Options struct {
 	// running every search step in lockstep — the pop replay, the next
 	// push's tournament build and the μ update of both directions, tick by
 	// tick. The comparisons made are the same; off, the same step runs them
-	// one instance each. Requires Queue == tm-tree.
+	// one instance each. In both, a side the stopping rule stops makes only
+	// the first comparison of its pop replay, the one that shares the
+	// check's instance. Requires Queue == tm-tree.
 	BatchedMPC bool
 }
 
@@ -212,22 +214,30 @@ func (e *Engine) newCmp(sac *fed.SAC) *timedCmp {
 // BatchedMPC is on, so that comparisons the threads make at the same tick
 // share a protocol instance, and one after the other otherwise. The threads
 // must be independent of one another, which makes the two orders equivalent.
-func (e *Engine) gang(cmp comparator, fns ...func(comparator)) {
+// stops is nil or binds each thread to a flag that only the bits of an
+// earlier thread's first call may raise: in both orders the bound thread's
+// first call runs and its later ones are dropped.
+func (e *Engine) gang(cmp comparator, stops []*stopFlag, fns ...func(comparator)) {
 	if e.opt.BatchedMPC {
-		lockstep(cmp, fns...)
+		lockstep(cmp, stops, fns...)
 		return
 	}
-	for _, fn := range fns {
-		fn(cmp)
+	for i, fn := range fns {
+		if stops == nil {
+			fn(cmp)
+		} else {
+			lockstep(cmp, stops[i:i+1], fn) // a gang of one, its first tick the thread's first call
+		}
 	}
 }
 
 // searchQueue is the configured priority queue over frontier items, every
 // queue comparison one secure comparison. Its operations take the comparator
 // to compare through, so a step can put them on different lockstep threads:
-// the queue's LessFunc (pop replay, merge, chain update) reads pop, its
-// batched tournament build reads stage. (Unbatched, a tournament build goes
-// through the LessFunc too; then every handle is the query's one comparator.)
+// the queue's LessFunc (pop replay, merge, chain update) reads pop, the
+// TM-tree's tournament build reads stage (one batch per level, which an
+// unbatched comparator splits into instances of one). Each operation sets
+// the handle it reads, so none reads a handle a finished gang left behind.
 type searchQueue struct {
 	q          pq.Queue[*item]
 	pop, stage comparator
@@ -236,19 +246,16 @@ type searchQueue struct {
 func (e *Engine) newQueue(cmp comparator) *searchQueue {
 	sq := &searchQueue{pop: cmp, stage: cmp}
 	less := func(a, b *item) bool { return sq.pop.LessBatch([][2]fed.Partial{{a.key, b.key}})[0] }
-	if !e.opt.BatchedMPC {
-		sq.q = pq.New[*item](e.opt.Queue, less, e.opt.Alpha)
-		return sq
+	sq.q = pq.New[*item](e.opt.Queue, less, e.opt.Alpha)
+	if q, ok := sq.q.(*pq.TMTree[*item]); ok {
+		q.SetBatchLess(func(pairs [][2]*item) []bool {
+			ps := make([][2]fed.Partial, len(pairs))
+			for i, pr := range pairs {
+				ps[i] = [2]fed.Partial{pr[0].key, pr[1].key}
+			}
+			return sq.stage.LessBatch(ps)
+		})
 	}
-	q := pq.NewTMTree[*item](less, e.opt.Alpha)
-	q.SetBatchLess(func(pairs [][2]*item) []bool {
-		ps := make([][2]fed.Partial, len(pairs))
-		for i, pr := range pairs {
-			ps[i] = [2]fed.Partial{pr[0].key, pr[1].key}
-		}
-		return sq.stage.LessBatch(ps)
-	})
-	sq.q = q
 	return sq
 }
 

@@ -2,11 +2,23 @@ package core
 
 import "repro/internal/fed"
 
+// stopFlag lets one thread of a gang stop another's comparisons: once it is
+// raised, the bound thread's later pairs get all-false bits without an
+// instance and are counted in dropped. Its first tick always runs.
+type stopFlag struct {
+	raised  bool
+	dropped int64
+}
+
 // lockstep runs fns as logical threads that share protocol instances: each
 // gets its own comparator handle, and whenever every live thread is blocked
 // on a LessBatch (or has returned) their pairs are concatenated in
 // thread order into one inner call — one Fed-SAC instance per tick instead
 // of one per thread — and each thread resumes with its slice of the bits.
+// stops[i], if present and non-nil, binds thread i to a stopFlag; the
+// coordinator reads it only while every live thread is blocked, so it needs
+// no lock, and from the second tick on it answers a raised thread's pairs
+// (and then its next) before it forms the tick.
 //
 // inner is only ever called from the caller's goroutine, and only while no
 // thread runs, so an inner that is not safe for concurrent use stays safe.
@@ -15,8 +27,8 @@ import "repro/internal/fed"
 // inner calls is deterministic whenever the threads are. lockstep returns
 // once every thread has returned; after a sticky inner error the bits are
 // all false and threads run on to their (structure-bounded) end.
-func lockstep(inner comparator, fns ...func(comparator)) {
-	if len(fns) == 1 {
+func lockstep(inner comparator, stops []*stopFlag, fns ...func(comparator)) {
+	if len(fns) == 1 && (len(stops) == 0 || stops[0] == nil) {
 		fns[0](inner)
 		return
 	}
@@ -31,7 +43,7 @@ func lockstep(inner comparator, fns ...func(comparator)) {
 		}()
 	}
 	blocked := make([][][2]fed.Partial, len(fns)) // per thread: the pairs it waits on
-	for live := len(fns); live > 0; {
+	for live, ticks := len(fns), 0; live > 0; ticks++ {
 		var tick [][2]fed.Partial
 		for n := live; n > 0; n-- {
 			ev := <-events
@@ -39,6 +51,18 @@ func lockstep(inner comparator, fns ...func(comparator)) {
 				live--
 			} else {
 				blocked[ev.thread] = ev.pairs
+			}
+		}
+		for i, s := range stops { // only thread i runs until its next event
+			for ticks > 0 && s != nil && s.raised && blocked[i] != nil {
+				s.dropped += int64(len(blocked[i]))
+				threads[i].bits <- make([]bool, len(blocked[i]))
+				blocked[i] = nil
+				if ev := <-events; ev.done {
+					live--
+				} else {
+					blocked[i] = ev.pairs
+				}
 			}
 		}
 		for _, pairs := range blocked {

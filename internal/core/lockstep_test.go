@@ -97,7 +97,7 @@ func TestLockstepCoalescesTicksInThreadOrder(t *testing.T) {
 	inner := &scriptCmp{}
 	var ok [3]bool
 	idle := false
-	lockstep(inner,
+	lockstep(inner, nil,
 		compares(100, 3, &ok[0]),
 		func(comparator) { idle = true }, // issues no compare
 		compares(200, 1, &ok[1]),
@@ -130,16 +130,16 @@ func TestLockstepNestsTwoDeep(t *testing.T) {
 	base := runtime.NumGoroutine()
 	inner := &scriptCmp{}
 	var ok [5]bool
-	lockstep(inner,
+	lockstep(inner, nil,
 		compares(10, 4, &ok[0]),
 		func(c comparator) {
 			if !less(c, 1, 2) { // tick 1, alone on this level
 				return
 			}
-			lockstep(c, // ticks 2..4: two children, the second a gang of two itself
+			lockstep(c, nil, // ticks 2..4: two children, the second a gang of two itself
 				compares(20, 2, &ok[1]),
 				func(c comparator) {
-					lockstep(c, compares(30, 3, &ok[2]), compares(40, 1, &ok[3]))
+					lockstep(c, nil, compares(30, 3, &ok[2]), compares(40, 1, &ok[3]))
 				},
 			)
 			ok[4] = less(c, 1, 2) // after the nested gang: tick 5
@@ -162,12 +162,12 @@ func TestLockstepNestsTwoDeep(t *testing.T) {
 
 func TestLockstepSingleThreadRunsInline(t *testing.T) {
 	inner := &scriptCmp{}
-	lockstep(inner, func(c comparator) {
+	lockstep(inner, nil, func(c comparator) {
 		if c != comparator(inner) {
 			t.Error("a gang of one should compare on inner directly")
 		}
 	})
-	lockstep(inner) // a gang of none returns
+	lockstep(inner, nil) // a gang of none returns
 }
 
 // TestLockstepTerminatesAfterStickyError: once inner fails, bits are all
@@ -178,10 +178,10 @@ func TestLockstepTerminatesAfterStickyError(t *testing.T) {
 	inner := &scriptCmp{failAfter: 2}
 	var sawErr bool
 	var ok [2]bool
-	lockstep(inner,
+	lockstep(inner, nil,
 		compares(10, 6, &ok[0]),
 		func(c comparator) {
-			lockstep(c, compares(20, 4, &ok[1]), func(c comparator) {
+			lockstep(c, nil, compares(20, 4, &ok[1]), func(c comparator) {
 				for i := 0; i < 5; i++ {
 					c.LessBatch([][2]fed.Partial{pair(1, 2), pair(3, 4)})
 				}

@@ -78,7 +78,8 @@ func sameTranscript(t *testing.T, what string, rec, got *transcript) {
 // comparisons share an instance, and in ch the sweep schedule does.
 //
 // The cases: flat Fed-SSSP and Fed-SPSP over the heap, the TM-tree and the
-// batched TM-tree; then a full customization of the shortcut index followed
+// batched TM-tree, and a star route whose two sides stop in one step, each
+// pop replay cut after its first comparison; then a full customization of the shortcut index followed
 // by the production route on it (TM-tree, Fed-AMPS, BatchedMPC), replayed in
 // order from one transcript.
 func TestSimulationArgument(t *testing.T) {
@@ -103,6 +104,8 @@ func TestSimulationArgument(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	starReal := starFederation(t, 16, nil)
+	starSim := starFederation(t, 16, func(int, graph.Arc) int64 { return 1 + rng.Int64N(1_000_000) })
 	engine := func(f *fed.Federation, opt Options) *Engine {
 		t.Helper()
 		e, err := NewEngine(f, opt)
@@ -159,6 +162,22 @@ func TestSimulationArgument(t *testing.T) {
 			t.Fatalf("queue %s: SPSP found real=%v sim=%v", queue, realPath.Found, simPath.Found)
 		}
 		samePath("queue "+queue+" SPSP", simPath.Path, realPath.Path)
+
+		// --- A cut replay: both sides of the star route stop in one step ---
+		rec, got = transcript{}, transcript{}
+		starPath, _, err := engine(record(starReal, &rec), opt).SPSP(0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		simPath, _, err = engine(replay(starSim, &rec, &got), opt).SPSP(0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameTranscript(t, queue+" star SPSP", &rec, &got)
+		if cut := 37; len(rec.bits) != cut {
+			t.Fatalf("queue %s: star route made %d comparisons, want %d (each stopped replay cut after its first)", queue, len(rec.bits), cut)
+		}
+		samePath("queue "+queue+" star SPSP", simPath.Path, starPath.Path)
 	}
 
 	// --- Customization, then the production route on its index ---

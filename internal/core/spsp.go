@@ -114,7 +114,9 @@ type side struct {
 	q       *searchQueue
 	settled map[graph.Vertex]*label
 	est     lb.Estimator
-	done    bool
+	// done is raised when the side stops; it binds the side's pop replay, so
+	// a stopped side leaves its queue half-replayed, never to be read again.
+	done stopFlag
 
 	// State of the current step: the champion this step pops (nil when the
 	// side sits the step out), whether it is to be settled (not a duplicate,
@@ -256,29 +258,29 @@ func (e *Engine) SPSP(s, t graph.Vertex) (PathResult, QueryStats, error) {
 	//
 	//	driver:  stopping rule, both champions vs μ → settle, relax (plaintext)
 	//	         → { fold candidates into μ ‖ stage fwd push ‖ stage bwd push }
-	//	pop fwd: path replay
-	//	pop bwd: path replay
+	//	pop fwd: path replay, after tick 1 only while fwd is not done
+	//	pop bwd: path replay, after tick 1 only while bwd is not done
 	//
 	// followed by { commit fwd ‖ commit bwd }, the merges of the staged
 	// pushes. Checking a champion against the μ of the previous step is
 	// sound: a side can only stop later than it might have, never too early.
 	settledTotal := 0
 	for {
-		threads := make([]func(comparator), 1, 3)
+		threads, stops := make([]func(comparator), 1, 3), make([]*stopFlag, 1, 3)
 		for _, sd := range sides {
 			sd.top, sd.settle, sd.commit = nil, false, nil
-			if sd.done {
+			if sd.done.raised {
 				continue
 			}
 			top, ok := sd.q.q.Peek()
 			if !ok {
-				sd.done = true
+				sd.done.raised = true
 				continue
 			}
 			sd.top = top
 			_, dup := sd.settled[top.v]
 			sd.settle = !dup
-			threads = append(threads, sd.q.popOn)
+			threads, stops = append(threads, sd.q.popOn), append(stops, &sd.done)
 		}
 		if len(threads) == 1 {
 			break // both sides done
@@ -297,7 +299,7 @@ func (e *Engine) SPSP(s, t graph.Vertex) (PathResult, QueryStats, error) {
 				}
 				for i, beatsMu := range c.LessBatch(keys) {
 					if !beatsMu {
-						whose[i].done, whose[i].settle = true, false
+						whose[i].done.raised, whose[i].settle = true, false
 					}
 				}
 			}
@@ -324,16 +326,16 @@ func (e *Engine) SPSP(s, t graph.Vertex) (PathResult, QueryStats, error) {
 				}
 			}
 			relaxTime = time.Since(r0)
-			e.gang(c, inner...)
+			e.gang(c, nil, inner...)
 		}
-		e.gang(sac, threads...)
+		e.gang(sac, stops, threads...)
 		var commits []func(comparator)
 		for _, sd := range sides {
 			if sd.commit != nil {
 				commits = append(commits, sd.commit)
 			}
 		}
-		e.gang(sac, commits...)
+		e.gang(sac, nil, commits...)
 		phases.Relax += relaxTime
 		phases.Queue += time.Since(t0) - relaxTime
 		if err := sac.Err(); err != nil {
@@ -351,6 +353,7 @@ func (e *Engine) SPSP(s, t graph.Vertex) (PathResult, QueryStats, error) {
 	}
 	stats.Queue.Add(fwd.q.q.Counts())
 	stats.Queue.Add(bwd.q.q.Counts())
+	stats.Queue.Pop -= fwd.done.dropped + bwd.done.dropped // the replays' pairs that ran no instance
 
 	if mu == nil {
 		return PathResult{Target: t, Found: false}, stats, nil

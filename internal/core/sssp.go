@@ -57,6 +57,10 @@ func (e *Engine) SSSP(s graph.Vertex, k int) ([]PathResult, QueryStats, error) {
 				Partial: fed.ClonePartial(it.g),
 				Found:   true,
 			})
+			if len(results) == k { // no later bit is read
+				phases.Relax += time.Since(t0)
+				break
+			}
 			first := g.FirstOut(it.v)
 			var batch []*item
 			for i, u := range g.OutNeighbors(it.v) {
@@ -75,7 +79,7 @@ func (e *Engine) SSSP(s graph.Vertex, k int) ([]PathResult, QueryStats, error) {
 		}
 		// MPC step (Alg. 1 lines 9-13) happens inside the queue: pop, batch
 		// push and merge use only Fed-SAC comparisons.
-		e.gang(sac, threads...)
+		e.gang(sac, nil, threads...)
 		if commit != nil {
 			commit(sac)
 		}

@@ -292,3 +292,92 @@ func TestProtocolManyComparisonsOverTCP(t *testing.T) {
 type mismatchError struct{ round int }
 
 func (e *mismatchError) Error() string { return "comparison result mismatch" }
+
+// openingRecorder is party 0's endpoint with a tap on round 1: it sums
+// party 0's masked frame and every peer's into the openings C = D + R that
+// party 0 learns, one per instance, and appends them to out. Each round is a
+// broadcast — n−1 Sends, then n−1 Recvs — so round 1 is the first 2(n−1)
+// operations of every RoundsPerCompare·2(n−1).
+type openingRecorder struct {
+	transport.Conn
+	ops int
+	sum []uint64
+	out *[]uint64
+}
+
+func (r *openingRecorder) tap(frame []byte) {
+	pos, peers := r.ops%(RoundsPerCompare*2*(r.N()-1)), r.N()-1
+	r.ops++
+	switch {
+	case pos == 0:
+		r.sum = r.sum[:0]
+		for i := 0; i+openBytes <= len(frame); i += openBytes {
+			r.sum = append(r.sum, getU48(frame[i:]))
+		}
+	case pos >= peers && pos < 2*peers:
+		for i := range r.sum {
+			r.sum[i] = (r.sum[i] + getU48(frame[openBytes*i:])) & (1<<K - 1)
+		}
+		if pos == 2*peers-1 {
+			*r.out = append(*r.out, r.sum...)
+		}
+	}
+}
+
+func (r *openingRecorder) Send(to int, data []byte) error {
+	r.tap(data)
+	return r.Conn.Send(to, data)
+}
+
+func (r *openingRecorder) Recv(from int) ([]byte, error) {
+	msg, err := r.Conn.Recv(from)
+	if err == nil {
+		r.tap(msg)
+	}
+	return msg, err
+}
+
+// TestOpeningsNeverRepeat: correlated randomness is used once. Party 0
+// records the round-1 openings C = D + R of lone and batched instances with
+// identical inputs on an engine and two of its forks, for two engine seeds;
+// a repeated C would hand it the difference of two joint sums, and with a
+// fresh 48-bit mask per instance a chance repeat among these 972 openings
+// has probability ≈ 2^-29. It fails if one engine reuses a block,
+// if forks share a dealer stream, or if a dealer restarts its stream.
+func TestOpeningsNeverRepeat(t *testing.T) {
+	d := []int64{123456, -99999, -30000}
+	seen := map[uint64]string{}
+	for _, seed := range []uint64{1, 2} {
+		var got []uint64
+		root, err := NewEngine(Params{Parties: len(d), Mode: ModeProtocol, Seed: seed,
+			Wrap: func(p int, c transport.Conn) transport.Conn {
+				if p != 0 {
+					return c
+				}
+				return &openingRecorder{Conn: c, out: &got}
+			}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		engines := []*Engine{root, root.Fork(), root.Fork()}
+		for ei, e := range engines {
+			for _, k := range []int{1, 1, 1, 1, 1, 1, 1, 1, 5, 5, 70, 70, 1, 1, 1, 1} {
+				got = got[:0]
+				if _, err := e.CompareBatch(repeatInstance(d, k)); err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != k {
+					t.Fatalf("recorded %d openings of a %d-batch", len(got), k)
+				}
+				for i, c := range got {
+					where := fmt.Sprintf("seed %d, engine %d, %d-batch lane %d", seed, ei, k, i)
+					if prev, dup := seen[c]; dup {
+						t.Fatalf("opening %#x repeats: %s and %s", c, prev, where)
+					}
+					seen[c] = where
+				}
+			}
+			e.Close()
+		}
+	}
+}
