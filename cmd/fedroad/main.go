@@ -32,7 +32,7 @@ func main() {
 		graphFile = flag.String("graph", "", "load a road network from a file (binary snapshot or DIMACS-like text)")
 		silos     = flag.Int("silos", 3, "number of data silos")
 		level     = flag.String("level", "moderate", "congestion level: free|slight|moderate|heavy")
-		seed      = flag.Uint64("seed", 1, "random seed")
+		seed      = flag.Uint64("seed", 1, "seed of the generated network and the simulated silo weights (MPC masks are drawn fresh on every start)")
 		src       = flag.Int("s", 0, "source vertex")
 		dst       = flag.Int("t", -1, "target vertex (SPSP)")
 		knn       = flag.Int("knn", 0, "k nearest neighbors from -s instead of SPSP")
@@ -71,7 +71,6 @@ func main() {
 	fmt.Printf("road network: %d vertices, %d arcs\n", g.NumVertices(), g.NumArcs())
 
 	cfg := fedroad.Config{
-		Seed:         *seed,
 		RoundTimeout: *roundTimeout,
 		MeshTCP:      *meshTCP,
 	}

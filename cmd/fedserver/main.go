@@ -90,7 +90,7 @@ func main() {
 		graphF   = flag.String("graph", "", "serve an imported graph file (binary snapshot or text)")
 		n        = flag.Int("n", 2000, "generated network size when no dataset/graph is given")
 		silos    = flag.Int("silos", 3, "number of data silos")
-		seed     = flag.Uint64("seed", 1, "random seed")
+		seed     = flag.Uint64("seed", 1, "seed of the generated network and the simulated silo weights (MPC masks are drawn fresh on every start)")
 		noIndex  = flag.Bool("no-index", false, "skip building the shortcut index")
 		custIdx  = flag.Bool("customize", false, "derive the shortcut index by weight customization over a topology-only skeleton (contract once per graph, customize per traffic version) instead of a full federated contraction")
 		reindex  = flag.Duration("reindex-interval", 0, "periodically rebuild the witness index from live weights when traffic has moved (0 = disabled); refused beside a customized index, which /traffic's in-place updates already keep exact")
@@ -120,7 +120,6 @@ func main() {
 	}
 	silosW := fedroad.SimulateCongestion(w0, *silos, fedroad.Moderate, *seed+1)
 	cfg := fedroad.Config{
-		Seed:         *seed,
 		RoundTimeout: *roundTimeout,
 		MeshTCP:      *meshTCP,
 	}

@@ -32,6 +32,8 @@
 package fedroad
 
 import (
+	"crypto/rand"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -133,8 +135,11 @@ type Config struct {
 	Mode ExecutionMode
 	// Seed determines every MPC randomness stream: the root engine's dealer
 	// and, through its fork number, each session's and each derivation's.
-	// Two federations built with the same Config that open the same sessions
-	// for the same queries send the same frames.
+	// Two federations built with the same non-zero Seed that open the same
+	// sessions for the same queries send the same frames. Zero (the default)
+	// draws the root seed from crypto/rand, so every federation deals masks
+	// no other federation has dealt; tests and the benchmark set it to replay
+	// a transcript.
 	Seed uint64
 
 	// RoundTimeout bounds how long any silo waits for a single protocol
@@ -312,6 +317,13 @@ func New(g *Graph, w0 Weights, sets []Weights, cfg ...Config) (*Federation, erro
 	}
 	if len(cfg) == 1 {
 		c = cfg[0]
+	}
+	if c.Seed == 0 {
+		var b [8]byte
+		if _, err := rand.Read(b[:]); err != nil {
+			return nil, fmt.Errorf("fedroad: draw the dealer seed: %w", err)
+		}
+		c.Seed = binary.LittleEndian.Uint64(b[:])
 	}
 	reg := metrics.NewRegistry()
 	params := mpc.Params{

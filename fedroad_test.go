@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/ch"
 	"repro/internal/graph"
+	"repro/internal/mpc"
 	"repro/internal/transport"
 )
 
@@ -450,6 +451,53 @@ func TestSeedDeterminesTranscript(t *testing.T) {
 	}
 	if reflect.DeepEqual(a, transcript(84)) {
 		t.Fatal("another seed sent the same frames")
+	}
+}
+
+// TestZeroSeedDealsFreshMasks: a Config that leaves Seed zero draws the
+// dealer seed from crypto/rand, so two such federations over the same silo
+// weights that answer the same route deal different masks. Party 0's round-1
+// frames (its share of each opening C = D + R, one frame per peer and
+// instance) must never repeat between them: a repeat would hand a silo the
+// difference of two joint sums.
+func TestZeroSeedDealsFreshMasks(t *testing.T) {
+	g, w0 := GenerateGridNetwork(5, 5, 85)
+	silos := SimulateCongestion(w0, 3, Moderate, 86)
+	openings := func() map[string]bool {
+		rec := &frameRecorder{}
+		f, err := New(g, w0, silos, Config{Mode: ModeProtocol, TransportWrap: func(p int, c transport.Conn) transport.Conn {
+			if p != 0 {
+				return c
+			}
+			return rec.wrap(p, c)
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		if _, _, err := f.ShortestPath(0, 24); err != nil {
+			t.Fatal(err)
+		}
+		rec.mu.Lock()
+		defer rec.mu.Unlock()
+		out := make(map[string]bool)
+		for _, endpoint := range rec.sent {
+			for _, frames := range endpoint {
+				for i := 0; i < len(frames); i += mpc.RoundsPerCompare {
+					out[string(frames[i])] = true
+				}
+			}
+		}
+		return out
+	}
+	a, b := openings(), openings()
+	if len(a) == 0 || len(b) == 0 {
+		t.Fatalf("party 0 opened %d and %d values", len(a), len(b))
+	}
+	for o := range a {
+		if b[o] {
+			t.Fatalf("round-1 frame %x was sent by both federations", o)
+		}
 	}
 }
 

@@ -35,7 +35,7 @@ func TestProductionSurface(t *testing.T) {
 
 	check("Config fields", fieldNames(Config{}), []string{
 		"Mode",          // benchmark/fixture.go: ModeProtocol; cmd/fedserver without -protocol: ideal
-		"Seed",          // benchmark/fixture.go: worldSeed; cmd/fedserver -seed
+		"Seed",          // benchmark/fixture.go: worldSeed, a replayable transcript; cmd/fedserver: 0, masks drawn fresh
 		"RoundTimeout",  // benchmark/fixture.go: 5s (a hang becomes a counted failure); cmd/fedserver: 0 unless -round-timeout
 		"TransportWrap", // benchmark/trace.go: the tracer; cmd/fedserver: nil
 		"MeshTCP",       // benchmark route_wire: true, knn_mem: false; cmd/fedserver -mesh-tcp
