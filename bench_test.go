@@ -147,7 +147,7 @@ func benchFederation(b *testing.B, n int) (*Federation, *graph.Graph) {
 	b.Helper()
 	g, w0 := graph.GenerateRoadLike(n, 31)
 	silos := traffic.SiloWeights(w0, 3, traffic.Moderate, 32)
-	f, err := New(g, w0, silos, Config{Seed: 33})
+	f, err := New(g, w0, silos, Config{Mode: ModeIdeal, Seed: 33})
 	if err != nil {
 		b.Fatal(err)
 	}

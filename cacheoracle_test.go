@@ -113,10 +113,10 @@ func TestQueryCacheVersionedLifecycle(t *testing.T) {
 
 	// kNN path: miss then hit.
 	runK := func() ([]Route, Stats, uint64, error) { return s.NearestNeighborsAt(5, 3) }
-	if _, _, _, out, err = qc.NearestNeighbors(5, 3, QueryOptions{}, runK); err != nil || out != CacheMiss {
+	if _, _, _, out, err = qc.NearestNeighbors(5, 3, runK); err != nil || out != CacheMiss {
 		t.Fatalf("kNN first call: outcome %v err %v, want miss", out, err)
 	}
-	routes, _, _, out, err := qc.NearestNeighbors(5, 3, QueryOptions{}, runK)
+	routes, _, _, out, err := qc.NearestNeighbors(5, 3, runK)
 	if err != nil || out != CacheHit {
 		t.Fatalf("kNN second call: outcome %v err %v, want hit", out, err)
 	}

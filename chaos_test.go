@@ -49,7 +49,7 @@ func TestNewRejectsInconsistentConfig(t *testing.T) {
 		name string
 		cfgs []Config
 	}{
-		{"MeshTCP in ideal mode", []Config{{MeshTCP: true}}},
+		{"MeshTCP in ideal mode", []Config{{Mode: ModeIdeal, MeshTCP: true}}},
 		{"MeshTLS without MeshTCP", []Config{{Mode: ModeProtocol, MeshTLS: &TLSConfig{CertFile: "party.pem", KeyFile: "party.key", CAFile: "ca.pem"}}}},
 		{"two Configs", []Config{{Mode: ModeProtocol, MeshTCP: true}, {}}},
 	} {

@@ -11,7 +11,8 @@
 //	fedroad -n 2000 -s 3 -t 1500                # SPSP on a generated network
 //	fedroad -dataset BJ-S -s 10 -t 7000         # SPSP on a named dataset
 //	fedroad -n 2000 -s 3 -knn 8                 # kNN from vertex 3
-//	fedroad -graph net.gr -s 0 -t 99 -protocol  # full MPC over a file graph
+//	fedroad -graph net.gr -s 0 -t 99            # SPSP on a file graph
+//	fedroad -n 2000 -s 3 -t 1500 -mesh-tcp      # MPC rounds over a TCP mesh
 package main
 
 import (
@@ -37,11 +38,10 @@ func main() {
 		dst       = flag.Int("t", -1, "target vertex (SPSP)")
 		knn       = flag.Int("knn", 0, "k nearest neighbors from -s instead of SPSP")
 		noIndex   = flag.Bool("no-index", false, "do not build the federated shortcut index: routes search the flat network")
-		protocol  = flag.Bool("protocol", false, "run the full MPC protocol per comparison")
 
-		roundTimeout = flag.Duration("round-timeout", 0, "per-frame MPC round timeout; a slow/dead silo fails the query instead of hanging it (protocol mode; 0 = no timeout)")
+		roundTimeout = flag.Duration("round-timeout", 0, "per-frame MPC round timeout; a slow/dead silo fails the query instead of hanging it (0 = no timeout)")
 
-		meshTCP = flag.Bool("mesh-tcp", false, "run MPC rounds over a loopback TCP mesh with multiplexed lanes and automatic redial (requires -protocol)")
+		meshTCP = flag.Bool("mesh-tcp", false, "run MPC rounds over a loopback TCP mesh with multiplexed lanes and automatic redial")
 		tlsCert = flag.String("tls-cert", "", "silo certificate PEM for mutual-auth TLS on mesh links (requires -mesh-tcp, -tls-key and -tls-ca)")
 		tlsKey  = flag.String("tls-key", "", "silo private key PEM for mesh mTLS")
 		tlsCA   = flag.String("tls-ca", "", "federation CA PEM both directions of every mesh link verify against")
@@ -74,9 +74,6 @@ func main() {
 		RoundTimeout: *roundTimeout,
 		MeshTCP:      *meshTCP,
 	}
-	if *protocol {
-		cfg.Mode = fedroad.ModeProtocol
-	}
 	if *tlsCert != "" || *tlsKey != "" || *tlsCA != "" {
 		cfg.MeshTLS = &fedroad.TLSConfig{CertFile: *tlsCert, KeyFile: *tlsKey, CAFile: *tlsCA}
 	}
@@ -93,12 +90,8 @@ func main() {
 			st.Shortcuts, st.SAC.Compares, time.Since(start).Round(time.Millisecond))
 	}
 
-	// The measured stack (fedserver, benchmark/): independent comparisons
-	// share protocol instances.
-	opt := fedroad.QueryOptions{BatchedMPC: true}
-
 	if *knn > 0 {
-		routes, stats, err := fed.NearestNeighbors(fedroad.Vertex(*src), *knn, opt)
+		routes, stats, err := fed.NearestNeighbors(fedroad.Vertex(*src), *knn)
 		fail(err)
 		fmt.Printf("\n%d nearest vertices to %d on the joint road network:\n", *knn, *src)
 		for i, r := range routes {
@@ -112,7 +105,7 @@ func main() {
 	if *dst < 0 {
 		*dst = g.NumVertices() - 1
 	}
-	route, stats, err := fed.ShortestPath(fedroad.Vertex(*src), fedroad.Vertex(*dst), opt)
+	route, stats, err := fed.ShortestPath(fedroad.Vertex(*src), fedroad.Vertex(*dst))
 	fail(err)
 	if !route.Found {
 		fmt.Printf("no route from %d to %d\n", *src, *dst)

@@ -94,16 +94,15 @@ func main() {
 		noIndex  = flag.Bool("no-index", false, "skip building the shortcut index")
 		custIdx  = flag.Bool("customize", false, "derive the shortcut index by weight customization over a topology-only skeleton (contract once per graph, customize per traffic version) instead of a full federated contraction")
 		reindex  = flag.Duration("reindex-interval", 0, "periodically rebuild the witness index from live weights when traffic has moved (0 = disabled); refused beside a customized index, which /traffic's in-place updates already keep exact")
-		protocol = flag.Bool("protocol", false, "run the full MPC protocol per comparison (default: ideal mode with analytic cost accounting)")
 		maxConc  = flag.Int("max-concurrent", 0, "max in-flight queries (0 = 4x GOMAXPROCS)")
 		maxQueue = flag.Int("max-queue", 0, "queries allowed to queue beyond -max-concurrent before shedding with 429 (0 = unbounded queue, no shedding)")
 		cacheCap = flag.Int("cache", 4096, "traffic-version-keyed result cache capacity in entries (0 = off)")
 		persist  = flag.String("persist", "", "directory for state snapshots + traffic WAL; restarts restore the index without an MPC rebuild")
 		pprofOn  = flag.Bool("pprof", false, "mount /debug/pprof/* profiling handlers")
 
-		roundTimeout = flag.Duration("round-timeout", 0, "per-frame MPC round timeout; a slow/dead silo fails the query with 503/504 instead of hanging it (protocol mode; 0 = no timeout)")
+		roundTimeout = flag.Duration("round-timeout", 0, "per-frame MPC round timeout; a slow/dead silo fails the query with 503/504 instead of hanging it (0 = no timeout)")
 
-		meshTCP = flag.Bool("mesh-tcp", false, "run MPC rounds over a loopback TCP mesh with multiplexed lanes, heartbeats and automatic redial (protocol mode; the deployment-shaped wire path)")
+		meshTCP = flag.Bool("mesh-tcp", false, "run MPC rounds over a loopback TCP mesh with multiplexed lanes, heartbeats and automatic redial (the deployment-shaped wire path)")
 		tlsCert = flag.String("tls-cert", "", "silo certificate PEM for mutual-auth TLS on mesh links (requires -mesh-tcp, -tls-key and -tls-ca)")
 		tlsKey  = flag.String("tls-key", "", "silo private key PEM for mesh mTLS")
 		tlsCA   = flag.String("tls-ca", "", "federation CA PEM both directions of every mesh link verify against")
@@ -122,9 +121,6 @@ func main() {
 	cfg := fedroad.Config{
 		RoundTimeout: *roundTimeout,
 		MeshTCP:      *meshTCP,
-	}
-	if *protocol {
-		cfg.Mode = fedroad.ModeProtocol
 	}
 	if *tlsCert != "" || *tlsKey != "" || *tlsCA != "" {
 		cfg.MeshTLS = &fedroad.TLSConfig{CertFile: *tlsCert, KeyFile: *tlsKey, CAFile: *tlsCA}

@@ -31,7 +31,7 @@ func persistFed(t *testing.T) (*fedroad.Federation, []fedroad.Weights) {
 	for p, set := range silosW {
 		shadow[p] = append(fedroad.Weights(nil), set...)
 	}
-	f, err := fedroad.New(g, w0, silosW, fedroad.Config{Seed: 403})
+	f, err := fedroad.New(g, w0, silosW, fedroad.Config{Mode: fedroad.ModeIdeal, Seed: 403})
 	if err != nil {
 		t.Fatal(err)
 	}

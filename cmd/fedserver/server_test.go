@@ -41,7 +41,7 @@ func testNetwork() (*fedroad.Graph, fedroad.Weights, []fedroad.Weights) {
 func testServer(t *testing.T) (*httptest.Server, *fedroad.Federation, fedroad.Weights) {
 	t.Helper()
 	g, w0, silosW := testNetwork()
-	fed, err := fedroad.New(g, w0, silosW, fedroad.Config{Seed: 33})
+	fed, err := fedroad.New(g, w0, silosW, fedroad.Config{Mode: fedroad.ModeIdeal, Seed: 33})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,36 +185,6 @@ func TestKNNNoFabricatedStats(t *testing.T) {
 	}
 	if v, ok := raw.Stats["fed_sacs"].(float64); !ok || v == 0 {
 		t.Errorf("aggregate stats.fed_sacs missing or zero: %v", raw.Stats["fed_sacs"])
-	}
-}
-
-// TestKNNBatchedReducesRounds: /knn runs the TM-tree's tournament
-// comparisons as batched secure comparisons — one protocol instance per
-// tournament level — so the served query pays exactly the rounds of the
-// library's batched query and strictly fewer than its unbatched twin. The
-// schedule is the server's choice: the retired batched= parameter is ignored.
-func TestKNNBatchedReducesRounds(t *testing.T) {
-	ts, fed, _ := testServer(t)
-	var served knnResponse
-	if r := getJSON(t, ts.URL+"/knn?s=10&k=5&batched=0", &served); r.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", r.StatusCode)
-	}
-	_, batched, err := fed.NearestNeighbors(10, 5, fedroad.QueryOptions{BatchedMPC: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	plainRoutes, plain, err := fed.NearestNeighbors(10, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plainRoutes) != len(served.Results) {
-		t.Fatalf("result count diverged: %d vs %d", len(plainRoutes), len(served.Results))
-	}
-	if served.Stats.MPCRounds != batched.SAC.Rounds {
-		t.Fatalf("/knn ran %d rounds, the batched library query %d", served.Stats.MPCRounds, batched.SAC.Rounds)
-	}
-	if served.Stats.MPCRounds >= plain.SAC.Rounds {
-		t.Fatalf("/knn did not run batched: %d rounds >= unbatched %d", served.Stats.MPCRounds, plain.SAC.Rounds)
 	}
 }
 
@@ -392,7 +362,7 @@ func TestPprofGated(t *testing.T) {
 
 	g, w0 := fedroad.GenerateRoadNetwork(60, 7)
 	silosW := fedroad.SimulateCongestion(w0, 2, fedroad.Moderate, 8)
-	fed, err := fedroad.New(g, w0, silosW, fedroad.Config{Seed: 9})
+	fed, err := fedroad.New(g, w0, silosW, fedroad.Config{Mode: fedroad.ModeIdeal, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -592,7 +562,7 @@ func TestStatsReportsIndexBuilding(t *testing.T) {
 func TestStatsCustomizeBlock(t *testing.T) {
 	g, w0 := fedroad.GenerateRoadNetwork(120, 41)
 	silosW := fedroad.SimulateCongestion(w0, 3, fedroad.Moderate, 42)
-	fed, err := fedroad.New(g, w0, silosW, fedroad.Config{Seed: 43})
+	fed, err := fedroad.New(g, w0, silosW, fedroad.Config{Mode: fedroad.ModeIdeal, Seed: 43})
 	if err != nil {
 		t.Fatal(err)
 	}

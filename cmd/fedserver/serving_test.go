@@ -21,7 +21,7 @@ func servingServer(t *testing.T, maxConcurrent, maxQueue, cacheEntries int) (*ht
 	t.Helper()
 	g, w0 := fedroad.GenerateRoadNetwork(150, 91)
 	silosW := fedroad.SimulateCongestion(w0, 3, fedroad.Moderate, 92)
-	fed, err := fedroad.New(g, w0, silosW, fedroad.Config{Seed: 93})
+	fed, err := fedroad.New(g, w0, silosW, fedroad.Config{Mode: fedroad.ModeIdeal, Seed: 93})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestRouteAfterTrafficDropIgnoresEstimatorParameter(t *testing.T) {
 	const seed = 2
 	g, w0 := fedroad.GenerateRoadNetwork(300, seed)
 	silosW := fedroad.SimulateCongestion(w0, 3, fedroad.Moderate, seed+1)
-	fed, err := fedroad.New(g, w0, silosW, fedroad.Config{Seed: seed})
+	fed, err := fedroad.New(g, w0, silosW, fedroad.Config{Mode: fedroad.ModeIdeal, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -127,7 +127,7 @@ func TestSessionsRunInParallel(t *testing.T) {
 func TestConcurrentQueriesUnderTrafficStress(t *testing.T) {
 	g, w0 := GenerateRoadNetwork(300, 44)
 	silos := SimulateCongestion(w0, 3, Moderate, 45)
-	f, err := New(g, w0, silos, Config{Seed: 44})
+	f, err := New(g, w0, silos, Config{Mode: ModeIdeal, Seed: 44})
 	if err != nil {
 		t.Fatal(err)
 	}

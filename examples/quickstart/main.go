@@ -34,7 +34,7 @@ func main() {
 	// One secure joint shortest-path query with the paper's best stack
 	// (shortcut index + Fed-AMPS pruning + TM-tree queue, comparisons
 	// batched into shared rounds).
-	route, stats, err := fed.ShortestPath(12, 1780, fedroad.QueryOptions{BatchedMPC: true})
+	route, stats, err := fed.ShortestPath(12, 1780)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -121,31 +121,34 @@ func SimulateCongestion(w0 Weights, p int, lvl CongestionLevel, seed uint64) []W
 type ExecutionMode int
 
 const (
-	// ModeIdeal evaluates comparisons directly with exact analytic cost
-	// accounting (calibrated against the real protocol) — the default for
-	// experiments.
-	ModeIdeal ExecutionMode = iota
-	// ModeProtocol runs the full secret-sharing MPC protocol between
-	// in-process party goroutines for every comparison.
-	ModeProtocol
+	// ModeProtocol, the zero value, runs the full secret-sharing MPC protocol
+	// between the silos' party endpoints for every comparison: no silo
+	// reveals a weight.
+	ModeProtocol ExecutionMode = iota
+	// ModeIdeal evaluates comparisons in the clear, summing every silo's
+	// difference, with the protocol's exact cost accounting. It protects
+	// nothing; tests name it for speed.
+	ModeIdeal
 )
 
-// Config tunes a federation. The zero value gives the paper's defaults.
+// Config tunes a federation. The zero value gives the paper's defaults: the
+// MPC protocol over in-process transports, with masks drawn fresh.
 type Config struct {
+	// Mode is kept only because benchmark/fixture.go sets it: every
+	// non-test caller runs the default, ModeProtocol.
 	Mode ExecutionMode
 	// Seed determines every MPC randomness stream: the root engine's dealer
 	// and, through its fork number, each session's and each derivation's.
-	// Two federations built with the same non-zero Seed that open the same
-	// sessions for the same queries send the same frames. Zero (the default)
-	// draws the root seed from crypto/rand, so every federation deals masks
-	// no other federation has dealt; tests and the benchmark set it to replay
-	// a transcript.
+	// Zero (the default) draws the root seed from crypto/rand, so no two
+	// federations deal the same masks. Tests and the benchmark set it: two
+	// federations with one non-zero Seed send the same frames for the same
+	// queries on the same sessions.
 	Seed uint64
 
 	// RoundTimeout bounds how long any silo waits for a single protocol
-	// frame (protocol mode; 0 = wait forever). With it set, a slow or dead
-	// silo degrades a query into a clean wrapped error within roughly
-	// rounds×RoundTimeout instead of hanging the session forever.
+	// frame (0 = wait forever). With it set, a slow or dead silo degrades a
+	// query into a clean wrapped error within roughly rounds×RoundTimeout
+	// instead of hanging the session forever.
 	RoundTimeout time.Duration
 
 	// TransportWrap, when set, wraps every MPC transport endpoint the
@@ -155,7 +158,7 @@ type Config struct {
 	TransportWrap func(party int, c transport.Conn) transport.Conn
 
 	// MeshTCP routes every session's MPC rounds over a real loopback TCP
-	// mesh with multiplexed lanes (protocol mode only): exactly P−1 physical
+	// mesh with multiplexed lanes (not in ModeIdeal): exactly P−1 physical
 	// sockets per silo endpoint, one fresh lane set per session fork, with
 	// heartbeat failure detection and automatic redial. This is the
 	// deployment-shaped wire path — every secret share crosses an actual
@@ -319,11 +322,9 @@ func New(g *Graph, w0 Weights, sets []Weights, cfg ...Config) (*Federation, erro
 		c = cfg[0]
 	}
 	if c.Seed == 0 {
-		var b [8]byte
-		if _, err := rand.Read(b[:]); err != nil {
+		if err := binary.Read(rand.Reader, binary.LittleEndian, &c.Seed); err != nil {
 			return nil, fmt.Errorf("fedroad: draw the dealer seed: %w", err)
 		}
-		c.Seed = binary.LittleEndian.Uint64(b[:])
 	}
 	reg := metrics.NewRegistry()
 	params := mpc.Params{
@@ -332,12 +333,12 @@ func New(g *Graph, w0 Weights, sets []Weights, cfg ...Config) (*Federation, erro
 		Wrap:         c.TransportWrap,
 		Instr:        mpc.NewInstruments(reg),
 	}
-	if c.Mode == ModeProtocol {
+	if c.Mode != ModeIdeal {
 		params.Mode = mpc.ModeProtocol
 	}
 	var mesh *transport.LocalMesh
 	if c.MeshTCP {
-		if c.Mode != ModeProtocol {
+		if c.Mode == ModeIdeal {
 			return nil, fmt.Errorf("fedroad: MeshTCP requires ModeProtocol (ideal mode exchanges no messages)")
 		}
 		var err error
@@ -814,19 +815,16 @@ func (v *version) withTraffic(updates []TrafficUpdate) *version {
 	return &next
 }
 
-// QueryOptions tunes a single query. Every query runs the paper's best stack
-// — the TM-tree, and for routes Fed-AMPS pruning over the shortcut index when
+// QueryOptions tunes nothing. Every query runs the paper's best stack — the
+// TM-tree with batched Fed-SAC (independent comparisons share protocol
+// instances), and for routes Fed-AMPS pruning over the shortcut index when
 // one is built (a federation without an index searches flat; kNN is flat by
-// construction). The paper's other queues and estimators are evaluation axes,
-// reproduced by cmd/fedbench (fig7, fig11, fig12, ablate).
+// construction). The paper's other queues and estimators, and unbatched
+// search, are evaluation axes reproduced by cmd/fedbench (fig7, fig11,
+// fig12, ablate).
 type QueryOptions struct {
-	// BatchedMPC lets independent secure comparisons share protocol
-	// instances, paying communication rounds once for all of them: the
-	// matches of one tournament level (TM-tree build, μ update), the
-	// stopping-rule checks of both search directions and — every search
-	// step running in lockstep — the pop replay, the next push's tournament
-	// build and the μ update of both directions. The comparisons made and
-	// the answer are the same; indexed routes take about half the rounds.
+	// BatchedMPC is ignored: every query batches. It is kept only because
+	// benchmark/fixture.go sets it.
 	BatchedMPC bool
 }
 

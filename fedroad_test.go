@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"repro/internal/ch"
+	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/mpc"
 	"repro/internal/transport"
@@ -18,7 +19,7 @@ func testFederation(t *testing.T, n int, seed uint64) (*Federation, Weights) {
 	t.Helper()
 	g, w0 := GenerateRoadNetwork(n, seed)
 	silos := SimulateCongestion(w0, 3, Moderate, seed+1)
-	f, err := New(g, w0, silos, Config{Seed: seed})
+	f, err := New(g, w0, silos, Config{Mode: ModeIdeal, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -465,7 +466,7 @@ func TestZeroSeedDealsFreshMasks(t *testing.T) {
 	silos := SimulateCongestion(w0, 3, Moderate, 86)
 	openings := func() map[string]bool {
 		rec := &frameRecorder{}
-		f, err := New(g, w0, silos, Config{Mode: ModeProtocol, TransportWrap: func(p int, c transport.Conn) transport.Conn {
+		f, err := New(g, w0, silos, Config{TransportWrap: func(p int, c transport.Conn) transport.Conn {
 			if p != 0 {
 				return c
 			}
@@ -498,6 +499,83 @@ func TestZeroSeedDealsFreshMasks(t *testing.T) {
 		if b[o] {
 			t.Fatalf("round-1 frame %x was sent by both federations", o)
 		}
+	}
+}
+
+// TestDefaultFederationRunsTheProtocol: a federation whose Config leaves
+// Mode zero runs the MPC protocol. Its route and kNN answer as plaintext
+// Dijkstra does, and every message their Stats count is a frame that crossed
+// its transport.
+func TestDefaultFederationRunsTheProtocol(t *testing.T) {
+	g, w0 := GenerateRoadNetwork(120, 87)
+	silos := SimulateCongestion(w0, 3, Moderate, 88)
+	rec := &frameRecorder{}
+	f, err := New(g, w0, silos, Config{TransportWrap: rec.wrap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	route, rst, err := f.ShortestPath(3, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := jointDijkstra(g, silos, 3, 100); JointCost(route) != want {
+		t.Fatalf("route costs %d, plaintext %d", JointCost(route), want)
+	}
+	knn, kst, err := f.NearestNeighbors(7, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := graph.Dijkstra(g, graph.JointWeights(silos), 7)
+	for _, r := range knn {
+		if end := r.Path[len(r.Path)-1]; JointCost(r) != full.Dist[end] {
+			t.Fatalf("kNN: %d costs %d, plaintext %d", end, JointCost(r), full.Dist[end])
+		}
+	}
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	var frames int64
+	for _, endpoint := range rec.sent {
+		for _, to := range endpoint {
+			frames += int64(len(to))
+		}
+	}
+	if want := rst.SAC.Messages + kst.SAC.Messages; frames == 0 || frames != want {
+		t.Fatalf("%d frames crossed the transport, Stats count %d messages", frames, want)
+	}
+}
+
+// TestQueryOptionsSelectNothing: every query batches, so QueryOptions{} and
+// {BatchedMPC: true} run the same search and return the same Stats, all but
+// the wall-clock timings.
+func TestQueryOptionsSelectNothing(t *testing.T) {
+	f, _ := testFederation(t, 200, 89)
+	if err := f.BuildIndex(); err != nil {
+		t.Fatal(err)
+	}
+	counts := func(st Stats, err error) Stats {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.SAC.Compares == 0 {
+			t.Fatal("the query compared nothing")
+		}
+		st.Phases, st.WallTime = core.PhaseTimings{}, 0
+		return st
+	}
+	var route, knn [2]Stats
+	for i, opt := range []QueryOptions{{}, {BatchedMPC: true}} {
+		_, st, err := f.ShortestPath(3, 150, opt)
+		route[i] = counts(st, err)
+		_, st, err = f.NearestNeighbors(7, 8, opt)
+		knn[i] = counts(st, err)
+	}
+	if route[0] != route[1] {
+		t.Fatalf("route: %+v without options, %+v with BatchedMPC", route[0], route[1])
+	}
+	if knn[0] != knn[1] {
+		t.Fatalf("kNN: %+v without options, %+v with BatchedMPC", knn[0], knn[1])
 	}
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"repro/internal/graph"
@@ -75,6 +76,56 @@ func TestBatchedMPCReducesRounds(t *testing.T) {
 	// come from tie-order effects of identical keys).
 	if batCmp > seqCmp*3/2 || seqCmp > batCmp*3/2 {
 		t.Fatalf("comparison counts diverged: batched %d vs sequential %d", batCmp, seqCmp)
+	}
+}
+
+// TestBatchedKNNFewerRounds: batching schedules a kNN's Fed-SACs, never
+// chooses them. Batched and unbatched Fed-SSSP return the same answer from
+// the same comparisons, batched in fewer rounds.
+func TestBatchedKNNFewerRounds(t *testing.T) {
+	fx := newFixture(t, "roadlike", 27, mpc.ModeIdeal)
+	run := func(batched bool) ([]PathResult, QueryStats) {
+		e := fx.engine(t, Options{Queue: pq.KindTMTree, BatchedMPC: batched})
+		res, stats, err := e.SSSP(9, 6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res, stats
+	}
+	plainRes, plain := run(false)
+	batchedRes, batched := run(true)
+	if !reflect.DeepEqual(plainRes, batchedRes) {
+		t.Fatalf("answers differ:\n unbatched %+v\n batched   %+v", plainRes, batchedRes)
+	}
+	full := graph.Dijkstra(fx.f.Graph(), fx.joint, 9)
+	for _, r := range batchedRes {
+		if jointSum(r.Partial) != full.Dist[r.Target] {
+			t.Fatalf("distance to %d = %d, want %d", r.Target, jointSum(r.Partial), full.Dist[r.Target])
+		}
+	}
+	if plain.SAC.Compares == 0 || batched.SAC.Compares != plain.SAC.Compares {
+		t.Fatalf("Fed-SACs: batched %d, unbatched %d; want the same, non-zero", batched.SAC.Compares, plain.SAC.Compares)
+	}
+	if batched.SAC.Rounds >= plain.SAC.Rounds {
+		t.Fatalf("batched kNN took %d rounds, unbatched %d", batched.SAC.Rounds, plain.SAC.Rounds)
+	}
+	t.Logf("%d Fed-SACs in %d rounds unbatched, %d batched", plain.SAC.Compares, plain.SAC.Rounds, batched.SAC.Rounds)
+}
+
+// TestKNNOfOneRunsNoFedSAC: the one nearest vertex is the source, settled
+// before any comparison, and kNN ends at its k-th settle, so k = 1 runs no
+// Fed-SAC, batched or not.
+func TestKNNOfOneRunsNoFedSAC(t *testing.T) {
+	fx := newFixture(t, "tiny", 99, mpc.ModeIdeal)
+	for _, batched := range []bool{false, true} {
+		res, stats, err := fx.engine(t, Options{Queue: pq.KindTMTree, BatchedMPC: batched}).SSSP(5, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res) != 1 || res[0].Target != 5 || stats.SAC.Compares != 0 || stats.SAC.Rounds != 0 {
+			t.Fatalf("batched=%v: %+v, %d Fed-SACs in %d rounds; want the source alone and none",
+				batched, res, stats.SAC.Compares, stats.SAC.Rounds)
+		}
 	}
 }
 

@@ -239,7 +239,7 @@ func TestDeadEndPotentialsStayInRing(t *testing.T) {
 		}
 		joint := f.JointWeights()
 		for _, index := range []*ch.Index{nil, idx} {
-			e, err := NewEngine(view, RouteOptions(index, true))
+			e, err := NewEngine(view, RouteOptions(index))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -62,12 +62,12 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// RouteOptions are the options of a served route query: the TM-tree and
-// Fed-AMPS, over index when it is non-nil and flat otherwise. The facade's
-// sessions and the cross-process mesh's silos both build their engines
-// from it, so the two run one search.
-func RouteOptions(index *ch.Index, batched bool) Options {
-	return Options{Queue: pq.KindTMTree, Estimator: lb.FedAMPS, Index: index, BatchedMPC: batched}
+// RouteOptions are the options of a served route query: the TM-tree with
+// batched Fed-SAC and Fed-AMPS, over index when it is non-nil and flat
+// otherwise. The facade's sessions and the cross-process mesh's silos both
+// build their engines from it, so the two run one search.
+func RouteOptions(index *ch.Index) Options {
+	return Options{Queue: pq.KindTMTree, Estimator: lb.FedAMPS, Index: index, BatchedMPC: true}
 }
 
 // comparator is the secure-comparison dependency of the search loops: the

@@ -40,8 +40,10 @@ const (
 	// while byte, round and message counts remain exact.
 	ModeIdeal Mode = iota
 	// ModeProtocol runs the full secret-sharing protocol between party
-	// goroutines, over the endpoints Params.Dial supplies. Sessions,
-	// fedserver -protocol, tests and the repo benchmark use this mode.
+	// goroutines, over the endpoints Params.Dial supplies. Every fedroad
+	// federation runs this mode unless its Config names fedroad.ModeIdeal
+	// (tests do, for speed): the facade, fedserver, cmd/fedroad, the examples
+	// and the repo benchmark.
 	ModeProtocol
 )
 

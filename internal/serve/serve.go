@@ -104,19 +104,14 @@ func New(fed *fedroad.Federation, maxConcurrent, maxQueue, cacheEntries int) *Pi
 	return p
 }
 
-// batched is how every served query schedules its comparisons: independent
-// ones share protocol instances — same comparisons and answer, about half the
-// rounds.
-var batched = fedroad.QueryOptions{BatchedMPC: true}
-
 // Route answers a shortest-path query.
 func (p *Pipeline) Route(src, dst fedroad.Vertex) (fedroad.Route, Meta, error) {
 	return serve(p,
 		func(s *fedroad.Session) (fedroad.Route, fedroad.Stats, uint64, error) {
-			return s.ShortestPathAt(src, dst, batched)
+			return s.ShortestPathAt(src, dst)
 		},
 		func(run func() (fedroad.Route, fedroad.Stats, uint64, error)) (fedroad.Route, fedroad.Stats, uint64, fedroad.CacheOutcome, error) {
-			return p.cache.ShortestPath(src, dst, batched, run)
+			return p.cache.ShortestPath(src, dst, fedroad.QueryOptions{}, run)
 		})
 }
 
@@ -125,10 +120,10 @@ func (p *Pipeline) Route(src, dst fedroad.Vertex) (fedroad.Route, Meta, error) {
 func (p *Pipeline) KNN(src fedroad.Vertex, k int) ([]fedroad.Route, Meta, error) {
 	return serve(p,
 		func(s *fedroad.Session) ([]fedroad.Route, fedroad.Stats, uint64, error) {
-			return s.NearestNeighborsAt(src, k, batched)
+			return s.NearestNeighborsAt(src, k)
 		},
 		func(run func() ([]fedroad.Route, fedroad.Stats, uint64, error)) ([]fedroad.Route, fedroad.Stats, uint64, fedroad.CacheOutcome, error) {
-			return p.cache.NearestNeighbors(src, k, batched, run)
+			return p.cache.NearestNeighbors(src, k, run)
 		})
 }
 

@@ -317,7 +317,7 @@ func applyTraffic(fed *fedroad.Federation, ups []scenario.Update) ([]scenario.Up
 func TestEchoedVersionIsComputedAtVersionAcrossApplyTraffic(t *testing.T) {
 	g, w0 := fedroad.GenerateRoadNetwork(120, 7)
 	silos := fedroad.SimulateCongestion(w0, 3, fedroad.Moderate, 8)
-	fed, err := fedroad.New(g, w0, silos, fedroad.Config{Seed: 9})
+	fed, err := fedroad.New(g, w0, silos, fedroad.Config{Mode: fedroad.ModeIdeal, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,6 +382,7 @@ func TestPipelineSoak(t *testing.T) {
 	var holding atomic.Bool
 	released := make(chan struct{})
 	fed, err := fedroad.New(g, w0, silos, fedroad.Config{
+		Mode: fedroad.ModeIdeal,
 		Seed: 3,
 		TransportWrap: func(party int, c transport.Conn) transport.Conn {
 			if party == 0 && holding.Load() {

@@ -427,7 +427,7 @@ func partyQuery(f *fed.Federation, conn transport.Conn, dealer *mpc.Dealer, src,
 			return bits, nil
 		}
 	})
-	e, err := core.NewEngine(view, core.RouteOptions(nil, true))
+	e, err := core.NewEngine(view, core.RouteOptions(nil))
 	if err != nil {
 		return res, stats, nil, err
 	}

