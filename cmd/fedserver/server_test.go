@@ -188,6 +188,35 @@ func TestKNNNoFabricatedStats(t *testing.T) {
 	}
 }
 
+// TestKNNBatchedReducesRounds: /knn runs the TM-tree's tournament
+// comparisons as batched secure comparisons — one protocol instance per
+// tournament level — so the served query pays exactly the rounds of the
+// library's query and strictly fewer than its unbatched twin, which runs one
+// RoundsPerCompare-round instance per Fed-SAC. The schedule is the server's
+// choice: the retired batched= parameter is ignored.
+func TestKNNBatchedReducesRounds(t *testing.T) {
+	ts, fed, _ := testServer(t)
+	var served knnResponse
+	if r := getJSON(t, ts.URL+"/knn?s=10&k=5&batched=0", &served); r.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", r.StatusCode)
+	}
+	routes, lib, err := fed.NearestNeighbors(10, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(routes) != len(served.Results) {
+		t.Fatalf("result count diverged: %d vs %d", len(routes), len(served.Results))
+	}
+	if served.Stats.FedSACs != lib.SAC.Compares || served.Stats.MPCRounds != lib.SAC.Rounds {
+		t.Fatalf("/knn ran %d Fed-SACs in %d rounds, the library query %d in %d",
+			served.Stats.FedSACs, served.Stats.MPCRounds, lib.SAC.Compares, lib.SAC.Rounds)
+	}
+	if unbatched := served.Stats.FedSACs * mpc.RoundsPerCompare; served.Stats.FedSACs == 0 || served.Stats.MPCRounds >= unbatched {
+		t.Fatalf("/knn did not run batched: %d rounds for %d Fed-SACs, unbatched %d",
+			served.Stats.MPCRounds, served.Stats.FedSACs, unbatched)
+	}
+}
+
 // TestKNNIgnoresRemovedParameters: /knn reads s and k; estimator= and queue=,
 // which it once validated, are ignored like any unknown parameter and the
 // answer still comes from the batched TM-tree run.

@@ -2,8 +2,13 @@ package fedroad
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
+	"repro/internal/graph"
+	"repro/internal/pq"
 )
 
 // TestMetricsRegistry: the federation exposes one registry; queries move its
@@ -92,6 +97,51 @@ func TestQueryValidationErrors(t *testing.T) {
 		}
 		if !errors.Is(err, ErrInvalidQuery) {
 			t.Errorf("%s: error %v does not wrap ErrInvalidQuery", c.name, err)
+		}
+	}
+}
+
+// TestKNNBatchedMPCHonored pins the headline bugfix: NearestNeighbors once
+// dropped batching on the floor, so its queries ran one protocol instance per
+// comparison. Every facade kNN now batches, with or without the retired
+// BatchedMPC option: the TM-tree tournament comparisons collapse into one
+// instance per level, so it returns the answer of an unbatched engine on the
+// same version from the same Fed-SACs, in strictly fewer MPC rounds.
+func TestKNNBatchedMPCHonored(t *testing.T) {
+	f, joint := testFederation(t, 260, 27)
+	sess := f.Session()
+	defer sess.Close()
+	e, err := core.NewEngine(sess.inner.At(f.cur.Load().fed), core.Options{Queue: pq.KindTMTree})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plainRes, plain, err := e.SSSP(9, 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plainRoutes := make([]Route, len(plainRes))
+	for i, r := range plainRes {
+		plainRoutes[i] = Route{Path: r.Path, Partials: r.Partial, Found: r.Found}
+	}
+	full := graph.Dijkstra(f.Graph(), joint, 9)
+	for _, opts := range [][]QueryOptions{nil, {{BatchedMPC: true}}} {
+		routes, batched, err := f.NearestNeighbors(9, 6, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(routes, plainRoutes) {
+			t.Fatalf("opts %v: answers differ:\n unbatched %+v\n facade    %+v", opts, plainRoutes, routes)
+		}
+		for i, r := range routes {
+			if JointCost(r) != full.Dist[r.Path[len(r.Path)-1]] {
+				t.Fatalf("opts %v: result %d wrong distance", opts, i)
+			}
+		}
+		if plain.SAC.Compares == 0 || batched.SAC.Compares != plain.SAC.Compares {
+			t.Fatalf("opts %v: Fed-SACs: facade %d, unbatched %d; want the same, non-zero", opts, batched.SAC.Compares, plain.SAC.Compares)
+		}
+		if batched.SAC.Rounds == 0 || batched.SAC.Rounds >= plain.SAC.Rounds {
+			t.Fatalf("opts %v: facade kNN did not batch: %d rounds, unbatched %d", opts, batched.SAC.Rounds, plain.SAC.Rounds)
 		}
 	}
 }
