@@ -51,22 +51,10 @@ func main() {
 	lvl, err := traffic.ParseLevel(*level)
 	fail(err)
 
-	var g *fedroad.Graph
-	var w0 fedroad.Weights
-	switch {
-	case *graphFile != "":
-		g, w0, err = fedroad.LoadGraphFile(*graphFile)
-		fail(err)
-		w0, _ = graph.UnitIfMissing(g, w0)
-	case *dataset != "":
-		// GenerateDataset panics on unknown names; fail with a clean error
-		// for a user-supplied -dataset instead.
-		if _, ok := graph.FindDataset(*dataset); !ok {
-			fail(fmt.Errorf("unknown dataset %q (available: CAL-S, BJ-S, FLA-S)", *dataset))
-		}
-		g, w0, _ = graph.GenerateDataset(*dataset)
-	default:
-		g, w0 = fedroad.GenerateRoadNetwork(*n, *seed)
+	g, w0, unitWeights, err := graph.LoadNetwork(*dataset, *graphFile, *n, *seed)
+	fail(err)
+	if unitWeights {
+		fmt.Fprintf(os.Stderr, "WARNING: graph file %q has no weight section — using UNIT travel times (1ms per segment); every ETA is fabricated.\n", *graphFile)
 	}
 	fmt.Printf("road network: %d vertices, %d arcs\n", g.NumVertices(), g.NumArcs())
 

@@ -36,40 +36,6 @@ import (
 	"repro/internal/graph"
 )
 
-// loadNetwork resolves the served road network from the three mutually
-// layered sources: an imported graph file, a named dataset, or a generated
-// road-like network. unitWeights reports that the graph file carried no
-// weight section and every travel time was fabricated as 1ms — the caller
-// must surface that loudly.
-func loadNetwork(dataset, graphF string, n int, seed uint64) (g *fedroad.Graph, w0 fedroad.Weights, unitWeights bool, err error) {
-	switch {
-	case graphF != "":
-		g, w0, err = fedroad.LoadGraphFile(graphF)
-		if err != nil {
-			return nil, nil, false, err
-		}
-		w0, unitWeights = graph.UnitIfMissing(g, w0)
-	case dataset != "":
-		// GenerateDataset panics on unknown names (its callers are experiment
-		// code with hard-wired names); a user-supplied -dataset must fail with
-		// a clean error instead.
-		if _, ok := graph.FindDataset(dataset); !ok {
-			names := ""
-			for i, spec := range graph.Datasets() {
-				if i > 0 {
-					names += ", "
-				}
-				names += spec.Name
-			}
-			return nil, nil, false, fmt.Errorf("unknown dataset %q (available: %s)", dataset, names)
-		}
-		g, w0, _ = graph.GenerateDataset(dataset)
-	default:
-		g, w0 = fedroad.GenerateRoadNetwork(n, seed)
-	}
-	return g, w0, unitWeights, nil
-}
-
 // refuseReindex explains why -reindex-interval cannot run beside the index
 // fedserver serves, or returns nil. A customized index — asked for with
 // -customize or restored from a customized snapshot — is kept exact by
@@ -109,13 +75,13 @@ func main() {
 	)
 	flag.Parse()
 
-	g, w0, unitWeights, err := loadNetwork(*dataset, *graphF, *n, *seed)
+	g, w0, unitWeights, err := graph.LoadNetwork(*dataset, *graphF, *n, *seed)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "fedserver: %v\n", err)
 		os.Exit(1)
 	}
 	if unitWeights {
-		log.Printf("WARNING: graph file %q has no weight section — serving UNIT travel times (1ms per segment); every ETA is fabricated. Surfaced as unit_weights in /stats.", *graphF)
+		log.Printf("WARNING: graph file %q has no weight section — serving UNIT travel times (1ms per segment); every ETA is fabricated. Reported as fedserver_unit_weights on /stats and /metrics.", *graphF)
 	}
 	silosW := fedroad.SimulateCongestion(w0, *silos, fedroad.Moderate, *seed+1)
 	cfg := fedroad.Config{
@@ -150,9 +116,8 @@ func main() {
 			fmt.Fprintf(os.Stderr, "fedserver: %v\n", err)
 			os.Exit(1)
 		}
-		ps := pers.Stats()
-		log.Printf("persist: restored from %s in %dms (index: %v, replayed deltas: %d)",
-			*persist, ps.RestoreMs, ps.RestoredIndex, ps.ReplayedDeltas)
+		log.Printf("persist: restored from %s in %v (index: %v, replayed deltas: %d)",
+			*persist, pers.restoreTime.Round(time.Millisecond), pers.restoredIndex, pers.replayedDeltas)
 	}
 	if *reindex > 0 && !*noIndex {
 		if err := refuseReindex(fed, *custIdx); err != nil {

@@ -32,8 +32,10 @@ type persister struct {
 	mu  sync.Mutex
 	wal *wal.WAL
 
+	// What Restore found (written before serving) and the appends since,
+	// read by the fedserver_persist_* series.
 	restoredIndex  bool
-	restoreMs      int64
+	restoreTime    time.Duration
 	replayedDeltas int
 	walAppends     atomic.Int64
 }
@@ -41,13 +43,24 @@ type persister struct {
 func (p *persister) snapPath() string { return filepath.Join(p.dir, "state.snap") }
 func (p *persister) walPath() string  { return filepath.Join(p.dir, "traffic.wal") }
 
-// newPersister prepares the persistence directory (creating it if needed).
-// Call Restore before serving and Snapshot after the index is ready.
+// newPersister prepares the persistence directory (creating it if needed)
+// and registers the persister's series on fed's registry. Call Restore
+// before serving and Snapshot after the index is ready.
 func newPersister(fed *fedroad.Federation, dir string) (*persister, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("persist: %w", err)
 	}
-	return &persister{fed: fed, dir: dir}, nil
+	p := &persister{fed: fed, dir: dir}
+	reg := fed.Metrics()
+	reg.GaugeFunc("fedserver_persist_restored_index", "1 when the snapshot restored at start carried a shortcut index", nil,
+		func() float64 { return one(p.restoredIndex) })
+	reg.GaugeFunc("fedserver_persist_restore_seconds", "wall time of the restore at start: snapshot read and WAL replay", nil,
+		func() float64 { return p.restoreTime.Seconds() })
+	reg.GaugeFunc("fedserver_persist_replayed_deltas", "traffic batches replayed from the WAL at start", nil,
+		func() float64 { return float64(p.replayedDeltas) })
+	reg.CounterFunc("fedserver_persist_wal_appends_total", "traffic batches appended to the WAL", nil,
+		func() float64 { return float64(p.walAppends.Load()) })
+	return p, nil
 }
 
 // Restore loads the snapshot (when one exists), replays the traffic WAL on
@@ -104,7 +117,7 @@ func (p *persister) Restore() (restoredIndex bool, err error) {
 	}
 	p.restoredIndex = restoredIndex
 	p.replayedDeltas = applied
-	p.restoreMs = time.Since(start).Milliseconds()
+	p.restoreTime = time.Since(start)
 	return restoredIndex, nil
 }
 
@@ -146,25 +159,6 @@ func (p *persister) Apply(updates []fedroad.TrafficUpdate) (ch.UpdateStats, erro
 func (p *persister) Close() {
 	if p.wal != nil {
 		p.wal.Close()
-	}
-}
-
-// persistStats is the /stats block for -persist mode.
-type persistStats struct {
-	Dir            string `json:"dir"`
-	RestoredIndex  bool   `json:"restored_index"`
-	RestoreMs      int64  `json:"restore_ms"`
-	ReplayedDeltas int    `json:"replayed_deltas"`
-	WALAppends     int64  `json:"wal_appends"`
-}
-
-func (p *persister) Stats() persistStats {
-	return persistStats{
-		Dir:            p.dir,
-		RestoredIndex:  p.restoredIndex,
-		RestoreMs:      p.restoreMs,
-		ReplayedDeltas: p.replayedDeltas,
-		WALAppends:     p.walAppends.Load(),
 	}
 }
 

@@ -96,12 +96,13 @@ func TestPersistRestartRestoresIndexWithoutRebuild(t *testing.T) {
 	if !restored || !fed2.HasIndex() {
 		t.Fatal("restart did not restore the shortcut index from the snapshot")
 	}
-	ps := p2.Stats()
-	if ps.ReplayedDeltas != 5 {
-		t.Fatalf("replayed %d deltas, want 5", ps.ReplayedDeltas)
+	m := fed2.Metrics().Snapshot()
+	if got := m["fedserver_persist_replayed_deltas"]; got != 5 {
+		t.Fatalf("fedserver_persist_replayed_deltas = %v, want 5", got)
 	}
-	if !ps.RestoredIndex || ps.RestoreMs < 0 {
-		t.Fatalf("persist stats %+v", ps)
+	if m["fedserver_persist_restored_index"] != 1 || m["fedserver_persist_restore_seconds"] <= 0 {
+		t.Fatalf("fedserver_persist_restored_index = %v, fedserver_persist_restore_seconds = %v",
+			m["fedserver_persist_restored_index"], m["fedserver_persist_restore_seconds"])
 	}
 	if got := fed2.TrafficVersion(); got != wantVer {
 		t.Fatalf("traffic version %d after restart, want %d", got, wantVer)
@@ -168,8 +169,8 @@ func TestPersistCrashBetweenSnapshotAndWALReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p2.Close()
-	if ps := p2.Stats(); ps.ReplayedDeltas != 0 {
-		t.Fatalf("replayed %d deltas already inside the snapshot, want 0", ps.ReplayedDeltas)
+	if got := fed2.Metrics().Snapshot()["fedserver_persist_replayed_deltas"]; got != 0 {
+		t.Fatalf("replayed %v deltas already inside the snapshot, want 0", got)
 	}
 	if got := fed2.TrafficVersion(); got != wantVer {
 		t.Fatalf("traffic version %d, want %d", got, wantVer)
@@ -214,8 +215,8 @@ func TestPersistTornWALTail(t *testing.T) {
 	if _, err := p2.Restore(); err != nil {
 		t.Fatal(err)
 	}
-	if ps := p2.Stats(); ps.ReplayedDeltas != 4 {
-		t.Fatalf("replayed %d deltas, want 4", ps.ReplayedDeltas)
+	if got := fed2.Metrics().Snapshot()["fedserver_persist_replayed_deltas"]; got != 4 {
+		t.Fatalf("replayed %v deltas, want 4", got)
 	}
 	if got := fed2.TrafficVersion(); got != wantVer {
 		t.Fatalf("traffic version %d, want %d", got, wantVer)
@@ -240,8 +241,8 @@ func TestPersistTornWALTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p3.Close()
-	if ps := p3.Stats(); ps.ReplayedDeltas != 5 {
-		t.Fatalf("replayed %d deltas after recovery append, want 5", ps.ReplayedDeltas)
+	if got := fed3.Metrics().Snapshot()["fedserver_persist_replayed_deltas"]; got != 5 {
+		t.Fatalf("replayed %v deltas after recovery append, want 5", got)
 	}
 }
 

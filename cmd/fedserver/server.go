@@ -20,8 +20,8 @@ import (
 //	GET  /route?s=<v>&t=<v>
 //	GET  /knn?s=<v>&k=<n>
 //	POST /traffic   body: [{"silo":0,"arc":17,"travel_ms":42000}, ...]
-//	GET  /stats
-//	GET  /metrics   (Prometheus text exposition)
+//	GET  /stats     (the registry snapshot as JSON)
+//	GET  /metrics   (the same registry, Prometheus text exposition)
 //	GET  /healthz
 //	GET  /debug/pprof/*   (only with -pprof)
 //
@@ -39,15 +39,27 @@ type server struct {
 	// the WAL and owns the snapshot/restore cycle.
 	persist *persister
 	// unitWeights records that the served graph file carried no weights and
-	// travel times were fabricated as 1ms per segment — surfaced in /stats so
-	// nobody mistakes routes on a real topology for real ETAs.
+	// travel times were fabricated as 1ms per segment — the
+	// fedserver_unit_weights series reports it so nobody mistakes routes on a
+	// real topology for real ETAs.
 	unitWeights bool
 }
 
 // newServer builds a server over fed and a pipeline sized by -max-concurrent,
 // -max-queue and -cache (see serve.New for the zero values).
 func newServer(fed *fedroad.Federation, maxConcurrent, maxQueue, cacheEntries int) *server {
-	return &server{fed: fed, pipe: serve.New(fed, maxConcurrent, maxQueue, cacheEntries)}
+	s := &server{fed: fed, pipe: serve.New(fed, maxConcurrent, maxQueue, cacheEntries)}
+	fed.Metrics().GaugeFunc("fedserver_unit_weights", "1 when the served graph file had no weights and every travel time is a fabricated 1ms", nil,
+		func() float64 { return one(s.unitWeights) })
+	return s
+}
+
+// one is a flag's gauge value.
+func one(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // writeQueryError renders a query error, attaching the Retry-After hint to
@@ -342,144 +354,16 @@ func (s *server) applyTraffic(updates []fedroad.TrafficUpdate) (ch.UpdateStats, 
 	return s.fed.ApplyTraffic(updates)
 }
 
-// cacheStatsJSON is the /stats cache block.
-type cacheStatsJSON struct {
-	Hits            uint64 `json:"hits"`
-	Misses          uint64 `json:"misses"`
-	Coalesced       uint64 `json:"coalesced"`
-	EvictedCapacity uint64 `json:"evicted_capacity"`
-	EvictedStale    uint64 `json:"evicted_stale"`
-	Entries         int    `json:"entries"`
-}
-
-// admitStatsJSON is the /stats admission block.
-type admitStatsJSON struct {
-	Limit    int64 `json:"limit"` // 0 = shedding disabled
-	Depth    int64 `json:"queue_depth"`
-	Admitted int64 `json:"admitted"`
-	Shed     int64 `json:"shed"`
-}
-
-// meshLinkJSON is one endpoint→peer link's /stats entry.
-type meshLinkJSON struct {
-	Party           int   `json:"party"`
-	Peer            int   `json:"peer"`
-	Up              bool  `json:"up"`
-	Reconnects      int64 `json:"reconnects"`
-	HeartbeatMisses int64 `json:"heartbeat_misses"`
-	DialFailures    int64 `json:"dial_failures"`
-	BytesSent       int64 `json:"bytes_sent"`
-	BytesRecv       int64 `json:"bytes_recv"`
-}
-
-// meshStatsJSON is the /stats mesh-transport block (only present with
-// -mesh-tcp).
-type meshStatsJSON struct {
-	LinksUp         int            `json:"links_up"`
-	Reconnects      int64          `json:"reconnects"`
-	HeartbeatMisses int64          `json:"heartbeat_misses"`
-	BytesSent       int64          `json:"bytes_sent"`
-	MessagesSent    int64          `json:"messages_sent"`
-	Links           []meshLinkJSON `json:"links"`
-}
-
-// meshBlock renders the federation's mesh counters, or nil without a mesh.
-func (s *server) meshBlock() *meshStatsJSON {
-	stats := s.fed.MeshStats()
-	if stats == nil {
-		return nil
-	}
-	out := &meshStatsJSON{}
-	for _, ep := range stats {
-		out.LinksUp += ep.LinksUp
-		out.Reconnects += ep.Reconnects
-		out.HeartbeatMisses += ep.HeartbeatMisses
-		out.BytesSent += ep.BytesSent
-		out.MessagesSent += ep.MsgsSent
-		for _, p := range ep.Peers {
-			out.Links = append(out.Links, meshLinkJSON{
-				Party: ep.Party, Peer: p.Peer, Up: p.Up,
-				Reconnects: p.Reconnects, HeartbeatMisses: p.HeartbeatMisses,
-				DialFailures: p.DialFailures,
-				BytesSent:    p.BytesSent, BytesRecv: p.BytesRecv,
-			})
-		}
-	}
-	return out
-}
-
-// customizeStatsJSON is the /stats view of the contract-once /
-// customize-per-metric pipeline: whether a topology skeleton is available,
-// whether the serving index came out of a customization sweep, and the
-// latency / tick / MPC-round cost of the most recent pass.
-type customizeStatsJSON struct {
-	HasSkeleton     bool  `json:"has_skeleton"`
-	IndexCustomized bool  `json:"index_customized"`
-	Passes          int64 `json:"passes"`
-	LastWallMs      int64 `json:"last_wall_ms"`
-	LastMPCRounds   int64 `json:"last_mpc_rounds"`
-	LastTicks       int64 `json:"last_ticks"`
-}
-
+// handleStats serves the registry's snapshot as one JSON object: the series
+// /metrics exposes, keyed name{labels}, with histograms as _count and _sum.
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {
-	st := s.fed.IndexStats()
-	ci := s.fed.CustomizeInfo()
-	custBlock := customizeStatsJSON{
-		HasSkeleton:     s.fed.HasSkeleton(),
-		IndexCustomized: st.Customized,
-		Passes:          ci.Customizes,
-		LastWallMs:      ci.LastWallMs,
-		LastMPCRounds:   ci.LastMPCRounds,
-		LastTicks:       ci.LastTicks,
-	}
-	pipe := s.pipe.Stats()
-	gs := pipe.Admission
-	var cacheBlock *cacheStatsJSON
-	if cs := pipe.Cache; cs != nil {
-		cacheBlock = &cacheStatsJSON{
-			Hits: cs.Hits, Misses: cs.Misses, Coalesced: cs.Coalesced,
-			EvictedCapacity: cs.EvictedCapacity, EvictedStale: cs.EvictedStale,
-			Entries: cs.Entries,
-		}
-	}
-	var persistBlock *persistStats
-	if s.persist != nil {
-		ps := s.persist.Stats()
-		persistBlock = &ps
-	}
-	writeJSON(w, struct {
-		Vertices       int                `json:"vertices"`
-		Arcs           int                `json:"arcs"`
-		Silos          int                `json:"silos"`
-		HasIndex       bool               `json:"has_index"`
-		IndexBuilding  bool               `json:"index_building"`
-		Shortcuts      int                `json:"shortcuts"`
-		BuildSACs      int64              `json:"build_fed_sacs"`
-		Customize      customizeStatsJSON `json:"customize"`
-		TrafficVersion uint64             `json:"traffic_version"`
-		UnitWeights    bool               `json:"unit_weights"`
-		QueriesServed  int64              `json:"queries_served"`
-		MaxConcurrent  int                `json:"max_concurrent"`
-		Admission      admitStatsJSON     `json:"admission"`
-		Cache          *cacheStatsJSON    `json:"cache,omitempty"`
-		Persist        *persistStats      `json:"persist,omitempty"`
-		Mesh           *meshStatsJSON     `json:"mesh,omitempty"`
-		Metrics        map[string]float64 `json:"metrics"`
-	}{
-		s.fed.Graph().NumVertices(), s.fed.Graph().NumArcs(), s.fed.Silos(),
-		s.fed.HasIndex(), s.fed.IndexBuilding(), st.Shortcuts, st.SAC.Compares,
-		custBlock,
-		s.fed.TrafficVersion(), s.unitWeights,
-		gs.Admitted, pipe.MaxConcurrent,
-		admitStatsJSON{Limit: gs.Limit, Depth: gs.Depth, Admitted: gs.Admitted, Shed: gs.Shed},
-		cacheBlock, persistBlock, s.meshBlock(),
-		s.fed.Metrics().Snapshot(),
-	})
+	writeJSON(w, s.fed.Metrics().Snapshot())
 }
 
 // handleMetrics serves the federation registry in Prometheus text exposition
 // format (version 0.0.4). Everything — MPC counters, per-kind query metrics,
-// admission, cache and HTTP metrics — lives in the one registry.
+// index, admission, cache, persistence, mesh and HTTP metrics — lives in the
+// one registry, which /stats serves too.
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	s.fed.Metrics().WriteText(w)

@@ -359,21 +359,12 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 }
 
-// TestStatsIncludesMetricsSnapshot: /stats folds the registry snapshot in.
+// TestStatsIncludesMetricsSnapshot: /stats is the registry snapshot.
 func TestStatsIncludesMetricsSnapshot(t *testing.T) {
 	ts, _, _ := testServer(t)
 	getJSON(t, ts.URL+"/route?s=3&t=200", nil)
-	var st struct {
-		Metrics map[string]float64 `json:"metrics"`
-	}
-	if r := getJSON(t, ts.URL+"/stats", &st); r.StatusCode != http.StatusOK {
-		t.Fatalf("stats status %d", r.StatusCode)
-	}
-	if st.Metrics == nil {
-		t.Fatal("/stats has no metrics snapshot")
-	}
-	if st.Metrics[`fedroad_queries_total{kind="spsp"}`] < 1 {
-		t.Errorf("snapshot missing query counter: %v", st.Metrics)
+	if st := stats(t, ts.URL); st[`fedroad_queries_total{kind="spsp"}`] < 1 {
+		t.Errorf("snapshot missing query counter: %v", st)
 	}
 }
 
@@ -523,40 +514,29 @@ func TestTrafficRefreshFaultStatus(t *testing.T) {
 
 func TestStatsAndHealth(t *testing.T) {
 	ts, fed, _ := testServer(t)
-	var st struct {
-		Vertices  int  `json:"vertices"`
-		HasIndex  bool `json:"has_index"`
-		Shortcuts int  `json:"shortcuts"`
-	}
-	if r := getJSON(t, ts.URL+"/stats", &st); r.StatusCode != http.StatusOK {
-		t.Fatalf("stats status %d", r.StatusCode)
-	}
-	if st.Vertices != fed.Graph().NumVertices() || !st.HasIndex || st.Shortcuts == 0 {
-		t.Fatalf("bad stats: %+v", st)
+	st := stats(t, ts.URL)
+	if int(st["fedroad_graph_vertices"]) != fed.Graph().NumVertices() || st["fedroad_index_present"] != 1 ||
+		st["fedroad_index_shortcuts"] == 0 {
+		t.Fatalf("bad stats: vertices %v, index %v, shortcuts %v",
+			st["fedroad_graph_vertices"], st["fedroad_index_present"], st["fedroad_index_shortcuts"])
 	}
 	if r := getJSON(t, ts.URL+"/healthz", nil); r.StatusCode != http.StatusOK {
 		t.Fatal("healthz failed")
 	}
 }
 
-// TestStatsReportsIndexBuilding: /stats carries the index_building flag —
-// false at rest, observable as true while a rebuild runs (the
-// rebuild does not block the /stats request), and false again once the
-// build returns.
+// TestStatsReportsIndexBuilding: /stats carries fedroad_index_build_in_progress
+// — 0 at rest, observable as 1 while a rebuild runs (the rebuild does not
+// block the /stats request), and 0 again once the build returns.
 func TestStatsReportsIndexBuilding(t *testing.T) {
 	ts, fed, _ := testServer(t)
 	read := func() (building, present bool) {
 		t.Helper()
-		var raw map[string]any
-		if r := getJSON(t, ts.URL+"/stats", &raw); r.StatusCode != http.StatusOK {
-			t.Fatalf("stats status %d", r.StatusCode)
-		}
-		v, ok := raw["index_building"]
-		b, _ := v.(bool)
-		return b, ok
+		v, ok := stats(t, ts.URL)["fedroad_index_build_in_progress"]
+		return v > 0, ok
 	}
 	if b, ok := read(); !ok || b {
-		t.Fatalf("index_building present=%v value=%v, want present and false at rest", ok, b)
+		t.Fatalf("fedroad_index_build_in_progress present=%v building=%v, want present and 0 at rest", ok, b)
 	}
 
 	done := make(chan error, 1)
@@ -571,7 +551,7 @@ func TestStatsReportsIndexBuilding(t *testing.T) {
 			// Whether the flag was caught mid-flight is timing-dependent on
 			// fast builds; the rest-state transitions are the contract.
 			if b, ok := read(); !ok || b {
-				t.Fatalf("index_building=%v after build returned, want false", b)
+				t.Fatalf("building=%v after build returned, want 0", b)
 			}
 			if !observed {
 				t.Log("build finished before /stats observed it in flight (ok)")
@@ -585,9 +565,9 @@ func TestStatsReportsIndexBuilding(t *testing.T) {
 	}
 }
 
-// TestStatsCustomizeBlock: /stats surfaces the contract/customize pipeline
-// (skeleton presence, customized-index flag, pass count and last-pass cost)
-// and /metrics exports the corresponding counters.
+// TestStatsCustomizeBlock: the registry surfaces the contract/customize
+// pipeline — skeleton presence, customized-index flag, pass count and the
+// published derivation's cost — on /stats and /metrics alike.
 func TestStatsCustomizeBlock(t *testing.T) {
 	g, w0 := fedroad.GenerateRoadNetwork(120, 41)
 	silosW := fedroad.SimulateCongestion(w0, 3, fedroad.Moderate, 42)
@@ -604,38 +584,21 @@ func TestStatsCustomizeBlock(t *testing.T) {
 	ts := httptest.NewServer(newServer(fed, 4, 0, 0).routes())
 	t.Cleanup(ts.Close)
 
-	var st struct {
-		HasIndex  bool               `json:"has_index"`
-		Customize customizeStatsJSON `json:"customize"`
-	}
-	if r := getJSON(t, ts.URL+"/stats", &st); r.StatusCode != http.StatusOK {
-		t.Fatalf("stats status %d", r.StatusCode)
-	}
-	if !st.HasIndex {
-		t.Fatal("has_index false after CustomizeIndex")
-	}
-	c := st.Customize
-	if !c.HasSkeleton || !c.IndexCustomized {
-		t.Fatalf("customize block missing skeleton/customized flags: %+v", c)
-	}
-	if c.Passes != 1 || c.LastTicks <= 0 || c.LastMPCRounds != mpc.RoundsPerCompare*c.LastTicks {
-		t.Fatalf("customize block counters: %+v", c)
-	}
-
-	resp, err := http.Get(ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	for _, metric := range []string{
-		"fedroad_index_customizes_total 1",
-		"fedroad_index_customize_mpc_rounds_total",
-		"fedroad_index_customize_ticks_total",
-		"fedroad_index_customize_seconds",
-	} {
-		if !strings.Contains(string(body), metric) {
-			t.Fatalf("/metrics missing %q", metric)
+	for _, m := range []map[string]float64{stats(t, ts.URL), scrape(t, ts.URL)} {
+		if m["fedroad_index_present"] != 1 || m["fedroad_index_skeleton_present"] != 1 || m["fedroad_index_customized"] != 1 {
+			t.Fatalf("index %v, skeleton %v, customized %v after CustomizeIndex, want 1 each",
+				m["fedroad_index_present"], m["fedroad_index_skeleton_present"], m["fedroad_index_customized"])
+		}
+		ticks, rounds := m["fedroad_index_derivation_ticks"], m["fedroad_index_derivation_mpc_rounds"]
+		if m["fedroad_index_customizes_total"] != 1 || ticks <= 0 || rounds != mpc.RoundsPerCompare*ticks {
+			t.Fatalf("customizes %v, ticks %v, MPC rounds %v", m["fedroad_index_customizes_total"], ticks, rounds)
+		}
+		if ticks != m["fedroad_index_customize_ticks_total"] || rounds != m["fedroad_index_customize_mpc_rounds_total"] {
+			t.Fatalf("one pass: the published index's %v ticks / %v rounds, the pass totals %v / %v", ticks, rounds,
+				m["fedroad_index_customize_ticks_total"], m["fedroad_index_customize_mpc_rounds_total"])
+		}
+		if m["fedroad_index_customize_seconds_count"] != 1 {
+			t.Fatalf("fedroad_index_customize_seconds_count = %v, want 1", m["fedroad_index_customize_seconds_count"])
 		}
 	}
 }

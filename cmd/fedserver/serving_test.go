@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"strings"
 	"testing"
 	"time"
 
@@ -34,12 +35,14 @@ func servingServer(t *testing.T, maxConcurrent, maxQueue, cacheEntries int) (*ht
 	return ts, srv
 }
 
-type servingStats struct {
-	TrafficVersion uint64          `json:"traffic_version"`
-	UnitWeights    bool            `json:"unit_weights"`
-	Admission      admitStatsJSON  `json:"admission"`
-	Cache          *cacheStatsJSON `json:"cache"`
-	Persist        *persistStats   `json:"persist"`
+// stats reads /stats: the registry snapshot, name{labels} → value.
+func stats(t *testing.T, url string) map[string]float64 {
+	t.Helper()
+	var st map[string]float64
+	if r := getJSON(t, url+"/stats", &st); r.StatusCode != http.StatusOK {
+		t.Fatalf("/stats status %d", r.StatusCode)
+	}
+	return st
 }
 
 func TestRouteCacheHitMissLifecycle(t *testing.T) {
@@ -95,15 +98,10 @@ func TestRouteCacheHitMissLifecycle(t *testing.T) {
 	}
 
 	// The counters are visible on /stats and /metrics.
-	var st servingStats
-	if r := getJSON(t, ts.URL+"/stats", &st); r.StatusCode != http.StatusOK {
-		t.Fatalf("stats: %d", r.StatusCode)
-	}
-	if st.Cache == nil {
-		t.Fatal("/stats has no cache block with the cache enabled")
-	}
-	if st.Cache.Hits != 2 || st.Cache.Misses != 3 {
-		t.Fatalf("cache stats %+v, want 2 hits / 3 misses", st.Cache)
+	st := stats(t, ts.URL)
+	if st[`fedroad_cache_hits_total`] != 2 || st[`fedroad_cache_misses_total`] != 3 {
+		t.Fatalf("/stats hits=%v misses=%v, want 2/3",
+			st[`fedroad_cache_hits_total`], st[`fedroad_cache_misses_total`])
 	}
 	m := scrape(t, ts.URL)
 	if m[`fedroad_cache_hits_total`] != 2 || m[`fedroad_cache_misses_total`] != 3 {
@@ -113,7 +111,7 @@ func TestRouteCacheHitMissLifecycle(t *testing.T) {
 }
 
 // TestCacheOffByDefault: with -cache 0 the response carries no cached field
-// and /stats no cache block.
+// and /stats no cache series.
 func TestCacheOffByDefault(t *testing.T) {
 	ts, _ := servingServer(t, 4, 0, 0)
 	var resp routeResponse
@@ -121,10 +119,10 @@ func TestCacheOffByDefault(t *testing.T) {
 	if resp.Cached != "" {
 		t.Fatalf("cached=%q with the cache off", resp.Cached)
 	}
-	var st servingStats
-	getJSON(t, ts.URL+"/stats", &st)
-	if st.Cache != nil {
-		t.Fatal("/stats has a cache block with the cache off")
+	for name := range stats(t, ts.URL) {
+		if strings.HasPrefix(name, "fedroad_cache_") {
+			t.Fatalf("/stats has %s with the cache off", name)
+		}
 	}
 }
 
@@ -147,10 +145,8 @@ func TestAdmissionShedsWith429(t *testing.T) {
 			held <- resp.StatusCode
 		}()
 	}
-	var st servingStats
-	for st.Admission.Depth != 3 {
+	for stats(t, ts.URL)["fedserver_queue_depth"] != 3 {
 		time.Sleep(time.Millisecond)
-		getJSON(t, ts.URL+"/stats", &st)
 	}
 
 	resp, err := http.Get(ts.URL + "/route?s=3&t=20")
@@ -178,17 +174,14 @@ func TestAdmissionShedsWith429(t *testing.T) {
 	}
 
 	// Accounting is visible on /stats and /metrics and adds up.
-	getJSON(t, ts.URL+"/stats", &st)
-	if st.Admission.Limit != 3 || st.Admission.Shed != 1 || st.Admission.Admitted != 4 {
-		t.Fatalf("admission stats %+v, want limit 3, shed 1, admitted 4", st.Admission)
-	}
-	if st.Admission.Depth != 0 {
-		t.Fatalf("queue depth %d with nothing in flight", st.Admission.Depth)
-	}
-	m := scrape(t, ts.URL)
-	if m[`fedserver_shed_total`] != 1 || m[`fedserver_admitted_total`] != 4 {
-		t.Fatalf("fedserver_shed_total = %v, fedserver_admitted_total = %v, want 1 and 4",
-			m[`fedserver_shed_total`], m[`fedserver_admitted_total`])
+	for _, m := range []map[string]float64{stats(t, ts.URL), scrape(t, ts.URL)} {
+		if m[`fedserver_admission_limit`] != 3 || m[`fedserver_shed_total`] != 1 || m[`fedserver_admitted_total`] != 4 {
+			t.Fatalf("limit %v, shed %v, admitted %v, want 3, 1 and 4",
+				m[`fedserver_admission_limit`], m[`fedserver_shed_total`], m[`fedserver_admitted_total`])
+		}
+		if m[`fedserver_queue_depth`] != 0 {
+			t.Fatalf("queue depth %v with nothing in flight", m[`fedserver_queue_depth`])
+		}
 	}
 }
 
@@ -213,21 +206,22 @@ func TestNoSheddingByDefault(t *testing.T) {
 			t.Fatalf("status %d with shedding disabled, want 200", code)
 		}
 	}
-	var st servingStats
-	getJSON(t, ts.URL+"/stats", &st)
-	if st.Admission.Limit != 0 || st.Admission.Shed != 0 || st.Admission.Admitted != 10 {
-		t.Fatalf("admission stats %+v, want limit 0, shed 0, admitted 10", st.Admission)
+	st := stats(t, ts.URL)
+	if st[`fedserver_admission_limit`] != 0 || st[`fedserver_shed_total`] != 0 || st[`fedserver_admitted_total`] != 10 {
+		t.Fatalf("limit %v, shed %v, admitted %v, want 0, 0 and 10",
+			st[`fedserver_admission_limit`], st[`fedserver_shed_total`], st[`fedserver_admitted_total`])
 	}
 }
 
-// The unit-weights warning is surfaced in /stats.
+// The unit-weights warning is surfaced in /stats as fedserver_unit_weights.
 func TestUnitWeightsSurfacedInStats(t *testing.T) {
 	ts, srv := servingServer(t, 2, 0, 0)
+	if got := stats(t, ts.URL)["fedserver_unit_weights"]; got != 0 {
+		t.Fatalf("fedserver_unit_weights = %v over real weights, want 0", got)
+	}
 	srv.unitWeights = true
-	var st servingStats
-	getJSON(t, ts.URL+"/stats", &st)
-	if !st.UnitWeights {
-		t.Fatal("unit_weights not surfaced in /stats")
+	if got := stats(t, ts.URL)["fedserver_unit_weights"]; got != 1 {
+		t.Fatalf("fedserver_unit_weights = %v over fabricated weights, want 1", got)
 	}
 }
 

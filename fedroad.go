@@ -39,6 +39,7 @@ import (
 	"io"
 	"math"
 	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -244,12 +245,6 @@ type Federation struct {
 	write sync.Mutex              // serialises the writers
 	mesh  *transport.LocalMesh
 
-	// Customization pass accounting (atomics: read by gauges and /stats).
-	customizes     atomic.Int64
-	lastCustMs     atomic.Int64
-	lastCustRounds atomic.Int64
-	lastCustTicks  atomic.Int64
-
 	// building counts in-flight index derivations, waiting for the writer
 	// mutex included (for IndexBuilding and the build-in-progress gauge).
 	building atomic.Int32
@@ -419,6 +414,35 @@ func (f *Federation) initMetrics() {
 		func() float64 { return float64(g.NumArcs()) })
 	f.reg.GaugeFunc("fedroad_silos", "data silos in the federation", nil,
 		func() float64 { return float64(p) })
+
+	// The published version's facts: each callback reads the version current
+	// at scrape time, so none keeps a copy.
+	f.reg.GaugeFunc("fedroad_traffic_version", "silo-weight mutations published: the version queries echo and caches key by", nil,
+		func() float64 { return float64(f.TrafficVersion()) })
+	f.reg.GaugeFunc("fedroad_index_present", "1 when the published version has a shortcut index, i.e. routes search indexed", nil,
+		func() float64 { return one(f.HasIndex()) })
+	f.reg.GaugeFunc("fedroad_index_skeleton_present", "1 when a topology skeleton is available to customize over", nil,
+		func() float64 { return one(f.HasSkeleton()) })
+	f.reg.GaugeFunc("fedroad_index_customized", "1 when the published index came out of a weight customization", nil,
+		func() float64 { return one(f.IndexStats().Customized) })
+	f.reg.GaugeFunc("fedroad_index_shortcuts", "shortcuts in the published index", nil,
+		func() float64 { return float64(f.IndexStats().Shortcuts) })
+	f.reg.GaugeFunc("fedroad_index_derivation_fed_sacs", "Fed-SACs spent deriving the published index", nil,
+		func() float64 { return float64(f.IndexStats().SAC.Compares) })
+	f.reg.GaugeFunc("fedroad_index_derivation_mpc_rounds", "MPC rounds spent deriving the published index", nil,
+		func() float64 { return float64(f.IndexStats().SAC.Rounds) })
+	f.reg.GaugeFunc("fedroad_index_derivation_ticks", "scheduler ticks (customization) or contraction rounds (witness build) of the published index's derivation", nil,
+		func() float64 { return float64(f.IndexStats().Rounds) })
+	f.reg.GaugeFunc("fedroad_index_derivation_seconds", "wall time of the published index's derivation", nil,
+		func() float64 { return f.IndexStats().WallTime.Seconds() })
+}
+
+// one is a flag's gauge value.
+func one(b bool) float64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // recordQuery folds one query's outcome into the registry.
@@ -447,28 +471,48 @@ func (f *Federation) Close() {
 	}
 }
 
-// initMeshMetrics mirrors the mesh transport's counters into the registry.
-// All callbacks read atomics only — no lock is shared with the data path or
-// with the writers.
+// initMeshMetrics registers one series per directed link and counter, labelled
+// party and peer. Each callback reads its link from the endpoint's Stats at
+// scrape time and takes no lock the writers hold.
 func (f *Federation) initMeshMetrics() {
-	mesh := f.mesh
-	sum := func(pick func(transport.MeshStats) int64) float64 {
-		var t int64
-		for _, st := range mesh.Stats() {
-			t += pick(st)
-		}
-		return float64(t)
+	families := []struct {
+		name, help string
+		pick       func(transport.MeshPeerStats) int64
+	}{
+		{"fedroad_mesh_reconnects_total", "automatic re-establishments of the link from party to peer",
+			func(st transport.MeshPeerStats) int64 { return st.Reconnects }},
+		{"fedroad_mesh_heartbeat_misses_total", "heartbeat deadline expiries that declared the link dead",
+			func(st transport.MeshPeerStats) int64 { return st.HeartbeatMisses }},
+		{"fedroad_mesh_dial_failures_total", "failed redial attempts of the link",
+			func(st transport.MeshPeerStats) int64 { return st.DialFailures }},
+		{"fedroad_mesh_bytes_sent_total", "bytes party sent to peer over the mesh",
+			func(st transport.MeshPeerStats) int64 { return st.BytesSent }},
+		{"fedroad_mesh_bytes_received_total", "bytes party received from peer over the mesh",
+			func(st transport.MeshPeerStats) int64 { return st.BytesRecv }},
+		{"fedroad_mesh_messages_sent_total", "frames party sent to peer over the mesh",
+			func(st transport.MeshPeerStats) int64 { return st.MsgsSent }},
 	}
-	f.reg.GaugeFunc("fedroad_mesh_links_up", "live physical inter-silo links (all endpoints)", nil,
-		func() float64 { return sum(func(st transport.MeshStats) int64 { return int64(st.LinksUp) }) })
-	f.reg.CounterFunc("fedroad_mesh_reconnects_total", "automatic inter-silo link re-establishments", nil,
-		func() float64 { return sum(func(st transport.MeshStats) int64 { return st.Reconnects }) })
-	f.reg.CounterFunc("fedroad_mesh_heartbeat_misses_total", "heartbeat deadline expiries that declared a link dead", nil,
-		func() float64 { return sum(func(st transport.MeshStats) int64 { return st.HeartbeatMisses }) })
-	f.reg.CounterFunc("fedroad_mesh_bytes_sent_total", "bytes sent over inter-silo mesh links", nil,
-		func() float64 { return sum(func(st transport.MeshStats) int64 { return st.BytesSent }) })
-	f.reg.CounterFunc("fedroad_mesh_messages_sent_total", "frames sent over inter-silo mesh links", nil,
-		func() float64 { return sum(func(st transport.MeshStats) int64 { return st.MsgsSent }) })
+	for party := range f.Silos() {
+		for peer := range f.Silos() {
+			if peer == party {
+				continue
+			}
+			link := func() transport.MeshPeerStats {
+				for _, st := range f.mesh.Mesh(party).Stats().Peers {
+					if st.Peer == peer {
+						return st
+					}
+				}
+				return transport.MeshPeerStats{}
+			}
+			l := metrics.Labels{"party": strconv.Itoa(party), "peer": strconv.Itoa(peer)}
+			f.reg.GaugeFunc("fedroad_mesh_link_up", "1 while the physical link from party to peer is up", l,
+				func() float64 { return one(link().Up) })
+			for _, fam := range families {
+				f.reg.CounterFunc(fam.name, fam.help, l, func() float64 { return float64(fam.pick(link())) })
+			}
+		}
+	}
 }
 
 // MeshStats reports the mesh transport's per-endpoint link and traffic
@@ -633,42 +677,12 @@ func (f *Federation) CustomizeIndex() error {
 	return f.derive(&next, true)
 }
 
-// recordCustomize folds a published customization pass into the registry and
-// the /stats atomics.
+// recordCustomize folds a published customization pass into the registry.
 func (f *Federation) recordCustomize(st ch.BuildStats) {
-	f.customizes.Add(1)
-	f.lastCustMs.Store(st.WallTime.Milliseconds())
-	f.lastCustRounds.Store(st.SAC.Rounds)
-	f.lastCustTicks.Store(int64(st.Rounds))
 	f.bm.customizes.Inc()
 	f.bm.custSeconds.Observe(st.WallTime.Seconds())
 	f.bm.custRounds.Add(float64(st.SAC.Rounds))
 	f.bm.custTicks.Add(float64(st.Rounds))
-}
-
-// CustomizeInfo summarizes the customization pipeline for serving tiers'
-// status endpoints. Reads atomics only — safe to call from metric callbacks.
-type CustomizeInfo struct {
-	// Customizes counts completed customization passes published.
-	Customizes int64
-	// LastWallMs is the wall time of the most recent pass, in milliseconds.
-	LastWallMs int64
-	// LastMPCRounds is the Fed-SAC round count of the most recent pass.
-	LastMPCRounds int64
-	// LastTicks is the scheduler tick count of the most recent pass: one
-	// Fed-SAC instance each, the skeleton's critical path for a full pass.
-	LastTicks int64
-}
-
-// CustomizeInfo reports the customization counters (zero values before the
-// first CustomizeIndex).
-func (f *Federation) CustomizeInfo() CustomizeInfo {
-	return CustomizeInfo{
-		Customizes:    f.customizes.Load(),
-		LastWallMs:    f.lastCustMs.Load(),
-		LastMPCRounds: f.lastCustRounds.Load(),
-		LastTicks:     f.lastCustTicks.Load(),
-	}
 }
 
 // HasIndex reports whether the published version has a shortcut index, i.e.

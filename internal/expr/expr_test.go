@@ -246,9 +246,28 @@ func TestFig1Shape(t *testing.T) {
 func TestFig10Correlation(t *testing.T) {
 	var out bytes.Buffer
 	h := tinyHarness(&out)
-	comp, err := h.comparative()
-	if err != nil {
-		t.Fatal(err)
+	// A query's Time adds its wall clock to the modelled network, so one
+	// wall-clock spike on a loaded host can sink the correlation over 9
+	// queries: each query's Time is its fastest of three runs of the sweep.
+	var comp []comparison
+	for run := range 3 {
+		h.comp = nil
+		c, err := h.comparative()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if run == 0 {
+			comp = c
+			continue
+		}
+		for m, rs := range c[0].rows {
+			for g, r := range rs {
+				for q, qm := range r.perQ {
+					best := &comp[0].rows[m][g].perQ[q]
+					best.Time = min(best.Time, qm.Time)
+				}
+			}
+		}
 	}
 	for _, rs := range comp[0].rows {
 		sacs, times, bytes := perQuery(rs)

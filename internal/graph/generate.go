@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"sort"
+	"strings"
 )
 
 // Road classes mirror the hierarchy of real road networks (local streets,
@@ -422,4 +423,32 @@ func GenerateDataset(name string) (*Graph, Weights, DatasetSpec) {
 		return g, w0, spec
 	}
 	panic(fmt.Sprintf("graph: unknown dataset %q", name))
+}
+
+// LoadNetwork resolves a command's road network from its three sources, in
+// order: a graph file, a named dataset, or a generated road-like network of n
+// junctions. unitWeights reports that the graph file carried no weight
+// section and every travel time was fabricated as 1 (UnitIfMissing): the
+// caller must say so loudly. An unknown dataset is an error that lists the
+// available ones.
+func LoadNetwork(dataset, file string, n int, seed uint64) (g *Graph, w0 Weights, unitWeights bool, err error) {
+	switch {
+	case file != "":
+		if g, w0, err = LoadFile(file); err != nil {
+			return nil, nil, false, err
+		}
+		w0, unitWeights = UnitIfMissing(g, w0)
+	case dataset != "":
+		if _, ok := FindDataset(dataset); !ok {
+			var names []string
+			for _, spec := range Datasets() {
+				names = append(names, spec.Name)
+			}
+			return nil, nil, false, fmt.Errorf("unknown dataset %q (available: %s)", dataset, strings.Join(names, ", "))
+		}
+		g, w0, _ = GenerateDataset(dataset)
+	default:
+		g, w0 = GenerateRoadLike(n, seed)
+	}
+	return g, w0, unitWeights, nil
 }

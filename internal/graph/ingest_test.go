@@ -361,3 +361,105 @@ func assertSameGraph(t *testing.T, g0 *Graph, w0 Weights, g1 *Graph, w1 Weights)
 		}
 	}
 }
+
+// --- LoadNetwork: the commands' one network loader ------------------------
+
+// Regression: an unknown -dataset used to panic deep inside GenerateDataset
+// (its other callers hard-wire names); a user typo must produce a clean error
+// that lists what IS available.
+func TestLoadNetworkUnknownDataset(t *testing.T) {
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("LoadNetwork panicked on unknown dataset: %v", r)
+		}
+	}()
+	_, _, _, err := LoadNetwork("CAL-XXL", "", 100, 1)
+	if err == nil {
+		t.Fatal("unknown dataset accepted")
+	}
+	for _, spec := range append(Datasets(), DatasetSpec{Name: "CAL-XXL"}) {
+		if !strings.Contains(err.Error(), spec.Name) {
+			t.Fatalf("error %q does not name %s: it must name the bad dataset and list the available ones", err, spec.Name)
+		}
+	}
+}
+
+func TestLoadNetworkKnownDataset(t *testing.T) {
+	g, w0, unit, err := LoadNetwork("CAL-S", "", 100, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g == nil || len(w0) != g.NumArcs() || unit {
+		t.Fatalf("CAL-S load: g=%v len(w0)=%d unit=%v", g != nil, len(w0), unit)
+	}
+}
+
+func TestLoadNetworkGenerated(t *testing.T) {
+	g, w0, unit, err := LoadNetwork("", "", 80, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if g.NumVertices() != 80 || len(w0) != g.NumArcs() || unit {
+		t.Fatalf("generated load: n=%d len(w0)=%d unit=%v", g.NumVertices(), len(w0), unit)
+	}
+}
+
+// writeGraphFile saves g (with w, or without a weight section when w is nil)
+// in the binary or the text format and returns the path.
+func writeGraphFile(t *testing.T, g *Graph, w Weights, binary bool) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "g")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if binary {
+		err = WriteBinary(f, g, w)
+	} else {
+		err = WriteTo(f, g, w)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// A weightless binary snapshot gets unit travel times fabricated — and the
+// fabrication must be reported so the commands can warn and fedserver can
+// surface it.
+func TestLoadNetworkWeightlessGraphFile(t *testing.T) {
+	g, _ := GenerateRoadLike(50, 11)
+	lg, w0, unit, err := LoadNetwork("", writeGraphFile(t, g, nil, true), 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !unit {
+		t.Fatal("weightless graph file did not report fabricated unit weights")
+	}
+	if lg.NumArcs() != g.NumArcs() || len(w0) != g.NumArcs() {
+		t.Fatalf("loaded %d arcs with %d weights, want %d", lg.NumArcs(), len(w0), g.NumArcs())
+	}
+	for a, w := range w0 {
+		if w != 1 {
+			t.Fatalf("fabricated weight w0[%d] = %d, want 1", a, w)
+		}
+	}
+}
+
+// A weighted graph file must NOT be flagged.
+func TestLoadNetworkWeightedGraphFile(t *testing.T) {
+	g, w := GenerateRoadLike(50, 13)
+	_, w0, unit, err := LoadNetwork("", writeGraphFile(t, g, w, false), 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if unit {
+		t.Fatal("weighted graph file flagged as unit weights")
+	}
+	if len(w0) != g.NumArcs() {
+		t.Fatalf("loaded %d weights, want %d", len(w0), g.NumArcs())
+	}
+}

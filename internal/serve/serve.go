@@ -101,6 +101,8 @@ func New(fed *fedroad.Federation, maxConcurrent, maxQueue, cacheEntries int) *Pi
 		func() float64 { return float64(p.gate.Stats().Depth) })
 	reg.GaugeFunc("fedserver_max_concurrent", "in-flight query bound", nil,
 		func() float64 { return float64(maxConcurrent) })
+	reg.GaugeFunc("fedserver_admission_limit", "queries allowed in the system before shedding (0 = no shedding)", nil,
+		func() float64 { return float64(p.gate.Stats().Limit) })
 	return p
 }
 

@@ -403,8 +403,8 @@ func TestOracleCustomizeAxis(t *testing.T) {
 	if st := fCust.IndexStats(); !st.Customized {
 		t.Fatal("CustomizeIndex installed a non-customized index")
 	}
-	if fCust.CustomizeInfo().Customizes != 1 {
-		t.Fatalf("CustomizeInfo.Customizes = %d, want 1", fCust.CustomizeInfo().Customizes)
+	if got := fCust.Metrics().Snapshot()["fedroad_index_customizes_total"]; got != 1 {
+		t.Fatalf("fedroad_index_customizes_total = %v, want 1", got)
 	}
 
 	rng := rand.New(rand.NewPCG(93, 0xabcd))
@@ -481,10 +481,11 @@ func TestOracleCustomizeAxis(t *testing.T) {
 		}
 		fFull.Close()
 	}
-	if got := fCust.CustomizeInfo().Customizes; got != versions+1 {
-		t.Fatalf("CustomizeInfo.Customizes = %d, want %d", got, versions+1)
+	m := fCust.Metrics().Snapshot()
+	if got := m["fedroad_index_customizes_total"]; got != versions+1 {
+		t.Fatalf("fedroad_index_customizes_total = %v, want %d", got, versions+1)
 	}
-	if fCust.CustomizeInfo().LastMPCRounds <= 0 {
-		t.Fatal("CustomizeInfo.LastMPCRounds not recorded")
+	if m["fedroad_index_derivation_mpc_rounds"] <= 0 {
+		t.Fatal("fedroad_index_derivation_mpc_rounds reads no rounds for the customized index")
 	}
 }

@@ -73,7 +73,7 @@ func TestProductionSurface(t *testing.T) {
 		// Index derivation. Writers take turns, so no entry point re-runs a
 		// derivation that another writer invalidated.
 		"BuildIndex", "BuildSkeleton", "CustomizeIndex",
-		"HasIndex", "HasSkeleton", "IndexBuilding", "IndexStats", "SkeletonStats", "CustomizeInfo",
+		"HasIndex", "HasSkeleton", "IndexBuilding", "IndexStats", "SkeletonStats",
 		// Topology, resources and observability.
 		"Graph", "Silos", "Close", "Metrics", "MeshStats", "BreakMeshLink",
 	})
