@@ -1,76 +1,115 @@
 package fedroad
 
 import (
-	"fmt"
-
-	"repro/internal/cache"
+	"container/list"
+	"sync"
 )
 
 // CacheOutcome classifies how a cached query call was served: CacheMiss (this
-// call ran the MPC query), CacheHit (served from a stored entry) or
-// CacheCoalesced (shared a concurrent leader's in-flight computation).
-type CacheOutcome = cache.Outcome
+// call ran the MPC query, as the flight leader), CacheHit (served from a
+// stored entry) or CacheCoalesced (shared a concurrent leader's in-flight
+// query without running anything).
+type CacheOutcome int
 
-// Cache outcomes (see internal/cache).
 const (
-	CacheMiss      = cache.Miss
-	CacheHit       = cache.Hit
-	CacheCoalesced = cache.Coalesced
+	CacheMiss CacheOutcome = iota
+	CacheHit
+	CacheCoalesced
 )
 
+// String renders the outcome for responses and logs.
+func (o CacheOutcome) String() string {
+	switch o {
+	case CacheHit:
+		return "hit"
+	case CacheCoalesced:
+		return "coalesced"
+	default:
+		return "miss"
+	}
+}
+
 // CacheStats is a point-in-time aggregate of a QueryCache's counters.
-type CacheStats = cache.Stats
+type CacheStats struct {
+	Hits      uint64
+	Misses    uint64
+	Coalesced uint64
+	// EvictedCapacity counts LRU evictions of entries still at the current
+	// traffic version (genuine capacity pressure); EvictedStale counts
+	// evictions of entries whose version a traffic update had already made
+	// unreachable (bookkeeping, not capacity pressure).
+	EvictedCapacity uint64
+	EvictedStale    uint64
+	Entries         int
+}
 
 // QueryCache is a traffic-version-keyed result cache for SPSP and kNN
-// queries: a sharded LRU with request coalescing, keyed by (kind, endpoints,
-// traffic version). Because the version is part of the key, a traffic update
-// invalidates every older entry for free — they simply become unreachable and
-// age out of the LRU. The coalescing path guarantees a thundering herd on one
-// OD pair runs ONE MPC query.
+// queries: one LRU with per-key request coalescing, keyed by (kind,
+// endpoints, traffic version). Every avoided miss is an MPC query — a whole
+// Fed-SAC round budget — that never runs. Because the version is part of the
+// key, a traffic update invalidates every older entry for free: they become
+// unreachable and age out of the LRU, never served. The coalescing path
+// guarantees a thundering herd on one OD pair runs ONE MPC query; waiters
+// hold no session, no semaphore slot and no admission ticket while they wait.
 //
 // Correctness under races: the lookup version is read before the query, and
 // the version echoed with each result is the one the query loaded — which can
-// only be newer. A served result therefore never
-// reflects weights older than the version the caller observed.
+// only be newer. A served result therefore never reflects weights older than
+// the version the caller observed.
 //
 // A QueryCache is safe for concurrent use. Cached routes are shared between
 // callers and must be treated as immutable.
 type QueryCache struct {
-	f *Federation
-	c *cache.Cache
+	f        *Federation
+	capacity int
+
+	mu      sync.Mutex
+	lru     *list.List               // answered *cacheEntry, most recently used first
+	entries map[cacheKey]*cacheEntry // flights and answers
+	stats   CacheStats               // Entries is filled in by Stats
 }
 
-// NewQueryCache builds a result cache holding at most capacity entries and
-// registers its hit/miss/coalesce/evict counters and entry gauge on the
-// federation's metrics registry (fedroad_cache_*).
-func (f *Federation) NewQueryCache(capacity int) *QueryCache {
-	qc := &QueryCache{f: f, c: cache.New(capacity)}
-	c := qc.c
-	f.reg.CounterFunc("fedroad_cache_hits_total", "queries served from the result cache", nil,
-		func() float64 { return float64(c.Stats().Hits) })
-	f.reg.CounterFunc("fedroad_cache_misses_total", "queries that ran the MPC engine and populated the result cache", nil,
-		func() float64 { return float64(c.Stats().Misses) })
-	f.reg.CounterFunc("fedroad_cache_coalesced_total", "queries that shared a concurrent identical query's in-flight result", nil,
-		func() float64 { return float64(c.Stats().Coalesced) })
-	f.reg.CounterFunc("fedroad_cache_evicted_total", "result-cache entries evicted under capacity pressure while still current", nil,
-		func() float64 { return float64(c.Stats().EvictedCapacity) })
-	f.reg.CounterFunc("fedroad_cache_evicted_stale_total", "result-cache entries evicted after a traffic update had already made them unreachable", nil,
-		func() float64 { return float64(c.Stats().EvictedStale) })
-	f.reg.GaugeFunc("fedroad_cache_entries", "entries currently stored in the result cache", nil,
-		func() float64 { return float64(c.Len()) })
-	return qc
+// cacheKey names one query at one traffic version; arg is the target of an
+// SPSP query or the k of a kNN query.
+type cacheKey struct {
+	knn bool
+	src Vertex
+	arg int
+	ver uint64
 }
 
-// cachedRoute is the immutable stored value for one SPSP entry.
-type cachedRoute struct {
-	route Route
-	stats Stats
-}
-
-// cachedKNN is the immutable stored value for one kNN entry.
-type cachedKNN struct {
+// cacheEntry is one query's flight and then its stored answer: an SPSP route
+// is a one-element slice, and ver is the traffic version the answer was
+// computed at. Waiters of the flight block on done.
+type cacheEntry struct {
+	key    cacheKey
+	done   chan struct{}
+	el     *list.Element // nil while the query runs
 	routes []Route
 	stats  Stats
+	ver    uint64
+	err    error
+}
+
+// NewQueryCache builds a result cache holding at most capacity entries (at
+// least one) and registers its hit/miss/coalesce/evict counters and entry
+// gauge on the federation's metrics registry (fedroad_cache_*).
+func (f *Federation) NewQueryCache(capacity int) *QueryCache {
+	qc := &QueryCache{f: f, capacity: max(capacity, 1), lru: list.New(),
+		entries: make(map[cacheKey]*cacheEntry)}
+	f.reg.CounterFunc("fedroad_cache_hits_total", "queries served from the result cache", nil,
+		func() float64 { return float64(qc.Stats().Hits) })
+	f.reg.CounterFunc("fedroad_cache_misses_total", "queries that ran the MPC engine and populated the result cache", nil,
+		func() float64 { return float64(qc.Stats().Misses) })
+	f.reg.CounterFunc("fedroad_cache_coalesced_total", "queries that shared a concurrent identical query's in-flight result", nil,
+		func() float64 { return float64(qc.Stats().Coalesced) })
+	f.reg.CounterFunc("fedroad_cache_evicted_total", "result-cache entries evicted under capacity pressure while still current", nil,
+		func() float64 { return float64(qc.Stats().EvictedCapacity) })
+	f.reg.CounterFunc("fedroad_cache_evicted_stale_total", "result-cache entries evicted after a traffic update had already made them unreachable", nil,
+		func() float64 { return float64(qc.Stats().EvictedStale) })
+	f.reg.GaugeFunc("fedroad_cache_entries", "entries currently stored in the result cache", nil,
+		func() float64 { return float64(qc.Stats().Entries) })
+	return qc
 }
 
 // ShortestPath serves an SPSP query through the cache. On a miss it calls run
@@ -83,41 +122,74 @@ type cachedKNN struct {
 // because benchmark/workload.go passes it.
 func (qc *QueryCache) ShortestPath(src, dst Vertex, _ QueryOptions,
 	run func() (Route, Stats, uint64, error)) (Route, Stats, uint64, CacheOutcome, error) {
-	cur := qc.f.TrafficVersion()
-	key := fmt.Sprintf("spsp|%d|%d|%d", src, dst, cur)
-	v, ver, out, err := qc.c.Do(key, cur, func() (any, uint64, error) {
-		route, stats, ver, err := run()
-		if err != nil {
-			return nil, 0, err
-		}
-		return cachedRoute{route: route, stats: stats}, ver, nil
+	routes, st, ver, out, err := qc.do(cacheKey{src: src, arg: int(dst)}, func() ([]Route, Stats, uint64, error) {
+		r, st, ver, err := run()
+		return []Route{r}, st, ver, err
 	})
 	if err != nil {
 		return Route{}, Stats{}, 0, out, err
 	}
-	cr := v.(cachedRoute)
-	return cr.route, cr.stats, ver, out, nil
+	return routes[0], st, ver, out, nil
 }
 
 // NearestNeighbors serves a kNN query through the cache; see ShortestPath for
 // the contract. run is Session.NearestNeighborsAt (or equivalent).
 func (qc *QueryCache) NearestNeighbors(src Vertex, k int,
 	run func() ([]Route, Stats, uint64, error)) ([]Route, Stats, uint64, CacheOutcome, error) {
-	cur := qc.f.TrafficVersion()
-	key := fmt.Sprintf("knn|%d|%d|%d", src, k, cur)
-	v, ver, out, err := qc.c.Do(key, cur, func() (any, uint64, error) {
-		routes, stats, ver, err := run()
-		if err != nil {
-			return nil, 0, err
+	return qc.do(cacheKey{knn: true, src: src, arg: k}, run)
+}
+
+// do serves key at the federation's current traffic version, running run
+// once across concurrent callers when no entry is stored. Errors are never
+// cached; every waiter of a failed flight receives the leader's error.
+func (qc *QueryCache) do(key cacheKey, run func() ([]Route, Stats, uint64, error)) ([]Route, Stats, uint64, CacheOutcome, error) {
+	key.ver = qc.f.TrafficVersion()
+	qc.mu.Lock()
+	if e, ok := qc.entries[key]; ok {
+		if e.el != nil {
+			qc.lru.MoveToFront(e.el)
+			qc.stats.Hits++
+			qc.mu.Unlock()
+			return e.routes, e.stats, e.ver, CacheHit, nil
 		}
-		return cachedKNN{routes: routes, stats: stats}, ver, nil
-	})
-	if err != nil {
-		return nil, Stats{}, 0, out, err
+		qc.stats.Coalesced++
+		qc.mu.Unlock()
+		<-e.done
+		return e.routes, e.stats, e.ver, CacheCoalesced, e.err
 	}
-	ck := v.(cachedKNN)
-	return ck.routes, ck.stats, ver, out, nil
+	e := &cacheEntry{key: key, done: make(chan struct{})}
+	qc.entries[key] = e
+	qc.stats.Misses++
+	qc.mu.Unlock()
+
+	e.routes, e.stats, e.ver, e.err = run()
+
+	qc.mu.Lock()
+	if e.err != nil {
+		delete(qc.entries, key)
+		e.routes, e.stats, e.ver = nil, Stats{}, 0 // a failed flight serves no result
+	} else {
+		e.el = qc.lru.PushFront(e)
+		for qc.lru.Len() > qc.capacity {
+			victim := qc.lru.Remove(qc.lru.Back()).(*cacheEntry)
+			delete(qc.entries, victim.key)
+			if victim.ver < key.ver {
+				qc.stats.EvictedStale++
+			} else {
+				qc.stats.EvictedCapacity++
+			}
+		}
+	}
+	qc.mu.Unlock()
+	close(e.done)
+	return e.routes, e.stats, e.ver, CacheMiss, e.err
 }
 
 // Stats aggregates the cache's counters.
-func (qc *QueryCache) Stats() CacheStats { return qc.c.Stats() }
+func (qc *QueryCache) Stats() CacheStats {
+	qc.mu.Lock()
+	defer qc.mu.Unlock()
+	st := qc.stats
+	st.Entries = qc.lru.Len()
+	return st
+}

@@ -24,10 +24,11 @@
 //
 // -graph loads an imported network (cmd/import-dimacs output, binary or
 // text): with large it is the measured subject; with any other experiment it
-// joins the dataset list. The large experiment is the opt-in scale tier for
-// ≥10^6-vertex graphs — snapshot load time and peak heap vs CSR size,
-// landmark precompute at workers={1,N}, plaintext query throughput — and
-// writes BENCH_large.json.
+// joins the dataset list. A file without a weight section runs on unit
+// travel times (1 ms per segment) under a WARNING on stderr. The large
+// experiment is the opt-in scale tier for ≥10^6-vertex graphs — snapshot
+// load time and peak heap vs CSR size, landmark precompute at
+// workers={1,N}, plaintext query throughput — and writes BENCH_large.json.
 //
 // The build experiment measures index derivation (witness build vs weight
 // customization, one row each per dataset) and writes BENCH_build.json, or
@@ -41,6 +42,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -72,7 +74,15 @@ var (
 	workers   = flag.Int("workers", 0, "with large: parallel precompute workers (0 = GOMAXPROCS)")
 
 	lvl traffic.Level // -level, parsed
+
+	stderr io.Writer = os.Stderr // where warnings go
 )
+
+// warnUnitWeights says that -graph has no weight section, as cmd/fedroad
+// does.
+func warnUnitWeights() {
+	fmt.Fprintf(stderr, "WARNING: graph file %q has no weight section — using UNIT travel times (1ms per segment); every ETA is fabricated.\n", *graphFile)
+}
 
 // experiment is one fedbench command: it runs its experiment on the harness
 // and prints it. large loads -graph itself and gets no harness.
@@ -147,6 +157,9 @@ func large(*expr.Harness) error {
 	if err != nil {
 		return err
 	}
+	if rep.UnitWeights {
+		warnUnitWeights()
+	}
 	rep.Print(os.Stdout)
 	return report("BENCH_large.json", rep)
 }
@@ -174,11 +187,13 @@ func harness() (*expr.Harness, error) {
 	dsList := strings.Split(*datasets, ",")
 	var external *expr.ExternalDataset
 	if *graphFile != "" {
-		g, w0, err := graph.LoadFile(*graphFile)
+		g, w0, unitWeights, err := graph.LoadNetwork("", *graphFile, 0, 0)
 		if err != nil {
 			return nil, err
 		}
-		w0, _ = graph.UnitIfMissing(g, w0)
+		if unitWeights {
+			warnUnitWeights()
+		}
 		name := filepath.Base(*graphFile)
 		external = &expr.ExternalDataset{Name: name, G: g, W0: w0}
 		dsList = append(dsList, name)

@@ -1,7 +1,6 @@
 package ch
 
 import (
-	"container/heap"
 	"maps"
 	"slices"
 	"time"
@@ -144,12 +143,14 @@ func (x *Index) updateWitness(sac *fed.SAC, dirty []int32) (UpdateStats, error) 
 	p, nb := x.f.P(), int32(x.numBase)
 
 	witOwners := x.witnessOwnerIndex()
-	queue := &vertexRankHeap{x: x}
+	// queue orders the re-verifications by contraction rank, ascending, so
+	// that they cascade strictly upward.
+	var queue graph.MinHeap
 	enqueued := make(map[graph.Vertex]bool)
 	push := func(v graph.Vertex) {
 		if !enqueued[v] {
 			enqueued[v] = true
-			heap.Push(queue, v)
+			queue.Push(v, int64(x.rank[v]))
 		}
 	}
 	// affected holds every arc whose partials changed; each is seeded for
@@ -200,14 +201,10 @@ func (x *Index) updateWitness(sac *fed.SAC, dirty []int32) (UpdateStats, error) 
 		propagate(a)
 	}
 
-	// Step 3 — re-verification, cascading upward in rank order.
-	done := make(map[graph.Vertex]bool)
+	// Step 3 — re-verification, cascading upward in rank order; push queues
+	// each vertex at most once.
 	for queue.Len() > 0 {
-		v := heap.Pop(queue).(graph.Vertex)
-		if done[v] {
-			continue
-		}
-		done[v] = true
+		v, _ := queue.Pop()
 		stats.ReverifiedVertices++
 		// Snapshot the weights of v's shortcuts so only genuinely changed
 		// arcs feed the cascade (re-seeding unchanged shortcuts would
@@ -256,24 +253,4 @@ func (x *Index) witnessOwnerIndex() map[int32][]graph.Vertex {
 		}
 	}
 	return idx
-}
-
-// vertexRankHeap orders vertices by contraction rank (ascending) so that
-// re-verification cascades strictly upward.
-type vertexRankHeap struct {
-	x  *Index
-	vs []graph.Vertex
-}
-
-func (h *vertexRankHeap) Len() int { return len(h.vs) }
-func (h *vertexRankHeap) Less(i, j int) bool {
-	return h.x.rank[h.vs[i]] < h.x.rank[h.vs[j]]
-}
-func (h *vertexRankHeap) Swap(i, j int)      { h.vs[i], h.vs[j] = h.vs[j], h.vs[i] }
-func (h *vertexRankHeap) Push(v interface{}) { h.vs = append(h.vs, v.(graph.Vertex)) }
-func (h *vertexRankHeap) Pop() interface{} {
-	n := len(h.vs)
-	v := h.vs[n-1]
-	h.vs = h.vs[:n-1]
-	return v
 }

@@ -48,6 +48,9 @@ type LargeReport struct {
 	CSRBytes      int64   `json:"csr_bytes"`
 	LoadPeakBytes int64   `json:"load_peak_bytes"`
 	LoadPeakRatio float64 `json:"load_peak_ratio"`
+	// UnitWeights: the file has no weight section, so every arc weighs 1
+	// and every time below is over fabricated weights.
+	UnitWeights bool `json:"unit_weights"`
 
 	// Landmark precompute: sequential vs parallel over the same landmark
 	// set and silo weights.
@@ -117,7 +120,7 @@ func RunLargeBench(cfg LargeBenchConfig) (*LargeReport, error) {
 	rep.LoadPeakBytes = int64(tracker.Stop())
 	// A weightless snapshot falls back to unit weights after the peak sample:
 	// they are not part of the load.
-	w, _ = graph.UnitIfMissing(g, w)
+	w, rep.UnitWeights = graph.UnitIfMissing(g, w)
 	rep.Vertices, rep.Arcs = g.NumVertices(), g.NumArcs()
 	rep.CSRBytes = g.MemoryFootprint() + int64(8*len(w))
 	if rep.CSRBytes > 0 {

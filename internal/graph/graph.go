@@ -12,7 +12,6 @@ package graph
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Vertex identifies a road junction. Vertices are dense integers in [0, n).
@@ -114,9 +113,9 @@ func (g *Graph) FindArc(u, v Vertex) Arc {
 
 // Builder accumulates arcs and produces an immutable Graph.
 //
-// Arc IDs assigned by Build follow the CSR layout (sorted by tail, stable
-// within a tail), not insertion order; callers must assign weights after
-// Build, via the returned graph's arc IDs.
+// Arc IDs assigned by Build follow the CSR layout (grouped by tail, in
+// insertion order within a tail), not insertion order; callers must assign
+// weights after Build, via the returned graph's arc IDs.
 type Builder struct {
 	n     int
 	tails []Vertex
@@ -156,54 +155,37 @@ func (b *Builder) AddEdge(u, v Vertex) {
 // NumArcs reports the number of arcs added so far.
 func (b *Builder) NumArcs() int { return len(b.tails) }
 
-// Build produces the immutable graph. The builder may be reused afterwards,
-// but arcs already added remain.
+// Build produces the immutable graph by a CSRBuilder pass over the arcs in
+// insertion order. The builder may be reused afterwards, but arcs already
+// added remain.
 func (b *Builder) Build() *Graph {
-	m := len(b.tails)
-	order := make([]int, m)
-	for i := range order {
-		order[i] = i
+	csr := NewCSRBuilder(b.n)
+	for _, u := range b.tails {
+		csr.Count(u)
 	}
-	sort.SliceStable(order, func(i, j int) bool { return b.tails[order[i]] < b.tails[order[j]] })
-
-	g := &Graph{
-		numV: b.n,
-		off:  make([]int32, b.n+1),
-		dst:  make([]Vertex, m),
-		tail: make([]Vertex, m),
-		x:    b.x,
-		y:    b.y,
+	csr.FinishCount()
+	for i, u := range b.tails {
+		csr.Place(u, b.heads[i], 0)
 	}
-	for _, idx := range order {
-		g.off[b.tails[idx]+1]++
+	csr.x, csr.y = b.x, b.y
+	g, _, err := csr.Finish()
+	if err != nil {
+		panic(err) // unreachable: every counted arc was placed
 	}
-	for v := 0; v < b.n; v++ {
-		g.off[v+1] += g.off[v]
-	}
-	pos := make([]int32, b.n)
-	copy(pos, g.off[:b.n])
-	for _, idx := range order {
-		t := b.tails[idx]
-		slot := pos[t]
-		pos[t]++
-		g.dst[slot] = b.heads[idx]
-		g.tail[slot] = t
-	}
-	g.buildReverse()
 	return g
 }
 
 // CSRBuilder assembles a Graph directly in its final CSR layout with two
 // passes — count out-degrees, then place arcs — so peak memory during bulk
-// construction is the finished arrays themselves plus one cursor slice.
-// Builder stays the convenient API for small or incremental topologies;
-// CSRBuilder is the ingestion path (DIMACS import, binary snapshots) where
-// Builder's staging copies and sort would triple the footprint.
+// construction is the finished arrays themselves plus one cursor slice. It
+// is the one assembly path: Builder.Build runs it over its staged arcs, and
+// the ingestion paths (DIMACS import, binary and text snapshots) run it over
+// their input without staging a copy.
 //
 // Usage: NewCSRBuilder(n) → Count(u) once per arc → FinishCount() →
 // Place(u, v, w) once per arc → Finish(). Arcs with the same tail receive
-// IDs in Place order, matching Builder's stable-within-tail rule, so a
-// Count/Place sequence in file order reproduces Builder.Build exactly.
+// IDs in Place order, so a Count/Place sequence in file order yields the
+// same graph as Builder.Build over the arcs added in that order.
 type CSRBuilder struct {
 	n       int
 	off     []int32
