@@ -27,8 +27,8 @@
 // joins the dataset list. A file without a weight section runs on unit
 // travel times (1 ms per segment) under a WARNING on stderr. The large
 // experiment is the opt-in scale tier for ≥10^6-vertex graphs — snapshot
-// load time and peak heap vs CSR size, landmark precompute at
-// workers={1,N}, plaintext query throughput — and writes BENCH_large.json.
+// load time and peak heap vs CSR size, plaintext query throughput — and
+// writes BENCH_large.json.
 //
 // The build experiment measures index derivation (witness build vs weight
 // customization, one row each per dataset) and writes BENCH_build.json, or
@@ -71,7 +71,6 @@ var (
 	jsonOut   = flag.String("json", "", "report path for build (default BENCH_build.json) and large (default BENCH_large.json)")
 	profile   = flag.String("profile", "", "write CPU and heap profiles to <prefix>.cpu.pprof / <prefix>.heap.pprof")
 	graphFile = flag.String("graph", "", "bench an imported graph file (binary snapshot or text) alongside/instead of the synthetic datasets")
-	workers   = flag.Int("workers", 0, "with large: parallel precompute workers (0 = GOMAXPROCS)")
 
 	lvl traffic.Level // -level, parsed
 
@@ -146,13 +145,11 @@ func build(h *expr.Harness) error {
 // large runs the scale tier on -graph, which it loads and times itself.
 func large(*expr.Harness) error {
 	rep, err := expr.RunLargeBench(expr.LargeBenchConfig{
-		Path:      *graphFile,
-		Silos:     *silos,
-		Landmarks: *landmarks,
-		Queries:   *queries,
-		Workers:   *workers,
-		Seed:      *seed,
-		Level:     lvl,
+		Path:    *graphFile,
+		Silos:   *silos,
+		Queries: *queries,
+		Seed:    *seed,
+		Level:   lvl,
 	})
 	if err != nil {
 		return err

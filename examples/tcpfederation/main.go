@@ -66,7 +66,7 @@ func main() {
 				log.Fatalf("silo %d: %v", p, err)
 			}
 			// One comparison is a batch of one, on lane 0 of the silo's block.
-			results[p], err = mpc.RunCompareBatchParty(meshes[p].OpenLane(),
+			results[p], err = mpc.RunCompareBatchParty(meshes[p].Lane(transport.FirstSessionLane),
 				[]int64{costA[p] - costB[p]}, []*mpc.TupleBlock{&blocks[p]})
 			if err != nil {
 				log.Fatalf("silo %d: %v", p, err)

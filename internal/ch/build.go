@@ -439,70 +439,9 @@ func (x *Index) minArcGroups(arcs []int32, incoming bool, v graph.Vertex, el eli
 	return groups
 }
 
-// earliestMinGroups reduces every slate of joint values to the index of its
-// earliest minimum. Matches are level-synchronized tournaments: every pair
-// of every slate at one level resolves through a single LessBatch instance,
-// and a later entry wins its match only when strictly smaller. Under that rule
-// the bracket winner equals the left-to-right fold minimum regardless of
-// bracket shape — the identity both the min-arc reduction and the
-// lane-synchronous witness search rely on for build determinism.
-func earliestMinGroups(sac *fed.SAC, slates [][]fed.Partial) []int {
-	idx := make([][]int, len(slates))
-	for si, slate := range slates {
-		idx[si] = make([]int, len(slate))
-		for i := range slate {
-			idx[si][i] = i
-		}
-	}
-	for {
-		var pairs [][2]fed.Partial
-		type matchRef struct{ si, pi int }
-		var refs []matchRef
-		for si := range idx {
-			for pi := 0; pi+1 < len(idx[si]); pi += 2 {
-				pairs = append(pairs, [2]fed.Partial{slates[si][idx[si][pi+1]], slates[si][idx[si][pi]]})
-				refs = append(refs, matchRef{si, pi})
-			}
-		}
-		if len(pairs) == 0 {
-			break
-		}
-		res := sac.LessBatch(pairs)
-		next := make([][]int, len(idx))
-		for si := range idx {
-			if len(idx[si]) > 1 {
-				next[si] = make([]int, 0, (len(idx[si])+1)/2)
-			}
-		}
-		for mi, r := range refs {
-			win := idx[r.si][r.pi]
-			if res[mi] {
-				win = idx[r.si][r.pi+1]
-			}
-			next[r.si] = append(next[r.si], win)
-		}
-		for si := range idx {
-			if next[si] == nil {
-				continue
-			}
-			if len(idx[si])%2 == 1 {
-				next[si] = append(next[si], idx[si][len(idx[si])-1])
-			}
-			idx[si] = next[si]
-		}
-	}
-	out := make([]int, len(slates))
-	for si := range idx {
-		if len(idx[si]) > 0 {
-			out[si] = idx[si][0]
-		}
-	}
-	return out
-}
-
 // reduceMinArcs reduces every group to its joint-minimum arc (swapped into
-// arcs[0]) via earliestMinGroups — the per-level matches of all groups run
-// in one batched Fed-SAC instance per level.
+// arcs[0]) via fed.EarliestMin — the per-level matches of all groups run in
+// one batched Fed-SAC instance per level.
 func (x *Index) reduceMinArcs(sac *fed.SAC, groups []neighborGroup) {
 	slates := make([][]fed.Partial, len(groups))
 	for gi, g := range groups {
@@ -512,7 +451,7 @@ func (x *Index) reduceMinArcs(sac *fed.SAC, groups []neighborGroup) {
 		}
 		slates[gi] = slate
 	}
-	for gi, win := range earliestMinGroups(sac, slates) {
+	for gi, win := range fed.EarliestMin(sac.LessBatch, slates) {
 		groups[gi].arcs[0] = groups[gi].arcs[win]
 	}
 }
@@ -560,7 +499,7 @@ type witSearch struct {
 // search expands its whole frontier (in vertex order, spending its
 // witnessCap expansion budget deterministically), and the label tournaments
 // of ALL touched (search, vertex) slots — the existing label plus every new
-// relaxation, in arrival order — resolve together through earliestMinGroups.
+// relaxation, in arrival order — resolve together through fed.EarliestMin.
 // Each tournament level is therefore one wide Fed-SAC batch for the entire
 // neighborhood, where the old per-source Dijkstra paid a comparison round
 // per heap operation.
@@ -642,7 +581,7 @@ func (x *Index) witnessSearchAll(sac *fed.SAC, srcs []graph.Vertex, v graph.Vert
 			}
 			slates[ki] = slate
 		}
-		winners := earliestMinGroups(sac, slates)
+		winners := fed.EarliestMin(sac.LessBatch, slates)
 		for ki, key := range keys {
 			s := searches[key.si]
 			win := winners[ki]

@@ -30,7 +30,7 @@ func (x *Index) groupWinners(sac *fed.SAC, rw *groupRows, duel []int32) []int32 
 		}
 	}
 	out := make([]int32, len(duel))
-	for i, w := range earliestMinGroups(sac, slates) {
+	for i, w := range fed.EarliestMin(sac.LessBatch, slates) {
 		out[i] = rw.group(duel[i])[w]
 	}
 	return out

@@ -42,7 +42,7 @@ func newFixture(t *testing.T, kind string, seed uint64, mode mpc.Mode) *fixture 
 		t.Fatal(err)
 	}
 	fx := &fixture{f: f, joint: f.JointWeights()}
-	fx.lm = lb.PrecomputeLandmarks(f, lb.SelectLandmarks(g, w0, 8, 3), 0)
+	fx.lm = lb.PrecomputeLandmarks(f, lb.SelectLandmarks(g, w0, 8, 3))
 	fx.idx, err = ch.Build(f)
 	if err != nil {
 		t.Fatal(err)

@@ -25,7 +25,7 @@ func TestLandmarkPrecomputeMatchesFederatedSSSP(t *testing.T) {
 		t.Fatal(err)
 	}
 	landmarks := lb.SelectLandmarks(g, w0, 3, 2)
-	lm := lb.PrecomputeLandmarks(f, landmarks, 0)
+	lm := lb.PrecomputeLandmarks(f, landmarks)
 
 	e, err := NewEngine(f, Options{})
 	if err != nil {
@@ -103,7 +103,7 @@ func TestDirectedRandomGraphs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lm := lb.PrecomputeLandmarks(f, lb.SelectLandmarks(g, base, 4, seed), 0)
+		lm := lb.PrecomputeLandmarks(f, lb.SelectLandmarks(g, base, 4, seed))
 		joint := f.JointWeights()
 		rng := rand.New(rand.NewPCG(seed, 3))
 		for _, opt := range []Options{

@@ -177,11 +177,9 @@ func (e *Engine) SPSP(s, t graph.Vertex) (PathResult, QueryStats, error) {
 
 	var mu fed.Partial
 	var meet meeting
-	// foldMu folds crossing candidates into μ: an earliest-wins tournament (a
-	// later entry beats an earlier one only when strictly smaller) picks the
-	// same winner as a sequential left-to-right fold with as many
-	// comparisons, but the matches of one level are independent and go to c
-	// as one batch.
+	// foldMu folds crossing candidates into μ through fed.EarliestMin on one
+	// slate: the same winner as a sequential left-to-right fold with as many
+	// comparisons, but the matches of one level go to c as one batch.
 	foldMu := func(c comparator, cands []fed.Partial, meets []meeting) {
 		if mu != nil {
 			cands = append([]fed.Partial{mu}, cands...)
@@ -190,29 +188,8 @@ func (e *Engine) SPSP(s, t graph.Vertex) (PathResult, QueryStats, error) {
 		if len(cands) == 0 {
 			return
 		}
-		idx := make([]int, len(cands))
-		for i := range idx {
-			idx[i] = i
-		}
-		for len(idx) > 1 {
-			pairs := make([][2]fed.Partial, 0, len(idx)/2)
-			for pi := 0; pi+1 < len(idx); pi += 2 {
-				pairs = append(pairs, [2]fed.Partial{cands[idx[pi+1]], cands[idx[pi]]})
-			}
-			next := make([]int, 0, (len(idx)+1)/2)
-			for mi, later := range c.LessBatch(pairs) {
-				win := idx[2*mi]
-				if later {
-					win = idx[2*mi+1]
-				}
-				next = append(next, win)
-			}
-			if len(idx)%2 == 1 {
-				next = append(next, idx[len(idx)-1])
-			}
-			idx = next
-		}
-		mu, meet = cands[idx[0]], meets[idx[0]]
+		win := fed.EarliestMin(c.LessBatch, [][]fed.Partial{cands})[0]
+		mu, meet = cands[win], meets[win]
 	}
 
 	// relax extends sd's freshly settled champion: the tentative paths to

@@ -16,7 +16,6 @@ package expr
 import (
 	"fmt"
 	"io"
-	"math"
 	"math/rand/v2"
 	"os"
 	"time"
@@ -128,19 +127,14 @@ func (h *Harness) generate(name string) (*graph.Graph, graph.Weights, graph.Data
 		}
 		return ext.G, ext.W0, spec
 	}
-	spec := specFor(name)
+	spec, ok := graph.FindDataset(name)
+	if !ok {
+		panic(fmt.Sprintf("expr: unknown dataset %q", name))
+	}
 	if h.cfg.MaxVertices > 0 && spec.Vertices > h.cfg.MaxVertices {
 		spec.Vertices = h.cfg.MaxVertices
 	}
-	var g *graph.Graph
-	var w0 graph.Weights
-	switch spec.Generator {
-	case "grid":
-		side := int(math.Round(math.Sqrt(float64(spec.Vertices))))
-		g, w0 = graph.GenerateGrid(side, side, spec.Seed)
-	default:
-		g, w0 = graph.GenerateRoadLike(spec.Vertices, spec.Seed)
-	}
+	g, w0 := graph.GenerateSpec(spec)
 	return g, w0, spec
 }
 
@@ -153,15 +147,6 @@ func (h *Harness) beijing() string {
 		}
 	}
 	return h.cfg.Datasets[0]
-}
-
-func specFor(name string) graph.DatasetSpec {
-	for _, s := range graph.Datasets() {
-		if s.Name == name {
-			return s
-		}
-	}
-	panic(fmt.Sprintf("expr: unknown dataset %q", name))
 }
 
 // Env returns (building on first use) the environment for a dataset at the
@@ -209,7 +194,7 @@ func (h *Harness) buildEnv(name string, silos int) (*Env, error) {
 	if k > g.NumVertices()/2 {
 		k = g.NumVertices() / 2
 	}
-	env.LM = lb.PrecomputeLandmarks(f, lb.SelectLandmarks(g, w0, k, h.cfg.Seed), 0)
+	env.LM = lb.PrecomputeLandmarks(f, lb.SelectLandmarks(g, w0, k, h.cfg.Seed))
 	return env, nil
 }
 

@@ -68,7 +68,7 @@ func (h *Harness) RunFig11(numQueries int) (*Fig11Result, error) {
 
 		lms := make(map[int]*lb.Landmarks)
 		for _, size := range sizes {
-			lms[size] = lb.PrecomputeLandmarks(f, lb.SelectLandmarks(g, w0, size, h.cfg.Seed), 0)
+			lms[size] = lb.PrecomputeLandmarks(f, lb.SelectLandmarks(g, w0, size, h.cfg.Seed))
 		}
 
 		rng := rand.New(rand.NewPCG(h.cfg.Seed+103, 7))

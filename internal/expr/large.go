@@ -4,34 +4,29 @@ import (
 	"fmt"
 	"io"
 	"math/rand/v2"
-	"os"
 	"runtime"
 	"text/tabwriter"
 	"time"
 
 	"repro/internal/graph"
-	"repro/internal/lb"
 	"repro/internal/peakmem"
 	"repro/internal/traffic"
 )
 
 // The large-graph bench tier characterizes the ingestion-and-scale layer on
 // continent-sized networks (≥10^6 vertices): snapshot load time and peak
-// memory against the resident CSR size, landmark precompute at workers=1
-// versus parallel, and plaintext point-to-point query throughput. It is
-// deliberately federation-free — MPC index construction at this scale is a
-// different (open) work item — so the numbers isolate the load path.
+// memory against the resident CSR size, and plaintext point-to-point query
+// throughput. It is deliberately federation-free — MPC index construction
+// and Fed-AMPS routes at this scale are a different (open) work item — so
+// the numbers isolate the load path.
 
 // LargeBenchConfig configures RunLargeBench. Zero values select defaults.
 type LargeBenchConfig struct {
-	Path      string        // graph file (binary snapshot or text format); required
-	Silos     int           // default 3
-	Landmarks int           // default 8
-	Queries   int           // default 10
-	Workers   int           // parallel precompute workers; default GOMAXPROCS
-	Seed      uint64        // default 1
-	Level     traffic.Level // default Moderate
-	Out       io.Writer     // default os.Stdout
+	Path    string        // graph file (binary snapshot or text format); required
+	Silos   int           // default 3
+	Queries int           // default 10
+	Seed    uint64        // default 1
+	Level   traffic.Level // default Moderate
 }
 
 // LargeReport is the BENCH_large.json document, one per graph.
@@ -52,17 +47,8 @@ type LargeReport struct {
 	// and every time below is over fabricated weights.
 	UnitWeights bool `json:"unit_weights"`
 
-	// Landmark precompute: sequential vs parallel over the same landmark
-	// set and silo weights.
-	Landmarks         int     `json:"landmarks"`
-	Silos             int     `json:"silos"`
-	SelectMs          float64 `json:"select_ms"`
-	PrecomputeW1Ms    float64 `json:"precompute_w1_ms"`
-	PrecomputeWnMs    float64 `json:"precompute_wn_ms"`
-	PrecomputeWorkers int     `json:"precompute_workers"`
-	ParallelSpeedup   float64 `json:"parallel_speedup"`
-
-	// Plaintext query throughput on the joint weights.
+	// Plaintext query throughput on the joint weights of Silos silos.
+	Silos         int     `json:"silos"`
 	Queries       int     `json:"queries"`
 	QueryMeanMs   float64 `json:"query_mean_ms"`
 	QueriesPerSec float64 `json:"queries_per_sec"`
@@ -72,23 +58,14 @@ func (c LargeBenchConfig) withDefaults() LargeBenchConfig {
 	if c.Silos == 0 {
 		c.Silos = 3
 	}
-	if c.Landmarks == 0 {
-		c.Landmarks = 8
-	}
 	if c.Queries == 0 {
 		c.Queries = 10
-	}
-	if c.Workers <= 0 {
-		c.Workers = runtime.GOMAXPROCS(0)
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
 	if c.Level.Name == "" {
 		c.Level = traffic.Moderate
-	}
-	if c.Out == nil {
-		c.Out = os.Stdout
 	}
 	return c
 }
@@ -102,7 +79,6 @@ func RunLargeBench(cfg LargeBenchConfig) (*LargeReport, error) {
 	rep := &LargeReport{
 		Experiment: "large",
 		Graph:      cfg.Path,
-		Landmarks:  cfg.Landmarks,
 		Silos:      cfg.Silos,
 		Queries:    cfg.Queries,
 	}
@@ -127,34 +103,8 @@ func RunLargeBench(cfg LargeBenchConfig) (*LargeReport, error) {
 		rep.LoadPeakRatio = float64(rep.LoadPeakBytes) / float64(rep.CSRBytes)
 	}
 
-	k := cfg.Landmarks
-	if k > g.NumVertices()/2 {
-		k = g.NumVertices() / 2
-		if k < 1 {
-			k = 1
-		}
-		rep.Landmarks = k
-	}
-	start = time.Now()
-	landmarks := lb.SelectLandmarks(g, w, k, cfg.Seed)
-	rep.SelectMs = float64(time.Since(start).Microseconds()) / 1000
-
-	sets := traffic.SiloWeights(w, cfg.Silos, cfg.Level, cfg.Seed)
-	start = time.Now()
-	lb.Precompute(g, w, sets, landmarks, 1)
-	rep.PrecomputeW1Ms = float64(time.Since(start).Microseconds()) / 1000
-	runtime.GC() // drop the sequential result before the parallel run
-	rep.PrecomputeWorkers = cfg.Workers
-	start = time.Now()
-	lb.Precompute(g, w, sets, landmarks, cfg.Workers)
-	rep.PrecomputeWnMs = float64(time.Since(start).Microseconds()) / 1000
-	if rep.PrecomputeWnMs > 0 {
-		rep.ParallelSpeedup = rep.PrecomputeW1Ms / rep.PrecomputeWnMs
-	}
-	runtime.GC()
-
 	// Plaintext point-to-point queries on the joint weights.
-	joint := graph.JointWeights(sets)
+	joint := graph.JointWeights(traffic.SiloWeights(w, cfg.Silos, cfg.Level, cfg.Seed))
 	rng := rand.New(rand.NewPCG(cfg.Seed*31, cfg.Seed^0xa076_1d64_78bd_642f))
 	n := g.NumVertices()
 	var total time.Duration
@@ -183,10 +133,6 @@ func (r *LargeReport) Print(out io.Writer) {
 	fmt.Fprintf(tw, "load\t%s\n", fmtDuration(time.Duration(r.LoadMs*float64(time.Millisecond))))
 	fmt.Fprintf(tw, "CSR bytes\t%s\n", fmtBytes(r.CSRBytes))
 	fmt.Fprintf(tw, "load peak heap\t%s (%.2fx CSR)\n", fmtBytes(r.LoadPeakBytes), r.LoadPeakRatio)
-	fmt.Fprintf(tw, "landmark select (k=%d)\t%s\n", r.Landmarks, fmtDuration(time.Duration(r.SelectMs*float64(time.Millisecond))))
-	fmt.Fprintf(tw, "precompute workers=1\t%s\n", fmtDuration(time.Duration(r.PrecomputeW1Ms*float64(time.Millisecond))))
-	fmt.Fprintf(tw, "precompute workers=%d\t%s (%.2fx speedup)\n", r.PrecomputeWorkers,
-		fmtDuration(time.Duration(r.PrecomputeWnMs*float64(time.Millisecond))), r.ParallelSpeedup)
 	fmt.Fprintf(tw, "queries (plaintext)\t%d, mean %s, %.2f/s\n", r.Queries,
 		fmtDuration(time.Duration(r.QueryMeanMs*float64(time.Millisecond))), r.QueriesPerSec)
 	tw.Flush()

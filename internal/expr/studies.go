@@ -108,7 +108,7 @@ func (h *Harness) landmarkStudy(env *Env) (study, error) {
 	}
 	for _, k := range []int{8, 16, 32, 64} {
 		k = min(k, n/2)
-		lm := lb.PrecomputeLandmarks(env.Fed, lb.SelectLandmarks(env.G, env.W0, k, h.cfg.Seed), 0)
+		lm := lb.PrecomputeLandmarks(env.Fed, lb.SelectLandmarks(env.G, env.W0, k, h.cfg.Seed))
 		s.variants = append(s.variants, variant{strconv.Itoa(k), env, core.Options{Index: env.Index, Estimator: lb.FedALTMax, Landmarks: lm, Queue: pq.KindTMTree}})
 	}
 	return s, nil

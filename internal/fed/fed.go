@@ -271,3 +271,58 @@ func (s *SAC) LessDiffs(diffs [][]int64) []bool {
 
 // Err returns the first engine error encountered, if any.
 func (s *SAC) Err() error { return s.err }
+
+// EarliestMin reduces every slate of joint values to the index of its
+// earliest minimum (0 for an empty slate) — the one bracket every Fed-SAC
+// min-reduction opens pairs by. Matches are level-synchronized: level by
+// level, the pairs (later, earlier) of adjacent survivors of every slate
+// with two or more left go to less as one batch, slate by slate, and a later
+// entry wins its match only when strictly smaller; an odd last survivor
+// advances unmatched. The winner is therefore the left-to-right fold
+// minimum, at ⌈log2 of the longest slate⌉ calls and one comparison fewer
+// than each slate's length.
+func EarliestMin(less func([][2]Partial) []bool, slates [][]Partial) []int {
+	idx := make([][]int, len(slates))
+	for si, slate := range slates {
+		idx[si] = make([]int, len(slate))
+		for i := range slate {
+			idx[si][i] = i
+		}
+	}
+	for {
+		var pairs [][2]Partial
+		for si, in := range idx {
+			for i := 0; i+1 < len(in); i += 2 {
+				pairs = append(pairs, [2]Partial{slates[si][in[i+1]], slates[si][in[i]]})
+			}
+		}
+		if len(pairs) == 0 {
+			break
+		}
+		bits := less(pairs)
+		for si, in := range idx {
+			if len(in) < 2 {
+				continue
+			}
+			next := in[:0] // survivor k overwrites entry k ≤ 2k, already read
+			for i := 0; i+1 < len(in); i += 2 {
+				win := in[i]
+				if bits[0] {
+					win = in[i+1]
+				}
+				next, bits = append(next, win), bits[1:]
+			}
+			if len(in)%2 == 1 {
+				next = append(next, in[len(in)-1])
+			}
+			idx[si] = next
+		}
+	}
+	out := make([]int, len(slates))
+	for si, in := range idx {
+		if len(in) > 0 {
+			out[si] = in[0]
+		}
+	}
+	return out
+}

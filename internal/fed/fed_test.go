@@ -2,6 +2,7 @@ package fed
 
 import (
 	"fmt"
+	"math/rand/v2"
 	"reflect"
 	"slices"
 	"strings"
@@ -198,5 +199,94 @@ func TestNewBoundsSiloCount(t *testing.T) {
 	diffs[0]--
 	if less, err := f.Engine().Compare(diffs); err != nil || !less {
 		t.Fatalf("%d silos at ±(2·MaxPathCost − 1): less = %v, err = %v", maxSilos, less, err)
+	}
+}
+
+// TestEarliestMinBracket drives the bracket with a plaintext less over
+// random slates full of ties, empty and one-entry slates among them. Every
+// call must carry exactly the (later, earlier) pairs of the survivors of
+// every slate that still has two or more, one call per level; the winner is
+// the earliest minimum of a left-to-right fold.
+func TestEarliestMinBracket(t *testing.T) {
+	joint := func(x Partial) int64 { return x[0] + x[1] }
+	rng := rand.New(rand.NewPCG(50, 7))
+	cases := [][][]Partial{nil, {{}}, {{}, {{1, 2}}, {}}}
+	for range 300 {
+		slates := make([][]Partial, rng.IntN(5))
+		for si := range slates {
+			for range rng.IntN(11) {
+				slates[si] = append(slates[si], Partial{rng.Int64N(3), rng.Int64N(3)})
+			}
+		}
+		cases = append(cases, slates)
+	}
+	for ci, slates := range cases {
+		survivors := make([][]Partial, len(slates))
+		longest := 0
+		for si, slate := range slates {
+			survivors[si] = slices.Clone(slate)
+			longest = max(longest, len(slate))
+		}
+		calls := 0
+		less := func(pairs [][2]Partial) []bool {
+			calls++
+			var want [][2]Partial
+			for _, sv := range survivors {
+				for i := 0; i+1 < len(sv); i += 2 {
+					want = append(want, [2]Partial{sv[i+1], sv[i]})
+				}
+			}
+			if len(want) == 0 {
+				t.Fatalf("case %d: less called with no slate of two", ci)
+			}
+			if len(pairs) != len(want) {
+				t.Fatalf("case %d call %d: %d pairs, want %d", ci, calls, len(pairs), len(want))
+			}
+			bits := make([]bool, len(pairs))
+			for i, pr := range pairs {
+				if &pr[0][0] != &want[i][0][0] || &pr[1][0] != &want[i][1][0] {
+					t.Fatalf("case %d call %d: pair %d is not (later, earlier) of the survivors", ci, calls, i)
+				}
+				bits[i] = joint(pr[0]) < joint(pr[1])
+			}
+			k := 0
+			for si, sv := range survivors {
+				if len(sv) < 2 {
+					continue
+				}
+				var next []Partial
+				for i := 0; i+1 < len(sv); i += 2 {
+					win := sv[i]
+					if bits[k] {
+						win = sv[i+1]
+					}
+					next, k = append(next, win), k+1
+				}
+				if len(sv)%2 == 1 {
+					next = append(next, sv[len(sv)-1])
+				}
+				survivors[si] = next
+			}
+			return bits
+		}
+		got := EarliestMin(less, slates)
+		for si, slate := range slates {
+			want := 0
+			for i := range slate {
+				if joint(slate[i]) < joint(slate[want]) {
+					want = i
+				}
+			}
+			if got[si] != want {
+				t.Fatalf("case %d slate %d: winner %d, fold minimum %d", ci, si, got[si], want)
+			}
+		}
+		levels := 0
+		for 1<<levels < longest {
+			levels++
+		}
+		if calls != levels {
+			t.Fatalf("case %d: %d calls for a longest slate of %d, want %d", ci, calls, longest, levels)
+		}
 	}
 }

@@ -405,24 +405,26 @@ func FindDataset(name string) (DatasetSpec, bool) {
 // GenerateDataset materializes a named dataset. It panics on unknown names;
 // callers taking names from user input should check FindDataset first.
 func GenerateDataset(name string) (*Graph, Weights, DatasetSpec) {
-	for _, spec := range Datasets() {
-		if spec.Name != name {
-			continue
-		}
-		var g *Graph
-		var w0 Weights
-		switch spec.Generator {
-		case "grid":
-			side := int(math.Round(math.Sqrt(float64(spec.Vertices))))
-			g, w0 = GenerateGrid(side, side, spec.Seed)
-		case "roadlike":
-			g, w0 = GenerateRoadLike(spec.Vertices, spec.Seed)
-		default:
-			panic("graph: unknown generator " + spec.Generator)
-		}
-		return g, w0, spec
+	spec, ok := FindDataset(name)
+	if !ok {
+		panic(fmt.Sprintf("graph: unknown dataset %q", name))
 	}
-	panic(fmt.Sprintf("graph: unknown dataset %q", name))
+	g, w0 := GenerateSpec(spec)
+	return g, w0, spec
+}
+
+// GenerateSpec builds the network a dataset spec describes, at the spec's
+// vertex count: a caller scales a dataset down by lowering Vertices first.
+func GenerateSpec(spec DatasetSpec) (*Graph, Weights) {
+	switch spec.Generator {
+	case "grid":
+		side := int(math.Round(math.Sqrt(float64(spec.Vertices))))
+		return GenerateGrid(side, side, spec.Seed)
+	case "roadlike":
+		return GenerateRoadLike(spec.Vertices, spec.Seed)
+	default:
+		panic("graph: unknown generator " + spec.Generator)
+	}
 }
 
 // LoadNetwork resolves a command's road network from its three sources, in

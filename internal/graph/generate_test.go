@@ -10,7 +10,7 @@ func TestGenerateGridProperties(t *testing.T) {
 	if g.NumVertices() != 12*15 {
 		t.Fatalf("vertices = %d, want %d", g.NumVertices(), 12*15)
 	}
-	if !g.StronglyConnected() {
+	if !stronglyConnected(g) {
 		t.Fatal("grid must be strongly connected")
 	}
 	if err := ValidateWeights(g, w0); err != nil {
@@ -58,7 +58,7 @@ func TestGenerateRoadLikeProperties(t *testing.T) {
 	if g.NumVertices() != 500 {
 		t.Fatalf("vertices = %d, want 500", g.NumVertices())
 	}
-	if !g.StronglyConnected() {
+	if !stronglyConnected(g) {
 		t.Fatal("road-like network must be strongly connected")
 	}
 	if err := ValidateWeights(g, w0); err != nil {
@@ -85,7 +85,7 @@ func TestGenerateRoadLikeDeterministic(t *testing.T) {
 
 func TestGenerateRandomDirectedStronglyConnected(t *testing.T) {
 	g, w := GenerateRandomDirected(40, 100, 25, 6)
-	if !g.StronglyConnected() {
+	if !stronglyConnected(g) {
 		t.Fatal("random directed graph must be strongly connected")
 	}
 	if err := ValidateWeights(g, w); err != nil {
@@ -106,7 +106,7 @@ func TestDatasetRegistry(t *testing.T) {
 	if g.NumVertices() != spec.Vertices {
 		t.Fatalf("vertices = %d, want %d", g.NumVertices(), spec.Vertices)
 	}
-	if !g.StronglyConnected() {
+	if !stronglyConnected(g) {
 		t.Fatal("CAL-S must be strongly connected")
 	}
 	if err := ValidateWeights(g, w0); err != nil {

@@ -312,69 +312,3 @@ func (g *Graph) buildReverse() {
 		g.rarc[slot] = Arc(a)
 	}
 }
-
-// Connected reports whether the graph is weakly connected (used by
-// generators to validate topology).
-func (g *Graph) Connected() bool {
-	if g.numV == 0 {
-		return true
-	}
-	seen := make([]bool, g.numV)
-	stack := []Vertex{0}
-	seen[0] = true
-	count := 1
-	for len(stack) > 0 {
-		v := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, w := range g.OutNeighbors(v) {
-			if !seen[w] {
-				seen[w] = true
-				count++
-				stack = append(stack, w)
-			}
-		}
-		in, _ := g.InNeighbors(v)
-		for _, w := range in {
-			if !seen[w] {
-				seen[w] = true
-				count++
-				stack = append(stack, w)
-			}
-		}
-	}
-	return count == g.numV
-}
-
-// StronglyConnected reports whether every vertex can reach every other vertex
-// following arc directions. Generators producing two arcs per road always
-// yield strongly connected graphs when weakly connected.
-func (g *Graph) StronglyConnected() bool {
-	if g.numV == 0 {
-		return true
-	}
-	reach := func(forward bool) int {
-		seen := make([]bool, g.numV)
-		stack := []Vertex{0}
-		seen[0] = true
-		count := 1
-		for len(stack) > 0 {
-			v := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			var nbrs []Vertex
-			if forward {
-				nbrs = g.OutNeighbors(v)
-			} else {
-				nbrs, _ = g.InNeighbors(v)
-			}
-			for _, w := range nbrs {
-				if !seen[w] {
-					seen[w] = true
-					count++
-					stack = append(stack, w)
-				}
-			}
-		}
-		return count
-	}
-	return reach(true) == g.numV && reach(false) == g.numV
-}

@@ -92,29 +92,28 @@ func TestFindArc(t *testing.T) {
 	}
 }
 
+// stronglyConnected reports whether every vertex reaches every other: the
+// importer's SCC pass finds at most one component.
+func stronglyConnected(g *Graph) bool {
+	_, _, count := sccLabels(g)
+	return count <= 1
+}
+
 func TestConnectivity(t *testing.T) {
-	g := diamond(t)
-	if !g.Connected() {
-		t.Fatal("diamond should be connected")
-	}
-	if !g.StronglyConnected() {
+	if !stronglyConnected(diamond(t)) {
 		t.Fatal("diamond (bidirectional) should be strongly connected")
 	}
 	b := NewBuilder(4)
 	b.AddEdge(0, 1)
 	b.AddEdge(2, 3)
-	if b.Build().Connected() {
-		t.Fatal("two components reported connected")
+	if _, _, count := sccLabels(b.Build()); count != 2 {
+		t.Fatalf("two two-way roads: %d components, want 2", count)
 	}
-	// One-way arc only: weakly but not strongly connected.
+	// One-way arc only: each end is its own component.
 	b2 := NewBuilder(2)
 	b2.AddArc(0, 1)
-	g2 := b2.Build()
-	if !g2.Connected() {
-		t.Fatal("single arc should be weakly connected")
-	}
-	if g2.StronglyConnected() {
-		t.Fatal("single arc should not be strongly connected")
+	if _, _, count := sccLabels(b2.Build()); count != 2 {
+		t.Fatalf("single arc: %d components, want 2", count)
 	}
 }
 

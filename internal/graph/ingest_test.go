@@ -129,7 +129,7 @@ func TestImportDIMACSFixture(t *testing.T) {
 	if g.NumVertices() != 4 || g.NumArcs() != 7 {
 		t.Fatalf("after SCC extraction: n=%d m=%d", g.NumVertices(), g.NumArcs())
 	}
-	if !g.StronglyConnected() {
+	if !stronglyConnected(g) {
 		t.Fatal("extracted component is not strongly connected")
 	}
 	// The zero-weight arc 2->3 (0-based 1->2) must be clamped to 1.
@@ -192,7 +192,13 @@ func TestImportDIMACSCaps(t *testing.T) {
 
 func TestLargestSCC(t *testing.T) {
 	g, w := GenerateGrid(5, 5, 3)
-	keep := LargestSCC(g)
+	comp, best, _ := sccLabels(g)
+	var keep []Vertex
+	for v, c := range comp {
+		if c == best {
+			keep = append(keep, Vertex(v))
+		}
+	}
 	if len(keep) != g.NumVertices() {
 		t.Fatalf("grid is strongly connected, SCC kept %d of %d", len(keep), g.NumVertices())
 	}
@@ -207,8 +213,8 @@ func TestLargestSCC(t *testing.T) {
 
 func TestLargestSCCEmpty(t *testing.T) {
 	g := NewBuilder(0).Build()
-	if keep := LargestSCC(g); keep != nil {
-		t.Fatalf("empty graph: %v", keep)
+	if comp, best, count := sccLabels(g); comp != nil || best != -1 || count != 0 {
+		t.Fatalf("empty graph: labels %v, largest %d, %d components", comp, best, count)
 	}
 }
 

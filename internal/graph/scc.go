@@ -6,24 +6,8 @@ package graph
 // contraction assume mutual reachability, so the importer extracts the
 // largest SCC. The implementation is an iterative Kosaraju over the CSR
 // arrays — explicit stacks, no recursion — so it handles 10^7-vertex
-// graphs without growing goroutine stacks.
-
-// LargestSCC returns the vertices of the largest strongly connected
-// component in ascending order. Ties break toward the component whose
-// root finishes first, deterministically. An empty graph yields nil.
-func LargestSCC(g *Graph) []Vertex {
-	comp, best, _ := sccLabels(g)
-	if best < 0 {
-		return nil
-	}
-	var keep []Vertex
-	for v := 0; v < g.numV; v++ {
-		if comp[v] == best {
-			keep = append(keep, Vertex(v))
-		}
-	}
-	return keep
-}
+// graphs without growing goroutine stacks. It is the package's one
+// connectivity pass.
 
 // sccLabels runs Kosaraju and returns per-vertex component labels, the
 // label of the largest component (-1 when the graph is empty) and the

@@ -11,14 +11,15 @@
 //     computation (one lazily grown Dijkstra per silo per direction).
 //
 // A plain static-weight ALT baseline is included for the accuracy ablation
-// (Fig. 11).
+// (Fig. 11). Production routes use Fed-AMPS, which needs no pre-processing;
+// the landmark matrices serve the evaluation harness, and Precompute builds
+// them with one goroutine per landmark.
 package lb
 
 import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/fed"
 	"repro/internal/graph"
@@ -110,25 +111,22 @@ func SelectLandmarks(g *graph.Graph, w0 graph.Weights, k int, seed uint64) []gra
 // It reads the weight sets f's silos hold. A published version's weights
 // never change, so no lock guards them; Precompute takes weight sets
 // directly.
-//
-// workers bounds the parallelism of the per-landmark computation; ≤ 0
-// selects one worker per landmark. The result is identical for every
-// worker count.
-func PrecomputeLandmarks(f *fed.Federation, landmarks []graph.Vertex, workers int) *Landmarks {
+func PrecomputeLandmarks(f *fed.Federation, landmarks []graph.Vertex) *Landmarks {
 	sets := make([]graph.Weights, f.P())
 	for p := range sets {
 		sets[p] = f.Silo(p).Weights()
 	}
-	return Precompute(f.Graph(), f.StaticWeights(), sets, landmarks, workers)
+	return Precompute(f.Graph(), f.StaticWeights(), sets, landmarks, 0)
 }
 
 // Precompute builds the landmark matrices from an explicit weight snapshot
-// (sets[p] is silo p's weight set), independent of any live
-// federation state. Landmarks are independent of each other — per-silo local
-// Dijkstras plus a tree walk — so with workers > 1 they are computed in
-// parallel (workers ≤ 0 means one worker per landmark). The result is
-// identical for every worker count.
-func Precompute(g *graph.Graph, w0 graph.Weights, sets []graph.Weights, landmarks []graph.Vertex, workers int) *Landmarks {
+// (sets[p] is silo p's weight set), independent of any live federation
+// state. Landmarks are independent of each other — per-silo local Dijkstras
+// plus a tree walk — so each is computed on its own goroutine.
+//
+// The last parameter is ignored; it stays only so that callers passing a
+// worker count still compile.
+func Precompute(g *graph.Graph, w0 graph.Weights, sets []graph.Weights, landmarks []graph.Vertex, _ int) *Landmarks {
 	n := g.NumVertices()
 	p := len(sets)
 	lm := &Landmarks{L: landmarks}
@@ -138,55 +136,35 @@ func Precompute(g *graph.Graph, w0 graph.Weights, sets []graph.Weights, landmark
 	for s := 0; s < p; s++ {
 		lm.Phi[s] = make([][]int64, len(landmarks))
 	}
-	// one computes one landmark's rows.
-	one := func(li int, l graph.Vertex) {
-		static := graph.NewSearch(g, w0, l, true)
-		for _, ok := static.Next(); ok; _, ok = static.Next() {
-		}
-		lm.Phi0[li] = static.Dist
-		parts := make([][]int64, p)
-		for s := 0; s < p; s++ {
-			parts[s] = make([]int64, n)
-			for v := range parts[s] {
-				parts[s][v] = graph.InfCost
-			}
-			parts[s][l] = 0
-			lm.Phi[s][li] = parts[s]
-		}
-		// Partial costs along the joint tree, in settle order: a vertex's
-		// successor toward l is settled, and so resolved, before it.
-		res := graph.NewSearch(g, joint, l, true)
-		res.Next() // l itself
-		for v, ok := res.Next(); ok; v, ok = res.Next() {
-			succ, arc := res.Parent(v), res.PArc[v]
-			for s := 0; s < p; s++ {
-				parts[s][v] = parts[s][succ] + sets[s][arc]
-			}
-		}
-	}
-	if workers <= 0 || workers > len(landmarks) {
-		workers = len(landmarks)
-	}
-	if workers <= 1 {
-		for li, l := range landmarks {
-			one(li, l)
-		}
-		return lm
-	}
 	// Each landmark writes only its own Phi0[li] / Phi[s][li] rows, so the
 	// fan-out is race-free by construction.
-	var next atomic.Int64
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for li, l := range landmarks {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				li := int(next.Add(1)) - 1
-				if li >= len(landmarks) {
-					return
+			static := graph.NewSearch(g, w0, l, true)
+			for _, ok := static.Next(); ok; _, ok = static.Next() {
+			}
+			lm.Phi0[li] = static.Dist
+			parts := make([][]int64, p)
+			for s := 0; s < p; s++ {
+				parts[s] = make([]int64, n)
+				for v := range parts[s] {
+					parts[s][v] = graph.InfCost
 				}
-				one(li, landmarks[li])
+				parts[s][l] = 0
+				lm.Phi[s][li] = parts[s]
+			}
+			// Partial costs along the joint tree, in settle order: a vertex's
+			// successor toward l is settled, and so resolved, before it.
+			res := graph.NewSearch(g, joint, l, true)
+			res.Next() // l itself
+			for v, ok := res.Next(); ok; v, ok = res.Next() {
+				succ, arc := res.Parent(v), res.PArc[v]
+				for s := 0; s < p; s++ {
+					parts[s][v] = parts[s][succ] + sets[s][arc]
+				}
 			}
 		}()
 	}

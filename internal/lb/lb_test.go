@@ -54,7 +54,7 @@ func TestPrecomputePartialSumsMatchJoint(t *testing.T) {
 	f := testFed(t, traffic.Moderate, 7)
 	g := f.Graph()
 	L := SelectLandmarks(g, f.StaticWeights(), 4, 2)
-	lm := PrecomputeLandmarks(f, L, 0)
+	lm := PrecomputeLandmarks(f, L)
 	joint := f.JointWeights()
 	for li, l := range L {
 		want := graph.NewSearch(g, joint, l, true)
@@ -91,7 +91,7 @@ func admissible(t *testing.T, kind Kind, lvl traffic.Level) (meanRelErr float64)
 	joint := f.JointWeights()
 	var lm *Landmarks
 	if kind == FedALT || kind == FedALTMax {
-		lm = PrecomputeLandmarks(f, SelectLandmarks(g, f.StaticWeights(), 8, 3), 0)
+		lm = PrecomputeLandmarks(f, SelectLandmarks(g, f.StaticWeights(), 8, 3))
 	}
 	rng := rand.New(rand.NewPCG(13, 13))
 	var errSum float64
@@ -171,7 +171,7 @@ func TestAMPSTighterThanALT(t *testing.T) {
 
 func TestFedALTUsesSecureComparisons(t *testing.T) {
 	f := testFed(t, traffic.Moderate, 17)
-	lm := PrecomputeLandmarks(f, SelectLandmarks(f.Graph(), f.StaticWeights(), 8, 3), 0)
+	lm := PrecomputeLandmarks(f, SelectLandmarks(f.Graph(), f.StaticWeights(), 8, 3))
 	sac := f.NewSAC()
 	fw, _, err := NewPair(FedALT, f, lm, sac, 0, 20)
 	if err != nil {
@@ -201,7 +201,7 @@ func TestStaticALTLoosensUnderCongestion(t *testing.T) {
 	relErr := func(lvl traffic.Level) float64 {
 		f := testFed(t, lvl, 23)
 		g := f.Graph()
-		lm := PrecomputeLandmarks(f, SelectLandmarks(g, f.StaticWeights(), 8, 3), 0)
+		lm := PrecomputeLandmarks(f, SelectLandmarks(g, f.StaticWeights(), 8, 3))
 		joint := f.JointWeights()
 		rng := rand.New(rand.NewPCG(3, 3))
 		var sum float64
@@ -238,7 +238,7 @@ func TestNewPairErrors(t *testing.T) {
 	if _, _, err := NewPair(FedALTMax, f, nil, nil, 0, 1); err == nil {
 		t.Fatal("Fed-ALT-Max without landmarks accepted")
 	}
-	lm := PrecomputeLandmarks(f, SelectLandmarks(f.Graph(), f.StaticWeights(), 2, 1), 0)
+	lm := PrecomputeLandmarks(f, SelectLandmarks(f.Graph(), f.StaticWeights(), 2, 1))
 	if _, _, err := NewPair(FedALT, f, lm, nil, 0, 1); err == nil {
 		t.Fatal("Fed-ALT without SAC accepted")
 	}

@@ -206,7 +206,7 @@ func dialLanes(t *testing.T, n int) []transport.Conn {
 		if err != nil {
 			t.Fatalf("party %d: %v", p, err)
 		}
-		lanes[p] = meshes[p].OpenLane()
+		lanes[p] = meshes[p].Lane(transport.FirstSessionLane)
 	}
 	return lanes
 }

@@ -47,11 +47,10 @@ import (
 
 // Mesh lane allocation. Lane 0 is the mux control lane; lane 1 carries the
 // query rendezvous (BEGIN/ACK/END); query q runs its MPC rounds on lane
-// 16+q, fresh per query so an aborted attempt can never feed stale frames
-// into a later one.
+// transport.FirstSessionLane+q, fresh per query so an aborted attempt can
+// never feed stale frames into a later one.
 const (
 	laneRendezvous uint32 = 1
-	queryLaneBase  uint32 = 16
 	endQuery       uint32 = ^uint32(0)
 )
 
@@ -379,7 +378,7 @@ func (p *meshParty) follow() (int, error) {
 // correlated randomness and keeps its own blocks, so a restarted process is
 // instantly back in sync — no offline state survives a crash.
 func (p *meshParty) runQuery(q uint32, src, dst graph.Vertex) (core.PathResult, core.QueryStats, error) {
-	lane := p.mesh.Lane(queryLaneBase + q)
+	lane := p.mesh.Lane(transport.FirstSessionLane + q)
 	lane.SetRoundTimeout(p.cfg.RoundTimeout)
 	defer lane.Close()
 	dealer := mpc.NewDealer(p.cfg.Silos, p.cfg.Seed^(0x6d657368+uint64(q)*0x9e3779b97f4a7c15))

@@ -45,7 +45,7 @@ func NewLocalMesh(n int, opts MeshOptions) (*LocalMesh, error) {
 	addrs[n-1] = "127.0.0.1:0" // never dialed
 
 	lm := &LocalMesh{n: n, meshes: make([]*Mesh, n)}
-	lm.lanes.Store(15) // lanes 0..15 reserved, matching Mesh.OpenLane
+	lm.lanes.Store(FirstSessionLane - 1) // the first session gets FirstSessionLane
 
 	var wg sync.WaitGroup
 	errs := make([]error, n)

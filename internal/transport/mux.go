@@ -123,7 +123,6 @@ type link struct {
 
 	dead     chan struct{}
 	deadOnce sync.Once
-	lastRecv atomic.Int64 // unix nanos of the last inbound frame
 
 	qmu         sync.Mutex
 	lanes       map[uint32]*laneState
@@ -265,7 +264,6 @@ func (l *link) readLoop() {
 			l.noteReadFailure(err)
 			return
 		}
-		l.lastRecv.Store(time.Now().UnixNano())
 		l.m.pstats[l.peer].bytesRecv.Add(int64(size))
 		l.m.pstats[l.peer].msgsRecv.Add(1)
 
@@ -369,8 +367,6 @@ type Mesh struct {
 	links []atomic.Pointer[link]
 	gens  []atomic.Uint64
 
-	laneCtr atomic.Uint32
-
 	pstats []peerCounters
 }
 
@@ -394,7 +390,6 @@ func DialMeshMux(id, n int, addrs []string, opts MeshOptions) (*Mesh, error) {
 		gens:   make([]atomic.Uint64, n),
 		pstats: make([]peerCounters, n),
 	}
-	m.laneCtr.Store(15) // lanes 0..15 reserved (control + rendezvous)
 	if opts.TLS.Enabled() {
 		var err error
 		if m.srvTLS, err = opts.TLS.ServerTLS(); err != nil {
@@ -623,7 +618,6 @@ func (m *Mesh) install(peer int, conn net.Conn) {
 		lanes:       make(map[uint32]*laneState),
 		closedLanes: make(map[uint32]struct{}),
 	}
-	l.lastRecv.Store(time.Now().UnixNano())
 	if old := m.links[peer].Swap(l); old != nil {
 		old.fail()
 	}
@@ -721,6 +715,10 @@ func (m *Mesh) Stats() MeshStats {
 	return st
 }
 
+// FirstSessionLane is the lowest lane ID a session gets: lane 0 is the
+// control lane and lanes 1..15 stay free for long-lived rendezvous streams.
+const FirstSessionLane uint32 = 16
+
 // Lane binds a session lane with an explicit ID (cross-process callers
 // derive lane IDs in lockstep, e.g. from a query sequence number). IDs must
 // be ≥ 1; lane 0 is the control lane. Reusing a closed lane ID on the same
@@ -732,10 +730,6 @@ func (m *Mesh) Lane(id uint32) *LaneConn {
 	}
 	return &LaneConn{m: m, lane: id, sendSeq: make([]laneSeq, m.n)}
 }
-
-// OpenLane binds a fresh auto-numbered session lane (single-process use;
-// IDs from an endpoint-local counter).
-func (m *Mesh) OpenLane() *LaneConn { return m.Lane(m.laneCtr.Add(1)) }
 
 // Close tears the mesh down: all links fail, lane waiters wake with
 // ErrPeerDown, background goroutines exit.
