@@ -72,10 +72,10 @@ func main() {
 
 	if !*noIndex {
 		start := time.Now()
-		fail(fed.BuildIndex())
+		fail(fed.CustomizeIndex())
 		st := fed.IndexStats()
-		fmt.Printf("federated shortcut index: %d shortcuts, %d Fed-SACs, built in %v\n",
-			st.Shortcuts, st.SAC.Compares, time.Since(start).Round(time.Millisecond))
+		fmt.Printf("federated shortcut index: %d shortcuts, %d Fed-SACs, %d MPC rounds, customized in %v\n",
+			st.Shortcuts, st.SAC.Compares, st.SAC.Rounds, time.Since(start).Round(time.Millisecond))
 	}
 
 	if *knn > 0 {

@@ -36,9 +36,15 @@ import (
 	"repro/internal/graph"
 )
 
+// The index flags are package-level so that a test can read their defaults.
+var (
+	noIndex   = flag.Bool("no-index", false, "skip building the shortcut index")
+	customize = flag.Bool("customize", true, "derive the shortcut index by weight customization over a topology-only skeleton (contract once per graph, customize per traffic version); -customize=false runs the full federated witness build instead")
+)
+
 // refuseReindex explains why -reindex-interval cannot run beside the index
-// fedserver serves, or returns nil. A customized index — asked for with
-// -customize or restored from a customized snapshot — is kept exact by
+// fedserver serves, or returns nil. A customized index — the -customize
+// default, or restored from a customized snapshot — is kept exact by
 // /traffic's in-place updates, so a periodic re-derivation would elect the
 // winners it already holds while holding up every traffic write.
 func refuseReindex(fed *fedroad.Federation, customize bool) error {
@@ -46,7 +52,34 @@ func refuseReindex(fed *fedroad.Federation, customize bool) error {
 		return nil
 	}
 	return errors.New("-reindex-interval refused: the index is customized, and /traffic's in-place updates already keep it exact, " +
-		"so a periodic re-derivation would recompute the winners it holds while blocking every traffic write; drop -reindex-interval")
+		"so a periodic re-derivation would recompute the winners it holds while blocking every traffic write; " +
+		"drop -reindex-interval, or start with -customize=false to keep a periodic witness rebuild")
+}
+
+// deriveIndex gives fed the index fedserver serves and returns the start-up
+// line that says how. An index restored from a snapshot, of either kind,
+// keeps serving with no MPC derivation; noIndex derives none; otherwise
+// customize derives the customized index, contracting the skeleton it reads,
+// and !customize the witness build. Nothing else contracts a skeleton.
+func deriveIndex(fed *fedroad.Federation, noIndex, customize bool) (string, error) {
+	if st := fed.IndexStats(); fed.HasIndex() {
+		return fmt.Sprintf("index: restored from snapshot (%d shortcuts, customized: %v), MPC derivation skipped",
+			st.Shortcuts, st.Customized), nil
+	}
+	if noIndex {
+		return "index: none (-no-index), routes search the flat network", nil
+	}
+	kind, derive := "witness build", fed.BuildIndex
+	if customize {
+		kind, derive = "customized", fed.CustomizeIndex
+	}
+	start := time.Now()
+	if err := derive(); err != nil {
+		return "", err
+	}
+	st := fed.IndexStats()
+	return fmt.Sprintf("index: %d shortcuts, %s in %v (%d Fed-SACs, %d MPC rounds)",
+		st.Shortcuts, kind, time.Since(start).Round(time.Millisecond), st.SAC.Compares, st.SAC.Rounds), nil
 }
 
 func main() {
@@ -57,9 +90,7 @@ func main() {
 		n        = flag.Int("n", 2000, "generated network size when no dataset/graph is given")
 		silos    = flag.Int("silos", 3, "number of data silos")
 		seed     = flag.Uint64("seed", 1, "seed of the generated network and the simulated silo weights (MPC masks are drawn fresh on every start)")
-		noIndex  = flag.Bool("no-index", false, "skip building the shortcut index")
-		custIdx  = flag.Bool("customize", false, "derive the shortcut index by weight customization over a topology-only skeleton (contract once per graph, customize per traffic version) instead of a full federated contraction")
-		reindex  = flag.Duration("reindex-interval", 0, "periodically rebuild the witness index from live weights when traffic has moved (0 = disabled); refused beside a customized index, which /traffic's in-place updates already keep exact")
+		reindex  = flag.Duration("reindex-interval", 0, "periodically rebuild the witness index from live weights when traffic has moved (0 = disabled); needs -customize=false: refused beside a customized index, which /traffic's in-place updates already keep exact")
 		maxConc  = flag.Int("max-concurrent", 0, "max in-flight queries (0 = 4x GOMAXPROCS)")
 		maxQueue = flag.Int("max-queue", 0, "queries allowed to queue beyond -max-concurrent before shedding with 429 (0 = unbounded queue, no shedding)")
 		cacheCap = flag.Int("cache", 4096, "traffic-version-keyed result cache capacity in entries (0 = off)")
@@ -120,48 +151,17 @@ func main() {
 			*persist, pers.restoreTime.Round(time.Millisecond), pers.restoredIndex, pers.replayedDeltas)
 	}
 	if *reindex > 0 && !*noIndex {
-		if err := refuseReindex(fed, *custIdx); err != nil {
+		if err := refuseReindex(fed, *customize); err != nil {
 			fmt.Fprintf(os.Stderr, "fedserver: %v\n", err)
 			os.Exit(1)
 		}
 	}
-
-	if *custIdx && !fed.HasSkeleton() {
-		// Topology-only contraction: plaintext, no MPC, reusable for every
-		// future traffic version. Restoring a customized index derived it
-		// already, in which case this is skipped.
-		start := time.Now()
-		if err := fed.BuildSkeleton(); err != nil {
-			fmt.Fprintf(os.Stderr, "fedserver: %v\n", err)
-			os.Exit(1)
-		}
-		sst := fed.SkeletonStats()
-		log.Printf("skeleton: %d shortcuts in %v (plaintext topology contraction)",
-			sst.Shortcuts, time.Since(start).Round(time.Millisecond))
+	line, err := deriveIndex(fed, *noIndex, *customize)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "fedserver: %v\n", err)
+		os.Exit(1)
 	}
-	if !*noIndex && !fed.HasIndex() {
-		start := time.Now()
-		if *custIdx {
-			err = fed.CustomizeIndex()
-		} else {
-			err = fed.BuildIndex()
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "fedserver: %v\n", err)
-			os.Exit(1)
-		}
-		st := fed.IndexStats()
-		if st.Customized {
-			log.Printf("index: %d shortcuts customized in %v (%d levels, %d ticks, %d MPC rounds)",
-				st.Shortcuts, time.Since(start).Round(time.Millisecond), st.Levels, st.Rounds, st.SAC.Rounds)
-		} else {
-			log.Printf("index: %d shortcuts in %v (%d contraction rounds)",
-				st.Shortcuts, time.Since(start).Round(time.Millisecond), st.Rounds)
-		}
-	} else if fed.HasIndex() {
-		log.Printf("index: restored from snapshot (%d shortcuts, customized: %v), MPC rebuild skipped",
-			fed.IndexStats().Shortcuts, fed.IndexStats().Customized)
-	}
+	log.Print(line)
 	if pers != nil {
 		// Fold the restored-or-built index and any replayed deltas into a
 		// fresh snapshot so the next restart reads one file and zero deltas.

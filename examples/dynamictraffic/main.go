@@ -1,6 +1,6 @@
 // Dynamic traffic: real-time congestion hits a corridor, every silo updates
 // its private observation, and the federation's partial index update (§IV,
-// Table II) refreshes the shortcut hierarchy in a fraction of the build cost
+// Table II) refreshes the shortcut hierarchy in a fraction of the derivation cost
 // — after which queries route around the jam.
 package main
 
@@ -20,11 +20,11 @@ func main() {
 		log.Fatal(err)
 	}
 	start := time.Now()
-	if err := fed.BuildIndex(); err != nil {
+	if err := fed.CustomizeIndex(); err != nil {
 		log.Fatal(err)
 	}
 	buildTime := time.Since(start)
-	fmt.Printf("index built: %d shortcuts in %v (%d Fed-SACs)\n",
+	fmt.Printf("index customized: %d shortcuts in %v (%d Fed-SACs)\n",
 		fed.IndexStats().Shortcuts, buildTime.Round(time.Millisecond),
 		fed.IndexStats().SAC.Compares)
 

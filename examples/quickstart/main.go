@@ -1,4 +1,4 @@
-// Quickstart: assemble a three-silo traffic federation, build the federated
+// Quickstart: assemble a three-silo traffic federation, derive the federated
 // shortcut index and answer one secure joint shortest-path query.
 package main
 
@@ -25,8 +25,9 @@ func main() {
 	}
 
 	// Pre-compute the federated shortcut index (collaborative contraction
-	// hierarchy; consistent shortcut sets, private partial weights).
-	if err := fed.BuildIndex(); err != nil {
+	// hierarchy; consistent shortcut sets, private partial weights): contract
+	// the public topology once, then customize its shortcuts' weights.
+	if err := fed.CustomizeIndex(); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("index: %d shortcuts\n", fed.IndexStats().Shortcuts)

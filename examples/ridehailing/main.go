@@ -32,7 +32,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := fed.BuildIndex(); err != nil {
+	if err := fed.CustomizeIndex(); err != nil {
 		log.Fatal(err)
 	}
 

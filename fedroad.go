@@ -99,19 +99,6 @@ func SaveGraph(w io.Writer, g *Graph, weights Weights) error {
 	return graph.WriteTo(w, g, weights)
 }
 
-// LoadGraphFile loads a road network from a file, auto-detecting the binary
-// snapshot format (cmd/import-dimacs output) versus the text format.
-func LoadGraphFile(path string) (*Graph, Weights, error) { return graph.LoadFile(path) }
-
-// LoadGraphBinary parses a binary graph snapshot (see graph.ReadBinary).
-func LoadGraphBinary(r io.Reader) (*Graph, Weights, error) { return graph.ReadBinary(r) }
-
-// SaveGraphBinary writes a road network as a binary snapshot — the fast,
-// memory-lean load path for continent-scale networks.
-func SaveGraphBinary(w io.Writer, g *Graph, weights Weights) error {
-	return graph.WriteBinary(w, g, weights)
-}
-
 // SimulateCongestion derives p private silo weight sets from the static
 // weights under a congestion level (the paper's evaluation traffic model).
 func SimulateCongestion(w0 Weights, p int, lvl CongestionLevel, seed uint64) []Weights {

@@ -18,7 +18,6 @@ import (
 	"io"
 	"math/rand/v2"
 	"os"
-	"time"
 
 	"repro/internal/ch"
 	"repro/internal/fed"
@@ -105,14 +104,13 @@ func (h *Harness) Config() Config { return h.cfg }
 // federation, the WJRN ground truth, the federated shortcut index and the
 // landmark matrices.
 type Env struct {
-	Spec      graph.DatasetSpec
-	G         *graph.Graph
-	W0        graph.Weights
-	Fed       *fed.Federation
-	Joint     graph.Weights
-	Index     *ch.Index
-	LM        *lb.Landmarks
-	BuildTime time.Duration
+	Spec  graph.DatasetSpec
+	G     *graph.Graph
+	W0    graph.Weights
+	Fed   *fed.Federation
+	Joint graph.Weights
+	Index *ch.Index
+	LM    *lb.Landmarks
 }
 
 // generate materializes a dataset topology, honoring the MaxVertices cap.
@@ -176,19 +174,17 @@ func (h *Harness) buildEnv(name string, silos int) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
 	idx, err := ch.Build(f)
 	if err != nil {
 		return nil, err
 	}
 	env := &Env{
-		Spec:      spec,
-		G:         g,
-		W0:        w0,
-		Fed:       f,
-		Joint:     f.JointWeights(),
-		Index:     idx,
-		BuildTime: time.Since(start),
+		Spec:  spec,
+		G:     g,
+		W0:    w0,
+		Fed:   f,
+		Joint: f.JointWeights(),
+		Index: idx,
 	}
 	k := h.cfg.Landmarks
 	if k > g.NumVertices()/2 {

@@ -200,21 +200,23 @@ func TestTab1AndTab2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(t2) != 1 {
-		t.Fatalf("tab2 rows: %d", len(t2))
+	// A witness row and a customized row per dataset.
+	if len(t2) != 2 || t2[0].Index != "witness" || t2[1].Index != "customized" {
+		t.Fatalf("tab2 rows: %+v", t2)
 	}
-	r := t2[0]
-	if r.Construction <= 0 {
-		t.Fatal("no construction time")
-	}
-	for _, pct := range Tab2Percentages {
-		if _, ok := r.Updates[pct]; !ok {
-			t.Fatalf("missing update time for %v%%", pct)
+	for _, r := range t2 {
+		if r.Construction <= 0 {
+			t.Fatalf("%s: no construction time", r.Index)
 		}
-	}
-	// Update at 0.1% must be cheaper than construction in comparisons.
-	if r.UpdateSAC[0.1] >= r.UpdateSAC[10] {
-		t.Fatalf("update comparisons should grow with change size: %v", r.UpdateSAC)
+		for _, pct := range Tab2Percentages {
+			if _, ok := r.Updates[pct]; !ok {
+				t.Fatalf("%s: missing update time for %v%%", r.Index, pct)
+			}
+		}
+		// Update comparisons grow with the change size.
+		if r.UpdateSAC[0.1] >= r.UpdateSAC[10] {
+			t.Fatalf("%s: update comparisons should grow with change size: %v", r.Index, r.UpdateSAC)
+		}
 	}
 	h.PrintTab1(t1)
 	h.PrintTab2(t2)

@@ -2,7 +2,6 @@ package expr
 
 import (
 	"strconv"
-	"time"
 
 	"repro/internal/ch"
 	"repro/internal/core"
@@ -165,12 +164,11 @@ func (h *Harness) indexStudy(env *Env) (study, error) {
 		if err != nil {
 			return study{}, err
 		}
-		start := time.Now()
 		idx, err := ch.BuildWith(f, prm)
 		if err != nil {
 			return study{}, err
 		}
-		e := &Env{Spec: env.Spec, G: env.G, W0: env.W0, Fed: f, Joint: f.JointWeights(), Index: idx, BuildTime: time.Since(start)}
+		e := &Env{Spec: env.Spec, G: env.G, W0: env.W0, Fed: f, Joint: f.JointWeights(), Index: idx}
 		caps[e] = prm.WitnessCap
 		if prm.WitnessCap == 0 {
 			caps[e] = ch.DefaultWitnessCap
@@ -184,7 +182,7 @@ func (h *Harness) indexStudy(env *Env) (study, error) {
 		{"shortcuts", func(r row) string { return strconv.Itoa(r.env.Index.NumShortcuts()) }},
 		{"build #Fed-SAC", func(r row) string { return strconv.FormatInt(build(r).SAC.Compares, 10) }},
 		{"build time", func(r row) string {
-			return fmtDuration(r.env.BuildTime + h.cfg.Net.Predict(build(r).SAC, r.env.Fed.P()))
+			return fmtDuration(build(r).WallTime + h.cfg.Net.Predict(build(r).SAC, r.env.Fed.P()))
 		}},
 		{"avg query #Fed-SAC", avgSACs},
 		{"avg query time", avgTime},

@@ -6,6 +6,7 @@ import (
 	"strconv"
 	"time"
 
+	"repro/internal/ch"
 	"repro/internal/graph"
 	"repro/internal/traffic"
 )
@@ -58,12 +59,13 @@ func (h *Harness) PrintTab1(rows []Tab1Row) {
 		column[Tab1Row]{"shortcuts", cell(func(r Tab1Row) int { return r.Shortcuts })})
 }
 
-// Tab2Row is one dataset row of Table II: construction time plus update
-// times for several changed-edge percentages. Times add the network time
-// Config.Net predicts for the secure comparisons consumed to the measured
-// local computation.
+// Tab2Row is one row of Table II: one index kind's construction time plus
+// update times for several changed-edge percentages on a dataset. Times add
+// the network time Config.Net predicts for the secure comparisons consumed
+// to the measured local computation.
 type Tab2Row struct {
 	Dataset      string
+	Index        string // "witness" or "customized"
 	Construction time.Duration
 	Updates      map[float64]time.Duration // percentage -> time
 	UpdateSAC    map[float64]int64         // percentage -> Fed-SAC count
@@ -73,9 +75,10 @@ type Tab2Row struct {
 var Tab2Percentages = []float64{0.1, 1, 10}
 
 // RunTab2 measures federated index construction and dynamic partial update
-// times (paper Table II). Every percentage updates the dataset's one
-// environment; Index.Update leaves the index it starts from as it was, so
-// the update costs are independent.
+// times (paper Table II) of the environment's witness index and of the
+// customized index production derives, skeleton included, over the same
+// changes. Index.Update leaves the index it starts from as it was, so the
+// update costs are independent.
 func (h *Harness) RunTab2() ([]Tab2Row, error) {
 	var rows []Tab2Row
 	for _, ds := range h.cfg.Datasets {
@@ -83,18 +86,24 @@ func (h *Harness) RunTab2() ([]Tab2Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		row := Tab2Row{
-			Dataset:      ds,
-			Construction: env.BuildTime + h.cfg.Net.Predict(env.Index.BuildStatistics().SAC, env.Fed.P()),
-			Updates:      make(map[float64]time.Duration),
-			UpdateSAC:    make(map[float64]int64),
+		sk, err := ch.BuildSkeleton(env.G)
+		var custom *ch.Index
+		if err == nil {
+			custom, err = ch.Customize(env.Fed, sk)
+		}
+		if err != nil {
+			return nil, err
+		}
+		indexes := []*ch.Index{env.Index, custom}
+		pair := []Tab2Row{{Dataset: ds, Index: "witness"}, {Dataset: ds, Index: "customized", Construction: sk.Stats().WallTime}}
+		for k, x := range indexes {
+			st := x.BuildStatistics()
+			pair[k].Construction += st.WallTime + h.cfg.Net.Predict(st.SAC, env.Fed.P())
+			pair[k].Updates, pair[k].UpdateSAC = make(map[float64]time.Duration), make(map[float64]int64)
 		}
 		for i, pct := range Tab2Percentages {
 			rng := rand.New(rand.NewPCG(h.cfg.Seed*999, uint64(i)))
-			num := int(pct / 100 * float64(env.G.NumArcs()))
-			if num < 1 {
-				num = 1
-			}
+			num := max(int(pct/100*float64(env.G.NumArcs())), 1)
 			// The next traffic version re-samples the congestion of these
 			// arcs at every silo.
 			sets := make([]graph.Weights, env.Fed.P())
@@ -110,27 +119,36 @@ func (h *Harness) RunTab2() ([]Tab2Row, error) {
 					sets[p][a] = max(int64(float64(env.W0[a])*(1+theta)), 1)
 				}
 			}
-			_, stats, err := env.Index.Update(env.Fed.WithWeights(sets), changed)
-			if err != nil {
-				return nil, err
+			next := env.Fed.WithWeights(sets)
+			for k, x := range indexes {
+				_, stats, err := x.Update(next, changed)
+				if err != nil {
+					return nil, err
+				}
+				pair[k].Updates[pct] = stats.WallTime + h.cfg.Net.Predict(stats.SAC, env.Fed.P())
+				pair[k].UpdateSAC[pct] = stats.SAC.Compares
 			}
-			row.Updates[pct] = stats.WallTime + h.cfg.Net.Predict(stats.SAC, env.Fed.P())
-			row.UpdateSAC[pct] = stats.SAC.Compares
 		}
-		rows = append(rows, row)
+		rows = append(rows, pair...)
 	}
 	return rows, nil
 }
 
-// PrintTab2 renders the construction/update table.
+// PrintTab2 renders the construction/update table: each update's time, then
+// its Fed-SAC count in parentheses.
 func (h *Harness) PrintTab2(rows []Tab2Row) {
-	cols := []column[Tab2Row]{{"dataset", func(r Tab2Row) string { return r.Dataset }}}
+	cols := []column[Tab2Row]{
+		{"dataset", func(r Tab2Row) string { return r.Dataset }},
+		{"index", func(r Tab2Row) string { return r.Index }},
+	}
 	for _, pct := range Tab2Percentages {
 		cols = append(cols, column[Tab2Row]{"upd " + strconv.FormatFloat(pct, 'g', -1, 64) + "%",
-			func(r Tab2Row) string { return fmtDuration(r.Updates[pct]) }})
+			func(r Tab2Row) string {
+				return fmtDuration(r.Updates[pct]) + " (" + strconv.FormatInt(r.UpdateSAC[pct], 10) + ")"
+			}})
 	}
 	cols = append(cols, column[Tab2Row]{"construction", func(r Tab2Row) string { return fmtDuration(r.Construction) }})
-	table(h, "\n== Table II: federated shortcut index construction & update time ==", rows, cols...)
+	table(h, "\n== Table II: federated shortcut index construction & update time (update Fed-SACs) ==", rows, cols...)
 }
 
 // Fig1Row is one traffic-data setting of Fig. 1: the share of queries whose

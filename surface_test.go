@@ -85,8 +85,8 @@ func TestProductionSurface(t *testing.T) {
 		"addr", "dataset", "graph", "n", "silos", "seed", "persist",
 		"tls-cert", "tls-key", "tls-ca",
 		"no-index",         // the verify skill's flat instance; README's default builds the index
-		"customize",        // README "contract once, re-customize": on; default witness build (ROADMAP item 1 decides)
-		"reindex-interval", // witness deployments' periodic rebuild; refused beside a customized index; default off
+		"customize",        // default on: the customized index production derives; -customize=false: the witness build (the perfect-customization item decides its fate)
+		"reindex-interval", // witness deployments' periodic rebuild (-customize=false); refused beside a customized index; default off
 		"max-concurrent",   // verify skill overload drill: 2; default 4×GOMAXPROCS
 		"max-queue",        // README durable deployment: 64; default unbounded
 		"cache",            // default 4096; verify skill / soak-style runs: 0 to measure every query
