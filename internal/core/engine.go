@@ -47,6 +47,17 @@ type Options struct {
 	// the first comparison of its pop replay, the one that shares the
 	// check's instance. Requires Queue == tm-tree.
 	BatchedMPC bool
+	// PruneStaged makes SPSP stage only the relaxed paths that can still
+	// win. Before its push, each side compares every relaxed path once: with
+	// the side's queued path to the same vertex when there is one, otherwise
+	// with the μ the step started with, once μ exists. The comparisons are
+	// one batch, beside the pop replays and the μ fold, and a path that
+	// loses is dropped. Neither drop changes a settle: on one side a vertex
+	// has one potential, so a path that does not beat the queued one would
+	// be popped after it, as a duplicate; and a key that does not beat an
+	// earlier μ fails the stopping rule when it is popped. Off, every
+	// relaxed path is queued, as in Alg. 1.
+	PruneStaged bool
 }
 
 func (o Options) withDefaults() Options {
@@ -63,11 +74,11 @@ func (o Options) withDefaults() Options {
 }
 
 // RouteOptions are the options of a served route query: the TM-tree with
-// batched Fed-SAC and Fed-AMPS, over index when it is non-nil and flat
-// otherwise. The facade's sessions and the cross-process mesh's silos both
-// build their engines from it, so the two run one search.
+// batched Fed-SAC, Fed-AMPS and pruned pushes, over index when it is non-nil
+// and flat otherwise. The facade's sessions and the cross-process mesh's
+// silos both build their engines from it, so the two run one search.
 func RouteOptions(index *ch.Index) Options {
-	return Options{Queue: pq.KindTMTree, Estimator: lb.FedAMPS, Index: index, BatchedMPC: true}
+	return Options{Queue: pq.KindTMTree, Estimator: lb.FedAMPS, Index: index, BatchedMPC: true, PruneStaged: true}
 }
 
 // comparator is the secure-comparison dependency of the search loops: the
@@ -146,6 +157,7 @@ type QueryStats struct {
 	HeuristicEvals  int       // federated lower-bound (A* potential) evaluations
 	SAC             mpc.Stats // Fed-SAC usage: comparisons, rounds, bytes, messages
 	Queue           pq.Counts // priority-queue comparison breakdown (Fig. 12)
+	PruneCompares   int64     // Options.PruneStaged's comparisons, made before the queue's
 	Phases          PhaseTimings
 	WallTime        time.Duration
 }

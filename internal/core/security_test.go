@@ -9,7 +9,6 @@ import (
 	"repro/internal/ch"
 	"repro/internal/fed"
 	"repro/internal/graph"
-	"repro/internal/lb"
 	"repro/internal/mpc"
 	"repro/internal/pq"
 	"repro/internal/traffic"
@@ -79,9 +78,10 @@ func sameTranscript(t *testing.T, what string, rec, got *transcript) {
 //
 // The cases: flat Fed-SSSP and Fed-SPSP over the heap, the TM-tree and the
 // batched TM-tree, and a star route whose two sides stop in one step, each
-// pop replay cut after its first comparison; then a full customization of the shortcut index followed
-// by the production route on it (TM-tree, Fed-AMPS, BatchedMPC), replayed in
-// order from one transcript.
+// pop replay cut after its first comparison; then the production route
+// (RouteOptions: TM-tree, Fed-AMPS, BatchedMPC, PruneStaged) on the flat
+// network, and a full customization of the shortcut index followed by the
+// production route on it, replayed in order from one transcript.
 func TestSimulationArgument(t *testing.T) {
 	g, w0 := graph.GenerateGrid(9, 9, 101)
 	realSets := traffic.SiloWeights(w0, 3, traffic.Moderate, 102)
@@ -180,23 +180,43 @@ func TestSimulationArgument(t *testing.T) {
 		samePath("queue "+queue+" star SPSP", simPath.Path, starPath.Path)
 	}
 
+	// --- The production route without an index: pruned pushes ---
+	var rec, got transcript
+	realPath, st, err := engine(record(realFed, &rec), RouteOptions(nil)).SPSP(0, 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.PruneCompares == 0 {
+		t.Fatal("the flat production route made no prune comparison")
+	}
+	simPath, _, err := engine(replay(simFed, &rec, &got), RouteOptions(nil)).SPSP(0, 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameTranscript(t, "flat production route", &rec, &got)
+	if !realPath.Found || !simPath.Found {
+		t.Fatalf("flat production route found real=%v sim=%v", realPath.Found, simPath.Found)
+	}
+	samePath("flat production route", simPath.Path, realPath.Path)
+
 	// --- Customization, then the production route on its index ---
 	sk, err := ch.BuildSkeleton(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prod := Options{Queue: pq.KindTMTree, Estimator: lb.FedAMPS, BatchedMPC: true}
-	var rec, got transcript
+	rec, got = transcript{}, transcript{}
 	realView := record(realFed, &rec)
 	realIdx, err := ch.Customize(realView, sk)
 	if err != nil {
 		t.Fatal(err)
 	}
 	customized := len(rec.widths)
-	prod.Index = realIdx
-	realPath, _, err := engine(realView, prod).SPSP(0, 80)
+	realPath, st, err = engine(realView, RouteOptions(realIdx)).SPSP(0, 80)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if st.PruneCompares == 0 {
+		t.Fatal("the indexed production route made no prune comparison")
 	}
 	simView := replay(simFed, &rec, &got)
 	simIdx, err := ch.Customize(simView, sk)
@@ -206,8 +226,7 @@ func TestSimulationArgument(t *testing.T) {
 	if customized == 0 || len(got.widths) != customized {
 		t.Fatalf("customization: %d instances recorded, %d replayed", customized, len(got.widths))
 	}
-	prod.Index = simIdx
-	simPath, _, err := engine(simView, prod).SPSP(0, 80)
+	simPath, _, err = engine(simView, RouteOptions(simIdx)).SPSP(0, 80)
 	if err != nil {
 		t.Fatal(err)
 	}

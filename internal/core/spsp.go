@@ -118,12 +118,55 @@ type side struct {
 	// a stopped side leaves its queue half-replayed, never to be read again.
 	done stopFlag
 
+	// best is, under Options.PruneStaged, the last path to each vertex the
+	// side queued; pruned counts the comparisons made against it and μ.
+	best   map[graph.Vertex]*item
+	pruned int64
+
 	// State of the current step: the champion this step pops (nil when the
 	// side sits the step out), whether it is to be settled (not a duplicate,
 	// and not stopped by the stopping rule), and the staged push.
 	top    *item
 	settle bool
 	commit func(comparator)
+}
+
+// prune keeps the relaxed paths of batch that can still win, one comparison
+// each through c, in one batch: a path to a vertex the side has queued a
+// path to must beat that path, and any other must beat mu, when mu is
+// non-nil. A path it keeps becomes the vertex's queued path; that this need
+// not be the shortest of several queued paths is sound, since any queued
+// path to the vertex outlives a path it beats.
+func (sd *side) prune(c comparator, batch []*item, mu fed.Partial) []*item {
+	against := make([]fed.Partial, len(batch)) // nil: kept without a comparison
+	var pairs [][2]fed.Partial
+	for i, it := range batch {
+		against[i] = mu
+		if q, ok := sd.best[it.v]; ok {
+			against[i] = q.key
+		}
+		if against[i] != nil {
+			pairs = append(pairs, [2]fed.Partial{it.key, against[i]})
+		}
+	}
+	var wins []bool
+	if len(pairs) > 0 {
+		sd.pruned += int64(len(pairs))
+		wins = c.LessBatch(pairs)
+	}
+	kept := batch[:0] // filtered in place: kept[k] is written after batch[k] is read
+	for i, it := range batch {
+		if against[i] != nil {
+			win := wins[0]
+			wins = wins[1:]
+			if !win {
+				continue
+			}
+		}
+		kept = append(kept, it)
+		sd.best[it.v] = it
+	}
+	return kept
 }
 
 // meeting records how the two searches touch: a forward-settled vertex, an
@@ -171,6 +214,9 @@ func (e *Engine) SPSP(s, t graph.Vertex) (PathResult, QueryStats, error) {
 	fwd := &side{forward: true, q: e.newQueue(sac), settled: make(map[graph.Vertex]*label), est: estF}
 	bwd := &side{forward: false, q: e.newQueue(sac), settled: make(map[graph.Vertex]*label), est: estB}
 	sides := [2]*side{fwd, bwd}
+	if e.opt.PruneStaged {
+		fwd.best, bwd.best = make(map[graph.Vertex]*item), make(map[graph.Vertex]*item)
+	}
 	fwd.q.stageOn(sac, []*item{{v: s, key: estF.Potential(s), g: e.f.ZeroPartial(), parent: graph.NoVertex, parc: -1}})(sac)
 	bwd.q.stageOn(sac, []*item{{v: t, key: estB.Potential(t), g: e.f.ZeroPartial(), parent: graph.NoVertex, parc: -1}})(sac)
 	heuristicEvals += 2
@@ -241,6 +287,8 @@ func (e *Engine) SPSP(s, t graph.Vertex) (PathResult, QueryStats, error) {
 	// followed by { commit fwd ‖ commit bwd }, the merges of the staged
 	// pushes. Checking a champion against the μ of the previous step is
 	// sound: a side can only stop later than it might have, never too early.
+	// Under PruneStaged a stage thread's first tick is its prune, which
+	// reads the μ the step started with: the fold beside it replaces μ.
 	settledTotal := 0
 	for {
 		threads, stops := make([]func(comparator), 1, 3), make([]*stopFlag, 1, 3)
@@ -265,6 +313,7 @@ func (e *Engine) SPSP(s, t graph.Vertex) (PathResult, QueryStats, error) {
 		t0 := time.Now()
 		var relaxTime time.Duration
 		threads[0] = func(c comparator) {
+			stepMu := mu
 			if mu != nil {
 				var keys [][2]fed.Partial
 				var whose []*side
@@ -299,7 +348,12 @@ func (e *Engine) SPSP(s, t graph.Vertex) (PathResult, QueryStats, error) {
 				if sd.settle {
 					batch, cs, ms := relax(sd, sides[1-i])
 					cands, meets = append(cands, cs...), append(meets, ms...)
-					inner = append(inner, func(c comparator) { sd.commit = sd.q.stageOn(c, batch) })
+					inner = append(inner, func(c comparator) {
+						if sd.best != nil {
+							batch = sd.prune(c, batch, stepMu)
+						}
+						sd.commit = sd.q.stageOn(c, batch)
+					})
 				}
 			}
 			relaxTime = time.Since(r0)
@@ -325,6 +379,7 @@ func (e *Engine) SPSP(s, t graph.Vertex) (PathResult, QueryStats, error) {
 		SettledVertices: settledTotal,
 		HeuristicEvals:  heuristicEvals,
 		SAC:             e.f.Engine().Stats().Sub(before),
+		PruneCompares:   fwd.pruned + bwd.pruned,
 		Phases:          phases,
 		WallTime:        time.Since(start),
 	}

@@ -134,12 +134,61 @@ func TestBothSidesStopInOneInstance(t *testing.T) {
 	}
 }
 
+// TestPruneStagesOnlyPathsThatCanWin: on a route 0→1 over a direct arc of
+// 10 per silo, the forward side also reaches 2 at 1 and 4 at 2; from 2 it
+// reaches 5 at 3, 3 at 101 and 6 at 10, and from 4 it reaches 5 again at 4.
+// The first step sets μ = 10 and queues everything, having nothing to
+// compare with. Pruned, the second step drops 3 and 6, whose keys are not
+// below that μ, and the third drops the path to 5 through 4, which loses to
+// the queued one through 2: 7 pushes (the two sources included) and 4
+// prune comparisons, against 10 pushes unpruned, for the same route.
+func TestPruneStagesOnlyPathsThatCanWin(t *testing.T) {
+	arcs := map[[2]graph.Vertex]int64{{0, 1}: 10, {0, 2}: 1, {0, 4}: 2, {2, 5}: 2, {2, 3}: 100, {2, 6}: 9, {4, 5}: 2}
+	b := graph.NewBuilder(7)
+	for a := range arcs {
+		b.AddArc(a[0], a[1])
+	}
+	g := b.Build()
+	w := make(graph.Weights, g.NumArcs())
+	for a := range w {
+		w[a] = arcs[[2]graph.Vertex{g.Tail(graph.Arc(a)), g.Head(graph.Arc(a))}]
+	}
+	f, err := fed.New(g, w, []graph.Weights{w, w, w}, mpc.Params{Mode: mpc.ModeIdeal, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, batched := range []bool{false, true} {
+		for _, prune := range []bool{false, true} {
+			e, err := NewEngine(f, Options{Queue: pq.KindTMTree, BatchedMPC: batched, PruneStaged: prune})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, st, err := e.SPSP(0, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Found || jointSum(res.Partial) != 30 || !reflect.DeepEqual(res.Path, []graph.Vertex{0, 1}) {
+				t.Fatalf("batched=%v prune=%v: route %+v, want 0→1 at 30", batched, prune, res)
+			}
+			pushes, compares := int64(10), int64(0)
+			if prune {
+				pushes, compares = 7, 4
+			}
+			if st.Queue.Pushes != pushes || st.PruneCompares != compares {
+				t.Fatalf("batched=%v prune=%v: %d pushes and %d prune comparisons, want %d and %d",
+					batched, prune, st.Queue.Pushes, st.PruneCompares, pushes, compares)
+			}
+		}
+	}
+}
+
 // stopAndMuCompares replays e's SPSP in plaintext — joint sums compared in
 // the clear, each queue a scan for its minimum — and counts the comparisons
 // the search makes outside its queues: the stopping rule's and the μ
-// fold's. It follows the secure search step by step whenever no two queued
-// keys tie, which the fixture's random weights make so.
-func stopAndMuCompares(t *testing.T, e *Engine, s, tt graph.Vertex) (n int64) {
+// fold's in n, and under Options.PruneStaged the prune's in pruned. It
+// follows the secure search step by step whenever no two queued keys tie,
+// which the fixture's random weights make so.
+func stopAndMuCompares(t *testing.T, e *Engine, s, tt graph.Vertex) (n, pruned int64) {
 	t.Helper()
 	var exp expander = &flatExpander{f: e.f}
 	if e.opt.Index != nil {
@@ -154,11 +203,12 @@ func stopAndMuCompares(t *testing.T, e *Engine, s, tt graph.Vertex) (n int64) {
 		q                     []*item
 		top                   *item
 		settled               map[graph.Vertex]fed.Partial
+		best                  map[graph.Vertex]int64 // the queued path's key
 		est                   lb.Estimator
 	}
 	start := func(v graph.Vertex, fwd bool, est lb.Estimator) *plainSide {
 		return &plainSide{forward: fwd, est: est, settled: map[graph.Vertex]fed.Partial{},
-			q: []*item{{v: v, key: est.Potential(v), g: e.f.ZeroPartial()}}}
+			best: map[graph.Vertex]int64{}, q: []*item{{v: v, key: est.Potential(v), g: e.f.ZeroPartial()}}}
 	}
 	sides := [2]*plainSide{start(s, true, estF), start(tt, false, estB)}
 	var mu fed.Partial
@@ -182,7 +232,7 @@ func stopAndMuCompares(t *testing.T, e *Engine, s, tt graph.Vertex) (n int64) {
 			sd.settle = !dup
 		}
 		if !live {
-			return n
+			return n, pruned
 		}
 		for _, sd := range sides {
 			if sd.settle && mu != nil {
@@ -207,6 +257,7 @@ func stopAndMuCompares(t *testing.T, e *Engine, s, tt graph.Vertex) (n int64) {
 			if lbl, both := other.settled[sd.top.v]; both && !mirrored {
 				cands = append(cands, fed.SumPartial(sd.top.g, lbl))
 			}
+			var batch []*item
 			for _, at := range exp.arcs(sd.top.v, sd.forward) {
 				if _, dup := sd.settled[at.to]; dup {
 					continue
@@ -220,7 +271,33 @@ func stopAndMuCompares(t *testing.T, e *Engine, s, tt graph.Vertex) (n int64) {
 				if pot := sd.est.Potential(at.to); pot != nil {
 					key = fed.SumPartial(ng, pot)
 				}
-				sd.q = append(sd.q, &item{v: at.to, key: key, g: ng})
+				batch = append(batch, &item{v: at.to, key: key, g: ng})
+			}
+			if !e.opt.PruneStaged {
+				sd.q = append(sd.q, batch...)
+				continue
+			}
+			// The prune: every path against the queued one to its vertex as
+			// the batch found it, else against the μ the step started with.
+			keep := make([]bool, len(batch))
+			for i, it := range batch {
+				b, queued := sd.best[it.v]
+				switch {
+				case queued:
+					keep[i] = jointSum(it.key) < b
+				case mu != nil:
+					keep[i] = jointSum(it.key) < jointSum(mu)
+				default:
+					keep[i] = true
+					continue
+				}
+				pruned++
+			}
+			for i, it := range batch {
+				if keep[i] {
+					sd.q = append(sd.q, it)
+					sd.best[it.v] = jointSum(it.key)
+				}
 			}
 		}
 		if mu != nil {
@@ -238,10 +315,11 @@ func stopAndMuCompares(t *testing.T, e *Engine, s, tt graph.Vertex) (n int64) {
 }
 
 // TestQueueCountsChargeOnlyComparisonsMade: over routes (flat, and indexed
-// with Fed-AMPS) and kNN, a query's queue counts plus its stopping-rule and
-// μ comparisons are exactly its Fed-SACs — a pair a stopped side's replay
-// dropped is charged nowhere — and batched and unbatched mode make the same
-// comparisons and charge the same queue counts.
+// with Fed-AMPS, each also as RouteOptions runs them, pruned) and kNN, a
+// query's queue counts plus its stopping-rule, μ and prune comparisons are
+// exactly its Fed-SACs — a pair a stopped side's replay dropped is charged
+// nowhere — and batched and unbatched mode make the same comparisons and
+// charge the same queue and prune counts.
 func TestQueueCountsChargeOnlyComparisonsMade(t *testing.T) {
 	fx := newFixture(t, "roadlike", 61, mpc.ModeIdeal)
 	rng := rand.New(rand.NewPCG(61, 62))
@@ -249,6 +327,8 @@ func TestQueueCountsChargeOnlyComparisonsMade(t *testing.T) {
 	for _, opt := range []Options{
 		{Queue: pq.KindTMTree},
 		{Queue: pq.KindTMTree, Estimator: lb.FedAMPS, Index: fx.idx},
+		RouteOptions(nil),
+		RouteOptions(fx.idx),
 	} {
 		for trial := 0; trial < 10; trial++ {
 			s, tt := graph.Vertex(rng.IntN(n)), graph.Vertex(rng.IntN(n))
@@ -262,16 +342,16 @@ func TestQueueCountsChargeOnlyComparisonsMade(t *testing.T) {
 				fx.checkSPSP(t, res, s, tt)
 				stats[i] = st
 			}
-			other := stopAndMuCompares(t, fx.engine(t, opt), s, tt)
+			other, pruned := stopAndMuCompares(t, fx.engine(t, opt), s, tt)
 			for i, st := range stats {
-				if st.Queue.Total()+other != st.SAC.Compares {
-					t.Fatalf("route %d→%d index=%v batched=%v: queue %d + stop/μ %d ≠ %d Fed-SACs",
-						s, tt, opt.Index != nil, i == 1, st.Queue.Total(), other, st.SAC.Compares)
+				if st.PruneCompares != pruned || st.Queue.Total()+other+pruned != st.SAC.Compares {
+					t.Fatalf("route %d→%d index=%v prune=%v batched=%v: queue %d + stop/μ %d + prune %d (want %d) ≠ %d Fed-SACs",
+						s, tt, opt.Index != nil, opt.PruneStaged, i == 1, st.Queue.Total(), other, st.PruneCompares, pruned, st.SAC.Compares)
 				}
 			}
 			if stats[0].SAC.Compares != stats[1].SAC.Compares || stats[0].Queue != stats[1].Queue {
-				t.Fatalf("route %d→%d index=%v: unbatched %d Fed-SACs, queue %+v; batched %d, %+v",
-					s, tt, opt.Index != nil, stats[0].SAC.Compares, stats[0].Queue, stats[1].SAC.Compares, stats[1].Queue)
+				t.Fatalf("route %d→%d index=%v prune=%v: unbatched %d Fed-SACs, queue %+v; batched %d, %+v",
+					s, tt, opt.Index != nil, opt.PruneStaged, stats[0].SAC.Compares, stats[0].Queue, stats[1].SAC.Compares, stats[1].Queue)
 			}
 		}
 	}

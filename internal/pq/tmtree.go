@@ -145,7 +145,11 @@ func (q *TMTree[T]) Stage(items []T) (commit func()) {
 func (q *TMTree[T]) merge(t *tnode[T]) {
 	// Step 2 — scale-balanced merging: repeatedly merge with the
 	// closest-sized similar sub-tree, then slot into the size-descending
-	// list.
+	// list. Removing roots[best] changes the successor of roots[best-1] and
+	// takes leaves out of every chain entry left of best: hi is the
+	// rightmost entry that lost leaves, lo the leftmost root whose successor
+	// changed (-1 and len(roots): none yet).
+	hi, lo := -1, len(q.roots)
 	for {
 		best, bestDiff := -1, 0
 		for i, r := range q.roots {
@@ -165,6 +169,10 @@ func (q *TMTree[T]) merge(t *tnode[T]) {
 		t = q.mergeNodes(t, q.roots[best])
 		q.roots = append(q.roots[:best], q.roots[best+1:]...)
 		q.chain = append(q.chain[:best], q.chain[best+1:]...)
+		if hi >= best {
+			hi--
+		}
+		hi, lo = max(hi, best-1), min(lo, best-1)
 	}
 	pos := len(q.roots)
 	for i, r := range q.roots {
@@ -179,16 +187,26 @@ func (q *TMTree[T]) merge(t *tnode[T]) {
 	q.chain = append(q.chain, nil)
 	copy(q.chain[pos+1:], q.chain[pos:])
 	q.chain[pos] = nil
+	if hi >= pos {
+		hi++
+	}
+	lo = min(lo, pos-1)
 
 	// Step 3 — update the winner chain leftward from the insertion point,
-	// stopping once a competition leaves the winner unchanged.
-	q.updateChainFrom(pos)
+	// stopping once a competition leaves the winner unchanged. The merged
+	// tree may slot in left of a root it absorbed, and a root that sat
+	// between the two then lies right of pos with a chain entry that may
+	// name a leaf of the new tree: the update starts at hi in that case. It
+	// stops early only where every entry left of it still has its old
+	// successor, at lo+1 or further left.
+	q.updateChain(max(hi, pos), lo+1)
 }
 
-// updateChainFrom recomputes chain[i], chain[i-1], ..., charging the current
-// phase, with early termination when a chain value does not change.
-func (q *TMTree[T]) updateChainFrom(i int) {
-	for j := i; j >= 0; j-- {
+// updateChain recomputes chain[from], chain[from-1], ..., charging the
+// current phase, with early termination at an index below through when a
+// chain value does not change.
+func (q *TMTree[T]) updateChain(from, through int) {
+	for j := from; j >= 0; j-- {
 		var nw *tnode[T]
 		if j == len(q.roots)-1 {
 			nw = q.roots[j].winner // rightmost: no competition needed
@@ -197,7 +215,7 @@ func (q *TMTree[T]) updateChainFrom(i int) {
 		}
 		old := q.chain[j]
 		q.chain[j] = nw
-		if j != i && nw == old {
+		if j < through && nw == old {
 			return
 		}
 	}
@@ -265,7 +283,7 @@ func (q *TMTree[T]) Pop() (T, bool) {
 	// correct: chain[j] still summarizes roots[j:]. Otherwise recompute from
 	// the affected position leftward.
 	if idx >= 0 && len(q.roots) > 0 {
-		q.updateChainFrom(idx)
+		q.updateChain(idx, idx)
 	}
 	q.phase = &q.counts.Merge
 	q.size--

@@ -47,17 +47,20 @@ var queueAxis = []struct {
 }{{pq.KindHeap, false}, {pq.KindLeftist, false}, {pq.KindTMTree, false}, {pq.KindTMTree, true}}
 
 // spspConfigs enumerates every valid SPSP configuration: {index, no index} ×
-// {no estimator, FedALT, FedALTMax, FedAMPS} × queueAxis.
+// {no estimator, FedALT, FedALTMax, FedAMPS} × queueAxis × {Alg. 1's queue,
+// pruned pushes}.
 func spspConfigs() []oracleConfig {
 	var out []oracleConfig
 	for _, indexed := range []bool{true, false} {
 		for _, est := range []lb.Kind{lb.None, lb.FedALT, lb.FedALTMax, lb.FedAMPS} {
 			for _, qb := range queueAxis {
-				out = append(out, oracleConfig{
-					name:    fmt.Sprintf("index=%v/est=%s/queue=%s/batched=%v", indexed, est, qb.q, qb.b),
-					opt:     core.Options{Estimator: est, Queue: qb.q, BatchedMPC: qb.b},
-					indexed: indexed,
-				})
+				for _, prune := range []bool{false, true} {
+					out = append(out, oracleConfig{
+						name:    fmt.Sprintf("index=%v/est=%s/queue=%s/batched=%v/prune=%v", indexed, est, qb.q, qb.b, prune),
+						opt:     core.Options{Estimator: est, Queue: qb.q, BatchedMPC: qb.b, PruneStaged: prune},
+						indexed: indexed,
+					})
+				}
 			}
 		}
 	}
