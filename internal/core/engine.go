@@ -51,12 +51,14 @@ type Options struct {
 	// win. Before its push, each side compares every relaxed path once: with
 	// the side's queued path to the same vertex when there is one, otherwise
 	// with the μ the step started with, once μ exists. The comparisons are
-	// one batch, beside the pop replays and the μ fold, and a path that
-	// loses is dropped. Neither drop changes a settle: on one side a vertex
-	// has one potential, so a path that does not beat the queued one would
-	// be popped after it, as a duplicate; and a key that does not beat an
-	// earlier μ fails the stopping rule when it is popped. Off, every
-	// relaxed path is queued, as in Alg. 1.
+	// one batch, beside the pop replays, the μ fold and the first tournament
+	// level of the paths that need none; a path that loses is dropped, and
+	// one that wins joins the tournament after that level. Neither drop
+	// changes a settle: on one side a vertex has one potential, so a path
+	// that does not beat the queued one would be popped after it, as a
+	// duplicate; and a key that does not beat an earlier μ fails the
+	// stopping rule when it is popped. Off, every relaxed path is queued, as
+	// in Alg. 1.
 	PruneStaged bool
 }
 
@@ -260,13 +262,7 @@ func (e *Engine) newQueue(cmp comparator) *searchQueue {
 	less := func(a, b *item) bool { return sq.pop.LessBatch([][2]fed.Partial{{a.key, b.key}})[0] }
 	sq.q = pq.New[*item](e.opt.Queue, less, e.opt.Alpha)
 	if q, ok := sq.q.(*pq.TMTree[*item]); ok {
-		q.SetBatchLess(func(pairs [][2]*item) []bool {
-			ps := make([][2]fed.Partial, len(pairs))
-			for i, pr := range pairs {
-				ps[i] = [2]fed.Partial{pr[0].key, pr[1].key}
-			}
-			return sq.stage.LessBatch(ps)
-		})
+		q.SetBatchLess(func(pairs [][2]*item) []bool { return sq.stage.LessBatch(keys(pairs)) })
 	}
 	return sq
 }
@@ -280,10 +276,35 @@ func (sq *searchQueue) popOn(c comparator) {
 // stageOn stages items through c — it may run beside popOn — and returns the
 // commit as a thread of its own.
 func (sq *searchQueue) stageOn(c comparator, items []*item) (commit func(comparator)) {
+	return sq.stageJoinOn(c, items, nil, nil)
+}
+
+// stageJoinOn is stageOn for a batch the caller decides by pairs of its own:
+// ready and the items join returns, given pre's bits (pq.TMTree.StageJoin).
+// On the TM-tree pre shares its call with the tournament's first level; on
+// the other queues, which build nothing, it is one call of its own.
+func (sq *searchQueue) stageJoinOn(c comparator, ready []*item, pre [][2]*item, join func(bits []bool) []*item) (commit func(comparator)) {
 	sq.stage = c
-	done := sq.q.Stage(items)
+	var done func()
+	if t, ok := sq.q.(*pq.TMTree[*item]); ok {
+		done = t.StageJoin(ready, pre, join)
+	} else {
+		if len(pre) > 0 {
+			ready = append(ready, join(c.LessBatch(keys(pre)))...)
+		}
+		done = sq.q.Stage(ready)
+	}
 	return func(c comparator) {
 		sq.pop = c
 		done()
 	}
+}
+
+// keys maps item pairs to the key pairs a comparator decides.
+func keys(pairs [][2]*item) [][2]fed.Partial {
+	ps := make([][2]fed.Partial, len(pairs))
+	for i, pr := range pairs {
+		ps[i] = [2]fed.Partial{pr[0].key, pr[1].key}
+	}
+	return ps
 }

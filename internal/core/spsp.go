@@ -131,42 +131,47 @@ type side struct {
 	commit func(comparator)
 }
 
-// prune keeps the relaxed paths of batch that can still win, one comparison
-// each through c, in one batch: a path to a vertex the side has queued a
-// path to must beat that path, and any other must beat mu, when mu is
-// non-nil. A path it keeps becomes the vertex's queued path; that this need
-// not be the shortest of several queued paths is sound, since any queued
-// path to the vertex outlives a path it beats.
-func (sd *side) prune(c comparator, batch []*item, mu fed.Partial) []*item {
-	against := make([]fed.Partial, len(batch)) // nil: kept without a comparison
-	var pairs [][2]fed.Partial
-	for i, it := range batch {
-		against[i] = mu
+// stage stages the relaxed paths of batch through c; under
+// Options.PruneStaged, only those that can still win, one comparison each: a
+// path to a vertex the side has queued a path to must beat that path, and any
+// other must beat mu, when mu is non-nil. A path it keeps becomes the
+// vertex's queued path; that this need not be the shortest of several queued
+// paths is sound, since any queued path to the vertex outlives a path it
+// beats. The paths that need no comparison start the tournament at once,
+// its first level in the prune's call, and those that win theirs join it
+// after that level.
+func (sd *side) stage(c comparator, batch []*item, mu fed.Partial) (commit func(comparator)) {
+	if sd.best == nil {
+		return sd.q.stageOn(c, batch)
+	}
+	var ready, contested []*item
+	var pre [][2]*item
+	for _, it := range batch {
+		against := mu
 		if q, ok := sd.best[it.v]; ok {
-			against[i] = q.key
+			against = q.key
 		}
-		if against[i] != nil {
-			pairs = append(pairs, [2]fed.Partial{it.key, against[i]})
+		if against == nil {
+			ready = append(ready, it)
+		} else {
+			contested = append(contested, it)
+			pre = append(pre, [2]*item{it, {key: against}})
 		}
 	}
-	var wins []bool
-	if len(pairs) > 0 {
-		sd.pruned += int64(len(pairs))
-		wins = c.LessBatch(pairs)
-	}
-	kept := batch[:0] // filtered in place: kept[k] is written after batch[k] is read
-	for i, it := range batch {
-		if against[i] != nil {
-			win := wins[0]
-			wins = wins[1:]
-			if !win {
-				continue
-			}
-		}
-		kept = append(kept, it)
+	for _, it := range ready { // no contested path shares a vertex with these
 		sd.best[it.v] = it
 	}
-	return kept
+	sd.pruned += int64(len(pre))
+	return sd.q.stageJoinOn(c, ready, pre, func(wins []bool) []*item {
+		kept := contested[:0] // filtered in place: kept[k] is written after contested[k] is read
+		for i, it := range contested {
+			if wins[i] {
+				kept = append(kept, it)
+				sd.best[it.v] = it
+			}
+		}
+		return kept
+	})
 }
 
 // meeting records how the two searches touch: a forward-settled vertex, an
@@ -288,7 +293,9 @@ func (e *Engine) SPSP(s, t graph.Vertex) (PathResult, QueryStats, error) {
 	// pushes. Checking a champion against the μ of the previous step is
 	// sound: a side can only stop later than it might have, never too early.
 	// Under PruneStaged a stage thread's first tick is its prune, which
-	// reads the μ the step started with: the fold beside it replaces μ.
+	// reads the μ the step started with (the fold beside it replaces μ),
+	// and the first tournament level of the paths that need no prune; the
+	// prune's survivors join the tournament at its second tick.
 	settledTotal := 0
 	for {
 		threads, stops := make([]func(comparator), 1, 3), make([]*stopFlag, 1, 3)
@@ -348,12 +355,7 @@ func (e *Engine) SPSP(s, t graph.Vertex) (PathResult, QueryStats, error) {
 				if sd.settle {
 					batch, cs, ms := relax(sd, sides[1-i])
 					cands, meets = append(cands, cs...), append(meets, ms...)
-					inner = append(inner, func(c comparator) {
-						if sd.best != nil {
-							batch = sd.prune(c, batch, stepMu)
-						}
-						sd.commit = sd.q.stageOn(c, batch)
-					})
+					inner = append(inner, func(c comparator) { sd.commit = sd.stage(c, batch, stepMu) })
 				}
 			}
 			relaxTime = time.Since(r0)

@@ -50,9 +50,9 @@ type BatchLessFunc[T any] func(pairs [][2]T) []bool
 // SetBatchLess enables batched comparisons for the tournament build: the
 // comparisons of one tournament level are independent, so a push batch of n
 // items costs its n−1 comparisons in only ⌈log₂ n⌉ protocol round-trips.
-// Once set, Stage compares through f alone and never through the LessFunc,
-// so a caller may bind the two to different comparison channels and run
-// Stage beside Pop.
+// Once set, Stage and StageJoin compare through f alone and never through
+// the LessFunc, so a caller may bind the two to different comparison
+// channels and run a stage beside Pop.
 func (q *TMTree[T]) SetBatchLess(f BatchLessFunc[T]) { q.batchLess = f }
 
 // winnerLeaf decides the higher-priority of two leaves, charging one
@@ -92,52 +92,82 @@ func (q *TMTree[T]) PushBatch(items []T) { q.Stage(items)() }
 // and writes nothing of the global structure (roots, chain, counters), so it
 // may run concurrently with Pop. commit performs Steps 2–3 and the counting;
 // call it exactly once, and not concurrently with any other queue operation.
-func (q *TMTree[T]) Stage(items []T) (commit func()) {
-	if len(items) == 0 {
+// Stage(items) is StageJoin(items, nil, nil).
+func (q *TMTree[T]) Stage(items []T) (commit func()) { return q.StageJoin(items, nil, nil) }
+
+// StageJoin is Stage for a batch that the caller is still deciding by
+// comparisons of its own. The first comparison call carries the caller's
+// pairs pre and then the first level of ready's tournament; join, if
+// non-nil, gets pre's bits and returns the items that join the tournament
+// after that level, behind its contenders. From then on each call pairs the
+// contenders in order, so the tree holds ready and the joiners, built with
+// one comparison fewer than it has items.
+func (q *TMTree[T]) StageJoin(ready []T, pre [][2]T, join func(bits []bool) []T) (commit func()) {
+	level, bits := q.playLevel(leaves(ready), pre)
+	if join != nil {
+		level = append(level, leaves(join(bits))...)
+	}
+	for len(level) > 1 {
+		level, _ = q.playLevel(level, nil)
+	}
+	if len(level) == 0 {
 		return func() {}
 	}
+	t := level[0]
+	return func() {
+		q.counts.Pushes += int64(t.size)
+		q.counts.Build += int64(t.size - 1)
+		q.merge(t)
+		q.size += t.size
+	}
+}
+
+// leaves wraps items as one-leaf tournament trees.
+func leaves[T any](items []T) []*tnode[T] {
 	level := make([]*tnode[T], len(items))
 	for i, it := range items {
 		leaf := &tnode[T]{item: it, size: 1}
 		leaf.winner = leaf
 		level[i] = leaf
 	}
-	for len(level) > 1 {
-		matches := len(level) / 2
-		var res []bool // nil: decide each match through the LessFunc
-		if q.batchLess != nil {
-			pairs := make([][2]T, matches)
-			for i := range pairs {
-				pairs[i] = [2]T{level[2*i+1].winner.item, level[2*i].winner.item}
-			}
-			res = q.batchLess(pairs)
-		}
-		next := make([]*tnode[T], 0, (len(level)+1)/2)
-		for i := 0; i < matches; i++ {
-			a, b := level[2*i], level[2*i+1]
-			var second bool
-			if res != nil {
-				second = res[i]
-			} else {
-				second = q.less(b.winner.item, a.winner.item)
-			}
-			winner := a.winner
-			if second {
-				winner = b.winner
-			}
-			next = append(next, &tnode[T]{left: a, right: b, winner: winner, size: a.size + b.size})
-		}
-		if len(level)%2 == 1 {
-			next = append(next, level[len(level)-1])
-		}
-		level = next
+	return level
+}
+
+// playLevel plays one tournament level: neighbouring contenders meet in
+// pairs and an odd one out moves up unplayed. Its comparisons are one
+// batched call when a batch comparator is set, led by the caller's pairs pre,
+// whose bits it returns beside the next level; no pairs, no call.
+func (q *TMTree[T]) playLevel(level []*tnode[T], pre [][2]T) (next []*tnode[T], preBits []bool) {
+	matches := len(level) / 2
+	pairs := make([][2]T, len(pre), len(pre)+matches)
+	copy(pairs, pre)
+	for i := 0; i < matches; i++ {
+		pairs = append(pairs, [2]T{level[2*i+1].winner.item, level[2*i].winner.item})
 	}
-	return func() {
-		q.counts.Pushes += int64(len(items))
-		q.counts.Build += int64(len(items) - 1)
-		q.merge(level[0])
-		q.size += len(items)
+	var bits []bool
+	switch {
+	case len(pairs) == 0:
+	case q.batchLess != nil:
+		bits = q.batchLess(pairs)
+	default:
+		bits = make([]bool, len(pairs))
+		for i, p := range pairs {
+			bits[i] = q.less(p[0], p[1])
+		}
 	}
+	next = make([]*tnode[T], 0, (len(level)+1)/2)
+	for i := 0; i < matches; i++ {
+		a, b := level[2*i], level[2*i+1]
+		winner := a.winner
+		if bits[len(pre)+i] {
+			winner = b.winner
+		}
+		next = append(next, &tnode[T]{left: a, right: b, winner: winner, size: a.size + b.size})
+	}
+	if len(level)%2 == 1 {
+		next = append(next, level[len(level)-1])
+	}
+	return next, bits[:len(pre):len(pre)]
 }
 
 // merge is Steps 2–3 of a batch push: slot the staged tree t into the global

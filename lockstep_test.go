@@ -17,7 +17,9 @@ import (
 // bit it never reads (a stopped side's pop replay ends at its stopping tick,
 // kNN at its k-th settle): 1,315 and 477 before that rule. The routes also
 // stage only the paths that can still win (core.Options.PruneStaged), which
-// took them from 1,225 compares in 414 instances to 1,177 in 400.
+// took them from 1,225 compares in 414 instances to 1,177 in 400; starting
+// each step's tournament in its prune's instance took the same 1,177
+// compares to 375 instances.
 const (
 	parentSPSPInstances = 8424 / 8
 	spspCompares        = 1177
