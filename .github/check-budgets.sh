@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
 # Holds the repo benchmark to the budgets in .github/budgets.json, the one
-# place they are written. For each workload (all of them, or those named on
-# the command line) it runs `benchmark/run.sh --workload W <args>`, which must
+# place they are written. For each entry (all of them, or every entry of the
+# workloads named on the command line; a workload may have several, each
+# with its own args) it runs `benchmark/run.sh --workload W <args>`, which must
 # exit 0 (exit 4 = a wrong or failed op), and fails if a metric of its last
 # line exceeds its "max" or is missing. With "same_under_gomaxprocs_1" the
 # workload runs again under GOMAXPROCS=1, must meet the same budget, and must
 # read the same value of every budgeted metric.
 #
 #   bash .github/check-budgets.sh               # every budget
-#   bash .github/check-budgets.sh route_wire    # one
+#   bash .github/check-budgets.sh knn_mem       # every budget of one workload
 set -euo pipefail
 cd "$(dirname "$0")/.."
 budgets=.github/budgets.json
@@ -47,16 +48,21 @@ counts() {
 }
 
 if [ $# -eq 0 ]; then
-	mapfile -t names < <(jq -r '.[].workload' "$budgets")
+	mapfile -t entries < <(jq -c '.[]' "$budgets")
 else
-	names=("$@")
+	entries=()
+	for w in "$@"; do
+		mapfile -t found < <(jq -c --arg w "$w" '.[] | select(.workload == $w)' "$budgets")
+		if [ ${#found[@]} -eq 0 ]; then
+			echo "no budget for workload $w" >&2
+			exit 2
+		fi
+		entries+=("${found[@]}")
+	done
 fi
 status=0
-for w in "${names[@]}"; do
-	if ! b=$(jq -ce --arg w "$w" 'first(.[] | select(.workload == $w))' "$budgets"); then
-		echo "no budget for workload $w" >&2
-		exit 2
-	fi
+for b in "${entries[@]}"; do
+	w=$(jq -r .workload <<<"$b")
 	mapfile -t args < <(jq -r '.args[]' <<<"$b")
 	if ! env=$(run "$w" "${args[@]}"); then
 		status=1

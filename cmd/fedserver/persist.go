@@ -137,9 +137,13 @@ func (p *persister) Snapshot() error {
 // Apply runs a traffic batch through the federation and logs it durably,
 // holding mu so the record order in the WAL matches the version order the
 // federation assigned. A batch is logged iff it was applied: an empty batch
-// bumps no version, and a failed one — rejected, or its index refresh failed
-// — published nothing.
+// bumps no version, and a failed one — rejected, too large to log, or its
+// index refresh failed — published nothing.
 func (p *persister) Apply(updates []fedroad.TrafficUpdate) (ch.UpdateStats, error) {
+	if len(updates) > maxLoggedUpdates {
+		return ch.UpdateStats{}, fmt.Errorf("%w: a batch of %d updates is more than one WAL record holds (%d)",
+			fedroad.ErrInvalidUpdate, len(updates), maxLoggedUpdates)
+	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	stats, err := p.fed.ApplyTraffic(updates)
@@ -165,6 +169,10 @@ func (p *persister) Close() {
 // A traffic WAL record: the post-apply traffic version, then the batch.
 //
 //	[u64 version][u32 count] count × ([u32 silo][u32 arc][i64 travel_ms])
+//
+// maxLoggedUpdates is the largest batch whose record wal.MaxRecord admits.
+const maxLoggedUpdates = (wal.MaxRecord - 12) / 16
+
 func encodeTrafficRecord(ver uint64, updates []fedroad.TrafficUpdate) []byte {
 	buf := make([]byte, 12+16*len(updates))
 	binary.LittleEndian.PutUint64(buf[0:8], ver)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand/v2"
 	"net/http"
@@ -262,6 +263,40 @@ func TestPersistApplySurfacesWALFailure(t *testing.T) {
 	_, err = p.Apply([]fedroad.TrafficUpdate{{Silo: 0, Arc: 1, TravelMs: 5000}})
 	if err == nil {
 		t.Fatal("apply with a dead WAL reported success")
+	}
+}
+
+// TestPersistRefusesBatchTooLargeToLog: a batch whose WAL record would
+// exceed wal.MaxRecord is refused as an invalid update before anything is
+// applied, so it is neither published nor logged.
+func TestPersistRefusesBatchTooLargeToLog(t *testing.T) {
+	fed, _ := persistFed(t)
+	p, err := newPersister(fed, t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Restore(); err != nil {
+		t.Fatal(err)
+	}
+	defer p.Close()
+	before, err := os.Stat(p.walPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ups := make([]fedroad.TrafficUpdate, maxLoggedUpdates+1) // 4,194,304 valid updates, 12+16n > wal.MaxRecord
+	for i := range ups {
+		ups[i] = fedroad.TrafficUpdate{Silo: 0, Arc: 1, TravelMs: 5000}
+	}
+	if _, err := p.Apply(ups); !errors.Is(err, fedroad.ErrInvalidUpdate) {
+		t.Fatalf("apply of %d updates: %v, want ErrInvalidUpdate", len(ups), err)
+	}
+	after, err := os.Stat(p.walPath())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := fed.TrafficVersion(); v != 0 || p.walAppends.Load() != 0 || after.Size() != before.Size() {
+		t.Fatalf("refused batch: traffic version %d, %d WAL appends, WAL %d → %d bytes",
+			v, p.walAppends.Load(), before.Size(), after.Size())
 	}
 }
 

@@ -294,6 +294,10 @@ func (s *server) handleKNN(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, out)
 }
 
+// maxTrafficBody bounds a /traffic body; a larger one is refused with 413
+// before it is decoded in full.
+const maxTrafficBody = 64 << 20
+
 type trafficChange struct {
 	Silo     int         `json:"silo"`
 	Arc      fedroad.Arc `json:"arc"`
@@ -302,8 +306,13 @@ type trafficChange struct {
 
 func (s *server) handleTraffic(w http.ResponseWriter, r *http.Request) {
 	var changes []trafficChange
-	if err := json.NewDecoder(r.Body).Decode(&changes); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("invalid body: %w", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxTrafficBody)).Decode(&changes); err != nil {
+		code := http.StatusBadRequest
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		httpError(w, code, fmt.Errorf("invalid body: %w", err))
 		return
 	}
 	updates := make([]fedroad.TrafficUpdate, len(changes))
@@ -316,7 +325,7 @@ func (s *server) handleTraffic(w http.ResponseWriter, r *http.Request) {
 	if err != nil {
 		// ApplyTraffic validates the whole batch before it changes anything
 		// and tags its rejections with ErrInvalidUpdate — the client's
-		// fault. A failed index refresh published nothing and maps as a
+		// fault, as is a batch too large for the persister to log. A failed index refresh published nothing and maps as a
 		// failed query does: a dead silo (503) or a slow one (504), and the
 		// client resends the batch. Anything else, a WAL append failure
 		// included, is 500.

@@ -468,6 +468,50 @@ func TestTrafficValidation(t *testing.T) {
 	}
 }
 
+// endlessTraffic streams a /traffic body of valid updates: what buf starts
+// with ("["), then the same update with a comma n times, then it once more
+// and "]".
+type endlessTraffic struct {
+	n    int
+	tail bool
+	buf  []byte
+}
+
+func (r *endlessTraffic) Read(p []byte) (n int, err error) {
+	const update = `{"silo":0,"arc":1,"travel_ms":1000}`
+	for n < len(p) {
+		if len(r.buf) == 0 {
+			switch {
+			case r.n > 0:
+				r.buf, r.n = []byte(update+","), r.n-1
+			case !r.tail:
+				r.buf, r.tail = []byte(update+"]"), true
+			default:
+				return n, io.EOF
+			}
+		}
+		c := copy(p[n:], r.buf)
+		r.buf, n = r.buf[c:], n+c
+	}
+	return n, nil
+}
+
+// TestTrafficBodyLimit: a /traffic body longer than maxTrafficBody, streamed
+// without a length, answers 413 and publishes nothing.
+func TestTrafficBodyLimit(t *testing.T) {
+	ts, fed, _ := testServer(t)
+	body := &endlessTraffic{n: maxTrafficBody/36 + 1, buf: []byte("[")} // 36 bytes an update
+	resp, err := http.Post(ts.URL+"/traffic", "application/json", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || fed.TrafficVersion() != 0 {
+		t.Fatalf("body over %d bytes: status %d, traffic version %d; want 413 and 0",
+			maxTrafficBody, resp.StatusCode, fed.TrafficVersion())
+	}
+}
+
 // TestTrafficRefreshFaultStatus: a batch whose index refresh fails on a
 // faulted silo link answers as a failed query does — 503 or 504 — and
 // publishes nothing: the traffic version stays. Resent, the batch applies.

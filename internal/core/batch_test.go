@@ -3,12 +3,15 @@ package core
 import (
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 
+	"repro/internal/fed"
 	"repro/internal/graph"
 	"repro/internal/lb"
 	"repro/internal/mpc"
 	"repro/internal/pq"
+	"repro/internal/traffic"
 )
 
 func TestBatchedMPCQueriesExact(t *testing.T) {
@@ -162,5 +165,52 @@ func TestBatchedSSSP(t *testing.T) {
 	// in TestBatchedMPCReducesRounds.
 	if stats.SAC.Rounds > stats.SAC.Compares*int64(mpc.RoundsPerCompare) {
 		t.Fatal("batching increased rounds")
+	}
+}
+
+// knnWork is what one Fed-SSSP from vertex 658 of the budget fixture (the
+// 1,500-vertex road network seeded 17 that TestStagedJoinKeepsSettlesAndPrunes
+// rebuilds) settles and compares, per k and queue stack.
+var knnWork = []struct {
+	k                        int
+	batched                  bool
+	settled, sacs, instances int64
+}{
+	{1, true, 1, 0, 0}, {1, false, 1, 0, 0},
+	{20, true, 20, 114, 98}, {20, false, 20, 169, 169},
+	{1500, true, 1500, 21185, 19749}, {1500, false, 1500, 28409, 28409},
+}
+
+// TestKNNWorkPinned pins kNN's schedule: for k = 1, 20 and every vertex,
+// on the batched TM-tree and on the unbatched heap, Fed-SSSP settles as many
+// vertices and runs as many Fed-SACs in as many instances as pinned, and
+// its answers equal plaintext Dijkstra's.
+func TestKNNWorkPinned(t *testing.T) {
+	g, w0 := graph.GenerateRoadLike(1500, 17)
+	f, err := fed.New(g, w0, traffic.SiloWeights(w0, 3, traffic.Moderate, 18), mpc.Params{Mode: mpc.ModeIdeal, Seed: 17})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fx := &fixture{f: f, joint: f.JointWeights()}
+	full := graph.Dijkstra(g, fx.joint, 658)
+	for _, want := range knnWork {
+		opt := Options{Queue: pq.KindHeap}
+		if want.batched {
+			opt = Options{Queue: pq.KindTMTree, BatchedMPC: true}
+		}
+		res, st, err := fx.engine(t, opt).SSSP(658, want.k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range res {
+			if jointSum(r.Partial) != full.Dist[r.Target] {
+				t.Fatalf("k=%d batched=%v: distance to %d = %d, want %d",
+					want.k, want.batched, r.Target, jointSum(r.Partial), full.Dist[r.Target])
+			}
+		}
+		if got := []int64{int64(st.SettledVertices), st.SAC.Compares, st.SAC.Rounds / mpc.RoundsPerCompare}; !slices.Equal(got, []int64{want.settled, want.sacs, want.instances}) {
+			t.Errorf("k=%d batched=%v: %d settles, %d Fed-SACs, %d instances; want %d, %d, %d",
+				want.k, want.batched, got[0], got[1], got[2], want.settled, want.sacs, want.instances)
+		}
 	}
 }

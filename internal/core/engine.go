@@ -36,16 +36,16 @@ type Options struct {
 	// Index enables hierarchical search over the federated shortcut index,
 	// which must have been derived over the engine's silo weights.
 	Index *ch.Index
-	// BatchedMPC runs independent secure comparisons in shared protocol
-	// instances (one set of communication rounds for all of them): the
-	// matches of one tournament level in the TM-tree's build and in the μ
-	// update, the stopping-rule checks of both search directions, and — by
-	// running every search step in lockstep — the pop replay, the next
-	// push's tournament build and the μ update of both directions, tick by
-	// tick. The comparisons made are the same; off, the same step runs them
-	// one instance each. In both, a side the stopping rule stops makes only
-	// the first comparison of its pop replay, the one that shares the
-	// check's instance. Requires Queue == tm-tree.
+	// BatchedMPC runs the comparisons of one lockstep tick in one shared
+	// protocol instance (one set of communication rounds for all of them).
+	// Every search step runs in lockstep in both modes: its threads — the
+	// pop replays, the next pushes' tournament builds, the μ update and the
+	// stopping-rule checks of both directions — meet tick by tick, and the
+	// matches of one tournament level are one tick. Off, each comparison of
+	// a tick is an instance of its own; the comparisons made are the same.
+	// In both, a side the stopping rule stops makes only the first
+	// comparison of its pop replay, the one in the check's tick. Requires
+	// Queue == tm-tree.
 	BatchedMPC bool
 	// PruneStaged makes SPSP stage only the relaxed paths that can still
 	// win. Before its push, each side compares every relaxed path once: with
@@ -195,8 +195,8 @@ type label struct {
 
 // timedCmp wraps the per-query Fed-SAC handle and accumulates the wall time
 // spent blocked in secure comparisons — the query's Fed-SAC wait phase.
-// Unless batched, it also splits every batch into instances of one, so that
-// one search loop serves both settings of Options.BatchedMPC.
+// Unless batched, it also splits every tick into instances of one: the only
+// thing Options.BatchedMPC decides.
 type timedCmp struct {
 	inner   comparator
 	batched bool
@@ -224,34 +224,13 @@ func (e *Engine) newCmp(sac *fed.SAC) *timedCmp {
 	return &timedCmp{inner: sac, batched: e.opt.BatchedMPC}
 }
 
-// gang runs fns as the threads of one search step: in lockstep when
-// BatchedMPC is on, so that comparisons the threads make at the same tick
-// share a protocol instance, and one after the other otherwise. The threads
-// must be independent of one another, which makes the two orders equivalent.
-// stops is nil or binds each thread to a flag that only the bits of an
-// earlier thread's first call may raise: in both orders the bound thread's
-// first call runs and its later ones are dropped.
-func (e *Engine) gang(cmp comparator, stops []*stopFlag, fns ...func(comparator)) {
-	if e.opt.BatchedMPC {
-		lockstep(cmp, stops, fns...)
-		return
-	}
-	for i, fn := range fns {
-		if stops == nil {
-			fn(cmp)
-		} else {
-			lockstep(cmp, stops[i:i+1], fn) // a gang of one, its first tick the thread's first call
-		}
-	}
-}
-
 // searchQueue is the configured priority queue over frontier items, every
 // queue comparison one secure comparison. Its operations take the comparator
 // to compare through, so a step can put them on different lockstep threads:
 // the queue's LessFunc (pop replay, merge, chain update) reads pop, the
 // TM-tree's tournament build reads stage (one batch per level, which an
 // unbatched comparator splits into instances of one). Each operation sets
-// the handle it reads, so none reads a handle a finished gang left behind.
+// the handle it reads, so none reads a handle a finished step left behind.
 type searchQueue struct {
 	q          pq.Queue[*item]
 	pop, stage comparator

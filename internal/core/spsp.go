@@ -113,7 +113,10 @@ type side struct {
 	forward bool
 	q       *searchQueue
 	settled map[graph.Vertex]*label
-	est     lb.Estimator
+	// est keys each relaxed path by g+π; nil (kNN) keys it by g. evals
+	// counts its estimates.
+	est   lb.Estimator
+	evals int
 	// done is raised when the side stops; it binds the side's pop replay, so
 	// a stopped side leaves its queue half-replayed, never to be read again.
 	done stopFlag
@@ -174,6 +177,48 @@ func (sd *side) stage(c comparator, batch []*item, mu fed.Partial) (commit func(
 	})
 }
 
+// relax extends sd's freshly settled champion over exp: the tentative paths
+// to push, and a μ candidate for every touch of the other side's settled set
+// — at the vertex itself or across one arc. With no other side (kNN) there
+// are no candidates.
+func relax(exp expander, sd, other *side) (batch []*item, cands []fed.Partial, meets []meeting) {
+	it := sd.top
+	var met map[graph.Vertex]*label
+	if other != nil {
+		met = other.settled
+	}
+	// When both sides settle the same vertex in one step, each sees the
+	// other's label; the forward side reports the meeting.
+	if lbl, both := met[it.v]; both && (sd.forward || !other.settle || other.top.v != it.v) {
+		cands = append(cands, fed.SumPartial(it.g, lbl.g))
+		meets = append(meets, meeting{fv: it.v, crossArc: -1, bv: it.v})
+	}
+	for _, at := range exp.arcs(it.v, sd.forward) {
+		if _, dup := sd.settled[at.to]; dup {
+			continue
+		}
+		ng := make(fed.Partial, len(it.g))
+		exp.addWeight(ng, it.g, at.arc)
+		if lbl, crossed := met[at.to]; crossed {
+			m := meeting{fv: it.v, crossArc: at.arc, bv: at.to}
+			if !sd.forward {
+				m = meeting{fv: at.to, crossArc: at.arc, bv: it.v}
+			}
+			cands = append(cands, fed.SumPartial(ng, lbl.g))
+			meets = append(meets, m)
+		}
+		key := ng
+		if sd.est != nil {
+			sd.evals++
+			if pot := sd.est.Potential(at.to); pot != nil {
+				key = fed.SumPartial(ng, pot)
+			}
+		}
+		batch = append(batch, &item{v: at.to, key: key, g: ng, parent: it.v, parc: at.arc})
+	}
+	return batch, cands, meets
+}
+
 // meeting records how the two searches touch: a forward-settled vertex, an
 // optional crossing arc, and a backward-settled vertex.
 type meeting struct {
@@ -203,7 +248,6 @@ func (e *Engine) SPSP(s, t graph.Vertex) (PathResult, QueryStats, error) {
 	sac := e.newCmp(rawSAC)
 	before := e.f.Engine().Stats()
 	var phases PhaseTimings
-	heuristicEvals := 0
 
 	estF, estB, err := lb.NewPair(e.opt.Estimator, e.f, e.opt.Landmarks, rawSAC, s, t)
 	if err != nil {
@@ -224,7 +268,6 @@ func (e *Engine) SPSP(s, t graph.Vertex) (PathResult, QueryStats, error) {
 	}
 	fwd.q.stageOn(sac, []*item{{v: s, key: estF.Potential(s), g: e.f.ZeroPartial(), parent: graph.NoVertex, parc: -1}})(sac)
 	bwd.q.stageOn(sac, []*item{{v: t, key: estB.Potential(t), g: e.f.ZeroPartial(), parent: graph.NoVertex, parc: -1}})(sac)
-	heuristicEvals += 2
 
 	var mu fed.Partial
 	var meet meeting
@@ -241,42 +284,6 @@ func (e *Engine) SPSP(s, t graph.Vertex) (PathResult, QueryStats, error) {
 		}
 		win := fed.EarliestMin(c.LessBatch, [][]fed.Partial{cands})[0]
 		mu, meet = cands[win], meets[win]
-	}
-
-	// relax extends sd's freshly settled champion: the tentative paths to
-	// push, and a μ candidate for every touch of the other side's settled
-	// set — at the vertex itself or across one arc.
-	relax := func(sd, other *side) (batch []*item, cands []fed.Partial, meets []meeting) {
-		it := sd.top
-		// When both sides settle the same vertex in one step, each sees the
-		// other's label; the forward side reports the meeting.
-		mirrored := !sd.forward && other.settle && other.top.v == it.v
-		if lbl, both := other.settled[it.v]; both && !mirrored {
-			cands = append(cands, fed.SumPartial(it.g, lbl.g))
-			meets = append(meets, meeting{fv: it.v, crossArc: -1, bv: it.v})
-		}
-		for _, at := range exp.arcs(it.v, sd.forward) {
-			if _, dup := sd.settled[at.to]; dup {
-				continue
-			}
-			ng := make(fed.Partial, e.f.P())
-			exp.addWeight(ng, it.g, at.arc)
-			if lbl, crossed := other.settled[at.to]; crossed {
-				m := meeting{fv: it.v, crossArc: at.arc, bv: at.to}
-				if !sd.forward {
-					m = meeting{fv: at.to, crossArc: at.arc, bv: it.v}
-				}
-				cands = append(cands, fed.SumPartial(ng, lbl.g))
-				meets = append(meets, m)
-			}
-			key := ng
-			heuristicEvals++
-			if pot := sd.est.Potential(at.to); pot != nil {
-				key = fed.SumPartial(ng, pot)
-			}
-			batch = append(batch, &item{v: at.to, key: key, g: ng, parent: it.v, parc: at.arc})
-		}
-		return batch, cands, meets
 	}
 
 	// One step per iteration, for both live sides at once. Their champions
@@ -353,22 +360,22 @@ func (e *Engine) SPSP(s, t graph.Vertex) (PathResult, QueryStats, error) {
 			inner := []func(comparator){func(c comparator) { foldMu(c, cands, meets) }}
 			for i, sd := range sides {
 				if sd.settle {
-					batch, cs, ms := relax(sd, sides[1-i])
+					batch, cs, ms := relax(exp, sd, sides[1-i])
 					cands, meets = append(cands, cs...), append(meets, ms...)
 					inner = append(inner, func(c comparator) { sd.commit = sd.stage(c, batch, stepMu) })
 				}
 			}
 			relaxTime = time.Since(r0)
-			e.gang(c, nil, inner...)
+			lockstep(c, nil, inner...)
 		}
-		e.gang(sac, stops, threads...)
+		lockstep(sac, stops, threads...)
 		var commits []func(comparator)
 		for _, sd := range sides {
 			if sd.commit != nil {
 				commits = append(commits, sd.commit)
 			}
 		}
-		e.gang(sac, nil, commits...)
+		lockstep(sac, nil, commits...)
 		phases.Relax += relaxTime
 		phases.Queue += time.Since(t0) - relaxTime
 		if err := sac.Err(); err != nil {
@@ -379,7 +386,7 @@ func (e *Engine) SPSP(s, t graph.Vertex) (PathResult, QueryStats, error) {
 	phases.SACWait = sac.wait
 	stats := QueryStats{
 		SettledVertices: settledTotal,
-		HeuristicEvals:  heuristicEvals,
+		HeuristicEvals:  2 + fwd.evals + bwd.evals, // the two sources' potentials, then every relaxed path's
 		SAC:             e.f.Engine().Stats().Sub(before),
 		PruneCompares:   fwd.pruned + bwd.pruned,
 		Phases:          phases,
@@ -397,7 +404,8 @@ func (e *Engine) SPSP(s, t graph.Vertex) (PathResult, QueryStats, error) {
 }
 
 // reconstruct expands the meeting record into the full base-graph vertex
-// path from s to t, unpacking shortcuts as needed.
+// path from s to t, unpacking shortcuts as needed. kNN passes no backward
+// labels and its settled vertex as fv.
 func (e *Engine) reconstruct(exp expander, fs, bs map[graph.Vertex]*label, m meeting) []graph.Vertex {
 	// Collect arc IDs of the forward chain s → fv (reversed during walk).
 	var fwdArcs []int32
@@ -416,14 +424,9 @@ func (e *Engine) reconstruct(exp expander, fs, bs map[graph.Vertex]*label, m mee
 	if m.crossArc >= 0 {
 		all = append(all, m.crossArc)
 	}
-	// Backward chain bv → t: labels already point toward t.
-	for v := m.bv; ; {
-		lbl := bs[v]
-		if lbl.parent == graph.NoVertex {
-			break
-		}
-		all = append(all, lbl.parc)
-		v = lbl.parent
+	// Backward chain bv → t: labels already point toward t. kNN has none.
+	for v := m.bv; bs != nil && bs[v].parent != graph.NoVertex; v = bs[v].parent {
+		all = append(all, bs[v].parc)
 	}
 
 	g := e.f.Graph()
@@ -436,7 +439,7 @@ func (e *Engine) reconstruct(exp expander, fs, bs map[graph.Vertex]*label, m mee
 			path = append(path, g.Head(ba))
 		}
 	}
-	if len(path) == 0 { // s == fv == bv == t handled earlier; degenerate guard
+	if len(path) == 0 { // kNN's source (SPSP answers s == t before searching)
 		path = []graph.Vertex{m.fv}
 	}
 	return path

@@ -12,7 +12,8 @@ import (
 // the k nearest vertices to s on the weighted joint road network (k = kNN
 // query size; pass the vertex count for a full SSSP). The source itself is
 // the first result. Runs on the flat road network (the paper's SSSP is the
-// building block used inside index construction and kNN services).
+// building block used inside index construction and kNN services) as one
+// forward side of the route search, with no other side and no estimator.
 func (e *Engine) SSSP(s graph.Vertex, k int) ([]PathResult, QueryStats, error) {
 	start := time.Now()
 	g := e.f.Graph()
@@ -27,11 +28,11 @@ func (e *Engine) SSSP(s graph.Vertex, k int) ([]PathResult, QueryStats, error) {
 	}
 	sac := e.newCmp(e.f.NewSAC())
 	before := e.f.Engine().Stats()
-	q := e.newQueue(sac)
-	settled := make(map[graph.Vertex]*label)
+	exp := &flatExpander{f: e.f}
+	sd := &side{forward: true, q: e.newQueue(sac), settled: make(map[graph.Vertex]*label)}
 	var phases PhaseTimings
 
-	q.stageOn(sac, []*item{{v: s, key: e.f.ZeroPartial(), g: e.f.ZeroPartial(), parent: graph.NoVertex, parc: -1}})(sac)
+	sd.q.stageOn(sac, []*item{{v: s, key: e.f.ZeroPartial(), g: e.f.ZeroPartial(), parent: graph.NoVertex, parc: -1}})(sac)
 	var results []PathResult
 
 	// One step per iteration: the champion is known from Peek without a
@@ -39,52 +40,40 @@ func (e *Engine) SSSP(s graph.Vertex, k int) ([]PathResult, QueryStats, error) {
 	// build of the paths it extends to are independent and share protocol
 	// instances; the merge into the queue follows.
 	for len(results) < k {
-		it, ok := q.q.Peek()
+		top, ok := sd.q.q.Peek()
 		if !ok {
 			break
 		}
 		t0 := time.Now()
-		var relax time.Duration
-		threads := []func(comparator){q.popOn}
-		var commit func(comparator)
-		if _, done := settled[it.v]; !done {
+		var relaxTime time.Duration
+		threads := []func(comparator){sd.q.popOn}
+		sd.top, sd.commit = top, nil
+		if _, done := sd.settled[top.v]; !done {
 			// Local step (Alg. 1 lines 4-8): settle v, record the shortest path,
 			// extend by all neighbors into a batch of new tentative paths.
-			settled[it.v] = &label{g: it.g, parent: it.parent, parc: it.parc}
+			sd.settled[top.v] = &label{g: top.g, parent: top.parent, parc: top.parc}
 			results = append(results, PathResult{
-				Target:  it.v,
-				Path:    e.reconstructFlat(settled, it.v),
-				Partial: fed.ClonePartial(it.g),
+				Target:  top.v,
+				Path:    e.reconstruct(exp, sd.settled, nil, meeting{fv: top.v, crossArc: -1}),
+				Partial: fed.ClonePartial(top.g),
 				Found:   true,
 			})
 			if len(results) == k { // no later bit is read
 				phases.Relax += time.Since(t0)
 				break
 			}
-			first := g.FirstOut(it.v)
-			var batch []*item
-			for i, u := range g.OutNeighbors(it.v) {
-				if _, done := settled[u]; done {
-					continue
-				}
-				a := first + graph.Arc(i)
-				ng := make(fed.Partial, e.f.P())
-				for p := range ng {
-					ng[p] = it.g[p] + e.f.Silo(p).Weight(a)
-				}
-				batch = append(batch, &item{v: u, key: ng, g: ng, parent: it.v, parc: int32(a)})
-			}
-			relax = time.Since(t0)
-			threads = append(threads, func(c comparator) { commit = q.stageOn(c, batch) })
+			batch, _, _ := relax(exp, sd, nil)
+			relaxTime = time.Since(t0)
+			threads = append(threads, func(c comparator) { sd.commit = sd.stage(c, batch, nil) })
 		}
 		// MPC step (Alg. 1 lines 9-13) happens inside the queue: pop, batch
 		// push and merge use only Fed-SAC comparisons.
-		e.gang(sac, nil, threads...)
-		if commit != nil {
-			commit(sac)
+		lockstep(sac, nil, threads...)
+		if sd.commit != nil {
+			sd.commit(sac)
 		}
-		phases.Relax += relax
-		phases.Queue += time.Since(t0) - relax
+		phases.Relax += relaxTime
+		phases.Queue += time.Since(t0) - relaxTime
 		if err := sac.Err(); err != nil {
 			return nil, QueryStats{}, err
 		}
@@ -92,24 +81,11 @@ func (e *Engine) SSSP(s graph.Vertex, k int) ([]PathResult, QueryStats, error) {
 
 	phases.SACWait = sac.wait
 	stats := QueryStats{
-		SettledVertices: len(settled),
+		SettledVertices: len(sd.settled),
 		SAC:             e.f.Engine().Stats().Sub(before),
-		Queue:           q.q.Counts(),
+		Queue:           sd.q.q.Counts(),
 		Phases:          phases,
 		WallTime:        time.Since(start),
 	}
 	return results, stats, nil
-}
-
-// reconstructFlat walks parent labels back to the source.
-func (e *Engine) reconstructFlat(settled map[graph.Vertex]*label, t graph.Vertex) []graph.Vertex {
-	var rev []graph.Vertex
-	for v := t; v != graph.NoVertex; {
-		rev = append(rev, v)
-		v = settled[v].parent
-	}
-	for i, j := 0, len(rev)-1; i < j; i, j = i+1, j-1 {
-		rev[i], rev[j] = rev[j], rev[i]
-	}
-	return rev
 }
