@@ -2,6 +2,7 @@ package fedroad
 
 import (
 	"container/list"
+	"errors"
 	"sync"
 )
 
@@ -139,9 +140,15 @@ func (qc *QueryCache) NearestNeighbors(src Vertex, k int,
 	return qc.do(cacheKey{knn: true, src: src, arg: k}, run)
 }
 
+// errFlightPanicked is what the waiters of a flight whose leader panicked
+// receive.
+var errFlightPanicked = errors.New("fedroad: the coalesced query panicked")
+
 // do serves key at the federation's current traffic version, running run
 // once across concurrent callers when no entry is stored. Errors are never
-// cached; every waiter of a failed flight receives the leader's error.
+// cached; every waiter of a failed flight receives the leader's error. A run
+// that panics fails its flight the same way (its waiters get
+// errFlightPanicked) before the panic goes on up the leader's stack.
 func (qc *QueryCache) do(key cacheKey, run func() ([]Route, Stats, uint64, error)) ([]Route, Stats, uint64, CacheOutcome, error) {
 	key.ver = qc.f.TrafficVersion()
 	qc.mu.Lock()
@@ -162,6 +169,16 @@ func (qc *QueryCache) do(key cacheKey, run func() ([]Route, Stats, uint64, error
 	qc.stats.Misses++
 	qc.mu.Unlock()
 
+	defer func() {
+		if p := recover(); p != nil {
+			qc.mu.Lock()
+			delete(qc.entries, key)
+			qc.mu.Unlock()
+			e.routes, e.stats, e.ver, e.err = nil, Stats{}, 0, errFlightPanicked
+			close(e.done)
+			panic(p)
+		}
+	}()
 	e.routes, e.stats, e.ver, e.err = run()
 
 	qc.mu.Lock()

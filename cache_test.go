@@ -2,9 +2,11 @@ package fedroad
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // cacheFederation is a tiny federation for the QueryCache tests: no query
@@ -252,5 +254,51 @@ func TestQueryCacheHoldsAtMostCapacity(t *testing.T) {
 	})
 	if err != nil || out != CacheMiss || len(rs) != 3 || len(r.Path) != 1 {
 		t.Fatalf("kNN(5, 3) after SPSP(5, 3): %d routes, outcome %v, err %v", len(rs), out, err)
+	}
+}
+
+// TestPanickingFlightReleasesWaiters: a leader whose query panics fails its
+// flight before the panic leaves do — a coalesced waiter gets an error
+// instead of blocking for good — and drops its entry, so the next call of
+// the key runs the query again.
+func TestPanickingFlightReleasesWaiters(t *testing.T) {
+	qc := cacheFederation(t).NewQueryCache(8)
+	inside, release := make(chan struct{}), make(chan struct{})
+	panicked := make(chan any, 1)
+	go func() {
+		defer func() { panicked <- recover() }()
+		qc.ShortestPath(1, 2, QueryOptions{}, func() (Route, Stats, uint64, error) {
+			close(inside)
+			<-release
+			panic("query failed")
+		})
+	}()
+	<-inside
+	waited := make(chan error, 1)
+	go func() {
+		_, _, _, out, err := qc.ShortestPath(1, 2, QueryOptions{}, answerAt(5, 1))
+		if out != CacheCoalesced {
+			err = errors.New("the waiter did not join the flight")
+		}
+		waited <- err
+	}()
+	for qc.Stats().Coalesced == 0 {
+		runtime.Gosched()
+	}
+	close(release)
+	select {
+	case err := <-waited:
+		if err == nil || err.Error() == "the waiter did not join the flight" {
+			t.Fatalf("waiter of a panicked flight: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the waiter is still blocked 5 s after its leader panicked")
+	}
+	if p := <-panicked; p != "query failed" {
+		t.Fatalf("the leader's panic was %v, want it passed on", p)
+	}
+	r, _, _, out, err := qc.ShortestPath(1, 2, QueryOptions{}, answerAt(6, 1))
+	if err != nil || out != CacheMiss || r.Path[0] != 6 {
+		t.Fatalf("call after the panic: %v %v %v, want a fresh miss", r, out, err)
 	}
 }

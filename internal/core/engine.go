@@ -38,11 +38,13 @@ type Options struct {
 	Index *ch.Index
 	// BatchedMPC runs the comparisons of one lockstep tick in one shared
 	// protocol instance (one set of communication rounds for all of them).
-	// Every search step runs in lockstep in both modes: its threads — the
-	// pop replays, the next pushes' tournament builds, the μ update and the
-	// stopping-rule checks of both directions — meet tick by tick, and the
-	// matches of one tournament level are one tick. Off, each comparison of
-	// a tick is an instance of its own; the comparisons made are the same.
+	// Every search runs in lockstep in both modes: a route's two directions
+	// are threads that step on their own clocks, and the threads of a step —
+	// the pop replay, the next push's tournament build, the μ fold and the
+	// stopping-rule check, then the push's merge — meet the other
+	// direction's tick by tick; the matches of one tournament level are one
+	// tick. Off, each comparison of a tick is an instance of its own; the
+	// comparisons made are the same.
 	// In both, a side the stopping rule stops makes only the first
 	// comparison of its pop replay, the one in the check's tick. Requires
 	// Queue == tm-tree.
@@ -50,9 +52,9 @@ type Options struct {
 	// PruneStaged makes SPSP stage only the relaxed paths that can still
 	// win. Before its push, each side compares every relaxed path once: with
 	// the side's queued path to the same vertex when there is one, otherwise
-	// with the μ the step started with, once μ exists. The comparisons are
-	// one batch, beside the pop replays, the μ fold and the first tournament
-	// level of the paths that need none; a path that loses is dropped, and
+	// with μ as the step's settle found it, once μ exists. The comparisons
+	// are one batch, beside the side's pop replay, its μ fold and the first
+	// tournament level of the paths that need none; a path that loses is dropped, and
 	// one that wins joins the tournament after that level. Neither drop
 	// changes a settle: on one side a vertex has one potential, so a path
 	// that does not beat the queued one would be popped after it, as a
@@ -129,12 +131,13 @@ func (e *Engine) Federation() *fed.Federation { return e.f }
 // PhaseTimings breaks a query's local wall time down by search phase, the
 // per-query trace behind the observability layer. A search step is a
 // plaintext part (settle and relax) and comparing parts that share protocol
-// instances (pop replay, tournament build, μ update, stopping rule, commit),
-// so Queue + Relax is the wall time of the search steps, and SACWait is the
-// part of Queue spent inside Fed-SAC: Queue − SACWait approximates the time
-// of the queue structure and the step's scheduling.
+// instances (pop replay, tournament build, μ update, stopping rule, commit).
+// A route's two directions take turns, never running at once, so Relax sums
+// both directions' settles and relaxes, Queue + Relax is the wall time of
+// the search, and SACWait is the part of Queue spent inside Fed-SAC: Queue −
+// SACWait approximates the time of the queue structure and the scheduling.
 type PhaseTimings struct {
-	// Queue is the wall time of the search steps minus Relax: every queue
+	// Queue is the wall time of the search minus Relax: every queue
 	// operation, the stopping-rule and μ comparisons that run beside them,
 	// and the secure comparisons all of these trigger.
 	Queue time.Duration

@@ -13,27 +13,28 @@ import (
 
 // stagedRoutes is the root package's round-budget fixture (budgetFixture:
 // a 1,500-vertex road network seeded 17, its witness index and 24 fixed
-// pairs) with what each production route cost when a stage thread pruned in
-// one instance and built its tournament after it: settles, prune
-// comparisons and Fed-SAC instances, 400 in all.
+// pairs) with what each production route costs: settles and prune
+// comparisons with each side stepping on its own clock, and the Fed-SAC
+// instances it ran when a stage thread pruned in one instance and built its
+// tournament after it (and the two sides' steps were paired), 400 in all.
 var stagedRoutes = []struct {
 	s, t                       graph.Vertex
 	settled, pruned, instances int64
 }{
 	{658, 1319, 9, 13, 17}, {1364, 990, 8, 8, 19}, {1269, 1212, 9, 13, 22}, {554, 1426, 10, 13, 21},
-	{960, 484, 8, 11, 15}, {1090, 1089, 6, 10, 21}, {1059, 111, 8, 9, 15}, {1291, 1142, 4, 0, 7},
-	{886, 1332, 8, 12, 22}, {1396, 1020, 10, 9, 21}, {370, 639, 4, 1, 7}, {1465, 651, 8, 7, 18},
+	{960, 484, 8, 11, 15}, {1090, 1089, 6, 10, 21}, {1059, 111, 7, 9, 15}, {1291, 1142, 4, 0, 7},
+	{886, 1332, 8, 12, 22}, {1396, 1020, 9, 7, 21}, {370, 639, 4, 1, 7}, {1465, 651, 8, 7, 18},
 	{682, 73, 8, 6, 15}, {781, 1418, 7, 6, 14}, {679, 237, 11, 18, 26}, {534, 1023, 8, 8, 17},
-	{971, 251, 6, 7, 13}, {528, 474, 6, 0, 12}, {1285, 837, 8, 11, 15}, {302, 393, 8, 8, 13},
-	{724, 1456, 10, 6, 16}, {1108, 768, 9, 14, 21}, {645, 276, 8, 10, 17}, {601, 1129, 8, 10, 16},
+	{971, 251, 5, 3, 13}, {528, 474, 6, 0, 12}, {1285, 837, 7, 11, 15}, {302, 393, 8, 8, 13},
+	{724, 1456, 10, 6, 16}, {1108, 768, 9, 14, 21}, {645, 276, 8, 10, 17}, {601, 1129, 7, 6, 16},
 }
 
 // TestStagedJoinKeepsSettlesAndPrunes: starting a route step's tournament
 // in its prune's instance, with the prune's survivors joining later, moves
 // comparisons to earlier instances and changes none of the search: on the
-// budget fixture every route settles as many vertices and makes as many
-// prune comparisons as when the tournament waited for the prune, answers
-// exactly, and the routes run fewer instances in all.
+// budget fixture every route settles the pinned vertices and makes the
+// pinned prune comparisons, answers exactly, and the routes run fewer
+// instances in all than before the join.
 func TestStagedJoinKeepsSettlesAndPrunes(t *testing.T) {
 	g, w0 := graph.GenerateRoadLike(1500, 17)
 	f, err := fed.New(g, w0, traffic.SiloWeights(w0, 3, traffic.Moderate, 18), mpc.Params{Mode: mpc.ModeIdeal, Seed: 17})

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"strconv"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -196,4 +197,74 @@ func TestLockstepTerminatesAfterStickyError(t *testing.T) {
 	if !sawErr || ok[0] || ok[1] {
 		t.Fatalf("threads did not observe the failure: err seen %v, answers still right %v", sawErr, ok)
 	}
+}
+
+// TestLockstepRunsOneThreadAtATime: between ticks the coordinator resumes
+// one thread at a time, nested gangs within their parent's turn, so no two
+// threads ever run at once — each holds an in-flight count across a sleep
+// before every compare, and the count never exceeds one.
+func TestLockstepRunsOneThreadAtATime(t *testing.T) {
+	base := runtime.NumGoroutine()
+	var inFlight, most atomic.Int32
+	work := func(c comparator) {
+		for i := 0; i < 3; i++ {
+			n := inFlight.Add(1)
+			for m := most.Load(); n > m && !most.CompareAndSwap(m, n); m = most.Load() {
+			}
+			time.Sleep(time.Millisecond)
+			inFlight.Add(-1)
+			less(c, 1, 2)
+		}
+	}
+	lockstep(&scriptCmp{}, nil, work, work, func(c comparator) { lockstep(c, nil, work, work) }, work)
+	waitGoroutines(t, base)
+	if m := most.Load(); m != 1 {
+		t.Fatalf("%d threads ran at once between ticks, want 1", m)
+	}
+}
+
+// TestLockstepParkWaitsOneTick: a parked thread sits out exactly the next
+// tick, adding no pair to it, and resumes in its turn after it; a gang whose
+// only live thread parks runs no instance for that tick.
+func TestLockstepParkWaitsOneTick(t *testing.T) {
+	base := runtime.NumGoroutine()
+	inner := &scriptCmp{}
+	var ok [2]bool
+	lockstep(inner, nil,
+		compares(100, 3, &ok[0]),
+		func(c comparator) {
+			first := less(c, 200, 201) // tick 1
+			park(c)                    // tick 2, thread 0 alone
+			ok[1] = first && !less(c, 201, 200)
+		},
+	)
+	waitGoroutines(t, base)
+	if !ok[0] || !ok[1] {
+		t.Fatalf("threads got foreign bits: %v", ok)
+	}
+	if want := []int{2, 1, 2}; !reflect.DeepEqual(inner.widths, want) {
+		t.Fatalf("inner calls %v, want %v: the park adds no pair to tick 2", inner.widths, want)
+	}
+	if want := []int64{100, 200, 100, 100, 201}; !reflect.DeepEqual(firsts(inner.pairs), want) {
+		t.Fatalf("transcript %v, want %v", firsts(inner.pairs), want)
+	}
+
+	inner = &scriptCmp{}
+	lockstep(inner, nil,
+		func(c comparator) { less(c, 1, 2) },
+		func(c comparator) { park(c); park(c); less(c, 3, 4) }, // the second park is alone
+	)
+	waitGoroutines(t, base)
+	if want := []int{1, 1}; !reflect.DeepEqual(inner.widths, want) {
+		t.Fatalf("inner calls %v, want %v: a tick of parks alone runs no instance", inner.widths, want)
+	}
+}
+
+// firsts lists the first value of every pair's first key.
+func firsts(pairs [][2]fed.Partial) []int64 {
+	out := make([]int64, len(pairs))
+	for i, pr := range pairs {
+		out[i] = pr[0][0]
+	}
+	return out
 }

@@ -120,38 +120,41 @@ type side struct {
 	// done is raised when the side stops; it binds the side's pop replay, so
 	// a stopped side leaves its queue half-replayed, never to be read again.
 	done stopFlag
+	// folded counts the steps whose μ candidates the side has folded.
+	folded int
 
-	// best is, under Options.PruneStaged, the last path to each vertex the
-	// side queued; pruned counts the comparisons made against it and μ.
-	best   map[graph.Vertex]*item
-	pruned int64
-
-	// State of the current step: the champion this step pops (nil when the
-	// side sits the step out), whether it is to be settled (not a duplicate,
-	// and not stopped by the stopping rule), and the staged push.
-	top    *item
-	settle bool
-	commit func(comparator)
+	// queued is, in SPSP, the last path to each vertex the side queued: the
+	// other side's settles read it, and under prune so does the side's own
+	// stage. pending holds the paths whose prune bits are still to come, and
+	// pruned counts the prune's comparisons.
+	queued  map[graph.Vertex]*item
+	prune   bool
+	pending []*item
+	pruned  int64
 }
 
-// stage stages the relaxed paths of batch through c; under
-// Options.PruneStaged, only those that can still win, one comparison each: a
-// path to a vertex the side has queued a path to must beat that path, and any
-// other must beat mu, when mu is non-nil. A path it keeps becomes the
-// vertex's queued path; that this need not be the shortest of several queued
-// paths is sound, since any queued path to the vertex outlives a path it
-// beats. The paths that need no comparison start the tournament at once,
-// its first level in the prune's call, and those that win theirs join it
-// after that level.
+// stage stages the relaxed paths of batch through c; when the side prunes,
+// only those that can still win, one comparison each: a path to a vertex the
+// side has queued a path to must beat that path, and any other must beat
+// mu, when mu is non-nil. A path it keeps becomes the vertex's queued path;
+// that this need not be the shortest of several queued paths is sound,
+// since any queued path to the vertex outlives a path it beats. The paths
+// that need no comparison start the tournament at once, its first level in
+// the prune's call, and those that win theirs join it after that level.
 func (sd *side) stage(c comparator, batch []*item, mu fed.Partial) (commit func(comparator)) {
-	if sd.best == nil {
+	if !sd.prune {
+		if sd.queued != nil { // nil in kNN, which has no other side to read it
+			for _, it := range batch {
+				sd.queued[it.v] = it
+			}
+		}
 		return sd.q.stageOn(c, batch)
 	}
 	var ready, contested []*item
 	var pre [][2]*item
 	for _, it := range batch {
 		against := mu
-		if q, ok := sd.best[it.v]; ok {
+		if q, ok := sd.queued[it.v]; ok {
 			against = q.key
 		}
 		if against == nil {
@@ -162,36 +165,49 @@ func (sd *side) stage(c comparator, batch []*item, mu fed.Partial) (commit func(
 		}
 	}
 	for _, it := range ready { // no contested path shares a vertex with these
-		sd.best[it.v] = it
+		sd.queued[it.v] = it
 	}
 	sd.pruned += int64(len(pre))
+	sd.pending = contested
 	return sd.q.stageJoinOn(c, ready, pre, func(wins []bool) []*item {
+		sd.pending = nil
 		kept := contested[:0] // filtered in place: kept[k] is written after contested[k] is read
 		for i, it := range contested {
 			if wins[i] {
 				kept = append(kept, it)
-				sd.best[it.v] = it
+				sd.queued[it.v] = it
 			}
 		}
 		return kept
 	})
 }
 
-// relax extends sd's freshly settled champion over exp: the tentative paths
-// to push, and a μ candidate for every touch of the other side's settled set
-// — at the vertex itself or across one arc. With no other side (kNN) there
-// are no candidates.
-func relax(exp expander, sd, other *side) (batch []*item, cands []fed.Partial, meets []meeting) {
-	it := sd.top
+// relax extends it, the champion sd just settled, over exp: the tentative paths
+// to push, and a μ candidate for every touch of the other side's search — at
+// the vertex itself if the other side settled it, across one arc to a vertex
+// it settled, and else along the paths it queued to the vertex or awaits the
+// prune bits of. With no other side (kNN) there are no candidates.
+func relax(exp expander, it *item, sd, other *side) (batch []*item, cands []fed.Partial, meets []meeting) {
 	var met map[graph.Vertex]*label
+	var queued []*item
 	if other != nil {
 		met = other.settled
+		if q, ok := other.queued[it.v]; ok {
+			queued = append(queued, q)
+		}
+		for _, q := range other.pending {
+			if q.v == it.v {
+				queued = append(queued, q)
+			}
+		}
 	}
-	// When both sides settle the same vertex in one step, each sees the
-	// other's label; the forward side reports the meeting.
-	if lbl, both := met[it.v]; both && (sd.forward || !other.settle || other.top.v != it.v) {
+	if lbl, both := met[it.v]; both {
 		cands = append(cands, fed.SumPartial(it.g, lbl.g))
 		meets = append(meets, meeting{fv: it.v, crossArc: -1, bv: it.v})
+		// Its settled path is no longer than any it queued, and it settled
+		// its source, the one queued path without an arc, in its first step,
+		// which the lead rule puts before this side's second.
+		queued = nil
 	}
 	for _, at := range exp.arcs(it.v, sd.forward) {
 		if _, dup := sd.settled[at.to]; dup {
@@ -215,6 +231,14 @@ func relax(exp expander, sd, other *side) (batch []*item, cands []fed.Partial, m
 			}
 		}
 		batch = append(batch, &item{v: at.to, key: key, g: ng, parent: it.v, parc: at.arc})
+	}
+	for _, q := range queued {
+		m := meeting{fv: it.v, crossArc: q.parc, bv: q.parent}
+		if !sd.forward {
+			m = meeting{fv: q.parent, crossArc: q.parc, bv: it.v}
+		}
+		cands = append(cands, fed.SumPartial(it.g, q.g))
+		meets = append(meets, m)
 	}
 	return batch, cands, meets
 }
@@ -260,20 +284,22 @@ func (e *Engine) SPSP(s, t graph.Vertex) (PathResult, QueryStats, error) {
 		exp = &flatExpander{f: e.f}
 	}
 
-	fwd := &side{forward: true, q: e.newQueue(sac), settled: make(map[graph.Vertex]*label), est: estF}
-	bwd := &side{forward: false, q: e.newQueue(sac), settled: make(map[graph.Vertex]*label), est: estB}
-	sides := [2]*side{fwd, bwd}
-	if e.opt.PruneStaged {
-		fwd.best, bwd.best = make(map[graph.Vertex]*item), make(map[graph.Vertex]*item)
+	newSide := func(forward bool, est lb.Estimator) *side {
+		return &side{forward: forward, q: e.newQueue(sac), settled: make(map[graph.Vertex]*label), est: est,
+			queued: make(map[graph.Vertex]*item), prune: e.opt.PruneStaged}
 	}
-	fwd.q.stageOn(sac, []*item{{v: s, key: estF.Potential(s), g: e.f.ZeroPartial(), parent: graph.NoVertex, parc: -1}})(sac)
-	bwd.q.stageOn(sac, []*item{{v: t, key: estB.Potential(t), g: e.f.ZeroPartial(), parent: graph.NoVertex, parc: -1}})(sac)
+	fwd, bwd := newSide(true, estF), newSide(false, estB)
+	fwd.stage(sac, []*item{{v: s, key: estF.Potential(s), g: e.f.ZeroPartial(), parent: graph.NoVertex, parc: -1}}, nil)(sac)
+	bwd.stage(sac, []*item{{v: t, key: estB.Potential(t), g: e.f.ZeroPartial(), parent: graph.NoVertex, parc: -1}}, nil)(sac)
 
 	var mu fed.Partial
 	var meet meeting
+	muSets := 0 // how often μ was set
 	// foldMu folds crossing candidates into μ through fed.EarliestMin on one
 	// slate: the same winner as a sequential left-to-right fold with as many
-	// comparisons, but the matches of one level go to c as one batch.
+	// comparisons, but the matches of one level go to c as one batch. If the
+	// other side's fold set μ meanwhile, the winner plays that μ once; μ
+	// keeps ties.
 	foldMu := func(c comparator, cands []fed.Partial, meets []meeting) {
 		if mu != nil {
 			cands = append([]fed.Partial{mu}, cands...)
@@ -282,110 +308,85 @@ func (e *Engine) SPSP(s, t graph.Vertex) (PathResult, QueryStats, error) {
 		if len(cands) == 0 {
 			return
 		}
+		from := muSets
 		win := fed.EarliestMin(c.LessBatch, [][]fed.Partial{cands})[0]
-		mu, meet = cands[win], meets[win]
+		if muSets != from { // μ only falls, so only a fresh candidate can beat the new μ
+			if from > 0 && win == 0 || !c.LessBatch([][2]fed.Partial{{cands[win], mu}})[0] {
+				return
+			}
+		}
+		mu, meet, muSets = cands[win], meets[win], muSets+1
 	}
 
-	// One step per iteration, for both live sides at once. Their champions
-	// are known from Peek without a comparison, and the two queues never
-	// touch each other, so the step's comparing parts are independent threads
-	// that share protocol instances tick by tick:
+	// Each side is a lockstep thread that steps on its own clock, sharing
+	// protocol instances tick by tick with the other side's thread. A step
+	// knows its champion from Peek without a comparison, and runs
 	//
-	//	driver:  stopping rule, both champions vs μ → settle, relax (plaintext)
-	//	         → { fold candidates into μ ‖ stage fwd push ‖ stage bwd push }
-	//	pop fwd: path replay, after tick 1 only while fwd is not done
-	//	pop bwd: path replay, after tick 1 only while bwd is not done
+	//	driver:  stopping rule, champion vs μ → settle, relax (plaintext)
+	//	         → { fold candidates into μ ‖ stage the push }
+	//	pop:     path replay, after tick 1 only while the side is not done
 	//
-	// followed by { commit fwd ‖ commit bwd }, the merges of the staged
-	// pushes. Checking a champion against the μ of the previous step is
-	// sound: a side can only stop later than it might have, never too early.
-	// Under PruneStaged a stage thread's first tick is its prune, which
-	// reads the μ the step started with (the fold beside it replaces μ),
-	// and the first tournament level of the paths that need no prune; the
-	// prune's survivors join the tournament at its second tick.
-	settledTotal := 0
-	for {
-		threads, stops := make([]func(comparator), 1, 3), make([]*stopFlag, 1, 3)
-		for _, sd := range sides {
-			sd.top, sd.settle, sd.commit = nil, false, nil
-			if sd.done.raised {
-				continue
-			}
-			top, ok := sd.q.q.Peek()
-			if !ok {
-				sd.done.raised = true
-				continue
-			}
-			sd.top = top
-			_, dup := sd.settled[top.v]
-			sd.settle = !dup
-			threads, stops = append(threads, sd.q.popOn), append(stops, &sd.done)
-		}
-		if len(threads) == 1 {
-			break // both sides done
-		}
-		t0 := time.Now()
-		var relaxTime time.Duration
-		threads[0] = func(c comparator) {
-			stepMu := mu
-			if mu != nil {
-				var keys [][2]fed.Partial
-				var whose []*side
-				for _, sd := range sides {
-					if sd.settle {
-						keys = append(keys, [2]fed.Partial{sd.top.key, mu})
-						whose = append(whose, sd)
+	// followed by the commit, the merge of the staged push. The threads run
+	// one at a time between ticks, so each settle and relax sees the other
+	// side's settled set and queued paths as they stand, and μ is read and
+	// set consistently. Lead rule: a side starts step n+1 only once the
+	// other side has folded its step-n candidates or stopped, so every stop
+	// check and prune reads a μ no larger than it would were the two sides'
+	// steps paired. Under PruneStaged a stage thread's first tick is its
+	// prune, which reads μ as the settle found it, and the first tournament
+	// level of the paths that need no prune; the prune's survivors join the
+	// tournament at its second tick. (Fed-ALT potentials compare on the
+	// engine directly; that is safe because no instance runs while a thread
+	// does.)
+	run := func(sd, other *side) func(comparator) {
+		return func(c comparator) {
+			for step := 0; c.Err() == nil; step++ {
+				for !other.done.raised && other.folded < step {
+					park(c)
+				}
+				top, ok := sd.q.q.Peek()
+				if !ok {
+					break
+				}
+				var commit func(comparator)
+				lockstep(c, []*stopFlag{nil, &sd.done}, func(c comparator) {
+					_, dup := sd.settled[top.v]
+					if !dup && mu != nil && !c.LessBatch([][2]fed.Partial{{top.key, mu}})[0] {
+						sd.done.raised = true
 					}
-				}
-				for i, beatsMu := range c.LessBatch(keys) {
-					if !beatsMu {
-						whose[i].done.raised, whose[i].settle = true, false
+					if dup || sd.done.raised {
+						sd.folded++
+						return
 					}
+					r0 := time.Now()
+					sd.settled[top.v] = &label{g: top.g, parent: top.parent, parc: top.parc}
+					batch, cands, meets := relax(exp, top, sd, other)
+					phases.Relax += time.Since(r0)
+					stepMu := mu
+					lockstep(c, nil,
+						func(c comparator) { foldMu(c, cands, meets); sd.folded++ },
+						func(c comparator) { commit = sd.stage(c, batch, stepMu) })
+				}, sd.q.popOn)
+				if sd.done.raised {
+					return
+				}
+				if commit != nil {
+					commit(c)
 				}
 			}
-			// Settle both before relaxing either, so each relaxation sees the
-			// other side's complete settled set and no crossing is missed.
-			// (Fed-ALT potentials compare on the engine directly; that is
-			// safe here because protocol instances only run while every
-			// thread, this one included, is blocked.)
-			r0 := time.Now()
-			for _, sd := range sides {
-				if sd.settle {
-					sd.settled[sd.top.v] = &label{g: sd.top.g, parent: sd.top.parent, parc: sd.top.parc}
-					settledTotal++
-				}
-			}
-			var cands []fed.Partial
-			var meets []meeting
-			inner := []func(comparator){func(c comparator) { foldMu(c, cands, meets) }}
-			for i, sd := range sides {
-				if sd.settle {
-					batch, cs, ms := relax(exp, sd, sides[1-i])
-					cands, meets = append(cands, cs...), append(meets, ms...)
-					inner = append(inner, func(c comparator) { sd.commit = sd.stage(c, batch, stepMu) })
-				}
-			}
-			relaxTime = time.Since(r0)
-			lockstep(c, nil, inner...)
+			sd.done.raised = true
 		}
-		lockstep(sac, stops, threads...)
-		var commits []func(comparator)
-		for _, sd := range sides {
-			if sd.commit != nil {
-				commits = append(commits, sd.commit)
-			}
-		}
-		lockstep(sac, nil, commits...)
-		phases.Relax += relaxTime
-		phases.Queue += time.Since(t0) - relaxTime
-		if err := sac.Err(); err != nil {
-			return PathResult{}, QueryStats{}, err
-		}
+	}
+	t0 := time.Now()
+	lockstep(sac, nil, run(fwd, bwd), run(bwd, fwd))
+	phases.Queue = time.Since(t0) - phases.Relax
+	if err := sac.Err(); err != nil {
+		return PathResult{}, QueryStats{}, err
 	}
 
 	phases.SACWait = sac.wait
 	stats := QueryStats{
-		SettledVertices: settledTotal,
+		SettledVertices: len(fwd.settled) + len(bwd.settled),
 		HeuristicEvals:  2 + fwd.evals + bwd.evals, // the two sources' potentials, then every relaxed path's
 		SAC:             e.f.Engine().Stats().Sub(before),
 		PruneCompares:   fwd.pruned + bwd.pruned,

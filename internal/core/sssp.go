@@ -47,7 +47,7 @@ func (e *Engine) SSSP(s graph.Vertex, k int) ([]PathResult, QueryStats, error) {
 		t0 := time.Now()
 		var relaxTime time.Duration
 		threads := []func(comparator){sd.q.popOn}
-		sd.top, sd.commit = top, nil
+		var commit func(comparator)
 		if _, done := sd.settled[top.v]; !done {
 			// Local step (Alg. 1 lines 4-8): settle v, record the shortest path,
 			// extend by all neighbors into a batch of new tentative paths.
@@ -62,15 +62,15 @@ func (e *Engine) SSSP(s graph.Vertex, k int) ([]PathResult, QueryStats, error) {
 				phases.Relax += time.Since(t0)
 				break
 			}
-			batch, _, _ := relax(exp, sd, nil)
+			batch, _, _ := relax(exp, top, sd, nil)
 			relaxTime = time.Since(t0)
-			threads = append(threads, func(c comparator) { sd.commit = sd.stage(c, batch, nil) })
+			threads = append(threads, func(c comparator) { commit = sd.stage(c, batch, nil) })
 		}
 		// MPC step (Alg. 1 lines 9-13) happens inside the queue: pop, batch
 		// push and merge use only Fed-SAC comparisons.
 		lockstep(sac, nil, threads...)
-		if sd.commit != nil {
-			sd.commit(sac)
+		if commit != nil {
+			commit(sac)
 		}
 		phases.Relax += relaxTime
 		phases.Queue += time.Since(t0) - relaxTime

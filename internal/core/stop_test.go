@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/ch"
 	"repro/internal/fed"
 	"repro/internal/graph"
 	"repro/internal/lb"
@@ -182,12 +183,28 @@ func TestPruneStagesOnlyPathsThatCanWin(t *testing.T) {
 	}
 }
 
+// plainCmp decides every pair in the clear, by joint sums, as Fed-SAC does
+// in secret.
+type plainCmp struct{}
+
+func (plainCmp) LessBatch(pairs [][2]fed.Partial) []bool {
+	out := make([]bool, len(pairs))
+	for i, pr := range pairs {
+		out[i] = jointSum(pr[0]) < jointSum(pr[1])
+	}
+	return out
+}
+
+func (plainCmp) Err() error { return nil }
+
 // stopAndMuCompares replays e's SPSP in plaintext — joint sums compared in
-// the clear, each queue a scan for its minimum — and counts the comparisons
-// the search makes outside its queues: the stopping rule's and the μ
-// fold's in n, and under Options.PruneStaged the prune's in pruned. It
-// follows the secure search step by step whenever no two queued keys tie,
-// which the fixture's random weights make so.
+// the clear — and counts the comparisons the search makes outside its
+// queues: the stopping rule's and the μ fold's in n, and under
+// Options.PruneStaged the prune's in pruned. Its two sides are lockstep
+// threads over the engine's queue structure, as in the secure search, so
+// their steps take the same ticks and each settle, fold and prune sees the
+// other side's search as the secure one's does; the stops, candidates,
+// folds and prunes are its own.
 func stopAndMuCompares(t *testing.T, e *Engine, s, tt graph.Vertex) (n, pruned int64) {
 	t.Helper()
 	var exp expander = &flatExpander{f: e.f}
@@ -199,119 +216,146 @@ func stopAndMuCompares(t *testing.T, e *Engine, s, tt graph.Vertex) (n, pruned i
 		t.Fatal(err)
 	}
 	type plainSide struct {
-		forward, done, settle bool
-		q                     []*item
-		top                   *item
-		settled               map[graph.Vertex]fed.Partial
-		best                  map[graph.Vertex]int64 // the queued path's key
-		est                   lb.Estimator
+		forward bool
+		q       *searchQueue
+		done    stopFlag
+		folded  int
+		settled map[graph.Vertex]fed.Partial
+		queued  map[graph.Vertex]*item // the last path queued to each vertex
+		pending []*item                // the paths awaiting their prune bits
+		est     lb.Estimator
 	}
 	start := func(v graph.Vertex, fwd bool, est lb.Estimator) *plainSide {
-		return &plainSide{forward: fwd, est: est, settled: map[graph.Vertex]fed.Partial{},
-			best: map[graph.Vertex]int64{}, q: []*item{{v: v, key: est.Potential(v), g: e.f.ZeroPartial()}}}
+		src := &item{v: v, key: est.Potential(v), g: e.f.ZeroPartial()}
+		sd := &plainSide{forward: fwd, q: e.newQueue(plainCmp{}), est: est,
+			settled: map[graph.Vertex]fed.Partial{}, queued: map[graph.Vertex]*item{v: src}}
+		sd.q.stageOn(plainCmp{}, []*item{src})(plainCmp{})
+		return sd
 	}
-	sides := [2]*plainSide{start(s, true, estF), start(tt, false, estB)}
+	fwd, bwd := start(s, true, estF), start(tt, false, estB)
+	counted := func(c comparator) func([][2]fed.Partial) []bool {
+		return func(pairs [][2]fed.Partial) []bool {
+			n += int64(len(pairs))
+			return c.LessBatch(pairs)
+		}
+	}
 	var mu fed.Partial
-	for {
-		live := false
-		for _, sd := range sides {
-			sd.top, sd.settle = nil, false
-			if sd.done || len(sd.q) == 0 {
-				sd.done = true
+	sets := 0
+	fold := func(c comparator, cands []fed.Partial) {
+		if mu != nil {
+			cands = append([]fed.Partial{mu}, cands...)
+		}
+		if len(cands) == 0 {
+			return
+		}
+		from := sets
+		win := fed.EarliestMin(counted(c), [][]fed.Partial{cands})[0]
+		if sets != from { // the other side set μ meanwhile: the winner plays it, unless it is the old μ
+			if from > 0 && win == 0 || !counted(c)([][2]fed.Partial{{cands[win], mu}})[0] {
+				return
+			}
+		}
+		mu, sets = cands[win], sets+1
+	}
+	step := func(c comparator, sd, other *plainSide, top *item) (commit func(comparator)) {
+		if _, dup := sd.settled[top.v]; dup {
+			sd.folded++
+			return nil
+		}
+		if mu != nil && !counted(c)([][2]fed.Partial{{top.key, mu}})[0] {
+			sd.done.raised = true
+			return nil
+		}
+		sd.settled[top.v] = top.g
+		var cands, viaQueued []fed.Partial // the latter along the other side's queued and pending paths
+		if q, ok := other.queued[top.v]; ok {
+			viaQueued = append(viaQueued, fed.SumPartial(top.g, q.g))
+		}
+		for _, q := range other.pending {
+			if q.v == top.v {
+				viaQueued = append(viaQueued, fed.SumPartial(top.g, q.g))
+			}
+		}
+		if g, both := other.settled[top.v]; both {
+			cands, viaQueued = append(cands, fed.SumPartial(top.g, g)), nil
+		}
+		var batch []*item
+		for _, at := range exp.arcs(top.v, sd.forward) {
+			if _, dup := sd.settled[at.to]; dup {
 				continue
 			}
-			min := 0
-			for i, it := range sd.q {
-				if jointSum(it.key) < jointSum(sd.q[min].key) {
-					min = i
-				}
+			ng := make(fed.Partial, e.f.P())
+			exp.addWeight(ng, top.g, at.arc)
+			if g, crossed := other.settled[at.to]; crossed {
+				cands = append(cands, fed.SumPartial(ng, g))
 			}
-			sd.top, live = sd.q[min], true
-			sd.q = append(sd.q[:min], sd.q[min+1:]...)
-			_, dup := sd.settled[sd.top.v]
-			sd.settle = !dup
+			key := ng
+			if pot := sd.est.Potential(at.to); pot != nil {
+				key = fed.SumPartial(ng, pot)
+			}
+			batch = append(batch, &item{v: at.to, key: key, g: ng})
 		}
-		if !live {
-			return n, pruned
-		}
-		for _, sd := range sides {
-			if sd.settle && mu != nil {
-				n++
-				if jointSum(sd.top.key) >= jointSum(mu) {
-					sd.done, sd.settle = true, false
-				}
-			}
-		}
-		for _, sd := range sides {
-			if sd.settle {
-				sd.settled[sd.top.v] = sd.top.g
-			}
-		}
-		var cands []fed.Partial
-		for i, sd := range sides {
-			if !sd.settle {
-				continue
-			}
-			other := sides[1-i]
-			mirrored := !sd.forward && other.settle && other.top.v == sd.top.v
-			if lbl, both := other.settled[sd.top.v]; both && !mirrored {
-				cands = append(cands, fed.SumPartial(sd.top.g, lbl))
-			}
-			var batch []*item
-			for _, at := range exp.arcs(sd.top.v, sd.forward) {
-				if _, dup := sd.settled[at.to]; dup {
-					continue
-				}
-				ng := make(fed.Partial, e.f.P())
-				exp.addWeight(ng, sd.top.g, at.arc)
-				if lbl, crossed := other.settled[at.to]; crossed {
-					cands = append(cands, fed.SumPartial(ng, lbl))
-				}
-				key := ng
-				if pot := sd.est.Potential(at.to); pot != nil {
-					key = fed.SumPartial(ng, pot)
-				}
-				batch = append(batch, &item{v: at.to, key: key, g: ng})
-			}
+		cands = append(cands, viaQueued...)
+		stepMu := mu
+		lockstep(c, nil, func(c comparator) { fold(c, cands); sd.folded++ }, func(c comparator) {
 			if !e.opt.PruneStaged {
-				sd.q = append(sd.q, batch...)
-				continue
+				for _, it := range batch {
+					sd.queued[it.v] = it
+				}
+				commit = sd.q.stageOn(c, batch)
+				return
 			}
 			// The prune: every path against the queued one to its vertex as
-			// the batch found it, else against the μ the step started with.
-			keep := make([]bool, len(batch))
-			for i, it := range batch {
-				b, queued := sd.best[it.v]
-				switch {
-				case queued:
-					keep[i] = jointSum(it.key) < b
-				case mu != nil:
-					keep[i] = jointSum(it.key) < jointSum(mu)
-				default:
-					keep[i] = true
-					continue
-				}
-				pruned++
-			}
-			for i, it := range batch {
-				if keep[i] {
-					sd.q = append(sd.q, it)
-					sd.best[it.v] = jointSum(it.key)
+			// the batch found it, else against the μ of the settle.
+			var ready, contested []*item
+			var pre [][2]*item
+			for _, it := range batch {
+				if q, ok := sd.queued[it.v]; ok {
+					contested, pre = append(contested, it), append(pre, [2]*item{it, q})
+				} else if stepMu != nil {
+					contested, pre = append(contested, it), append(pre, [2]*item{it, {key: stepMu}})
+				} else {
+					ready = append(ready, it)
 				}
 			}
-		}
-		if mu != nil {
-			cands = append(cands, mu)
-		}
-		if len(cands) > 1 {
-			n += int64(len(cands) - 1)
-		}
-		for _, c := range cands {
-			if mu == nil || jointSum(c) < jointSum(mu) {
-				mu = c
+			for _, it := range ready {
+				sd.queued[it.v] = it
+			}
+			pruned += int64(len(pre))
+			sd.pending = contested
+			commit = sd.q.stageJoinOn(c, ready, pre, func(wins []bool) (kept []*item) {
+				sd.pending = nil
+				for i, it := range contested {
+					if wins[i] {
+						kept, sd.queued[it.v] = append(kept, it), it
+					}
+				}
+				return kept
+			})
+		})
+		return commit
+	}
+	run := func(sd, other *plainSide) func(comparator) {
+		return func(c comparator) {
+			for k := 0; !sd.done.raised; k++ {
+				for !other.done.raised && other.folded < k { // the lead rule
+					park(c)
+				}
+				top, ok := sd.q.q.Peek()
+				if !ok {
+					sd.done.raised = true
+					return
+				}
+				var commit func(comparator)
+				lockstep(c, []*stopFlag{nil, &sd.done}, func(c comparator) { commit = step(c, sd, other, top) }, sd.q.popOn)
+				if commit != nil {
+					commit(c)
+				}
 			}
 		}
 	}
+	lockstep(plainCmp{}, nil, run(fwd, bwd), run(bwd, fwd))
+	return n, pruned
 }
 
 // TestQueueCountsChargeOnlyComparisonsMade: over routes (flat, and indexed
@@ -373,3 +417,48 @@ func TestQueueCountsChargeOnlyComparisonsMade(t *testing.T) {
 		}
 	}
 }
+
+// TestLaterSettleFindsUpwardCrossing: on the shortcut index of two vertices
+// joined both ways, the route from the lower-ranked vertex s to the higher
+// t crosses on the arc s→t, which only the forward side relaxes (upward).
+// The forward side settles s first and queues its path to t there, before
+// the backward side has settled t; the backward side's settle of t, which
+// relaxes nothing, takes that queued path as the μ candidate. So μ exists
+// after two settles, and the forward side's champion t fails the stopping
+// rule instead of being settled (three settles without the candidate).
+func TestLaterSettleFindsUpwardCrossing(t *testing.T) {
+	b := graph.NewBuilder(2)
+	b.AddArc(0, 1)
+	b.AddArc(1, 0)
+	g := b.Build()
+	w := graph.Weights{7, 9}
+	f, err := fed.New(g, w, []graph.Weights{{5, 4}, {7, 9}, {9, 14}}, mpc.Params{Mode: mpc.ModeIdeal, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, err := ch.Build(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, tt := graph.Vertex(0), graph.Vertex(1)
+	if idx.Rank(s) > idx.Rank(tt) {
+		s, tt = tt, s
+	}
+	if len(idx.DownIn(tt)) != 0 || len(idx.UpOut(s)) != 1 {
+		t.Fatalf("fixture: the backward side must relax nothing from %d, the forward side one arc from %d", tt, s)
+	}
+	for _, opt := range []Options{RouteOptions(idx), {Queue: pq.KindTMTree, Index: idx}} {
+		res, st, err := fx(f).engine(t, opt).SPSP(s, tt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fx(f).checkSPSP(t, res, s, tt)
+		if st.SettledVertices != 2 || st.SAC.Compares != 1 {
+			t.Fatalf("prune=%v: %d settles and %d Fed-SACs, want 2 and the one stopping-rule check",
+				opt.PruneStaged, st.SettledVertices, st.SAC.Compares)
+		}
+	}
+}
+
+// fx wraps a federation as a test fixture.
+func fx(f *fed.Federation) *fixture { return &fixture{f: f, joint: f.JointWeights()} }

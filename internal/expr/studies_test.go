@@ -146,7 +146,8 @@ func TestIndexAblation(t *testing.T) {
 // silo, the index lines in witness cap, shortcuts and build Fed-SACs. The
 // counts were first recorded by the per-ablation loops this sweep replaced,
 // and moved down when a search stopped running comparisons whose bits it
-// never reads (a stopped side's pop replay, kNN past its k-th settle).
+// never reads (a stopped side's pop replay, kNN past its k-th settle). They
+// moved again when each side of a route began stepping on its own clock.
 func TestStudyCountsPinned(t *testing.T) {
 	pins := []struct {
 		name  string
@@ -155,36 +156,36 @@ func TestStudyCountsPinned(t *testing.T) {
 		want  []string
 	}{
 		{"fig12", (*Harness).queueStudy, nil, []string{
-			"heap|31|95|1710|6|0|175|89|182",
-			"l-heap|29|87|1572|6|117|70|54|182",
-			"tm-tree|25|76|1374|6|111|33|64|182",
+			"heap|31|94|1698|5|0|173|81|180",
+			"l-heap|29|87|1566|5|116|67|50|180",
+			"tm-tree|25|77|1392|5|110|32|61|180",
 		}},
 		{"alpha", (*Harness).alphaStudy, nil, []string{
-			"2|26|79|1434|6|111|42|65|182",
-			"4|25|76|1374|6|111|33|64|182",
-			"8|25|76|1374|6|111|33|64|182",
-			"16|25|76|1374|6|111|33|64|182",
+			"2|26|80|1452|5|110|41|62|180",
+			"4|25|77|1392|5|110|32|61|180",
+			"8|25|77|1392|5|110|32|61|180",
+			"16|25|77|1392|5|110|32|61|180",
 		}},
 		{"landmarks", (*Harness).landmarkStudy, []string{"Φ per silo"}, []string{
-			"8|43|130|2340|8|135|64|145|231|15KB",
-			"16|39|117|2106|8|134|58|114|224|31KB",
-			"32|33|99|1794|6|133|45|89|213|62KB",
-			"64|28|84|1518|6|118|38|71|193|125KB",
+			"8|44|133|2394|8|134|63|143|229|15KB",
+			"16|39|118|2130|7|133|57|112|222|31KB",
+			"32|32|97|1746|6|131|43|80|209|62KB",
+			"64|25|77|1386|5|110|34|58|181|125KB",
 		}},
 		{"estimators", (*Harness).estimatorStudy, nil, []string{
-			"none|114|343|6186|17|196|147|572|359",
-			"fed-alt|193|581|10458|9|145|73|225|250",
-			"fed-alt-max|57|171|3078|9|149|74|237|255",
-			"fed-amps|25|76|1374|6|111|33|64|182",
+			"none|117|353|6366|17|196|146|571|358",
+			"fed-alt|191|573|10320|9|142|71|221|245",
+			"fed-alt-max|58|174|3138|9|148|73|235|253",
+			"fed-amps|25|77|1392|5|110|32|61|180",
 		}},
 		{"batching", (*Harness).batchingStudy, nil, []string{
-			"sequential Fed-SAC|25|76|1374|6|111|33|64|182",
-			"batched Fed-SAC|25|29|1263|6|111|33|64|182",
+			"sequential Fed-SAC|25|77|1392|5|110|32|61|180",
+			"batched Fed-SAC|25|29|1283|5|110|32|61|180",
 		}},
 		{"index", (*Harness).indexStudy, []string{"witness cap", "shortcuts", "build #Fed-SAC"}, []string{
-			"edge-diff|24|72|1308|6|101|38|58|177|80|540|87107",
-			"degree|28|85|1542|5|137|34|63|204|80|772|118609",
-			"edge-diff|26|80|1452|6|119|38|61|193|8|582|10798",
+			"edge-diff|21|64|1152|5|93|31|44|162|80|540|87107",
+			"degree|25|75|1362|5|125|29|51|188|80|772|118609",
+			"edge-diff|25|76|1380|5|113|35|53|184|8|582|10798",
 		}},
 	}
 	for _, p := range pins {

@@ -19,10 +19,11 @@ import (
 // stage only the paths that can still win (core.Options.PruneStaged), which
 // took them from 1,225 compares in 414 instances to 1,177 in 400; starting
 // each step's tournament in its prune's instance took the same 1,177
-// compares to 375 instances.
+// compares to 375 instances, and letting each side of a route step on its
+// own clock took them to 1,146 compares in 341 instances.
 const (
 	parentSPSPInstances = 8424 / 8
-	spspCompares        = 1177
+	spspCompares        = 1146
 	parentKNNInstances  = 3752 / 8
 	knnCompares         = 434
 )

@@ -468,8 +468,8 @@ func TestRestoredCustomizedRouteCostsTheSame(t *testing.T) {
 		return out
 	}
 	before := costs(src)
-	if got := before[0].Compares; got != 27 {
-		t.Fatalf("route %d→%d: %d Fed-SACs, pinned 27", pairs[0][0], pairs[0][1], got)
+	if got := before[0].Compares; got != 20 {
+		t.Fatalf("route %d→%d: %d Fed-SACs, pinned 20", pairs[0][0], pairs[0][1], got)
 	}
 	var buf bytes.Buffer
 	if err := src.SaveState(&buf); err != nil {
