@@ -17,16 +17,23 @@ import (
 // comparisons with each side stepping on its own clock, and the Fed-SAC
 // instances it ran when a stage thread pruned in one instance and built its
 // tournament after it (and the two sides' steps were paired), 400 in all.
+// Where a side runs a step ahead of the μ the other is about to find, a
+// route settles or prunes other than paired steps would: 1465→651's
+// backward side settles 231 before the forward side, whose key there is
+// still below μ, so both settle it; 679→237's forward side settles 1266
+// before μ exists, so its three paths need no prune comparison; and
+// 724→1456's forward side settles 1124, 645→276's backward side 431,
+// before the settle that sets μ.
 var stagedRoutes = []struct {
 	s, t                       graph.Vertex
 	settled, pruned, instances int64
 }{
 	{658, 1319, 9, 13, 17}, {1364, 990, 8, 8, 19}, {1269, 1212, 9, 13, 22}, {554, 1426, 10, 13, 21},
 	{960, 484, 8, 11, 15}, {1090, 1089, 6, 10, 21}, {1059, 111, 7, 9, 15}, {1291, 1142, 4, 0, 7},
-	{886, 1332, 8, 12, 22}, {1396, 1020, 9, 7, 21}, {370, 639, 4, 1, 7}, {1465, 651, 8, 7, 18},
-	{682, 73, 8, 6, 15}, {781, 1418, 7, 6, 14}, {679, 237, 11, 18, 26}, {534, 1023, 8, 8, 17},
+	{886, 1332, 8, 12, 22}, {1396, 1020, 9, 7, 21}, {370, 639, 4, 1, 7}, {1465, 651, 9, 7, 18},
+	{682, 73, 8, 6, 15}, {781, 1418, 7, 6, 14}, {679, 237, 11, 15, 26}, {534, 1023, 8, 8, 17},
 	{971, 251, 5, 3, 13}, {528, 474, 6, 0, 12}, {1285, 837, 7, 11, 15}, {302, 393, 8, 8, 13},
-	{724, 1456, 10, 6, 16}, {1108, 768, 9, 14, 21}, {645, 276, 8, 10, 17}, {601, 1129, 7, 6, 16},
+	{724, 1456, 11, 9, 16}, {1108, 768, 9, 14, 21}, {645, 276, 9, 11, 17}, {601, 1129, 7, 6, 16},
 }
 
 // TestStagedJoinKeepsSettlesAndPrunes: starting a route step's tournament

@@ -45,23 +45,23 @@ func partOf(stack string) string {
 
 // sideTick is what one side of the search has in an instance: the parts
 // that put pairs in it, the threads of its step's gang that wait on it (by
-// goroutine id), whether the side's own thread waits on it in its commit,
-// and whether the side sits it out parked.
+// goroutine id), and whether the side's own thread waits on it in its
+// commit.
 type sideTick struct {
-	parts          map[string]bool
-	gang           map[string]bool
-	commit, parked bool
+	parts  map[string]bool
+	gang   map[string]bool
+	commit bool
 }
 
 var createdIn = regexp.MustCompile(`created by .* in goroutine (\d+)`)
 
 // tickOf reads, from inside a Fed-SAC instance, which parts of which side
 // put pairs in it. Every live thread of a gang is blocked in its handle's
-// LessBatch (or parked) while the instance runs; a blocked thread that runs
-// no part and coordinates no gang of its own is a driver in its
-// stopping-rule call (or its fold playing a new μ). A side is the thread
-// the caller's gang started, and every thread a side's steps start descends
-// from it; a thread the side started directly is one of its step's gang.
+// LessBatch while the instance runs; a blocked thread that runs no part and
+// coordinates no gang of its own is a driver in its stopping-rule call (or
+// its fold playing a new μ). A side is the thread the caller's gang started,
+// and every thread a side's steps start descends from it; a thread the side
+// started directly is one of its step's gang.
 func tickOf() (parts map[string]bool, sides map[string]*sideTick) {
 	buf := make([]byte, 1<<20)
 	buf = buf[:runtime.Stack(buf, true)]
@@ -92,8 +92,6 @@ func tickOf() (parts map[string]bool, sides map[string]*sideTick) {
 		side := below(id, caller)
 		switch {
 		case side == "":
-		case strings.Contains(g, "core.park("):
-			at(side).parked = true
 		case strings.Contains(g, "(*lockstepThread).LessBatch("):
 			part := partOf(g)
 			if part == "" && !strings.Contains(g, "core.lockstep(") {
@@ -158,7 +156,7 @@ func TestRouteTickLedger(t *testing.T) {
 	}
 	fx := &fixture{f: f, joint: f.JointWeights()}
 
-	var routes, instances, both, commitOnly, parked, sacs, pops, pruned, settled int64
+	var routes, instances, both, commitOnly, sacs, pops, pruned, settled int64
 	var steps, sideInstances int64 // over both sides
 	perPart := map[string]int64{}
 	for client := int64(0); client < 2; client++ {
@@ -211,9 +209,6 @@ func TestRouteTickLedger(t *testing.T) {
 					if len(sd.parts) > 0 {
 						carrying++
 					}
-					if sd.parked {
-						parked++
-					}
 				}
 				if carrying == 2 {
 					both++
@@ -241,8 +236,8 @@ func TestRouteTickLedger(t *testing.T) {
 	}
 	perRoute := func(n int64) float64 { return float64(n) / float64(routes) }
 	var b strings.Builder
-	fmt.Fprintf(&b, "%d routes, %d instances (%.2f per route): %d carry both sides' pairs, %d only commit pairs, and a side sits %d out parked\n",
-		routes, instances, perRoute(instances), both, commitOnly, parked)
+	fmt.Fprintf(&b, "%d routes, %d instances (%.2f per route): %d carry both sides' pairs, %d only commit pairs\n",
+		routes, instances, perRoute(instances), both, commitOnly)
 	fmt.Fprintf(&b, "  %d side steps ran an instance (%.2f per route), in %.2f instances each\n",
 		steps, perRoute(steps), float64(sideInstances)/float64(steps))
 	fmt.Fprintf(&b, "  per route: %.2f Fed-SACs, %.2f pop replay comparisons, %.2f prune comparisons, %.2f settles\n",

@@ -12,17 +12,17 @@ type stopFlag struct {
 
 // lockstep runs fns as logical threads that share protocol instances: each
 // gets its own comparator handle, and whenever every live thread is blocked
-// on a LessBatch, parked (see park) or has returned, their pairs are
-// concatenated in thread order into one inner call — one Fed-SAC instance
-// per tick instead of one per thread — and each thread resumes with its
-// slice of the bits. stops[i], if present and non-nil, binds thread i to a
-// stopFlag; the coordinator reads it only while no thread runs, and from the
-// second tick on it answers a raised thread's pairs (and then its next)
-// before it forms the tick.
+// on a LessBatch or has returned, their pairs are concatenated in thread
+// order into one inner call — one Fed-SAC instance per tick instead of one
+// per thread — and each thread resumes with its slice of the bits.
+// stops[i], if present and non-nil, binds thread i to a stopFlag; the
+// coordinator reads it only while no thread runs, and from the second tick
+// on it answers a raised thread's pairs (and then its next) before it forms
+// the tick.
 //
 // The threads run one at a time: at the start and after every tick the
-// coordinator resumes them in thread order, each until its next LessBatch,
-// park or return. So threads may share mutable state, each reading what the
+// coordinator resumes them in thread order, each until its next LessBatch
+// or return. So threads may share mutable state, each reading what the
 // threads before it left, and inner, called only from the caller's
 // goroutine while no thread runs, need not be safe for concurrent use. A
 // thread may call lockstep on its own handle (nesting); a nested gang's
@@ -38,16 +38,11 @@ func lockstep(inner comparator, stops []*stopFlag, fns ...func(comparator)) {
 	events := make(chan lockstepEvent)
 	threads := make([]*lockstepThread, len(fns))
 	blocked := make([][][2]fed.Partial, len(fns)) // per thread: the pairs it waits on
-	parked := make([]bool, len(fns))
 	live := len(fns)
 	next := func() { // the running thread's next event
-		ev := <-events
-		switch {
-		case ev.done:
+		if ev := <-events; ev.done {
 			live--
-		case ev.park:
-			parked[ev.thread] = true
-		default:
+		} else {
 			blocked[ev.thread] = ev.pairs
 		}
 	}
@@ -78,8 +73,8 @@ func lockstep(inner comparator, stops []*stopFlag, fns ...func(comparator)) {
 			bits = inner.LessBatch(tick)
 		}
 		for i, pairs := range blocked {
-			if pairs != nil || parked[i] {
-				blocked[i], parked[i] = nil, false
+			if pairs != nil {
+				blocked[i] = nil
 				threads[i].bits <- bits[:len(pairs):len(pairs)]
 				bits = bits[len(pairs):]
 				next()
@@ -88,21 +83,11 @@ func lockstep(inner comparator, stops []*stopFlag, fns ...func(comparator)) {
 	}
 }
 
-// park makes the lockstep thread whose handle is c sit out one tick: it adds
-// no pair, and resumes in its turn after the tick. A gang whose every live
-// thread parks runs no instance for that tick.
-func park(c comparator) {
-	t := c.(*lockstepThread)
-	t.events <- lockstepEvent{thread: t.id, park: true}
-	<-t.bits
-}
-
 // lockstepEvent is a thread reporting to its coordinator: blocked on pairs,
-// parked, or done.
+// or done.
 type lockstepEvent struct {
 	thread int
 	pairs  [][2]fed.Partial
-	park   bool
 	done   bool
 }
 

@@ -174,7 +174,7 @@ func TestSimulationArgument(t *testing.T) {
 			t.Fatal(err)
 		}
 		sameTranscript(t, queue+" star SPSP", &rec, &got)
-		if cut := 37; len(rec.bits) != cut {
+		if cut := 36; len(rec.bits) != cut {
 			t.Fatalf("queue %s: star route made %d comparisons, want %d (each stopped replay cut after its first)", queue, len(rec.bits), cut)
 		}
 		samePath("queue "+queue+" star SPSP", simPath.Path, starPath.Path)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/fed"
@@ -120,8 +121,6 @@ type side struct {
 	// done is raised when the side stops; it binds the side's pop replay, so
 	// a stopped side leaves its queue half-replayed, never to be read again.
 	done stopFlag
-	// folded counts the steps whose μ candidates the side has folded.
-	folded int
 
 	// queued is, in SPSP, the last path to each vertex the side queued: the
 	// other side's settles read it, and under prune so does the side's own
@@ -186,7 +185,9 @@ func (sd *side) stage(c comparator, batch []*item, mu fed.Partial) (commit func(
 // to push, and a μ candidate for every touch of the other side's search — at
 // the vertex itself if the other side settled it, across one arc to a vertex
 // it settled, and else along the paths it queued to the vertex or awaits the
-// prune bits of. With no other side (kNN) there are no candidates.
+// prune bits of, save one over an arc just crossed. A queued path without an
+// arc is the other side's source, not yet settled: it meets at the vertex.
+// With no other side (kNN) there are no candidates.
 func relax(exp expander, it *item, sd, other *side) (batch []*item, cands []fed.Partial, meets []meeting) {
 	var met map[graph.Vertex]*label
 	var queued []*item
@@ -204,10 +205,7 @@ func relax(exp expander, it *item, sd, other *side) (batch []*item, cands []fed.
 	if lbl, both := met[it.v]; both {
 		cands = append(cands, fed.SumPartial(it.g, lbl.g))
 		meets = append(meets, meeting{fv: it.v, crossArc: -1, bv: it.v})
-		// Its settled path is no longer than any it queued, and it settled
-		// its source, the one queued path without an arc, in its first step,
-		// which the lead rule puts before this side's second.
-		queued = nil
+		queued = nil // its settled path is no longer than any it queued
 	}
 	for _, at := range exp.arcs(it.v, sd.forward) {
 		if _, dup := sd.settled[at.to]; dup {
@@ -233,9 +231,15 @@ func relax(exp expander, it *item, sd, other *side) (batch []*item, cands []fed.
 		batch = append(batch, &item{v: at.to, key: key, g: ng, parent: it.v, parc: at.arc})
 	}
 	for _, q := range queued {
+		if slices.ContainsFunc(meets, func(m meeting) bool { return m.crossArc == q.parc }) {
+			continue // the flat search crossed its arc to its settled parent above
+		}
 		m := meeting{fv: it.v, crossArc: q.parc, bv: q.parent}
+		if q.parc < 0 {
+			m.bv = it.v
+		}
 		if !sd.forward {
-			m = meeting{fv: q.parent, crossArc: q.parc, bv: it.v}
+			m.fv, m.bv = m.bv, m.fv
 		}
 		cands = append(cands, fed.SumPartial(it.g, q.g))
 		meets = append(meets, m)
@@ -249,6 +253,43 @@ type meeting struct {
 	fv       graph.Vertex
 	crossArc int32 // -1 when fv == bv
 	bv       graph.Vertex
+}
+
+// bestJoint is μ, the least cost of an s–t path either side of a route has
+// found so far, with the meeting that gives it; sets counts how often μ was
+// set.
+type bestJoint struct {
+	mu   fed.Partial
+	meet meeting
+	sets int
+}
+
+// fold folds crossing candidates into μ through fed.EarliestMin on one
+// slate: the same winner as a sequential left-to-right fold with as many
+// comparisons, but the matches of one level go to c as one batch. The other
+// side's fold shares c's ticks and may set μ, once or more, while the
+// winner plays: the winner then plays each fresh μ in turn until none comes.
+// So a set μ is always less than the μ it replaces, and μ keeps ties.
+func (b *bestJoint) fold(c comparator, cands []fed.Partial, meets []meeting) {
+	if b.mu != nil {
+		cands = append([]fed.Partial{b.mu}, cands...)
+		meets = append([]meeting{b.meet}, meets...)
+	}
+	if len(cands) == 0 {
+		return
+	}
+	from := b.sets
+	win := fed.EarliestMin(c.LessBatch, [][]fed.Partial{cands})[0]
+	if from > 0 && win == 0 && b.sets != from {
+		return // the winner is the old μ, which the fresh one beat
+	}
+	for b.sets != from {
+		from = b.sets
+		if !c.LessBatch([][2]fed.Partial{{cands[win], b.mu}})[0] {
+			return
+		}
+	}
+	b.mu, b.meet, b.sets = cands[win], meets[win], b.sets+1
 }
 
 // SPSP answers a federated single-pair shortest-path query. The search
@@ -292,31 +333,7 @@ func (e *Engine) SPSP(s, t graph.Vertex) (PathResult, QueryStats, error) {
 	fwd.stage(sac, []*item{{v: s, key: estF.Potential(s), g: e.f.ZeroPartial(), parent: graph.NoVertex, parc: -1}}, nil)(sac)
 	bwd.stage(sac, []*item{{v: t, key: estB.Potential(t), g: e.f.ZeroPartial(), parent: graph.NoVertex, parc: -1}}, nil)(sac)
 
-	var mu fed.Partial
-	var meet meeting
-	muSets := 0 // how often μ was set
-	// foldMu folds crossing candidates into μ through fed.EarliestMin on one
-	// slate: the same winner as a sequential left-to-right fold with as many
-	// comparisons, but the matches of one level go to c as one batch. If the
-	// other side's fold set μ meanwhile, the winner plays that μ once; μ
-	// keeps ties.
-	foldMu := func(c comparator, cands []fed.Partial, meets []meeting) {
-		if mu != nil {
-			cands = append([]fed.Partial{mu}, cands...)
-			meets = append([]meeting{meet}, meets...)
-		}
-		if len(cands) == 0 {
-			return
-		}
-		from := muSets
-		win := fed.EarliestMin(c.LessBatch, [][]fed.Partial{cands})[0]
-		if muSets != from { // μ only falls, so only a fresh candidate can beat the new μ
-			if from > 0 && win == 0 || !c.LessBatch([][2]fed.Partial{{cands[win], mu}})[0] {
-				return
-			}
-		}
-		mu, meet, muSets = cands[win], meets[win], muSets+1
-	}
+	var best bestJoint
 
 	// Each side is a lockstep thread that steps on its own clock, sharing
 	// protocol instances tick by tick with the other side's thread. A step
@@ -326,24 +343,21 @@ func (e *Engine) SPSP(s, t graph.Vertex) (PathResult, QueryStats, error) {
 	//	         → { fold candidates into μ ‖ stage the push }
 	//	pop:     path replay, after tick 1 only while the side is not done
 	//
-	// followed by the commit, the merge of the staged push. The threads run
-	// one at a time between ticks, so each settle and relax sees the other
-	// side's settled set and queued paths as they stand, and μ is read and
-	// set consistently. Lead rule: a side starts step n+1 only once the
-	// other side has folded its step-n candidates or stopped, so every stop
-	// check and prune reads a μ no larger than it would were the two sides'
-	// steps paired. Under PruneStaged a stage thread's first tick is its
-	// prune, which reads μ as the settle found it, and the first tournament
-	// level of the paths that need no prune; the prune's survivors join the
-	// tournament at its second tick. (Fed-ALT potentials compare on the
-	// engine directly; that is safe because no instance runs while a thread
-	// does.)
+	// followed by the commit, the merge of the staged push, and at once the
+	// side's next step. The threads run one at a time between ticks, so each
+	// settle and relax sees the other side's settled set and queued paths as
+	// they stand, and μ is read and set consistently. A side may run many
+	// steps ahead of the other: every μ it reads is the cost of a real s–t
+	// path, so it may stop later than were the steps paired, never wrongly
+	// (DESIGN.md, Why a side may run ahead). Under PruneStaged a stage
+	// thread's first tick is its prune, which reads μ as the settle found
+	// it, and the first tournament level of the paths that need no prune;
+	// the prune's survivors join the tournament at its second tick. (Fed-ALT
+	// potentials compare on the engine directly; that is safe because no
+	// instance runs while a thread does.)
 	run := func(sd, other *side) func(comparator) {
 		return func(c comparator) {
-			for step := 0; c.Err() == nil; step++ {
-				for !other.done.raised && other.folded < step {
-					park(c)
-				}
+			for c.Err() == nil {
 				top, ok := sd.q.q.Peek()
 				if !ok {
 					break
@@ -351,20 +365,19 @@ func (e *Engine) SPSP(s, t graph.Vertex) (PathResult, QueryStats, error) {
 				var commit func(comparator)
 				lockstep(c, []*stopFlag{nil, &sd.done}, func(c comparator) {
 					_, dup := sd.settled[top.v]
-					if !dup && mu != nil && !c.LessBatch([][2]fed.Partial{{top.key, mu}})[0] {
+					if !dup && best.mu != nil && !c.LessBatch([][2]fed.Partial{{top.key, best.mu}})[0] {
 						sd.done.raised = true
 					}
 					if dup || sd.done.raised {
-						sd.folded++
 						return
 					}
 					r0 := time.Now()
 					sd.settled[top.v] = &label{g: top.g, parent: top.parent, parc: top.parc}
 					batch, cands, meets := relax(exp, top, sd, other)
 					phases.Relax += time.Since(r0)
-					stepMu := mu
+					stepMu := best.mu
 					lockstep(c, nil,
-						func(c comparator) { foldMu(c, cands, meets); sd.folded++ },
+						func(c comparator) { best.fold(c, cands, meets) },
 						func(c comparator) { commit = sd.stage(c, batch, stepMu) })
 				}, sd.q.popOn)
 				if sd.done.raised {
@@ -397,26 +410,23 @@ func (e *Engine) SPSP(s, t graph.Vertex) (PathResult, QueryStats, error) {
 	stats.Queue.Add(bwd.q.q.Counts())
 	stats.Queue.Pop -= fwd.done.dropped + bwd.done.dropped // the replays' pairs that ran no instance
 
-	if mu == nil {
+	if best.mu == nil {
 		return PathResult{Target: t, Found: false}, stats, nil
 	}
-	path := e.reconstruct(exp, fwd.settled, bwd.settled, meet)
-	return PathResult{Target: t, Path: path, Partial: mu, Found: true}, stats, nil
+	path := e.reconstruct(exp, s, t, fwd.settled, bwd.settled, best.meet)
+	return PathResult{Target: t, Path: path, Partial: best.mu, Found: true}, stats, nil
 }
 
 // reconstruct expands the meeting record into the full base-graph vertex
-// path from s to t, unpacking shortcuts as needed. kNN passes no backward
-// labels and its settled vertex as fv.
-func (e *Engine) reconstruct(exp expander, fs, bs map[graph.Vertex]*label, m meeting) []graph.Vertex {
+// path from s to t, unpacking shortcuts as needed. Each chain ends at its
+// side's source, which that side need not have settled: the other side may
+// meet it while it is only queued. A chain through any other vertex without
+// a label panics. kNN passes no backward labels and its settled vertex as fv.
+func (e *Engine) reconstruct(exp expander, s, t graph.Vertex, fs, bs map[graph.Vertex]*label, m meeting) []graph.Vertex {
 	// Collect arc IDs of the forward chain s → fv (reversed during walk).
 	var fwdArcs []int32
-	for v := m.fv; ; {
-		lbl := fs[v]
-		if lbl.parent == graph.NoVertex {
-			break
-		}
-		fwdArcs = append(fwdArcs, lbl.parc)
-		v = lbl.parent
+	for v := m.fv; v != s; v = fs[v].parent {
+		fwdArcs = append(fwdArcs, fs[v].parc)
 	}
 	for i, j := 0, len(fwdArcs)-1; i < j; i, j = i+1, j-1 {
 		fwdArcs[i], fwdArcs[j] = fwdArcs[j], fwdArcs[i]
@@ -426,7 +436,7 @@ func (e *Engine) reconstruct(exp expander, fs, bs map[graph.Vertex]*label, m mee
 		all = append(all, m.crossArc)
 	}
 	// Backward chain bv → t: labels already point toward t. kNN has none.
-	for v := m.bv; bs != nil && bs[v].parent != graph.NoVertex; v = bs[v].parent {
+	for v := m.bv; bs != nil && v != t; v = bs[v].parent {
 		all = append(all, bs[v].parc)
 	}
 

@@ -54,7 +54,7 @@ func (e *Engine) SSSP(s graph.Vertex, k int) ([]PathResult, QueryStats, error) {
 			sd.settled[top.v] = &label{g: top.g, parent: top.parent, parc: top.parc}
 			results = append(results, PathResult{
 				Target:  top.v,
-				Path:    e.reconstruct(exp, sd.settled, nil, meeting{fv: top.v, crossArc: -1}),
+				Path:    e.reconstruct(exp, s, graph.NoVertex, sd.settled, nil, meeting{fv: top.v, crossArc: -1}),
 				Partial: fed.ClonePartial(top.g),
 				Found:   true,
 			})

@@ -106,8 +106,10 @@ func starFederation(t *testing.T, leaves int, weight func(p int, a graph.Arc) in
 // step spends exactly one instance on that step — the stopping-rule check
 // and the first pair of each pop replay — and none on the rest of either
 // replay. With 16 leaves the first step's tournament builds of 17 items take
-// 5 levels (the μ fold's one match shares the first), and each replay of the
-// second step would have taken 3 more instances.
+// 5 levels, and each replay of the second step would have taken 3 more
+// instances. The first step's only μ candidate is the backward settle's
+// crossing of the direct arc (the forward side's queued path over the same
+// arc is the same meeting, taken once), so μ is set without a comparison.
 func TestBothSidesStopInOneInstance(t *testing.T) {
 	f := starFederation(t, 16, nil)
 	for _, batched := range []bool{true, false} {
@@ -122,9 +124,9 @@ func TestBothSidesStopInOneInstance(t *testing.T) {
 		if !res.Found || jointSum(res.Partial) != 30 || !reflect.DeepEqual(res.Path, []graph.Vertex{0, 1}) {
 			t.Fatalf("batched=%v: route %+v, want 0→1 at 30", batched, res)
 		}
-		// Builds 16+16, the fold's 1, the check's 2 and each replay's first.
-		if st.SAC.Compares != 37 || st.Queue.Total() != 34 || st.Queue.Pop != 2 {
-			t.Fatalf("batched=%v: %d Fed-SACs, queue %+v; want 37 and a queue charged 16+16 build + 2 pop",
+		// Builds 16+16, the check's 2 and each replay's first.
+		if st.SAC.Compares != 36 || st.Queue.Total() != 34 || st.Queue.Pop != 2 {
+			t.Fatalf("batched=%v: %d Fed-SACs, queue %+v; want 36 and a queue charged 16+16 build + 2 pop",
 				batched, st.SAC.Compares, st.Queue)
 		}
 		if batched {
@@ -201,10 +203,11 @@ func (plainCmp) Err() error { return nil }
 // the clear — and counts the comparisons the search makes outside its
 // queues: the stopping rule's and the μ fold's in n, and under
 // Options.PruneStaged the prune's in pruned. Its two sides are lockstep
-// threads over the engine's queue structure, as in the secure search, so
-// their steps take the same ticks and each settle, fold and prune sees the
-// other side's search as the secure one's does; the stops, candidates,
-// folds and prunes are its own.
+// threads over the engine's queue structure, as in the secure search, each
+// starting its next step as soon as its commit ends, so their steps take the
+// same ticks and each settle, fold and prune sees the other side's search as
+// the secure one's does; the stops, candidates, folds and prunes are its
+// own.
 func stopAndMuCompares(t *testing.T, e *Engine, s, tt graph.Vertex) (n, pruned int64) {
 	t.Helper()
 	var exp expander = &flatExpander{f: e.f}
@@ -219,14 +222,13 @@ func stopAndMuCompares(t *testing.T, e *Engine, s, tt graph.Vertex) (n, pruned i
 		forward bool
 		q       *searchQueue
 		done    stopFlag
-		folded  int
 		settled map[graph.Vertex]fed.Partial
 		queued  map[graph.Vertex]*item // the last path queued to each vertex
 		pending []*item                // the paths awaiting their prune bits
 		est     lb.Estimator
 	}
 	start := func(v graph.Vertex, fwd bool, est lb.Estimator) *plainSide {
-		src := &item{v: v, key: est.Potential(v), g: e.f.ZeroPartial()}
+		src := &item{v: v, key: est.Potential(v), g: e.f.ZeroPartial(), parc: -1}
 		sd := &plainSide{forward: fwd, q: e.newQueue(plainCmp{}), est: est,
 			settled: map[graph.Vertex]fed.Partial{}, queued: map[graph.Vertex]*item{v: src}}
 		sd.q.stageOn(plainCmp{}, []*item{src})(plainCmp{})
@@ -250,8 +252,12 @@ func stopAndMuCompares(t *testing.T, e *Engine, s, tt graph.Vertex) (n, pruned i
 		}
 		from := sets
 		win := fed.EarliestMin(counted(c), [][]fed.Partial{cands})[0]
-		if sets != from { // the other side set μ meanwhile: the winner plays it, unless it is the old μ
-			if from > 0 && win == 0 || !counted(c)([][2]fed.Partial{{cands[win], mu}})[0] {
+		if from > 0 && win == 0 && sets != from {
+			return // the other side set μ meanwhile, below the old μ that won here
+		}
+		for sets != from { // the winner plays each μ the other side set meanwhile
+			from = sets
+			if !counted(c)([][2]fed.Partial{{cands[win], mu}})[0] {
 				return
 			}
 		}
@@ -259,7 +265,6 @@ func stopAndMuCompares(t *testing.T, e *Engine, s, tt graph.Vertex) (n, pruned i
 	}
 	step := func(c comparator, sd, other *plainSide, top *item) (commit func(comparator)) {
 		if _, dup := sd.settled[top.v]; dup {
-			sd.folded++
 			return nil
 		}
 		if mu != nil && !counted(c)([][2]fed.Partial{{top.key, mu}})[0] {
@@ -267,37 +272,43 @@ func stopAndMuCompares(t *testing.T, e *Engine, s, tt graph.Vertex) (n, pruned i
 			return nil
 		}
 		sd.settled[top.v] = top.g
-		var cands, viaQueued []fed.Partial // the latter along the other side's queued and pending paths
+		var cands []fed.Partial
+		var viaQueued []*item // the other side's queued and pending paths to top.v
 		if q, ok := other.queued[top.v]; ok {
-			viaQueued = append(viaQueued, fed.SumPartial(top.g, q.g))
+			viaQueued = append(viaQueued, q)
 		}
 		for _, q := range other.pending {
 			if q.v == top.v {
-				viaQueued = append(viaQueued, fed.SumPartial(top.g, q.g))
+				viaQueued = append(viaQueued, q)
 			}
 		}
 		if g, both := other.settled[top.v]; both {
 			cands, viaQueued = append(cands, fed.SumPartial(top.g, g)), nil
 		}
 		var batch []*item
+		crossed := map[int32]bool{}
 		for _, at := range exp.arcs(top.v, sd.forward) {
 			if _, dup := sd.settled[at.to]; dup {
 				continue
 			}
 			ng := make(fed.Partial, e.f.P())
 			exp.addWeight(ng, top.g, at.arc)
-			if g, crossed := other.settled[at.to]; crossed {
-				cands = append(cands, fed.SumPartial(ng, g))
+			if g, ok := other.settled[at.to]; ok {
+				cands, crossed[at.arc] = append(cands, fed.SumPartial(ng, g)), true
 			}
 			key := ng
 			if pot := sd.est.Potential(at.to); pot != nil {
 				key = fed.SumPartial(ng, pot)
 			}
-			batch = append(batch, &item{v: at.to, key: key, g: ng})
+			batch = append(batch, &item{v: at.to, key: key, g: ng, parc: at.arc})
 		}
-		cands = append(cands, viaQueued...)
+		for _, q := range viaQueued {
+			if !crossed[q.parc] { // one meeting per arc
+				cands = append(cands, fed.SumPartial(top.g, q.g))
+			}
+		}
 		stepMu := mu
-		lockstep(c, nil, func(c comparator) { fold(c, cands); sd.folded++ }, func(c comparator) {
+		lockstep(c, nil, func(c comparator) { fold(c, cands) }, func(c comparator) {
 			if !e.opt.PruneStaged {
 				for _, it := range batch {
 					sd.queued[it.v] = it
@@ -337,10 +348,7 @@ func stopAndMuCompares(t *testing.T, e *Engine, s, tt graph.Vertex) (n, pruned i
 	}
 	run := func(sd, other *plainSide) func(comparator) {
 		return func(c comparator) {
-			for k := 0; !sd.done.raised; k++ {
-				for !other.done.raised && other.folded < k { // the lead rule
-					park(c)
-				}
+			for !sd.done.raised {
 				top, ok := sd.q.q.Peek()
 				if !ok {
 					sd.done.raised = true
@@ -421,11 +429,15 @@ func TestQueueCountsChargeOnlyComparisonsMade(t *testing.T) {
 // TestLaterSettleFindsUpwardCrossing: on the shortcut index of two vertices
 // joined both ways, the route from the lower-ranked vertex s to the higher
 // t crosses on the arc s→t, which only the forward side relaxes (upward).
-// The forward side settles s first and queues its path to t there, before
-// the backward side has settled t; the backward side's settle of t, which
-// relaxes nothing, takes that queued path as the μ candidate. So μ exists
-// after two settles, and the forward side's champion t fails the stopping
-// rule instead of being settled (three settles without the candidate).
+// The forward side settles s and queues its path to t there. That step makes
+// no comparison, so the forward side settles t next, before the backward
+// side has run, and takes the backward side's queued path to t, its source,
+// as the μ candidate: a meeting at t. Under RouteOptions (Fed-AMPS) the
+// backward side's champion t then fails the stopping rule instead of being
+// settled: two settles and one Fed-SAC (three settles without the
+// candidate). Without an estimator t's backward key is 0, below μ, so the
+// backward side settles t as well and its fold plays that meeting against
+// μ: three settles and two Fed-SACs.
 func TestLaterSettleFindsUpwardCrossing(t *testing.T) {
 	b := graph.NewBuilder(2)
 	b.AddArc(0, 1)
@@ -447,15 +459,21 @@ func TestLaterSettleFindsUpwardCrossing(t *testing.T) {
 	if len(idx.DownIn(tt)) != 0 || len(idx.UpOut(s)) != 1 {
 		t.Fatalf("fixture: the backward side must relax nothing from %d, the forward side one arc from %d", tt, s)
 	}
-	for _, opt := range []Options{RouteOptions(idx), {Queue: pq.KindTMTree, Index: idx}} {
-		res, st, err := fx(f).engine(t, opt).SPSP(s, tt)
+	for _, c := range []struct {
+		opt               Options
+		settles, compares int
+	}{
+		{RouteOptions(idx), 2, 1},                         // the stopping-rule check
+		{Options{Queue: pq.KindTMTree, Index: idx}, 3, 2}, // the check and the fold
+	} {
+		res, st, err := fx(f).engine(t, c.opt).SPSP(s, tt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		fx(f).checkSPSP(t, res, s, tt)
-		if st.SettledVertices != 2 || st.SAC.Compares != 1 {
-			t.Fatalf("prune=%v: %d settles and %d Fed-SACs, want 2 and the one stopping-rule check",
-				opt.PruneStaged, st.SettledVertices, st.SAC.Compares)
+		if st.SettledVertices != c.settles || st.SAC.Compares != int64(c.compares) {
+			t.Fatalf("prune=%v: %d settles and %d Fed-SACs, want %d and %d",
+				c.opt.PruneStaged, st.SettledVertices, st.SAC.Compares, c.settles, c.compares)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package mpc
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"math/rand/v2"
 )
@@ -38,16 +39,31 @@ type Dealer struct {
 
 // NewDealer creates a dealer for n parties with a deterministic ChaCha8
 // stream derived from seed.
-func NewDealer(n int, seed uint64) *Dealer {
+func NewDealer(n int, seed uint64) *Dealer { return newDealer(n, seedKey(seed)) }
+
+func newDealer(n int, key [32]byte) *Dealer {
 	if n < 2 {
 		panic("mpc: dealer needs at least 2 parties")
 	}
-	var key [32]byte
+	return &Dealer{n: n, rng: rand.NewChaCha8(key)}
+}
+
+// seedKey spreads a seed over a ChaCha8 key.
+func seedKey(seed uint64) (key [32]byte) {
 	binary.LittleEndian.PutUint64(key[0:], seed)
 	binary.LittleEndian.PutUint64(key[8:], seed^0xa5a5a5a5a5a5a5a5)
 	binary.LittleEndian.PutUint64(key[16:], 0x466564526f616421) // "FedRoad!"
 	binary.LittleEndian.PutUint64(key[24:], ^seed)
-	return &Dealer{n: n, rng: rand.NewChaCha8(key)}
+	return key
+}
+
+// forkKey derives fork k's dealer key as SHA-256 of its root's key and k, so
+// no fork deals the stream of another root or of another fork.
+func forkKey(root [32]byte, k uint64) [32]byte {
+	var msg [40]byte
+	copy(msg[:], root[:])
+	binary.LittleEndian.PutUint64(msg[32:], k)
+	return sha256.Sum256(msg[:])
 }
 
 // CmpTuples deals one comparison's correlated randomness — one TupleBlock

@@ -186,7 +186,7 @@ func (s Stats) Sub(other Stats) Stats {
 type Engine struct {
 	n      int
 	mode   Mode
-	seed   uint64
+	key    [32]byte // the root's dealer key, from which each fork's derives
 	dealer *Dealer
 	conns  []transport.Conn
 	stats  Stats
@@ -227,9 +227,10 @@ func NewEngine(p Params) (*Engine, error) {
 	if p.Dial == nil {
 		p.Dial = memDial(p.Parties)
 	}
+	key := seedKey(p.Seed)
 	e := &Engine{
-		n: p.Parties, mode: p.Mode, seed: p.Seed,
-		dealer:       NewDealer(p.Parties, p.Seed),
+		n: p.Parties, mode: p.Mode, key: key,
+		dealer:       newDealer(p.Parties, key),
 		forkCtr:      new(atomic.Uint64),
 		roundTimeout: p.RoundTimeout,
 		wrap:         p.Wrap,
@@ -257,15 +258,13 @@ func memDial(n int) func() (ConnSet, error) {
 
 // Fork returns an independent engine over the same parties and network
 // model: fresh transport lanes, a fresh dealer stream and zeroed stats. A
-// fork's randomness depends only on the root's seed and its fork number.
-// Forks may run concurrently with each other and with their root; each
-// individual engine remains single-goroutine.
+// fork's randomness depends only on the root's seed and its fork number
+// (see forkKey). Forks may run concurrently with each other and with their
+// root; each individual engine remains single-goroutine.
 func (e *Engine) Fork() *Engine {
-	id := e.forkCtr.Add(1)
-	seed := e.seed + id*0xd1342543de82ef95 // distinct odd-multiplier stream per fork
 	f := &Engine{
-		n: e.n, mode: e.mode, seed: e.seed,
-		dealer:       NewDealer(e.n, seed),
+		n: e.n, mode: e.mode, key: e.key,
+		dealer:       newDealer(e.n, forkKey(e.key, e.forkCtr.Add(1))),
 		forkCtr:      e.forkCtr,
 		instr:        e.instr,
 		roundTimeout: e.roundTimeout,

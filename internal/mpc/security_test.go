@@ -381,3 +381,28 @@ func TestOpeningsNeverRepeat(t *testing.T) {
 		}
 	}
 }
+
+// TestForkDealsNoRootsStream: a fork's dealer stream is not the stream of a
+// root seeded otherwise. Were a fork keyed by adding a multiple of a
+// constant to its root's seed, fork 1 of a root seeded s would deal exactly
+// what a root seeded s + that constant deals, so two federations' sessions
+// could share masks.
+func TestForkDealsNoRootsStream(t *testing.T) {
+	for _, s := range []uint64{0, 1, 99} {
+		root, err := NewEngine(Params{Parties: 3, Mode: ModeProtocol, Seed: s})
+		if err != nil {
+			t.Fatal(err)
+		}
+		other, err := NewEngine(Params{Parties: 3, Mode: ModeProtocol, Seed: s + 0xd1342543de82ef95})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fork := root.Fork()
+		if slices.Equal(fork.dealer.CmpTuples(), other.dealer.CmpTuples()) {
+			t.Fatalf("fork 1 of a root seeded %d deals the first block of a root seeded %d + 0xd1342543de82ef95", s, s)
+		}
+		for _, e := range []*Engine{root, other, fork} {
+			e.Close()
+		}
+	}
+}
